@@ -2,7 +2,7 @@
 //!
 //! Not a paper figure (the paper's testbed is one client, one server), but
 //! the question the transport layer exists to answer: with the server
-//! behind a real TCP accept loop and a worker pool, how does aggregate
+//! behind a real TCP event loop and a worker pool, how does aggregate
 //! query throughput scale with the number of concurrent clients? Read-only
 //! queries share the server's read lock, so throughput should rise with
 //! client count until the worker pool or the structural-join CPU saturates.

@@ -3,7 +3,7 @@
 //!
 //! Not a paper figure: the paper hosts one sealed database per server. This
 //! experiment runs three independently keyed hospital databases behind one
-//! [`serve_multi`] loop over real sockets. A *hot* tenant is hammered by
+//! [`serve_event`] loop over real sockets. A *hot* tenant is hammered by
 //! several threads replaying a Zipf-skewed query schedule while two *quiet*
 //! tenants issue sequential queries. Two admission policies are compared:
 //!
@@ -19,10 +19,12 @@
 
 use crate::report::Table;
 use crate::ExpConfig;
+use exq_core::evloop::serve_event;
 use exq_core::scheme::SchemeKind;
+use exq_core::serve::ServeConfig;
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::tenant::TenantRegistry;
-use exq_core::transport::{serve_multi, ServeConfig, TcpTransport};
+use exq_core::transport::TcpTransport;
 use exq_core::Client;
 use exq_workload::hospital;
 use std::net::TcpListener;
@@ -123,7 +125,7 @@ fn run_policy(
 ) -> Vec<TenantRun> {
     let (registry, clients) = build_registry(cfg, tag);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = serve_multi(listener, Arc::clone(&registry), config).unwrap();
+    let handle = serve_event(listener, Arc::clone(&registry), config).unwrap();
     let addr = handle.addr();
 
     // Hot tenant: HOT_THREADS threads replaying the Zipf schedule. Busy

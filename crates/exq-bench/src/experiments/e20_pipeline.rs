@@ -3,18 +3,16 @@
 //! Not a paper figure: the paper's client/server split pays a full round
 //! trip per query, so at scale the serve loop — not crypto — bounds
 //! throughput. This experiment replays the E14/E16-style Zipf workload
-//! from 100 concurrent connections against one hospital database under
-//! four serving modes:
+//! from 100 concurrent connections against one hospital database, served
+//! by the event loop with a small worker pool, under three client modes:
 //!
-//! * **baseline** — the thread-per-connection blocking loop, given one
-//!   worker per client (its natural scaling mode, and its cost);
-//! * **evloop-serial** — the readiness-based event loop with a small
-//!   worker pool, one request in flight per connection;
-//! * **evloop-pipelined** — same loop, every connection submits its whole
-//!   schedule before reading the first reply (N in flight, correlated by
-//!   the echoed request ids);
-//! * **evloop-batch** — same loop, the schedule submitted as v5 `Batch`
-//!   frames sharing one admission + cache-probe pass per group.
+//! * **evloop-serial** — one request in flight per connection (the
+//!   baseline the other two are compared against);
+//! * **evloop-pipelined** — every connection submits its whole schedule
+//!   before reading the first reply (N in flight, correlated by the
+//!   echoed request ids);
+//! * **evloop-batch** — the schedule submitted as v5 `Batch` frames
+//!   sharing one admission + cache-probe pass per group.
 //!
 //! Every reply is decrypted and checked against in-process reference
 //! answers — the experiment *fails* on a dropped or wrong answer, so the
@@ -29,9 +27,10 @@ use crate::ExpConfig;
 use exq_core::codec::Message;
 use exq_core::evloop::serve_event;
 use exq_core::scheme::SchemeKind;
+use exq_core::serve::{ServeConfig, ServeHandle};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::tenant::TenantRegistry;
-use exq_core::transport::{serve_multi, Pipeline, ServeConfig, ServeHandle};
+use exq_core::transport::Pipeline;
 use exq_core::Client;
 use exq_workload::hospital;
 use std::net::{SocketAddr, TcpListener};
@@ -41,8 +40,8 @@ use std::time::{Duration, Instant};
 /// Simulated clients (concurrent connections), `EXQ_E20_CLIENTS` env
 /// override (default 100). The drivers below multiplex them over a thread
 /// pool, so 1000 connections do not need 1000 driver threads — and since
-/// the serve paths re-`listen(2)` with a widened kernel backlog, a burst
-/// of 1000 simultaneous connects no longer overflows the SYN queue.
+/// the server re-issues `listen(2)` with a widened kernel backlog, a
+/// burst of 1000 simultaneous connects does not overflow the SYN queue.
 fn clients() -> usize {
     std::env::var("EXQ_E20_CLIENTS")
         .ok()
@@ -56,8 +55,8 @@ const QUERIES_PER_CONN: usize = 20;
 const DRIVERS: usize = 8;
 /// Items per v5 `Batch` frame in the batch mode.
 const BATCH: usize = 10;
-/// Worker pool for the event-loop modes. Deliberately small: the point is
-/// that 100 connections do not need 100 threads.
+/// The server's worker pool. Deliberately small: the point is that 100
+/// connections do not need 100 threads.
 const EVLOOP_WORKERS: usize = 8;
 
 const QUERIES: &[&str] = &[
@@ -156,7 +155,7 @@ fn run_conn(
     Ok((started.elapsed(), replies))
 }
 
-/// Runs one serving mode: `clients` connections multiplexed over DRIVERS
+/// Runs one client mode: `clients` connections multiplexed over DRIVERS
 /// threads, every answer decrypted and checked against `references`.
 #[allow(clippy::too_many_arguments)]
 fn run_mode(
@@ -237,8 +236,8 @@ fn run_mode(
     outcome
 }
 
-/// A fresh single-db registry from the fixed seed, so every mode serves an
-/// identical database with cold caches.
+/// A fresh single-db registry from the fixed seed, so every mode is served
+/// an identical database with cold caches.
 fn build_registry(cfg: &ExpConfig) -> (Arc<TenantRegistry>, Client) {
     let hosted = Outsourcer::new(OutsourceConfig::default())
         .outsource(
@@ -273,40 +272,27 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         .collect();
     drop(hosted);
 
-    // The four serving modes. The baseline gets one worker per client —
-    // thread-per-connection scales by spending threads; the event loop
-    // makes do with EVLOOP_WORKERS.
-    // The event-loop queue bound is sized for the offered load (clients
+    // The dispatch-queue bound is sized for the offered load (clients
     // connections × QUERIES_PER_CONN frames can all be in flight at once
     // when pipelined); the default auto bound of 8×workers would shed the
     // burst with `Busy`, which this experiment counts as a failure.
-    let evloop_config = || ServeConfig {
+    let config = ServeConfig {
         workers: EVLOOP_WORKERS,
         threads: 1,
         accept_backlog: 2 * clients * QUERIES_PER_CONN,
         ..ServeConfig::default()
     };
-    let modes: Vec<(&str, bool, ServeConfig, Mode)> = vec![
-        (
-            "baseline-thread-per-conn",
-            false,
-            ServeConfig {
-                workers: clients,
-                threads: 1,
-                ..ServeConfig::default()
-            },
-            Mode::Serial,
-        ),
-        ("evloop-serial", true, evloop_config(), Mode::Serial),
-        ("evloop-pipelined", true, evloop_config(), Mode::Pipelined),
-        ("evloop-batch", true, evloop_config(), Mode::Batch),
+    let modes = [
+        ("evloop-serial", Mode::Serial),
+        ("evloop-pipelined", Mode::Pipelined),
+        ("evloop-batch", Mode::Batch),
     ];
 
     let mut t = Table::new(
         "e20_pipeline",
         &format!(
             "{clients} concurrent connections × {QUERIES_PER_CONN} Zipf draws, verified \
-             answers; amortized per-query latency by serving mode"
+             answers; amortized per-query latency by client mode"
         ),
         &[
             "mode",
@@ -323,16 +309,12 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     );
 
     let mut json = String::from("{\n  \"experiment\": \"e20_pipeline\",\n  \"rows\": [\n");
-    let mut p99_by_mode: Vec<(String, f64)> = Vec::new();
-    for (i, (name, event_loop, config, mode)) in modes.into_iter().enumerate() {
+    let mut p99_by_mode = [f64::NAN; 3];
+    for (i, (name, mode)) in modes.into_iter().enumerate() {
         let (registry, client) = build_registry(cfg);
         let workers = config.workers;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = if event_loop {
-            serve_event(listener, Arc::clone(&registry), config).unwrap()
-        } else {
-            serve_multi(listener, Arc::clone(&registry), config).unwrap()
-        };
+        let handle = serve_event(listener, registry, config.clone()).unwrap();
 
         // Requests are translated once — every mode replays identical
         // frames, so mode differences are purely scheduling.
@@ -390,26 +372,16 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             ms(p99),
             ms(out.wall),
         ));
-        p99_by_mode.push((name.to_string(), ms(p99)));
+        p99_by_mode[i] = ms(p99);
     }
 
-    let baseline_p99 = p99_by_mode[0].1;
-    let pipelined_p99 = p99_by_mode
-        .iter()
-        .find(|(n, _)| n == "evloop-pipelined")
-        .map(|(_, v)| *v)
-        .unwrap_or(f64::NAN);
-    let batch_p99 = p99_by_mode
-        .iter()
-        .find(|(n, _)| n == "evloop-batch")
-        .map(|(_, v)| *v)
-        .unwrap_or(f64::NAN);
-    let best = pipelined_p99.min(batch_p99);
+    // Rows are in `modes` order; the serial row is the baseline.
+    let [baseline_p99, pipelined_p99, batch_p99] = p99_by_mode;
     json.push_str(&format!(
         "\n  ],\n  \"clients\": {clients},\n  \"queries_per_conn\": {QUERIES_PER_CONN},\n  \
          \"baseline_p99_ms\": {baseline_p99:.5},\n  \"pipelined_p99_ms\": {pipelined_p99:.5},\n  \
          \"batch_p99_ms\": {batch_p99:.5},\n  \"p99_speedup\": {:.3}\n}}\n",
-        baseline_p99 / best.max(1e-9),
+        baseline_p99 / pipelined_p99.max(1e-9),
     ));
 
     if cfg.write_root_artifacts {

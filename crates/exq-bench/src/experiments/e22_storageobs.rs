@@ -2,7 +2,7 @@
 //! profile/registry reconciliation, and serving-mode equivalence.
 //!
 //! Not a paper figure: PR 9 threads a per-query [`exq_core::telemetry::QueryProfile`] through
-//! both serve paths, wires the paged store's pool/WAL/checkpoint events
+//! the serve path, wires the paged store's pool/WAL/checkpoint events
 //! into the registry, and keeps an always-on flight recorder — and all of
 //! it is only admissible if it is invisible. Three closed-loop checks:
 //!
@@ -34,14 +34,14 @@
 use crate::report::Table;
 use crate::ExpConfig;
 use exq_core::codec::{Message, PROTOCOL_VERSION};
+use exq_core::evloop::serve_event;
 use exq_core::scheme::SchemeKind;
+use exq_core::serve::{ServeConfig, ServeHandle};
 use exq_core::store::{PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::telemetry;
 use exq_core::tenant::TenantRegistry;
-use exq_core::transport::{
-    serve_multi, Pipeline, ServeConfig, ServeHandle, TcpTransport, Transport,
-};
+use exq_core::transport::{Pipeline, TcpTransport, Transport};
 use exq_core::Client;
 use exq_workload::hospital;
 use std::net::TcpListener;
@@ -258,7 +258,7 @@ fn serve_paged(
         cache_entries: Some(0),
         ..ServeConfig::default()
     };
-    let handle = serve_multi(listener, registry, config).unwrap();
+    let handle = serve_event(listener, registry, config).unwrap();
     (handle, client)
 }
 

@@ -29,11 +29,13 @@
 use crate::report::Table;
 use crate::ExpConfig;
 use exq_core::constraints::SecurityConstraint;
+use exq_core::evloop::serve_event;
 use exq_core::scheme::SchemeKind;
+use exq_core::serve::ServeConfig;
 use exq_core::store::{checkpoint_once, tend, PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::tenant::{DbHealth, TenantRegistry};
-use exq_core::transport::{serve_multi, ServeConfig, TcpTransport};
+use exq_core::transport::TcpTransport;
 use exq_core::{Client, CoreError, Server};
 use exq_store::{FaultConfig, FaultVfs};
 use exq_xml::Document;
@@ -257,7 +259,7 @@ fn sweep_rate(seed: u64, per_mille: u16, ops: usize) -> RateStats {
     let registry = Arc::new(TenantRegistry::single(DB, Arc::clone(&shared)).unwrap());
     let tenant = registry.tenants().pop().unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = serve_multi(listener, Arc::clone(&registry), ServeConfig::default()).unwrap();
+    let handle = serve_event(listener, Arc::clone(&registry), ServeConfig::default()).unwrap();
     let mut tcp = TcpTransport::connect_default(handle.addr()).unwrap();
 
     let baseline = client

@@ -9,13 +9,12 @@ use exq_core::constraints::SecurityConstraint;
 use exq_core::evloop::serve_event;
 use exq_core::retry::{roundtrip_pipelined, Retry, RetryConfig};
 use exq_core::scheme::SchemeKind;
+use exq_core::serve::{ServeConfig, ServeHandle};
 use exq_core::store::{checkpoint_interval, Checkpointer, PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::telemetry;
 use exq_core::tenant::TenantRegistry;
-use exq_core::transport::{
-    serve_multi, InProcess, Pipeline, ServeConfig, ServeHandle, TcpTransport, Transport,
-};
+use exq_core::transport::{InProcess, Pipeline, TcpTransport, Transport};
 use exq_core::{Client, CoreError, Server};
 use exq_xml::Document;
 use std::fmt::Write as _;
@@ -388,12 +387,11 @@ pub fn resolve_store_opts(cache_mb: Option<usize>) -> Option<StoreOptions> {
 
 /// `exq serve`: host a server state file on a TCP address. Returns the
 /// running handle plus a banner; the binary parks until interrupted, tests
-/// shut the handle down directly. `event_loop` picks the readiness-based
-/// serve path: idle connections cost buffers instead of worker threads.
-/// With `cache_mb` (or `EXQ_CACHE_MB`) the database hosts out-of-core:
-/// the artifact migrates to a paged sibling, sealed blocks page in through
-/// a buffer pool of that many MiB, and the returned [`Checkpointer`] folds
-/// the WAL in the background (keep it alive as long as the handle).
+/// shut the handle down directly. With `cache_mb` (or `EXQ_CACHE_MB`) the
+/// database hosts out-of-core: the artifact migrates to a paged sibling,
+/// sealed blocks page in through a buffer pool of that many MiB, and the
+/// returned [`Checkpointer`] folds the WAL in the background (keep it alive
+/// as long as the handle).
 #[allow(clippy::too_many_arguments)]
 pub fn cmd_serve(
     server_path: &Path,
@@ -403,7 +401,6 @@ pub fn cmd_serve(
     cache_entries: Option<usize>,
     max_inflight: usize,
     deadline_ms: u64,
-    event_loop: bool,
     cache_mb: Option<usize>,
 ) -> Result<(ServeHandle, Option<Checkpointer>, String), CliError> {
     exq_core::flight::install_panic_hook();
@@ -447,11 +444,7 @@ pub fn cmd_serve(
     let checkpointer = paged
         .as_ref()
         .map(|_| Checkpointer::spawn_tenants(Arc::clone(&registry), checkpoint_interval()));
-    let handle = if event_loop {
-        serve_event(listener, registry, config)?
-    } else {
-        serve_multi(listener, registry, config)?
-    };
+    let handle = serve_event(listener, registry, config)?;
     let per_query = exq_core::pool::resolve_threads(threads);
     let cache = handle.cache_stats().capacity;
     let cache_desc = if cache == 0 {
@@ -465,7 +458,6 @@ pub fn cmd_serve(
         (0, d) => format!(", {d}ms deadline"),
         (m, d) => format!(", max {m} in flight, {d}ms deadline"),
     };
-    let loop_desc = if event_loop { ", event loop" } else { "" };
     let paged_desc = match (&paged, &store_opts) {
         (Some(db), Some(opts)) => {
             let fp = db.footprint();
@@ -479,7 +471,7 @@ pub fn cmd_serve(
     };
     let banner = format!(
         "serving {} ({bytes} hosted bytes, {blocks} blocks) on {} with {workers} worker(s), \
-         {per_query} intra-query thread(s), {cache_desc}{load_desc}{loop_desc}{paged_desc}\n",
+         {per_query} intra-query thread(s), {cache_desc}{load_desc}{paged_desc}\n",
         server_path.display(),
         handle.addr()
     );
@@ -643,7 +635,6 @@ pub fn cmd_db_host(
     max_inflight: usize,
     max_inflight_per_db: usize,
     deadline_ms: u64,
-    event_loop: bool,
     cache_mb: Option<usize>,
 ) -> Result<(ServeHandle, Option<Checkpointer>, String), CliError> {
     exq_core::flight::install_panic_hook();
@@ -671,13 +662,8 @@ pub fn cmd_db_host(
         deadline: std::time::Duration::from_millis(deadline_ms),
         ..ServeConfig::default()
     };
-    let handle = if event_loop {
-        serve_event(listener, Arc::clone(&registry), config)?
-    } else {
-        serve_multi(listener, Arc::clone(&registry), config)?
-    };
+    let handle = serve_event(listener, Arc::clone(&registry), config)?;
     let names = registry.names().join(", ");
-    let loop_desc = if event_loop { " (event loop)" } else { "" };
     let paged_desc = match &store_opts {
         Some(opts) => format!(
             " out-of-core ({} MiB budget/db),",
@@ -686,7 +672,7 @@ pub fn cmd_db_host(
         None => String::new(),
     };
     let banner = format!(
-        "hosting {} database(s) from {} on {} with {workers} worker(s){loop_desc},{paged_desc} \
+        "hosting {} database(s) from {} on {} with {workers} worker(s),{paged_desc} \
          dbs: {names} (default: {})\n",
         registry.len(),
         dir.display(),
@@ -1078,9 +1064,6 @@ USAGE:
                 [--cache-entries N]   (0 disables the server caches)
                 [--max-inflight N]    (shed Busy beyond N concurrent requests; 0=off)
                 [--deadline-ms N]     (per-request lock deadline; 0=off)
-                [--event-loop]        (readiness-based serve path: one event thread
-                                       multiplexes every connection, workers only
-                                       execute queries; idle peers cost no threads)
                 [--cache-mb N]        (host out-of-core: blocks page in through a
                                        buffer pool of N MiB; the artifact migrates
                                        to a paged sibling with a write-ahead log
@@ -1094,7 +1077,7 @@ USAGE:
   exq db drop   --dir DBDIR --name NAME
   exq db host   --dir DBDIR --addr HOST:PORT [--workers N] [--threads N]
                 [--cache-entries N] [--max-inflight N] [--max-inflight-per-db N]
-                [--deadline-ms N] [--event-loop] [--cache-mb N]
+                [--deadline-ms N] [--cache-mb N]
                                       (serve every db in the directory; clients
                                        route with --db, legacy peers get the default)
   exq ping      --addr HOST:PORT [--count N]   (liveness probe round-trips)

@@ -28,7 +28,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
     let mut i = 1;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
-            if name == "naive" || name == "event-loop" || name == "once" || name == "check" {
+            if name == "naive" || name == "once" || name == "check" {
                 flags.insert(name.to_owned(), "true".to_owned());
             } else {
                 i += 1;
@@ -190,7 +190,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 cache_entries,
                 max_inflight,
                 deadline_ms,
-                flags.contains_key("event-loop"),
                 cache_mb,
             )?;
             print!("{banner}");
@@ -257,7 +256,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                         max_inflight,
                         per_db,
                         deadline_ms,
-                        flags.contains_key("event-loop"),
                         cache_mb,
                     )?;
                     print!("{banner}");

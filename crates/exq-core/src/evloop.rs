@@ -1,9 +1,10 @@
-//! The readiness-driven serve path: one event thread multiplexing every
-//! connection over `epoll`, with query execution on a worker pool.
+//! The serve path: one event thread multiplexing every connection over
+//! `epoll`, with query execution on a worker pool. This is the only
+//! server — "how a request reaches a thread" is answered here and nowhere
+//! else.
 //!
-//! The blocking loop in [`crate::transport`] pins one worker thread per
-//! connection, so idle connections beyond `workers` starve fresh clients
-//! outright. Here the event thread owns *all* sockets:
+//! The event thread owns *all* sockets, so thousands of idle connections
+//! cost buffers, not threads, and never starve a fresh client:
 //!
 //! * **epoll via raw syscalls** — the private `sys` module declares the four
 //!   libc entry points (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
@@ -15,45 +16,52 @@
 //!   frames may be in flight per connection (replies echo the request id,
 //!   so the client correlates them in any order);
 //! * **compute off the event thread** — decoded requests go to worker
-//!   threads over a bounded queue; workers run the same `serve_one`
-//!   admission/fair-share/replay path as the blocking loop
-//!   and push encoded replies to a completion queue, waking the event
-//!   thread through an `eventfd`;
-//! * **stall budgets** — the mid-frame read budget and the reply write
-//!   budget from the blocking loop apply unchanged: a peer silent
-//!   mid-frame, or one that stops draining replies, is dropped after
-//!   `io_timeout` without pinning anything but its own buffers.
+//!   threads over a bounded queue; workers run [`crate::serve`]'s
+//!   admission/fair-share/replay path (`serve_one`) and push encoded
+//!   replies to a completion queue, waking the event thread through an
+//!   `eventfd`;
+//! * **stall budgets** — a peer that makes no progress for `io_timeout`
+//!   while mid-frame, or while owing us a drained reply, is dropped
+//!   without pinning anything but its own buffers. Progress resets the
+//!   budget: every byte received (or accepted by the socket) restarts it,
+//!   so a slow-but-live peer dribbling a large frame is served. A
+//!   connection idle *between* frames has no budget and is never dropped.
 //!
 //! `Ping` is answered inline on the event thread (a saturated worker pool
 //! must not make the server look dead), and a full dispatch queue answers
 //! `Busy` immediately — admission pressure is visible to clients, never an
 //! unbounded queue.
 //!
-//! On non-Linux targets [`serve_event`] falls back to the blocking loop —
-//! same wire behavior, different scheduling.
+//! Serving needs Linux. On other targets [`serve_event`] returns
+//! [`std::io::ErrorKind::Unsupported`]; the client transports,
+//! [`crate::transport::InProcess`] and everything offline stay portable.
 
 #[cfg(target_os = "linux")]
 pub use linux::serve_event;
 
+/// Serving is built on epoll: on this target there is no server, only the
+/// portable client side.
 #[cfg(not(target_os = "linux"))]
 pub fn serve_event(
-    listener: std::net::TcpListener,
-    registry: std::sync::Arc<crate::tenant::TenantRegistry>,
-    config: crate::transport::ServeConfig,
-) -> std::io::Result<crate::transport::ServeHandle> {
-    crate::transport::serve_multi(listener, registry, config)
+    _listener: std::net::TcpListener,
+    _registry: std::sync::Arc<crate::tenant::TenantRegistry>,
+    _config: crate::serve::ServeConfig,
+) -> std::io::Result<crate::serve::ServeHandle> {
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "serving needs Linux: the event loop is built on epoll",
+    ))
 }
 
 #[cfg(target_os = "linux")]
 mod linux {
     use super::sys;
     use crate::codec::{frame_extra_len, DecodedFrame, Message, FRAME_HEADER_LEN};
+    use crate::serve::{
+        apply_tenant_knobs, busy_reply, serve_one, ServeConfig, ServeHandle, ServeShared,
+    };
     use crate::telemetry::{self, Counter, Gauge, Histogram};
     use crate::tenant::TenantRegistry;
-    use crate::transport::{
-        accept_metrics, apply_tenant_knobs, busy_reply, salvage_frame_ids, serve_one, ServeConfig,
-        ServeHandle, ServeShared,
-    };
     use std::collections::HashMap;
     use std::fs::File;
     use std::io::{Read, Write};
@@ -64,8 +72,12 @@ mod linux {
     use std::thread;
     use std::time::{Duration, Instant};
 
-    /// Registry handles for the event-loop gauges.
+    /// Registry handles for the event-loop gauges and accept-path counters.
     struct EvMetrics {
+        /// `accept(2)` failures (fd exhaustion, aborted handshakes, …).
+        accept_errors: Arc<Counter>,
+        /// Requests refused with `Busy` because the dispatch queue was full.
+        accept_rejected: Arc<Counter>,
         /// Connections currently registered with the event loop.
         connections: Arc<Gauge>,
         /// `epoll_wait` returns (readiness wakeups, including timeouts).
@@ -80,6 +92,8 @@ mod linux {
     fn ev_metrics() -> &'static EvMetrics {
         static METRICS: OnceLock<EvMetrics> = OnceLock::new();
         METRICS.get_or_init(|| EvMetrics {
+            accept_errors: telemetry::counter("exq_accept_errors_total"),
+            accept_rejected: telemetry::counter("exq_accept_rejected_total"),
             connections: telemetry::gauge("exq_evloop_connections"),
             wakeups: telemetry::counter("exq_evloop_wakeups_total"),
             queue_depth: telemetry::gauge("exq_evloop_queue_depth"),
@@ -127,7 +141,7 @@ mod linux {
         /// EPOLLOUT currently registered.
         want_write: bool,
         /// Mid-frame stall budget: armed while a partial frame sits in
-        /// `rbuf`, cleared by progress.
+        /// `rbuf`, restarted by every byte of progress.
         read_deadline: Option<Instant>,
         /// Write stall budget: armed while the socket refuses bytes we owe,
         /// cleared by progress.
@@ -144,11 +158,12 @@ mod linux {
         }
     }
 
-    /// Runs the frame protocol over `listener` with the readiness-based
-    /// event loop. Same wire behavior and admission policy as
-    /// [`crate::transport::serve_multi`]; unlike it, thousands of idle
-    /// connections cost buffers, not threads. Returns immediately; the
-    /// returned handle owns the event and worker threads.
+    /// Runs the frame protocol over `listener` against a registry of sealed
+    /// databases. v4+ frames route by the db id they carry (empty = the
+    /// registry's default db); v1–v3 frames always hit the default db.
+    /// Unknown db ids are answered with a typed tenant error, never a panic
+    /// or a dropped connection. Returns immediately; the returned handle
+    /// owns the event and worker threads.
     pub fn serve_event(
         listener: TcpListener,
         registry: Arc<TenantRegistry>,
@@ -156,7 +171,7 @@ mod linux {
     ) -> std::io::Result<ServeHandle> {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        crate::transport::tune_listen_backlog(&listener, &config);
+        tune_listen_backlog(&listener, &config);
         apply_tenant_knobs(&registry, &config);
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(ServeShared {
@@ -230,7 +245,12 @@ mod linux {
             }));
         }
 
-        Ok(ServeHandle::assemble(addr, stop, threads, registry))
+        Ok(ServeHandle {
+            addr,
+            stop,
+            threads,
+            registry,
+        })
     }
 
     struct EventLoop {
@@ -257,10 +277,9 @@ mod linux {
     impl EventLoop {
         fn run(mut self) {
             // The tick bounds deadline sweeps and shutdown latency even if
-            // no readiness event arrives.
-            let tick = self
-                .config
-                .poll_interval
+            // no readiness event arrives, so a stalled peer is dropped at
+            // most one tick past its `io_timeout`.
+            let tick = (self.config.io_timeout / 4)
                 .clamp(Duration::from_millis(10), Duration::from_millis(200));
             let mut events = [sys::EpollEvent::empty(); MAX_EVENTS];
             let mut scratch = vec![0u8; READ_CHUNK];
@@ -304,7 +323,7 @@ mod linux {
                     Err(_) => {
                         // EMFILE and friends persist; pause the listener so
                         // a level-triggered epoll doesn't spin on it.
-                        accept_metrics().accept_errors.inc();
+                        ev_metrics().accept_errors.inc();
                         self.accept_error_streak += 1;
                         crate::flight::event(
                             crate::flight::Kind::AcceptError,
@@ -379,7 +398,13 @@ mod linux {
                             conn.closing = true;
                             break;
                         }
-                        Ok(n) => conn.rbuf.extend_from_slice(&scratch[..n]),
+                        Ok(n) => {
+                            conn.rbuf.extend_from_slice(&scratch[..n]);
+                            // Progress restarts the mid-frame budget:
+                            // `process_frames` re-arms it from now if a
+                            // partial frame is still pending.
+                            conn.read_deadline = None;
+                        }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                         Err(_) => {
@@ -470,7 +495,7 @@ mod linux {
                                     // Dispatch queue saturated: shed here,
                                     // visibly, instead of queueing without
                                     // bound.
-                                    accept_metrics().accept_rejected.inc();
+                                    ev_metrics().accept_rejected.inc();
                                     let d = job.frame;
                                     Some(
                                         busy_reply(d.version, self.config.retry_after)
@@ -606,6 +631,55 @@ mod linux {
                 ev_metrics().connections.add(-1);
             }
         }
+    }
+
+    /// Raises the kernel accept backlog on an already-listening socket.
+    ///
+    /// `TcpListener::bind` hardcodes a backlog of 128; a burst of ~1000
+    /// simultaneous connects (E20 at scale) overflows the SYN queue and the
+    /// excess either times out or sees `ECONNREFUSED` before the event loop
+    /// ever accepts. POSIX allows re-calling `listen(2)` on a listening socket
+    /// to grow the backlog, so that is exactly what this does — the kernel
+    /// still clamps to `net.core.somaxconn`. Best-effort: a failure keeps the
+    /// default backlog rather than refusing to serve.
+    fn tune_listen_backlog(listener: &TcpListener, config: &ServeConfig) {
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn listen(fd: std::ffi::c_int, backlog: std::ffi::c_int) -> std::ffi::c_int;
+        }
+        let want = config.backlog().max(1024).min(i32::MAX as usize) as std::ffi::c_int;
+        // SAFETY: `listen(2)` on a descriptor the borrowed listener keeps
+        // open; it reads no memory of ours.
+        if unsafe { listen(listener.as_raw_fd(), want) } != 0 {
+            telemetry::log(
+                telemetry::Level::Warn,
+                &format!(
+                    "listen backlog {want} not applied: {}",
+                    std::io::Error::last_os_error()
+                ),
+            );
+        }
+    }
+
+    /// Best-effort extraction of the trace and request ids from a raw frame
+    /// whose payload failed to decode: the framing fields sit at fixed offsets
+    /// for a given version, so they survive payload-level corruption. (After a
+    /// checksum failure the ids are untrustworthy, but echoing them is
+    /// harmless — the worst case is what always happened before: an error the
+    /// client cannot correlate.)
+    fn salvage_frame_ids(frame: &[u8], version: u8) -> (u64, u64) {
+        use crate::codec::{TRACE_FIELD_LEN, V2_PROTOCOL_VERSION, V3_PROTOCOL_VERSION};
+        let mut trace = 0u64;
+        let mut req_id = 0u64;
+        let trace_pos = FRAME_HEADER_LEN;
+        if version >= V2_PROTOCOL_VERSION && frame.len() >= trace_pos + 8 {
+            trace = u64::from_le_bytes(frame[trace_pos..trace_pos + 8].try_into().unwrap());
+        }
+        let id_pos = FRAME_HEADER_LEN + TRACE_FIELD_LEN;
+        if version >= V3_PROTOCOL_VERSION && frame.len() >= id_pos + 8 {
+            req_id = u64::from_le_bytes(frame[id_pos..id_pos + 8].try_into().unwrap());
+        }
+        (trace, req_id)
     }
 
     /// Encodes a codec failure as an error frame echoing whatever ids were

@@ -68,7 +68,7 @@ pub enum Kind {
     /// A dispatched request crossed the slow threshold. `a` = µs,
     /// `b` = pages faulted, `c` = blocks shipped.
     SlowQuery = 8,
-    /// The accept loop hit an error and backed off. `a` = consecutive
+    /// `accept(2)` failed and the listener backed off. `a` = consecutive
     /// errors.
     AcceptError = 9,
     /// A db's health dropped after a storage fault. `a` = new health

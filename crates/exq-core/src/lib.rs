@@ -29,6 +29,10 @@
 //! * [`flight`] — the always-on flight recorder: a lock-free ring of recent
 //!   operational events (admissions, sheds, checkpoints, slow fsyncs)
 //!   dumped over the wire (`FlightReq`) or to stderr on panic;
+//! * [`transport`] / [`serve`] / [`evloop`] — the network service: the
+//!   client side of the link (in-process, TCP, pipelined), what a running
+//!   server admits, sheds and dispatches per request, and the one serve
+//!   path — an epoll event loop over a worker pool (Linux only);
 //! * [`fault`] / [`retry`] — the fault-tolerance layer: seeded fault
 //!   injection (message-level wrapper and a TCP chaos proxy) and safe
 //!   client-side retry with reconnect, backoff + jitter, and at-most-once
@@ -54,6 +58,7 @@ pub mod persist;
 pub mod pool;
 pub mod retry;
 pub mod scheme;
+pub mod serve;
 pub mod server;
 pub mod store;
 pub mod system;
@@ -71,10 +76,8 @@ pub use evloop::serve_event;
 pub use fault::{ChaosProxy, FaultConfig, FaultTransport, ProxyFaults};
 pub use retry::{Retry, RetryConfig};
 pub use scheme::{EncryptionScheme, SchemeKind};
+pub use serve::{ServeConfig, ServeHandle};
 pub use server::Server;
 pub use system::{HostedDatabase, OutsourceConfig, Outsourcer, QueryOutcome};
 pub use tenant::{Tenant, TenantRegistry, DEFAULT_DB};
-pub use transport::{
-    serve, serve_multi, InProcess, Pipeline, Reconnect, ServeConfig, ServeHandle, TcpTransport,
-    Transport,
-};
+pub use transport::{InProcess, Pipeline, Reconnect, TcpTransport, Transport};

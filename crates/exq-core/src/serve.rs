@@ -1,0 +1,678 @@
+//! The serve side: what one running server is configured with, how a
+//! decoded request is admitted (or shed), and how it is dispatched against
+//! the database it names.
+//!
+//! A server hosts a [`TenantRegistry`] — one process, many named,
+//! independently-keyed sealed databases. Each wire-v4+ frame names the db
+//! it addresses (empty = the default db, which is also where v1–v3 peers
+//! land); read-style requests share that tenant's read lock and run
+//! concurrently, mutations take its write lock. [`serve`] is the
+//! single-database convenience: it wraps the caller's
+//! `Arc<RwLock<Server>>` as the sole default tenant.
+//!
+//! How bytes become requests and requests reach a thread is
+//! [`crate::evloop`]'s business — the one serve path. This module is what
+//! each of its workers runs per request (`serve_one`):
+//!
+//! * an optional max-in-flight limit and per-request deadline, answering
+//!   [`Message::Busy`] instead of queueing unboundedly (cache-hit queries
+//!   and cheap stats requests are admitted ahead of misses);
+//! * *fair-share* admission: on top of the global in-flight limit each
+//!   tenant is capped (its own quota, or `max_inflight` split evenly
+//!   across tenants), so one hot tenant's Busy storm cannot starve
+//!   another tenant's share of the server;
+//! * the per-tenant [`crate::transport::ReplayTable`], so a mutation
+//!   replayed by the client-side retry layer is applied at most once;
+//! * the per-request resource profile and slow-query accounting.
+
+// Everything crate-private here is called from the epoll event loop, which
+// only exists on Linux; elsewhere `serve_event` reports `Unsupported`.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
+
+use crate::codec::{DecodedFrame, Message, WireError};
+use crate::error::CoreError;
+use crate::server::Server;
+use crate::telemetry::{self, Counter, Gauge};
+use crate::tenant::{Tenant, TenantRegistry, DEFAULT_DB};
+use crate::transport::{answer_request, apply_request_keyed, dispatch_traced};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// Registry handles for the fault-tolerance counters on the serving side.
+struct FtMetrics {
+    /// Requests refused at admission because the server was saturated.
+    shed: Arc<Counter>,
+    /// Requests admitted but refused because the server could not be
+    /// acquired within the deadline.
+    deadline_shed: Arc<Counter>,
+    /// Currently admitted requests.
+    inflight: Arc<Gauge>,
+}
+
+fn ft_metrics() -> &'static FtMetrics {
+    static METRICS: OnceLock<FtMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| FtMetrics {
+        shed: telemetry::counter("exq_server_shed_total"),
+        deadline_shed: telemetry::counter("exq_server_deadline_shed_total"),
+        inflight: telemetry::gauge("exq_server_inflight"),
+    })
+}
+
+/// Server-side knobs.
+#[derive(Debug, Clone)]
+pub struct ServeConfig {
+    /// Worker threads executing requests.
+    pub workers: usize,
+    /// How long a peer may make *no progress* mid-frame — delivering the
+    /// rest of a frame once its first byte has arrived, or draining a reply
+    /// it is owed — before it is dropped. Every byte of progress restarts
+    /// the budget, so a slow-but-live client dribbling bytes keeps the
+    /// connection; an idle connection between frames is never dropped.
+    pub io_timeout: Duration,
+    /// Intra-query worker threads (`0` = auto via `EXQ_THREADS` /
+    /// available parallelism); applied to the served [`Server`].
+    pub threads: usize,
+    /// Cache entries per layer: `Some(0)` disables caching, `None` resolves
+    /// from `EXQ_CACHE` / the default; applied to the served [`Server`].
+    pub cache_entries: Option<usize>,
+    /// Maximum concurrently admitted requests across all connections
+    /// (`0` = unlimited). At the limit, new work is shed with
+    /// [`Message::Busy`] — except cache-hit queries and cheap stats
+    /// requests, which are still admitted.
+    pub max_inflight: usize,
+    /// Maximum concurrently admitted requests *per database* (`0` = auto:
+    /// each tenant gets a fair share of `max_inflight`, split evenly).
+    /// Keeps one hot tenant's burst from occupying every admission slot
+    /// and starving quiet tenants.
+    pub max_inflight_per_db: usize,
+    /// Per-request deadline on acquiring the server (`ZERO` = none). A
+    /// request that cannot take its lock within the deadline is answered
+    /// [`Message::Busy`] instead of queueing behind a long writer.
+    pub deadline: Duration,
+    /// The `retry_after_ms` hint carried in `Busy` replies.
+    pub retry_after: Duration,
+    /// Dispatched requests allowed to wait for a worker before new
+    /// arrivals are refused with `Busy` instead of queueing unboundedly
+    /// (`0` = auto: 8× `workers`, at least 32).
+    pub accept_backlog: usize,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        ServeConfig {
+            workers: 4,
+            io_timeout: Duration::from_secs(30),
+            threads: 0,
+            cache_entries: None,
+            max_inflight: 0,
+            max_inflight_per_db: 0,
+            deadline: Duration::ZERO,
+            retry_after: Duration::from_millis(25),
+            accept_backlog: 0,
+        }
+    }
+}
+
+impl ServeConfig {
+    /// The effective bound on the dispatch queue.
+    pub(crate) fn backlog(&self) -> usize {
+        if self.accept_backlog > 0 {
+            self.accept_backlog
+        } else {
+            (self.workers.max(1) * 8).max(32)
+        }
+    }
+}
+
+/// Admission state shared by every connection of one running server.
+/// Per-tenant state (replay tables, per-db in-flight counters) lives
+/// inside the registry's [`Tenant`]s.
+pub(crate) struct ServeShared {
+    /// The databases this instance hosts.
+    pub(crate) registry: Arc<TenantRegistry>,
+    /// Requests currently being dispatched across all tenants
+    /// (admission-controlled).
+    pub(crate) inflight: AtomicUsize,
+}
+
+/// Panic-safe in-flight accounting: decrements the global and per-tenant
+/// counters (and mirrors the gauge) even if dispatch panics.
+struct InflightGuard<'a> {
+    shared: &'a ServeShared,
+    tenant: &'a Tenant,
+}
+
+impl<'a> InflightGuard<'a> {
+    fn enter(shared: &'a ServeShared, tenant: &'a Tenant) -> InflightGuard<'a> {
+        shared.inflight.fetch_add(1, Ordering::SeqCst);
+        tenant.enter_inflight();
+        ft_metrics().inflight.add(1);
+        InflightGuard { shared, tenant }
+    }
+}
+
+impl Drop for InflightGuard<'_> {
+    fn drop(&mut self) {
+        self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.tenant.leave_inflight();
+        ft_metrics().inflight.add(-1);
+    }
+}
+
+/// The per-db admission cap in effect: an explicit `max_inflight_per_db`
+/// wins; otherwise `max_inflight` is split evenly across tenants (at
+/// least 1 each). `0` = no per-db cap.
+fn fair_share(config: &ServeConfig, tenants: usize) -> usize {
+    if config.max_inflight_per_db > 0 {
+        config.max_inflight_per_db
+    } else if config.max_inflight > 0 && tenants > 0 {
+        (config.max_inflight / tenants).max(1)
+    } else {
+        0
+    }
+}
+
+/// A running server; dropping it (or calling [`ServeHandle::shutdown`])
+/// stops the event loop and joins every thread.
+pub struct ServeHandle {
+    pub(crate) addr: SocketAddr,
+    pub(crate) stop: Arc<AtomicBool>,
+    pub(crate) threads: Vec<thread::JoinHandle<()>>,
+    pub(crate) registry: Arc<TenantRegistry>,
+}
+
+impl ServeHandle {
+    /// The bound address (useful with ephemeral ports).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The hosted databases.
+    pub fn registry(&self) -> &Arc<TenantRegistry> {
+        &self.registry
+    }
+
+    /// Cache counters of the default database (for `exq serve` logging).
+    pub fn cache_stats(&self) -> crate::cache::CacheStatsSnapshot {
+        match self.registry.resolve("") {
+            Ok(tenant) => tenant.cache_stats(),
+            Err(_) => crate::cache::CacheStatsSnapshot::default(),
+        }
+    }
+
+    /// Cache counters broken out per database, sorted by name.
+    pub fn cache_stats_per_db(&self) -> Vec<(String, crate::cache::CacheStatsSnapshot)> {
+        self.registry
+            .tenants()
+            .into_iter()
+            .map(|t| (t.name().to_owned(), t.cache_stats()))
+            .collect()
+    }
+
+    /// Stops accepting, drains workers, joins threads.
+    pub fn shutdown(mut self) {
+        self.stop_and_join();
+    }
+
+    fn stop_and_join(&mut self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // A throwaway connection makes the listener readable, so the event
+        // thread observes the flag now instead of at its next tick.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
+impl Drop for ServeHandle {
+    fn drop(&mut self) {
+        self.stop_and_join();
+    }
+}
+
+/// Runs the frame protocol over `listener` against a shared server.
+///
+/// The server becomes the sole (default) database of a single-tenant
+/// registry; frames that don't name a db — and all v1–v3 frames — route
+/// to it, so existing single-database deployments behave exactly as
+/// before. Read-style requests are answered under the read lock
+/// (concurrently); insert/delete take the write lock. Returns
+/// immediately; the returned handle owns the event and worker threads.
+pub fn serve(
+    listener: TcpListener,
+    server: Arc<RwLock<Server>>,
+    config: ServeConfig,
+) -> std::io::Result<ServeHandle> {
+    let registry =
+        Arc::new(TenantRegistry::single(DEFAULT_DB, server).expect("default db id is valid"));
+    crate::evloop::serve_event(listener, registry, config)
+}
+
+/// Applies the intra-query parallelism and cache knobs to every hosted
+/// instance.
+pub(crate) fn apply_tenant_knobs(registry: &TenantRegistry, config: &ServeConfig) {
+    for tenant in registry.tenants() {
+        match tenant.server.write() {
+            Ok(mut guard) => {
+                guard.set_threads(config.threads);
+                guard.set_cache_entries(config.cache_entries);
+            }
+            Err(poisoned) => {
+                let mut guard = poisoned.into_inner();
+                guard.set_threads(config.threads);
+                guard.set_cache_entries(config.cache_entries);
+            }
+        }
+    }
+}
+
+/// How long a deadline-bounded lock acquisition sleeps between attempts.
+const LOCK_POLL: Duration = Duration::from_micros(500);
+
+/// The `Busy` reply in the requester's dialect: older peers don't know the
+/// `Busy` frame, so they get a transport-class error carrying the hint.
+pub(crate) fn busy_reply(version: u8, retry_after: Duration) -> Message {
+    let retry_after_ms = retry_after.as_millis().min(u32::MAX as u128) as u32;
+    crate::flight::event(crate::flight::Kind::Busy, "", retry_after_ms as u64, 0, 0);
+    if version >= crate::codec::V3_PROTOCOL_VERSION {
+        Message::Busy { retry_after_ms }
+    } else {
+        Message::Error(WireError::from_core(&CoreError::Transport(format!(
+            "server busy; retry after {retry_after_ms}ms"
+        ))))
+    }
+}
+
+/// Request-class half of the admission policy: given that *some* in-flight
+/// limit has been hit, is this request sheddable? Cheap stats requests are
+/// always admitted (they answer from atomics); queries are admitted only
+/// if the response cache already holds their answer — shedding expensive
+/// misses while still serving hits keeps goodput up under overload.
+fn shed_class(req: &Message, cache_hit: impl FnOnce() -> bool) -> bool {
+    match req {
+        Message::CacheStatsReq | Message::MetricsReq | Message::FlightReq => false,
+        Message::Query(_) => !cache_hit(),
+        _ => true,
+    }
+}
+
+/// Admission policy at a single in-flight limit (the single-tenant view;
+/// [`serve_one`] combines the global and per-db limits via [`shed_class`]).
+#[cfg(test)]
+fn should_shed(
+    req: &Message,
+    inflight: usize,
+    max_inflight: usize,
+    cache_hit: impl FnOnce() -> bool,
+) -> bool {
+    if max_inflight == 0 || inflight < max_inflight {
+        return false;
+    }
+    shed_class(req, cache_hit)
+}
+
+/// Probes whether the response cache holds `q` without blocking: a held
+/// write lock means the answer may be invalidated anyway, so treat it as a
+/// miss.
+fn probe_cache_hit(server: &RwLock<Server>, req: &Message) -> bool {
+    let Message::Query(q) = req else { return false };
+    match server.try_read() {
+        Ok(guard) => guard.has_cached_response(q),
+        Err(_) => false,
+    }
+}
+
+/// Acquires the read lock, giving up after `deadline` (ZERO = wait
+/// forever). Poisoning is recovered as elsewhere in the serve loop.
+fn read_lock_within(
+    server: &RwLock<Server>,
+    deadline: Duration,
+) -> Option<RwLockReadGuard<'_, Server>> {
+    if deadline.is_zero() {
+        return Some(match server.read() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        });
+    }
+    let until = Instant::now() + deadline;
+    loop {
+        match server.try_read() {
+            Ok(guard) => return Some(guard),
+            Err(std::sync::TryLockError::Poisoned(poisoned)) => return Some(poisoned.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => {
+                if Instant::now() >= until {
+                    return None;
+                }
+                thread::sleep(LOCK_POLL);
+            }
+        }
+    }
+}
+
+/// Write-lock counterpart of [`read_lock_within`].
+fn write_lock_within(
+    server: &RwLock<Server>,
+    deadline: Duration,
+) -> Option<RwLockWriteGuard<'_, Server>> {
+    if deadline.is_zero() {
+        return Some(match server.write() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        });
+    }
+    let until = Instant::now() + deadline;
+    loop {
+        match server.try_write() {
+            Ok(guard) => return Some(guard),
+            Err(std::sync::TryLockError::Poisoned(poisoned)) => return Some(poisoned.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => {
+                if Instant::now() >= until {
+                    return None;
+                }
+                thread::sleep(LOCK_POLL);
+            }
+        }
+    }
+}
+
+/// Dispatches one decoded request under admission control: resolves the
+/// frame's db to a tenant (typed error for unknown dbs), sheds at the
+/// global *or* per-db in-flight limit, bounds lock acquisition by the
+/// deadline, and answers mutations through the tenant's own replay table
+/// for at-most-once semantics.
+pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedFrame) -> Message {
+    // Liveness probes answer instantly, without the server lock or an
+    // admission slot: a saturated server is alive, not dead.
+    if matches!(d.msg, Message::Ping) {
+        return Message::Pong;
+    }
+    if let Message::Batch(items) = &d.msg {
+        return serve_batch(shared, config, d, items);
+    }
+    let tenant = match shared.registry.resolve(&d.db) {
+        Ok(t) => t,
+        Err(e) => return Message::Error(WireError::from_core(&e)),
+    };
+    tenant.note_request();
+    // Health gate: a degraded db refuses mutations (reads keep serving
+    // from pool + page file), a faulted db refuses data traffic entirely.
+    // Diagnostics always pass so operators can see what is wrong.
+    if !matches!(
+        d.msg,
+        Message::MetricsReq | Message::FlightReq | Message::CacheStatsReq
+    ) {
+        if let Err(e) = tenant.admit_health(d.msg.is_mutation()) {
+            return Message::Error(WireError::from_core(&e));
+        }
+    }
+    let server = &tenant.server;
+    let inflight = shared.inflight.load(Ordering::SeqCst);
+    let over_global = config.max_inflight != 0 && inflight >= config.max_inflight;
+    let db_cap = tenant.effective_cap(fair_share(config, shared.registry.len()));
+    let over_db = db_cap != 0 && tenant.inflight() >= db_cap;
+    if (over_global || over_db) && shed_class(&d.msg, || probe_cache_hit(server, &d.msg)) {
+        ft_metrics().shed.inc();
+        tenant.note_shed();
+        crate::flight::event(
+            crate::flight::Kind::Shed,
+            tenant.name(),
+            inflight as u64,
+            db_cap as u64,
+            0,
+        );
+        return busy_reply(d.version, config.retry_after);
+    }
+    if matches!(d.msg, Message::MetricsReq) {
+        // Scrape-time freshness for every hosted db, not just this one.
+        shared.registry.refresh_store_gauges();
+    }
+    let _guard = InflightGuard::enter(shared, &tenant);
+    crate::flight::event(
+        crate::flight::Kind::Admit,
+        tenant.name(),
+        shared.inflight.load(Ordering::SeqCst) as u64,
+        0,
+        0,
+    );
+    let deadline = config.deadline;
+    let started = Instant::now();
+    let mut profile = None;
+    let reply = dispatch_traced(d.trace, || {
+        telemetry::profile_begin();
+        let result = if d.msg.is_mutation() {
+            match write_lock_within(server, deadline) {
+                Some(mut guard) => {
+                    let r = apply_request_keyed(&mut guard, &tenant.replay, d.req_id, &d.msg);
+                    // A persistence failure on the mutation path means the
+                    // WAL (or store) is not accepting writes: flip this db
+                    // to read-only now rather than waiting for the
+                    // checkpointer to find out.
+                    if let Err(CoreError::Persist(m)) = &r {
+                        tenant.set_degraded(m);
+                    }
+                    r
+                }
+                None => {
+                    ft_metrics().deadline_shed.inc();
+                    Ok(busy_reply(d.version, config.retry_after))
+                }
+            }
+        } else {
+            match read_lock_within(server, deadline) {
+                Some(guard) => answer_request(&guard, &d.msg),
+                None => {
+                    ft_metrics().deadline_shed.inc();
+                    Ok(busy_reply(d.version, config.retry_after))
+                }
+            }
+        };
+        profile = finish_profile(&tenant, &result);
+        result
+    });
+    let total = started.elapsed();
+    telemetry::record_span(&format!("db.{}", tenant.name()), total);
+    note_slow(tenant.name(), total, profile.as_ref());
+    reply
+}
+
+/// Closes out one dispatched request's resource profile. Must run inside
+/// the dispatch closure (the trace scope is still open there, so the
+/// `profile.*` spans ride back on the `Answer`): stamps the reply's
+/// shipped blocks and cache outcome into the profile, folds it into the
+/// tenant's per-db totals — exactly once per request, which is what makes
+/// `sum(profiles) == registry counters` hold — and records each field as
+/// a `profile.*` span whose nanosecond value carries the raw count.
+fn finish_profile(
+    tenant: &Tenant,
+    result: &Result<Message, CoreError>,
+) -> Option<telemetry::QueryProfile> {
+    match result {
+        Ok(Message::Answer(resp)) => telemetry::with_profile(|p| {
+            p.blocks_shipped += resp.blocks.len() as u64;
+            p.cache_hit = resp.served_from_cache;
+        }),
+        Ok(Message::BatchAnswer(items)) => telemetry::with_profile(|p| {
+            let mut answers = 0u64;
+            let mut cached = 0u64;
+            for item in items {
+                if let Message::Answer(r) = item {
+                    answers += 1;
+                    p.blocks_shipped += r.blocks.len() as u64;
+                    cached += r.served_from_cache as u64;
+                }
+            }
+            p.cache_hit = answers > 0 && cached == answers;
+        }),
+        _ => {}
+    }
+    let profile = telemetry::profile_take()?;
+    tenant.note_profile(&profile);
+    if telemetry::current_trace() != 0 {
+        for (name, value) in profile.span_fields() {
+            if value > 0 {
+                telemetry::record_span(name, Duration::from_nanos(value));
+            }
+        }
+    }
+    Some(profile)
+}
+
+/// Slow-request accounting: the annotated slow-query log line plus a
+/// flight-recorder event.
+fn note_slow(db: &str, total: Duration, profile: Option<&telemetry::QueryProfile>) {
+    telemetry::note_server_query(db, total, profile);
+    let threshold = telemetry::slow_threshold_ns();
+    let total_ns = total.as_nanos().min(u64::MAX as u128) as u64;
+    if threshold > 0 && total_ns >= threshold {
+        crate::flight::event(
+            crate::flight::Kind::SlowQuery,
+            db,
+            total_ns / 1000,
+            profile.map_or(0, |p| p.pages_faulted),
+            profile.map_or(0, |p| p.blocks_shipped),
+        );
+    }
+}
+
+/// Dispatches a [`Message::Batch`]: the whole group shares one tenant
+/// resolution, one admission decision (a single in-flight slot), one
+/// cache-probe pass, and one read-lock acquisition. Items are answered in
+/// submission order inside a [`Message::BatchAnswer`]; a failing item
+/// becomes an `Error` entry without sinking its siblings. Mutations and
+/// nested batches never reach here — the codec rejects them at decode.
+fn serve_batch(
+    shared: &ServeShared,
+    config: &ServeConfig,
+    d: &DecodedFrame,
+    items: &[Message],
+) -> Message {
+    let tenant = match shared.registry.resolve(&d.db) {
+        Ok(t) => t,
+        Err(e) => return Message::Error(WireError::from_core(&e)),
+    };
+    tenant.note_request();
+    // Batches are read-only by construction (the codec rejects nested
+    // mutations), so they pass on degraded dbs — but not on faulted ones,
+    // unless every item is a diagnostic.
+    let all_diagnostic = items.iter().all(|m| {
+        matches!(
+            m,
+            Message::MetricsReq | Message::FlightReq | Message::CacheStatsReq | Message::Ping
+        )
+    });
+    if !all_diagnostic {
+        if let Err(e) = tenant.admit_health(false) {
+            return Message::Error(WireError::from_core(&e));
+        }
+    }
+    let server = &tenant.server;
+    let inflight = shared.inflight.load(Ordering::SeqCst);
+    let over_global = config.max_inflight != 0 && inflight >= config.max_inflight;
+    let db_cap = tenant.effective_cap(fair_share(config, shared.registry.len()));
+    let over_db = db_cap != 0 && tenant.inflight() >= db_cap;
+    if (over_global || over_db) && !batch_all_cheap(server, items) {
+        ft_metrics().shed.inc();
+        tenant.note_shed();
+        crate::flight::event(
+            crate::flight::Kind::Shed,
+            tenant.name(),
+            inflight as u64,
+            db_cap as u64,
+            0,
+        );
+        return busy_reply(d.version, config.retry_after);
+    }
+    if items.iter().any(|m| matches!(m, Message::MetricsReq)) {
+        shared.registry.refresh_store_gauges();
+    }
+    let _guard = InflightGuard::enter(shared, &tenant);
+    crate::flight::event(
+        crate::flight::Kind::Admit,
+        tenant.name(),
+        shared.inflight.load(Ordering::SeqCst) as u64,
+        0,
+        0,
+    );
+    let started = Instant::now();
+    let mut profile = None;
+    let reply = dispatch_traced(d.trace, || {
+        telemetry::profile_begin();
+        let result = match read_lock_within(server, config.deadline) {
+            Some(guard) => Ok(Message::BatchAnswer(
+                items
+                    .iter()
+                    .map(|item| {
+                        answer_request(&guard, item)
+                            .unwrap_or_else(|e| Message::Error(WireError::from_core(&e)))
+                    })
+                    .collect(),
+            )),
+            None => {
+                ft_metrics().deadline_shed.inc();
+                Ok(busy_reply(d.version, config.retry_after))
+            }
+        };
+        profile = finish_profile(&tenant, &result);
+        result
+    });
+    let total = started.elapsed();
+    telemetry::record_span(&format!("db.{}", tenant.name()), total);
+    note_slow(tenant.name(), total, profile.as_ref());
+    reply
+}
+
+/// One cache-probe pass over a batch: under load the batch is still
+/// admitted only if *every* item is cheap — a stats request, or a query
+/// the response cache already answers. A single `try_read` guard probes
+/// all items, so the pass costs one lock attempt regardless of batch size.
+fn batch_all_cheap(server: &RwLock<Server>, items: &[Message]) -> bool {
+    let Ok(guard) = server.try_read() else {
+        return false;
+    };
+    items.iter().all(|item| match item {
+        Message::CacheStatsReq | Message::MetricsReq | Message::FlightReq | Message::Ping => true,
+        Message::Query(q) => guard.has_cached_response(q),
+        _ => false,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::ServerQuery;
+
+    #[test]
+    fn shed_policy_prefers_cache_hits_and_stats() {
+        let q = Message::Query(ServerQuery {
+            steps: vec![],
+            anchor: 0,
+        });
+        // No limit, or below the limit: never shed.
+        assert!(!should_shed(&q, 100, 0, || false));
+        assert!(!should_shed(&q, 3, 4, || false));
+        // At the limit: cache misses shed, hits admitted.
+        assert!(should_shed(&q, 4, 4, || false));
+        assert!(!should_shed(&q, 4, 4, || true));
+        // Stats requests always admitted; other work sheds.
+        assert!(!should_shed(&Message::CacheStatsReq, 4, 4, || false));
+        assert!(!should_shed(&Message::MetricsReq, 4, 4, || false));
+        assert!(should_shed(&Message::NaiveQuery, 4, 4, || false));
+    }
+
+    #[test]
+    fn busy_reply_downgrades_for_legacy_peers() {
+        let v3 = busy_reply(crate::codec::PROTOCOL_VERSION, Duration::from_millis(25));
+        assert_eq!(v3, Message::Busy { retry_after_ms: 25 });
+        let v1 = busy_reply(
+            crate::codec::LEGACY_PROTOCOL_VERSION,
+            Duration::from_millis(25),
+        );
+        assert!(matches!(v1, Message::Error(_)), "got {v1:?}");
+    }
+}

@@ -793,7 +793,7 @@ pub fn log(level: Level, msg: &str) {
 /// the storage engine. Collected on the serving thread between
 /// [`profile_begin`] and [`profile_take`]; the storage observer and the
 /// paged-store glue feed it as the work happens, so the totals are exact
-/// per-request attribution, not sampled estimates. The serve paths attach
+/// per-request attribution, not sampled estimates. The serve path attaches
 /// the profile to the request's trace spans, the slow-query log, and the
 /// per-db registry counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -841,7 +841,7 @@ impl QueryProfile {
 
 thread_local! {
     /// The serving thread's active profile. At most one request is
-    /// dispatched per thread at a time (both serve paths execute a request
+    /// dispatched per thread at a time (the serve path executes a request
     /// start-to-finish on one worker thread), so a single slot suffices.
     static PROFILE: RefCell<Option<QueryProfile>> = const { RefCell::new(None) };
 }

@@ -46,7 +46,7 @@ pub const DEFAULT_DB: &str = "default";
 
 /// Serving state of one hosted database after storage faults. Owned by the
 /// tenant, surfaced in `exq db list`, `exq top`, the flight recorder, and
-/// the `exq_db_health` gauge; enforced by the serve paths.
+/// the `exq_db_health` gauge; enforced by the serve path.
 ///
 /// Transitions: a failed WAL append or checkpoint flips `Healthy →
 /// Degraded` (reads keep serving from pool + page file, mutations get
@@ -136,7 +136,7 @@ pub struct Tenant {
     /// holds a handle (tests, the single-db [`serve`] wrapper) observes
     /// the same state the serve loop mutates.
     ///
-    /// [`serve`]: crate::transport::serve
+    /// [`serve`]: crate::serve::serve
     pub server: Arc<RwLock<Server>>,
     /// Per-tenant at-most-once mutation ledger: request ids are only
     /// unique per client, so replay suppression must not bleed across dbs.
@@ -435,7 +435,7 @@ impl TenantRegistry {
     /// preserving the single-db [`serve`] behavior exactly: the caller's
     /// `Arc` stays live and the server's caches are *not* relabeled.
     ///
-    /// [`serve`]: crate::transport::serve
+    /// [`serve`]: crate::serve::serve
     pub fn single(name: &str, server: Arc<RwLock<Server>>) -> Result<TenantRegistry, CoreError> {
         let registry = TenantRegistry::new(name)?;
         let tenant = Arc::new(Tenant::new(name, server, 0, 0));
@@ -541,7 +541,7 @@ impl TenantRegistry {
     }
 
     /// Republishes every paged tenant's storage gauges (see
-    /// [`Tenant::refresh_store_gauges`]). The serve paths call this on
+    /// [`Tenant::refresh_store_gauges`]). The serve path calls this on
     /// metrics scrapes so a scrape always reads current occupancy.
     pub fn refresh_store_gauges(&self) {
         for t in self.tenants() {

@@ -1,4 +1,5 @@
-//! The transport layer: how encoded frames move between client and server.
+//! The client side of the link: how encoded frames leave a client and how
+//! one decoded request is answered.
 //!
 //! [`Transport`] abstracts the link. Two implementations:
 //!
@@ -8,47 +9,38 @@
 //! * [`TcpTransport`] — a real socket (std only, no async runtime), with
 //!   connect retry + exponential backoff and per-request I/O timeouts.
 //!
-//! The server side is [`serve_multi`]: an accept loop handing connections
-//! to a small worker pool over a [`TenantRegistry`] — one process hosting
-//! many named, independently-keyed sealed databases. Each wire-v4 frame
-//! names the db it addresses (empty = the default db, which is also where
-//! v1–v3 peers land); read-style requests share that tenant's read lock
-//! and run concurrently, mutations take its write lock. The single-db
-//! [`serve`] entry point wraps the caller's `Arc<RwLock<Server>>` as the
-//! sole default tenant.
+//! [`Pipeline`] is the many-requests-in-flight variant of the TCP link.
 //!
-//! Both sides treat the peer as untrusted at the framing layer: decode
-//! errors never panic, and a connection that sends garbage framing is
-//! answered with an error frame and closed.
+//! The request dispatch both ends share lives here too:
+//! [`answer_request`] / [`apply_request`] map one decoded request onto a
+//! [`Server`], and a [`ReplayTable`] makes a mutation replayed by the
+//! client-side retry layer ([`crate::retry::Retry`]) apply at most once.
+//! The server side — listener, admission, shedding, worker dispatch — is
+//! [`crate::serve`] and [`crate::evloop`].
 //!
-//! Fault tolerance: the serve loop enforces an optional max-in-flight
-//! limit and per-request deadline, answering [`Message::Busy`] instead of
-//! queueing unboundedly (cache-hit queries are admitted ahead of misses),
-//! and keeps a per-tenant [`ReplayTable`] so a mutation replayed by the
-//! client-side retry layer ([`crate::retry::Retry`]) is applied at most
-//! once. Admission is *fair-share*: on top of the global in-flight limit,
-//! each tenant is capped (its own quota, or `max_inflight` split evenly
-//! across tenants), so one hot tenant's Busy storm cannot starve another
-//! tenant's share of the server.
+//! The peer is untrusted at the framing layer: decode errors never panic,
+//! and a reply that fails to decode surfaces as a typed error.
 
-use crate::codec::{
-    frame_extra_len, CodecError, DecodedFrame, Message, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
-};
+use crate::codec::{frame_extra_len, Message, WireError, FRAME_HEADER_LEN};
 use crate::error::CoreError;
 use crate::server::Server;
-use crate::telemetry::{self, Counter, Gauge};
-use crate::tenant::{Tenant, TenantRegistry, DEFAULT_DB};
+use crate::telemetry::{self, Counter};
 use crate::update::{DeleteOutcome, InsertDelta, InsertionSlot};
 use crate::wire::{ServerQuery, ServerResponse};
 use exq_crypto::SealedBlock;
 use exq_index::dsi::Interval;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
+
+// The serve side moved to `crate::serve`; these names stay reachable here
+// because the perf ledger (`ledger/`, its own workspace, frozen by
+// BENCHMARK.json) and the single-database call sites import them from
+// `exq_core::transport`.
+pub use crate::serve::{serve, ServeConfig, ServeHandle};
 
 /// Registry handles for wire-traffic counters, resolved once — the
 /// steady-state cost per frame is three relaxed atomic adds.
@@ -64,51 +56,6 @@ fn wire_metrics() -> &'static WireMetrics {
         requests: telemetry::counter("exq_wire_requests_total"),
         bytes_sent: telemetry::counter("exq_wire_bytes_sent_total"),
         bytes_received: telemetry::counter("exq_wire_bytes_received_total"),
-    })
-}
-
-/// Registry handles for the fault-tolerance counters on the serving side.
-struct FtMetrics {
-    /// Requests refused at admission because the server was saturated.
-    shed: Arc<Counter>,
-    /// Requests admitted but refused because the server could not be
-    /// acquired within the deadline.
-    deadline_shed: Arc<Counter>,
-    /// Mutations answered from the replay table instead of re-applied.
-    replay_hits: Arc<Counter>,
-    /// Currently admitted requests.
-    inflight: Arc<Gauge>,
-}
-
-fn ft_metrics() -> &'static FtMetrics {
-    static METRICS: OnceLock<FtMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| FtMetrics {
-        shed: telemetry::counter("exq_server_shed_total"),
-        deadline_shed: telemetry::counter("exq_server_deadline_shed_total"),
-        replay_hits: telemetry::counter("exq_replay_hits_total"),
-        inflight: telemetry::gauge("exq_server_inflight"),
-    })
-}
-
-/// Registry handles for the accept-path counters shared by the blocking
-/// serve loop and the event loop.
-pub(crate) struct AcceptMetrics {
-    /// `accept(2)` failures (fd exhaustion, aborted handshakes, …).
-    pub(crate) accept_errors: Arc<Counter>,
-    /// Accepted connections refused with `Busy` because the pending queue
-    /// (blocking loop) or dispatch queue (event loop) was full.
-    pub(crate) accept_rejected: Arc<Counter>,
-    /// Connections accepted and waiting for a worker (blocking loop only;
-    /// the event loop serves every connection from one thread).
-    pub(crate) queue_depth: Arc<Gauge>,
-}
-
-pub(crate) fn accept_metrics() -> &'static AcceptMetrics {
-    static METRICS: OnceLock<AcceptMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| AcceptMetrics {
-        accept_errors: telemetry::counter("exq_accept_errors_total"),
-        accept_rejected: telemetry::counter("exq_accept_rejected_total"),
-        queue_depth: telemetry::gauge("exq_accept_queue_depth"),
     })
 }
 
@@ -414,6 +361,12 @@ impl Default for ReplayTable {
     }
 }
 
+/// Mutations answered from a replay table instead of re-applied.
+fn replay_hits() -> &'static Counter {
+    static HITS: OnceLock<Arc<Counter>> = OnceLock::new();
+    HITS.get_or_init(|| telemetry::counter("exq_replay_hits_total"))
+}
+
 /// [`apply_request`] with at-most-once replay protection: a mutation
 /// carrying a nonzero request id that the table has already seen returns
 /// its recorded reply instead of being re-applied. Must be called with the
@@ -427,7 +380,7 @@ pub fn apply_request_keyed(
 ) -> Result<Message, CoreError> {
     if req.is_mutation() && req_id != 0 {
         if let Some(reply) = replay.get(req_id) {
-            ft_metrics().replay_hits.inc();
+            replay_hits().inc();
             return Ok(reply);
         }
         let reply = apply_request(server, req)?;
@@ -446,7 +399,10 @@ pub fn apply_request_keyed(
 /// When trace-all is on, untraced frames get a server-local trace id —
 /// mutations and raw pipeline clients never stamp their frames, and a
 /// server operator who asked for everything should still see them.
-fn dispatch_traced(trace: u64, dispatch: impl FnOnce() -> Result<Message, CoreError>) -> Message {
+pub(crate) fn dispatch_traced(
+    trace: u64,
+    dispatch: impl FnOnce() -> Result<Message, CoreError>,
+) -> Message {
     let trace = if trace == 0 && telemetry::tracing_wanted() {
         telemetry::new_trace_id()
     } else {
@@ -965,989 +921,6 @@ impl Pipeline {
     }
 }
 
-// ------------------------------------------------------------------- serve --
-
-/// Server-side knobs.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Worker threads handling connections.
-    pub workers: usize,
-    /// Per-`read` socket timeout. Between frames this is only the polling
-    /// cadence for the stop flag (an idle connection is never dropped for
-    /// slowness); it also bounds how long shutdown can take.
-    pub poll_interval: Duration,
-    /// Total time a peer gets to deliver the *rest* of a frame once its
-    /// first byte has arrived. A slow-but-live client dribbling bytes keeps
-    /// the connection; one stalled mid-frame past this budget is dropped.
-    pub io_timeout: Duration,
-    /// Intra-query worker threads (`0` = auto via `EXQ_THREADS` /
-    /// available parallelism); applied to the served [`Server`].
-    pub threads: usize,
-    /// Cache entries per layer: `Some(0)` disables caching, `None` resolves
-    /// from `EXQ_CACHE` / the default; applied to the served [`Server`].
-    pub cache_entries: Option<usize>,
-    /// Maximum concurrently admitted requests across all connections
-    /// (`0` = unlimited). At the limit, new work is shed with
-    /// [`Message::Busy`] — except cache-hit queries and cheap stats
-    /// requests, which are still admitted.
-    pub max_inflight: usize,
-    /// Maximum concurrently admitted requests *per database* (`0` = auto:
-    /// each tenant gets a fair share of `max_inflight`, split evenly).
-    /// Keeps one hot tenant's burst from occupying every admission slot
-    /// and starving quiet tenants.
-    pub max_inflight_per_db: usize,
-    /// Per-request deadline on acquiring the server (`ZERO` = none). A
-    /// request that cannot take its lock within the deadline is answered
-    /// [`Message::Busy`] instead of queueing behind a long writer.
-    pub deadline: Duration,
-    /// The `retry_after_ms` hint carried in `Busy` replies.
-    pub retry_after: Duration,
-    /// Accepted connections allowed to wait for a worker (blocking serve
-    /// loop) or dispatched requests allowed to wait for one (event loop)
-    /// before new arrivals are refused with `Busy` instead of queueing
-    /// unboundedly (`0` = auto: 8× `workers`, at least 32).
-    pub accept_backlog: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            workers: 4,
-            poll_interval: Duration::from_millis(200),
-            io_timeout: Duration::from_secs(30),
-            threads: 0,
-            cache_entries: None,
-            max_inflight: 0,
-            max_inflight_per_db: 0,
-            deadline: Duration::ZERO,
-            retry_after: Duration::from_millis(25),
-            accept_backlog: 0,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// The effective bound on the acceptor→worker queue.
-    pub(crate) fn backlog(&self) -> usize {
-        if self.accept_backlog > 0 {
-            self.accept_backlog
-        } else {
-            (self.workers.max(1) * 8).max(32)
-        }
-    }
-}
-
-/// Admission state shared by every connection of one [`serve_multi`]
-/// instance. Per-tenant state (replay tables, per-db in-flight counters)
-/// lives inside the registry's [`Tenant`]s.
-pub(crate) struct ServeShared {
-    /// The databases this instance hosts.
-    pub(crate) registry: Arc<TenantRegistry>,
-    /// Requests currently being dispatched across all tenants
-    /// (admission-controlled).
-    pub(crate) inflight: AtomicUsize,
-}
-
-/// Panic-safe in-flight accounting: decrements the global and per-tenant
-/// counters (and mirrors the gauge) even if dispatch panics.
-struct InflightGuard<'a> {
-    shared: &'a ServeShared,
-    tenant: &'a Tenant,
-}
-
-impl<'a> InflightGuard<'a> {
-    fn enter(shared: &'a ServeShared, tenant: &'a Tenant) -> InflightGuard<'a> {
-        shared.inflight.fetch_add(1, Ordering::SeqCst);
-        tenant.enter_inflight();
-        ft_metrics().inflight.add(1);
-        InflightGuard { shared, tenant }
-    }
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        self.tenant.leave_inflight();
-        ft_metrics().inflight.add(-1);
-    }
-}
-
-/// The per-db admission cap in effect: an explicit `max_inflight_per_db`
-/// wins; otherwise `max_inflight` is split evenly across tenants (at
-/// least 1 each). `0` = no per-db cap.
-fn fair_share(config: &ServeConfig, tenants: usize) -> usize {
-    if config.max_inflight_per_db > 0 {
-        config.max_inflight_per_db
-    } else if config.max_inflight > 0 && tenants > 0 {
-        (config.max_inflight / tenants).max(1)
-    } else {
-        0
-    }
-}
-
-/// A running server; dropping it (or calling [`ServeHandle::shutdown`])
-/// stops the accept loop and joins every thread.
-pub struct ServeHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    threads: Vec<thread::JoinHandle<()>>,
-    registry: Arc<TenantRegistry>,
-}
-
-impl ServeHandle {
-    /// Assembles a handle around externally spawned serve threads (the
-    /// event loop lives in [`crate::evloop`] but shares this handle so
-    /// callers shut both loop styles down identically).
-    pub(crate) fn assemble(
-        addr: SocketAddr,
-        stop: Arc<AtomicBool>,
-        threads: Vec<thread::JoinHandle<()>>,
-        registry: Arc<TenantRegistry>,
-    ) -> ServeHandle {
-        ServeHandle {
-            addr,
-            stop,
-            threads,
-            registry,
-        }
-    }
-
-    /// The bound address (useful with ephemeral ports).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The hosted databases.
-    pub fn registry(&self) -> &Arc<TenantRegistry> {
-        &self.registry
-    }
-
-    /// Cache counters of the default database (for `exq serve` logging).
-    pub fn cache_stats(&self) -> crate::cache::CacheStatsSnapshot {
-        match self.registry.resolve("") {
-            Ok(tenant) => tenant.cache_stats(),
-            Err(_) => crate::cache::CacheStatsSnapshot::default(),
-        }
-    }
-
-    /// Cache counters broken out per database, sorted by name.
-    pub fn cache_stats_per_db(&self) -> Vec<(String, crate::cache::CacheStatsSnapshot)> {
-        self.registry
-            .tenants()
-            .into_iter()
-            .map(|t| (t.name().to_owned(), t.cache_stats()))
-            .collect()
-    }
-
-    /// Stops accepting, drains workers, joins threads.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // The accept loop blocks in `accept`; a throwaway connection wakes
-        // it so it can observe the flag.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ServeHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// Runs the frame protocol over `listener` against a shared server.
-///
-/// The server becomes the sole (default) database of a single-tenant
-/// registry; frames that don't name a db — and all v1–v3 frames — route
-/// to it, so existing single-database deployments behave exactly as
-/// before. Read-style requests are answered under the read lock
-/// (concurrently); insert/delete take the write lock. Returns
-/// immediately; the returned handle owns the accept and worker threads.
-pub fn serve(
-    listener: TcpListener,
-    server: Arc<RwLock<Server>>,
-    config: ServeConfig,
-) -> std::io::Result<ServeHandle> {
-    let registry =
-        Arc::new(TenantRegistry::single(DEFAULT_DB, server).expect("default db id is valid"));
-    serve_multi(listener, registry, config)
-}
-
-/// Raises the kernel accept backlog on an already-listening socket.
-///
-/// `TcpListener::bind` hardcodes a backlog of 128; a burst of ~1000
-/// simultaneous connects (E20 at scale) overflows the SYN queue and the
-/// excess either times out or sees `ECONNREFUSED` before the accept loop
-/// ever runs. POSIX allows re-calling `listen(2)` on a listening socket
-/// to grow the backlog, so that is exactly what this does — the kernel
-/// still clamps to `net.core.somaxconn`. Best-effort: a failure keeps the
-/// default backlog rather than refusing to serve.
-#[cfg(unix)]
-pub(crate) fn tune_listen_backlog(listener: &TcpListener, config: &ServeConfig) {
-    use std::os::fd::AsRawFd;
-    extern "C" {
-        fn listen(fd: std::ffi::c_int, backlog: std::ffi::c_int) -> std::ffi::c_int;
-    }
-    let want = config.backlog().max(1024).min(i32::MAX as usize) as std::ffi::c_int;
-    if unsafe { listen(listener.as_raw_fd(), want) } != 0 {
-        telemetry::log(
-            telemetry::Level::Warn,
-            &format!(
-                "listen backlog {want} not applied: {}",
-                std::io::Error::last_os_error()
-            ),
-        );
-    }
-}
-
-#[cfg(not(unix))]
-pub(crate) fn tune_listen_backlog(_listener: &TcpListener, _config: &ServeConfig) {}
-
-/// Runs the frame protocol over `listener` against a registry of sealed
-/// databases. v4 frames route by the db id they carry (empty = the
-/// registry's default db); v1–v3 frames always hit the default db.
-/// Unknown db ids are answered with a typed tenant error, never a panic
-/// or a dropped connection.
-pub fn serve_multi(
-    listener: TcpListener,
-    registry: Arc<TenantRegistry>,
-    config: ServeConfig,
-) -> std::io::Result<ServeHandle> {
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    tune_listen_backlog(&listener, &config);
-    apply_tenant_knobs(&registry, &config);
-    // Bounded: connections past the backlog are answered `Busy` by the
-    // accept thread instead of queueing forever behind pinned workers.
-    let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(config.backlog());
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-    let shared = Arc::new(ServeShared {
-        registry: Arc::clone(&registry),
-        inflight: AtomicUsize::new(0),
-    });
-    let mut threads = Vec::with_capacity(config.workers.max(1) + 1);
-
-    for _ in 0..config.workers.max(1) {
-        let rx = Arc::clone(&conn_rx);
-        let stop_flag = Arc::clone(&stop);
-        let shr = Arc::clone(&shared);
-        let cfg = config.clone();
-        threads.push(thread::spawn(move || loop {
-            // Lock is held only for the recv; a worker going down with a
-            // panic would poison it, so recover defensively.
-            let next = match rx.lock() {
-                Ok(guard) => guard.recv(),
-                Err(poisoned) => poisoned.into_inner().recv(),
-            };
-            match next {
-                Ok(stream) => {
-                    accept_metrics().queue_depth.add(-1);
-                    handle_connection(stream, &shr, &stop_flag, &cfg)
-                }
-                Err(_) => return, // accept loop gone
-            }
-        }));
-    }
-
-    {
-        let stop_flag = Arc::clone(&stop);
-        let cfg = config.clone();
-        threads.push(thread::spawn(move || {
-            accept_loop(&listener, &conn_tx, &stop_flag, &cfg);
-        }));
-    }
-
-    Ok(ServeHandle {
-        addr,
-        stop,
-        threads,
-        registry,
-    })
-}
-
-/// Applies the intra-query parallelism and cache knobs to every hosted
-/// instance (shared by the blocking serve loop and the event loop).
-pub(crate) fn apply_tenant_knobs(registry: &TenantRegistry, config: &ServeConfig) {
-    for tenant in registry.tenants() {
-        match tenant.server.write() {
-            Ok(mut guard) => {
-                guard.set_threads(config.threads);
-                guard.set_cache_entries(config.cache_entries);
-            }
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                guard.set_threads(config.threads);
-                guard.set_cache_entries(config.cache_entries);
-            }
-        }
-    }
-}
-
-/// Smallest/largest sleep after a failed `accept(2)`. Errors like fd
-/// exhaustion (EMFILE) persist for a while: without backoff the accept
-/// thread would spin at 100% CPU re-reporting the same failure.
-const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
-
-/// The blocking accept loop: hand connections to workers through the
-/// bounded queue, refuse with `Busy` past the bound, and back off
-/// (bounded, exponential) on accept errors instead of busy-spinning.
-fn accept_loop(
-    listener: &TcpListener,
-    conn_tx: &mpsc::SyncSender<TcpStream>,
-    stop: &AtomicBool,
-    config: &ServeConfig,
-) {
-    let metrics = accept_metrics();
-    let mut backoff = ACCEPT_BACKOFF_MIN;
-    let mut consecutive_errors = 0u64;
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            return; // drops conn_tx, draining the workers
-        }
-        match conn {
-            Ok(stream) => {
-                backoff = ACCEPT_BACKOFF_MIN;
-                consecutive_errors = 0;
-                match conn_tx.try_send(stream) {
-                    Ok(()) => {
-                        metrics.queue_depth.add(1);
-                    }
-                    Err(mpsc::TrySendError::Full(stream)) => {
-                        metrics.accept_rejected.inc();
-                        refuse_busy(stream, config.retry_after);
-                    }
-                    Err(mpsc::TrySendError::Disconnected(_)) => return,
-                }
-            }
-            Err(_) => {
-                metrics.accept_errors.inc();
-                consecutive_errors += 1;
-                crate::flight::event(
-                    crate::flight::Kind::AcceptError,
-                    "",
-                    consecutive_errors,
-                    0,
-                    0,
-                );
-                thread::sleep(backoff);
-                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-            }
-        }
-    }
-}
-
-/// Best-effort `Busy` to a connection refused at the accept queue, then
-/// close. Encoded as v3 — the oldest dialect with a `Busy` frame — since
-/// the peer has not spoken yet; the write is bounded so a peer that never
-/// reads cannot pin the accept thread.
-pub(crate) fn refuse_busy(stream: TcpStream, retry_after: Duration) {
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(50)));
-    let frame = busy_reply(crate::codec::V3_PROTOCOL_VERSION, retry_after)
-        .encode_frame_v(crate::codec::V3_PROTOCOL_VERSION, 0);
-    let _ = stream.write_all(&frame);
-}
-
-/// Serves one connection until EOF, shutdown, a framing error, or a
-/// mid-frame stall longer than `config.io_timeout`.
-fn handle_connection(
-    stream: TcpStream,
-    shared: &ServeShared,
-    stop: &AtomicBool,
-    config: &ServeConfig,
-) {
-    let io_timeout = config.io_timeout;
-    let mut stream = stream;
-    stream.set_nodelay(true).ok();
-    if stream.set_read_timeout(Some(config.poll_interval)).is_err() {
-        return;
-    }
-    // Writes poll at the same cadence as reads so a peer that stops
-    // reading is held to the mid-frame stall budget instead of pinning
-    // this worker in `write_all` forever.
-    if stream
-        .set_write_timeout(Some(config.poll_interval))
-        .is_err()
-    {
-        return;
-    }
-    loop {
-        // Waiting for a frame's first byte is *idle* time: poll the stop
-        // flag forever, never drop for slowness. Once any byte of a frame
-        // has arrived the peer owes us the rest within `io_timeout`.
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        match read_exact_or_stop(&mut stream, &mut header, stop, io_timeout, false) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Closed | ReadOutcome::Stopped => return,
-        }
-        let (version, _, payload_len) = match Message::parse_header(&header) {
-            Ok(v) => v,
-            Err(e) => {
-                // Framing is unrecoverable: answer once and drop the link.
-                // The legacy frame version is understood by every peer.
-                send_error(
-                    &mut stream,
-                    &e,
-                    crate::codec::LEGACY_PROTOCOL_VERSION,
-                    0,
-                    0,
-                    stop,
-                    io_timeout,
-                );
-                return;
-            }
-        };
-        // Frames beyond v1 carry extra fields between header and payload.
-        let mut frame = vec![0u8; FRAME_HEADER_LEN + frame_extra_len(version) + payload_len];
-        frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
-        // The payload read is mid-frame from its first moment: the header
-        // already arrived, so the full-frame budget is already running.
-        match read_exact_or_stop(
-            &mut stream,
-            &mut frame[FRAME_HEADER_LEN..],
-            stop,
-            io_timeout,
-            true,
-        ) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Closed | ReadOutcome::Stopped => return,
-        }
-        let (reply, trace, req_id) = match Message::decode_frame_ext(&frame) {
-            Err(e) => {
-                // The payload failed to decode but the framing fields may
-                // still be intact: echo what can be salvaged so even the
-                // error reply correlates for a pipelining client.
-                let (trace, req_id) = salvage_frame_ids(&frame, version);
-                send_error(&mut stream, &e, version, trace, req_id, stop, io_timeout);
-                return;
-            }
-            Ok(d) => (serve_one(shared, config, &d), d.trace, d.req_id),
-        };
-        // Reply in the request's protocol version so legacy peers can
-        // decode the response, echoing the request's trace and request ids
-        // so a client with several requests in flight can correlate.
-        let frame = reply.encode_frame_req(version, trace, req_id);
-        debug_assert!(
-            frame.len() <= FRAME_HEADER_LEN + crate::codec::FRAME_EXTRA_LEN + MAX_FRAME_LEN
-        );
-        if !write_all_or_stop(&mut stream, &frame, stop, io_timeout) {
-            return;
-        }
-    }
-}
-
-/// Best-effort extraction of the trace and request ids from a raw frame
-/// whose payload failed to decode: the framing fields sit at fixed offsets
-/// for a given version, so they survive payload-level corruption. (After a
-/// checksum failure the ids are untrustworthy, but echoing them is
-/// harmless — the worst case is what always happened before: an error the
-/// client cannot correlate.)
-pub(crate) fn salvage_frame_ids(frame: &[u8], version: u8) -> (u64, u64) {
-    use crate::codec::{TRACE_FIELD_LEN, V2_PROTOCOL_VERSION, V3_PROTOCOL_VERSION};
-    let mut trace = 0u64;
-    let mut req_id = 0u64;
-    let trace_pos = FRAME_HEADER_LEN;
-    if version >= V2_PROTOCOL_VERSION && frame.len() >= trace_pos + 8 {
-        trace = u64::from_le_bytes(frame[trace_pos..trace_pos + 8].try_into().unwrap());
-    }
-    let id_pos = FRAME_HEADER_LEN + TRACE_FIELD_LEN;
-    if version >= V3_PROTOCOL_VERSION && frame.len() >= id_pos + 8 {
-        req_id = u64::from_le_bytes(frame[id_pos..id_pos + 8].try_into().unwrap());
-    }
-    (trace, req_id)
-}
-
-/// `write_all` with the same two-regime discipline as the read side: short
-/// socket timeouts keep the stop flag responsive, progress resets the
-/// stall budget, and a peer that stops draining its receive window is
-/// dropped once `io_timeout` passes without a byte leaving. Returns
-/// `false` if the connection should be closed.
-fn write_all_or_stop(
-    stream: &mut TcpStream,
-    buf: &[u8],
-    stop: &AtomicBool,
-    io_timeout: Duration,
-) -> bool {
-    let mut written = 0;
-    let mut deadline = Instant::now() + io_timeout;
-    while written < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        match stream.write(&buf[written..]) {
-            Ok(0) => return false,
-            Ok(n) => {
-                written += n;
-                deadline = Instant::now() + io_timeout;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if Instant::now() >= deadline {
-                    return false;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    stream.flush().is_ok()
-}
-
-/// How long a deadline-bounded lock acquisition sleeps between attempts.
-const LOCK_POLL: Duration = Duration::from_micros(500);
-
-/// The `Busy` reply in the requester's dialect: older peers don't know the
-/// `Busy` frame, so they get a transport-class error carrying the hint.
-pub(crate) fn busy_reply(version: u8, retry_after: Duration) -> Message {
-    let retry_after_ms = retry_after.as_millis().min(u32::MAX as u128) as u32;
-    crate::flight::event(crate::flight::Kind::Busy, "", retry_after_ms as u64, 0, 0);
-    if version >= crate::codec::V3_PROTOCOL_VERSION {
-        Message::Busy { retry_after_ms }
-    } else {
-        Message::Error(WireError::from_core(&CoreError::Transport(format!(
-            "server busy; retry after {retry_after_ms}ms"
-        ))))
-    }
-}
-
-/// Request-class half of the admission policy: given that *some* in-flight
-/// limit has been hit, is this request sheddable? Cheap stats requests are
-/// always admitted (they answer from atomics); queries are admitted only
-/// if the response cache already holds their answer — shedding expensive
-/// misses while still serving hits keeps goodput up under overload.
-fn shed_class(req: &Message, cache_hit: impl FnOnce() -> bool) -> bool {
-    match req {
-        Message::CacheStatsReq | Message::MetricsReq | Message::FlightReq => false,
-        Message::Query(_) => !cache_hit(),
-        _ => true,
-    }
-}
-
-/// Admission policy at a single in-flight limit (the single-tenant view;
-/// [`serve_one`] combines the global and per-db limits via [`shed_class`]).
-#[cfg(test)]
-fn should_shed(
-    req: &Message,
-    inflight: usize,
-    max_inflight: usize,
-    cache_hit: impl FnOnce() -> bool,
-) -> bool {
-    if max_inflight == 0 || inflight < max_inflight {
-        return false;
-    }
-    shed_class(req, cache_hit)
-}
-
-/// Probes whether the response cache holds `q` without blocking: a held
-/// write lock means the answer may be invalidated anyway, so treat it as a
-/// miss.
-fn probe_cache_hit(server: &RwLock<Server>, req: &Message) -> bool {
-    let Message::Query(q) = req else { return false };
-    match server.try_read() {
-        Ok(guard) => guard.has_cached_response(q),
-        Err(_) => false,
-    }
-}
-
-/// Acquires the read lock, giving up after `deadline` (ZERO = wait
-/// forever). Poisoning is recovered as elsewhere in the serve loop.
-fn read_lock_within(
-    server: &RwLock<Server>,
-    deadline: Duration,
-) -> Option<RwLockReadGuard<'_, Server>> {
-    if deadline.is_zero() {
-        return Some(match server.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        });
-    }
-    let until = Instant::now() + deadline;
-    loop {
-        match server.try_read() {
-            Ok(guard) => return Some(guard),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => return Some(poisoned.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                if Instant::now() >= until {
-                    return None;
-                }
-                thread::sleep(LOCK_POLL);
-            }
-        }
-    }
-}
-
-/// Write-lock counterpart of [`read_lock_within`].
-fn write_lock_within(
-    server: &RwLock<Server>,
-    deadline: Duration,
-) -> Option<RwLockWriteGuard<'_, Server>> {
-    if deadline.is_zero() {
-        return Some(match server.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        });
-    }
-    let until = Instant::now() + deadline;
-    loop {
-        match server.try_write() {
-            Ok(guard) => return Some(guard),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => return Some(poisoned.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                if Instant::now() >= until {
-                    return None;
-                }
-                thread::sleep(LOCK_POLL);
-            }
-        }
-    }
-}
-
-/// Dispatches one decoded request under admission control: resolves the
-/// frame's db to a tenant (typed error for unknown dbs), sheds at the
-/// global *or* per-db in-flight limit, bounds lock acquisition by the
-/// deadline, and answers mutations through the tenant's own replay table
-/// for at-most-once semantics.
-pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedFrame) -> Message {
-    // Liveness probes answer instantly, without the server lock or an
-    // admission slot: a saturated server is alive, not dead.
-    if matches!(d.msg, Message::Ping) {
-        return Message::Pong;
-    }
-    if let Message::Batch(items) = &d.msg {
-        return serve_batch(shared, config, d, items);
-    }
-    let tenant = match shared.registry.resolve(&d.db) {
-        Ok(t) => t,
-        Err(e) => return Message::Error(WireError::from_core(&e)),
-    };
-    tenant.note_request();
-    // Health gate: a degraded db refuses mutations (reads keep serving
-    // from pool + page file), a faulted db refuses data traffic entirely.
-    // Diagnostics always pass so operators can see what is wrong.
-    if !matches!(
-        d.msg,
-        Message::MetricsReq | Message::FlightReq | Message::CacheStatsReq
-    ) {
-        if let Err(e) = tenant.admit_health(d.msg.is_mutation()) {
-            return Message::Error(WireError::from_core(&e));
-        }
-    }
-    let server = &tenant.server;
-    let inflight = shared.inflight.load(Ordering::SeqCst);
-    let over_global = config.max_inflight != 0 && inflight >= config.max_inflight;
-    let db_cap = tenant.effective_cap(fair_share(config, shared.registry.len()));
-    let over_db = db_cap != 0 && tenant.inflight() >= db_cap;
-    if (over_global || over_db) && shed_class(&d.msg, || probe_cache_hit(server, &d.msg)) {
-        ft_metrics().shed.inc();
-        tenant.note_shed();
-        crate::flight::event(
-            crate::flight::Kind::Shed,
-            tenant.name(),
-            inflight as u64,
-            db_cap as u64,
-            0,
-        );
-        return busy_reply(d.version, config.retry_after);
-    }
-    if matches!(d.msg, Message::MetricsReq) {
-        // Scrape-time freshness for every hosted db, not just this one.
-        shared.registry.refresh_store_gauges();
-    }
-    let _guard = InflightGuard::enter(shared, &tenant);
-    crate::flight::event(
-        crate::flight::Kind::Admit,
-        tenant.name(),
-        shared.inflight.load(Ordering::SeqCst) as u64,
-        0,
-        0,
-    );
-    let deadline = config.deadline;
-    let started = Instant::now();
-    let mut profile = None;
-    let reply = dispatch_traced(d.trace, || {
-        telemetry::profile_begin();
-        let result = if d.msg.is_mutation() {
-            match write_lock_within(server, deadline) {
-                Some(mut guard) => {
-                    let r = apply_request_keyed(&mut guard, &tenant.replay, d.req_id, &d.msg);
-                    // A persistence failure on the mutation path means the
-                    // WAL (or store) is not accepting writes: flip this db
-                    // to read-only now rather than waiting for the
-                    // checkpointer to find out.
-                    if let Err(CoreError::Persist(m)) = &r {
-                        tenant.set_degraded(m);
-                    }
-                    r
-                }
-                None => {
-                    ft_metrics().deadline_shed.inc();
-                    Ok(busy_reply(d.version, config.retry_after))
-                }
-            }
-        } else {
-            match read_lock_within(server, deadline) {
-                Some(guard) => answer_request(&guard, &d.msg),
-                None => {
-                    ft_metrics().deadline_shed.inc();
-                    Ok(busy_reply(d.version, config.retry_after))
-                }
-            }
-        };
-        profile = finish_profile(&tenant, &result);
-        result
-    });
-    let total = started.elapsed();
-    telemetry::record_span(&format!("db.{}", tenant.name()), total);
-    note_slow(tenant.name(), total, profile.as_ref());
-    reply
-}
-
-/// Closes out one dispatched request's resource profile. Must run inside
-/// the dispatch closure (the trace scope is still open there, so the
-/// `profile.*` spans ride back on the `Answer`): stamps the reply's
-/// shipped blocks and cache outcome into the profile, folds it into the
-/// tenant's per-db totals — exactly once per request, which is what makes
-/// `sum(profiles) == registry counters` hold — and records each field as
-/// a `profile.*` span whose nanosecond value carries the raw count.
-fn finish_profile(
-    tenant: &Tenant,
-    result: &Result<Message, CoreError>,
-) -> Option<telemetry::QueryProfile> {
-    match result {
-        Ok(Message::Answer(resp)) => telemetry::with_profile(|p| {
-            p.blocks_shipped += resp.blocks.len() as u64;
-            p.cache_hit = resp.served_from_cache;
-        }),
-        Ok(Message::BatchAnswer(items)) => telemetry::with_profile(|p| {
-            let mut answers = 0u64;
-            let mut cached = 0u64;
-            for item in items {
-                if let Message::Answer(r) = item {
-                    answers += 1;
-                    p.blocks_shipped += r.blocks.len() as u64;
-                    cached += r.served_from_cache as u64;
-                }
-            }
-            p.cache_hit = answers > 0 && cached == answers;
-        }),
-        _ => {}
-    }
-    let profile = telemetry::profile_take()?;
-    tenant.note_profile(&profile);
-    if telemetry::current_trace() != 0 {
-        for (name, value) in profile.span_fields() {
-            if value > 0 {
-                telemetry::record_span(name, Duration::from_nanos(value));
-            }
-        }
-    }
-    Some(profile)
-}
-
-/// Slow-request accounting shared by both serve paths: the annotated
-/// slow-query log line plus a flight-recorder event.
-fn note_slow(db: &str, total: Duration, profile: Option<&telemetry::QueryProfile>) {
-    telemetry::note_server_query(db, total, profile);
-    let threshold = telemetry::slow_threshold_ns();
-    let total_ns = total.as_nanos().min(u64::MAX as u128) as u64;
-    if threshold > 0 && total_ns >= threshold {
-        crate::flight::event(
-            crate::flight::Kind::SlowQuery,
-            db,
-            total_ns / 1000,
-            profile.map_or(0, |p| p.pages_faulted),
-            profile.map_or(0, |p| p.blocks_shipped),
-        );
-    }
-}
-
-/// Dispatches a [`Message::Batch`]: the whole group shares one tenant
-/// resolution, one admission decision (a single in-flight slot), one
-/// cache-probe pass, and one read-lock acquisition. Items are answered in
-/// submission order inside a [`Message::BatchAnswer`]; a failing item
-/// becomes an `Error` entry without sinking its siblings. Mutations and
-/// nested batches never reach here — the codec rejects them at decode.
-fn serve_batch(
-    shared: &ServeShared,
-    config: &ServeConfig,
-    d: &DecodedFrame,
-    items: &[Message],
-) -> Message {
-    let tenant = match shared.registry.resolve(&d.db) {
-        Ok(t) => t,
-        Err(e) => return Message::Error(WireError::from_core(&e)),
-    };
-    tenant.note_request();
-    // Batches are read-only by construction (the codec rejects nested
-    // mutations), so they pass on degraded dbs — but not on faulted ones,
-    // unless every item is a diagnostic.
-    let all_diagnostic = items.iter().all(|m| {
-        matches!(
-            m,
-            Message::MetricsReq | Message::FlightReq | Message::CacheStatsReq | Message::Ping
-        )
-    });
-    if !all_diagnostic {
-        if let Err(e) = tenant.admit_health(false) {
-            return Message::Error(WireError::from_core(&e));
-        }
-    }
-    let server = &tenant.server;
-    let inflight = shared.inflight.load(Ordering::SeqCst);
-    let over_global = config.max_inflight != 0 && inflight >= config.max_inflight;
-    let db_cap = tenant.effective_cap(fair_share(config, shared.registry.len()));
-    let over_db = db_cap != 0 && tenant.inflight() >= db_cap;
-    if (over_global || over_db) && !batch_all_cheap(server, items) {
-        ft_metrics().shed.inc();
-        tenant.note_shed();
-        crate::flight::event(
-            crate::flight::Kind::Shed,
-            tenant.name(),
-            inflight as u64,
-            db_cap as u64,
-            0,
-        );
-        return busy_reply(d.version, config.retry_after);
-    }
-    if items.iter().any(|m| matches!(m, Message::MetricsReq)) {
-        shared.registry.refresh_store_gauges();
-    }
-    let _guard = InflightGuard::enter(shared, &tenant);
-    crate::flight::event(
-        crate::flight::Kind::Admit,
-        tenant.name(),
-        shared.inflight.load(Ordering::SeqCst) as u64,
-        0,
-        0,
-    );
-    let started = Instant::now();
-    let mut profile = None;
-    let reply = dispatch_traced(d.trace, || {
-        telemetry::profile_begin();
-        let result = match read_lock_within(server, config.deadline) {
-            Some(guard) => Ok(Message::BatchAnswer(
-                items
-                    .iter()
-                    .map(|item| {
-                        answer_request(&guard, item)
-                            .unwrap_or_else(|e| Message::Error(WireError::from_core(&e)))
-                    })
-                    .collect(),
-            )),
-            None => {
-                ft_metrics().deadline_shed.inc();
-                Ok(busy_reply(d.version, config.retry_after))
-            }
-        };
-        profile = finish_profile(&tenant, &result);
-        result
-    });
-    let total = started.elapsed();
-    telemetry::record_span(&format!("db.{}", tenant.name()), total);
-    note_slow(tenant.name(), total, profile.as_ref());
-    reply
-}
-
-/// One cache-probe pass over a batch: under load the batch is still
-/// admitted only if *every* item is cheap — a stats request, or a query
-/// the response cache already answers. A single `try_read` guard probes
-/// all items, so the pass costs one lock attempt regardless of batch size.
-fn batch_all_cheap(server: &RwLock<Server>, items: &[Message]) -> bool {
-    let Ok(guard) = server.try_read() else {
-        return false;
-    };
-    items.iter().all(|item| match item {
-        Message::CacheStatsReq | Message::MetricsReq | Message::FlightReq | Message::Ping => true,
-        Message::Query(q) => guard.has_cached_response(q),
-        _ => false,
-    })
-}
-
-enum ReadOutcome {
-    Ok,
-    Closed,
-    Stopped,
-}
-
-/// `read_exact` that keeps polling across short read timeouts so idle
-/// connections still notice shutdown promptly, while holding a stalled
-/// peer to the mid-frame budget.
-///
-/// Two timeout regimes, chosen by whether we are inside a frame:
-///
-/// * **idle** (`mid_frame == false` and nothing read yet) — each poll
-///   timeout just re-checks the stop flag; a connection may sit here
-///   indefinitely between requests;
-/// * **mid-frame** (`mid_frame == true`, or as soon as the first byte of
-///   this buffer lands) — a deadline of `io_timeout` starts; any progress
-///   (fresh bytes) resets it, so a slow-but-live writer dribbling a large
-///   frame is fine, but a peer that goes silent mid-frame is dropped once
-///   the budget elapses.
-fn read_exact_or_stop(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    io_timeout: Duration,
-    mid_frame: bool,
-) -> ReadOutcome {
-    let mut filled = 0;
-    let mut deadline = if mid_frame {
-        Some(Instant::now() + io_timeout)
-    } else {
-        None
-    };
-    while filled < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return ReadOutcome::Stopped;
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return ReadOutcome::Closed,
-            Ok(n) => {
-                filled += n;
-                // Progress restarts the stall budget.
-                deadline = Some(Instant::now() + io_timeout);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return ReadOutcome::Closed;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Closed,
-        }
-    }
-    ReadOutcome::Ok
-}
-
-fn send_error(
-    stream: &mut TcpStream,
-    err: &CodecError,
-    version: u8,
-    trace: u64,
-    req_id: u64,
-    stop: &AtomicBool,
-    io_timeout: Duration,
-) {
-    let core: CoreError = err.clone().into();
-    let frame =
-        Message::Error(WireError::from_core(&core)).encode_frame_req(version, trace, req_id);
-    write_all_or_stop(stream, &frame, stop, io_timeout);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2027,35 +1000,6 @@ mod tests {
         assert!(table.get(1).is_none());
         assert!(table.get(2).is_some());
         assert!(table.get(3).is_some());
-    }
-
-    #[test]
-    fn shed_policy_prefers_cache_hits_and_stats() {
-        let q = Message::Query(ServerQuery {
-            steps: vec![],
-            anchor: 0,
-        });
-        // No limit, or below the limit: never shed.
-        assert!(!should_shed(&q, 100, 0, || false));
-        assert!(!should_shed(&q, 3, 4, || false));
-        // At the limit: cache misses shed, hits admitted.
-        assert!(should_shed(&q, 4, 4, || false));
-        assert!(!should_shed(&q, 4, 4, || true));
-        // Stats requests always admitted; other work sheds.
-        assert!(!should_shed(&Message::CacheStatsReq, 4, 4, || false));
-        assert!(!should_shed(&Message::MetricsReq, 4, 4, || false));
-        assert!(should_shed(&Message::NaiveQuery, 4, 4, || false));
-    }
-
-    #[test]
-    fn busy_reply_downgrades_for_legacy_peers() {
-        let v3 = busy_reply(crate::codec::PROTOCOL_VERSION, Duration::from_millis(25));
-        assert_eq!(v3, Message::Busy { retry_after_ms: 25 });
-        let v1 = busy_reply(
-            crate::codec::LEGACY_PROTOCOL_VERSION,
-            Duration::from_millis(25),
-        );
-        assert!(matches!(v1, Message::Error(_)), "got {v1:?}");
     }
 
     #[test]

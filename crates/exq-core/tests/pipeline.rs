@@ -1,4 +1,4 @@
-//! Pipelining and the event-loop serve path.
+//! Pipelining over the event-loop serve path.
 //!
 //! The contract under test: replies echo the request's trace and request
 //! ids on the wire (the correlation fix), N requests in flight on one
@@ -16,9 +16,10 @@ use exq_core::constraints::SecurityConstraint;
 use exq_core::evloop::serve_event;
 use exq_core::retry::{roundtrip_pipelined, RetryConfig};
 use exq_core::scheme::SchemeKind;
+use exq_core::serve::{ServeConfig, ServeHandle};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::tenant::TenantRegistry;
-use exq_core::transport::{serve_multi, Pipeline, ServeConfig, ServeHandle, TcpTransport};
+use exq_core::transport::{Pipeline, TcpTransport};
 use exq_core::{Client, Server};
 use exq_xml::Document;
 use std::io::{ErrorKind, Read, Write};
@@ -59,11 +60,6 @@ fn registry_with(client: &Client, server: Server) -> Arc<TenantRegistry> {
 fn start_event(registry: Arc<TenantRegistry>, config: ServeConfig) -> ServeHandle {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     serve_event(listener, registry, config).unwrap()
-}
-
-fn start_blocking(registry: Arc<TenantRegistry>, config: ServeConfig) -> ServeHandle {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    serve_multi(listener, registry, config).unwrap()
 }
 
 /// Server-evaluable queries plus their translated request messages.
@@ -121,8 +117,6 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
 
 /// More idle connections than workers: on the event loop a fresh client
 /// still gets answered, because idle sockets cost buffers, not threads.
-/// (This is exactly the scenario that wedges the thread-per-connection
-/// loop: every worker parked in `read` on an idle socket.)
 #[test]
 fn idle_connections_do_not_starve_fresh_clients_on_event_loop() {
     let (client, server) = hosted();
@@ -150,68 +144,54 @@ fn idle_connections_do_not_starve_fresh_clients_on_event_loop() {
 // -------------------------------------------------------------- correlation
 
 /// Replies echo the request's trace and request ids byte-for-byte on the
-/// wire — on both serve paths, on answers and on error replies to frames
-/// that fail payload decode (where the ids are salvaged from the raw
-/// frame).
+/// wire — on answers and on error replies to frames that fail payload
+/// decode (where the ids are salvaged from the raw frame).
 #[test]
 fn replies_echo_ids_on_the_wire() {
     let (client, server) = hosted();
     let registry = registry_with(&client, server);
-    for (label, handle) in [
-        (
-            "blocking",
-            start_blocking(Arc::clone(&registry), ServeConfig::default()),
-        ),
-        (
-            "event",
-            start_event(registry.clone(), ServeConfig::default()),
-        ),
-    ] {
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
+    let handle = start_event(registry, ServeConfig::default());
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
 
-        for version in [V3_PROTOCOL_VERSION, V4_PROTOCOL_VERSION, PROTOCOL_VERSION] {
-            let trace = 0xDEAD_BEEF_0000_0000u64 | version as u64;
-            let req_id = 0x1234_5678_0000_0000u64 | version as u64;
-            let frame = Message::Ping.encode_frame_req(version, trace, req_id);
-            stream.write_all(&frame).unwrap();
-            let reply = read_frame(&mut stream).unwrap();
-            let d = Message::decode_frame_ext(&reply).unwrap();
-            assert_eq!(d.msg, Message::Pong, "{label} v{version}");
-            assert_eq!(d.trace, trace, "{label} v{version} dropped the trace id");
-            assert_eq!(
-                d.req_id, req_id,
-                "{label} v{version} dropped the request id"
-            );
-        }
-
-        // A frame whose header is fine but whose payload is garbage: the
-        // error reply must still carry the ids salvaged from the frame.
-        let good = Message::CacheStatsReq.encode_frame_req(PROTOCOL_VERSION, 0xABAD_1DEA, 777);
-        let mut corrupt = good.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0xFF; // breaks the checksum, ids stay readable
-        stream.write_all(&corrupt).unwrap();
+    for version in [V3_PROTOCOL_VERSION, V4_PROTOCOL_VERSION, PROTOCOL_VERSION] {
+        let trace = 0xDEAD_BEEF_0000_0000u64 | version as u64;
+        let req_id = 0x1234_5678_0000_0000u64 | version as u64;
+        let frame = Message::Ping.encode_frame_req(version, trace, req_id);
+        stream.write_all(&frame).unwrap();
         let reply = read_frame(&mut stream).unwrap();
         let d = Message::decode_frame_ext(&reply).unwrap();
-        assert!(
-            matches!(d.msg, Message::Error(_)),
-            "{label}: corrupt frame should answer Error, got {:?}",
-            d.msg
-        );
-        assert_eq!(d.trace, 0xABAD_1DEA, "{label} error reply dropped trace id");
-        assert_eq!(d.req_id, 777, "{label} error reply dropped request id");
-
-        handle.shutdown();
+        assert_eq!(d.msg, Message::Pong, "v{version}");
+        assert_eq!(d.trace, trace, "v{version} dropped the trace id");
+        assert_eq!(d.req_id, req_id, "v{version} dropped the request id");
     }
+
+    // A frame whose header is fine but whose payload is garbage: the
+    // error reply must still carry the ids salvaged from the frame.
+    let good = Message::CacheStatsReq.encode_frame_req(PROTOCOL_VERSION, 0xABAD_1DEA, 777);
+    let mut corrupt = good.clone();
+    let last = corrupt.len() - 1;
+    corrupt[last] ^= 0xFF; // breaks the checksum, ids stay readable
+    stream.write_all(&corrupt).unwrap();
+    let reply = read_frame(&mut stream).unwrap();
+    let d = Message::decode_frame_ext(&reply).unwrap();
+    assert!(
+        matches!(d.msg, Message::Error(_)),
+        "corrupt frame should answer Error, got {:?}",
+        d.msg
+    );
+    assert_eq!(d.trace, 0xABAD_1DEA, "error reply dropped trace id");
+    assert_eq!(d.req_id, 777, "error reply dropped request id");
+
+    handle.shutdown();
 }
 
 // -------------------------------------------------------------- equivalence
 
 /// Serial vs. N-in-flight on one connection: bit-identical answers, for
-/// v3, v4, and v5 peers, on both serve paths.
+/// v3, v4, and v5 peers.
 #[test]
 fn pipelined_matches_serial_across_versions() {
     let (client, server) = hosted();
@@ -222,52 +202,42 @@ fn pipelined_matches_serial_across_versions() {
         .chain([Message::Ping])
         .collect();
 
-    for (label, handle) in [
-        (
-            "blocking",
-            start_blocking(Arc::clone(&registry), ServeConfig::default()),
-        ),
-        (
-            "event",
-            start_event(registry.clone(), ServeConfig::default()),
-        ),
-    ] {
-        for version in [V3_PROTOCOL_VERSION, V4_PROTOCOL_VERSION, PROTOCOL_VERSION] {
-            let mut serial = Pipeline::connect_default(handle.addr())
-                .unwrap()
-                .with_version(version)
-                .unwrap();
-            let serial_replies: Vec<Message> = reqs
-                .iter()
-                .map(|r| {
-                    let id = serial.submit(r).unwrap();
-                    let (rid, reply) = serial.recv().unwrap();
-                    assert_eq!(rid, id, "{label} v{version}: serial reply misattributed");
-                    reply
-                })
-                .collect();
+    let handle = start_event(registry, ServeConfig::default());
+    for version in [V3_PROTOCOL_VERSION, V4_PROTOCOL_VERSION, PROTOCOL_VERSION] {
+        let mut serial = Pipeline::connect_default(handle.addr())
+            .unwrap()
+            .with_version(version)
+            .unwrap();
+        let serial_replies: Vec<Message> = reqs
+            .iter()
+            .map(|r| {
+                let id = serial.submit(r).unwrap();
+                let (rid, reply) = serial.recv().unwrap();
+                assert_eq!(rid, id, "v{version}: serial reply misattributed");
+                reply
+            })
+            .collect();
 
-            let mut pipe = Pipeline::connect_default(handle.addr())
-                .unwrap()
-                .with_version(version)
-                .unwrap();
-            let pipelined_replies = pipe.roundtrip_many(&reqs).unwrap();
+        let mut pipe = Pipeline::connect_default(handle.addr())
+            .unwrap()
+            .with_version(version)
+            .unwrap();
+        let pipelined_replies = pipe.roundtrip_many(&reqs).unwrap();
 
-            assert_eq!(serial_replies.len(), pipelined_replies.len());
-            for (i, (s, p)) in serial_replies.iter().zip(&pipelined_replies).enumerate() {
-                // Identical decoded replies, and identical bytes, once
-                // per-execution measurement and framing are held fixed.
-                let (s, p) = (canon(s), canon(p));
-                assert_eq!(s, p, "{label} v{version} req {i}: answers differ");
-                assert_eq!(
-                    s.encode_frame_v(version, 0),
-                    p.encode_frame_v(version, 0),
-                    "{label} v{version} req {i}: answer bytes differ"
-                );
-            }
+        assert_eq!(serial_replies.len(), pipelined_replies.len());
+        for (i, (s, p)) in serial_replies.iter().zip(&pipelined_replies).enumerate() {
+            // Identical decoded replies, and identical bytes, once
+            // per-execution measurement and framing are held fixed.
+            let (s, p) = (canon(s), canon(p));
+            assert_eq!(s, p, "v{version} req {i}: answers differ");
+            assert_eq!(
+                s.encode_frame_v(version, 0),
+                p.encode_frame_v(version, 0),
+                "v{version} req {i}: answer bytes differ"
+            );
         }
-        handle.shutdown();
     }
+    handle.shutdown();
 }
 
 /// A v5 `Batch` frame answers item-for-item what the same requests answer
@@ -361,79 +331,70 @@ fn pipelined_retry_recovers_from_busy() {
 // ------------------------------------------------------------ write stalls
 
 /// A peer that submits work and never reads the replies is dropped within
-/// the write-stall budget on both serve paths — instead of blocking a
-/// worker (blocking loop) or growing the write buffer forever (event
-/// loop). Detection: after the stall window, draining the socket must
-/// terminate in EOF/reset, not in an endless stream of timeouts.
+/// the write-stall budget instead of growing the write buffer forever.
+/// Detection: after the stall window, draining the socket must terminate
+/// in EOF/reset, not in an endless stream of timeouts.
 #[test]
 fn stalled_reader_is_dropped_within_budget() {
     let (client, server) = hosted();
     let registry = registry_with(&client, server);
     let io_timeout = Duration::from_millis(400);
-    let mk_config = || ServeConfig {
+    let config = ServeConfig {
         workers: 2,
         io_timeout,
         accept_backlog: 10_000, // let every request dispatch; the stall is on writes
         ..ServeConfig::default()
     };
-    for (label, handle) in [
-        (
-            "blocking",
-            start_blocking(Arc::clone(&registry), mk_config()),
-        ),
-        ("event", start_event(registry.clone(), mk_config())),
-    ] {
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        // NaiveQuery ships the whole sealed database per reply — the
-        // cheapest way to overrun every socket buffer in the path. Enough
-        // of them to exceed any auto-tuned kernel buffer by a wide margin.
-        // Written from a helper thread: once the server stops reading
-        // (blocking loop serves one frame at a time) our own sends may
-        // block until the drop resets the connection.
-        let mut wstream = stream.try_clone().unwrap();
-        let writer = std::thread::spawn(move || {
-            for i in 0..20_000u64 {
-                let frame = Message::NaiveQuery.encode_frame_req(PROTOCOL_VERSION, 0, i + 1);
-                if wstream.write_all(&frame).is_err() {
-                    return; // connection dropped mid-send: that's the point
-                }
+    let handle = start_event(registry, config);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    // NaiveQuery ships the whole sealed database per reply — the
+    // cheapest way to overrun every socket buffer in the path. Enough
+    // of them to exceed any auto-tuned kernel buffer by a wide margin.
+    // Written from a helper thread: once every buffer in the path is
+    // full our own sends may block until the drop resets the
+    // connection.
+    let mut wstream = stream.try_clone().unwrap();
+    let writer = std::thread::spawn(move || {
+        for i in 0..20_000u64 {
+            let frame = Message::NaiveQuery.encode_frame_req(PROTOCOL_VERSION, 0, i + 1);
+            if wstream.write_all(&frame).is_err() {
+                return; // connection dropped mid-send: that's the point
             }
-        });
-        // Never read. Give the server time to fill the buffers and trip
-        // the write-stall budget.
-        std::thread::sleep(io_timeout * 4);
+        }
+    });
+    // Never read. Give the server time to fill the buffers and trip
+    // the write-stall budget.
+    std::thread::sleep(io_timeout * 4);
 
-        // Drain: buffered replies arrive, then EOF or reset — within a
-        // bounded number of reads. A server still pinned on the write
-        // would instead time out here forever.
-        stream
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut buf = vec![0u8; 1 << 16];
-        let dropped = loop {
-            if Instant::now() > deadline {
-                break false;
+    // Drain: buffered replies arrive, then EOF or reset — within a
+    // bounded number of reads. A server still pinned on the write
+    // would instead time out here forever.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut buf = vec![0u8; 1 << 16];
+    let dropped = loop {
+        if Instant::now() > deadline {
+            break false;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => break true,
+            Ok(_) => {}
+            Err(e)
+                if e.kind() == ErrorKind::ConnectionReset || e.kind() == ErrorKind::BrokenPipe =>
+            {
+                break true
             }
-            match stream.read(&mut buf) {
-                Ok(0) => break true,
-                Ok(_) => {}
-                Err(e)
-                    if e.kind() == ErrorKind::ConnectionReset
-                        || e.kind() == ErrorKind::BrokenPipe =>
-                {
-                    break true
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    break false
-                }
-                Err(e) => panic!("{label}: unexpected read error: {e}"),
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                break false
             }
-        };
-        assert!(dropped, "{label}: stalled reader was not dropped");
-        writer.join().unwrap();
-        handle.shutdown();
-    }
+            Err(e) => panic!("unexpected read error: {e}"),
+        }
+    };
+    assert!(dropped, "stalled reader was not dropped");
+    writer.join().unwrap();
+    handle.shutdown();
     let _ = client;
 }
 

@@ -5,10 +5,12 @@
 
 use exq_core::codec::{Message, FRAME_HEADER_LEN};
 use exq_core::constraints::SecurityConstraint;
+use exq_core::evloop::serve_event;
 use exq_core::scheme::SchemeKind;
+use exq_core::serve::{ServeConfig, ServeHandle};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::tenant::TenantRegistry;
-use exq_core::transport::{serve_multi, ServeConfig, ServeHandle, TcpTransport, Transport};
+use exq_core::transport::{TcpTransport, Transport};
 use exq_core::{Client, Server};
 use exq_xml::Document;
 use std::io::{Read, Write};
@@ -74,7 +76,7 @@ fn three_db_registry(prefix: &str) -> (Arc<TenantRegistry>, Vec<(String, Client)
 
 fn start(registry: Arc<TenantRegistry>, config: ServeConfig) -> ServeHandle {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    serve_multi(listener, registry, config).unwrap()
+    serve_event(listener, registry, config).unwrap()
 }
 
 fn connect(handle: &ServeHandle, db: &str) -> TcpTransport {

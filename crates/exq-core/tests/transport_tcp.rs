@@ -274,7 +274,6 @@ fn dribbling_writer_is_served_but_mid_frame_staller_is_dropped() {
         server,
         ServeConfig {
             workers: 2,
-            poll_interval: std::time::Duration::from_millis(20),
             io_timeout: std::time::Duration::from_millis(400),
             threads: 1,
             ..ServeConfig::default()
@@ -322,7 +321,6 @@ fn idle_between_frames_is_never_dropped() {
         server,
         ServeConfig {
             workers: 1,
-            poll_interval: std::time::Duration::from_millis(20),
             io_timeout: std::time::Duration::from_millis(150),
             threads: 1,
             ..ServeConfig::default()
