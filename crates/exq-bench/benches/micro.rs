@@ -1,9 +1,14 @@
 //! Criterion microbenchmarks for the substrates: the cipher, PRF, OPE,
 //! OPESS planning, B-tree, DSI labeling, structural joins, XML parsing, and
-//! vertex-cover solvers.
+//! vertex-cover solvers — and for the reply path of one secure query
+//! (server assembly, filtered serialization, client reconstruction, frame
+//! checksum) on the perf ledger's `xmark_scan` database.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use exq_core::cover::{solve_clarkson, solve_exact, ConstraintGraph};
+use exq_core::scheme::SchemeKind;
+use exq_core::system::{OutsourceConfig, Outsourcer};
+use exq_core::transport::InProcess;
 use exq_crypto::{ChaCha20, OpeKey, OpessPlan, Prf};
 use exq_index::dsi::DsiLabeling;
 use exq_index::sjoin::{join_anc_desc, sort_intervals};
@@ -142,6 +147,74 @@ fn bench_cover(c: &mut Criterion) {
     group.finish();
 }
 
+/// The reply path, on the ledger's `xmark_scan` set-up (2 MiB XMark, seed
+/// 2006, `Opt`) and three of its reply shapes: the median query (one
+/// visible region, no blocks), a Ql path (thousands of small anchors and as
+/// many blocks), and a whole-`people` reply (1.3 MB, 7488 blocks).
+fn bench_reply_path(c: &mut Criterion) {
+    let doc = xmark::generate(&xmark::XmarkConfig {
+        target_bytes: 2 << 20,
+        seed: 2006,
+    });
+    let (client, mut server) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&doc, &xmark::constraints(), SchemeKind::Opt, 2006)
+        .unwrap()
+        .split();
+    server.set_threads(1);
+    server.set_cache_entries(Some(0));
+    let client = client.with_threads(1);
+    let shapes = [
+        ("region", "/site//open_auctions"),
+        ("leaf_path", "/site/people/person//name"),
+        ("whole_people", "//people//person"),
+    ];
+
+    let mut assemble = c.benchmark_group("server/assemble_xmark");
+    for (shape, q) in shapes {
+        // `answer` is lookup + join + assemble; on these queries assembly
+        // is all but ~2 ms of it (the ledger's `server.sjoin_ms`).
+        let sq = client.translate(q).unwrap().server_query.unwrap();
+        assemble.bench_function(shape, |b| {
+            b.iter(|| black_box(server.answer(&sq).unwrap().pruned_xml.len()))
+        });
+    }
+    assemble.finish();
+
+    let mut reconstruct = c.benchmark_group("client/reconstruct_xmark");
+    for (shape, q) in shapes {
+        let (tq, resp, _) = client.run(&mut InProcess::shared(&server), q).unwrap();
+        reconstruct.bench_function(shape, |b| {
+            b.iter(|| {
+                let post = client.post_process(&tq.post_query, &resp).unwrap();
+                black_box(post.results.len())
+            })
+        });
+    }
+    reconstruct.finish();
+
+    // The writer alone, on the visible document with every other top-level
+    // section kept — a predicate that is cheap, and not "everything".
+    let visible = Document::parse(&server.visible_xml()).unwrap();
+    let root = visible.root().unwrap();
+    let mut keep = vec![false; visible.arena_len()];
+    keep[root.index()] = true;
+    for &section in visible.node(root).children().iter().step_by(2) {
+        for n in visible.descendants(section) {
+            keep[n.index()] = true;
+        }
+    }
+    c.bench_function("xml/write_filtered", |b| {
+        b.iter(|| black_box(visible.to_xml_filtered(|n| keep[n.index()]).len()))
+    });
+}
+
+fn bench_crc32(c: &mut Criterion) {
+    let data: Vec<u8> = (0..1u32 << 20).map(|i| (i * 31 + 7) as u8).collect();
+    c.bench_function("codec/crc32_1mib", |b| {
+        b.iter(|| black_box(exq_core::codec::crc32(&[black_box(&data)])))
+    });
+}
+
 criterion_group!(
     benches,
     bench_chacha,
@@ -152,6 +225,8 @@ criterion_group!(
     bench_dsi,
     bench_sjoin,
     bench_xml_parse,
-    bench_cover
+    bench_cover,
+    bench_reply_path,
+    bench_crc32
 );
 criterion_main!(benches);

@@ -15,14 +15,13 @@
 //! server) to obtain the final answer, which equals the answer on the
 //! plaintext database.
 
-use crate::encrypt::{ClientCryptoState, BLOCK_ID_ATTR, BLOCK_MARKER_TAG, DECOY_TAG};
+use crate::encrypt::{marker_block_id, ClientCryptoState, BLOCK_MARKER_TAG, DECOY_TAG};
 use crate::error::CoreError;
 use crate::server::Server;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::{open_block, RangeOp};
-use exq_xml::{Document, NodeId};
+use exq_xml::{Document, NodeId, NodeKind};
 use exq_xpath::{eval_document, Axis, CmpOp, Literal, NodeTest, Path, Predicate};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Synthetic root used when several root-level blocks must splice into one
@@ -145,33 +144,23 @@ impl Client {
         Ok((tq, resp, post))
     }
 
-    /// Decrypts and parses every shipped block, fanning out across the
-    /// configured worker threads. Results are keyed by block id; errors
-    /// surface in block order, exactly as the serial loop reported them.
+    /// Authenticates and decrypts every shipped block to its plaintext XML,
+    /// fanning out across the configured worker threads. Errors surface in
+    /// block order, exactly as the serial loop reported them.
     fn decrypt_blocks(
         &self,
         blocks: &[std::sync::Arc<exq_crypto::SealedBlock>],
-    ) -> Result<HashMap<u32, Document>, CoreError> {
+    ) -> Result<Vec<(u32, String)>, CoreError> {
         let key = self.state.keys.block_key();
-        let opened = crate::pool::parallel_map(
-            self.threads,
-            blocks,
-            |b| -> Result<(u32, Document), CoreError> {
-                let bytes =
-                    open_block(&key, b.as_ref()).map_err(|e| CoreError::Block(e.to_string()))?;
-                let xml = String::from_utf8(bytes)
-                    .map_err(|e| CoreError::Block(format!("block not UTF-8: {e}")))?;
-                let doc = Document::parse(&xml)
-                    .map_err(|e| CoreError::Block(format!("block not XML: {e}")))?;
-                Ok((b.id, doc))
-            },
-        );
-        let mut decrypted: HashMap<u32, Document> = HashMap::with_capacity(blocks.len());
-        for entry in opened {
-            let (id, doc) = entry?;
-            decrypted.insert(id, doc);
-        }
-        Ok(decrypted)
+        crate::pool::parallel_map(self.threads, blocks, |b| {
+            let bytes =
+                open_block(&key, b.as_ref()).map_err(|e| CoreError::Block(e.to_string()))?;
+            let xml = String::from_utf8(bytes)
+                .map_err(|e| CoreError::Block(format!("block not UTF-8: {e}")))?;
+            Ok((b.id, xml))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Decrypts, reconstructs, and evaluates the post query (§6.4).
@@ -185,7 +174,7 @@ impl Client {
         let decrypt_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let reconstructed = self.reconstruct(&resp.pruned_xml, &decrypted)?;
+        let reconstructed = self.reconstruct(&resp.pruned_xml, decrypted)?;
         let results = match &reconstructed {
             None => Vec::new(),
             Some(doc) => eval_document(doc, post_query)
@@ -207,10 +196,17 @@ impl Client {
     pub fn export(&self, server: &Server) -> Result<Option<Document>, CoreError> {
         let resp = server.answer_naive()?;
         let decrypted = self.decrypt_blocks(&resp.blocks)?;
-        self.reconstruct(&resp.pruned_xml, &decrypted)
+        self.reconstruct(&resp.pruned_xml, decrypted)
     }
 
-    /// Splices decrypted blocks over their markers and removes decoys.
+    /// Parses the reply with each shipped block parsed in at its marker and
+    /// decoys dropped as they complete: the parsed reply *is* the
+    /// reconstruction, and its node ids are in document order.
+    ///
+    /// Markers whose blocks were not shipped simply vanish: the anchor logic
+    /// guarantees the client never needs them. A block that is not XML is
+    /// reported when its marker is reached; blocks ship in id order, which
+    /// is document order, so the first bad block still wins.
     ///
     /// An empty `pruned_xml` with shipped blocks is the fully-encrypted-root
     /// case: the server has no visible context to send, but the blocks are
@@ -220,42 +216,53 @@ impl Client {
     fn reconstruct(
         &self,
         pruned_xml: &str,
-        decrypted: &HashMap<u32, Document>,
+        mut decrypted: Vec<(u32, String)>,
     ) -> Result<Option<Document>, CoreError> {
-        let mut out = Document::new();
+        decrypted.sort_unstable_by_key(|(id, _)| *id);
+        // Block plaintext holds decoys but no markers to resolve.
+        let parse_block = |doc: &mut Document, parent: Option<NodeId>, xml: &str| {
+            let drop_decoy = |doc: &mut Document, el| {
+                if doc.element_name(el) == Some(DECOY_TAG) {
+                    doc.detach(el);
+                }
+                Ok(())
+            };
+            doc.parse_fragment_into(parent, xml, drop_decoy)
+                .map(drop)
+                .map_err(|e: exq_xml::ParseError| CoreError::Block(format!("block not XML: {e}")))
+        };
         if pruned_xml.is_empty() {
             if decrypted.is_empty() {
                 return Ok(None);
             }
-            let mut ids: Vec<u32> = decrypted.keys().copied().collect();
-            ids.sort_unstable();
+            let mut out = Document::new();
             // One block: its root becomes the document root (the common
             // fully-encrypted-root shape). Several blocks cannot share the
             // root slot, so they splice under a synthetic wrapper element;
             // descendant-axis post-queries see through it unchanged.
-            let parent = if ids.len() > 1 {
-                Some(out.add_element(None, SPLICE_ROOT_TAG))
-            } else {
-                None
-            };
-            for id in ids {
-                let block_doc = &decrypted[&id];
-                if let Some(broot) = block_doc.root() {
-                    block_doc.clone_subtree_into(broot, &mut out, parent);
-                }
+            let parent = (decrypted.len() > 1).then(|| out.add_element(None, SPLICE_ROOT_TAG));
+            for (_, xml) in &decrypted {
+                parse_block(&mut out, parent, xml)?;
             }
-        } else {
-            let pruned =
-                Document::parse(pruned_xml).map_err(|e| CoreError::Response(e.to_string()))?;
-            let root = pruned.root().ok_or(CoreError::EmptyDocument)?;
-            splice(&pruned, root, None, decrypted, &mut out)?;
+            return Ok(Some(out));
         }
-        // Remove decoys anywhere in the reconstruction.
-        let decoys: Vec<NodeId> = out.elements_by_tag(DECOY_TAG).into_iter().collect();
-        for d in decoys {
-            out.detach(d);
-        }
-        Ok(Some(out))
+        Document::parse_with_hook(pruned_xml, |doc, el| {
+            match doc.element_name(el) {
+                Some(DECOY_TAG) => doc.detach(el),
+                Some(BLOCK_MARKER_TAG) => {
+                    let id = marker_block_id(doc, el)
+                        .ok_or_else(|| CoreError::Response("marker without id".into()))?;
+                    let parent = doc.node(el).parent();
+                    doc.detach(el);
+                    if let Ok(i) = decrypted.binary_search_by_key(&id, |(id, _)| *id) {
+                        parse_block(doc, parent, &decrypted[i].1)?;
+                    }
+                }
+                _ => {}
+            }
+            Ok(())
+        })
+        .map(Some)
     }
 
     /// Translates a path into a server pattern; `None` on unsupported axes.
@@ -451,62 +458,6 @@ fn to_range_op(op: CmpOp) -> RangeOp {
     }
 }
 
-/// Recursively copies the pruned doc, replacing block markers with their
-/// decrypted contents.
-fn splice(
-    pruned: &Document,
-    n: NodeId,
-    parent: Option<NodeId>,
-    decrypted: &HashMap<u32, Document>,
-    out: &mut Document,
-) -> Result<(), CoreError> {
-    use exq_xml::NodeKind;
-    if pruned.element_name(n) == Some(BLOCK_MARKER_TAG) {
-        let id: u32 = pruned
-            .node(n)
-            .attrs()
-            .iter()
-            .find_map(|&a| match pruned.node(a).kind() {
-                NodeKind::Attribute(name, v) if pruned.tag_name(*name) == BLOCK_ID_ATTR => {
-                    v.parse().ok()
-                }
-                _ => None,
-            })
-            .ok_or_else(|| CoreError::Response("marker without id".into()))?;
-        if let Some(block_doc) = decrypted.get(&id) {
-            let broot = block_doc
-                .root()
-                .ok_or_else(|| CoreError::Response("empty block".into()))?;
-            block_doc.clone_subtree_into(broot, out, parent);
-        }
-        // Markers whose blocks were not shipped simply vanish: the anchor
-        // logic guarantees the client never needs them.
-        return Ok(());
-    }
-    match pruned.node(n).kind() {
-        NodeKind::Element(t) => {
-            let name = pruned.tag_name(*t).to_owned();
-            let el = out.add_element(parent, &name);
-            for &a in pruned.node(n).attrs() {
-                if let NodeKind::Attribute(at, v) = pruned.node(a).kind() {
-                    let an = pruned.tag_name(*at).to_owned();
-                    out.add_attr(el, &an, v);
-                }
-            }
-            for &c in pruned.node(n).children() {
-                splice(pruned, c, Some(el), decrypted, out)?;
-            }
-        }
-        NodeKind::Text(v) => {
-            if let Some(p) = parent {
-                out.add_text(p, v);
-            }
-        }
-        NodeKind::Attribute(..) => {}
-    }
-    Ok(())
-}
-
 /// Does a predicate (recursively) contain a path step that looks upward or
 /// sideways (parent / following-sibling)? Self steps are fine: they stay on
 /// the node. Such predicates cannot be re-verified on a pruned response.
@@ -529,7 +480,6 @@ fn pred_looks_upward(pred: &Predicate) -> bool {
 
 /// Renders one result node: elements as XML, attributes/text as their value.
 fn render_result(doc: &Document, n: NodeId) -> String {
-    use exq_xml::NodeKind;
     match doc.node(n).kind() {
         NodeKind::Element(_) => doc.node_to_xml(n),
         NodeKind::Attribute(_, v) => v.clone(),

@@ -137,40 +137,15 @@ pub fn frame_extra_len(version: u8) -> usize {
 
 // ------------------------------------------------------------------ crc32 --
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) over the concatenation of
 /// `parts`. Detects every single-bit and ≤32-bit-burst error, which is what
 /// the frame checksum needs: a flipped byte anywhere in a v3 frame must
-/// decode to a typed error, never a different message.
+/// decode to a typed error, never a different message. The kernel is
+/// `exq_store`'s.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for part in parts {
-        for &b in *part {
-            c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-    }
-    !c
+    parts
+        .iter()
+        .fold(0, |crc, part| exq_store::crc32_update(crc, part))
 }
 
 /// Hard cap on a frame payload; anything larger is rejected before

@@ -61,3 +61,11 @@ impl fmt::Display for CoreError {
 }
 
 impl std::error::Error for CoreError {}
+
+/// XML the core parses on the query path is a server reply; a reply that is
+/// not XML is a malformed response.
+impl From<exq_xml::ParseError> for CoreError {
+    fn from(e: exq_xml::ParseError) -> Self {
+        CoreError::Response(e.to_string())
+    }
+}

@@ -17,7 +17,7 @@
 
 use crate::cache::{CacheStatsSnapshot, ServerCaches};
 use crate::codec::WireCodec;
-use crate::encrypt::{EncryptedOutput, ServerMetadata, BLOCK_MARKER_TAG};
+use crate::encrypt::{marker_block_id, EncryptedOutput, ServerMetadata, BLOCK_MARKER_TAG};
 use crate::error::CoreError;
 use crate::persist::BlockEncCache;
 use crate::store::{BlockStore, PagedDb};
@@ -27,7 +27,7 @@ use exq_crypto::SealedBlock;
 use exq_index::dsi::Interval;
 use exq_index::sjoin::{sort_intervals, IntervalUniverse};
 use exq_xml::{Document, NodeId};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -1001,56 +1001,49 @@ impl Server {
 
     /// Builds the pruned visible document + block set for the anchor set.
     ///
-    /// Region pruning runs per anchor match on the worker pool: each anchor
-    /// independently walks its ancestor chain and subtree, collecting the
-    /// visible nodes and block ids its region needs. The per-anchor sets
-    /// are then unioned — set union is order-insensitive and the pruned
-    /// document is emitted in document order from the union, so the output
-    /// is byte-identical to the serial pass.
+    /// One pass marks the region in a per-node table over the visible
+    /// arena, one pass writes it: `pruned_xml` is serialized straight from
+    /// `self.visible`, and the marked set is ancestor-closed (a chain is
+    /// always marked with its target), so membership alone decides emission.
+    /// Marking is O(region) however the anchors nest or repeat: a subtree
+    /// already marked whole is not walked again, and a chain stops at the
+    /// first marked ancestor.
     fn assemble(&self, anchors: &[Interval]) -> Result<(String, Vec<Arc<SealedBlock>>), CoreError> {
         if anchors.is_empty() {
             return Ok((String::new(), Vec::new()));
         }
-        let regions = crate::pool::parallel_map(self.threads, anchors, |a| {
-            let mut include: HashSet<NodeId> = HashSet::new();
-            let mut block_ids: BTreeSet<u32> = BTreeSet::new();
+        let mut region = Region {
+            visible: &self.visible,
+            marker_tag: self.visible.tag_id(BLOCK_MARKER_TAG),
+            marks: vec![Mark::Out; self.visible.arena_len()],
+            block_ids: Vec::new(),
+            stack: Vec::new(),
+        };
+        for a in anchors {
             if let Some(&v) = self.interval_to_visible.get(a) {
                 // Visible anchor: chain + full subtree + blocks under it.
-                for anc in self.visible.ancestors(v) {
-                    include.insert(anc);
-                }
-                for d in self.visible.descendants(v) {
-                    include.insert(d);
-                    if self.visible.element_name(d) == Some(BLOCK_MARKER_TAG) {
-                        if let Some(b) = self.marker_block_id(d) {
-                            block_ids.insert(b);
-                        }
-                    }
-                }
+                region.mark(v);
             } else if let Some(b) = self.metadata.block_table.covering_block(a) {
                 // Anchor inside a block: chain to the marker + the block.
-                block_ids.insert(b);
+                region.block_ids.push(b);
                 if let Some(rep) = self.metadata.block_table.representative(b) {
                     if let Some(&marker) = self.interval_to_visible.get(&rep) {
-                        for d in self.visible.descendants(marker) {
-                            include.insert(d);
-                        }
-                        for anc in self.visible.ancestors(marker) {
-                            include.insert(anc);
-                        }
+                        region.mark(marker);
                     }
                 }
             }
-            (include, block_ids)
-        });
-        let mut include: HashSet<NodeId> = HashSet::new();
-        let mut block_ids: BTreeSet<u32> = BTreeSet::new();
-        for (inc, ids) in regions {
-            include.extend(inc);
-            block_ids.extend(ids);
         }
+        let Region {
+            marks,
+            mut block_ids,
+            ..
+        } = region;
+        block_ids.sort_unstable();
+        block_ids.dedup();
 
-        let pruned = self.clone_filtered(&include);
+        let pruned_xml = self
+            .visible
+            .to_xml_filtered(|n| marks[n.index()] != Mark::Out);
         let mut blocks = Vec::with_capacity(block_ids.len());
         for b in block_ids {
             if !self.block_live(b) {
@@ -1060,70 +1053,61 @@ impl Server {
                 blocks.push(block);
             }
         }
-        Ok((pruned.to_xml(), blocks))
+        Ok((pruned_xml, blocks))
     }
+}
 
-    fn marker_block_id(&self, marker: NodeId) -> Option<u32> {
-        self.visible
-            .node(marker)
-            .attrs()
-            .iter()
-            .find_map(|&a| match self.visible.node(a).kind() {
-                exq_xml::NodeKind::Attribute(name, v)
-                    if self.visible.tag_name(*name) == crate::encrypt::BLOCK_ID_ATTR =>
-                {
-                    v.parse().ok()
-                }
-                _ => None,
-            })
-    }
+/// Where a visible node stands in the answer region being assembled.
+#[derive(Clone, Copy, PartialEq)]
+enum Mark {
+    Out,
+    /// Shipped, as context: the node and its attributes, not all its children.
+    Kept,
+    /// Shipped with its whole subtree.
+    Whole,
+}
 
-    /// Clones the subset of the visible document induced by `include`.
-    /// The include set is ancestor-closed by construction (chains are always
-    /// added with their targets), so membership alone decides emission.
-    fn clone_filtered(&self, include: &HashSet<NodeId>) -> Document {
-        let mut out = Document::new();
-        if let Some(root) = self.visible.root() {
-            if include.contains(&root) {
-                self.clone_filtered_rec(root, None, include, &mut out);
+/// The answer region of one query over the visible arena (see
+/// [`Server::assemble`]).
+struct Region<'a> {
+    visible: &'a Document,
+    marker_tag: Option<exq_xml::TagId>,
+    marks: Vec<Mark>,
+    /// Blocks the region needs, in discovery order, duplicates included.
+    block_ids: Vec<u32>,
+    stack: Vec<NodeId>,
+}
+
+impl Region<'_> {
+    /// Marks `v`'s subtree whole — collecting the id of every block marker
+    /// in it — and `v`'s ancestors as context.
+    fn mark(&mut self, v: NodeId) {
+        self.stack.push(v);
+        while let Some(n) = self.stack.pop() {
+            if self.marks[n.index()] == Mark::Whole {
+                continue;
             }
+            self.marks[n.index()] = Mark::Whole;
+            let node = self.visible.node(n);
+            if let exq_xml::NodeKind::Element(t) = node.kind() {
+                if Some(*t) == self.marker_tag {
+                    self.block_ids.extend(marker_block_id(self.visible, n));
+                }
+            }
+            self.stack.extend(node.attrs());
+            self.stack.extend(node.children());
         }
-        out
-    }
-
-    fn clone_filtered_rec(
-        &self,
-        n: NodeId,
-        parent: Option<NodeId>,
-        include: &HashSet<NodeId>,
-        out: &mut Document,
-    ) {
-        use exq_xml::NodeKind;
-        match self.visible.node(n).kind() {
-            NodeKind::Element(t) => {
-                let name = self.visible.tag_name(*t).to_owned();
-                let el = out.add_element(parent, &name);
-                for &a in self.visible.node(n).attrs() {
-                    // Attributes ride along with any included element.
-                    if include.contains(&n) || include.contains(&a) {
-                        if let NodeKind::Attribute(at, v) = self.visible.node(a).kind() {
-                            let an = self.visible.tag_name(*at).to_owned();
-                            out.add_attr(el, &an, v);
-                        }
-                    }
-                }
-                for &c in self.visible.node(n).children() {
-                    if include.contains(&c) {
-                        self.clone_filtered_rec(c, Some(el), include, out);
-                    }
-                }
+        let mut cur = v;
+        while let Some(p) = self.visible.node(cur).parent() {
+            if self.marks[p.index()] != Mark::Out {
+                break;
             }
-            NodeKind::Text(v) => {
-                if let Some(p) = parent {
-                    out.add_text(p, v);
-                }
+            // Attributes ride along with any shipped element.
+            self.marks[p.index()] = Mark::Kept;
+            for a in self.visible.node(p).attrs() {
+                self.marks[a.index()] = Mark::Kept;
             }
-            NodeKind::Attribute(..) => {}
+            cur = p;
         }
     }
 }

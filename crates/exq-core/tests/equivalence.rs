@@ -10,7 +10,8 @@ use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::transport::InProcess;
 use exq_core::{Client, Server};
-use exq_xml::Document;
+use exq_xml::{Document, NodeKind};
+use exq_xpath::Path;
 
 const THREADS: &[usize] = &[1, 2, 8];
 
@@ -169,5 +170,67 @@ fn export_is_thread_count_invariant() {
             .unwrap()
             .map(|d| d.to_xml());
         assert_eq!(xml, reference, "export diverged at {t} threads");
+    }
+}
+
+/// Nested and overlapping anchors: on a recursive document `//a//a` makes
+/// every inner `a` an anchor inside an outer anchor's region, a witness
+/// predicate adds regions that overlap the anchors', and wildcard steps
+/// make anchors of text-bearing leaves and block interiors alike. The
+/// region is marked once however the anchors nest, so the answer must
+/// still be the naive method's, at 1 and 8 server threads.
+#[test]
+fn nested_and_overlapping_anchors_answer_like_the_naive_method() {
+    let doc = Document::parse(
+        "<doc>\
+           <a id=\"1\"><k>1</k><v>x</v><b>t</b>\
+             <a id=\"2\"><k>2</k><v>y</v>\
+               <a id=\"3\"><b>u</b><secret><a id=\"4\"><b>w</b><k>4</k></a></secret></a>\
+             </a>\
+             <c><a id=\"5\"/></c>\
+           </a>\
+           <a id=\"6\"><secret>s</secret><a id=\"7\"><k>7</k><v>z</v></a></a>\
+         </doc>",
+    )
+    .unwrap();
+    let cs: Vec<SecurityConstraint> = ["//secret", "//a:(/k, /v)"]
+        .iter()
+        .map(|s| SecurityConstraint::parse(s).unwrap())
+        .collect();
+    for kind in [SchemeKind::Opt, SchemeKind::Sub, SchemeKind::Top] {
+        let mut hosted = Outsourcer::new(OutsourceConfig::default())
+            .outsource(&doc, &cs, kind, 31)
+            .unwrap();
+        for q in [
+            "//a//a",
+            "//a[.//b]//a",
+            "//a[.//b]//a[k]",
+            "//a//a//a",
+            "//a/*",
+            "//*//a",
+            "//a//*",
+            "/doc/*/a/@id",
+            "//a[k > 1]//a",
+        ] {
+            let plain: Vec<String> = exq_xpath::eval_document(&doc, &Path::parse(q).unwrap())
+                .into_iter()
+                .map(|n| match doc.node(n).kind() {
+                    NodeKind::Element(_) => doc.node_to_xml(n),
+                    _ => doc.text_value(n),
+                })
+                .collect();
+            assert!(!plain.is_empty(), "{q} should select something");
+            for t in [1, 8] {
+                hosted.server.set_threads(t);
+                let secure = hosted.query(q).unwrap();
+                assert!(!secure.naive_fallback, "{q} must take the secure path");
+                assert_eq!(secure.results, plain, "{q} under {kind:?} at {t} threads");
+                assert_eq!(
+                    hosted.query_naive(q).unwrap().results,
+                    plain,
+                    "naive {q} under {kind:?}"
+                );
+            }
+        }
     }
 }

@@ -7,9 +7,11 @@
 //! shape that reconstructs to nothing.
 
 use exq_core::constraints::SecurityConstraint;
+use exq_core::encrypt::{BLOCK_MARKER_TAG, DECOY_TAG};
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::wire::ServerResponse;
+use exq_core::CoreError;
 use exq_crypto::seal_block;
 use exq_xml::Document;
 use exq_xpath::Path;
@@ -32,6 +34,25 @@ fn hosted(constraints: &[&str]) -> (exq_core::Client, exq_core::Server) {
         .split()
 }
 
+/// A hand-built reply: `pruned_xml` plus `(id, plaintext)` blocks sealed
+/// under the client's key, shipped in the order given.
+fn reply(client: &exq_core::Client, pruned_xml: &str, blocks: &[(u32, &str)]) -> ServerResponse {
+    let key = client.state().keys.block_key();
+    ServerResponse {
+        pruned_xml: pruned_xml.to_owned(),
+        blocks: blocks
+            .iter()
+            .map(|&(id, xml)| {
+                std::sync::Arc::new(seal_block(&key, id, [id as u8; 12], xml.as_bytes()))
+            })
+            .collect(),
+        translate_time: Duration::ZERO,
+        process_time: Duration::ZERO,
+        served_from_cache: false,
+        spans: Vec::new(),
+    }
+}
+
 /// Empty pruned skeleton + a shipped root-level block: the block's content
 /// must be spliced in and queried, not dropped.
 #[test]
@@ -40,16 +61,7 @@ fn root_level_block_splices_into_empty_pruned_doc() {
 
     // Seal the *entire* document as one block, as a fully-encrypted root
     // would ship it.
-    let key = client.state().keys.block_key();
-    let sealed = seal_block(&key, 42, [7u8; 12], DOC.as_bytes());
-    let resp = ServerResponse {
-        pruned_xml: String::new(),
-        blocks: vec![std::sync::Arc::new(sealed)],
-        translate_time: Duration::ZERO,
-        process_time: Duration::ZERO,
-        served_from_cache: false,
-        spans: Vec::new(),
-    };
+    let resp = reply(&client, "", &[(42, DOC)]);
 
     let post = client
         .post_process(&Path::parse("//patient/pname").unwrap(), &resp)
@@ -67,20 +79,16 @@ fn root_level_block_splices_into_empty_pruned_doc() {
 #[test]
 fn multiple_root_blocks_splice_in_id_order() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
-    let key = client.state().keys.block_key();
-
     // Ship the two fragments in *descending* id order; reconstruction must
     // still order by block id, not arrival order.
-    let b9 = seal_block(&key, 9, [1u8; 12], b"<patient><pname>Zoe</pname></patient>");
-    let b3 = seal_block(&key, 3, [2u8; 12], b"<patient><pname>Al</pname></patient>");
-    let resp = ServerResponse {
-        pruned_xml: String::new(),
-        blocks: vec![std::sync::Arc::new(b9), std::sync::Arc::new(b3)],
-        translate_time: Duration::ZERO,
-        process_time: Duration::ZERO,
-        served_from_cache: false,
-        spans: Vec::new(),
-    };
+    let resp = reply(
+        &client,
+        "",
+        &[
+            (9, "<patient><pname>Zoe</pname></patient>"),
+            (3, "<patient><pname>Al</pname></patient>"),
+        ],
+    );
 
     let post = client
         .post_process(&Path::parse("//pname").unwrap(), &resp)
@@ -97,14 +105,7 @@ fn multiple_root_blocks_splice_in_id_order() {
 #[test]
 fn truly_empty_response_yields_no_results() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
-    let resp = ServerResponse {
-        pruned_xml: String::new(),
-        blocks: Vec::new(),
-        translate_time: Duration::ZERO,
-        process_time: Duration::ZERO,
-        served_from_cache: false,
-        spans: Vec::new(),
-    };
+    let resp = reply(&client, "", &[]);
     let post = client
         .post_process(&Path::parse("//pname").unwrap(), &resp)
         .unwrap();
@@ -133,4 +134,217 @@ fn fully_encrypted_root_round_trips() {
     for v in ["Betty", "763895", "Matt", "276543"] {
         assert!(xml.contains(v), "missing {v} in export");
     }
+}
+
+fn marker(id: &str) -> String {
+    format!("<{BLOCK_MARKER_TAG} id=\"{id}\"/>")
+}
+
+fn results(client: &exq_core::Client, query: &str, resp: &ServerResponse) -> Vec<String> {
+    client
+        .post_process(&Path::parse(query).unwrap(), resp)
+        .unwrap()
+        .results
+}
+
+/// Each shipped block lands at its own marker, in document order, whatever
+/// order the blocks arrive in; a marker whose block was not shipped
+/// vanishes without a trace.
+#[test]
+fn blocks_splice_at_their_markers_and_unshipped_markers_vanish() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let pruned = format!(
+        "<hospital><patient>{}<age>35</age></patient><patient>{}{}</patient>{}</hospital>",
+        marker("4"),
+        marker("5"),
+        marker("6"),
+        marker("7"),
+    );
+    let resp = reply(
+        &client,
+        &pruned,
+        &[
+            (7, "<patient><pname>Zed</pname></patient>"),
+            (4, "<pname>Betty</pname>"),
+            (6, "<SSN>276543</SSN>"),
+        ],
+    );
+    assert_eq!(
+        results(&client, "//pname", &resp),
+        ["<pname>Betty</pname>", "<pname>Zed</pname>"]
+    );
+    assert_eq!(
+        results(&client, "/hospital/patient", &resp),
+        [
+            "<patient><pname>Betty</pname><age>35</age></patient>",
+            "<patient><SSN>276543</SSN></patient>",
+            "<patient><pname>Zed</pname></patient>",
+        ]
+    );
+    // Positional predicates count spliced and visible siblings alike.
+    assert_eq!(
+        results(&client, "/hospital/patient[3]/pname", &resp),
+        ["<pname>Zed</pname>"]
+    );
+    assert!(results(&client, &format!("//{BLOCK_MARKER_TAG}"), &resp).is_empty());
+}
+
+/// The reply's root may itself be a marker.
+#[test]
+fn root_marker_is_replaced_by_its_block() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let resp = reply(&client, &marker("0"), &[(0, DOC)]);
+    assert_eq!(
+        results(&client, "/hospital/patient/pname", &resp),
+        ["<pname>Betty</pname>", "<pname>Matt</pname>"]
+    );
+    let unshipped = reply(&client, &marker("0"), &[]);
+    assert!(results(&client, "//pname", &unshipped).is_empty());
+}
+
+/// Decoys are stripped wherever they sit: in the visible skeleton beside a
+/// spliced block, and inside block plaintext (at its root's level and
+/// deeper).
+#[test]
+fn decoys_inside_and_beside_spliced_blocks_are_removed() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let decoy = format!("<{DECOY_TAG}>999</{DECOY_TAG}>");
+    let pruned = format!(
+        "<hospital><patient>{decoy}{}{decoy}<age>35</age></patient></hospital>",
+        marker("1")
+    );
+    let block = format!("<rec>{decoy}<pname>Betty{decoy}</pname><SSN>763895</SSN>{decoy}</rec>");
+    let resp = reply(&client, &pruned, &[(1, &block)]);
+    assert_eq!(
+        results(&client, "//patient", &resp),
+        ["<patient><rec><pname>Betty</pname><SSN>763895</SSN></rec><age>35</age></patient>"]
+    );
+    assert!(results(&client, &format!("//{DECOY_TAG}"), &resp).is_empty());
+    // A block that is nothing but a decoy leaves nothing behind.
+    let resp = reply(&client, &format!("<h>{}</h>", marker("1")), &[(1, &decoy)]);
+    assert_eq!(results(&client, "/h", &resp), ["<h/>"]);
+}
+
+/// A block whose plaintext is not XML is a `Block` error naming the parse
+/// failure, and with several bad blocks the first — blocks ship in id
+/// order, which is document order — is the one reported, however many
+/// decrypt threads ran.
+#[test]
+fn non_xml_block_is_a_block_error_and_the_first_bad_block_wins() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let pruned = format!("<h>{}{}{}</h>", marker("1"), marker("2"), marker("3"));
+    let resp = reply(
+        &client,
+        &pruned,
+        &[(1, "<ok/>"), (2, "<a></b>"), (3, "<unclosed>")],
+    );
+    let err = client
+        .post_process(&Path::parse("//ok").unwrap(), &resp)
+        .unwrap_err();
+    match err {
+        CoreError::Block(m) => {
+            assert!(
+                m.contains("block not XML") && m.contains("mismatched"),
+                "{m}"
+            )
+        }
+        other => panic!("expected a Block error, got {other:?}"),
+    }
+    // Same at the root level, where blocks splice in id order.
+    let resp = reply(&client, "", &[(2, "<a></b>"), (9, "plain text")]);
+    let err = client
+        .post_process(&Path::parse("//a").unwrap(), &resp)
+        .unwrap_err();
+    assert!(
+        matches!(&err, CoreError::Block(m) if m.contains("mismatched")),
+        "{err:?}"
+    );
+}
+
+/// A block that fails authentication is reported before any splicing, in
+/// block order.
+#[test]
+fn tampered_block_is_a_block_error_before_any_parse() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let mut resp = reply(
+        &client,
+        "<not-even-xml",
+        &[(1, "<a/>"), (2, "<b/>"), (3, "<c/>")],
+    );
+    let other_key = [0x5Au8; 32];
+    resp.blocks[1] = std::sync::Arc::new(seal_block(&other_key, 2, [2u8; 12], b"<b/>"));
+    let err = client
+        .post_process(&Path::parse("//a").unwrap(), &resp)
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Block(_)), "{err:?}");
+}
+
+/// A marker whose id is missing or not a number is a malformed response.
+#[test]
+fn marker_with_unparsable_id_is_a_response_error() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    for bad in [
+        marker("seven"),
+        marker("-1"),
+        marker("4294967296"),
+        format!("<{BLOCK_MARKER_TAG}/>"),
+        format!("<{BLOCK_MARKER_TAG} idx=\"1\"/>"),
+    ] {
+        let resp = reply(&client, &format!("<h>{bad}</h>"), &[(1, "<a/>")]);
+        let err = client
+            .post_process(&Path::parse("//a").unwrap(), &resp)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Response("marker without id".into()),
+            "{bad}"
+        );
+    }
+}
+
+/// Hostile nesting — in the reply or in a block, both written by the
+/// untrusted server — is a typed error on a small stack, never an abort.
+#[test]
+fn hostile_nesting_is_a_typed_error() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let deep = "<a>".repeat(100_000) + &"</a>".repeat(100_000);
+    let in_reply = reply(&client, &deep, &[]);
+    let in_block = reply(&client, &format!("<h>{}</h>", marker("1")), &[(1, &deep)]);
+    // Just under the cap in the reply, one level too many once spliced.
+    let levels = exq_xml::MAX_DEPTH - 1;
+    let straddling = reply(
+        &client,
+        &format!(
+            "{}{}{}",
+            "<a>".repeat(levels),
+            marker("1"),
+            "</a>".repeat(levels)
+        ),
+        &[(1, "<x><y/></x>")],
+    );
+    let (e_reply, e_block, e_straddle) = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let q = Path::parse("//a").unwrap();
+            (
+                client.post_process(&q, &in_reply).unwrap_err(),
+                client.post_process(&q, &in_block).unwrap_err(),
+                client.post_process(&q, &straddling).unwrap_err(),
+            )
+        })
+        .unwrap()
+        .join()
+        .expect("post_process must not overflow its stack");
+    assert!(
+        matches!(&e_reply, CoreError::Response(m) if m.contains("nested deeper")),
+        "{e_reply:?}"
+    );
+    assert!(
+        matches!(&e_block, CoreError::Block(m) if m.contains("nested deeper")),
+        "{e_block:?}"
+    );
+    assert!(
+        matches!(&e_straddle, CoreError::Block(m) if m.contains("nested deeper")),
+        "{e_straddle:?}"
+    );
 }

@@ -82,33 +82,67 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// CRC32 (IEEE, reflected) over a byte slice — same polynomial as the wire
-/// codec's frame checksum, reimplemented here so the crate stays
-/// dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
+/// Slicing-by-8 tables for CRC-32 (IEEE, reflected): `TABLES[0]` is the
+/// classic byte-at-a-time table, `TABLES[k][b]` the CRC of byte `b`
+/// followed by `k` zero bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        t
+        k += 1;
     }
-    const TABLE: [u32; 256] = table();
-    let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    t
+};
+
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) over a byte slice — the one
+/// checksum kernel of the repository: pages, WAL records, and (through
+/// `exq_core::codec::crc32`) wire frames and persisted artifacts.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Extends `crc`, the CRC-32 of some prefix (`0` for the empty one), over
+/// `bytes`: `crc32_update(crc32(a), b) == crc32(a ‖ b)`. Eight bytes per
+/// step, at any alignment.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut c = !crc;
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -117,10 +151,57 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    /// The textbook bit-at-a-time CRC-32, as the reference.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The canonical check value for CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_multi_part_equals_concatenated() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
+        for split in [0, 1, 7, 8, 9, 500, 999, 1000] {
+            let (a, b) = data.split_at(split);
+            assert_eq!(crc32_update(crc32(a), b), crc32(&data), "split {split}");
+        }
+    }
+
+    #[test]
+    fn crc32_matches_reference_at_every_length_and_alignment() {
+        // xorshift64: a fixed pseudo-random byte stream and length sequence.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let buf: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        let lens = (0..64)
+            .chain([4095, 4096])
+            .chain((0..100).map(|_| (next() % 4097) as usize));
+        for len in lens {
+            for align in 0..8 {
+                let s = &buf[align..align + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "len {len} align {align}");
+            }
+        }
     }
 }

@@ -12,24 +12,38 @@ pub fn escape_attr(s: &str) -> Cow<'_, str> {
     escape(s, true)
 }
 
+fn needs_escape(b: u8, attr: bool) -> bool {
+    matches!(b, b'&' | b'<' | b'>') || (attr && b == b'"')
+}
+
 fn escape(s: &str, attr: bool) -> Cow<'_, str> {
-    let needs = s
-        .bytes()
-        .any(|b| matches!(b, b'&' | b'<' | b'>') || (attr && b == b'"'));
-    if !needs {
+    if !s.bytes().any(|b| needs_escape(b, attr)) {
         return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if attr => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s, attr);
     Cow::Owned(out)
+}
+
+/// Appends `s` to `out` with `& < >` (and `"` when `attr`) escaped, copying
+/// clean runs whole — the serializer's path, which never builds a
+/// per-value `String`.
+pub(crate) fn push_escaped(out: &mut String, s: &str, attr: bool) {
+    let mut clean_from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b, attr) {
+            continue;
+        }
+        out.push_str(&s[clean_from..i]);
+        out.push_str(match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            _ => "&quot;",
+        });
+        clean_from = i + 1;
+    }
+    out.push_str(&s[clean_from..]);
 }
 
 /// Expands the five predefined entities plus decimal/hex character

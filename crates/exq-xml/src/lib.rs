@@ -28,6 +28,6 @@ mod stats;
 mod tree;
 
 pub use escape::{escape_attr, escape_text, unescape};
-pub use parse::{ParseError, ParseOptions};
+pub use parse::{ParseError, ParseOptions, MAX_DEPTH};
 pub use stats::DocumentStats;
 pub use tree::{Document, Node, NodeId, NodeKind, TagId};

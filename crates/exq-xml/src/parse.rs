@@ -43,6 +43,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest element nesting the parser accepts. Parsing, serialization and
+/// XPath evaluation all recurse once per level, and reply and block XML come
+/// from the untrusted server, so depth is bounded here, where the text
+/// enters; the paper's databases nest a dozen levels.
+pub const MAX_DEPTH: usize = 512;
+
 impl Document {
     /// Parses a document with default options.
     pub fn parse(input: &str) -> Result<Document, ParseError> {
@@ -51,30 +57,94 @@ impl Document {
 
     /// Parses a document with explicit options.
     pub fn parse_with(input: &str, opts: ParseOptions) -> Result<Document, ParseError> {
-        let mut p = Parser {
-            input: input.as_bytes(),
-            pos: 0,
-            doc: Document::new(),
-            opts,
-        };
-        p.skip_misc()?;
-        p.parse_element(None)?;
-        p.skip_misc()?;
-        if p.pos != p.input.len() {
-            return Err(p.err("trailing content after the root element"));
-        }
-        Ok(p.doc)
+        let mut doc = Document::new();
+        Parser::new(input, &mut doc, opts, no_hook).parse_root(None)?;
+        Ok(doc)
+    }
+
+    /// Parses a document, calling `hook(doc, el)` as soon as each element
+    /// `el` is complete — before anything after it in document order
+    /// exists. The hook may [`detach`](Document::detach) `el` and put other
+    /// content in its place with
+    /// [`parse_fragment_into`](Document::parse_fragment_into);
+    /// since the arena only grows at its end, node ids stay in document
+    /// order, which XPath evaluation relies on. The hook's error type
+    /// carries both its own failures and the parser's.
+    pub fn parse_with_hook<E: From<ParseError>>(
+        input: &str,
+        hook: impl FnMut(&mut Document, NodeId) -> Result<(), E>,
+    ) -> Result<Document, E> {
+        let mut doc = Document::new();
+        Parser::new(input, &mut doc, ParseOptions::default(), hook).parse_root(None)?;
+        Ok(doc)
+    }
+
+    /// Parses `input` (one element, with the same prolog and comments a
+    /// document may carry) as the new last child of `parent`, or as the
+    /// root of a rootless document when `parent` is `None`, with `hook` on
+    /// the fragment's elements as in
+    /// [`parse_with_hook`](Document::parse_with_hook). Nesting is counted
+    /// from the document root, not from the fragment's. On error the nodes
+    /// parsed so far stay in the arena; discard the document.
+    pub fn parse_fragment_into<E: From<ParseError>>(
+        &mut self,
+        parent: Option<NodeId>,
+        input: &str,
+        hook: impl FnMut(&mut Document, NodeId) -> Result<(), E>,
+    ) -> Result<NodeId, E> {
+        Parser::new(input, self, ParseOptions::default(), hook).parse_root(parent)
     }
 }
 
-struct Parser<'a> {
-    input: &'a [u8],
-    pos: usize,
-    doc: Document,
-    opts: ParseOptions,
+/// The hook of a plain parse: every element stays as parsed.
+fn no_hook(_: &mut Document, _: NodeId) -> Result<(), ParseError> {
+    Ok(())
 }
 
-impl<'a> Parser<'a> {
+struct Parser<'a, 'd, H> {
+    input: &'a [u8],
+    pos: usize,
+    doc: &'d mut Document,
+    opts: ParseOptions,
+    /// Called on each element once it is complete.
+    hook: H,
+    /// Text of the element being parsed, gathered across comments, CDATA
+    /// and entity runs. One buffer serves every level: it is flushed before
+    /// a child element is entered.
+    text_buf: String,
+}
+
+impl<'a, 'd, E, H> Parser<'a, 'd, H>
+where
+    E: From<ParseError>,
+    H: FnMut(&mut Document, NodeId) -> Result<(), E>,
+{
+    fn new(input: &'a str, doc: &'d mut Document, opts: ParseOptions, hook: H) -> Self {
+        Parser {
+            input: input.as_bytes(),
+            pos: 0,
+            doc,
+            opts,
+            hook,
+            text_buf: String::new(),
+        }
+    }
+
+    /// Prolog, one element under `parent`, epilog, end of input.
+    fn parse_root(&mut self, parent: Option<NodeId>) -> Result<NodeId, E> {
+        if parent.is_none() && self.doc.root().is_some() {
+            return Err(self.err("document already has a root element").into());
+        }
+        let depth = parent.map_or(0, |p| self.doc.depth(p) + 1);
+        self.skip_misc()?;
+        let el = self.parse_element(parent, depth)?;
+        self.skip_misc()?;
+        if self.pos != self.input.len() {
+            return Err(self.err("trailing content after the root element").into());
+        }
+        Ok(el)
+    }
+
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -123,7 +193,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn read_name(&mut self) -> Result<String, ParseError> {
+    /// The input from `start` to the cursor, which must be UTF-8 to be `what`.
+    fn str_from(&self, start: usize, what: &str) -> Result<&'a str, ParseError> {
+        std::str::from_utf8(&self.input[start..self.pos])
+            .map_err(|_| self.err(format!("{what} is not valid UTF-8")))
+    }
+
+    fn read_name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             let ok = b.is_ascii_alphanumeric()
@@ -137,8 +213,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        String::from_utf8(self.input[start..self.pos].to_vec())
-            .map_err(|_| self.err("name is not valid UTF-8"))
+        self.str_from(start, "name")
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
@@ -150,23 +225,38 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_element(&mut self, parent: Option<NodeId>) -> Result<NodeId, ParseError> {
+    /// Parses the element at the cursor; `depth` is how many elements
+    /// enclose it in the document.
+    fn parse_element(&mut self, parent: Option<NodeId>, depth: usize) -> Result<NodeId, E> {
+        if depth >= MAX_DEPTH {
+            return Err(self
+                .err(format!("elements nested deeper than {MAX_DEPTH}"))
+                .into());
+        }
         self.expect(b'<')?;
         let tag = self.read_name()?;
-        let el = self.doc.add_element(parent, &tag);
+        let el = self.doc.add_element(parent, tag);
+        if self.parse_attrs(el)? {
+            self.parse_content(el, tag, depth)?;
+        }
+        (self.hook)(self.doc, el)?;
+        Ok(el)
+    }
 
-        // attributes
+    /// Parses the rest of an open tag. `true` when content follows (`>`),
+    /// `false` when the element closed itself (`/>`).
+    fn parse_attrs(&mut self, el: NodeId) -> Result<bool, ParseError> {
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    return Ok(true);
                 }
                 Some(b'/') => {
                     self.pos += 1;
                     self.expect(b'>')?;
-                    return Ok(el);
+                    return Ok(false);
                 }
                 Some(_) => {
                     let name = self.read_name()?;
@@ -182,74 +272,72 @@ impl<'a> Parser<'a> {
                     while self.peek().map(|b| b != quote).unwrap_or(false) {
                         self.pos += 1;
                     }
-                    let raw = std::str::from_utf8(&self.input[vstart..self.pos])
-                        .map_err(|_| self.err("attribute value is not valid UTF-8"))?;
-                    let value = unescape(raw).into_owned();
+                    let raw = self.str_from(vstart, "attribute value")?;
                     self.expect(quote)?;
-                    self.doc.add_attr(el, &name, &value);
+                    self.doc.add_attr(el, name, &unescape(raw));
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
         }
+    }
 
-        // content
-        let mut text_buf = String::new();
+    /// Parses children and text up to and including `</tag>`.
+    fn parse_content(&mut self, el: NodeId, tag: &str, depth: usize) -> Result<(), E> {
         loop {
             match self.peek() {
-                None => return Err(self.err(format!("unclosed element <{tag}>"))),
+                None => return Err(self.err(format!("unclosed element <{tag}>")).into()),
                 Some(b'<') => {
                     if self.starts_with("</") {
-                        self.flush_text(el, &mut text_buf);
+                        self.flush_text(el);
                         self.pos += 2;
                         let close = self.read_name()?;
                         if close != tag {
-                            return Err(
-                                self.err(format!("mismatched close tag: <{tag}> vs </{close}>"))
-                            );
+                            return Err(self
+                                .err(format!("mismatched close tag: <{tag}> vs </{close}>"))
+                                .into());
                         }
                         self.skip_ws();
                         self.expect(b'>')?;
-                        return Ok(el);
+                        return Ok(());
                     } else if self.starts_with("<!--") {
                         self.skip_until("-->")?;
                     } else if self.starts_with("<![CDATA[") {
                         self.pos += "<![CDATA[".len();
-                        let hay = &self.input[self.pos..];
-                        let end = find_sub(hay, b"]]>")
+                        let start = self.pos;
+                        let end = find_sub(&self.input[start..], b"]]>")
                             .ok_or_else(|| self.err("unterminated CDATA section"))?;
-                        let raw = std::str::from_utf8(&hay[..end])
-                            .map_err(|_| self.err("CDATA is not valid UTF-8"))?;
-                        text_buf.push_str(raw);
-                        self.pos += end + 3;
+                        self.pos += end;
+                        let raw = self.str_from(start, "CDATA")?;
+                        self.text_buf.push_str(raw);
+                        self.pos += 3;
                     } else if self.starts_with("<?") {
                         self.skip_until("?>")?;
                     } else {
-                        self.flush_text(el, &mut text_buf);
-                        self.parse_element(Some(el))?;
+                        self.flush_text(el);
+                        self.parse_element(Some(el), depth + 1)?;
                     }
                 }
                 Some(_) => {
                     let start = self.pos;
-                    while self.peek().map(|b| b != b'<').unwrap_or(false) {
-                        self.pos += 1;
-                    }
-                    let raw = std::str::from_utf8(&self.input[start..self.pos])
-                        .map_err(|_| self.err("text is not valid UTF-8"))?;
-                    text_buf.push_str(&unescape(raw));
+                    let run = self.input[start..].iter().position(|&b| b == b'<');
+                    self.pos = run.map_or(self.input.len(), |i| start + i);
+                    let raw = self.str_from(start, "text")?;
+                    self.text_buf.push_str(&unescape(raw));
                 }
             }
         }
     }
 
-    fn flush_text(&mut self, el: NodeId, buf: &mut String) {
-        if buf.is_empty() {
+    fn flush_text(&mut self, el: NodeId) {
+        if self.text_buf.is_empty() {
             return;
         }
-        let keep = !self.opts.skip_whitespace_text || !buf.chars().all(char::is_whitespace);
+        let keep =
+            !self.opts.skip_whitespace_text || !self.text_buf.chars().all(char::is_whitespace);
         if keep {
-            self.doc.add_text(el, buf);
+            self.doc.add_text(el, &self.text_buf);
         }
-        buf.clear();
+        self.text_buf.clear();
     }
 }
 
@@ -344,5 +432,132 @@ mod tests {
         let d = Document::parse(r#"<a x="1 &lt; 2"/>"#).unwrap();
         let r = d.root().unwrap();
         assert_eq!(d.text_value(d.node(r).attrs()[0]), "1 < 2");
+    }
+
+    fn nested(levels: usize) -> String {
+        "<a>".repeat(levels) + &"</a>".repeat(levels)
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let d = Document::parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(d.height(), MAX_DEPTH - 1);
+        let e = Document::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.message.contains("nested deeper"), "{e}");
+    }
+
+    /// Hostile input: the reply and block plaintext come from the untrusted
+    /// server. Uncapped, this overflowed the stack and aborted the process.
+    #[test]
+    fn hundred_thousand_levels_on_a_small_stack_is_an_error_not_an_abort() {
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let open_only = "<a>".repeat(100_000);
+                let mut into = Document::parse("<r/>").unwrap();
+                let root = into.root();
+                (
+                    Document::parse(&nested(100_000)),
+                    Document::parse(&open_only),
+                    into.parse_fragment_into(root, &nested(100_000), no_hook),
+                )
+            })
+            .unwrap()
+            .join()
+            .expect("parser must not overflow its stack");
+        assert!(outcome.0.unwrap_err().message.contains("nested deeper"));
+        assert!(outcome.1.unwrap_err().message.contains("nested deeper"));
+        assert!(outcome.2.unwrap_err().message.contains("nested deeper"));
+    }
+
+    #[test]
+    fn fragment_depth_counts_from_the_document_root() {
+        let mut d = Document::parse(&nested(MAX_DEPTH - 2)).unwrap();
+        let deepest = d.iter().last().unwrap();
+        assert_eq!(d.depth(deepest), MAX_DEPTH - 3);
+        // Two more levels fit under the deepest element; three do not.
+        d.parse_fragment_into(Some(deepest), &nested(2), no_hook)
+            .unwrap();
+        let e = d
+            .parse_fragment_into(Some(deepest), &nested(3), no_hook)
+            .unwrap_err();
+        assert!(e.message.contains("nested deeper"), "{e}");
+    }
+
+    #[test]
+    fn fragment_becomes_last_child_or_root() {
+        let mut d = Document::parse("<r><a/></r>").unwrap();
+        let root = d.root().unwrap();
+        let b = d
+            .parse_fragment_into(
+                Some(root),
+                "<?xml version=\"1.0\"?><b k=\"v\">t</b><!-- c -->",
+                no_hook,
+            )
+            .unwrap();
+        assert_eq!(d.node(b).parent(), Some(root));
+        assert_eq!(d.to_xml(), "<r><a/><b k=\"v\">t</b></r>");
+        // A rooted document takes no second root; a rootless one takes one.
+        assert!(d.parse_fragment_into(None, "<x/>", no_hook).is_err());
+        assert!(d
+            .parse_fragment_into(Some(root), "<x/><y/>", no_hook)
+            .is_err());
+        let mut empty = Document::new();
+        empty.parse_fragment_into(None, "<x/>", no_hook).unwrap();
+        assert_eq!(empty.to_xml(), "<x/>");
+    }
+
+    #[test]
+    fn hook_replaces_elements_in_document_order() {
+        let src = "<r><a/><hole n=\"1\"/><b><hole n=\"2\"/>x</b><hole n=\"3\">junk</hole></r>";
+        let mut seen = Vec::new();
+        let d = Document::parse_with_hook(src, |doc, el| {
+            if doc.element_name(el) != Some("hole") {
+                return Ok(());
+            }
+            let n = doc.text_value(doc.node(el).attrs()[0]);
+            seen.push(n.clone());
+            let parent = doc.node(el).parent();
+            doc.detach(el);
+            if n != "3" {
+                // A fragment's elements go to the fragment's own hook: here
+                // none, so a `hole` in it is an ordinary element.
+                doc.parse_fragment_into(parent, &format!("<f{n}><hole/></f{n}>"), no_hook)?;
+            }
+            Ok::<(), ParseError>(())
+        })
+        .unwrap();
+        assert_eq!(seen, ["1", "2", "3"]);
+        assert_eq!(
+            d.to_xml(),
+            "<r><a/><f1><hole/></f1><b><f2><hole/></f2>x</b></r>"
+        );
+        // Arena order is still document order: XPath evaluation sorts by id.
+        let order: Vec<NodeId> = d.iter().collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn hook_sees_every_element_innermost_first_and_its_error_stops_the_parse() {
+        let mut order = Vec::new();
+        Document::parse_with_hook("<r><a><b/></a><c/></r>", |doc, el| {
+            order.push(doc.element_name(el).unwrap().to_owned());
+            Ok::<(), ParseError>(())
+        })
+        .unwrap();
+        assert_eq!(order, ["b", "a", "c", "r"]);
+
+        let mut d = Document::parse("<r/>").unwrap();
+        let root = d.root();
+        let r = d.parse_fragment_into(root, "<x><hole/><a/></x>", |doc, el| {
+            match doc.element_name(el) {
+                Some("hole") => Err(ParseError {
+                    offset: 0,
+                    message: "refused".into(),
+                }),
+                _ => Ok(()),
+            }
+        });
+        assert_eq!(r.unwrap_err().message, "refused");
     }
 }

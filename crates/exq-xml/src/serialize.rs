@@ -1,15 +1,25 @@
 //! Document serialization back to XML text.
 
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::push_escaped;
 use crate::tree::{Document, NodeId, NodeKind};
 
 impl Document {
     /// Serializes the whole document (no XML declaration, no pretty
     /// printing — the output is byte-stable for hashing and size metrics).
     pub fn to_xml(&self) -> String {
+        self.to_xml_filtered(|n| self.is_live(n))
+    }
+
+    /// Serializes the part of the document `keep` selects, straight from
+    /// this arena: a node is written when `keep` holds for it and for every
+    /// ancestor, so `keep` describes an ancestor-closed region. Attributes
+    /// are asked about like any other node. The output is byte-identical to
+    /// copying the kept nodes into a fresh document and calling
+    /// [`to_xml`](Document::to_xml) on that.
+    pub fn to_xml_filtered(&self, keep: impl Fn(NodeId) -> bool) -> String {
         let mut out = String::new();
         if let Some(root) = self.root() {
-            self.write_node(root, &mut out);
+            self.write_node(root, &keep, &mut out);
         }
         out
     }
@@ -17,57 +27,57 @@ impl Document {
     /// Serializes a single subtree.
     pub fn node_to_xml(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.write_node(id, &mut out);
+        self.write_live(id, &mut out);
         out
     }
 
-    fn write_node(&self, id: NodeId, out: &mut String) {
-        let n = self.node(id);
-        if n.detached {
+    fn write_live(&self, id: NodeId, out: &mut String) {
+        self.write_node(id, &|n| self.is_live(n), out);
+    }
+
+    /// The one writer: every serialization goes through here and differs
+    /// only in `keep`. Allocates nothing but `out`'s growth.
+    fn write_node(&self, id: NodeId, keep: &impl Fn(NodeId) -> bool, out: &mut String) {
+        if !keep(id) {
             return;
         }
+        let n = self.node(id);
         match &n.kind {
-            NodeKind::Text(t) => out.push_str(&escape_text(t)),
+            NodeKind::Text(t) => push_escaped(out, t, false),
+            // An attribute serialized on its own (outside a tag) renders as
+            // name="value", the same form the Element arm gives it in a tag.
             NodeKind::Attribute(name, v) => {
-                // An attribute serialized on its own (outside a tag) renders
-                // as name="value"; inside tags it is written by the Element arm.
                 out.push_str(self.tag_name(*name));
                 out.push_str("=\"");
-                out.push_str(&escape_attr(v));
+                push_escaped(out, v, true);
                 out.push('"');
             }
             NodeKind::Element(tag) => {
+                let tag = self.tag_name(*tag);
                 out.push('<');
-                out.push_str(self.tag_name(*tag));
+                out.push_str(tag);
                 for &a in &n.attrs {
-                    let an = self.node(a);
-                    if an.detached {
-                        continue;
-                    }
-                    if let NodeKind::Attribute(name, v) = &an.kind {
+                    if keep(a) {
                         out.push(' ');
-                        out.push_str(self.tag_name(*name));
-                        out.push_str("=\"");
-                        out.push_str(&escape_attr(v));
-                        out.push('"');
+                        self.write_node(a, keep, out);
                     }
                 }
-                let live_children: Vec<NodeId> = n
-                    .children
-                    .iter()
-                    .copied()
-                    .filter(|&c| !self.node(c).detached)
-                    .collect();
-                if live_children.is_empty() {
-                    out.push_str("/>");
-                } else {
-                    out.push('>');
-                    for c in live_children {
-                        self.write_node(c, out);
+                let mut open = false;
+                for &c in &n.children {
+                    if keep(c) {
+                        if !open {
+                            out.push('>');
+                            open = true;
+                        }
+                        self.write_node(c, keep, out);
                     }
+                }
+                if open {
                     out.push_str("</");
-                    out.push_str(self.tag_name(*tag));
+                    out.push_str(tag);
                     out.push('>');
+                } else {
+                    out.push_str("/>");
                 }
             }
         }
@@ -111,14 +121,19 @@ impl Document {
             // Open tag, children on their own lines, close tag.
             out.push('<');
             out.push_str(self.tag_name(*tag));
-            self.write_attrs(id, out);
+            for &a in &n.attrs {
+                if self.is_live(a) {
+                    out.push(' ');
+                    self.write_live(a, out);
+                }
+            }
             out.push_str(">\n");
             for c in live {
                 if self.node(c).is_element() {
                     self.write_pretty(c, depth + 1, indent, out);
                 } else {
                     out.push_str(&" ".repeat((depth + 1) * indent));
-                    self.write_node(c, out);
+                    self.write_live(c, out);
                     out.push('\n');
                 }
             }
@@ -128,24 +143,8 @@ impl Document {
             out.push_str(">\n");
         } else {
             // Leaf-ish element: inline.
-            self.write_node(id, out);
+            self.write_live(id, out);
             out.push('\n');
-        }
-    }
-
-    fn write_attrs(&self, id: NodeId, out: &mut String) {
-        for &a in self.node(id).attrs() {
-            let an = self.node(a);
-            if an.detached {
-                continue;
-            }
-            if let NodeKind::Attribute(name, v) = &an.kind {
-                out.push(' ');
-                out.push_str(self.tag_name(*name));
-                out.push_str("=\"");
-                out.push_str(&escape_attr(v));
-                out.push('"');
-            }
         }
     }
 }
@@ -153,6 +152,140 @@ impl Document {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::escape::{escape_attr, escape_text};
+
+    /// The serializer as it was before the predicate writer (a `Vec` of live
+    /// children per element, a `Cow` per value), kept as the reference.
+    fn reference_write(d: &Document, id: NodeId, out: &mut String) {
+        let n = d.node(id);
+        if n.detached {
+            return;
+        }
+        match &n.kind {
+            NodeKind::Text(t) => out.push_str(&escape_text(t)),
+            NodeKind::Attribute(name, v) => {
+                out.push_str(&format!("{}=\"{}\"", d.tag_name(*name), escape_attr(v)));
+            }
+            NodeKind::Element(tag) => {
+                out.push('<');
+                out.push_str(d.tag_name(*tag));
+                for &a in &n.attrs {
+                    if !d.node(a).detached {
+                        out.push(' ');
+                        reference_write(d, a, out);
+                    }
+                }
+                let live: Vec<NodeId> = n
+                    .children
+                    .iter()
+                    .copied()
+                    .filter(|&c| !d.node(c).detached)
+                    .collect();
+                if live.is_empty() {
+                    out.push_str("/>");
+                } else {
+                    out.push('>');
+                    for c in live {
+                        reference_write(d, c, out);
+                    }
+                    out.push_str(&format!("</{}>", d.tag_name(*tag)));
+                }
+            }
+        }
+    }
+
+    /// Copies the nodes `keep` selects into a fresh document, the way the
+    /// server used to build its pruned reply before serializing it.
+    fn reference_copy(
+        d: &Document,
+        n: NodeId,
+        parent: Option<NodeId>,
+        keep: &dyn Fn(NodeId) -> bool,
+        out: &mut Document,
+    ) {
+        if !keep(n) {
+            return;
+        }
+        match &d.node(n).kind {
+            NodeKind::Element(t) => {
+                let el = out.add_element(parent, d.tag_name(*t));
+                for &a in &d.node(n).attrs {
+                    reference_copy(d, a, Some(el), keep, out);
+                }
+                for &c in &d.node(n).children {
+                    reference_copy(d, c, Some(el), keep, out);
+                }
+            }
+            NodeKind::Text(t) => drop(out.add_text(parent.unwrap(), t)),
+            NodeKind::Attribute(name, v) => {
+                out.add_attr(parent.unwrap(), d.tag_name(*name), v);
+            }
+        }
+    }
+
+    const AWKWARD: &str = "<r a=\"1 &lt; 2 &amp; &quot;q&quot;\" b=\"\"><e/><e k=\"v\"/>\
+        <t>x &amp; y &lt; z &gt; w \"q\"</t><n><m><e/></m>tail</n><e></e></r>";
+
+    #[test]
+    fn writer_equals_reference_with_escapes_empties_and_detached_nodes() {
+        let mut d = Document::parse(AWKWARD).unwrap();
+        let all: Vec<NodeId> = d.iter().collect();
+        let check = |d: &Document| {
+            let mut want = String::new();
+            reference_write(d, d.root().unwrap(), &mut want);
+            assert_eq!(d.to_xml(), want);
+            for &n in &all {
+                let mut want = String::new();
+                reference_write(d, n, &mut want);
+                assert_eq!(d.node_to_xml(n), want, "subtree at {n}");
+            }
+        };
+        check(&d);
+        // Detach, in turn: an attribute, a text leaf, an only child (its
+        // parent becomes an empty element), and an inner element.
+        let root = d.root().unwrap();
+        let attr = d.node(root).attrs()[0];
+        let t = d.elements_by_tag("t")[0];
+        let text = d.node(t).children()[0];
+        let m = d.elements_by_tag("m")[0];
+        let only_child = d.node(m).children()[0];
+        for victim in [attr, text, only_child, m] {
+            d.detach(victim);
+            check(&d);
+        }
+        assert!(d.to_xml().contains("<t/>"));
+    }
+
+    #[test]
+    fn filtered_writer_equals_copy_then_serialize() {
+        let d = Document::parse(AWKWARD).unwrap();
+        let all: Vec<NodeId> = d.iter().collect();
+        // Every region of the server's shape: one node's whole subtree plus
+        // its ancestors with their attributes — and unions of two of them.
+        let region = |target: NodeId| {
+            let mut keep = vec![false; d.arena_len()];
+            for n in d.descendants(target) {
+                keep[n.index()] = true;
+            }
+            for anc in d.ancestors(target) {
+                keep[anc.index()] = true;
+                for a in d.node(anc).attrs() {
+                    keep[a.index()] = true;
+                }
+            }
+            keep
+        };
+        for &x in &all {
+            for &y in &all {
+                let (kx, ky) = (region(x), region(y));
+                let keep = |n: NodeId| kx[n.index()] || ky[n.index()];
+                let mut copy = Document::new();
+                reference_copy(&d, d.root().unwrap(), None, &keep, &mut copy);
+                assert_eq!(d.to_xml_filtered(keep), copy.to_xml(), "{x} ∪ {y}");
+            }
+        }
+        assert_eq!(d.to_xml_filtered(|_| false), "");
+    }
 
     #[test]
     fn roundtrip_simple() {

@@ -136,6 +136,12 @@ impl Document {
         self.len() == 0
     }
 
+    /// Number of arena slots, detached ones included: every [`NodeId`] of
+    /// this document indexes below it, so it sizes a per-node side table.
+    pub fn arena_len(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Number of distinct interned tag/attribute names.
     pub fn tag_count(&self) -> usize {
         self.interner.len()
@@ -222,8 +228,14 @@ impl Document {
     pub fn detach(&mut self, id: NodeId) {
         if let Some(p) = self.nodes[id.index()].parent {
             let pn = &mut self.nodes[p.index()];
-            pn.children.retain(|&c| c != id);
-            pn.attrs.retain(|&c| c != id);
+            // The newest child goes in O(1): that is every node a parse
+            // callback drops, under parents with thousands of children.
+            if pn.children.last() == Some(&id) {
+                pn.children.pop();
+            } else {
+                pn.children.retain(|&c| c != id);
+                pn.attrs.retain(|&c| c != id);
+            }
         } else if self.root == Some(id) {
             self.root = None;
         }
@@ -231,11 +243,13 @@ impl Document {
     }
 
     fn mark_detached(&mut self, id: NodeId) {
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            self.nodes[n.index()].detached = true;
-            stack.extend(self.nodes[n.index()].children.iter().copied());
-            stack.extend(self.nodes[n.index()].attrs.iter().copied());
+        self.nodes[id.index()].detached = true;
+        for i in 0..self.nodes[id.index()].attrs.len() {
+            let a = self.nodes[id.index()].attrs[i];
+            self.nodes[a.index()].detached = true;
+        }
+        for i in 0..self.nodes[id.index()].children.len() {
+            self.mark_detached(self.nodes[id.index()].children[i]);
         }
     }
 
