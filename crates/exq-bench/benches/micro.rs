@@ -2,18 +2,22 @@
 //! OPESS planning, B-tree, DSI labeling, structural joins, XML parsing, and
 //! vertex-cover solvers — and for the reply path of one secure query
 //! (server assembly, filtered serialization, client reconstruction, frame
-//! checksum) on the perf ledger's `xmark_scan` database.
+//! checksum) on the perf ledger's `xmark_scan` database, and the batch
+//! block read on its `hospital_paged` store.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use exq_core::cover::{solve_clarkson, solve_exact, ConstraintGraph};
 use exq_core::scheme::SchemeKind;
+use exq_core::store::{PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::transport::InProcess;
 use exq_crypto::{ChaCha20, OpeKey, OpessPlan, Prf};
 use exq_index::dsi::DsiLabeling;
+use exq_index::paged::block_record_id;
 use exq_index::sjoin::{join_anc_desc, sort_intervals};
 use exq_index::BTree;
-use exq_workload::{nasa, xmark};
+use exq_store::PagedStore;
+use exq_workload::{hospital, nasa, xmark};
 use exq_xml::Document;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -208,6 +212,44 @@ fn bench_reply_path(c: &mut Criterion) {
     });
 }
 
+/// One reply's worth of blocks through `PagedStore::read_many`, on the
+/// ledger's `hospital_paged` store (1200 patients, seed 2007, `Opt`, 8 KiB
+/// pages): 1200 consecutive block ids with the pool empty (every page a
+/// fault and a CRC) and with every page resident.
+fn bench_read_blocks(c: &mut Criterion) {
+    let doc = hospital::scaled(1200, 2007);
+    let (_, mut server) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&doc, &hospital::constraints(), SchemeKind::Opt, 2007)
+        .unwrap()
+        .split();
+    let dir = std::env::temp_dir().join(format!("exq-micro-read-blocks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = StoreOptions::default();
+    drop(PagedDb::attach_new(&mut server, &dir, "micro", opts).unwrap());
+    drop(server);
+    let open = || PagedStore::open(&dir, opts).unwrap().0;
+    let ids: Vec<u64> = (1000..2200).map(block_record_id).collect();
+    let read = |store: &PagedStore| {
+        let mut bytes = 0;
+        let visit = |_, record: std::borrow::Cow<[u8]>| {
+            bytes += record.len();
+            Ok(())
+        };
+        store.read_many(&ids, visit).unwrap();
+        black_box(bytes)
+    };
+
+    let mut group = c.benchmark_group("store/read_blocks_hospital");
+    group.bench_function("cold", |b| {
+        b.iter_batched(open, |store| read(&store), BatchSize::PerIteration)
+    });
+    let store = open();
+    group.bench_function("warm", |b| b.iter(|| read(&store)));
+    group.finish();
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_crc32(c: &mut Criterion) {
     let data: Vec<u8> = (0..1u32 << 20).map(|i| (i * 31 + 7) as u8).collect();
     c.bench_function("codec/crc32_1mib", |b| {
@@ -227,6 +269,7 @@ criterion_group!(
     bench_xml_parse,
     bench_cover,
     bench_reply_path,
+    bench_read_blocks,
     bench_crc32
 );
 criterion_main!(benches);

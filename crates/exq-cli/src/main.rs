@@ -19,28 +19,91 @@ fn main() -> ExitCode {
     }
 }
 
+/// The options every command honours (see USAGE).
+const GLOBAL_OPTIONS: [&str; 3] = ["trace-out", "slow-ms", "log-level"];
+
+/// The options `cmd` (and, for `db`, its verb) reads beside the global
+/// ones. `None` for a command or verb `run` reports as unknown itself.
+fn known_options(cmd: &str, verb: Option<&str>) -> Option<&'static [&'static str]> {
+    Some(match (cmd, verb) {
+        ("gen", _) => &["dataset", "size-kb", "seed", "out", "constraints-out"],
+        ("encrypt", _) => &["in", "constraints", "scheme", "seed", "server", "client"],
+        ("query", _) => &[
+            "server",
+            "client",
+            "addr",
+            "naive",
+            "threads",
+            "cache-entries",
+            "retries",
+            "db",
+            "pipeline",
+        ],
+        ("ping", _) => &["addr", "count"],
+        ("serve", _) => &[
+            "server",
+            "addr",
+            "workers",
+            "threads",
+            "cache-entries",
+            "max-inflight",
+            "deadline-ms",
+            "cache-mb",
+        ],
+        ("db", Some("create")) => &["dir", "name", "server", "client", "max-inflight"],
+        ("db", Some("list")) => &["dir"],
+        ("db", Some("drop")) => &["dir", "name"],
+        ("db", Some("host")) => &[
+            "dir",
+            "addr",
+            "workers",
+            "threads",
+            "cache-entries",
+            "max-inflight",
+            "max-inflight-per-db",
+            "deadline-ms",
+            "cache-mb",
+        ],
+        ("aggregate", _) => &["server", "client", "fn"],
+        ("insert", _) => &["server", "client", "parent", "record", "seed"],
+        ("delete" | "explain", _) => &["server", "client"],
+        ("export", _) => &["server", "client", "out"],
+        ("stats", _) => &["server", "addr"],
+        ("top", _) => &["addr", "interval-ms", "once"],
+        ("debug", _) => &["addr", "check"],
+        _ => return None,
+    })
+}
+
 fn run(args: &[String]) -> Result<String, CliError> {
     let Some(cmd) = args.first() else {
         return Err(CliError::Usage("no command given".into()));
     };
-    let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
+    // A `--name` that is not a switch takes the next word as its value —
+    // whether or not the command knows it — so names are checked once the
+    // whole line is split, and a typo is reported as one, not as the missing
+    // value or the stray word it would otherwise turn into.
+    let mut given: Vec<(&str, Option<&str>)> = Vec::new();
     let mut positional: Vec<String> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            if name == "naive" || name == "once" || name == "check" {
-                flags.insert(name.to_owned(), "true".to_owned());
-            } else {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| CliError::Usage(format!("--{name} needs a value")))?;
-                flags.insert(name.to_owned(), v.clone());
-            }
-        } else {
-            positional.push(args[i].clone());
+    let mut words = args[1..].iter();
+    while let Some(word) = words.next() {
+        match word.strip_prefix("--") {
+            Some(name @ ("naive" | "once" | "check")) => given.push((name, Some("true"))),
+            Some(name) => given.push((name, words.next().map(String::as_str))),
+            None => positional.push(word.clone()),
         }
-        i += 1;
+    }
+    if let Some(known) = known_options(cmd, positional.first().map(String::as_str)) {
+        for (name, _) in &given {
+            if !known.contains(name) && !GLOBAL_OPTIONS.contains(name) {
+                return Err(CliError::Usage(format!("unknown option --{name}")));
+            }
+        }
+    }
+    let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
+    for (name, value) in given {
+        let value = value.ok_or_else(|| CliError::Usage(format!("--{name} needs a value")))?;
+        flags.insert(name.to_owned(), value.to_owned());
     }
     let path = |k: &str| -> Result<PathBuf, CliError> {
         flags

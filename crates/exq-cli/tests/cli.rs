@@ -155,6 +155,92 @@ fn usage_errors() {
     assert!(cmd_aggregate(&server, &client, "median", "//age").is_err());
 }
 
+/// An option the command does not know is a usage error naming it —
+/// wherever it stands on the line — not a silent flag that swallows the
+/// word after it.
+#[test]
+fn unknown_options_are_usage_errors_naming_the_typo() {
+    let exe = env!("CARGO_BIN_EXE_exq");
+    let lines: [&[&str]; 6] = [
+        &[
+            "serve",
+            "--server",
+            "s.exq",
+            "--wrokers",
+            "4",
+            "--addr",
+            "127.0.0.1:0",
+        ],
+        &[
+            "serve",
+            "--server",
+            "s.exq",
+            "--addr",
+            "127.0.0.1:0",
+            "--wrokers",
+        ],
+        &[
+            "query",
+            "--server",
+            "s.exq",
+            "--wrokers",
+            "--client",
+            "c.exq",
+            "//x",
+        ],
+        &[
+            "query",
+            "--server",
+            "s.exq",
+            "--client",
+            "c.exq",
+            "//x",
+            "--wrokers",
+        ],
+        &[
+            "db",
+            "host",
+            "--dir",
+            "wards",
+            "--wrokers",
+            "4",
+            "--addr",
+            "127.0.0.1:0",
+        ],
+        &[
+            "db",
+            "host",
+            "--dir",
+            "wards",
+            "--addr",
+            "127.0.0.1:0",
+            "--wrokers",
+        ],
+    ];
+    for line in lines {
+        let out = std::process::Command::new(exe).args(line).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{line:?}");
+        assert!(
+            stderr.starts_with("error: usage error: unknown option --wrokers\n"),
+            "{line:?}: {stderr}"
+        );
+        assert!(stderr.contains("USAGE:"), "{line:?}: {stderr}");
+    }
+    // An option of another command is unknown to this one...
+    let out = std::process::Command::new(exe)
+        .args(["db", "list", "--dir", "wards", "--workers", "4"])
+        .output()
+        .unwrap();
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --workers"));
+    // ...while the global ones pass every command's check.
+    let out = std::process::Command::new(exe)
+        .args(["ping", "--log-level", "off", "--count"])
+        .output()
+        .unwrap();
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--count needs a value"));
+}
+
 #[test]
 fn binary_smoke() {
     // Drive the actual binary once to cover main's dispatch.

@@ -1044,16 +1044,8 @@ impl Server {
         let pruned_xml = self
             .visible
             .to_xml_filtered(|n| marks[n.index()] != Mark::Out);
-        let mut blocks = Vec::with_capacity(block_ids.len());
-        for b in block_ids {
-            if !self.block_live(b) {
-                continue;
-            }
-            if let Some(block) = self.blocks.get(b)? {
-                blocks.push(block);
-            }
-        }
-        Ok((pruned_xml, blocks))
+        block_ids.retain(|&b| self.block_live(b));
+        Ok((pruned_xml, self.blocks.get_many(&block_ids)?))
     }
 }
 

@@ -180,9 +180,9 @@ impl exq_store::StoreObserver for CoreStoreObserver {
         }
     }
 
-    fn scrub_corrupt(&self, _id: u64, pages: u64) {
+    fn scrub_corrupt(&self, _page: u32, _records: u64) {
         if telemetry::enabled() {
-            engine_series().scrub_corrupt_pages.add(pages);
+            engine_series().scrub_corrupt_pages.inc();
         }
     }
 }
@@ -241,18 +241,27 @@ impl BlockStore {
     }
 
     pub(crate) fn get(&self, id: u32) -> Result<Option<Arc<SealedBlock>>, CoreError> {
+        Ok(self.get_many(&[id])?.pop())
+    }
+
+    /// The blocks `ids` name, in that order, skipping ids past the end. A
+    /// paged store reads every block not in the overlay in one batch, so
+    /// ascending ids cost one page pin per page rather than per block.
+    pub(crate) fn get_many(&self, ids: &[u32]) -> Result<Vec<Arc<SealedBlock>>, CoreError> {
         match self {
-            BlockStore::Resident(v) => Ok(v.get(id as usize).cloned()),
+            BlockStore::Resident(v) => Ok(ids
+                .iter()
+                .filter_map(|&id| v.get(id as usize).cloned())
+                .collect()),
             BlockStore::Paged {
                 db, count, overlay, ..
             } => {
-                if id >= *count {
-                    return Ok(None);
-                }
-                if let Some(b) = overlay.get(&id) {
-                    return Ok(Some(Arc::clone(b)));
-                }
-                db.load_block(id).map(Some)
+                let held = || ids.iter().copied().filter(|id| id < count);
+                let on_pages: Vec<u32> = held().filter(|id| !overlay.contains_key(id)).collect();
+                let mut paged = db.load_blocks(&on_pages)?.into_iter();
+                Ok(held()
+                    .filter_map(|id| overlay.get(&id).cloned().or_else(|| paged.next()))
+                    .collect())
             }
         }
     }
@@ -278,15 +287,7 @@ impl BlockStore {
     pub(crate) fn collect(&self) -> Result<Vec<Arc<SealedBlock>>, CoreError> {
         match self {
             BlockStore::Resident(v) => Ok(v.clone()),
-            BlockStore::Paged { count, .. } => {
-                let mut out = Vec::with_capacity(*count as usize);
-                for id in 0..*count {
-                    out.push(self.get(id)?.ok_or_else(|| {
-                        CoreError::Persist(format!("block {id} missing from paged store"))
-                    })?);
-                }
-                Ok(out)
-            }
+            BlockStore::Paged { count, .. } => self.get_many(&(0..*count).collect::<Vec<u32>>()),
         }
     }
 }
@@ -496,14 +497,23 @@ impl PagedDb {
         Ok((server, db, summary))
     }
 
-    /// Reads one sealed block record, pinning its pages.
-    pub(crate) fn load_block(&self, id: u32) -> Result<Arc<SealedBlock>, CoreError> {
+    /// Reads the sealed block records `ids` in one batch: one directory
+    /// snapshot, one pin per page, each block decoded straight from the
+    /// pinned frame.
+    pub(crate) fn load_blocks(&self, ids: &[u32]) -> Result<Vec<Arc<SealedBlock>>, CoreError> {
+        if ids.is_empty() {
+            return Ok(Vec::new());
+        }
         let t = Instant::now();
-        let raw = self.store.get(block_record_id(id))?;
-        let block = decode_block_record(id, &raw)?;
-        telemetry::with_profile(|p| p.records_decoded += 1);
+        let records: Vec<u64> = ids.iter().map(|&id| block_record_id(id)).collect();
+        let mut blocks = Vec::with_capacity(ids.len());
+        self.store.read_many(&records, |i, raw| {
+            blocks.push(Arc::new(decode_block_record(ids[i], &raw)?));
+            Ok(())
+        })?;
+        telemetry::with_profile(|p| p.records_decoded += blocks.len() as u64);
         telemetry::record_span(self.read_block_ns, t.elapsed());
-        Ok(Arc::new(block))
+        Ok(blocks)
     }
 
     /// Appends one mutation record to the WAL; `Ok` means fsynced.
@@ -806,9 +816,9 @@ fn encode_block_record(b: &SealedBlock) -> Vec<u8> {
     out
 }
 
-fn decode_block_record(id: u32, raw: &[u8]) -> Result<SealedBlock, CoreError> {
+fn decode_block_record(id: u32, raw: &[u8]) -> Result<SealedBlock, exq_store::StoreError> {
     if raw.len() < 28 {
-        return Err(CoreError::Persist(format!(
+        return Err(exq_store::StoreError::Corrupt(format!(
             "block record {id} truncated ({} bytes)",
             raw.len()
         )));
@@ -917,9 +927,10 @@ pub const SCRUB_PAGES_PER_TICK: usize = 256;
 pub struct ScrubOutcome {
     /// Pages CRC-verified against disk this step.
     pub scanned: u64,
-    /// Corrupt records rebuilt onto fresh pages.
+    /// Records on corrupt pages rebuilt onto fresh pages.
     pub repaired: u64,
-    /// Corrupt pages quarantined (never reallocated).
+    /// Corrupt pages quarantined (never reallocated), each counted once
+    /// however many records share it.
     pub quarantined: u64,
     /// Corrupt records no repair source could rebuild — the db must be
     /// marked faulted by the caller.
@@ -930,8 +941,10 @@ pub struct ScrubOutcome {
 
 /// One bounded step of the self-healing scrub: verifies up to `max_pages`
 /// page CRCs against the *disk* image and rebuilds whatever is corrupt.
+/// Records share pages, so one corrupt page reports every record with bytes
+/// on it, and is quarantined once.
 ///
-/// The repair ladder, per corrupt record:
+/// The repair ladder, per reported record:
 ///
 /// 1. **Resident state** — the metadata image and posting lists are fully
 ///    reconstructible from the in-memory server; block records inserted
@@ -943,7 +956,8 @@ pub struct ScrubOutcome {
 /// 4. Nothing worked: the record is **lost** and the caller must flip the
 ///    db to `Faulted` — serving a hole as an answer is not an option.
 ///
-/// Rebuilt records land on fresh pages via [`PagedStore::rewrite_records`]
+/// Rebuilt records land together on fresh pages via
+/// [`PagedStore::rewrite_records`]
 /// (a forced copy-on-write fold at the current WAL horizon), so the repair
 /// itself is crash-safe: a kill mid-repair leaves the old directory, and
 /// the next pass finds the same corruption again.
@@ -965,8 +979,8 @@ pub fn scrub_once(server: &RwLock<Server>, max_pages: usize) -> Result<ScrubOutc
     let overlay: HashMap<u32, Arc<SealedBlock>> = g.overlay_blocks().into_iter().collect();
     let lists = sorted_postings(&g);
     let mut dirty: Vec<(u64, Option<Vec<u8>>)> = Vec::new();
+    out.quarantined = report.corrupt_pages.len() as u64;
     for rec in &report.corrupt {
-        out.quarantined += rec.pages.len() as u64;
         match rec.id {
             // The in-memory directory is authoritative; any forced fold
             // rewrites the on-disk chain onto fresh pages.

@@ -12,7 +12,8 @@ use exq_xml::Document;
 use std::sync::{Arc, RwLock};
 
 /// Tiny pages + a budget of a few frames: every multi-block query must
-/// page blocks in and out through the pool.
+/// page blocks in and out through the pool (the eight patients' blocks
+/// share more pages than the pool has frames).
 fn tiny_opts() -> StoreOptions {
     StoreOptions {
         page_size: 256,
@@ -31,6 +32,14 @@ fn hosted() -> (Client, Server) {
               <insurance><policy coverage="10000">91111</policy></insurance></patient>
             <patient><pname>Quinn</pname><SSN>314159</SSN><age>61</age>
               <insurance><policy coverage="250000">27182</policy></insurance></patient>
+            <patient><pname>Ravi</pname><SSN>161803</SSN><age>52</age>
+              <insurance><policy coverage="75000">14142</policy></insurance></patient>
+            <patient><pname>Ines</pname><SSN>173205</SSN><age>23</age>
+              <insurance><policy coverage="20000">22360</policy></insurance></patient>
+            <patient><pname>Omar</pname><SSN>264575</SSN><age>70</age>
+              <insurance><policy coverage="500000">31622</policy></insurance></patient>
+            <patient><pname>Lena</pname><SSN>282842</SSN><age>38</age>
+              <insurance><policy coverage="8000">33166</policy></insurance></patient>
            </hospital>"#,
     )
     .unwrap();

@@ -310,6 +310,102 @@ fn scrubber_repairs_full_surface_bit_rot() {
     assert_eq!(again, answers, "repair changed the answers");
 }
 
+/// A fresh paged copy of the hosted database on `vfs`, closed again, and
+/// the page its first sealed block lives on with every record that shares
+/// that page (read through a raw store handle between the two opens).
+fn store_with_shared_block_page(vfs: &FaultVfs, opts: StoreOptions) -> (u32, Vec<u64>) {
+    let (_, server0) = hosted();
+    let mut server = Server::load_bytes(&server0.save_bytes().unwrap()).unwrap();
+    let db = PagedDb::attach_new_with(
+        &mut server,
+        Arc::new(vfs.clone()),
+        Path::new("/db"),
+        "shared",
+        opts,
+    )
+    .unwrap();
+    drop((server, db));
+    let (raw, _) =
+        exq_store::PagedStore::open_with(Arc::new(vfs.clone()), Path::new("/db"), opts).unwrap();
+    let page = raw
+        .record_pages(exq_index::paged::block_record_id(0))
+        .unwrap()[0];
+    let on_it: Vec<u64> = raw
+        .record_ids()
+        .into_iter()
+        .filter(|&id| raw.record_pages(id).unwrap().contains(&page))
+        .collect();
+    assert!(
+        on_it.len() >= 2,
+        "block 0 has its page to itself: {on_it:?}"
+    );
+    assert!(on_it.iter().all(|id| id >> 32 == 1), "not only blocks");
+    (page, on_it)
+}
+
+/// One rotted page endangers every sealed block packed onto it. With the
+/// pool warm its frame repairs all of them, together, onto a fresh page;
+/// with the pool cold and nothing in the WAL they are lost, and the db
+/// goes `Faulted` rather than answer short.
+#[test]
+fn rotted_shared_page_repairs_all_its_blocks_warm_and_faults_the_db_cold() {
+    let (client, _) = hosted();
+    let data = Path::new("/db/data.exqp");
+    let opts = StoreOptions {
+        page_size: 256,
+        cache_bytes: 1 << 20,
+    };
+    let reopen = |vfs: &FaultVfs| {
+        PagedDb::open_with(Arc::new(vfs.clone()), Path::new("/db"), "shared", opts).unwrap()
+    };
+
+    // Warm: every block has been served once, so every frame is resident.
+    let vfs = FaultVfs::new(21);
+    let (page, on_it) = store_with_shared_block_page(&vfs, opts);
+    let (server, db, _) = reopen(&vfs);
+    let answers = client.query(&server, "//patient").unwrap().results;
+    assert!(vfs.rot_bit(data, page as u64 * 256 + 40, 3));
+    let lock = RwLock::new(server);
+    let outcome = scrub_once(&lock, usize::MAX).unwrap();
+    assert_eq!(outcome.quarantined, 1, "one page, however many records");
+    assert_eq!(outcome.repaired, on_it.len() as u64);
+    assert_eq!(outcome.lost, 0);
+    assert!(
+        outcome.scanned < db.footprint().page_count,
+        "distinct pages"
+    );
+    let again = scrub_once(&lock, usize::MAX).unwrap();
+    assert_eq!((again.quarantined, again.repaired, again.lost), (0, 0, 0));
+    drop((lock, db));
+    let (raw, _) =
+        exq_store::PagedStore::open_with(Arc::new(vfs.clone()), Path::new("/db"), opts).unwrap();
+    let fresh = raw.record_pages(on_it[0]).unwrap();
+    assert_ne!(fresh, [page]);
+    for &id in &on_it {
+        assert_eq!(raw.record_pages(id).unwrap(), fresh, "repaired together");
+    }
+    drop(raw);
+    let (server, _db, _) = reopen(&vfs);
+    assert_eq!(client.query(&server, "//patient").unwrap().results, answers);
+
+    // Cold: the open paged in the metadata and posting lists, no block.
+    let vfs = FaultVfs::new(22);
+    let (page, on_it) = store_with_shared_block_page(&vfs, opts);
+    let (server, _db, _) = reopen(&vfs);
+    assert!(vfs.rot_bit(data, page as u64 * 256 + 40, 3));
+    let shared = Arc::new(RwLock::new(server));
+    let outcome = scrub_once(&shared, usize::MAX).unwrap();
+    assert_eq!(outcome.quarantined, 1);
+    assert_eq!(outcome.lost, on_it.len() as u64);
+    assert_eq!(outcome.repaired, 0);
+    let registry = TenantRegistry::single("cold", Arc::clone(&shared)).unwrap();
+    let tenant = registry.tenants().pop().unwrap();
+    tend(&tenant);
+    assert_eq!(tenant.health(), DbHealth::Faulted);
+    // A query that needs the lost blocks is an error, never a short answer.
+    assert!(client.query(&shared.read().unwrap(), "//patient").is_err());
+}
+
 /// 100% injected WAL-write failure over a real TCP serve loop: reads keep
 /// flowing, mutations shed with the typed retry-after error, the health
 /// gauge flips Degraded, and clearing the fault heals the db via `tend`.

@@ -54,15 +54,14 @@ pub trait StoreObserver: Sync + Send {
         let _ = (pages_folded, nanos);
     }
     /// One scrub step finished: `scanned` pages CRC-verified against disk,
-    /// `corrupt_records` record chains found holding at least one corrupt
-    /// page.
+    /// `corrupt_records` records found with bytes on a corrupt page.
     fn scrub(&self, scanned: u64, corrupt_records: u64) {
         let _ = (scanned, corrupt_records);
     }
-    /// The scrubber quarantined `pages` corrupt pages belonging to record
-    /// `id` (`SCRUB_DIRECTORY` for the directory chain itself).
-    fn scrub_corrupt(&self, id: u64, pages: u64) {
-        let _ = (id, pages);
+    /// The scrubber quarantined corrupt page `page`, which `records`
+    /// records (the directory counting as one) have bytes on.
+    fn scrub_corrupt(&self, page: u32, records: u64) {
+        let _ = (page, records);
     }
 }
 

@@ -236,6 +236,13 @@ impl PageFile {
         self.pages
     }
 
+    /// Re-derives [`pages`](Self::pages) from the file's current length,
+    /// which another handle on the same file may have extended.
+    pub fn restat(&mut self) -> Result<u32, StoreError> {
+        self.pages = (self.file.len()? / self.page_size as u64) as u32;
+        Ok(self.pages)
+    }
+
     /// On-disk size in bytes.
     pub fn disk_bytes(&self) -> u64 {
         self.pages as u64 * self.page_size as u64
@@ -243,13 +250,10 @@ impl PageFile {
 
     /// Reads one page's payload, verifying the CRC.
     pub fn read_page(&mut self, id: u32) -> Result<Vec<u8>, StoreError> {
-        if id >= self.pages {
-            // Another handle on the same file may have extended it since
-            // this one snapshotted its length (checkpoints allocate fresh
-            // pages); re-derive the count before declaring `id` bad.
-            self.pages = (self.file.len()? / self.page_size as u64) as u32;
-        }
-        if id >= self.pages {
+        // Another handle on the same file may have extended it since this
+        // one snapshotted its length (checkpoints allocate fresh pages);
+        // re-derive the count before declaring `id` bad.
+        if id >= self.pages && id >= self.restat()? {
             return Err(StoreError::Corrupt(format!(
                 "page {id} out of range (file has {})",
                 self.pages

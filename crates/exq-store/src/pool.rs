@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 
 /// A pinned page: cheap to clone, keeps the payload alive independent of
 /// the pool's eviction decisions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PinnedPage {
     bytes: Arc<Vec<u8>>,
 }
@@ -27,6 +27,15 @@ pub struct PinnedPage {
 impl PinnedPage {
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
+    }
+}
+
+/// A pin on bytes no pool frame holds: a page read past the pool.
+impl From<Vec<u8>> for PinnedPage {
+    fn from(payload: Vec<u8>) -> PinnedPage {
+        PinnedPage {
+            bytes: Arc::new(payload),
+        }
     }
 }
 
@@ -132,9 +141,7 @@ impl BufferPool {
     pub fn insert_if(&self, stamp: u64, page: u32, payload: Vec<u8>) -> PinnedPage {
         let f = self.frames.lock().unwrap();
         if f.stamp != stamp {
-            return PinnedPage {
-                bytes: Arc::new(payload),
-            };
+            return payload.into();
         }
         Self::insert_locked(f, page, &self.counters, self.capacity, payload)
     }
