@@ -1,4 +1,4 @@
-//! E16 — extension: server response/range caching (`--cache-entries`).
+//! E16 — extension: server response caching (`--cache-entries`).
 //!
 //! Not a paper figure: the paper's server recomputes every query from
 //! scratch, but deterministic tag encryption and OPESS make identical
@@ -13,7 +13,7 @@
 //! * **warm** — a second replay of the same schedule, all hits.
 //!
 //! Reported per configuration: total server `process_time` over the
-//! replay, speedup over disabled, and response/range hit rates. Answers
+//! replay, speedup over disabled, and the response-cache hit rate. Answers
 //! are asserted byte-identical across all three configurations — the
 //! cache must be purely a performance knob. Results also land in
 //! `BENCH_e16_cache.json`.
@@ -50,10 +50,6 @@ fn workloads(cfg: &ExpConfig) -> Vec<Sweep> {
                 &hospital::constraints(),
                 0x16,
             ),
-            // The two `disease = 'flu'` queries differ structurally but
-            // share an encrypted value predicate: the second's first
-            // occurrence exercises the cross-query range cache even before
-            // any response repeats.
             queries: vec![
                 "//patient/pname",
                 "//patient[age > 40]/pname",
@@ -195,15 +191,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             let total = hits + misses;
             (total > 0).then(|| hits as f64 / total as f64)
         };
-        // Deltas isolate each replay's own lookups. A warm replay performs
-        // *no* range lookups at all — response-cache hits short-circuit
-        // before the value pre-pass — which shows up as "-" below.
         let cold_hit_rate = rate(cold_stats.response_hits, cold_stats.response_misses);
-        let cold_range_rate = rate(cold_stats.range_hits, cold_stats.range_misses);
-        let warm_range_rate = rate(
-            after.range_hits - before.range_hits,
-            after.range_misses - before.range_misses,
-        );
 
         let mut t = Table::new(
             &format!("e16_cache_{}", sweep.name),
@@ -218,25 +206,17 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
                 "server process (ms)",
                 "speedup",
                 "resp hit rate",
-                "range hit rate",
                 "answers",
             ],
         );
         let rows = [
-            ("disabled", disabled_time, 1.0, None, None),
-            (
-                "cold",
-                cold_time,
-                cold_speedup,
-                cold_hit_rate,
-                cold_range_rate,
-            ),
+            ("disabled", disabled_time, 1.0, None),
+            ("cold", cold_time, cold_speedup, cold_hit_rate),
             (
                 "warm",
                 warm_time,
                 warm_speedup,
                 Some(warm_hits as f64 / schedule.len() as f64),
-                warm_range_rate,
             ),
         ];
         if wi > 0 {
@@ -256,13 +236,12 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             Some(v) => format!("{v:.3}"),
             None => "null".to_string(),
         };
-        for (ri, (config, time, speedup, resp_rate, range_rate)) in rows.iter().enumerate() {
+        for (ri, (config, time, speedup, resp_rate)) in rows.iter().enumerate() {
             t.row(vec![
                 config.to_string(),
                 format!("{:.3}", ms(*time)),
                 format!("{speedup:.2}x"),
                 pct(resp_rate),
-                pct(range_rate),
                 "identical".to_string(),
             ]);
             if ri > 0 {
@@ -271,10 +250,9 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             json.push_str(&format!(
                 "      {{ \"config\": \"{config}\", \"process_ms\": {:.5}, \
                  \"speedup\": {speedup:.3}, \"response_hit_rate\": {}, \
-                 \"range_hit_rate\": {}, \"answers_identical\": true }}",
+                 \"answers_identical\": true }}",
                 ms(*time),
                 num(resp_rate),
-                num(range_rate),
             ));
         }
         json.push_str("\n    ] }");

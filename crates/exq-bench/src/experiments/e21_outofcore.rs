@@ -11,14 +11,10 @@
 //! reference — the experiment *fails* on any divergence, so the reported
 //! latencies are verified answers, not best-effort reads.
 //!
-//! Two side measurements close the loop on the mutation path:
-//!
-//! * **O(update) vs O(database)** — an insert against the paged store is
-//!   one WAL append + fsync; the legacy path re-encodes and rewrites the
-//!   whole artifact. Both are timed on the same database.
-//! * **warm vs cold full save** — the block-encoding memo means a full
-//!   `save_bytes` after a mutation re-encodes only new blocks; the cold
-//!   first save pays for every block.
+//! One side measurement closes the loop on the mutation path, **O(update)
+//! vs O(database)**: an insert against the paged store is one WAL append +
+//! fsync; the legacy path re-encodes and rewrites the whole artifact. Both
+//! are timed on the same database.
 //!
 //! Results land in `BENCH_e21_outofcore.json`. `EXQ_E21_SMOKE=1` shrinks
 //! the dataset for CI while keeping every assertion live.
@@ -79,17 +75,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         .iter()
         .map(|q| client.query(&resident, q).expect("reference").results)
         .collect();
-
-    // Cold vs warm full save: the first encode pays for every sealed
-    // block; the memo makes later saves touch only what changed. Measured
-    // before any other save so the cold run really starts cold.
-    let cold_started = Instant::now();
-    let cold_bytes = resident.save_bytes().unwrap();
-    let save_cold = cold_started.elapsed();
-    let warm_started = Instant::now();
-    let warm_bytes = resident.save_bytes().unwrap();
-    let save_warm = warm_started.elapsed();
-    assert_eq!(cold_bytes, warm_bytes, "warm save diverged from cold save");
 
     let dir = std::env::temp_dir().join(format!("exq-e21-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -277,16 +262,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         format!("{:.3}", ms(ckpt)),
         "dirty pages only".into(),
     ]);
-    m.row(vec![
-        "full save, cold encode".into(),
-        format!("{:.3}", ms(save_cold)),
-        format!("{}", cold_bytes.len()),
-    ]);
-    m.row(vec![
-        "full save, warm memo".into(),
-        format!("{:.3}", ms(save_warm)),
-        format!("{}", warm_bytes.len()),
-    ]);
 
     if cfg.write_root_artifacts {
         let json = format!(
@@ -295,15 +270,12 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
              \"page_count\": {page_count},\n  \"rows\": [\n{}\n  ],\n  \
              \"resident_mean_query_ms\": {:.4},\n  \
              \"insert_paged_ms\": {:.4},\n  \"insert_legacy_ms\": {:.4},\n  \
-             \"checkpoint_ms\": {:.4},\n  \
-             \"save_cold_ms\": {:.4},\n  \"save_warm_ms\": {:.4}\n}}\n",
+             \"checkpoint_ms\": {:.4}\n}}\n",
             json_rows.join(",\n"),
             ms(resident_mean),
             ms(insert_paged),
             ms(insert_legacy),
             ms(ckpt),
-            ms(save_cold),
-            ms(save_warm),
         );
         std::fs::write(
             concat!(

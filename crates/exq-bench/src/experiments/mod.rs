@@ -112,7 +112,7 @@ pub fn registry() -> Vec<Experiment> {
         ),
         (
             "e16",
-            "extension: server response/range caching — hot-query replay",
+            "extension: server response caching — hot-query replay",
             e16_cache::run,
         ),
         (

@@ -385,6 +385,40 @@ pub fn resolve_store_opts(cache_mb: Option<usize>) -> Option<StoreOptions> {
     })
 }
 
+/// The serving flags `exq serve` and `exq db host` share — everything but
+/// what to host (`--server` / `--dir`). Field for flag; see USAGE.
+#[derive(Debug, Clone)]
+pub struct ServeOptions {
+    pub addr: String,
+    pub workers: usize,
+    /// `0` = auto (`EXQ_THREADS` / the machine's parallelism).
+    pub threads: usize,
+    /// `None` resolves from `EXQ_CACHE` / the default; `Some(0)` disables.
+    pub cache_entries: Option<usize>,
+    /// `0` = unlimited.
+    pub max_inflight: usize,
+    /// `0` = an even share of `max_inflight`. Only `db host` has the flag.
+    pub max_inflight_per_db: usize,
+    /// `0` = no deadline.
+    pub deadline_ms: u64,
+    /// `None` falls back to `EXQ_CACHE_MB`; absent both, host resident.
+    pub cache_mb: Option<usize>,
+}
+
+impl ServeOptions {
+    fn config(&self) -> ServeConfig {
+        ServeConfig {
+            workers: self.workers,
+            threads: self.threads,
+            cache_entries: self.cache_entries,
+            max_inflight: self.max_inflight,
+            max_inflight_per_db: self.max_inflight_per_db,
+            deadline: std::time::Duration::from_millis(self.deadline_ms),
+            ..ServeConfig::default()
+        }
+    }
+}
+
 /// `exq serve`: host a server state file on a TCP address. Returns the
 /// running handle plus a banner; the binary parks until interrupted, tests
 /// shut the handle down directly. With `cache_mb` (or `EXQ_CACHE_MB`) the
@@ -392,23 +426,23 @@ pub fn resolve_store_opts(cache_mb: Option<usize>) -> Option<StoreOptions> {
 /// sealed blocks page in through a buffer pool of that many MiB, and the
 /// returned [`Checkpointer`] folds the WAL in the background (keep it alive
 /// as long as the handle).
-#[allow(clippy::too_many_arguments)]
 pub fn cmd_serve(
     server_path: &Path,
-    addr: &str,
-    workers: usize,
-    threads: usize,
-    cache_entries: Option<usize>,
-    max_inflight: usize,
-    deadline_ms: u64,
-    cache_mb: Option<usize>,
+    opts: &ServeOptions,
 ) -> Result<(ServeHandle, Option<Checkpointer>, String), CliError> {
     exq_core::flight::install_panic_hook();
-    let store_opts = resolve_store_opts(cache_mb);
+    let &ServeOptions {
+        workers,
+        threads,
+        max_inflight,
+        deadline_ms,
+        ..
+    } = opts;
+    let store_opts = resolve_store_opts(opts.cache_mb);
     let (server, paged) = match &store_opts {
-        Some(opts) => {
+        Some(store) => {
             let (server, db, replay) =
-                PagedDb::open_or_migrate(server_path, exq_core::DEFAULT_DB, *opts)?;
+                PagedDb::open_or_migrate(server_path, exq_core::DEFAULT_DB, *store)?;
             if replay.replayed + replay.failed > 0 {
                 telemetry::log(
                     telemetry::Level::Info,
@@ -424,15 +458,7 @@ pub fn cmd_serve(
     };
     let blocks = server.block_count();
     let bytes = server.hosted_bytes();
-    let listener = std::net::TcpListener::bind(addr)?;
-    let config = ServeConfig {
-        workers,
-        threads,
-        cache_entries,
-        max_inflight,
-        deadline: std::time::Duration::from_millis(deadline_ms),
-        ..ServeConfig::default()
-    };
+    let listener = std::net::TcpListener::bind(&opts.addr)?;
     let shared = Arc::new(RwLock::new(server));
     // One registry serves both the request path and the checkpointer so
     // they share the same Tenant: health flipped by a failed checkpoint
@@ -444,7 +470,7 @@ pub fn cmd_serve(
     let checkpointer = paged
         .as_ref()
         .map(|_| Checkpointer::spawn_tenants(Arc::clone(&registry), checkpoint_interval()));
-    let handle = serve_event(listener, registry, config)?;
+    let handle = serve_event(listener, registry, opts.config())?;
     let per_query = exq_core::pool::resolve_threads(threads);
     let cache = handle.cache_stats().capacity;
     let cache_desc = if cache == 0 {
@@ -459,11 +485,11 @@ pub fn cmd_serve(
         (m, d) => format!(", max {m} in flight, {d}ms deadline"),
     };
     let paged_desc = match (&paged, &store_opts) {
-        (Some(db), Some(opts)) => {
+        (Some(db), Some(store)) => {
             let fp = db.footprint();
             format!(
                 ", out-of-core ({} MiB budget, {} pages on disk)",
-                opts.cache_bytes / (1024 * 1024),
+                store.cache_bytes / (1024 * 1024),
                 fp.page_count
             )
         }
@@ -481,17 +507,8 @@ pub fn cmd_serve(
 /// One-line cache counter report for `exq serve` logs.
 pub fn format_cache_stats(s: &exq_core::cache::CacheStatsSnapshot) -> String {
     format!(
-        "cache[gen {}]: responses {} hit / {} miss ({} entries, {} evicted), \
-         ranges {} hit / {} miss ({} entries, {} evicted)",
-        s.generation,
-        s.response_hits,
-        s.response_misses,
-        s.response_entries,
-        s.response_evictions,
-        s.range_hits,
-        s.range_misses,
-        s.range_entries,
-        s.range_evictions,
+        "cache[gen {}]: responses {} hit / {} miss ({} entries, {} evicted)",
+        s.generation, s.response_hits, s.response_misses, s.response_entries, s.response_evictions,
     )
 }
 
@@ -621,26 +638,18 @@ pub fn cmd_db_drop(dir: &Path, name: &str) -> Result<String, CliError> {
 }
 
 /// `exq db host`: serve every database in a directory on one TCP address.
-/// v4 clients pick a db with `--db`; v1–v3 clients (and v4 clients that
-/// don't) get the default db. With `cache_mb` (or `EXQ_CACHE_MB`) every
-/// database hosts out-of-core behind its own buffer pool, and one
-/// background [`Checkpointer`] thread sweeps all of them.
-#[allow(clippy::too_many_arguments)]
+/// Clients pick a db with `--db`; those that don't get the default db.
+/// With `cache_mb` (or `EXQ_CACHE_MB`) every database hosts out-of-core
+/// behind its own buffer pool, and one background [`Checkpointer`] thread
+/// sweeps all of them.
 pub fn cmd_db_host(
     dir: &Path,
-    addr: &str,
-    workers: usize,
-    threads: usize,
-    cache_entries: Option<usize>,
-    max_inflight: usize,
-    max_inflight_per_db: usize,
-    deadline_ms: u64,
-    cache_mb: Option<usize>,
+    opts: &ServeOptions,
 ) -> Result<(ServeHandle, Option<Checkpointer>, String), CliError> {
     exq_core::flight::install_panic_hook();
-    let store_opts = resolve_store_opts(cache_mb);
+    let store_opts = resolve_store_opts(opts.cache_mb);
     let registry = Arc::new(match &store_opts {
-        Some(opts) => TenantRegistry::open_paged(dir, exq_core::DEFAULT_DB, *opts)?,
+        Some(store) => TenantRegistry::open_paged(dir, exq_core::DEFAULT_DB, *store)?,
         None => TenantRegistry::open(dir, exq_core::DEFAULT_DB)?,
     });
     if registry.is_empty() {
@@ -652,31 +661,23 @@ pub fn cmd_db_host(
     let checkpointer = store_opts
         .as_ref()
         .map(|_| Checkpointer::spawn_tenants(Arc::clone(&registry), checkpoint_interval()));
-    let listener = std::net::TcpListener::bind(addr)?;
-    let config = ServeConfig {
-        workers,
-        threads,
-        cache_entries,
-        max_inflight,
-        max_inflight_per_db,
-        deadline: std::time::Duration::from_millis(deadline_ms),
-        ..ServeConfig::default()
-    };
-    let handle = serve_event(listener, Arc::clone(&registry), config)?;
+    let listener = std::net::TcpListener::bind(&opts.addr)?;
+    let handle = serve_event(listener, Arc::clone(&registry), opts.config())?;
     let names = registry.names().join(", ");
     let paged_desc = match &store_opts {
-        Some(opts) => format!(
+        Some(store) => format!(
             " out-of-core ({} MiB budget/db),",
-            opts.cache_bytes / (1024 * 1024)
+            store.cache_bytes / (1024 * 1024)
         ),
         None => String::new(),
     };
     let banner = format!(
-        "hosting {} database(s) from {} on {} with {workers} worker(s),{paged_desc} \
+        "hosting {} database(s) from {} on {} with {} worker(s),{paged_desc} \
          dbs: {names} (default: {})\n",
         registry.len(),
         dir.display(),
         handle.addr(),
+        opts.workers,
         registry.default_db(),
     );
     Ok((handle, checkpointer, banner))
@@ -1079,7 +1080,7 @@ USAGE:
                 [--cache-entries N] [--max-inflight N] [--max-inflight-per-db N]
                 [--deadline-ms N] [--cache-mb N]
                                       (serve every db in the directory; clients
-                                       route with --db, legacy peers get the default)
+                                       route with --db, or get the default db)
   exq ping      --addr HOST:PORT [--count N]   (liveness probe round-trips)
   exq aggregate --server server.exq --client client.exq --fn min|max|count 'PATH'
   exq insert    --server server.exq --client client.exq --parent 'QUERY'

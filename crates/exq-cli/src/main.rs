@@ -75,6 +75,18 @@ fn known_options(cmd: &str, verb: Option<&str>) -> Option<&'static [&'static str
     })
 }
 
+/// The integer value of `--name`, if the flag was given.
+fn int_flag<T: std::str::FromStr>(
+    flags: &std::collections::HashMap<String, String>,
+    name: &str,
+) -> Result<Option<T>, CliError> {
+    flags
+        .get(name)
+        .map(|s| s.parse())
+        .transpose()
+        .map_err(|_| CliError::Usage(format!("--{name} must be an integer")))
+}
+
 fn run(args: &[String]) -> Result<String, CliError> {
     let Some(cmd) = args.first() else {
         return Err(CliError::Usage("no command given".into()));
@@ -117,37 +129,29 @@ fn run(args: &[String]) -> Result<String, CliError> {
             .cloned()
             .ok_or_else(|| CliError::Usage(format!("missing --{k}")))
     };
-    let seed = flags
-        .get("seed")
-        .map(|s| s.parse::<u64>())
-        .transpose()
-        .map_err(|_| CliError::Usage("--seed must be an integer".into()))?
-        .unwrap_or(42);
+    let seed = int_flag::<u64>(&flags, "seed")?.unwrap_or(42);
     // 0 means "auto": pick up EXQ_THREADS or the machine's parallelism.
-    let threads = flags
-        .get("threads")
-        .map(|s| s.parse::<usize>())
-        .transpose()
-        .map_err(|_| CliError::Usage("--threads must be an integer".into()))?
-        .unwrap_or(0);
+    let threads = int_flag::<usize>(&flags, "threads")?.unwrap_or(0);
     // None resolves from EXQ_CACHE / the built-in default; 0 disables.
-    let cache_entries = flags
-        .get("cache-entries")
-        .map(|s| s.parse::<usize>())
-        .transpose()
-        .map_err(|_| CliError::Usage("--cache-entries must be an integer".into()))?;
-    // None falls back to EXQ_CACHE_MB; absent both, host fully resident.
-    let cache_mb = flags
-        .get("cache-mb")
-        .map(|s| s.parse::<usize>())
-        .transpose()
-        .map_err(|_| CliError::Usage("--cache-mb must be an integer".into()))?;
+    let cache_entries = int_flag::<usize>(&flags, "cache-entries")?;
+    // The serving flags `serve` and `db host` share, read in one place for
+    // both. A flag the command does not list in `known_options` never gets
+    // this far, so it reads as its default.
+    let serve_options = || -> Result<ServeOptions, CliError> {
+        Ok(ServeOptions {
+            addr: string("addr")?,
+            workers: int_flag(&flags, "workers")?.unwrap_or(4),
+            threads,
+            cache_entries,
+            max_inflight: int_flag(&flags, "max-inflight")?.unwrap_or(0),
+            max_inflight_per_db: int_flag(&flags, "max-inflight-per-db")?.unwrap_or(0),
+            deadline_ms: int_flag(&flags, "deadline-ms")?.unwrap_or(0),
+            // None falls back to EXQ_CACHE_MB; absent both, host fully resident.
+            cache_mb: int_flag(&flags, "cache-mb")?,
+        })
+    };
     // Global observability flags, honored by every command.
-    let slow_ms = flags
-        .get("slow-ms")
-        .map(|s| s.parse::<u64>())
-        .transpose()
-        .map_err(|_| CliError::Usage("--slow-ms must be an integer".into()))?;
+    let slow_ms = int_flag::<u64>(&flags, "slow-ms")?;
     apply_telemetry_flags(
         flags.get("trace-out").map(PathBuf::from).as_deref(),
         slow_ms,
@@ -156,12 +160,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
 
     match cmd.as_str() {
         "gen" => {
-            let size_kb = flags
-                .get("size-kb")
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|_| CliError::Usage("--size-kb must be an integer".into()))?
-                .unwrap_or(64);
+            let size_kb = int_flag::<usize>(&flags, "size-kb")?.unwrap_or(64);
             cmd_gen(
                 &string("dataset")?,
                 size_kb,
@@ -185,18 +184,8 @@ fn run(args: &[String]) -> Result<String, CliError> {
             match flags.get("addr") {
                 Some(addr) => {
                     // Default retry budget of 3 extra attempts; 0 disables.
-                    let retries = flags
-                        .get("retries")
-                        .map(|s| s.parse::<u32>())
-                        .transpose()
-                        .map_err(|_| CliError::Usage("--retries must be an integer".into()))?
-                        .unwrap_or(3);
-                    let pipeline = flags
-                        .get("pipeline")
-                        .map(|s| s.parse::<usize>())
-                        .transpose()
-                        .map_err(|_| CliError::Usage("--pipeline must be an integer".into()))?
-                        .unwrap_or(1);
+                    let retries = int_flag::<u32>(&flags, "retries")?.unwrap_or(3);
+                    let pipeline = int_flag::<usize>(&flags, "pipeline")?.unwrap_or(1);
                     cmd_query_remote(
                         addr,
                         &path("client")?,
@@ -218,43 +207,11 @@ fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "ping" => {
-            let count = flags
-                .get("count")
-                .map(|s| s.parse::<u32>())
-                .transpose()
-                .map_err(|_| CliError::Usage("--count must be an integer".into()))?
-                .unwrap_or(4);
+            let count = int_flag::<u32>(&flags, "count")?.unwrap_or(4);
             cmd_ping(&string("addr")?, count)
         }
         "serve" => {
-            let workers = flags
-                .get("workers")
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|_| CliError::Usage("--workers must be an integer".into()))?
-                .unwrap_or(4);
-            let max_inflight = flags
-                .get("max-inflight")
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|_| CliError::Usage("--max-inflight must be an integer".into()))?
-                .unwrap_or(0);
-            let deadline_ms = flags
-                .get("deadline-ms")
-                .map(|s| s.parse::<u64>())
-                .transpose()
-                .map_err(|_| CliError::Usage("--deadline-ms must be an integer".into()))?
-                .unwrap_or(0);
-            let (handle, _checkpointer, banner) = cmd_serve(
-                &path("server")?,
-                &string("addr")?,
-                workers,
-                threads,
-                cache_entries,
-                max_inflight,
-                deadline_ms,
-                cache_mb,
-            )?;
+            let (handle, _checkpointer, banner) = cmd_serve(&path("server")?, &serve_options()?)?;
             print!("{banner}");
             // Serve until killed; the handle's threads do all the work (the
             // checkpointer folds the WAL in the background until dropped).
@@ -273,12 +230,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let verb = positional
                 .first()
                 .ok_or_else(|| CliError::Usage("db needs a verb (create|list|drop|host)".into()))?;
-            let max_inflight = flags
-                .get("max-inflight")
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|_| CliError::Usage("--max-inflight must be an integer".into()))?
-                .unwrap_or(0);
+            let max_inflight = int_flag::<usize>(&flags, "max-inflight")?.unwrap_or(0);
             match verb.as_str() {
                 "create" => cmd_db_create(
                     &path("dir")?,
@@ -290,37 +242,8 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 "list" => cmd_db_list(&path("dir")?),
                 "drop" => cmd_db_drop(&path("dir")?, &string("name")?),
                 "host" => {
-                    let workers = flags
-                        .get("workers")
-                        .map(|s| s.parse::<usize>())
-                        .transpose()
-                        .map_err(|_| CliError::Usage("--workers must be an integer".into()))?
-                        .unwrap_or(4);
-                    let per_db = flags
-                        .get("max-inflight-per-db")
-                        .map(|s| s.parse::<usize>())
-                        .transpose()
-                        .map_err(|_| {
-                            CliError::Usage("--max-inflight-per-db must be an integer".into())
-                        })?
-                        .unwrap_or(0);
-                    let deadline_ms = flags
-                        .get("deadline-ms")
-                        .map(|s| s.parse::<u64>())
-                        .transpose()
-                        .map_err(|_| CliError::Usage("--deadline-ms must be an integer".into()))?
-                        .unwrap_or(0);
-                    let (handle, _checkpointer, banner) = cmd_db_host(
-                        &path("dir")?,
-                        &string("addr")?,
-                        workers,
-                        threads,
-                        cache_entries,
-                        max_inflight,
-                        per_db,
-                        deadline_ms,
-                        cache_mb,
-                    )?;
+                    let (handle, _checkpointer, banner) =
+                        cmd_db_host(&path("dir")?, &serve_options()?)?;
                     print!("{banner}");
                     // Serve until killed, logging per-db cache counters.
                     loop {
@@ -370,12 +293,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
         },
         "top" => {
             let addr = string("addr")?;
-            let interval_ms = flags
-                .get("interval-ms")
-                .map(|s| s.parse::<u64>())
-                .transpose()
-                .map_err(|_| CliError::Usage("--interval-ms must be an integer".into()))?
-                .unwrap_or(1000);
+            let interval_ms = int_flag::<u64>(&flags, "interval-ms")?.unwrap_or(1000);
             if flags.contains_key("once") {
                 return cmd_top(&addr, interval_ms);
             }

@@ -23,6 +23,25 @@ impl Drop for TempDir {
     }
 }
 
+/// Serving options on an ephemeral port with no admission limits.
+fn serving(
+    workers: usize,
+    threads: usize,
+    cache_entries: Option<usize>,
+    cache_mb: Option<usize>,
+) -> ServeOptions {
+    ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        workers,
+        threads,
+        cache_entries,
+        max_inflight: 0,
+        max_inflight_per_db: 0,
+        deadline_ms: 0,
+        cache_mb,
+    }
+}
+
 fn setup(dir: &TempDir) -> (PathBuf, PathBuf) {
     let doc = dir.path("doc.xml");
     let cons = dir.path("sc.txt");
@@ -295,8 +314,7 @@ fn binary_smoke() {
 fn default_serve_answers_pipelined_queries_past_idle_connections() {
     let dir = TempDir::new("serve-pipeline");
     let (server, client) = setup(&dir);
-    let (handle, _ckpt, _banner) =
-        cmd_serve(&server, "127.0.0.1:0", 2, 1, Some(64), 0, 0, None).unwrap();
+    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(2, 1, Some(64), None)).unwrap();
     let addr = handle.addr().to_string();
 
     // Four times as many idle connections as workers: they cost the server
@@ -317,8 +335,7 @@ fn default_serve_answers_pipelined_queries_past_idle_connections() {
 fn serve_then_stats_scrapes_live_metrics() {
     let dir = TempDir::new("stats-live");
     let (server, client) = setup(&dir);
-    let (handle, _ckpt, _banner) =
-        cmd_serve(&server, "127.0.0.1:0", 2, 1, Some(64), 0, 0, None).unwrap();
+    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(2, 1, Some(64), None)).unwrap();
     let addr = handle.addr().to_string();
 
     // Drive one query so the counters move, then scrape the registry.
@@ -395,8 +412,7 @@ fn serve_and_query_remote() {
     let (server, client) = setup(&dir);
 
     // Bind on an ephemeral port, then query it over the wire.
-    let (handle, _ckpt, banner) =
-        cmd_serve(&server, "127.0.0.1:0", 2, 2, Some(64), 0, 0, None).unwrap();
+    let (handle, _ckpt, banner) = cmd_serve(&server, &serving(2, 2, Some(64), None)).unwrap();
     assert!(banner.contains("serving"), "banner: {banner}");
     assert!(banner.contains("cache 64 entries"), "banner: {banner}");
     let addr = handle.addr().to_string();
@@ -450,8 +466,7 @@ fn serve_and_query_remote() {
 fn ping_measures_live_server_and_fails_on_dead_one() {
     let dir = TempDir::new("ping");
     let (server, _client) = setup(&dir);
-    let (handle, _ckpt, _banner) =
-        cmd_serve(&server, "127.0.0.1:0", 1, 1, Some(0), 0, 0, None).unwrap();
+    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(1, 1, Some(0), None)).unwrap();
     let addr = handle.addr().to_string();
     let out = cmd_ping(&addr, 3).unwrap();
     assert!(out.contains("seq=2"), "ping output: {out}");
@@ -491,8 +506,7 @@ fn db_verbs_manage_a_multi_tenant_directory() {
 
     // Host both and route queries by db name; each db only decrypts with
     // its own client artifact.
-    let (handle, _ckpt, banner) =
-        cmd_db_host(&dbdir, "127.0.0.1:0", 2, 1, Some(64), 0, 0, 0, None).unwrap();
+    let (handle, _ckpt, banner) = cmd_db_host(&dbdir, &serving(2, 1, Some(64), None)).unwrap();
     assert!(banner.contains("2 database(s)"), "{banner}");
     let addr = handle.addr().to_string();
     let out = cmd_query_remote(&addr, &cli_a, "//patient/pname", 1, 1, Some("ward-a"), 1).unwrap();
@@ -540,8 +554,7 @@ fn db_verbs_manage_a_multi_tenant_directory() {
 fn db_host_serves_legacy_single_file_artifact() {
     let dir = TempDir::new("db-legacy");
     let (server, client) = setup(&dir);
-    let (handle, _ckpt, banner) =
-        cmd_db_host(&server, "127.0.0.1:0", 1, 1, None, 0, 0, 0, None).unwrap();
+    let (handle, _ckpt, banner) = cmd_db_host(&server, &serving(1, 1, None, None)).unwrap();
     assert!(banner.contains("default"), "{banner}");
     let addr = handle.addr().to_string();
     let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, 1, None, 1).unwrap();
@@ -556,8 +569,7 @@ fn serve_out_of_core_answers_and_persists_mutations() {
 
     // Host the artifact out-of-core with a 1 MiB buffer budget. The banner
     // reports the paged footprint; answers must match the resident path.
-    let (handle, ckpt, banner) =
-        cmd_serve(&server, "127.0.0.1:0", 2, 1, Some(64), 0, 0, Some(1)).unwrap();
+    let (handle, ckpt, banner) = cmd_serve(&server, &serving(2, 1, Some(64), Some(1))).unwrap();
     assert!(ckpt.is_some(), "paged serve must spawn a checkpointer");
     assert!(banner.contains("out-of-core"), "{banner}");
     let addr = handle.addr().to_string();
@@ -577,8 +589,7 @@ fn serve_out_of_core_answers_and_persists_mutations() {
 
     // The pages sibling now exists and a re-serve opens it directly.
     assert!(exq_core::store::PagedDb::is_paged(&server));
-    let (handle, ckpt, _banner) =
-        cmd_serve(&server, "127.0.0.1:0", 2, 1, Some(64), 0, 0, Some(1)).unwrap();
+    let (handle, ckpt, _banner) = cmd_serve(&server, &serving(2, 1, Some(64), Some(1))).unwrap();
     let addr = handle.addr().to_string();
     let out = cmd_query_remote(
         &addr,
@@ -599,8 +610,7 @@ fn serve_out_of_core_answers_and_persists_mutations() {
 fn debug_dumps_flight_recorder_and_top_renders_a_frame() {
     let dir = TempDir::new("debug-top");
     let (server, client) = setup(&dir);
-    let (handle, _ckpt, _banner) =
-        cmd_serve(&server, "127.0.0.1:0", 2, 1, Some(64), 0, 0, None).unwrap();
+    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(2, 1, Some(64), None)).unwrap();
     let addr = handle.addr().to_string();
 
     // Drive traffic so the recorder and the per-db counters have events.
@@ -684,8 +694,7 @@ fn db_list_reports_out_of_core_footprint() {
     assert!(!listing.contains("paged:"), "{listing}");
 
     // Migrate by hosting out-of-core once, then list again.
-    let (handle, ckpt, _banner) =
-        cmd_db_host(&dbdir, "127.0.0.1:0", 1, 1, Some(0), 0, 0, 0, Some(1)).unwrap();
+    let (handle, ckpt, _banner) = cmd_db_host(&dbdir, &serving(1, 1, Some(0), Some(1))).unwrap();
     drop(ckpt);
     handle.shutdown();
     let listing = cmd_db_list(&dbdir).unwrap();

@@ -3,22 +3,21 @@
 //! Deterministic tag and OPESS encryption means identical client queries
 //! translate to byte-identical [`ServerQuery`]s, so the server hot path is
 //! memoizable: a response cache keyed on the encrypted query's canonical
-//! encoding, and a cross-query value-range cache keyed on
-//! `(attr, lo, hi)`. Both are guarded by a monotonically increasing
-//! *generation*: every mutation path bumps it, and a cached entry is only
-//! served when its stored generation matches the server's current one —
-//! stale entries die lazily, without scanning.
+//! encoding. It is guarded by a monotonically increasing *generation*:
+//! every mutation path bumps it, and a cached entry is only served when its
+//! stored generation matches the server's current one — stale entries die
+//! lazily, without scanning.
 //!
 //! Concurrency: queries run under the serve loop's `RwLock` **read** guard,
-//! so caches use interior mutability — each cache is split into shards,
-//! each behind its own `Mutex`, so concurrent readers rarely contend on the
+//! so the cache uses interior mutability — it is split into shards, each
+//! behind its own `Mutex`, so concurrent readers rarely contend on the
 //! same lock. Mutations hold the write lock, so a query never interleaves
 //! with a generation bump; tagging entries with the generation captured at
 //! query start is therefore race-free.
 //!
-//! Security: the caches store only data the server already derives from
+//! Security: the cache stores only data the server already derives from
 //! the ciphertext it hosts (encoded encrypted queries, pruned skeletons,
-//! sealed block references, block-id sets). An adversary with server access
+//! sealed block references). An adversary with server access
 //! learns nothing from the cache it could not recompute — no new leakage.
 //!
 //! [`ServerQuery`]: crate::wire::ServerQuery
@@ -26,18 +25,18 @@
 use crate::telemetry;
 use crate::wire::ServerResponse;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Environment knob for the total cache capacity (entries per cache).
+/// Environment knob for the response-cache capacity in entries.
 /// `0` disables caching entirely; unset or unparsable falls back to
 /// [`DEFAULT_CACHE_ENTRIES`]. The CLI's `--cache-entries` overrides it.
 pub const CACHE_ENV: &str = "EXQ_CACHE";
 
-/// Default total entries per cache layer when neither the environment nor
-/// the CLI says otherwise.
+/// Default capacity in entries when neither the environment nor the CLI
+/// says otherwise.
 pub const DEFAULT_CACHE_ENTRIES: usize = 1024;
 
 /// Shard count: enough to keep concurrent readers off each other's locks,
@@ -60,11 +59,16 @@ pub fn default_cache_entries() -> usize {
 
 /// Point-in-time cache counters, reported over the wire (`CacheStats`) and
 /// in `exq serve` logs.
+///
+/// The four `range_*` fields belonged to a cross-query value-range cache
+/// that was removed (it never hit: the response cache absorbs every repeat
+/// first). They stay, always 0, because the `CacheStats` wire payload and
+/// the frozen perf ledger both name them; a later benchmark PR drops them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStatsSnapshot {
     /// Current server generation (bumps on every mutation).
     pub generation: u64,
-    /// Configured capacity per cache layer (0 = caching off).
+    /// Configured capacity in entries (0 = caching off).
     pub capacity: u64,
     pub response_hits: u64,
     pub response_misses: u64,
@@ -84,16 +88,6 @@ impl CacheStatsSnapshot {
             0.0
         } else {
             self.response_hits as f64 / total as f64
-        }
-    }
-
-    /// Range-cache hit rate in `[0, 1]` (0 when nothing was looked up).
-    pub fn range_hit_rate(&self) -> f64 {
-        let total = self.range_hits + self.range_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.range_hits as f64 / total as f64
         }
     }
 }
@@ -119,7 +113,7 @@ impl<K, V> Default for Shard<K, V> {
     }
 }
 
-/// Process-wide registry mirrors of one cache layer's counters. The
+/// Process-wide registry mirrors of a cache's counters. The
 /// unlabeled `exq_cache_<layer>_*` names aggregate across every instance
 /// the process ever created; when a db label is attached (multi-tenant
 /// serving), a second `{db="<name>"}`-labeled series is kept and becomes
@@ -133,7 +127,7 @@ struct CacheMetrics {
     db: Option<DbCacheMetrics>,
 }
 
-/// The per-db labeled counter handles of one cache layer.
+/// The per-db labeled counter handles of a cache.
 struct DbCacheMetrics {
     hits: Arc<telemetry::Counter>,
     misses: Arc<telemetry::Counter>,
@@ -171,7 +165,7 @@ pub struct GenCache<K, V> {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Set for the server's named layers, `None` for ad-hoc caches (tests).
+    /// Set for the server's response cache, `None` for ad-hoc caches (tests).
     metrics: Option<CacheMetrics>,
 }
 
@@ -345,20 +339,18 @@ impl<K: Hash + Eq + Clone, V: Clone> GenCache<K, V> {
     }
 }
 
-/// The server's cache layers plus the shared generation counter.
+/// The server's response cache plus its generation counter.
 ///
 /// Runtime-only state: not persisted, and `Clone` yields a *fresh empty*
-/// set of caches with the same capacity (cloning a server must never share
+/// cache with the same capacity (cloning a server must never share
 /// or copy cache contents — the clone revalidates from its own data).
 pub struct ServerCaches {
     generation: AtomicU64,
     capacity: usize,
-    /// Tenant name whose labeled registry series back these layers, if any.
+    /// Tenant name whose labeled registry series back the cache, if any.
     db_label: Option<String>,
     /// Encoded `ServerQuery` bytes → full response.
     pub responses: GenCache<Vec<u8>, Arc<ServerResponse>>,
-    /// `(attr, lo, hi)` → resolved block-id set.
-    pub ranges: GenCache<(String, u128, u128), Arc<HashSet<u32>>>,
 }
 
 impl ServerCaches {
@@ -368,28 +360,15 @@ impl ServerCaches {
             capacity,
             db_label: None,
             responses: GenCache::with_metrics(capacity, "response"),
-            ranges: GenCache::with_metrics(capacity, "range"),
         }
     }
 
-    fn make_layer<K: Hash + Eq + Clone, V: Clone>(
-        capacity: usize,
-        layer: &str,
-        db_label: Option<&str>,
-    ) -> GenCache<K, V> {
-        match db_label {
-            Some(db) => GenCache::with_db_metrics(capacity, layer, db),
-            None => GenCache::with_metrics(capacity, layer),
-        }
-    }
-
-    /// Attaches a tenant label: both layers are rebuilt backed by
+    /// Attaches a tenant label: the cache is rebuilt backed by
     /// `{db="<name>"}`-labeled registry counters, making per-db cache stats
     /// scrapeable and snapshot counters registry-authoritative.
     pub fn set_db_label(&mut self, db: &str) {
         self.db_label = Some(db.to_owned());
-        self.responses = Self::make_layer(self.capacity, "response", self.db_label.as_deref());
-        self.ranges = Self::make_layer(self.capacity, "range", self.db_label.as_deref());
+        self.set_capacity(self.capacity);
     }
 
     pub fn capacity(&self) -> usize {
@@ -412,18 +391,19 @@ impl ServerCaches {
         self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Replaces both cache layers with fresh ones of the new capacity
-    /// (local counters reset, generation and db label preserved; a
-    /// db-labeled instance keeps counting in its registry series).
+    /// Replaces the cache with a fresh one of the new capacity (local
+    /// counters reset, generation and db label preserved; a db-labeled
+    /// instance keeps counting in its registry series).
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        self.responses = Self::make_layer(capacity, "response", self.db_label.as_deref());
-        self.ranges = Self::make_layer(capacity, "range", self.db_label.as_deref());
+        self.responses = match &self.db_label {
+            Some(db) => GenCache::with_db_metrics(capacity, "response", db),
+            None => GenCache::with_metrics(capacity, "response"),
+        };
     }
 
     pub fn snapshot(&self) -> CacheStatsSnapshot {
         let (rh, rm, re) = self.responses.counters();
-        let (gh, gm, ge) = self.ranges.counters();
         CacheStatsSnapshot {
             generation: self.generation(),
             capacity: self.capacity as u64,
@@ -431,10 +411,7 @@ impl ServerCaches {
             response_misses: rm,
             response_evictions: re,
             response_entries: self.responses.len() as u64,
-            range_hits: gh,
-            range_misses: gm,
-            range_evictions: ge,
-            range_entries: self.ranges.len() as u64,
+            ..CacheStatsSnapshot::default()
         }
     }
 }
@@ -447,7 +424,7 @@ impl Default for ServerCaches {
 
 impl Clone for ServerCaches {
     fn clone(&self) -> Self {
-        // The clone is a *new instance*: it gets fresh unlabeled layers
+        // The clone is a *new instance*: it gets a fresh unlabeled cache
         // even if the original was db-labeled, so two instances never share
         // one tenant's registry series.
         let fresh = ServerCaches::new(self.capacity);
@@ -535,16 +512,12 @@ mod tests {
         s.responses.insert(vec![1, 2], Arc::new(resp()), 0);
         assert!(s.responses.get(&vec![1, 2], 0).is_some());
         assert!(s.responses.get(&vec![9], 0).is_none());
-        s.ranges
-            .insert(("age".into(), 1, 2), Arc::new(HashSet::new()), 0);
         let snap = s.snapshot();
         assert_eq!(snap.response_hits, 1);
         assert_eq!(snap.response_misses, 1);
         assert_eq!(snap.response_entries, 1);
-        assert_eq!(snap.range_entries, 1);
         assert_eq!(snap.capacity, 4);
         assert!((snap.response_hit_rate() - 0.5).abs() < 1e-9);
-        assert_eq!(snap.range_hit_rate(), 0.0);
 
         s.bump_generation();
         assert_eq!(s.generation(), 1);

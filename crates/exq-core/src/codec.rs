@@ -1,5 +1,6 @@
-//! The binary wire codec: a hand-rolled, versioned, length-prefixed
-//! encoding for every client↔server message.
+//! The binary wire codec: a hand-rolled, length-prefixed encoding for every
+//! client↔server message. There is one frame layout and this module is
+//! where it is defined.
 //!
 //! Layout
 //! ------
@@ -12,23 +13,16 @@
 //! +-------+-----+---------+--------+--------+--------+--------+-------+---------+
 //! ```
 //!
-//! The `trace` field is new in protocol version 2: a query-scoped trace id
-//! (0 = untraced) that stitches client- and server-side telemetry spans
-//! into one tree. Version 3 adds two more framing fields after it: a
-//! client-generated **request id** (0 = unassigned) that lets the retry
-//! layer replay a request over a fresh connection while the server
-//! deduplicates mutations, and a **CRC32** over the rest of the frame so a
-//! bit flipped in transit surfaces as a typed [`CodecError::Checksum`]
-//! instead of a silently wrong (or confusingly malformed) message. Version
-//! 4 adds a fixed-width **db id** field (one length byte + up to
-//! [`MAX_DB_ID_LEN`] bytes of name, zero-padded) so one serve loop can host
-//! many sealed databases: the server routes each request to the tenant the
-//! frame names, and an empty id (length 0) means "the configured default
-//! db", which is also how v1–v3 peers (who cannot name a db at all) are
-//! routed. The db field sits after the checksum field and is covered by
-//! the checksum. Version 1–3 frames are still accepted, and replies to an
-//! old-version request are encoded in that version so legacy peers keep
-//! working; `paylen` counts payload bytes only in every version.
+//! | field   | purpose |
+//! |---------|---------|
+//! | magic   | rejects a peer that is not speaking this protocol at all |
+//! | ver     | always [`PROTOCOL_VERSION`]; any other byte is [`CodecError::BadVersion`] before a length is trusted |
+//! | msgtype | selects the payload decoder: requests `0x01..=0x7F`, replies `0x80..=0xFF` |
+//! | paylen  | payload bytes only, capped at [`MAX_FRAME_LEN`] before any allocation |
+//! | trace   | query-scoped trace id (0 = untraced) that stitches client and server telemetry spans into one tree |
+//! | req id  | client-generated request id (0 = unassigned), echoed by the reply: correlates pipelined replies and lets the server apply a replayed mutation once |
+//! | crc32   | CRC-32 over every other byte of the frame, checked before the payload is interpreted, so a bit flipped in transit is a typed [`CodecError::Checksum`] and never a different message |
+//! | db id   | one length byte + up to [`MAX_DB_ID_LEN`] name bytes, zero-padded: the database the frame addresses on a multi-tenant server (length 0 = the default db); fixed-width so frame length never depends on the name |
 //!
 //! Inside payloads, integers are LEB128 varints (`u128` is fixed 16-byte
 //! little-endian), strings and byte arrays are varint-length-prefixed, and
@@ -54,94 +48,46 @@ use exq_index::dsi::Interval;
 use exq_xpath::{CmpOp, Literal};
 use std::time::Duration;
 
-/// Protocol version carried in every frame header. Version 2 added the
-/// trace-id field after the fixed header and the telemetry fields on
-/// [`ServerResponse`]; version 3 added the request-id and checksum fields
-/// plus the `Ping`/`Pong`/`Busy` message types; version 4 added the db-id
-/// field that routes a frame to one named database on a multi-tenant
-/// server; version 5 adds the `Batch`/`BatchAnswer` message types that
-/// carry a group of read-style requests (and their replies) in one frame.
-/// The framing fields are unchanged from v4.
+/// The protocol version byte of every frame: the one dialect this system
+/// reads or writes.
 pub const PROTOCOL_VERSION: u8 = 5;
-
-/// The version that introduced the db-id framing field, still accepted
-/// inbound; replies to a v4 request are encoded as v4.
-pub const V4_PROTOCOL_VERSION: u8 = 4;
-
-/// The version that introduced the request-id and checksum fields, still
-/// accepted inbound; replies to a v3 request are encoded as v3.
-pub const V3_PROTOCOL_VERSION: u8 = 3;
-
-/// The version that introduced the trace-id field, still accepted inbound;
-/// replies to a v2 request are encoded as v2.
-pub const V2_PROTOCOL_VERSION: u8 = 2;
-
-/// The original protocol version, still accepted inbound; replies to a v1
-/// request are encoded as v1.
-pub const LEGACY_PROTOCOL_VERSION: u8 = 1;
 
 /// Frame magic: the first two bytes of every frame.
 pub const FRAME_MAGIC: [u8; 2] = *b"EQ";
 
-/// Fixed frame header length (magic + version + type + payload length),
-/// common to all protocol versions.
+/// Fixed frame header length (magic + version + type + payload length).
 pub const FRAME_HEADER_LEN: usize = 8;
 
-/// Length of the trace-id field that follows the fixed header (v2+).
+/// Length of the trace-id field that follows the fixed header.
 pub const TRACE_FIELD_LEN: usize = 8;
 
-/// Length of the request-id field that follows the trace id (v3+).
+/// Length of the request-id field that follows the trace id.
 pub const REQ_ID_FIELD_LEN: usize = 8;
 
-/// Length of the frame-checksum field that follows the request id (v3+).
+/// Length of the frame-checksum field that follows the request id.
 pub const CHECKSUM_FIELD_LEN: usize = 4;
 
 /// Maximum length of a database id in bytes. Chosen so the db field stays
-/// fixed-width (one length byte + this many name bytes) and
-/// [`frame_extra_len`] remains a pure function of the protocol version.
+/// fixed-width (one length byte + this many name bytes).
 pub const MAX_DB_ID_LEN: usize = 63;
 
-/// Length of the fixed-width db-id field that follows the checksum (v4+):
-/// one length byte plus [`MAX_DB_ID_LEN`] name bytes, zero-padded.
+/// Length of the fixed-width db-id field that follows the checksum: one
+/// length byte plus [`MAX_DB_ID_LEN`] name bytes, zero-padded.
 pub const DB_ID_FIELD_LEN: usize = 1 + MAX_DB_ID_LEN;
 
-/// Framing bytes after the fixed header in a current-version frame.
+/// Framing bytes between the fixed header and the payload.
 pub const FRAME_EXTRA_LEN: usize =
     TRACE_FIELD_LEN + REQ_ID_FIELD_LEN + CHECKSUM_FIELD_LEN + DB_ID_FIELD_LEN;
 
-/// Length of the trace-id field for a given protocol version.
-pub fn trace_field_len(version: u8) -> usize {
-    if version >= V2_PROTOCOL_VERSION {
-        TRACE_FIELD_LEN
-    } else {
-        0
-    }
-}
-
-/// Bytes after the fixed header that belong to framing (not payload) for a
-/// given protocol version: nothing in v1, the trace id in v2, trace id +
-/// request id + checksum in v3, all of those plus the db id in v4 and v5.
-pub fn frame_extra_len(version: u8) -> usize {
-    trace_field_len(version)
-        + if version >= V3_PROTOCOL_VERSION {
-            REQ_ID_FIELD_LEN + CHECKSUM_FIELD_LEN
-        } else {
-            0
-        }
-        + if version >= V4_PROTOCOL_VERSION {
-            DB_ID_FIELD_LEN
-        } else {
-            0
-        }
-}
+/// Offset of the checksum field within a frame.
+const CRC_POS: usize = FRAME_HEADER_LEN + TRACE_FIELD_LEN + REQ_ID_FIELD_LEN;
 
 // ------------------------------------------------------------------ crc32 --
 
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) over the concatenation of
 /// `parts`. Detects every single-bit and ≤32-bit-burst error, which is what
-/// the frame checksum needs: a flipped byte anywhere in a v3 frame must
-/// decode to a typed error, never a different message. The kernel is
-/// `exq_store`'s.
+/// the frame checksum needs: a flipped byte anywhere in a frame must decode
+/// to a typed error, never a different message. The kernel is `exq_store`'s.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
     parts
         .iter()
@@ -164,10 +110,9 @@ pub enum CodecError {
     Truncated,
     /// Frame does not start with [`FRAME_MAGIC`].
     BadMagic,
-    /// Frame version is not one of the supported protocol versions
-    /// ([`LEGACY_PROTOCOL_VERSION`]..=[`PROTOCOL_VERSION`]).
+    /// Frame version byte is not [`PROTOCOL_VERSION`].
     BadVersion(u8),
-    /// The v3 frame checksum did not match: the frame was corrupted in
+    /// The frame checksum did not match: the frame was corrupted in
     /// transit (or deliberately, by fault injection).
     Checksum { stored: u32, computed: u32 },
     /// Unknown enum/message tag for the given context.
@@ -186,7 +131,7 @@ pub enum CodecError {
     Invalid(&'static str),
     /// Payload decoded but bytes were left over.
     TrailingBytes(usize),
-    /// The v4 db-id framing field is malformed: oversized length byte,
+    /// The db-id framing field is malformed: oversized length byte,
     /// non-UTF-8 name bytes, or nonzero padding.
     DbId(&'static str),
 }
@@ -199,8 +144,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadVersion(v) => {
                 write!(
                     f,
-                    "unsupported protocol version {v} \
-                     (want {LEGACY_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+                    "unsupported protocol version {v} (want {PROTOCOL_VERSION})"
                 )
             }
             CodecError::Checksum { stored, computed } => {
@@ -762,9 +706,8 @@ impl WireCodec for SpanRec {
 /// side byte, and two 1-byte varints.
 const MIN_SPAN_LEN: usize = 7;
 
-impl ServerResponse {
-    /// Shared prefix of the v1 and v2 payload encodings.
-    fn encode_core_into(&self, enc: &mut Enc) {
+impl WireCodec for ServerResponse {
+    fn encode_into(&self, enc: &mut Enc) {
         enc.str(&self.pruned_xml);
         enc.usize(self.blocks.len());
         for b in &self.blocks {
@@ -772,41 +715,6 @@ impl ServerResponse {
         }
         enc.duration(self.translate_time);
         enc.duration(self.process_time);
-    }
-
-    fn decode_core_from(dec: &mut Dec<'_>) -> Result<ServerResponse, CodecError> {
-        let pruned_xml = dec.str()?;
-        // Minimum sealed block: id + nonce + empty ciphertext + tag.
-        let n = dec.count(1 + 12 + 1 + TAG_BYTES)?;
-        let mut blocks = Vec::with_capacity(n);
-        for _ in 0..n {
-            blocks.push(std::sync::Arc::new(SealedBlock::decode_from(dec)?));
-        }
-        Ok(ServerResponse {
-            pruned_xml,
-            blocks,
-            translate_time: dec.duration()?,
-            process_time: dec.duration()?,
-            served_from_cache: false,
-            spans: Vec::new(),
-        })
-    }
-
-    /// v1 payload layout, used for replies to legacy peers: no
-    /// `served_from_cache`, no spans.
-    pub(crate) fn encode_legacy_into(&self, enc: &mut Enc) {
-        self.encode_core_into(enc);
-    }
-
-    /// Decodes the v1 payload layout; telemetry fields take their defaults.
-    pub(crate) fn decode_legacy_from(dec: &mut Dec<'_>) -> Result<ServerResponse, CodecError> {
-        Self::decode_core_from(dec)
-    }
-}
-
-impl WireCodec for ServerResponse {
-    fn encode_into(&self, enc: &mut Enc) {
-        self.encode_core_into(enc);
         enc.bool(self.served_from_cache);
         enc.usize(self.spans.len());
         for s in &self.spans {
@@ -815,15 +723,29 @@ impl WireCodec for ServerResponse {
     }
 
     fn decode_from(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut resp = Self::decode_core_from(dec)?;
-        resp.served_from_cache = dec.bool()?;
+        let pruned_xml = dec.str()?;
+        // Minimum sealed block: id + nonce + empty ciphertext + tag.
+        let n = dec.count(1 + 12 + 1 + TAG_BYTES)?;
+        let mut blocks = Vec::with_capacity(n);
+        for _ in 0..n {
+            blocks.push(std::sync::Arc::new(SealedBlock::decode_from(dec)?));
+        }
+        let translate_time = dec.duration()?;
+        let process_time = dec.duration()?;
+        let served_from_cache = dec.bool()?;
         let n = dec.count(MIN_SPAN_LEN)?;
         let mut spans = Vec::with_capacity(n);
         for _ in 0..n {
             spans.push(SpanRec::decode_from(dec)?);
         }
-        resp.spans = spans;
-        Ok(resp)
+        Ok(ServerResponse {
+            pruned_xml,
+            blocks,
+            translate_time,
+            process_time,
+            served_from_cache,
+            spans,
+        })
     }
 }
 
@@ -979,9 +901,7 @@ impl WireError {
             CoreError::Transport(m) => (8, m.clone()),
             CoreError::Tenant(m) => (9, m.clone()),
             // The retry-after hint rides inside the message as
-            // "<ms>;<reason>" so the WireError frame shape (code + string)
-            // stays byte-compatible with older peers, which surface it as
-            // an unknown category with a readable message.
+            // "<ms>;<reason>", keeping the WireError shape code + string.
             CoreError::Unavailable {
                 retry_after_ms,
                 reason,
@@ -1035,14 +955,13 @@ impl WireCodec for WireError {
 }
 
 /// A fully decoded frame: the message plus every framing field. `trace`
-/// and `req_id` are 0 for frame versions that do not carry them; `db` is
-/// empty for pre-v4 frames and for v4 frames addressed to the default db.
+/// and `req_id` are 0 when unassigned; `db` is empty for frames addressed
+/// to the default db.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedFrame {
     pub msg: Message,
     pub trace: u64,
     pub req_id: u64,
-    pub version: u8,
     pub db: String,
 }
 
@@ -1074,19 +993,18 @@ pub enum Message {
     CacheStatsReq,
     /// Request the server's metrics-registry exposition.
     MetricsReq,
-    /// Liveness probe (v3): answered with [`Message::Pong`] without touching
+    /// Liveness probe: answered with [`Message::Pong`] without touching
     /// the database, so the retry layer can tell a dead server from a slow
     /// one.
     Ping,
-    /// A group of read-style requests submitted in one frame (v5). The
+    /// A group of read-style requests submitted in one frame. The
     /// server resolves the tenant, takes one admission decision, and runs
     /// one cache-probe pass for the whole group, answering with a
     /// [`Message::BatchAnswer`] carrying one reply per item in order.
     /// Decoding rejects nested batches and mutating items.
     Batch(Vec<Message>),
-    /// Request the server's flight-recorder dump (v5): the ring of recent
-    /// operational events as JSON lines. Older peers see an unknown tag
-    /// and reply with a typed error.
+    /// Request the server's flight-recorder dump: the ring of recent
+    /// operational events as JSON lines.
     FlightReq,
 
     // Responses.
@@ -1100,19 +1018,19 @@ pub enum Message {
     InsertOk,
     Deleted(DeleteOutcome),
     CacheStats(CacheStatsSnapshot),
-    /// Reply to [`Message::Ping`] (v3).
+    /// Reply to [`Message::Ping`].
     Pong,
-    /// Load-shed reply (v3): the server is saturated (or could not admit
+    /// Load-shed reply: the server is saturated (or could not admit
     /// the request within its deadline) and refuses the request instead of
     /// queueing it; the client should retry after the suggested delay.
     Busy {
         retry_after_ms: u32,
     },
-    /// Reply to [`Message::Batch`] (v5): one response per batch item, in
+    /// Reply to [`Message::Batch`]: one response per batch item, in
     /// submission order. Items that failed dispatch are `Error` entries;
     /// the batch itself still succeeds.
     BatchAnswer(Vec<Message>),
-    /// Reply to [`Message::FlightReq`] (v5): the flight recorder's events
+    /// Reply to [`Message::FlightReq`]: the flight recorder's events
     /// as JSON lines, oldest first.
     FlightDump(String),
     Error(WireError),
@@ -1218,11 +1136,7 @@ impl Message {
     /// per item a message-type byte and a length-prefixed sub-payload.
     /// Nested batches are rejected flat (no recursion), `Batch` items must
     /// be non-mutating requests, `BatchAnswer` items must be responses.
-    fn decode_batch_items(
-        version: u8,
-        dec: &mut Dec<'_>,
-        requests: bool,
-    ) -> Result<Vec<Message>, CodecError> {
+    fn decode_batch_items(dec: &mut Dec<'_>, requests: bool) -> Result<Vec<Message>, CodecError> {
         let n = dec.count(2)?;
         if n == 0 {
             return Err(CodecError::Invalid("empty batch"));
@@ -1234,7 +1148,7 @@ impl Message {
                 return Err(CodecError::Invalid("nested batch"));
             }
             let raw = dec.bytes()?;
-            let item = Message::decode_payload_bytes(version, tag, raw)?;
+            let item = Message::decode_payload_bytes(tag, raw)?;
             if requests {
                 if !item.is_request() {
                     return Err(CodecError::Invalid("batch item is not a request"));
@@ -1250,7 +1164,7 @@ impl Message {
         Ok(items)
     }
 
-    fn decode_payload(version: u8, msg_type: u8, dec: &mut Dec<'_>) -> Result<Message, CodecError> {
+    fn decode_payload(msg_type: u8, dec: &mut Dec<'_>) -> Result<Message, CodecError> {
         match msg_type {
             0x01 => Ok(Message::Query(ServerQuery::decode_from(dec)?)),
             0x02 => Ok(Message::NaiveQuery),
@@ -1266,21 +1180,16 @@ impl Message {
             0x09 => Ok(Message::CacheStatsReq),
             0x0A => Ok(Message::MetricsReq),
             0x0B => Ok(Message::Ping),
-            0x0C if version >= PROTOCOL_VERSION => Ok(Message::Batch(Message::decode_batch_items(
-                version, dec, true,
+            0x0C => Ok(Message::Batch(Message::decode_batch_items(dec, true)?)),
+            0x0D => Ok(Message::FlightReq),
+            0x8C => Ok(Message::BatchAnswer(Message::decode_batch_items(
+                dec, false,
             )?)),
-            0x0D if version >= PROTOCOL_VERSION => Ok(Message::FlightReq),
-            0x8C if version >= PROTOCOL_VERSION => Ok(Message::BatchAnswer(
-                Message::decode_batch_items(version, dec, false)?,
-            )),
-            0x8D if version >= PROTOCOL_VERSION => Ok(Message::FlightDump(dec.str()?)),
+            0x8D => Ok(Message::FlightDump(dec.str()?)),
             0x8A => Ok(Message::Pong),
             0x8B => Ok(Message::Busy {
                 retry_after_ms: dec.u32()?,
             }),
-            0x81 if version == LEGACY_PROTOCOL_VERSION => {
-                Ok(Message::Answer(ServerResponse::decode_legacy_from(dec)?))
-            }
             0x81 => Ok(Message::Answer(ServerResponse::decode_from(dec)?)),
             0x89 => Ok(Message::MetricsText(dec.str()?)),
             0x82 => match dec.u8()? {
@@ -1322,40 +1231,38 @@ impl Message {
         }
     }
 
-    /// Encodes the message as a complete current-version frame with no
-    /// trace id.
+    /// Encodes the message as a complete frame with no trace id.
     pub fn encode_frame(&self) -> Vec<u8> {
-        self.encode_frame_v(PROTOCOL_VERSION, 0)
+        self.encode_frame_traced(0)
     }
 
-    /// Encodes a current-version frame carrying `trace` (0 = untraced).
+    /// Encodes a frame carrying `trace` (0 = untraced).
     pub fn encode_frame_traced(&self, trace: u64) -> Vec<u8> {
-        self.encode_frame_v(PROTOCOL_VERSION, trace)
+        self.encode_frame_req(PROTOCOL_VERSION, trace, 0)
     }
 
-    /// Encodes a frame in an explicit protocol version — v1/v2 for replies
-    /// to legacy peers (fewer framing fields, legacy [`ServerResponse`]
-    /// layout for v1) — with no request id.
-    pub fn encode_frame_v(&self, version: u8, trace: u64) -> Vec<u8> {
-        self.encode_frame_req(version, trace, 0)
-    }
-
-    /// Encodes a frame in an explicit protocol version carrying `trace`
-    /// (0 = untraced) and `req_id` (0 = unassigned; ignored below v3),
-    /// addressed to the default db. The v3+ checksum covers every byte of
-    /// the frame except the checksum field itself.
+    /// Encodes a frame carrying `trace` (0 = untraced) and `req_id`
+    /// (0 = unassigned), addressed to the default db. `version` is written
+    /// into the header as given: every caller that wants a frame a peer
+    /// will accept passes [`PROTOCOL_VERSION`]; any other byte forges a
+    /// foreign-version frame (same layout, valid checksum) that
+    /// [`Message::parse_header`] refuses. The signature is pinned by the
+    /// perf ledger.
     pub fn encode_frame_req(&self, version: u8, trace: u64, req_id: u64) -> Vec<u8> {
-        // An empty db id always fits, so this cannot fail.
-        self.encode_frame_db(version, trace, req_id, "")
-            .expect("empty db id is always encodable")
+        self.encode_frame_with(version, trace, req_id, "")
     }
 
-    /// Encodes a frame in an explicit protocol version, addressed to the
-    /// named db (empty = default db; ignored below v4). Fails with
-    /// [`CodecError::DbId`] if `db` exceeds [`MAX_DB_ID_LEN`] bytes.
+    /// Encodes the message as the reply to `request`, echoing its trace and
+    /// request ids — which is how the requester correlates it.
+    pub fn encode_reply(&self, request: &DecodedFrame) -> Vec<u8> {
+        self.encode_frame_req(PROTOCOL_VERSION, request.trace, request.req_id)
+    }
+
+    /// Encodes a frame addressed to the named db (empty = default db).
+    /// Fails with [`CodecError::DbId`] if `db` exceeds [`MAX_DB_ID_LEN`]
+    /// bytes.
     pub fn encode_frame_db(
         &self,
-        version: u8,
         trace: u64,
         req_id: u64,
         db: &str,
@@ -1363,65 +1270,50 @@ impl Message {
         if db.len() > MAX_DB_ID_LEN {
             return Err(CodecError::DbId("db id exceeds maximum length"));
         }
+        Ok(self.encode_frame_with(PROTOCOL_VERSION, trace, req_id, db))
+    }
+
+    /// The one frame writer. `db` is at most [`MAX_DB_ID_LEN`] bytes. The
+    /// checksum covers every byte of the frame except the checksum field
+    /// itself.
+    fn encode_frame_with(&self, version: u8, trace: u64, req_id: u64, db: &str) -> Vec<u8> {
         let mut enc = Enc::new();
-        self.encode_payload_v(version, &mut enc);
+        self.encode_payload(&mut enc);
         let payload = enc.into_bytes();
-        let mut frame =
-            Vec::with_capacity(FRAME_HEADER_LEN + frame_extra_len(version) + payload.len());
+        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload.len());
         frame.extend_from_slice(&FRAME_MAGIC);
         frame.push(version);
         frame.push(self.msg_type());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        if version >= V2_PROTOCOL_VERSION {
-            frame.extend_from_slice(&trace.to_le_bytes());
-        }
-        if version >= V3_PROTOCOL_VERSION {
-            frame.extend_from_slice(&req_id.to_le_bytes());
-            let crc_pos = frame.len();
-            frame.extend_from_slice(&[0u8; CHECKSUM_FIELD_LEN]);
-            if version >= V4_PROTOCOL_VERSION {
-                frame.push(db.len() as u8);
-                frame.extend_from_slice(db.as_bytes());
-                frame.resize(crc_pos + CHECKSUM_FIELD_LEN + DB_ID_FIELD_LEN, 0);
-            }
-            frame.extend_from_slice(&payload);
-            let crc = crc32(&[&frame[..crc_pos], &frame[crc_pos + CHECKSUM_FIELD_LEN..]]);
-            frame[crc_pos..crc_pos + CHECKSUM_FIELD_LEN].copy_from_slice(&crc.to_le_bytes());
-        } else {
-            frame.extend_from_slice(&payload);
-        }
-        Ok(frame)
+        frame.extend_from_slice(&trace.to_le_bytes());
+        frame.extend_from_slice(&req_id.to_le_bytes());
+        frame.extend_from_slice(&[0u8; CHECKSUM_FIELD_LEN]);
+        frame.push(db.len() as u8);
+        frame.extend_from_slice(db.as_bytes());
+        frame.resize(FRAME_HEADER_LEN + FRAME_EXTRA_LEN, 0);
+        frame.extend_from_slice(&payload);
+        let crc = crc32(&[&frame[..CRC_POS], &frame[CRC_POS + CHECKSUM_FIELD_LEN..]]);
+        frame[CRC_POS..CRC_POS + CHECKSUM_FIELD_LEN].copy_from_slice(&crc.to_le_bytes());
+        frame
     }
 
-    fn encode_payload_v(&self, version: u8, enc: &mut Enc) {
-        if version == LEGACY_PROTOCOL_VERSION {
-            if let Message::Answer(resp) = self {
-                resp.encode_legacy_into(enc);
-                return;
-            }
-        }
-        self.encode_payload(enc);
-    }
-
-    /// Exact current-version frame length without materializing the frame
-    /// twice.
+    /// Exact frame length without materializing the frame twice.
     pub fn frame_len(&self) -> usize {
         let mut enc = Enc::new();
         self.encode_payload(&mut enc);
         FRAME_HEADER_LEN + FRAME_EXTRA_LEN + enc.into_bytes().len()
     }
 
-    /// Parses the fixed frame header, returning
-    /// `(version, msg_type, payload_len)`. For v2+ frames,
-    /// [`frame_extra_len`] framing bytes follow the header before
-    /// `payload_len` payload bytes. `header` must be exactly
-    /// [`FRAME_HEADER_LEN`] bytes.
-    pub fn parse_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(u8, u8, usize), CodecError> {
+    /// Parses the fixed frame header, returning `(msg_type, payload_len)`;
+    /// [`FRAME_EXTRA_LEN`] framing bytes follow the header before
+    /// `payload_len` payload bytes. A version byte other than
+    /// [`PROTOCOL_VERSION`] is refused before the length is looked at.
+    pub fn parse_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(u8, usize), CodecError> {
         if header[0..2] != FRAME_MAGIC {
             return Err(CodecError::BadMagic);
         }
         let version = header[2];
-        if !(LEGACY_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+        if version != PROTOCOL_VERSION {
             return Err(CodecError::BadVersion(version));
         }
         let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
@@ -1431,109 +1323,66 @@ impl Message {
                 max: MAX_FRAME_LEN,
             });
         }
-        Ok((version, header[3], len))
+        Ok((header[3], len))
     }
 
     /// Decodes one complete frame from a buffer; the buffer must contain
-    /// exactly one frame. Discards the trace and request ids.
+    /// exactly one frame. Discards the framing fields.
     pub fn decode_frame(bytes: &[u8]) -> Result<Message, CodecError> {
         Self::decode_frame_ext(bytes).map(|d| d.msg)
     }
 
-    /// Decodes one complete frame, also returning its trace id (0 for v1 or
-    /// untraced frames) and protocol version — servers reply in the
-    /// request's version. Discards the request id; servers that honor the
-    /// at-most-once replay table use [`Message::decode_frame_ext`].
-    pub fn decode_frame_full(bytes: &[u8]) -> Result<(Message, u64, u8), CodecError> {
-        Self::decode_frame_ext(bytes).map(|d| (d.msg, d.trace, d.version))
-    }
-
-    /// Decodes one complete frame with all framing fields: message, trace
-    /// id, request id (0 for pre-v3 frames), and protocol version. For v3
-    /// frames the checksum is verified before the payload is interpreted.
+    /// Decodes one complete frame with all framing fields. The checksum is
+    /// verified before the payload is interpreted.
     pub fn decode_frame_ext(bytes: &[u8]) -> Result<DecodedFrame, CodecError> {
         if bytes.len() < FRAME_HEADER_LEN {
             return Err(CodecError::Truncated);
         }
         let mut header = [0u8; FRAME_HEADER_LEN];
         header.copy_from_slice(&bytes[..FRAME_HEADER_LEN]);
-        let (version, msg_type, len) = Self::parse_header(&header)?;
-        let mut rest = &bytes[FRAME_HEADER_LEN..];
-        if rest.len() < frame_extra_len(version) {
+        let (msg_type, len) = Self::parse_header(&header)?;
+        let mut fields = Dec::new(&bytes[FRAME_HEADER_LEN..]);
+        let trace = u64::from_le_bytes(fields.array()?);
+        let req_id = u64::from_le_bytes(fields.array()?);
+        let stored = u32::from_le_bytes(fields.array()?);
+        let db_raw = fields.take(DB_ID_FIELD_LEN)?;
+        if fields.remaining() < len {
             return Err(CodecError::Truncated);
         }
-        let mut trace = 0u64;
-        let mut req_id = 0u64;
-        if version >= V2_PROTOCOL_VERSION {
-            let mut raw = [0u8; TRACE_FIELD_LEN];
-            raw.copy_from_slice(&rest[..TRACE_FIELD_LEN]);
-            trace = u64::from_le_bytes(raw);
-            rest = &rest[TRACE_FIELD_LEN..];
+        if fields.remaining() > len {
+            return Err(CodecError::TrailingBytes(fields.remaining() - len));
         }
-        let mut stored_crc = None;
-        if version >= V3_PROTOCOL_VERSION {
-            let mut raw = [0u8; REQ_ID_FIELD_LEN];
-            raw.copy_from_slice(&rest[..REQ_ID_FIELD_LEN]);
-            req_id = u64::from_le_bytes(raw);
-            rest = &rest[REQ_ID_FIELD_LEN..];
-            let mut raw = [0u8; CHECKSUM_FIELD_LEN];
-            raw.copy_from_slice(&rest[..CHECKSUM_FIELD_LEN]);
-            stored_crc = Some(u32::from_le_bytes(raw));
-            rest = &rest[CHECKSUM_FIELD_LEN..];
-        }
-        let mut db_raw: &[u8] = &[];
-        if version >= V4_PROTOCOL_VERSION {
-            db_raw = &rest[..DB_ID_FIELD_LEN];
-            rest = &rest[DB_ID_FIELD_LEN..];
-        }
-        if rest.len() < len {
-            return Err(CodecError::Truncated);
-        }
-        if rest.len() > len {
-            return Err(CodecError::TrailingBytes(rest.len() - len));
-        }
-        if let Some(stored) = stored_crc {
-            let crc_pos = FRAME_HEADER_LEN + TRACE_FIELD_LEN + REQ_ID_FIELD_LEN;
-            let computed = crc32(&[&bytes[..crc_pos], &bytes[crc_pos + CHECKSUM_FIELD_LEN..]]);
-            if stored != computed {
-                return Err(CodecError::Checksum { stored, computed });
-            }
+        let payload = fields.take(len)?;
+        let computed = crc32(&[&bytes[..CRC_POS], &bytes[CRC_POS + CHECKSUM_FIELD_LEN..]]);
+        if stored != computed {
+            return Err(CodecError::Checksum { stored, computed });
         }
         // Validate the db id only after the checksum: a corrupted frame
         // surfaces as `Checksum`, a well-formed frame naming a bad db as the
         // typed `DbId` error — never a panic.
-        let mut db = String::new();
-        if !db_raw.is_empty() {
-            let db_len = db_raw[0] as usize;
-            if db_len > MAX_DB_ID_LEN {
-                return Err(CodecError::DbId("db id exceeds maximum length"));
-            }
-            if db_raw[1 + db_len..].iter().any(|&b| b != 0) {
-                return Err(CodecError::DbId("nonzero padding after db id"));
-            }
-            db = std::str::from_utf8(&db_raw[1..1 + db_len])
-                .map_err(|_| CodecError::DbId("db id is not valid UTF-8"))?
-                .to_string();
+        let db_len = db_raw[0] as usize;
+        if db_len > MAX_DB_ID_LEN {
+            return Err(CodecError::DbId("db id exceeds maximum length"));
         }
-        let msg = Self::decode_payload_bytes(version, msg_type, rest)?;
+        if db_raw[1 + db_len..].iter().any(|&b| b != 0) {
+            return Err(CodecError::DbId("nonzero padding after db id"));
+        }
+        let db = std::str::from_utf8(&db_raw[1..1 + db_len])
+            .map_err(|_| CodecError::DbId("db id is not valid UTF-8"))?
+            .to_string();
         Ok(DecodedFrame {
-            msg,
+            msg: Self::decode_payload_bytes(msg_type, payload)?,
             trace,
             req_id,
-            version,
             db,
         })
     }
 
-    /// Decodes a bare payload (already stripped of framing) for a given
-    /// protocol version, requiring full consumption.
-    pub fn decode_payload_bytes(
-        version: u8,
-        msg_type: u8,
-        payload: &[u8],
-    ) -> Result<Message, CodecError> {
+    /// Decodes a bare payload (already stripped of framing), requiring full
+    /// consumption.
+    fn decode_payload_bytes(msg_type: u8, payload: &[u8]) -> Result<Message, CodecError> {
         let mut dec = Dec::new(payload);
-        let msg = Self::decode_payload(version, msg_type, &mut dec)?;
+        let msg = Self::decode_payload(msg_type, &mut dec)?;
         dec.finish()?;
         Ok(msg)
     }
@@ -1579,6 +1428,13 @@ mod tests {
         }
     }
 
+    /// Recomputes the checksum of a hand-edited frame, so the edit reaches
+    /// the decoder behind it.
+    fn refresh_crc(frame: &mut [u8]) {
+        let crc = crc32(&[&frame[..CRC_POS], &frame[CRC_POS + CHECKSUM_FIELD_LEN..]]);
+        frame[CRC_POS..CRC_POS + CHECKSUM_FIELD_LEN].copy_from_slice(&crc.to_le_bytes());
+    }
+
     #[test]
     fn query_roundtrip() {
         let q = sample_query();
@@ -1622,61 +1478,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_answer_roundtrip_drops_telemetry_fields() {
-        let resp = ServerResponse {
-            pruned_xml: "<r/>".into(),
-            blocks: vec![],
-            translate_time: Duration::from_micros(7),
-            process_time: Duration::from_micros(9),
-            served_from_cache: true,
-            spans: vec![sample_span()],
-        };
-        let frame = Message::Answer(resp.clone()).encode_frame_v(LEGACY_PROTOCOL_VERSION, 0);
-        assert_eq!(frame[2], LEGACY_PROTOCOL_VERSION);
-        let (msg, trace, version) = Message::decode_frame_full(&frame).unwrap();
-        assert_eq!(trace, 0);
-        assert_eq!(version, LEGACY_PROTOCOL_VERSION);
-        let Message::Answer(back) = msg else {
-            panic!("not an answer");
-        };
-        // Core fields survive; telemetry fields take their v1 defaults.
-        assert_eq!(back.pruned_xml, resp.pruned_xml);
-        assert_eq!(back.translate_time, resp.translate_time);
-        assert_eq!(back.process_time, resp.process_time);
-        assert!(!back.served_from_cache);
-        assert!(back.spans.is_empty());
-    }
-
-    #[test]
-    fn v1_request_frames_still_decode() {
-        // A legacy peer's request (no trace field) must still be served.
-        for msg in [
-            Message::Query(sample_query()),
-            Message::NaiveQuery,
-            Message::CacheStatsReq,
-        ] {
-            let frame = msg.encode_frame_v(LEGACY_PROTOCOL_VERSION, 0);
-            assert_eq!(
-                frame.len(),
-                msg.frame_len() - FRAME_EXTRA_LEN,
-                "v1 frame must not carry the trace/req-id/checksum fields"
-            );
-            let (back, trace, version) = Message::decode_frame_full(&frame).unwrap();
-            assert_eq!(back, msg);
-            assert_eq!(trace, 0, "v1 trace id defaults to none");
-            assert_eq!(version, LEGACY_PROTOCOL_VERSION);
-        }
-    }
-
-    #[test]
     fn trace_id_rides_the_frame_header() {
         let msg = Message::Query(sample_query());
         let frame = msg.encode_frame_traced(0x0123_4567_89AB_CDEF);
         assert_eq!(frame.len(), msg.frame_len());
-        let (back, trace, version) = Message::decode_frame_full(&frame).unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(trace, 0x0123_4567_89AB_CDEF);
-        assert_eq!(version, PROTOCOL_VERSION);
+        let d = Message::decode_frame_ext(&frame).unwrap();
+        assert_eq!(d.msg, msg);
+        assert_eq!(d.trace, 0x0123_4567_89AB_CDEF);
         // The trace id is framing, not payload: same payload length either
         // way, so identical queries keep identical byte counts.
         assert_eq!(frame.len(), msg.encode_frame().len());
@@ -1820,18 +1628,16 @@ mod tests {
             Err(CodecError::BadVersion(99))
         );
 
-        // In a v3+ frame a flipped type byte fails the checksum before the
-        // tag is ever interpreted.
+        // A flipped type byte fails the checksum before the tag is ever
+        // interpreted.
         let mut frame = Message::NaiveQuery.encode_frame();
         frame[3] = 0x60;
         assert!(matches!(
             Message::decode_frame(&frame),
             Err(CodecError::Checksum { .. })
         ));
-        // A v2 frame has no checksum, so the unknown tag itself is the
-        // error.
-        let mut frame = Message::NaiveQuery.encode_frame_v(V2_PROTOCOL_VERSION, 0);
-        frame[3] = 0x60;
+        // Under a valid checksum the unknown tag itself is the error.
+        refresh_crc(&mut frame);
         assert!(matches!(
             Message::decode_frame(&frame),
             Err(CodecError::BadTag { .. })
@@ -1856,11 +1662,12 @@ mod tests {
         let payload = enc.into_bytes();
         let mut frame = Vec::new();
         frame.extend_from_slice(&FRAME_MAGIC);
-        frame.push(V2_PROTOCOL_VERSION);
+        frame.push(PROTOCOL_VERSION);
         frame.push(0x84);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&0u64.to_le_bytes()); // v2 trace field
+        frame.extend_from_slice(&[0u8; FRAME_EXTRA_LEN]);
         frame.extend_from_slice(&payload);
+        refresh_crc(&mut frame);
         assert_eq!(
             Message::decode_frame(&frame),
             Err(CodecError::CountOverflow)
@@ -1944,66 +1751,15 @@ mod tests {
         assert_eq!(d.msg, msg);
         assert_eq!(d.trace, 7);
         assert_eq!(d.req_id, 0xFACE_FEED_0123_4567);
-        assert_eq!(d.version, PROTOCOL_VERSION);
         // Framing fields don't change the payload length, so identical
         // queries keep identical byte counts regardless of ids.
         assert_eq!(frame.len(), msg.encode_frame().len());
     }
 
     #[test]
-    fn v2_frames_still_decode() {
-        // A v2 peer's request (trace field, no req id / checksum) must
-        // still be served, and its trace id must survive.
-        for msg in [
-            Message::Query(sample_query()),
-            Message::NaiveQuery,
-            Message::MetricsReq,
-        ] {
-            let frame = msg.encode_frame_v(V2_PROTOCOL_VERSION, 0xABCD);
-            assert_eq!(
-                frame.len(),
-                msg.frame_len() - REQ_ID_FIELD_LEN - CHECKSUM_FIELD_LEN - DB_ID_FIELD_LEN,
-                "v2 frame must not carry the req-id/checksum/db-id fields"
-            );
-            let d = Message::decode_frame_ext(&frame).unwrap();
-            assert_eq!(d.msg, msg);
-            assert_eq!(d.trace, 0xABCD);
-            assert_eq!(d.req_id, 0);
-            assert_eq!(d.version, V2_PROTOCOL_VERSION);
-            assert_eq!(d.db, "");
-        }
-    }
-
-    #[test]
-    fn v3_frames_still_decode() {
-        // A v3 peer's request (req id + checksum, no db field) must still
-        // be served, and both ids must survive.
-        for msg in [
-            Message::Query(sample_query()),
-            Message::NaiveQuery,
-            Message::Ping,
-        ] {
-            let frame = msg.encode_frame_req(V3_PROTOCOL_VERSION, 0xABCD, 77);
-            assert_eq!(
-                frame.len(),
-                msg.frame_len() - DB_ID_FIELD_LEN,
-                "v3 frame must not carry the db-id field"
-            );
-            let d = Message::decode_frame_ext(&frame).unwrap();
-            assert_eq!(d.msg, msg);
-            assert_eq!(d.trace, 0xABCD);
-            assert_eq!(d.req_id, 77);
-            assert_eq!(d.version, V3_PROTOCOL_VERSION);
-            assert_eq!(d.db, "");
-        }
-    }
-
-    #[test]
     fn db_id_rides_the_frame() {
         let msg = Message::Query(sample_query());
-        let frame = msg
-            .encode_frame_db(PROTOCOL_VERSION, 7, 42, "hospital-east")
-            .unwrap();
+        let frame = msg.encode_frame_db(7, 42, "hospital-east").unwrap();
         assert_eq!(frame.len(), msg.frame_len());
         let d = Message::decode_frame_ext(&frame).unwrap();
         assert_eq!(d.msg, msg);
@@ -2015,7 +1771,7 @@ mod tests {
         assert_eq!(frame.len(), msg.encode_frame().len());
         // A max-length id still fits the fixed-width field.
         let long = "d".repeat(MAX_DB_ID_LEN);
-        let frame = msg.encode_frame_db(PROTOCOL_VERSION, 0, 0, &long).unwrap();
+        let frame = msg.encode_frame_db(0, 0, &long).unwrap();
         assert_eq!(Message::decode_frame_ext(&frame).unwrap().db, long);
     }
 
@@ -2023,19 +1779,14 @@ mod tests {
     fn oversized_db_id_rejected_on_encode() {
         let too_long = "d".repeat(MAX_DB_ID_LEN + 1);
         assert_eq!(
-            Message::Ping.encode_frame_db(PROTOCOL_VERSION, 0, 0, &too_long),
+            Message::Ping.encode_frame_db(0, 0, &too_long),
             Err(CodecError::DbId("db id exceeds maximum length"))
         );
     }
 
     #[test]
     fn malformed_db_id_field_is_typed() {
-        let db_pos = FRAME_HEADER_LEN + TRACE_FIELD_LEN + REQ_ID_FIELD_LEN + CHECKSUM_FIELD_LEN;
-        let refresh_crc = |frame: &mut [u8]| {
-            let crc_pos = FRAME_HEADER_LEN + TRACE_FIELD_LEN + REQ_ID_FIELD_LEN;
-            let crc = crc32(&[&frame[..crc_pos], &frame[crc_pos + CHECKSUM_FIELD_LEN..]]);
-            frame[crc_pos..crc_pos + CHECKSUM_FIELD_LEN].copy_from_slice(&crc.to_le_bytes());
-        };
+        let db_pos = CRC_POS + CHECKSUM_FIELD_LEN;
 
         // Oversized length byte, valid checksum: the typed DbId error.
         let mut frame = Message::Ping.encode_frame();
@@ -2047,9 +1798,7 @@ mod tests {
         );
 
         // Nonzero padding past the declared length.
-        let mut frame = Message::Ping
-            .encode_frame_db(PROTOCOL_VERSION, 0, 0, "a")
-            .unwrap();
+        let mut frame = Message::Ping.encode_frame_db(0, 0, "a").unwrap();
         frame[db_pos + 10] = 0xFF;
         refresh_crc(&mut frame);
         assert_eq!(
@@ -2058,9 +1807,7 @@ mod tests {
         );
 
         // Non-UTF-8 name bytes.
-        let mut frame = Message::Ping
-            .encode_frame_db(PROTOCOL_VERSION, 0, 0, "ab")
-            .unwrap();
+        let mut frame = Message::Ping.encode_frame_db(0, 0, "ab").unwrap();
         frame[db_pos + 1] = 0xFF;
         refresh_crc(&mut frame);
         assert_eq!(
@@ -2080,7 +1827,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_detected() {
-        // The whole point of the v3 checksum: no corrupted frame may decode
+        // The whole point of the checksum: no corrupted frame may decode
         // to a (possibly different) message. Flip every bit of every byte
         // of a realistic frame and demand a typed error each time.
         let msg = Message::Query(sample_query());
@@ -2111,22 +1858,6 @@ mod tests {
     }
 
     #[test]
-    fn v4_frame_still_carries_db_field() {
-        // v5 changed only the message set; the v4 framing layout (including
-        // the fixed-width db-id field) must be byte-identical to before.
-        assert_eq!(frame_extra_len(V4_PROTOCOL_VERSION), FRAME_EXTRA_LEN);
-        assert_eq!(frame_extra_len(PROTOCOL_VERSION), FRAME_EXTRA_LEN);
-        let frame = Message::Ping
-            .encode_frame_db(V4_PROTOCOL_VERSION, 7, 9, "hospital-east")
-            .unwrap();
-        let d = Message::decode_frame_ext(&frame).unwrap();
-        assert_eq!(d.version, V4_PROTOCOL_VERSION);
-        assert_eq!(d.db, "hospital-east");
-        assert_eq!(d.trace, 7);
-        assert_eq!(d.req_id, 9);
-    }
-
-    #[test]
     fn batch_frame_roundtrips() {
         let msg = Message::Batch(vec![
             Message::Query(sample_query()),
@@ -2150,54 +1881,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_rejected_below_v5() {
-        // A v4 peer never sends 0x0C; if one does, it is an unknown tag in
-        // that dialect, not a silently accepted extension.
-        let msg = Message::Batch(vec![Message::Ping]);
-        let frame = msg.encode_frame_db(V4_PROTOCOL_VERSION, 0, 0, "").unwrap();
-        assert_eq!(
-            Message::decode_frame(&frame),
-            Err(CodecError::BadTag {
-                context: "message",
-                tag: 0x0C
-            })
-        );
-    }
-
-    #[test]
-    fn flight_frames_roundtrip_and_are_rejected_below_v5() {
+    fn flight_frames_roundtrip() {
         let frame = Message::FlightReq.encode_frame_req(PROTOCOL_VERSION, 5, 9);
         let d = Message::decode_frame_ext(&frame).unwrap();
         assert_eq!(d.msg, Message::FlightReq);
         assert_eq!((d.trace, d.req_id), (5, 9));
 
         let dump = "{\"seq\":0,\"event\":\"shed\",\"db\":\"x\"}\n".to_string();
-        let reply = Message::FlightDump(dump.clone());
+        let reply = Message::FlightDump(dump);
         let frame = reply.encode_frame_req(PROTOCOL_VERSION, 5, 9);
         assert_eq!(Message::decode_frame(&frame).unwrap(), reply);
-
-        // Older dialects treat 0x0D/0x8D as unknown tags, never as silent
-        // extensions.
-        let frame = Message::FlightReq
-            .encode_frame_db(V4_PROTOCOL_VERSION, 0, 0, "")
-            .unwrap();
-        assert_eq!(
-            Message::decode_frame(&frame),
-            Err(CodecError::BadTag {
-                context: "message",
-                tag: 0x0D
-            })
-        );
-        let frame = Message::FlightDump(dump)
-            .encode_frame_db(V4_PROTOCOL_VERSION, 0, 0, "")
-            .unwrap();
-        assert_eq!(
-            Message::decode_frame(&frame),
-            Err(CodecError::BadTag {
-                context: "message",
-                tag: 0x8D
-            })
-        );
     }
 
     #[test]

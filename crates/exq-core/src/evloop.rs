@@ -56,7 +56,10 @@ pub fn serve_event(
 #[cfg(target_os = "linux")]
 mod linux {
     use super::sys;
-    use crate::codec::{frame_extra_len, DecodedFrame, Message, FRAME_HEADER_LEN};
+    use crate::codec::{
+        CodecError, DecodedFrame, Message, WireError, FRAME_EXTRA_LEN, FRAME_HEADER_LEN,
+        PROTOCOL_VERSION, TRACE_FIELD_LEN,
+    };
     use crate::serve::{
         apply_tenant_knobs, busy_reply, serve_one, ServeConfig, ServeHandle, ServeShared,
     };
@@ -159,11 +162,10 @@ mod linux {
     }
 
     /// Runs the frame protocol over `listener` against a registry of sealed
-    /// databases. v4+ frames route by the db id they carry (empty = the
-    /// registry's default db); v1–v3 frames always hit the default db.
-    /// Unknown db ids are answered with a typed tenant error, never a panic
-    /// or a dropped connection. Returns immediately; the returned handle
-    /// owns the event and worker threads.
+    /// databases. Frames route by the db id they carry (empty = the
+    /// registry's default db). Unknown db ids are answered with a typed
+    /// tenant error, never a panic or a dropped connection. Returns
+    /// immediately; the returned handle owns the event and worker threads.
     pub fn serve_event(
         listener: TcpListener,
         registry: Arc<TenantRegistry>,
@@ -209,7 +211,7 @@ mod linux {
                 }
                 let d = &job.frame;
                 let reply = serve_one(&shr, &cfg, d);
-                let bytes = reply.encode_frame_req(d.version, d.trace, d.req_id);
+                let bytes = reply.encode_reply(d);
                 match done.lock() {
                     Ok(mut guard) => guard.push(Completion {
                         token: job.token,
@@ -446,19 +448,19 @@ mod linux {
                 }
                 let mut header = [0u8; FRAME_HEADER_LEN];
                 header.copy_from_slice(&conn.rbuf[..FRAME_HEADER_LEN]);
-                let (version, _, payload_len) = match Message::parse_header(&header) {
+                let (_, payload_len) = match Message::parse_header(&header) {
                     Ok(v) => v,
                     Err(e) => {
                         // Framing is unrecoverable: answer once, stop
                         // reading, close when the reply drains.
-                        let bytes = error_frame(&e, crate::codec::LEGACY_PROTOCOL_VERSION, 0, 0);
+                        let bytes = error_frame(&e, 0, 0);
                         conn.rbuf.clear();
                         conn.closing = true;
                         self.queue_reply(token, bytes);
                         return;
                     }
                 };
-                let total = FRAME_HEADER_LEN + frame_extra_len(version) + payload_len;
+                let total = FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload_len;
                 if conn.rbuf.len() < total {
                     conn.read_deadline = Some(
                         conn.read_deadline
@@ -468,10 +470,10 @@ mod linux {
                 }
                 let reply_inline = match Message::decode_frame_ext(&conn.rbuf[..total]) {
                     Err(e) => {
-                        let (trace, req_id) = salvage_frame_ids(&conn.rbuf[..total], version);
+                        let (trace, req_id) = salvage_frame_ids(&conn.rbuf[..total]);
                         conn.rbuf.clear();
                         conn.closing = true;
-                        self.queue_reply(token, error_frame(&e, version, trace, req_id));
+                        self.queue_reply(token, error_frame(&e, trace, req_id));
                         return;
                     }
                     Ok(d) => {
@@ -479,7 +481,7 @@ mod linux {
                         conn.read_deadline = None;
                         if matches!(d.msg, Message::Ping) {
                             // Liveness answers never queue behind work.
-                            Some(Message::Pong.encode_frame_req(d.version, d.trace, d.req_id))
+                            Some(Message::Pong.encode_reply(&d))
                         } else {
                             match self.job_tx.try_send(Job {
                                 token,
@@ -496,10 +498,9 @@ mod linux {
                                     // visibly, instead of queueing without
                                     // bound.
                                     ev_metrics().accept_rejected.inc();
-                                    let d = job.frame;
                                     Some(
-                                        busy_reply(d.version, self.config.retry_after)
-                                            .encode_frame_req(d.version, d.trace, d.req_id),
+                                        busy_reply(self.config.retry_after)
+                                            .encode_reply(&job.frame),
                                     )
                                 }
                                 Err(mpsc::TrySendError::Disconnected(_)) => {
@@ -661,38 +662,29 @@ mod linux {
         }
     }
 
-    /// Best-effort extraction of the trace and request ids from a raw frame
-    /// whose payload failed to decode: the framing fields sit at fixed offsets
-    /// for a given version, so they survive payload-level corruption. (After a
-    /// checksum failure the ids are untrustworthy, but echoing them is
-    /// harmless — the worst case is what always happened before: an error the
-    /// client cannot correlate.)
-    fn salvage_frame_ids(frame: &[u8], version: u8) -> (u64, u64) {
-        use crate::codec::{TRACE_FIELD_LEN, V2_PROTOCOL_VERSION, V3_PROTOCOL_VERSION};
-        let mut trace = 0u64;
-        let mut req_id = 0u64;
-        let trace_pos = FRAME_HEADER_LEN;
-        if version >= V2_PROTOCOL_VERSION && frame.len() >= trace_pos + 8 {
-            trace = u64::from_le_bytes(frame[trace_pos..trace_pos + 8].try_into().unwrap());
-        }
-        let id_pos = FRAME_HEADER_LEN + TRACE_FIELD_LEN;
-        if version >= V3_PROTOCOL_VERSION && frame.len() >= id_pos + 8 {
-            req_id = u64::from_le_bytes(frame[id_pos..id_pos + 8].try_into().unwrap());
-        }
-        (trace, req_id)
+    /// The trace and request ids of a complete raw frame whose decode
+    /// failed: they sit at fixed offsets, so they survive payload-level
+    /// corruption. (After a checksum failure the ids are untrustworthy, but
+    /// echoing them is harmless — the worst case is an error the client
+    /// cannot correlate.)
+    fn salvage_frame_ids(frame: &[u8]) -> (u64, u64) {
+        let id_at =
+            |pos: usize| u64::from_le_bytes(frame[pos..pos + 8].try_into().expect("8-byte slice"));
+        (
+            id_at(FRAME_HEADER_LEN),
+            id_at(FRAME_HEADER_LEN + TRACE_FIELD_LEN),
+        )
     }
 
     /// Encodes a codec failure as an error frame echoing whatever ids were
     /// salvageable.
-    fn error_frame(
-        err: &crate::codec::CodecError,
-        version: u8,
-        trace: u64,
-        req_id: u64,
-    ) -> Vec<u8> {
+    fn error_frame(err: &CodecError, trace: u64, req_id: u64) -> Vec<u8> {
         let core: crate::error::CoreError = err.clone().into();
-        Message::Error(crate::codec::WireError::from_core(&core))
-            .encode_frame_req(version, trace, req_id)
+        Message::Error(WireError::from_core(&core)).encode_frame_req(
+            PROTOCOL_VERSION,
+            trace,
+            req_id,
+        )
     }
 }
 

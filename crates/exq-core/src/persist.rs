@@ -226,67 +226,6 @@ pub(crate) fn read_interval(r: &mut R) -> Result<Interval, CoreError> {
 
 // ---------------------------------------------------------------- server --
 
-/// Memo of the serialized sealed-block section of a server artifact.
-///
-/// The block list is append-only (deletions tombstone ids, never remove
-/// entries) and sealed blocks are immutable, so the encoding of blocks
-/// `0..n` is a byte-stable prefix of the encoding of blocks `0..n+k`.
-/// A save after an insert therefore only serializes the *new* blocks and
-/// reuses the cached prefix — the mutation path's save cost becomes
-/// O(update), not O(database). Cloning a server yields a fresh empty cache
-/// (same policy as [`ServerCaches`](crate::cache::ServerCaches)).
-#[derive(Default)]
-pub(crate) struct BlockEncCache(std::sync::Mutex<EncCacheState>);
-
-#[derive(Default)]
-struct EncCacheState {
-    encoded: Vec<u8>,
-    count: usize,
-}
-
-impl Clone for BlockEncCache {
-    fn clone(&self) -> Self {
-        BlockEncCache::default()
-    }
-}
-
-impl std::fmt::Debug for BlockEncCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.0.lock().unwrap_or_else(|p| p.into_inner());
-        f.debug_struct("BlockEncCache")
-            .field("count", &st.count)
-            .field("bytes", &st.encoded.len())
-            .finish()
-    }
-}
-
-fn encode_block(buf: &mut Vec<u8>, b: &SealedBlock) {
-    buf.extend_from_slice(&b.id.to_le_bytes());
-    buf.extend_from_slice(&b.nonce);
-    buf.extend_from_slice(&(b.ciphertext.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&b.ciphertext);
-    buf.extend_from_slice(&b.tag);
-}
-
-impl BlockEncCache {
-    /// Appends the encoding of `blocks` to `out`, extending the cached
-    /// prefix with any blocks not yet encoded.
-    pub(crate) fn encode_blocks(&self, blocks: &[std::sync::Arc<SealedBlock>], out: &mut Vec<u8>) {
-        let mut st = self.0.lock().unwrap_or_else(|p| p.into_inner());
-        if st.count > blocks.len() {
-            // Defensive: the list shrank (never happens in practice) —
-            // drop the memo rather than emit a stale prefix.
-            st.encoded.clear();
-            st.count = 0;
-        }
-        for b in &blocks[st.count..] {
-            encode_block(&mut st.encoded, b);
-        }
-        st.count = blocks.len();
-        out.extend_from_slice(&st.encoded);
-    }
-}
-
 impl Server {
     /// Serializes the full hosted state.
     ///
@@ -344,12 +283,15 @@ impl Server {
             }
         }
 
-        // Blocks (including tombstoned slots: ids are positional). The
-        // encoding is served from the append-only prefix cache so saving
-        // after an insert re-serializes only the new blocks.
+        // Blocks (including tombstoned slots: ids are positional).
         let blocks = self.collect_blocks()?;
         w.u64(blocks.len() as u64);
-        self.enc_cache().encode_blocks(&blocks, &mut w.buf);
+        for b in &blocks {
+            w.u32(b.id);
+            w.buf.extend_from_slice(&b.nonce);
+            w.bytes(&b.ciphertext);
+            w.buf.extend_from_slice(&b.tag);
+        }
         let dead = self.dead_block_ids();
         w.u64(dead.len() as u64);
         for id in dead {

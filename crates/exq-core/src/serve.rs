@@ -3,11 +3,10 @@
 //! the database it names.
 //!
 //! A server hosts a [`TenantRegistry`] — one process, many named,
-//! independently-keyed sealed databases. Each wire-v4+ frame names the db
-//! it addresses (empty = the default db, which is also where v1–v3 peers
-//! land); read-style requests share that tenant's read lock and run
-//! concurrently, mutations take its write lock. [`serve`] is the
-//! single-database convenience: it wraps the caller's
+//! independently-keyed sealed databases. Each frame names the db it
+//! addresses (empty = the default db); read-style requests share that
+//! tenant's read lock and run concurrently, mutations take its write lock.
+//! [`serve`] is the single-database convenience: it wraps the caller's
 //! `Arc<RwLock<Server>>` as the sole default tenant.
 //!
 //! How bytes become requests and requests reach a thread is
@@ -75,7 +74,7 @@ pub struct ServeConfig {
     /// Intra-query worker threads (`0` = auto via `EXQ_THREADS` /
     /// available parallelism); applied to the served [`Server`].
     pub threads: usize,
-    /// Cache entries per layer: `Some(0)` disables caching, `None` resolves
+    /// Response-cache entries: `Some(0)` disables caching, `None` resolves
     /// from `EXQ_CACHE` / the default; applied to the served [`Server`].
     pub cache_entries: Option<usize>,
     /// Maximum concurrently admitted requests across all connections
@@ -239,11 +238,10 @@ impl Drop for ServeHandle {
 /// Runs the frame protocol over `listener` against a shared server.
 ///
 /// The server becomes the sole (default) database of a single-tenant
-/// registry; frames that don't name a db — and all v1–v3 frames — route
-/// to it, so existing single-database deployments behave exactly as
-/// before. Read-style requests are answered under the read lock
-/// (concurrently); insert/delete take the write lock. Returns
-/// immediately; the returned handle owns the event and worker threads.
+/// registry; frames that don't name a db route to it. Read-style requests
+/// are answered under the read lock (concurrently); insert/delete take the
+/// write lock. Returns immediately; the returned handle owns the event and
+/// worker threads.
 pub fn serve(
     listener: TcpListener,
     server: Arc<RwLock<Server>>,
@@ -275,18 +273,11 @@ pub(crate) fn apply_tenant_knobs(registry: &TenantRegistry, config: &ServeConfig
 /// How long a deadline-bounded lock acquisition sleeps between attempts.
 const LOCK_POLL: Duration = Duration::from_micros(500);
 
-/// The `Busy` reply in the requester's dialect: older peers don't know the
-/// `Busy` frame, so they get a transport-class error carrying the hint.
-pub(crate) fn busy_reply(version: u8, retry_after: Duration) -> Message {
+/// The load-shed reply, recorded in the flight recorder as it is built.
+pub(crate) fn busy_reply(retry_after: Duration) -> Message {
     let retry_after_ms = retry_after.as_millis().min(u32::MAX as u128) as u32;
     crate::flight::event(crate::flight::Kind::Busy, "", retry_after_ms as u64, 0, 0);
-    if version >= crate::codec::V3_PROTOCOL_VERSION {
-        Message::Busy { retry_after_ms }
-    } else {
-        Message::Error(WireError::from_core(&CoreError::Transport(format!(
-            "server busy; retry after {retry_after_ms}ms"
-        ))))
-    }
+    Message::Busy { retry_after_ms }
 }
 
 /// Request-class half of the admission policy: given that *some* in-flight
@@ -426,7 +417,7 @@ pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedF
             db_cap as u64,
             0,
         );
-        return busy_reply(d.version, config.retry_after);
+        return busy_reply(config.retry_after);
     }
     if matches!(d.msg, Message::MetricsReq) {
         // Scrape-time freshness for every hosted db, not just this one.
@@ -460,7 +451,7 @@ pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedF
                 }
                 None => {
                     ft_metrics().deadline_shed.inc();
-                    Ok(busy_reply(d.version, config.retry_after))
+                    Ok(busy_reply(config.retry_after))
                 }
             }
         } else {
@@ -468,7 +459,7 @@ pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedF
                 Some(guard) => answer_request(&guard, &d.msg),
                 None => {
                     ft_metrics().deadline_shed.inc();
-                    Ok(busy_reply(d.version, config.retry_after))
+                    Ok(busy_reply(config.retry_after))
                 }
             }
         };
@@ -586,7 +577,7 @@ fn serve_batch(
             db_cap as u64,
             0,
         );
-        return busy_reply(d.version, config.retry_after);
+        return busy_reply(config.retry_after);
     }
     if items.iter().any(|m| matches!(m, Message::MetricsReq)) {
         shared.registry.refresh_store_gauges();
@@ -615,7 +606,7 @@ fn serve_batch(
             )),
             None => {
                 ft_metrics().deadline_shed.inc();
-                Ok(busy_reply(d.version, config.retry_after))
+                Ok(busy_reply(config.retry_after))
             }
         };
         profile = finish_profile(&tenant, &result);
@@ -663,16 +654,5 @@ mod tests {
         assert!(!should_shed(&Message::CacheStatsReq, 4, 4, || false));
         assert!(!should_shed(&Message::MetricsReq, 4, 4, || false));
         assert!(should_shed(&Message::NaiveQuery, 4, 4, || false));
-    }
-
-    #[test]
-    fn busy_reply_downgrades_for_legacy_peers() {
-        let v3 = busy_reply(crate::codec::PROTOCOL_VERSION, Duration::from_millis(25));
-        assert_eq!(v3, Message::Busy { retry_after_ms: 25 });
-        let v1 = busy_reply(
-            crate::codec::LEGACY_PROTOCOL_VERSION,
-            Duration::from_millis(25),
-        );
-        assert!(matches!(v1, Message::Error(_)), "got {v1:?}");
     }
 }

@@ -19,7 +19,6 @@ use crate::cache::{CacheStatsSnapshot, ServerCaches};
 use crate::codec::WireCodec;
 use crate::encrypt::{marker_block_id, EncryptedOutput, ServerMetadata, BLOCK_MARKER_TAG};
 use crate::error::CoreError;
-use crate::persist::BlockEncCache;
 use crate::store::{BlockStore, PagedDb};
 use crate::telemetry;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
@@ -70,13 +69,10 @@ pub struct Server {
     blocks: BlockStore,
     /// Blocks tombstoned by deletions (update support).
     dead_blocks: HashSet<u32>,
-    /// Append-only memo of the serialized block section (see
-    /// [`BlockEncCache`]). Runtime-only; cloning yields a fresh cache.
-    enc_cache: BlockEncCache,
     /// Worker threads for intra-query candidate filtering and response
     /// assembly (resolved; >= 1). Runtime-only: not persisted.
     threads: usize,
-    /// Response + value-range caches with the generation counter.
+    /// The response cache with its generation counter.
     /// Runtime-only: not persisted, and cloning yields fresh empty caches.
     caches: ServerCaches,
 }
@@ -89,16 +85,12 @@ pub struct Server {
 /// threads.
 #[derive(Debug, Default)]
 struct ValueBlockCache {
-    /// Shared with the cross-query range cache on hits: an `Arc` clone
-    /// instead of a set copy.
-    by_range: HashMap<(String, u128, u128), Arc<HashSet<u32>>>,
+    by_range: HashMap<(String, u128, u128), HashSet<u32>>,
 }
 
 impl ValueBlockCache {
     fn get(&self, attr: &str, lo: u128, hi: u128) -> Option<&HashSet<u32>> {
-        self.by_range
-            .get(&(attr.to_owned(), lo, hi))
-            .map(Arc::as_ref)
+        self.by_range.get(&(attr.to_owned(), lo, hi))
     }
 }
 
@@ -121,7 +113,6 @@ impl Server {
             top_level,
             blocks: BlockStore::Resident(out.blocks.iter().cloned().map(Arc::new).collect()),
             dead_blocks: HashSet::new(),
-            enc_cache: BlockEncCache::default(),
             threads: crate::pool::default_threads(),
             caches: ServerCaches::default(),
         }
@@ -141,7 +132,7 @@ impl Server {
         self.threads
     }
 
-    /// Reconfigures the cache capacity (entries per cache layer).
+    /// Reconfigures the response-cache capacity in entries.
     /// `Some(0)` disables caching; `None` resolves from `EXQ_CACHE` /
     /// the default. Existing entries and counters are dropped.
     pub fn set_cache_entries(&mut self, entries: Option<usize>) {
@@ -253,11 +244,6 @@ impl Server {
             db.append_wal(kind, payload)?;
         }
         Ok(())
-    }
-
-    /// The serialized-block-section memo (see `crate::persist`).
-    pub(crate) fn enc_cache(&self) -> &BlockEncCache {
-        &self.enc_cache
     }
 
     /// Read-only access to the hosted metadata (used by the security
@@ -479,7 +465,6 @@ impl Server {
             top_level,
             blocks,
             dead_blocks,
-            enc_cache: BlockEncCache::default(),
             threads: crate::pool::default_threads(),
             caches: ServerCaches::default(),
         }
@@ -656,32 +641,18 @@ impl Server {
     /// hosted indexes — never on a candidate — so all later passes share it
     /// immutably.
     fn build_value_cache(&self, steps: &[SStep]) -> ValueBlockCache {
-        fn walk(server: &Server, generation: u64, steps: &[SStep], cache: &mut ValueBlockCache) {
+        fn walk(server: &Server, steps: &[SStep], cache: &mut ValueBlockCache) {
             for step in steps {
                 for pred in &step.preds {
                     match pred {
-                        SPred::Exists(inner) => walk(server, generation, inner, cache),
+                        SPred::Exists(inner) => walk(server, inner, cache),
                         SPred::Value { path, range, .. } => {
-                            walk(server, generation, path, cache);
+                            walk(server, path, cache);
                             if let Some((attr, r)) = range {
-                                let key = (attr.clone(), r.lo, r.hi);
-                                // Consult the cross-query range cache on a
-                                // per-query miss; resolve and publish when
-                                // the shared cache misses too.
-                                cache.by_range.entry(key.clone()).or_insert_with(|| {
-                                    server.caches.ranges.get(&key, generation).unwrap_or_else(
-                                        || {
-                                            let set =
-                                                Arc::new(server.value_blocks(attr, r.lo, r.hi));
-                                            server.caches.ranges.insert(
-                                                key.clone(),
-                                                set.clone(),
-                                                generation,
-                                            );
-                                            set
-                                        },
-                                    )
-                                });
+                                cache
+                                    .by_range
+                                    .entry((attr.clone(), r.lo, r.hi))
+                                    .or_insert_with(|| server.value_blocks(attr, r.lo, r.hi));
                             }
                         }
                     }
@@ -689,7 +660,7 @@ impl Server {
             }
         }
         let mut cache = ValueBlockCache::default();
-        walk(self, self.caches.generation(), steps, &mut cache);
+        walk(self, steps, &mut cache);
         cache
     }
 

@@ -4,7 +4,7 @@
 //! The paper's deployment model is a data owner outsourcing one encrypted
 //! document to an untrusted host; a hosted service runs *many* such
 //! databases behind one process. [`TenantRegistry`] maps a database name
-//! (the db id carried by wire-v4 frames) to a [`Tenant`]: the sealed
+//! (the db id every frame carries) to a [`Tenant`]: the sealed
 //! [`Server`] state, the fingerprint of the client key that sealed it, a
 //! per-db mutation [`ReplayTable`], per-db admission counters and quota,
 //! and per-db traffic counters in the telemetry registry.
@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-/// The database that anonymous (pre-v4 or empty-db) requests route to.
+/// The database that requests naming no db (an empty db id) route to.
 pub const DEFAULT_DB: &str = "default";
 
 /// Serving state of one hosted database after storage faults. Owned by the
@@ -483,7 +483,7 @@ impl TenantRegistry {
     }
 
     /// The tenant a frame's db id routes to: the named db, or the default
-    /// db for an empty id (which is all pre-v4 peers can send). Unknown
+    /// db for an empty id. Unknown
     /// names are a typed error, answered as an error frame — never a
     /// panic, never another tenant's data.
     pub fn resolve(&self, db: &str) -> Result<Arc<Tenant>, CoreError> {

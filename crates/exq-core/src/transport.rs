@@ -21,7 +21,9 @@
 //! The peer is untrusted at the framing layer: decode errors never panic,
 //! and a reply that fails to decode surfaces as a typed error.
 
-use crate::codec::{frame_extra_len, Message, WireError, FRAME_HEADER_LEN};
+use crate::codec::{
+    DecodedFrame, Message, WireError, FRAME_EXTRA_LEN, FRAME_HEADER_LEN, PROTOCOL_VERSION,
+};
 use crate::error::CoreError;
 use crate::server::Server;
 use crate::telemetry::{self, Counter};
@@ -93,8 +95,8 @@ pub trait Transport {
     /// Cumulative traffic over this transport.
     fn stats(&self) -> LinkStats;
 
-    /// Sets the request id stamped on the *next* outbound frame (v3 frames
-    /// only; 0 = unassigned). The retry layer keeps the id stable across
+    /// Sets the request id stamped on the *next* outbound frame
+    /// (0 = unassigned). The retry layer keeps the id stable across
     /// attempts of one logical request so the server's [`ReplayTable`] can
     /// deduplicate replayed mutations. Transports without frame-level ids
     /// ignore it.
@@ -212,7 +214,7 @@ pub trait Transport {
     }
 
     /// The server's flight-recorder dump as JSON lines (oldest event
-    /// first). Pre-v5 servers answer with a typed error.
+    /// first).
     fn flight_dump(&mut self) -> Result<String, CoreError> {
         match self.roundtrip(&Message::FlightReq)? {
             Message::FlightDump(text) => Ok(text),
@@ -467,11 +469,7 @@ impl<'a> InProcess<'a> {
 impl Transport for InProcess<'_> {
     fn roundtrip(&mut self, req: &Message) -> Result<Message, CoreError> {
         let req_id = std::mem::take(&mut self.next_req_id);
-        let frame = req.encode_frame_req(
-            crate::codec::PROTOCOL_VERSION,
-            telemetry::current_trace(),
-            req_id,
-        );
+        let frame = req.encode_frame_req(PROTOCOL_VERSION, telemetry::current_trace(), req_id);
         self.stats.requests += 1;
         self.stats.bytes_sent += frame.len() as u64;
         // Decode our own frame: the server must only ever see what survives
@@ -489,7 +487,7 @@ impl Transport for InProcess<'_> {
         // Replies echo the request's trace and request ids so a pipelining
         // client can correlate them; the in-process link keeps the exact
         // same bytes-on-the-wire semantics as the serve loop.
-        let resp_frame = resp.encode_frame_req(d.version, d.trace, d.req_id);
+        let resp_frame = resp.encode_reply(&d);
         self.stats.bytes_received += resp_frame.len() as u64;
         let m = wire_metrics();
         m.requests.inc();
@@ -553,6 +551,27 @@ pub struct TcpTransport {
     /// Database the frames address on a multi-tenant server (empty = the
     /// server's default db).
     db: String,
+}
+
+/// Reads one reply frame off a client link: the fixed header first, so the
+/// length is checked ([`Message::parse_header`]) before the buffer for the
+/// rest is sized. Returns the decoded frame and its exact length on the
+/// wire, counted into the received-bytes metric.
+fn read_frame(
+    stream: &mut TcpStream,
+    peer: SocketAddr,
+) -> Result<(DecodedFrame, usize), CoreError> {
+    let receive_failed = |e| CoreError::Transport(format!("receive from {peer} failed: {e}"));
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    stream.read_exact(&mut header).map_err(receive_failed)?;
+    let (_, payload_len) = Message::parse_header(&header)?;
+    let mut frame = vec![0u8; FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload_len];
+    frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
+    stream
+        .read_exact(&mut frame[FRAME_HEADER_LEN..])
+        .map_err(receive_failed)?;
+    wire_metrics().bytes_received.add(frame.len() as u64);
+    Ok((Message::decode_frame_ext(&frame)?, frame.len()))
 }
 
 /// One dial pass over the resolved addresses, with retry + backoff.
@@ -635,12 +654,7 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn roundtrip(&mut self, req: &Message) -> Result<Message, CoreError> {
         let req_id = std::mem::take(&mut self.next_req_id);
-        let frame = req.encode_frame_db(
-            crate::codec::PROTOCOL_VERSION,
-            telemetry::current_trace(),
-            req_id,
-            &self.db,
-        )?;
+        let frame = req.encode_frame_db(telemetry::current_trace(), req_id, &self.db)?;
         self.stream
             .write_all(&frame)
             .and_then(|_| self.stream.flush())
@@ -648,22 +662,11 @@ impl Transport for TcpTransport {
         self.stats.requests += 1;
         self.stats.bytes_sent += frame.len() as u64;
 
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        self.stream
-            .read_exact(&mut header)
-            .map_err(|e| CoreError::Transport(format!("receive from {} failed: {e}", self.peer)))?;
-        let (version, _, payload_len) = Message::parse_header(&header)?;
-        let mut resp_frame = vec![0u8; FRAME_HEADER_LEN + frame_extra_len(version) + payload_len];
-        resp_frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
-        self.stream
-            .read_exact(&mut resp_frame[FRAME_HEADER_LEN..])
-            .map_err(|e| CoreError::Transport(format!("receive from {} failed: {e}", self.peer)))?;
-        self.stats.bytes_received += resp_frame.len() as u64;
         let m = wire_metrics();
         m.requests.inc();
         m.bytes_sent.add(frame.len() as u64);
-        m.bytes_received.add(resp_frame.len() as u64);
-        let d = Message::decode_frame_ext(&resp_frame)?;
+        let (d, received) = read_frame(&mut self.stream, self.peer)?;
+        self.stats.bytes_received += received as u64;
         // Servers echo the request id; a nonzero mismatch means this reply
         // answers some *other* request (a stale frame from a previous
         // exchange, say) and must not be attributed to this one. Zero is
@@ -701,19 +704,15 @@ impl Reconnect for TcpTransport {
 // ---------------------------------------------------------------- pipeline --
 
 /// A pipelining TCP client link: many requests in flight on one
-/// connection, correlated by the v3+ request-id field that server replies
+/// connection, correlated by the request-id field that server replies
 /// echo. Where [`TcpTransport`] is strictly request→reply, a `Pipeline`
 /// decouples [`Pipeline::submit`] from [`Pipeline::recv`], so a client can
 /// keep the wire full instead of paying a full round trip per request.
-///
-/// Requires protocol v3 or newer (the first dialect with request ids);
-/// naming a database requires v4+, and [`Pipeline::batch`] requires v5.
 pub struct Pipeline {
     stream: TcpStream,
     peer: SocketAddr,
     addrs: Vec<SocketAddr>,
     config: TcpConfig,
-    version: u8,
     db: String,
     next_id: u64,
     /// Requests submitted but not yet matched to a reply.
@@ -722,8 +721,7 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Connects with retry and exponential backoff, speaking the current
-    /// protocol version.
+    /// Connects with retry and exponential backoff.
     pub fn connect(addr: impl ToSocketAddrs, config: TcpConfig) -> Result<Pipeline, CoreError> {
         let addrs: Vec<SocketAddr> = addr
             .to_socket_addrs()
@@ -738,7 +736,6 @@ impl Pipeline {
             peer,
             addrs,
             config,
-            version: crate::codec::PROTOCOL_VERSION,
             db: String::new(),
             next_id: 1,
             outstanding: 0,
@@ -751,34 +748,9 @@ impl Pipeline {
         Pipeline::connect(addr, TcpConfig::default())
     }
 
-    /// Speaks an explicit protocol version (builder form) — v3 or newer,
-    /// since pipelining needs the request-id field to correlate replies.
-    pub fn with_version(mut self, version: u8) -> Result<Pipeline, CoreError> {
-        if !(crate::codec::V3_PROTOCOL_VERSION..=crate::codec::PROTOCOL_VERSION).contains(&version)
-        {
-            return Err(CoreError::Transport(format!(
-                "pipelining requires protocol v{}..=v{}, got v{version}",
-                crate::codec::V3_PROTOCOL_VERSION,
-                crate::codec::PROTOCOL_VERSION
-            )));
-        }
-        if !self.db.is_empty() && version < crate::codec::V4_PROTOCOL_VERSION {
-            return Err(CoreError::Transport(
-                "a named database needs protocol v4 or newer".into(),
-            ));
-        }
-        self.version = version;
-        Ok(self)
-    }
-
-    /// Addresses every subsequent frame to the named database (v4+).
+    /// Addresses every subsequent frame to the named database.
     pub fn with_db(mut self, db: &str) -> Result<Pipeline, CoreError> {
         crate::tenant::validate_db_id(db)?;
-        if !db.is_empty() && self.version < crate::codec::V4_PROTOCOL_VERSION {
-            return Err(CoreError::Transport(
-                "a named database needs protocol v4 or newer".into(),
-            ));
-        }
         self.db = db.to_owned();
         Ok(self)
     }
@@ -815,8 +787,7 @@ impl Pipeline {
                 "pipelined requests need a nonzero request id".into(),
             ));
         }
-        let frame =
-            req.encode_frame_db(self.version, telemetry::current_trace(), req_id, &self.db)?;
+        let frame = req.encode_frame_db(telemetry::current_trace(), req_id, &self.db)?;
         self.stream
             .write_all(&frame)
             .and_then(|_| self.stream.flush())
@@ -834,19 +805,8 @@ impl Pipeline {
     /// Receives the next reply frame, whatever request it answers,
     /// returning the echoed request id alongside the message.
     pub fn recv(&mut self) -> Result<(u64, Message), CoreError> {
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        self.stream
-            .read_exact(&mut header)
-            .map_err(|e| CoreError::Transport(format!("receive from {} failed: {e}", self.peer)))?;
-        let (version, _, payload_len) = Message::parse_header(&header)?;
-        let mut frame = vec![0u8; FRAME_HEADER_LEN + frame_extra_len(version) + payload_len];
-        frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
-        self.stream
-            .read_exact(&mut frame[FRAME_HEADER_LEN..])
-            .map_err(|e| CoreError::Transport(format!("receive from {} failed: {e}", self.peer)))?;
-        self.stats.bytes_received += frame.len() as u64;
-        wire_metrics().bytes_received.add(frame.len() as u64);
-        let d = Message::decode_frame_ext(&frame)?;
+        let (d, received) = read_frame(&mut self.stream, self.peer)?;
+        self.stats.bytes_received += received as u64;
         self.outstanding = self.outstanding.saturating_sub(1);
         Ok((d.req_id, d.msg))
     }
@@ -875,16 +835,11 @@ impl Pipeline {
             .collect())
     }
 
-    /// Submits the group as one v5 [`Message::Batch`] frame and unpacks
+    /// Submits the group as one [`Message::Batch`] frame and unpacks
     /// the [`Message::BatchAnswer`], returning per-item replies in order.
     /// A whole-batch `Busy` or `Error` reply surfaces as the error for the
     /// call.
     pub fn batch(&mut self, reqs: &[Message]) -> Result<Vec<Message>, CoreError> {
-        if self.version < crate::codec::PROTOCOL_VERSION {
-            return Err(CoreError::Transport(
-                "batch frames need protocol v5 or newer".into(),
-            ));
-        }
         let id = self.submit(&Message::Batch(reqs.to_vec()))?;
         let (got, msg) = self.recv()?;
         if got != id && got != 0 {
@@ -979,7 +934,7 @@ mod tests {
         );
         assert_eq!(
             stats.bytes_received as usize,
-            FRAME_HEADER_LEN + crate::codec::FRAME_EXTRA_LEN + resp.encoded_len()
+            FRAME_HEADER_LEN + FRAME_EXTRA_LEN + resp.encoded_len()
         );
         assert_eq!(stats.bytes_received as usize, resp.payload_bytes());
     }

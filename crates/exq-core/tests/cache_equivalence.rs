@@ -1,5 +1,5 @@
-//! Cached vs. uncached equivalence: the server caches (response cache +
-//! cross-query value-range cache) must be **bit-for-bit invisible** — same
+//! Cached vs. uncached equivalence: the server's response cache must be
+//! **bit-for-bit invisible** — same
 //! `pruned_xml` bytes, same block sets, same client results — across cold
 //! runs, warm (hit) runs, every thread count, and interleaved updates that
 //! invalidate entries mid-stream.
@@ -17,7 +17,7 @@ use exq_xml::Document;
 const THREADS: &[usize] = &[1, 2, 8];
 
 /// Same generator as the parallel-equivalence suite: large enough that
-/// value predicates hit the range cache and answers ship several blocks.
+/// value predicates resolve real ranges and answers ship several blocks.
 fn big_hospital(patients: usize) -> Document {
     let mut xml = String::from("<hospital>");
     let diseases = ["flu", "measles", "leukemia", "diarrhea", "asthma"];
@@ -224,7 +224,7 @@ fn delete_invalidates_cached_answers() {
             "delete invisible after cached query at {t} threads"
         );
 
-        // Tombstoned blocks must not resurface from any cache layer: every
+        // Tombstoned blocks must not resurface from the cache: every
         // shipped block still exists on the server.
         let sq = client_t.translate(q).unwrap().server_query.unwrap();
         let resp = server.answer(&sq).unwrap();

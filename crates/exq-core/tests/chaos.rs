@@ -456,8 +456,8 @@ fn saturated_server_sheds_busy_within_deadline() {
     let rtt = pinger.ping().unwrap();
     assert!(rtt < deadline, "ping should not queue behind the writer");
 
-    // Fire concurrent queries; each must come back Busy (v3 peers get the
-    // typed frame) within deadline + generous slack — not hang.
+    // Fire concurrent queries; each must come back as the typed Busy frame
+    // within deadline + generous slack — not hang.
     let mut clients: Vec<_> = (0..4)
         .map(|_| TcpTransport::connect_default(handle.addr()).unwrap())
         .collect();

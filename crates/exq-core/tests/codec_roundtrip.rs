@@ -4,8 +4,7 @@
 
 use exq_core::codec::{
     crc32, CodecError, Message, WireCodec, WireError, CHECKSUM_FIELD_LEN, DB_ID_FIELD_LEN,
-    FRAME_EXTRA_LEN, FRAME_HEADER_LEN, LEGACY_PROTOCOL_VERSION, PROTOCOL_VERSION, REQ_ID_FIELD_LEN,
-    TRACE_FIELD_LEN, V2_PROTOCOL_VERSION,
+    FRAME_EXTRA_LEN, FRAME_HEADER_LEN, PROTOCOL_VERSION, REQ_ID_FIELD_LEN, TRACE_FIELD_LEN,
 };
 use exq_core::telemetry::{Side, SpanRec};
 use exq_core::update::{DeleteOutcome, InsertDelta, InsertionSlot};
@@ -14,6 +13,14 @@ use exq_crypto::{SealedBlock, ValueRange};
 use exq_xpath::{CmpOp, Literal};
 use proptest::prelude::*;
 use std::time::Duration;
+
+/// Recomputes the checksum of a hand-edited frame, so the edit reaches the
+/// decoder behind it instead of tripping the CRC first.
+fn refresh_crc(frame: &mut [u8]) {
+    let crc_pos = FRAME_HEADER_LEN + TRACE_FIELD_LEN + REQ_ID_FIELD_LEN;
+    let crc = crc32(&[&frame[..crc_pos], &frame[crc_pos + CHECKSUM_FIELD_LEN..]]);
+    frame[crc_pos..crc_pos + CHECKSUM_FIELD_LEN].copy_from_slice(&crc.to_le_bytes());
+}
 
 fn arb_interval() -> impl Strategy<Value = exq_index::dsi::Interval> {
     (0u64..1 << 48, 1u64..1 << 16)
@@ -284,37 +291,38 @@ proptest! {
         let _ = Message::decode_frame(&bytes);
     }
 
-    /// Garbage behind a valid header never panics either — this is the path
-    /// a network server actually feeds the decoder.
+    /// Garbage behind a valid header and checksum never panics either —
+    /// this is the path a network server actually feeds the decoder.
     #[test]
     fn framed_garbage_never_panics(
-        msg_type in any::<u8>(),
-        payload in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(b"EQ");
-        frame.push(1); // legacy protocol version: no trace field
-        frame.push(msg_type);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let _ = Message::decode_frame(&frame);
-    }
-
-    /// Same for v2 headers, whose payload is preceded by the trace field.
-    #[test]
-    fn framed_garbage_v2_never_panics(
         msg_type in any::<u8>(),
         trace in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + TRACE_FIELD_LEN + payload.len());
+        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload.len());
         frame.extend_from_slice(b"EQ");
-        frame.push(V2_PROTOCOL_VERSION);
+        frame.push(PROTOCOL_VERSION);
         frame.push(msg_type);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&trace.to_le_bytes());
+        frame.resize(FRAME_HEADER_LEN + FRAME_EXTRA_LEN, 0);
         frame.extend_from_slice(&payload);
+        refresh_crc(&mut frame);
         let _ = Message::decode_frame(&frame);
+    }
+
+    /// There is one dialect: any valid frame whose version byte is replaced
+    /// by anything else decodes to `BadVersion` naming that byte — never a
+    /// panic, never another error, never a message.
+    #[test]
+    fn foreign_version_byte_is_bad_version(
+        msg in arb_message(),
+        // Every byte but the current version's.
+        b in (0u8..=254).prop_map(|b| if b >= PROTOCOL_VERSION { b + 1 } else { b }),
+    ) {
+        let mut frame = msg.encode_frame();
+        frame[2] = b;
+        prop_assert_eq!(Message::decode_frame(&frame), Err(CodecError::BadVersion(b)));
     }
 
     /// Any trace id — including 0 — survives the frame header on any
@@ -323,34 +331,13 @@ proptest! {
     fn trace_id_propagates_on_any_message(msg in arb_message(), trace in any::<u64>()) {
         let frame = msg.encode_frame_traced(trace);
         prop_assert_eq!(frame.len(), msg.frame_len());
-        let (back, got_trace, version) =
-            Message::decode_frame_full(&frame).expect("decode traced frame");
-        prop_assert_eq!(got_trace, trace);
-        prop_assert_eq!(version, PROTOCOL_VERSION);
+        let d = Message::decode_frame_ext(&frame).expect("decode traced frame");
+        prop_assert_eq!(d.trace, trace);
         // Compare re-encodings: WireError codes canonicalize on decode.
-        prop_assert_eq!(back.encode_frame_traced(trace), frame);
+        prop_assert_eq!(d.msg.encode_frame_traced(trace), frame);
     }
 
-    /// A v1 peer's frames (no trace field) still decode, report trace 0,
-    /// and re-encode byte-identically as v1 — the compat contract.
-    #[test]
-    fn v1_frames_still_served(msg in arb_message()) {
-        let frame = msg.encode_frame_v(LEGACY_PROTOCOL_VERSION, 0);
-        // Answer payloads shrink in v1 (telemetry fields dropped), so the
-        // exact-length check only applies to the other message kinds. A v1
-        // frame drops all the post-header fields (trace, request id,
-        // checksum) that `frame_len` budgets for the current version.
-        if !matches!(msg, Message::Answer(_)) {
-            prop_assert_eq!(frame.len(), msg.frame_len() - FRAME_EXTRA_LEN);
-        }
-        let (back, trace, version) =
-            Message::decode_frame_full(&frame).expect("decode v1 frame");
-        prop_assert_eq!(trace, 0, "v1 frames carry no trace id");
-        prop_assert_eq!(version, LEGACY_PROTOCOL_VERSION);
-        prop_assert_eq!(back.encode_frame_v(LEGACY_PROTOCOL_VERSION, 0), frame);
-    }
-
-    /// Any valid db id rides a v4 frame unchanged, and the frame length is
+    /// Any valid db id rides a frame unchanged, and the frame length is
     /// invariant in the id (fixed-width field — ids are not length-leaked).
     #[test]
     fn db_id_roundtrips_on_any_message(
@@ -359,8 +346,8 @@ proptest! {
         trace in any::<u64>(),
         req_id in any::<u64>(),
     ) {
-        let frame = msg.encode_frame_db(PROTOCOL_VERSION, trace, req_id, &db).unwrap();
-        let bare = msg.encode_frame_db(PROTOCOL_VERSION, trace, req_id, "").unwrap();
+        let frame = msg.encode_frame_db(trace, req_id, &db).unwrap();
+        let bare = msg.encode_frame_db(trace, req_id, "").unwrap();
         prop_assert_eq!(frame.len(), bare.len(), "db id must not change frame length");
         let d = Message::decode_frame_ext(&frame).expect("decode db frame");
         prop_assert_eq!(d.db, db);
@@ -368,7 +355,7 @@ proptest! {
         prop_assert_eq!(d.req_id, req_id);
     }
 
-    /// Single-byte corruption of a v4 frame — including within the db-id
+    /// Single-byte corruption of a frame naming a db — including within the db-id
     /// field — never panics the decoder.
     #[test]
     fn db_frame_corruption_never_panics(
@@ -377,7 +364,7 @@ proptest! {
         pos in any::<u32>(),
         xor in 1u8..=255,
     ) {
-        let mut frame = msg.encode_frame_db(PROTOCOL_VERSION, 7, 9, &db).unwrap();
+        let mut frame = msg.encode_frame_db(7, 9, &db).unwrap();
         let idx = pos as usize % frame.len();
         frame[idx] ^= xor;
         match Message::decode_frame(&frame) {
@@ -398,12 +385,10 @@ proptest! {
         msg in arb_message(),
         field in proptest::collection::vec(any::<u8>(), DB_ID_FIELD_LEN),
     ) {
-        let mut frame = msg.encode_frame_db(PROTOCOL_VERSION, 1, 2, "x").unwrap();
+        let mut frame = msg.encode_frame_db(1, 2, "x").unwrap();
         let db_pos = FRAME_HEADER_LEN + TRACE_FIELD_LEN + REQ_ID_FIELD_LEN + CHECKSUM_FIELD_LEN;
         frame[db_pos..db_pos + DB_ID_FIELD_LEN].copy_from_slice(&field);
-        let crc_pos = FRAME_HEADER_LEN + TRACE_FIELD_LEN + REQ_ID_FIELD_LEN;
-        let crc = crc32(&[&frame[..crc_pos], &frame[crc_pos + CHECKSUM_FIELD_LEN..]]);
-        frame[crc_pos..crc_pos + CHECKSUM_FIELD_LEN].copy_from_slice(&crc.to_le_bytes());
+        refresh_crc(&mut frame);
         match Message::decode_frame_ext(&frame) {
             Err(CodecError::DbId(_)) | Ok(_) => {}
             Err(e) => prop_assert!(false, "expected DbId error or clean decode, got {e:?}"),
@@ -435,15 +420,13 @@ proptest! {
 /// `Interval` code can rely on it even on attacker-supplied frames.
 #[test]
 fn decoded_intervals_uphold_invariant() {
-    // v1 frame = header + varint(lo) + varint(hi); with lo=3, hi=9 both
-    // varints are single bytes, so swapping them fabricates the inverted
-    // interval (9, 3) that the constructor itself would refuse to build.
-    // (v1 carries no checksum, so the swap reaches the interval decoder
-    // instead of tripping the v3 CRC first.)
-    let mut frame = Message::InsertionSlotReq(exq_index::dsi::Interval::new(3, 9))
-        .encode_frame_v(LEGACY_PROTOCOL_VERSION, 0);
-    let payload = FRAME_HEADER_LEN;
+    // payload = varint(lo) + varint(hi); with lo=3, hi=9 both varints are
+    // single bytes, so swapping them fabricates the inverted interval
+    // (9, 3) that the constructor itself would refuse to build.
+    let mut frame = Message::InsertionSlotReq(exq_index::dsi::Interval::new(3, 9)).encode_frame();
+    let payload = FRAME_HEADER_LEN + FRAME_EXTRA_LEN;
     frame.swap(payload, payload + 1);
+    refresh_crc(&mut frame);
     match Message::decode_frame(&frame) {
         Err(e) => assert!(matches!(e, CodecError::Invalid(_)), "got {e:?}"),
         Ok(m) => panic!("inverted interval decoded: {m:?}"),

@@ -3,15 +3,12 @@
 //! The contract under test: replies echo the request's trace and request
 //! ids on the wire (the correlation fix), N requests in flight on one
 //! connection produce bit-identical answers to the same requests issued
-//! serially — across v3/v4/v5 peers and the `Batch` frame — idle
+//! serially — one at a time, pipelined, and as a `Batch` frame — idle
 //! connections beyond the worker count cannot starve a fresh client on
 //! the event loop, and a peer that stops reading its replies is dropped
 //! within the stall budget instead of pinning a worker forever.
 
-use exq_core::codec::{
-    frame_extra_len, Message, FRAME_HEADER_LEN, PROTOCOL_VERSION, V3_PROTOCOL_VERSION,
-    V4_PROTOCOL_VERSION,
-};
+use exq_core::codec::{Message, FRAME_EXTRA_LEN, FRAME_HEADER_LEN, PROTOCOL_VERSION};
 use exq_core::constraints::SecurityConstraint;
 use exq_core::evloop::serve_event;
 use exq_core::retry::{roundtrip_pipelined, RetryConfig};
@@ -104,9 +101,9 @@ fn canon(m: &Message) -> Message {
 fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     stream.read_exact(&mut header)?;
-    let (version, _, payload_len) = Message::parse_header(&header)
+    let (_, payload_len) = Message::parse_header(&header)
         .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    let total = FRAME_HEADER_LEN + frame_extra_len(version) + payload_len;
+    let total = FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload_len;
     let mut frame = vec![0u8; total];
     frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
     stream.read_exact(&mut frame[FRAME_HEADER_LEN..])?;
@@ -156,17 +153,14 @@ fn replies_echo_ids_on_the_wire() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
 
-    for version in [V3_PROTOCOL_VERSION, V4_PROTOCOL_VERSION, PROTOCOL_VERSION] {
-        let trace = 0xDEAD_BEEF_0000_0000u64 | version as u64;
-        let req_id = 0x1234_5678_0000_0000u64 | version as u64;
-        let frame = Message::Ping.encode_frame_req(version, trace, req_id);
-        stream.write_all(&frame).unwrap();
-        let reply = read_frame(&mut stream).unwrap();
-        let d = Message::decode_frame_ext(&reply).unwrap();
-        assert_eq!(d.msg, Message::Pong, "v{version}");
-        assert_eq!(d.trace, trace, "v{version} dropped the trace id");
-        assert_eq!(d.req_id, req_id, "v{version} dropped the request id");
-    }
+    let (trace, req_id) = (0xDEAD_BEEF_0000_0005u64, 0x1234_5678_0000_0005u64);
+    let frame = Message::Ping.encode_frame_req(PROTOCOL_VERSION, trace, req_id);
+    stream.write_all(&frame).unwrap();
+    let reply = read_frame(&mut stream).unwrap();
+    let d = Message::decode_frame_ext(&reply).unwrap();
+    assert_eq!(d.msg, Message::Pong);
+    assert_eq!(d.trace, trace, "reply dropped the trace id");
+    assert_eq!(d.req_id, req_id, "reply dropped the request id");
 
     // A frame whose header is fine but whose payload is garbage: the
     // error reply must still carry the ids salvaged from the frame.
@@ -190,10 +184,9 @@ fn replies_echo_ids_on_the_wire() {
 
 // -------------------------------------------------------------- equivalence
 
-/// Serial vs. N-in-flight on one connection: bit-identical answers, for
-/// v3, v4, and v5 peers.
+/// Serial vs. N-in-flight on one connection: bit-identical answers.
 #[test]
-fn pipelined_matches_serial_across_versions() {
+fn pipelined_matches_serial() {
     let (client, server) = hosted();
     let registry = registry_with(&client, server);
     let reqs: Vec<Message> = query_requests(&client)
@@ -203,44 +196,36 @@ fn pipelined_matches_serial_across_versions() {
         .collect();
 
     let handle = start_event(registry, ServeConfig::default());
-    for version in [V3_PROTOCOL_VERSION, V4_PROTOCOL_VERSION, PROTOCOL_VERSION] {
-        let mut serial = Pipeline::connect_default(handle.addr())
-            .unwrap()
-            .with_version(version)
-            .unwrap();
-        let serial_replies: Vec<Message> = reqs
-            .iter()
-            .map(|r| {
-                let id = serial.submit(r).unwrap();
-                let (rid, reply) = serial.recv().unwrap();
-                assert_eq!(rid, id, "v{version}: serial reply misattributed");
-                reply
-            })
-            .collect();
+    let mut serial = Pipeline::connect_default(handle.addr()).unwrap();
+    let serial_replies: Vec<Message> = reqs
+        .iter()
+        .map(|r| {
+            let id = serial.submit(r).unwrap();
+            let (rid, reply) = serial.recv().unwrap();
+            assert_eq!(rid, id, "serial reply misattributed");
+            reply
+        })
+        .collect();
 
-        let mut pipe = Pipeline::connect_default(handle.addr())
-            .unwrap()
-            .with_version(version)
-            .unwrap();
-        let pipelined_replies = pipe.roundtrip_many(&reqs).unwrap();
+    let mut pipe = Pipeline::connect_default(handle.addr()).unwrap();
+    let pipelined_replies = pipe.roundtrip_many(&reqs).unwrap();
 
-        assert_eq!(serial_replies.len(), pipelined_replies.len());
-        for (i, (s, p)) in serial_replies.iter().zip(&pipelined_replies).enumerate() {
-            // Identical decoded replies, and identical bytes, once
-            // per-execution measurement and framing are held fixed.
-            let (s, p) = (canon(s), canon(p));
-            assert_eq!(s, p, "v{version} req {i}: answers differ");
-            assert_eq!(
-                s.encode_frame_v(version, 0),
-                p.encode_frame_v(version, 0),
-                "v{version} req {i}: answer bytes differ"
-            );
-        }
+    assert_eq!(serial_replies.len(), pipelined_replies.len());
+    for (i, (s, p)) in serial_replies.iter().zip(&pipelined_replies).enumerate() {
+        // Identical decoded replies, and identical bytes, once
+        // per-execution measurement and framing are held fixed.
+        let (s, p) = (canon(s), canon(p));
+        assert_eq!(s, p, "req {i}: answers differ");
+        assert_eq!(
+            s.encode_frame(),
+            p.encode_frame(),
+            "req {i}: answer bytes differ"
+        );
     }
     handle.shutdown();
 }
 
-/// A v5 `Batch` frame answers item-for-item what the same requests answer
+/// A `Batch` frame answers item-for-item what the same requests answer
 /// when issued serially, and the answers decrypt to the correct results.
 #[test]
 fn batch_matches_serial_and_decrypts_correctly() {

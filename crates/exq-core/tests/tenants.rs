@@ -1,7 +1,7 @@
 //! Multi-tenant isolation: one serve loop hosting several independently
 //! keyed sealed databases must keep them bit-for-bit independent — answers,
-//! caches, replay tables, admission slots, and on-disk state — while v1–v3
-//! peers keep getting correct answers from the default db.
+//! caches, replay tables, admission slots, and on-disk state — while frames
+//! that name no db are answered from the default db.
 
 use exq_core::codec::{Message, FRAME_HEADER_LEN};
 use exq_core::constraints::SecurityConstraint;
@@ -112,7 +112,7 @@ fn three_tenants_answer_independently() {
             .unwrap();
         assert_eq!(out.results, ["<age>40</age>"], "tenant {name}");
     }
-    // An anonymous (no --db) v4 client lands on the default db.
+    // An anonymous (no --db) client lands on the default db.
     let (default_name, default_client) = &clients[0];
     assert_eq!(registry.default_db(), default_name);
     let mut anon = TcpTransport::connect_default(handle.addr()).unwrap();
@@ -161,7 +161,7 @@ fn unknown_and_malformed_db_ids_get_typed_errors() {
     raw.flush().unwrap();
     let mut header = [0u8; FRAME_HEADER_LEN];
     raw.read_exact(&mut header).unwrap();
-    let (_, msg_type, _) = Message::parse_header(&header).unwrap();
+    let (msg_type, _) = Message::parse_header(&header).unwrap();
     assert_eq!(msg_type, 0xFF, "malformed db id must yield an error frame");
 
     // Healthy tenants are unaffected.
@@ -435,45 +435,51 @@ fn single_file_artifact_auto_migrates() {
     );
 }
 
-/// v1, v2, and v3 frames carry no db id; a multi-tenant server must answer
-/// them from the default db, framed in the requester's own version.
+/// The wire has one dialect. A frame whose version byte is anything but
+/// the current one — well-formed in every other respect, checksum included —
+/// gets exactly one error frame in the current dialect naming the byte it
+/// sent, and then the connection closes; the server keeps serving, and a
+/// current-version frame that names no db is answered from the default db.
 #[test]
-fn legacy_v1_v2_v3_peers_get_default_db_answers() {
-    use exq_core::codec::{LEGACY_PROTOCOL_VERSION, V2_PROTOCOL_VERSION, V3_PROTOCOL_VERSION};
-    let (registry, _clients) = three_db_registry("compat");
+fn foreign_wire_versions_get_one_typed_v5_error_then_close() {
+    use exq_core::codec::PROTOCOL_VERSION;
+    let (registry, clients) = three_db_registry("dialect");
     let handle = start(Arc::clone(&registry), ServeConfig::default());
 
-    for version in [
-        LEGACY_PROTOCOL_VERSION,
-        V2_PROTOCOL_VERSION,
-        V3_PROTOCOL_VERSION,
-    ] {
+    for version in [0u8, 1, 2, 3, 4, 6, 255] {
         let mut raw = TcpStream::connect(handle.addr()).unwrap();
-        let frame = Message::NaiveQuery.encode_frame_v(version, 0);
-        raw.write_all(&frame).unwrap();
+        raw.write_all(&Message::NaiveQuery.encode_frame_req(version, 7, 9))
+            .unwrap();
         raw.flush().unwrap();
-
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        raw.read_exact(&mut header).unwrap();
-        let (got_version, msg_type, payload_len) = Message::parse_header(&header).unwrap();
-        assert_eq!(got_version, version, "reply must echo v{version}");
-        assert_eq!(msg_type, 0x81, "expected an Answer frame for v{version}");
-        let mut reply = header.to_vec();
-        reply.resize(
-            FRAME_HEADER_LEN + exq_core::codec::frame_extra_len(version) + payload_len,
-            0,
+        // Reading to EOF proves both halves: one reply, then the close.
+        let mut reply = Vec::new();
+        raw.read_to_end(&mut reply).unwrap();
+        assert_eq!(
+            reply[2], PROTOCOL_VERSION,
+            "reply to version byte {version}"
         );
-        raw.read_exact(&mut reply[FRAME_HEADER_LEN..]).unwrap();
-        match Message::decode_frame(&reply).unwrap() {
-            Message::Answer(resp) => {
-                assert!(
-                    !resp.pruned_xml.is_empty() || !resp.blocks.is_empty(),
-                    "v{version} answer must carry the default db"
-                );
-            }
-            other => panic!("expected Answer for v{version}, got {other:?}"),
+        // `decode_frame` verifies the checksum and that nothing trails.
+        match Message::decode_frame(&reply) {
+            Ok(Message::Error(e)) => assert!(
+                e.message.contains(&format!("version {version} ")),
+                "error must name version byte {version}: {}",
+                e.message
+            ),
+            other => panic!("expected one Error frame for version byte {version}, got {other:?}"),
         }
     }
+
+    let (default_name, default_client) = &clients[0];
+    assert_eq!(registry.default_db(), default_name);
+    let mut anon = TcpTransport::connect_default(handle.addr()).unwrap();
+    assert_eq!(anon.db(), "");
+    let out = default_client
+        .query_via(&mut anon, "//patient/pname")
+        .unwrap();
+    assert_eq!(
+        out.results,
+        ["<pname>Betty-a</pname>", "<pname>Matt-a</pname>"]
+    );
     handle.shutdown();
 }
 

@@ -4,7 +4,7 @@
 //! included — and must survive hostile framing without dying.
 
 use exq_core::aggregate::Aggregate;
-use exq_core::codec::{Message, FRAME_HEADER_LEN};
+use exq_core::codec::{Message, FRAME_EXTRA_LEN, FRAME_HEADER_LEN};
 use exq_core::constraints::SecurityConstraint;
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
@@ -170,20 +170,12 @@ fn garbage_framing_gets_error_frame_then_close() {
     // and hangs up (framing cannot be resynchronized).
     raw.write_all(b"XXzz\x00\x00\x00\x00").unwrap();
     raw.flush().unwrap();
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    raw.read_exact(&mut header).unwrap();
-    let (_, msg_type, payload_len) = Message::parse_header(&header).unwrap();
-    assert_eq!(msg_type, 0xFF, "expected an error frame");
-    let mut payload = vec![0u8; payload_len];
-    raw.read_exact(&mut payload).unwrap();
-    let mut frame = header.to_vec();
-    frame.extend_from_slice(&payload);
-    assert!(matches!(
-        Message::decode_frame(&frame),
-        Ok(Message::Error(_))
-    ));
+    assert!(
+        matches!(read_frame(&mut raw), Message::Error(_)),
+        "expected an error frame"
+    );
     // Connection is closed afterwards.
-    let n = raw.read(&mut header).unwrap();
+    let n = raw.read(&mut [0u8; 8]).unwrap();
     assert_eq!(n, 0, "server should close after a framing error");
 
     // The server is still alive for well-behaved clients.
@@ -192,25 +184,36 @@ fn garbage_framing_gets_error_frame_then_close() {
     handle.shutdown();
 }
 
+/// A client speaking the current dialect whose header cannot be accepted
+/// (here: a 3 GiB length prefix, refused before anything is allocated) is
+/// answered in that same dialect — version byte, framing fields, checksum —
+/// so its decoder can read why.
 #[test]
-fn oversized_length_prefix_is_rejected_not_allocated() {
+fn oversize_header_from_a_v5_client_is_answered_in_v5() {
+    use exq_core::codec::PROTOCOL_VERSION;
     let (_, server) = hosted();
     let (handle, _shared) = start(server);
     let mut raw = TcpStream::connect(handle.addr()).unwrap();
 
-    // Magic + version + Query type, then a 3 GiB length prefix.
-    let mut frame = Vec::new();
-    frame.extend_from_slice(b"EQ");
-    frame.push(1);
-    frame.push(0x01);
-    frame.extend_from_slice(&(3_000_000_000u32).to_le_bytes());
-    raw.write_all(&frame).unwrap();
+    let mut header = Vec::new();
+    header.extend_from_slice(b"EQ");
+    header.push(PROTOCOL_VERSION);
+    header.push(0x01);
+    header.extend_from_slice(&(3_000_000_000u32).to_le_bytes());
+    raw.write_all(&header).unwrap();
     raw.flush().unwrap();
 
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    raw.read_exact(&mut header).unwrap();
-    let (_, msg_type, _) = Message::parse_header(&header).unwrap();
-    assert_eq!(msg_type, 0xFF, "oversize must be answered with an error");
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply).unwrap();
+    assert_eq!(
+        reply[2], PROTOCOL_VERSION,
+        "reply must be in the one dialect"
+    );
+    // `decode_frame` verifies the checksum.
+    match Message::decode_frame(&reply) {
+        Ok(Message::Error(e)) => assert!(e.message.contains("exceeds cap"), "{}", e.message),
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
     handle.shutdown();
 }
 
@@ -220,51 +223,16 @@ fn start_with(server: Server, config: ServeConfig) -> ServeHandle {
     serve(listener, shared, config).unwrap()
 }
 
-/// Reads one full response frame (header + version-dependent extra fields
-/// + payload) off a raw stream, handling every protocol version.
+/// Reads one full response frame (header + framing fields + payload) off
+/// a raw stream.
 fn read_frame(raw: &mut TcpStream) -> Message {
     let mut header = [0u8; FRAME_HEADER_LEN];
     raw.read_exact(&mut header).unwrap();
-    let (version, _, payload_len) = Message::parse_header(&header).unwrap();
+    let (_, payload_len) = Message::parse_header(&header).unwrap();
     let mut frame = header.to_vec();
-    frame.resize(
-        FRAME_HEADER_LEN + exq_core::codec::frame_extra_len(version) + payload_len,
-        0,
-    );
+    frame.resize(FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload_len, 0);
     raw.read_exact(&mut frame[FRAME_HEADER_LEN..]).unwrap();
     Message::decode_frame(&frame).unwrap()
-}
-
-/// A legacy v1 peer — no trace field in its frames — must still be served,
-/// and the reply must come back in v1 framing (no trace field, legacy
-/// Answer payload) so the old decoder can read it.
-#[test]
-fn legacy_v1_peer_is_still_served() {
-    use exq_core::codec::LEGACY_PROTOCOL_VERSION;
-    let (_, server) = hosted();
-    let (handle, _shared) = start(server);
-    let mut raw = TcpStream::connect(handle.addr()).unwrap();
-
-    let frame = Message::NaiveQuery.encode_frame_v(LEGACY_PROTOCOL_VERSION, 0);
-    raw.write_all(&frame).unwrap();
-    raw.flush().unwrap();
-
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    raw.read_exact(&mut header).unwrap();
-    let (version, msg_type, payload_len) = Message::parse_header(&header).unwrap();
-    assert_eq!(version, LEGACY_PROTOCOL_VERSION, "reply must echo v1");
-    assert_eq!(msg_type, 0x81, "expected an Answer frame");
-    let mut reply = header.to_vec();
-    reply.resize(FRAME_HEADER_LEN + payload_len, 0);
-    raw.read_exact(&mut reply[FRAME_HEADER_LEN..]).unwrap();
-    match Message::decode_frame(&reply).unwrap() {
-        Message::Answer(resp) => {
-            assert!(!resp.pruned_xml.is_empty() || !resp.blocks.is_empty());
-            assert!(resp.spans.is_empty(), "v1 answers carry no spans");
-        }
-        other => panic!("expected Answer, got {other:?}"),
-    }
-    handle.shutdown();
 }
 
 #[test]
