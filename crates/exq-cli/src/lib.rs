@@ -13,13 +13,13 @@ use exq_core::serve::{ServeConfig, ServeHandle};
 use exq_core::store::{checkpoint_interval, Checkpointer, PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::telemetry;
-use exq_core::tenant::TenantRegistry;
+use exq_core::tenant::{validate_db_id, DbEntry, Manifest, TenantRegistry};
 use exq_core::transport::{InProcess, Pipeline, TcpTransport, Transport};
 use exq_core::{Client, CoreError, Server};
 use exq_xml::Document;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// CLI-level error: core error, usage problem, or data a peer sent that
 /// failed validation.
@@ -174,6 +174,22 @@ pub fn cmd_encrypt(
     Ok(report)
 }
 
+/// Loads the artifact an offline command works on. Once a file has been
+/// hosted its live state is the paged sibling — updates acked over the wire
+/// land there — so answering from, or rewriting, the artifact would use
+/// stale data without a word: refuse, naming the sibling and the way in.
+fn load_artifact(path: &Path) -> Result<Server, CliError> {
+    if PagedDb::is_paged(path) {
+        return usage(format!(
+            "{} has been hosted: its live state is {}, which only a running server reads \
+             and writes; start `exq serve` and use --addr",
+            path.display(),
+            PagedDb::pages_dir(path).display()
+        ));
+    }
+    Ok(Server::load(path)?)
+}
+
 /// `exq query`: run one XPath query through the secure pipeline over an
 /// in-process link.
 pub fn cmd_query(
@@ -184,7 +200,7 @@ pub fn cmd_query(
     threads: usize,
     cache_entries: Option<usize>,
 ) -> Result<String, CliError> {
-    let mut server = Server::load(server_path)?;
+    let mut server = load_artifact(server_path)?;
     server.set_threads(threads);
     server.set_cache_entries(cache_entries);
     let client = Client::load(client_path)?.with_threads(threads);
@@ -370,19 +386,16 @@ fn query_over_inner(
     Ok((report, resp.served_from_cache))
 }
 
-/// Resolves the out-of-core buffer budget: the `--cache-mb` flag wins,
-/// then the `EXQ_CACHE_MB` environment variable; `None` means host fully
-/// resident (the classic mode).
-pub fn resolve_store_opts(cache_mb: Option<usize>) -> Option<StoreOptions> {
-    let mb = cache_mb.or_else(|| {
-        std::env::var("EXQ_CACHE_MB")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-    })?;
-    Some(StoreOptions {
-        cache_bytes: mb.max(1) * 1024 * 1024,
-        ..StoreOptions::default()
-    })
+/// Resolves the buffer-pool budget of each hosted database: the
+/// `--cache-mb` flag wins, then the `EXQ_CACHE_MB` environment variable,
+/// then [`StoreOptions::default`].
+pub fn resolve_store_opts(cache_mb: Option<usize>) -> StoreOptions {
+    let env = || std::env::var("EXQ_CACHE_MB").ok()?.parse::<usize>().ok();
+    let mut opts = StoreOptions::default();
+    if let Some(mb) = cache_mb.or_else(env) {
+        opts.cache_bytes = mb.max(1) * 1024 * 1024;
+    }
+    opts
 }
 
 /// The serving flags `exq serve` and `exq db host` share — everything but
@@ -401,7 +414,7 @@ pub struct ServeOptions {
     pub max_inflight_per_db: usize,
     /// `0` = no deadline.
     pub deadline_ms: u64,
-    /// `None` falls back to `EXQ_CACHE_MB`; absent both, host resident.
+    /// Buffer-pool MiB per database; see [`resolve_store_opts`].
     pub cache_mb: Option<usize>,
 }
 
@@ -419,87 +432,69 @@ impl ServeOptions {
     }
 }
 
+/// What `exq serve` and `exq db host` both do with their path: open every
+/// database it holds through its paged store (importing an artifact that
+/// has none yet), start the background [`Checkpointer`], serve. The
+/// checkpointer sweeps the serve path's own tenants, so the health a failed
+/// checkpoint flips is the health requests are gated on.
+fn host(
+    path: &Path,
+    opts: &ServeOptions,
+    store: StoreOptions,
+) -> Result<(ServeHandle, Checkpointer, Arc<TenantRegistry>), CliError> {
+    exq_core::flight::install_panic_hook();
+    let registry = Arc::new(TenantRegistry::open(path, exq_core::DEFAULT_DB, store)?);
+    if registry.is_empty() {
+        return usage(format!("{} hosts no databases", path.display()));
+    }
+    let listener = std::net::TcpListener::bind(&opts.addr)?;
+    let checkpointer = Checkpointer::spawn(Arc::clone(&registry), checkpoint_interval());
+    let handle = serve_event(listener, Arc::clone(&registry), opts.config())?;
+    Ok((handle, checkpointer, registry))
+}
+
 /// `exq serve`: host a server state file on a TCP address. Returns the
 /// running handle plus a banner; the binary parks until interrupted, tests
-/// shut the handle down directly. With `cache_mb` (or `EXQ_CACHE_MB`) the
-/// database hosts out-of-core: the artifact migrates to a paged sibling,
-/// sealed blocks page in through a buffer pool of that many MiB, and the
-/// returned [`Checkpointer`] folds the WAL in the background (keep it alive
+/// shut the handle down directly. The first serve imports the artifact into
+/// its paged sibling, which from then on is the database: sealed blocks page
+/// in through the buffer pool, mutations are write-ahead logged, and the
+/// returned [`Checkpointer`] folds the log in the background (keep it alive
 /// as long as the handle).
 pub fn cmd_serve(
     server_path: &Path,
     opts: &ServeOptions,
-) -> Result<(ServeHandle, Option<Checkpointer>, String), CliError> {
-    exq_core::flight::install_panic_hook();
-    let &ServeOptions {
-        workers,
-        threads,
-        max_inflight,
-        deadline_ms,
-        ..
-    } = opts;
-    let store_opts = resolve_store_opts(opts.cache_mb);
-    let (server, paged) = match &store_opts {
-        Some(store) => {
-            let (server, db, replay) =
-                PagedDb::open_or_migrate(server_path, exq_core::DEFAULT_DB, *store)?;
-            if replay.replayed + replay.failed > 0 {
-                telemetry::log(
-                    telemetry::Level::Info,
-                    &format!(
-                        "WAL replay: {} mutation(s) re-applied, {} failed-as-logged",
-                        replay.replayed, replay.failed
-                    ),
-                );
-            }
-            (server, Some(db))
-        }
-        None => (Server::load(server_path)?, None),
+) -> Result<(ServeHandle, Checkpointer, String), CliError> {
+    let store = resolve_store_opts(opts.cache_mb);
+    let (handle, checkpointer, registry) = host(server_path, opts, store)?;
+    let (blocks, bytes, pages) = {
+        let tenant = registry.resolve("")?;
+        let server = tenant.server.read().unwrap_or_else(|p| p.into_inner());
+        let pages = server
+            .paged_store()
+            .map_or(0, |db| db.footprint().page_count);
+        (server.block_count(), server.hosted_bytes(), pages)
     };
-    let blocks = server.block_count();
-    let bytes = server.hosted_bytes();
-    let listener = std::net::TcpListener::bind(&opts.addr)?;
-    let shared = Arc::new(RwLock::new(server));
-    // One registry serves both the request path and the checkpointer so
-    // they share the same Tenant: health flipped by a failed checkpoint
-    // (Degraded/Faulted) is the health the serve path gates on.
-    let registry = Arc::new(
-        TenantRegistry::single(exq_core::DEFAULT_DB, Arc::clone(&shared))
-            .expect("default db id is valid"),
-    );
-    let checkpointer = paged
-        .as_ref()
-        .map(|_| Checkpointer::spawn_tenants(Arc::clone(&registry), checkpoint_interval()));
-    let handle = serve_event(listener, registry, opts.config())?;
-    let per_query = exq_core::pool::resolve_threads(threads);
+    let per_query = exq_core::pool::resolve_threads(opts.threads);
     let cache = handle.cache_stats().capacity;
     let cache_desc = if cache == 0 {
         "cache disabled".to_owned()
     } else {
         format!("cache {cache} entries")
     };
-    let load_desc = match (max_inflight, deadline_ms) {
+    let load_desc = match (opts.max_inflight, opts.deadline_ms) {
         (0, 0) => String::new(),
         (m, 0) => format!(", max {m} in flight"),
         (0, d) => format!(", {d}ms deadline"),
         (m, d) => format!(", max {m} in flight, {d}ms deadline"),
     };
-    let paged_desc = match (&paged, &store_opts) {
-        (Some(db), Some(store)) => {
-            let fp = db.footprint();
-            format!(
-                ", out-of-core ({} MiB budget, {} pages on disk)",
-                store.cache_bytes / (1024 * 1024),
-                fp.page_count
-            )
-        }
-        _ => String::new(),
-    };
     let banner = format!(
-        "serving {} ({bytes} hosted bytes, {blocks} blocks) on {} with {workers} worker(s), \
-         {per_query} intra-query thread(s), {cache_desc}{load_desc}{paged_desc}\n",
+        "serving {} ({bytes} hosted bytes, {blocks} blocks) on {} with {} worker(s), \
+         {per_query} intra-query thread(s), {cache_desc}{load_desc}, \
+         paged ({} MiB pool, {pages} pages on disk)\n",
         server_path.display(),
-        handle.addr()
+        handle.addr(),
+        opts.workers,
+        store.cache_bytes >> 20,
     );
     Ok((handle, checkpointer, banner))
 }
@@ -512,20 +507,12 @@ pub fn format_cache_stats(s: &exq_core::cache::CacheStatsSnapshot) -> String {
     )
 }
 
-/// Opens the directory-of-databases at `dir` (empty registry if the
-/// directory does not exist yet; first created db becomes the default).
-fn open_db_dir(dir: &Path, fallback_default: &str) -> Result<TenantRegistry, CliError> {
-    if dir.join("MANIFEST").exists() || dir.is_file() {
-        Ok(TenantRegistry::open(dir, fallback_default)?)
-    } else {
-        Ok(TenantRegistry::new(fallback_default)?)
-    }
-}
-
-/// `exq db create`: register a sealed server state file as a named
-/// database inside a directory-of-databases. The optional client state
-/// records the sealing key's fingerprint in the manifest so operators can
-/// tell which client artifact opens which db.
+/// `exq db create`: import a sealed server state file as a named database
+/// of a directory-of-databases — straight into `DBDIR/<name>.exq.pages`,
+/// touching no other database. The first database created becomes the
+/// default. The optional client state records the sealing key's fingerprint
+/// in the manifest so operators can tell which client artifact opens which
+/// db.
 pub fn cmd_db_create(
     dir: &Path,
     name: &str,
@@ -533,31 +520,58 @@ pub fn cmd_db_create(
     client_path: Option<&Path>,
     max_inflight: usize,
 ) -> Result<String, CliError> {
-    let server = Server::load(server_path)?;
-    let fingerprint = match client_path {
+    validate_db_id(name)?;
+    let mut manifest = if dir.join(exq_core::tenant::MANIFEST_FILE).exists() {
+        Manifest::read(dir)?
+    } else {
+        Manifest::new(name)
+    };
+    let state = TenantRegistry::db_path(dir, name);
+    if manifest.dbs.contains_key(name) {
+        return Err(CoreError::Tenant(format!("database '{name}' already exists")).into());
+    }
+    // An existing store is authoritative on open: importing beside one a
+    // half-finished create or drop left would serve that one's data.
+    if PagedDb::is_paged(&state) || state.exists() {
+        return usage(format!(
+            "{} still holds a database named `{name}`; `exq db drop` it first",
+            dir.display()
+        ));
+    }
+    let mut server = Server::load(server_path)?;
+    let key_fingerprint = match client_path {
         Some(p) => Client::load(p)?.key_fingerprint(),
         None => 0,
     };
-    let blocks = server.block_count();
-    let bytes = server.hosted_bytes();
-    let registry = open_db_dir(dir, name)?;
-    let tenant = registry.create(name, server, fingerprint, max_inflight)?;
-    registry.save_dir(dir)?;
+    std::fs::create_dir_all(dir)?;
+    PagedDb::attach_new(
+        &mut server,
+        &PagedDb::pages_dir(&state),
+        name,
+        StoreOptions::default(),
+    )?;
+    let entry = DbEntry {
+        key_fingerprint,
+        max_inflight,
+    };
+    manifest.dbs.insert(name.to_owned(), entry);
+    manifest.write(dir)?;
     Ok(format!(
-        "created database `{name}` in {} ({blocks} blocks, {bytes} hosted bytes, key fp {:016x})\n",
+        "created database `{name}` in {} ({} blocks, {} hosted bytes, key fp {key_fingerprint:016x})\n",
         dir.display(),
-        tenant.key_fingerprint(),
+        server.block_count(),
+        server.hosted_bytes(),
     ))
 }
 
 /// `exq db list`: the databases a directory hosts, with per-db size,
-/// quota, and health details; the default db is marked. Databases with a
-/// paged sibling additionally report their out-of-core footprint (on-disk
-/// bytes, page count, resident pages, WAL depth) — the same numbers the
-/// per-db `{db="..."}` telemetry gauges expose on a live server. Paged
-/// siblings are inspected strictly read-only ([`PagedDb::inspect`]) so
-/// listing is safe while a live server owns the store: nothing truncates
-/// a WAL tail a concurrent appender may still be writing.
+/// quota, and health details; the default db is marked. Read from the
+/// manifest and each paged store (on-disk bytes, page count, resident
+/// pages, WAL depth — the per-db `{db="..."}` gauges of a live server;
+/// sizes are as of the last checkpoint, the WAL depth counts the committed
+/// mutations pending on top). Stores are inspected strictly read-only
+/// ([`PagedDb::inspect`]) so listing is safe while a live server owns them:
+/// nothing truncates a WAL tail a concurrent appender may still be writing.
 ///
 /// The health column reflects what the inspection itself proved: a store
 /// that opens and decodes is `healthy`; one whose superblocks, directory,
@@ -565,119 +579,91 @@ pub fn cmd_db_create(
 /// whole listing — a hosted directory with one rotten db must still list
 /// the other nine.
 pub fn cmd_db_list(dir: &Path) -> Result<String, CliError> {
-    let registry = TenantRegistry::open(dir, exq_core::DEFAULT_DB)?;
+    let manifest = Manifest::read(dir)?;
     let mut report = String::new();
-    for tenant in registry.tenants() {
-        let name = tenant.name();
+    for (name, entry) in &manifest.dbs {
         let state = TenantRegistry::db_path(dir, name);
-        // A paged sibling is authoritative: the legacy artifact the
-        // registry loaded may predate checkpointed mutations. Its numbers
-        // are as of the last checkpoint; the WAL depth column counts the
-        // committed mutations still pending on top.
-        let (blocks, bytes, footprint, health) = if PagedDb::is_paged(&state) {
-            match PagedDb::inspect(&PagedDb::pages_dir(&state)) {
-                Ok(r) => (
-                    r.block_count as usize,
-                    r.hosted_bytes as usize,
-                    Some(r.footprint),
-                    "healthy".to_owned(),
-                ),
-                Err(e) => (0, 0, None, format!("faulted: {e}")),
-            }
+        let detail = if !PagedDb::is_paged(&state) {
+            "artifact, imported on first `db host`".to_owned()
         } else {
-            let h = match tenant.server.read() {
-                Ok(g) => (g.block_count(), g.hosted_bytes()),
-                Err(p) => {
-                    let g = p.into_inner();
-                    (g.block_count(), g.hosted_bytes())
-                }
-            };
-            (h.0, h.1, None, "healthy".to_owned())
+            match PagedDb::inspect(&PagedDb::pages_dir(&state)) {
+                Ok(r) => format!(
+                    "healthy, {} blocks, {} hosted bytes, paged: {} bytes on disk, \
+                     {} pages ({} resident), WAL depth {}",
+                    r.block_count,
+                    r.hosted_bytes,
+                    r.footprint.disk_bytes,
+                    r.footprint.page_count,
+                    r.footprint.resident_pages,
+                    r.footprint.wal_depth
+                ),
+                Err(e) => format!("faulted: {e}"),
+            }
         };
-        let marker = if name == registry.default_db() {
+        let marker = if *name == manifest.default_db {
             " (default)"
         } else {
             ""
         };
-        let quota = match tenant.max_inflight() {
+        let quota = match entry.max_inflight {
             0 => "fair-share".to_owned(),
             n => format!("max {n} in flight"),
         };
-        let paged = match footprint {
-            Some(fp) => format!(
-                ", paged: {} bytes on disk, {} pages ({} resident), WAL depth {}",
-                fp.disk_bytes, fp.page_count, fp.resident_pages, fp.wal_depth
-            ),
-            None => String::new(),
-        };
         let _ = writeln!(
             report,
-            "{name}{marker}: {health}, {blocks} blocks, {bytes} hosted bytes, key fp {:016x}, {quota}{paged}",
-            tenant.key_fingerprint(),
+            "{name}{marker}: {detail}, key fp {:016x}, {quota}",
+            entry.key_fingerprint,
         );
     }
-    let _ = writeln!(report, "-- {} database(s)", registry.len());
+    let _ = writeln!(report, "-- {} database(s)", manifest.dbs.len());
     Ok(report)
 }
 
-/// `exq db drop`: remove a database from the directory (manifest rewritten,
-/// its state file deleted).
+/// `exq db drop`: remove a database from the directory — its manifest
+/// entry, its paged store, and the artifact a directory written before
+/// every database was paged may still hold. A store without a manifest
+/// entry (an interrupted create) is removed too.
 pub fn cmd_db_drop(dir: &Path, name: &str) -> Result<String, CliError> {
-    let registry = TenantRegistry::load_dir(dir)?;
-    registry.drop_db(name)?;
-    registry.save_dir(dir)?;
+    validate_db_id(name)?;
+    let mut manifest = Manifest::read(dir)?;
     let state = TenantRegistry::db_path(dir, name);
+    let pages = PagedDb::pages_dir(&state);
+    if manifest.dbs.remove(name).is_none() && !pages.exists() {
+        return Err(CoreError::Tenant(format!("unknown database '{name}'")).into());
+    }
+    manifest.write(dir)?;
+    if pages.exists() {
+        std::fs::remove_dir_all(&pages)?;
+    }
     if state.exists() {
         std::fs::remove_file(&state)?;
     }
     Ok(format!(
         "dropped database `{name}` from {} ({} remaining)\n",
         dir.display(),
-        registry.len()
+        manifest.dbs.len()
     ))
 }
 
-/// `exq db host`: serve every database in a directory on one TCP address.
-/// Clients pick a db with `--db`; those that don't get the default db.
-/// With `cache_mb` (or `EXQ_CACHE_MB`) every database hosts out-of-core
-/// behind its own buffer pool, and one background [`Checkpointer`] thread
-/// sweeps all of them.
+/// `exq db host`: serve every database in a directory on one TCP address,
+/// exactly as [`cmd_serve`] serves one. Clients pick a db with `--db`;
+/// those that don't get the default db. Each database has its own buffer
+/// pool; one [`Checkpointer`] thread sweeps all of them.
 pub fn cmd_db_host(
     dir: &Path,
     opts: &ServeOptions,
-) -> Result<(ServeHandle, Option<Checkpointer>, String), CliError> {
-    exq_core::flight::install_panic_hook();
-    let store_opts = resolve_store_opts(opts.cache_mb);
-    let registry = Arc::new(match &store_opts {
-        Some(store) => TenantRegistry::open_paged(dir, exq_core::DEFAULT_DB, *store)?,
-        None => TenantRegistry::open(dir, exq_core::DEFAULT_DB)?,
-    });
-    if registry.is_empty() {
-        return usage(format!("{} hosts no databases", dir.display()));
-    }
-    // Tenant-aware checkpointing: the sweep re-reads the registry each
-    // tick, tends each db's health (degraded probe / recovery), and runs
-    // the idle-tick scrubber on top of the plain checkpoint cadence.
-    let checkpointer = store_opts
-        .as_ref()
-        .map(|_| Checkpointer::spawn_tenants(Arc::clone(&registry), checkpoint_interval()));
-    let listener = std::net::TcpListener::bind(&opts.addr)?;
-    let handle = serve_event(listener, Arc::clone(&registry), opts.config())?;
-    let names = registry.names().join(", ");
-    let paged_desc = match &store_opts {
-        Some(store) => format!(
-            " out-of-core ({} MiB budget/db),",
-            store.cache_bytes / (1024 * 1024)
-        ),
-        None => String::new(),
-    };
+) -> Result<(ServeHandle, Checkpointer, String), CliError> {
+    let store = resolve_store_opts(opts.cache_mb);
+    let (handle, checkpointer, registry) = host(dir, opts, store)?;
     let banner = format!(
-        "hosting {} database(s) from {} on {} with {} worker(s),{paged_desc} \
-         dbs: {names} (default: {})\n",
+        "hosting {} database(s) from {} on {} with {} worker(s), paged ({} MiB pool/db), \
+         dbs: {} (default: {})\n",
         registry.len(),
         dir.display(),
         handle.addr(),
         opts.workers,
+        store.cache_bytes >> 20,
+        registry.names().join(", "),
         registry.default_db(),
     );
     Ok((handle, checkpointer, banner))
@@ -690,7 +676,7 @@ pub fn cmd_aggregate(
     func: &str,
     path: &str,
 ) -> Result<String, CliError> {
-    let server = Server::load(server_path)?;
+    let server = load_artifact(server_path)?;
     let client = Client::load(client_path)?;
     let agg = match func {
         "min" => Aggregate::Min,
@@ -714,7 +700,7 @@ pub fn cmd_insert(
     record: &Path,
     seed: u64,
 ) -> Result<String, CliError> {
-    let mut server = Server::load(server_path)?;
+    let mut server = load_artifact(server_path)?;
     let mut client = Client::load(client_path)?;
     let record_xml = std::fs::read_to_string(record)?;
     let delta = client.insert(&mut server, parent_query, &record_xml, seed)?;
@@ -730,7 +716,7 @@ pub fn cmd_insert(
 
 /// `exq delete`: delete matching subtrees; rewrites the server file.
 pub fn cmd_delete(server_path: &Path, client_path: &Path, query: &str) -> Result<String, CliError> {
-    let mut server = Server::load(server_path)?;
+    let mut server = load_artifact(server_path)?;
     let client = Client::load(client_path)?;
     let out = client.delete(&mut server, query)?;
     server.save(server_path)?;
@@ -743,7 +729,7 @@ pub fn cmd_delete(server_path: &Path, client_path: &Path, query: &str) -> Result
 /// `exq export`: decrypt the full database back to plaintext XML (owner
 /// data recovery).
 pub fn cmd_export(server_path: &Path, client_path: &Path, out: &Path) -> Result<String, CliError> {
-    let server = Server::load(server_path)?;
+    let server = load_artifact(server_path)?;
     let client = Client::load(client_path)?;
     let doc = client
         .export(&server)?
@@ -763,7 +749,7 @@ pub fn cmd_explain(
     client_path: &Path,
     query: &str,
 ) -> Result<String, CliError> {
-    let server = Server::load(server_path)?;
+    let server = load_artifact(server_path)?;
     let client = Client::load(client_path)?;
     let tq = client.translate(query)?;
     let Some(sq) = &tq.server_query else {
@@ -785,7 +771,7 @@ pub fn cmd_explain(
 
 /// `exq stats`: server-visible statistics (what the host can see).
 pub fn cmd_stats(server_path: &Path) -> Result<String, CliError> {
-    let server = Server::load(server_path)?;
+    let server = load_artifact(server_path)?;
     let m = server.metadata();
     let mut report = String::new();
     let _ = writeln!(report, "hosted bytes:        {}", server.hosted_bytes());
@@ -1065,21 +1051,23 @@ USAGE:
                 [--cache-entries N]   (0 disables the server caches)
                 [--max-inflight N]    (shed Busy beyond N concurrent requests; 0=off)
                 [--deadline-ms N]     (per-request lock deadline; 0=off)
-                [--cache-mb N]        (host out-of-core: blocks page in through a
-                                       buffer pool of N MiB; the artifact migrates
-                                       to a paged sibling with a write-ahead log
-                                       and background checkpointing; env
-                                       EXQ_CACHE_MB sets the same budget)
+                [--cache-mb N]        (buffer pool MiB, default 64; env EXQ_CACHE_MB)
+                                      (the first serve imports server.exq into
+                                       server.exq.pages/ — from then on the database,
+                                       write-ahead logged and checkpointed; server.exq
+                                       is never written, offline commands refuse it)
   exq db create --dir DBDIR --name NAME --server server.exq [--client client.exq]
-                [--max-inflight N]    (register a sealed db in a multi-db directory)
-  exq db list   --dir DBDIR           (hosted databases, sizes, key fingerprints;
-                                       paged dbs add on-disk bytes, page counts,
-                                       resident pages, and WAL depth)
-  exq db drop   --dir DBDIR --name NAME
+                [--max-inflight N]    (import a sealed db into DBDIR/NAME.exq.pages/;
+                                       the first one created is the default db)
+  exq db list   --dir DBDIR           (hosted databases: health, sizes, on-disk
+                                       bytes, page counts, WAL depth, key
+                                       fingerprints, quotas)
+  exq db drop   --dir DBDIR --name NAME   (remove the db's entry and its store)
   exq db host   --dir DBDIR --addr HOST:PORT [--workers N] [--threads N]
                 [--cache-entries N] [--max-inflight N] [--max-inflight-per-db N]
                 [--deadline-ms N] [--cache-mb N]
-                                      (serve every db in the directory; clients
+                                      (serve every db in the directory as `serve`
+                                       serves one, --cache-mb per db; clients
                                        route with --db, or get the default db)
   exq ping      --addr HOST:PORT [--count N]   (liveness probe round-trips)
   exq aggregate --server server.exq --client client.exq --fn min|max|count 'PATH'

@@ -1,6 +1,8 @@
 //! The `exq` binary: argument dispatch over [`exq_cli`]'s commands.
 
 use exq_cli::*;
+use exq_core::serve::ServeHandle;
+use exq_core::store::Checkpointer;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -75,6 +77,24 @@ fn known_options(cmd: &str, verb: Option<&str>) -> Option<&'static [&'static str
     })
 }
 
+/// Prints the banner, then serves until killed: the handle's threads do all
+/// the work, and the checkpointer folds the WAL in the background until
+/// dropped. Periodic per-db cache counters go through the leveled stderr
+/// logger (`--log-level info` to see them) so stdout stays machine-readable
+/// for scripts scraping the banner.
+fn park((handle, _checkpointer, banner): (ServeHandle, Checkpointer, String)) -> ! {
+    print!("{banner}");
+    loop {
+        std::thread::sleep(std::time::Duration::from_secs(60));
+        for (name, stats) in handle.cache_stats_per_db() {
+            exq_core::telemetry::log(
+                exq_core::telemetry::Level::Info,
+                &format!("db {name}: {}", format_cache_stats(&stats)),
+            );
+        }
+    }
+}
+
 /// The integer value of `--name`, if the flag was given.
 fn int_flag<T: std::str::FromStr>(
     flags: &std::collections::HashMap<String, String>,
@@ -146,7 +166,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             max_inflight: int_flag(&flags, "max-inflight")?.unwrap_or(0),
             max_inflight_per_db: int_flag(&flags, "max-inflight-per-db")?.unwrap_or(0),
             deadline_ms: int_flag(&flags, "deadline-ms")?.unwrap_or(0),
-            // None falls back to EXQ_CACHE_MB; absent both, host fully resident.
+            // None falls back to EXQ_CACHE_MB, then the built-in pool budget.
             cache_mb: int_flag(&flags, "cache-mb")?,
         })
     };
@@ -210,22 +230,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let count = int_flag::<u32>(&flags, "count")?.unwrap_or(4);
             cmd_ping(&string("addr")?, count)
         }
-        "serve" => {
-            let (handle, _checkpointer, banner) = cmd_serve(&path("server")?, &serve_options()?)?;
-            print!("{banner}");
-            // Serve until killed; the handle's threads do all the work (the
-            // checkpointer folds the WAL in the background until dropped).
-            // Periodic cache counters go through the leveled stderr logger
-            // (`--log-level info` to see them) so stdout stays
-            // machine-readable for scripts scraping the banner.
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(60));
-                exq_core::telemetry::log(
-                    exq_core::telemetry::Level::Info,
-                    &format_cache_stats(&handle.cache_stats()),
-                );
-            }
-        }
+        "serve" => park(cmd_serve(&path("server")?, &serve_options()?)?),
         "db" => {
             let verb = positional
                 .first()
@@ -241,21 +246,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 ),
                 "list" => cmd_db_list(&path("dir")?),
                 "drop" => cmd_db_drop(&path("dir")?, &string("name")?),
-                "host" => {
-                    let (handle, _checkpointer, banner) =
-                        cmd_db_host(&path("dir")?, &serve_options()?)?;
-                    print!("{banner}");
-                    // Serve until killed, logging per-db cache counters.
-                    loop {
-                        std::thread::sleep(std::time::Duration::from_secs(60));
-                        for (name, stats) in handle.cache_stats_per_db() {
-                            exq_core::telemetry::log(
-                                exq_core::telemetry::Level::Info,
-                                &format!("db {name}: {}", format_cache_stats(&stats)),
-                            );
-                        }
-                    }
-                }
+                "host" => park(cmd_db_host(&path("dir")?, &serve_options()?)?),
                 other => Err(CliError::Usage(format!(
                     "unknown db verb `{other}` (create|list|drop|host)"
                 ))),

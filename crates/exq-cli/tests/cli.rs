@@ -410,6 +410,16 @@ fn trace_out_flag_writes_stitched_span_tree() {
 fn serve_and_query_remote() {
     let dir = TempDir::new("serve");
     let (server, client) = setup(&dir);
+    // The offline answer, taken while the artifact is still the database.
+    let local = cmd_query(
+        &server,
+        &client,
+        "//patient[pname = 'Betty']/SSN",
+        false,
+        1,
+        None,
+    )
+    .unwrap();
 
     // Bind on an ephemeral port, then query it over the wire.
     let (handle, _ckpt, banner) = cmd_serve(&server, &serving(2, 2, Some(64), None)).unwrap();
@@ -430,15 +440,6 @@ fn serve_and_query_remote() {
     assert!(remote.contains("763895"), "remote output: {remote}");
     // Local and remote answer lines agree (the byte counter line matches
     // too, since both links count the same frames).
-    let local = cmd_query(
-        &server,
-        &client,
-        "//patient[pname = 'Betty']/SSN",
-        false,
-        1,
-        None,
-    )
-    .unwrap();
     assert_eq!(remote, local);
 
     // A repeat of the same remote query hits the server response cache.
@@ -506,7 +507,7 @@ fn db_verbs_manage_a_multi_tenant_directory() {
 
     // Host both and route queries by db name; each db only decrypts with
     // its own client artifact.
-    let (handle, _ckpt, banner) = cmd_db_host(&dbdir, &serving(2, 1, Some(64), None)).unwrap();
+    let (handle, _ckpt, banner) = cmd_db_host(&dbdir, &serving(2, 1, Some(64), Some(1))).unwrap();
     assert!(banner.contains("2 database(s)"), "{banner}");
     let addr = handle.addr().to_string();
     let out = cmd_query_remote(&addr, &cli_a, "//patient/pname", 1, 1, Some("ward-a"), 1).unwrap();
@@ -538,8 +539,8 @@ fn db_verbs_manage_a_multi_tenant_directory() {
     let out = cmd_db_drop(&dbdir, "ward-b").unwrap();
     assert!(out.contains("1 remaining"), "{out}");
     assert!(
-        !dbdir.join("ward-b.exq").exists(),
-        "state file must be deleted"
+        !dbdir.join("ward-b.exq.pages").exists(),
+        "the dropped db's store must be deleted"
     );
     let listing = cmd_db_list(&dbdir).unwrap();
     assert!(!listing.contains("ward-b"), "{listing}");
@@ -547,63 +548,136 @@ fn db_verbs_manage_a_multi_tenant_directory() {
         cmd_db_drop(&dbdir, "ward-b").is_err(),
         "double drop is typed"
     );
+
+    // A dropped database stays dropped: its name created again, under the
+    // other key, serves the new database, not the old store's blocks.
+    cmd_db_create(&dbdir, "ward-b", &srv_a, Some(&cli_a), 0).unwrap();
+    let (handle, _ckpt, _banner) = cmd_db_host(&dbdir, &serving(1, 1, None, Some(1))).unwrap();
+    let addr = handle.addr().to_string();
+    let out = cmd_query_remote(&addr, &cli_a, "//patient/pname", 1, 0, Some("ward-b"), 1).unwrap();
+    assert!(out.contains("Betty"), "the dropped db came back: {out}");
+    handle.shutdown();
+    // A store the manifest does not know (a create cut short before the
+    // manifest was written) blocks its name until it is dropped.
+    let forgetful = exq_core::tenant::Manifest::new("ward-a");
+    forgetful.write(&dbdir).unwrap();
+    let blocked = cmd_db_create(&dbdir, "ward-b", &srv_b, None, 0);
+    assert!(matches!(blocked, Err(CliError::Usage(_))), "{blocked:?}");
+    cmd_db_drop(&dbdir, "ward-b").unwrap();
+    cmd_db_create(&dbdir, "ward-b", &srv_b, None, 0).unwrap();
 }
 
-/// `db host` pointed at a legacy single-file artifact auto-migrates it.
+/// What the build before every database was paged left on disk still
+/// hosts: `db host` pointed at a single-file artifact serves it as the
+/// default db, and a `MANIFEST` + `<name>.exq` directory lists, hosts (the
+/// first host imports each artifact into its paged sibling) and drops.
 #[test]
 fn db_host_serves_legacy_single_file_artifact() {
     let dir = TempDir::new("db-legacy");
     let (server, client) = setup(&dir);
-    let (handle, _ckpt, banner) = cmd_db_host(&server, &serving(1, 1, None, None)).unwrap();
-    assert!(banner.contains("default"), "{banner}");
-    let addr = handle.addr().to_string();
-    let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, 1, None, 1).unwrap();
-    assert!(out.contains("Betty"), "{out}");
-    handle.shutdown();
+    let dbdir = dir.path("dbs");
+    std::fs::create_dir_all(&dbdir).unwrap();
+    std::fs::copy(&server, dbdir.join("ward.exq")).unwrap();
+    let mut manifest = exq_core::tenant::Manifest::new("ward");
+    manifest.dbs.insert("ward".into(), Default::default());
+    manifest.write(&dbdir).unwrap();
+
+    for (path, db) in [(&server, "default"), (&dbdir, "ward")] {
+        let (handle, _ckpt, banner) = cmd_db_host(path, &serving(1, 1, None, None)).unwrap();
+        assert!(banner.contains(&format!("(default: {db})")), "{banner}");
+        let addr = handle.addr().to_string();
+        let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, 1, None, 1).unwrap();
+        assert!(out.contains("Betty"), "{out}");
+        handle.shutdown();
+    }
+    assert!(exq_core::store::PagedDb::is_paged(&server));
+    let listing = cmd_db_list(&dbdir).unwrap();
+    assert!(listing.contains("ward (default): healthy"), "{listing}");
+    cmd_db_drop(&dbdir, "ward").unwrap();
+    let left: Vec<_> = std::fs::read_dir(&dbdir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["MANIFEST"], "drop must remove artifact and store");
 }
 
+/// The one way to host, with and without `--cache-mb`: answers match the
+/// in-memory server the artifact loads to; an insert and a delete acked
+/// over the wire before an unclean stop are both there after a restart;
+/// and the artifact, now history, is refused by the seven offline commands
+/// (naming the paged sibling and `--addr`) instead of being answered from
+/// or rewritten.
 #[test]
 fn serve_out_of_core_answers_and_persists_mutations() {
-    let dir = TempDir::new("ooc-serve");
-    let (server, client) = setup(&dir);
-
-    // Host the artifact out-of-core with a 1 MiB buffer budget. The banner
-    // reports the paged footprint; answers must match the resident path.
-    let (handle, ckpt, banner) = cmd_serve(&server, &serving(2, 1, Some(64), Some(1))).unwrap();
-    assert!(ckpt.is_some(), "paged serve must spawn a checkpointer");
-    assert!(banner.contains("out-of-core"), "{banner}");
-    let addr = handle.addr().to_string();
-    let out = cmd_query_remote(
-        &addr,
-        &client,
+    use exq_core::{serve::ServeHandle, transport::TcpTransport, Client, Server};
+    const QUERIES: [&str; 3] = [
+        "//patient/pname",
         "//patient[pname = 'Betty']/SSN",
-        1,
-        0,
-        None,
-        1,
-    )
-    .unwrap();
-    assert!(out.contains("763895"), "{out}");
-    drop(ckpt);
-    handle.shutdown();
+        "//patient[.//policy/@coverage >= 10000]/SSN",
+    ];
+    const ZOE: &str = "<patient><pname>Zoe</pname><SSN>112233</SSN><age>29</age></patient>";
+    for cache_mb in [None, Some(1)] {
+        let dir = TempDir::new(&format!("ooc-serve-{cache_mb:?}"));
+        let (server, client_path) = setup(&dir);
+        let artifact = std::fs::read(&server).unwrap();
+        let mut twin = Server::load(&server).unwrap();
+        let mut client = Client::load(&client_path).unwrap();
+        let mut twin_client = client.clone();
+        // The wire answers what the twin answers; returns the names.
+        let check = |handle: &ServeHandle, c: &Client, twin: &Server| {
+            let mut tcp = TcpTransport::connect_default(handle.addr()).unwrap();
+            let got = QUERIES.map(|q| c.query_via(&mut tcp, q).unwrap().results);
+            let want = QUERIES.map(|q| c.query(twin, q).unwrap().results);
+            assert_eq!(got, want, "{cache_mb:?}");
+            got[0].concat()
+        };
 
-    // The pages sibling now exists and a re-serve opens it directly.
-    assert!(exq_core::store::PagedDb::is_paged(&server));
-    let (handle, ckpt, _banner) = cmd_serve(&server, &serving(2, 1, Some(64), Some(1))).unwrap();
-    let addr = handle.addr().to_string();
-    let out = cmd_query_remote(
-        &addr,
-        &client,
-        "//patient[pname = 'Betty']/SSN",
-        1,
-        0,
-        None,
-        1,
-    )
-    .unwrap();
-    assert!(out.contains("763895"), "{out}");
-    drop(ckpt);
-    handle.shutdown();
+        let opts = serving(2, 1, Some(64), cache_mb);
+        let (handle, ckpt, banner) = cmd_serve(&server, &opts).unwrap();
+        let pool = format!("paged ({} MiB pool", cache_mb.unwrap_or(64));
+        assert!(banner.contains(&pool), "{banner}");
+        check(&handle, &client, &twin);
+        let mut tcp = TcpTransport::connect_default(handle.addr()).unwrap();
+        client.insert_via(&mut tcp, "/hospital", ZOE, 3).unwrap();
+        let gone = client.delete_via(&mut tcp, "//patient[age = 40]").unwrap();
+        assert_eq!(gone.deleted, 1);
+        twin_client.insert(&mut twin, "/hospital", ZOE, 3).unwrap();
+        twin_client
+            .delete(&mut twin, "//patient[age = 40]")
+            .unwrap();
+        check(&handle, &client, &twin);
+        // Unclean stop: nobody runs a final checkpoint, so what the next
+        // open serves is the last background fold plus the WAL.
+        drop((tcp, ckpt));
+        handle.shutdown();
+
+        let (handle, _ckpt, _banner) = cmd_serve(&server, &opts).unwrap();
+        let names = check(&handle, &client, &twin);
+        assert!(names.contains("Zoe") && !names.contains("Matt"), "{names}");
+        handle.shutdown();
+        assert_eq!(std::fs::read(&server).unwrap(), artifact);
+
+        let rec = dir.path("rec.xml");
+        std::fs::write(&rec, ZOE).unwrap();
+        let refusals = [
+            cmd_query(&server, &client_path, "//patient", false, 1, None),
+            cmd_aggregate(&server, &client_path, "count", "//patient"),
+            cmd_export(&server, &client_path, &dir.path("out.xml")),
+            cmd_explain(&server, &client_path, "//patient"),
+            cmd_stats(&server),
+            cmd_insert(&server, &client_path, "/hospital", &rec, 3),
+            cmd_delete(&server, &client_path, "//patient[age = 35]"),
+        ];
+        for refusal in refusals {
+            let Err(CliError::Usage(m)) = refusal else {
+                panic!("expected a usage error, got {refusal:?}");
+            };
+            assert!(
+                m.contains("server.exq.pages") && m.contains("--addr"),
+                "{m}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -686,19 +760,21 @@ fn db_list_reports_out_of_core_footprint() {
     let dir = TempDir::new("ooc-list");
     let (server, _client) = setup(&dir);
     let dbdir = dir.path("dbs");
-    cmd_db_create(&dbdir, "ward", &server, None, 0).unwrap();
+    let created = cmd_db_create(&dbdir, "ward", &server, None, 0).unwrap();
 
-    // Resident db: no paged columns yet.
+    // Create imported the artifact straight into the paged store — no copy
+    // of it beside — and list reads the same counts back from the store.
+    assert!(!dbdir.join("ward.exq").exists());
     let listing = cmd_db_list(&dbdir).unwrap();
-    assert!(listing.contains("ward"), "{listing}");
-    assert!(!listing.contains("paged:"), "{listing}");
-
-    // Migrate by hosting out-of-core once, then list again.
-    let (handle, ckpt, _banner) = cmd_db_host(&dbdir, &serving(1, 1, Some(0), Some(1))).unwrap();
-    drop(ckpt);
-    handle.shutdown();
-    let listing = cmd_db_list(&dbdir).unwrap();
-    assert!(listing.contains("paged:"), "{listing}");
+    let sizes = created.split(['(', ')']).nth(1).unwrap();
+    let sizes = sizes.rsplit_once(", key fp").unwrap().0;
+    assert!(listing.contains(&format!("ward (default): healthy, {sizes}, paged:")));
     assert!(listing.contains("bytes on disk"), "{listing}");
     assert!(listing.contains("WAL depth 0"), "{listing}");
+
+    // Hosting changes nothing about where the database lives.
+    let (handle, ckpt, _banner) = cmd_db_host(&dbdir, &serving(1, 1, Some(0), None)).unwrap();
+    drop(ckpt);
+    handle.shutdown();
+    assert_eq!(cmd_db_list(&dbdir).unwrap(), listing);
 }

@@ -16,8 +16,7 @@
 //! over everything before it, verified on load — a truncated or bit-flipped
 //! file yields a clean [`CoreError::Persist`], never garbage state. Saves
 //! go through a temp file + `sync_all` + atomic rename, so a crash mid-save
-//! leaves the previous artifact intact. Legacy `..1` files (no checksum)
-//! still load.
+//! leaves the previous artifact intact.
 
 use crate::client::Client;
 use crate::encrypt::{ClientCryptoState, OpessAttr, ServerMetadata, ValueCodec};
@@ -33,42 +32,34 @@ use std::collections::{HashMap, HashSet};
 
 const SERVER_MAGIC: &[u8; 6] = b"EXQSV2";
 const CLIENT_MAGIC: &[u8; 6] = b"EXQCL2";
-/// Legacy pre-checksum formats, still loadable.
-const SERVER_MAGIC_V1: &[u8; 6] = b"EXQSV1";
-const CLIENT_MAGIC_V1: &[u8; 6] = b"EXQCL1";
 
-/// Validates the artifact's magic and trailing checksum, returning the body
-/// (between magic and checksum). Current-format files must end with a CRC32
-/// over everything before it; legacy files carry no checksum.
+/// Validates the artifact's magic and trailing checksum — a CRC32 over
+/// everything before it — returning the body between the two.
 pub(crate) fn checked_body<'a>(
     data: &'a [u8],
     magic: &[u8; 6],
-    magic_v1: &[u8; 6],
     what: &str,
 ) -> Result<&'a [u8], CoreError> {
     let head = data.get(..6).ok_or_else(|| {
         CoreError::Persist(format!("not a {what} state file: shorter than its magic"))
     })?;
-    if head == magic {
-        let split = data
-            .len()
-            .checked_sub(4)
-            .filter(|&s| s >= 6)
-            .ok_or_else(|| CoreError::Persist(format!("{what} state file truncated")))?;
-        let (payload, check) = data.split_at(split);
-        let stored = u32::from_le_bytes([check[0], check[1], check[2], check[3]]);
-        let computed = crate::codec::crc32(&[payload]);
-        if stored != computed {
-            return Err(CoreError::Persist(format!(
-                "{what} state file corrupted: checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-            )));
-        }
-        Ok(&payload[6..])
-    } else if head == magic_v1 {
-        Ok(&data[6..])
-    } else {
-        Err(CoreError::Persist(format!("not a {what} state file")))
+    if head != magic {
+        return Err(CoreError::Persist(format!("not a {what} state file")));
     }
+    let split = data
+        .len()
+        .checked_sub(4)
+        .filter(|&s| s >= 6)
+        .ok_or_else(|| CoreError::Persist(format!("{what} state file truncated")))?;
+    let (payload, check) = data.split_at(split);
+    let stored = u32::from_le_bytes([check[0], check[1], check[2], check[3]]);
+    let computed = crate::codec::crc32(&[payload]);
+    if stored != computed {
+        return Err(CoreError::Persist(format!(
+            "{what} state file corrupted: checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
+        )));
+    }
+    Ok(&payload[6..])
 }
 
 /// Appends the trailing CRC32 to a serialized artifact.
@@ -224,6 +215,118 @@ pub(crate) fn read_interval(r: &mut R) -> Result<Interval, CoreError> {
     Ok(Interval::new(lo, hi))
 }
 
+// ------------------------------------------------------ server sections --
+//
+// The hosted state is written in two layouts: the single-file artifact
+// (`EXQSV2`, below) and the paged store's metadata record (`EXQPM1`,
+// `crate::store`). They differ in where the posting lists and the sealed
+// blocks go; the sections here are the ones both carry, byte for byte, and
+// each has this one writer and this one reader.
+
+/// The visible document, then its interval annotations keyed by
+/// element/attribute pre-order position.
+pub(crate) fn write_visible(w: &mut W, server: &Server) {
+    w.string(&server.visible_xml());
+    let positions = server.interval_positions();
+    w.u64(positions.len() as u64);
+    for (pos, iv) in positions {
+        w.u64(pos as u64);
+        interval(w, iv);
+    }
+}
+
+/// Reads [`write_visible`]'s section: the serialized document (for
+/// [`parse_visible`]) and the position → interval map.
+pub(crate) fn read_visible(r: &mut R) -> Result<(String, HashMap<usize, Interval>), CoreError> {
+    let xml = r.string()?;
+    let n = r.count(24)?;
+    let mut pos_intervals = HashMap::with_capacity(n);
+    for _ in 0..n {
+        let pos = r.u64()? as usize;
+        pos_intervals.insert(pos, read_interval(r)?);
+    }
+    Ok((xml, pos_intervals))
+}
+
+pub(crate) fn parse_visible(xml: &str) -> Result<Document, CoreError> {
+    if xml.is_empty() {
+        return Ok(Document::new());
+    }
+    Document::parse(xml).map_err(|e| CoreError::Persist(format!("visible doc: {e}")))
+}
+
+/// The DSI table's posting lists in persisted order. The backing map
+/// iterates in per-instance hash order; sorting by tag makes logically
+/// identical servers serialize byte-identically, and index `k` here *is*
+/// posting record `(2<<32)|k` of a paged store.
+pub(crate) fn sorted_postings(server: &Server) -> Vec<(&str, &[Interval])> {
+    let mut entries: Vec<(&str, &[Interval])> = server.metadata().dsi_table.iter().collect();
+    entries.sort_by_key(|&(tag, _)| tag);
+    entries
+}
+
+/// The block table, then the value indexes (attributes sorted).
+pub(crate) fn write_tables(w: &mut W, meta: &ServerMetadata) {
+    w.u64(meta.block_table.len() as u64);
+    for (iv, id) in meta.block_table.iter() {
+        interval(w, iv);
+        w.u32(id);
+    }
+    let vi = &meta.value_indexes;
+    w.u64(vi.len() as u64);
+    let mut attrs: Vec<&String> = vi.keys().collect();
+    attrs.sort();
+    for attr in attrs {
+        w.string(attr);
+        let entries = vi[attr].iter();
+        w.u64(entries.len() as u64);
+        for (k, v) in entries {
+            w.u128(k);
+            w.u32(v);
+        }
+    }
+}
+
+/// Reads [`write_tables`]'s section.
+pub(crate) fn read_tables(r: &mut R) -> Result<(BlockTable, HashMap<String, BTree>), CoreError> {
+    let mut bt = BlockTable::new();
+    for _ in 0..r.count(20)? {
+        let iv = read_interval(r)?;
+        bt.add(iv, r.u32()?);
+    }
+    bt.seal();
+    let mut value_indexes = HashMap::new();
+    for _ in 0..r.count(16)? {
+        let attr = r.string()?;
+        let mut tree = BTree::new();
+        for _ in 0..r.count(20)? {
+            let key = r.u128()?;
+            tree.insert(key, r.u32()?);
+        }
+        value_indexes.insert(attr, tree);
+    }
+    Ok((bt, value_indexes))
+}
+
+/// The tombstoned block ids, ascending.
+pub(crate) fn write_dead(w: &mut W, server: &Server) {
+    let dead = server.dead_block_ids();
+    w.u64(dead.len() as u64);
+    for id in dead {
+        w.u32(id);
+    }
+}
+
+/// Reads [`write_dead`]'s section.
+pub(crate) fn read_dead(r: &mut R) -> Result<HashSet<u32>, CoreError> {
+    let k = r.count(4)?;
+    let mut dead = HashSet::with_capacity(k);
+    for _ in 0..k {
+        dead.insert(r.u32()?);
+    }
+    Ok(dead)
+}
+
 // ---------------------------------------------------------------- server --
 
 impl Server {
@@ -234,54 +337,18 @@ impl Server {
     pub fn save_bytes(&self) -> Result<Vec<u8>, CoreError> {
         let mut w = W::default();
         w.buf.extend_from_slice(SERVER_MAGIC);
-        let visible_xml = self.visible_xml();
-        w.string(&visible_xml);
+        write_visible(&mut w, self);
 
-        // Interval annotations by element/attribute pre-order position.
-        let positions = self.interval_positions();
-        w.u64(positions.len() as u64);
-        for (pos, iv) in positions {
-            w.u64(pos as u64);
-            interval(&mut w, iv);
-        }
-
-        // DSI index table. The backing map iterates in per-instance hash
-        // order; sort by tag so logically identical servers (e.g. before
-        // and after a save/load round trip) serialize byte-identically.
-        let dsi = &self.metadata().dsi_table;
-        w.u64(dsi.tag_count() as u64);
-        let mut dsi_entries: Vec<(&str, &[Interval])> = dsi.iter().collect();
-        dsi_entries.sort_by_key(|&(tag, _)| tag);
-        for (tag, ivs) in dsi_entries {
+        let dsi = sorted_postings(self);
+        w.u64(dsi.len() as u64);
+        for (tag, ivs) in dsi {
             w.string(tag);
             w.u64(ivs.len() as u64);
             for &iv in ivs {
                 interval(&mut w, iv);
             }
         }
-
-        // Block table.
-        let bt = &self.metadata().block_table;
-        w.u64(bt.len() as u64);
-        for (iv, id) in bt.iter() {
-            interval(&mut w, iv);
-            w.u32(id);
-        }
-
-        // Value indexes.
-        let vi = &self.metadata().value_indexes;
-        w.u64(vi.len() as u64);
-        let mut attrs: Vec<&String> = vi.keys().collect();
-        attrs.sort();
-        for attr in attrs {
-            w.string(attr);
-            let entries = vi[attr].iter();
-            w.u64(entries.len() as u64);
-            for (k, v) in entries {
-                w.u128(k);
-                w.u32(v);
-            }
-        }
+        write_tables(&mut w, self.metadata());
 
         // Blocks (including tombstoned slots: ids are positional).
         let blocks = self.collect_blocks()?;
@@ -292,66 +359,24 @@ impl Server {
             w.bytes(&b.ciphertext);
             w.buf.extend_from_slice(&b.tag);
         }
-        let dead = self.dead_block_ids();
-        w.u64(dead.len() as u64);
-        for id in dead {
-            w.u32(id);
-        }
+        write_dead(&mut w, self);
         Ok(seal_checksum(w.buf))
     }
 
     /// Restores a server from [`save_bytes`](Self::save_bytes) output.
     pub fn load_bytes(data: &[u8]) -> Result<Server, CoreError> {
-        let body = checked_body(data, SERVER_MAGIC, SERVER_MAGIC_V1, "server")?;
-        let mut r = R::new(body);
-        let visible_xml = r.string()?;
-        let visible = if visible_xml.is_empty() {
-            Document::new()
-        } else {
-            Document::parse(&visible_xml)
-                .map_err(|e| CoreError::Persist(format!("visible doc: {e}")))?
-        };
-
-        let n = r.count(24)?;
-        let mut pos_intervals: HashMap<usize, Interval> = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let pos = r.u64()? as usize;
-            pos_intervals.insert(pos, read_interval(&mut r)?);
-        }
+        let mut r = R::new(checked_body(data, SERVER_MAGIC, "server")?);
+        let (visible_xml, pos_intervals) = read_visible(&mut r)?;
 
         let mut dsi = DsiIndexTable::new();
-        let tags = r.count(16)?;
-        for _ in 0..tags {
+        for _ in 0..r.count(16)? {
             let tag = r.string()?;
-            let k = r.count(16)?;
-            for _ in 0..k {
+            for _ in 0..r.count(16)? {
                 dsi.add(&tag, read_interval(&mut r)?);
             }
         }
         dsi.seal();
-
-        let mut bt = BlockTable::new();
-        let k = r.count(20)?;
-        for _ in 0..k {
-            let iv = read_interval(&mut r)?;
-            let id = r.u32()?;
-            bt.add(iv, id);
-        }
-        bt.seal();
-
-        let mut value_indexes = HashMap::new();
-        let k = r.count(16)?;
-        for _ in 0..k {
-            let attr = r.string()?;
-            let n = r.count(20)?;
-            let mut tree = BTree::new();
-            for _ in 0..n {
-                let key = r.u128()?;
-                let val = r.u32()?;
-                tree.insert(key, val);
-            }
-            value_indexes.insert(attr, tree);
-        }
+        let (block_table, value_indexes) = read_tables(&mut r)?;
 
         let k = r.count(40)?;
         let mut blocks = Vec::with_capacity(k);
@@ -367,21 +392,17 @@ impl Server {
                 tag,
             });
         }
-        let k = r.count(4)?;
-        let mut dead = HashSet::with_capacity(k);
-        for _ in 0..k {
-            dead.insert(r.u32()?);
-        }
+        let dead = read_dead(&mut r)?;
         if !r.finished() {
             return Err(R::err("trailing bytes"));
         }
 
         Ok(Server::from_parts(
-            visible,
+            parse_visible(&visible_xml)?,
             pos_intervals,
             ServerMetadata {
                 dsi_table: dsi,
-                block_table: bt,
+                block_table,
                 value_indexes,
             },
             blocks,
@@ -460,7 +481,7 @@ impl Client {
 
     /// Restores a client from [`save_bytes`](Self::save_bytes) output.
     pub fn load_bytes(data: &[u8]) -> Result<Client, CoreError> {
-        let body = checked_body(data, CLIENT_MAGIC, CLIENT_MAGIC_V1, "client")?;
+        let body = checked_body(data, CLIENT_MAGIC, "client")?;
         let mut r = R::new(body);
         let master: [u8; 32] = r.take(32)?.try_into().unwrap();
         let keys = KeyChain::new(master);

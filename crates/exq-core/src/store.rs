@@ -1,12 +1,14 @@
 //! Out-of-core hosting: the glue between [`Server`] and the paged storage
 //! engine in `exq-store`.
 //!
-//! An all-in-RAM server keeps every sealed block resident and persists by
-//! rewriting one artifact file. A *paged* server keeps the metadata (DSI
-//! table, block table, value indexes, visible document) resident — the
-//! query planner probes them on every request — while the sealed block
-//! payloads, the dominant bytes, live in an [`exq_store::PagedStore`] and
-//! page in on demand through its buffer pool. Record ids follow
+//! Every hosted database is *paged*: the metadata (DSI table, block table,
+//! value indexes, visible document) stays resident — the query planner
+//! probes it on every request — while the sealed block payloads, the
+//! dominant bytes, live in an [`exq_store::PagedStore`] and page in on
+//! demand through its buffer pool; a pool that holds the whole database is
+//! what resident hosting used to be. (A [`Server`] nobody has given a
+//! directory — [`Server::new`], a loaded artifact — keeps its blocks in
+//! RAM and persists by rewriting one artifact file.) Record ids follow
 //! [`exq_index::paged`]: record 0 is the metadata image, `(1<<32)|b` is
 //! block `b`, `(2<<32)|k` is posting list `k`.
 //!
@@ -31,16 +33,20 @@
 //! thread off the serving path.
 
 use crate::error::CoreError;
-use crate::persist::{interval, read_interval, R, W};
+use crate::persist::{
+    parse_visible, read_dead, read_tables, read_visible, sorted_postings, write_dead, write_tables,
+    write_visible, R, W,
+};
 use crate::server::Server;
 use crate::telemetry::{self, Counter, Gauge};
 use exq_crypto::SealedBlock;
+use exq_index::dsi::Interval;
 use exq_index::paged::{
     block_record_id, encode_postings, load_postings, posting_record_id, REC_META,
 };
 use exq_index::{BTree, BlockTable, DsiIndexTable};
+use exq_store::store::{DATA_FILE, WAL_FILE};
 use exq_store::PagedStore;
-use exq_xml::Document;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -292,6 +298,12 @@ impl BlockStore {
     }
 }
 
+fn suffixed(path: &Path, suffix: &str) -> PathBuf {
+    let mut os = path.as_os_str().to_owned();
+    os.push(suffix);
+    PathBuf::from(os)
+}
+
 /// A paged database: the store plus its per-db telemetry series.
 pub struct PagedDb {
     store: PagedStore,
@@ -340,24 +352,23 @@ impl PagedDb {
         })
     }
 
-    /// The pages directory a legacy single-file artifact migrates into:
-    /// a sibling directory named `<file>.pages`.
-    pub fn pages_dir(legacy_path: &Path) -> PathBuf {
-        let mut os = legacy_path.as_os_str().to_owned();
-        os.push(".pages");
-        PathBuf::from(os)
+    /// The paged store of the database whose artifact is (or was) at
+    /// `artifact`: a sibling directory named `<file>.pages`.
+    pub fn pages_dir(artifact: &Path) -> PathBuf {
+        suffixed(artifact, ".pages")
     }
 
-    /// True when `legacy_path` already has a paged sibling.
-    pub fn is_paged(legacy_path: &Path) -> bool {
-        PagedStore::exists(&Self::pages_dir(legacy_path))
+    /// True when `artifact` already has a paged sibling.
+    pub fn is_paged(artifact: &Path) -> bool {
+        PagedStore::exists(&Self::pages_dir(artifact))
     }
 
-    /// Opens a database out-of-core. If the paged sibling of `path`
-    /// exists it is authoritative (the WAL replays on top of the last
-    /// checkpoint); otherwise the legacy single-file artifact at `path`
-    /// loads byte-compatibly and migrates: a full checkpoint writes every
-    /// record into a fresh paged store. The legacy file is left untouched.
+    /// Opens the database whose artifact is (or was) at `path`. If its
+    /// paged sibling exists it is authoritative (the WAL replays on top of
+    /// the last checkpoint); otherwise this is the first hosting of the
+    /// artifact and it is imported: [`attach_new`](Self::attach_new) writes
+    /// every record into a fresh paged store. The artifact is left
+    /// untouched.
     pub fn open_or_migrate(
         path: &Path,
         label: &str,
@@ -368,49 +379,13 @@ impl PagedDb {
             return Self::open(&dir, label, opts);
         }
         let mut server = Server::load(path)?;
-        let db = Self::create_from_server(&dir, label, opts, &server)?;
-        server.attach_paged(Arc::clone(&db));
-        db.publish_metrics();
+        let db = Self::attach_new(&mut server, &dir, label, opts)?;
         Ok((server, db, ReplaySummary::default()))
     }
 
-    /// Creates a fresh paged store at `dir` holding `server`'s full state
-    /// (metadata image, posting lists, every sealed block).
-    pub(crate) fn create_from_server(
-        dir: &Path,
-        label: &str,
-        opts: StoreOptions,
-        server: &Server,
-    ) -> Result<Arc<PagedDb>, CoreError> {
-        Self::create_from_server_with(exq_store::os_vfs(), dir, label, opts, server)
-    }
-
-    /// [`create_from_server`](Self::create_from_server) against an
-    /// explicit [`exq_store::Vfs`] (the crash-torture harness runs whole
-    /// databases on a [`exq_store::FaultVfs`]).
-    pub(crate) fn create_from_server_with(
-        vfs: Arc<dyn exq_store::Vfs>,
-        dir: &Path,
-        label: &str,
-        opts: StoreOptions,
-        server: &Server,
-    ) -> Result<Arc<PagedDb>, CoreError> {
-        let store = PagedStore::create_with(vfs, dir, opts)?;
-        let mut dirty: Vec<(u64, Option<Vec<u8>>)> = vec![(REC_META, Some(encode_meta(server)))];
-        for (k, list) in sorted_postings(server).into_iter().enumerate() {
-            dirty.push((posting_record_id(k as u32), Some(encode_postings(list))));
-        }
-        for b in server.collect_blocks()? {
-            dirty.push((block_record_id(b.id), Some(encode_block_record(&b))));
-        }
-        store.checkpoint(&dirty, 0)?;
-        Ok(Self::with_store(store, label))
-    }
-
-    /// Converts a live resident server in place: writes its state into a
-    /// fresh paged store at `dir` and attaches it. Returns the store
-    /// handle. Used by tests and tools that build a database in memory and
-    /// then host it out-of-core.
+    /// Converts a live resident server in place: writes its state
+    /// (metadata image, posting lists, every sealed block) into a fresh
+    /// paged store at `dir` and attaches it. Returns the store handle.
     pub fn attach_new(
         server: &mut Server,
         dir: &Path,
@@ -421,7 +396,14 @@ impl PagedDb {
     }
 
     /// [`attach_new`](Self::attach_new) against an explicit
-    /// [`exq_store::Vfs`].
+    /// [`exq_store::Vfs`] (the crash-torture harness runs whole databases
+    /// on a [`exq_store::FaultVfs`]).
+    ///
+    /// All or nothing: the store is built and checkpointed under a
+    /// temporary sibling name and its two files then move into `dir`, the
+    /// data file — the one [`PagedStore::exists`] looks for — last. A kill
+    /// at any point leaves either no store at `dir`, so the next open
+    /// imports again, or a complete one.
     pub fn attach_new_with(
         server: &mut Server,
         vfs: Arc<dyn exq_store::Vfs>,
@@ -429,7 +411,21 @@ impl PagedDb {
         label: &str,
         opts: StoreOptions,
     ) -> Result<Arc<PagedDb>, CoreError> {
-        let db = Self::create_from_server_with(vfs, dir, label, opts, server)?;
+        let building = suffixed(dir, ".tmp");
+        let store = PagedStore::create_with(Arc::clone(&vfs), &building, opts)?;
+        let mut dirty = resident_records(server);
+        for b in server.collect_blocks()? {
+            dirty.push((block_record_id(b.id), Some(encode_block_record(&b))));
+        }
+        store.checkpoint(&dirty, 0)?;
+        drop(store);
+        vfs.create_dir_all(dir)?;
+        for file in [WAL_FILE, DATA_FILE] {
+            vfs.rename(&building.join(file), &dir.join(file))?;
+        }
+        let _ = std::fs::remove_dir(&building); // emptied above; nothing to remove on an in-memory Vfs
+        let (store, _) = PagedStore::open_with(vfs, dir, opts)?;
+        let db = Self::with_store(store, label);
         server.attach_paged(Arc::clone(&db));
         db.publish_metrics();
         Ok(db)
@@ -455,8 +451,7 @@ impl PagedDb {
     ) -> Result<(Server, Arc<PagedDb>, ReplaySummary), CoreError> {
         let (store, replay) = PagedStore::open_with(vfs, dir, opts)?;
         let db = Self::with_store(store, label);
-        let meta = db.store.get(REC_META)?;
-        let mut server = decode_meta(&meta, &db)?;
+        let mut server = decode_meta(&db.store.get(REC_META)?, &db)?;
         let mut summary = ReplaySummary {
             dropped_torn_tail: replay.dropped_torn_tail,
             ..ReplaySummary::default()
@@ -545,6 +540,11 @@ impl PagedDb {
         &self.label
     }
 
+    /// The directory the store lives in.
+    pub fn dir(&self) -> &Path {
+        self.store.dir()
+    }
+
     /// Arms a one-shot crash injection point in the next checkpoint
     /// (see [`exq_store::crash`]). Test hook.
     #[doc(hidden)]
@@ -579,11 +579,10 @@ impl PagedDb {
     /// `wal_depth` counts committed mutations still pending on top.
     pub fn inspect(dir: &Path) -> Result<PagedDbReport, CoreError> {
         let mut rd = exq_store::StoreReader::open(dir, exq_store::DEFAULT_PAGE_SIZE)?;
-        let meta = rd.get(REC_META)?;
-        let (block_count, payload_bytes, visible_bytes) = peek_meta_counts(&meta)?;
+        let meta = read_meta(&rd.get(REC_META)?)?;
         Ok(PagedDbReport {
-            block_count,
-            hosted_bytes: visible_bytes + payload_bytes,
+            block_count: meta.block_count,
+            hosted_bytes: meta.visible_xml.len() as u64 + meta.payload_bytes,
             footprint: rd.footprint(),
         })
     }
@@ -604,66 +603,14 @@ pub struct PagedDbReport {
     pub footprint: StoreFootprint,
 }
 
-/// Walks the metadata image (see [`encode_meta`]) just far enough to pull
-/// out the block count, the block payload bytes, and the visible document's
-/// serialized size — the inputs of `db list`'s size columns — without
-/// hydrating posting lists or indexes. Must skip fields in exactly the
-/// order [`decode_meta`] reads them (the drift guard test in
-/// `tests/outofcore.rs` compares both paths).
-fn peek_meta_counts(bytes: &[u8]) -> Result<(u32, u64, u64), CoreError> {
-    if bytes.len() < 6 || &bytes[..6] != META_MAGIC {
-        return Err(CoreError::Persist(
-            "paged metadata record has wrong magic".into(),
-        ));
+/// The records every checkpoint rewrites from resident state: the metadata
+/// image, then posting list `k` for each tag in persisted order.
+fn resident_records(server: &Server) -> Vec<(u64, Option<Vec<u8>>)> {
+    let mut dirty = vec![(REC_META, Some(encode_meta(server)))];
+    for (k, (_, list)) in sorted_postings(server).into_iter().enumerate() {
+        dirty.push((posting_record_id(k as u32), Some(encode_postings(list))));
     }
-    let mut r = R::new(&bytes[6..]);
-    let visible_bytes = r.bytes()?.len() as u64;
-    let n = r.count(24)?;
-    for _ in 0..n {
-        r.u64()?;
-        read_interval(&mut r)?;
-    }
-    let n = r.count(8)?;
-    for _ in 0..n {
-        r.bytes()?;
-    }
-    let n = r.count(20)?;
-    for _ in 0..n {
-        read_interval(&mut r)?;
-        r.u32()?;
-    }
-    let n = r.count(16)?;
-    for _ in 0..n {
-        r.bytes()?;
-        let m = r.count(20)?;
-        for _ in 0..m {
-            r.u128()?;
-            r.u32()?;
-        }
-    }
-    let block_count = r.u32()?;
-    let payload_bytes = r.u64()?;
-    Ok((block_count, payload_bytes, visible_bytes))
-}
-
-/// The server's posting lists in persisted order: tags sorted, one list per
-/// tag. Index `k` here *is* posting record id `(2<<32)|k`.
-fn sorted_postings(server: &Server) -> Vec<&[exq_index::dsi::Interval]> {
-    let mut entries: Vec<(&str, &[exq_index::dsi::Interval])> =
-        server.metadata().dsi_table.iter().collect();
-    entries.sort_by_key(|&(tag, _)| tag);
-    entries.into_iter().map(|(_, list)| list).collect()
-}
-
-fn sorted_tags(server: &Server) -> Vec<&str> {
-    let mut tags: Vec<&str> = server
-        .metadata()
-        .dsi_table
-        .iter()
-        .map(|(tag, _)| tag)
-        .collect();
-    tags.sort_unstable();
-    tags
+    dirty
 }
 
 /// Encodes the metadata image (record 0): everything a server needs except
@@ -671,138 +618,89 @@ fn sorted_tags(server: &Server) -> Vec<&str> {
 fn encode_meta(server: &Server) -> Vec<u8> {
     let mut w = W::default();
     w.buf.extend_from_slice(META_MAGIC);
-    w.string(&server.visible_xml());
-
-    let positions = server.interval_positions();
-    w.u64(positions.len() as u64);
-    for (pos, iv) in positions {
-        w.u64(pos as u64);
-        interval(&mut w, iv);
-    }
-
+    write_visible(&mut w, server);
     // Tag names only, in posting-record order; the lists are records.
-    let tags = sorted_tags(server);
+    let tags = sorted_postings(server);
     w.u64(tags.len() as u64);
-    for tag in tags {
+    for (tag, _) in tags {
         w.string(tag);
     }
-
-    let bt = &server.metadata().block_table;
-    w.u64(bt.len() as u64);
-    for (iv, id) in bt.iter() {
-        interval(&mut w, iv);
-        w.u32(id);
-    }
-
-    let vi = &server.metadata().value_indexes;
-    w.u64(vi.len() as u64);
-    let mut attrs: Vec<&String> = vi.keys().collect();
-    attrs.sort();
-    for attr in attrs {
-        w.string(attr);
-        let entries = vi[attr].iter();
-        w.u64(entries.len() as u64);
-        for (k, v) in entries {
-            w.u128(k);
-            w.u32(v);
-        }
-    }
-
+    write_tables(&mut w, server.metadata());
     w.u32(server.block_count() as u32);
     w.u64(server.payload_bytes());
-    let dead = server.dead_block_ids();
-    w.u64(dead.len() as u64);
-    for id in dead {
-        w.u32(id);
-    }
+    write_dead(&mut w, server);
     w.buf
 }
 
-/// Rebuilds a server from the metadata image, loading posting lists
-/// through the store (their pages pin and release like any other read).
-fn decode_meta(bytes: &[u8], db: &Arc<PagedDb>) -> Result<Server, CoreError> {
-    if bytes.len() < 6 || &bytes[..6] != META_MAGIC {
-        return Err(CoreError::Persist(
-            "paged metadata record has wrong magic".into(),
-        ));
-    }
-    let mut r = R::new(&bytes[6..]);
-    let visible_xml = r.string()?;
-    let visible = if visible_xml.is_empty() {
-        Document::new()
-    } else {
-        Document::parse(&visible_xml)
-            .map_err(|e| CoreError::Persist(format!("visible doc: {e}")))?
+/// The metadata image, decoded.
+struct MetaImage {
+    visible_xml: String,
+    pos_intervals: HashMap<usize, Interval>,
+    /// Tag names in posting-record order.
+    tags: Vec<String>,
+    block_table: BlockTable,
+    value_indexes: HashMap<String, BTree>,
+    block_count: u32,
+    payload_bytes: u64,
+    dead: HashSet<u32>,
+}
+
+/// The one reader of [`encode_meta`]'s layout: [`decode_meta`] builds a
+/// server from it, [`PagedDb::inspect`] reads its counts.
+fn read_meta(bytes: &[u8]) -> Result<MetaImage, CoreError> {
+    let body = bytes
+        .strip_prefix(META_MAGIC.as_slice())
+        .ok_or_else(|| CoreError::Persist("paged metadata record has wrong magic".into()))?;
+    let mut r = R::new(body);
+    let (visible_xml, pos_intervals) = read_visible(&mut r)?;
+    let tags = (0..r.count(8)?)
+        .map(|_| r.string())
+        .collect::<Result<_, _>>()?;
+    let (block_table, value_indexes) = read_tables(&mut r)?;
+    let meta = MetaImage {
+        visible_xml,
+        pos_intervals,
+        tags,
+        block_table,
+        value_indexes,
+        block_count: r.u32()?,
+        payload_bytes: r.u64()?,
+        dead: read_dead(&mut r)?,
     };
-
-    let n = r.count(24)?;
-    let mut pos_intervals = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let pos = r.u64()? as usize;
-        pos_intervals.insert(pos, read_interval(&mut r)?);
-    }
-
-    let tag_count = r.count(8)?;
-    let mut dsi = DsiIndexTable::new();
-    for k in 0..tag_count {
-        let tag = r.string()?;
-        for iv in load_postings(&db.store, k as u32)? {
-            dsi.add(&tag, iv);
-        }
-    }
-    dsi.seal();
-
-    let mut bt = BlockTable::new();
-    let k = r.count(20)?;
-    for _ in 0..k {
-        let iv = read_interval(&mut r)?;
-        let id = r.u32()?;
-        bt.add(iv, id);
-    }
-    bt.seal();
-
-    let mut value_indexes = HashMap::new();
-    let k = r.count(16)?;
-    for _ in 0..k {
-        let attr = r.string()?;
-        let n = r.count(20)?;
-        let mut tree = BTree::new();
-        for _ in 0..n {
-            let key = r.u128()?;
-            let val = r.u32()?;
-            tree.insert(key, val);
-        }
-        value_indexes.insert(attr, tree);
-    }
-
-    let block_count = r.u32()?;
-    let payload_bytes = r.u64()?;
-    let k = r.count(4)?;
-    let mut dead = HashSet::with_capacity(k);
-    for _ in 0..k {
-        dead.insert(r.u32()?);
-    }
     if !r.finished() {
         return Err(CoreError::Persist(
             "paged metadata record has trailing bytes".into(),
         ));
     }
+    Ok(meta)
+}
 
+/// Rebuilds a server from the metadata image, loading posting lists
+/// through the store (their pages pin and release like any other read).
+fn decode_meta(bytes: &[u8], db: &Arc<PagedDb>) -> Result<Server, CoreError> {
+    let meta = read_meta(bytes)?;
+    let mut dsi = DsiIndexTable::new();
+    for (k, tag) in meta.tags.iter().enumerate() {
+        for iv in load_postings(&db.store, k as u32)? {
+            dsi.add(tag, iv);
+        }
+    }
+    dsi.seal();
     Ok(Server::from_store_parts(
-        visible,
-        pos_intervals,
+        parse_visible(&meta.visible_xml)?,
+        meta.pos_intervals,
         crate::encrypt::ServerMetadata {
             dsi_table: dsi,
-            block_table: bt,
-            value_indexes,
+            block_table: meta.block_table,
+            value_indexes: meta.value_indexes,
         },
         BlockStore::Paged {
             db: Arc::clone(db),
-            count: block_count,
-            payload_bytes,
+            count: meta.block_count,
+            payload_bytes: meta.payload_bytes,
             overlay: HashMap::new(),
         },
-        dead,
+        meta.dead,
     ))
 }
 
@@ -831,14 +729,14 @@ fn decode_block_record(id: u32, raw: &[u8]) -> Result<SealedBlock, exq_store::St
     })
 }
 
-fn read_server(lock: &RwLock<Server>) -> std::sync::RwLockReadGuard<'_, Server> {
+pub(crate) fn read_server(lock: &RwLock<Server>) -> std::sync::RwLockReadGuard<'_, Server> {
     match lock.read() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-fn write_server(lock: &RwLock<Server>) -> std::sync::RwLockWriteGuard<'_, Server> {
+pub(crate) fn write_server(lock: &RwLock<Server>) -> std::sync::RwLockWriteGuard<'_, Server> {
     match lock.write() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -876,13 +774,10 @@ pub fn checkpoint_once(server: &RwLock<Server>) -> Result<bool, CoreError> {
         0,
     );
     let t = Instant::now();
-    let mut dirty: Vec<(u64, Option<Vec<u8>>)> = vec![(REC_META, Some(encode_meta(&snapshot)))];
-    let lists = sorted_postings(&snapshot);
-    for (k, list) in lists.iter().enumerate() {
-        dirty.push((posting_record_id(k as u32), Some(encode_postings(list))));
-    }
-    // Tags removed by deletions leave stale high-index posting records.
-    let mut k = lists.len() as u32;
+    let mut dirty = resident_records(&snapshot);
+    // Tags removed by deletions leave stale posting records past the last
+    // list written (`dirty` is the metadata image plus one record a list).
+    let mut k = dirty.len() as u32 - 1;
     while db.store.contains(posting_record_id(k)) {
         dirty.push((posting_record_id(k), None));
         k += 1;
@@ -990,7 +885,7 @@ pub fn scrub_once(server: &RwLock<Server>, max_pages: usize) -> Result<ScrubOutc
                 let k = (id & 0xFFFF_FFFF) as usize;
                 // Posting lists live in the resident server; an index past
                 // the current tag set is a stale record — drop it.
-                dirty.push((id, lists.get(k).map(|list| encode_postings(list))));
+                dirty.push((id, lists.get(k).map(|(_, list)| encode_postings(list))));
             }
             id if id >> 32 == 1 => {
                 let bid = (id & 0xFFFF_FFFF) as u32;
@@ -1061,50 +956,19 @@ pub fn checkpoint_interval() -> Duration {
 }
 
 /// A background checkpointer: folds the WAL into pages off the serving
-/// path. Stops (and joins) on [`Checkpointer::stop`] or drop.
+/// path. Stops (and joins) on drop.
 pub struct Checkpointer {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Checkpointer {
-    /// Spawns the checkpoint thread for one hosted server.
-    pub fn spawn(server: Arc<RwLock<Server>>, interval: Duration) -> Checkpointer {
-        Self::spawn_many(vec![server], interval)
-    }
-
-    /// Spawns one checkpoint thread sweeping several hosted servers (the
-    /// multi-tenant serve loop uses this: one thread, all dbs).
-    pub fn spawn_many(servers: Vec<Arc<RwLock<Server>>>, interval: Duration) -> Checkpointer {
-        Self::spawn_loop(interval, move || {
-            for s in &servers {
-                // A checkpoint failure (e.g. disk full) leaves the WAL
-                // intact; the next sweep retries. catch_unwind so a
-                // panicking fold can never kill the background thread.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _ = checkpoint_once(s);
-                }));
-            }
-        })
-    }
-
     /// Spawns the checkpoint thread for a tenant registry: each sweep
     /// [`tend`]s every hosted db — checkpointing it, probing degraded
     /// storage for recovery, and spending idle ticks scrubbing page CRCs.
     /// The tenant list is re-read every sweep so dbs created or dropped
     /// after spawn are picked up.
-    pub fn spawn_tenants(
-        registry: Arc<crate::tenant::TenantRegistry>,
-        interval: Duration,
-    ) -> Checkpointer {
-        Self::spawn_loop(interval, move || {
-            for t in registry.tenants() {
-                tend(&t);
-            }
-        })
-    }
-
-    fn spawn_loop(interval: Duration, mut sweep: impl FnMut() + Send + 'static) -> Checkpointer {
+    pub fn spawn(registry: Arc<crate::tenant::TenantRegistry>, interval: Duration) -> Checkpointer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
@@ -1119,7 +983,9 @@ impl Checkpointer {
                         continue;
                     }
                     since = Duration::ZERO;
-                    sweep();
+                    for t in registry.tenants() {
+                        tend(&t);
+                    }
                 }
             })
             .expect("spawn checkpointer");
@@ -1128,23 +994,15 @@ impl Checkpointer {
             handle: Some(handle),
         }
     }
+}
 
+impl Drop for Checkpointer {
     /// Signals the thread and joins it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-    }
-}
-
-impl Drop for Checkpointer {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 

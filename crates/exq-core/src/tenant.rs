@@ -23,19 +23,24 @@
 //!   another's fair share of the global limit (see the serve loop).
 //!
 //! Persistence is a directory-of-databases layout: a checksummed
-//! `MANIFEST` naming every db plus one crash-safe state file per db.
-//! Old single-file server artifacts are auto-migrated on load
-//! ([`TenantRegistry::open`]): the file is hosted as the default db and
-//! the next [`TenantRegistry::save_dir`] writes the new layout.
+//! [`Manifest`] naming every db plus one paged store per db,
+//! `<name>.exq.pages/`. [`TenantRegistry::open`] is the one way in: it
+//! hosts a directory's databases, or a single-file server artifact as the
+//! default db, each through [`PagedDb::open_or_migrate`] — an artifact
+//! with no paged sibling yet (`exq encrypt` output, or the `<name>.exq`
+//! of a directory written before every database was paged) is imported
+//! on first open.
 //!
 //! [`ServerCaches`]: crate::cache::ServerCaches
 
 use crate::codec::MAX_DB_ID_LEN;
 use crate::error::CoreError;
+use crate::persist::{atomic_write, checked_body, seal_checksum, R, W};
 use crate::server::Server;
+use crate::store::{PagedDb, StoreOptions};
 use crate::telemetry::{self, Counter, Gauge};
 use crate::transport::ReplayTable;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -314,11 +319,7 @@ impl Tenant {
     /// on every metrics scrape so gauges are fresh at read time instead of
     /// trailing the last mutation.
     pub fn refresh_store_gauges(&self) {
-        let guard = match self.server.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(db) = guard.paged_store() {
+        if let Some(db) = crate::store::read_server(&self.server).paged_store() {
             db.publish_metrics();
         }
     }
@@ -407,10 +408,7 @@ impl Tenant {
 
     /// Cache counters of this tenant's server.
     pub fn cache_stats(&self) -> crate::cache::CacheStatsSnapshot {
-        match self.server.read() {
-            Ok(guard) => guard.cache_stats(),
-            Err(poisoned) => poisoned.into_inner().cache_stats(),
-        }
+        crate::store::read_server(&self.server).cache_stats()
     }
 }
 
@@ -501,9 +499,8 @@ impl TenantRegistry {
 
     /// Unregisters a database and removes its `{db="<name>"}` series from
     /// the telemetry registry — a dropped db must disappear from the next
-    /// scrape, not linger as a frozen ghost. The state file (if any) is
-    /// not touched; callers that manage a directory remove it and re-save
-    /// the manifest.
+    /// scrape, not linger as a frozen ghost. Nothing on disk is touched;
+    /// `exq db drop` removes a directory's entry and store.
     pub fn drop_db(&self, name: &str) -> Result<Arc<Tenant>, CoreError> {
         let tenant = self
             .lock_write()
@@ -551,171 +548,160 @@ impl TenantRegistry {
 
     // ------------------------------------------------------- persistence --
 
-    /// The state file a database persists to inside `dir`.
+    /// Where a database's artifact sits (or sat) inside `dir`; its paged
+    /// store is the `.pages` sibling ([`PagedDb::pages_dir`]).
     pub fn db_path(dir: &Path, name: &str) -> PathBuf {
         dir.join(format!("{name}.exq"))
     }
 
-    /// Saves every database to `dir` in the directory-of-databases layout:
-    /// one crash-safe state file per db plus a checksummed manifest. A
-    /// paged tenant checkpoints its store (folds the WAL into pages)
-    /// instead of rewriting a single-file artifact. The directory is
-    /// created if missing.
+    /// Makes `dir` the directory-of-databases of this registry: every
+    /// tenant checkpoints its paged store (a tenant that has none yet —
+    /// registered from an in-memory [`Server`] — gets one at
+    /// `dir/<name>.exq.pages`), then the manifest is written. The directory
+    /// is created if missing.
     pub fn save_dir(&self, dir: &Path) -> Result<(), CoreError> {
         std::fs::create_dir_all(dir).map_err(|e| CoreError::Persist(e.to_string()))?;
-        let tenants = self.tenants();
-        for t in &tenants {
-            let paged = {
-                let guard = match t.server.read() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                guard.paged_store().is_some()
+        let mut manifest = Manifest::new(&self.default_db);
+        for t in self.tenants() {
+            let pages = PagedDb::pages_dir(&Self::db_path(dir, &t.name));
+            let store = crate::store::read_server(&t.server).paged_store();
+            match store {
+                None => {
+                    let mut server = crate::store::write_server(&t.server);
+                    PagedDb::attach_new(&mut server, &pages, &t.name, StoreOptions::default())?;
+                }
+                Some(db) if db.dir() == pages => {
+                    crate::store::checkpoint_once(&t.server)?;
+                }
+                Some(db) => {
+                    return Err(CoreError::Tenant(format!(
+                        "database '{}' is hosted from {}, not from {}",
+                        t.name,
+                        db.dir().display(),
+                        dir.display()
+                    )))
+                }
+            }
+            let entry = DbEntry {
+                key_fingerprint: t.key_fingerprint,
+                max_inflight: t.max_inflight(),
             };
-            if paged {
-                crate::store::checkpoint_once(&t.server)?;
-                continue;
-            }
-            let guard = match t.server.read() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard.save(&Self::db_path(dir, &t.name))?;
+            manifest.dbs.insert(t.name.clone(), entry);
         }
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MANIFEST_MAGIC);
-        write_string(&mut buf, &self.default_db);
-        buf.extend_from_slice(&(tenants.len() as u64).to_le_bytes());
-        for t in &tenants {
-            write_string(&mut buf, &t.name);
-            write_string(&mut buf, &format!("{}.exq", t.name));
-            buf.extend_from_slice(&t.key_fingerprint.to_le_bytes());
-            buf.extend_from_slice(&(t.max_inflight() as u64).to_le_bytes());
-        }
-        crate::persist::atomic_write(
-            &dir.join(MANIFEST_FILE),
-            &crate::persist::seal_checksum(buf),
-        )
+        manifest.write(dir)
     }
 
-    /// Loads a directory-of-databases layout written by
-    /// [`TenantRegistry::save_dir`].
-    pub fn load_dir(dir: &Path) -> Result<TenantRegistry, CoreError> {
-        Self::load_dir_with(dir, &|path, _name| Server::load(path))
-    }
-
-    /// Loads a directory-of-databases layout, opening every database
-    /// out-of-core: paged siblings are authoritative, legacy single-file
-    /// artifacts migrate on first open.
-    pub fn load_dir_paged(
-        dir: &Path,
-        opts: crate::store::StoreOptions,
-    ) -> Result<TenantRegistry, CoreError> {
-        Self::load_dir_with(dir, &|path, name| {
-            let (server, _db, replay) = crate::store::PagedDb::open_or_migrate(path, name, opts)?;
-            if replay.replayed + replay.failed > 0 || replay.dropped_torn_tail {
-                telemetry::counter(&format!("exq_store_replayed_total{{db=\"{name}\"}}"))
-                    .add(replay.replayed as u64);
-            }
-            Ok(server)
-        })
-    }
-
-    fn load_dir_with(
-        dir: &Path,
-        open: &dyn Fn(&Path, &str) -> Result<Server, CoreError>,
-    ) -> Result<TenantRegistry, CoreError> {
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let data = std::fs::read(&manifest_path)
-            .map_err(|e| CoreError::Persist(format!("read {}: {e}", manifest_path.display())))?;
-        let body = crate::persist::checked_body(&data, MANIFEST_MAGIC, MANIFEST_MAGIC, "manifest")?;
-        let mut pos = 0usize;
-        let default_db = read_string(body, &mut pos)?;
-        let count = read_u64(body, &mut pos)? as usize;
-        // Each entry is at least two length prefixes + two u64s.
-        if count.saturating_mul(32) > body.len() {
-            return Err(CoreError::Persist("manifest count exceeds input".into()));
-        }
-        let registry = TenantRegistry::new(&default_db)?;
-        for _ in 0..count {
-            let name = read_string(body, &mut pos)?;
-            let file = read_string(body, &mut pos)?;
-            let key_fingerprint = read_u64(body, &mut pos)?;
-            let max_inflight = read_u64(body, &mut pos)? as usize;
-            validate_db_id(&name)?;
-            if std::path::Path::new(&file).components().nth(1).is_some() {
-                return Err(CoreError::Persist(format!(
-                    "manifest entry '{name}' names a non-local state file '{file}'"
-                )));
-            }
-            let server = open(&dir.join(&file), &name)?;
-            registry.create(&name, server, key_fingerprint, max_inflight)?;
-        }
-        if pos != body.len() {
-            return Err(CoreError::Persist("manifest trailing bytes".into()));
-        }
-        Ok(registry)
-    }
-
-    /// Opens `path` in whichever layout it holds: a directory with a
-    /// manifest loads as-is, a legacy single-file server artifact is
-    /// auto-migrated in memory — hosted as `default_db` (key fingerprint
-    /// unknown); the next [`TenantRegistry::save_dir`] writes the new
-    /// layout.
-    pub fn open(path: &Path, default_db: &str) -> Result<TenantRegistry, CoreError> {
-        if path.is_dir() {
-            return Self::load_dir(path);
-        }
-        let server = Server::load(path)?;
-        let registry = TenantRegistry::new(default_db)?;
-        registry.create(default_db, server, 0, 0)?;
-        Ok(registry)
-    }
-
-    /// [`TenantRegistry::open`], but every database is hosted out-of-core
-    /// through a paged store (migrating legacy artifacts on first open).
-    pub fn open_paged(
+    /// Hosts what `path` holds, every database through its paged store
+    /// with a buffer pool of `opts`: a directory's manifest names the
+    /// databases (and the default one); a single-file server artifact is
+    /// hosted as `default_db` (key fingerprint unknown).
+    pub fn open(
         path: &Path,
         default_db: &str,
-        opts: crate::store::StoreOptions,
+        opts: StoreOptions,
     ) -> Result<TenantRegistry, CoreError> {
-        if path.is_dir() {
-            return Self::load_dir_paged(path, opts);
+        let is_dir = path.is_dir();
+        let manifest = if is_dir {
+            Manifest::read(path)?
+        } else {
+            let mut single = Manifest::new(default_db);
+            single.dbs.insert(default_db.to_owned(), DbEntry::default());
+            single
+        };
+        let registry = TenantRegistry::new(&manifest.default_db)?;
+        for (name, entry) in &manifest.dbs {
+            let state = if is_dir {
+                Self::db_path(path, name)
+            } else {
+                path.to_path_buf()
+            };
+            let (server, _db, replay) = PagedDb::open_or_migrate(&state, name, opts)?;
+            if replay.replayed + replay.failed > 0 || replay.dropped_torn_tail {
+                telemetry::counter(&telemetry::db_series("exq_store_replayed_total", name))
+                    .add(replay.replayed as u64);
+            }
+            registry.create(name, server, entry.key_fingerprint, entry.max_inflight)?;
         }
-        let (server, _db, _replay) =
-            crate::store::PagedDb::open_or_migrate(path, default_db, opts)?;
-        let registry = TenantRegistry::new(default_db)?;
-        registry.create(default_db, server, 0, 0)?;
         Ok(registry)
     }
 }
 
-fn write_string(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
+/// What the manifest records about one database beside its name.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DbEntry {
+    /// FNV-1a fingerprint of the sealing client's master key (0 = unknown).
+    pub key_fingerprint: u64,
+    /// Per-db in-flight cap (0 = inherit the serve loop's fair share).
+    pub max_inflight: usize,
 }
 
-fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64, CoreError> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| CoreError::Persist("manifest truncated".into()))?;
-    let v = u64::from_le_bytes(buf[*pos..end].try_into().unwrap());
-    *pos = end;
-    Ok(v)
+/// The checksummed `MANIFEST` of a database directory: which database
+/// anonymous requests route to, and every hosted database by name. The one
+/// definition of the file — [`TenantRegistry::open`] and
+/// [`TenantRegistry::save_dir`] go through it, and `exq db create|list|drop`
+/// edit a directory with it without opening a single database.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Manifest {
+    pub default_db: String,
+    pub dbs: BTreeMap<String, DbEntry>,
 }
 
-fn read_string(buf: &[u8], pos: &mut usize) -> Result<String, CoreError> {
-    let n = read_u64(buf, pos)? as usize;
-    let end = pos
-        .checked_add(n)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| CoreError::Persist("manifest truncated".into()))?;
-    let s = std::str::from_utf8(&buf[*pos..end])
-        .map_err(|_| CoreError::Persist("manifest string is not UTF-8".into()))?
-        .to_owned();
-    *pos = end;
-    Ok(s)
+impl Manifest {
+    /// A manifest naming no database yet.
+    pub fn new(default_db: &str) -> Manifest {
+        Manifest {
+            default_db: default_db.to_owned(),
+            dbs: BTreeMap::new(),
+        }
+    }
+
+    /// Reads and validates `dir/MANIFEST`.
+    pub fn read(dir: &Path) -> Result<Manifest, CoreError> {
+        let path = dir.join(MANIFEST_FILE);
+        let data = std::fs::read(&path)
+            .map_err(|e| CoreError::Persist(format!("read {}: {e}", path.display())))?;
+        let mut r = R::new(checked_body(&data, MANIFEST_MAGIC, "manifest")?);
+        let mut manifest = Manifest::new(&r.string()?);
+        // Each entry is at least two length prefixes + two u64s.
+        for _ in 0..r.count(32)? {
+            let name = r.string()?;
+            validate_db_id(&name)?;
+            // Every writer there has been names the state file after the db.
+            if r.string()? != format!("{name}.exq") {
+                return Err(CoreError::Persist(format!(
+                    "manifest entry '{name}' names a foreign state file"
+                )));
+            }
+            let entry = DbEntry {
+                key_fingerprint: r.u64()?,
+                max_inflight: r.u64()? as usize,
+            };
+            if manifest.dbs.insert(name.clone(), entry).is_some() {
+                return Err(CoreError::Persist(format!(
+                    "manifest names database '{name}' twice"
+                )));
+            }
+        }
+        if !r.finished() {
+            return Err(CoreError::Persist("manifest trailing bytes".into()));
+        }
+        Ok(manifest)
+    }
+
+    /// Writes `dir/MANIFEST` (crash-safe: temp file + fsync + rename).
+    pub fn write(&self, dir: &Path) -> Result<(), CoreError> {
+        let mut w = W::default();
+        w.buf.extend_from_slice(MANIFEST_MAGIC);
+        w.string(&self.default_db);
+        w.u64(self.dbs.len() as u64);
+        for (name, entry) in &self.dbs {
+            w.string(name);
+            w.string(&format!("{name}.exq"));
+            w.u64(entry.key_fingerprint);
+            w.u64(entry.max_inflight as u64);
+        }
+        atomic_write(&dir.join(MANIFEST_FILE), &seal_checksum(w.buf))
+    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@ use exq_core::constraints::SecurityConstraint;
 use exq_core::scheme::SchemeKind;
 use exq_core::store::{checkpoint_once, Checkpointer, PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
+use exq_core::tenant::TenantRegistry;
 use exq_core::{Client, Server};
 use exq_xml::Document;
 use std::sync::{Arc, RwLock};
@@ -261,13 +262,15 @@ fn background_checkpointer_folds_off_the_serving_path() {
             5,
         )
         .unwrap();
-    let lock = Arc::new(RwLock::new(paged));
-    let ckpt = Checkpointer::spawn(Arc::clone(&lock), std::time::Duration::from_millis(30));
+    // The one sweep there is: the tenant checkpointer, over a registry.
+    let registry = Arc::new(TenantRegistry::new("bg").unwrap());
+    let lock = Arc::clone(&registry.create("bg", paged, 0, 0).unwrap().server);
+    let ckpt = Checkpointer::spawn(registry, std::time::Duration::from_millis(30));
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     while db.footprint().wal_depth > 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
-    ckpt.stop();
+    drop(ckpt);
     assert_eq!(
         db.footprint().wal_depth,
         0,

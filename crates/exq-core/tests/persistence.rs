@@ -132,6 +132,18 @@ fn corrupted_files_rejected() {
     let s = server.save_bytes().unwrap();
     assert!(Server::load_bytes(&s[..s.len() / 2]).is_err());
     assert!(Server::load_bytes(&[]).is_err());
+    // The pre-checksum formats (magic ending `1`) carried no CRC to verify;
+    // they are refused by magic, with or without a checksum appended.
+    let v1 = |bytes: &[u8]| [&bytes[..5], b"1", &bytes[6..]].concat();
+    for body in [v1(&s), v1(&s[..s.len() - 4])] {
+        let err = Server::load_bytes(&body).unwrap_err();
+        assert!(matches!(err, exq_core::CoreError::Persist(_)), "{err:?}");
+    }
+    let c = client.save_bytes();
+    for body in [v1(&c), v1(&c[..c.len() - 4])] {
+        let err = Client::load_bytes(&body).unwrap_err();
+        assert!(matches!(err, exq_core::CoreError::Persist(_)), "{err:?}");
+    }
 }
 
 #[test]

@@ -8,6 +8,7 @@ use exq_core::constraints::SecurityConstraint;
 use exq_core::evloop::serve_event;
 use exq_core::scheme::SchemeKind;
 use exq_core::serve::{ServeConfig, ServeHandle};
+use exq_core::store::{PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::tenant::TenantRegistry;
 use exq_core::transport::{TcpTransport, Transport};
@@ -353,20 +354,25 @@ fn hot_tenant_sheds_without_starving_quiet_tenant() {
     handle.shutdown();
 }
 
-/// Directory-of-databases persistence: save, reload, serve, kill, restart —
-/// every tenant's answers survive identically, as does the manifest
-/// metadata.
+/// Directory-of-databases persistence: save, reload, serve, mutate, kill,
+/// restart — every tenant's answers survive identically, an acked insert
+/// included, as does the manifest metadata.
 #[test]
 fn multi_db_layout_survives_restart() {
     let tmp = TempDir::new("layout");
     let dir = tmp.0.join("dbs");
-    let (registry, clients) = three_db_registry("disk");
+    let (registry, mut clients) = three_db_registry("disk");
     registry.get(&clients[1].0).unwrap().set_max_inflight(5);
     registry.save_dir(&dir).unwrap();
+    for (name, _) in &clients {
+        let state = TenantRegistry::db_path(&dir, name);
+        assert!(PagedDb::is_paged(&state) && !state.exists(), "{name}");
+    }
 
     // Reload and serve: every tenant answers; quotas and fingerprints ride
-    // the manifest.
-    let reloaded = Arc::new(TenantRegistry::load_dir(&dir).unwrap());
+    // the manifest, whose default wins over the caller's hint.
+    let opts = StoreOptions::default();
+    let reloaded = Arc::new(TenantRegistry::open(&dir, "ignored-default", opts).unwrap());
     assert_eq!(reloaded.default_db(), registry.default_db());
     assert_eq!(reloaded.names(), registry.names());
     assert_eq!(reloaded.get(&clients[1].0).unwrap().max_inflight(), 5);
@@ -378,6 +384,15 @@ fn multi_db_layout_survives_restart() {
         );
     }
     let handle = start(Arc::clone(&reloaded), ServeConfig::default());
+    let (name0, client0) = &mut clients[0];
+    client0
+        .insert_via(
+            &mut connect(&handle, name0),
+            "/hospital",
+            "<patient><pname>Zoe</pname><SSN>112233</SSN><age>29</age></patient>",
+            3,
+        )
+        .unwrap();
     let mut first_answers = Vec::new();
     for (name, client) in &clients {
         let mut tcp = connect(&handle, name);
@@ -388,10 +403,16 @@ fn multi_db_layout_survives_restart() {
                 .results,
         );
     }
-    handle.shutdown(); // "kill"
+    assert_eq!(
+        first_answers[0].len(),
+        3,
+        "insert not visible before the kill"
+    );
+    handle.shutdown(); // "kill": nothing checkpoints, the WAL holds the insert
+    drop(reloaded);
 
     // Restart from disk: bit-identical answers.
-    let restarted = Arc::new(TenantRegistry::load_dir(&dir).unwrap());
+    let restarted = Arc::new(TenantRegistry::open(&dir, "ignored-default", opts).unwrap());
     let handle = start(Arc::clone(&restarted), ServeConfig::default());
     for ((name, client), before) in clients.iter().zip(&first_answers) {
         let mut tcp = connect(&handle, name);
@@ -401,38 +422,39 @@ fn multi_db_layout_survives_restart() {
     handle.shutdown();
 }
 
-/// A legacy single-file server artifact opens as a one-db registry (auto-
-/// migration), and the next save writes the directory layout.
+/// A single-file server artifact opens as a one-db registry: imported into
+/// its paged sibling on the first open, served from the sibling after, the
+/// artifact itself never written.
 #[test]
 fn single_file_artifact_auto_migrates() {
     let tmp = TempDir::new("migrate");
     let (client, server) = hosted("solo", 4242);
-    let legacy = tmp.0.join("server.exq");
-    server.save(&legacy).unwrap();
+    let artifact = tmp.0.join("server.exq");
+    server.save(&artifact).unwrap();
+    let before = std::fs::read(&artifact).unwrap();
 
-    let registry = TenantRegistry::open(&legacy, "main").unwrap();
-    assert_eq!(registry.names(), vec!["main".to_owned()]);
-    let handle = start(
-        Arc::new(TenantRegistry::open(&legacy, "main").unwrap()),
-        ServeConfig::default(),
-    );
-    // Anonymous and named routing both reach the migrated db.
-    let mut anon = TcpTransport::connect_default(handle.addr()).unwrap();
-    let out = client.query_via(&mut anon, "//patient/pname").unwrap();
-    assert_eq!(out.results.len(), 2);
-    handle.shutdown();
-
-    // Saving migrates to the directory layout, which opens as a directory.
-    let dir = tmp.0.join("migrated");
-    registry.save_dir(&dir).unwrap();
-    assert!(dir.join("MANIFEST").exists());
-    assert!(dir.join("main.exq").exists());
-    let back = TenantRegistry::open(&dir, "ignored-default").unwrap();
-    assert_eq!(
-        back.default_db(),
-        "main",
-        "manifest default wins over the hint"
-    );
+    for open in ["first", "second"] {
+        let registry =
+            Arc::new(TenantRegistry::open(&artifact, "main", StoreOptions::default()).unwrap());
+        assert_eq!(registry.names(), vec!["main".to_owned()]);
+        assert!(
+            PagedDb::is_paged(&artifact),
+            "{open} open: no paged sibling"
+        );
+        // A registry hosted from one place cannot be saved as another.
+        assert!(registry.save_dir(&tmp.0.join("elsewhere")).is_err());
+        let handle = start(registry, ServeConfig::default());
+        // Anonymous and named routing both reach the db.
+        for mut link in [
+            TcpTransport::connect_default(handle.addr()).unwrap(),
+            connect(&handle, "main"),
+        ] {
+            let out = client.query_via(&mut link, "//patient/pname").unwrap();
+            assert_eq!(out.results.len(), 2, "{open} open");
+        }
+        handle.shutdown();
+    }
+    assert_eq!(std::fs::read(&artifact).unwrap(), before);
 }
 
 /// The wire has one dialect. A frame whose version byte is anything but

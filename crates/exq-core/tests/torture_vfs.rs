@@ -239,6 +239,49 @@ fn seeded_power_cuts_lose_no_acknowledged_mutation() {
     );
 }
 
+/// An import is all or nothing. Cut the power at every VFS operation inside
+/// `attach_new_with`, revive, and either no store exists at the target — so
+/// the next open imports again, which must then succeed on the same disk —
+/// or the store opens and holds the fault-free twin's state, bit for bit.
+#[test]
+fn interrupted_import_leaves_no_store_or_a_complete_one() {
+    let base = hosted().1.save_bytes().unwrap();
+    let import = |vfs: &FaultVfs| {
+        let mut server = Server::load_bytes(&base).unwrap();
+        let vfs = Arc::new(vfs.clone());
+        PagedDb::attach_new_with(&mut server, vfs, Path::new("/db"), "imp", tiny_opts())
+    };
+    let probe = FaultVfs::new(0);
+    import(&probe).unwrap();
+    let ops = probe.ops();
+    assert!(ops > 20, "import consumes suspiciously few VFS ops");
+
+    let (mut absent, mut complete) = (0u64, 0u64);
+    for k in 0..ops {
+        let vfs = FaultVfs::new(k);
+        vfs.crash_at_op(k);
+        let outcome = import(&vfs).map(|_| ());
+        assert!(vfs.crashed(), "op {k}: no power cut inside the import");
+        vfs.revive();
+        if exq_store::PagedStore::exists_in(&vfs, Path::new("/db")) {
+            complete += 1;
+        } else {
+            assert!(outcome.is_err(), "op {k}: import reported a store it lost");
+            import(&vfs).unwrap_or_else(|e| panic!("op {k}: second import failed: {e}"));
+            absent += 1;
+        }
+        let (recovered, _db, replay) =
+            PagedDb::open_with(Arc::new(vfs.clone()), Path::new("/db"), "imp", tiny_opts())
+                .unwrap_or_else(|e| panic!("op {k}: store exists but does not open: {e}"));
+        assert_eq!(replay.replayed + replay.failed, 0, "op {k}");
+        assert_eq!(recovered.save_bytes().unwrap(), base, "op {k}");
+    }
+    assert!(
+        absent > 0 && complete > 0,
+        "{absent} absent, {complete} complete"
+    );
+}
+
 /// Bit rot on every data page of a live store: the scrubber must detect,
 /// quarantine, and repair all of it from resident state — no record lost,
 /// answers bit-identical afterwards.

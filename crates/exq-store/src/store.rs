@@ -77,8 +77,8 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-const DATA_FILE: &str = "data.exqp";
-const WAL_FILE: &str = "log.wal";
+pub const DATA_FILE: &str = "data.exqp";
+pub const WAL_FILE: &str = "log.wal";
 
 /// Tuning knobs for opening/creating a store.
 #[derive(Debug, Clone, Copy)]
