@@ -2,8 +2,9 @@
 //! OPESS planning, B-tree, DSI labeling, structural joins, XML parsing, and
 //! vertex-cover solvers — and for the reply path of one secure query
 //! (server assembly, filtered serialization, client reconstruction, frame
-//! checksum) on the perf ledger's `xmark_scan` database, and the batch
-//! block read on its `hospital_paged` store.
+//! checksum) on the perf ledger's `xmark_scan` database, the server's
+//! predicate matching on its `hospital_point` database, and the batch block
+//! read on its `hospital_paged` store.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use exq_core::cover::{solve_clarkson, solve_exact, ConstraintGraph};
@@ -164,7 +165,6 @@ fn bench_reply_path(c: &mut Criterion) {
         .outsource(&doc, &xmark::constraints(), SchemeKind::Opt, 2006)
         .unwrap()
         .split();
-    server.set_threads(1);
     server.set_cache_entries(Some(0));
     let client = client.with_threads(1);
     let shapes = [
@@ -210,6 +210,38 @@ fn bench_reply_path(c: &mut Criterion) {
     c.bench_function("xml/write_filtered", |b| {
         b.iter(|| black_box(visible.to_xml_filtered(|n| keep[n.index()]).len()))
     });
+}
+
+/// `Server::answer` where predicates are the work, on the ledger's
+/// `hospital_point` set-up (1200 patients, seed 2007, `Opt`): a plaintext
+/// predicate above the anchor (a witness per survivor), an encrypted range
+/// with the anchor at its step, and a branch with a predicate of its own.
+fn bench_sjoin_hospital(c: &mut Criterion) {
+    let (client, mut server) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(
+            &hospital::scaled(1200, 2007),
+            &hospital::constraints(),
+            SchemeKind::Opt,
+            2007,
+        )
+        .unwrap()
+        .split();
+    server.set_cache_entries(Some(0));
+    let mut group = c.benchmark_group("server/sjoin_hospital");
+    for (shape, q) in [
+        ("plain_above_anchor", "//patient[age > 50]/pname"),
+        ("range_at_anchor", "//patient[pname = 'Mary']/SSN"),
+        (
+            "branch_with_predicate",
+            "//patient[.//policy[@coverage < 500000]]/pname",
+        ),
+    ] {
+        let sq = client.translate(q).unwrap().server_query.unwrap();
+        group.bench_function(shape, |b| {
+            b.iter(|| black_box(server.answer(&sq).unwrap().blocks.len()))
+        });
+    }
+    group.finish();
 }
 
 /// One reply's worth of blocks through `PagedStore::read_many`, on the
@@ -269,6 +301,7 @@ criterion_group!(
     bench_xml_parse,
     bench_cover,
     bench_reply_path,
+    bench_sjoin_hospital,
     bench_read_blocks,
     bench_crc32
 );

@@ -1,16 +1,16 @@
-//! E15 — extension: the parallel query hot path (`--threads`).
+//! E15 — extension: the client's parallel block decrypt (`--threads`).
 //!
 //! Not a paper figure: the paper's client is single-threaded, and its
 //! dominant cost — block decryption plus XML re-parsing at 2006-era speeds
 //! (§7.2) — is embarrassingly parallel across shipped blocks. This
-//! experiment sweeps the thread knob over the hospital and XMark workloads
-//! and reports, per thread count:
+//! experiment sweeps the client's thread knob over the hospital and XMark
+//! workloads and reports, per thread count:
 //!
 //! * the measured wall time of the client block phase (decrypt + parse on
-//!   the real pool) and of server-side candidate filtering;
+//!   the real pool);
 //! * the era-modeled decrypt makespan (least-loaded-worker schedule over
 //!   the same per-block 2006-era costs the serial model charges);
-//! * the speedup of each over the single-thread run.
+//! * the speedup over the single-thread run.
 //!
 //! Answers are asserted byte-identical across every thread count — the
 //! knob must be purely a performance knob. On single-core hosts the
@@ -78,43 +78,34 @@ struct Measured {
     decrypt: Duration,
     /// Measured client post-processing (re-evaluation + splice).
     post: Duration,
-    /// Measured server processing (filtering + assembly).
-    server: Duration,
     results: Vec<String>,
 }
 
 fn measure(sweep: &mut Sweep, threads: usize, trials: usize) -> Measured {
     sweep.hosted.client.set_threads(threads);
-    sweep.hosted.server.set_threads(threads);
-    // This experiment measures recomputation, not memoization: with the
-    // response cache on, repeat trials would all be hits and the server
-    // column would collapse to lookup time (e16 measures that instead).
+    // Recomputation, not memoization: every trial gets a freshly assembled
+    // reply to decrypt (e16 measures the response cache).
     sweep.hosted.server.set_cache_entries(Some(0));
     let mut decrypt = Vec::new();
     let mut post = Vec::new();
-    let mut server = Vec::new();
     let mut results = Vec::new();
     for q in &sweep.queries {
         let mut d = Vec::new();
         let mut p = Vec::new();
-        let mut s = Vec::new();
         for _ in 0..trials.max(1) {
             let out = sweep.hosted.query(q).expect("query");
             d.push(out.timing.decrypt);
             p.push(out.timing.post_process);
-            s.push(out.timing.server_process);
             if d.len() == 1 {
                 results.extend(out.results);
             }
         }
         decrypt.push(robust_mean(&d));
         post.push(robust_mean(&p));
-        server.push(robust_mean(&s));
     }
     Measured {
         decrypt: decrypt.iter().sum(),
         post: post.iter().sum(),
-        server: server.iter().sum(),
         results,
     }
 }
@@ -139,7 +130,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
                 "decrypt (ms, modeled)",
                 "decrypt speedup",
                 "post (ms)",
-                "server (ms)",
                 "answers",
             ],
         );
@@ -156,7 +146,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
                 Measured {
                     decrypt: baseline.decrypt,
                     post: baseline.post,
-                    server: baseline.server,
                     results: baseline.results.clone(),
                 }
             } else {
@@ -173,7 +162,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
                 format!("{:.2}", ms(m.decrypt)),
                 format!("{speedup:.2}x"),
                 format!("{:.2}", ms(m.post)),
-                format!("{:.2}", ms(m.server)),
                 "identical".to_string(),
             ]);
             if ti > 0 {
@@ -181,12 +169,11 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             }
             json.push_str(&format!(
                 "      {{ \"threads\": {threads}, \"decrypt_ms\": {:.4}, \
-                 \"decrypt_speedup\": {:.3}, \"post_ms\": {:.4}, \"server_ms\": {:.4}, \
+                 \"decrypt_speedup\": {:.3}, \"post_ms\": {:.4}, \
                  \"answers_identical\": true }}",
                 ms(m.decrypt),
                 speedup,
                 ms(m.post),
-                ms(m.server),
             ));
         }
         json.push_str("\n    ] }");

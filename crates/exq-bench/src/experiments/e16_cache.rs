@@ -131,7 +131,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let mut json = String::from("{\n  \"experiment\": \"e16_cache\",\n  \"datasets\": [\n");
 
     for (wi, mut sweep) in workloads(cfg).into_iter().enumerate() {
-        sweep.hosted.server.set_threads(1);
         let translated: Vec<ServerQuery> = sweep
             .queries
             .iter()

@@ -205,7 +205,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         // Single-threaded on both ends: scheduler jitter from the decrypt
         // pool would swamp the sub-percent effect being measured.
         sweep.hosted.client.set_threads(1);
-        sweep.hosted.server.set_threads(1);
         // Pin the cache on and pre-warm it so every measured replay sees
         // the identical all-hot state: the point is the telemetry delta,
         // not cold-start noise.

@@ -162,7 +162,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     // Server caching off: every draw pays full evaluation, so fault-rate
     // effects are not masked by response-cache hits.
     hosted.server.set_cache_entries(Some(0));
-    hosted.server.set_threads(1);
     let schedule = zipf_schedule(QUERIES.len(), cfg.seed ^ 0xE18);
 
     // Fault-free reference pass.

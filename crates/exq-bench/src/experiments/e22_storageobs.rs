@@ -244,8 +244,7 @@ fn serve_paged(
         page_size,
         cache_bytes: disk_bytes / 4,
     };
-    let (mut server, _db, _) = PagedDb::open(&PagedDb::pages_dir(&legacy), DB, opts).unwrap();
-    server.set_threads(1);
+    let (server, _db, _) = PagedDb::open(&PagedDb::pages_dir(&legacy), DB, opts).unwrap();
     let registry = Arc::new(TenantRegistry::new(DB).unwrap());
     registry
         .create(DB, server, client.key_fingerprint(), 0)

@@ -107,7 +107,7 @@ pub fn registry() -> Vec<Experiment> {
         ),
         (
             "e15",
-            "extension: parallel hot path — threaded decrypt and server fan-out",
+            "extension: client block decrypt in parallel (thread sweep)",
             e15_parallel::run,
         ),
         (

@@ -201,7 +201,6 @@ pub fn cmd_query(
     cache_entries: Option<usize>,
 ) -> Result<String, CliError> {
     let mut server = load_artifact(server_path)?;
-    server.set_threads(threads);
     server.set_cache_entries(cache_entries);
     let client = Client::load(client_path)?.with_threads(threads);
     let mut link = InProcess::shared(&server);
@@ -404,8 +403,6 @@ pub fn resolve_store_opts(cache_mb: Option<usize>) -> StoreOptions {
 pub struct ServeOptions {
     pub addr: String,
     pub workers: usize,
-    /// `0` = auto (`EXQ_THREADS` / the machine's parallelism).
-    pub threads: usize,
     /// `None` resolves from `EXQ_CACHE` / the default; `Some(0)` disables.
     pub cache_entries: Option<usize>,
     /// `0` = unlimited.
@@ -422,7 +419,6 @@ impl ServeOptions {
     fn config(&self) -> ServeConfig {
         ServeConfig {
             workers: self.workers,
-            threads: self.threads,
             cache_entries: self.cache_entries,
             max_inflight: self.max_inflight,
             max_inflight_per_db: self.max_inflight_per_db,
@@ -474,7 +470,6 @@ pub fn cmd_serve(
             .map_or(0, |db| db.footprint().page_count);
         (server.block_count(), server.hosted_bytes(), pages)
     };
-    let per_query = exq_core::pool::resolve_threads(opts.threads);
     let cache = handle.cache_stats().capacity;
     let cache_desc = if cache == 0 {
         "cache disabled".to_owned()
@@ -489,7 +484,7 @@ pub fn cmd_serve(
     };
     let banner = format!(
         "serving {} ({bytes} hosted bytes, {blocks} blocks) on {} with {} worker(s), \
-         {per_query} intra-query thread(s), {cache_desc}{load_desc}, \
+         {cache_desc}{load_desc}, \
          paged ({} MiB pool, {pages} pages on disk)\n",
         server_path.display(),
         handle.addr(),
@@ -1047,7 +1042,9 @@ USAGE:
                 [--pipeline N]      (submit the query N times in flight on one
                 'XPATH'              connection; all answers must agree)
                                     (--retries: reconnect+replay budget, default 3)
-  exq serve     --server server.exq --addr HOST:PORT [--workers N] [--threads N]
+                                    (--threads: client block-decrypt workers;
+                                     default EXQ_THREADS, else every core)
+  exq serve     --server server.exq --addr HOST:PORT [--workers N]
                 [--cache-entries N]   (0 disables the server caches)
                 [--max-inflight N]    (shed Busy beyond N concurrent requests; 0=off)
                 [--deadline-ms N]     (per-request lock deadline; 0=off)
@@ -1063,7 +1060,7 @@ USAGE:
                                        bytes, page counts, WAL depth, key
                                        fingerprints, quotas)
   exq db drop   --dir DBDIR --name NAME   (remove the db's entry and its store)
-  exq db host   --dir DBDIR --addr HOST:PORT [--workers N] [--threads N]
+  exq db host   --dir DBDIR --addr HOST:PORT [--workers N]
                 [--cache-entries N] [--max-inflight N] [--max-inflight-per-db N]
                 [--deadline-ms N] [--cache-mb N]
                                       (serve every db in the directory as `serve`

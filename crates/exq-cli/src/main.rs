@@ -46,7 +46,6 @@ fn known_options(cmd: &str, verb: Option<&str>) -> Option<&'static [&'static str
             "server",
             "addr",
             "workers",
-            "threads",
             "cache-entries",
             "max-inflight",
             "deadline-ms",
@@ -59,7 +58,6 @@ fn known_options(cmd: &str, verb: Option<&str>) -> Option<&'static [&'static str
             "dir",
             "addr",
             "workers",
-            "threads",
             "cache-entries",
             "max-inflight",
             "max-inflight-per-db",
@@ -150,7 +148,8 @@ fn run(args: &[String]) -> Result<String, CliError> {
             .ok_or_else(|| CliError::Usage(format!("missing --{k}")))
     };
     let seed = int_flag::<u64>(&flags, "seed")?.unwrap_or(42);
-    // 0 means "auto": pick up EXQ_THREADS or the machine's parallelism.
+    // Client block-decrypt workers (`query` only); 0 means "auto": pick up
+    // EXQ_THREADS or the machine's parallelism.
     let threads = int_flag::<usize>(&flags, "threads")?.unwrap_or(0);
     // None resolves from EXQ_CACHE / the built-in default; 0 disables.
     let cache_entries = int_flag::<usize>(&flags, "cache-entries")?;
@@ -161,7 +160,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
         Ok(ServeOptions {
             addr: string("addr")?,
             workers: int_flag(&flags, "workers")?.unwrap_or(4),
-            threads,
             cache_entries,
             max_inflight: int_flag(&flags, "max-inflight")?.unwrap_or(0),
             max_inflight_per_db: int_flag(&flags, "max-inflight-per-db")?.unwrap_or(0),

@@ -24,16 +24,10 @@ impl Drop for TempDir {
 }
 
 /// Serving options on an ephemeral port with no admission limits.
-fn serving(
-    workers: usize,
-    threads: usize,
-    cache_entries: Option<usize>,
-    cache_mb: Option<usize>,
-) -> ServeOptions {
+fn serving(workers: usize, cache_entries: Option<usize>, cache_mb: Option<usize>) -> ServeOptions {
     ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers,
-        threads,
         cache_entries,
         max_inflight: 0,
         max_inflight_per_db: 0,
@@ -252,6 +246,15 @@ fn unknown_options_are_usage_errors_naming_the_typo() {
         .output()
         .unwrap();
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --workers"));
+    // `--threads` sizes the client's block decrypt; a server has no use for it.
+    for host in [&["serve", "--server"][..], &["db", "host", "--dir"]] {
+        let out = std::process::Command::new(exe)
+            .args(host)
+            .args(["x", "--addr", "127.0.0.1:0", "--threads", "2"])
+            .output()
+            .unwrap();
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --threads"));
+    }
     // ...while the global ones pass every command's check.
     let out = std::process::Command::new(exe)
         .args(["ping", "--log-level", "off", "--count"])
@@ -314,7 +317,7 @@ fn binary_smoke() {
 fn default_serve_answers_pipelined_queries_past_idle_connections() {
     let dir = TempDir::new("serve-pipeline");
     let (server, client) = setup(&dir);
-    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(2, 1, Some(64), None)).unwrap();
+    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(2, Some(64), None)).unwrap();
     let addr = handle.addr().to_string();
 
     // Four times as many idle connections as workers: they cost the server
@@ -335,7 +338,7 @@ fn default_serve_answers_pipelined_queries_past_idle_connections() {
 fn serve_then_stats_scrapes_live_metrics() {
     let dir = TempDir::new("stats-live");
     let (server, client) = setup(&dir);
-    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(2, 1, Some(64), None)).unwrap();
+    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(2, Some(64), None)).unwrap();
     let addr = handle.addr().to_string();
 
     // Drive one query so the counters move, then scrape the registry.
@@ -422,7 +425,7 @@ fn serve_and_query_remote() {
     .unwrap();
 
     // Bind on an ephemeral port, then query it over the wire.
-    let (handle, _ckpt, banner) = cmd_serve(&server, &serving(2, 2, Some(64), None)).unwrap();
+    let (handle, _ckpt, banner) = cmd_serve(&server, &serving(2, Some(64), None)).unwrap();
     assert!(banner.contains("serving"), "banner: {banner}");
     assert!(banner.contains("cache 64 entries"), "banner: {banner}");
     let addr = handle.addr().to_string();
@@ -467,7 +470,7 @@ fn serve_and_query_remote() {
 fn ping_measures_live_server_and_fails_on_dead_one() {
     let dir = TempDir::new("ping");
     let (server, _client) = setup(&dir);
-    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(1, 1, Some(0), None)).unwrap();
+    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(1, Some(0), None)).unwrap();
     let addr = handle.addr().to_string();
     let out = cmd_ping(&addr, 3).unwrap();
     assert!(out.contains("seq=2"), "ping output: {out}");
@@ -507,7 +510,7 @@ fn db_verbs_manage_a_multi_tenant_directory() {
 
     // Host both and route queries by db name; each db only decrypts with
     // its own client artifact.
-    let (handle, _ckpt, banner) = cmd_db_host(&dbdir, &serving(2, 1, Some(64), Some(1))).unwrap();
+    let (handle, _ckpt, banner) = cmd_db_host(&dbdir, &serving(2, Some(64), Some(1))).unwrap();
     assert!(banner.contains("2 database(s)"), "{banner}");
     let addr = handle.addr().to_string();
     let out = cmd_query_remote(&addr, &cli_a, "//patient/pname", 1, 1, Some("ward-a"), 1).unwrap();
@@ -552,7 +555,7 @@ fn db_verbs_manage_a_multi_tenant_directory() {
     // A dropped database stays dropped: its name created again, under the
     // other key, serves the new database, not the old store's blocks.
     cmd_db_create(&dbdir, "ward-b", &srv_a, Some(&cli_a), 0).unwrap();
-    let (handle, _ckpt, _banner) = cmd_db_host(&dbdir, &serving(1, 1, None, Some(1))).unwrap();
+    let (handle, _ckpt, _banner) = cmd_db_host(&dbdir, &serving(1, None, Some(1))).unwrap();
     let addr = handle.addr().to_string();
     let out = cmd_query_remote(&addr, &cli_a, "//patient/pname", 1, 0, Some("ward-b"), 1).unwrap();
     assert!(out.contains("Betty"), "the dropped db came back: {out}");
@@ -583,7 +586,7 @@ fn db_host_serves_legacy_single_file_artifact() {
     manifest.write(&dbdir).unwrap();
 
     for (path, db) in [(&server, "default"), (&dbdir, "ward")] {
-        let (handle, _ckpt, banner) = cmd_db_host(path, &serving(1, 1, None, None)).unwrap();
+        let (handle, _ckpt, banner) = cmd_db_host(path, &serving(1, None, None)).unwrap();
         assert!(banner.contains(&format!("(default: {db})")), "{banner}");
         let addr = handle.addr().to_string();
         let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, 1, None, 1).unwrap();
@@ -632,7 +635,7 @@ fn serve_out_of_core_answers_and_persists_mutations() {
             got[0].concat()
         };
 
-        let opts = serving(2, 1, Some(64), cache_mb);
+        let opts = serving(2, Some(64), cache_mb);
         let (handle, ckpt, banner) = cmd_serve(&server, &opts).unwrap();
         let pool = format!("paged ({} MiB pool", cache_mb.unwrap_or(64));
         assert!(banner.contains(&pool), "{banner}");
@@ -684,7 +687,7 @@ fn serve_out_of_core_answers_and_persists_mutations() {
 fn debug_dumps_flight_recorder_and_top_renders_a_frame() {
     let dir = TempDir::new("debug-top");
     let (server, client) = setup(&dir);
-    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(2, 1, Some(64), None)).unwrap();
+    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(2, Some(64), None)).unwrap();
     let addr = handle.addr().to_string();
 
     // Drive traffic so the recorder and the per-db counters have events.
@@ -773,7 +776,7 @@ fn db_list_reports_out_of_core_footprint() {
     assert!(listing.contains("WAL depth 0"), "{listing}");
 
     // Hosting changes nothing about where the database lives.
-    let (handle, ckpt, _banner) = cmd_db_host(&dbdir, &serving(1, 1, Some(0), None)).unwrap();
+    let (handle, ckpt, _banner) = cmd_db_host(&dbdir, &serving(1, Some(0), None)).unwrap();
     drop(ckpt);
     handle.shutdown();
     assert_eq!(cmd_db_list(&dbdir).unwrap(), listing);

@@ -268,9 +268,11 @@ impl Client {
     /// Translates a path into a server pattern; `None` on unsupported axes.
     ///
     /// The **anchor** is the highest (closest-to-root) step whose predicate
-    /// set the server can only over-approximate — encrypted value predicates
-    /// are exact only at block granularity, and unsupported predicates are
-    /// dropped server-side entirely. The server ships each anchor match's
+    /// set the server can only over-approximate or cannot prove with one
+    /// witness — encrypted value predicates are exact only at block
+    /// granularity, unsupported predicates are dropped server-side entirely,
+    /// and a branch with a predicate before its last step outgrows its
+    /// witness ([`witness_falls_short`]). The server ships each anchor match's
     /// whole region, plus one witness region per positive predicate above
     /// the anchor, so the client's re-run of the full query on the
     /// reconstruction is exact: positive predicates are monotone (holding
@@ -307,7 +309,9 @@ impl Client {
             for p in &step.predicates {
                 match self.translate_pred(p) {
                     Some(sp) => {
-                        if matches!(&sp, SPred::Value { range: Some(_), .. }) {
+                        if matches!(&sp, SPred::Value { range: Some(_), .. })
+                            || witness_falls_short(&sp)
+                        {
                             anchor_cap = anchor_cap.min(i);
                         }
                         preds.push(sp);
@@ -445,6 +449,18 @@ fn attr_key_of(path: &Path) -> Option<String> {
         }
         _ => None,
     }
+}
+
+/// The server's one witness for a predicate above the anchor is the
+/// branch's *last*-step match — its subtree whole, its ancestors bare. A
+/// predicate on an earlier branch step (`[a[k]/a]`) has its evidence under
+/// one of those bare ancestors, so the client could not re-check it: such a
+/// predicate's step must be at or below the anchor, whose region is whole.
+fn witness_falls_short(pred: &SPred) -> bool {
+    let (SPred::Exists(branch) | SPred::Value { path: branch, .. }) = pred;
+    branch
+        .split_last()
+        .is_some_and(|(_, before)| before.iter().any(|s| !s.preds.is_empty()))
 }
 
 fn to_range_op(op: CmpOp) -> RangeOp {

@@ -1,19 +1,20 @@
-//! Scoped fork/join parallelism for the query hot path.
+//! Scoped fork/join parallelism for the client's block decrypt.
 //!
 //! The paper's query-answering cost is dominated by the client decrypting
-//! and re-parsing every shipped block (§6.4, §7.2); the server's candidate
-//! filtering and response assembly are the same shape — an independent,
-//! CPU-bound function applied per item. This module provides the one
-//! primitive both sides need: an order-preserving [`parallel_map`] built on
+//! and re-parsing every shipped block (§6.4, §7.2): an independent,
+//! CPU-bound function applied per block. This module provides the one
+//! primitive it needs: an order-preserving [`parallel_map`] built on
 //! `std::thread::scope` (no external crates, no long-lived pool, nothing to
-//! shut down).
+//! shut down). The server has no use for it — it matches a query over
+//! whole sorted lists (see `crate::server`), and fanning that out never
+//! paid (E15).
 //!
-//! Threads are a *knob*, not ambient state: callers hold a thread count
-//! (resolved once via [`default_threads`], overridable per client/server
-//! and with the `EXQ_THREADS` environment variable) and pass it in. A count
-//! of 1 short-circuits to a plain serial loop, so the serial path stays the
-//! reference semantics and the parallel path must match it bit for bit
-//! (asserted by `tests/equivalence.rs`).
+//! Threads are a *knob*, not ambient state: a [`crate::Client`] holds a
+//! thread count (resolved once via [`default_threads`], overridable per
+//! client and with the `EXQ_THREADS` environment variable) and passes it
+//! in. A count of 1 short-circuits to a plain serial loop, so the serial
+//! path stays the reference semantics and the parallel path must match it
+//! bit for bit (asserted by `tests/equivalence.rs`).
 
 use crate::telemetry;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,7 +40,7 @@ pub const THREADS_ENV: &str = "EXQ_THREADS";
 
 /// Items below this count are not worth a thread spawn: scoped spawn +
 /// join costs tens of microseconds, which only pays off when each item
-/// carries real work (a block decrypt + parse, a region walk).
+/// carries real work (a block decrypt + parse).
 pub const MIN_PARALLEL_ITEMS: usize = 2;
 
 /// The default degree of parallelism: `EXQ_THREADS` when set to a positive
@@ -126,27 +127,6 @@ where
         .collect()
 }
 
-/// Order-preserving parallel filter: keeps the items whose predicate holds.
-/// The predicate runs in parallel; selection and output order are exactly
-/// the serial `retain`.
-pub fn parallel_filter<T, F>(threads: usize, items: Vec<T>, pred: F) -> Vec<T>
-where
-    T: Sync + Send,
-    F: Fn(&T) -> bool + Sync,
-{
-    if threads.max(1) <= 1 || items.len() < MIN_PARALLEL_ITEMS {
-        let mut items = items;
-        items.retain(|it| pred(it));
-        return items;
-    }
-    let keep = parallel_map(threads, &items, &pred);
-    items
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(it, k)| k.then_some(it))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,17 +145,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(parallel_map(8, &empty, |&x| x).is_empty());
         assert_eq!(parallel_map(8, &[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn filter_matches_serial_retain() {
-        let items: Vec<u32> = (0..500).collect();
-        for threads in [1, 4] {
-            let out = parallel_filter(threads, items.clone(), |&x| x % 7 == 0);
-            let mut expect = items.clone();
-            expect.retain(|&x| x % 7 == 0);
-            assert_eq!(out, expect);
-        }
     }
 
     #[test]

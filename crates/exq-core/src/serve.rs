@@ -71,8 +71,9 @@ pub struct ServeConfig {
     /// the budget, so a slow-but-live client dribbling bytes keeps the
     /// connection; an idle connection between frames is never dropped.
     pub io_timeout: Duration,
-    /// Intra-query worker threads (`0` = auto via `EXQ_THREADS` /
-    /// available parallelism); applied to the served [`Server`].
+    /// Ignored: the server has no intra-query threads (its matcher is
+    /// set-at-a-time). The field stays only because the frozen perf ledger
+    /// names it in a struct literal; it goes with ROADMAP item (g).
     pub threads: usize,
     /// Response-cache entries: `Some(0)` disables caching, `None` resolves
     /// from `EXQ_CACHE` / the default; applied to the served [`Server`].
@@ -252,21 +253,10 @@ pub fn serve(
     crate::evloop::serve_event(listener, registry, config)
 }
 
-/// Applies the intra-query parallelism and cache knobs to every hosted
-/// instance.
+/// Applies the cache knob to every hosted instance.
 pub(crate) fn apply_tenant_knobs(registry: &TenantRegistry, config: &ServeConfig) {
     for tenant in registry.tenants() {
-        match tenant.server.write() {
-            Ok(mut guard) => {
-                guard.set_threads(config.threads);
-                guard.set_cache_entries(config.cache_entries);
-            }
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                guard.set_threads(config.threads);
-                guard.set_cache_entries(config.cache_entries);
-            }
-        }
+        crate::store::write_server(&tenant.server).set_cache_entries(config.cache_entries);
     }
 }
 

@@ -9,9 +9,22 @@
 //! 2. **value translation** — each value predicate's ciphertext range is
 //!    scanned in the B-tree, yielding the set of blocks containing matching
 //!    occurrences;
-//! 3. **final joins** — structural semi-joins (forward and backward passes)
-//!    prune the candidates; surviving anchor-step matches determine the
-//!    pruned visible document and the block set shipped to the client.
+//! 3. **final joins** — one matcher, `Server::match_steps`, evaluates a
+//!    step sequence set-at-a-time: a forward pass applies each step's axis
+//!    and predicates to whole sorted interval lists, a backward pass keeps
+//!    what leads to a full match. The trunk is that function from the
+//!    document node. A predicate is a branch, so filtering a step's list by
+//!    it is the same function with that list as the context (a value test
+//!    applied once, to the branch's last list), and a witness is the same
+//!    function with one survivor as the context. What makes a small context
+//!    cheap is the only step that is not a textbook structural join:
+//!    `apply_axis` first cuts the (borrowed, sorted) candidate list down to
+//!    the context's span. That is sound because every supported axis —
+//!    child, attribute, descendant, descendant-or-self — reaches only
+//!    intervals some context member covers, and those all start inside
+//!    `[first member's lo, largest hi)`. Surviving anchor-step matches and
+//!    one witness per predicate above the anchor determine the pruned
+//!    visible document and the block set shipped to the client.
 //!
 //! The server never decrypts anything; it cannot, it has no keys.
 
@@ -24,11 +37,12 @@ use crate::telemetry;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::SealedBlock;
 use exq_index::dsi::Interval;
-use exq_index::sjoin::{sort_intervals, IntervalUniverse};
+use exq_index::sjoin::{semijoin_anc, semijoin_desc, sort_intervals, IntervalUniverse};
 use exq_xml::{Document, NodeId};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One step of an [`ExplainReport`].
 #[derive(Debug, Clone)]
@@ -69,29 +83,39 @@ pub struct Server {
     blocks: BlockStore,
     /// Blocks tombstoned by deletions (update support).
     dead_blocks: HashSet<u32>,
-    /// Worker threads for intra-query candidate filtering and response
-    /// assembly (resolved; >= 1). Runtime-only: not persisted.
-    threads: usize,
     /// The response cache with its generation counter.
     /// Runtime-only: not persisted, and cloning yields fresh empty caches.
     caches: ServerCaches,
 }
 
-/// Per-query resolution of every ciphertext value range to its matching
-/// live-block set (the lazy "step 2" of query answering, §6.2, hoisted to a
-/// pre-pass). Built once per query from the *query alone* — the entries
-/// depend only on the B-trees, never on which candidate is being tested —
-/// so predicate filtering over it is read-only and safe to fan out across
-/// threads.
-#[derive(Debug, Default)]
-struct ValueBlockCache {
-    by_range: HashMap<(String, u128, u128), HashSet<u32>>,
+/// Every ciphertext value range a query mentions, resolved to its live
+/// block set (step 2, done once up front: the entries depend on the query
+/// and the B-trees alone, never on a candidate).
+type ResolvedRanges<'q> = HashMap<(&'q str, u128, u128), HashSet<u32>>;
+
+/// One step sequence matched from one context (see [`Server::match_steps`]).
+struct Matched {
+    /// The context members with a full match below them, in context order.
+    hits: Vec<Interval>,
+    /// Per step, the intervals on a full match; the last is its forward
+    /// list untouched, in document order.
+    survivors: Vec<Vec<Interval>>,
 }
 
-impl ValueBlockCache {
-    fn get(&self, attr: &str, lo: u128, hi: u128) -> Option<&HashSet<u32>> {
-        self.by_range.get(&(attr.to_owned(), lo, hi))
-    }
+/// A query's trunk, looked up, resolved and matched: what `answer`,
+/// `explain` and `locate` each read.
+struct Evaluated<'q> {
+    translate_time: Duration,
+    /// DSI candidates per step, before any join.
+    candidates: Vec<usize>,
+    survivors: Vec<Vec<Interval>>,
+    resolved: ResolvedRanges<'q>,
+}
+
+/// Is `iv` a member of a list in join order?
+fn in_sorted(list: &[Interval], iv: &Interval) -> bool {
+    list.binary_search_by(|m| m.lo.cmp(&iv.lo).then(iv.hi.cmp(&m.hi)))
+        .is_ok()
 }
 
 impl Server {
@@ -113,23 +137,8 @@ impl Server {
             top_level,
             blocks: BlockStore::Resident(out.blocks.iter().cloned().map(Arc::new).collect()),
             dead_blocks: HashSet::new(),
-            threads: crate::pool::default_threads(),
             caches: ServerCaches::default(),
         }
-    }
-
-    /// Sets the intra-query worker count; `0` means auto (the `EXQ_THREADS`
-    /// / available-parallelism resolution). Intra-query parallelism composes
-    /// with the transport layer's connection concurrency: queries run under
-    /// the serve loop's `RwLock` *read* guard, so concurrent clients and
-    /// these workers share the server without exclusion.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = crate::pool::resolve_threads(threads);
-    }
-
-    /// The resolved intra-query worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Reconfigures the response-cache capacity in entries.
@@ -465,7 +474,6 @@ impl Server {
             top_level,
             blocks,
             dead_blocks,
-            threads: crate::pool::default_threads(),
             caches: ServerCaches::default(),
         }
     }
@@ -566,49 +574,16 @@ impl Server {
         } else {
             None
         };
-        // Step 1: structure translation — candidate intervals per step.
-        let t0 = Instant::now();
-        let step_candidates: Vec<Vec<Interval>> =
-            q.steps.iter().map(|s| self.candidates(s)).collect();
-        let translate_time = t0.elapsed();
-        // The span *is* the reported stat: same measured duration.
-        telemetry::record_span("server.dsi_lookup", translate_time);
-
-        let t1 = Instant::now();
-        // Step 2 up front: resolve every ciphertext range in the query to
-        // its block set, so the per-candidate passes below are read-only.
-        let t_resolve = Instant::now();
-        let cache = self.build_value_cache(&q.steps);
-        telemetry::record_span("server.value_resolve", t_resolve.elapsed());
-        let t_sjoin = Instant::now();
-        let survivors = self.match_survivors(q, &step_candidates, &cache);
-        let n = q.steps.len();
-        // Step 3: response assembly. Ship every anchor match's region plus
-        // one witness region per predicate at steps above the anchor, so
-        // the client can re-verify the full query exactly.
-        let anchor_idx = q.anchor.min(n.saturating_sub(1));
-        let mut targets: Vec<Interval> = survivors[anchor_idx].clone();
-        for (i, step) in q.steps.iter().enumerate().take(anchor_idx) {
-            if step.preds.is_empty() {
-                continue;
-            }
-            let witnesses = crate::pool::parallel_map(self.threads, &survivors[i], |c| {
-                step.preds
-                    .iter()
-                    .filter_map(|pred| self.pred_witness(c, pred, &cache))
-                    .collect::<Vec<Interval>>()
-            });
-            targets.extend(witnesses.into_iter().flatten());
-        }
-        telemetry::record_span("server.sjoin", t_sjoin.elapsed());
+        let started = Instant::now();
+        let ev = self.evaluate(q);
         let t_assemble = Instant::now();
-        let (pruned_xml, blocks) = self.assemble(&targets)?;
+        let (pruned_xml, blocks) = self.assemble(q, &ev)?;
         telemetry::record_span("server.assemble", t_assemble.elapsed());
         let resp = ServerResponse {
             pruned_xml,
             blocks,
-            translate_time,
-            process_time: t1.elapsed(),
+            translate_time: ev.translate_time,
+            process_time: started.elapsed().saturating_sub(ev.translate_time),
             served_from_cache: false,
             spans: Vec::new(),
         };
@@ -620,250 +595,208 @@ impl Server {
         Ok(resp)
     }
 
-    /// Resolves one ciphertext range against an attribute's B-tree,
-    /// dropping tombstoned blocks.
-    fn value_blocks(&self, attr: &str, lo: u128, hi: u128) -> HashSet<u32> {
-        self.metadata
-            .value_indexes
-            .get(attr)
-            .map(|t| {
-                t.range(lo, hi)
-                    .into_iter()
-                    .filter(|&b| self.block_live(b))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Walks every predicate reachable from `steps` (including relative
-    /// patterns nested inside predicates) and resolves each encrypted value
-    /// range once. The resulting cache depends only on the query and the
-    /// hosted indexes — never on a candidate — so all later passes share it
-    /// immutably.
-    fn build_value_cache(&self, steps: &[SStep]) -> ValueBlockCache {
-        fn walk(server: &Server, steps: &[SStep], cache: &mut ValueBlockCache) {
-            for step in steps {
-                for pred in &step.preds {
-                    match pred {
-                        SPred::Exists(inner) => walk(server, inner, cache),
-                        SPred::Value { path, range, .. } => {
-                            walk(server, path, cache);
-                            if let Some((attr, r)) = range {
-                                cache
-                                    .by_range
-                                    .entry((attr.clone(), r.lo, r.hi))
-                                    .or_insert_with(|| server.value_blocks(attr, r.lo, r.hi));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut cache = ValueBlockCache::default();
-        walk(self, steps, &mut cache);
-        cache
-    }
-
-    /// One witness interval demonstrating that `pred` holds at `ctx`
-    /// (shipped so the client can re-check the predicate exactly).
-    fn pred_witness(
-        &self,
-        ctx: &Interval,
-        pred: &SPred,
-        cache: &ValueBlockCache,
-    ) -> Option<Interval> {
-        match pred {
-            SPred::Exists(steps) => self.eval_relative(*ctx, steps, cache).into_iter().next(),
-            SPred::Value { path, range, plain } => {
-                let targets = if path.is_empty() {
-                    vec![*ctx]
-                } else {
-                    self.eval_relative(*ctx, path, cache)
-                };
-                let matching_blocks: Option<&HashSet<u32>> = range
-                    .as_ref()
-                    .and_then(|(attr, r)| cache.get(attr, r.lo, r.hi));
-                targets.into_iter().find(|t| {
-                    let plain_ok = plain.as_ref().is_some_and(|(op, lit)| {
-                        self.interval_to_visible.get(t).is_some_and(|&n| {
-                            op.holds(lit.compare_with(&self.visible.text_value(n)))
-                        })
-                    });
-                    let enc_ok = matching_blocks.is_some_and(|set| {
-                        self.metadata
-                            .block_table
-                            .covering_block(t)
-                            .is_some_and(|b| set.contains(&b))
-                    });
-                    plain_ok || enc_ok
-                })
-            }
-        }
-    }
-
     /// Explains how a translated query would execute: per-step candidate
-    /// counts from the DSI table, survivors after the forward pass
-    /// (axis + predicate filtering), and survivors after the backward pass —
-    /// the server-side equivalent of a database EXPLAIN.
+    /// counts from the DSI table and survivors after the forward (axis +
+    /// predicates) and backward passes — the server-side equivalent of a
+    /// database EXPLAIN.
     pub fn explain(&self, q: &ServerQuery) -> ExplainReport {
-        let step_candidates: Vec<Vec<Interval>> =
-            q.steps.iter().map(|s| self.candidates(s)).collect();
-        let survivors = if q.steps.is_empty() {
-            Vec::new()
-        } else {
-            let cache = self.build_value_cache(&q.steps);
-            self.match_survivors(q, &step_candidates, &cache)
-        };
+        let ev = self.evaluate(q);
         let steps = q
             .steps
             .iter()
             .enumerate()
             .map(|(i, step)| ExplainStep {
                 tags: step.tags.clone(),
-                candidates: step_candidates.get(i).map_or(0, Vec::len),
-                survivors: survivors.get(i).map_or(0, Vec::len),
+                candidates: ev.candidates[i],
+                survivors: ev.survivors[i].len(),
                 predicates: step.preds.len(),
             })
             .collect();
         let anchor = q.anchor.min(q.steps.len().saturating_sub(1));
-        let anchors = survivors.get(anchor).map_or(0, Vec::len);
         ExplainReport {
             steps,
             anchor,
-            anchors,
+            anchors: ev.survivors.get(anchor).map_or(0, Vec::len),
         }
     }
 
     /// Matches a query's intervals at the final step (used by updates to
     /// locate parents/victims without assembling a response).
     pub fn locate(&self, q: &ServerQuery) -> Vec<Interval> {
-        if q.steps.is_empty() {
-            return Vec::new();
-        }
-        let step_candidates: Vec<Vec<Interval>> =
-            q.steps.iter().map(|s| self.candidates(s)).collect();
-        let cache = self.build_value_cache(&q.steps);
-        let survivors = self.match_survivors(q, &step_candidates, &cache);
-        survivors.last().cloned().unwrap_or_default()
+        self.evaluate(q).survivors.pop().unwrap_or_default()
     }
 
-    /// Forward + backward structural passes; returns per-step survivors.
-    ///
-    /// Predicate filtering is the per-candidate hot loop: every candidate's
-    /// predicates evaluate independently against the immutable value cache,
-    /// so the filter fans out across the configured worker threads while
-    /// keeping the serial path's candidate order exactly.
-    fn match_survivors(
-        &self,
-        q: &ServerQuery,
-        step_candidates: &[Vec<Interval>],
-        cache: &ValueBlockCache,
-    ) -> Vec<Vec<Interval>> {
-        // Forward pass with predicate filtering.
-        let mut survivors: Vec<Vec<Interval>> = Vec::with_capacity(q.steps.len());
-        for (i, step) in q.steps.iter().enumerate() {
-            let ctx: Option<&[Interval]> = if i == 0 {
-                None
-            } else {
-                Some(&survivors[i - 1])
-            };
-            let mut cands = self.apply_axis(ctx, step.axis, &step_candidates[i]);
-            if !step.preds.is_empty() {
-                cands = crate::pool::parallel_filter(self.threads, cands, |c| {
-                    step.preds.iter().all(|p| self.pred_holds(c, p, cache))
+    /// The paper's three steps for a query's trunk, written out once.
+    fn evaluate<'q>(&self, q: &'q ServerQuery) -> Evaluated<'q> {
+        // Step 1: structure translation — each step's posting list.
+        let t = Instant::now();
+        let lists = self.lookup(&q.steps);
+        let translate_time = t.elapsed();
+        // The span *is* the reported stat: same measured duration.
+        telemetry::record_span("server.dsi_lookup", translate_time);
+        // Step 2 up front: every ciphertext range in the query to its block
+        // set, so the joins below only read.
+        let t = Instant::now();
+        let mut resolved = ResolvedRanges::new();
+        self.resolve_ranges(&q.steps, &mut resolved);
+        telemetry::record_span("server.value_resolve", t.elapsed());
+        // Step 3: the trunk is a step sequence from the document node.
+        let t = Instant::now();
+        let matched = self.match_steps(None, &q.steps, &lists, None, &resolved);
+        telemetry::record_span("server.sjoin", t.elapsed());
+        Evaluated {
+            translate_time,
+            candidates: lists.iter().map(|l| l.len()).collect(),
+            survivors: matched.survivors,
+            resolved,
+        }
+    }
+
+    /// Resolves every value range reachable from `steps` (branches nested
+    /// in predicates included) against its attribute's B-tree, once each,
+    /// dropping tombstoned blocks.
+    fn resolve_ranges<'q>(&self, steps: &'q [SStep], out: &mut ResolvedRanges<'q>) {
+        for pred in steps.iter().flat_map(|s| &s.preds) {
+            let (SPred::Exists(branch) | SPred::Value { path: branch, .. }) = pred;
+            self.resolve_ranges(branch, out);
+            if let SPred::Value {
+                range: Some((attr, r)),
+                ..
+            } = pred
+            {
+                out.entry((attr, r.lo, r.hi)).or_insert_with(|| {
+                    self.metadata
+                        .value_indexes
+                        .get(attr)
+                        .into_iter()
+                        .flat_map(|tree| tree.range(r.lo, r.hi))
+                        .filter(|&b| self.block_live(b))
+                        .collect()
                 });
             }
-            let empty = cands.is_empty();
-            survivors.push(cands);
-            if empty {
-                break;
-            }
         }
-        while survivors.len() < q.steps.len() {
-            survivors.push(Vec::new());
-        }
-
-        // Backward pass: keep only intervals leading to a full match.
-        // Splitting the survivor list gives simultaneous access to level i
-        // (mutable) and level i+1 (shared) without cloning level i+1.
-        let n = q.steps.len();
-        for i in (0..n.saturating_sub(1)).rev() {
-            let next_axis = q.steps[i + 1].axis;
-            let (head, tail) = survivors.split_at_mut(i + 1);
-            let cur = &mut head[i];
-            let next: &[Interval] = &tail[0];
-            match next_axis {
-                SAxis::Descendant => {
-                    let keep = exq_index::sjoin::semijoin_anc(cur, next);
-                    let kept: Vec<Interval> = keep.into_iter().map(|k| cur[k]).collect();
-                    *cur = kept;
-                }
-                SAxis::DescendantOrSelf => {
-                    let keep: HashSet<usize> = exq_index::sjoin::semijoin_anc(cur, next)
-                        .into_iter()
-                        .collect();
-                    let next_set: HashSet<Interval> = next.iter().copied().collect();
-                    let kept: Vec<Interval> = cur
-                        .iter()
-                        .enumerate()
-                        .filter(|(k, c)| keep.contains(k) || next_set.contains(*c))
-                        .map(|(_, c)| *c)
-                        .collect();
-                    *cur = kept;
-                }
-                SAxis::Child | SAxis::Attribute => {
-                    let parents: HashSet<Interval> = next
-                        .iter()
-                        .filter_map(|d| self.universe.tightest_container(d))
-                        .collect();
-                    cur.retain(|c| parents.contains(c));
-                }
-            }
-        }
-
-        survivors
     }
 
-    /// DSI-table lookups for one step. The table guarantees sortedness at
-    /// seal time (posting lists and the interval union), so the common
-    /// cases — wildcard and single-tag — copy a pre-sorted slice with no
-    /// per-query sort; only multi-tag unions still merge.
-    fn candidates(&self, step: &SStep) -> Vec<Interval> {
-        match step.tags.as_slice() {
-            // Wildcard: the sorted, deduped union is precomputed.
-            [] => self.metadata.dsi_table.all_intervals().to_vec(),
-            [tag] => {
-                let list = self.metadata.dsi_table.lookup(tag);
-                debug_assert!(
-                    list.windows(2)
-                        .all(|w| (w[0].lo, std::cmp::Reverse(w[0].hi))
-                            < (w[1].lo, std::cmp::Reverse(w[1].hi))),
-                    "DSI posting list for {tag:?} not sorted/deduped at seal time"
-                );
-                list.to_vec()
-            }
+    /// DSI-table lookups, one list per step. The table guarantees
+    /// `(lo asc, hi desc)` order at seal time (posting lists and the
+    /// interval union), so a wildcard or single-tag step borrows its sealed
+    /// list; only a multi-tag union is merged into a list of its own.
+    fn lookup<'s>(&'s self, steps: &[SStep]) -> Vec<Cow<'s, [Interval]>> {
+        let table = &self.metadata.dsi_table;
+        let candidates = |step: &SStep| match step.tags.as_slice() {
+            [] => Cow::Borrowed(table.all_intervals()),
+            [tag] => Cow::Borrowed(table.lookup(tag)),
             tags => {
                 let mut out: Vec<Interval> = tags
                     .iter()
-                    .flat_map(|t| self.metadata.dsi_table.lookup(t).iter().copied())
+                    .flat_map(|t| table.lookup(t).iter().copied())
                     .collect();
                 sort_intervals(&mut out);
                 out.dedup();
-                out
+                Cow::Owned(out)
+            }
+        };
+        steps.iter().map(candidates).collect()
+    }
+
+    /// The one matcher: `steps` (with `lists`, their posting lists) matched
+    /// from `ctx` (`None` = the virtual document node). The forward pass
+    /// applies each step's axis, then its predicates, to the whole list
+    /// reached so far — `last_test`, a value predicate's comparison, is one
+    /// more filter on the last step's list; the backward pass keeps what
+    /// leads to a full match, one level up at a time, the context last. An
+    /// empty `steps` tests the context members themselves.
+    fn match_steps(
+        &self,
+        ctx: Option<&[Interval]>,
+        steps: &[SStep],
+        lists: &[Cow<'_, [Interval]>],
+        last_test: Option<&dyn Fn(&Interval) -> bool>,
+        resolved: &ResolvedRanges<'_>,
+    ) -> Matched {
+        let n = steps.len();
+        let mut survivors: Vec<Vec<Interval>> = Vec::with_capacity(n);
+        for (i, step) in steps.iter().enumerate() {
+            let from = survivors.last().map(Vec::as_slice).or(ctx);
+            let mut list = self.apply_axis(from, step.axis, &lists[i]);
+            for pred in &step.preds {
+                list = self.match_branch(&list, pred, resolved).hits;
+            }
+            if let (Some(test), true) = (last_test, i + 1 == n) {
+                list.retain(test);
+            }
+            let dead_end = list.is_empty();
+            survivors.push(list);
+            if dead_end {
+                break;
+            }
+        }
+        survivors.resize(n, Vec::new());
+        // Splitting gives level i (mutable) and level i+1 (shared) at once.
+        for i in (1..n).rev() {
+            let (above, below) = survivors.split_at_mut(i);
+            self.keep_leading_to(&mut above[i - 1], steps[i].axis, &below[0]);
+        }
+        let mut hits = ctx.unwrap_or_default().to_vec();
+        match (steps.first(), last_test) {
+            // Nothing to keep from the document node or an empty context.
+            _ if hits.is_empty() => {}
+            (Some(step), _) => self.keep_leading_to(&mut hits, step.axis, &survivors[0]),
+            (None, Some(test)) => hits.retain(test),
+            (None, None) => {}
+        }
+        Matched { hits, survivors }
+    }
+
+    /// A predicate is a branch: matched from `ctx` like any step sequence.
+    /// `hits` are the members the predicate holds at; the first member of
+    /// the last list is the witness the reply ships for a one-member `ctx`.
+    /// The value test — a plaintext comparison on the visible node, or the
+    /// covering block being in the range's resolved set — is written here
+    /// and nowhere else.
+    fn match_branch(
+        &self,
+        ctx: &[Interval],
+        pred: &SPred,
+        resolved: &ResolvedRanges<'_>,
+    ) -> Matched {
+        match pred {
+            SPred::Exists(steps) => {
+                self.match_steps(Some(ctx), steps, &self.lookup(steps), None, resolved)
+            }
+            SPred::Value { path, range, plain } => {
+                let matching_blocks = range
+                    .as_ref()
+                    .and_then(|(attr, r)| resolved.get(&(attr.as_str(), r.lo, r.hi)));
+                let test = |t: &Interval| {
+                    let plain_ok = plain.as_ref().is_some_and(|(op, lit)| {
+                        self.interval_to_visible.get(t).is_some_and(|&n| {
+                            op.holds(lit.compare_with(&self.visible.text_value(n)))
+                        })
+                    });
+                    plain_ok
+                        || matching_blocks.is_some_and(|set| {
+                            self.metadata
+                                .block_table
+                                .covering_block(t)
+                                .is_some_and(|b| set.contains(&b))
+                        })
+                };
+                self.match_steps(Some(ctx), path, &self.lookup(path), Some(&test), resolved)
             }
         }
     }
 
     /// Applies an axis between a context set (`None` = the virtual document
-    /// node) and candidates. Inputs and output are sorted interval lists.
+    /// node) and candidates. Inputs and output are lists in join order.
     fn apply_axis(
         &self,
         ctx: Option<&[Interval]>,
         axis: SAxis,
         cands: &[Interval],
     ) -> Vec<Interval> {
-        match ctx {
-            None => match axis {
+        let Some(ctx) = ctx else {
+            return match axis {
                 // From the document node, descendant(-or-self) reaches
                 // everything.
                 SAxis::Descendant | SAxis::DescendantOrSelf => cands.to_vec(),
@@ -874,103 +807,75 @@ impl Server {
                     .copied()
                     .filter(|c| self.top_level.contains(c))
                     .collect(),
-            },
-            Some(ctx) => match axis {
-                SAxis::Descendant => {
-                    let idx = exq_index::sjoin::semijoin_desc(ctx, cands);
-                    idx.into_iter().map(|i| cands[i]).collect()
-                }
-                SAxis::DescendantOrSelf => {
-                    let ctx_set: HashSet<Interval> = ctx.iter().copied().collect();
-                    let mut out: Vec<Interval> = exq_index::sjoin::semijoin_desc(ctx, cands)
-                        .into_iter()
-                        .map(|i| cands[i])
-                        .collect();
-                    out.extend(cands.iter().copied().filter(|c| ctx_set.contains(c)));
-                    exq_index::sjoin::sort_intervals(&mut out);
-                    out.dedup();
-                    out
-                }
-                SAxis::Child | SAxis::Attribute => {
-                    let ctx_set: HashSet<Interval> = ctx.iter().copied().collect();
-                    cands
-                        .iter()
-                        .copied()
-                        .filter(|c| {
-                            self.universe
-                                .tightest_container(c)
-                                .is_some_and(|t| ctx_set.contains(&t))
-                        })
-                        .collect()
-                }
-            },
-        }
-    }
-
-    /// Evaluates a relative pattern from a single context interval.
-    fn eval_relative(
-        &self,
-        ctx: Interval,
-        steps: &[SStep],
-        cache: &ValueBlockCache,
-    ) -> Vec<Interval> {
-        let mut cur = vec![ctx];
-        for step in steps {
-            let cands = self.candidates(step);
-            let mut next = self.apply_axis(Some(&cur), step.axis, &cands);
-            next.retain(|c| step.preds.iter().all(|p| self.pred_holds(c, p, cache)));
-            cur = next;
-            if cur.is_empty() {
-                break;
+            };
+        };
+        // No axis reaches outside the context's span, and in join order the
+        // candidates starting inside it are one run: a one-member context
+        // (a witness) pays for its own subtree, not for the posting list.
+        let (Some(first), Some(end)) = (ctx.first(), ctx.iter().map(|c| c.hi).max()) else {
+            return Vec::new();
+        };
+        let cands = &cands[cands.partition_point(|c| c.lo < first.lo)..];
+        let cands = &cands[..cands.partition_point(|c| c.lo < end)];
+        match axis {
+            SAxis::Descendant => semijoin_desc(ctx, cands)
+                .into_iter()
+                .map(|i| cands[i])
+                .collect(),
+            SAxis::DescendantOrSelf => {
+                let mut out: Vec<Interval> = semijoin_desc(ctx, cands)
+                    .into_iter()
+                    .map(|i| cands[i])
+                    .collect();
+                out.extend(cands.iter().copied().filter(|c| in_sorted(ctx, c)));
+                sort_intervals(&mut out);
+                out.dedup();
+                out
             }
-        }
-        cur
-    }
-
-    fn pred_holds(&self, ctx: &Interval, pred: &SPred, cache: &ValueBlockCache) -> bool {
-        match pred {
-            SPred::Exists(steps) => !self.eval_relative(*ctx, steps, cache).is_empty(),
-            SPred::Value { path, range, plain } => {
-                let targets = if path.is_empty() {
-                    vec![*ctx]
-                } else {
-                    self.eval_relative(*ctx, path, cache)
-                };
-                if targets.is_empty() {
-                    return false;
-                }
-                let resolved;
-                let matching_blocks: Option<&HashSet<u32>> = match range {
-                    None => None,
-                    Some((attr, r)) => match cache.get(attr, r.lo, r.hi) {
-                        Some(set) => Some(set),
-                        // A range the pre-pass did not see (defensive only:
-                        // `build_value_cache` walks every reachable pred).
-                        None => {
-                            resolved = self.value_blocks(attr, r.lo, r.hi);
-                            Some(&resolved)
-                        }
-                    },
-                };
-                targets.iter().any(|t| {
-                    let plain_ok = plain.as_ref().is_some_and(|(op, lit)| {
-                        self.interval_to_visible.get(t).is_some_and(|&n| {
-                            op.holds(lit.compare_with(&self.visible.text_value(n)))
-                        })
-                    });
-                    let enc_ok = matching_blocks.is_some_and(|set| {
-                        self.metadata
-                            .block_table
-                            .covering_block(t)
-                            .is_some_and(|b| set.contains(&b))
-                    });
-                    plain_ok || enc_ok
+            SAxis::Child | SAxis::Attribute => cands
+                .iter()
+                .copied()
+                .filter(|c| {
+                    self.universe
+                        .tightest_container(c)
+                        .is_some_and(|parent| in_sorted(ctx, &parent))
                 })
+                .collect(),
+        }
+    }
+
+    /// The backward pass's one move: keeps the members of `cur` from which
+    /// `axis` reaches a member of `next`. Both are lists in join order.
+    fn keep_leading_to(&self, cur: &mut Vec<Interval>, axis: SAxis, next: &[Interval]) {
+        match axis {
+            SAxis::Descendant => {
+                *cur = semijoin_anc(cur, next)
+                    .into_iter()
+                    .map(|k| cur[k])
+                    .collect();
+            }
+            SAxis::DescendantOrSelf => {
+                let above = semijoin_anc(cur, next);
+                *cur = (cur.iter().enumerate())
+                    .filter(|(k, c)| above.binary_search(k).is_ok() || in_sorted(next, c))
+                    .map(|(_, c)| *c)
+                    .collect();
+            }
+            SAxis::Child | SAxis::Attribute => {
+                let parents: HashSet<Interval> = next
+                    .iter()
+                    .filter_map(|d| self.universe.tightest_container(d))
+                    .collect();
+                cur.retain(|c| parents.contains(c));
             }
         }
     }
 
-    /// Builds the pruned visible document + block set for the anchor set.
+    /// Builds the pruned visible document + block set of a reply: every
+    /// anchor match's region, plus one witness region per predicate at
+    /// steps above the anchor so the client can re-verify the full query
+    /// exactly. A witness is the predicate's branch matched from that one
+    /// survivor: the first member, in document order, of its last list.
     ///
     /// One pass marks the region in a per-node table over the visible
     /// arena, one pass writes it: `pruned_xml` is serialized straight from
@@ -979,7 +884,21 @@ impl Server {
     /// Marking is O(region) however the anchors nest or repeat: a subtree
     /// already marked whole is not walked again, and a chain stops at the
     /// first marked ancestor.
-    fn assemble(&self, anchors: &[Interval]) -> Result<(String, Vec<Arc<SealedBlock>>), CoreError> {
+    fn assemble(
+        &self,
+        q: &ServerQuery,
+        ev: &Evaluated<'_>,
+    ) -> Result<(String, Vec<Arc<SealedBlock>>), CoreError> {
+        let anchor = q.anchor.min(q.steps.len() - 1);
+        let mut anchors = ev.survivors[anchor].clone();
+        for (step, survivors) in q.steps.iter().zip(&ev.survivors).take(anchor) {
+            for c in survivors {
+                for pred in &step.preds {
+                    let branch = self.match_branch(std::slice::from_ref(c), pred, &ev.resolved);
+                    anchors.extend(branch.survivors.last().unwrap_or(&branch.hits).first());
+                }
+            }
+        }
         if anchors.is_empty() {
             return Ok((String::new(), Vec::new()));
         }
@@ -990,7 +909,7 @@ impl Server {
             block_ids: Vec::new(),
             stack: Vec::new(),
         };
-        for a in anchors {
+        for a in &anchors {
             if let Some(&v) = self.interval_to_visible.get(a) {
                 // Visible anchor: chain + full subtree + blocks under it.
                 region.mark(v);
@@ -1077,35 +996,10 @@ impl Region<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::tests_support::{build_server as server, mk_step as step};
     use super::*;
-    use crate::constraints::SecurityConstraint;
-    use crate::scheme::{EncryptionScheme, SchemeKind};
+    use crate::scheme::SchemeKind;
     use crate::wire::{SAxis, SStep};
-    use exq_crypto::KeyChain;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn server(kind: SchemeKind) -> (Server, crate::encrypt::ClientCryptoState) {
-        let doc = Document::parse(
-            r#"<hospital><patient><pname>Betty</pname><SSN>763895</SSN></patient>
-               <patient><pname>Matt</pname><SSN>276543</SSN></patient></hospital>"#,
-        )
-        .unwrap();
-        let cs = vec![SecurityConstraint::parse("//patient:(/pname, /SSN)").unwrap()];
-        let scheme = EncryptionScheme::build(&doc, &cs, kind).unwrap();
-        let keys = KeyChain::from_seed(3);
-        let mut rng = StdRng::seed_from_u64(3);
-        let out = crate::encrypt::encrypt_database(&doc, &scheme, &keys, &mut rng).unwrap();
-        (Server::new(&out), out.client_state)
-    }
-
-    fn step(axis: SAxis, tag: &str) -> SStep {
-        SStep {
-            axis,
-            tags: vec![tag.to_owned()],
-            preds: Vec::new(),
-        }
-    }
 
     #[test]
     fn locate_finds_plain_tags() {

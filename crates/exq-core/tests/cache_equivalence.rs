@@ -127,8 +127,6 @@ fn client_results_match_across_cache_and_threads() {
         let (_, mut off) = hosted();
         on.set_cache_entries(Some(256));
         off.set_cache_entries(Some(0));
-        on.set_threads(t);
-        off.set_threads(t);
         let client = client.with_threads(t);
 
         for _pass in 0..2 {
@@ -165,7 +163,6 @@ fn insert_invalidates_cached_answers() {
     for &t in [1usize, 8].iter() {
         let (mut client, mut server) = hosted();
         server.set_cache_entries(Some(256));
-        server.set_threads(t);
         let client_t = client.clone().with_threads(t);
 
         let q = "//patient[.//disease = 'flu']/pname";
@@ -201,7 +198,6 @@ fn delete_invalidates_cached_answers() {
     for &t in [1usize, 8].iter() {
         let (client, mut server) = hosted();
         server.set_cache_entries(Some(256));
-        server.set_threads(t);
         let client_t = client.clone().with_threads(t);
 
         let q = "//patient/pname";
