@@ -1,10 +1,10 @@
 //! Criterion microbenchmarks for the substrates: the cipher, PRF, OPE,
 //! OPESS planning, B-tree, DSI labeling, structural joins, XML parsing, and
 //! vertex-cover solvers — and for the reply path of one secure query
-//! (server assembly, filtered serialization, client reconstruction, frame
-//! checksum) on the perf ledger's `xmark_scan` database, the server's
-//! predicate matching on its `hospital_point` database, and the batch block
-//! read on its `hospital_paged` store.
+//! (server assembly, filtered serialization, client reconstruction, batch
+//! block open, frame checksum) on the perf ledger's `xmark_scan` database,
+//! the server's predicate matching on its `hospital_point` database, and
+//! the batch block read on its `hospital_paged` store.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use exq_core::cover::{solve_clarkson, solve_exact, ConstraintGraph};
@@ -12,7 +12,7 @@ use exq_core::scheme::SchemeKind;
 use exq_core::store::{PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::transport::InProcess;
-use exq_crypto::{ChaCha20, OpeKey, OpessPlan, Prf};
+use exq_crypto::{open_block, open_blocks, ChaCha20, OpeKey, OpessPlan, Prf};
 use exq_index::dsi::DsiLabeling;
 use exq_index::paged::block_record_id;
 use exq_index::sjoin::{join_anc_desc, sort_intervals};
@@ -50,6 +50,14 @@ fn bench_ope(c: &mut Criterion) {
             x = x.wrapping_add(0x9E37_79B9);
             black_box(key.encrypt(x))
         })
+    });
+    // As many descents as `OpessPlan::build` runs for the ledger's
+    // `xmark_scan` database, in one call.
+    let xs: Vec<u64> = (0..2048u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    c.bench_function("ope/encrypt_many_2k", |b| {
+        b.iter(|| black_box(key.encrypt_many(black_box(&xs))))
     });
 }
 
@@ -195,6 +203,27 @@ fn bench_reply_path(c: &mut Criterion) {
         });
     }
     reconstruct.finish();
+
+    // The crypto of the whole-`people` reply alone: its 7488 sealed blocks
+    // opened as one batch, against the same blocks opened one at a time.
+    let (_, people, _) = client
+        .run(&mut InProcess::shared(&server), "//people//person")
+        .unwrap();
+    let key = client.state().keys.block_key();
+    let mut open = c.benchmark_group("crypto/open_blocks_xmark");
+    open.bench_function("batch", |b| {
+        b.iter(|| black_box(open_blocks(&key, &people.blocks).unwrap().len()))
+    });
+    open.bench_function("per_block", |b| {
+        b.iter(|| {
+            let opened = people
+                .blocks
+                .iter()
+                .map(|b| open_block(&key, b).unwrap().len());
+            black_box(opened.sum::<usize>())
+        })
+    });
+    open.finish();
 
     // The writer alone, on the visible document with every other top-level
     // section kept — a predicate that is cheap, and not "everything".

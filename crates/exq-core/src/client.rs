@@ -19,14 +19,19 @@ use crate::encrypt::{marker_block_id, ClientCryptoState, BLOCK_MARKER_TAG, DECOY
 use crate::error::CoreError;
 use crate::server::Server;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
-use exq_crypto::{open_block, RangeOp};
+use exq_crypto::{open_blocks, OpenedBlocks, RangeOp, SealedBlock};
 use exq_xml::{Document, NodeId, NodeKind};
 use exq_xpath::{eval_document, Axis, CmpOp, Literal, NodeTest, Path, Predicate};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Synthetic root used when several root-level blocks must splice into one
 /// reconstruction (a [`Document`] holds exactly one root element).
 const SPLICE_ROOT_TAG: &str = "_exq_splice";
+
+/// Fewest blocks worth a worker thread of their own: spawning and joining one
+/// costs what opening a couple of hundred small blocks does.
+const MIN_RUN_BLOCKS: usize = 256;
 
 /// The data owner's query-side state.
 #[derive(Debug, Clone)]
@@ -144,23 +149,28 @@ impl Client {
         Ok((tq, resp, post))
     }
 
-    /// Authenticates and decrypts every shipped block to its plaintext XML,
-    /// fanning out across the configured worker threads. Errors surface in
-    /// block order, exactly as the serial loop reported them.
-    fn decrypt_blocks(
-        &self,
-        blocks: &[std::sync::Arc<exq_crypto::SealedBlock>],
-    ) -> Result<Vec<(u32, String)>, CoreError> {
+    /// Authenticates and decrypts every shipped block: the reply is cut into
+    /// one run of blocks per worker thread and each run opened into one
+    /// buffer. Errors surface in block order, exactly as a serial loop over
+    /// the blocks reports them.
+    fn decrypt_blocks(&self, blocks: &[Arc<SealedBlock>]) -> Result<Vec<OpenedBlocks>, CoreError> {
         let key = self.state.keys.block_key();
-        crate::pool::parallel_map(self.threads, blocks, |b| {
-            let bytes =
-                open_block(&key, b.as_ref()).map_err(|e| CoreError::Block(e.to_string()))?;
-            let xml = String::from_utf8(bytes)
-                .map_err(|e| CoreError::Block(format!("block not UTF-8: {e}")))?;
-            Ok((b.id, xml))
-        })
-        .into_iter()
-        .collect()
+        let run_len = blocks.len().div_ceil(self.threads).max(MIN_RUN_BLOCKS);
+        let runs: Vec<&[Arc<SealedBlock>]> = blocks.chunks(run_len).collect();
+        crate::pool::parallel_map(self.threads, &runs, |run| open_blocks(&key, run).ok())
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| {
+                // Some tag is bad. Which block to name is the serial loop's
+                // call — a block ahead of it that is not text comes first —
+                // so, on this path only, run that loop.
+                let complaint = |b| match open_blocks(&key, std::slice::from_ref(b)) {
+                    Err((_, e)) => Some(CoreError::Block(e.to_string())),
+                    Ok(one) => block_texts(std::slice::from_ref(b), &[one]).err(),
+                };
+                let first = blocks.iter().find_map(complaint);
+                first.expect("a batch that does not verify holds a block that does not")
+            })
     }
 
     /// Decrypts, reconstructs, and evaluates the post query (§6.4).
@@ -170,11 +180,12 @@ impl Client {
         resp: &ServerResponse,
     ) -> Result<PostProcessed, CoreError> {
         let t0 = Instant::now();
-        let decrypted = self.decrypt_blocks(&resp.blocks)?;
+        let opened = self.decrypt_blocks(&resp.blocks)?;
+        let texts = block_texts(&resp.blocks, &opened)?;
         let decrypt_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let reconstructed = self.reconstruct(&resp.pruned_xml, decrypted)?;
+        let reconstructed = self.reconstruct(&resp.pruned_xml, texts)?;
         let results = match &reconstructed {
             None => Vec::new(),
             Some(doc) => eval_document(doc, post_query)
@@ -182,6 +193,10 @@ impl Client {
                 .map(|n| render_result(doc, n))
                 .collect(),
         };
+        // Freeing a large reconstruction takes milliseconds; they belong to
+        // post-processing, so the document and the plaintext go first.
+        drop(reconstructed);
+        drop(opened);
         Ok(PostProcessed {
             results,
             decrypt_time,
@@ -195,8 +210,8 @@ impl Client {
     /// decoys). Returns `None` only for an empty hosted database.
     pub fn export(&self, server: &Server) -> Result<Option<Document>, CoreError> {
         let resp = server.answer_naive()?;
-        let decrypted = self.decrypt_blocks(&resp.blocks)?;
-        self.reconstruct(&resp.pruned_xml, decrypted)
+        let opened = self.decrypt_blocks(&resp.blocks)?;
+        self.reconstruct(&resp.pruned_xml, block_texts(&resp.blocks, &opened)?)
     }
 
     /// Parses the reply with each shipped block parsed in at its marker and
@@ -216,7 +231,7 @@ impl Client {
     fn reconstruct(
         &self,
         pruned_xml: &str,
-        mut decrypted: Vec<(u32, String)>,
+        mut decrypted: Vec<(u32, &str)>,
     ) -> Result<Option<Document>, CoreError> {
         decrypted.sort_unstable_by_key(|(id, _)| *id);
         // Block plaintext holds decoys but no markers to resolve.
@@ -255,7 +270,7 @@ impl Client {
                     let parent = doc.node(el).parent();
                     doc.detach(el);
                     if let Ok(i) = decrypted.binary_search_by_key(&id, |(id, _)| *id) {
-                        parse_block(doc, parent, &decrypted[i].1)?;
+                        parse_block(doc, parent, decrypted[i].1)?;
                     }
                 }
                 _ => {}
@@ -430,6 +445,22 @@ impl Client {
         }
         Some(out)
     }
+}
+
+/// Each block's id and its plaintext as text, in block order; `opened` is
+/// `blocks` opened, in any number of runs. Each plaintext is checked on its
+/// own: a block that stops inside a character is not text, whatever the next
+/// block starts with.
+fn block_texts<'a>(
+    blocks: &[Arc<SealedBlock>],
+    opened: &'a [OpenedBlocks],
+) -> Result<Vec<(u32, &'a str)>, CoreError> {
+    let text = |(block, bytes): (&Arc<SealedBlock>, &'a [u8])| match std::str::from_utf8(bytes) {
+        Ok(text) => Ok((block.id, text)),
+        Err(e) => Err(CoreError::Block(format!("block not UTF-8: {e}"))),
+    };
+    let plaintexts = opened.iter().flat_map(OpenedBlocks::iter);
+    blocks.iter().zip(plaintexts).map(text).collect()
 }
 
 /// The attribute name a comparison predicate targets: `@name` for attribute

@@ -17,7 +17,7 @@
 
 use crate::error::CoreError;
 use crate::scheme::EncryptionScheme;
-use exq_crypto::{seal_block, KeyChain, OpessPlan, SealedBlock};
+use exq_crypto::{seal_blocks, KeyChain, OpessPlan, SealedBlock};
 use exq_index::{
     dsi::{DsiLabeling, Interval},
     BTree, BlockTable, DsiIndexTable,
@@ -207,13 +207,19 @@ pub fn encrypt_database(
     }
 
     // 4. Seal blocks.
-    let block_key = keys.block_key();
-    let mut blocks = Vec::with_capacity(scheme.targets.len());
-    for (i, t) in scheme.targets.iter().enumerate() {
-        let xml = working.node_to_xml(t.node);
-        let nonce = keys.nonce("block", i as u64);
-        blocks.push(seal_block(&block_key, i as u32, nonce, xml.as_bytes()));
-    }
+    let blocks = {
+        let plaintexts: Vec<String> = scheme
+            .targets
+            .iter()
+            .map(|t| working.node_to_xml(t.node))
+            .collect();
+        let to_seal: Vec<(u32, [u8; 12], &[u8])> = plaintexts
+            .iter()
+            .enumerate()
+            .map(|(i, xml)| (i as u32, keys.nonce("block", i as u64), xml.as_bytes()))
+            .collect();
+        seal_blocks(&keys.block_key(), &to_seal)
+    };
 
     // 5. Visible document + interval alignment.
     let mut visible = Document::new();

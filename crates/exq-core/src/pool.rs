@@ -1,9 +1,13 @@
 //! Scoped fork/join parallelism for the client's block decrypt.
 //!
 //! The paper's query-answering cost is dominated by the client decrypting
-//! and re-parsing every shipped block (§6.4, §7.2): an independent,
-//! CPU-bound function applied per block. This module provides the one
-//! primitive it needs: an order-preserving [`parallel_map`] built on
+//! and re-parsing every shipped block (§6.4, §7.2). Opening blocks is
+//! independent, CPU-bound work, but a block is the wrong unit to hand a
+//! thread: `exq_crypto::open_blocks` opens sixteen at a pass into one
+//! buffer, so the client cuts a reply into one *run* of blocks per worker
+//! (never fewer than a few hundred blocks, or the spawn costs more than the
+//! run) and a thread's unit of work is a run. This module provides the one
+//! primitive that needs: an order-preserving [`parallel_map`] built on
 //! `std::thread::scope` (no external crates, no long-lived pool, nothing to
 //! shut down). The server has no use for it — it matches a query over
 //! whole sorted lists (see `crate::server`), and fanning that out never
@@ -40,7 +44,7 @@ pub const THREADS_ENV: &str = "EXQ_THREADS";
 
 /// Items below this count are not worth a thread spawn: scoped spawn +
 /// join costs tens of microseconds, which only pays off when each item
-/// carries real work (a block decrypt + parse).
+/// carries real work (a run of blocks to open).
 pub const MIN_PARALLEL_ITEMS: usize = 2;
 
 /// The default degree of parallelism: `EXQ_THREADS` when set to a positive

@@ -27,7 +27,7 @@ use crate::client::Client;
 use crate::encrypt::{OpessAttr, ValueCodec, BLOCK_ID_ATTR, BLOCK_MARKER_TAG, DECOY_TAG};
 use crate::error::CoreError;
 use crate::server::Server;
-use exq_crypto::{seal_block, OpessPlan, SealedBlock};
+use exq_crypto::{seal_blocks, OpessPlan, SealedBlock};
 use exq_index::dsi::{DsiLabeling, Interval};
 use exq_xml::{Document, NodeId, NodeKind};
 use exq_xpath::eval_document;
@@ -265,20 +265,18 @@ impl Client {
         }
 
         // 5. Seal blocks.
-        let block_key = self.state().keys.block_key();
-        let mut blocks = Vec::with_capacity(targets.len());
+        let keys = &self.state().keys;
+        let plaintexts: Vec<String> = targets.iter().map(|&t| working.node_to_xml(t)).collect();
+        let mut to_seal = Vec::with_capacity(targets.len());
         let mut block_entries = Vec::with_capacity(targets.len());
-        for (i, &t) in targets.iter().enumerate() {
+        for ((i, &t), xml) in targets.iter().enumerate().zip(&plaintexts) {
             let id = slot.next_block_id + i as u32;
-            let xml = working.node_to_xml(t);
-            let nonce = self
-                .state()
-                .keys
-                .nonce("block-insert", slot.gap_lo ^ id as u64);
-            blocks.push(seal_block(&block_key, id, nonce, xml.as_bytes()));
+            let nonce = keys.nonce("block-insert", slot.gap_lo ^ id as u64);
+            to_seal.push((id, nonce, xml.as_bytes()));
             let rep = labeling.interval(t).expect("target labeled");
             block_entries.push((rep, id));
         }
+        let blocks = seal_blocks(&keys.block_key(), &to_seal);
 
         // 6. Visible fragment + DSI entries + vocabulary updates.
         let cipher = self.state().keys.tag_cipher();

@@ -37,14 +37,25 @@ fn hosted(constraints: &[&str]) -> (exq_core::Client, exq_core::Server) {
 /// A hand-built reply: `pruned_xml` plus `(id, plaintext)` blocks sealed
 /// under the client's key, shipped in the order given.
 fn reply(client: &exq_core::Client, pruned_xml: &str, blocks: &[(u32, &str)]) -> ServerResponse {
+    let blocks: Vec<(u32, &[u8])> = blocks
+        .iter()
+        .map(|&(id, xml)| (id, xml.as_bytes()))
+        .collect();
+    reply_of_bytes(client, pruned_xml, &blocks)
+}
+
+/// The same for plaintexts that need not be text.
+fn reply_of_bytes(
+    client: &exq_core::Client,
+    pruned_xml: &str,
+    blocks: &[(u32, &[u8])],
+) -> ServerResponse {
     let key = client.state().keys.block_key();
     ServerResponse {
         pruned_xml: pruned_xml.to_owned(),
         blocks: blocks
             .iter()
-            .map(|&(id, xml)| {
-                std::sync::Arc::new(seal_block(&key, id, [id as u8; 12], xml.as_bytes()))
-            })
+            .map(|&(id, bytes)| std::sync::Arc::new(seal_block(&key, id, [id as u8; 12], bytes)))
             .collect(),
         translate_time: Duration::ZERO,
         process_time: Duration::ZERO,
@@ -277,6 +288,115 @@ fn tampered_block_is_a_block_error_before_any_parse() {
         .post_process(&Path::parse("//a").unwrap(), &resp)
         .unwrap_err();
     assert!(matches!(err, CoreError::Block(_)), "{err:?}");
+}
+
+/// What the client reported when it opened blocks one at a time, in the
+/// order shipped: the first block that fails its tag or is not text.
+fn serial_verdict(client: &exq_core::Client, resp: &ServerResponse) -> Option<CoreError> {
+    let key = client.state().keys.block_key();
+    resp.blocks.iter().find_map(|b| {
+        let bytes = match exq_crypto::open_block(&key, b) {
+            Ok(bytes) => bytes,
+            Err(e) => return Some(CoreError::Block(e.to_string())),
+        };
+        let not_text = String::from_utf8(bytes).err()?;
+        Some(CoreError::Block(format!("block not UTF-8: {not_text}")))
+    })
+}
+
+/// A reply large enough to be opened as several runs on several threads,
+/// with bad blocks of both kinds in it: whichever comes first in the reply
+/// is the one reported, with the serial loop's words, at every thread count.
+#[test]
+fn the_first_bad_block_is_reported_as_the_serial_loop_reported_it() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let texts: Vec<String> = (0..700)
+        .map(|i| format!("<p n=\"{i}\">{}</p>", "x".repeat(i % 90)))
+        .collect();
+    let good: Vec<(u32, &[u8])> = texts
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (i as u32, t.as_bytes()))
+        .collect();
+    let not_text_early: &[u8] = b"<p>\xFF</p>";
+    let not_text_late: &[u8] = b"<p>later \xC3</p>";
+    let tamper = |resp: &mut ServerResponse, at: usize| {
+        let mut block = (*resp.blocks[at]).clone();
+        block.ciphertext[1] ^= 0x10;
+        resp.blocks[at] = std::sync::Arc::new(block);
+    };
+    type Damage<'a> = &'a dyn Fn(&mut Vec<(u32, &'a [u8])>) -> Vec<usize>;
+    let cases: [(&str, Damage); 5] = [
+        ("one tampered block in the last run", &|_| vec![650]),
+        ("two tampered blocks", &|_| vec![300, 40]),
+        ("not text ahead of a tampered block", &|b| {
+            b[100].1 = not_text_early;
+            vec![400]
+        }),
+        ("tampered ahead of not text", &|b| {
+            b[400].1 = not_text_late;
+            vec![100]
+        }),
+        ("two blocks that are not text", &|b| {
+            b[600].1 = not_text_early;
+            b[270].1 = not_text_late;
+            vec![]
+        }),
+    ];
+    for (what, damage) in cases {
+        let mut blocks = good.clone();
+        let tampered = damage(&mut blocks);
+        let mut resp = reply_of_bytes(&client, "", &blocks);
+        for at in tampered {
+            tamper(&mut resp, at);
+        }
+        let expected = serial_verdict(&client, &resp).expect("the reply is damaged");
+        for threads in [1, 2, 8] {
+            let err = client
+                .clone()
+                .with_threads(threads)
+                .post_process(&Path::parse("//p").unwrap(), &resp)
+                .unwrap_err();
+            assert_eq!(err, expected, "{what}, {threads} thread(s)");
+        }
+    }
+    // Undamaged, the same reply is fine at every thread count.
+    let resp = reply_of_bytes(&client, "", &good);
+    assert_eq!(serial_verdict(&client, &resp), None);
+    for threads in [1, 2, 8] {
+        let post = client
+            .clone()
+            .with_threads(threads)
+            .post_process(&Path::parse("//p").unwrap(), &resp)
+            .unwrap();
+        assert_eq!(post.results.len(), 700, "{threads} thread(s)");
+    }
+}
+
+/// Plaintexts share a buffer but not their characters: a block that stops
+/// in the middle of one is not text, even though the next block's first
+/// byte would complete it.
+#[test]
+fn a_block_ending_mid_character_is_rejected_whatever_follows_it() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let whole = "<a>é</a>".as_bytes();
+    let cut = whole.iter().position(|&b| b == 0xC3).unwrap() + 1;
+    let halves = [(1, &whole[..cut]), (2, &whole[cut..])];
+    assert!(std::str::from_utf8(&[halves[0].1, halves[1].1].concat()).is_ok());
+    for pruned in [
+        String::new(),
+        format!("<h>{}{}</h>", marker("1"), marker("2")),
+    ] {
+        let resp = reply_of_bytes(&client, &pruned, &halves);
+        let err = client
+            .post_process(&Path::parse("//a").unwrap(), &resp)
+            .unwrap_err();
+        assert_eq!(Some(&err), serial_verdict(&client, &resp).as_ref());
+        assert!(
+            matches!(&err, CoreError::Block(m) if m.contains("block not UTF-8")),
+            "{err:?}"
+        );
+    }
 }
 
 /// A marker whose id is missing or not a number is a malformed response.

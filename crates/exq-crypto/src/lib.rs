@@ -4,7 +4,10 @@
 //! needs is implemented in this crate:
 //!
 //! * [`chacha`] — the ChaCha20 stream cipher (RFC 7539 core), used for block
-//!   encryption and as the PRF underlying everything else;
+//!   encryption and as the PRF underlying everything else; its block
+//!   function computes `N` blocks side by side, and the batch entry points
+//!   ([`open_blocks`], [`seal_blocks`], [`OpeKey::encrypt_many`]) run it
+//!   sixteen wide;
 //! * [`prf`] — keyed pseudo-random functions and key derivation;
 //! * [`vernam`] — the deterministic fixed-width tag cipher used for element
 //!   tags in the DSI index table and in client query translation (§5.1.1;
@@ -30,7 +33,9 @@ pub mod prf;
 pub mod vernam;
 
 pub use bignum::BigUint;
-pub use block::{open_block, seal_block, BlockCryptError, SealedBlock};
+pub use block::{
+    open_block, open_blocks, seal_block, seal_blocks, BlockCryptError, OpenedBlocks, SealedBlock,
+};
 pub use chacha::ChaCha20;
 pub use keys::KeyChain;
 pub use ope::OpeKey;
@@ -45,6 +50,7 @@ pub use vernam::TagCipher;
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SealedBlock>();
+    assert_send_sync::<OpenedBlocks>();
     assert_send_sync::<BlockCryptError>();
     assert_send_sync::<ChaCha20>();
     assert_send_sync::<KeyChain>();

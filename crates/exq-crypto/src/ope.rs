@@ -11,7 +11,8 @@
 //! Also provided: the standard order-preserving embedding of `f64` into
 //! `u64`, used by OPESS to encrypt displaced (fractional) plaintext values.
 
-use crate::prf::Prf;
+use crate::chacha::LANES;
+use crate::prf::{chunk_words, Prf};
 
 /// Number of bits of the ciphertext range.
 pub const RANGE_BITS: u32 = 96;
@@ -38,33 +39,43 @@ impl OpeKey {
     /// Encrypts a domain value. Strictly monotone: `x < y` implies
     /// `encrypt(x) < encrypt(y)`.
     pub fn encrypt(&self, x: u64) -> u128 {
-        let mut dlo: u128 = 0;
-        let mut dhi: u128 = u64::MAX as u128;
-        let mut rlo: u128 = 0;
-        let mut rhi: u128 = (1u128 << RANGE_BITS) - 1;
-        let x = x as u128;
+        let mut descent = Descent::new(x);
         loop {
-            if dlo == dhi {
-                let span = rhi - rlo + 1;
-                return rlo + self.coin(dlo, dhi, rlo, rhi) % span;
-            }
-            let dmid = dlo + (dhi - dlo) / 2;
-            let dl = dmid - dlo + 1; // size of left domain half
-            let dr = dhi - dmid; // size of right domain half
-            let r_total = rhi - rlo + 1;
-            // The left half of the range must hold at least `dl` values and
-            // leave at least `dr` for the right half.
-            let lo_min = dl;
-            let lo_max = r_total - dr;
-            let rl = lo_min + self.coin(dlo, dhi, rlo, rhi) % (lo_max - lo_min + 1);
-            if x <= dmid {
-                dhi = dmid;
-                rhi = rlo + rl - 1;
-            } else {
-                dlo = dmid + 1;
-                rlo += rl;
+            let coin = self.prf.eval_u128(&descent.coin_input());
+            if let Some(c) = descent.step(coin) {
+                return c;
             }
         }
+    }
+
+    /// [`encrypt`](Self::encrypt) of every value, in order. A descent is 65
+    /// coins each needing the one before, but every descent draws as many,
+    /// from inputs of one length: [`LANES`] values go down level by level
+    /// together, their coins drawn in lock-step.
+    pub fn encrypt_many(&self, xs: &[u64]) -> Vec<u128> {
+        let mut out = Vec::with_capacity(xs.len());
+        for group in xs.chunks(LANES) {
+            let mut descents = [Descent::new(0); LANES];
+            for (descent, &x) in descents.iter_mut().zip(group) {
+                *descent = Descent::new(x);
+            }
+            let mut ciphertexts = [None; LANES];
+            // The domain halves exactly, so every descent ends on one level.
+            while ciphertexts[0].is_none() {
+                let inputs = descents.map(|d| d.coin_input());
+                let coins = self
+                    .prf
+                    .eval_u128_lanes::<LANES>(&[64; LANES][..group.len()], |l, k| {
+                        chunk_words(&inputs[l], k)
+                    });
+                let live = descents.iter_mut().take(group.len());
+                for ((c, descent), coin) in ciphertexts.iter_mut().zip(live).zip(coins) {
+                    *c = descent.step(coin);
+                }
+            }
+            out.extend(ciphertexts.into_iter().flatten());
+        }
+        out
     }
 
     /// Decrypts a ciphertext produced by [`encrypt`](Self::encrypt).
@@ -101,12 +112,78 @@ impl OpeKey {
     }
 
     fn coin(&self, dlo: u128, dhi: u128, rlo: u128, rhi: u128) -> u128 {
-        let mut input = [0u8; 64];
-        input[..16].copy_from_slice(&dlo.to_le_bytes());
-        input[16..32].copy_from_slice(&dhi.to_le_bytes());
-        input[32..48].copy_from_slice(&rlo.to_le_bytes());
-        input[48..64].copy_from_slice(&rhi.to_le_bytes());
-        self.prf.eval_u128(&input)
+        self.prf.eval_u128(&coin_input(dlo, dhi, rlo, rhi))
+    }
+}
+
+/// What the coin for one split is drawn from: the domain and range bounds.
+fn coin_input(dlo: u128, dhi: u128, rlo: u128, rhi: u128) -> [u8; 64] {
+    let mut input = [0u8; 64];
+    input[..16].copy_from_slice(&dlo.to_le_bytes());
+    input[16..32].copy_from_slice(&dhi.to_le_bytes());
+    input[32..48].copy_from_slice(&rlo.to_le_bytes());
+    input[48..64].copy_from_slice(&rhi.to_le_bytes());
+    input
+}
+
+/// One encryption in progress: the domain interval still holding `x` and
+/// the range interval assigned to it.
+#[derive(Clone, Copy)]
+struct Descent {
+    x: u128,
+    dlo: u128,
+    dhi: u128,
+    rlo: u128,
+    rhi: u128,
+}
+
+impl Descent {
+    fn new(x: u64) -> Self {
+        Descent {
+            x: x as u128,
+            dlo: 0,
+            dhi: u64::MAX as u128,
+            rlo: 0,
+            rhi: (1u128 << RANGE_BITS) - 1,
+        }
+    }
+
+    fn coin_input(&self) -> [u8; 64] {
+        coin_input(self.dlo, self.dhi, self.rlo, self.rhi)
+    }
+
+    /// Spends this level's coin: splits the range between the two domain
+    /// halves and keeps the half holding `x`, or, at a one-point domain,
+    /// places the ciphertext in what range is left and returns it.
+    fn step(&mut self, coin: u128) -> Option<u128> {
+        let Descent {
+            x,
+            dlo,
+            dhi,
+            rlo,
+            rhi,
+        } = *self;
+        if dlo == dhi {
+            let span = rhi - rlo + 1;
+            return Some(rlo + coin % span);
+        }
+        let dmid = dlo + (dhi - dlo) / 2;
+        let dl = dmid - dlo + 1; // size of left domain half
+        let dr = dhi - dmid; // size of right domain half
+        let r_total = rhi - rlo + 1;
+        // The left half of the range must hold at least `dl` values and
+        // leave at least `dr` for the right half.
+        let lo_min = dl;
+        let lo_max = r_total - dr;
+        let rl = lo_min + coin % (lo_max - lo_min + 1);
+        if x <= dmid {
+            self.dhi = dmid;
+            self.rhi = rlo + rl - 1;
+        } else {
+            self.dlo = dmid + 1;
+            self.rlo += rl;
+        }
+        None
     }
 }
 

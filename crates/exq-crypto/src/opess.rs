@@ -182,14 +182,24 @@ impl OpessPlan {
             entries: Vec::with_capacity(merged.len()),
         };
 
+        // Every chunk's displaced value first, so that they go down the OPE
+        // tree together; `rng` is not involved until the scales below.
+        let mut displaced = Vec::new();
+        for (&(v, _), sizes) in merged.iter().zip(&chunk_sizes) {
+            displaced.extend((0..sizes.len()).map(|j| plan.displaced(v, j)));
+        }
+        let mut ciphertexts = plan.ope.encrypt_many(&displaced).into_iter();
+
         for (&(v, count), sizes) in merged.iter().zip(&chunk_sizes) {
-            let mut chunks = Vec::with_capacity(sizes.len());
-            for (j, &sz) in sizes.iter().enumerate() {
-                chunks.push(ChunkCipher {
-                    ciphertext: plan.chunk_ciphertext(v, j),
-                    occurrences: sz,
-                });
-            }
+            let chunks: Vec<ChunkCipher> = sizes
+                .iter()
+                .zip(&mut ciphertexts)
+                .map(|(&occurrences, ciphertext)| ChunkCipher {
+                    ciphertext,
+                    occurrences,
+                })
+                .collect();
+            debug_assert_eq!(chunks.len(), sizes.len());
             debug_assert!(chunks.windows(2).all(|w| w[0].ciphertext < w[1].ciphertext));
             plan.entries.push(PlanEntry {
                 plaintext: v,
@@ -272,7 +282,8 @@ impl OpessPlan {
     /// the plan's weights (update support). At most `min(m, K)` chunks.
     pub fn insert_ciphertexts(&self, v: f64) -> Vec<u128> {
         let n = (self.m as usize).min(self.weight_prefix.len()).max(1);
-        (0..n).map(|j| self.chunk_ciphertext(v, j)).collect()
+        let displaced: Vec<u64> = (0..n).map(|j| self.displaced(v, j)).collect();
+        self.ope.encrypt_many(&displaced)
     }
 
     /// Lower bound of plaintext `v`'s ciphertext band (its first chunk).

@@ -7,13 +7,20 @@
 //! keystream. This is *not* a general-purpose MAC design, but it is a
 //! perfectly serviceable PRF for a research system where the adversary model
 //! is the curious server of the paper.
+//!
+//! The absorb chain spends one ChaCha block per 12 input bytes and each
+//! step needs the one before it, so a single evaluation cannot go faster
+//! than the block function. Separate evaluations are independent, though:
+//! the crate-internal `Prf::eval_u128_lanes` runs up to `N` of them in
+//! lock-step on [`block_lanes`] (block tags and OPE coins go through it), and
+//! the one-input functions are its `N = 1` instance.
 
-use crate::chacha::ChaCha20;
+use crate::chacha::{block_lanes, key_words, nonce_words, ChaCha20, MIN_BUSY_LANES};
 
 /// A keyed PRF.
 #[derive(Clone)]
 pub struct Prf {
-    key: [u8; 32],
+    key: [u32; 8],
 }
 
 impl std::fmt::Debug for Prf {
@@ -22,9 +29,23 @@ impl std::fmt::Debug for Prf {
     }
 }
 
+/// The `k`-th 12-byte chunk of `input` as three little-endian words, the
+/// last chunk zero-padded: what one absorb step takes in.
+pub(crate) fn chunk_words(input: &[u8], k: usize) -> [u32; 3] {
+    let rest = &input[k * 12..];
+    let mut chunk = [0u8; 12];
+    match rest.get(..12) {
+        Some(full) => chunk.copy_from_slice(full),
+        None => chunk[..rest.len()].copy_from_slice(rest),
+    }
+    nonce_words(&chunk)
+}
+
 impl Prf {
     pub fn new(key: [u8; 32]) -> Self {
-        Self { key }
+        Self {
+            key: key_words(&key),
+        }
     }
 
     /// Derives a fresh 32-byte subkey for a named purpose.
@@ -36,8 +57,8 @@ impl Prf {
 
     /// Fills `out` with PRF output for `input`.
     pub fn fill(&self, input: &[u8], out: &mut [u8]) {
-        let nonce = self.absorb(input);
-        let cipher = ChaCha20::new(&self.key, &nonce);
+        let nonce = self.absorb_lanes::<1>(&[input.len()], |_, k| chunk_words(input, k));
+        let cipher = ChaCha20::from_words(self.key, nonce.map(|[w]| w));
         for (i, chunk) in out.chunks_mut(64).enumerate() {
             let ks = cipher.block(i as u32);
             chunk.copy_from_slice(&ks[..chunk.len()]);
@@ -58,36 +79,108 @@ impl Prf {
         u128::from_le_bytes(buf)
     }
 
-    /// Compresses an arbitrary-length input to a 12-byte nonce by chaining
-    /// ChaCha blocks over 32-byte input chunks.
-    fn absorb(&self, input: &[u8]) -> [u8; 12] {
-        let mut state = [0u8; 12];
-        // Length prefix defends against trivial extension collisions.
-        let mut first = [0u8; 12];
-        first[..8].copy_from_slice(&(input.len() as u64).to_le_bytes());
-        state = self.compress(&state, &first);
-        let mut block = [0u8; 12];
-        for chunk in input.chunks(12) {
-            block[..chunk.len()].copy_from_slice(chunk);
-            block[chunk.len()..].fill(0);
-            state = self.compress(&state, &block);
+    /// [`eval_u128`](Self::eval_u128) of up to `N` inputs at once. Input `l`
+    /// is `lens[l]` bytes long and is read through `chunk(l, k)`, its `k`-th
+    /// 12-byte chunk in [`chunk_words`] form, so a caller whose input is a
+    /// concatenation never has to build it. Entries of the result past
+    /// `lens.len()` mean nothing.
+    pub(crate) fn eval_u128_lanes<const N: usize>(
+        &self,
+        lens: &[usize],
+        chunk: impl Fn(usize, usize) -> [u32; 3],
+    ) -> [u128; N] {
+        let nonces = self.absorb_lanes::<N>(lens, chunk);
+        if lens.len() >= MIN_BUSY_LANES {
+            return first_16_bytes(&self.key, &nonces);
         }
-        state
-    }
-
-    fn compress(&self, state: &[u8; 12], block: &[u8; 12]) -> [u8; 12] {
-        let mut nonce = [0u8; 12];
-        for i in 0..12 {
-            nonce[i] = state[i] ^ block[i];
-        }
-        let ks = ChaCha20::new(&self.key, &nonce).block(COMPRESS_COUNTER);
-        let mut out = [0u8; 12];
-        out.copy_from_slice(&ks[..12]);
-        for i in 0..12 {
-            out[i] ^= block[i];
+        let mut out = [0; N];
+        for (l, one) in out.iter_mut().enumerate().take(lens.len()) {
+            [*one] = first_16_bytes(&self.key, &nonces.map(|w| [w[l]]));
         }
         out
     }
+
+    /// Compresses each input (see [`eval_u128_lanes`](Self::eval_u128_lanes)
+    /// for how they are given) to a 12-byte nonce by chaining ChaCha blocks
+    /// over its 12-byte chunks, a length block first to defend against
+    /// trivial extension collisions.
+    ///
+    /// The chains advance together, one [`block_lanes`] call per step, for
+    /// as long as [`MIN_BUSY_LANES`] of them still have input; a lane whose
+    /// input has run out keeps its state through a branch-free select. The
+    /// few chains that are longer than the rest finish one at a time.
+    fn absorb_lanes<const N: usize>(
+        &self,
+        lens: &[usize],
+        chunk: impl Fn(usize, usize) -> [u32; 3],
+    ) -> [[u32; N]; 3] {
+        assert!(lens.len() <= N, "more inputs than lanes");
+        let key = &self.key;
+        // Step 0 of a chain takes the length block, step `k` chunk `k - 1`.
+        let mut steps = [0; N];
+        for (n, len) in steps.iter_mut().zip(lens) {
+            *n = 1 + len.div_ceil(12);
+        }
+        let input = |l: usize, k: usize| match k {
+            0 => [lens[l] as u32, (lens[l] as u64 >> 32) as u32, 0],
+            _ => chunk(l, k - 1),
+        };
+        // Word-sliced like the block function's state: `state[w][l]` is
+        // word `w` of lane `l`'s chaining value.
+        let mut state = [[0u32; N]; 3];
+        let mut block = [[0u32; N]; 3];
+        let mut done = 0; // steps taken so far by every lane that has that many
+        while steps.iter().filter(|&&n| n > done).count() >= MIN_BUSY_LANES {
+            let mut live = [0u32; N];
+            for l in 0..N {
+                if done < steps[l] {
+                    set_lane(&mut block, l, input(l, done));
+                    live[l] = !0;
+                }
+            }
+            let next = compress(key, &state, &block);
+            for w in 0..3 {
+                for l in 0..N {
+                    state[w][l] = (next[w][l] & live[l]) | (state[w][l] & !live[l]);
+                }
+            }
+            done += 1;
+        }
+        for l in 0..lens.len() {
+            let mut one = state.map(|w| [w[l]]);
+            for k in done..steps[l] {
+                one = compress(key, &one, &input(l, k).map(|w| [w]));
+            }
+            set_lane(&mut state, l, one.map(|[w]| w));
+        }
+        state
+    }
+}
+
+fn set_lane<const N: usize>(sliced: &mut [[u32; N]; 3], l: usize, words: [u32; 3]) {
+    for (lanes, word) in sliced.iter_mut().zip(words) {
+        lanes[l] = word;
+    }
+}
+
+/// One absorb step on every lane: `E(state ^ block) ^ block`, where `E` is
+/// the first 12 bytes of the ChaCha block whose nonce is its argument.
+#[inline(always)]
+fn compress<const N: usize>(
+    key: &[u32; 8],
+    state: &[[u32; N]; 3],
+    block: &[[u32; N]; 3],
+) -> [[u32; N]; 3] {
+    let xor = |a: &[u32; N], b: &[u32; N]| core::array::from_fn(|l| a[l] ^ b[l]);
+    let nonces = core::array::from_fn(|w| xor(&state[w], &block[w]));
+    let ks = block_lanes::<N>(key, &[COMPRESS_COUNTER; N], &nonces);
+    core::array::from_fn(|w| xor(&ks[w], &block[w]))
+}
+
+/// The first 16 keystream bytes under each nonce, as a little-endian `u128`.
+fn first_16_bytes<const N: usize>(key: &[u32; 8], nonces: &[[u32; N]; 3]) -> [u128; N] {
+    let ks = block_lanes::<N>(key, &[0; N], nonces);
+    core::array::from_fn(|l| (0..4).fold(0, |acc, w| acc | (ks[w][l] as u128) << (32 * w)))
 }
 
 /// Domain-separation counter for the compression function, far away from the
@@ -163,6 +256,31 @@ mod tests {
         for &c in &ones {
             let frac = c as f64 / n as f64;
             assert!((0.42..0.58).contains(&frac), "biased bit: {frac}");
+        }
+    }
+
+    /// The lock-step evaluation against the one-input one: inputs whose
+    /// lengths straddle the 12-byte chunk boundary and differ widely inside
+    /// one batch (so lanes run out at different steps and the longest finish
+    /// alone), at batch sizes below, at and above the busy-lane threshold.
+    #[test]
+    fn lanes_match_one_at_a_time() {
+        use crate::chacha::LANES;
+        let p = Prf::new([5u8; 32]);
+        let lens = [
+            0usize, 1, 11, 12, 13, 23, 24, 25, 64, 100, 7, 36, 35, 37, 300, 2,
+        ];
+        let inputs: Vec<Vec<u8>> = lens
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 7 + n) as u8).collect())
+            .collect();
+        for count in [0, 1, MIN_BUSY_LANES - 1, MIN_BUSY_LANES, 9, LANES] {
+            let batch = &inputs[..count];
+            let lens: Vec<usize> = batch.iter().map(Vec::len).collect();
+            let out = p.eval_u128_lanes::<LANES>(&lens, |l, k| chunk_words(&batch[l], k));
+            for (l, input) in batch.iter().enumerate() {
+                assert_eq!(out[l], p.eval_u128(input), "batch of {count}, input {l}");
+            }
         }
     }
 }

@@ -1,0 +1,164 @@
+//! The batch entry points against the one-at-a-time functions they must
+//! equal byte for byte: `open_blocks` / `seal_blocks` against `open_block` /
+//! `seal_block`, `OpeKey::encrypt_many` against `OpeKey::encrypt`.
+
+use exq_crypto::{
+    open_block, open_blocks, seal_block, seal_blocks, BlockCryptError, OpeKey, SealedBlock,
+};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+/// Plaintext lengths on both sides of every boundary the batch path cares
+/// about: empty, the 12-byte absorb chunk, the 64-byte keystream block, the
+/// length past which a lone long block leaves the lanes, and a few blocks
+/// long enough to fall in the sort's last bucket.
+fn plaintext_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        1usize..30,
+        Just(11),
+        Just(12),
+        Just(13),
+        Just(63),
+        Just(64),
+        Just(65),
+        40usize..140,
+        250usize..1100,
+        3000usize..3400,
+    ]
+}
+
+fn plaintext() -> impl Strategy<Value = Vec<u8>> {
+    (plaintext_len(), any::<u64>()).prop_map(|(len, seed)| {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    })
+}
+
+/// Block sets of 0, 1, 15 and 17 blocks (and whatever else): not multiples
+/// of the lane count.
+fn plaintexts() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    prop_oneof![
+        proptest::collection::vec(plaintext(), 0..2),
+        proptest::collection::vec(plaintext(), 15..18),
+        proptest::collection::vec(plaintext(), 0..50),
+    ]
+}
+
+fn nonce_of(i: usize, salt: u8) -> [u8; 12] {
+    core::array::from_fn(|b| (i as u8).wrapping_mul(31) ^ salt.wrapping_add(b as u8))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Sealing a batch makes the blocks sealing one by one makes, and
+    /// opening a batch gives the plaintexts opening one by one gives.
+    #[test]
+    fn batch_is_one_by_one(key in any::<[u8; 32]>(), salt in any::<u8>(), pts in plaintexts()) {
+        let items: Vec<(u32, [u8; 12], &[u8])> = pts
+            .iter()
+            .enumerate()
+            .map(|(i, pt)| (i as u32 * 3 + 1, nonce_of(i, salt), pt.as_slice()))
+            .collect();
+        let one_by_one: Vec<SealedBlock> = items
+            .iter()
+            .map(|&(id, nonce, pt)| seal_block(&key, id, nonce, pt))
+            .collect();
+        let batch = seal_blocks(&key, &items);
+        prop_assert_eq!(&batch, &one_by_one);
+
+        let opened = open_blocks(&key, &batch).unwrap();
+        prop_assert_eq!(opened.len(), pts.len());
+        prop_assert_eq!(opened.is_empty(), pts.is_empty());
+        for (i, b) in batch.iter().enumerate() {
+            prop_assert_eq!(opened.get(i).to_vec(), open_block(&key, b).unwrap());
+            prop_assert_eq!(opened.get(i), pts[i].as_slice());
+        }
+        prop_assert_eq!(opened.iter().count(), pts.len());
+        // What the client holds: shared blocks.
+        let shared: Vec<Arc<SealedBlock>> = batch.into_iter().map(Arc::new).collect();
+        prop_assert_eq!(open_blocks(&key, &shared).unwrap(), opened);
+    }
+
+    /// One flipped ciphertext bit or tag bit anywhere in a batch is reported
+    /// for that block; with two bad blocks the earlier one is named.
+    #[test]
+    fn a_tampered_block_is_named(
+        key in any::<[u8; 32]>(),
+        pts in proptest::collection::vec(plaintext(), 1..40),
+        at in any::<(usize, usize)>(),
+        flip in any::<(usize, u8)>(),
+        in_tag in any::<bool>(),
+    ) {
+        let items: Vec<(u32, [u8; 12], &[u8])> = pts
+            .iter()
+            .enumerate()
+            .map(|(i, pt)| (i as u32, nonce_of(i, 9), pt.as_slice()))
+            .collect();
+        let good = seal_blocks(&key, &items);
+        let tamper = |b: &mut SealedBlock| {
+            let bit = 1u8 << (flip.1 % 8);
+            if in_tag || b.ciphertext.is_empty() {
+                b.tag[flip.0 % 16] ^= bit;
+            } else {
+                let i = flip.0 % b.ciphertext.len();
+                b.ciphertext[i] ^= bit;
+            }
+        };
+        let (first, second) = (at.0 % good.len(), at.1 % good.len());
+        let mut bad = good.clone();
+        tamper(&mut bad[first]);
+        prop_assert_eq!(open_block(&key, &bad[first]), Err(BlockCryptError::BadTag));
+        prop_assert_eq!(open_blocks(&key, &bad), Err((first, BlockCryptError::BadTag)));
+        if second != first {
+            tamper(&mut bad[second]);
+            prop_assert_eq!(
+                open_blocks(&key, &bad),
+                Err((first.min(second), BlockCryptError::BadTag))
+            );
+        }
+        prop_assert!(open_blocks(&key, &good).is_ok());
+    }
+
+    /// `encrypt_many` is `encrypt` mapped, whatever the count and with the
+    /// domain's ends and repeated values in the batch.
+    #[test]
+    fn ope_many_is_one_by_one(
+        key in any::<[u8; 32]>(),
+        mut xs in proptest::collection::vec(any::<u64>(), 0..40),
+        dup in any::<usize>(),
+    ) {
+        xs.extend([0, u64::MAX]);
+        xs.push(xs[dup % xs.len()]);
+        xs.rotate_left(dup % 3);
+        let k = OpeKey::new(key);
+        let expected: Vec<u128> = xs.iter().map(|&x| k.encrypt(x)).collect();
+        prop_assert_eq!(k.encrypt_many(&xs), expected);
+    }
+}
+
+/// The counts the lane grouping could get wrong, exhaustively small.
+#[test]
+fn ope_many_at_every_small_count() {
+    let k = OpeKey::new([13u8; 32]);
+    let xs: Vec<u64> = (0..35u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    for n in 0..=xs.len() {
+        let expected: Vec<u128> = xs[..n].iter().map(|&x| k.encrypt(x)).collect();
+        assert_eq!(k.encrypt_many(&xs[..n]), expected, "{n} values");
+    }
+    assert_eq!(
+        k.encrypt_many(&[7; 20]),
+        vec![k.encrypt(7); 20],
+        "all duplicates"
+    );
+}
