@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks for the substrates: the cipher, PRF, OPE,
 //! OPESS planning, B-tree, DSI labeling, structural joins, XML parsing, and
 //! vertex-cover solvers — and for the reply path of one secure query
-//! (server assembly, filtered serialization, client reconstruction, batch
-//! block open, frame checksum) on the perf ledger's `xmark_scan` database,
+//! (server assembly, filtered serialization, client reconstruction and its
+//! parse and XPath halves, batch block open, frame checksum) on the perf
+//! ledger's `xmark_scan` database,
 //! the server's predicate matching on its `hospital_point` database, and
 //! the batch block read on its `hospital_paged` store.
 
@@ -20,6 +21,7 @@ use exq_index::BTree;
 use exq_store::PagedStore;
 use exq_workload::{hospital, nasa, xmark};
 use exq_xml::Document;
+use exq_xpath::{eval_document, Path};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -203,6 +205,40 @@ fn bench_reply_path(c: &mut Criterion) {
         });
     }
     reconstruct.finish();
+
+    // The two halves of that post-process with the crypto and the splicing
+    // taken out: a plain parse of the text a whole-`people` reply
+    // reconstructs to (the `people` region under its bare ancestors,
+    // 1.3 MB) with building the arena and freeing it timed apart, and the
+    // post query on the parsed document.
+    let region = doc.elements_by_tag("people")[0];
+    let mut in_reply = vec![false; doc.arena_len()];
+    for n in doc.descendants(region).chain(doc.ancestors(region)) {
+        in_reply[n.index()] = true;
+    }
+    let people_xml = doc.to_xml_filtered(|n| in_reply[n.index()]);
+    let mut parse = c.benchmark_group("xml/parse_people_reply");
+    let held = std::cell::Cell::new(None);
+    parse.bench_function("parse", |b| {
+        b.iter_batched(
+            || drop(held.take()),
+            |()| held.set(Some(Document::parse(&people_xml).unwrap())),
+            BatchSize::PerIteration,
+        )
+    });
+    parse.bench_function("drop", |b| {
+        b.iter_batched(
+            || Document::parse(&people_xml).unwrap(),
+            drop,
+            BatchSize::PerIteration,
+        )
+    });
+    parse.finish();
+    let people_doc = Document::parse(&people_xml).unwrap();
+    let people_query = Path::parse("//people//person").unwrap();
+    c.bench_function("xpath/eval_people", |b| {
+        b.iter(|| black_box(eval_document(&people_doc, &people_query).len()))
+    });
 
     // The crypto of the whole-`people` reply alone: its 7488 sealed blocks
     // opened as one batch, against the same blocks opened one at a time.

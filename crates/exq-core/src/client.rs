@@ -186,11 +186,12 @@ impl Client {
 
         let t1 = Instant::now();
         let reconstructed = self.reconstruct(&resp.pruned_xml, texts)?;
+        let mut scratch = String::new();
         let results = match &reconstructed {
             None => Vec::new(),
             Some(doc) => eval_document(doc, post_query)
                 .into_iter()
-                .map(|n| render_result(doc, n))
+                .map(|n| render_result(doc, n, &mut scratch))
                 .collect(),
         };
         // Freeing a large reconstruction takes milliseconds; they belong to
@@ -216,7 +217,10 @@ impl Client {
 
     /// Parses the reply with each shipped block parsed in at its marker and
     /// decoys dropped as they complete: the parsed reply *is* the
-    /// reconstruction, and its node ids are in document order.
+    /// reconstruction, and its node ids are in document order. A marker or
+    /// decoy is the arena's tail when its hook runs, so
+    /// [`discard`](Document::discard) hands its slots to what follows and
+    /// the reconstruction holds no dead node.
     ///
     /// Markers whose blocks were not shipped simply vanish: the anchor logic
     /// guarantees the client never needs them. A block that is not XML is
@@ -238,7 +242,7 @@ impl Client {
         let parse_block = |doc: &mut Document, parent: Option<NodeId>, xml: &str| {
             let drop_decoy = |doc: &mut Document, el| {
                 if doc.element_name(el) == Some(DECOY_TAG) {
-                    doc.detach(el);
+                    doc.discard(el);
                 }
                 Ok(())
             };
@@ -263,12 +267,12 @@ impl Client {
         }
         Document::parse_with_hook(pruned_xml, |doc, el| {
             match doc.element_name(el) {
-                Some(DECOY_TAG) => doc.detach(el),
+                Some(DECOY_TAG) => doc.discard(el),
                 Some(BLOCK_MARKER_TAG) => {
                     let id = marker_block_id(doc, el)
                         .ok_or_else(|| CoreError::Response("marker without id".into()))?;
                     let parent = doc.node(el).parent();
-                    doc.detach(el);
+                    doc.discard(el);
                     if let Ok(i) = decrypted.binary_search_by_key(&id, |(id, _)| *id) {
                         parse_block(doc, parent, decrypted[i].1)?;
                     }
@@ -526,9 +530,15 @@ fn pred_looks_upward(pred: &Predicate) -> bool {
 }
 
 /// Renders one result node: elements as XML, attributes/text as their value.
-fn render_result(doc: &Document, n: NodeId) -> String {
+/// An element is written into `scratch`, which keeps its size from one result
+/// to the next, and copied out at its exact length.
+fn render_result(doc: &Document, n: NodeId, scratch: &mut String) -> String {
     match doc.node(n).kind() {
-        NodeKind::Element(_) => doc.node_to_xml(n),
+        NodeKind::Element(_) => {
+            scratch.clear();
+            doc.write_live(n, scratch);
+            scratch.clone()
+        }
         NodeKind::Attribute(_, v) => v.clone(),
         NodeKind::Text(t) => t.clone(),
     }

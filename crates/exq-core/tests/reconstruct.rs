@@ -468,3 +468,115 @@ fn hostile_nesting_is_a_typed_error() {
         "{e_straddle:?}"
     );
 }
+
+/// A start tag that names an attribute twice is ill-formed, and the writer
+/// would hand it straight back: in the reply it is a malformed response, in
+/// a block a block that is not XML — the first offender in document order,
+/// at every thread count.
+#[test]
+fn a_repeated_attribute_is_a_typed_error_in_reply_and_block() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let pruned = format!("<h>{}{}{}</h>", marker("1"), marker("2"), marker("3"));
+    let in_block = reply(
+        &client,
+        &pruned,
+        &[
+            (1, "<ok k=\"1\" l=\"1\"/>"),
+            (2, "<p><q n=\"1\" n=\"2\"/></p>"),
+            (3, "<r id='x' id='x'/>"),
+        ],
+    );
+    let in_reply = reply(
+        &client,
+        &format!("<h w=\"1\" v=\"2\" w=\"3\">{}</h>", marker("1")),
+        &[(1, "<ok/>")],
+    );
+    let in_marker = reply(
+        &client,
+        &format!("<h><{BLOCK_MARKER_TAG} id=\"7\" id=\"1\"/></h>"),
+        &[(1, "<ok/>")],
+    );
+    let at_root = reply(&client, "", &[(1, "<ok/>"), (2, "<p a=\"\" a=\"\"/>")]);
+    for threads in [1, 2, 8] {
+        let client = client.clone().with_threads(threads);
+        let error = |resp| {
+            client
+                .post_process(&Path::parse("//ok").unwrap(), resp)
+                .unwrap_err()
+        };
+        let e = error(&in_block);
+        assert!(
+            matches!(&e, CoreError::Block(m)
+                if m.contains("block not XML") && m.contains("attribute `n` repeated in <q>")),
+            "{e:?}"
+        );
+        let e = error(&in_reply);
+        assert!(
+            matches!(&e, CoreError::Response(m) if m.contains("attribute `w` repeated in <h>")),
+            "{e:?}"
+        );
+        let e = error(&in_marker);
+        assert!(
+            matches!(&e, CoreError::Response(m) if m.contains("attribute `id` repeated")),
+            "{e:?}"
+        );
+        let e = error(&at_root);
+        assert!(
+            matches!(&e, CoreError::Block(m) if m.contains("attribute `a` repeated in <p>")),
+            "{e:?}"
+        );
+    }
+}
+
+/// Shapes no honest server writes, which a reconstruction must still take
+/// exactly as it always has — the strings below are what the tombstoning
+/// reconstruction answered: a marker that carries children (they go with
+/// it), a marker inside a marker, a decoy inside a decoy, a block whose root
+/// is a decoy, and several root-level blocks with all of that in them.
+#[test]
+fn odd_marker_and_decoy_shapes_reconstruct_as_they_always_have() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let decoy = |inner: &str| format!("<{DECOY_TAG}>{inner}</{DECOY_TAG}>");
+    let nested_decoy = decoy(&format!("1{}2<x/>", decoy("3")));
+    let carrying = format!(
+        "<{BLOCK_MARKER_TAG} id=\"1\"><junk>z</junk>text{}</{BLOCK_MARKER_TAG}>",
+        marker("2")
+    );
+    let pruned = format!(
+        "<h>{carrying}<v>{nested_decoy}kept</v>{}{}<tail/></h>",
+        marker("3"),
+        marker("4")
+    );
+    let blocks = [
+        (1, "<one>1</one>".to_owned()),
+        (2, "<two>2</two>".to_owned()),
+        (3, nested_decoy.clone()),
+        (
+            4,
+            format!("<four>{nested_decoy}<pname>Al</pname>{}</four>", decoy("9")),
+        ),
+    ];
+    let blocks: Vec<(u32, &str)> = blocks.iter().map(|(id, xml)| (*id, xml.as_str())).collect();
+    let resp = reply(&client, &pruned, &blocks);
+    assert_eq!(
+        results(&client, "/h", &resp),
+        ["<h><one>1</one><v>kept</v><four><pname>Al</pname></four><tail/></h>"]
+    );
+    assert_eq!(results(&client, "/h/*[2]", &resp), ["<v>kept</v>"]);
+    assert!(results(&client, "//two", &resp).is_empty());
+    assert!(results(&client, "//junk", &resp).is_empty());
+    assert!(results(&client, "//x", &resp).is_empty());
+
+    // The same blocks with no skeleton: they splice at the root level in id
+    // order, and the block that is only a decoy leaves no trace.
+    let resp = reply(&client, "", &blocks);
+    assert_eq!(
+        results(&client, "/*", &resp),
+        ["<_exq_splice><one>1</one><two>2</two><four><pname>Al</pname></four></_exq_splice>"]
+    );
+    assert_eq!(results(&client, "/*/*[last()]/pname/text()", &resp), ["Al"]);
+    // One root-level block that is only a decoy: a document with no root.
+    let resp = reply(&client, "", &[(3, &nested_decoy)]);
+    assert!(results(&client, "//*", &resp).is_empty());
+    assert!(results(&client, "/*", &resp).is_empty());
+}

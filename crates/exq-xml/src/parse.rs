@@ -6,6 +6,7 @@
 
 use crate::escape::unescape;
 use crate::tree::{Document, NodeId};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Parser configuration.
@@ -64,12 +65,14 @@ impl Document {
 
     /// Parses a document, calling `hook(doc, el)` as soon as each element
     /// `el` is complete — before anything after it in document order
-    /// exists. The hook may [`detach`](Document::detach) `el` and put other
-    /// content in its place with
-    /// [`parse_fragment_into`](Document::parse_fragment_into);
-    /// since the arena only grows at its end, node ids stay in document
-    /// order, which XPath evaluation relies on. The hook's error type
-    /// carries both its own failures and the parser's.
+    /// exists. The hook may [`discard`](Document::discard) `el` — it is the
+    /// arena's tail at that moment, so its slots go to what follows — or
+    /// [`detach`](Document::detach) it, and put other content in its place
+    /// with [`parse_fragment_into`](Document::parse_fragment_into); since
+    /// the arena only grows, or is cut, at its end, node ids stay in
+    /// document order, which XPath evaluation relies on to skip its sort.
+    /// The hook's error type carries both its own failures and the
+    /// parser's.
     pub fn parse_with_hook<E: From<ParseError>>(
         input: &str,
         hook: impl FnMut(&mut Document, NodeId) -> Result<(), E>,
@@ -102,16 +105,21 @@ fn no_hook(_: &mut Document, _: NodeId) -> Result<(), ParseError> {
 }
 
 struct Parser<'a, 'd, H> {
-    input: &'a [u8],
+    input: &'a str,
     pos: usize,
     doc: &'d mut Document,
     opts: ParseOptions,
     /// Called on each element once it is complete.
     hook: H,
-    /// Text of the element being parsed, gathered across comments, CDATA
-    /// and entity runs. One buffer serves every level: it is flushed before
-    /// a child element is entered.
+    /// Text of the element being parsed that a comment, CDATA section or
+    /// PI interrupted, gathered until a tag ends it. One buffer serves every
+    /// level: it is flushed before a child element is entered.
     text_buf: String,
+    /// Per interned name, the start tag that last carried it as an
+    /// attribute (the cursor just after that tag's name, which no two tags
+    /// share and is never 0). A repeat within one start tag is one lookup,
+    /// however many attributes a hostile tag piles up.
+    attr_seen_in: Vec<usize>,
 }
 
 impl<'a, 'd, E, H> Parser<'a, 'd, H>
@@ -121,12 +129,13 @@ where
 {
     fn new(input: &'a str, doc: &'d mut Document, opts: ParseOptions, hook: H) -> Self {
         Parser {
-            input: input.as_bytes(),
+            input,
             pos: 0,
             doc,
             opts,
             hook,
             text_buf: String::new(),
+            attr_seen_in: Vec::new(),
         }
     }
 
@@ -152,12 +161,16 @@ where
         }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.input.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s.as_bytes())
+        self.bytes()[self.pos..].starts_with(s.as_bytes())
     }
 
     fn skip_ws(&mut self) {
@@ -183,7 +196,7 @@ where
     }
 
     fn skip_until(&mut self, end: &str) -> Result<(), ParseError> {
-        let hay = &self.input[self.pos..];
+        let hay = &self.bytes()[self.pos..];
         match find_sub(hay, end.as_bytes()) {
             Some(i) => {
                 self.pos += i + end.len();
@@ -193,10 +206,14 @@ where
         }
     }
 
-    /// The input from `start` to the cursor, which must be UTF-8 to be `what`.
+    /// The input from `start` to the cursor. Every run the parser cuts
+    /// starts after and stops at an ASCII delimiter, which is a character
+    /// boundary of the `&str` it was given: `get` checks the two ends, not
+    /// the run.
     fn str_from(&self, start: usize, what: &str) -> Result<&'a str, ParseError> {
-        std::str::from_utf8(&self.input[start..self.pos])
-            .map_err(|_| self.err(format!("{what} is not valid UTF-8")))
+        self.input
+            .get(start..self.pos)
+            .ok_or_else(|| self.err(format!("{what} does not end on a character boundary")))
     }
 
     fn read_name(&mut self) -> Result<&'a str, ParseError> {
@@ -236,16 +253,17 @@ where
         self.expect(b'<')?;
         let tag = self.read_name()?;
         let el = self.doc.add_element(parent, tag);
-        if self.parse_attrs(el)? {
+        if self.parse_attrs(el, tag)? {
             self.parse_content(el, tag, depth)?;
         }
         (self.hook)(self.doc, el)?;
         Ok(el)
     }
 
-    /// Parses the rest of an open tag. `true` when content follows (`>`),
-    /// `false` when the element closed itself (`/>`).
-    fn parse_attrs(&mut self, el: NodeId) -> Result<bool, ParseError> {
+    /// Parses the rest of `<tag`'s open tag. `true` when content follows
+    /// (`>`), `false` when the element closed itself (`/>`).
+    fn parse_attrs(&mut self, el: NodeId, tag: &str) -> Result<bool, ParseError> {
+        let this_tag = self.pos;
         loop {
             self.skip_ws();
             match self.peek() {
@@ -259,7 +277,21 @@ where
                     return Ok(false);
                 }
                 Some(_) => {
+                    let name_at = self.pos;
                     let name = self.read_name()?;
+                    // A start tag names an attribute once: the writer would
+                    // hand a second one back as ill-formed XML.
+                    let name_id = self.doc.intern(name);
+                    let slot = name_id.0 as usize;
+                    if self.attr_seen_in.len() <= slot {
+                        self.attr_seen_in.resize(slot + 1, 0);
+                    }
+                    if std::mem::replace(&mut self.attr_seen_in[slot], this_tag) == this_tag {
+                        return Err(ParseError {
+                            offset: name_at,
+                            message: format!("attribute `{name}` repeated in <{tag}>"),
+                        });
+                    }
                     self.skip_ws();
                     self.expect(b'=')?;
                     self.skip_ws();
@@ -274,7 +306,7 @@ where
                     }
                     let raw = self.str_from(vstart, "attribute value")?;
                     self.expect(quote)?;
-                    self.doc.add_attr(el, name, &unescape(raw));
+                    self.doc.push_attr(el, name_id, unescape(raw).into_owned());
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
@@ -304,7 +336,7 @@ where
                     } else if self.starts_with("<![CDATA[") {
                         self.pos += "<![CDATA[".len();
                         let start = self.pos;
-                        let end = find_sub(&self.input[start..], b"]]>")
+                        let end = find_sub(&self.bytes()[start..], b"]]>")
                             .ok_or_else(|| self.err("unterminated CDATA section"))?;
                         self.pos += end;
                         let raw = self.str_from(start, "CDATA")?;
@@ -319,10 +351,19 @@ where
                 }
                 Some(_) => {
                     let start = self.pos;
-                    let run = self.input[start..].iter().position(|&b| b == b'<');
+                    let run = self.bytes()[start..].iter().position(|&b| b == b'<');
                     self.pos = run.map_or(self.input.len(), |i| start + i);
-                    let raw = self.str_from(start, "text")?;
-                    self.text_buf.push_str(&unescape(raw));
+                    let text = unescape(self.str_from(start, "text")?);
+                    // A run that stops at a tag is the whole text node; only
+                    // `<!--`, `<![CDATA[` and `<?` carry it on.
+                    if self.text_buf.is_empty()
+                        && !self.starts_with("<!")
+                        && !self.starts_with("<?")
+                    {
+                        self.add_text(el, text);
+                    } else {
+                        self.text_buf.push_str(&text);
+                    }
                 }
             }
         }
@@ -332,12 +373,16 @@ where
         if self.text_buf.is_empty() {
             return;
         }
-        let keep =
-            !self.opts.skip_whitespace_text || !self.text_buf.chars().all(char::is_whitespace);
-        if keep {
-            self.doc.add_text(el, &self.text_buf);
+        let mut buf = std::mem::take(&mut self.text_buf);
+        self.add_text(el, Cow::Borrowed(&buf));
+        buf.clear();
+        self.text_buf = buf;
+    }
+
+    fn add_text(&mut self, el: NodeId, text: Cow<'_, str>) {
+        if !self.opts.skip_whitespace_text || !text.chars().all(char::is_whitespace) {
+            self.doc.push_text(el, text.into_owned());
         }
-        self.text_buf.clear();
     }
 }
 
@@ -383,6 +428,29 @@ mod tests {
     fn inner_comment_splits_nothing() {
         let d = Document::parse("<r>ab<!-- x -->cd</r>").unwrap();
         assert_eq!(d.text_value(d.root().unwrap()), "abcd");
+    }
+
+    /// A run that stops at a tag goes straight to the arena; one that a
+    /// comment, CDATA section or PI interrupts is still one text node.
+    #[test]
+    fn text_is_one_node_per_run_between_tags() {
+        let d = Document::parse(
+            "<r>a&amp;b<x/>c<!-- 1 -->d<![CDATA[<e>]]><?pi?>f<y> <!-- 2 --> </y>g<!-- 3 --></r>",
+        )
+        .unwrap();
+        let root = d.root().unwrap();
+        let kids: Vec<String> = d
+            .node(root)
+            .children()
+            .iter()
+            .map(|&c| {
+                d.element_name(c)
+                    .map_or(d.text_value(c), |n| format!("<{n}>"))
+            })
+            .collect();
+        assert_eq!(kids, ["a&b", "<x>", "cd<e>f", "<y>", "g"]);
+        // Whitespace on both sides of a comment is one whitespace-only run.
+        assert_eq!(d.len(), 6);
     }
 
     #[test]
@@ -432,6 +500,38 @@ mod tests {
         let d = Document::parse(r#"<a x="1 &lt; 2"/>"#).unwrap();
         let r = d.root().unwrap();
         assert_eq!(d.text_value(d.node(r).attrs()[0]), "1 < 2");
+    }
+
+    /// Hostile input: `to_xml` would write the ill-formed tag straight back.
+    #[test]
+    fn a_repeated_attribute_name_is_a_typed_error_naming_it() {
+        let e = Document::parse(r#"<a x="1" x="2"/>"#).unwrap_err();
+        assert_eq!(e.message, "attribute `x` repeated in <a>");
+        assert_eq!(e.offset, 9);
+        // Whatever sits between them, whatever the quotes, however deep.
+        for src in [
+            r#"<r><a x="1" y="2" x='3'>t</a></r>"#,
+            "<r><b k=\"v\"/><a é=\"1\"\n é = \"1\"></a></r>",
+        ] {
+            let e = Document::parse(src).unwrap_err();
+            assert!(e.message.contains("repeated in <a>"), "{e}");
+        }
+        let mut d = Document::parse("<r/>").unwrap();
+        let root = d.root();
+        let e = d
+            .parse_fragment_into(root, r#"<b><c id="1" id="1"/></b>"#, no_hook)
+            .unwrap_err();
+        assert_eq!(e.message, "attribute `id` repeated in <c>");
+        // A tag with a hundred thousand attributes is checked in one pass.
+        let many: String = (0..100_000).map(|i| format!(" a{i}=\"\"")).collect();
+        let d = Document::parse(&format!("<r{many}/>")).unwrap();
+        assert_eq!(d.len(), 100_001);
+        let e = Document::parse(&format!("<r{many} a99999=''/>")).unwrap_err();
+        assert_eq!(e.message, "attribute `a99999` repeated in <r>");
+        // The same name on two elements, or as a tag and an attribute (they
+        // share the interner), is no repeat.
+        let ok = r#"<x x="1"><x x="2"/><y x="3"/></x>"#;
+        assert_eq!(Document::parse(ok).unwrap().to_xml(), ok);
     }
 
     fn nested(levels: usize) -> String {

@@ -31,7 +31,9 @@ impl Document {
         out
     }
 
-    fn write_live(&self, id: NodeId, out: &mut String) {
+    /// Appends a single subtree's serialization to `out`: a caller
+    /// rendering many subtrees reuses one buffer.
+    pub fn write_live(&self, id: NodeId, out: &mut String) {
         self.write_node(id, &|n| self.is_live(n), out);
     }
 
@@ -56,14 +58,14 @@ impl Document {
                 let tag = self.tag_name(*tag);
                 out.push('<');
                 out.push_str(tag);
-                for &a in &n.attrs {
+                for &a in n.attrs() {
                     if keep(a) {
                         out.push(' ');
                         self.write_node(a, keep, out);
                     }
                 }
                 let mut open = false;
-                for &c in &n.children {
+                for &c in n.children() {
                     if keep(c) {
                         if !open {
                             out.push('>');
@@ -110,7 +112,7 @@ impl Document {
             return;
         };
         let live: Vec<NodeId> = n
-            .children
+            .children()
             .iter()
             .copied()
             .filter(|&c| !self.node(c).detached)
@@ -121,7 +123,7 @@ impl Document {
             // Open tag, children on their own lines, close tag.
             out.push('<');
             out.push_str(self.tag_name(*tag));
-            for &a in &n.attrs {
+            for &a in n.attrs() {
                 if self.is_live(a) {
                     out.push(' ');
                     self.write_live(a, out);
@@ -169,14 +171,14 @@ mod tests {
             NodeKind::Element(tag) => {
                 out.push('<');
                 out.push_str(d.tag_name(*tag));
-                for &a in &n.attrs {
+                for &a in n.attrs() {
                     if !d.node(a).detached {
                         out.push(' ');
                         reference_write(d, a, out);
                     }
                 }
                 let live: Vec<NodeId> = n
-                    .children
+                    .children()
                     .iter()
                     .copied()
                     .filter(|&c| !d.node(c).detached)
@@ -209,10 +211,10 @@ mod tests {
         match &d.node(n).kind {
             NodeKind::Element(t) => {
                 let el = out.add_element(parent, d.tag_name(*t));
-                for &a in &d.node(n).attrs {
+                for &a in d.node(n).attrs() {
                     reference_copy(d, a, Some(el), keep, out);
                 }
-                for &c in &d.node(n).children {
+                for &c in d.node(n).children() {
                     reference_copy(d, c, Some(el), keep, out);
                 }
             }

@@ -1,7 +1,9 @@
 //! The arena document tree.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 /// Interned identifier for an element tag or attribute name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,29 +42,96 @@ pub enum NodeKind {
 pub struct Node {
     pub(crate) kind: NodeKind,
     pub(crate) parent: Option<NodeId>,
-    /// Attribute children (elements only). Kept separate from `children` so
-    /// serialization and the child axis stay cheap; structural labeling uses
-    /// [`Document::all_children`] to see both.
-    pub(crate) attrs: Vec<NodeId>,
-    /// Element and text children, in document order.
-    pub(crate) children: Vec<NodeId>,
+    /// Attribute children first, then element and text children, each run in
+    /// document order. One list, split at `n_attrs`, so serialization and
+    /// the child axis take their half as a slice and structural labeling
+    /// ([`Document::all_children`]) takes the whole.
+    kids: Kids,
+    /// How many entries at the front of `kids` are attributes.
+    n_attrs: u32,
     /// Tombstone flag: detached nodes stay in the arena but are skipped by
     /// all traversals.
     pub(crate) detached: bool,
 }
 
+/// A node's child list. A single child — the `<name>text</name>` shape most
+/// elements have — sits inline; only a second one allocates.
+#[derive(Debug, Clone)]
+enum Kids {
+    One(NodeId),
+    Many(Vec<NodeId>),
+}
+
+impl Kids {
+    fn as_slice(&self) -> &[NodeId] {
+        match self {
+            Kids::One(id) => std::slice::from_ref(id),
+            Kids::Many(ids) => ids,
+        }
+    }
+
+    fn insert(&mut self, at: usize, id: NodeId) {
+        match self {
+            Kids::Many(ids) if ids.is_empty() => *self = Kids::One(id),
+            Kids::Many(ids) => ids.insert(at, id),
+            Kids::One(only) => {
+                let ids = if at == 0 { [id, *only] } else { [*only, id] };
+                *self = Kids::Many(ids.to_vec());
+            }
+        }
+    }
+
+    /// Removes `id`, returning where it was. The newest child goes in O(1):
+    /// that is every node a parse hook drops, under parents with thousands
+    /// of children.
+    fn remove(&mut self, id: NodeId) -> Option<usize> {
+        match self {
+            Kids::One(only) if *only == id => {
+                *self = Kids::Many(Vec::new());
+                Some(0)
+            }
+            Kids::One(_) => None,
+            Kids::Many(ids) if ids.last() == Some(&id) => {
+                ids.pop();
+                Some(ids.len())
+            }
+            Kids::Many(ids) => {
+                let at = ids.iter().position(|&c| c == id)?;
+                ids.remove(at);
+                Some(at)
+            }
+        }
+    }
+}
+
 impl Node {
+    fn new(kind: NodeKind, parent: Option<NodeId>) -> Node {
+        Node {
+            kind,
+            parent,
+            kids: Kids::Many(Vec::new()),
+            n_attrs: 0,
+            detached: false,
+        }
+    }
+
     pub fn kind(&self) -> &NodeKind {
         &self.kind
     }
     pub fn parent(&self) -> Option<NodeId> {
         self.parent
     }
+    /// Element and text children, in document order.
     pub fn children(&self) -> &[NodeId] {
-        &self.children
+        &self.kids.as_slice()[self.n_attrs as usize..]
     }
+    /// Attribute children (elements only), in document order.
     pub fn attrs(&self) -> &[NodeId] {
-        &self.attrs
+        &self.kids.as_slice()[..self.n_attrs as usize]
+    }
+    /// Attributes, then element and text children.
+    pub(crate) fn all_children(&self) -> &[NodeId] {
+        self.kids.as_slice()
     }
     pub fn is_element(&self) -> bool {
         matches!(self.kind, NodeKind::Element(_))
@@ -75,11 +144,45 @@ impl Node {
     }
 }
 
+/// FNV-1a over a name's bytes: tag names are a handful of bytes, where
+/// SipHash's set-up and finish cost more than the hashing. The basis is drawn
+/// per interner from the standard library's random keys, since names arrive
+/// in reply XML and a fixed basis would let a reply carry precomputed
+/// collisions.
+struct NameHasher(u64);
+
+#[derive(Clone)]
+struct NameHashBuilder(u64);
+
+impl Default for NameHashBuilder {
+    fn default() -> Self {
+        NameHashBuilder(RandomState::new().hash_one(0xcbf2_9ce4_8422_2325_u64))
+    }
+}
+
+impl BuildHasher for NameHashBuilder {
+    type Hasher = NameHasher;
+    fn build_hasher(&self) -> NameHasher {
+        NameHasher(self.0)
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Tag/attribute-name interner owned by a document.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Interner {
     names: Vec<String>,
-    index: HashMap<String, TagId>,
+    index: HashMap<String, TagId, NameHashBuilder>,
 }
 
 impl Interner {
@@ -167,25 +270,24 @@ impl Document {
         self.interner.resolve(id)
     }
 
-    fn push_node(&mut self, node: Node) -> NodeId {
+    /// Appends `kind` to the arena and links it into `parent`'s list: after
+    /// the last attribute for an attribute, at the end otherwise.
+    fn push_node(&mut self, parent: Option<NodeId>, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        id
-    }
-
-    /// Adds an element. With `parent = None` this sets the document root
-    /// (panics if a root already exists).
-    pub fn add_element(&mut self, parent: Option<NodeId>, tag: &str) -> NodeId {
-        let tag = self.intern(tag);
-        let id = self.push_node(Node {
-            kind: NodeKind::Element(tag),
-            parent,
-            attrs: Vec::new(),
-            children: Vec::new(),
-            detached: false,
-        });
+        let is_attr = matches!(kind, NodeKind::Attribute(..));
+        self.nodes.push(Node::new(kind, parent));
         match parent {
-            Some(p) => self.nodes[p.index()].children.push(id),
+            Some(p) => {
+                let pn = &mut self.nodes[p.index()];
+                debug_assert!(pn.is_element());
+                let at = if is_attr {
+                    pn.n_attrs as usize
+                } else {
+                    pn.kids.as_slice().len()
+                };
+                pn.kids.insert(at, id);
+                pn.n_attrs += u32::from(is_attr);
+            }
             None => {
                 assert!(self.root.is_none(), "document already has a root");
                 self.root = Some(id);
@@ -194,62 +296,91 @@ impl Document {
         id
     }
 
-    /// Adds a text leaf under an element.
-    pub fn add_text(&mut self, parent: NodeId, text: &str) -> NodeId {
-        debug_assert!(self.node(parent).is_element());
-        let id = self.push_node(Node {
-            kind: NodeKind::Text(text.to_owned()),
-            parent: Some(parent),
-            attrs: Vec::new(),
-            children: Vec::new(),
-            detached: false,
-        });
-        self.nodes[parent.index()].children.push(id);
-        id
+    /// Adds an element. With `parent = None` this sets the document root
+    /// (panics if a root already exists).
+    pub fn add_element(&mut self, parent: Option<NodeId>, tag: &str) -> NodeId {
+        let tag = self.intern(tag);
+        self.push_node(parent, NodeKind::Element(tag))
     }
 
-    /// Adds an attribute to an element.
+    /// Adds a text leaf under an element.
+    pub fn add_text(&mut self, parent: NodeId, text: &str) -> NodeId {
+        self.push_node(Some(parent), NodeKind::Text(text.to_owned()))
+    }
+
+    /// Adds an attribute to an element, after the attributes it already
+    /// has and before its children.
     pub fn add_attr(&mut self, parent: NodeId, name: &str, value: &str) -> NodeId {
-        debug_assert!(self.node(parent).is_element());
         let tag = self.intern(name);
-        let id = self.push_node(Node {
-            kind: NodeKind::Attribute(tag, value.to_owned()),
-            parent: Some(parent),
-            attrs: Vec::new(),
-            children: Vec::new(),
-            detached: false,
-        });
-        self.nodes[parent.index()].attrs.push(id);
-        id
+        self.push_attr(parent, tag, value.to_owned())
+    }
+
+    /// [`add_attr`](Document::add_attr) for a name already interned and a
+    /// value already owned — the parser's path.
+    pub(crate) fn push_attr(&mut self, parent: NodeId, name: TagId, value: String) -> NodeId {
+        self.push_node(Some(parent), NodeKind::Attribute(name, value))
+    }
+
+    /// [`add_text`](Document::add_text) for text already owned.
+    pub(crate) fn push_text(&mut self, parent: NodeId, text: String) -> NodeId {
+        self.push_node(Some(parent), NodeKind::Text(text))
     }
 
     /// Detaches a node (and implicitly its whole subtree) from the tree.
-    /// The arena slot becomes a tombstone; ids of other nodes are unaffected.
+    /// The arena slot becomes a tombstone; ids of other nodes are unaffected
+    /// and no id is ever handed out again.
     pub fn detach(&mut self, id: NodeId) {
+        self.unlink(id);
+        self.mark_detached(id);
+    }
+
+    /// Removes a node and its subtree like [`detach`](Document::detach),
+    /// and gives the arena slots back when that moves nothing else: when
+    /// the subtree is exactly the arena's tail — `id` is the last entry of
+    /// its parent's list (or the root) and every later node hangs below it
+    /// — the arena is cut at `id` and the next node added takes that id.
+    /// This is the shape of an element a parse hook drops on completion, so
+    /// a document built that way holds no tombstones and its ids stay in
+    /// document order. Any other node — one with a later node outside its
+    /// subtree, or one already dead — is detached, tombstones and all.
+    pub fn discard(&mut self, id: NodeId) {
+        let last_link = match self.nodes[id.index()].parent {
+            Some(p) => self.nodes[p.index()].kids.as_slice().last() == Some(&id),
+            None => self.root == Some(id),
+        };
+        let is_tail = self.is_live(id)
+            && last_link
+            && self.nodes[id.index() + 1..]
+                .iter()
+                .all(|n| n.parent >= Some(id));
+        self.unlink(id);
+        if is_tail {
+            self.nodes.truncate(id.index());
+        } else {
+            self.mark_detached(id);
+        }
+    }
+
+    /// Takes `id` out of its parent's list, or out of the root slot.
+    fn unlink(&mut self, id: NodeId) {
         if let Some(p) = self.nodes[id.index()].parent {
             let pn = &mut self.nodes[p.index()];
-            // The newest child goes in O(1): that is every node a parse
-            // callback drops, under parents with thousands of children.
-            if pn.children.last() == Some(&id) {
-                pn.children.pop();
-            } else {
-                pn.children.retain(|&c| c != id);
-                pn.attrs.retain(|&c| c != id);
+            if pn
+                .kids
+                .remove(id)
+                .is_some_and(|at| at < pn.n_attrs as usize)
+            {
+                pn.n_attrs -= 1;
             }
         } else if self.root == Some(id) {
             self.root = None;
         }
-        self.mark_detached(id);
     }
 
     fn mark_detached(&mut self, id: NodeId) {
         self.nodes[id.index()].detached = true;
-        for i in 0..self.nodes[id.index()].attrs.len() {
-            let a = self.nodes[id.index()].attrs[i];
-            self.nodes[a.index()].detached = true;
-        }
-        for i in 0..self.nodes[id.index()].children.len() {
-            self.mark_detached(self.nodes[id.index()].children[i]);
+        for i in 0..self.nodes[id.index()].all_children().len() {
+            self.mark_detached(self.nodes[id.index()].all_children()[i]);
         }
     }
 
@@ -290,7 +421,7 @@ impl Document {
     }
 
     fn collect_text(&self, id: NodeId, out: &mut String) {
-        for &c in &self.node(id).children {
+        for &c in self.node(id).children() {
             match &self.node(c).kind {
                 NodeKind::Text(t) => out.push_str(t),
                 NodeKind::Element(_) => self.collect_text(c, out),
@@ -302,8 +433,7 @@ impl Document {
     /// Attribute and regular children, in the order used for structural
     /// labeling (attributes first, then element/text children).
     pub fn all_children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let n = self.node(id);
-        n.attrs.iter().chain(n.children.iter()).copied()
+        self.node(id).all_children().iter().copied()
     }
 
     /// Pre-order traversal of the subtree rooted at `id` (inclusive),
@@ -383,13 +513,13 @@ impl Document {
             NodeKind::Element(t) => {
                 let name = self.tag_name(*t).to_owned();
                 let copy = dst.add_element(dst_parent, &name);
-                for &a in &self.node(src).attrs {
+                for &a in self.node(src).attrs() {
                     if let NodeKind::Attribute(at, v) = &self.node(a).kind {
                         let an = self.tag_name(*at).to_owned();
                         dst.add_attr(copy, &an, v);
                     }
                 }
-                for &c in &self.node(src).children {
+                for &c in self.node(src).children() {
                     self.clone_subtree_into(c, dst, Some(copy));
                 }
                 copy
@@ -432,12 +562,7 @@ impl Iterator for Descendants<'_> {
                 continue;
             }
             // Push in reverse so pops come out in document order.
-            for &c in n.children.iter().rev() {
-                self.stack.push(c);
-            }
-            for &a in n.attrs.iter().rev() {
-                self.stack.push(a);
-            }
+            self.stack.extend(n.all_children().iter().rev());
             return Some(id);
         }
     }
@@ -541,6 +666,140 @@ mod tests {
         let (d, root, p, _) = sample();
         assert_eq!(d.subtree_size(root), 5);
         assert_eq!(d.subtree_size(p), 4);
+    }
+
+    /// `kids` is the one list a node has, and most elements own no heap
+    /// list at all; the arena is the reply's largest allocation.
+    #[test]
+    fn node_is_at_most_72_bytes() {
+        assert!(std::mem::size_of::<Node>() <= 72);
+    }
+
+    /// What a reader can see of a document, ids included.
+    fn observed(d: &Document) -> (Option<NodeId>, String, Vec<(NodeId, bool)>) {
+        let live = (0..d.arena_len() as u32).map(|i| (NodeId(i), d.is_live(NodeId(i))));
+        (d.root(), d.to_xml(), live.collect())
+    }
+
+    #[test]
+    fn discard_of_the_arena_tail_gives_its_ids_back() {
+        let (mut d, root, p, name) = sample();
+        let before = d.arena_len();
+        let extra = d.add_element(Some(p), "treat");
+        d.add_attr(extra, "n", "1");
+        d.add_text(extra, "x");
+        d.discard(extra);
+        assert_eq!(d.arena_len(), before);
+        assert_eq!(d.len(), before);
+        assert_eq!(d.node(p).children(), [name]);
+        // The next node takes the freed id, so ids stay in document order.
+        assert_eq!(d.add_element(Some(p), "age"), extra);
+        assert_eq!(
+            d.to_xml(),
+            "<hospital><patient id=\"7\"><pname>Betty</pname><age/></patient></hospital>"
+        );
+        // A root that is the whole arena goes the same way.
+        d.discard(root);
+        assert_eq!((d.root(), d.arena_len()), (None, 0));
+        assert_eq!(d.add_element(None, "again"), NodeId(0));
+    }
+
+    #[test]
+    fn discard_off_the_tail_tombstones_exactly_as_detach() {
+        // `sample()` plus a second patient: [first patient, its pname (the
+        // last child of its parent), second patient].
+        let build = || {
+            let (mut d, root, p, name) = sample();
+            let q = d.add_element(Some(root), "patient");
+            d.add_text(q, "later");
+            (d, [p, name, q])
+        };
+        // Later nodes hang elsewhere: an earlier sibling, and a last child
+        // whose parent has a later sibling.
+        for victim in 0..2 {
+            let ((mut a, ids), (mut b, _)) = (build(), build());
+            a.detach(ids[victim]);
+            b.discard(ids[victim]);
+            assert_eq!(observed(&a), observed(&b));
+            assert!(!b.is_live(ids[victim]));
+            assert_eq!(b.arena_len(), 7, "no id moved or was freed");
+        }
+        // The last child of the root, but an unrelated node was appended
+        // after its subtree: still not the tail.
+        let ((mut a, [.., q]), (mut b, _)) = (build(), build());
+        for d in [&mut a, &mut b] {
+            let root = d.root().unwrap();
+            assert!(d.add_attr(root, "ward", "3") > q);
+        }
+        a.detach(q);
+        b.discard(q);
+        assert_eq!(observed(&a), observed(&b));
+        assert_eq!((b.arena_len(), b.len()), (8, 6));
+        // A node already dead stays a tombstone, tail or not: detached
+        // itself, or under a detached parent whose list still names it.
+        let (mut d, [.., q]) = build();
+        let text = d.node(q).children()[0];
+        d.detach(q);
+        let seen = observed(&d);
+        d.discard(q);
+        d.discard(text);
+        assert_eq!(observed(&d), seen);
+    }
+
+    #[test]
+    fn attributes_added_after_children_still_come_first() {
+        let mut d = Document::new();
+        let r = d.add_element(None, "r");
+        let x = d.add_attr(r, "x", "1");
+        let c1 = d.add_element(Some(r), "c");
+        let t = d.add_text(r, "t");
+        let y = d.add_attr(r, "y", "2");
+        let c2 = d.add_element(Some(r), "c");
+        let z = d.add_attr(r, "z", "3");
+        assert_eq!(d.node(r).attrs(), [x, y, z]);
+        assert_eq!(d.node(r).children(), [c1, t, c2]);
+        assert_eq!(d.all_children(r).collect::<Vec<_>>(), [x, y, z, c1, t, c2]);
+        assert_eq!(d.iter().collect::<Vec<_>>(), [r, x, y, z, c1, t, c2]);
+        assert_eq!(d.to_xml(), "<r x=\"1\" y=\"2\" z=\"3\"><c/>t<c/></r>");
+        // Detaching an attribute moves the split, not the children.
+        d.detach(y);
+        assert_eq!(d.node(r).attrs(), [x, z]);
+        assert_eq!(d.node(r).children(), [c1, t, c2]);
+        // An only child that is an attribute, then an attribute before it.
+        let e = d.add_element(Some(c1), "e");
+        let only = d.add_attr(e, "k", "v");
+        assert_eq!(
+            (d.node(e).attrs(), d.node(e).children()),
+            (&[only][..], &[][..])
+        );
+        let child = d.add_element(Some(e), "f");
+        let second = d.add_attr(e, "l", "w");
+        assert_eq!(d.node(e).attrs(), [only, second]);
+        assert_eq!(d.node(e).children(), [child]);
+    }
+
+    #[test]
+    fn a_single_child_sits_inline_and_a_second_moves_the_list_to_the_heap() {
+        let mut d = Document::new();
+        let r = d.add_element(None, "r");
+        assert!(matches!(&d.node(r).kids, Kids::Many(v) if v.capacity() == 0));
+        let a = d.add_element(Some(r), "a");
+        assert!(matches!(d.node(r).kids, Kids::One(_)));
+        assert_eq!(d.node(r).children(), [a]);
+        let b = d.add_text(r, "b");
+        assert!(matches!(d.node(r).kids, Kids::Many(_)));
+        assert_eq!(d.node(r).children(), [a, b]);
+        d.detach(a);
+        assert_eq!(d.node(r).children(), [b]);
+        d.detach(b);
+        assert!(d.node(r).children().is_empty());
+        // Emptied, the list takes its next only child inline again.
+        let c = d.add_element(Some(r), "c");
+        assert!(matches!(d.node(r).kids, Kids::One(_)));
+        d.discard(c);
+        assert!(d.node(r).children().is_empty());
+        assert_eq!(d.add_element(Some(r), "c"), c);
+        assert_eq!(d.to_xml(), "<r><c/></r>");
     }
 
     #[test]

@@ -1,8 +1,78 @@
-//! Naive tree-walking evaluator — the reference semantics for the system.
+//! Tree-walking evaluator — the reference semantics for the system.
+//!
+//! A path is first resolved against the document it runs on: each name test
+//! becomes the document's [`TagId`] for that name, so a step compares
+//! integers, and a name the document never interned matches nothing. Node
+//! lists are `Vec`s kept sorted by id and free of duplicates — the order
+//! every caller sees. A list is sorted only when it is not already strictly
+//! increasing, which a parsed document's lists are: its ids are in document
+//! order.
 
-use crate::ast::{Axis, NodeTest, Path, Predicate, Step};
-use exq_xml::{Document, NodeId, NodeKind};
-use std::collections::BTreeSet;
+use crate::ast::{Axis, CmpOp, Literal, NodeTest, Path, PositionTest, Predicate, Step};
+use exq_xml::{Document, NodeId, NodeKind, TagId};
+
+/// A node test resolved against one document.
+#[derive(Clone, Copy)]
+enum Test {
+    Text,
+    Wildcard,
+    /// `None`: the document has no such name. Elements and attributes share
+    /// the interner; the axis tells `id` from `@id`.
+    Name(Option<TagId>),
+}
+
+struct RStep<'p> {
+    axis: Axis,
+    test: Test,
+    preds: Vec<RPred<'p>>,
+}
+
+/// [`Predicate`] with its paths resolved.
+enum RPred<'p> {
+    Exists(Vec<RStep<'p>>),
+    Compare(Vec<RStep<'p>>, CmpOp, &'p Literal),
+    Position(PositionTest),
+    And(Box<RPred<'p>>, Box<RPred<'p>>),
+    Or(Box<RPred<'p>>, Box<RPred<'p>>),
+    Not(Box<RPred<'p>>),
+    Contains(Vec<RStep<'p>>, &'p str),
+    StartsWith(Vec<RStep<'p>>, &'p str),
+}
+
+fn resolve<'p>(doc: &Document, steps: &'p [Step]) -> Vec<RStep<'p>> {
+    let step = |s: &'p Step| RStep {
+        axis: s.axis,
+        test: match &s.test {
+            NodeTest::Text => Test::Text,
+            NodeTest::Wildcard => Test::Wildcard,
+            NodeTest::Name(name) => Test::Name(doc.tag_id(name)),
+        },
+        preds: s.predicates.iter().map(|p| resolve_pred(doc, p)).collect(),
+    };
+    steps.iter().map(step).collect()
+}
+
+fn resolve_pred<'p>(doc: &Document, pred: &'p Predicate) -> RPred<'p> {
+    let boxed = |p: &'p Predicate| Box::new(resolve_pred(doc, p));
+    match pred {
+        Predicate::Exists(path) => RPred::Exists(resolve(doc, &path.steps)),
+        Predicate::Compare(path, op, lit) => RPred::Compare(resolve(doc, &path.steps), *op, lit),
+        Predicate::Position(test) => RPred::Position(*test),
+        Predicate::And(a, b) => RPred::And(boxed(a), boxed(b)),
+        Predicate::Or(a, b) => RPred::Or(boxed(a), boxed(b)),
+        Predicate::Not(a) => RPred::Not(boxed(a)),
+        Predicate::Contains(path, lit) => RPred::Contains(resolve(doc, &path.steps), lit),
+        Predicate::StartsWith(path, lit) => RPred::StartsWith(resolve(doc, &path.steps), lit),
+    }
+}
+
+/// Sorts by id and deduplicates, unless the list already is.
+fn normalize(nodes: &mut Vec<NodeId>) {
+    if !nodes.windows(2).all(|w| w[0] < w[1]) {
+        nodes.sort_unstable();
+        nodes.dedup();
+    }
+}
 
 /// Evaluates a path with the document node as context (i.e. an absolute
 /// query such as `//patient/SSN` or `/hospital/patient`).
@@ -10,90 +80,87 @@ pub fn eval_document(doc: &Document, path: &Path) -> Vec<NodeId> {
     let Some(root) = doc.root() else {
         return Vec::new();
     };
-    if path.steps.is_empty() {
+    let steps = resolve(doc, &path.steps);
+    let Some((first, rest)) = steps.split_first() else {
         return vec![root];
-    }
+    };
     // The virtual document node: its only child is the root element and its
     // descendants are every node. Materialize the first step by hand, then
     // continue normally.
-    let first = &path.steps[0];
-    let mut context: BTreeSet<NodeId> = BTreeSet::new();
-    match first.axis {
-        Axis::Child => {
-            if test_matches(doc, root, &first.test, Axis::Child) {
-                context.insert(root);
-            }
-        }
-        Axis::Descendant | Axis::DescendantOrSelf => {
-            for n in doc.iter() {
-                if test_matches(doc, n, &first.test, Axis::Descendant) {
-                    context.insert(n);
-                }
-            }
-        }
-        _ => {
-            // Attribute/self/parent/following-sibling from the document node
-            // yield nothing useful; treat like child of root for robustness.
-            if test_matches(doc, root, &first.test, Axis::Child) {
-                context.insert(root);
-            }
-        }
-    }
-    let context = apply_predicates(doc, context.into_iter().collect(), &first.predicates);
-    let rest = Path {
-        steps: path.steps[1..].to_vec(),
+    let mut context: Vec<NodeId> = match first.axis {
+        Axis::Descendant | Axis::DescendantOrSelf => doc
+            .iter()
+            .filter(|&n| test_matches(doc, n, first.test, Axis::Descendant))
+            .collect(),
+        // Child — and attribute/self/parent/following-sibling, which from
+        // the document node yield nothing useful; treat those like child of
+        // root for robustness.
+        _ => Some(root)
+            .filter(|&n| test_matches(doc, n, first.test, Axis::Child))
+            .into_iter()
+            .collect(),
     };
-    eval_from(doc, &rest, &context)
+    normalize(&mut context);
+    apply_predicates(doc, &mut context, &first.preds);
+    eval_steps(doc, rest, context)
 }
 
 /// Evaluates a (relative) path from the given context nodes. Results are in
 /// document order, deduplicated.
 pub fn eval_from(doc: &Document, path: &Path, context: &[NodeId]) -> Vec<NodeId> {
-    let mut current: BTreeSet<NodeId> = context.iter().copied().collect();
-    for step in &path.steps {
-        let mut next = BTreeSet::new();
+    let mut context = context.to_vec();
+    normalize(&mut context);
+    eval_steps(doc, &resolve(doc, &path.steps), context)
+}
+
+/// `steps` from `current`, which is sorted and deduplicated; so is the result.
+fn eval_steps(doc: &Document, steps: &[RStep], mut current: Vec<NodeId>) -> Vec<NodeId> {
+    let mut nodes = Vec::new();
+    for step in steps {
+        let mut next = Vec::new();
         for &ctx in &current {
             // Positional predicates need the per-context node list, so
             // filtering happens before merging across contexts.
-            let mut nodes = BTreeSet::new();
+            nodes.clear();
             step_nodes(doc, ctx, step, &mut nodes);
-            let filtered = apply_predicates(doc, nodes.into_iter().collect(), &step.predicates);
-            next.extend(filtered);
+            normalize(&mut nodes);
+            apply_predicates(doc, &mut nodes, &step.preds);
+            next.extend_from_slice(&nodes);
         }
+        normalize(&mut next);
         current = next;
         if current.is_empty() {
             break;
         }
     }
-    current.into_iter().collect()
+    current
 }
 
 /// Applies the step's predicates sequentially (XPath semantics: each
 /// predicate re-numbers positions over the surviving list).
-fn apply_predicates(doc: &Document, mut nodes: Vec<NodeId>, preds: &[Predicate]) -> Vec<NodeId> {
+fn apply_predicates(doc: &Document, nodes: &mut Vec<NodeId>, preds: &[RPred]) {
     for pred in preds {
         let total = nodes.len();
-        nodes = nodes
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, n)| satisfies_predicate(doc, n, pred, i + 1, total))
-            .map(|(_, n)| n)
-            .collect();
+        let mut pos = 0;
+        nodes.retain(|&n| {
+            pos += 1;
+            satisfies_predicate(doc, n, pred, pos, total)
+        });
         if nodes.is_empty() {
             break;
         }
     }
-    nodes
 }
 
 /// Evaluates a union of paths from the document node: branch results are
 /// merged and deduplicated in document order.
 pub fn eval_union(doc: &Document, paths: &[Path]) -> Vec<NodeId> {
-    let mut out: BTreeSet<NodeId> = BTreeSet::new();
+    let mut out: Vec<NodeId> = Vec::new();
     for p in paths {
         out.extend(eval_document(doc, p));
     }
-    out.into_iter().collect()
+    normalize(&mut out);
+    out
 }
 
 /// True when `node` is in the result of evaluating `path` from the document.
@@ -106,80 +173,44 @@ pub fn node_satisfies(doc: &Document, node: NodeId, path: &Path) -> bool {
     !eval_from(doc, path, &[node]).is_empty()
 }
 
-fn step_nodes(doc: &Document, ctx: NodeId, step: &Step, out: &mut BTreeSet<NodeId>) {
-    match step.axis {
+/// Appends the nodes `step`'s axis and test select from `ctx`.
+fn step_nodes(doc: &Document, ctx: NodeId, step: &RStep, out: &mut Vec<NodeId>) {
+    let (axis, test) = (step.axis, step.test);
+    let hit = |n: NodeId| test_matches(doc, n, test, axis);
+    match axis {
         Axis::Child => {
-            for &c in doc.node(ctx).children() {
-                if doc.is_live(c) && test_matches(doc, c, &step.test, step.axis) {
-                    out.insert(c);
-                }
-            }
+            let children = doc.node(ctx).children().iter();
+            out.extend(children.copied().filter(|&c| doc.is_live(c) && hit(c)));
         }
-        Axis::Descendant => {
-            for d in doc.descendants(ctx).skip(1) {
-                if test_matches(doc, d, &step.test, step.axis) {
-                    out.insert(d);
-                }
-            }
-        }
-        Axis::DescendantOrSelf => {
-            for d in doc.descendants(ctx) {
-                if test_matches(doc, d, &step.test, step.axis) {
-                    out.insert(d);
-                }
-            }
-        }
+        Axis::Descendant => out.extend(doc.descendants(ctx).skip(1).filter(|&d| hit(d))),
+        Axis::DescendantOrSelf => out.extend(doc.descendants(ctx).filter(|&d| hit(d))),
         Axis::Attribute => {
-            for &a in doc.node(ctx).attrs() {
-                if doc.is_live(a) && test_matches(doc, a, &step.test, step.axis) {
-                    out.insert(a);
-                }
-            }
+            let attrs = doc.node(ctx).attrs().iter();
+            out.extend(attrs.copied().filter(|&a| doc.is_live(a) && hit(a)));
         }
-        Axis::SelfAxis => {
-            if test_matches(doc, ctx, &step.test, step.axis) {
-                out.insert(ctx);
-            }
-        }
-        Axis::Parent => {
-            if let Some(p) = doc.node(ctx).parent() {
-                if test_matches(doc, p, &step.test, step.axis) {
-                    out.insert(p);
-                }
-            }
-        }
+        Axis::SelfAxis => out.extend(Some(ctx).filter(|&n| hit(n))),
+        Axis::Parent => out.extend(doc.node(ctx).parent().filter(|&p| hit(p))),
         Axis::FollowingSibling => {
             if let Some(p) = doc.node(ctx).parent() {
-                let siblings = doc.node(p).children();
-                let mut seen_self = false;
-                for &s in siblings {
-                    if s == ctx {
-                        seen_self = true;
-                        continue;
-                    }
-                    if seen_self && doc.is_live(s) && test_matches(doc, s, &step.test, step.axis) {
-                        out.insert(s);
-                    }
-                }
+                let after = doc.node(p).children().iter().skip_while(|&&s| s != ctx);
+                out.extend(after.skip(1).copied().filter(|&s| doc.is_live(s) && hit(s)));
             }
         }
     }
 }
 
-fn test_matches(doc: &Document, node: NodeId, test: &NodeTest, axis: Axis) -> bool {
+fn test_matches(doc: &Document, node: NodeId, test: Test, axis: Axis) -> bool {
     let kind = doc.node(node).kind();
     match test {
-        NodeTest::Text => matches!(kind, NodeKind::Text(_)),
-        NodeTest::Wildcard => match axis {
+        Test::Text => matches!(kind, NodeKind::Text(_)),
+        Test::Wildcard => match axis {
             Axis::Attribute => matches!(kind, NodeKind::Attribute(..)),
             Axis::SelfAxis | Axis::Parent => true,
             _ => matches!(kind, NodeKind::Element(_)),
         },
-        NodeTest::Name(name) => match kind {
-            NodeKind::Element(t) => !matches!(axis, Axis::Attribute) && doc.tag_name(*t) == name,
-            NodeKind::Attribute(t, _) => {
-                matches!(axis, Axis::Attribute) && doc.tag_name(*t) == name
-            }
+        Test::Name(name) => match kind {
+            NodeKind::Element(t) => !matches!(axis, Axis::Attribute) && Some(*t) == name,
+            NodeKind::Attribute(t, _) => matches!(axis, Axis::Attribute) && Some(*t) == name,
             NodeKind::Text(_) => false,
         },
     }
@@ -188,49 +219,31 @@ fn test_matches(doc: &Document, node: NodeId, test: &NodeTest, axis: Axis) -> bo
 fn satisfies_predicate(
     doc: &Document,
     node: NodeId,
-    pred: &Predicate,
+    pred: &RPred,
     pos: usize,
     total: usize,
 ) -> bool {
+    let targets = |path: &[RStep]| eval_steps(doc, path, vec![node]);
+    let any_value = |path: &[RStep], holds: &dyn Fn(&str) -> bool| {
+        targets(path).iter().any(|&t| holds(&doc.text_value(t)))
+    };
     match pred {
-        Predicate::Exists(path) => !eval_from(doc, path, &[node]).is_empty(),
-        Predicate::Compare(path, op, lit) => {
-            let targets = if path.is_self() {
-                vec![node]
-            } else {
-                eval_from(doc, path, &[node])
-            };
-            targets
-                .iter()
-                .any(|&t| op.holds(lit.compare_with(&doc.text_value(t))))
-        }
-        Predicate::Position(crate::ast::PositionTest::Index(i)) => pos == *i,
-        Predicate::Position(crate::ast::PositionTest::Last) => pos == total,
-        Predicate::And(a, b) => {
+        RPred::Exists(path) => !targets(path).is_empty(),
+        RPred::Compare(path, op, lit) => any_value(path, &|v| op.holds(lit.compare_with(v))),
+        RPred::Position(PositionTest::Index(i)) => pos == *i,
+        RPred::Position(PositionTest::Last) => pos == total,
+        RPred::And(a, b) => {
             satisfies_predicate(doc, node, a, pos, total)
                 && satisfies_predicate(doc, node, b, pos, total)
         }
-        Predicate::Or(a, b) => {
+        RPred::Or(a, b) => {
             satisfies_predicate(doc, node, a, pos, total)
                 || satisfies_predicate(doc, node, b, pos, total)
         }
-        Predicate::Not(a) => !satisfies_predicate(doc, node, a, pos, total),
-        Predicate::Contains(path, lit) => string_fn_targets(doc, node, path)
-            .iter()
-            .any(|v| v.contains(lit.as_str())),
-        Predicate::StartsWith(path, lit) => string_fn_targets(doc, node, path)
-            .iter()
-            .any(|v| v.starts_with(lit.as_str())),
+        RPred::Not(a) => !satisfies_predicate(doc, node, a, pos, total),
+        RPred::Contains(path, lit) => any_value(path, &|v| v.contains(lit)),
+        RPred::StartsWith(path, lit) => any_value(path, &|v| v.starts_with(lit)),
     }
-}
-
-fn string_fn_targets(doc: &Document, node: NodeId, path: &Path) -> Vec<String> {
-    let targets = if path.is_self() {
-        vec![node]
-    } else {
-        eval_from(doc, path, &[node])
-    };
-    targets.into_iter().map(|t| doc.text_value(t)).collect()
 }
 
 #[cfg(test)]
