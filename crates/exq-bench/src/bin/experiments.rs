@@ -14,55 +14,60 @@ use exq_bench::report::Table;
 use exq_bench::ExpConfig;
 use std::time::Instant;
 
-fn main() {
-    let mut cfg = ExpConfig::default();
-    let mut only: Option<Vec<String>> = None;
+const USAGE: &str = "usage: experiments [--exp eN]... [--size-mb F] [--size-kb F] \
+                     [--trials N] [--queries N] [--seed N] [--out DIR]";
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--exp" => {
-                i += 1;
-                only.get_or_insert_with(Vec::new)
-                    .push(args[i].to_lowercase());
-            }
+fn main() {
+    if let Err(e) = run() {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    }
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: `{value}` is not a number"))
+}
+
+fn run() -> Result<(), String> {
+    let mut cfg = ExpConfig::default();
+    let mut only: Vec<String> = Vec::new();
+
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| format!("{flag} needs a value after it"))
+        };
+        match flag.as_str() {
+            "--exp" => only.push(value()?.to_lowercase()),
             "--size-mb" => {
-                i += 1;
-                cfg.size_bytes =
-                    (args[i].parse::<f64>().expect("--size-mb <float>") * 1024.0 * 1024.0) as usize;
+                cfg.size_bytes = (number::<f64>(&flag, value()?)? * 1024.0 * 1024.0) as usize
             }
-            "--size-kb" => {
-                i += 1;
-                cfg.size_bytes =
-                    (args[i].parse::<f64>().expect("--size-kb <float>") * 1024.0) as usize;
-            }
-            "--trials" => {
-                i += 1;
-                cfg.trials = args[i].parse().expect("--trials <n>");
-            }
-            "--queries" => {
-                i += 1;
-                cfg.query_count = args[i].parse().expect("--queries <n>");
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args[i].parse().expect("--seed <n>");
-            }
-            "--out" => {
-                i += 1;
-                cfg.out_dir = args[i].clone().into();
-            }
+            "--size-kb" => cfg.size_bytes = (number::<f64>(&flag, value()?)? * 1024.0) as usize,
+            "--trials" => cfg.trials = number(&flag, value()?)?,
+            "--queries" => cfg.query_count = number(&flag, value()?)?,
+            "--seed" => cfg.seed = number(&flag, value()?)?,
+            "--out" => cfg.out_dir = value()?.into(),
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [--exp eN]... [--size-mb F] [--trials N] \
-                     [--queries N] [--seed N] [--out DIR]"
-                );
-                return;
+                println!("{USAGE}");
+                return Ok(());
             }
-            other => panic!("unknown argument {other}"),
+            other => return Err(format!("unknown argument {other}")),
         }
-        i += 1;
+    }
+
+    let registry = registry();
+    if let Some(unknown) = only
+        .iter()
+        .find(|f| !registry.iter().any(|(id, _, _)| id == f))
+    {
+        let ids: Vec<&str> = registry.iter().map(|(id, _, _)| *id).collect();
+        return Err(format!(
+            "no experiment `{unknown}`; the experiments are {}",
+            ids.join(" ")
+        ));
     }
 
     println!(
@@ -71,11 +76,9 @@ fn main() {
     );
 
     let mut all_tables: Vec<Table> = Vec::new();
-    for (id, title, runner) in registry() {
-        if let Some(filter) = &only {
-            if !filter.iter().any(|f| f == id) {
-                continue;
-            }
+    for (id, title, runner) in registry {
+        if !only.is_empty() && !only.iter().any(|f| f == id) {
+            continue;
         }
         println!("--- {id}: {title}");
         let t0 = Instant::now();
@@ -99,6 +102,7 @@ fn main() {
     {
         println!("wrote {}", path.display());
     }
+    Ok(())
 }
 
 fn tables_to_json(tables: &[Table]) -> String {

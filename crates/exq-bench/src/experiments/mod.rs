@@ -1,4 +1,6 @@
 //! One module per reproduced experiment (see DESIGN.md §2 for the index).
+//! These are the paper's figures and theorems, run in-process; the hosted
+//! service is measured by `ledger/`, kernels by `benches/micro.rs`.
 
 pub mod e01_opess_distribution;
 pub mod e02_division_of_work;
@@ -13,16 +15,6 @@ pub mod e10_cover_ablation;
 pub mod e11_dsi_ablation;
 pub mod e12_updates;
 pub mod e13_scaling;
-pub mod e14_concurrency;
-pub mod e15_parallel;
-pub mod e16_cache;
-pub mod e17_telemetry;
-pub mod e18_faults;
-pub mod e19_tenants;
-pub mod e20_pipeline;
-pub mod e21_outofcore;
-pub mod e22_storageobs;
-pub mod e23_diskfaults;
 
 use crate::report::Table;
 use crate::{robust_mean, ExpConfig};
@@ -99,56 +91,6 @@ pub fn registry() -> Vec<Experiment> {
             "e13",
             "extension: document-size scalability sweep",
             e13_scaling::run,
-        ),
-        (
-            "e14",
-            "extension: concurrent TCP clients vs one server",
-            e14_concurrency::run,
-        ),
-        (
-            "e15",
-            "extension: client block decrypt in parallel (thread sweep)",
-            e15_parallel::run,
-        ),
-        (
-            "e16",
-            "extension: server response caching — hot-query replay",
-            e16_cache::run,
-        ),
-        (
-            "e17",
-            "extension: telemetry overhead — traced vs untraced hot-query replay",
-            e17_telemetry::run,
-        ),
-        (
-            "e18",
-            "extension: fault tolerance — goodput and latency under injected faults",
-            e18_faults::run,
-        ),
-        (
-            "e19",
-            "extension: multi-tenant fairness — hot tenant vs quiet tenants behind one serve loop",
-            e19_tenants::run,
-        ),
-        (
-            "e20",
-            "extension: pipelined event-loop serving — 100 connections, verified answers",
-            e20_pipeline::run,
-        ),
-        (
-            "e21",
-            "extension: out-of-core paged hosting — verified answers at shrinking pool budgets",
-            e21_outofcore::run,
-        ),
-        (
-            "e22",
-            "extension: storage observability — overhead, exact profile/registry reconciliation, serial≡pipelined",
-            e22_storageobs::run,
-        ),
-        (
-            "e23",
-            "extension: disk-fault torture — seeded kill-and-recover cycles, availability vs injected write-fault rate",
-            e23_diskfaults::run,
         ),
     ]
 }

@@ -24,10 +24,6 @@ pub struct ExpConfig {
     pub seed: u64,
     /// Directory for CSV output.
     pub out_dir: PathBuf,
-    /// Whether experiments may refresh trajectory files at the workspace
-    /// root (`BENCH_*.json`). True for the experiments binary; tests run
-    /// at tiny scale in debug mode and must not overwrite real numbers.
-    pub write_root_artifacts: bool,
 }
 
 impl Default for ExpConfig {
@@ -38,7 +34,6 @@ impl Default for ExpConfig {
             query_count: 10,
             seed: 2006,
             out_dir: PathBuf::from("results"),
-            write_root_artifacts: true,
         }
     }
 }

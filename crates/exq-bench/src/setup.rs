@@ -44,8 +44,7 @@ impl Dataset {
 
     /// Outsources under one scheme. The server caches are disabled: the
     /// paper experiments measure recomputation, and repeat trials of the
-    /// same query must not degenerate into response-cache hits (e16
-    /// measures the caches on purpose and manages the knob itself).
+    /// same query must not degenerate into response-cache hits.
     pub fn host(&self, kind: SchemeKind, seed: u64) -> HostedDatabase {
         let mut hosted = Outsourcer::new(OutsourceConfig::default())
             .outsource(&self.doc, &self.constraints, kind, seed)

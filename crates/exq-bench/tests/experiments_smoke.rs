@@ -12,8 +12,6 @@ fn tiny() -> ExpConfig {
         query_count: 2,
         seed: 11,
         out_dir: std::env::temp_dir().join(format!("exq-smoke-{}", std::process::id())),
-        // Tiny debug-mode runs must not clobber the committed BENCH_*.json.
-        write_root_artifacts: false,
     }
 }
 
@@ -50,6 +48,36 @@ fn experiment_ids_are_unique_and_ordered() {
     let mut dedup = ids.clone();
     dedup.dedup();
     assert_eq!(ids, dedup);
-    assert_eq!(ids[0], "e1");
-    assert!(ids.contains(&"e13"));
+    // The paper's §7 and theorems, nothing else: the service is the
+    // ledger's to measure.
+    assert_eq!(ids.len(), 13);
+    assert_eq!((ids[0], ids[12]), ("e1", "e13"));
+}
+
+/// A flag with its value missing and an id that is not in the registry are
+/// usage errors naming what went wrong — not an index panic, and not an
+/// empty `experiments.json` with exit 0.
+#[test]
+fn bad_arguments_are_usage_errors() {
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .unwrap();
+        (out.status.code(), String::from_utf8(out.stderr).unwrap())
+    };
+
+    let out_dir = std::env::temp_dir().join(format!("exq-smoke-args-{}", std::process::id()));
+    let (code, stderr) = run(&["--out", out_dir.to_str().unwrap(), "--exp", "e20"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("no experiment `e20`"), "{stderr}");
+    for (id, _, _) in registry() {
+        assert!(stderr.contains(id), "valid id {id} not listed: {stderr}");
+    }
+    assert!(!out_dir.exists(), "a refused run wrote output");
+
+    let (code, stderr) = run(&["--seed", "7", "--exp"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--exp needs a value"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
 }

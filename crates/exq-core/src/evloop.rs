@@ -637,12 +637,13 @@ mod linux {
     /// Raises the kernel accept backlog on an already-listening socket.
     ///
     /// `TcpListener::bind` hardcodes a backlog of 128; a burst of ~1000
-    /// simultaneous connects (E20 at scale) overflows the SYN queue and the
-    /// excess either times out or sees `ECONNREFUSED` before the event loop
-    /// ever accepts. POSIX allows re-calling `listen(2)` on a listening socket
-    /// to grow the backlog, so that is exactly what this does — the kernel
-    /// still clamps to `net.core.somaxconn`. Best-effort: a failure keeps the
-    /// default backlog rather than refusing to serve.
+    /// simultaneous connects (seen with 1000 clients opening at once against
+    /// 8 workers) overflows the SYN queue and the excess either times out or
+    /// sees `ECONNREFUSED` before the event loop ever accepts. POSIX allows
+    /// re-calling `listen(2)` on a listening socket to grow the backlog, so
+    /// that is exactly what this does — the kernel still clamps to
+    /// `net.core.somaxconn`. Best-effort: a failure keeps the default backlog
+    /// rather than refusing to serve.
     fn tune_listen_backlog(listener: &TcpListener, config: &ServeConfig) {
         use std::os::fd::AsRawFd;
         extern "C" {

@@ -822,8 +822,8 @@ impl QueryProfile {
     /// The profile as `(span name, raw count)` pairs, for riding a trace
     /// as `profile.*` spans: the count travels in the span's nanosecond
     /// field, so profiles reach the client inside `Answer` spans with no
-    /// wire-format change. Consumers (`exq explain`, the E22 experiment)
-    /// read the nanos back as counts.
+    /// wire-format change. Consumers (`exq explain`, the reconciliation
+    /// test in `tests/telemetry.rs`) read the nanos back as counts.
     pub fn span_fields(&self) -> [(&'static str, u64); 9] {
         [
             ("profile.pool_hits", self.pool_hits),

@@ -8,7 +8,7 @@
 //! the event loop, and a peer that stops reading its replies is dropped
 //! within the stall budget instead of pinning a worker forever.
 
-use exq_core::codec::{Message, FRAME_EXTRA_LEN, FRAME_HEADER_LEN, PROTOCOL_VERSION};
+use exq_core::codec::{Message, PROTOCOL_VERSION};
 use exq_core::constraints::SecurityConstraint;
 use exq_core::evloop::serve_event;
 use exq_core::retry::{roundtrip_pipelined, RetryConfig};
@@ -23,6 +23,9 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod common;
+use common::read_frame;
 
 fn hosted() -> (Client, Server) {
     let doc = Document::parse(
@@ -95,19 +98,6 @@ fn canon(m: &Message) -> Message {
         Message::BatchAnswer(items) => Message::BatchAnswer(items.iter().map(canon).collect()),
         other => other.clone(),
     }
-}
-
-/// Reads one whole frame off a raw socket.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    stream.read_exact(&mut header)?;
-    let (_, payload_len) = Message::parse_header(&header)
-        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    let total = FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload_len;
-    let mut frame = vec![0u8; total];
-    frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
-    stream.read_exact(&mut frame[FRAME_HEADER_LEN..])?;
-    Ok(frame)
 }
 
 // --------------------------------------------------------------- starvation

@@ -4,19 +4,27 @@
 //! exact when eight client threads hammer the TCP serve loop's `RwLock`'d
 //! dispatch concurrently.
 //!
-//! The two traffic-generating tests live alone in this binary so registry
+//! The traffic-generating tests live alone in this binary so registry
 //! deltas are exactly this file's own doing (integration test binaries run
-//! as separate processes).
+//! as separate processes), and take `TRAFFIC` so they are not each other's
+//! doing either.
 
 use exq_core::constraints::SecurityConstraint;
+use exq_core::evloop::serve_event;
 use exq_core::scheme::SchemeKind;
+use exq_core::store::{PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::telemetry;
+use exq_core::tenant::TenantRegistry;
 use exq_core::transport::{serve, ServeConfig, TcpTransport};
 use exq_core::{Client, Server};
 use exq_xml::Document;
 use std::net::TcpListener;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
+
+/// Held by each test that sends requests: the wire, cache and span series
+/// are process-wide, and `set_trace_all` is a process-wide switch.
+static TRAFFIC: Mutex<()> = Mutex::new(());
 
 #[test]
 fn eight_thread_hammer_keeps_totals_exact() {
@@ -89,6 +97,7 @@ fn hosted() -> (Client, Server) {
 fn serve_loop_hammer_keeps_wire_and_cache_counters_exact() {
     const THREADS: usize = 8;
     const PER: usize = 25;
+    let _alone = TRAFFIC.lock().unwrap_or_else(|e| e.into_inner());
     let (client, mut server) = hosted();
     // Pin the cache on regardless of any ambient EXQ_CACHE setting, so
     // every query probes the response cache exactly once.
@@ -149,4 +158,129 @@ fn serve_loop_hammer_keeps_wire_and_cache_counters_exact() {
         probe_hist.count(),
         "histogram invariant must survive concurrent serve-loop traffic"
     );
+}
+
+/// Every field of a request's `QueryProfile` is accounted twice by one
+/// `finish_profile` call: as a `profile.<field>` span (under a trace) and
+/// into the db's `exq_db_<stem>_total` counter. `(field, stem)`.
+const PROFILE_ACCOUNTS: &[(&str, &str)] = &[
+    ("pool_hits", "pool_hits"),
+    ("pool_misses", "pool_misses"),
+    ("pages_faulted", "pages_faulted"),
+    ("evictions", "evictions"),
+    ("epoch_retries", "epoch_retries"),
+    ("wal_bytes", "wal_bytes"),
+    ("records_decoded", "records_decoded"),
+    ("blocks_shipped", "blocks_shipped"),
+    ("cache_hit", "cache_hits"),
+];
+
+/// With every request traced, the per-query `profile.*` span sums equal the
+/// per-db registry counter deltas exactly, component by component, on a
+/// paged tenant whose pool is a fraction of its pages — reads that fault,
+/// evict and decode, repeats that hit the response cache, inserts that
+/// append WAL bytes. Any drift means a second, unattributed accounting path.
+#[test]
+fn profile_spans_reconcile_exactly_with_db_counters() {
+    const DB: &str = "reconcile";
+    let _alone = TRAFFIC.lock().unwrap_or_else(|e| e.into_inner());
+
+    let mut xml = String::from("<hospital>");
+    for i in 0..48 {
+        xml.push_str(&format!(
+            "<patient><pname>P{i}</pname><SSN>{}</SSN><age>{}</age>\
+             <insurance><policy coverage=\"{}\">{}</policy></insurance></patient>",
+            100000 + i * 37,
+            20 + (i * 7) % 60,
+            1000 * (1 + (i * 13) % 900),
+            10000 + i * 11,
+        ));
+    }
+    xml.push_str("</hospital>");
+    let cs: Vec<_> = ["//insurance", "//patient:(/pname, /SSN)"]
+        .iter()
+        .map(|c| SecurityConstraint::parse(c).unwrap())
+        .collect();
+    let (mut client, resident) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&Document::parse(&xml).unwrap(), &cs, SchemeKind::Opt, 22)
+        .unwrap()
+        .split();
+
+    let dir = std::env::temp_dir().join(format!("exq-telemetry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let artifact = dir.join("db.exq");
+    resident.save(&artifact).unwrap();
+    // 32 frames of 256 bytes against 48 patients' blocks: the nested
+    // block-fetch queries below find some pages resident and fault the
+    // rest in over evicted ones.
+    let opts = StoreOptions {
+        page_size: 256,
+        cache_bytes: 8192,
+    };
+    let (server, _db, _) = PagedDb::open_or_migrate(&artifact, DB, opts).unwrap();
+    let registry = Arc::new(TenantRegistry::new(DB).unwrap());
+    registry
+        .create(DB, server, client.key_fingerprint(), 0)
+        .unwrap();
+    // The response cache stays on, so the second pass over the queries
+    // gives the `cache_hit` account something to count.
+    let config = ServeConfig {
+        cache_entries: Some(64),
+        ..ServeConfig::default()
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let handle = serve_event(listener, registry, config).unwrap();
+    let mut tcp = TcpTransport::connect_default(handle.addr())
+        .unwrap()
+        .with_db(DB)
+        .unwrap();
+
+    let read = |(field, stem): &(&str, &str)| {
+        let counter = telemetry::db_series(&format!("exq_db_{stem}_total"), DB);
+        (
+            telemetry::histogram(&format!("exq_span_profile_{field}")).sum_nanos(),
+            telemetry::counter(&counter).get(),
+        )
+    };
+    let before: Vec<(u64, u64)> = PROFILE_ACCOUNTS.iter().map(read).collect();
+
+    telemetry::set_trace_all(true);
+    let queries: Vec<String> = (0..8)
+        .map(|t| format!("//patient[age > {}]/insurance/policy", 20 + 7 * t))
+        .chain(["//insurance/policy".into(), "//patient/pname".into()])
+        .collect();
+    for q in queries.iter().chain(&queries) {
+        client.query_via(&mut tcp, q).expect("traced query");
+    }
+    for i in 0..2u64 {
+        let record = format!(
+            "<patient><pname>Obs{i}</pname><SSN>9224{i}</SSN><age>41</age>\
+             <insurance><policy coverage=\"9000\">2200{i}</policy></insurance></patient>"
+        );
+        client
+            .insert_via(&mut tcp, "/hospital", &record, 0x220 + i)
+            .expect("traced insert");
+    }
+    telemetry::set_trace_all(false);
+    drop(tcp);
+    handle.shutdown();
+
+    for (account, (span0, counter0)) in PROFILE_ACCOUNTS.iter().zip(before) {
+        let (field, _) = *account;
+        let (span1, counter1) = read(account);
+        assert_eq!(
+            span1 - span0,
+            counter1 - counter0,
+            "{field}: per-query profile spans diverge from the db's counter"
+        );
+        // One serial connection never races a writer; everything else —
+        // hits, faults, evictions, decodes, WAL bytes, shipped blocks,
+        // cache hits — must have been exercised for the equality to mean
+        // anything.
+        if field != "epoch_retries" {
+            assert!(counter1 > counter0, "{field} never moved");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

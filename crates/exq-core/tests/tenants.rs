@@ -19,6 +19,8 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 
+mod common;
+
 struct TempDir(PathBuf);
 
 impl TempDir {
@@ -160,10 +162,11 @@ fn unknown_and_malformed_db_ids_get_typed_errors() {
     let mut raw = TcpStream::connect(handle.addr()).unwrap();
     raw.write_all(&frame).unwrap();
     raw.flush().unwrap();
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    raw.read_exact(&mut header).unwrap();
-    let (msg_type, _) = Message::parse_header(&header).unwrap();
-    assert_eq!(msg_type, 0xFF, "malformed db id must yield an error frame");
+    let reply = common::read_frame(&mut raw).unwrap();
+    assert!(
+        matches!(Message::decode_frame(&reply), Ok(Message::Error(_))),
+        "malformed db id must yield an error frame"
+    );
 
     // Healthy tenants are unaffected.
     let (name, client) = &clients[1];

@@ -4,7 +4,7 @@
 //! included — and must survive hostile framing without dying.
 
 use exq_core::aggregate::Aggregate;
-use exq_core::codec::{Message, FRAME_EXTRA_LEN, FRAME_HEADER_LEN};
+use exq_core::codec::{Message, FRAME_HEADER_LEN};
 use exq_core::constraints::SecurityConstraint;
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
@@ -14,6 +14,8 @@ use exq_xml::Document;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, RwLock};
+
+mod common;
 
 fn hosted() -> (Client, Server) {
     let doc = Document::parse(
@@ -171,7 +173,7 @@ fn garbage_framing_gets_error_frame_then_close() {
     raw.write_all(b"XXzz\x00\x00\x00\x00").unwrap();
     raw.flush().unwrap();
     assert!(
-        matches!(read_frame(&mut raw), Message::Error(_)),
+        matches!(read_message(&mut raw), Message::Error(_)),
         "expected an error frame"
     );
     // Connection is closed afterwards.
@@ -223,16 +225,9 @@ fn start_with(server: Server, config: ServeConfig) -> ServeHandle {
     serve(listener, shared, config).unwrap()
 }
 
-/// Reads one full response frame (header + framing fields + payload) off
-/// a raw stream.
-fn read_frame(raw: &mut TcpStream) -> Message {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    raw.read_exact(&mut header).unwrap();
-    let (_, payload_len) = Message::parse_header(&header).unwrap();
-    let mut frame = header.to_vec();
-    frame.resize(FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload_len, 0);
-    raw.read_exact(&mut frame[FRAME_HEADER_LEN..]).unwrap();
-    Message::decode_frame(&frame).unwrap()
+/// Reads and decodes one response frame off a raw stream.
+fn read_message(raw: &mut TcpStream) -> Message {
+    Message::decode_frame(&common::read_frame(raw).unwrap()).unwrap()
 }
 
 #[test]
@@ -259,7 +254,7 @@ fn dribbling_writer_is_served_but_mid_frame_staller_is_dropped() {
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
     assert!(
-        matches!(read_frame(&mut raw), Message::Answer(_)),
+        matches!(read_message(&mut raw), Message::Answer(_)),
         "dribbling writer must still get its answer"
     );
 
@@ -301,12 +296,12 @@ fn idle_between_frames_is_never_dropped() {
     std::thread::sleep(std::time::Duration::from_millis(600));
     raw.write_all(&Message::NaiveQuery.encode_frame()).unwrap();
     raw.flush().unwrap();
-    assert!(matches!(read_frame(&mut raw), Message::Answer(_)));
+    assert!(matches!(read_message(&mut raw), Message::Answer(_)));
 
     // And again: a second idle gap on the same connection.
     std::thread::sleep(std::time::Duration::from_millis(400));
     raw.write_all(&Message::NaiveQuery.encode_frame()).unwrap();
     raw.flush().unwrap();
-    assert!(matches!(read_frame(&mut raw), Message::Answer(_)));
+    assert!(matches!(read_message(&mut raw), Message::Answer(_)));
     handle.shutdown();
 }
