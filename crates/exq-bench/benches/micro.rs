@@ -1,13 +1,14 @@
 //! Criterion microbenchmarks for the substrates: the cipher, PRF, OPE,
 //! OPESS planning, B-tree, DSI labeling, structural joins, XML parsing, and
 //! vertex-cover solvers — and for the reply path of one secure query
-//! (server assembly, filtered serialization, client reconstruction and its
-//! parse and XPath halves, batch block open, frame checksum) on the perf
-//! ledger's `xmark_scan` database,
+//! (server assembly, region serialization, answer encoding, client
+//! reconstruction and its parse and XPath halves, batch block open, frame
+//! checksum) on the perf ledger's `xmark_scan` database,
 //! the server's predicate matching on its `hospital_point` database, and
 //! the batch block read on its `hospital_paged` store.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use exq_core::codec::{Message, PROTOCOL_VERSION};
 use exq_core::cover::{solve_clarkson, solve_exact, ConstraintGraph};
 use exq_core::scheme::SchemeKind;
 use exq_core::store::{PagedDb, StoreOptions};
@@ -20,7 +21,7 @@ use exq_index::sjoin::{join_anc_desc, sort_intervals};
 use exq_index::BTree;
 use exq_store::PagedStore;
 use exq_workload::{hospital, nasa, xmark};
-use exq_xml::Document;
+use exq_xml::{Document, Keep};
 use exq_xpath::{eval_document, Path};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -194,6 +195,20 @@ fn bench_reply_path(c: &mut Criterion) {
     }
     assemble.finish();
 
+    // The two whole-`people` shapes that are `xmark_scan`'s p95: one anchor
+    // over the whole region, and one anchor per person.
+    let mut assemble = c.benchmark_group("server/assemble_xmark_people");
+    for (shape, q) in [
+        ("site_people", "/site/people"),
+        ("people_person", "//people/person"),
+    ] {
+        let sq = client.translate(q).unwrap().server_query.unwrap();
+        assemble.bench_function(shape, |b| {
+            b.iter(|| black_box(server.answer(&sq).unwrap().pruned_xml.len()))
+        });
+    }
+    assemble.finish();
+
     let mut reconstruct = c.benchmark_group("client/reconstruct_xmark");
     for (shape, q) in shapes {
         let (tq, resp, _) = client.run(&mut InProcess::shared(&server), q).unwrap();
@@ -212,11 +227,17 @@ fn bench_reply_path(c: &mut Criterion) {
     // 1.3 MB) with building the arena and freeing it timed apart, and the
     // post query on the parsed document.
     let region = doc.elements_by_tag("people")[0];
-    let mut in_reply = vec![false; doc.arena_len()];
-    for n in doc.descendants(region).chain(doc.ancestors(region)) {
-        in_reply[n.index()] = true;
-    }
-    let people_xml = doc.to_xml_filtered(|n| in_reply[n.index()]);
+    let context = doc.ancestors(region);
+    let in_reply = |n| {
+        if n == region {
+            Keep::Subtree
+        } else if context.contains(&n) {
+            Keep::Node
+        } else {
+            Keep::Skip
+        }
+    };
+    let people_xml = doc.to_xml_region(in_reply, |_, _| {});
     let mut parse = c.benchmark_group("xml/parse_people_reply");
     let held = std::cell::Cell::new(None);
     parse.bench_function("parse", |b| {
@@ -245,6 +266,11 @@ fn bench_reply_path(c: &mut Criterion) {
     let (_, people, _) = client
         .run(&mut InProcess::shared(&server), "//people//person")
         .unwrap();
+    // That reply (1.95 MB) into its frame, checksum included.
+    let answer = Message::Answer(people.clone());
+    c.bench_function("codec/encode_answer_people", |b| {
+        b.iter(|| black_box(answer.encode_frame_req(PROTOCOL_VERSION, 0, 1).len()))
+    });
     let key = client.state().keys.block_key();
     let mut open = c.benchmark_group("crypto/open_blocks_xmark");
     open.bench_function("batch", |b| {
@@ -265,15 +291,13 @@ fn bench_reply_path(c: &mut Criterion) {
     // section kept — a predicate that is cheap, and not "everything".
     let visible = Document::parse(&server.visible_xml()).unwrap();
     let root = visible.root().unwrap();
-    let mut keep = vec![false; visible.arena_len()];
-    keep[root.index()] = true;
+    let mut keep = vec![Keep::Skip; visible.arena_len()];
+    keep[root.index()] = Keep::Node;
     for &section in visible.node(root).children().iter().step_by(2) {
-        for n in visible.descendants(section) {
-            keep[n.index()] = true;
-        }
+        keep[section.index()] = Keep::Subtree;
     }
     c.bench_function("xml/write_filtered", |b| {
-        b.iter(|| black_box(visible.to_xml_filtered(|n| keep[n.index()]).len()))
+        b.iter(|| black_box(visible.to_xml_region(|n| keep[n.index()], |_, _| {}).len()))
     });
 }
 
@@ -347,11 +371,18 @@ fn bench_read_blocks(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The frame checksum at the ledger's kernel size and at the size of a
+/// whole-`people` reply.
 fn bench_crc32(c: &mut Criterion) {
-    let data: Vec<u8> = (0..1u32 << 20).map(|i| (i * 31 + 7) as u8).collect();
-    c.bench_function("codec/crc32_1mib", |b| {
-        b.iter(|| black_box(exq_core::codec::crc32(&[black_box(&data)])))
-    });
+    let data: Vec<u8> = (0..2_000_000u32).map(|i| (i * 31 + 7) as u8).collect();
+    for (name, len) in [
+        ("codec/crc32_1mib", 1 << 20),
+        ("codec/crc32_2mb", data.len()),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(exq_core::codec::crc32(&[black_box(&data[..len])])))
+        });
+    }
 }
 
 criterion_group!(

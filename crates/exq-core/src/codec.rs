@@ -27,8 +27,10 @@
 //! Inside payloads, integers are LEB128 varints (`u128` is fixed 16-byte
 //! little-endian), strings and byte arrays are varint-length-prefixed, and
 //! enums carry a one-byte tag. The encoding is the *single source of truth*
-//! for transmission accounting: `ServerQuery::wire_size` and
-//! `ServerResponse::payload_bytes` are exact encoded lengths, not estimates.
+//! for transmission accounting: `ServerQuery::wire_size`,
+//! `InsertDelta::wire_size` and `ServerResponse::payload_bytes` are the
+//! length of the frame each travels in ([`frame_len_of`] its encoded
+//! payload), not estimates.
 //!
 //! Robustness: everything here decodes **attacker-supplied** bytes on the
 //! server path, so every read is bounds-checked, declared element counts are
@@ -81,6 +83,11 @@ pub const FRAME_EXTRA_LEN: usize =
 
 /// Offset of the checksum field within a frame.
 const CRC_POS: usize = FRAME_HEADER_LEN + TRACE_FIELD_LEN + REQ_ID_FIELD_LEN;
+
+/// Length of the frame a payload of `payload_len` bytes travels in.
+pub const fn frame_len_of(payload_len: usize) -> usize {
+    FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload_len
+}
 
 // ------------------------------------------------------------------ crc32 --
 
@@ -1273,35 +1280,58 @@ impl Message {
         Ok(self.encode_frame_with(PROTOCOL_VERSION, trace, req_id, db))
     }
 
-    /// The one frame writer. `db` is at most [`MAX_DB_ID_LEN`] bytes. The
-    /// checksum covers every byte of the frame except the checksum field
-    /// itself.
+    /// The one frame writer, into the one buffer a frame has: the header
+    /// and framing fields are laid down first, the payload is encoded
+    /// straight behind them, and its length and the checksum — which covers
+    /// every byte of the frame except the checksum field itself — are
+    /// patched in place. `db` is at most [`MAX_DB_ID_LEN`] bytes.
     fn encode_frame_with(&self, version: u8, trace: u64, req_id: u64, db: &str) -> Vec<u8> {
-        let mut enc = Enc::new();
-        self.encode_payload(&mut enc);
-        let payload = enc.into_bytes();
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload.len());
+        let mut frame = Vec::with_capacity(frame_len_of(self.payload_len_bound()));
         frame.extend_from_slice(&FRAME_MAGIC);
         frame.push(version);
         frame.push(self.msg_type());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&[0u8; 4]);
         frame.extend_from_slice(&trace.to_le_bytes());
         frame.extend_from_slice(&req_id.to_le_bytes());
         frame.extend_from_slice(&[0u8; CHECKSUM_FIELD_LEN]);
         frame.push(db.len() as u8);
         frame.extend_from_slice(db.as_bytes());
-        frame.resize(FRAME_HEADER_LEN + FRAME_EXTRA_LEN, 0);
-        frame.extend_from_slice(&payload);
+        frame.resize(frame_len_of(0), 0);
+        let mut enc = Enc { buf: frame };
+        self.encode_payload(&mut enc);
+        let mut frame = enc.into_bytes();
+        let payload_len = (frame.len() - frame_len_of(0)) as u32;
+        frame[4..FRAME_HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
         let crc = crc32(&[&frame[..CRC_POS], &frame[CRC_POS + CHECKSUM_FIELD_LEN..]]);
         frame[CRC_POS..CRC_POS + CHECKSUM_FIELD_LEN].copy_from_slice(&crc.to_le_bytes());
         frame
+    }
+
+    /// What to reserve for the payload, so that the buffer of a frame large
+    /// enough to matter is sized once: an upper bound on an untraced
+    /// `Answer` (spans may still grow it), nothing for the small messages.
+    fn payload_len_bound(&self) -> usize {
+        // Nonce, tag and two varints a block; the text's length, the block
+        // and span counts, two timings and a flag around them.
+        const BLOCK_FRAMING: usize = 12 + TAG_BYTES + 2 * 10;
+        const ANSWER_FRAMING: usize = 3 * 10 + 2 * 8 + 1;
+        match self {
+            Message::Answer(resp) => {
+                let blocks = resp
+                    .blocks
+                    .iter()
+                    .map(|b| b.ciphertext.len() + BLOCK_FRAMING);
+                ANSWER_FRAMING + resp.pruned_xml.len() + blocks.sum::<usize>()
+            }
+            _ => 0,
+        }
     }
 
     /// Exact frame length without materializing the frame twice.
     pub fn frame_len(&self) -> usize {
         let mut enc = Enc::new();
         self.encode_payload(&mut enc);
-        FRAME_HEADER_LEN + FRAME_EXTRA_LEN + enc.into_bytes().len()
+        frame_len_of(enc.into_bytes().len())
     }
 
     /// Parses the fixed frame header, returning `(msg_type, payload_len)`;
@@ -1576,6 +1606,13 @@ mod tests {
         for msg in messages {
             let frame = msg.encode_frame();
             assert_eq!(frame.len(), msg.frame_len(), "frame_len mismatch: {msg:?}");
+            // The three sizes the accounting quotes are that same length.
+            match &msg {
+                Message::Query(q) => assert_eq!(q.wire_size(), frame.len()),
+                Message::ApplyInsert(delta) => assert_eq!(delta.wire_size(), frame.len()),
+                Message::Answer(resp) => assert_eq!(resp.payload_bytes(), frame.len()),
+                _ => {}
+            }
             let back = Message::decode_frame(&frame).unwrap();
             assert_eq!(back, msg);
         }

@@ -57,7 +57,7 @@ pub fn serve_event(
 mod linux {
     use super::sys;
     use crate::codec::{
-        CodecError, DecodedFrame, Message, WireError, FRAME_EXTRA_LEN, FRAME_HEADER_LEN,
+        frame_len_of, CodecError, DecodedFrame, Message, WireError, FRAME_HEADER_LEN,
         PROTOCOL_VERSION, TRACE_FIELD_LEN,
     };
     use crate::serve::{
@@ -460,7 +460,7 @@ mod linux {
                         return;
                     }
                 };
-                let total = FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload_len;
+                let total = frame_len_of(payload_len);
                 if conn.rbuf.len() < total {
                     conn.read_deadline = Some(
                         conn.read_deadline
@@ -519,11 +519,20 @@ mod linux {
 
         // -------------------------------------------------------- writes --
 
+        /// Queues one encoded reply. With nothing pending — the usual
+        /// case — the reply's own buffer becomes the write buffer; behind a
+        /// partly written one it is appended, so replies leave in the order
+        /// they were queued.
         fn queue_reply(&mut self, token: u64, bytes: Vec<u8>) {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            conn.wbuf.extend_from_slice(&bytes);
+            if conn.wpos == conn.wbuf.len() {
+                conn.wbuf = bytes;
+                conn.wpos = 0;
+            } else {
+                conn.wbuf.extend_from_slice(&bytes);
+            }
             if !self.flush(token) {
                 self.close(token);
             }
@@ -554,7 +563,9 @@ mod linux {
                 }
             }
             if conn.wpos >= conn.wbuf.len() {
-                conn.wbuf.clear();
+                // Drained: the buffer goes, so an idle connection holds
+                // nothing of the largest reply it ever carried.
+                conn.wbuf = Vec::new();
                 conn.wpos = 0;
                 conn.write_deadline = None;
             }

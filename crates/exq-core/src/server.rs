@@ -38,7 +38,7 @@ use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::SealedBlock;
 use exq_index::dsi::Interval;
 use exq_index::sjoin::{semijoin_anc, semijoin_desc, sort_intervals, IntervalUniverse};
-use exq_xml::{Document, NodeId};
+use exq_xml::{Document, Keep, NodeId};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -877,13 +877,16 @@ impl Server {
     /// exactly. A witness is the predicate's branch matched from that one
     /// survivor: the first member, in document order, of its last list.
     ///
-    /// One pass marks the region in a per-node table over the visible
-    /// arena, one pass writes it: `pruned_xml` is serialized straight from
-    /// `self.visible`, and the marked set is ancestor-closed (a chain is
-    /// always marked with its target), so membership alone decides emission.
-    /// Marking is O(region) however the anchors nest or repeat: a subtree
-    /// already marked whole is not walked again, and a chain stops at the
-    /// first marked ancestor.
+    /// The region is marked by its anchors alone and written in one pass:
+    /// an anchor is marked whole and its ancestors as context, nothing below
+    /// it is visited until `pruned_xml` is serialized straight from
+    /// `self.visible`, and the writer, which asks nothing inside a whole
+    /// subtree, names each element it writes there — the block markers
+    /// among them, read off as they go by. That needs no descent because the
+    /// marked set is ancestor-closed (a chain is always marked with its
+    /// target) and the children of a live node are live. Marking is
+    /// O(anchors + chains) however the anchors nest or repeat: a chain stops
+    /// at the first marked ancestor.
     fn assemble(
         &self,
         q: &ServerQuery,
@@ -904,18 +907,17 @@ impl Server {
         }
         let mut region = Region {
             visible: &self.visible,
-            marker_tag: self.visible.tag_id(BLOCK_MARKER_TAG),
-            marks: vec![Mark::Out; self.visible.arena_len()],
-            block_ids: Vec::new(),
-            stack: Vec::new(),
+            marks: vec![Keep::Skip; self.visible.arena_len()],
         };
+        // Blocks the region needs, in discovery order, duplicates included.
+        let mut block_ids = Vec::new();
         for a in &anchors {
             if let Some(&v) = self.interval_to_visible.get(a) {
                 // Visible anchor: chain + full subtree + blocks under it.
                 region.mark(v);
             } else if let Some(b) = self.metadata.block_table.covering_block(a) {
                 // Anchor inside a block: chain to the marker + the block.
-                region.block_ids.push(b);
+                block_ids.push(b);
                 if let Some(rep) = self.metadata.block_table.representative(b) {
                     if let Some(&marker) = self.interval_to_visible.get(&rep) {
                         region.mark(marker);
@@ -923,72 +925,40 @@ impl Server {
                 }
             }
         }
-        let Region {
-            marks,
-            mut block_ids,
-            ..
-        } = region;
+        let marker_tag = self.visible.tag_id(BLOCK_MARKER_TAG);
+        let pruned_xml = self.visible.to_xml_region(
+            |n| region.marks[n.index()],
+            |n, tag| {
+                if Some(tag) == marker_tag {
+                    block_ids.extend(marker_block_id(&self.visible, n));
+                }
+            },
+        );
         block_ids.sort_unstable();
         block_ids.dedup();
-
-        let pruned_xml = self
-            .visible
-            .to_xml_filtered(|n| marks[n.index()] != Mark::Out);
         block_ids.retain(|&b| self.block_live(b));
         Ok((pruned_xml, self.blocks.get_many(&block_ids)?))
     }
 }
 
-/// Where a visible node stands in the answer region being assembled.
-#[derive(Clone, Copy, PartialEq)]
-enum Mark {
-    Out,
-    /// Shipped, as context: the node and its attributes, not all its children.
-    Kept,
-    /// Shipped with its whole subtree.
-    Whole,
-}
-
 /// The answer region of one query over the visible arena (see
-/// [`Server::assemble`]).
+/// [`Server::assemble`]): what the writer is to keep of each node.
 struct Region<'a> {
     visible: &'a Document,
-    marker_tag: Option<exq_xml::TagId>,
-    marks: Vec<Mark>,
-    /// Blocks the region needs, in discovery order, duplicates included.
-    block_ids: Vec<u32>,
-    stack: Vec<NodeId>,
+    marks: Vec<Keep>,
 }
 
 impl Region<'_> {
-    /// Marks `v`'s subtree whole — collecting the id of every block marker
-    /// in it — and `v`'s ancestors as context.
+    /// Marks `v`'s subtree whole, by marking `v`, and `v`'s ancestors as
+    /// context (attributes ride along with any shipped element).
     fn mark(&mut self, v: NodeId) {
-        self.stack.push(v);
-        while let Some(n) = self.stack.pop() {
-            if self.marks[n.index()] == Mark::Whole {
-                continue;
-            }
-            self.marks[n.index()] = Mark::Whole;
-            let node = self.visible.node(n);
-            if let exq_xml::NodeKind::Element(t) = node.kind() {
-                if Some(*t) == self.marker_tag {
-                    self.block_ids.extend(marker_block_id(self.visible, n));
-                }
-            }
-            self.stack.extend(node.attrs());
-            self.stack.extend(node.children());
-        }
+        self.marks[v.index()] = Keep::Subtree;
         let mut cur = v;
         while let Some(p) = self.visible.node(cur).parent() {
-            if self.marks[p.index()] != Mark::Out {
+            if self.marks[p.index()] != Keep::Skip {
                 break;
             }
-            // Attributes ride along with any shipped element.
-            self.marks[p.index()] = Mark::Kept;
-            for a in self.visible.node(p).attrs() {
-                self.marks[a.index()] = Mark::Kept;
-            }
+            self.marks[p.index()] = Keep::Node;
             cur = p;
         }
     }

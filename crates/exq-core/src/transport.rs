@@ -22,7 +22,7 @@
 //! and a reply that fails to decode surfaces as a typed error.
 
 use crate::codec::{
-    DecodedFrame, Message, WireError, FRAME_EXTRA_LEN, FRAME_HEADER_LEN, PROTOCOL_VERSION,
+    frame_len_of, DecodedFrame, Message, WireError, FRAME_HEADER_LEN, PROTOCOL_VERSION,
 };
 use crate::error::CoreError;
 use crate::server::Server;
@@ -555,8 +555,9 @@ pub struct TcpTransport {
 
 /// Reads one reply frame off a client link: the fixed header first, so the
 /// length is checked ([`Message::parse_header`]) before the buffer for the
-/// rest is sized. Returns the decoded frame and its exact length on the
-/// wire, counted into the received-bytes metric.
+/// rest is sized — reserved, not zero-filled: the socket's bytes are the
+/// first written to it. Returns the decoded frame and its exact length on
+/// the wire, counted into the received-bytes metric.
 fn read_frame(
     stream: &mut TcpStream,
     peer: SocketAddr,
@@ -565,11 +566,18 @@ fn read_frame(
     let mut header = [0u8; FRAME_HEADER_LEN];
     stream.read_exact(&mut header).map_err(receive_failed)?;
     let (_, payload_len) = Message::parse_header(&header)?;
-    let mut frame = vec![0u8; FRAME_HEADER_LEN + FRAME_EXTRA_LEN + payload_len];
-    frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
-    stream
-        .read_exact(&mut frame[FRAME_HEADER_LEN..])
-        .map_err(receive_failed)?;
+    let total = frame_len_of(payload_len);
+    let mut frame = Vec::with_capacity(total);
+    frame.extend_from_slice(&header);
+    let rest = (total - FRAME_HEADER_LEN) as u64;
+    let got = (stream.take(rest).read_to_end(&mut frame)).map_err(receive_failed)?;
+    if (got as u64) < rest {
+        // What `read_exact` says of a stream that ends early.
+        return Err(receive_failed(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "failed to fill whole buffer",
+        )));
+    }
     wire_metrics().bytes_received.add(frame.len() as u64);
     Ok((Message::decode_frame_ext(&frame)?, frame.len()))
 }
@@ -934,7 +942,7 @@ mod tests {
         );
         assert_eq!(
             stats.bytes_received as usize,
-            FRAME_HEADER_LEN + FRAME_EXTRA_LEN + resp.encoded_len()
+            frame_len_of(resp.encoded_len())
         );
         assert_eq!(stats.bytes_received as usize, resp.payload_bytes());
     }

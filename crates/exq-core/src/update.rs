@@ -68,10 +68,10 @@ pub struct InsertDelta {
 
 impl InsertDelta {
     /// Exact wire size: the length of the encoded `ApplyInsert` frame this
-    /// delta travels in (header included).
+    /// delta travels in (header and framing fields included).
     pub fn wire_size(&self) -> usize {
         use crate::codec::WireCodec;
-        crate::codec::FRAME_HEADER_LEN + self.encoded_len()
+        crate::codec::frame_len_of(self.encoded_len())
     }
 }
 

@@ -61,7 +61,7 @@ impl ServerQuery {
     /// `Query` frame's payload is exactly the query's own encoding.
     pub fn wire_size(&self) -> usize {
         use crate::codec::WireCodec;
-        crate::codec::FRAME_HEADER_LEN + crate::codec::FRAME_EXTRA_LEN + self.encoded_len()
+        crate::codec::frame_len_of(self.encoded_len())
     }
 }
 
@@ -99,7 +99,7 @@ impl ServerResponse {
     /// length (header and framing fields included).
     pub fn payload_bytes(&self) -> usize {
         use crate::codec::WireCodec;
-        crate::codec::FRAME_HEADER_LEN + crate::codec::FRAME_EXTRA_LEN + self.encoded_len()
+        crate::codec::frame_len_of(self.encoded_len())
     }
 }
 

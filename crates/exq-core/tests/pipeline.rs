@@ -3,7 +3,8 @@
 //! The contract under test: replies echo the request's trace and request
 //! ids on the wire (the correlation fix), N requests in flight on one
 //! connection produce bit-identical answers to the same requests issued
-//! serially — one at a time, pipelined, and as a `Batch` frame — idle
+//! serially — one at a time, pipelined, pipelined with replies larger than
+//! the socket takes, and as a `Batch` frame — idle
 //! connections beyond the worker count cannot starve a fresh client on
 //! the event loop, and a peer that stops reading its replies is dropped
 //! within the stall budget instead of pinning a worker forever.
@@ -210,6 +211,88 @@ fn pipelined_matches_serial() {
             s.encode_frame(),
             p.encode_frame(),
             "req {i}: answer bytes differ"
+        );
+    }
+    handle.shutdown();
+}
+
+/// A database whose whole-region replies overrun the socket: one visible
+/// `notes` text of `len` bytes under the first patient.
+fn hosted_with_notes(len: usize) -> (Client, Server) {
+    let doc = Document::parse(&format!(
+        "<hospital><patient><pname>Betty</pname><notes>{}</notes></patient>\
+         <patient><pname>Matt</pname></patient></hospital>",
+        "n".repeat(len)
+    ))
+    .unwrap();
+    let cs = vec![SecurityConstraint::parse("//pname").unwrap()];
+    Outsourcer::new(OutsourceConfig::default())
+        .outsource(&doc, &cs, SchemeKind::Opt, 77)
+        .unwrap()
+        .split()
+}
+
+/// Three whole-region queries pipelined on one socket by a client that
+/// reads nothing until the server has run them all. Each reply is larger
+/// than the socket takes (6 MB against the ~4 MB a loopback peer that is
+/// not reading accepts), so the first is left partly written and the second
+/// and third are queued behind it rather than handed over: the replies
+/// still arrive whole, in request order, byte-identical to serial.
+#[test]
+fn replies_queued_behind_a_partly_written_one_arrive_whole_and_in_order() {
+    let (client, server) = hosted_with_notes(6 << 20);
+    let registry = registry_with(&client, server);
+    let tenant = registry.get("main").unwrap();
+    // One worker, so replies complete in the order the requests came.
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let handle = start_event(registry, config);
+    let reqs: Vec<Message> = ["/hospital", "/hospital/patient", "//patient/notes"]
+        .iter()
+        .map(|q| Message::Query(client.translate(q).unwrap().server_query.unwrap()))
+        .collect();
+
+    let mut serial = Pipeline::connect_default(handle.addr()).unwrap();
+    let serial_replies: Vec<Message> = reqs
+        .iter()
+        .map(|r| {
+            serial.submit(r).unwrap();
+            serial.recv().unwrap().1
+        })
+        .collect();
+    drop(serial);
+
+    let served = tenant.requests_total();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    for (i, req) in reqs.iter().enumerate() {
+        let frame = req.encode_frame_req(PROTOCOL_VERSION, 0, i as u64 + 1);
+        stream.write_all(&frame).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while tenant.requests_total() < served + 3 || tenant.inflight() > 0 {
+        assert!(Instant::now() < deadline, "the server never ran all three");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    for (i, want) in serial_replies.iter().enumerate() {
+        let d = Message::decode_frame_ext(&read_frame(&mut stream).unwrap()).unwrap();
+        assert_eq!(d.req_id, i as u64 + 1, "reply {i} out of request order");
+        let Message::Answer(resp) = &d.msg else {
+            panic!("reply {i} is not an Answer: {:?}", d.msg);
+        };
+        assert!(
+            resp.pruned_xml.len() > 6 << 20,
+            "reply {i} is not a whole region"
+        );
+        assert_eq!(
+            canon(&d.msg).encode_frame(),
+            canon(want).encode_frame(),
+            "reply {i}: bytes differ from serial"
         );
     }
     handle.shutdown();

@@ -29,5 +29,6 @@ mod tree;
 
 pub use escape::{escape_attr, escape_text, unescape};
 pub use parse::{ParseError, ParseOptions, MAX_DEPTH};
+pub use serialize::Keep;
 pub use stats::DocumentStats;
 pub use tree::{Document, Node, NodeId, NodeKind, TagId};

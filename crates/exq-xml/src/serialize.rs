@@ -1,25 +1,49 @@
 //! Document serialization back to XML text.
 
 use crate::escape::push_escaped;
-use crate::tree::{Document, NodeId, NodeKind};
+use crate::tree::{Document, NodeId, NodeKind, TagId};
+
+/// What a region keeps of one node (see [`Document::to_xml_region`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Keep {
+    /// Neither the node nor anything below it.
+    Skip,
+    /// The node as context: an element with its attributes, and those of
+    /// its children the region keeps.
+    Node,
+    /// The node and its whole subtree.
+    Subtree,
+}
 
 impl Document {
     /// Serializes the whole document (no XML declaration, no pretty
     /// printing — the output is byte-stable for hashing and size metrics).
     pub fn to_xml(&self) -> String {
-        self.to_xml_filtered(|n| self.is_live(n))
-    }
-
-    /// Serializes the part of the document `keep` selects, straight from
-    /// this arena: a node is written when `keep` holds for it and for every
-    /// ancestor, so `keep` describes an ancestor-closed region. Attributes
-    /// are asked about like any other node. The output is byte-identical to
-    /// copying the kept nodes into a fresh document and calling
-    /// [`to_xml`](Document::to_xml) on that.
-    pub fn to_xml_filtered(&self, keep: impl Fn(NodeId) -> bool) -> String {
         let mut out = String::new();
         if let Some(root) = self.root() {
-            self.write_node(root, &keep, &mut out);
+            self.write_live(root, &mut out);
+        }
+        out
+    }
+
+    /// Serializes the region `keep` describes, straight from this arena and
+    /// in one pass: `keep` is asked about the root and about each child of
+    /// a node it answered [`Keep::Node`] for; below a [`Keep::Subtree`]
+    /// nothing is asked, and `whole` is told each element written there
+    /// (the subtree's own root included) and its tag, in document order.
+    /// The output is byte-identical to copying the kept nodes into a fresh
+    /// document and calling [`to_xml`](Document::to_xml) on that.
+    pub fn to_xml_region(
+        &self,
+        keep: impl Fn(NodeId) -> Keep,
+        mut whole: impl FnMut(NodeId, TagId),
+    ) -> String {
+        let mut out = String::new();
+        if let Some(root) = self.root() {
+            let kept = keep(root);
+            if kept != Keep::Skip {
+                self.write_node(root, kept == Keep::Subtree, &keep, &mut whole, &mut out);
+            }
         }
         out
     }
@@ -34,15 +58,23 @@ impl Document {
     /// Appends a single subtree's serialization to `out`: a caller
     /// rendering many subtrees reuses one buffer.
     pub fn write_live(&self, id: NodeId, out: &mut String) {
-        self.write_node(id, &|n| self.is_live(n), out);
+        // A live node's lists name live nodes only, so one look suffices.
+        if self.is_live(id) {
+            self.write_node(id, true, &|_| Keep::Subtree, &mut |_, _| {}, out);
+        }
     }
 
-    /// The one writer: every serialization goes through here and differs
-    /// only in `keep`. Allocates nothing but `out`'s growth.
-    fn write_node(&self, id: NodeId, keep: &impl Fn(NodeId) -> bool, out: &mut String) {
-        if !keep(id) {
-            return;
-        }
+    /// The one writer: every serialization goes through here. `id` is kept;
+    /// `whole` says its subtree is too, and then `keep` is not consulted.
+    /// Allocates nothing but `out`'s growth.
+    fn write_node(
+        &self,
+        id: NodeId,
+        whole: bool,
+        keep: &impl Fn(NodeId) -> Keep,
+        on_whole: &mut impl FnMut(NodeId, TagId),
+        out: &mut String,
+    ) {
         let n = self.node(id);
         match &n.kind {
             NodeKind::Text(t) => push_escaped(out, t, false),
@@ -55,24 +87,29 @@ impl Document {
                 out.push('"');
             }
             NodeKind::Element(tag) => {
+                if whole {
+                    on_whole(id, *tag);
+                }
                 let tag = self.tag_name(*tag);
                 out.push('<');
                 out.push_str(tag);
                 for &a in n.attrs() {
-                    if keep(a) {
-                        out.push(' ');
-                        self.write_node(a, keep, out);
-                    }
+                    out.push(' ');
+                    self.write_node(a, true, keep, on_whole, out);
                 }
                 let mut open = false;
                 for &c in n.children() {
-                    if keep(c) {
-                        if !open {
-                            out.push('>');
-                            open = true;
-                        }
-                        self.write_node(c, keep, out);
+                    let whole = whole
+                        || match keep(c) {
+                            Keep::Skip => continue,
+                            Keep::Node => false,
+                            Keep::Subtree => true,
+                        };
+                    if !open {
+                        out.push('>');
+                        open = true;
                     }
+                    self.write_node(c, whole, keep, on_whole, out);
                 }
                 if open {
                     out.push_str("</");
@@ -280,13 +317,25 @@ mod tests {
         for &x in &all {
             for &y in &all {
                 let (kx, ky) = (region(x), region(y));
-                let keep = |n: NodeId| kx[n.index()] || ky[n.index()];
+                let member = |n: NodeId| kx[n.index()] || ky[n.index()];
                 let mut copy = Document::new();
-                reference_copy(&d, d.root().unwrap(), None, &keep, &mut copy);
-                assert_eq!(d.to_xml_filtered(keep), copy.to_xml(), "{x} ∪ {y}");
+                reference_copy(&d, d.root().unwrap(), None, &member, &mut copy);
+                // The same region as the writer is told it: the two targets
+                // whole, their ancestors as context.
+                let (ax, ay) = (d.ancestors(x), d.ancestors(y));
+                let keep = |n: NodeId| {
+                    if n == x || n == y {
+                        Keep::Subtree
+                    } else if ax.contains(&n) || ay.contains(&n) {
+                        Keep::Node
+                    } else {
+                        Keep::Skip
+                    }
+                };
+                assert_eq!(d.to_xml_region(keep, |_, _| {}), copy.to_xml(), "{x} ∪ {y}");
             }
         }
-        assert_eq!(d.to_xml_filtered(|_| false), "");
+        assert_eq!(d.to_xml_region(|_| Keep::Skip, |_, _| {}), "");
     }
 
     #[test]
