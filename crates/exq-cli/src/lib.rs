@@ -21,14 +21,12 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-/// CLI-level error: core error, usage problem, or data a peer sent that
-/// failed validation.
+/// CLI-level error: core error, usage problem, or I/O failure.
 #[derive(Debug)]
 pub enum CliError {
     Core(CoreError),
     Usage(String),
     Io(std::io::Error),
-    Data(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -37,7 +35,6 @@ impl std::fmt::Display for CliError {
             CliError::Core(e) => write!(f, "{e}"),
             CliError::Usage(m) => write!(f, "usage error: {m}"),
             CliError::Io(e) => write!(f, "io error: {e}"),
-            CliError::Data(m) => write!(f, "invalid data: {m}"),
         }
     }
 }
@@ -438,7 +435,6 @@ fn host(
     opts: &ServeOptions,
     store: StoreOptions,
 ) -> Result<(ServeHandle, Checkpointer, Arc<TenantRegistry>), CliError> {
-    exq_core::flight::install_panic_hook();
     let registry = Arc::new(TenantRegistry::open(path, exq_core::DEFAULT_DB, store)?);
     if registry.is_empty() {
         return usage(format!("{} hosts no databases", path.display()));
@@ -492,14 +488,6 @@ pub fn cmd_serve(
         store.cache_bytes >> 20,
     );
     Ok((handle, checkpointer, banner))
-}
-
-/// One-line cache counter report for `exq serve` logs.
-pub fn format_cache_stats(s: &exq_core::cache::CacheStatsSnapshot) -> String {
-    format!(
-        "cache[gen {}]: responses {} hit / {} miss ({} entries, {} evicted)",
-        s.generation, s.response_hits, s.response_misses, s.response_entries, s.response_evictions,
-    )
 }
 
 /// `exq db create`: import a sealed server state file as a named database
@@ -793,193 +781,6 @@ pub fn cmd_stats_remote(addr: &str) -> Result<String, CliError> {
     Ok(link.metrics_text()?)
 }
 
-/// `exq debug --addr`: dump a running server's flight recorder — the ring
-/// of recent operational events (admissions, sheds, checkpoints, slow
-/// fsyncs, slow queries, accept errors) as JSON lines, oldest first. With
-/// `check`, the dump is validated instead of printed — the e2e guard that
-/// every line really is a standalone JSON object.
-pub fn cmd_debug(addr: &str, check: bool) -> Result<String, CliError> {
-    let mut link = TcpTransport::connect_default(addr)?;
-    let dump = link.flight_dump()?;
-    if check {
-        let n = exq_core::flight::validate_json_lines(&dump).map_err(|e| {
-            CliError::Data(format!("flight dump failed JSON-lines validation: {e}"))
-        })?;
-        Ok(format!(
-            "flight dump OK: {n} event(s), all valid JSON lines\n"
-        ))
-    } else {
-        Ok(dump)
-    }
-}
-
-/// Splits one Prometheus exposition line into `(series, value)`, quote-
-/// aware: whitespace inside a `{db="…"}` label (db ids are operator input)
-/// must not terminate the series name.
-fn split_series_value(line: &str) -> Option<(&str, f64)> {
-    let mut in_quotes = false;
-    let mut escaped = false;
-    for (i, c) in line.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_quotes => escaped = true,
-            '"' => in_quotes = !in_quotes,
-            ' ' if !in_quotes => {
-                let (name, rest) = line.split_at(i);
-                let rest = rest.trim();
-                let value: f64 = if rest == "+Inf" {
-                    f64::INFINITY
-                } else {
-                    rest.parse().ok()?
-                };
-                return Some((name, value));
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Parses a metrics exposition into `series -> value`.
-fn parse_exposition(text: &str) -> std::collections::BTreeMap<String, f64> {
-    text.lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(split_series_value)
-        .map(|(k, v)| (k.to_owned(), v))
-        .collect()
-}
-
-/// The db names present in an exposition snapshot, read off the
-/// `exq_db_requests_total{db="…"}` series every tenant registers.
-fn db_names(metrics: &std::collections::BTreeMap<String, f64>) -> Vec<String> {
-    let mut out = Vec::new();
-    for key in metrics.keys() {
-        if let Some(rest) = key.strip_prefix("exq_db_requests_total{db=\"") {
-            if let Some(name) = rest.strip_suffix("\"}") {
-                out.push(name.to_owned());
-            }
-        }
-    }
-    out
-}
-
-/// p99 over a scrape window, from the cumulative-bucket deltas of the
-/// `exq_span_db_<name>` histogram: the smallest bucket bound covering 99%
-/// of the window's observations. `None` when the window saw no queries.
-fn p99_ms(
-    prev: &std::collections::BTreeMap<String, f64>,
-    cur: &std::collections::BTreeMap<String, f64>,
-    db: &str,
-) -> Option<f64> {
-    // Span names map '.' to '_' in metric names; db ids keep '-' and '_'.
-    let sanitized: String = db.chars().map(|c| if c == '.' { '_' } else { c }).collect();
-    let prefix = format!("exq_span_db_{sanitized}_bucket{{le=\"");
-    let mut buckets: Vec<(f64, f64)> = Vec::new();
-    for (key, cum) in cur.range(prefix.clone()..) {
-        let Some(rest) = key.strip_prefix(&prefix) else {
-            break;
-        };
-        let Some(le) = rest.strip_suffix("\"}") else {
-            continue;
-        };
-        let le: f64 = if le == "+Inf" {
-            f64::INFINITY
-        } else {
-            le.parse().ok()?
-        };
-        let delta = cum - prev.get(key).copied().unwrap_or(0.0);
-        buckets.push((le, delta.max(0.0)));
-    }
-    buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let total = buckets.last().map(|&(_, c)| c).unwrap_or(0.0);
-    if total <= 0.0 {
-        return None;
-    }
-    let need = total * 0.99;
-    buckets
-        .iter()
-        .find(|&&(_, cum)| cum >= need)
-        .map(|&(le, _)| if le.is_finite() { le * 1e3 } else { f64::NAN })
-}
-
-/// Formats one `exq top` frame from two metrics scrapes `dt_secs` apart:
-/// per-db QPS, shed and cache-hit rates, page faults, pool residency, and
-/// WAL backlog from the counter/gauge deltas, p99 from span-bucket deltas.
-/// Split from the scraping so tests can drive it on captured text.
-pub fn top_frame_from(prev_text: &str, cur_text: &str, dt_secs: f64) -> String {
-    let prev = parse_exposition(prev_text);
-    let cur = parse_exposition(cur_text);
-    let dt = dt_secs.max(1e-9);
-    let delta = |name: &str, db: &str| -> f64 {
-        let key = format!("{name}{{db=\"{db}\"}}");
-        (cur.get(&key).copied().unwrap_or(0.0) - prev.get(&key).copied().unwrap_or(0.0)).max(0.0)
-    };
-    let gauge = |name: &str, db: &str| -> f64 {
-        cur.get(&format!("{name}{{db=\"{db}\"}}"))
-            .copied()
-            .unwrap_or(0.0)
-    };
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14} {:>8} {:>8} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9}",
-        "db", "health", "qps", "shed/s", "cache%", "faults/s", "resident", "wal", "p99(ms)"
-    );
-    for db in db_names(&cur) {
-        let requests = delta("exq_db_requests_total", &db);
-        let qps = requests / dt;
-        let shed = delta("exq_db_shed_total", &db) / dt;
-        let cache_pct = if requests > 0.0 {
-            format!(
-                "{:.0}%",
-                100.0 * delta("exq_db_cache_hits_total", &db) / requests
-            )
-        } else {
-            "-".to_owned()
-        };
-        let faults = delta("exq_db_pages_faulted_total", &db) / dt;
-        let resident = gauge("exq_store_resident_pages", &db);
-        let wal = gauge("exq_store_wal_depth", &db);
-        // 0=healthy 1=degraded 2=faulted; the gauge only exists once the
-        // tenant has published health (fresh servers read as healthy).
-        let health = match gauge("exq_db_health", &db) as u8 {
-            1 => "degraded",
-            2 => "faulted",
-            _ => "ok",
-        };
-        let p99 = match p99_ms(&prev, &cur, &db) {
-            Some(v) if v.is_finite() => format!("{v:.2}"),
-            Some(_) => ">max".to_owned(),
-            None => "-".to_owned(),
-        };
-        let _ = writeln!(
-            out,
-            "{db:<14} {health:>8} {qps:>8.1} {shed:>7.1} {cache_pct:>7} {faults:>9.1} \
-             {resident:>9.0} {wal:>9.0} {p99:>9}"
-        );
-    }
-    if out.lines().count() == 1 {
-        let _ = writeln!(out, "(no per-db series yet — has the server seen traffic?)");
-    }
-    out
-}
-
-/// `exq top --addr`: one scrape-and-diff frame — scrape the server's
-/// metrics, wait `interval_ms`, scrape again, and render the live view.
-/// The binary loops this for a continuously updating display; `--once`
-/// prints a single frame (CI smoke, scripts).
-pub fn cmd_top(addr: &str, interval_ms: u64) -> Result<String, CliError> {
-    let mut link = TcpTransport::connect_default(addr)?;
-    let prev = link.metrics_text()?;
-    let started = std::time::Instant::now();
-    std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(1)));
-    let cur = link.metrics_text()?;
-    Ok(top_frame_from(&prev, &cur, started.elapsed().as_secs_f64()))
-}
-
 /// `exq gen`: generate a synthetic dataset (plus its constraint file).
 pub fn cmd_gen(
     dataset: &str,
@@ -1075,15 +876,6 @@ USAGE:
   exq export    --server server.exq --client client.exq --out doc.xml
   exq stats     --server server.exq
   exq stats     --addr HOST:PORT      (live metrics, Prometheus text format)
-  exq top       --addr HOST:PORT [--interval-ms N] [--once]
-                                      (live per-db view: QPS, shed and cache-hit
-                                       rates, page faults, pool residency, WAL
-                                       backlog, p99 — scrape-and-diff frames every
-                                       N ms, default 1000; --once prints one frame)
-  exq debug     --addr HOST:PORT [--check]
-                                      (dump the server's flight recorder — the ring
-                                       of recent operational events — as JSON lines;
-                                       --check validates instead of printing)
 
 Global observability flags (every command):
   --trace-out FILE     write per-query span trees as JSON lines

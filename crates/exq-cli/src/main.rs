@@ -69,27 +69,19 @@ fn known_options(cmd: &str, verb: Option<&str>) -> Option<&'static [&'static str
         ("delete" | "explain", _) => &["server", "client"],
         ("export", _) => &["server", "client", "out"],
         ("stats", _) => &["server", "addr"],
-        ("top", _) => &["addr", "interval-ms", "once"],
-        ("debug", _) => &["addr", "check"],
         _ => return None,
     })
 }
 
 /// Prints the banner, then serves until killed: the handle's threads do all
 /// the work, and the checkpointer folds the WAL in the background until
-/// dropped. Periodic per-db cache counters go through the leveled stderr
-/// logger (`--log-level info` to see them) so stdout stays machine-readable
-/// for scripts scraping the banner.
-fn park((handle, _checkpointer, banner): (ServeHandle, Checkpointer, String)) -> ! {
+/// dropped. Counters are read with `exq stats --addr`; state changes go
+/// through the leveled stderr logger, so stdout stays machine-readable for
+/// scripts scraping the banner.
+fn park((_handle, _checkpointer, banner): (ServeHandle, Checkpointer, String)) -> ! {
     print!("{banner}");
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(60));
-        for (name, stats) in handle.cache_stats_per_db() {
-            exq_core::telemetry::log(
-                exq_core::telemetry::Level::Info,
-                &format!("db {name}: {}", format_cache_stats(&stats)),
-            );
-        }
+        std::thread::park();
     }
 }
 
@@ -118,7 +110,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
     let mut words = args[1..].iter();
     while let Some(word) = words.next() {
         match word.strip_prefix("--") {
-            Some(name @ ("naive" | "once" | "check")) => given.push((name, Some("true"))),
+            Some(name @ "naive") => given.push((name, Some("true"))),
             Some(name) => given.push((name, words.next().map(String::as_str))),
             None => positional.push(word.clone()),
         }
@@ -280,22 +272,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
             Some(addr) => cmd_stats_remote(addr),
             None => cmd_stats(&path("server")?),
         },
-        "top" => {
-            let addr = string("addr")?;
-            let interval_ms = int_flag::<u64>(&flags, "interval-ms")?.unwrap_or(1000);
-            if flags.contains_key("once") {
-                return cmd_top(&addr, interval_ms);
-            }
-            // Live view: one frame per interval until killed.
-            loop {
-                let frame = cmd_top(&addr, interval_ms)?;
-                // ANSI clear-and-home so successive frames overwrite in place.
-                print!("\x1b[2J\x1b[H{frame}");
-                use std::io::Write as _;
-                let _ = std::io::stdout().flush();
-            }
-        }
-        "debug" => cmd_debug(&string("addr")?, flags.contains_key("check")),
         "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     }

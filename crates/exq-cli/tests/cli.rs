@@ -305,12 +305,19 @@ fn binary_smoke() {
         .unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("Betty"));
-    // Unknown command fails with usage.
-    let out = std::process::Command::new(exe)
-        .arg("frobnicate")
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+    // Unknown commands fail with usage, the retired `top` and `debug` too.
+    for cmd in ["frobnicate", "top", "debug"] {
+        let out = std::process::Command::new(exe)
+            .args([cmd, "--addr", "127.0.0.1:1"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown command `{cmd}`")),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]
@@ -459,7 +466,6 @@ fn serve_and_query_remote() {
     assert_eq!(again, remote);
     let stats = handle.cache_stats();
     assert!(stats.response_hits >= 1, "stats: {stats:?}");
-    assert!(!format_cache_stats(&stats).is_empty());
 
     handle.shutdown();
     // Server gone: the connect retries, then errors instead of hanging.
@@ -681,81 +687,6 @@ fn serve_out_of_core_answers_and_persists_mutations() {
             );
         }
     }
-}
-
-#[test]
-fn debug_dumps_flight_recorder_and_top_renders_a_frame() {
-    let dir = TempDir::new("debug-top");
-    let (server, client) = setup(&dir);
-    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(2, Some(64), None)).unwrap();
-    let addr = handle.addr().to_string();
-
-    // Drive traffic so the recorder and the per-db counters have events.
-    for _ in 0..3 {
-        let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, 1, None, 1).unwrap();
-        assert!(out.contains("Betty"));
-    }
-
-    // `exq debug`: raw dump is JSON lines with admissions in it.
-    let dump = cmd_debug(&addr, false).unwrap();
-    assert!(dump.contains("\"event\":\"admit\""), "dump: {dump}");
-    assert!(
-        exq_core::flight::validate_json_lines(&dump).unwrap() >= 3,
-        "dump: {dump}"
-    );
-    // `exq debug --check`: validation summary instead of the payload.
-    let summary = cmd_debug(&addr, true).unwrap();
-    assert!(summary.contains("flight dump OK"), "summary: {summary}");
-
-    // `exq top --once`: one scrape-and-diff frame with the header and the
-    // hosted db's row (queries above keep the window's deltas nonzero).
-    let frame = cmd_top(&addr, 50).unwrap();
-    assert!(frame.contains("qps"), "frame: {frame}");
-    assert!(frame.contains("p99(ms)"), "frame: {frame}");
-    handle.shutdown();
-
-    // Dead server: both commands fail typed instead of hanging.
-    assert!(cmd_debug(&addr, false).is_err());
-    assert!(cmd_top(&addr, 1).is_err());
-}
-
-#[test]
-fn top_frame_computes_rates_from_scrape_deltas() {
-    let prev = "\
-# TYPE exq_db_requests_total counter
-exq_db_requests_total{db=\"ward-a\"} 100
-exq_db_cache_hits_total{db=\"ward-a\"} 40
-exq_db_shed_total{db=\"ward-a\"} 0
-exq_db_pages_faulted_total{db=\"ward-a\"} 10
-exq_span_db_ward-a_bucket{le=\"0.001\"} 90
-exq_span_db_ward-a_bucket{le=\"+Inf\"} 100
-";
-    let cur = "\
-# TYPE exq_db_requests_total counter
-exq_db_requests_total{db=\"ward-a\"} 300
-exq_db_cache_hits_total{db=\"ward-a\"} 140
-exq_db_shed_total{db=\"ward-a\"} 4
-exq_db_pages_faulted_total{db=\"ward-a\"} 30
-exq_store_resident_pages{db=\"ward-a\"} 17
-exq_store_wal_depth{db=\"ward-a\"} 3
-exq_span_db_ward-a_bucket{le=\"0.001\"} 289
-exq_span_db_ward-a_bucket{le=\"+Inf\"} 300
-";
-    let frame = top_frame_from(prev, cur, 2.0);
-    // 200 requests over 2s → 100 qps; 100 hits / 200 requests → 50%;
-    // 20 faults / 2s → 10/s; gauges read straight from the new scrape.
-    // 199/200 window observations land ≤1ms, so p99 is the 1ms bound.
-    assert!(frame.contains("ward-a"), "frame: {frame}");
-    assert!(frame.contains("100.0"), "frame: {frame}");
-    assert!(frame.contains("50%"), "frame: {frame}");
-    assert!(frame.contains("10.0"), "frame: {frame}");
-    assert!(frame.contains("17"), "frame: {frame}");
-    assert!(frame.contains("1.00"), "frame: {frame}");
-
-    // No per-db series at all: the frame says so instead of rendering
-    // an empty table.
-    let empty = top_frame_from("", "", 1.0);
-    assert!(empty.contains("no per-db series"), "frame: {empty}");
 }
 
 #[test]

@@ -57,13 +57,13 @@ pub fn default_cache_entries() -> usize {
         .unwrap_or(DEFAULT_CACHE_ENTRIES)
 }
 
-/// Point-in-time cache counters, reported over the wire (`CacheStats`) and
-/// in `exq serve` logs.
+/// Point-in-time cache counters, read by tests, the `exq serve` banner and
+/// the perf ledger; the scrape exports the same atomics as series.
 ///
 /// The four `range_*` fields belonged to a cross-query value-range cache
 /// that was removed (it never hit: the response cache absorbs every repeat
-/// first). They stay, always 0, because the `CacheStats` wire payload and
-/// the frozen perf ledger both name them; a later benchmark PR drops them.
+/// first). They stay, always 0, because the frozen perf ledger names them;
+/// a later benchmark PR drops them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStatsSnapshot {
     /// Current server generation (bumps on every mutation).
@@ -117,9 +117,9 @@ impl<K, V> Default for Shard<K, V> {
 /// unlabeled `exq_cache_<layer>_*` names aggregate across every instance
 /// the process ever created; when a db label is attached (multi-tenant
 /// serving), a second `{db="<name>"}`-labeled series is kept and becomes
-/// the *authoritative* source for snapshots — so the `CacheStats` wire
-/// message and the `MetricsReq` registry scrape literally read the same
-/// atomics and cannot drift, and counts survive `set_capacity`.
+/// the *authoritative* source for snapshots — so a [`CacheStatsSnapshot`]
+/// and the `MetricsReq` registry scrape literally read the same atomics and
+/// cannot drift, and counts survive `set_capacity`.
 struct CacheMetrics {
     hits: Arc<telemetry::Counter>,
     misses: Arc<telemetry::Counter>,

@@ -39,7 +39,6 @@
 //! hi`, anchor in range) are re-validated instead of trusted. Decoding never
 //! panics; it returns [`CodecError`].
 
-use crate::cache::CacheStatsSnapshot;
 use crate::error::CoreError;
 use crate::telemetry::{Side, SpanRec};
 use crate::update::{DeleteOutcome, InsertDelta, InsertionSlot};
@@ -756,36 +755,6 @@ impl WireCodec for ServerResponse {
     }
 }
 
-impl WireCodec for CacheStatsSnapshot {
-    fn encode_into(&self, enc: &mut Enc) {
-        enc.varint(self.generation);
-        enc.varint(self.capacity);
-        enc.varint(self.response_hits);
-        enc.varint(self.response_misses);
-        enc.varint(self.response_evictions);
-        enc.varint(self.response_entries);
-        enc.varint(self.range_hits);
-        enc.varint(self.range_misses);
-        enc.varint(self.range_evictions);
-        enc.varint(self.range_entries);
-    }
-
-    fn decode_from(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(CacheStatsSnapshot {
-            generation: dec.varint()?,
-            capacity: dec.varint()?,
-            response_hits: dec.varint()?,
-            response_misses: dec.varint()?,
-            response_evictions: dec.varint()?,
-            response_entries: dec.varint()?,
-            range_hits: dec.varint()?,
-            range_misses: dec.varint()?,
-            range_evictions: dec.varint()?,
-            range_entries: dec.varint()?,
-        })
-    }
-}
-
 // ---------------------------------------------------------- update types --
 
 impl WireCodec for InsertionSlot {
@@ -974,6 +943,11 @@ pub struct DecodedFrame {
 
 /// Every message that crosses the client↔server boundary. Requests are
 /// `0x01..=0x7F`, responses `0x80..=0xFF`.
+///
+/// Retired codes, reserved and never to be reused: `0x09`/`0x88` (the
+/// cache-counter request and reply) and `0x0D`/`0x8D` (the flight-recorder
+/// dump). A frame carrying one decodes to
+/// [`CodecError::BadTag`] `{ context: "message" }` like any unknown type.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     // Requests.
@@ -996,8 +970,6 @@ pub enum Message {
     ApplyInsert(InsertDelta),
     /// Delete all subtrees matching a translated query.
     DeleteWhere(ServerQuery),
-    /// Request the server's cache counters.
-    CacheStatsReq,
     /// Request the server's metrics-registry exposition.
     MetricsReq,
     /// Liveness probe: answered with [`Message::Pong`] without touching
@@ -1010,9 +982,6 @@ pub enum Message {
     /// [`Message::BatchAnswer`] carrying one reply per item in order.
     /// Decoding rejects nested batches and mutating items.
     Batch(Vec<Message>),
-    /// Request the server's flight-recorder dump: the ring of recent
-    /// operational events as JSON lines.
-    FlightReq,
 
     // Responses.
     Answer(ServerResponse),
@@ -1024,7 +993,6 @@ pub enum Message {
     Slot(InsertionSlot),
     InsertOk,
     Deleted(DeleteOutcome),
-    CacheStats(CacheStatsSnapshot),
     /// Reply to [`Message::Ping`].
     Pong,
     /// Load-shed reply: the server is saturated (or could not admit
@@ -1037,9 +1005,6 @@ pub enum Message {
     /// submission order. Items that failed dispatch are `Error` entries;
     /// the batch itself still succeeds.
     BatchAnswer(Vec<Message>),
-    /// Reply to [`Message::FlightReq`]: the flight recorder's events
-    /// as JSON lines, oldest first.
-    FlightDump(String),
     Error(WireError),
 }
 
@@ -1055,11 +1020,9 @@ impl Message {
             Message::InsertionSlotReq(_) => 0x06,
             Message::ApplyInsert(_) => 0x07,
             Message::DeleteWhere(_) => 0x08,
-            Message::CacheStatsReq => 0x09,
             Message::MetricsReq => 0x0A,
             Message::Ping => 0x0B,
             Message::Batch(_) => 0x0C,
-            Message::FlightReq => 0x0D,
             Message::Answer(_) => 0x81,
             Message::MetricsText(_) => 0x89,
             Message::Block(_) => 0x82,
@@ -1068,11 +1031,9 @@ impl Message {
             Message::Slot(_) => 0x85,
             Message::InsertOk => 0x86,
             Message::Deleted(_) => 0x87,
-            Message::CacheStats(_) => 0x88,
             Message::Pong => 0x8A,
             Message::Busy { .. } => 0x8B,
             Message::BatchAnswer(_) => 0x8C,
-            Message::FlightDump(_) => 0x8D,
             Message::Error(_) => 0xFF,
         }
     }
@@ -1090,10 +1051,10 @@ impl Message {
     fn encode_payload(&self, enc: &mut Enc) {
         match self {
             Message::Query(q) | Message::Locate(q) | Message::DeleteWhere(q) => q.encode_into(enc),
-            Message::NaiveQuery | Message::InsertOk | Message::CacheStatsReq => {}
-            Message::MetricsReq | Message::Ping | Message::Pong | Message::FlightReq => {}
+            Message::NaiveQuery | Message::InsertOk => {}
+            Message::MetricsReq | Message::Ping | Message::Pong => {}
             Message::Busy { retry_after_ms } => enc.varint(*retry_after_ms as u64),
-            Message::MetricsText(text) | Message::FlightDump(text) => enc.str(text),
+            Message::MetricsText(text) => enc.str(text),
             Message::FetchBlock(id) => enc.varint(*id as u64),
             Message::ValueExtreme { attr_key, max } => {
                 enc.str(attr_key);
@@ -1125,7 +1086,6 @@ impl Message {
             }
             Message::Slot(slot) => slot.encode_into(enc),
             Message::Deleted(outcome) => outcome.encode_into(enc),
-            Message::CacheStats(stats) => stats.encode_into(enc),
             Message::Batch(items) | Message::BatchAnswer(items) => {
                 enc.usize(items.len());
                 for item in items {
@@ -1184,15 +1144,12 @@ impl Message {
             0x06 => Ok(Message::InsertionSlotReq(Interval::decode_from(dec)?)),
             0x07 => Ok(Message::ApplyInsert(InsertDelta::decode_from(dec)?)),
             0x08 => Ok(Message::DeleteWhere(ServerQuery::decode_from(dec)?)),
-            0x09 => Ok(Message::CacheStatsReq),
             0x0A => Ok(Message::MetricsReq),
             0x0B => Ok(Message::Ping),
             0x0C => Ok(Message::Batch(Message::decode_batch_items(dec, true)?)),
-            0x0D => Ok(Message::FlightReq),
             0x8C => Ok(Message::BatchAnswer(Message::decode_batch_items(
                 dec, false,
             )?)),
-            0x8D => Ok(Message::FlightDump(dec.str()?)),
             0x8A => Ok(Message::Pong),
             0x8B => Ok(Message::Busy {
                 retry_after_ms: dec.u32()?,
@@ -1229,7 +1186,6 @@ impl Message {
             0x85 => Ok(Message::Slot(InsertionSlot::decode_from(dec)?)),
             0x86 => Ok(Message::InsertOk),
             0x87 => Ok(Message::Deleted(DeleteOutcome::decode_from(dec)?)),
-            0x88 => Ok(Message::CacheStats(CacheStatsSnapshot::decode_from(dec)?)),
             0xFF => Ok(Message::Error(WireError::decode_from(dec)?)),
             tag => Err(CodecError::BadTag {
                 context: "message",
@@ -1585,19 +1541,6 @@ mod tests {
                 deleted: 3,
                 skipped_in_block: 1,
             }),
-            Message::CacheStatsReq,
-            Message::CacheStats(CacheStatsSnapshot {
-                generation: 7,
-                capacity: 1024,
-                response_hits: 10,
-                response_misses: 3,
-                response_evictions: 1,
-                response_entries: 2,
-                range_hits: 20,
-                range_misses: 4,
-                range_evictions: 0,
-                range_entries: 4,
-            }),
             Message::Ping,
             Message::Pong,
             Message::Busy { retry_after_ms: 25 },
@@ -1900,7 +1843,7 @@ mod tests {
             Message::Query(sample_query()),
             Message::NaiveQuery,
             Message::FetchBlock(7),
-            Message::CacheStatsReq,
+            Message::MetricsReq,
         ]);
         let frame = msg.encode_frame_req(PROTOCOL_VERSION, 11, 42);
         let d = Message::decode_frame_ext(&frame).unwrap();
@@ -1918,16 +1861,26 @@ mod tests {
     }
 
     #[test]
-    fn flight_frames_roundtrip() {
-        let frame = Message::FlightReq.encode_frame_req(PROTOCOL_VERSION, 5, 9);
-        let d = Message::decode_frame_ext(&frame).unwrap();
-        assert_eq!(d.msg, Message::FlightReq);
-        assert_eq!((d.trace, d.req_id), (5, 9));
-
-        let dump = "{\"seq\":0,\"event\":\"shed\",\"db\":\"x\"}\n".to_string();
-        let reply = Message::FlightDump(dump);
-        let frame = reply.encode_frame_req(PROTOCOL_VERSION, 5, 9);
-        assert_eq!(Message::decode_frame(&frame).unwrap(), reply);
+    fn retired_message_types_are_bad_tags() {
+        let bad_tag = |tag| {
+            Err(CodecError::BadTag {
+                context: "message",
+                tag,
+            })
+        };
+        for tag in [0x09, 0x0D, 0x88, 0x8D] {
+            let mut frame = Message::NaiveQuery.encode_frame_req(PROTOCOL_VERSION, 5, 9);
+            frame[3] = tag;
+            refresh_crc(&mut frame);
+            assert_eq!(Message::decode_frame(&frame), bad_tag(tag), "{tag:#04x}");
+        }
+        // Inside a batch too: the item's type byte follows the item count.
+        let mut frame = Message::Batch(vec![Message::Ping]).encode_frame();
+        let item_type = FRAME_HEADER_LEN + FRAME_EXTRA_LEN + 1;
+        assert_eq!(frame[item_type], 0x0B);
+        frame[item_type] = 0x09;
+        refresh_crc(&mut frame);
+        assert_eq!(Message::decode_frame(&frame), bad_tag(0x09));
     }
 
     #[test]

@@ -88,7 +88,7 @@ mod linux {
         /// Requests dispatched to workers and not yet completed.
         queue_depth: Arc<Gauge>,
         /// Time a request spent in the dispatch queue before a worker
-        /// picked it up — the saturation signal `exq top` watches.
+        /// picked it up: the worker pool's saturation signal.
         queue_wait: Arc<Histogram>,
     }
 
@@ -241,7 +241,7 @@ mod linux {
                     next_token: 0,
                     accept_resume: None,
                     accept_backoff: Duration::from_millis(1),
-                    accept_error_streak: 0,
+                    accept_failing: false,
                 }
                 .run();
             }));
@@ -271,9 +271,9 @@ mod linux {
         /// listener is re-armed when the instant passes.
         accept_resume: Option<Instant>,
         accept_backoff: Duration,
-        /// Consecutive accept failures (reset by a successful accept),
-        /// reported in flight-recorder events.
-        accept_error_streak: u64,
+        /// The last accept failed (reset by a successful accept): only the
+        /// first error of a streak is logged, the rest are counted.
+        accept_failing: bool,
     }
 
     impl EventLoop {
@@ -317,23 +317,21 @@ mod linux {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
                         self.accept_backoff = Duration::from_millis(1);
-                        self.accept_error_streak = 0;
+                        self.accept_failing = false;
                         self.register(stream);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
+                    Err(e) => {
                         // EMFILE and friends persist; pause the listener so
                         // a level-triggered epoll doesn't spin on it.
                         ev_metrics().accept_errors.inc();
-                        self.accept_error_streak += 1;
-                        crate::flight::event(
-                            crate::flight::Kind::AcceptError,
-                            "",
-                            self.accept_error_streak,
-                            0,
-                            0,
-                        );
+                        if !std::mem::replace(&mut self.accept_failing, true) {
+                            telemetry::log(
+                                telemetry::Level::Warn,
+                                &format!("accept failed, backing off: {e}"),
+                            );
+                        }
                         let _ = self.epoll.del(self.listener.as_raw_fd());
                         self.accept_resume = Some(Instant::now() + self.accept_backoff);
                         self.accept_backoff =

@@ -23,12 +23,12 @@
 //! * [`analysis`] — the security analysis: exact candidate-database counts
 //!   (Theorems 4.1/5.1/5.2), frequency- and size-based attack simulators
 //!   (§3.3), and the query-answering belief tracker (Theorem 6.1);
-//! * [`telemetry`] — the observability layer: a global metrics registry,
-//!   query-scoped trace spans stitched across the wire, per-query resource
-//!   profiles, and Prometheus-style / JSON-lines exporters;
-//! * [`flight`] — the always-on flight recorder: a lock-free ring of recent
-//!   operational events (admissions, sheds, checkpoints, slow fsyncs)
-//!   dumped over the wire (`FlightReq`) or to stderr on panic;
+//! * [`telemetry`] — the observability layer: a global metrics registry
+//!   (every count, including admissions, sheds and checkpoints, is a series
+//!   of it), query-scoped trace spans stitched across the wire, per-query
+//!   resource profiles, Prometheus-style / JSON-lines exporters, and the
+//!   stderr log that rare state changes (health, scrub repairs, accept
+//!   errors) are written to;
 //! * [`transport`] / [`serve`] / [`evloop`] — the network service: the
 //!   client side of the link (in-process, TCP, pipelined), what a running
 //!   server admits, sheds and dispatches per request, and the one serve
@@ -53,7 +53,6 @@ pub mod encrypt;
 pub mod error;
 pub mod evloop;
 pub mod fault;
-pub mod flight;
 pub mod persist;
 pub mod pool;
 pub mod retry;

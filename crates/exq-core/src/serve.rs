@@ -35,6 +35,7 @@ use crate::telemetry::{self, Counter, Gauge};
 use crate::tenant::{Tenant, TenantRegistry, DEFAULT_DB};
 use crate::transport::{answer_request, apply_request_keyed, dispatch_traced};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::slice;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
@@ -73,7 +74,8 @@ pub struct ServeConfig {
     pub io_timeout: Duration,
     /// Ignored: the server has no intra-query threads (its matcher is
     /// set-at-a-time). The field stays only because the frozen perf ledger
-    /// names it in a struct literal; it goes with ROADMAP item (g).
+    /// names it in a struct literal; it goes once the ledger builds its
+    /// config from `Default` (ROADMAP item 1).
     pub threads: usize,
     /// Response-cache entries: `Some(0)` disables caching, `None` resolves
     /// from `EXQ_CACHE` / the default; applied to the served [`Server`].
@@ -195,21 +197,12 @@ impl ServeHandle {
         &self.registry
     }
 
-    /// Cache counters of the default database (for `exq serve` logging).
+    /// Cache counters of the default database (for the `exq serve` banner).
     pub fn cache_stats(&self) -> crate::cache::CacheStatsSnapshot {
         match self.registry.resolve("") {
             Ok(tenant) => tenant.cache_stats(),
             Err(_) => crate::cache::CacheStatsSnapshot::default(),
         }
-    }
-
-    /// Cache counters broken out per database, sorted by name.
-    pub fn cache_stats_per_db(&self) -> Vec<(String, crate::cache::CacheStatsSnapshot)> {
-        self.registry
-            .tenants()
-            .into_iter()
-            .map(|t| (t.name().to_owned(), t.cache_stats()))
-            .collect()
     }
 
     /// Stops accepting, drains workers, joins threads.
@@ -263,50 +256,30 @@ pub(crate) fn apply_tenant_knobs(registry: &TenantRegistry, config: &ServeConfig
 /// How long a deadline-bounded lock acquisition sleeps between attempts.
 const LOCK_POLL: Duration = Duration::from_micros(500);
 
-/// The load-shed reply, recorded in the flight recorder as it is built.
+/// The load-shed reply.
 pub(crate) fn busy_reply(retry_after: Duration) -> Message {
     let retry_after_ms = retry_after.as_millis().min(u32::MAX as u128) as u32;
-    crate::flight::event(crate::flight::Kind::Busy, "", retry_after_ms as u64, 0, 0);
     Message::Busy { retry_after_ms }
 }
 
-/// Request-class half of the admission policy: given that *some* in-flight
-/// limit has been hit, is this request sheddable? Cheap stats requests are
-/// always admitted (they answer from atomics); queries are admitted only
-/// if the response cache already holds their answer — shedding expensive
-/// misses while still serving hits keeps goodput up under overload.
-fn shed_class(req: &Message, cache_hit: impl FnOnce() -> bool) -> bool {
-    match req {
-        Message::CacheStatsReq | Message::MetricsReq | Message::FlightReq => false,
-        Message::Query(_) => !cache_hit(),
-        _ => true,
-    }
+/// Requests that read no database state: they pass the health gate, so
+/// operators can see what is wrong with a sick db, and are never shed.
+fn is_diagnostic(req: &Message) -> bool {
+    matches!(req, Message::MetricsReq | Message::Ping)
 }
 
-/// Admission policy at a single in-flight limit (the single-tenant view;
-/// [`serve_one`] combines the global and per-db limits via [`shed_class`]).
-#[cfg(test)]
-fn should_shed(
-    req: &Message,
-    inflight: usize,
-    max_inflight: usize,
-    cache_hit: impl FnOnce() -> bool,
-) -> bool {
-    if max_inflight == 0 || inflight < max_inflight {
-        return false;
-    }
-    shed_class(req, cache_hit)
-}
-
-/// Probes whether the response cache holds `q` without blocking: a held
-/// write lock means the answer may be invalidated anyway, so treat it as a
-/// miss.
-fn probe_cache_hit(server: &RwLock<Server>, req: &Message) -> bool {
-    let Message::Query(q) = req else { return false };
-    match server.try_read() {
-        Ok(guard) => guard.has_cached_response(q),
-        Err(_) => false,
-    }
+/// Request-class half of the admission policy: at an in-flight limit, a
+/// request is still admitted only if every item it asks for is cheap — a
+/// diagnostic, or a query the response cache already answers. Shedding
+/// expensive misses while still serving hits keeps goodput up under
+/// overload. One `try_read` probes every item; a held write lock means the
+/// answers may be invalidated anyway, so it counts as a miss.
+fn admitted_under_load(server: &RwLock<Server>, items: &[Message]) -> bool {
+    let guard = server.try_read().ok();
+    items.iter().all(|item| match item {
+        Message::Query(q) => guard.as_ref().is_some_and(|g| g.has_cached_response(q)),
+        other => is_diagnostic(other),
+    })
 }
 
 /// Acquires the read lock, giving up after `deadline` (ZERO = wait
@@ -362,20 +335,66 @@ fn write_lock_within(
     }
 }
 
-/// Dispatches one decoded request under admission control: resolves the
-/// frame's db to a tenant (typed error for unknown dbs), sheds at the
-/// global *or* per-db in-flight limit, bounds lock acquisition by the
-/// deadline, and answers mutations through the tenant's own replay table
-/// for at-most-once semantics.
+/// Dispatches one decoded request under admission control and answers
+/// mutations through the tenant's own replay table for at-most-once
+/// semantics. A [`Message::Batch`] is read-only by construction (the codec
+/// rejects nested batches and mutating items) and takes one admission slot
+/// and one read lock for all its items, answered in submission order inside
+/// a [`Message::BatchAnswer`]; a failing item becomes an `Error` entry
+/// without sinking its siblings.
 pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedFrame) -> Message {
-    // Liveness probes answer instantly, without the server lock or an
-    // admission slot: a saturated server is alive, not dead.
-    if matches!(d.msg, Message::Ping) {
-        return Message::Pong;
+    let deadline = config.deadline;
+    match &d.msg {
+        // Liveness probes answer instantly, without the server lock or an
+        // admission slot: a saturated server is alive, not dead.
+        Message::Ping => Message::Pong,
+        Message::Batch(items) => admit(shared, config, d, items, |tenant| {
+            read_lock_within(&tenant.server, deadline).map(|guard| {
+                Ok(Message::BatchAnswer(
+                    items
+                        .iter()
+                        .map(|item| {
+                            answer_request(&guard, item)
+                                .unwrap_or_else(|e| Message::Error(WireError::from_core(&e)))
+                        })
+                        .collect(),
+                ))
+            })
+        }),
+        msg if msg.is_mutation() => admit(shared, config, d, slice::from_ref(msg), |tenant| {
+            write_lock_within(&tenant.server, deadline).map(|mut guard| {
+                let r = apply_request_keyed(&mut guard, &tenant.replay, d.req_id, msg);
+                // A persistence failure on the mutation path means the WAL
+                // (or store) is not accepting writes: flip this db to
+                // read-only now rather than waiting for the checkpointer
+                // to find out.
+                if let Err(CoreError::Persist(m)) = &r {
+                    tenant.set_degraded(m);
+                }
+                r
+            })
+        }),
+        msg => admit(shared, config, d, slice::from_ref(msg), |tenant| {
+            read_lock_within(&tenant.server, deadline).map(|guard| answer_request(&guard, msg))
+        }),
     }
-    if let Message::Batch(items) = &d.msg {
-        return serve_batch(shared, config, d, items);
-    }
+}
+
+/// What every request and batch goes through around its `body`: resolve
+/// the frame's db to a tenant (typed error for unknown dbs), the health
+/// gate, the shed test at the global *or* per-db in-flight limit, one
+/// admission slot, and the trace scope with the request's resource profile,
+/// per-db latency and slow-request accounting. `items` are what the request
+/// asks for — the message itself, or a batch's items. `body` answers under
+/// the tenant's lock, or returns `None` when the lock could not be taken
+/// within the deadline.
+fn admit(
+    shared: &ServeShared,
+    config: &ServeConfig,
+    d: &DecodedFrame,
+    items: &[Message],
+    body: impl FnOnce(&Tenant) -> Option<Result<Message, CoreError>>,
+) -> Message {
     let tenant = match shared.registry.resolve(&d.db) {
         Ok(t) => t,
         Err(e) => return Message::Error(WireError::from_core(&e)),
@@ -383,82 +402,39 @@ pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedF
     tenant.note_request();
     // Health gate: a degraded db refuses mutations (reads keep serving
     // from pool + page file), a faulted db refuses data traffic entirely.
-    // Diagnostics always pass so operators can see what is wrong.
-    if !matches!(
-        d.msg,
-        Message::MetricsReq | Message::FlightReq | Message::CacheStatsReq
-    ) {
+    if !items.iter().all(is_diagnostic) {
         if let Err(e) = tenant.admit_health(d.msg.is_mutation()) {
             return Message::Error(WireError::from_core(&e));
         }
     }
-    let server = &tenant.server;
     let inflight = shared.inflight.load(Ordering::SeqCst);
     let over_global = config.max_inflight != 0 && inflight >= config.max_inflight;
     let db_cap = tenant.effective_cap(fair_share(config, shared.registry.len()));
     let over_db = db_cap != 0 && tenant.inflight() >= db_cap;
-    if (over_global || over_db) && shed_class(&d.msg, || probe_cache_hit(server, &d.msg)) {
+    if (over_global || over_db) && !admitted_under_load(&tenant.server, items) {
         ft_metrics().shed.inc();
         tenant.note_shed();
-        crate::flight::event(
-            crate::flight::Kind::Shed,
-            tenant.name(),
-            inflight as u64,
-            db_cap as u64,
-            0,
-        );
         return busy_reply(config.retry_after);
     }
-    if matches!(d.msg, Message::MetricsReq) {
+    if items.iter().any(|m| matches!(m, Message::MetricsReq)) {
         // Scrape-time freshness for every hosted db, not just this one.
         shared.registry.refresh_store_gauges();
     }
     let _guard = InflightGuard::enter(shared, &tenant);
-    crate::flight::event(
-        crate::flight::Kind::Admit,
-        tenant.name(),
-        shared.inflight.load(Ordering::SeqCst) as u64,
-        0,
-        0,
-    );
-    let deadline = config.deadline;
     let started = Instant::now();
     let mut profile = None;
     let reply = dispatch_traced(d.trace, || {
         telemetry::profile_begin();
-        let result = if d.msg.is_mutation() {
-            match write_lock_within(server, deadline) {
-                Some(mut guard) => {
-                    let r = apply_request_keyed(&mut guard, &tenant.replay, d.req_id, &d.msg);
-                    // A persistence failure on the mutation path means the
-                    // WAL (or store) is not accepting writes: flip this db
-                    // to read-only now rather than waiting for the
-                    // checkpointer to find out.
-                    if let Err(CoreError::Persist(m)) = &r {
-                        tenant.set_degraded(m);
-                    }
-                    r
-                }
-                None => {
-                    ft_metrics().deadline_shed.inc();
-                    Ok(busy_reply(config.retry_after))
-                }
-            }
-        } else {
-            match read_lock_within(server, deadline) {
-                Some(guard) => answer_request(&guard, &d.msg),
-                None => {
-                    ft_metrics().deadline_shed.inc();
-                    Ok(busy_reply(config.retry_after))
-                }
-            }
-        };
+        let result = body(&tenant).unwrap_or_else(|| {
+            ft_metrics().deadline_shed.inc();
+            Ok(busy_reply(config.retry_after))
+        });
         profile = finish_profile(&tenant, &result);
         result
     });
     let total = started.elapsed();
-    telemetry::record_span(&format!("db.{}", tenant.name()), total);
-    note_slow(tenant.name(), total, profile.as_ref());
+    tenant.note_latency(total);
+    telemetry::note_server_query(tenant.name(), total, profile.as_ref());
     reply
 }
 
@@ -504,145 +480,40 @@ fn finish_profile(
     Some(profile)
 }
 
-/// Slow-request accounting: the annotated slow-query log line plus a
-/// flight-recorder event.
-fn note_slow(db: &str, total: Duration, profile: Option<&telemetry::QueryProfile>) {
-    telemetry::note_server_query(db, total, profile);
-    let threshold = telemetry::slow_threshold_ns();
-    let total_ns = total.as_nanos().min(u64::MAX as u128) as u64;
-    if threshold > 0 && total_ns >= threshold {
-        crate::flight::event(
-            crate::flight::Kind::SlowQuery,
-            db,
-            total_ns / 1000,
-            profile.map_or(0, |p| p.pages_faulted),
-            profile.map_or(0, |p| p.blocks_shipped),
-        );
-    }
-}
-
-/// Dispatches a [`Message::Batch`]: the whole group shares one tenant
-/// resolution, one admission decision (a single in-flight slot), one
-/// cache-probe pass, and one read-lock acquisition. Items are answered in
-/// submission order inside a [`Message::BatchAnswer`]; a failing item
-/// becomes an `Error` entry without sinking its siblings. Mutations and
-/// nested batches never reach here — the codec rejects them at decode.
-fn serve_batch(
-    shared: &ServeShared,
-    config: &ServeConfig,
-    d: &DecodedFrame,
-    items: &[Message],
-) -> Message {
-    let tenant = match shared.registry.resolve(&d.db) {
-        Ok(t) => t,
-        Err(e) => return Message::Error(WireError::from_core(&e)),
-    };
-    tenant.note_request();
-    // Batches are read-only by construction (the codec rejects nested
-    // mutations), so they pass on degraded dbs — but not on faulted ones,
-    // unless every item is a diagnostic.
-    let all_diagnostic = items.iter().all(|m| {
-        matches!(
-            m,
-            Message::MetricsReq | Message::FlightReq | Message::CacheStatsReq | Message::Ping
-        )
-    });
-    if !all_diagnostic {
-        if let Err(e) = tenant.admit_health(false) {
-            return Message::Error(WireError::from_core(&e));
-        }
-    }
-    let server = &tenant.server;
-    let inflight = shared.inflight.load(Ordering::SeqCst);
-    let over_global = config.max_inflight != 0 && inflight >= config.max_inflight;
-    let db_cap = tenant.effective_cap(fair_share(config, shared.registry.len()));
-    let over_db = db_cap != 0 && tenant.inflight() >= db_cap;
-    if (over_global || over_db) && !batch_all_cheap(server, items) {
-        ft_metrics().shed.inc();
-        tenant.note_shed();
-        crate::flight::event(
-            crate::flight::Kind::Shed,
-            tenant.name(),
-            inflight as u64,
-            db_cap as u64,
-            0,
-        );
-        return busy_reply(config.retry_after);
-    }
-    if items.iter().any(|m| matches!(m, Message::MetricsReq)) {
-        shared.registry.refresh_store_gauges();
-    }
-    let _guard = InflightGuard::enter(shared, &tenant);
-    crate::flight::event(
-        crate::flight::Kind::Admit,
-        tenant.name(),
-        shared.inflight.load(Ordering::SeqCst) as u64,
-        0,
-        0,
-    );
-    let started = Instant::now();
-    let mut profile = None;
-    let reply = dispatch_traced(d.trace, || {
-        telemetry::profile_begin();
-        let result = match read_lock_within(server, config.deadline) {
-            Some(guard) => Ok(Message::BatchAnswer(
-                items
-                    .iter()
-                    .map(|item| {
-                        answer_request(&guard, item)
-                            .unwrap_or_else(|e| Message::Error(WireError::from_core(&e)))
-                    })
-                    .collect(),
-            )),
-            None => {
-                ft_metrics().deadline_shed.inc();
-                Ok(busy_reply(config.retry_after))
-            }
-        };
-        profile = finish_profile(&tenant, &result);
-        result
-    });
-    let total = started.elapsed();
-    telemetry::record_span(&format!("db.{}", tenant.name()), total);
-    note_slow(tenant.name(), total, profile.as_ref());
-    reply
-}
-
-/// One cache-probe pass over a batch: under load the batch is still
-/// admitted only if *every* item is cheap — a stats request, or a query
-/// the response cache already answers. A single `try_read` guard probes
-/// all items, so the pass costs one lock attempt regardless of batch size.
-fn batch_all_cheap(server: &RwLock<Server>, items: &[Message]) -> bool {
-    let Ok(guard) = server.try_read() else {
-        return false;
-    };
-    items.iter().all(|item| match item {
-        Message::CacheStatsReq | Message::MetricsReq | Message::FlightReq | Message::Ping => true,
-        Message::Query(q) => guard.has_cached_response(q),
-        _ => false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::ServerQuery;
+    use crate::server::tests_support::{build_server, mk_step};
+    use crate::wire::{SAxis, ServerQuery};
 
     #[test]
-    fn shed_policy_prefers_cache_hits_and_stats() {
-        let q = Message::Query(ServerQuery {
-            steps: vec![],
+    fn load_admits_only_diagnostics_and_cache_hits() {
+        let mut server = build_server(crate::scheme::SchemeKind::Opt).0;
+        server.set_cache_entries(Some(8));
+        let q = ServerQuery {
+            steps: vec![mk_step(SAxis::Descendant, "hospital")],
             anchor: 0,
-        });
-        // No limit, or below the limit: never shed.
-        assert!(!should_shed(&q, 100, 0, || false));
-        assert!(!should_shed(&q, 3, 4, || false));
-        // At the limit: cache misses shed, hits admitted.
-        assert!(should_shed(&q, 4, 4, || false));
-        assert!(!should_shed(&q, 4, 4, || true));
-        // Stats requests always admitted; other work sheds.
-        assert!(!should_shed(&Message::CacheStatsReq, 4, 4, || false));
-        assert!(!should_shed(&Message::MetricsReq, 4, 4, || false));
-        assert!(should_shed(&Message::NaiveQuery, 4, 4, || false));
+        };
+        let server = RwLock::new(server);
+        let query = Message::Query(q.clone());
+        // A miss sheds; once the cache holds the answer, the query is cheap.
+        assert!(!admitted_under_load(&server, slice::from_ref(&query)));
+        server.read().unwrap().answer(&q).unwrap();
+        assert!(admitted_under_load(&server, slice::from_ref(&query)));
+        // Scrapes always pass; other work sheds.
+        assert!(admitted_under_load(&server, &[Message::MetricsReq]));
+        assert!(!admitted_under_load(&server, &[Message::NaiveQuery]));
+        // A batch is admitted only if every item is.
+        let batch = [Message::MetricsReq, query.clone(), Message::Ping];
+        assert!(admitted_under_load(&server, &batch));
+        assert!(!admitted_under_load(
+            &server,
+            &[query.clone(), Message::FetchBlock(0)]
+        ));
+        // Under a held write lock a cached answer may be stale: only the
+        // diagnostics pass.
+        let _writer = server.write().unwrap();
+        assert!(!admitted_under_load(&server, slice::from_ref(&query)));
+        assert!(admitted_under_load(&server, &[Message::MetricsReq]));
     }
 }

@@ -156,15 +156,14 @@ impl Server {
 
     /// Labels this server's caches with a tenant db name: hit/miss/eviction
     /// counts become `{db="<name>"}`-labeled registry series, so
-    /// `exq stats` can break out per-tenant cache traffic and the
-    /// `CacheStats` wire reply reads the same atomics as the metrics
+    /// `exq stats` can break out per-tenant cache traffic and
+    /// [`Server::cache_stats`] reads the same atomics as the metrics
     /// scrape. Existing entries and local counters are dropped.
     pub fn set_cache_db_label(&mut self, db: &str) {
         self.caches.set_db_label(db);
     }
 
-    /// Point-in-time cache counters (also served over the wire via
-    /// `CacheStatsReq`).
+    /// Point-in-time cache counters.
     pub fn cache_stats(&self) -> CacheStatsSnapshot {
         self.caches.snapshot()
     }

@@ -49,7 +49,7 @@ use exq_store::store::{DATA_FILE, WAL_FILE};
 use exq_store::PagedStore;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
@@ -82,8 +82,6 @@ struct EngineSeries {
     wal_compactions: Arc<Counter>,
     scrub_pages: Arc<Counter>,
     scrub_corrupt_pages: Arc<Counter>,
-    /// Running eviction total, for sampled flight-recorder pressure events.
-    evictions: AtomicU64,
 }
 
 fn engine_series() -> &'static EngineSeries {
@@ -97,7 +95,6 @@ fn engine_series() -> &'static EngineSeries {
         wal_compactions: telemetry::counter("exq_store_wal_compactions_total"),
         scrub_pages: telemetry::counter("exq_store_scrub_pages_total"),
         scrub_corrupt_pages: telemetry::counter("exq_store_scrub_corrupt_pages_total"),
-        evictions: AtomicU64::new(0),
     })
 }
 
@@ -105,8 +102,7 @@ fn engine_series() -> &'static EngineSeries {
 /// event lands in the engine histograms, in the calling thread's active
 /// [`telemetry::QueryProfile`] (hooks fire on the thread that did the
 /// work, so attribution is exact — the background checkpointer has no
-/// active profile and never pollutes a query's numbers), and — for the
-/// operationally loud ones — in the flight recorder. Every method bails
+/// active profile and never pollutes a query's numbers). Every method bails
 /// on one relaxed load when telemetry is off, so the telemetry-off
 /// configuration measures a true zero-instrumentation baseline.
 struct CoreStoreObserver;
@@ -133,9 +129,7 @@ impl exq_store::StoreObserver for CoreStoreObserver {
 
     fn eviction(&self) {
         if telemetry::enabled() {
-            let total = engine_series().evictions.fetch_add(1, Ordering::Relaxed) + 1;
             telemetry::with_profile(|p| p.evictions += 1);
-            crate::flight::evict_pressure(total);
         }
     }
 
@@ -150,15 +144,6 @@ impl exq_store::StoreObserver for CoreStoreObserver {
         if telemetry::enabled() {
             engine_series().wal_fsync.observe(nanos);
             telemetry::with_profile(|p| p.wal_bytes += bytes);
-            if nanos > crate::flight::FSYNC_SLOW_NANOS {
-                crate::flight::event(
-                    crate::flight::Kind::WalFsyncSlow,
-                    "",
-                    bytes,
-                    nanos / 1000,
-                    0,
-                );
-            }
         }
     }
 
@@ -310,6 +295,7 @@ pub struct PagedDb {
     label: String,
     read_block_ns: &'static str,
     checkpoints: Arc<Counter>,
+    checkpoint_seconds: Arc<telemetry::Histogram>,
     pages_folded: Arc<Counter>,
     wal_compactions: Arc<Counter>,
     pool_hits: Arc<Gauge>,
@@ -340,6 +326,10 @@ impl PagedDb {
             label: label.to_owned(),
             read_block_ns: "store.read_block",
             checkpoints: c("exq_store_checkpoints_total"),
+            checkpoint_seconds: telemetry::histogram(&telemetry::db_series(
+                "exq_db_checkpoint_seconds",
+                label,
+            )),
             pages_folded: c("exq_store_checkpoint_pages_folded_total"),
             wal_compactions: c("exq_store_wal_compactions_total"),
             pool_hits: g("exq_store_pool_hits_total"),
@@ -753,26 +743,18 @@ pub(crate) fn write_server(lock: &RwLock<Server>) -> std::sync::RwLockWriteGuard
 /// keep flowing during the fold; the write lock is only taken at the end,
 /// briefly, to drain the overlay.
 pub fn checkpoint_once(server: &RwLock<Server>) -> Result<bool, CoreError> {
-    let (snapshot, wal_seq, db, wal_depth) = {
+    let (snapshot, wal_seq, db) = {
         let g = read_server(server);
         let Some(db) = g.paged_store() else {
             return Ok(false);
         };
-        let wal_depth = db.store.footprint().wal_depth;
-        if wal_depth == 0 {
+        if db.store.footprint().wal_depth == 0 {
             db.publish_metrics();
             return Ok(false);
         }
-        (g.clone(), db.store.wal_next_seq() - 1, db, wal_depth)
+        (g.clone(), db.store.wal_next_seq() - 1, db)
     };
 
-    crate::flight::event(
-        crate::flight::Kind::CheckpointBegin,
-        &db.label,
-        wal_depth,
-        0,
-        0,
-    );
     let t = Instant::now();
     let mut dirty = resident_records(&snapshot);
     // Tags removed by deletions leave stale posting records past the last
@@ -795,21 +777,13 @@ pub fn checkpoint_once(server: &RwLock<Server>) -> Result<bool, CoreError> {
     }
     let elapsed = t.elapsed();
     telemetry::record_span("store.checkpoint", elapsed);
-    telemetry::record_span(
-        &format!("store.checkpoint.{}", span_label(&db.label)),
-        elapsed,
-    );
+    if telemetry::enabled() {
+        db.checkpoint_seconds.observe_duration(elapsed);
+    }
     db.checkpoints.inc();
     db.pages_folded.add(folded);
     db.wal_compactions.inc();
     db.publish_metrics();
-    crate::flight::event(
-        crate::flight::Kind::CheckpointEnd,
-        &db.label,
-        folded,
-        elapsed.as_micros().min(u64::MAX as u128) as u64,
-        0,
-    );
     Ok(true)
 }
 
@@ -905,12 +879,12 @@ pub fn scrub_once(server: &RwLock<Server>, max_pages: usize) -> Result<ScrubOutc
     out.repaired = dirty.len() as u64;
     db.store.rewrite_records(&dirty)?;
     db.publish_metrics();
-    crate::flight::event(
-        crate::flight::Kind::ScrubRepair,
-        &db.label,
-        out.repaired,
-        out.quarantined,
-        out.lost,
+    telemetry::log(
+        telemetry::Level::Warn,
+        &format!(
+            "db `{}`: scrub quarantined {} corrupt page(s), repaired {} record(s), lost {}",
+            db.label, out.quarantined, out.repaired, out.lost
+        ),
     );
     Ok(out)
 }
@@ -933,15 +907,6 @@ fn wal_tail_block(db: &PagedDb, bid: u32) -> Result<Option<SealedBlock>, CoreErr
         }
     }
     Ok(found)
-}
-
-/// A db label safe inside a span (and thus metric) name: db ids allow
-/// `.` and `-`, which spans reserve, so both map to `_`.
-fn span_label(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
 }
 
 /// Resolves the background checkpoint interval: `EXQ_CHECKPOINT_MS`

@@ -258,9 +258,11 @@ impl Registry {
         removed
     }
 
-    /// Prometheus-style text exposition: `# TYPE` lines, cumulative
-    /// `_bucket{le="…"}` rows (seconds), `_sum`/`_count`, sorted by name so
-    /// the output is diffable.
+    /// Prometheus-style text exposition, sorted by name so the output is
+    /// diffable: one `# TYPE` line per metric family, then its series. A
+    /// histogram writes cumulative `_bucket` rows (seconds) and
+    /// `_sum`/`_count`; a labelled one (`name{db="…"}`) carries its labels
+    /// on every row, `le` last.
     pub fn render(&self) -> String {
         let mut entries: Vec<(String, Metric)> = Vec::new();
         for shard in &self.shards {
@@ -269,29 +271,38 @@ impl Registry {
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         let mut out = String::new();
-        for (name, metric) in entries {
+        let mut typed = "";
+        for (name, metric) in &entries {
+            // Family names never hold `{`, so the first one opens the labels.
+            let (family, labels) = match name.split_once('{') {
+                Some((family, rest)) => (family, rest.strip_suffix('}').unwrap_or(rest)),
+                None => (name.as_str(), ""),
+            };
+            if family != typed {
+                out.push_str(&format!("# TYPE {family} {}\n", metric.kind()));
+                typed = family;
+            }
             match metric {
-                Metric::Counter(c) => {
-                    out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.get()));
-                }
+                Metric::Counter(c) => out.push_str(&format!("{name} {}\n", c.get())),
+                Metric::Gauge(g) => out.push_str(&format!("{name} {}\n", g.get())),
                 Metric::Histogram(h) => {
-                    out.push_str(&format!("# TYPE {name} histogram\n"));
-                    let counts = h.bucket_counts();
+                    let (braced, le_lead) = if labels.is_empty() {
+                        (String::new(), String::new())
+                    } else {
+                        (format!("{{{labels}}}"), format!("{labels},"))
+                    };
                     let mut acc = 0u64;
-                    for (i, c) in counts.iter().enumerate() {
+                    for (i, c) in h.bucket_counts().iter().enumerate() {
                         if *c == 0 {
                             continue;
                         }
                         acc += c;
                         let le = bucket_upper(i) as f64 / 1e9;
-                        out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {acc}\n"));
+                        out.push_str(&format!("{family}_bucket{{{le_lead}le=\"{le}\"}} {acc}\n"));
                     }
-                    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {acc}\n"));
+                    out.push_str(&format!("{family}_bucket{{{le_lead}le=\"+Inf\"}} {acc}\n"));
                     out.push_str(&format!(
-                        "{name}_sum {}\n{name}_count {}\n",
+                        "{family}_sum{braced} {}\n{family}_count{braced} {}\n",
                         h.sum_nanos() as f64 / 1e9,
                         h.count()
                     ));
@@ -902,11 +913,6 @@ pub fn note_query(desc: &str, total: Duration, served_from_cache: bool) {
             ),
         );
     }
-}
-
-/// The nanosecond slow-query threshold currently in force (0 = disabled).
-pub fn slow_threshold_ns() -> u64 {
-    SLOW_NS.load(Ordering::Relaxed)
 }
 
 /// Server-side slow-request accounting: applies the slow threshold to one

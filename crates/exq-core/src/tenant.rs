@@ -38,20 +38,20 @@ use crate::error::CoreError;
 use crate::persist::{atomic_write, checked_body, seal_checksum, R, W};
 use crate::server::Server;
 use crate::store::{PagedDb, StoreOptions};
-use crate::telemetry::{self, Counter, Gauge};
+use crate::telemetry::{self, Counter, Gauge, Histogram, Level};
 use crate::transport::ReplayTable;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The database that requests naming no db (an empty db id) route to.
 pub const DEFAULT_DB: &str = "default";
 
 /// Serving state of one hosted database after storage faults. Owned by the
-/// tenant, surfaced in `exq db list`, `exq top`, the flight recorder, and
-/// the `exq_db_health` gauge; enforced by the serve path.
+/// tenant, surfaced in `exq db list`, the `exq_db_health` gauge and one log
+/// line per transition; enforced by the serve path.
 ///
 /// Transitions: a failed WAL append or checkpoint flips `Healthy →
 /// Degraded` (reads keep serving from pool + page file, mutations get
@@ -157,6 +157,9 @@ pub struct Tenant {
     requests: Arc<Counter>,
     /// `exq_db_shed_total{db="<name>"}`.
     shed: Arc<Counter>,
+    /// `exq_db_request_seconds{db="<name>"}`: admitted requests, admission
+    /// to reply.
+    request_seconds: Arc<Histogram>,
     /// Per-db resource totals, fed once per request from the request's
     /// taken [`telemetry::QueryProfile`] — so background work (the
     /// checkpointer's own faults and fsyncs) never pollutes them, and the
@@ -230,6 +233,10 @@ impl Tenant {
             key_fingerprint,
             requests: telemetry::counter(&telemetry::db_series("exq_db_requests_total", name)),
             shed: telemetry::counter(&telemetry::db_series("exq_db_shed_total", name)),
+            request_seconds: telemetry::histogram(&telemetry::db_series(
+                "exq_db_request_seconds",
+                name,
+            )),
             profile: DbProfileCounters::new(name),
             health: AtomicU8::new(DbHealth::Healthy as u8),
             health_reason: Mutex::new(String::new()),
@@ -297,6 +304,14 @@ impl Tenant {
         self.shed.inc();
     }
 
+    /// Records one admitted request's latency (off with the telemetry
+    /// master switch, like every latency histogram).
+    pub(crate) fn note_latency(&self, total: Duration) {
+        if telemetry::enabled() {
+            self.request_seconds.observe_duration(total);
+        }
+    }
+
     /// Folds one finished request's resource profile into this db's
     /// totals. Called exactly once per dispatched request by the serve
     /// paths, so `sum(profiles) == registry counters` holds exactly.
@@ -356,16 +371,19 @@ impl Tenant {
             Err(p) => p.into_inner(),
         };
         if next == DbHealth::Healthy {
-            let ms = since
-                .take()
-                .map(|t| t.elapsed().as_millis() as u64)
-                .unwrap_or(0);
-            crate::flight::event(crate::flight::Kind::Recovered, &self.name, ms, 0, 0);
+            let ms = since.take().map_or(0, |t| t.elapsed().as_millis());
+            telemetry::log(
+                Level::Info,
+                &format!("db `{}` healthy again after {ms} ms", self.name),
+            );
         } else {
             if prev == DbHealth::Healthy {
                 *since = Some(Instant::now());
             }
-            crate::flight::event(crate::flight::Kind::Degraded, &self.name, next as u64, 0, 0);
+            telemetry::log(
+                Level::Warn,
+                &format!("db `{}` {}: {reason}", self.name, next.label()),
+            );
         }
     }
 

@@ -197,28 +197,11 @@ pub trait Transport {
         }
     }
 
-    /// The server's cache counters (hits/misses/evictions, generation).
-    fn cache_stats(&mut self) -> Result<crate::cache::CacheStatsSnapshot, CoreError> {
-        match self.roundtrip(&Message::CacheStatsReq)? {
-            Message::CacheStats(stats) => Ok(stats),
-            other => Err(unexpected("CacheStats", other)),
-        }
-    }
-
     /// The server's metrics registry as Prometheus-style text.
     fn metrics_text(&mut self) -> Result<String, CoreError> {
         match self.roundtrip(&Message::MetricsReq)? {
             Message::MetricsText(text) => Ok(text),
             other => Err(unexpected("MetricsText", other)),
-        }
-    }
-
-    /// The server's flight-recorder dump as JSON lines (oldest event
-    /// first).
-    fn flight_dump(&mut self) -> Result<String, CoreError> {
-        match self.roundtrip(&Message::FlightReq)? {
-            Message::FlightDump(text) => Ok(text),
-            other => Err(unexpected("FlightDump", other)),
         }
     }
 }
@@ -259,7 +242,6 @@ pub fn answer_request(server: &Server, req: &Message) -> Result<Message, CoreErr
         }
         Message::Locate(q) => Ok(Message::Intervals(server.locate(q))),
         Message::InsertionSlotReq(iv) => server.insertion_slot(*iv).map(Message::Slot),
-        Message::CacheStatsReq => Ok(Message::CacheStats(server.cache_stats())),
         Message::MetricsReq => {
             // A scrape must read *current* occupancy, not the gauges as of
             // the last mutation: republish this server's storage gauges
@@ -270,7 +252,6 @@ pub fn answer_request(server: &Server, req: &Message) -> Result<Message, CoreErr
             }
             Ok(Message::MetricsText(telemetry::render()))
         }
-        Message::FlightReq => Ok(Message::FlightDump(crate::flight::dump_json())),
         Message::Ping => Ok(Message::Pong),
         Message::ApplyInsert(_) | Message::DeleteWhere(_) => Err(CoreError::Transport(
             "mutating request on a read-only server handle".into(),

@@ -7,6 +7,7 @@ use exq_core::constraints::SecurityConstraint;
 use exq_core::scheme::SchemeKind;
 use exq_core::store::{checkpoint_once, Checkpointer, PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
+use exq_core::telemetry;
 use exq_core::tenant::TenantRegistry;
 use exq_core::{Client, Server};
 use exq_xml::Document;
@@ -231,9 +232,16 @@ fn checkpoint_folds_wal_and_skips_clean_stores() {
     let reference = paged.save_bytes().unwrap();
 
     let lock = RwLock::new(paged);
+    let checkpoints =
+        telemetry::counter(&telemetry::db_series("exq_store_checkpoints_total", "ckpt"));
+    let seconds = telemetry::histogram(&telemetry::db_series("exq_db_checkpoint_seconds", "ckpt"));
+    let (checkpoints_before, seconds_before) = (checkpoints.get(), seconds.count());
     assert!(checkpoint_once(&lock).unwrap(), "checkpoint had work to do");
     assert_eq!(db.footprint().wal_depth, 0, "WAL not folded");
     assert_eq!(db.checkpoints_total(), 1);
+    // The scrape counts and times it under the db's label.
+    assert_eq!(checkpoints.get(), checkpoints_before + 1);
+    assert_eq!(seconds.count(), seconds_before + 1);
     // Nothing left to fold: the second call is a no-op.
     assert!(!checkpoint_once(&lock).unwrap());
     drop(lock);

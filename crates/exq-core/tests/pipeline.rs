@@ -9,7 +9,10 @@
 //! the event loop, and a peer that stops reading its replies is dropped
 //! within the stall budget instead of pinning a worker forever.
 
-use exq_core::codec::{Message, PROTOCOL_VERSION};
+use exq_core::codec::{
+    crc32, Message, CHECKSUM_FIELD_LEN, FRAME_HEADER_LEN, PROTOCOL_VERSION, REQ_ID_FIELD_LEN,
+    TRACE_FIELD_LEN,
+};
 use exq_core::constraints::SecurityConstraint;
 use exq_core::evloop::serve_event;
 use exq_core::retry::{roundtrip_pipelined, RetryConfig};
@@ -155,7 +158,7 @@ fn replies_echo_ids_on_the_wire() {
 
     // A frame whose header is fine but whose payload is garbage: the
     // error reply must still carry the ids salvaged from the frame.
-    let good = Message::CacheStatsReq.encode_frame_req(PROTOCOL_VERSION, 0xABAD_1DEA, 777);
+    let good = Message::MetricsReq.encode_frame_req(PROTOCOL_VERSION, 0xABAD_1DEA, 777);
     let mut corrupt = good.clone();
     let last = corrupt.len() - 1;
     corrupt[last] ^= 0xFF; // breaks the checksum, ids stay readable
@@ -170,6 +173,39 @@ fn replies_echo_ids_on_the_wire() {
     assert_eq!(d.trace, 0xABAD_1DEA, "error reply dropped trace id");
     assert_eq!(d.req_id, 777, "error reply dropped request id");
 
+    handle.shutdown();
+}
+
+/// A retired message type (0x09, once the cache-counter request) under a
+/// valid checksum fails to decode like any unknown type: one `Error` frame
+/// echoing the frame's ids, and a fresh connection is served after it.
+#[test]
+fn retired_message_type_gets_an_error_and_the_server_serves_on() {
+    let (client, server) = hosted();
+    let registry = registry_with(&client, server);
+    let handle = start_event(registry, ServeConfig::default());
+
+    let mut frame = Message::MetricsReq.encode_frame_req(PROTOCOL_VERSION, 0x0909, 99);
+    frame[3] = 0x09;
+    let crc_pos = FRAME_HEADER_LEN + TRACE_FIELD_LEN + REQ_ID_FIELD_LEN;
+    let crc = crc32(&[&frame[..crc_pos], &frame[crc_pos + CHECKSUM_FIELD_LEN..]]);
+    frame[crc_pos..crc_pos + CHECKSUM_FIELD_LEN].copy_from_slice(&crc.to_le_bytes());
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.write_all(&frame).unwrap();
+    let d = Message::decode_frame_ext(&read_frame(&mut stream).unwrap()).unwrap();
+    let Message::Error(e) = &d.msg else {
+        panic!("retired type should answer Error, got {:?}", d.msg);
+    };
+    assert!(
+        e.message.contains("unknown message tag 0x09"),
+        "{}",
+        e.message
+    );
+    assert_eq!((d.trace, d.req_id), (0x0909, 99), "error reply dropped ids");
+
+    let mut tcp = TcpTransport::connect_default(handle.addr()).unwrap();
+    let out = client.query_via(&mut tcp, "//patient/pname").unwrap();
+    assert_eq!(out.results.len(), 3);
     handle.shutdown();
 }
 

@@ -354,6 +354,19 @@ fn hot_tenant_sheds_without_starving_quiet_tenant() {
         0,
         "quiet tenant must not inherit the hot tenant's Busy storm"
     );
+    // The same counts, as an operator reads them: from the scrape.
+    let text = tcp_quiet.metrics_text().unwrap();
+    let shed = |db: &str| -> f64 {
+        let series = format!("exq_db_shed_total{{db=\"{db}\"}} ");
+        let line = text.lines().find_map(|l| l.strip_prefix(series.as_str()));
+        line.unwrap_or_else(|| panic!("no {series}in the scrape"))
+            .parse()
+            .unwrap()
+    };
+    assert!(shed(name_hot) > 0.0, "hot tenant's sheds must be scraped");
+    for (quiet, _) in &clients[1..] {
+        assert_eq!(shed(quiet), 0.0, "{quiet} was never shed");
+    }
     handle.shutdown();
 }
 
@@ -519,14 +532,21 @@ fn dropped_db_series_vanish_from_exposition() {
     registry
         .create(name, server, client.key_fingerprint(), 0)
         .unwrap();
-    // Registration creates the per-db counters; traffic bumps them.
+    // Registration creates the per-db counters and the request histogram;
+    // traffic bumps them.
     registry.resolve("").unwrap();
-    let label = format!("{{db=\"{name}\"}}");
+    let label = format!("db=\"{name}\"");
     let text = exq_core::telemetry::render();
-    assert!(
-        text.contains(&label),
-        "per-db series must exist while the db is registered"
-    );
+    for series in [
+        format!("exq_db_requests_total{{{label}}} "),
+        format!("exq_db_request_seconds_count{{{label}}} "),
+        format!("exq_db_request_seconds_bucket{{{label},le=\"+Inf\"}} "),
+    ] {
+        assert!(
+            text.contains(&series),
+            "{series} must exist while the db is registered"
+        );
+    }
 
     registry.drop_db(name).unwrap();
     let text = exq_core::telemetry::render();
@@ -542,25 +562,46 @@ fn dropped_db_series_vanish_from_exposition() {
     assert!(exq_core::telemetry::remove_db_series(name) == 0);
 }
 
-/// `FlightReq` answers with the recorder's ring as JSON lines over the
-/// wire, and the dump stays parseable with real traffic behind it.
+/// Per-db latency is one labelled series per database: ids that differ
+/// only in `-`, `.` and `_` never share a histogram, and every metric name
+/// the exposition carries is a legal one.
 #[test]
-fn flight_dump_is_valid_json_lines_over_the_wire() {
-    let (registry, clients) = three_db_registry("flt");
-    let handle = start(Arc::clone(&registry), ServeConfig::default());
-    let (name, client) = &clients[1];
-    let mut tcp = connect(&handle, name);
-    for _ in 0..3 {
-        client.query_via(&mut tcp, "//patient/pname").unwrap();
+fn per_db_series_keep_ids_apart_under_legal_metric_names() {
+    let ids = ["ward-a", "ward.a", "ward_a"];
+    let registry = Arc::new(TenantRegistry::new(ids[0]).unwrap());
+    for (i, id) in ids.iter().enumerate() {
+        let (client, server) = hosted(id, 600 + i as u64);
+        registry
+            .create(id, server, client.key_fingerprint(), 0)
+            .unwrap();
     }
-    let dump = tcp.flight_dump().unwrap();
-    let lines =
-        exq_core::flight::validate_json_lines(&dump).expect("flight dump must be valid JSON lines");
-    assert!(
-        lines >= 3,
-        "expected at least the admit events, got {lines}"
-    );
-    assert!(dump.contains("\"event\":\"admit\""), "dump:\n{dump}");
-    assert!(dump.contains(&format!("\"db\":\"{name}\"")));
+    let handle = start(Arc::clone(&registry), ServeConfig::default());
+    // Each db answers its own number of requests: 1, 2, 3.
+    for (i, id) in ids.iter().enumerate() {
+        let mut tcp = connect(&handle, id);
+        for _ in 0..=i {
+            tcp.send_naive().unwrap();
+        }
+    }
+    let text = connect(&handle, ids[0]).metrics_text().unwrap();
     handle.shutdown();
+    for (i, id) in ids.iter().enumerate() {
+        let series = format!("exq_db_request_seconds_count{{db=\"{id}\"}} {}", i + 1);
+        assert!(
+            text.lines().any(|l| l == series),
+            "no `{series}` in:\n{text}"
+        );
+    }
+    for line in text.lines() {
+        let name = match line.strip_prefix("# TYPE ") {
+            Some(rest) => rest.split(' ').next().unwrap(),
+            None => line.split(['{', ' ']).next().unwrap(),
+        };
+        let mut chars = name.chars();
+        let legal = chars
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+            && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':');
+        assert!(legal, "illegal metric name `{name}` in `{line}`");
+    }
 }

@@ -331,7 +331,13 @@ fn scrubber_repairs_full_surface_bit_rot() {
     }
     assert!(rotted > 4, "expected a real page surface, rotted {rotted}");
 
+    let corrupt_pages = exq_core::telemetry::counter("exq_store_scrub_corrupt_pages_total");
+    let corrupt_before = corrupt_pages.get();
     let outcome = scrub_once(&lock, usize::MAX).unwrap();
+    assert!(
+        corrupt_pages.get() > corrupt_before,
+        "the scrape must count the corrupt pages"
+    );
     assert!(outcome.scanned > 0);
     assert_eq!(outcome.lost, 0, "resident store must repair everything");
     assert!(
