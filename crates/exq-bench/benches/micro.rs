@@ -296,7 +296,7 @@ fn bench_reply_path(c: &mut Criterion) {
     for &section in visible.node(root).children().iter().step_by(2) {
         keep[section.index()] = Keep::Subtree;
     }
-    c.bench_function("xml/write_filtered", |b| {
+    c.bench_function("xml/write_region", |b| {
         b.iter(|| black_box(visible.to_xml_region(|n| keep[n.index()], |_, _| {}).len()))
     });
 }

@@ -15,12 +15,12 @@
 //! server) to obtain the final answer, which equals the answer on the
 //! plaintext database.
 
-use crate::encrypt::{marker_block_id, ClientCryptoState, BLOCK_MARKER_TAG, DECOY_TAG};
+use crate::encrypt::{ClientCryptoState, BLOCK_ID_ATTR, BLOCK_MARKER_TAG, DECOY_TAG};
 use crate::error::CoreError;
 use crate::server::Server;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::{open_blocks, OpenedBlocks, RangeOp, SealedBlock};
-use exq_xml::{Document, NodeId, NodeKind};
+use exq_xml::{Document, NodeId, NodeKind, ParseError, StartTag, Verdict};
 use exq_xpath::{eval_document, Axis, CmpOp, Literal, NodeTest, Path, Predicate};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -215,12 +215,16 @@ impl Client {
         self.reconstruct(&resp.pruned_xml, block_texts(&resp.blocks, &opened)?)
     }
 
-    /// Parses the reply with each shipped block parsed in at its marker and
-    /// decoys dropped as they complete: the parsed reply *is* the
-    /// reconstruction, and its node ids are in document order. A marker or
-    /// decoy is the arena's tail when its hook runs, so
-    /// [`discard`](Document::discard) hands its slots to what follows and
-    /// the reconstruction holds no dead node.
+    /// Parses the reply with each shipped block parsed in at its marker:
+    /// the parsed reply *is* the reconstruction, and its node ids are in
+    /// document order. The parser shows each start tag to a hook before it
+    /// builds anything: a decoy is skipped, and a marker has its block
+    /// parsed in where it stands and is then skipped, so neither ever
+    /// becomes a node. A skipped element's content is still checked (nesting,
+    /// tag matching, repeated attributes) but nothing inside it is asked
+    /// about — a marker inside a decoy or a marker is neither spliced nor
+    /// validated, which changes no answer: the content it would have added
+    /// went with its container.
     ///
     /// Markers whose blocks were not shipped simply vanish: the anchor logic
     /// guarantees the client never needs them. A block that is not XML is
@@ -238,50 +242,64 @@ impl Client {
         mut decrypted: Vec<(u32, &str)>,
     ) -> Result<Option<Document>, CoreError> {
         decrypted.sort_unstable_by_key(|(id, _)| *id);
+        let mut out = Document::new();
+        let decoy = out.intern(DECOY_TAG);
+        let marker = out.intern(BLOCK_MARKER_TAG);
+        let id_attr = out.intern(BLOCK_ID_ATTR);
         // Block plaintext holds decoys but no markers to resolve.
-        let parse_block = |doc: &mut Document, parent: Option<NodeId>, xml: &str| {
-            let drop_decoy = |doc: &mut Document, el| {
-                if doc.element_name(el) == Some(DECOY_TAG) {
-                    doc.discard(el);
-                }
-                Ok(())
+        let parse_block = |doc: &mut Document, parent, depth, xml: &str| {
+            let skip_decoy = |_: &mut Document, tag: &StartTag<'_, '_>| {
+                Ok(if tag.name == decoy {
+                    Verdict::Skip
+                } else {
+                    Verdict::Keep
+                })
             };
-            doc.parse_fragment_into(parent, xml, drop_decoy)
+            doc.parse_fragment_into(parent, depth, xml, skip_decoy)
                 .map(drop)
-                .map_err(|e: exq_xml::ParseError| CoreError::Block(format!("block not XML: {e}")))
+                .map_err(|e: ParseError| CoreError::Block(format!("block not XML: {e}")))
         };
         if pruned_xml.is_empty() {
             if decrypted.is_empty() {
                 return Ok(None);
             }
-            let mut out = Document::new();
             // One block: its root becomes the document root (the common
             // fully-encrypted-root shape). Several blocks cannot share the
             // root slot, so they splice under a synthetic wrapper element;
             // descendant-axis post-queries see through it unchanged.
             let parent = (decrypted.len() > 1).then(|| out.add_element(None, SPLICE_ROOT_TAG));
             for (_, xml) in &decrypted {
-                parse_block(&mut out, parent, xml)?;
+                parse_block(&mut out, parent, usize::from(parent.is_some()), xml)?;
             }
             return Ok(Some(out));
         }
-        Document::parse_with_hook(pruned_xml, |doc, el| {
-            match doc.element_name(el) {
-                Some(DECOY_TAG) => doc.discard(el),
-                Some(BLOCK_MARKER_TAG) => {
-                    let id = marker_block_id(doc, el)
-                        .ok_or_else(|| CoreError::Response("marker without id".into()))?;
-                    let parent = doc.node(el).parent();
-                    doc.discard(el);
-                    if let Ok(i) = decrypted.binary_search_by_key(&id, |(id, _)| *id) {
-                        parse_block(doc, parent, decrypted[i].1)?;
-                    }
-                }
-                _ => {}
+        let mut next = 0;
+        out.parse_fragment_into(None, 0, pruned_xml, |doc, tag| {
+            if tag.name == decoy {
+                return Ok(Verdict::Skip);
             }
-            Ok(())
-        })
-        .map(Some)
+            if tag.name != marker {
+                return Ok(Verdict::Keep);
+            }
+            let id = tag
+                .attrs
+                .iter()
+                .find(|(name, _)| *name == id_attr)
+                .and_then(|(_, v)| v.parse().ok())
+                .ok_or_else(|| CoreError::Response("marker without id".into()))?;
+            // Markers come in block-id order, so the block is almost always
+            // the one after the last spliced; search only when it is not.
+            let at = match decrypted.get(next) {
+                Some(&(next_id, _)) if next_id == id => Ok(next),
+                _ => decrypted.binary_search_by_key(&id, |(id, _)| *id),
+            };
+            if let Ok(i) = at {
+                next = i + 1;
+                parse_block(doc, tag.parent, tag.depth, decrypted[i].1)?;
+            }
+            Ok::<_, CoreError>(Verdict::Skip)
+        })?;
+        Ok(Some(out))
     }
 
     /// Translates a path into a server pattern; `None` on unsupported axes.

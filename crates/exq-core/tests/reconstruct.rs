@@ -580,3 +580,153 @@ fn odd_marker_and_decoy_shapes_reconstruct_as_they_always_have() {
     assert!(results(&client, "//*", &resp).is_empty());
     assert!(results(&client, "/*", &resp).is_empty());
 }
+
+/// A marker's own content is never built: whatever it carries goes, and its
+/// block lands where it stood. Its id is still read from its start tag, so
+/// a marker with children and no usable id is still a malformed response,
+/// and one naming a block that was not shipped still vanishes.
+#[test]
+fn a_marker_with_content_is_replaced_by_its_block_or_vanishes() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let carrying = |id: &str| {
+        format!("<{BLOCK_MARKER_TAG} {id}><pname>fake</pname>t<x k=\"1\"/></{BLOCK_MARKER_TAG}>")
+    };
+    let blocks = [(1, "<pname>Betty</pname>")];
+    let resp = reply(
+        &client,
+        &format!("<h>{}<age>35</age></h>", carrying("id=\"1\"")),
+        &blocks,
+    );
+    assert_eq!(
+        results(&client, "/h", &resp),
+        ["<h><pname>Betty</pname><age>35</age></h>"]
+    );
+    let resp = reply(
+        &client,
+        &format!("<h>{}<age>35</age></h>", carrying("id=\"2\"")),
+        &blocks,
+    );
+    assert_eq!(results(&client, "/h", &resp), ["<h><age>35</age></h>"]);
+    for bad in ["", "id=\"\"", "id=\" 1\"", "id=\"0x1\"", "n=\"1\""] {
+        let resp = reply(&client, &format!("<h>{}</h>", carrying(bad)), &blocks);
+        let err = client
+            .post_process(&Path::parse("//pname").unwrap(), &resp)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Response("marker without id".into()),
+            "{bad}"
+        );
+    }
+}
+
+/// The reply's root marker, carrying content of its own: its block becomes
+/// the root, decoys in the block are stripped, and the content goes.
+#[test]
+fn a_root_marker_with_content_gives_the_root_to_its_block() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let pruned = format!("<{BLOCK_MARKER_TAG} id=\"5\"><junk/>z</{BLOCK_MARKER_TAG}>");
+    let block = format!("<hospital><{DECOY_TAG}>1</{DECOY_TAG}><patient/></hospital>");
+    let resp = reply(&client, &pruned, &[(5, &block)]);
+    assert_eq!(
+        results(&client, "/*", &resp),
+        ["<hospital><patient/></hospital>"]
+    );
+    assert!(results(&client, "//junk", &resp).is_empty());
+}
+
+/// A decoy is never built, but what it holds is checked exactly as if it
+/// were: malformed, too deep or repeating an attribute, it is the error it
+/// always was — a malformed response in the skeleton, a block that is not
+/// XML in a block.
+#[test]
+fn a_decoy_with_hostile_content_is_still_an_error() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let decoy = |inner: &str| format!("<{DECOY_TAG}>{inner}</{DECOY_TAG}>");
+    let deep = "<a>".repeat(exq_xml::MAX_DEPTH) + &"</a>".repeat(exq_xml::MAX_DEPTH);
+    let cases = [
+        (decoy("<a></b>"), "mismatched close tag"),
+        (decoy("<a>"), "mismatched close tag"),
+        (decoy(&deep), "nested deeper"),
+        (
+            decoy("<a x=\"1\" x=\"2\"/>"),
+            "attribute `x` repeated in <a>",
+        ),
+        (
+            format!("<{DECOY_TAG} y=\"1\" y=\"1\"/>"),
+            "attribute `y` repeated in <_exq_decoy>",
+        ),
+        (format!("<{DECOY_TAG}>x</h>"), "mismatched close tag"),
+    ];
+    for (bad, why) in &cases {
+        let in_skeleton = reply(
+            &client,
+            &format!("<h>{bad}{}</h>", marker("1")),
+            &[(1, "<ok/>")],
+        );
+        let in_block = reply(
+            &client,
+            &format!("<h>{}</h>", marker("1")),
+            &[(1, &format!("<ok>{bad}</ok>"))],
+        );
+        let q = Path::parse("//ok").unwrap();
+        let e = client.post_process(&q, &in_skeleton).unwrap_err();
+        assert!(
+            matches!(&e, CoreError::Response(m) if m.contains(why)),
+            "{bad}: {e:?}"
+        );
+        let e = client.post_process(&q, &in_block).unwrap_err();
+        assert!(
+            matches!(&e, CoreError::Block(m) if m.contains("block not XML") && m.contains(why)),
+            "{bad}: {e:?}"
+        );
+    }
+}
+
+/// A marker inside a decoy is never looked at: it is neither spliced nor
+/// validated. This is the one shape the start-tag hook answers differently
+/// from the completion hook it replaced, which read such a marker — a
+/// malformed one was an error, a valid one had its block parsed in and
+/// then thrown away with the decoy. The answer is the same either way: the
+/// decoy and everything in it are gone. In a block a marker is an ordinary
+/// element, and inside a decoy it goes with the decoy as before.
+#[test]
+fn a_marker_inside_a_decoy_is_neither_spliced_nor_validated() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let hidden = |id: &str| format!("<{DECOY_TAG}>{}</{DECOY_TAG}>", marker(id));
+    // A malformed marker, and one naming a shipped block that is not even
+    // XML: neither is an error, and the block's text never shows.
+    let pruned = format!("<h>{}{}{}</h>", hidden("seven"), hidden("2"), marker("1"));
+    let resp = reply(&client, &pruned, &[(1, "<ok/>"), (2, "<a></b>")]);
+    assert_eq!(results(&client, "/h", &resp), ["<h><ok/></h>"]);
+    // A valid marker with a valid block: the block is not spliced.
+    let resp = reply(
+        &client,
+        &format!("<h>{}</h>", hidden("2")),
+        &[(2, "<pname>B</pname>")],
+    );
+    assert_eq!(results(&client, "/h", &resp), ["<h/>"]);
+    // In a block, with a malformed id too.
+    let block = format!("<rec>{}<pname>B</pname>{}</rec>", hidden("x"), hidden("1"));
+    let resp = reply(&client, &format!("<h>{}</h>", marker("1")), &[(1, &block)]);
+    assert_eq!(
+        results(&client, "/h", &resp),
+        ["<h><rec><pname>B</pname></rec></h>"]
+    );
+}
+
+/// Markers normally come in block-id order, and the client looks first at
+/// the block after the last one it spliced. Out of order, repeated or
+/// skipping ids still find their own block.
+#[test]
+fn markers_out_of_id_order_still_find_their_blocks() {
+    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
+    let ids = ["3", "1", "2", "2", "9", "1", "4"];
+    let pruned: String = ids.iter().map(|id| marker(id)).collect();
+    let blocks = [(1, "<a/>"), (2, "<b/>"), (3, "<c/>"), (4, "<d/>")];
+    let resp = reply(&client, &format!("<h>{pruned}</h>"), &blocks);
+    assert_eq!(
+        results(&client, "/h", &resp),
+        ["<h><c/><a/><b/><b/><a/><d/></h>"]
+    );
+}

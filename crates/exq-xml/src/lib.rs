@@ -28,7 +28,7 @@ mod stats;
 mod tree;
 
 pub use escape::{escape_attr, escape_text, unescape};
-pub use parse::{ParseError, ParseOptions, MAX_DEPTH};
+pub use parse::{ParseError, ParseOptions, StartTag, Verdict, MAX_DEPTH};
 pub use serialize::Keep;
 pub use stats::DocumentStats;
 pub use tree::{Document, Node, NodeId, NodeKind, TagId};

@@ -54,6 +54,11 @@ pub struct Node {
     pub(crate) detached: bool,
 }
 
+/// Room a child list gets when its second child moves it to the heap: an
+/// element with more than one child usually has several (an XMark `person`
+/// has six to ten), and growing 2 → 4 → 8 is two reallocations.
+const SPILL_CAPACITY: usize = 8;
+
 /// A node's child list. A single child — the `<name>text</name>` shape most
 /// elements have — sits inline; only a second one allocates.
 #[derive(Debug, Clone)]
@@ -76,14 +81,14 @@ impl Kids {
             Kids::Many(ids) => ids.insert(at, id),
             Kids::One(only) => {
                 let ids = if at == 0 { [id, *only] } else { [*only, id] };
-                *self = Kids::Many(ids.to_vec());
+                let mut many = Vec::with_capacity(SPILL_CAPACITY);
+                many.extend(ids);
+                *self = Kids::Many(many);
             }
         }
     }
 
-    /// Removes `id`, returning where it was. The newest child goes in O(1):
-    /// that is every node a parse hook drops, under parents with thousands
-    /// of children.
+    /// Removes `id`, returning where it was. The newest child goes in O(1).
     fn remove(&mut self, id: NodeId) -> Option<usize> {
         match self {
             Kids::One(only) if *only == id => {
@@ -178,26 +183,80 @@ impl Hasher for NameHasher {
     }
 }
 
+/// Slots in the interner's front table (a power of two): 1 KiB a document,
+/// and room enough that the names of one region of a schema seldom share one.
+const FRONT_SLOTS: usize = 256;
+
+/// The front table's empty slot.
+const NO_TAG: u32 = u32::MAX;
+
 /// Tag/attribute-name interner owned by a document.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct Interner {
     names: Vec<String>,
     index: HashMap<String, TagId, NameHashBuilder>,
+    /// The name last seen per slot, picked by [`front_slot`]: a parse meets
+    /// the same few names over and over, and a hit here costs one compare
+    /// of the full name instead of a hash of it. Two names sharing a slot
+    /// only take turns, so hostile names make misses, which go to the
+    /// seeded `index`, never wrong answers.
+    front: [u32; FRONT_SLOTS],
+}
+
+impl Default for Interner {
+    fn default() -> Self {
+        Interner {
+            names: Vec::new(),
+            index: HashMap::default(),
+            front: [NO_TAG; FRONT_SLOTS],
+        }
+    }
+}
+
+/// A name's slot in the front table, from its length and its two end
+/// bytes: cheap, and apart for the names of one schema.
+fn front_slot(name: &str) -> usize {
+    let b = name.as_bytes();
+    let (first, last) = (b.first().copied(), b.last().copied());
+    let key =
+        (b.len() as u32) << 16 | u32::from(first.unwrap_or(0)) << 8 | u32::from(last.unwrap_or(0));
+    (key.wrapping_mul(0x9E37_79B9) >> (32 - FRONT_SLOTS.trailing_zeros())) as usize
+}
+
+/// Byte equality for a name, compared in place: names are a few bytes,
+/// and the library compare is a call per name.
+pub(crate) fn same_name(a: &[u8], b: &[u8]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
 }
 
 impl Interner {
     pub(crate) fn intern(&mut self, name: &str) -> TagId {
-        if let Some(&id) = self.index.get(name) {
+        let slot = front_slot(name);
+        if let Some(id) = self.in_front(slot, name) {
             return id;
         }
-        let id = TagId(self.names.len() as u32);
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), id);
+        let id = match self.index.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = TagId(self.names.len() as u32);
+                self.names.push(name.to_owned());
+                self.index.insert(name.to_owned(), id);
+                id
+            }
+        };
+        self.front[slot] = id.0;
         id
     }
 
     pub(crate) fn get(&self, name: &str) -> Option<TagId> {
-        self.index.get(name).copied()
+        let front = self.in_front(front_slot(name), name);
+        front.or_else(|| self.index.get(name).copied())
+    }
+
+    fn in_front(&self, slot: usize, name: &str) -> Option<TagId> {
+        let id = self.front[slot];
+        let hit = id != NO_TAG && same_name(self.names[id as usize].as_bytes(), name.as_bytes());
+        hit.then_some(TagId(id))
     }
 
     pub(crate) fn resolve(&self, id: TagId) -> &str {
@@ -300,6 +359,12 @@ impl Document {
     /// (panics if a root already exists).
     pub fn add_element(&mut self, parent: Option<NodeId>, tag: &str) -> NodeId {
         let tag = self.intern(tag);
+        self.push_element(parent, tag)
+    }
+
+    /// [`add_element`](Document::add_element) for a name already interned —
+    /// the parser's path.
+    pub(crate) fn push_element(&mut self, parent: Option<NodeId>, tag: TagId) -> NodeId {
         self.push_node(parent, NodeKind::Element(tag))
     }
 
@@ -330,39 +395,6 @@ impl Document {
     /// The arena slot becomes a tombstone; ids of other nodes are unaffected
     /// and no id is ever handed out again.
     pub fn detach(&mut self, id: NodeId) {
-        self.unlink(id);
-        self.mark_detached(id);
-    }
-
-    /// Removes a node and its subtree like [`detach`](Document::detach),
-    /// and gives the arena slots back when that moves nothing else: when
-    /// the subtree is exactly the arena's tail — `id` is the last entry of
-    /// its parent's list (or the root) and every later node hangs below it
-    /// — the arena is cut at `id` and the next node added takes that id.
-    /// This is the shape of an element a parse hook drops on completion, so
-    /// a document built that way holds no tombstones and its ids stay in
-    /// document order. Any other node — one with a later node outside its
-    /// subtree, or one already dead — is detached, tombstones and all.
-    pub fn discard(&mut self, id: NodeId) {
-        let last_link = match self.nodes[id.index()].parent {
-            Some(p) => self.nodes[p.index()].kids.as_slice().last() == Some(&id),
-            None => self.root == Some(id),
-        };
-        let is_tail = self.is_live(id)
-            && last_link
-            && self.nodes[id.index() + 1..]
-                .iter()
-                .all(|n| n.parent >= Some(id));
-        self.unlink(id);
-        if is_tail {
-            self.nodes.truncate(id.index());
-        } else {
-            self.mark_detached(id);
-        }
-    }
-
-    /// Takes `id` out of its parent's list, or out of the root slot.
-    fn unlink(&mut self, id: NodeId) {
         if let Some(p) = self.nodes[id.index()].parent {
             let pn = &mut self.nodes[p.index()];
             if pn
@@ -375,6 +407,7 @@ impl Document {
         } else if self.root == Some(id) {
             self.root = None;
         }
+        self.mark_detached(id);
     }
 
     fn mark_detached(&mut self, id: NodeId) {
@@ -675,77 +708,6 @@ mod tests {
         assert!(std::mem::size_of::<Node>() <= 72);
     }
 
-    /// What a reader can see of a document, ids included.
-    fn observed(d: &Document) -> (Option<NodeId>, String, Vec<(NodeId, bool)>) {
-        let live = (0..d.arena_len() as u32).map(|i| (NodeId(i), d.is_live(NodeId(i))));
-        (d.root(), d.to_xml(), live.collect())
-    }
-
-    #[test]
-    fn discard_of_the_arena_tail_gives_its_ids_back() {
-        let (mut d, root, p, name) = sample();
-        let before = d.arena_len();
-        let extra = d.add_element(Some(p), "treat");
-        d.add_attr(extra, "n", "1");
-        d.add_text(extra, "x");
-        d.discard(extra);
-        assert_eq!(d.arena_len(), before);
-        assert_eq!(d.len(), before);
-        assert_eq!(d.node(p).children(), [name]);
-        // The next node takes the freed id, so ids stay in document order.
-        assert_eq!(d.add_element(Some(p), "age"), extra);
-        assert_eq!(
-            d.to_xml(),
-            "<hospital><patient id=\"7\"><pname>Betty</pname><age/></patient></hospital>"
-        );
-        // A root that is the whole arena goes the same way.
-        d.discard(root);
-        assert_eq!((d.root(), d.arena_len()), (None, 0));
-        assert_eq!(d.add_element(None, "again"), NodeId(0));
-    }
-
-    #[test]
-    fn discard_off_the_tail_tombstones_exactly_as_detach() {
-        // `sample()` plus a second patient: [first patient, its pname (the
-        // last child of its parent), second patient].
-        let build = || {
-            let (mut d, root, p, name) = sample();
-            let q = d.add_element(Some(root), "patient");
-            d.add_text(q, "later");
-            (d, [p, name, q])
-        };
-        // Later nodes hang elsewhere: an earlier sibling, and a last child
-        // whose parent has a later sibling.
-        for victim in 0..2 {
-            let ((mut a, ids), (mut b, _)) = (build(), build());
-            a.detach(ids[victim]);
-            b.discard(ids[victim]);
-            assert_eq!(observed(&a), observed(&b));
-            assert!(!b.is_live(ids[victim]));
-            assert_eq!(b.arena_len(), 7, "no id moved or was freed");
-        }
-        // The last child of the root, but an unrelated node was appended
-        // after its subtree: still not the tail.
-        let ((mut a, [.., q]), (mut b, _)) = (build(), build());
-        for d in [&mut a, &mut b] {
-            let root = d.root().unwrap();
-            assert!(d.add_attr(root, "ward", "3") > q);
-        }
-        a.detach(q);
-        b.discard(q);
-        assert_eq!(observed(&a), observed(&b));
-        assert_eq!((b.arena_len(), b.len()), (8, 6));
-        // A node already dead stays a tombstone, tail or not: detached
-        // itself, or under a detached parent whose list still names it.
-        let (mut d, [.., q]) = build();
-        let text = d.node(q).children()[0];
-        d.detach(q);
-        let seen = observed(&d);
-        d.discard(q);
-        d.discard(text);
-        assert_eq!(observed(&d), seen);
-    }
-
     #[test]
     fn attributes_added_after_children_still_come_first() {
         let mut d = Document::new();
@@ -796,10 +758,36 @@ mod tests {
         // Emptied, the list takes its next only child inline again.
         let c = d.add_element(Some(r), "c");
         assert!(matches!(d.node(r).kids, Kids::One(_)));
-        d.discard(c);
-        assert!(d.node(r).children().is_empty());
-        assert_eq!(d.add_element(Some(r), "c"), c);
+        assert_eq!(d.node(r).children(), [c]);
         assert_eq!(d.to_xml(), "<r><c/></r>");
+        // A second child spills into a list with room for more.
+        d.add_text(r, "t");
+        assert!(matches!(&d.node(r).kids, Kids::Many(v) if v.capacity() == SPILL_CAPACITY));
+    }
+
+    /// Names sharing a front slot take turns in it: each lookup still finds
+    /// its own name, and an unknown one is still unknown.
+    #[test]
+    fn names_sharing_a_front_slot_only_miss() {
+        let mut i = Interner::default();
+        let names: Vec<String> = (100..400).map(|k| format!("n{k}x")).collect();
+        assert!(names.iter().all(|n| front_slot(n) == front_slot(&names[0])));
+        for (k, n) in names.iter().enumerate() {
+            assert_eq!(i.intern(n), TagId(k as u32));
+        }
+        for (k, n) in names
+            .iter()
+            .enumerate()
+            .rev()
+            .chain(names.iter().enumerate())
+        {
+            assert_eq!(i.get(n), Some(TagId(k as u32)));
+            assert_eq!(i.intern(n), TagId(k as u32));
+        }
+        assert_eq!(i.get("n999x"), None);
+        assert_eq!(i.get(""), None);
+        assert_eq!(i.intern(""), TagId(300));
+        assert_eq!((i.len(), i.resolve(TagId(7))), (301, "n107x"));
     }
 
     #[test]

@@ -1,23 +1,22 @@
-//! `Document::discard` against `Document::detach`, driven the way the client
-//! drives them — from a parse hook, on the element that just completed.
-//! Everything a reader can observe of the two builds is equal; the `discard`
-//! build, in addition, holds no dead node.
+//! A start-tag hook's `Skip` against building the element and then
+//! `detach`ing it. Everything a reader can observe of the two builds is
+//! equal; the skip build, in addition, never made a node it does not hold.
 
-use exq_xml::{Document, NodeId, NodeKind, ParseError};
+use exq_xml::{Document, NodeId, NodeKind, ParseError, StartTag, Verdict};
 use proptest::prelude::*;
 
 const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
 
-/// What the hook does to an element, by tag.
+/// What becomes of an element, by tag.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Verdict {
+enum Fate {
     Keep,
     Drop,
     /// Drop, then parse `FRAGMENT` in at the same place.
     Replace,
 }
 
-/// Holds every tag, so a fragment's own hook gets to drop inside it too.
+/// Holds every tag, so the fragment's own elements meet their fates too.
 const FRAGMENT: &str = "<f k=\"v\"><a>x</a>t<b><c/></b><d/>u<e n=\"1\"/></f>";
 
 #[derive(Debug, Clone)]
@@ -58,48 +57,97 @@ fn write(t: &Tree, out: &mut String) {
     }
 }
 
-fn verdicts() -> impl Strategy<Value = Vec<Verdict>> {
+fn fates() -> impl Strategy<Value = Vec<Fate>> {
     let one = prop_oneof![
-        Just(Verdict::Keep),
-        Just(Verdict::Keep),
-        Just(Verdict::Drop),
-        Just(Verdict::Replace),
+        Just(Fate::Keep),
+        Just(Fate::Keep),
+        Just(Fate::Drop),
+        Just(Fate::Replace),
     ];
     proptest::collection::vec(one, TAGS.len())
 }
 
-type Remove = fn(&mut Document, NodeId);
-
-/// The hook: applies `verdicts` to `el` with `remove`. Inside a fragment
-/// `Replace` only drops, so replacing ends.
-fn hook(
-    doc: &mut Document,
-    el: NodeId,
-    verdicts: &[Verdict],
-    remove: Remove,
-    in_fragment: bool,
-) -> Result<(), ParseError> {
-    let name = doc.element_name(el).expect("hooks see elements");
-    let Some(tag) = TAGS.iter().position(|&t| t == name) else {
-        return Ok(());
-    };
-    let parent = doc.node(el).parent();
-    match verdicts[tag] {
-        Verdict::Keep => {}
-        Verdict::Replace if !in_fragment => {
-            remove(doc, el);
-            doc.parse_fragment_into(parent, FRAGMENT, |doc, el| {
-                hook(doc, el, verdicts, remove, true)
-            })?;
-        }
-        Verdict::Drop | Verdict::Replace => remove(doc, el),
+/// The fate of the element named `name`. Inside a fragment `Replace` only
+/// drops, so replacing ends.
+fn fate_of(name: &str, fates: &[Fate], in_fragment: bool) -> Fate {
+    match TAGS.iter().position(|&t| t == name).map(|t| fates[t]) {
+        Some(Fate::Replace) if in_fragment => Fate::Drop,
+        fate => fate.unwrap_or(Fate::Keep),
     }
-    Ok(())
 }
 
-fn build(xml: &str, verdicts: &[Verdict], remove: Remove) -> Document {
-    Document::parse_with_hook(xml, |doc, el| hook(doc, el, verdicts, remove, false))
-        .expect("generated XML parses")
+/// The skip build: each fate decided at the start tag.
+fn hook(
+    doc: &mut Document,
+    tag: &StartTag<'_, '_>,
+    fates: &[Fate],
+    in_fragment: bool,
+) -> Result<Verdict, ParseError> {
+    match fate_of(doc.tag_name(tag.name), fates, in_fragment) {
+        Fate::Keep => Ok(Verdict::Keep),
+        Fate::Drop => Ok(Verdict::Skip),
+        Fate::Replace => {
+            doc.parse_fragment_into(tag.parent, tag.depth, FRAGMENT, |doc, tag| {
+                hook(doc, tag, fates, true)
+            })?;
+            Ok(Verdict::Skip)
+        }
+    }
+}
+
+fn skip_build(xml: &str, fates: &[Fate]) -> Document {
+    let mut doc = Document::new();
+    doc.parse_fragment_into(None, 0, xml, |doc, tag| hook(doc, tag, fates, false))
+        .expect("generated XML parses");
+    doc
+}
+
+/// The detach build: every element of a plain parse copied in document
+/// order, and then, complete, detached when it is dropped — with the
+/// fragment copied in after it when it is replaced.
+fn detach_build(xml: &str, fates: &[Fate]) -> Document {
+    let (src, fragment) = (
+        Document::parse(xml).unwrap(),
+        Document::parse(FRAGMENT).unwrap(),
+    );
+    let mut out = Document::new();
+    let ctx = (&fragment, fates);
+    copy(&src, src.root().unwrap(), &mut out, None, ctx, false);
+    out
+}
+
+fn copy(
+    src: &Document,
+    n: NodeId,
+    out: &mut Document,
+    parent: Option<NodeId>,
+    ctx: (&Document, &[Fate]),
+    in_fragment: bool,
+) {
+    let node = src.node(n);
+    let name = match node.kind() {
+        NodeKind::Text(t) => {
+            out.add_text(parent.unwrap(), t);
+            return;
+        }
+        NodeKind::Attribute(..) => unreachable!("attributes are copied with their element"),
+        NodeKind::Element(_) => src.element_name(n).unwrap(),
+    };
+    let el = out.add_element(parent, name);
+    for &a in node.attrs() {
+        out.add_attr(el, src.node_name(a).unwrap(), &src.text_value(a));
+    }
+    for &c in node.children() {
+        copy(src, c, out, Some(el), ctx, in_fragment);
+    }
+    let fate = fate_of(name, ctx.1, in_fragment);
+    if fate != Fate::Keep {
+        out.detach(el);
+    }
+    if fate == Fate::Replace {
+        let fragment = ctx.0;
+        copy(fragment, fragment.root().unwrap(), out, parent, ctx, true);
+    }
 }
 
 /// The document as a reader walks it: kind, name and value of every node in
@@ -127,32 +175,32 @@ proptest! {
 
     /// Nested drops, a drop refilled at the same place, a dropped root: the
     /// two builds read the same, ids rise in document order in both, and
-    /// nothing dead survives the `discard` one.
+    /// nothing dead was ever made by the skip one.
     #[test]
-    fn discard_equals_detach_for_everything_observable(
+    fn skip_at_the_start_tag_equals_build_then_detach(
         t in element(tree()),
-        verdicts in verdicts(),
+        fates in fates(),
     ) {
         let mut xml = String::new();
         write(&t, &mut xml);
-        let detached = build(&xml, &verdicts, Document::detach);
-        let discarded = build(&xml, &verdicts, Document::discard);
+        let detached = detach_build(&xml, &fates);
+        let skipped = skip_build(&xml, &fates);
 
-        prop_assert_eq!(discarded.to_xml(), detached.to_xml());
-        prop_assert_eq!(walk(&discarded), walk(&detached));
-        prop_assert_eq!(discarded.len(), detached.len());
-        prop_assert_eq!(discarded.root().is_some(), detached.root().is_some());
-        for d in [&discarded, &detached] {
+        prop_assert_eq!(skipped.to_xml(), detached.to_xml());
+        prop_assert_eq!(walk(&skipped), walk(&detached));
+        prop_assert_eq!(skipped.len(), detached.len());
+        prop_assert_eq!(skipped.root().is_some(), detached.root().is_some());
+        for d in [&skipped, &detached] {
             let ids: Vec<NodeId> = d.iter().collect();
             prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids out of document order");
         }
-        prop_assert_eq!(discarded.arena_len(), discarded.len());
-        prop_assert!(detached.arena_len() >= discarded.arena_len());
+        prop_assert_eq!(skipped.arena_len(), skipped.len());
+        prop_assert!(detached.arena_len() >= skipped.arena_len());
         // And it reads as what it is: the text it serializes to.
-        if discarded.root().is_some() {
+        if skipped.root().is_some() {
             let opts = exq_xml::ParseOptions { skip_whitespace_text: false };
-            let reparsed = Document::parse_with(&discarded.to_xml(), opts).unwrap();
-            prop_assert_eq!(reparsed.to_xml(), discarded.to_xml());
+            let reparsed = Document::parse_with(&skipped.to_xml(), opts).unwrap();
+            prop_assert_eq!(reparsed.to_xml(), skipped.to_xml());
         }
     }
 }
@@ -161,9 +209,9 @@ proptest! {
 /// quietly stop covering them.
 #[test]
 fn pinned_shapes_nested_refilled_and_root_drops() {
-    use Verdict::{Drop, Keep, Replace};
+    use Fate::{Drop, Keep, Replace};
     let xml = "<a><b>t1<c>t2</c></b><d x=\"1\"><b/>t3</d><c/></a>";
-    let cases: [(&[Verdict; 5], &str); 4] = [
+    let cases: [(&[Fate; 5], &str); 4] = [
         // A drop inside a drop.
         (&[Keep, Drop, Drop, Keep, Keep], "<a><d x=\"1\">t3</d></a>"),
         // A refill, whose own `b` and `c` are dropped in turn.
@@ -179,13 +227,13 @@ fn pinned_shapes_nested_refilled_and_root_drops() {
             "<f k=\"v\">t<b><c/></b><d/>u<e n=\"1\"/></f>",
         ),
     ];
-    for (verdicts, want) in cases {
-        let detached = build(xml, verdicts, Document::detach);
-        let discarded = build(xml, verdicts, Document::discard);
-        assert_eq!(detached.to_xml(), want, "{verdicts:?}");
-        assert_eq!(discarded.to_xml(), want, "{verdicts:?}");
-        assert_eq!(walk(&discarded), walk(&detached));
-        assert_eq!(discarded.arena_len(), discarded.len());
+    for (fates, want) in cases {
+        let detached = detach_build(xml, fates);
+        let skipped = skip_build(xml, fates);
+        assert_eq!(detached.to_xml(), want, "{fates:?}");
+        assert_eq!(skipped.to_xml(), want, "{fates:?}");
+        assert_eq!(walk(&skipped), walk(&detached));
+        assert_eq!(skipped.arena_len(), skipped.len());
         assert!(detached.arena_len() > detached.len());
     }
 }

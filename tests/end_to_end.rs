@@ -173,3 +173,40 @@ fn export_reconstructs_with_no_dead_node() {
         }
     }
 }
+
+/// An encrypted value that is only Unicode whitespace is data, not
+/// indentation: a no-break space must come back out of its block. XML's
+/// whitespace is space, tab, CR and LF alone.
+#[test]
+fn unicode_space_values_survive_the_secure_path() {
+    use encrypted_xml::workload::hospital;
+    let mut doc = hospital::scaled(6, 7);
+    let root = doc.root().unwrap();
+    for (ssn, name) in [("999001", "\u{a0}"), ("999002", "\u{2003}\u{3000}")] {
+        let p = doc.add_element(Some(root), "patient");
+        let pname = doc.add_element(Some(p), "pname");
+        doc.add_text(pname, name);
+        let s = doc.add_element(Some(p), "SSN");
+        doc.add_text(s, ssn);
+    }
+    let queries = [
+        "//patient/pname",
+        "//pname/text()",
+        "//patient[SSN = '999001']/pname",
+        "//patient[SSN = '999002']",
+    ];
+    for kind in SchemeKind::ALL {
+        let hosted = Outsourcer::new(OutsourceConfig::default())
+            .outsource(&doc, &hospital::constraints(), kind, 13)
+            .unwrap();
+        for q in queries {
+            let mut expected = reference(&doc, q);
+            let mut got = hosted.query(q).unwrap().results;
+            expected.sort();
+            got.sort();
+            assert_eq!(got, expected, "{q} ({kind:?})");
+        }
+        let got = hosted.query("//patient[SSN = '999001']/pname").unwrap();
+        assert_eq!(got.results, ["<pname>\u{a0}</pname>"], "{kind:?}");
+    }
+}
