@@ -7,14 +7,14 @@ use exq_core::aggregate::Aggregate;
 use exq_core::codec::Message;
 use exq_core::constraints::SecurityConstraint;
 use exq_core::evloop::serve_event;
-use exq_core::retry::{roundtrip_pipelined, Retry, RetryConfig};
+use exq_core::retry::{Retry, RetryConfig};
 use exq_core::scheme::SchemeKind;
 use exq_core::serve::{ServeConfig, ServeHandle};
 use exq_core::store::{checkpoint_interval, Checkpointer, PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::telemetry;
 use exq_core::tenant::{validate_db_id, DbEntry, Manifest, TenantRegistry};
-use exq_core::transport::{InProcess, Pipeline, TcpTransport, Transport};
+use exq_core::transport::{InProcess, TcpTransport, Transport};
 use exq_core::{Client, CoreError, Server};
 use exq_xml::Document;
 use std::fmt::Write as _;
@@ -205,9 +205,9 @@ pub fn cmd_query(
 }
 
 /// `exq query --addr`: same pipeline, but the server is a network peer.
-/// With `retries > 0` the link is wrapped in the retry layer: transient
-/// failures reconnect and replay (mutation-safe via request ids) up to
-/// `retries` extra attempts. With `pipeline > 1` the query is submitted
+/// The link is wrapped in the retry layer: transient failures reconnect
+/// and replay (mutation-safe via request ids) up to `retries` extra
+/// attempts (`0` = one attempt). With `pipeline > 1` the query is submitted
 /// that many times on one connection before any reply is read — a direct
 /// probe of the server's pipelined serve path (all answers must agree).
 #[allow(clippy::too_many_arguments)]
@@ -221,16 +221,9 @@ pub fn cmd_query_remote(
     pipeline: usize,
 ) -> Result<String, CliError> {
     let client = Client::load(client_path)?.with_threads(threads);
-    if pipeline > 1 {
-        return query_pipelined(&client, addr, db, query, pipeline, retries);
-    }
     let mut tcp = TcpTransport::connect_default(addr)?;
     if let Some(db) = db {
         tcp = tcp.with_db(db)?;
-    }
-    if retries == 0 {
-        let mut link = tcp;
-        return query_over(&client, &mut link, query, false);
     }
     let mut link = Retry::new(
         tcp,
@@ -240,6 +233,9 @@ pub fn cmd_query_remote(
             ..RetryConfig::default()
         },
     );
+    if pipeline > 1 {
+        return query_pipelined(&client, &mut link, query, pipeline);
+    }
     query_over(&client, &mut link, query, false)
 }
 
@@ -249,25 +245,18 @@ pub fn cmd_query_remote(
 /// the pipelining bought.
 fn query_pipelined(
     client: &Client,
-    addr: &str,
-    db: Option<&str>,
+    link: &mut dyn Transport,
     query: &str,
     n: usize,
-    retries: u32,
 ) -> Result<String, CliError> {
     let tq = client.translate(query)?;
     let (req, post_query) = match &tq.server_query {
         Some(sq) => (Message::Query(sq.clone()), &tq.post_query),
         None => (Message::NaiveQuery, &tq.full_query),
     };
-    let mut pipe = Pipeline::connect_default(addr)?;
-    if let Some(db) = db {
-        pipe = pipe.with_db(db)?;
-    }
     let reqs = vec![req; n];
-    let retry = RetryConfig::with_attempts(retries.saturating_add(1));
     let started = std::time::Instant::now();
-    let replies = roundtrip_pipelined(&mut pipe, &reqs, &retry)?;
+    let replies = link.roundtrip_many(&reqs)?;
     let wall = started.elapsed();
     let mut results: Option<Vec<String>> = None;
     for (i, reply) in replies.iter().enumerate() {

@@ -8,7 +8,7 @@
 //!   the server applied the request (the case that makes at-most-once
 //!   semantics interesting), single-bit frame corruption, and stalls. A
 //!   failure leaves the link *broken* — further roundtrips fail until
-//!   [`Reconnect::reconnect`], exactly like a dead socket.
+//!   [`Transport::reconnect`], exactly like a dead socket.
 //! * [`ChaosProxy`] — a real TCP forwarder that cuts, corrupts, chops, and
 //!   stalls the byte stream between a live client and server, for
 //!   socket-level chaos tests and the serve→kill→reconnect smoke test
@@ -20,7 +20,7 @@
 use crate::codec::Message;
 use crate::error::CoreError;
 use crate::telemetry::{self, Counter};
-use crate::transport::{LinkStats, Reconnect, Transport};
+use crate::transport::{LinkStats, Transport};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -147,7 +147,7 @@ impl FaultTally {
 
 /// A [`Transport`] wrapper that injects seeded faults around the inner
 /// link. After a drop fault the wrapper is *broken*: every roundtrip fails
-/// with a transport error until [`Reconnect::reconnect`] — mirroring a TCP
+/// with a transport error until [`Transport::reconnect`] — mirroring a TCP
 /// link whose socket died, so the retry layer's reconnect path is exercised
 /// for real.
 pub struct FaultTransport<T> {
@@ -188,7 +188,7 @@ impl<T: Transport> FaultTransport<T> {
 }
 
 impl<T: Transport> Transport for FaultTransport<T> {
-    fn roundtrip(&mut self, req: &Message) -> Result<Message, CoreError> {
+    fn roundtrip_as(&mut self, req_id: u64, req: &Message) -> Result<Message, CoreError> {
         if self.broken {
             return Err(CoreError::Transport(
                 "injected fault: link broken (reconnect required)".into(),
@@ -205,7 +205,7 @@ impl<T: Transport> Transport for FaultTransport<T> {
             self.tally.dropped_requests += 1;
             return Err(self.break_link("request lost before delivery"));
         }
-        let reply = self.inner.roundtrip(req)?;
+        let reply = self.inner.roundtrip_as(req_id, req)?;
         if self.rng.chance(self.config.drop_response_rate) {
             self.tally.dropped_responses += 1;
             return Err(self.break_link("response lost after delivery"));
@@ -235,12 +235,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
         self.inner.stats()
     }
 
-    fn set_next_request_id(&mut self, id: u64) {
-        self.inner.set_next_request_id(id);
-    }
-}
-
-impl<T: Reconnect> Reconnect for FaultTransport<T> {
     fn reconnect(&mut self) -> Result<(), CoreError> {
         self.inner.reconnect()?;
         self.broken = false;

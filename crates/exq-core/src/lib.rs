@@ -30,13 +30,15 @@
 //!   stderr log that rare state changes (health, scrub repairs, accept
 //!   errors) are written to;
 //! * [`transport`] / [`serve`] / [`evloop`] — the network service: the
-//!   client side of the link (in-process, TCP, pipelined), what a running
-//!   server admits, sheds and dispatches per request, and the one serve
-//!   path — an epoll event loop over a worker pool (Linux only);
+//!   client side of the link (in-process, or TCP with many requests in
+//!   flight), what a running server admits, sheds and dispatches per
+//!   request, and the one serve path — an epoll event loop over a worker
+//!   pool (Linux only);
 //! * [`fault`] / [`retry`] — the fault-tolerance layer: seeded fault
 //!   injection (message-level wrapper and a TCP chaos proxy) and safe
-//!   client-side retry with reconnect, backoff + jitter, and at-most-once
-//!   mutation replay;
+//!   client-side retry over a window of requests — reconnect after a
+//!   failed link, backoff + jitter, and at-most-once mutation replay under
+//!   ids minted once;
 //! * [`store`] — the out-of-core storage engine: sealed blocks and DSI
 //!   posting lists in a paged file behind a pinning buffer pool, a
 //!   write-ahead log for O(update) mutations, and a background
@@ -79,4 +81,4 @@ pub use serve::{ServeConfig, ServeHandle};
 pub use server::Server;
 pub use system::{HostedDatabase, OutsourceConfig, Outsourcer, QueryOutcome};
 pub use tenant::{Tenant, TenantRegistry, DEFAULT_DB};
-pub use transport::{InProcess, Pipeline, Reconnect, TcpTransport, Transport};
+pub use transport::{InProcess, TcpTransport, Transport};

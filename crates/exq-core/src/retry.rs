@@ -1,24 +1,27 @@
 //! Client-side retry with reconnect, backoff, and at-most-once mutations.
 //!
-//! [`Retry`] wraps any [`Reconnect`] transport. Each *logical* request gets
-//! a stable, client-generated request id stamped on every attempt's frame;
-//! the server's replay table keys on it, so a mutation whose reply was lost
-//! in flight is answered from the ledger on replay instead of being applied
-//! twice. Read-only requests are idempotent and simply re-run.
+//! [`Retry`] wraps any [`Transport`] and runs one loop over a window of
+//! requests; a single request is a window of one. Each logical request
+//! keeps the id it was minted with on every resubmission; the server's
+//! replay table keys on it, so a mutation whose reply was lost in flight is
+//! answered from the table on replay instead of being applied twice.
+//! Read-only requests are idempotent and simply re-run.
 //!
-//! What retries: transport and codec failures (the connection may be dead —
-//! reconnect first), server `Busy` replies (honoring the `retry_after_ms`
-//! hint), and transient error frames of those same classes. Everything else
-//! — query errors, decrypt failures — is deterministic and surfaces
-//! immediately. Backoff is exponential with seeded jitter
-//! ([`crate::fault::SplitMix64`]), so tests are reproducible.
+//! A round sends every request still unanswered, through the wrapped
+//! link's own window (a TCP link writes it whole before reading). What
+//! retries: server `Busy` replies (honoring the `retry_after_ms` hint),
+//! transient error frames of the codec/transport classes, and link
+//! failures. Only a failed link is re-dialled before the next round; a link
+//! that answered `Busy` is kept. Everything else — query errors, decrypt
+//! failures — is deterministic: an error frame is that request's reply, an
+//! error from the link itself surfaces at once. Backoff is exponential with
+//! seeded jitter ([`crate::fault::SplitMix64`]), so tests are reproducible.
 
 use crate::codec::Message;
 use crate::error::CoreError;
 use crate::fault::SplitMix64;
 use crate::telemetry::{self, Counter};
-use crate::transport::{LinkStats, Pipeline, Reconnect, Transport};
-use std::collections::HashMap;
+use crate::transport::{LinkStats, Transport};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
@@ -41,29 +44,18 @@ fn retry_metrics() -> &'static RetryMetrics {
 /// Knobs for [`Retry`].
 #[derive(Debug, Clone)]
 pub struct RetryConfig {
-    /// Total attempts per logical request (first try included). `1`
-    /// disables retrying.
+    /// Rounds per window (first try included). `1` disables retrying.
     pub max_attempts: u32,
-    /// Sleep before the second attempt; doubles each further attempt.
+    /// Sleep before the second round; doubles each further round.
     pub base_backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
     /// Seed for backoff jitter (and nothing else): fixed seed → fixed
     /// retry timing, which the chaos suite relies on.
     pub jitter_seed: u64,
-    /// Ping before each replay to tell a dead server (fail fast, don't
+    /// Ping before each retry round to tell a dead server (fail fast, don't
     /// burn the budget waiting on big-query timeouts) from a slow one.
     pub ping_before_retry: bool,
-}
-
-impl RetryConfig {
-    /// `max_attempts` attempts with the default backoff curve.
-    pub fn with_attempts(max_attempts: u32) -> RetryConfig {
-        RetryConfig {
-            max_attempts,
-            ..RetryConfig::default()
-        }
-    }
 }
 
 impl Default for RetryConfig {
@@ -81,41 +73,31 @@ impl Default for RetryConfig {
 /// Cumulative counts of retry activity on one [`Retry`] wrapper.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
-    /// Attempts beyond the first, across all logical requests.
+    /// Rounds beyond the first, across all windows.
     pub retries: u64,
-    /// Reconnects performed between attempts.
+    /// Reconnects performed between rounds.
     pub reconnects: u64,
     /// `Busy` replies honored with backoff.
     pub busy: u64,
-    /// Logical requests that exhausted the budget and surfaced an error.
+    /// Windows that exhausted the budget and surfaced an error.
     pub exhausted: u64,
 }
 
 /// The retrying transport wrapper. See the module docs for semantics.
-pub struct Retry<T: Reconnect> {
+pub struct Retry<T: Transport> {
     inner: T,
     config: RetryConfig,
     rng: SplitMix64,
-    /// High bits of the request-id space for this wrapper instance, so two
-    /// wrappers talking to one server don't collide ids.
-    id_base: u64,
-    next_seq: u64,
     stats: RetryStats,
 }
 
-impl<T: Reconnect> Retry<T> {
+impl<T: Transport> Retry<T> {
     pub fn new(inner: T, config: RetryConfig) -> Retry<T> {
-        // Derive the id namespace from the jitter seed so runs are
-        // reproducible; mix in a large odd constant so seed 0 still yields
-        // nonzero ids.
-        let id_base = SplitMix64::new(config.jitter_seed ^ 0xA5A5_A5A5_A5A5_A5A5).next_u64();
         let rng = SplitMix64::new(config.jitter_seed);
         Retry {
             inner,
             config,
             rng,
-            id_base,
-            next_seq: 0,
             stats: RetryStats::default(),
         }
     }
@@ -135,25 +117,7 @@ impl<T: Reconnect> Retry<T> {
         self.inner
     }
 
-    /// Mutable access to the wrapped transport (tests inspect fault
-    /// tallies through this).
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
-    /// A fresh, never-zero request id for one logical request.
-    fn next_request_id(&mut self) -> u64 {
-        self.next_seq += 1;
-        let id = self.id_base.wrapping_add(self.next_seq);
-        if id == 0 {
-            self.next_seq += 1;
-            self.id_base.wrapping_add(self.next_seq)
-        } else {
-            id
-        }
-    }
-
-    /// Exponential backoff with full jitter, floored at 1ms so attempt
+    /// Exponential backoff with full jitter, floored at 1ms so round
     /// pacing is real even for tiny bases.
     fn backoff(&mut self, attempt: u32, floor: Duration) -> Duration {
         let base = self.config.base_backoff.max(Duration::from_millis(1));
@@ -164,92 +128,105 @@ impl<T: Reconnect> Retry<T> {
     }
 }
 
-/// Whether a reply that *decoded fine* still warrants a retry: `Busy`
-/// sheds (with the server's pacing hint) and transient error frames of the
-/// codec/transport classes. Wire codes 7 and 8 mirror
-/// [`CoreError::Codec`] / [`CoreError::Transport`].
-fn transient_reply(reply: &Message) -> Option<Duration> {
-    match reply {
-        Message::Busy { retry_after_ms } => Some(Duration::from_millis(*retry_after_ms as u64)),
-        // Code 10 (`CoreError::Unavailable`) carries a retry-after hint but
-        // is deliberately NOT transient: the db is degraded after a storage
-        // fault and burning the budget hammering it cannot help — surface
-        // the hint to the caller, who decides when to probe again.
-        Message::Error(e) if e.code == 10 => None,
-        Message::Error(e) if e.code == 7 || e.code == 8 => Some(Duration::ZERO),
-        _ => None,
-    }
-}
-
-/// Whether a roundtrip error warrants reconnect + retry. Transport and
-/// codec failures may be the link's fault; everything else is
-/// deterministic.
+/// Whether a roundtrip error means the link failed. Transport and codec
+/// failures may be the link's fault; everything else is deterministic.
 fn transient_error(err: &CoreError) -> bool {
     matches!(err, CoreError::Transport(_) | CoreError::Codec(_))
 }
 
-impl<T: Reconnect> Transport for Retry<T> {
-    fn roundtrip(&mut self, req: &Message) -> Result<Message, CoreError> {
-        let req_id = self.next_request_id();
+impl<T: Transport> Transport for Retry<T> {
+    fn roundtrip_as(&mut self, req_id: u64, req: &Message) -> Result<Message, CoreError> {
+        let mut reply = [None];
+        self.roundtrip_window(&[(req_id, req)], &mut reply)?;
+        let [reply] = reply;
+        Ok(reply.expect("a window that returns Ok fills every slot"))
+    }
+
+    fn roundtrip_window(
+        &mut self,
+        window: &[(u64, &Message)],
+        replies: &mut [Option<Message>],
+    ) -> Result<(), CoreError> {
         let attempts = self.config.max_attempts.max(1);
         let mut last_err: Option<CoreError> = None;
+        let mut link_failed = false;
+        // Pacing floor: the strongest `Busy` hint of the last round.
+        let mut busy_floor = Duration::ZERO;
         for attempt in 0..attempts {
+            let pending: Vec<usize> = (0..window.len())
+                .filter(|&i| replies[i].is_none())
+                .collect();
+            if pending.is_empty() {
+                return Ok(());
+            }
             if attempt > 0 {
                 self.stats.retries += 1;
                 retry_metrics().attempts.inc();
-                // The link may be dead — re-dial before replaying. A failed
-                // reconnect consumes the attempt.
-                self.stats.reconnects += 1;
-                retry_metrics().reconnects.inc();
-                if let Err(e) = self.inner.reconnect() {
-                    last_err = Some(e);
-                    let pause = self.backoff(attempt - 1, Duration::ZERO);
-                    thread::sleep(pause);
-                    continue;
+                let pause = self.backoff(attempt - 1, std::mem::take(&mut busy_floor));
+                thread::sleep(pause);
+                if link_failed {
+                    // Replies owed on the old link died with it; the ids are
+                    // stable, so resent mutations meet the replay table.
+                    self.stats.reconnects += 1;
+                    retry_metrics().reconnects.inc();
+                    if let Err(e) = self.inner.reconnect() {
+                        last_err = Some(e);
+                        continue;
+                    }
+                    link_failed = false;
                 }
+                // Dead server ⇒ ping fails fast and the round is spent on
+                // backoff, not on a long query timeout.
                 if self.config.ping_before_retry {
-                    // Dead server ⇒ ping fails fast and the attempt is
-                    // spent on backoff, not on a long query timeout.
                     if let Err(e) = self.inner.ping() {
                         last_err = Some(e);
-                        let pause = self.backoff(attempt - 1, Duration::ZERO);
-                        thread::sleep(pause);
+                        link_failed = true;
                         continue;
                     }
                 }
             }
-            // Same id on every attempt: the server's replay table dedupes.
-            self.inner.set_next_request_id(req_id);
-            match self.inner.roundtrip(req) {
-                Ok(reply) => match transient_reply(&reply) {
-                    None => return Ok(reply),
-                    Some(hint) => {
-                        if matches!(reply, Message::Busy { .. }) {
-                            self.stats.busy += 1;
-                            retry_metrics().busy.inc();
-                        }
-                        last_err = Some(match reply {
-                            Message::Error(e) => e.into_core(),
-                            _ => CoreError::Transport(format!(
-                                "server busy after {attempts} attempts"
-                            )),
-                        });
-                        if attempt + 1 < attempts {
-                            // Honor the server's pacing hint as a floor.
-                            let pause = self.backoff(attempt, hint);
-                            thread::sleep(pause);
-                        }
+            let round: Vec<(u64, &Message)> = pending.iter().map(|&i| window[i]).collect();
+            let mut got = vec![None; round.len()];
+            let outcome = self.inner.roundtrip_window(&round, &mut got);
+            for (&i, reply) in pending.iter().zip(got) {
+                match reply {
+                    None => {}
+                    Some(Message::Busy { retry_after_ms }) => {
+                        self.stats.busy += 1;
+                        retry_metrics().busy.inc();
+                        // Honor the server's pacing hint as a floor.
+                        let hint = Duration::from_millis(retry_after_ms as u64);
+                        busy_floor = busy_floor.max(hint);
+                        last_err = Some(CoreError::Transport(format!(
+                            "server busy after {attempts} attempts"
+                        )));
                     }
-                },
+                    // Wire codes 7 and 8 mirror `CoreError::Codec` /
+                    // `CoreError::Transport`: the frame did not arrive
+                    // intact, and the server closes a connection after one.
+                    // Code 10 (`CoreError::Unavailable`) carries a
+                    // retry-after hint but is deliberately NOT transient: the
+                    // db is degraded after a storage fault and burning the
+                    // budget hammering it cannot help — it is the reply, and
+                    // the caller decides when to probe again.
+                    Some(Message::Error(e)) if e.code == 7 || e.code == 8 => {
+                        last_err = Some(e.into_core());
+                        link_failed = true;
+                    }
+                    Some(reply) => replies[i] = Some(reply),
+                }
+            }
+            match outcome {
+                Ok(()) => {}
                 Err(e) if transient_error(&e) => {
                     last_err = Some(e);
-                    if attempt + 1 < attempts {
-                        let pause = self.backoff(attempt, Duration::ZERO);
-                        thread::sleep(pause);
-                    }
+                    link_failed = true;
                 }
                 Err(e) => return Err(e),
             }
+        }
+        if replies.iter().all(Option::is_some) {
+            return Ok(());
         }
         self.stats.exhausted += 1;
         Err(last_err.unwrap_or_else(|| {
@@ -261,153 +238,9 @@ impl<T: Reconnect> Transport for Retry<T> {
         self.inner.stats()
     }
 
-    fn set_next_request_id(&mut self, id: u64) {
-        // The wrapper owns id assignment; an externally forced id is
-        // forwarded for the next attempt only.
-        self.inner.set_next_request_id(id);
-    }
-}
-
-impl<T: Reconnect> Reconnect for Retry<T> {
     fn reconnect(&mut self) -> Result<(), CoreError> {
         self.inner.reconnect()
     }
-}
-
-/// The [`Retry`] semantics for a [`Pipeline`]: submits every request before
-/// reading any reply, keeping N in flight, with the same safety rules as
-/// the serial wrapper — each logical request keeps one stable id across
-/// every resubmission (so the server's replay table dedupes mutations),
-/// `Busy` replies are resubmitted after backoff honoring the pacing hint,
-/// and a transport failure reconnects and resubmits everything still
-/// unanswered. Replies are returned in request order.
-///
-/// Requests that fail deterministically (query errors, decrypt failures)
-/// surface as `Message::Error` replies in their slot rather than aborting
-/// the group — with N in flight there is no single failing call site.
-pub fn roundtrip_pipelined(
-    pipe: &mut Pipeline,
-    reqs: &[Message],
-    config: &RetryConfig,
-) -> Result<Vec<Message>, CoreError> {
-    if reqs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut rng = SplitMix64::new(config.jitter_seed ^ 0x9E37_79B9_7F4A_7C15);
-    // Stable, distinct, never-zero ids: consecutive from a seeded base.
-    let mut cursor = rng.next_u64();
-    let ids: Vec<u64> = reqs
-        .iter()
-        .map(|_| {
-            cursor = cursor.wrapping_add(1);
-            if cursor == 0 {
-                cursor = 1;
-            }
-            cursor
-        })
-        .collect();
-    let by_id: HashMap<u64, usize> = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-
-    let mut answers: Vec<Option<Message>> = vec![None; reqs.len()];
-    let attempts = config.max_attempts.max(1);
-    let mut last_err: Option<CoreError> = None;
-    // Pacing floor carried from the strongest `Busy` hint of the last round.
-    let mut busy_floor = Duration::ZERO;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            retry_metrics().attempts.inc();
-            let pause = pipeline_backoff(&mut rng, config, attempt - 1, busy_floor);
-            thread::sleep(pause);
-            busy_floor = Duration::ZERO;
-        }
-        let pending: Vec<usize> = (0..reqs.len()).filter(|&i| answers[i].is_none()).collect();
-        if pending.is_empty() {
-            break;
-        }
-        // Submit the whole unanswered set before reading anything back —
-        // that is the pipelining: one flush, N frames in flight.
-        let mut link_down = false;
-        for &i in &pending {
-            match pipe.submit_as(&reqs[i], ids[i]) {
-                Ok(()) => {}
-                Err(e) if transient_error(&e) => {
-                    last_err = Some(e);
-                    link_down = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        while !link_down && pipe.outstanding() > 0 {
-            match pipe.recv() {
-                Ok((id, reply)) => {
-                    let Some(&i) = by_id.get(&id) else {
-                        // The reply-correlation contract is broken (or the
-                        // server predates id echoing): pipelining is unsafe.
-                        return Err(CoreError::Transport(format!(
-                            "uncorrelated reply id {id:#x}; \
-                             server does not echo request ids"
-                        )));
-                    };
-                    match transient_reply(&reply) {
-                        None => answers[i] = Some(reply),
-                        Some(hint) => {
-                            if matches!(reply, Message::Busy { .. }) {
-                                retry_metrics().busy.inc();
-                            }
-                            busy_floor = busy_floor.max(hint);
-                            last_err = Some(match reply {
-                                Message::Error(e) => e.into_core(),
-                                _ => CoreError::Transport(format!(
-                                    "server busy after {attempts} attempts"
-                                )),
-                            });
-                        }
-                    }
-                }
-                Err(e) if transient_error(&e) => {
-                    last_err = Some(e);
-                    link_down = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if link_down && attempt + 1 < attempts {
-            // Re-dial; replies in flight are lost, but ids are stable, so
-            // resubmission is answered from the replay ledger where it
-            // matters.
-            retry_metrics().reconnects.inc();
-            if let Err(e) = pipe.reconnect() {
-                last_err = Some(e);
-            }
-        }
-    }
-    answers
-        .into_iter()
-        .map(|slot| {
-            slot.ok_or_else(|| {
-                last_err.clone().unwrap_or_else(|| {
-                    CoreError::Transport(format!(
-                        "retry budget exhausted after {attempts} attempts"
-                    ))
-                })
-            })
-        })
-        .collect()
-}
-
-/// Standalone mirror of [`Retry::backoff`] for the pipeline path.
-fn pipeline_backoff(
-    rng: &mut SplitMix64,
-    config: &RetryConfig,
-    attempt: u32,
-    floor: Duration,
-) -> Duration {
-    let base = config.base_backoff.max(Duration::from_millis(1));
-    let exp = base.saturating_mul(1u32 << attempt.min(16));
-    let capped = exp.min(config.max_backoff).max(floor);
-    let jitter = rng.next_f64() * 0.5 + 0.5; // [0.5, 1.0)
-    capped.mul_f64(jitter)
 }
 
 #[cfg(test)]
@@ -419,7 +252,6 @@ mod tests {
     struct Scripted {
         outcomes: RefCell<Vec<Result<Message, CoreError>>>,
         seen_ids: Vec<u64>,
-        next_id: u64,
         reconnects: u64,
         stats: LinkStats,
     }
@@ -430,7 +262,6 @@ mod tests {
             Scripted {
                 outcomes: RefCell::new(outcomes),
                 seen_ids: Vec::new(),
-                next_id: 0,
                 reconnects: 0,
                 stats: LinkStats::default(),
             }
@@ -438,8 +269,8 @@ mod tests {
     }
 
     impl Transport for Scripted {
-        fn roundtrip(&mut self, _req: &Message) -> Result<Message, CoreError> {
-            self.seen_ids.push(self.next_id);
+        fn roundtrip_as(&mut self, req_id: u64, _req: &Message) -> Result<Message, CoreError> {
+            self.seen_ids.push(req_id);
             self.stats.requests += 1;
             self.outcomes
                 .borrow_mut()
@@ -451,12 +282,6 @@ mod tests {
             self.stats
         }
 
-        fn set_next_request_id(&mut self, id: u64) {
-            self.next_id = id;
-        }
-    }
-
-    impl Reconnect for Scripted {
         fn reconnect(&mut self) -> Result<(), CoreError> {
             self.reconnects += 1;
             Ok(())
@@ -509,6 +334,45 @@ mod tests {
         let mut retry = Retry::new(inner, fast());
         assert_eq!(retry.roundtrip(&Message::Ping).unwrap(), Message::Pong);
         assert_eq!(retry.retry_stats().busy, 1);
+        // A link that answered `Busy` is alive: it is not re-dialled.
+        assert_eq!(retry.retry_stats().reconnects, 0);
+        assert_eq!(retry.into_inner().reconnects, 0);
+    }
+
+    /// After `Busy` or a failed link only the unanswered requests go out
+    /// again, each under the id it was first sent with.
+    #[test]
+    fn window_resends_only_unanswered_requests_under_their_ids() {
+        let inner = Scripted::new(vec![
+            Ok(Message::InsertOk),
+            Ok(Message::Busy { retry_after_ms: 1 }),
+            Ok(Message::Pong),
+            Err(CoreError::Transport("cut".into())),
+            Ok(Message::Pong),
+        ]);
+        let mut retry = Retry::new(inner, fast());
+        let reqs = [Message::Ping, Message::Ping, Message::Ping, Message::Ping];
+        let window: Vec<(u64, &Message)> = reqs
+            .iter()
+            .zip([11, 12, 13, 14])
+            .map(|(r, id)| (id, r))
+            .collect();
+        let mut replies = vec![None; reqs.len()];
+        retry.roundtrip_window(&window, &mut replies).unwrap();
+        assert_eq!(
+            replies,
+            [
+                Some(Message::InsertOk),
+                Some(Message::Pong),
+                Some(Message::Pong),
+                Some(Message::Pong)
+            ]
+        );
+        let inner = retry.into_inner();
+        // Round one: 11 answered, 12 busy, 13 answered, 14 lost with the
+        // link, which is re-dialled once. Round two: 12 and 14 only.
+        assert_eq!(inner.seen_ids, [11, 12, 13, 14, 12, 14]);
+        assert_eq!(inner.reconnects, 1);
     }
 
     #[test]

@@ -435,27 +435,22 @@ thread_local! {
     static TRACES: RefCell<Vec<ActiveTrace>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Splitmix64-style finalizer over wall clock + pid: trace/span ids must be
-/// distinct across processes with no coordination.
-fn entropy_seed() -> u64 {
-    let ns = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let mut z = ns ^ (std::process::id() as u64).rotate_left(32);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
+/// The process-wide id source, seeded from the OS randomness behind
+/// `RandomState`: ids must be distinct across processes with no
+/// coordination, and every frame carries one to the untrusted server, so
+/// the seed must say nothing about this process (no pid, no start time).
 fn id_source() -> &'static AtomicU64 {
     static SRC: OnceLock<AtomicU64> = OnceLock::new();
-    SRC.get_or_init(|| AtomicU64::new(entropy_seed() | 1))
+    SRC.get_or_init(|| {
+        use std::hash::BuildHasher;
+        let seed = std::collections::hash_map::RandomState::new().hash_one(0u64);
+        AtomicU64::new(seed | 1)
+    })
 }
 
-/// Fresh nonzero id; golden-ratio stride keeps ids spread even when the
-/// entropy seed is weak.
-fn fresh_id() -> u64 {
+/// Fresh nonzero id, for traces, spans and requests alike; golden-ratio
+/// stride keeps ids spread.
+pub(crate) fn fresh_id() -> u64 {
     let v = id_source().fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed);
     if v == 0 {
         0x9e37_79b9_7f4a_7c15

@@ -7,9 +7,12 @@
 //!   every request and response through the frame codec, so byte accounting
 //!   and decode hardening are identical to the networked path;
 //! * [`TcpTransport`] — a real socket (std only, no async runtime), with
-//!   connect retry + exponential backoff and per-request I/O timeouts.
+//!   connect retry + exponential backoff and per-request I/O timeouts. It
+//!   pipelines: a window of requests is written before any reply is read.
 //!
-//! [`Pipeline`] is the many-requests-in-flight variant of the TCP link.
+//! Every request crosses either link under a request id minted once from
+//! the process-wide source trace ids use, and its reply is taken only under
+//! an id the link is still waiting for.
 //!
 //! The request dispatch both ends share lives here too:
 //! [`answer_request`] / [`apply_request`] map one decoded request onto a
@@ -83,27 +86,67 @@ impl LinkStats {
 
 /// A client-side link to a server.
 ///
-/// `roundtrip` moves one request frame out and one response frame back; the
-/// typed helpers wrap it with request construction and response matching.
-/// Implementations must keep [`LinkStats`] exact: encoded frame lengths,
-/// nothing estimated.
+/// Every request goes out under a request id and its reply must come back
+/// under the same one. [`Transport::roundtrip_as`] moves one request under
+/// the caller's id and [`Transport::roundtrip_window`] a window of them;
+/// [`Transport::roundtrip`] and [`Transport::roundtrip_many`] mint a fresh
+/// nonzero id per logical request. The typed helpers wrap `roundtrip` with
+/// request construction and response matching. Implementations must keep
+/// [`LinkStats`] exact: encoded frame lengths, nothing estimated.
 pub trait Transport {
-    /// Sends one request and returns the raw response message (which may be
-    /// an error frame — the typed helpers convert those to `Err`).
-    fn roundtrip(&mut self, req: &Message) -> Result<Message, CoreError>;
+    /// Sends one request under `req_id` and returns the raw response
+    /// message (which may be an error frame — the typed helpers convert
+    /// those to `Err`). The retry layer resends a logical request under its
+    /// first id, so the server's [`ReplayTable`] applies a mutation once.
+    fn roundtrip_as(&mut self, req_id: u64, req: &Message) -> Result<Message, CoreError>;
 
     /// Cumulative traffic over this transport.
     fn stats(&self) -> LinkStats;
 
-    /// Sets the request id stamped on the *next* outbound frame
-    /// (0 = unassigned). The retry layer keeps the id stable across
-    /// attempts of one logical request so the server's [`ReplayTable`] can
-    /// deduplicate replayed mutations. Transports without frame-level ids
-    /// ignore it.
-    fn set_next_request_id(&mut self, _id: u64) {}
+    /// Sends every `(request id, request)` of `window` and stores each
+    /// reply in the same slot of `replies`. A failure ends the window: the
+    /// replies read before it stay in their slots and the error is
+    /// returned. The default sends one request after another.
+    fn roundtrip_window(
+        &mut self,
+        window: &[(u64, &Message)],
+        replies: &mut [Option<Message>],
+    ) -> Result<(), CoreError> {
+        for (&(req_id, req), slot) in window.iter().zip(replies) {
+            *slot = Some(self.roundtrip_as(req_id, req)?);
+        }
+        Ok(())
+    }
+
+    /// Drops the current link and establishes a fresh one; cumulative
+    /// [`LinkStats`] survive. The retry layer calls it after the link
+    /// failed. A link with no connection to lose keeps this no-op default.
+    fn reconnect(&mut self) -> Result<(), CoreError> {
+        Ok(())
+    }
+
+    /// Sends one request under a fresh id.
+    fn roundtrip(&mut self, req: &Message) -> Result<Message, CoreError> {
+        self.roundtrip_as(telemetry::fresh_id(), req)
+    }
+
+    /// Sends every request under its own fresh id, as one window, and
+    /// returns the replies in request order.
+    fn roundtrip_many(&mut self, reqs: &[Message]) -> Result<Vec<Message>, CoreError> {
+        let window: Vec<(u64, &Message)> = reqs
+            .iter()
+            .map(|req| (telemetry::fresh_id(), req))
+            .collect();
+        let mut replies = vec![None; reqs.len()];
+        self.roundtrip_window(&window, &mut replies)?;
+        Ok(replies
+            .into_iter()
+            .map(|reply| reply.expect("a window that returns Ok fills every slot"))
+            .collect())
+    }
 
     /// Liveness probe: one `Ping`/`Pong` roundtrip, returning its duration.
-    /// The retry layer uses this after a reconnect to tell a dead server
+    /// The retry layer uses this before a retry round to tell a dead server
     /// (ping fails) from a slow one (ping answers while a big query would
     /// not have).
     fn ping(&mut self) -> Result<Duration, CoreError> {
@@ -204,16 +247,6 @@ pub trait Transport {
             other => Err(unexpected("MetricsText", other)),
         }
     }
-}
-
-/// A transport that can re-establish its link after a failure. The
-/// client-side retry layer ([`crate::retry::Retry`]) calls
-/// [`Reconnect::reconnect`] between attempts when a roundtrip failed with
-/// a transport or codec error, since the underlying connection may be dead.
-pub trait Reconnect: Transport {
-    /// Drops the current link (if any) and establishes a fresh one.
-    /// Cumulative [`LinkStats`] survive the reconnect.
-    fn reconnect(&mut self) -> Result<(), CoreError>;
 }
 
 /// Error frames become their carried error; everything else is a protocol
@@ -421,7 +454,6 @@ pub struct InProcess<'a> {
     /// At-most-once ledger for mutations, honored exactly like the serve
     /// loop's so retry semantics are testable without sockets.
     replay: ReplayTable,
-    next_req_id: u64,
 }
 
 impl<'a> InProcess<'a> {
@@ -432,7 +464,6 @@ impl<'a> InProcess<'a> {
             server: ServerHandle::Shared(server),
             stats: LinkStats::default(),
             replay: ReplayTable::default(),
-            next_req_id: 0,
         }
     }
 
@@ -442,14 +473,12 @@ impl<'a> InProcess<'a> {
             server: ServerHandle::Exclusive(server),
             stats: LinkStats::default(),
             replay: ReplayTable::default(),
-            next_req_id: 0,
         }
     }
 }
 
 impl Transport for InProcess<'_> {
-    fn roundtrip(&mut self, req: &Message) -> Result<Message, CoreError> {
-        let req_id = std::mem::take(&mut self.next_req_id);
+    fn roundtrip_as(&mut self, req_id: u64, req: &Message) -> Result<Message, CoreError> {
         let frame = req.encode_frame_req(PROTOCOL_VERSION, telemetry::current_trace(), req_id);
         self.stats.requests += 1;
         self.stats.bytes_sent += frame.len() as u64;
@@ -465,9 +494,8 @@ impl Transport for InProcess<'_> {
             ServerHandle::Shared(s) => answer_request(s, &d.msg),
             ServerHandle::Exclusive(s) => apply_request_keyed(s, replay, d.req_id, &d.msg),
         });
-        // Replies echo the request's trace and request ids so a pipelining
-        // client can correlate them; the in-process link keeps the exact
-        // same bytes-on-the-wire semantics as the serve loop.
+        // Replies echo the request's trace and request ids, exactly as the
+        // serve loop's do, so the bytes on the "wire" are the same.
         let resp_frame = resp.encode_reply(&d);
         self.stats.bytes_received += resp_frame.len() as u64;
         let m = wire_metrics();
@@ -479,17 +507,6 @@ impl Transport for InProcess<'_> {
 
     fn stats(&self) -> LinkStats {
         self.stats
-    }
-
-    fn set_next_request_id(&mut self, id: u64) {
-        self.next_req_id = id;
-    }
-}
-
-impl Reconnect for InProcess<'_> {
-    /// An in-process link has no connection to lose.
-    fn reconnect(&mut self) -> Result<(), CoreError> {
-        Ok(())
     }
 }
 
@@ -519,16 +536,17 @@ impl Default for TcpConfig {
     }
 }
 
-/// A blocking TCP client link speaking the frame protocol. The resolved
+/// A blocking TCP client link speaking the frame protocol. A window of
+/// requests is written before any reply is read, so many can be in flight
+/// on one connection; replies are matched to requests by id. The resolved
 /// peer addresses and config are retained so the link can be re-dialed
-/// mid-session ([`Reconnect::reconnect`]) after a failure.
+/// mid-session ([`Transport::reconnect`]) after a failure.
 pub struct TcpTransport {
     stream: TcpStream,
     peer: SocketAddr,
     addrs: Vec<SocketAddr>,
     config: TcpConfig,
     stats: LinkStats,
-    next_req_id: u64,
     /// Database the frames address on a multi-tenant server (empty = the
     /// server's default db).
     db: String,
@@ -611,7 +629,6 @@ impl TcpTransport {
             addrs,
             config,
             stats: LinkStats::default(),
-            next_req_id: 0,
             db: String::new(),
         })
     }
@@ -638,229 +655,83 @@ impl TcpTransport {
     pub fn peer_addr(&self) -> SocketAddr {
         self.peer
     }
+
+    /// Sends the group as one [`Message::Batch`] frame and unpacks the
+    /// [`Message::BatchAnswer`], returning per-item replies in order. A
+    /// whole-batch `Busy` or `Error` reply surfaces as the error for the
+    /// call.
+    pub fn batch(&mut self, reqs: &[Message]) -> Result<Vec<Message>, CoreError> {
+        match self.roundtrip(&Message::Batch(reqs.to_vec()))? {
+            Message::BatchAnswer(items) if items.len() == reqs.len() => Ok(items),
+            Message::BatchAnswer(items) => Err(CoreError::Transport(format!(
+                "batch answer has {} items for {} requests",
+                items.len(),
+                reqs.len()
+            ))),
+            other => Err(unexpected("BatchAnswer", other)),
+        }
+    }
 }
 
 impl Transport for TcpTransport {
-    fn roundtrip(&mut self, req: &Message) -> Result<Message, CoreError> {
-        let req_id = std::mem::take(&mut self.next_req_id);
-        let frame = req.encode_frame_db(telemetry::current_trace(), req_id, &self.db)?;
-        self.stream
-            .write_all(&frame)
-            .and_then(|_| self.stream.flush())
-            .map_err(|e| CoreError::Transport(format!("send to {} failed: {e}", self.peer)))?;
-        self.stats.requests += 1;
-        self.stats.bytes_sent += frame.len() as u64;
+    fn roundtrip_as(&mut self, req_id: u64, req: &Message) -> Result<Message, CoreError> {
+        let mut reply = [None];
+        self.roundtrip_window(&[(req_id, req)], &mut reply)?;
+        let [reply] = reply;
+        Ok(reply.expect("a window that returns Ok fills every slot"))
+    }
 
+    /// Writes the whole window, then reads one reply per request.
+    fn roundtrip_window(
+        &mut self,
+        window: &[(u64, &Message)],
+        replies: &mut [Option<Message>],
+    ) -> Result<(), CoreError> {
+        let trace = telemetry::current_trace();
         let m = wire_metrics();
-        m.requests.inc();
-        m.bytes_sent.add(frame.len() as u64);
-        let (d, received) = read_frame(&mut self.stream, self.peer)?;
-        self.stats.bytes_received += received as u64;
-        // Servers echo the request id; a nonzero mismatch means this reply
-        // answers some *other* request (a stale frame from a previous
-        // exchange, say) and must not be attributed to this one. Zero is
-        // tolerated for pre-echo servers.
-        if req_id != 0 && d.req_id != 0 && d.req_id != req_id {
-            return Err(CoreError::Transport(format!(
-                "reply correlation mismatch: sent request id {req_id}, reply carries {}",
-                d.req_id
-            )));
+        for &(req_id, req) in window {
+            let frame = req.encode_frame_db(trace, req_id, &self.db)?;
+            self.stream
+                .write_all(&frame)
+                .and_then(|_| self.stream.flush())
+                .map_err(|e| CoreError::Transport(format!("send to {} failed: {e}", self.peer)))?;
+            self.stats.requests += 1;
+            self.stats.bytes_sent += frame.len() as u64;
+            m.requests.inc();
+            m.bytes_sent.add(frame.len() as u64);
         }
-        Ok(d.msg)
+        for _ in window {
+            let (d, received) = read_frame(&mut self.stream, self.peer)?;
+            self.stats.bytes_received += received as u64;
+            // Only an id this window still waits for is taken: a late reply
+            // to a request that timed out earlier on this connection, or a
+            // second reply under one id, is an error, never an answer.
+            let slot = window
+                .iter()
+                .zip(replies.iter())
+                .position(|(&(req_id, _), reply)| req_id == d.req_id && reply.is_none())
+                .ok_or_else(|| {
+                    CoreError::Transport(format!(
+                        "reply carries request id {:#x}, which this link is not waiting for",
+                        d.req_id
+                    ))
+                })?;
+            replies[slot] = Some(d.msg);
+        }
+        Ok(())
     }
 
     fn stats(&self) -> LinkStats {
         self.stats
     }
 
-    fn set_next_request_id(&mut self, id: u64) {
-        self.next_req_id = id;
-    }
-}
-
-impl Reconnect for TcpTransport {
     /// Re-dials the stored peer addresses with the original config,
-    /// replacing the (possibly dead) stream. Traffic stats carry over; any
-    /// half-read response on the old stream is abandoned with it.
+    /// replacing the (possibly dead) stream. Replies still owed on the old
+    /// stream are abandoned with it.
     fn reconnect(&mut self) -> Result<(), CoreError> {
         let (stream, peer) = dial(&self.addrs, &self.config)?;
         self.stream = stream;
         self.peer = peer;
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------- pipeline --
-
-/// A pipelining TCP client link: many requests in flight on one
-/// connection, correlated by the request-id field that server replies
-/// echo. Where [`TcpTransport`] is strictly request→reply, a `Pipeline`
-/// decouples [`Pipeline::submit`] from [`Pipeline::recv`], so a client can
-/// keep the wire full instead of paying a full round trip per request.
-pub struct Pipeline {
-    stream: TcpStream,
-    peer: SocketAddr,
-    addrs: Vec<SocketAddr>,
-    config: TcpConfig,
-    db: String,
-    next_id: u64,
-    /// Requests submitted but not yet matched to a reply.
-    outstanding: usize,
-    stats: LinkStats,
-}
-
-impl Pipeline {
-    /// Connects with retry and exponential backoff.
-    pub fn connect(addr: impl ToSocketAddrs, config: TcpConfig) -> Result<Pipeline, CoreError> {
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| CoreError::Transport(format!("address resolution failed: {e}")))?
-            .collect();
-        if addrs.is_empty() {
-            return Err(CoreError::Transport("address resolved to nothing".into()));
-        }
-        let (stream, peer) = dial(&addrs, &config)?;
-        Ok(Pipeline {
-            stream,
-            peer,
-            addrs,
-            config,
-            db: String::new(),
-            next_id: 1,
-            outstanding: 0,
-            stats: LinkStats::default(),
-        })
-    }
-
-    /// Connects with default [`TcpConfig`].
-    pub fn connect_default(addr: impl ToSocketAddrs) -> Result<Pipeline, CoreError> {
-        Pipeline::connect(addr, TcpConfig::default())
-    }
-
-    /// Addresses every subsequent frame to the named database.
-    pub fn with_db(mut self, db: &str) -> Result<Pipeline, CoreError> {
-        crate::tenant::validate_db_id(db)?;
-        self.db = db.to_owned();
-        Ok(self)
-    }
-
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
-    }
-
-    /// Cumulative traffic over this pipeline.
-    pub fn stats(&self) -> LinkStats {
-        self.stats
-    }
-
-    /// Requests submitted but not yet answered.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
-    }
-
-    /// Submits one request without waiting for its reply, returning the
-    /// request id its reply will carry.
-    pub fn submit(&mut self, req: &Message) -> Result<u64, CoreError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.submit_as(req, id)?;
-        Ok(id)
-    }
-
-    /// Submits one request under a caller-chosen (nonzero) request id —
-    /// the retry layer keeps ids stable across resubmissions of the same
-    /// logical request.
-    pub fn submit_as(&mut self, req: &Message, req_id: u64) -> Result<(), CoreError> {
-        if req_id == 0 {
-            return Err(CoreError::Transport(
-                "pipelined requests need a nonzero request id".into(),
-            ));
-        }
-        let frame = req.encode_frame_db(telemetry::current_trace(), req_id, &self.db)?;
-        self.stream
-            .write_all(&frame)
-            .and_then(|_| self.stream.flush())
-            .map_err(|e| CoreError::Transport(format!("send to {} failed: {e}", self.peer)))?;
-        self.next_id = self.next_id.max(req_id + 1);
-        self.outstanding += 1;
-        self.stats.requests += 1;
-        self.stats.bytes_sent += frame.len() as u64;
-        let m = wire_metrics();
-        m.requests.inc();
-        m.bytes_sent.add(frame.len() as u64);
-        Ok(())
-    }
-
-    /// Receives the next reply frame, whatever request it answers,
-    /// returning the echoed request id alongside the message.
-    pub fn recv(&mut self) -> Result<(u64, Message), CoreError> {
-        let (d, received) = read_frame(&mut self.stream, self.peer)?;
-        self.stats.bytes_received += received as u64;
-        self.outstanding = self.outstanding.saturating_sub(1);
-        Ok((d.req_id, d.msg))
-    }
-
-    /// Submits every request back-to-back, then drains replies, matching
-    /// them to requests by id. Returns the replies in submission order —
-    /// byte-identical to what serial roundtrips would have produced, just
-    /// without the per-request round-trip wait.
-    pub fn roundtrip_many(&mut self, reqs: &[Message]) -> Result<Vec<Message>, CoreError> {
-        let ids: Vec<u64> = reqs
-            .iter()
-            .map(|req| self.submit(req))
-            .collect::<Result<_, _>>()?;
-        let mut by_id: HashMap<u64, Message> = HashMap::with_capacity(ids.len());
-        while by_id.len() < ids.len() {
-            let (id, msg) = self.recv()?;
-            if !ids.contains(&id) || by_id.insert(id, msg).is_some() {
-                return Err(CoreError::Transport(format!(
-                    "reply carries unknown or duplicate request id {id}"
-                )));
-            }
-        }
-        Ok(ids
-            .into_iter()
-            .map(|id| by_id.remove(&id).expect("collected above"))
-            .collect())
-    }
-
-    /// Submits the group as one [`Message::Batch`] frame and unpacks
-    /// the [`Message::BatchAnswer`], returning per-item replies in order.
-    /// A whole-batch `Busy` or `Error` reply surfaces as the error for the
-    /// call.
-    pub fn batch(&mut self, reqs: &[Message]) -> Result<Vec<Message>, CoreError> {
-        let id = self.submit(&Message::Batch(reqs.to_vec()))?;
-        let (got, msg) = self.recv()?;
-        if got != id && got != 0 {
-            return Err(CoreError::Transport(format!(
-                "batch reply carries request id {got}, expected {id}"
-            )));
-        }
-        match msg {
-            Message::BatchAnswer(items) => {
-                if items.len() == reqs.len() {
-                    Ok(items)
-                } else {
-                    Err(CoreError::Transport(format!(
-                        "batch answer has {} items for {} requests",
-                        items.len(),
-                        reqs.len()
-                    )))
-                }
-            }
-            other => Err(unexpected("BatchAnswer", other)),
-        }
-    }
-
-    /// Drops the connection and dials afresh. Outstanding requests are
-    /// abandoned (their replies died with the old stream); the caller
-    /// resubmits what it still needs, reusing the original ids so the
-    /// server-side replay table can deduplicate.
-    pub fn reconnect(&mut self) -> Result<(), CoreError> {
-        let (stream, peer) = dial(&self.addrs, &self.config)?;
-        self.stream = stream;
-        self.peer = peer;
-        self.outstanding = 0;
         Ok(())
     }
 }

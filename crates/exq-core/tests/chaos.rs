@@ -179,20 +179,11 @@ fn replayed_mutation_applies_exactly_once() {
     let before = count(&client, &server);
 
     let mut link = InProcess::exclusive(&mut server);
+    let insert = Message::ApplyInsert(delta);
     // First apply, under request id 42.
-    link.set_next_request_id(42);
-    assert_eq!(
-        link.roundtrip(&Message::ApplyInsert(delta.clone()))
-            .unwrap(),
-        Message::InsertOk
-    );
+    assert_eq!(link.roundtrip_as(42, &insert).unwrap(), Message::InsertOk);
     // The reply was "lost"; the client replays with the same id.
-    link.set_next_request_id(42);
-    assert_eq!(
-        link.roundtrip(&Message::ApplyInsert(delta.clone()))
-            .unwrap(),
-        Message::InsertOk
-    );
+    assert_eq!(link.roundtrip_as(42, &insert).unwrap(), Message::InsertOk);
     drop(link);
     assert_eq!(
         count(&client, &server),
@@ -210,8 +201,8 @@ fn replayed_mutation_applies_exactly_once() {
     };
     let delta2 = client.prepare_insert(&slot2, record, 6).unwrap();
     let mut link = InProcess::exclusive(&mut server);
-    link.set_next_request_id(43);
-    link.roundtrip(&Message::ApplyInsert(delta2)).unwrap();
+    link.roundtrip_as(43, &Message::ApplyInsert(delta2))
+        .unwrap();
     drop(link);
     assert_eq!(count(&client, &server), before + 2);
 }

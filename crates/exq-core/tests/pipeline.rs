@@ -15,12 +15,12 @@ use exq_core::codec::{
 };
 use exq_core::constraints::SecurityConstraint;
 use exq_core::evloop::serve_event;
-use exq_core::retry::{roundtrip_pipelined, RetryConfig};
+use exq_core::retry::{Retry, RetryConfig};
 use exq_core::scheme::SchemeKind;
 use exq_core::serve::{ServeConfig, ServeHandle};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::tenant::TenantRegistry;
-use exq_core::transport::{Pipeline, TcpTransport};
+use exq_core::transport::{TcpTransport, Transport};
 use exq_core::{Client, Server};
 use exq_xml::Document;
 use std::io::{ErrorKind, Read, Write};
@@ -211,7 +211,8 @@ fn retired_message_type_gets_an_error_and_the_server_serves_on() {
 
 // -------------------------------------------------------------- equivalence
 
-/// Serial vs. N-in-flight on one connection: bit-identical answers.
+/// Serial (one `TcpTransport::roundtrip` at a time) vs. N-in-flight on one
+/// connection: bit-identical answers.
 #[test]
 fn pipelined_matches_serial() {
     let (client, server) = hosted();
@@ -223,18 +224,10 @@ fn pipelined_matches_serial() {
         .collect();
 
     let handle = start_event(registry, ServeConfig::default());
-    let mut serial = Pipeline::connect_default(handle.addr()).unwrap();
-    let serial_replies: Vec<Message> = reqs
-        .iter()
-        .map(|r| {
-            let id = serial.submit(r).unwrap();
-            let (rid, reply) = serial.recv().unwrap();
-            assert_eq!(rid, id, "serial reply misattributed");
-            reply
-        })
-        .collect();
+    let mut serial = TcpTransport::connect_default(handle.addr()).unwrap();
+    let serial_replies: Vec<Message> = reqs.iter().map(|r| serial.roundtrip(r).unwrap()).collect();
 
-    let mut pipe = Pipeline::connect_default(handle.addr()).unwrap();
+    let mut pipe = TcpTransport::connect_default(handle.addr()).unwrap();
     let pipelined_replies = pipe.roundtrip_many(&reqs).unwrap();
 
     assert_eq!(serial_replies.len(), pipelined_replies.len());
@@ -290,14 +283,8 @@ fn replies_queued_behind_a_partly_written_one_arrive_whole_and_in_order() {
         .map(|q| Message::Query(client.translate(q).unwrap().server_query.unwrap()))
         .collect();
 
-    let mut serial = Pipeline::connect_default(handle.addr()).unwrap();
-    let serial_replies: Vec<Message> = reqs
-        .iter()
-        .map(|r| {
-            serial.submit(r).unwrap();
-            serial.recv().unwrap().1
-        })
-        .collect();
+    let mut serial = TcpTransport::connect_default(handle.addr()).unwrap();
+    let serial_replies: Vec<Message> = reqs.iter().map(|r| serial.roundtrip(r).unwrap()).collect();
     drop(serial);
 
     let served = tenant.requests_total();
@@ -344,16 +331,10 @@ fn batch_matches_serial_and_decrypts_correctly() {
     let named = query_requests(&client);
     let reqs: Vec<Message> = named.iter().map(|(_, m)| m.clone()).collect();
 
-    let mut serial = Pipeline::connect_default(handle.addr()).unwrap();
-    let serial_replies: Vec<Message> = reqs
-        .iter()
-        .map(|r| {
-            serial.submit(r).unwrap();
-            serial.recv().unwrap().1
-        })
-        .collect();
+    let mut serial = TcpTransport::connect_default(handle.addr()).unwrap();
+    let serial_replies: Vec<Message> = reqs.iter().map(|r| serial.roundtrip(r).unwrap()).collect();
 
-    let mut pipe = Pipeline::connect_default(handle.addr()).unwrap();
+    let mut pipe = TcpTransport::connect_default(handle.addr()).unwrap();
     let batched = pipe.batch(&reqs).unwrap();
 
     assert_eq!(batched.len(), serial_replies.len());
@@ -385,9 +366,10 @@ fn batch_matches_serial_and_decrypts_correctly() {
 
 // -------------------------------------------------------- retry under load
 
-/// `roundtrip_pipelined` keeps stable ids across `Busy` resubmissions and
-/// eventually lands every answer even when admission sheds most of the
-/// in-flight window.
+/// `Retry` over a pipelined window keeps stable ids across `Busy`
+/// resubmissions and eventually lands every answer even when admission
+/// sheds most of the in-flight window — without ever re-dialling a link
+/// that only said `Busy`.
 #[test]
 fn pipelined_retry_recovers_from_busy() {
     let (client, server) = hosted();
@@ -405,13 +387,16 @@ fn pipelined_retry_recovers_from_busy() {
         .into_iter()
         .map(|(_, m)| m)
         .collect();
-    let mut pipe = Pipeline::connect_default(handle.addr()).unwrap();
-    let retry = RetryConfig {
-        max_attempts: 20,
-        base_backoff: Duration::from_millis(2),
-        ..RetryConfig::default()
-    };
-    let replies = roundtrip_pipelined(&mut pipe, &reqs, &retry).unwrap();
+    let mut link = Retry::new(
+        TcpTransport::connect_default(handle.addr()).unwrap(),
+        RetryConfig {
+            max_attempts: 20,
+            base_backoff: Duration::from_millis(2),
+            ..RetryConfig::default()
+        },
+    );
+    let replies = link.roundtrip_many(&reqs).unwrap();
+    assert_eq!(link.retry_stats().reconnects, 0, "{:?}", link.retry_stats());
     assert_eq!(replies.len(), reqs.len());
     for (i, reply) in replies.iter().enumerate() {
         assert!(

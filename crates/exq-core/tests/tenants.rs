@@ -6,12 +6,14 @@
 use exq_core::codec::{Message, FRAME_HEADER_LEN};
 use exq_core::constraints::SecurityConstraint;
 use exq_core::evloop::serve_event;
+use exq_core::retry::Retry;
 use exq_core::scheme::SchemeKind;
 use exq_core::serve::{ServeConfig, ServeHandle};
 use exq_core::store::{PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::tenant::TenantRegistry;
 use exq_core::transport::{TcpTransport, Transport};
+use exq_core::wire::ServerQuery;
 use exq_core::{Client, Server};
 use exq_xml::Document;
 use std::io::{Read, Write};
@@ -238,9 +240,8 @@ fn cache_generations_do_not_bleed_across_tenants() {
     handle.shutdown();
 }
 
-/// Request ids are only unique per client, so the at-most-once replay
-/// ledger must be per-tenant: the same req id must dedupe retries within
-/// one db while still applying on another db.
+/// The at-most-once replay ledger is per-tenant: the same req id must
+/// dedupe retries within one db while still applying on another db.
 #[test]
 fn replay_tables_do_not_bleed_across_tenants() {
     let (registry, clients) = three_db_registry("replay");
@@ -259,31 +260,35 @@ fn replay_tables_do_not_bleed_across_tenants() {
         .server_query
         .unwrap();
 
+    // Deletes under a chosen request id; the reply is `Deleted(outcome)`.
+    let delete_as = |tcp: &mut TcpTransport, req_id: u64, sq: &ServerQuery| match tcp
+        .roundtrip_as(req_id, &Message::DeleteWhere(sq.clone()))
+        .unwrap()
+    {
+        Message::Deleted(outcome) => outcome.deleted,
+        other => panic!("expected Deleted, got {other:?}"),
+    };
+
     // Same req id, two tenants: both deletes must actually apply.
     let mut tcp_a = connect(&handle, name_a);
-    tcp_a.set_next_request_id(777);
-    let first_a = tcp_a.delete_where(&sq_a).unwrap();
-    assert_eq!(first_a.deleted, 1);
+    assert_eq!(delete_as(&mut tcp_a, 777, &sq_a), 1);
 
     let mut tcp_b = connect(&handle, name_b);
-    tcp_b.set_next_request_id(777);
-    let first_b = tcp_b.delete_where(&sq_b).unwrap();
     assert_eq!(
-        first_b.deleted, 1,
+        delete_as(&mut tcp_b, 777, &sq_b),
+        1,
         "B's mutation must apply — a shared replay table would have \
          returned A's recorded reply instead"
     );
 
     // Same id again on A: replay hit, the recorded reply comes back even
     // though the subtree is already gone.
-    tcp_a.set_next_request_id(777);
-    let replayed = tcp_a.delete_where(&sq_a).unwrap();
     assert_eq!(
-        replayed.deleted, 1,
+        delete_as(&mut tcp_a, 777, &sq_a),
+        1,
         "replayed mutation returns its recorded reply"
     );
     // A fresh id really re-executes (nothing left to delete).
-    tcp_a.set_next_request_id(778);
     assert_eq!(tcp_a.delete_where(&sq_a).unwrap().deleted, 0);
     handle.shutdown();
 }
@@ -604,4 +609,48 @@ fn per_db_series_keep_ids_apart_under_legal_metric_names() {
             && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':');
         assert!(legal, "illegal metric name `{name}` in `{line}`");
     }
+}
+
+/// Every logical request any client sends carries an id no other client's
+/// request carries: two clients inserting into one tenant each get their
+/// insert applied, never answered from the other's replay entry — two
+/// pipelined links first, then two retrying ones.
+#[test]
+fn inserts_from_two_clients_are_both_applied() {
+    let (registry, clients) = three_db_registry("ids");
+    let handle = start(Arc::clone(&registry), ServeConfig::default());
+    let (name, client) = &clients[0];
+    let mut client = client.clone();
+    let count = |client: &Client| {
+        let mut tcp = connect(&handle, name);
+        client
+            .query_via(&mut tcp, "//patient")
+            .unwrap()
+            .results
+            .len()
+    };
+    let record = |i: u64| {
+        format!("<patient><pname>N{i}</pname><SSN>90{i:04}</SSN><age>3{i}</age></patient>")
+    };
+    let before = count(&client);
+    for i in 0..2u64 {
+        let mut link = connect(&handle, name);
+        let sq = client.translate("/hospital").unwrap().server_query.unwrap();
+        let parent = link.locate(&sq).unwrap()[0];
+        let slot = link.insertion_slot(parent).unwrap();
+        let delta = client.prepare_insert(&slot, &record(i), i).unwrap();
+        let replies = link.roundtrip_many(&[Message::ApplyInsert(delta)]).unwrap();
+        assert_eq!(replies, [Message::InsertOk]);
+    }
+    let applied = count(&client) - before;
+    assert_eq!(applied, 2, "two acknowledged inserts, {applied} applied");
+    for i in 2..4u64 {
+        let mut link = Retry::with_defaults(connect(&handle, name));
+        client
+            .insert_via(&mut link, "/hospital", &record(i), i)
+            .unwrap();
+    }
+    let applied = count(&client) - before - 2;
+    assert_eq!(applied, 2, "two acknowledged inserts, {applied} applied");
+    handle.shutdown();
 }

@@ -8,8 +8,10 @@ use exq_core::codec::{Message, FRAME_HEADER_LEN};
 use exq_core::constraints::SecurityConstraint;
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
-use exq_core::transport::{serve, InProcess, ServeConfig, ServeHandle, TcpTransport, Transport};
-use exq_core::{Client, Server};
+use exq_core::transport::{
+    serve, InProcess, ServeConfig, ServeHandle, TcpConfig, TcpTransport, Transport,
+};
+use exq_core::{Client, CoreError, Server};
 use exq_xml::Document;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -303,5 +305,44 @@ fn idle_between_frames_is_never_dropped() {
     raw.write_all(&Message::NaiveQuery.encode_frame()).unwrap();
     raw.flush().unwrap();
     assert!(matches!(read_message(&mut raw), Message::Answer(_)));
+    handle.shutdown();
+}
+
+/// A reply that comes back after its request timed out is never taken as
+/// the answer to the next request on the same link: that one gets its own
+/// answer or a transport error.
+#[test]
+fn late_reply_is_never_taken_for_the_next_request() {
+    use std::time::Duration;
+    let (client, server) = hosted();
+    let (handle, shared) = start(server);
+    let sq = |q: &str| client.translate(q).unwrap().server_query.unwrap();
+    let (a, b) = (sq("//patient/pname"), sq("//patient[pname = 'Betty']/age"));
+    let mut fresh = TcpTransport::connect_default(handle.addr()).unwrap();
+    let want_b = fresh.send_query(&b).unwrap();
+    assert_ne!(fresh.send_query(&a).unwrap().pruned_xml, want_b.pruned_xml);
+
+    let config = TcpConfig {
+        io_timeout: Duration::from_millis(200),
+        ..TcpConfig::default()
+    };
+    let mut tcp = TcpTransport::connect(handle.addr(), config).unwrap();
+    let writer = shared.write().unwrap();
+    let err = tcp.send_query(&a).unwrap_err();
+    assert!(
+        matches!(err, CoreError::Transport(_)),
+        "A must time out: {err:?}"
+    );
+    drop(writer);
+    // A's answer is now on its way; B goes out behind it.
+    std::thread::sleep(Duration::from_millis(100));
+    match tcp.send_query(&b) {
+        Ok(resp) => assert_eq!(
+            resp.pruned_xml, want_b.pruned_xml,
+            "B answered with A's reply"
+        ),
+        Err(CoreError::Transport(_)) => {}
+        Err(e) => panic!("expected B's answer or a transport error, got {e:?}"),
+    }
     handle.shutdown();
 }
