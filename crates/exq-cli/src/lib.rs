@@ -11,7 +11,7 @@ use exq_core::retry::{Retry, RetryConfig};
 use exq_core::scheme::SchemeKind;
 use exq_core::serve::{ServeConfig, ServeHandle};
 use exq_core::store::{checkpoint_interval, Checkpointer, PagedDb, StoreOptions};
-use exq_core::system::{OutsourceConfig, Outsourcer};
+use exq_core::system::{OutsourceConfig, Outsourcer, QueryOutcome};
 use exq_core::telemetry;
 use exq_core::tenant::{validate_db_id, DbEntry, Manifest, TenantRegistry};
 use exq_core::transport::{InProcess, TcpTransport, Transport};
@@ -188,7 +188,8 @@ fn load_artifact(path: &Path) -> Result<Server, CliError> {
 }
 
 /// `exq query`: run one XPath query through the secure pipeline over an
-/// in-process link.
+/// in-process link — or, with `naive`, the baseline that ships the whole
+/// database.
 pub fn cmd_query(
     server_path: &Path,
     client_path: &Path,
@@ -201,7 +202,12 @@ pub fn cmd_query(
     server.set_cache_entries(cache_entries);
     let client = Client::load(client_path)?.with_threads(threads);
     let mut link = InProcess::shared(&server);
-    query_over(&client, &mut link, query, naive)
+    let out = if naive {
+        client.query_naive_via(&mut link, query)?
+    } else {
+        client.query_via(&mut link, query)?
+    };
+    Ok(query_report(&out))
 }
 
 /// `exq query --addr`: same pipeline, but the server is a network peer.
@@ -236,7 +242,7 @@ pub fn cmd_query_remote(
     if pipeline > 1 {
         return query_pipelined(&client, &mut link, query, pipeline);
     }
-    query_over(&client, &mut link, query, false)
+    Ok(query_report(&client.query_via(&mut link, query)?))
 }
 
 /// `exq query --addr --pipeline N`: N copies of the translated request in
@@ -313,62 +319,20 @@ pub fn cmd_ping(addr: &str, count: u32) -> Result<String, CliError> {
     Ok(report)
 }
 
-fn query_over(
-    client: &Client,
-    link: &mut dyn Transport,
-    query: &str,
-    naive: bool,
-) -> Result<String, CliError> {
-    // Same telemetry envelope as the library pipeline: one client trace per
-    // query (written to the sink if `--trace-out` opened one), span
-    // durations taken from the measured phase timings, and the slow-query
-    // accounting fed at the end.
-    let scope = if telemetry::tracing_wanted() && telemetry::current_trace() == 0 {
-        Some(telemetry::begin_trace(
-            telemetry::new_trace_id(),
-            telemetry::Side::Client,
-        ))
-    } else {
-        None
-    };
-    let started = std::time::Instant::now();
-    let out = query_over_inner(client, link, query, naive);
-    if let Some(scope) = scope {
-        telemetry::write_trace(&scope.finish());
-    }
-    if let Ok((_, served_from_cache)) = &out {
-        telemetry::note_query(query, started.elapsed(), *served_from_cache);
-    }
-    out.map(|(report, _)| report)
-}
-
-fn query_over_inner(
-    client: &Client,
-    link: &mut dyn Transport,
-    query: &str,
-    naive: bool,
-) -> Result<(String, bool), CliError> {
-    let tq = client.translate(query)?;
-    telemetry::record_span("client.translate", tq.translate_time);
-    let (resp, post_query) = match (&tq.server_query, naive) {
-        (Some(sq), false) => (link.send_query(sq)?, &tq.post_query),
-        _ => (link.send_naive()?, &tq.full_query),
-    };
-    let post = client.post_process(post_query, &resp)?;
-    telemetry::record_span("client.decrypt", post.decrypt_time);
-    telemetry::record_span("client.post_process", post.post_process_time);
+/// A query's results, one a line, and its footer.
+fn query_report(out: &QueryOutcome) -> String {
     let mut report = String::new();
-    for r in &post.results {
+    for r in &out.results {
         let _ = writeln!(report, "{r}");
     }
     let _ = writeln!(
         report,
         "-- {} result(s); {} block(s) decrypted; {} bytes from server",
-        post.results.len(),
-        post.blocks_decrypted,
-        link.stats().bytes_received
+        out.results.len(),
+        out.blocks_shipped,
+        out.bytes_to_client
     );
-    Ok((report, resp.served_from_cache))
+    report
 }
 
 /// Resolves the buffer-pool budget of each hosted database: the

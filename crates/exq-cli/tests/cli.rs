@@ -348,18 +348,23 @@ fn serve_then_stats_scrapes_live_metrics() {
     let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(2, Some(64), None)).unwrap();
     let addr = handle.addr().to_string();
 
-    // Drive one query so the counters move, then scrape the registry.
+    // Drive one query so the counters move, then scrape the registry. The
+    // client shares this process's registry, so only series the server
+    // alone bumps say the scrape is live.
     let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, 1, None, 1).unwrap();
     assert!(out.contains("Betty"));
     let text = cmd_stats_remote(&addr).unwrap();
     assert!(
-        text.contains("# TYPE exq_wire_requests_total counter"),
+        text.contains("# TYPE exq_db_requests_total counter"),
         "metrics text: {text}"
     );
-    assert!(
-        text.contains("exq_cache_response_misses_total"),
-        "metrics text: {text}"
-    );
+    let served = |series: &str| {
+        text.lines()
+            .find_map(|l| l.strip_prefix(series)?.trim().parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no {series} in metrics text: {text}"))
+    };
+    assert!(served("exq_db_requests_total{db=\"default\"}") >= 1);
+    assert!(served("exq_cache_response_misses_total{db=\"default\"}") >= 1);
     handle.shutdown();
     assert!(
         cmd_stats_remote(&addr).is_err(),
@@ -470,6 +475,31 @@ fn serve_and_query_remote() {
     handle.shutdown();
     // Server gone: the connect retries, then errors instead of hanging.
     assert!(cmd_query_remote(&addr, &client, "//patient", 1, 0, None, 1).is_err());
+}
+
+/// A top-level union runs branch by branch, offline and over the wire, and
+/// prints every branch's results above one footer.
+#[test]
+fn union_query_prints_both_branches_offline_and_remote() {
+    const UNION: &str = "//patient/pname | //patient/age";
+    let dir = TempDir::new("union");
+    let (server, client) = setup(&dir);
+    let local = cmd_query(&server, &client, UNION, false, 1, None).unwrap();
+    let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(1, Some(64), None)).unwrap();
+    let addr = handle.addr().to_string();
+    let remote = cmd_query_remote(&addr, &client, UNION, 1, 0, None, 1).unwrap();
+    handle.shutdown();
+    for out in [&local, &remote] {
+        for branch in [
+            "<pname>Betty</pname>",
+            "<pname>Matt</pname>",
+            "<age>35</age>",
+        ] {
+            assert!(out.contains(branch), "{branch} missing from:\n{out}");
+        }
+        assert!(out.contains("-- 4 result(s)"), "{out}");
+    }
+    assert_eq!(remote, local);
 }
 
 #[test]

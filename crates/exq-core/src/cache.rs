@@ -58,7 +58,8 @@ pub fn default_cache_entries() -> usize {
 }
 
 /// Point-in-time cache counters, read by tests, the `exq serve` banner and
-/// the perf ledger; the scrape exports the same atomics as series.
+/// the perf ledger; for a tenant's server they are the same atomics the
+/// scrape exports as `exq_cache_response_*_total{db="…"}`.
 ///
 /// The four `range_*` fields belonged to a cross-query value-range cache
 /// that was removed (it never hit: the response cache absorbs every repeat
@@ -113,47 +114,30 @@ impl<K, V> Default for Shard<K, V> {
     }
 }
 
-/// Process-wide registry mirrors of a cache's counters. The
-/// unlabeled `exq_cache_<layer>_*` names aggregate across every instance
-/// the process ever created; when a db label is attached (multi-tenant
-/// serving), a second `{db="<name>"}`-labeled series is kept and becomes
-/// the *authoritative* source for snapshots — so a [`CacheStatsSnapshot`]
-/// and the `MetricsReq` registry scrape literally read the same atomics and
-/// cannot drift, and counts survive `set_capacity`.
-struct CacheMetrics {
-    hits: Arc<telemetry::Counter>,
-    misses: Arc<telemetry::Counter>,
-    evictions: Arc<telemetry::Counter>,
-    db: Option<DbCacheMetrics>,
-}
-
-/// The per-db labeled counter handles of a cache.
-struct DbCacheMetrics {
+/// A cache's hit, miss and eviction counters: one handle each, counted
+/// once. A tenant's cache holds its `{db="<name>"}` registry series, so a
+/// [`CacheStatsSnapshot`] and the metrics scrape read the same atomics and
+/// the counts survive `set_capacity`; any other cache holds private,
+/// unregistered ones that start at zero.
+#[derive(Default)]
+struct CacheCounters {
     hits: Arc<telemetry::Counter>,
     misses: Arc<telemetry::Counter>,
     evictions: Arc<telemetry::Counter>,
 }
 
-impl CacheMetrics {
-    fn new(layer: &str) -> Self {
-        CacheMetrics {
-            hits: telemetry::counter(&format!("exq_cache_{layer}_hits_total")),
-            misses: telemetry::counter(&format!("exq_cache_{layer}_misses_total")),
-            evictions: telemetry::counter(&format!("exq_cache_{layer}_evictions_total")),
-            db: None,
+impl CacheCounters {
+    /// The response cache's `exq_cache_response_*_total{db="<name>"}`.
+    fn registered(db: &str) -> Self {
+        let c = |what: &str| {
+            let name = format!("exq_cache_response_{what}_total");
+            telemetry::counter(&telemetry::db_series(&name, db))
+        };
+        CacheCounters {
+            hits: c("hits"),
+            misses: c("misses"),
+            evictions: c("evictions"),
         }
-    }
-
-    fn labeled(layer: &str, db: &str) -> Self {
-        let mut m = Self::new(layer);
-        m.db = Some(DbCacheMetrics {
-            hits: telemetry::counter(&format!("exq_cache_{layer}_hits_total{{db=\"{db}\"}}")),
-            misses: telemetry::counter(&format!("exq_cache_{layer}_misses_total{{db=\"{db}\"}}")),
-            evictions: telemetry::counter(&format!(
-                "exq_cache_{layer}_evictions_total{{db=\"{db}\"}}"
-            )),
-        });
-        m
     }
 }
 
@@ -162,17 +146,18 @@ pub struct GenCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     /// Per-shard capacity (total capacity split over [`SHARDS`]).
     per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    /// Set for the server's response cache, `None` for ad-hoc caches (tests).
-    metrics: Option<CacheMetrics>,
+    counters: CacheCounters,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> GenCache<K, V> {
     /// `capacity` is the total entry budget across all shards; `0` turns
     /// the cache off (gets always miss silently, inserts are dropped).
+    /// Counts privately.
     pub fn new(capacity: usize) -> Self {
+        Self::counted(capacity, CacheCounters::default())
+    }
+
+    fn counted(capacity: usize, counters: CacheCounters) -> Self {
         let per_shard = if capacity == 0 {
             0
         } else {
@@ -181,30 +166,8 @@ impl<K: Hash + Eq + Clone, V: Clone> GenCache<K, V> {
         GenCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            metrics: None,
+            counters,
         }
-    }
-
-    /// Like [`GenCache::new`], but also mirrors hit/miss/eviction counts
-    /// into the global telemetry registry as
-    /// `exq_cache_<layer>_{hits,misses,evictions}_total`.
-    pub fn with_metrics(capacity: usize, layer: &str) -> Self {
-        let mut c = Self::new(capacity);
-        c.metrics = Some(CacheMetrics::new(layer));
-        c
-    }
-
-    /// Like [`GenCache::with_metrics`], but additionally keeps a
-    /// `{db="<name>"}`-labeled registry series that is the authoritative
-    /// source for [`GenCache::counters`] — per-tenant counts that survive
-    /// capacity changes and always agree with the metrics scrape.
-    fn with_db_metrics(capacity: usize, layer: &str, db: &str) -> Self {
-        let mut c = Self::new(capacity);
-        c.metrics = Some(CacheMetrics::labeled(layer, db));
-        c
     }
 
     pub fn enabled(&self) -> bool {
@@ -229,35 +192,14 @@ impl<K: Hash + Eq + Clone, V: Clone> GenCache<K, V> {
         match shard.map.get_mut(key) {
             Some(e) if e.generation == generation => {
                 e.stamp = tick;
-                let v = e.value.clone();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.metrics {
-                    m.hits.inc();
-                    if let Some(db) = &m.db {
-                        db.hits.inc();
-                    }
-                }
-                Some(v)
+                self.counters.hits.inc();
+                Some(e.value.clone())
             }
-            Some(_) => {
-                shard.map.remove(key);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.metrics {
-                    m.misses.inc();
-                    if let Some(db) = &m.db {
-                        db.misses.inc();
-                    }
+            stale => {
+                if stale.is_some() {
+                    shard.map.remove(key);
                 }
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.metrics {
-                    m.misses.inc();
-                    if let Some(db) = &m.db {
-                        db.misses.inc();
-                    }
-                }
+                self.counters.misses.inc();
                 None
             }
         }
@@ -294,13 +236,7 @@ impl<K: Hash + Eq + Clone, V: Clone> GenCache<K, V> {
                 .map(|(k, _)| k.clone());
             if let Some(k) = victim {
                 shard.map.remove(&k);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.metrics {
-                    m.evictions.inc();
-                    if let Some(db) = &m.db {
-                        db.evictions.inc();
-                    }
-                }
+                self.counters.evictions.inc();
             }
         }
         shard.map.insert(
@@ -326,16 +262,8 @@ impl<K: Hash + Eq + Clone, V: Clone> GenCache<K, V> {
     }
 
     fn counters(&self) -> (u64, u64, u64) {
-        // Db-labeled layers report their registry series — the same atomics
-        // the `MetricsReq` scrape renders, so the two paths cannot drift.
-        if let Some(db) = self.metrics.as_ref().and_then(|m| m.db.as_ref()) {
-            return (db.hits.get(), db.misses.get(), db.evictions.get());
-        }
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-        )
+        let c = &self.counters;
+        (c.hits.get(), c.misses.get(), c.evictions.get())
     }
 }
 
@@ -359,13 +287,13 @@ impl ServerCaches {
             generation: AtomicU64::new(0),
             capacity,
             db_label: None,
-            responses: GenCache::with_metrics(capacity, "response"),
+            responses: GenCache::new(capacity),
         }
     }
 
-    /// Attaches a tenant label: the cache is rebuilt backed by
-    /// `{db="<name>"}`-labeled registry counters, making per-db cache stats
-    /// scrapeable and snapshot counters registry-authoritative.
+    /// Attaches a tenant label: the cache is rebuilt counting in the
+    /// `{db="<name>"}` registry series, so its stats are scrapeable per db
+    /// and a snapshot reads what the scrape does.
     pub fn set_db_label(&mut self, db: &str) {
         self.db_label = Some(db.to_owned());
         self.set_capacity(self.capacity);
@@ -391,15 +319,16 @@ impl ServerCaches {
         self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Replaces the cache with a fresh one of the new capacity (local
-    /// counters reset, generation and db label preserved; a db-labeled
-    /// instance keeps counting in its registry series).
+    /// Replaces the cache with a fresh one of the new capacity (generation
+    /// and db label preserved; private counters restart from zero, a
+    /// db-labelled instance keeps counting in its registry series).
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        self.responses = match &self.db_label {
-            Some(db) => GenCache::with_db_metrics(capacity, "response", db),
-            None => GenCache::with_metrics(capacity, "response"),
+        let counters = match &self.db_label {
+            Some(db) => CacheCounters::registered(db),
+            None => CacheCounters::default(),
         };
+        self.responses = GenCache::counted(capacity, counters);
     }
 
     pub fn snapshot(&self) -> CacheStatsSnapshot {
@@ -424,9 +353,9 @@ impl Default for ServerCaches {
 
 impl Clone for ServerCaches {
     fn clone(&self) -> Self {
-        // The clone is a *new instance*: it gets a fresh unlabeled cache
-        // even if the original was db-labeled, so two instances never share
-        // one tenant's registry series.
+        // The clone is a *new instance*: it gets a fresh privately counted
+        // cache even if the original was db-labelled, so two instances
+        // never share one tenant's registry series.
         let fresh = ServerCaches::new(self.capacity);
         fresh.generation.store(self.generation(), Ordering::Release);
         fresh
@@ -526,6 +455,9 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.generation, 1, "set_capacity keeps the generation");
         assert_eq!(snap.response_hits, 0, "set_capacity resets counters");
+        // An unlabelled cache counts privately: nothing of it is scraped.
+        let text = telemetry::render();
+        assert!(!text.contains("\nexq_cache_response_hits_total "), "{text}");
     }
 
     #[test]
@@ -543,8 +475,8 @@ mod tests {
             text.contains("exq_cache_response_hits_total{db=\"cachetest-db\"} 1"),
             "labeled series missing from scrape: {text}"
         );
-        // Unlike unlabeled instances, labeled counters survive capacity
-        // changes — the registry series is the source of truth.
+        // Unlike private counters, labelled ones survive capacity changes —
+        // the registry series is the source of truth.
         s.set_capacity(8);
         let snap = s.snapshot();
         assert_eq!(snap.response_hits, 1);

@@ -1519,7 +1519,7 @@ mod tests {
                 spans: vec![sample_span()],
             }),
             Message::MetricsReq,
-            Message::MetricsText("# TYPE exq_queries_total counter\n".into()),
+            Message::MetricsText("# TYPE exq_db_requests_total counter\n".into()),
             Message::Block(None),
             Message::Block(Some(SealedBlock {
                 id: 1,

@@ -21,24 +21,8 @@
 //! path stays the reference semantics and the parallel path must match it
 //! bit for bit (asserted by `tests/equivalence.rs`).
 
-use crate::telemetry;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Registry handles for the pool's counters, resolved once — the hot path
-/// pays two atomic adds per parallel call, never a registry lookup.
-struct PoolMetrics {
-    parallel_calls: Arc<telemetry::Counter>,
-    tasks: Arc<telemetry::Counter>,
-}
-
-fn pool_metrics() -> &'static PoolMetrics {
-    static M: OnceLock<PoolMetrics> = OnceLock::new();
-    M.get_or_init(|| PoolMetrics {
-        parallel_calls: telemetry::counter("exq_pool_parallel_calls_total"),
-        tasks: telemetry::counter("exq_pool_tasks_total"),
-    })
-}
+use std::sync::Mutex;
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "EXQ_THREADS";
@@ -94,9 +78,6 @@ where
     if workers <= 1 || n < MIN_PARALLEL_ITEMS {
         return items.iter().map(&f).collect();
     }
-    let m = pool_metrics();
-    m.parallel_calls.inc();
-    m.tasks.add(n as u64);
     // Chunked dynamic scheduling: big enough to amortize the atomic,
     // small enough that stragglers rebalance.
     let chunk = (n / (workers * 8)).max(1);

@@ -50,7 +50,7 @@ use exq_store::PagedStore;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 pub use exq_store::{PoolStats, StoreFootprint, StoreOptions};
@@ -67,124 +67,6 @@ impl From<exq_store::StoreError> for CoreError {
     fn from(e: exq_store::StoreError) -> CoreError {
         CoreError::Persist(format!("store: {e}"))
     }
-}
-
-// ------------------------------------------------------ engine observer --
-
-/// Cached handles for the engine-level series the observer feeds, so a
-/// storage event costs atomic adds, never a registry lookup.
-struct EngineSeries {
-    page_fault: Arc<telemetry::Histogram>,
-    wal_fsync: Arc<telemetry::Histogram>,
-    wal_replay: Arc<telemetry::Histogram>,
-    checkpoint: Arc<telemetry::Histogram>,
-    epoch_retries: Arc<Counter>,
-    wal_compactions: Arc<Counter>,
-    scrub_pages: Arc<Counter>,
-    scrub_corrupt_pages: Arc<Counter>,
-}
-
-fn engine_series() -> &'static EngineSeries {
-    static SERIES: OnceLock<EngineSeries> = OnceLock::new();
-    SERIES.get_or_init(|| EngineSeries {
-        page_fault: telemetry::histogram("exq_store_page_fault_seconds"),
-        wal_fsync: telemetry::histogram("exq_store_wal_fsync_seconds"),
-        wal_replay: telemetry::histogram("exq_store_wal_replay_seconds"),
-        checkpoint: telemetry::histogram("exq_store_checkpoint_seconds"),
-        epoch_retries: telemetry::counter("exq_store_epoch_retries_total"),
-        wal_compactions: telemetry::counter("exq_store_wal_compactions_total"),
-        scrub_pages: telemetry::counter("exq_store_scrub_pages_total"),
-        scrub_corrupt_pages: telemetry::counter("exq_store_scrub_corrupt_pages_total"),
-    })
-}
-
-/// The bridge installed into `exq-store`'s observer slot: every storage
-/// event lands in the engine histograms, in the calling thread's active
-/// [`telemetry::QueryProfile`] (hooks fire on the thread that did the
-/// work, so attribution is exact — the background checkpointer has no
-/// active profile and never pollutes a query's numbers). Every method bails
-/// on one relaxed load when telemetry is off, so the telemetry-off
-/// configuration measures a true zero-instrumentation baseline.
-struct CoreStoreObserver;
-
-impl exq_store::StoreObserver for CoreStoreObserver {
-    fn pool_hit(&self) {
-        if telemetry::enabled() {
-            telemetry::with_profile(|p| p.pool_hits += 1);
-        }
-    }
-
-    fn pool_miss(&self) {
-        if telemetry::enabled() {
-            telemetry::with_profile(|p| p.pool_misses += 1);
-        }
-    }
-
-    fn page_fault(&self, nanos: u64) {
-        if telemetry::enabled() {
-            engine_series().page_fault.observe(nanos);
-            telemetry::with_profile(|p| p.pages_faulted += 1);
-        }
-    }
-
-    fn eviction(&self) {
-        if telemetry::enabled() {
-            telemetry::with_profile(|p| p.evictions += 1);
-        }
-    }
-
-    fn epoch_retry(&self) {
-        if telemetry::enabled() {
-            engine_series().epoch_retries.inc();
-            telemetry::with_profile(|p| p.epoch_retries += 1);
-        }
-    }
-
-    fn wal_fsync(&self, bytes: u64, nanos: u64) {
-        if telemetry::enabled() {
-            engine_series().wal_fsync.observe(nanos);
-            telemetry::with_profile(|p| p.wal_bytes += bytes);
-        }
-    }
-
-    fn wal_replay(&self, _records: u64, nanos: u64) {
-        if telemetry::enabled() {
-            engine_series().wal_replay.observe(nanos);
-        }
-    }
-
-    fn wal_compaction(&self) {
-        if telemetry::enabled() {
-            engine_series().wal_compactions.inc();
-        }
-    }
-
-    fn checkpoint(&self, _pages_folded: u64, nanos: u64) {
-        if telemetry::enabled() {
-            engine_series().checkpoint.observe(nanos);
-        }
-    }
-
-    fn scrub(&self, scanned: u64, _corrupt_records: u64) {
-        if telemetry::enabled() {
-            engine_series().scrub_pages.add(scanned);
-        }
-    }
-
-    fn scrub_corrupt(&self, _page: u32, _records: u64) {
-        if telemetry::enabled() {
-            engine_series().scrub_corrupt_pages.inc();
-        }
-    }
-}
-
-/// Installs [`CoreStoreObserver`] into `exq-store`. Idempotent (first
-/// install wins, even against another observer in the same process);
-/// called from every [`PagedDb`] construction so any paged database is
-/// observed without callers opting in.
-fn install_store_observer() {
-    static OBS: CoreStoreObserver = CoreStoreObserver;
-    let _ = exq_store::set_observer(&OBS);
 }
 
 /// What WAL replay did while opening a paged database.
@@ -289,18 +171,17 @@ fn suffixed(path: &Path, suffix: &str) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// A paged database: the store plus its per-db telemetry series.
+/// A paged database: the store plus the per-db series of its background
+/// work — checkpoints and scrub steps — and of its footprint. What a
+/// request's reads and appends cost goes to the request's profile instead.
 pub struct PagedDb {
     store: PagedStore,
     label: String,
-    read_block_ns: &'static str,
-    checkpoints: Arc<Counter>,
+    /// Times every checkpoint; its count is [`PagedDb::checkpoints_total`].
     checkpoint_seconds: Arc<telemetry::Histogram>,
     pages_folded: Arc<Counter>,
-    wal_compactions: Arc<Counter>,
-    pool_hits: Arc<Gauge>,
-    pool_misses: Arc<Gauge>,
-    pool_evictions: Arc<Gauge>,
+    scrub_pages: Arc<Counter>,
+    scrub_corrupt_pages: Arc<Counter>,
     resident_pages: Arc<Gauge>,
     disk_bytes: Arc<Gauge>,
     wal_depth: Arc<Gauge>,
@@ -318,23 +199,18 @@ impl std::fmt::Debug for PagedDb {
 
 impl PagedDb {
     fn with_store(store: PagedStore, label: &str) -> Arc<PagedDb> {
-        install_store_observer();
         let g = |name: &str| telemetry::gauge(&telemetry::db_series(name, label));
         let c = |name: &str| telemetry::counter(&telemetry::db_series(name, label));
         Arc::new(PagedDb {
             store,
             label: label.to_owned(),
-            read_block_ns: "store.read_block",
-            checkpoints: c("exq_store_checkpoints_total"),
             checkpoint_seconds: telemetry::histogram(&telemetry::db_series(
                 "exq_db_checkpoint_seconds",
                 label,
             )),
             pages_folded: c("exq_store_checkpoint_pages_folded_total"),
-            wal_compactions: c("exq_store_wal_compactions_total"),
-            pool_hits: g("exq_store_pool_hits_total"),
-            pool_misses: g("exq_store_pool_misses_total"),
-            pool_evictions: g("exq_store_pool_evictions_total"),
+            scrub_pages: c("exq_store_scrub_pages_total"),
+            scrub_corrupt_pages: c("exq_store_scrub_corrupt_pages_total"),
             resident_pages: g("exq_store_resident_pages"),
             disk_bytes: g("exq_db_disk_bytes"),
             wal_depth: g("exq_store_wal_depth"),
@@ -484,7 +360,8 @@ impl PagedDb {
 
     /// Reads the sealed block records `ids` in one batch: one directory
     /// snapshot, one pin per page, each block decoded straight from the
-    /// pinned frame.
+    /// pinned frame. What the read cost the pool is charged to the request
+    /// this thread is serving.
     pub(crate) fn load_blocks(&self, ids: &[u32]) -> Result<Vec<Arc<SealedBlock>>, CoreError> {
         if ids.is_empty() {
             return Ok(Vec::new());
@@ -492,20 +369,30 @@ impl PagedDb {
         let t = Instant::now();
         let records: Vec<u64> = ids.iter().map(|&id| block_record_id(id)).collect();
         let mut blocks = Vec::with_capacity(ids.len());
-        self.store.read_many(&records, |i, raw| {
+        let cost = self.store.read_many(&records, |i, raw| {
             blocks.push(Arc::new(decode_block_record(ids[i], &raw)?));
             Ok(())
         })?;
-        telemetry::with_profile(|p| p.records_decoded += blocks.len() as u64);
-        telemetry::record_span(self.read_block_ns, t.elapsed());
+        telemetry::with_profile(|p| {
+            p.pool_hits += cost.pool_hits;
+            p.pages_faulted += cost.pages_faulted;
+            p.evictions += cost.evictions;
+            p.epoch_retries += cost.epoch_retries;
+            p.records_decoded += blocks.len() as u64;
+        });
+        telemetry::record_span("store.read_block", t.elapsed());
         Ok(blocks)
     }
 
-    /// Appends one mutation record to the WAL; `Ok` means fsynced.
+    /// Appends one mutation record to the WAL; `Ok` means fsynced. The
+    /// framed bytes written are charged to the request this thread is
+    /// serving.
     pub(crate) fn append_wal(&self, kind: u8, payload: &[u8]) -> Result<u64, CoreError> {
         let t = Instant::now();
         let seq = self.store.append_wal(kind, payload)?;
         telemetry::record_span("store.wal_append", t.elapsed());
+        let framed = (exq_store::wal::FRAME_OVERHEAD + payload.len()) as u64;
+        telemetry::with_profile(|p| p.wal_bytes += framed);
         self.publish_metrics();
         Ok(seq)
     }
@@ -542,23 +429,19 @@ impl PagedDb {
         self.store.inject_checkpoint_crash(point);
     }
 
-    /// Pushes the store's footprint and pool counters into the per-db
-    /// telemetry gauges.
+    /// Pushes the store's footprint into the per-db telemetry gauges.
     pub fn publish_metrics(&self) {
         let fp = self.store.footprint();
-        let ps = self.store.pool_stats();
-        self.pool_hits.set(ps.hits as i64);
-        self.pool_misses.set(ps.misses as i64);
-        self.pool_evictions.set(ps.evictions as i64);
         self.resident_pages.set(fp.resident_pages as i64);
         self.disk_bytes.set(fp.disk_bytes as i64);
         self.wal_depth.set(fp.wal_depth as i64);
         self.wal_bytes.set(fp.wal_bytes as i64);
     }
 
-    /// Checkpoints folded since this handle was created.
+    /// Checkpoints folded under this database's label: the observation
+    /// count of `exq_db_checkpoint_seconds{db}`.
     pub fn checkpoints_total(&self) -> u64 {
-        self.checkpoints.get()
+        self.checkpoint_seconds.count()
     }
 
     /// Read-only inspection of the paged store at `dir`, for reporting
@@ -775,14 +658,10 @@ pub fn checkpoint_once(server: &RwLock<Server>) -> Result<bool, CoreError> {
         let mut g = write_server(server);
         g.drain_overlay_if(|id| db.block_checkpointed(id));
     }
-    let elapsed = t.elapsed();
-    telemetry::record_span("store.checkpoint", elapsed);
-    if telemetry::enabled() {
-        db.checkpoint_seconds.observe_duration(elapsed);
-    }
-    db.checkpoints.inc();
+    // Checkpoints are rare: timed whatever the telemetry switch says, so
+    // the count doubles as the checkpoint counter.
+    db.checkpoint_seconds.observe_duration(t.elapsed());
     db.pages_folded.add(folded);
-    db.wal_compactions.inc();
     db.publish_metrics();
     Ok(true)
 }
@@ -836,6 +715,9 @@ pub fn scrub_once(server: &RwLock<Server>, max_pages: usize) -> Result<ScrubOutc
         return Ok(ScrubOutcome::default());
     };
     let report = db.store.scrub_step(max_pages)?;
+    db.scrub_pages.add(report.scanned_pages);
+    db.scrub_corrupt_pages
+        .add(report.corrupt_pages.len() as u64);
     let mut out = ScrubOutcome {
         scanned: report.scanned_pages,
         completed_pass: report.completed_pass,

@@ -202,6 +202,17 @@ impl Client {
     ) -> Result<QueryOutcome, CoreError> {
         run_query(self, transport, &OutsourceConfig::default(), query, false)
     }
+
+    /// [`query_via`](Self::query_via) through the naive baseline of §7.3:
+    /// every branch asks the server for the whole encrypted database and
+    /// is evaluated here.
+    pub fn query_naive_via(
+        &self,
+        transport: &mut dyn Transport,
+        query: &str,
+    ) -> Result<QueryOutcome, CoreError> {
+        run_query(self, transport, &OutsourceConfig::default(), query, true)
+    }
 }
 
 fn run_query(

@@ -797,18 +797,16 @@ pub fn log(level: Level, msg: &str) {
 
 /// Per-query resource profile: what one dispatched request actually cost
 /// the storage engine. Collected on the serving thread between
-/// [`profile_begin`] and [`profile_take`]; the storage observer and the
-/// paged-store glue feed it as the work happens, so the totals are exact
-/// per-request attribution, not sampled estimates. The serve path attaches
-/// the profile to the request's trace spans, the slow-query log, and the
-/// per-db registry counters.
+/// [`profile_begin`] and [`profile_take`]; the paged-store glue adds what
+/// each batch read and WAL append returns as the work happens, so the
+/// totals are exact per-request attribution, not sampled estimates. The
+/// serve path attaches the profile to the request's trace spans, the
+/// slow-query log, and the per-db registry counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct QueryProfile {
     /// Buffer-pool lookups that found the page resident.
     pub pool_hits: u64,
-    /// Buffer-pool lookups that missed.
-    pub pool_misses: u64,
-    /// Pages read from disk to satisfy this request.
+    /// Pages read from disk to satisfy this request (one per pool miss).
     pub pages_faulted: u64,
     /// Pool evictions this request's inserts triggered.
     pub evictions: u64,
@@ -830,10 +828,9 @@ impl QueryProfile {
     /// field, so profiles reach the client inside `Answer` spans with no
     /// wire-format change. Consumers (`exq explain`, the reconciliation
     /// test in `tests/telemetry.rs`) read the nanos back as counts.
-    pub fn span_fields(&self) -> [(&'static str, u64); 9] {
+    pub fn span_fields(&self) -> [(&'static str, u64); 8] {
         [
             ("profile.pool_hits", self.pool_hits),
-            ("profile.pool_misses", self.pool_misses),
             ("profile.pages_faulted", self.pages_faulted),
             ("profile.evictions", self.evictions),
             ("profile.epoch_retries", self.epoch_retries),
@@ -882,23 +879,18 @@ pub fn with_profile(f: impl FnOnce(&mut QueryProfile)) {
 
 static SLOW_NS: AtomicU64 = AtomicU64::new(0);
 
-/// Queries slower than this (client-observed total) are logged at `warn`
-/// and counted in `exq_slow_queries_total`. 0 disables.
+/// Queries and requests slower than this are logged at `warn`; a server
+/// also counts its slow requests in `exq_slow_queries_total`. 0 disables.
 pub fn set_slow_ms(ms: u64) {
     SLOW_NS.store(ms.saturating_mul(1_000_000), Ordering::Relaxed);
 }
 
-/// Per-query bookkeeping: bumps query counters and applies the slow-query
-/// threshold.
+/// Client-side slow-query log: one `warn` line for a query whose
+/// client-observed total crossed the threshold.
 pub fn note_query(desc: &str, total: Duration, served_from_cache: bool) {
-    counter("exq_queries_total").inc();
-    if served_from_cache {
-        counter("exq_queries_cached_total").inc();
-    }
     let threshold = SLOW_NS.load(Ordering::Relaxed);
     let total_ns = total.as_nanos().min(u64::MAX as u128) as u64;
     if threshold > 0 && total_ns >= threshold {
-        counter("exq_slow_queries_total").inc();
         log(
             Level::Warn,
             &format!(
@@ -923,10 +915,9 @@ pub fn note_server_query(db: &str, total: Duration, profile: Option<&QueryProfil
     counter("exq_slow_queries_total").inc();
     let detail = match profile {
         Some(p) => format!(
-            " [pool {}h/{}m, {} faulted, {} evicted, {} retries, {} wal B, \
+            " [{} pool hits, {} faulted, {} evicted, {} retries, {} wal B, \
              {} decoded, {} blocks, cache {}]",
             p.pool_hits,
-            p.pool_misses,
             p.pages_faulted,
             p.evictions,
             p.epoch_retries,

@@ -179,7 +179,6 @@ pub struct Tenant {
 /// profile field, labeled `{db="<name>"}`.
 struct DbProfileCounters {
     pool_hits: Arc<Counter>,
-    pool_misses: Arc<Counter>,
     pages_faulted: Arc<Counter>,
     evictions: Arc<Counter>,
     epoch_retries: Arc<Counter>,
@@ -194,7 +193,6 @@ impl DbProfileCounters {
         let c = |metric: &str| telemetry::counter(&telemetry::db_series(metric, name));
         DbProfileCounters {
             pool_hits: c("exq_db_pool_hits_total"),
-            pool_misses: c("exq_db_pool_misses_total"),
             pages_faulted: c("exq_db_pages_faulted_total"),
             evictions: c("exq_db_evictions_total"),
             epoch_retries: c("exq_db_epoch_retries_total"),
@@ -317,7 +315,6 @@ impl Tenant {
     /// paths, so `sum(profiles) == registry counters` holds exactly.
     pub(crate) fn note_profile(&self, p: &telemetry::QueryProfile) {
         self.profile.pool_hits.add(p.pool_hits);
-        self.profile.pool_misses.add(p.pool_misses);
         self.profile.pages_faulted.add(p.pages_faulted);
         self.profile.evictions.add(p.evictions);
         self.profile.epoch_retries.add(p.epoch_retries);
@@ -447,13 +444,15 @@ impl TenantRegistry {
         })
     }
 
-    /// Wraps one already-shared server as the sole (default) database,
-    /// preserving the single-db [`serve`] behavior exactly: the caller's
-    /// `Arc` stays live and the server's caches are *not* relabeled.
+    /// Wraps one already-shared server as the sole (default) database, for
+    /// the single-db [`serve`]: the caller's `Arc` stays live, and the
+    /// server's caches are labelled as [`create`](Self::create) labels
+    /// them, so it scrapes like any other hosted database.
     ///
     /// [`serve`]: crate::serve::serve
     pub fn single(name: &str, server: Arc<RwLock<Server>>) -> Result<TenantRegistry, CoreError> {
         let registry = TenantRegistry::new(name)?;
+        crate::store::write_server(&server).set_cache_db_label(name);
         let tenant = Arc::new(Tenant::new(name, server, 0, 0));
         registry.lock_write().insert(name.to_owned(), tenant);
         Ok(registry)

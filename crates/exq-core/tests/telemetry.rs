@@ -12,14 +12,16 @@
 use exq_core::constraints::SecurityConstraint;
 use exq_core::evloop::serve_event;
 use exq_core::scheme::SchemeKind;
-use exq_core::store::{PagedDb, StoreOptions};
+use exq_core::store::{tend, PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::telemetry;
-use exq_core::tenant::TenantRegistry;
-use exq_core::transport::{serve, ServeConfig, TcpTransport};
+use exq_core::tenant::{Tenant, TenantRegistry, DEFAULT_DB};
+use exq_core::transport::{serve, ServeConfig, ServeHandle, TcpTransport};
 use exq_core::{Client, Server};
 use exq_xml::Document;
+use std::collections::BTreeSet;
 use std::net::TcpListener;
+use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Held by each test that sends requests: the wire, cache and span series
@@ -108,13 +110,22 @@ fn serve_loop_hammer_keeps_wire_and_cache_counters_exact() {
     let addr = handle.addr();
     let client = Arc::new(client);
 
+    // The client's wire counters, and the server's own series of the one
+    // database `serve` hosts.
     let requests = telemetry::counter("exq_wire_requests_total");
     let sent = telemetry::counter("exq_wire_bytes_sent_total");
     let received = telemetry::counter("exq_wire_bytes_received_total");
-    let hits = telemetry::counter("exq_cache_response_hits_total");
-    let misses = telemetry::counter("exq_cache_response_misses_total");
+    let served = telemetry::counter(&telemetry::db_series("exq_db_requests_total", DEFAULT_DB));
+    let hits = telemetry::counter(&telemetry::db_series(
+        "exq_cache_response_hits_total",
+        DEFAULT_DB,
+    ));
+    let misses = telemetry::counter(&telemetry::db_series(
+        "exq_cache_response_misses_total",
+        DEFAULT_DB,
+    ));
     let probe_hist = telemetry::histogram("exq_span_server_cache_probe");
-    let (req0, sent0, recv0) = (requests.get(), sent.get(), received.get());
+    let (req0, sent0, recv0, served0) = (requests.get(), sent.get(), received.get(), served.get());
     let (hits0, misses0, probes0) = (hits.get(), misses.get(), probe_hist.count());
 
     let workers: Vec<_> = (0..THREADS)
@@ -138,6 +149,7 @@ fn serve_loop_hammer_keeps_wire_and_cache_counters_exact() {
 
     let total = (THREADS * PER) as u64;
     assert_eq!(requests.get() - req0, total, "one request frame per query");
+    assert_eq!(served.get() - served0, total, "the server saw each one");
     assert!(sent.get() > sent0 && received.get() > recv0);
     assert_eq!(
         (hits.get() - hits0) + (misses.get() - misses0),
@@ -165,7 +177,6 @@ fn serve_loop_hammer_keeps_wire_and_cache_counters_exact() {
 /// into the db's `exq_db_<stem>_total` counter. `(field, stem)`.
 const PROFILE_ACCOUNTS: &[(&str, &str)] = &[
     ("pool_hits", "pool_hits"),
-    ("pool_misses", "pool_misses"),
     ("pages_faulted", "pages_faulted"),
     ("evictions", "evictions"),
     ("epoch_retries", "epoch_retries"),
@@ -175,16 +186,12 @@ const PROFILE_ACCOUNTS: &[(&str, &str)] = &[
     ("cache_hit", "cache_hits"),
 ];
 
-/// With every request traced, the per-query `profile.*` span sums equal the
-/// per-db registry counter deltas exactly, component by component, on a
-/// paged tenant whose pool is a fraction of its pages — reads that fault,
-/// evict and decode, repeats that hit the response cache, inserts that
-/// append WAL bytes. Any drift means a second, unattributed accounting path.
-#[test]
-fn profile_spans_reconcile_exactly_with_db_counters() {
-    const DB: &str = "reconcile";
-    let _alone = TRAFFIC.lock().unwrap_or_else(|e| e.into_inner());
-
+/// A 48-patient hospital hosted as database `db` behind the event loop,
+/// with its store in `dir` and the response cache on. The pool is 32
+/// frames of 256 bytes against 48 patients' blocks, so nested block-fetch
+/// queries find some pages resident and fault the rest in over evicted
+/// ones.
+fn host_paged_hospital(db: &str, dir: &Path) -> (Client, ServeHandle, Arc<Tenant>) {
     let mut xml = String::from("<hospital>");
     for i in 0..48 {
         xml.push_str(&format!(
@@ -201,36 +208,44 @@ fn profile_spans_reconcile_exactly_with_db_counters() {
         .iter()
         .map(|c| SecurityConstraint::parse(c).unwrap())
         .collect();
-    let (mut client, resident) = Outsourcer::new(OutsourceConfig::default())
+    let (client, resident) = Outsourcer::new(OutsourceConfig::default())
         .outsource(&Document::parse(&xml).unwrap(), &cs, SchemeKind::Opt, 22)
         .unwrap()
         .split();
 
-    let dir = std::env::temp_dir().join(format!("exq-telemetry-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
     let artifact = dir.join("db.exq");
     resident.save(&artifact).unwrap();
-    // 32 frames of 256 bytes against 48 patients' blocks: the nested
-    // block-fetch queries below find some pages resident and fault the
-    // rest in over evicted ones.
     let opts = StoreOptions {
         page_size: 256,
         cache_bytes: 8192,
     };
-    let (server, _db, _) = PagedDb::open_or_migrate(&artifact, DB, opts).unwrap();
-    let registry = Arc::new(TenantRegistry::new(DB).unwrap());
-    registry
-        .create(DB, server, client.key_fingerprint(), 0)
+    let (server, _db, _) = PagedDb::open_or_migrate(&artifact, db, opts).unwrap();
+    let registry = Arc::new(TenantRegistry::new(db).unwrap());
+    let tenant = registry
+        .create(db, server, client.key_fingerprint(), 0)
         .unwrap();
-    // The response cache stays on, so the second pass over the queries
-    // gives the `cache_hit` account something to count.
     let config = ServeConfig {
         cache_entries: Some(64),
         ..ServeConfig::default()
     };
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = serve_event(listener, registry, config).unwrap();
+    (client, handle, tenant)
+}
+
+/// With every request traced, the per-query `profile.*` span sums equal the
+/// per-db registry counter deltas exactly, component by component, on a
+/// paged tenant whose pool is a fraction of its pages — reads that fault,
+/// evict and decode, repeats that hit the response cache, inserts that
+/// append WAL bytes. Any drift means a second, unattributed accounting path.
+#[test]
+fn profile_spans_reconcile_exactly_with_db_counters() {
+    const DB: &str = "reconcile";
+    let _alone = TRAFFIC.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("exq-telemetry-{}", std::process::id()));
+    let (mut client, handle, _tenant) = host_paged_hospital(DB, &dir);
     let mut tcp = TcpTransport::connect_default(handle.addr())
         .unwrap()
         .with_db(DB)
@@ -283,4 +298,128 @@ fn profile_spans_reconcile_exactly_with_db_counters() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every metric family, with its kind, that one process registers when a
+/// client and a paged tenant go through a query, a cache hit, an insert, a
+/// checkpoint and a scrub step. DESIGN §7's event table names only these.
+/// A series added, renamed or retyped anywhere on that path fails
+/// `scrape_families_match_the_catalogue` until it is entered here.
+const CATALOGUE: &[&str] = &[
+    // The event loop and admission.
+    "exq_accept_errors_total counter",
+    "exq_accept_rejected_total counter",
+    "exq_evloop_connections gauge",
+    "exq_evloop_queue_depth gauge",
+    "exq_evloop_queue_wait_seconds histogram",
+    "exq_evloop_wakeups_total counter",
+    "exq_server_deadline_shed_total counter",
+    "exq_server_inflight gauge",
+    "exq_server_shed_total counter",
+    // Per database: requests, their profiles, health.
+    "exq_db_blocks_shipped_total counter",
+    "exq_db_cache_hits_total counter",
+    "exq_db_epoch_retries_total counter",
+    "exq_db_evictions_total counter",
+    "exq_db_health gauge",
+    "exq_db_pages_faulted_total counter",
+    "exq_db_pool_hits_total counter",
+    "exq_db_records_decoded_total counter",
+    "exq_db_request_seconds histogram",
+    "exq_db_requests_total counter",
+    "exq_db_shed_total counter",
+    "exq_db_wal_bytes_total counter",
+    // Per database: the response cache.
+    "exq_cache_response_evictions_total counter",
+    "exq_cache_response_hits_total counter",
+    "exq_cache_response_misses_total counter",
+    // Per database: the store's background work and footprint.
+    "exq_db_checkpoint_seconds histogram",
+    "exq_db_disk_bytes gauge",
+    "exq_store_checkpoint_pages_folded_total counter",
+    "exq_store_resident_pages gauge",
+    "exq_store_scrub_corrupt_pages_total counter",
+    "exq_store_scrub_pages_total counter",
+    "exq_store_wal_bytes gauge",
+    "exq_store_wal_depth gauge",
+    // Server phases.
+    "exq_span_server_assemble histogram",
+    "exq_span_server_cache_probe histogram",
+    "exq_span_server_dsi_lookup histogram",
+    "exq_span_server_sjoin histogram",
+    "exq_span_server_value_resolve histogram",
+    "exq_span_store_read_block histogram",
+    "exq_span_store_wal_append histogram",
+    // The client: its phases and its link.
+    "exq_span_client_decrypt histogram",
+    "exq_span_client_post_process histogram",
+    "exq_span_client_translate histogram",
+    "exq_span_wire_roundtrip histogram",
+    "exq_wire_bytes_received_total counter",
+    "exq_wire_bytes_sent_total counter",
+    "exq_wire_requests_total counter",
+];
+
+/// The argument that makes this binary, run again, play the catalogue
+/// session instead of checking it.
+const CATALOGUE_SESSION: &str = "catalogue-session";
+
+/// The registry is process-wide and the other tests here add families of
+/// their own, so the session runs in a fresh process of this binary — it
+/// alone, by exact name — and prints its scrape; this process compares the
+/// `# TYPE` lines with [`CATALOGUE`].
+#[test]
+fn scrape_families_match_the_catalogue() {
+    const NAME: &str = "scrape_families_match_the_catalogue";
+    if std::env::args().any(|a| a == CATALOGUE_SESSION) {
+        // After a newline: the harness has just printed the test's name.
+        print!("\n{}", catalogue_session());
+        return;
+    }
+    let exe = std::env::current_exe().unwrap();
+    let out = std::process::Command::new(exe)
+        .args([NAME, CATALOGUE_SESSION, "--exact", "--nocapture"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "session failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let families: BTreeSet<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .collect();
+    let catalogue: BTreeSet<&str> = CATALOGUE.iter().copied().collect();
+    let unlisted: Vec<_> = families.difference(&catalogue).collect();
+    let gone: Vec<_> = catalogue.difference(&families).collect();
+    assert!(
+        unlisted.is_empty() && gone.is_empty(),
+        "scraped but not catalogued: {unlisted:#?}\ncatalogued but not scraped: {gone:#?}"
+    );
+}
+
+/// One client and one paged tenant: a query, the same query from the
+/// response cache, an insert, then the checkpointer's two passes — the
+/// first folds the insert, the idle second scrubs. Returns the scrape.
+fn catalogue_session() -> String {
+    let dir = std::env::temp_dir().join(format!("exq-catalogue-{}", std::process::id()));
+    let (mut client, handle, tenant) = host_paged_hospital("catalogue", &dir);
+    let mut tcp = TcpTransport::connect_default(handle.addr()).unwrap();
+    for _ in 0..2 {
+        client.query_via(&mut tcp, "//patient/pname").unwrap();
+    }
+    let record = "<patient><pname>Cat</pname><SSN>1</SSN><age>30</age></patient>";
+    client
+        .insert_via(&mut tcp, "/hospital", record, 0x29)
+        .unwrap();
+    drop(tcp);
+    handle.shutdown();
+    let db = tenant.server.read().unwrap().paged_store().unwrap();
+    tend(&tenant);
+    tend(&tenant);
+    assert_eq!(db.checkpoints_total(), 1, "one checkpoint folded");
+    std::fs::remove_dir_all(&dir).ok();
+    telemetry::render()
 }

@@ -331,7 +331,10 @@ fn scrubber_repairs_full_surface_bit_rot() {
     }
     assert!(rotted > 4, "expected a real page surface, rotted {rotted}");
 
-    let corrupt_pages = exq_core::telemetry::counter("exq_store_scrub_corrupt_pages_total");
+    let corrupt_pages = exq_core::telemetry::counter(&exq_core::telemetry::db_series(
+        "exq_store_scrub_corrupt_pages_total",
+        "rot",
+    ));
     let corrupt_before = corrupt_pages.get();
     let outcome = scrub_once(&lock, usize::MAX).unwrap();
     assert!(

@@ -29,19 +29,23 @@
 //!   through a [`Vfs`], either the real OS filesystem ([`OsVfs`]) or a
 //!   seeded in-memory [`FaultVfs`] that injects EIO/ENOSPC, torn writes,
 //!   lying fsyncs, power cuts, and bit rot for crash-torture tests.
+//!
+//! The store reports to its caller and to nobody else: a batch read returns
+//! its [`ReadCost`] (pool hits, page faults, evictions, epoch retries), a
+//! checkpoint the pages it folded, a scrub step its [`ScrubReport`], and the
+//! pool keeps running totals in [`PoolStats`]. What to count, and where,
+//! is the business of the layer that knows which request it is serving.
 
-pub mod obs;
 pub mod page;
 pub mod pool;
 pub mod store;
 pub mod vfs;
 pub mod wal;
 
-pub use obs::{set_observer, StoreObserver};
 pub use page::{PageFile, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE, PAGE_HEADER_BYTES};
 pub use pool::{BufferPool, PinnedPage, PoolStats};
 pub use store::{
-    CorruptRecord, PagedStore, ScrubReport, StoreFootprint, StoreOptions, StoreReader,
+    CorruptRecord, PagedStore, ReadCost, ScrubReport, StoreFootprint, StoreOptions, StoreReader,
     SCRUB_DIRECTORY,
 };
 pub use vfs::{os_vfs, FaultConfig, FaultVfs, OpenMode, OsVfs, Vfs, VfsFile};

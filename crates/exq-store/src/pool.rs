@@ -117,11 +117,9 @@ impl BufferPool {
             let bytes = Arc::clone(&f.ring[i].bytes);
             drop(f);
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            crate::obs::obs().pool_hit();
             Some(PinnedPage { bytes })
         } else {
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            crate::obs::obs().pool_miss();
             None
         }
     }
@@ -137,36 +135,20 @@ impl BufferPool {
     /// captured — otherwise the bytes may predate a checkpoint's rewrite of
     /// that page and caching them would serve stale data to later readers.
     /// Always returns a pin on the bytes (the caller's copy is still a
-    /// valid read of the state it looked the page up in).
-    pub fn insert_if(&self, stamp: u64, page: u32, payload: Vec<u8>) -> PinnedPage {
-        let f = self.frames.lock().unwrap();
+    /// valid read of the state it looked the page up in), and whether the
+    /// clock sweep evicted a frame to make room for them.
+    pub fn insert_if(&self, stamp: u64, page: u32, payload: Vec<u8>) -> (PinnedPage, bool) {
+        let mut f = self.frames.lock().unwrap();
         if f.stamp != stamp {
-            return payload.into();
+            return (payload.into(), false);
         }
-        Self::insert_locked(f, page, &self.counters, self.capacity, payload)
-    }
-
-    /// Inserts (or refreshes) a page read from disk and returns a pin on
-    /// it. Runs the clock sweep if the pool is at capacity.
-    pub fn insert(&self, page: u32, payload: Vec<u8>) -> PinnedPage {
-        let f = self.frames.lock().unwrap();
-        Self::insert_locked(f, page, &self.counters, self.capacity, payload)
-    }
-
-    fn insert_locked(
-        mut f: std::sync::MutexGuard<'_, Frames>,
-        page: u32,
-        counters: &Counters,
-        capacity: usize,
-        payload: Vec<u8>,
-    ) -> PinnedPage {
         let bytes = Arc::new(payload);
         if let Some(&i) = f.index.get(&page) {
             f.ring[i].bytes = Arc::clone(&bytes);
             f.ring[i].referenced = true;
-            return PinnedPage { bytes };
+            return (PinnedPage { bytes }, false);
         }
-        if f.ring.len() >= capacity {
+        if f.ring.len() >= self.capacity {
             // Clock sweep: clear reference bits until a clear frame turns
             // up. Bounded: after one full lap every bit is clear.
             loop {
@@ -185,9 +167,8 @@ impl BufferPool {
                 };
                 f.index.insert(page, hand);
                 f.hand = (hand + 1) % f.ring.len();
-                counters.evictions.fetch_add(1, Ordering::Relaxed);
-                crate::obs::obs().eviction();
-                return PinnedPage { bytes };
+                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                return (PinnedPage { bytes }, true);
             }
         }
         let i = f.ring.len();
@@ -197,7 +178,7 @@ impl BufferPool {
             referenced: true,
         });
         f.index.insert(page, i);
-        PinnedPage { bytes }
+        (PinnedPage { bytes }, false)
     }
 
     /// Drops any cached copies of the given pages. Used by checkpointing:
@@ -248,18 +229,23 @@ impl BufferPool {
 mod tests {
     use super::*;
 
+    /// Caches a page no invalidation can have raced.
+    fn insert(pool: &BufferPool, page: u32, payload: Vec<u8>) -> (PinnedPage, bool) {
+        pool.insert_if(pool.stamp(), page, payload)
+    }
+
     #[test]
     fn hit_miss_and_eviction() {
         // Budget for exactly 4 frames.
         let pool = BufferPool::with_budget(4 * 128, 128);
         for p in 0..4u32 {
             assert!(pool.get(p).is_none());
-            pool.insert(p, vec![p as u8; 8]);
+            assert!(!insert(&pool, p, vec![p as u8; 8]).1, "room left");
         }
         assert_eq!(pool.stats().resident_pages, 4);
         // Fifth insert forces an eviction: every frame's bit is set, so a
         // full sweep clears them all and evicts the first frame (page 0).
-        pool.insert(4, vec![4; 8]);
+        assert!(insert(&pool, 4, vec![4; 8]).1, "the insert says it evicted");
         let s = pool.stats();
         assert_eq!(s.resident_pages, 4);
         assert_eq!(s.evictions, 1);
@@ -267,7 +253,7 @@ mod tests {
         // Re-reference page 1, then insert again: the clock skips the
         // referenced frame (second chance) and evicts page 2 instead.
         assert!(pool.get(1).is_some());
-        pool.insert(5, vec![5; 8]);
+        insert(&pool, 5, vec![5; 8]);
         assert!(pool.get(1).is_some());
         assert!(pool.get(2).is_none());
     }
@@ -275,7 +261,7 @@ mod tests {
     #[test]
     fn pins_survive_eviction() {
         let pool = BufferPool::with_budget(4 * 128, 128);
-        let pin = pool.insert(7, vec![42; 16]);
+        let (pin, _) = insert(&pool, 7, vec![42; 16]);
         // Evict everything.
         pool.clear();
         assert!(pool.get(7).is_none());
@@ -287,18 +273,18 @@ mod tests {
     fn stamped_insert_refuses_after_invalidation() {
         let pool = BufferPool::with_budget(8 * 128, 128);
         let stamp = pool.stamp();
-        let pin = pool.insert_if(stamp, 1, vec![1]);
+        let (pin, _) = pool.insert_if(stamp, 1, vec![1]);
         assert_eq!(pin.bytes(), &[1][..]);
         assert!(pool.get(1).is_some());
         // A read that raced an invalidation: the returned pin is still a
         // valid snapshot read, but the frame must not be cached.
         let stale_stamp = pool.stamp();
         pool.invalidate(&[1]);
-        let pin = pool.insert_if(stale_stamp, 1, vec![9]);
+        let (pin, _) = pool.insert_if(stale_stamp, 1, vec![9]);
         assert_eq!(pin.bytes(), &[9][..]);
         assert!(pool.get(1).is_none());
         // With a fresh stamp the insert caches again.
-        let pin = pool.insert_if(pool.stamp(), 1, vec![7]);
+        let (pin, _) = insert(&pool, 1, vec![7]);
         assert_eq!(pin.bytes(), &[7][..]);
         assert!(pool.get(1).is_some());
     }
@@ -307,7 +293,7 @@ mod tests {
     fn invalidate_removes_specific_pages() {
         let pool = BufferPool::with_budget(8 * 128, 128);
         for p in 0..6u32 {
-            pool.insert(p, vec![p as u8]);
+            insert(&pool, p, vec![p as u8]);
         }
         pool.invalidate(&[1, 3, 5]);
         assert!(pool.get(1).is_none());

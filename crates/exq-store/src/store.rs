@@ -225,6 +225,22 @@ impl From<StoreError> for PinError {
     }
 }
 
+/// What one [`PagedStore::read_many`] call cost the buffer pool. A pool miss
+/// is always followed by the disk read it calls for, so the faults count the
+/// misses too.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadCost {
+    /// Page lookups that found the page resident.
+    pub pool_hits: u64,
+    /// Pages read from disk.
+    pub pages_faulted: u64,
+    /// Frames the clock sweep evicted to make room for those pages.
+    pub evictions: u64,
+    /// Times a checkpoint published mid-read and the read carried on
+    /// against the new directory.
+    pub epoch_retries: u64,
+}
+
 /// Pseudo record id the scrubber reports when a *directory* page — not a
 /// record's data page — fails its CRC. Repair is a forced directory
 /// rewrite rather than a record rebuild.
@@ -560,26 +576,30 @@ impl PagedStore {
     /// handle. Each record is read whole against one directory epoch; a
     /// batch that a checkpoint publishes across carries on from the first
     /// record not yet delivered, against the new directory.
+    ///
+    /// Returns what the reads cost the pool, for the caller to charge to
+    /// whatever it is serving.
     pub fn read_many(
         &self,
         ids: &[u64],
         mut visit: impl FnMut(usize, Cow<[u8]>) -> Result<(), StoreError>,
-    ) -> Result<(), StoreError> {
+    ) -> Result<ReadCost, StoreError> {
         let mut next = 0;
+        let mut cost = ReadCost::default();
         // A checkpoint publishing mid-read invalidates the directory
         // snapshot the read used; retry (at most once in practice — a
         // publish is an instant, not the checkpoint's whole duration).
         for _ in 0..8 {
-            if self.read_from(ids, &mut next, &mut visit)? {
-                return Ok(());
+            if self.read_from(ids, &mut next, &mut visit, &mut cost)? {
+                return Ok(cost);
             }
-            crate::obs::obs().epoch_retry();
+            cost.epoch_retries += 1;
         }
         // Pathological publish rate: the writer lock excludes checkpoints,
         // so under it the snapshot cannot be invalidated.
         let _writer = locked(&self.inner);
-        if self.read_from(ids, &mut next, &mut visit)? {
-            return Ok(());
+        if self.read_from(ids, &mut next, &mut visit, &mut cost)? {
+            return Ok(cost);
         }
         Err(StoreError::Corrupt(format!(
             "record {:#x}: directory epoch changed under the writer lock",
@@ -602,6 +622,7 @@ impl PagedStore {
         ids: &[u64],
         next: &mut usize,
         visit: &mut impl FnMut(usize, Cow<[u8]>) -> Result<(), StoreError>,
+        cost: &mut ReadCost,
     ) -> Result<bool, StoreError> {
         let (epoch, dir) = self.snapshot();
         let mut held = Held::default();
@@ -609,7 +630,7 @@ impl PagedStore {
             // Present-or-absent was decided at one consistent instant, so a
             // miss needs no retry.
             let loc = dir.get(&id).ok_or(StoreError::MissingRecord(id))?;
-            match loc.read(id, &mut held, |p| self.pin(p, epoch)) {
+            match loc.read(id, &mut held, |p| self.pin(p, epoch, cost)) {
                 Ok(bytes) => visit(*next, bytes)?,
                 Err(PinError::Raced) => return Ok(false),
                 Err(PinError::Store(e)) => return Err(e),
@@ -620,21 +641,27 @@ impl PagedStore {
     }
 
     /// Pins page `p` as the directory published at `epoch` describes it:
-    /// from the pool, else from disk.
-    fn pin(&self, p: u32, epoch: u64) -> Result<PinnedPage, PinError> {
+    /// from the pool, else from disk, adding what that took to `cost`.
+    fn pin(&self, p: u32, epoch: u64, cost: &mut ReadCost) -> Result<PinnedPage, PinError> {
         let raced = || self.dir_epoch.load(Ordering::SeqCst) != epoch;
         let pin = match self.pool.get(p) {
-            Some(pin) => pin,
+            Some(pin) => {
+                cost.pool_hits += 1;
+                pin
+            }
             None => {
                 // The stamp is captured before the disk read: if an
                 // invalidation (checkpoint rewriting pages) races the
                 // read, insert_if refuses to cache possibly-stale bytes.
                 let stamp = self.pool.stamp();
-                let fault_started = std::time::Instant::now();
                 let payload = { locked(&self.reader).read_page(p) };
-                crate::obs::obs().page_fault(fault_started.elapsed().as_nanos() as u64);
+                cost.pages_faulted += 1;
                 match payload {
-                    Ok(payload) => self.pool.insert_if(stamp, p, payload),
+                    Ok(payload) => {
+                        let (pin, evicted) = self.pool.insert_if(stamp, p, payload);
+                        cost.evictions += evicted as u64;
+                        pin
+                    }
                     Err(_) if raced() => return Err(PinError::Raced),
                     Err(e) => return Err(e.into()),
                 }
@@ -705,7 +732,6 @@ impl PagedStore {
         wal_seq: u64,
         force: bool,
     ) -> Result<u64, StoreError> {
-        let fold_started = std::time::Instant::now();
         let mut inner = locked(&self.inner);
         if !force && dirty.is_empty() && wal_seq <= inner.superblock.wal_seq {
             return Ok(0);
@@ -817,9 +843,7 @@ impl PagedStore {
 
         self.crash_if(crash::BEFORE_COMPACT)?;
         locked(&self.wal).compact(wal_seq)?;
-        let folded = written.len() as u64;
-        crate::obs::obs().checkpoint(folded, fold_started.elapsed().as_nanos() as u64);
-        Ok(folded)
+        Ok(written.len() as u64)
     }
 
     /// Verifies the CRCs of up to `max_pages` referenced pages against the
@@ -878,7 +902,6 @@ impl PagedStore {
                 // reallocated; the frame dies naturally when the clock
                 // evicts it.
                 locked(&self.quarantined).insert(p);
-                crate::obs::obs().scrub_corrupt(p, ids.len() as u64);
                 report.corrupt_pages.push(p);
                 for &id in ids {
                     corrupt.entry(id).or_default().push(p);
@@ -889,7 +912,6 @@ impl PagedStore {
             .into_iter()
             .map(|(id, pages)| CorruptRecord { id, pages })
             .collect();
-        crate::obs::obs().scrub(report.scanned_pages, report.corrupt.len() as u64);
         Ok(report)
     }
 
@@ -1468,10 +1490,18 @@ mod tests {
         assert_eq!(pages.len(), 9);
         let before = store.pool_stats();
         let ids: Vec<u64> = (0..400).collect();
-        store.read_many(&ids, |_, _| Ok(())).unwrap();
+        let cost = store.read_many(&ids, |_, _| Ok(())).unwrap();
         let after = store.pool_stats();
         assert_eq!(after.misses - before.misses, 9, "one fault per page");
         assert_eq!(after.hits, before.hits, "and no second lookup of it");
+        // The call reports the same cost the pool counted.
+        let faulted_only = ReadCost {
+            pages_faulted: 9,
+            ..ReadCost::default()
+        };
+        assert_eq!(cost, faulted_only);
+        let again = store.read_many(&ids, |_, _| Ok(())).unwrap();
+        assert_eq!((again.pool_hits, again.pages_faulted), (9, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -26,7 +26,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const WAL_MAGIC: &[u8; 8] = b"EXQWAL1\n";
-const FRAME_OVERHEAD: usize = 4 + 8 + 1 + 4;
+
+/// Bytes a record's frame adds to its payload: length, sequence, kind, CRC.
+pub const FRAME_OVERHEAD: usize = 4 + 8 + 1 + 4;
 
 /// One decoded log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,12 +98,7 @@ impl Wal {
         path: &Path,
         first_seq: u64,
     ) -> Result<(Wal, WalReplay), StoreError> {
-        let scan_started = std::time::Instant::now();
         let replay = Self::replay_with(&*vfs, path)?;
-        crate::obs::obs().wal_replay(
-            replay.records.len() as u64,
-            scan_started.elapsed().as_nanos() as u64,
-        );
         let valid_len = WAL_MAGIC.len() as u64
             + replay
                 .records
@@ -232,7 +229,6 @@ impl Wal {
         frame.extend_from_slice(payload);
         let crc = crc32(&frame[4..]);
         frame.extend_from_slice(&crc.to_le_bytes());
-        let sync_started = std::time::Instant::now();
         let wrote = self.file.write_all_at(self.bytes, &frame);
         // The fsync after a clean write is the commit point. A record that
         // was written but whose fsync failed is scrubbed back off too: the
@@ -244,7 +240,6 @@ impl Wal {
             self.tail_dirty = self.file.set_len(self.bytes).is_err();
             return Err(e);
         }
-        crate::obs::obs().wal_fsync(frame.len() as u64, sync_started.elapsed().as_nanos() as u64);
         self.next_seq = seq + 1;
         self.bytes += frame.len() as u64;
         self.records += 1;
@@ -281,7 +276,6 @@ impl Wal {
         self.bytes = bytes;
         self.records = kept;
         self.tail_dirty = false;
-        crate::obs::obs().wal_compaction();
         Ok(())
     }
 
