@@ -304,28 +304,35 @@ fn bench_reply_path(c: &mut Criterion) {
 /// `Server::answer` where predicates are the work, on the ledger's
 /// `hospital_point` set-up (1200 patients, seed 2007, `Opt`): a plaintext
 /// predicate above the anchor (a witness per survivor), an encrypted range
-/// with the anchor at its step, and a branch with a predicate of its own.
+/// with the anchor at its step, a branch with a predicate of its own, a
+/// plaintext equality that selects one record, and an encrypted range on a
+/// child step of the trunk.
 fn bench_sjoin_hospital(c: &mut Criterion) {
+    let doc = hospital::scaled(1200, 2007);
+    let ssn = doc.text_value(doc.elements_by_tag("SSN")[600]);
     let (client, mut server) = Outsourcer::new(OutsourceConfig::default())
-        .outsource(
-            &hospital::scaled(1200, 2007),
-            &hospital::constraints(),
-            SchemeKind::Opt,
-            2007,
-        )
+        .outsource(&doc, &hospital::constraints(), SchemeKind::Opt, 2007)
         .unwrap()
         .split();
     server.set_cache_entries(Some(0));
     let mut group = c.benchmark_group("server/sjoin_hospital");
     for (shape, q) in [
-        ("plain_above_anchor", "//patient[age > 50]/pname"),
-        ("range_at_anchor", "//patient[pname = 'Mary']/SSN"),
+        ("plain_above_anchor", "//patient[age > 50]/pname".to_owned()),
+        (
+            "range_at_anchor",
+            "//patient[pname = 'Mary']/SSN".to_owned(),
+        ),
         (
             "branch_with_predicate",
-            "//patient[.//policy[@coverage < 500000]]/pname",
+            "//patient[.//policy[@coverage < 500000]]/pname".to_owned(),
+        ),
+        ("plain_equality", format!("//patient[SSN = '{ssn}']/pname")),
+        (
+            "range_child_trunk",
+            "//treat[disease = 'flu']/doctor".to_owned(),
         ),
     ] {
-        let sq = client.translate(q).unwrap().server_query.unwrap();
+        let sq = client.translate(&q).unwrap().server_query.unwrap();
         group.bench_function(shape, |b| {
             b.iter(|| black_box(server.answer(&sq).unwrap().blocks.len()))
         });

@@ -11,15 +11,21 @@
 //!    occurrences;
 //! 3. **final joins** — one matcher, `Server::match_steps`, evaluates a
 //!    step sequence set-at-a-time: a forward pass applies each step's axis
-//!    and predicates to whole sorted interval lists, a backward pass keeps
-//!    what leads to a full match. The trunk is that function from the
-//!    document node. A predicate is a branch, so filtering a step's list by
-//!    it is the same function with that list as the context (a value test
-//!    applied once, to the branch's last list), and a witness is the same
-//!    function with one survivor as the context. What makes a small context
-//!    cheap is the only step that is not a textbook structural join:
-//!    `apply_axis` first cuts the (borrowed, sorted) candidate list down to
-//!    the context's span. That is sound because every supported axis —
+//!    and predicates to whole sorted lists, a backward pass keeps what
+//!    leads to a full match. The lists hold positions in the interval
+//!    universe (every DSI table interval, in join order); parent, visible
+//!    node and covering block are arrays over those positions, so a child
+//!    step either way is one stack merge, a child of the document node is
+//!    a member with no parent, and a value test reads its node's text or
+//!    block in place — the joins never hash. The trunk is that function
+//!    from the document node. A predicate is a branch, so filtering a
+//!    step's list by it is the same function with that list as the context
+//!    (a value test applied once, to the branch's last list), and a witness
+//!    is the same function with one survivor as the context. What makes a
+//!    small context cheap is the only step that is not a textbook
+//!    structural join: `apply_axis` first cuts the (borrowed, sorted)
+//!    posting list down to the context's span and maps only that run to
+//!    positions. That is sound because every supported axis —
 //!    child, attribute, descendant, descendant-or-self — reaches only
 //!    intervals some context member covers, and those all start inside
 //!    `[first member's lo, largest hi)`. Surviving anchor-step matches and
@@ -37,8 +43,10 @@ use crate::telemetry;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::SealedBlock;
 use exq_index::dsi::Interval;
-use exq_index::sjoin::{semijoin_anc, semijoin_desc, sort_intervals, IntervalUniverse};
-use exq_xml::{Document, Keep, NodeId};
+use exq_index::sjoin::{
+    semijoin_anc, semijoin_child, semijoin_desc, semijoin_parent, sort_intervals, IntervalUniverse,
+};
+use exq_xml::{Document, Keep, NodeId, NodeKind};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -71,13 +79,18 @@ pub struct ExplainReport {
 #[derive(Debug, Clone)]
 pub struct Server {
     visible: Document,
+    /// The visible node of every server-known interval, text nodes
+    /// included: what the update path and persistence key by interval.
     interval_to_visible: HashMap<Interval, NodeId>,
     metadata: ServerMetadata,
+    /// Every DSI table interval, in join order: the matcher's positions.
+    /// It and the two arrays below are rebuilt together
+    /// ([`Server::index_universe`]).
     universe: IntervalUniverse,
-    /// Top-level universe intervals (no enclosing member), precomputed
-    /// whenever the universe is (re)built so `apply_axis` from the document
-    /// node is a set probe instead of a per-candidate containment stab.
-    top_level: HashSet<Interval>,
+    /// Per universe position, the visible node with that interval.
+    visible_at: Vec<Option<NodeId>>,
+    /// Per universe position, the block whose representative covers it.
+    block_at: Vec<Option<u32>>,
     /// Sealed blocks: fully resident, or paged in through an out-of-core
     /// store (see `crate::store`).
     blocks: BlockStore,
@@ -89,17 +102,19 @@ pub struct Server {
 }
 
 /// Every ciphertext value range a query mentions, resolved to its live
-/// block set (step 2, done once up front: the entries depend on the query
-/// and the B-trees alone, never on a candidate).
-type ResolvedRanges<'q> = HashMap<(&'q str, u128, u128), HashSet<u32>>;
+/// blocks as a table indexed by block id (step 2, done once up front: the
+/// entries depend on the query and the B-trees alone, never on a
+/// candidate).
+type ResolvedRanges<'q> = HashMap<(&'q str, u128, u128), Vec<bool>>;
 
 /// One step sequence matched from one context (see [`Server::match_steps`]).
+/// Every list holds universe positions, ascending, i.e. in document order.
 struct Matched {
     /// The context members with a full match below them, in context order.
-    hits: Vec<Interval>,
-    /// Per step, the intervals on a full match; the last is its forward
-    /// list untouched, in document order.
-    survivors: Vec<Vec<Interval>>,
+    hits: Vec<u32>,
+    /// Per step, the members on a full match; the last is its forward
+    /// list untouched.
+    survivors: Vec<Vec<u32>>,
 }
 
 /// A query's trunk, looked up, resolved and matched: what `answer`,
@@ -108,37 +123,81 @@ struct Evaluated<'q> {
     translate_time: Duration,
     /// DSI candidates per step, before any join.
     candidates: Vec<usize>,
-    survivors: Vec<Vec<Interval>>,
+    survivors: Vec<Vec<u32>>,
     resolved: ResolvedRanges<'q>,
 }
 
-/// Is `iv` a member of a list in join order?
-fn in_sorted(list: &[Interval], iv: &Interval) -> bool {
-    list.binary_search_by(|m| m.lo.cmp(&iv.lo).then(iv.hi.cmp(&m.hi)))
-        .is_ok()
+/// A node's string value, borrowed where it is one string already: an
+/// attribute, a text node, or an element whose only child is text.
+fn string_value(doc: &Document, n: NodeId) -> Cow<'_, str> {
+    let node = doc.node(n);
+    let only_child = match node.children() {
+        &[c] => Some(doc.node(c).kind()),
+        _ => None,
+    };
+    match (node.kind(), only_child) {
+        (NodeKind::Attribute(_, v) | NodeKind::Text(v), _)
+        | (NodeKind::Element(_), Some(NodeKind::Text(v))) => Cow::Borrowed(v),
+        _ => Cow::Owned(doc.text_value(n)),
+    }
 }
 
 impl Server {
     /// Builds the server from the owner's encrypted output.
     pub fn new(out: &EncryptedOutput) -> Server {
-        let universe = IntervalUniverse::new(out.metadata.dsi_table.all_intervals().to_vec());
-        let top_level = universe.roots().collect();
         let mut interval_to_visible = HashMap::new();
         for n in out.visible.iter() {
             if let Some(Some(iv)) = out.visible_intervals.get(n.index()) {
                 interval_to_visible.insert(*iv, n);
             }
         }
-        Server {
-            visible: out.visible.clone(),
+        Self::indexed(
+            out.visible.clone(),
             interval_to_visible,
-            metadata: out.metadata.clone(),
-            universe,
-            top_level,
-            blocks: BlockStore::Resident(out.blocks.iter().cloned().map(Arc::new).collect()),
-            dead_blocks: HashSet::new(),
+            out.metadata.clone(),
+            BlockStore::Resident(out.blocks.iter().cloned().map(Arc::new).collect()),
+            HashSet::new(),
+        )
+    }
+
+    /// A server over its parts, with the universe and its per-position
+    /// arrays built.
+    fn indexed(
+        visible: Document,
+        interval_to_visible: HashMap<Interval, NodeId>,
+        metadata: ServerMetadata,
+        blocks: BlockStore,
+        dead_blocks: HashSet<u32>,
+    ) -> Server {
+        let mut server = Server {
+            visible,
+            interval_to_visible,
+            metadata,
+            universe: IntervalUniverse::default(),
+            visible_at: Vec::new(),
+            block_at: Vec::new(),
+            blocks,
+            dead_blocks,
             caches: ServerCaches::default(),
+        };
+        server.index_universe();
+        server
+    }
+
+    /// Builds the universe from the DSI table, and beside it each
+    /// position's visible node (from `interval_to_visible`, whose text
+    /// intervals are not members) and covering block.
+    fn index_universe(&mut self) {
+        let universe = IntervalUniverse::new(self.metadata.dsi_table.all_intervals().to_vec());
+        let mut visible_at = vec![None; universe.len()];
+        for (iv, &n) in &self.interval_to_visible {
+            if let Some(p) = universe.position(iv) {
+                visible_at[p as usize] = Some(n);
+            }
         }
+        self.block_at = self.metadata.block_table.covering(universe.members());
+        self.visible_at = visible_at;
+        self.universe = universe;
     }
 
     /// Reconfigures the response-cache capacity in entries.
@@ -323,8 +382,7 @@ impl Server {
     }
 
     pub(crate) fn rebuild_universe(&mut self) {
-        self.universe = IntervalUniverse::new(self.metadata.dsi_table.all_intervals().to_vec());
-        self.top_level = self.universe.roots().collect();
+        self.index_universe();
         self.caches.bump_generation();
     }
 
@@ -463,18 +521,7 @@ impl Server {
                 interval_to_visible.insert(iv, n);
             }
         }
-        let universe = IntervalUniverse::new(metadata.dsi_table.all_intervals().to_vec());
-        let top_level = universe.roots().collect();
-        Server {
-            visible,
-            interval_to_visible,
-            metadata,
-            universe,
-            top_level,
-            blocks,
-            dead_blocks,
-            caches: ServerCaches::default(),
-        }
+        Self::indexed(visible, interval_to_visible, metadata, blocks, dead_blocks)
     }
 
     /// Removes a victim interval's visible subtree and metadata; `false`
@@ -622,7 +669,11 @@ impl Server {
     /// Matches a query's intervals at the final step (used by updates to
     /// locate parents/victims without assembling a response).
     pub fn locate(&self, q: &ServerQuery) -> Vec<Interval> {
-        self.evaluate(q).survivors.pop().unwrap_or_default()
+        let found = self.evaluate(q).survivors.pop().unwrap_or_default();
+        found
+            .into_iter()
+            .map(|p| self.universe.interval(p))
+            .collect()
     }
 
     /// The paper's three steps for a query's trunk, written out once.
@@ -664,13 +715,14 @@ impl Server {
             } = pred
             {
                 out.entry((attr, r.lo, r.hi)).or_insert_with(|| {
-                    self.metadata
-                        .value_indexes
-                        .get(attr)
-                        .into_iter()
-                        .flat_map(|tree| tree.range(r.lo, r.hi))
-                        .filter(|&b| self.block_live(b))
-                        .collect()
+                    let mut live = vec![false; self.blocks.len()];
+                    let ids = self.metadata.value_indexes.get(attr).into_iter();
+                    for b in ids.flat_map(|tree| tree.range(r.lo, r.hi)) {
+                        if self.block_live(b) {
+                            live[b as usize] = true;
+                        }
+                    }
+                    live
                 });
             }
         }
@@ -707,14 +759,14 @@ impl Server {
     /// empty `steps` tests the context members themselves.
     fn match_steps(
         &self,
-        ctx: Option<&[Interval]>,
+        ctx: Option<&[u32]>,
         steps: &[SStep],
         lists: &[Cow<'_, [Interval]>],
-        last_test: Option<&dyn Fn(&Interval) -> bool>,
+        last_test: Option<&dyn Fn(u32) -> bool>,
         resolved: &ResolvedRanges<'_>,
     ) -> Matched {
         let n = steps.len();
-        let mut survivors: Vec<Vec<Interval>> = Vec::with_capacity(n);
+        let mut survivors: Vec<Vec<u32>> = Vec::with_capacity(n);
         for (i, step) in steps.iter().enumerate() {
             let from = survivors.last().map(Vec::as_slice).or(ctx);
             let mut list = self.apply_axis(from, step.axis, &lists[i]);
@@ -722,7 +774,7 @@ impl Server {
                 list = self.match_branch(&list, pred, resolved).hits;
             }
             if let (Some(test), true) = (last_test, i + 1 == n) {
-                list.retain(test);
+                list.retain(|&p| test(p));
             }
             let dead_end = list.is_empty();
             survivors.push(list);
@@ -741,7 +793,7 @@ impl Server {
             // Nothing to keep from the document node or an empty context.
             _ if hits.is_empty() => {}
             (Some(step), _) => self.keep_leading_to(&mut hits, step.axis, &survivors[0]),
-            (None, Some(test)) => hits.retain(test),
+            (None, Some(test)) => hits.retain(|&p| test(p)),
             (None, None) => {}
         }
         Matched { hits, survivors }
@@ -751,34 +803,27 @@ impl Server {
     /// `hits` are the members the predicate holds at; the first member of
     /// the last list is the witness the reply ships for a one-member `ctx`.
     /// The value test — a plaintext comparison on the visible node, or the
-    /// covering block being in the range's resolved set — is written here
-    /// and nowhere else.
-    fn match_branch(
-        &self,
-        ctx: &[Interval],
-        pred: &SPred,
-        resolved: &ResolvedRanges<'_>,
-    ) -> Matched {
+    /// covering block being in the range's resolved set, both read off the
+    /// per-position arrays — is written here and nowhere else.
+    fn match_branch(&self, ctx: &[u32], pred: &SPred, resolved: &ResolvedRanges<'_>) -> Matched {
         match pred {
             SPred::Exists(steps) => {
                 self.match_steps(Some(ctx), steps, &self.lookup(steps), None, resolved)
             }
             SPred::Value { path, range, plain } => {
-                let matching_blocks = range
+                let live = range
                     .as_ref()
                     .and_then(|(attr, r)| resolved.get(&(attr.as_str(), r.lo, r.hi)));
-                let test = |t: &Interval| {
+                let test = |p: u32| {
                     let plain_ok = plain.as_ref().is_some_and(|(op, lit)| {
-                        self.interval_to_visible.get(t).is_some_and(|&n| {
-                            op.holds(lit.compare_with(&self.visible.text_value(n)))
+                        self.visible_at[p as usize].is_some_and(|n| {
+                            op.holds(lit.compare_with(&string_value(&self.visible, n)))
                         })
                     });
                     plain_ok
-                        || matching_blocks.is_some_and(|set| {
-                            self.metadata
-                                .block_table
-                                .covering_block(t)
-                                .is_some_and(|b| set.contains(&b))
+                        || live.is_some_and(|live| {
+                            self.block_at[p as usize]
+                                .is_some_and(|b| live.get(b as usize) == Some(&true))
                         })
                 };
                 self.match_steps(Some(ctx), path, &self.lookup(path), Some(&test), resolved)
@@ -787,87 +832,47 @@ impl Server {
     }
 
     /// Applies an axis between a context set (`None` = the virtual document
-    /// node) and candidates. Inputs and output are lists in join order.
-    fn apply_axis(
-        &self,
-        ctx: Option<&[Interval]>,
-        axis: SAxis,
-        cands: &[Interval],
-    ) -> Vec<Interval> {
+    /// node) and a posting list, which is mapped to positions here, once.
+    fn apply_axis(&self, ctx: Option<&[u32]>, axis: SAxis, cands: &[Interval]) -> Vec<u32> {
+        let u = &self.universe;
         let Some(ctx) = ctx else {
+            let cands = u.positions(cands);
             return match axis {
                 // From the document node, descendant(-or-self) reaches
-                // everything.
-                SAxis::Descendant | SAxis::DescendantOrSelf => cands.to_vec(),
-                // Child of the document node = top-level intervals
-                // (precomputed whenever the universe is rebuilt).
+                // everything, and child reaches the members with no parent.
+                SAxis::Descendant | SAxis::DescendantOrSelf => cands,
                 SAxis::Child | SAxis::Attribute => cands
-                    .iter()
-                    .copied()
-                    .filter(|c| self.top_level.contains(c))
+                    .into_iter()
+                    .filter(|&c| u.parent(c).is_none())
                     .collect(),
             };
         };
         // No axis reaches outside the context's span, and in join order the
         // candidates starting inside it are one run: a one-member context
         // (a witness) pays for its own subtree, not for the posting list.
-        let (Some(first), Some(end)) = (ctx.first(), ctx.iter().map(|c| c.hi).max()) else {
+        let (Some(&first), Some(end)) = (ctx.first(), ctx.iter().map(|&c| u.interval(c).hi).max())
+        else {
             return Vec::new();
         };
-        let cands = &cands[cands.partition_point(|c| c.lo < first.lo)..];
-        let cands = &cands[..cands.partition_point(|c| c.lo < end)];
+        let first = u.interval(first).lo;
+        let cands = &cands[cands.partition_point(|c| c.lo < first)..];
+        let cands = u.positions(&cands[..cands.partition_point(|c| c.lo < end)]);
         match axis {
-            SAxis::Descendant => semijoin_desc(ctx, cands)
-                .into_iter()
-                .map(|i| cands[i])
-                .collect(),
-            SAxis::DescendantOrSelf => {
-                let mut out: Vec<Interval> = semijoin_desc(ctx, cands)
-                    .into_iter()
-                    .map(|i| cands[i])
-                    .collect();
-                out.extend(cands.iter().copied().filter(|c| in_sorted(ctx, c)));
-                sort_intervals(&mut out);
-                out.dedup();
-                out
-            }
-            SAxis::Child | SAxis::Attribute => cands
-                .iter()
-                .copied()
-                .filter(|c| {
-                    self.universe
-                        .tightest_container(c)
-                        .is_some_and(|parent| in_sorted(ctx, &parent))
-                })
-                .collect(),
+            SAxis::Descendant => semijoin_desc(u, ctx, &cands, false),
+            SAxis::DescendantOrSelf => semijoin_desc(u, ctx, &cands, true),
+            SAxis::Child | SAxis::Attribute => semijoin_child(u, ctx, &cands),
         }
     }
 
     /// The backward pass's one move: keeps the members of `cur` from which
-    /// `axis` reaches a member of `next`. Both are lists in join order.
-    fn keep_leading_to(&self, cur: &mut Vec<Interval>, axis: SAxis, next: &[Interval]) {
-        match axis {
-            SAxis::Descendant => {
-                *cur = semijoin_anc(cur, next)
-                    .into_iter()
-                    .map(|k| cur[k])
-                    .collect();
-            }
-            SAxis::DescendantOrSelf => {
-                let above = semijoin_anc(cur, next);
-                *cur = (cur.iter().enumerate())
-                    .filter(|(k, c)| above.binary_search(k).is_ok() || in_sorted(next, c))
-                    .map(|(_, c)| *c)
-                    .collect();
-            }
-            SAxis::Child | SAxis::Attribute => {
-                let parents: HashSet<Interval> = next
-                    .iter()
-                    .filter_map(|d| self.universe.tightest_container(d))
-                    .collect();
-                cur.retain(|c| parents.contains(c));
-            }
-        }
+    /// `axis` reaches a member of `next`. Both are ascending position lists.
+    fn keep_leading_to(&self, cur: &mut Vec<u32>, axis: SAxis, next: &[u32]) {
+        let u = &self.universe;
+        *cur = match axis {
+            SAxis::Descendant => semijoin_anc(u, cur, next, false),
+            SAxis::DescendantOrSelf => semijoin_anc(u, cur, next, true),
+            SAxis::Child | SAxis::Attribute => semijoin_parent(u, cur, next),
+        };
     }
 
     /// Builds the pruned visible document + block set of a reply: every
@@ -910,17 +915,19 @@ impl Server {
         };
         // Blocks the region needs, in discovery order, duplicates included.
         let mut block_ids = Vec::new();
-        for a in &anchors {
-            if let Some(&v) = self.interval_to_visible.get(a) {
+        for &a in &anchors {
+            if let Some(v) = self.visible_at[a as usize] {
                 // Visible anchor: chain + full subtree + blocks under it.
                 region.mark(v);
-            } else if let Some(b) = self.metadata.block_table.covering_block(a) {
-                // Anchor inside a block: chain to the marker + the block.
+            } else if let Some(b) = self.block_at[a as usize] {
+                // Anchor inside a block: chain to the marker + the block. A
+                // block's root is a member and its marker carries the root's
+                // interval, so the marker is the visible node of the nearest
+                // enclosing member that has one.
                 block_ids.push(b);
-                if let Some(rep) = self.metadata.block_table.representative(b) {
-                    if let Some(&marker) = self.interval_to_visible.get(&rep) {
-                        region.mark(marker);
-                    }
+                let mut up = std::iter::successors(Some(a), |&p| self.universe.parent(p));
+                if let Some(marker) = up.find_map(|p| self.visible_at[p as usize]) {
+                    region.mark(marker);
                 }
             }
         }

@@ -195,3 +195,128 @@ fn aggregate_sees_inserted_values() {
         .unwrap();
     assert_eq!(count.value.as_deref(), Some("3"));
 }
+
+/// A hospital of `patients` records in the shape of the benchmark's
+/// generator: pname, SSN, age, one or two treats, one insured policy.
+fn hospital(patients: usize) -> Document {
+    const NAMES: [&str; 5] = ["Betty", "Matt", "Mary", "John", "Ann"];
+    const DISEASES: [&str; 5] = ["diarrhea", "leukemia", "flu", "measles", "asthma"];
+    const DOCTORS: [&str; 5] = ["Smith", "Brown", "Walker", "Lee", "Garcia"];
+    let mut xml = String::from("<hospital>");
+    for i in 0..patients {
+        xml += &format!(
+            "<patient><pname>{}</pname><SSN>{:06}</SSN><age>{}</age>",
+            NAMES[i % 5],
+            100000 + i * 7919 % 900000,
+            20 + (i * 13) % 60
+        );
+        for t in 0..1 + i % 2 {
+            xml += &format!(
+                "<treat><disease>{}</disease><doctor>{}</doctor></treat>",
+                DISEASES[(i + t) % 5],
+                DOCTORS[(i * 3 + t) % 5]
+            );
+        }
+        xml += &format!(
+            "<insurance><policy coverage=\"{}\">{:05}</policy></insurance></patient>",
+            1000 * (1 + i * 37 % 999),
+            10000 + i * 131
+        );
+    }
+    Document::parse(&(xml + "</hospital>")).unwrap()
+}
+
+/// Inserts and deletes rebuild the matcher's per-position arrays (visible
+/// node, covering block): after each mutation every query template of the
+/// benchmark's point workload answers as the plaintext twin does, including
+/// a plaintext lookup and an encrypted range that select an inserted record.
+#[test]
+fn mutations_keep_point_queries_equal_to_the_plaintext_twin() {
+    use exq_xml::NodeKind;
+    use exq_xpath::{eval_document, Path};
+    let doc = hospital(12);
+    let cs: Vec<SecurityConstraint> = [
+        "//insurance",
+        "//patient:(/pname, /SSN)",
+        "//patient:(/pname, //disease)",
+        "//treat:(/disease, /doctor)",
+    ]
+    .iter()
+    .map(|s| SecurityConstraint::parse(s).unwrap())
+    .collect();
+    let (mut client, mut server) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&doc, &cs, SchemeKind::Opt, 2006)
+        .unwrap()
+        .split();
+    let mut twin = doc;
+    let records = [
+        "<patient><pname>Quinn</pname><SSN>990001</SSN><age>77</age>\
+         <treat><disease>flu</disease><doctor>Lee</doctor></treat>\
+         <insurance><policy coverage=\"999000\">55501</policy></insurance></patient>",
+        "<patient><pname>Rosa</pname><SSN>990002</SSN><age>41</age>\
+         <treat><disease>asthma</disease><doctor>Walker</doctor></treat>\
+         <insurance><policy coverage=\"2000\">55502</policy></insurance></patient>",
+    ];
+    // The eight templates, with constants that reach the inserted records
+    // and constants that reach the original ones.
+    let queries = [
+        "//patient[age > 75]/pname",
+        "//patient[age > 50]/pname",
+        "//patient[age = 41]//doctor",
+        "//patient[age = 46]//doctor",
+        "//patient[SSN = '990001']/pname",
+        "//patient[SSN = '990002']/pname",
+        "//patient[SSN = '107919']/pname",
+        "//patient[pname = 'Rosa']/SSN",
+        "//patient[pname = 'Mary']/SSN",
+        "//treat[disease = 'flu']/doctor",
+        "//treat[disease = 'asthma']/doctor",
+        "//policy[@coverage > 990000]",
+        "//policy[@coverage > 300000]",
+        "//patient[age > 75]/insurance/policy",
+        "//patient[age > 30]/insurance/policy",
+        "//patient[.//policy[@coverage < 3000]]/pname",
+        "//patient[.//policy[@coverage < 500000]]/pname",
+    ];
+    let check = |client: &Client, server: &Server, twin: &Document, step: &str| {
+        for q in queries {
+            let mut plain: Vec<String> = eval_document(twin, &Path::parse(q).unwrap())
+                .into_iter()
+                .map(|n| match twin.node(n).kind() {
+                    NodeKind::Element(_) => twin.node_to_xml(n),
+                    _ => twin.text_value(n),
+                })
+                .collect();
+            let mut secure = client.query(server, q).unwrap().results;
+            plain.sort();
+            secure.sort();
+            assert_eq!(secure, plain, "{q} after {step}");
+        }
+    };
+    check(&client, &server, &twin, "outsourcing");
+    for (i, record) in records.iter().enumerate() {
+        client
+            .insert(&mut server, "/hospital", record, 40 + i as u64)
+            .unwrap();
+        let rec = Document::parse(record).unwrap();
+        let root = twin.root();
+        rec.clone_subtree_into(rec.root().unwrap(), &mut twin, root);
+        check(&client, &server, &twin, &format!("insert {i}"));
+    }
+    let victim = "//patient[SSN = '107919']";
+    assert_eq!(client.delete(&mut server, victim).unwrap().deleted, 1);
+    for v in eval_document(&twin, &Path::parse(victim).unwrap()) {
+        twin.detach(v);
+    }
+    check(&client, &server, &twin, "delete");
+    // The inserted records are still reached by a plaintext lookup and by an
+    // encrypted range, past the delete's rebuild.
+    let out = client
+        .query(&server, "//patient[SSN = '990001']/pname")
+        .unwrap();
+    assert_eq!(out.results, ["<pname>Quinn</pname>"]);
+    let out = client
+        .query(&server, "//policy[@coverage > 990000]")
+        .unwrap();
+    assert_eq!(out.results, ["<policy coverage=\"999000\">55501</policy>"]);
+}

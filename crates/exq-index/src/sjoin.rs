@@ -6,12 +6,24 @@
 //! Parent–child is derived exactly as §5.1 prescribes:
 //! `child(x, y) ⇔ desc(x, y) ∧ ¬∃z: desc(x, z) ∧ desc(z, y)`,
 //! with `z` ranging over every interval the server can see.
+//!
+//! The server's semi-joins run on *positions* in an [`IntervalUniverse`],
+//! the visible intervals in join order. DSI intervals nest or are disjoint,
+//! so a member's subtree is the run of positions right after it, and every
+//! semi-join below is one forward merge of two ascending position lists.
 
 use crate::dsi::Interval;
+use std::cmp::Ordering;
+
+/// Join order: `lo` ascending, then `hi` descending, so an interval comes
+/// before every interval it contains.
+fn join_order(a: &Interval, b: &Interval) -> Ordering {
+    a.lo.cmp(&b.lo).then(b.hi.cmp(&a.hi))
+}
 
 /// Sorts intervals by `(lo asc, hi desc)` — the order every join expects.
 pub fn sort_intervals(iv: &mut [Interval]) {
-    iv.sort_by(|a, b| a.lo.cmp(&b.lo).then(b.hi.cmp(&a.hi)));
+    iv.sort_by(join_order);
 }
 
 /// Stack-based ancestor–descendant join. Inputs must be sorted with
@@ -50,111 +62,195 @@ pub fn join_anc_desc(anc: &[Interval], desc: &[Interval]) -> Vec<(usize, usize)>
     out
 }
 
-/// Descendant semi-join: indices of `desc` having at least one strict
-/// ancestor in `anc`. Inputs sorted with [`sort_intervals`].
-pub fn semijoin_desc(anc: &[Interval], desc: &[Interval]) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut stack: Vec<Interval> = Vec::new();
-    let mut ai = 0;
-    for (di, d) in desc.iter().enumerate() {
-        while ai < anc.len() && anc[ai].lo < d.lo {
-            stack.push(anc[ai]);
-            ai += 1;
-        }
-        while stack.last().is_some_and(|t| t.hi < d.lo) {
-            stack.pop();
-        }
-        if stack.iter().any(|a| a.contains(d)) {
-            out.push(di);
-        }
-    }
-    out
-}
-
-/// Ancestor semi-join: indices of `anc` having at least one strict
-/// descendant in `desc`. Inputs sorted with [`sort_intervals`].
-///
-/// Exploits laminarity (intervals from one labeling never partially
-/// overlap): `d` nests in `a` iff `a.lo < d.lo < a.hi`, so one binary
-/// search per ancestor suffices — O(n log m).
-pub fn semijoin_anc(anc: &[Interval], desc: &[Interval]) -> Vec<usize> {
-    let los: Vec<u64> = desc.iter().map(|d| d.lo).collect();
-    anc.iter()
-        .enumerate()
-        .filter_map(|(i, a)| {
-            let p = los.partition_point(|&lo| lo <= a.lo);
-            (p < los.len() && los[p] < a.hi).then_some(i)
+/// Descendant semi-join over universe positions: the members of `desc`
+/// with a strict ancestor in `anc` or, with `or_self`, that are themselves
+/// in `anc`. Both lists ascending; so is the output.
+pub fn semijoin_desc(u: &IntervalUniverse, anc: &[u32], desc: &[u32], or_self: bool) -> Vec<u32> {
+    // One past the last position covered by an `anc` member opened so far.
+    let mut reach = 0;
+    let mut anc = anc.iter().copied().peekable();
+    desc.iter()
+        .copied()
+        .filter(|&d| {
+            while let Some(a) = anc.next_if(|&a| a < d || (or_self && a == d)) {
+                reach = reach.max(u.end[a as usize]);
+            }
+            d < reach
         })
         .collect()
 }
 
-/// The set of "visible" intervals the server uses for parent–child
-/// derivation. The nesting forest (each interval's tightest container) is
-/// precomputed with one stack sweep, so parent lookups are O(1).
-#[derive(Debug, Clone)]
+/// Ancestor semi-join over universe positions: the members of `anc` with
+/// a strict descendant in `desc` or, with `or_self`, that are themselves in
+/// `desc`. Both lists ascending; so is the output.
+pub fn semijoin_anc(u: &IntervalUniverse, anc: &[u32], desc: &[u32], or_self: bool) -> Vec<u32> {
+    let mut di = 0;
+    anc.iter()
+        .copied()
+        .filter(|&a| {
+            let from = if or_self { a } else { a + 1 };
+            while desc.get(di).is_some_and(|&d| d < from) {
+                di += 1;
+            }
+            desc.get(di).is_some_and(|&d| d < u.end[a as usize])
+        })
+        .collect()
+}
+
+/// Child semi-join over universe positions: the members of `kids` whose
+/// parent is in `parents`. Both lists ascending; so is the output.
+pub fn semijoin_child(u: &IntervalUniverse, parents: &[u32], kids: &[u32]) -> Vec<u32> {
+    let mut out = Vec::new();
+    parent_pairs(u, parents, kids, |k, _| out.push(kids[k]));
+    out
+}
+
+/// Parent semi-join over universe positions: the members of `parents`
+/// that are the parent of a member of `kids`. Both lists ascending; so is
+/// the output.
+pub fn semijoin_parent(u: &IntervalUniverse, parents: &[u32], kids: &[u32]) -> Vec<u32> {
+    let mut keep = vec![false; parents.len()];
+    parent_pairs(u, parents, kids, |_, i| keep[i] = true);
+    parents
+        .iter()
+        .zip(keep)
+        .filter_map(|(&p, keep)| keep.then_some(p))
+        .collect()
+}
+
+/// One stack merge of two ascending position lists: calls `hit(k, i)` for
+/// every `kids[k]` whose parent is `parents[i]`, in `kids` order. The stack
+/// holds the `parents` members opened so far, innermost on top; once those
+/// that end at or before a kid are popped, the top contains the kid and is
+/// the deepest member of `parents` that does, so the kid is a hit exactly
+/// when the top is its parent.
+fn parent_pairs(
+    u: &IntervalUniverse,
+    parents: &[u32],
+    kids: &[u32],
+    mut hit: impl FnMut(usize, usize),
+) {
+    let mut open: Vec<usize> = Vec::new();
+    let mut pi = 0;
+    for (k, &kid) in kids.iter().enumerate() {
+        while parents.get(pi).is_some_and(|&p| p < kid) {
+            open.push(pi);
+            pi += 1;
+        }
+        while open
+            .last()
+            .is_some_and(|&i| u.end[parents[i] as usize] <= kid)
+        {
+            open.pop();
+        }
+        if let Some(&i) = open.last() {
+            if u.parent[kid as usize] == parents[i] {
+                hit(k, i);
+            }
+        }
+    }
+}
+
+/// `parent` of a member with no enclosing member.
+const NO_PARENT: u32 = u32::MAX;
+
+/// The intervals the server can see, in join order, as the positions its
+/// joins run on. Each member keeps its parent (tightest enclosing member)
+/// and the end of its subtree, both as positions, so parent–child and
+/// containment are array loads. Members must nest or be disjoint, as DSI
+/// intervals do.
+#[derive(Debug, Clone, Default)]
 pub struct IntervalUniverse {
-    sorted: Vec<Interval>,
-    parent: std::collections::HashMap<Interval, Option<Interval>>,
+    members: Vec<Interval>,
+    /// Parent position, [`NO_PARENT`] for a root.
+    parent: Vec<u32>,
+    /// One past the last position of the member's subtree.
+    end: Vec<u32>,
 }
 
 impl IntervalUniverse {
     pub fn new(mut intervals: Vec<Interval>) -> Self {
         sort_intervals(&mut intervals);
         intervals.dedup();
-        // Properly nesting intervals sorted by (lo asc, hi desc): a stack of
-        // currently-open intervals yields each one's tightest container.
-        let mut parent = std::collections::HashMap::with_capacity(intervals.len());
-        let mut stack: Vec<Interval> = Vec::new();
-        for &iv in &intervals {
-            while stack.last().is_some_and(|top| !top.contains(&iv)) {
-                stack.pop();
+        let n = u32::try_from(intervals.len()).expect("universe positions fit in u32");
+        assert!(n < NO_PARENT, "universe positions fit below the root mark");
+        // A stack of the currently open members: each new member's parent is
+        // the innermost one that contains it; the ones it pops end there.
+        let mut parent = Vec::with_capacity(intervals.len());
+        let mut end = vec![n; intervals.len()];
+        let mut open: Vec<u32> = Vec::new();
+        for (p, iv) in (0..n).zip(&intervals) {
+            while let Some(&top) = open.last() {
+                if intervals[top as usize].contains(iv) {
+                    break;
+                }
+                end[top as usize] = p;
+                open.pop();
             }
-            parent.insert(iv, stack.last().copied());
-            stack.push(iv);
+            parent.push(open.last().copied().unwrap_or(NO_PARENT));
+            open.push(p);
         }
         IntervalUniverse {
-            sorted: intervals,
+            members: intervals,
             parent,
+            end,
         }
     }
 
     pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Top-level intervals: universe members with no enclosing member.
-    /// Sorted in join order (a subset of the sorted universe).
-    pub fn roots(&self) -> impl Iterator<Item = Interval> + '_ {
-        self.sorted
-            .iter()
-            .copied()
-            .filter(|iv| self.parent.get(iv).is_some_and(|p| p.is_none()))
+        self.members.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        self.members.is_empty()
     }
 
-    /// The tightest universe interval strictly containing `x`, i.e. `x`'s
-    /// parent as far as the server can tell. O(1) for universe members;
-    /// falls back to a scan for foreign intervals.
-    pub fn tightest_container(&self, x: &Interval) -> Option<Interval> {
-        if let Some(p) = self.parent.get(x) {
-            return *p;
+    /// Every member, in join order: position `p` is `members()[p]`.
+    pub fn members(&self) -> &[Interval] {
+        &self.members
+    }
+
+    /// The member at position `p`.
+    pub fn interval(&self, p: u32) -> Interval {
+        self.members[p as usize]
+    }
+
+    /// The parent of the member at `p` — the tightest member strictly
+    /// containing it, as far as the server can tell — or `None` for a root.
+    pub fn parent(&self, p: u32) -> Option<u32> {
+        Some(self.parent[p as usize]).filter(|&q| q != NO_PARENT)
+    }
+
+    /// The position of `iv`, if it is a member.
+    pub fn position(&self, iv: &Interval) -> Option<u32> {
+        self.members
+            .binary_search_by(|m| join_order(m, iv))
+            .ok()
+            .map(|p| p as u32)
+    }
+
+    /// The positions of the members of `list`, which must be in join order,
+    /// found by one forward galloping pass; an interval that is not a
+    /// member is skipped.
+    pub fn positions(&self, list: &[Interval]) -> Vec<u32> {
+        let mut out = Vec::with_capacity(list.len());
+        let mut at = 0;
+        for iv in list {
+            // Double a step until it passes `iv`, then search the last step.
+            let rest = &self.members[at..];
+            let mut step = 1;
+            while step < rest.len() && join_order(&rest[step], iv).is_lt() {
+                step *= 2;
+            }
+            let from = step / 2;
+            let to = (step + 1).min(rest.len());
+            at += from + rest[from..to].partition_point(|m| join_order(m, iv).is_lt());
+            if self.members.get(at) == Some(iv) {
+                out.push(at as u32);
+                at += 1;
+            }
         }
-        // Foreign interval: scan backwards from its insertion point.
-        let end = self.sorted.partition_point(|iv| iv.lo < x.lo);
-        self.sorted[..end]
-            .iter()
-            .rev()
-            .find(|iv| iv.contains(x))
-            .copied()
-    }
-
-    /// Parent–child test per §5.1: `a` strictly contains `d` and no other
-    /// visible interval lies strictly between them.
-    pub fn is_parent_child(&self, a: &Interval, d: &Interval) -> bool {
-        a.contains(d) && self.tightest_container(d).as_ref() == Some(a)
+        out
     }
 }
 
@@ -177,14 +273,37 @@ mod tests {
         assert_eq!(pairs.len(), 5);
     }
 
+    /// Positions: 0 = [0,100], 1 = [10,40], 2 = [20,30], 3 = [50,90],
+    /// 4 = [60,70], 5 = [95,99], 6 = [200,210].
+    fn universe() -> IntervalUniverse {
+        IntervalUniverse::new(vec![
+            iv(200, 210),
+            iv(50, 90),
+            iv(0, 100),
+            iv(20, 30),
+            iv(60, 70),
+            iv(10, 40),
+            iv(95, 99),
+        ])
+    }
+
     #[test]
     fn semijoins() {
-        let mut anc = vec![iv(10, 40), iv(50, 90)];
-        let mut desc = vec![iv(20, 30), iv(95, 99)];
-        sort_intervals(&mut anc);
-        sort_intervals(&mut desc);
-        assert_eq!(semijoin_desc(&anc, &desc), [0]);
-        assert_eq!(semijoin_anc(&anc, &desc), [0]);
+        let u = universe();
+        assert_eq!(semijoin_desc(&u, &[1, 3], &[2, 5], false), [2]);
+        assert_eq!(semijoin_anc(&u, &[1, 3], &[2, 5], false), [1]);
+        // A member is not its own descendant unless `or_self` says so.
+        assert!(semijoin_desc(&u, &[1], &[1], false).is_empty());
+        assert_eq!(semijoin_desc(&u, &[1], &[1, 2], true), [1, 2]);
+        assert_eq!(semijoin_anc(&u, &[1, 3], &[3], true), [3]);
+        // Grandchildren are descendants, not children.
+        assert_eq!(semijoin_desc(&u, &[0], &[2, 4, 6], false), [2, 4]);
+        assert!(semijoin_child(&u, &[0], &[2, 4, 6]).is_empty());
+        assert_eq!(semijoin_child(&u, &[0, 1], &[2, 3, 4]), [2, 3]);
+        assert_eq!(semijoin_parent(&u, &[0, 1, 3], &[2, 4]), [1, 3]);
+        // A sibling the sweep passed ([10,40]) does not hide the parent.
+        assert_eq!(semijoin_child(&u, &[0, 1], &[5]), [5]);
+        assert_eq!(semijoin_parent(&u, &[0, 1], &[5]), [0]);
     }
 
     #[test]
@@ -196,32 +315,33 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
+        let u = universe();
         assert!(join_anc_desc(&[], &[iv(1, 2)]).is_empty());
         assert!(join_anc_desc(&[iv(1, 2)], &[]).is_empty());
-        assert!(semijoin_desc(&[], &[]).is_empty());
+        assert!(semijoin_desc(&u, &[], &[], false).is_empty());
+        assert!(semijoin_parent(&u, &[0], &[]).is_empty());
+        assert!(IntervalUniverse::new(vec![])
+            .positions(&[iv(1, 2)])
+            .is_empty());
     }
 
-    /// `roots()` is exactly the set of members with no enclosing member,
-    /// in join order, and stays consistent with `tightest_container`.
+    /// Parents, subtree ends and positions of a small forest.
     #[test]
-    fn roots_are_uncontained_members() {
-        let u = IntervalUniverse::new(vec![
-            iv(0, 100),
-            iv(10, 40),
-            iv(20, 30),
-            iv(200, 300),
-            iv(210, 220),
-            iv(400, 410),
-        ]);
-        let roots: Vec<Interval> = u.roots().collect();
-        assert_eq!(roots, [iv(0, 100), iv(200, 300), iv(400, 410)]);
-        for r in &roots {
-            assert_eq!(u.tightest_container(r), None);
-        }
-        assert!(IntervalUniverse::new(vec![]).roots().next().is_none());
-        // A single interval is its own root even when queried among nested
-        // siblings that all share it as an ancestor.
-        assert_eq!(u.tightest_container(&iv(210, 220)), Some(iv(200, 300)));
+    fn parents_and_subtrees() {
+        let u = universe();
+        let parents: Vec<Option<u32>> = (0..u.len() as u32).map(|p| u.parent(p)).collect();
+        assert_eq!(
+            parents,
+            [None, Some(0), Some(1), Some(0), Some(3), Some(0), None]
+        );
+        assert_eq!(u.end, [6, 3, 3, 5, 5, 6, 7]);
+        assert_eq!(u.position(&iv(60, 70)), Some(4));
+        assert_eq!(u.position(&iv(61, 62)), None);
+        assert_eq!(
+            u.positions(&[iv(0, 100), iv(12, 15), iv(50, 90), iv(200, 210)]),
+            [0, 3, 6]
+        );
+        assert!(IntervalUniverse::new(vec![]).is_empty());
     }
 
     #[test]
@@ -231,27 +351,12 @@ mod tests {
         sort_intervals(&mut anc);
         let pairs = join_anc_desc(&anc, &desc);
         assert_eq!(pairs.len(), 50);
-    }
-
-    #[test]
-    fn tightest_container() {
-        let u = IntervalUniverse::new(vec![iv(0, 100), iv(10, 50), iv(20, 30), iv(60, 90)]);
-        assert_eq!(u.tightest_container(&iv(22, 25)), Some(iv(20, 30)));
-        assert_eq!(u.tightest_container(&iv(12, 15)), Some(iv(10, 50)));
-        assert_eq!(u.tightest_container(&iv(61, 62)), Some(iv(60, 90)));
-        assert_eq!(u.tightest_container(&iv(0, 100)), None);
-        assert_eq!(u.tightest_container(&iv(200, 300)), None);
-    }
-
-    #[test]
-    fn parent_child_derivation() {
-        // r=[0,100], a=[10,50], b=[20,30]: a is child of r, b child of a,
-        // b is NOT child of r (a lies between).
-        let u = IntervalUniverse::new(vec![iv(0, 100), iv(10, 50), iv(20, 30)]);
-        assert!(u.is_parent_child(&iv(0, 100), &iv(10, 50)));
-        assert!(u.is_parent_child(&iv(10, 50), &iv(20, 30)));
-        assert!(!u.is_parent_child(&iv(0, 100), &iv(20, 30)));
-        assert!(!u.is_parent_child(&iv(20, 30), &iv(10, 50)));
+        // In the universe, each level is the next one's parent.
+        anc.extend(&desc);
+        let u = IntervalUniverse::new(anc);
+        let all: Vec<u32> = (0..u.len() as u32).collect();
+        assert_eq!(semijoin_child(&u, &all, &all), &all[1..]);
+        assert_eq!(semijoin_parent(&u, &all, &all), &all[..50]);
     }
 
     #[test]

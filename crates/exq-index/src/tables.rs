@@ -112,7 +112,6 @@ impl DsiIndexTable {
 pub struct BlockTable {
     /// Sorted by representative interval `lo`.
     entries: Vec<(Interval, u32)>,
-    by_id: std::collections::HashMap<u32, Interval>,
     sealed: bool,
 }
 
@@ -123,7 +122,6 @@ impl BlockTable {
 
     pub fn add(&mut self, representative: Interval, block_id: u32) {
         self.entries.push((representative, block_id));
-        self.by_id.insert(block_id, representative);
         self.sealed = false;
     }
 
@@ -144,23 +142,22 @@ impl BlockTable {
         self.entries.iter().copied()
     }
 
-    /// The block whose representative interval covers `x` (equality or
-    /// strict containment). Blocks never nest (encryption targets are
-    /// disjoint subtrees), so the cover is unique if it exists.
-    pub fn covering_block(&self, x: &Interval) -> Option<u32> {
+    /// For each interval of a list in join order, the block whose
+    /// representative interval covers it (equality or strict containment),
+    /// by one merge with the table. Blocks never nest (encryption targets
+    /// are disjoint subtrees), so a cover is unique if it exists.
+    pub fn covering(&self, list: &[Interval]) -> Vec<Option<u32>> {
         debug_assert!(self.sealed, "BlockTable::seal() must run before lookups");
-        // Binary search for candidates with lo <= x.lo.
-        let end = self.entries.partition_point(|(iv, _)| iv.lo <= x.lo);
-        self.entries[..end]
-            .iter()
-            .rev()
-            .find(|(iv, _)| iv.covers(x))
-            .map(|&(_, id)| id)
-    }
-
-    /// The representative interval of a block id. O(1).
-    pub fn representative(&self, block_id: u32) -> Option<Interval> {
-        self.by_id.get(&block_id).copied()
+        let mut next = self.entries.iter().copied().peekable();
+        let mut open: Option<(Interval, u32)> = None;
+        list.iter()
+            .map(|x| {
+                while let Some(e) = next.next_if(|(rep, _)| rep.lo <= x.lo) {
+                    open = Some(e);
+                }
+                open.filter(|(rep, _)| rep.covers(x)).map(|(_, id)| id)
+            })
+            .collect()
     }
 
     /// Removes every block whose representative interval is covered by
@@ -175,9 +172,6 @@ impl BlockTable {
                 true
             }
         });
-        for id in &removed {
-            self.by_id.remove(id);
-        }
         removed
     }
 }
@@ -232,12 +226,21 @@ mod tests {
         b.add(iv(39, 44), 2);
         b.add(iv(55, 60), 3);
         b.seal();
-        assert_eq!(b.covering_block(&iv(17, 18)), Some(1));
-        assert_eq!(b.covering_block(&iv(39, 44)), Some(2));
-        assert_eq!(b.covering_block(&iv(25, 30)), None);
-        assert_eq!(b.covering_block(&iv(10, 90)), None);
-        assert_eq!(b.representative(3), Some(iv(55, 60)));
-        assert_eq!(b.representative(99), None);
+        let list = [
+            iv(10, 90),
+            iv(16, 20),
+            iv(17, 18),
+            iv(25, 30),
+            iv(39, 44),
+            iv(56, 57),
+            iv(61, 62),
+        ];
+        assert_eq!(
+            b.covering(&list),
+            [None, Some(1), Some(1), None, Some(2), Some(3), None]
+        );
+        assert_eq!(b.remove_within(iv(30, 50)), [2]);
+        assert_eq!(b.covering(&list[4..5]), [None]);
     }
 
     #[test]
@@ -248,6 +251,6 @@ mod tests {
         let mut b = BlockTable::new();
         b.seal();
         assert!(b.is_empty());
-        assert_eq!(b.covering_block(&iv(1, 2)), None);
+        assert_eq!(b.covering(&[iv(1, 2)]), [None]);
     }
 }

@@ -2,10 +2,11 @@
 
 use exq_index::dsi::{DsiLabeling, Interval};
 use exq_index::sjoin::{
-    join_anc_desc, semijoin_anc, semijoin_desc, sort_intervals, IntervalUniverse,
+    join_anc_desc, semijoin_anc, semijoin_child, semijoin_desc, semijoin_parent, sort_intervals,
+    IntervalUniverse,
 };
 use exq_index::BTree;
-use exq_xml::Document;
+use exq_xml::{Document, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -115,14 +116,17 @@ proptest! {
             })
             .sum::<usize>();
         prop_assert_eq!(pairs, truth);
-        // Semijoins agree with the pair join.
-        let da = semijoin_desc(&anc, &desc).len();
+        // Semijoins over universe positions agree with the pair join.
+        let u = IntervalUniverse::new(d.iter().map(|n| l.interval(n).unwrap()).collect());
+        let anc = u.positions(&anc);
+        let desc = u.positions(&desc);
+        let da = semijoin_desc(&u, &anc, &desc, false).len();
         let truth_d = ys
             .iter()
             .filter(|&&y| d.ancestors(y).iter().any(|a| xs.contains(a)))
             .count();
         prop_assert_eq!(da, truth_d);
-        let aa = semijoin_anc(&anc, &desc).len();
+        let aa = semijoin_anc(&u, &anc, &desc, false).len();
         let truth_a = xs
             .iter()
             .filter(|&&x| ys.iter().any(|&y| d.ancestors(y).contains(&x)))
@@ -138,9 +142,100 @@ proptest! {
         let intervals: Vec<Interval> = d.iter().map(|n| l.interval(n).unwrap()).collect();
         let u = IntervalUniverse::new(intervals);
         for n in d.iter() {
-            let iv = l.interval(n).unwrap();
+            let p = u.position(&l.interval(n).unwrap()).unwrap();
             let expected = d.node(n).parent().map(|p| l.interval(p).unwrap());
-            prop_assert_eq!(u.tightest_container(&iv), expected);
+            prop_assert_eq!(u.parent(p).map(|q| u.interval(q)), expected);
+        }
+    }
+
+    /// The child-axis merges, forward and backward, and the descendant ones
+    /// with and without self, equal the tree on random context and candidate
+    /// subsets. Tags recurse (`x` inside `x`), so contexts nest.
+    #[test]
+    fn child_merges_match_tree(
+        d in doc_strategy(),
+        seed in any::<u64>(),
+        in_ctx in proptest::collection::vec(any::<bool>(), 64),
+        in_cands in proptest::collection::vec(any::<bool>(), 64),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let l = DsiLabeling::assign(&d, &mut rng);
+        let u = IntervalUniverse::new(d.iter().map(|n| l.interval(n).unwrap()).collect());
+        let node_at: Vec<NodeId> = {
+            let mut by_pos: Vec<(u32, NodeId)> =
+                d.iter().map(|n| (u.position(&l.interval(n).unwrap()).unwrap(), n)).collect();
+            by_pos.sort_unstable();
+            by_pos.into_iter().map(|(_, n)| n).collect()
+        };
+        let pick = |mask: &[bool]| -> Vec<u32> {
+            (0..u.len() as u32).filter(|&p| mask[p as usize % mask.len()]).collect()
+        };
+        let (ctx, cands) = (pick(&in_ctx), pick(&in_cands));
+        let is_parent = |t: u32, c: u32| d.node(node_at[c as usize]).parent() == Some(node_at[t as usize]);
+        let want: Vec<u32> = cands
+            .iter()
+            .copied()
+            .filter(|&c| ctx.iter().any(|&t| is_parent(t, c)))
+            .collect();
+        prop_assert_eq!(semijoin_child(&u, &ctx, &cands), want);
+        let want: Vec<u32> = ctx
+            .iter()
+            .copied()
+            .filter(|&t| cands.iter().any(|&c| is_parent(t, c)))
+            .collect();
+        prop_assert_eq!(semijoin_parent(&u, &ctx, &cands), want);
+        let under = |t: u32, c: u32, or_self: bool| {
+            (or_self && t == c) || d.ancestors(node_at[c as usize]).contains(&node_at[t as usize])
+        };
+        for or_self in [false, true] {
+            let want: Vec<u32> = cands
+                .iter()
+                .copied()
+                .filter(|&c| ctx.iter().any(|&t| under(t, c, or_self)))
+                .collect();
+            prop_assert_eq!(semijoin_desc(&u, &ctx, &cands, or_self), want);
+            let want: Vec<u32> = ctx
+                .iter()
+                .copied()
+                .filter(|&t| cands.iter().any(|&c| under(t, c, or_self)))
+                .collect();
+            prop_assert_eq!(semijoin_anc(&u, &ctx, &cands, or_self), want);
+        }
+    }
+
+    /// The galloping position map equals one binary search per interval,
+    /// over a universe of some of a document's intervals and a list that
+    /// holds members and non-members.
+    #[test]
+    fn positions_match_binary_search(
+        d in doc_strategy(),
+        seed in any::<u64>(),
+        in_universe in proptest::collection::vec(any::<bool>(), 64),
+        in_list in proptest::collection::vec(any::<bool>(), 64),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let l = DsiLabeling::assign(&d, &mut rng);
+        let all: Vec<Interval> = d.iter().map(|n| l.interval(n).unwrap()).collect();
+        let subset = |mask: &[bool]| -> Vec<Interval> {
+            let mut v: Vec<Interval> =
+                all.iter().enumerate().filter(|(i, _)| mask[i % mask.len()]).map(|(_, iv)| *iv).collect();
+            sort_intervals(&mut v);
+            v
+        };
+        let u = IntervalUniverse::new(subset(&in_universe));
+        let members = u.members();
+        // The whole document holds every interval the universe left out.
+        for list in [subset(&in_list), subset(&[true])] {
+            let by_search: Vec<u32> = list
+                .iter()
+                .filter_map(|iv| {
+                    members
+                        .binary_search_by(|m| m.lo.cmp(&iv.lo).then(iv.hi.cmp(&m.hi)))
+                        .ok()
+                        .map(|p| p as u32)
+                })
+                .collect();
+            prop_assert_eq!(u.positions(&list), by_search);
         }
     }
 }
