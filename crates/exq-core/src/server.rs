@@ -5,32 +5,32 @@
 //! answering follows the paper's three steps:
 //!
 //! 1. **structure translation** — each query step's tags are looked up in
-//!    the DSI index table to obtain candidate interval lists;
+//!    the posting lists, which the server holds as positions in the
+//!    interval universe (every DSI table interval, in join order), mapped
+//!    once whenever the universe is built: no query maps an interval;
 //! 2. **value translation** — each value predicate's ciphertext range is
 //!    scanned in the B-tree, yielding the set of blocks containing matching
 //!    occurrences;
 //! 3. **final joins** — one matcher, `Server::match_steps`, evaluates a
 //!    step sequence set-at-a-time: a forward pass applies each step's axis
-//!    and predicates to whole sorted lists, a backward pass keeps what
-//!    leads to a full match. The lists hold positions in the interval
-//!    universe (every DSI table interval, in join order); parent, visible
-//!    node and covering block are arrays over those positions, so a child
-//!    step either way is one stack merge, a child of the document node is
-//!    a member with no parent, and a value test reads its node's text or
-//!    block in place — the joins never hash. The trunk is that function
-//!    from the document node. A predicate is a branch, so filtering a
-//!    step's list by it is the same function with that list as the context
-//!    (a value test applied once, to the branch's last list), and a witness
-//!    is the same function with one survivor as the context. What makes a
-//!    small context cheap is the only step that is not a textbook
-//!    structural join: `apply_axis` first cuts the (borrowed, sorted)
-//!    posting list down to the context's span and maps only that run to
-//!    positions. That is sound because every supported axis —
-//!    child, attribute, descendant, descendant-or-self — reaches only
-//!    intervals some context member covers, and those all start inside
-//!    `[first member's lo, largest hi)`. Surviving anchor-step matches and
-//!    one witness per predicate above the anchor determine the pruned
-//!    visible document and the block set shipped to the client.
+//!    and predicates to whole sorted position lists, a backward pass keeps
+//!    what leads to a full match. Parent, subtree end, visible node and
+//!    covering block are arrays over positions, so a child step either way
+//!    is one stack merge, a child of the document node is a member with no
+//!    parent, and a value test reads its node's text or block in place —
+//!    the joins never hash. The trunk is that function from the document
+//!    node. A predicate is a branch, so filtering a step's list by it is
+//!    the same function with that list as the context (a value test
+//!    applied once, to the branch's last list). A small context pays for
+//!    its own span only: `apply_axis` first cuts the posting list down to
+//!    `[first member, furthest subtree end)`, which holds everything a
+//!    supported axis — child, attribute, descendant, descendant-or-self —
+//!    can reach. Surviving anchor-step matches and, per predicate above the
+//!    anchor, one witness per survivor determine the pruned visible
+//!    document and the block set shipped to the client. The witnesses too
+//!    are one branch match, from the whole survivor list: going back up the
+//!    branch's lists, each member's first reachable last-list member is a
+//!    least-value merge (`Server::witnesses`).
 //!
 //! The server never decrypts anything; it cannot, it has no keys.
 
@@ -44,7 +44,8 @@ use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::SealedBlock;
 use exq_index::dsi::Interval;
 use exq_index::sjoin::{
-    semijoin_anc, semijoin_child, semijoin_desc, semijoin_parent, sort_intervals, IntervalUniverse,
+    least_child, least_desc, semijoin_anc, semijoin_child, semijoin_desc, semijoin_parent,
+    IntervalUniverse, NONE,
 };
 use exq_xml::{Document, Keep, NodeId, NodeKind};
 use std::borrow::Cow;
@@ -84,9 +85,13 @@ pub struct Server {
     interval_to_visible: HashMap<Interval, NodeId>,
     metadata: ServerMetadata,
     /// Every DSI table interval, in join order: the matcher's positions.
-    /// It and the two arrays below are rebuilt together
+    /// It, the posting lists and the two arrays below are rebuilt together
     /// ([`Server::index_universe`]).
     universe: IntervalUniverse,
+    /// Per DSI tag, its posting list as ascending universe positions.
+    postings: HashMap<String, Vec<u32>>,
+    /// Every universe position, ascending: a wildcard step's posting list.
+    every: Vec<u32>,
     /// Per universe position, the visible node with that interval.
     visible_at: Vec<Option<NodeId>>,
     /// Per universe position, the block whose representative covers it.
@@ -174,6 +179,8 @@ impl Server {
             interval_to_visible,
             metadata,
             universe: IntervalUniverse::default(),
+            postings: HashMap::new(),
+            every: Vec::new(),
             visible_at: Vec::new(),
             block_at: Vec::new(),
             blocks,
@@ -184,19 +191,19 @@ impl Server {
         server
     }
 
-    /// Builds the universe from the DSI table, and beside it each
-    /// position's visible node (from `interval_to_visible`, whose text
-    /// intervals are not members) and covering block.
+    /// Builds the universe and every tag's posting list as positions from
+    /// the DSI table ([`IntervalUniverse::with_postings`]), and beside them
+    /// each position's visible node and covering block. Text nodes'
+    /// intervals, which no table holds, are no members.
     fn index_universe(&mut self) {
-        let universe = IntervalUniverse::new(self.metadata.dsi_table.all_intervals().to_vec());
-        let mut visible_at = vec![None; universe.len()];
-        for (iv, &n) in &self.interval_to_visible {
-            if let Some(p) = universe.position(iv) {
-                visible_at[p as usize] = Some(n);
-            }
-        }
-        self.block_at = self.metadata.block_table.covering(universe.members());
-        self.visible_at = visible_at;
+        let (tags, lists): (Vec<_>, Vec<_>) = self.metadata.dsi_table.iter().unzip();
+        let (universe, postings) = IntervalUniverse::with_postings(lists);
+        let visible = &self.interval_to_visible;
+        let members = universe.members();
+        self.visible_at = members.iter().map(|iv| visible.get(iv).copied()).collect();
+        self.block_at = self.metadata.block_table.covering(members);
+        self.every = (0..members.len() as u32).collect();
+        self.postings = tags.into_iter().map(str::to_owned).zip(postings).collect();
         self.universe = universe;
     }
 
@@ -336,9 +343,8 @@ impl Server {
     /// plus visible-node intervals, including text).
     pub(crate) fn known_intervals_within(&self, parent: &Interval) -> Vec<Interval> {
         let mut out: Vec<Interval> = self
-            .metadata
-            .dsi_table
-            .all_intervals()
+            .universe
+            .members()
             .iter()
             .filter(|iv| parent.contains(iv))
             .copied()
@@ -728,21 +734,17 @@ impl Server {
         }
     }
 
-    /// DSI-table lookups, one list per step. The table guarantees
-    /// `(lo asc, hi desc)` order at seal time (posting lists and the
-    /// interval union), so a wildcard or single-tag step borrows its sealed
-    /// list; only a multi-tag union is merged into a list of its own.
-    fn lookup<'s>(&'s self, steps: &[SStep]) -> Vec<Cow<'s, [Interval]>> {
-        let table = &self.metadata.dsi_table;
+    /// Posting-list lookups, one ascending position list per step: a
+    /// single-tag step borrows its list, a wildcard borrows every position,
+    /// and a multi-tag step merges its tags' lists.
+    fn lookup<'s>(&'s self, steps: &[SStep]) -> Vec<Cow<'s, [u32]>> {
+        let posting = |tag: &String| self.postings.get(tag).map_or(&[][..], Vec::as_slice);
         let candidates = |step: &SStep| match step.tags.as_slice() {
-            [] => Cow::Borrowed(table.all_intervals()),
-            [tag] => Cow::Borrowed(table.lookup(tag)),
+            [] => Cow::Borrowed(self.every.as_slice()),
+            [tag] => Cow::Borrowed(posting(tag)),
             tags => {
-                let mut out: Vec<Interval> = tags
-                    .iter()
-                    .flat_map(|t| table.lookup(t).iter().copied())
-                    .collect();
-                sort_intervals(&mut out);
+                let mut out: Vec<u32> = tags.iter().flat_map(posting).copied().collect();
+                out.sort_unstable();
                 out.dedup();
                 Cow::Owned(out)
             }
@@ -761,7 +763,7 @@ impl Server {
         &self,
         ctx: Option<&[u32]>,
         steps: &[SStep],
-        lists: &[Cow<'_, [Interval]>],
+        lists: &[Cow<'_, [u32]>],
         last_test: Option<&dyn Fn(u32) -> bool>,
         resolved: &ResolvedRanges<'_>,
     ) -> Matched {
@@ -800,11 +802,10 @@ impl Server {
     }
 
     /// A predicate is a branch: matched from `ctx` like any step sequence.
-    /// `hits` are the members the predicate holds at; the first member of
-    /// the last list is the witness the reply ships for a one-member `ctx`.
-    /// The value test — a plaintext comparison on the visible node, or the
-    /// covering block being in the range's resolved set, both read off the
-    /// per-position arrays — is written here and nowhere else.
+    /// `hits` are the members the predicate holds at. The value test — a
+    /// plaintext comparison on the visible node, or the covering block being
+    /// in the range's resolved set, both read off the per-position arrays —
+    /// is written here and nowhere else.
     fn match_branch(&self, ctx: &[u32], pred: &SPred, resolved: &ResolvedRanges<'_>) -> Matched {
         match pred {
             SPred::Exists(steps) => {
@@ -832,36 +833,65 @@ impl Server {
     }
 
     /// Applies an axis between a context set (`None` = the virtual document
-    /// node) and a posting list, which is mapped to positions here, once.
-    fn apply_axis(&self, ctx: Option<&[u32]>, axis: SAxis, cands: &[Interval]) -> Vec<u32> {
+    /// node) and a posting list.
+    fn apply_axis(&self, ctx: Option<&[u32]>, axis: SAxis, cands: &[u32]) -> Vec<u32> {
         let u = &self.universe;
         let Some(ctx) = ctx else {
-            let cands = u.positions(cands);
             return match axis {
                 // From the document node, descendant(-or-self) reaches
                 // everything, and child reaches the members with no parent.
-                SAxis::Descendant | SAxis::DescendantOrSelf => cands,
+                SAxis::Descendant | SAxis::DescendantOrSelf => cands.to_vec(),
                 SAxis::Child | SAxis::Attribute => cands
-                    .into_iter()
+                    .iter()
+                    .copied()
                     .filter(|&c| u.parent(c).is_none())
                     .collect(),
             };
         };
-        // No axis reaches outside the context's span, and in join order the
-        // candidates starting inside it are one run: a one-member context
-        // (a witness) pays for its own subtree, not for the posting list.
-        let (Some(&first), Some(end)) = (ctx.first(), ctx.iter().map(|&c| u.interval(c).hi).max())
-        else {
+        // No axis reaches outside the context's subtrees, and those lie in
+        // `[first member, furthest subtree end)`: a small context pays for
+        // the run of the posting list inside that span, not for the list.
+        let (Some(&first), Some(end)) = (ctx.first(), ctx.iter().map(|&c| u.end(c)).max()) else {
             return Vec::new();
         };
-        let first = u.interval(first).lo;
-        let cands = &cands[cands.partition_point(|c| c.lo < first)..];
-        let cands = u.positions(&cands[..cands.partition_point(|c| c.lo < end)]);
+        let cands = &cands[cands.partition_point(|&c| c < first)..];
+        let cands = &cands[..cands.partition_point(|&c| c < end)];
         match axis {
-            SAxis::Descendant => semijoin_desc(u, ctx, &cands, false),
-            SAxis::DescendantOrSelf => semijoin_desc(u, ctx, &cands, true),
-            SAxis::Child | SAxis::Attribute => semijoin_child(u, ctx, &cands),
+            SAxis::Descendant => semijoin_desc(u, ctx, cands, false),
+            SAxis::DescendantOrSelf => semijoin_desc(u, ctx, cands, true),
+            SAxis::Child | SAxis::Attribute => semijoin_child(u, ctx, cands),
         }
+    }
+
+    /// Every member of `ctx`'s witness for `pred`, in `ctx` order: the first
+    /// member, in document order, of the branch's last list as matched from
+    /// that member alone, or [`NONE`] where the predicate fails. One match
+    /// from the whole context serves every member. Going up the branch's
+    /// lists, a member's first reachable last-list member is the least over
+    /// the members its step reaches one list down, and that reach is its
+    /// own, however the context nests.
+    fn witnesses(&self, ctx: &[u32], pred: &SPred, resolved: &ResolvedRanges<'_>) -> Vec<u32> {
+        let (SPred::Exists(steps) | SPred::Value { path: steps, .. }) = pred;
+        let Matched { hits, survivors } = self.match_branch(ctx, pred, resolved);
+        let Some(last) = survivors.last() else {
+            // An empty path tests the context members themselves.
+            let mut hits = hits.into_iter().peekable();
+            return ctx
+                .iter()
+                .map(|&c| hits.next_if_eq(&c).map_or(NONE, |_| c))
+                .collect();
+        };
+        let u = &self.universe;
+        let mut first = last.clone();
+        for (i, step) in steps.iter().enumerate().rev() {
+            let above = if i == 0 { ctx } else { &survivors[i - 1] };
+            first = match step.axis {
+                SAxis::Descendant => least_desc(u, above, &survivors[i], &first, false),
+                SAxis::DescendantOrSelf => least_desc(u, above, &survivors[i], &first, true),
+                SAxis::Child | SAxis::Attribute => least_child(u, above, &survivors[i], &first),
+            };
+        }
+        first
     }
 
     /// The backward pass's one move: keeps the members of `cur` from which
@@ -876,10 +906,10 @@ impl Server {
     }
 
     /// Builds the pruned visible document + block set of a reply: every
-    /// anchor match's region, plus one witness region per predicate at
-    /// steps above the anchor so the client can re-verify the full query
-    /// exactly. A witness is the predicate's branch matched from that one
-    /// survivor: the first member, in document order, of its last list.
+    /// anchor match's region, plus one witness region per predicate per
+    /// survivor at steps above the anchor so the client can re-verify the
+    /// full query exactly ([`Server::witnesses`], one branch match per
+    /// predicate and step).
     ///
     /// The region is marked by its anchors alone and written in one pass:
     /// an anchor is marked whole and its ancestors as context, nothing below
@@ -899,11 +929,9 @@ impl Server {
         let anchor = q.anchor.min(q.steps.len() - 1);
         let mut anchors = ev.survivors[anchor].clone();
         for (step, survivors) in q.steps.iter().zip(&ev.survivors).take(anchor) {
-            for c in survivors {
-                for pred in &step.preds {
-                    let branch = self.match_branch(std::slice::from_ref(c), pred, &ev.resolved);
-                    anchors.extend(branch.survivors.last().unwrap_or(&branch.hits).first());
-                }
+            for pred in &step.preds {
+                let witnesses = self.witnesses(survivors, pred, &ev.resolved);
+                anchors.extend(witnesses.into_iter().filter(|&w| w != NONE));
             }
         }
         if anchors.is_empty() {
@@ -976,6 +1004,7 @@ mod tests {
     use super::*;
     use crate::scheme::SchemeKind;
     use crate::wire::{SAxis, SStep};
+    use exq_index::sjoin::sort_intervals;
 
     #[test]
     fn locate_finds_plain_tags() {
@@ -1023,11 +1052,38 @@ mod tests {
             }],
             anchor: 0,
         };
-        // Every table interval (plain + encrypted tags) is a candidate.
-        assert_eq!(
-            s.locate(&q).len(),
-            s.metadata().dsi_table.all_intervals().len()
-        );
+        // Every table interval (plain + encrypted tags) is a candidate, once.
+        let mut every: Vec<Interval> = s
+            .metadata()
+            .dsi_table
+            .iter()
+            .flat_map(|(_, list)| list.iter().copied())
+            .collect();
+        sort_intervals(&mut every);
+        every.dedup();
+        assert_eq!(s.locate(&q), every);
+    }
+
+    /// An interval that two tags' lists share is one universe member, and
+    /// both tags' posting lists point at it.
+    #[test]
+    fn shared_interval_is_one_member() {
+        let (mut s, _) = server(SchemeKind::Opt);
+        let before = s.universe.len();
+        let patient = s.metadata.dsi_table.lookup("patient")[1];
+        s.metadata.dsi_table.add("ward", patient);
+        s.metadata.dsi_table.seal();
+        s.index_universe();
+        assert_eq!(s.universe.len(), before);
+        let at = s.postings["patient"][1];
+        assert_eq!(s.universe.interval(at), patient);
+        assert_eq!(s.postings["ward"], [at]);
+        let q = |tag: &str| ServerQuery {
+            steps: vec![step(SAxis::Descendant, tag)],
+            anchor: 0,
+        };
+        assert_eq!(s.locate(&q("ward")), [patient]);
+        assert_eq!(s.locate(&q("patient")).len(), 2);
     }
 
     #[test]
@@ -1047,6 +1103,63 @@ mod tests {
         let enc_tag = cipher.encrypt("pname");
         let hidden = s.metadata().dsi_table.lookup(&enc_tag)[0];
         assert!(s.insertion_slot(hidden).is_err());
+    }
+
+    /// One branch match from a whole survivor list picks, for every
+    /// survivor, the witness that matching the branch from that survivor
+    /// alone picks: the first member of its last list. Contexts nest (`a`
+    /// inside `a`), so a witness inside an outer survivor's span can belong
+    /// to an inner one only.
+    #[test]
+    fn witnesses_equal_one_match_per_survivor() {
+        use crate::constraints::SecurityConstraint;
+        use crate::system::{OutsourceConfig, Outsourcer};
+        let doc = Document::parse(
+            "<doc><a><k>1</k><b>t</b><a><k>2</k><c><b>u</b></c>\
+               <a><b>u</b><a><b>w</b><k>4</k></a></a></a><c><a/></c></a>\
+             <a><c>s</c><a><k>7</k><b>z</b></a></a></doc>",
+        )
+        .unwrap();
+        let queries = [
+            "//a[b]//k",
+            "//a[a/b]/k",
+            "//a[c/a]/k",
+            "//a[.//b = 'u']//k",
+            "//a[a[k]/b]/c",
+            "//a[.//a[b]]/k",
+            "//a[k > 1]//a/b",
+            "//a[. = '1t']/k",
+            "/doc/a[.//c//b]/a",
+            "//a[a][c/b]//k",
+        ];
+        for kind in [SchemeKind::Opt, SchemeKind::Top] {
+            let cs = [SecurityConstraint::parse("//a:(/k, /b)").unwrap()];
+            let (client, s) = Outsourcer::new(OutsourceConfig::default())
+                .outsource(&doc, &cs, kind, 5)
+                .unwrap()
+                .split();
+            let mut compared = 0;
+            for q in queries {
+                let sq = client.translate(q).unwrap().server_query.unwrap();
+                let ev = s.evaluate(&sq);
+                for (step, survivors) in sq.steps.iter().zip(&ev.survivors) {
+                    for pred in &step.preds {
+                        let one_at_a_time: Vec<u32> = survivors
+                            .iter()
+                            .map(|c| {
+                                let m = s.match_branch(&[*c], pred, &ev.resolved);
+                                let last = m.survivors.last().unwrap_or(&m.hits);
+                                last.first().copied().unwrap_or(NONE)
+                            })
+                            .collect();
+                        let set = s.witnesses(survivors, pred, &ev.resolved);
+                        assert_eq!(set, one_at_a_time, "{q} under {kind:?}");
+                        compared += survivors.len();
+                    }
+                }
+            }
+            assert!(compared >= 12, "{compared} survivors compared");
+        }
     }
 
     #[test]

@@ -320,3 +320,61 @@ fn mutations_keep_point_queries_equal_to_the_plaintext_twin() {
         .unwrap();
     assert_eq!(out.results, ["<policy coverage=\"999000\">55501</policy>"]);
 }
+
+/// The matcher's indexes — the universe, the posting lists as positions,
+/// the visible-node and covering-block arrays — are rebuilt in place by
+/// every insert and delete. After each mutation the server must reply as a
+/// server freshly loaded from its own saved bytes does, which builds them
+/// from scratch: the same pruned document and the same block ids, witnesses
+/// of nested and inserted records included.
+#[test]
+fn mutated_server_replies_equal_a_reloaded_one() {
+    let doc = hospital(10);
+    let cs: Vec<SecurityConstraint> = ["//insurance", "//patient:(/pname, /SSN)"]
+        .iter()
+        .map(|s| SecurityConstraint::parse(s).unwrap())
+        .collect();
+    let (mut client, mut server) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&doc, &cs, SchemeKind::Opt, 2007)
+        .unwrap()
+        .split();
+    let queries = [
+        "//patient[age > 50]/pname",
+        "//patient[SSN = '990001']/pname",
+        "//patient[.//policy[@coverage < 500000]]/pname",
+        "//patient[treat/disease = 'flu'][age > 30]//doctor",
+        "//hospital[patient/age = 77]/patient/SSN",
+        "//treat[disease = 'flu']/doctor",
+        "//policy[@coverage > 990000]",
+    ];
+    let same_replies = |client: &Client, server: &Server, step: &str| {
+        let reloaded = Server::load_bytes(&server.save_bytes().unwrap()).unwrap();
+        for q in queries {
+            let sq = client.translate(q).unwrap().server_query.unwrap();
+            let (live, fresh) = (server.answer(&sq).unwrap(), reloaded.answer(&sq).unwrap());
+            assert_eq!(live.pruned_xml, fresh.pruned_xml, "{q} after {step}");
+            let ids = |r: &exq_core::wire::ServerResponse| {
+                r.blocks.iter().map(|b| b.id).collect::<Vec<_>>()
+            };
+            assert_eq!(ids(&live), ids(&fresh), "{q} after {step}");
+        }
+    };
+    same_replies(&client, &server, "outsourcing");
+    let record = "<patient><pname>Quinn</pname><SSN>990001</SSN><age>77</age>\
+                  <treat><disease>flu</disease><doctor>Lee</doctor></treat>\
+                  <insurance><policy coverage=\"999000\">55501</policy></insurance></patient>";
+    client.insert(&mut server, "/hospital", record, 41).unwrap();
+    same_replies(&client, &server, "insert");
+    let out = client
+        .query(&server, "//patient[SSN = '990001']/pname")
+        .unwrap();
+    assert_eq!(out.results, ["<pname>Quinn</pname>"]);
+    assert_eq!(
+        client
+            .delete(&mut server, "//patient[age = 20]")
+            .unwrap()
+            .deleted,
+        1
+    );
+    same_replies(&client, &server, "delete");
+}

@@ -118,6 +118,59 @@ pub fn semijoin_parent(u: &IntervalUniverse, parents: &[u32], kids: &[u32]) -> V
         .collect()
 }
 
+/// What [`least_child`] and [`least_desc`] hold for a member that reaches
+/// no candidate.
+pub const NONE: u32 = u32::MAX;
+
+/// Per member of `parents`, the least `vals[k]` over the members `kids[k]`
+/// that are its children, or [`NONE`]. Both lists ascending; `vals` is
+/// aligned with `kids`.
+pub fn least_child(u: &IntervalUniverse, parents: &[u32], kids: &[u32], vals: &[u32]) -> Vec<u32> {
+    let mut least = vec![NONE; parents.len()];
+    parent_pairs(u, parents, kids, |k, i| least[i] = least[i].min(vals[k]));
+    least
+}
+
+/// Per member of `anc`, the least `vals[k]` over the members `desc[k]`
+/// strictly below it or, with `or_self`, equal to it, or [`NONE`]. Both
+/// lists ascending; `vals` is aligned with `desc`. One stack merge: a value
+/// lands on the deepest open member that covers its candidate, and a member
+/// folds its least into the one below it on the stack when it closes, since
+/// that one covers everything it does.
+pub fn least_desc(
+    u: &IntervalUniverse,
+    anc: &[u32],
+    desc: &[u32],
+    vals: &[u32],
+    or_self: bool,
+) -> Vec<u32> {
+    let mut least = vec![NONE; anc.len()];
+    let mut open: Vec<usize> = Vec::new();
+    // Closes the open members that end at or before `at`.
+    let close = |open: &mut Vec<usize>, least: &mut [u32], at: u32| {
+        while let Some(&i) = open.last().filter(|&&i| u.end[anc[i] as usize] <= at) {
+            open.pop();
+            if let Some(&outer) = open.last() {
+                least[outer] = least[outer].min(least[i]);
+            }
+        }
+    };
+    let mut ai = 0;
+    for (&d, &v) in desc.iter().zip(vals) {
+        while let Some(&a) = anc.get(ai).filter(|&&a| a < d || (or_self && a == d)) {
+            close(&mut open, &mut least, a);
+            open.push(ai);
+            ai += 1;
+        }
+        close(&mut open, &mut least, d);
+        if let Some(&i) = open.last() {
+            least[i] = least[i].min(v);
+        }
+    }
+    close(&mut open, &mut least, NONE);
+    least
+}
+
 /// One stack merge of two ascending position lists: calls `hit(k, i)` for
 /// every `kids[k]` whose parent is `parents[i]`, in `kids` order. The stack
 /// holds the `parents` members opened so far, innermost on top; once those
@@ -169,19 +222,49 @@ pub struct IntervalUniverse {
 }
 
 impl IntervalUniverse {
-    pub fn new(mut intervals: Vec<Interval>) -> Self {
-        sort_intervals(&mut intervals);
-        intervals.dedup();
-        let n = u32::try_from(intervals.len()).expect("universe positions fit in u32");
-        assert!(n < NO_PARENT, "universe positions fit below the root mark");
-        // A stack of the currently open members: each new member's parent is
-        // the innermost one that contains it; the ones it pops end there.
-        let mut parent = Vec::with_capacity(intervals.len());
-        let mut end = vec![n; intervals.len()];
+    /// The universe of every interval in `lists`, and each list as strictly
+    /// ascending positions. The entries, tagged with their list, go into
+    /// join order by one stable sort (a merge, where the lists are sorted);
+    /// each new interval is the next member, so an interval several lists
+    /// share is one member they all point at.
+    pub fn with_postings<'a>(
+        lists: impl IntoIterator<Item = &'a [Interval]>,
+    ) -> (Self, Vec<Vec<u32>>) {
+        let mut entries: Vec<(Interval, usize)> = Vec::new();
+        let mut postings: Vec<Vec<u32>> = Vec::new();
+        for (k, list) in lists.into_iter().enumerate() {
+            entries.extend(list.iter().map(|&iv| (iv, k)));
+            postings.push(Vec::new());
+        }
+        assert!(
+            entries.len() < NO_PARENT as usize,
+            "universe positions fit below the root mark"
+        );
+        entries.sort_by(|a, b| join_order(&a.0, &b.0));
+        let mut members: Vec<Interval> = Vec::new();
+        for (iv, k) in entries {
+            if members.last() != Some(&iv) {
+                members.push(iv);
+            }
+            let p = members.len() as u32 - 1;
+            if postings[k].last() != Some(&p) {
+                postings[k].push(p);
+            }
+        }
+        (Self::from_sorted(members), postings)
+    }
+
+    /// Parents and subtree ends of `members`, already in join order and
+    /// distinct. A stack of the open members: each new member's parent is
+    /// the innermost one that contains it; the ones it pops end there.
+    fn from_sorted(members: Vec<Interval>) -> Self {
+        let n = members.len() as u32;
+        let mut parent = Vec::with_capacity(members.len());
+        let mut end = vec![n; members.len()];
         let mut open: Vec<u32> = Vec::new();
-        for (p, iv) in (0..n).zip(&intervals) {
+        for (p, iv) in (0..n).zip(&members) {
             while let Some(&top) = open.last() {
-                if intervals[top as usize].contains(iv) {
+                if members[top as usize].contains(iv) {
                     break;
                 }
                 end[top as usize] = p;
@@ -191,7 +274,7 @@ impl IntervalUniverse {
             open.push(p);
         }
         IntervalUniverse {
-            members: intervals,
+            members,
             parent,
             end,
         }
@@ -221,36 +304,9 @@ impl IntervalUniverse {
         Some(self.parent[p as usize]).filter(|&q| q != NO_PARENT)
     }
 
-    /// The position of `iv`, if it is a member.
-    pub fn position(&self, iv: &Interval) -> Option<u32> {
-        self.members
-            .binary_search_by(|m| join_order(m, iv))
-            .ok()
-            .map(|p| p as u32)
-    }
-
-    /// The positions of the members of `list`, which must be in join order,
-    /// found by one forward galloping pass; an interval that is not a
-    /// member is skipped.
-    pub fn positions(&self, list: &[Interval]) -> Vec<u32> {
-        let mut out = Vec::with_capacity(list.len());
-        let mut at = 0;
-        for iv in list {
-            // Double a step until it passes `iv`, then search the last step.
-            let rest = &self.members[at..];
-            let mut step = 1;
-            while step < rest.len() && join_order(&rest[step], iv).is_lt() {
-                step *= 2;
-            }
-            let from = step / 2;
-            let to = (step + 1).min(rest.len());
-            at += from + rest[from..to].partition_point(|m| join_order(m, iv).is_lt());
-            if self.members.get(at) == Some(iv) {
-                out.push(at as u32);
-                at += 1;
-            }
-        }
-        out
+    /// One past the last position of the subtree of the member at `p`.
+    pub fn end(&self, p: u32) -> u32 {
+        self.end[p as usize]
     }
 }
 
@@ -273,10 +329,15 @@ mod tests {
         assert_eq!(pairs.len(), 5);
     }
 
+    /// The universe of one list of intervals.
+    fn of(intervals: &[Interval]) -> IntervalUniverse {
+        IntervalUniverse::with_postings([intervals]).0
+    }
+
     /// Positions: 0 = [0,100], 1 = [10,40], 2 = [20,30], 3 = [50,90],
     /// 4 = [60,70], 5 = [95,99], 6 = [200,210].
     fn universe() -> IntervalUniverse {
-        IntervalUniverse::new(vec![
+        of(&[
             iv(200, 210),
             iv(50, 90),
             iv(0, 100),
@@ -307,6 +368,25 @@ mod tests {
     }
 
     #[test]
+    fn least_reached() {
+        let u = universe();
+        // [0,100]'s children are 1, 3, 5; [50,90]'s is 4; [200,210] has none.
+        assert_eq!(
+            least_child(&u, &[0, 3, 6], &[1, 2, 4, 5], &[9, 8, 7, 6]),
+            [6, 7, NONE]
+        );
+        // Nested contexts: 0 sees every value below it, 1 only 2's.
+        let vals = [40, 30, 20, 10];
+        assert_eq!(
+            least_desc(&u, &[0, 1, 6], &[1, 2, 3, 4], &vals, false),
+            [10, 30, NONE]
+        );
+        assert_eq!(least_desc(&u, &[1, 3], &[1, 3], &[5, 7], false), [NONE; 2]);
+        assert_eq!(least_desc(&u, &[1, 3], &[1, 3], &[5, 7], true), [5, 7]);
+        assert!(least_desc(&u, &[], &[1], &[1], true).is_empty());
+    }
+
+    #[test]
     fn no_self_match() {
         let a = vec![iv(10, 40)];
         let d = vec![iv(10, 40)];
@@ -320,12 +400,9 @@ mod tests {
         assert!(join_anc_desc(&[iv(1, 2)], &[]).is_empty());
         assert!(semijoin_desc(&u, &[], &[], false).is_empty());
         assert!(semijoin_parent(&u, &[0], &[]).is_empty());
-        assert!(IntervalUniverse::new(vec![])
-            .positions(&[iv(1, 2)])
-            .is_empty());
     }
 
-    /// Parents, subtree ends and positions of a small forest.
+    /// Parents and subtree ends of a small forest.
     #[test]
     fn parents_and_subtrees() {
         let u = universe();
@@ -335,13 +412,21 @@ mod tests {
             [None, Some(0), Some(1), Some(0), Some(3), Some(0), None]
         );
         assert_eq!(u.end, [6, 3, 3, 5, 5, 6, 7]);
-        assert_eq!(u.position(&iv(60, 70)), Some(4));
-        assert_eq!(u.position(&iv(61, 62)), None);
-        assert_eq!(
-            u.positions(&[iv(0, 100), iv(12, 15), iv(50, 90), iv(200, 210)]),
-            [0, 3, 6]
-        );
-        assert!(IntervalUniverse::new(vec![]).is_empty());
+        assert_eq!(u.interval(4), iv(60, 70));
+        assert!(of(&[]).is_empty());
+    }
+
+    /// Lists map to positions; an interval two lists share is one member
+    /// that both point at, and a repeat within a list is one posting.
+    #[test]
+    fn postings_share_members() {
+        let a = [iv(1, 5), iv(7, 9)];
+        let b = [iv(0, 10), iv(1, 5), iv(1, 5)];
+        let (u, postings) = IntervalUniverse::with_postings([&a[..], &b[..], &[]]);
+        assert_eq!(u.members(), [iv(0, 10), iv(1, 5), iv(7, 9)]);
+        assert_eq!(postings, [vec![1, 2], vec![0, 1], vec![]]);
+        assert_eq!(u.parent(1), Some(0));
+        assert_eq!(u.end(0), 3);
     }
 
     #[test]
@@ -353,7 +438,7 @@ mod tests {
         assert_eq!(pairs.len(), 50);
         // In the universe, each level is the next one's parent.
         anc.extend(&desc);
-        let u = IntervalUniverse::new(anc);
+        let u = of(&anc);
         let all: Vec<u32> = (0..u.len() as u32).collect();
         assert_eq!(semijoin_child(&u, &all, &all), &all[1..]);
         assert_eq!(semijoin_parent(&u, &all, &all), &all[..50]);

@@ -18,12 +18,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct DsiIndexTable {
     entries: HashMap<String, Vec<Interval>>,
-    /// Sorted, deduplicated union of every list — rebuilt by [`seal`],
-    /// kept consistent by [`remove_within`] (retain preserves order).
-    ///
-    /// [`seal`]: Self::seal
-    /// [`remove_within`]: Self::remove_within
-    all_sorted: Vec<Interval>,
     sealed: bool,
 }
 
@@ -41,17 +35,13 @@ impl DsiIndexTable {
         self.sealed = false;
     }
 
-    /// Finishes construction: sorts every interval list into join order and
-    /// caches the sorted union so queries never sort again.
+    /// Finishes construction: sorts every interval list into join order, so
+    /// no lookup sorts again.
     pub fn seal(&mut self) {
         for list in self.entries.values_mut() {
             sort_intervals(list);
             list.dedup();
         }
-        let mut all: Vec<Interval> = self.entries.values().flatten().copied().collect();
-        sort_intervals(&mut all);
-        all.dedup();
-        self.all_sorted = all;
         self.sealed = true;
     }
 
@@ -67,14 +57,6 @@ impl DsiIndexTable {
         self.entries.get(tag).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Every interval in the table — the server's "visible universe" used
-    /// for parent–child derivation. Precomputed at seal time: sorted in
-    /// join order, deduplicated, O(1) to obtain.
-    pub fn all_intervals(&self) -> &[Interval] {
-        debug_assert!(self.sealed, "DsiIndexTable::seal() must run before lookups");
-        &self.all_sorted
-    }
-
     /// Number of distinct tags.
     pub fn tag_count(&self) -> usize {
         self.entries.len()
@@ -85,7 +67,8 @@ impl DsiIndexTable {
         self.entries.values().map(Vec::len).sum()
     }
 
-    /// Iterates `(tag, intervals)`.
+    /// Iterates `(tag, intervals)`; every list is in join order once the
+    /// table is sealed.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[Interval])> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
     }
@@ -100,9 +83,7 @@ impl DsiIndexTable {
             removed += before - list.len();
             !list.is_empty()
         });
-        // Retain preserves order, so the cached union stays sorted and the
-        // table stays sealed across deletes.
-        self.all_sorted.retain(|iv| !range.covers(iv));
+        // Retain preserves order, so the table stays sealed across deletes.
         removed
     }
 }
@@ -207,16 +188,6 @@ mod tests {
         t.seal();
         let l = t.lookup("a");
         assert_eq!(l, [iv(10, 90), iv(10, 20), iv(50, 60)]);
-    }
-
-    #[test]
-    fn all_intervals_dedup() {
-        let mut t = DsiIndexTable::new();
-        t.add("a", iv(1, 5));
-        t.add("b", iv(1, 5));
-        t.add("b", iv(7, 9));
-        t.seal();
-        assert_eq!(t.all_intervals().len(), 2);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use exq_index::dsi::{DsiLabeling, Interval};
 use exq_index::sjoin::{
-    join_anc_desc, semijoin_anc, semijoin_child, semijoin_desc, semijoin_parent, sort_intervals,
-    IntervalUniverse,
+    join_anc_desc, least_child, least_desc, semijoin_anc, semijoin_child, semijoin_desc,
+    semijoin_parent, sort_intervals, IntervalUniverse, NONE,
 };
 use exq_index::BTree;
 use exq_xml::{Document, NodeId};
@@ -44,6 +44,21 @@ proptest! {
         want.sort_unstable();
         prop_assert_eq!(got, want);
     }
+}
+
+/// The universe of every node's interval in `d`.
+fn universe(d: &Document, l: &DsiLabeling) -> IntervalUniverse {
+    let intervals: Vec<Interval> = d.iter().map(|n| l.interval(n).unwrap()).collect();
+    IntervalUniverse::with_postings([intervals.as_slice()]).0
+}
+
+/// The position of `iv`, a member of `u`: members are in join order.
+fn position(u: &IntervalUniverse, iv: Interval) -> u32 {
+    let at = u
+        .members()
+        .binary_search_by(|m| m.lo.cmp(&iv.lo).then(iv.hi.cmp(&m.hi)))
+        .expect("a member");
+    at as u32
 }
 
 /// Random small documents via nested XML strings.
@@ -117,9 +132,10 @@ proptest! {
             .sum::<usize>();
         prop_assert_eq!(pairs, truth);
         // Semijoins over universe positions agree with the pair join.
-        let u = IntervalUniverse::new(d.iter().map(|n| l.interval(n).unwrap()).collect());
-        let anc = u.positions(&anc);
-        let desc = u.positions(&desc);
+        let u = universe(&d, &l);
+        let positions =
+            |list: &[Interval]| -> Vec<u32> { list.iter().map(|&iv| position(&u, iv)).collect() };
+        let (anc, desc) = (positions(&anc), positions(&desc));
         let da = semijoin_desc(&u, &anc, &desc, false).len();
         let truth_d = ys
             .iter()
@@ -139,18 +155,18 @@ proptest! {
     fn universe_parents_match_tree(d in doc_strategy(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let l = DsiLabeling::assign(&d, &mut rng);
-        let intervals: Vec<Interval> = d.iter().map(|n| l.interval(n).unwrap()).collect();
-        let u = IntervalUniverse::new(intervals);
+        let u = universe(&d, &l);
         for n in d.iter() {
-            let p = u.position(&l.interval(n).unwrap()).unwrap();
+            let p = position(&u, l.interval(n).unwrap());
             let expected = d.node(n).parent().map(|p| l.interval(p).unwrap());
             prop_assert_eq!(u.parent(p).map(|q| u.interval(q)), expected);
         }
     }
 
-    /// The child-axis merges, forward and backward, and the descendant ones
-    /// with and without self, equal the tree on random context and candidate
-    /// subsets. Tags recurse (`x` inside `x`), so contexts nest.
+    /// The child-axis merges, forward and backward, the descendant ones with
+    /// and without self, and the least-value merges equal the tree on random
+    /// context and candidate subsets. Tags recurse (`x` inside `x`), so
+    /// contexts nest.
     #[test]
     fn child_merges_match_tree(
         d in doc_strategy(),
@@ -160,10 +176,10 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let l = DsiLabeling::assign(&d, &mut rng);
-        let u = IntervalUniverse::new(d.iter().map(|n| l.interval(n).unwrap()).collect());
+        let u = universe(&d, &l);
         let node_at: Vec<NodeId> = {
             let mut by_pos: Vec<(u32, NodeId)> =
-                d.iter().map(|n| (u.position(&l.interval(n).unwrap()).unwrap(), n)).collect();
+                d.iter().map(|n| (position(&u, l.interval(n).unwrap()), n)).collect();
             by_pos.sort_unstable();
             by_pos.into_iter().map(|(_, n)| n).collect()
         };
@@ -201,41 +217,24 @@ proptest! {
                 .collect();
             prop_assert_eq!(semijoin_anc(&u, &ctx, &cands, or_self), want);
         }
-    }
-
-    /// The galloping position map equals one binary search per interval,
-    /// over a universe of some of a document's intervals and a list that
-    /// holds members and non-members.
-    #[test]
-    fn positions_match_binary_search(
-        d in doc_strategy(),
-        seed in any::<u64>(),
-        in_universe in proptest::collection::vec(any::<bool>(), 64),
-        in_list in proptest::collection::vec(any::<bool>(), 64),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let l = DsiLabeling::assign(&d, &mut rng);
-        let all: Vec<Interval> = d.iter().map(|n| l.interval(n).unwrap()).collect();
-        let subset = |mask: &[bool]| -> Vec<Interval> {
-            let mut v: Vec<Interval> =
-                all.iter().enumerate().filter(|(i, _)| mask[i % mask.len()]).map(|(_, iv)| *iv).collect();
-            sort_intervals(&mut v);
-            v
-        };
-        let u = IntervalUniverse::new(subset(&in_universe));
-        let members = u.members();
-        // The whole document holds every interval the universe left out.
-        for list in [subset(&in_list), subset(&[true])] {
-            let by_search: Vec<u32> = list
-                .iter()
-                .filter_map(|iv| {
-                    members
-                        .binary_search_by(|m| m.lo.cmp(&iv.lo).then(iv.hi.cmp(&m.hi)))
-                        .ok()
-                        .map(|p| p as u32)
+        // The least-value merges that pick witnesses: per context member,
+        // the least value over the candidates it reaches, on the same
+        // nested contexts.
+        let vals: Vec<u32> = (0..cands.len() as u32).map(|k| k.wrapping_mul(0x9e37_79b9) >> 8).collect();
+        let least = |reaches: &dyn Fn(u32, u32) -> bool| -> Vec<u32> {
+            ctx.iter()
+                .map(|&t| {
+                    let reached = cands.iter().zip(&vals).filter(|&(&c, _)| reaches(t, c));
+                    reached.map(|(_, &v)| v).min().unwrap_or(NONE)
                 })
-                .collect();
-            prop_assert_eq!(u.positions(&list), by_search);
+                .collect()
+        };
+        prop_assert_eq!(least_child(&u, &ctx, &cands, &vals), least(&is_parent));
+        for or_self in [false, true] {
+            prop_assert_eq!(
+                least_desc(&u, &ctx, &cands, &vals, or_self),
+                least(&|t, c| under(t, c, or_self))
+            );
         }
     }
 }
