@@ -17,7 +17,7 @@
 
 use crate::error::CoreError;
 use crate::scheme::EncryptionScheme;
-use exq_crypto::{seal_blocks, KeyChain, OpessPlan, SealedBlock};
+use exq_crypto::{seal_blocks, KeyChain, OpessPlan, SealedBlock, TagCipher};
 use exq_index::{
     dsi::{DsiLabeling, Interval},
     BTree, BlockTable, DsiIndexTable,
@@ -199,7 +199,7 @@ pub fn encrypt_database(
     let labeling = DsiLabeling::assign(&working, rng);
 
     // 3. Block membership: node -> block id.
-    let mut block_of: Vec<Option<u32>> = vec![None; arena_len(&working)];
+    let mut block_of: Vec<Option<u32>> = vec![None; working.arena_len()];
     for (i, t) in scheme.targets.iter().enumerate() {
         for n in working.descendants(t.node) {
             block_of[n.index()] = Some(i as u32);
@@ -236,7 +236,7 @@ pub fn encrypt_database(
     );
 
     // 6–7. DSI index table (with grouping) + block table.
-    let tag_cipher = keys.tag_cipher();
+    let mut tags = TagMemo::new(keys.tag_cipher());
     let mut dsi_table = DsiIndexTable::new();
     let mut encrypted_tags = HashSet::new();
     let mut plain_tags = HashSet::new();
@@ -245,7 +245,7 @@ pub fn encrypt_database(
         working.root().unwrap(),
         &block_of,
         &labeling,
-        &tag_cipher,
+        &mut tags,
         &mut dsi_table,
         &mut encrypted_tags,
         &mut plain_tags,
@@ -263,7 +263,7 @@ pub fn encrypt_database(
 
     // 8. OPESS value indexes over encrypted leaf values.
     let (value_indexes, opess, value_entries) =
-        build_value_indexes(&working, &block_of, keys, &tag_cipher, rng)?;
+        build_value_indexes(&working, &block_of, keys, &mut tags, rng)?;
 
     let stats = EncryptStats {
         encrypt_time: start.elapsed(),
@@ -294,10 +294,6 @@ pub fn encrypt_database(
         },
         stats,
     })
-}
-
-fn arena_len(doc: &Document) -> usize {
-    doc.iter().map(|n| n.index() + 1).max().unwrap_or(0)
 }
 
 fn decoy_value(prf: &exq_crypto::Prf, i: u64) -> String {
@@ -372,6 +368,30 @@ fn build_visible(
     }
 }
 
+/// The tag cipher behind a memo: a build encrypts each distinct name once,
+/// however many table entries carry it.
+struct TagMemo {
+    cipher: TagCipher,
+    seen: HashMap<String, String>,
+}
+
+impl TagMemo {
+    fn new(cipher: TagCipher) -> Self {
+        TagMemo {
+            cipher,
+            seen: HashMap::new(),
+        }
+    }
+
+    fn encrypt(&mut self, name: &str) -> &str {
+        if !self.seen.contains_key(name) {
+            let c = self.cipher.encrypt(name);
+            self.seen.insert(name.to_owned(), c);
+        }
+        &self.seen[name]
+    }
+}
+
 /// Populates the DSI index table: plaintext tags for nodes outside blocks,
 /// Vernam-encrypted tags with adjacent same-tag grouping inside blocks.
 #[allow(clippy::too_many_arguments)]
@@ -380,7 +400,7 @@ fn build_dsi_table(
     node: NodeId,
     block_of: &[Option<u32>],
     labeling: &DsiLabeling,
-    cipher: &exq_crypto::TagCipher,
+    tags: &mut TagMemo,
     table: &mut DsiIndexTable,
     encrypted_tags: &mut HashSet<String>,
     plain_tags: &mut HashSet<String>,
@@ -392,7 +412,7 @@ fn build_dsi_table(
             let iv = labeling.interval(a).expect("attribute labeled");
             if block_of[a.index()].is_some() {
                 encrypted_tags.insert(name.clone());
-                table.add(&cipher.encrypt(&name), iv);
+                table.add(tags.encrypt(&name), iv);
             } else {
                 plain_tags.insert(name.clone());
                 table.add(&name, iv);
@@ -413,7 +433,7 @@ fn build_dsi_table(
         // grouping pass below; the only element without a parent pass is the
         // document root (relevant under the `top` scheme).
         if block_of[node.index()].is_some() && doc.node(node).parent().is_none() {
-            table.add(&cipher.encrypt(&name), iv);
+            table.add(tags.encrypt(&name), iv);
         }
         // Grouping pass over element children that live inside blocks:
         // runs of adjacent same-tag children in the same block merge into
@@ -435,14 +455,14 @@ fn build_dsi_table(
                 }
                 (prev, cur) => {
                     if let Some((rt, _, riv)) = prev.take() {
-                        table.add(&cipher.encrypt(&rt), riv);
+                        table.add(tags.encrypt(&rt), riv);
                     }
                     *prev = cur;
                 }
             }
         }
         if let Some((rt, _, riv)) = run {
-            table.add(&cipher.encrypt(&rt), riv);
+            table.add(tags.encrypt(&rt), riv);
         }
         // Recurse.
         for &c in children {
@@ -451,7 +471,7 @@ fn build_dsi_table(
                 c,
                 block_of,
                 labeling,
-                cipher,
+                tags,
                 table,
                 encrypted_tags,
                 plain_tags,
@@ -467,7 +487,7 @@ fn build_value_indexes(
     doc: &Document,
     block_of: &[Option<u32>],
     keys: &KeyChain,
-    cipher: &exq_crypto::TagCipher,
+    tags: &mut TagMemo,
     rng: &mut impl Rng,
 ) -> Result<ValueIndexes, CoreError> {
     // attribute name -> [(value, block id)]
@@ -555,7 +575,7 @@ fn build_value_indexes(
             }
         }
         total_entries += tree.len();
-        indexes.insert(cipher.encrypt(&attr), tree);
+        indexes.insert(tags.encrypt(&attr).to_owned(), tree);
         opess.insert(attr, OpessAttr { plan, codec });
     }
     Ok((indexes, opess, total_entries))

@@ -6,8 +6,9 @@
 //! * [`chacha`] — the ChaCha20 stream cipher (RFC 7539 core), used for block
 //!   encryption and as the PRF underlying everything else; its block
 //!   function computes `N` blocks side by side, and the batch entry points
-//!   ([`open_blocks`], [`seal_blocks`], [`OpeKey::encrypt_many`]) run it
-//!   sixteen wide;
+//!   run it sixteen wide: [`open_blocks`] and [`seal_blocks`] over a run of
+//!   blocks, [`OpeKey::encrypt_many`] over the distinct nodes of one level
+//!   of the OPE tree a batch of values shares;
 //! * [`prf`] — keyed pseudo-random functions and key derivation;
 //! * [`vernam`] — the deterministic fixed-width tag cipher used for element
 //!   tags in the DSI index table and in client query translation (§5.1.1;

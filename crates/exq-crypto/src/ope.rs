@@ -8,14 +8,24 @@
 //! PRF-derived coins so that encryption is deterministic under a key and
 //! needs no stored state.
 //!
+//! A value's ciphertext is a descent of 64 splits and a leaf, one coin per
+//! node, drawn from the node's bounds alone. [`OpeKey::encrypt`] is that
+//! descent for one value, the reference; [`OpeKey::encrypt_many`] takes a
+//! batch down the one tree its values share and draws each node's coin
+//! once, which for OPESS's clustered chunk values is far fewer coins than
+//! 65 per value.
+//!
 //! Also provided: the standard order-preserving embedding of `f64` into
 //! `u64`, used by OPESS to encrypt displaced (fractional) plaintext values.
 
 use crate::chacha::LANES;
-use crate::prf::{chunk_words, Prf};
+use crate::prf::{chunk_words, AfterLength, Prf};
 
 /// Number of bits of the ciphertext range.
 pub const RANGE_BITS: u32 = 96;
+
+/// Length of every coin input: a node's four bounds (see [`Node`]).
+const COIN_INPUT_LEN: usize = 64;
 
 /// An order-preserving encryption key.
 ///
@@ -29,11 +39,15 @@ pub const RANGE_BITS: u32 = 96;
 #[derive(Debug, Clone)]
 pub struct OpeKey {
     prf: Prf,
+    /// The coin chain after the length block all coin inputs share.
+    coin_start: AfterLength,
 }
 
 impl OpeKey {
     pub fn new(key: [u8; 32]) -> Self {
-        Self { prf: Prf::new(key) }
+        let prf = Prf::new(key);
+        let coin_start = prf.after_length(COIN_INPUT_LEN);
+        Self { prf, coin_start }
     }
 
     /// Encrypts a domain value. Strictly monotone: `x < y` implies
@@ -48,32 +62,55 @@ impl OpeKey {
         }
     }
 
-    /// [`encrypt`](Self::encrypt) of every value, in order. A descent is 65
-    /// coins each needing the one before, but every descent draws as many,
-    /// from inputs of one length: [`LANES`] values go down level by level
-    /// together, their coins drawn in lock-step.
+    /// [`encrypt`](Self::encrypt) of every value, in order. A coin depends
+    /// only on its tree node, and values that share a prefix of their path
+    /// share its nodes, so the batch goes down one tree level by level: each
+    /// node the batch reaches owns a run of the sorted values and draws its
+    /// coin once, [`LANES`] nodes to a PRF pass, each coin chain resumed
+    /// after the length block every 64-byte coin input shares.
     pub fn encrypt_many(&self, xs: &[u64]) -> Vec<u128> {
-        let mut out = Vec::with_capacity(xs.len());
-        for group in xs.chunks(LANES) {
-            let mut descents = [Descent::new(0); LANES];
-            for (descent, &x) in descents.iter_mut().zip(group) {
-                *descent = Descent::new(x);
-            }
-            let mut ciphertexts = [None; LANES];
-            // The domain halves exactly, so every descent ends on one level.
-            while ciphertexts[0].is_none() {
-                let inputs = descents.map(|d| d.coin_input());
-                let coins = self
-                    .prf
-                    .eval_u128_lanes::<LANES>(&[64; LANES][..group.len()], |l, k| {
-                        chunk_words(&inputs[l], k)
-                    });
-                let live = descents.iter_mut().take(group.len());
-                for ((c, descent), coin) in ciphertexts.iter_mut().zip(live).zip(coins) {
-                    *c = descent.step(coin);
+        if xs.is_empty() {
+            return Vec::new();
+        }
+        let mut sorted: Vec<(u64, usize)> = xs.iter().copied().zip(0..).collect();
+        sorted.sort_unstable();
+        let mut out = vec![0; xs.len()];
+        let mut level = vec![(Node::ROOT, 0..xs.len())];
+        let mut below = Vec::new();
+        // The domain halves exactly, so every leaf is on the last level.
+        while !level.is_empty() {
+            for group in level.chunks(LANES) {
+                let inputs: [[u8; COIN_INPUT_LEN]; LANES] = core::array::from_fn(|l| {
+                    group
+                        .get(l)
+                        .map_or([0; COIN_INPUT_LEN], |(n, _)| n.coin_input())
+                });
+                let lens = &[COIN_INPUT_LEN; LANES][..group.len()];
+                let coins =
+                    self.prf
+                        .eval_u128_lanes::<LANES>(Some(&self.coin_start), lens, |l, k| {
+                            chunk_words(&inputs[l], k)
+                        });
+                for ((node, run), coin) in group.iter().zip(coins) {
+                    let run = run.clone();
+                    if node.is_leaf() {
+                        let c = node.leaf(coin);
+                        sorted[run].iter().for_each(|&(_, i)| out[i] = c);
+                        continue;
+                    }
+                    let [left, right] = node.split(coin);
+                    let cut = run.start
+                        + sorted[run.clone()].partition_point(|&(x, _)| x as u128 <= left.dhi);
+                    if run.start < cut {
+                        below.push((left, run.start..cut));
+                    }
+                    if cut < run.end {
+                        below.push((right, cut..run.end));
+                    }
                 }
             }
-            out.extend(ciphertexts.into_iter().flatten());
+            level.clear();
+            std::mem::swap(&mut level, &mut below);
         }
         out
     }
@@ -81,92 +118,63 @@ impl OpeKey {
     /// Decrypts a ciphertext produced by [`encrypt`](Self::encrypt).
     /// Returns `None` for range values that no domain point maps to.
     pub fn decrypt(&self, c: u128) -> Option<u64> {
-        let mut dlo: u128 = 0;
-        let mut dhi: u128 = u64::MAX as u128;
-        let mut rlo: u128 = 0;
-        let mut rhi: u128 = (1u128 << RANGE_BITS) - 1;
-        if c > rhi {
+        let mut node = Node::ROOT;
+        if c > node.rhi {
             return None;
         }
         loop {
-            if dlo == dhi {
-                let span = rhi - rlo + 1;
-                let expected = rlo + self.coin(dlo, dhi, rlo, rhi) % span;
-                return (expected == c).then_some(dlo as u64);
+            let coin = self.prf.eval_u128(&node.coin_input());
+            if node.is_leaf() {
+                return (node.leaf(coin) == c).then_some(node.dlo as u64);
             }
-            let dmid = dlo + (dhi - dlo) / 2;
-            let dl = dmid - dlo + 1;
-            let dr = dhi - dmid;
-            let r_total = rhi - rlo + 1;
-            let lo_min = dl;
-            let lo_max = r_total - dr;
-            let rl = lo_min + self.coin(dlo, dhi, rlo, rhi) % (lo_max - lo_min + 1);
-            if c < rlo + rl {
-                dhi = dmid;
-                rhi = rlo + rl - 1;
-            } else {
-                dlo = dmid + 1;
-                rlo += rl;
-            }
+            let [left, right] = node.split(coin);
+            node = if c < right.rlo { left } else { right };
         }
     }
-
-    fn coin(&self, dlo: u128, dhi: u128, rlo: u128, rhi: u128) -> u128 {
-        self.prf.eval_u128(&coin_input(dlo, dhi, rlo, rhi))
-    }
 }
 
-/// What the coin for one split is drawn from: the domain and range bounds.
-fn coin_input(dlo: u128, dhi: u128, rlo: u128, rhi: u128) -> [u8; 64] {
-    let mut input = [0u8; 64];
-    input[..16].copy_from_slice(&dlo.to_le_bytes());
-    input[16..32].copy_from_slice(&dhi.to_le_bytes());
-    input[32..48].copy_from_slice(&rlo.to_le_bytes());
-    input[48..64].copy_from_slice(&rhi.to_le_bytes());
-    input
-}
-
-/// One encryption in progress: the domain interval still holding `x` and
-/// the range interval assigned to it.
+/// A node of the OPE tree: a domain interval and the range interval
+/// assigned to it. Its coin is drawn from its four bounds.
 #[derive(Clone, Copy)]
-struct Descent {
-    x: u128,
+struct Node {
     dlo: u128,
     dhi: u128,
     rlo: u128,
     rhi: u128,
 }
 
-impl Descent {
-    fn new(x: u64) -> Self {
-        Descent {
-            x: x as u128,
-            dlo: 0,
-            dhi: u64::MAX as u128,
-            rlo: 0,
-            rhi: (1u128 << RANGE_BITS) - 1,
-        }
+impl Node {
+    /// The whole domain and the whole range.
+    const ROOT: Node = Node {
+        dlo: 0,
+        dhi: u64::MAX as u128,
+        rlo: 0,
+        rhi: (1u128 << RANGE_BITS) - 1,
+    };
+
+    fn coin_input(&self) -> [u8; COIN_INPUT_LEN] {
+        let mut input = [0u8; COIN_INPUT_LEN];
+        input[..16].copy_from_slice(&self.dlo.to_le_bytes());
+        input[16..32].copy_from_slice(&self.dhi.to_le_bytes());
+        input[32..48].copy_from_slice(&self.rlo.to_le_bytes());
+        input[48..64].copy_from_slice(&self.rhi.to_le_bytes());
+        input
     }
 
-    fn coin_input(&self) -> [u8; 64] {
-        coin_input(self.dlo, self.dhi, self.rlo, self.rhi)
+    fn is_leaf(&self) -> bool {
+        self.dlo == self.dhi
     }
 
-    /// Spends this level's coin: splits the range between the two domain
-    /// halves and keeps the half holding `x`, or, at a one-point domain,
-    /// places the ciphertext in what range is left and returns it.
-    fn step(&mut self, coin: u128) -> Option<u128> {
-        let Descent {
-            x,
-            dlo,
-            dhi,
-            rlo,
-            rhi,
-        } = *self;
-        if dlo == dhi {
-            let span = rhi - rlo + 1;
-            return Some(rlo + coin % span);
-        }
+    /// A leaf's ciphertext: its one domain point placed in what range is
+    /// left.
+    fn leaf(&self, coin: u128) -> u128 {
+        self.rlo + coin % (self.rhi - self.rlo + 1)
+    }
+
+    /// Spends an inner node's coin: splits the range between the two
+    /// domain halves.
+    fn split(&self, coin: u128) -> [Node; 2] {
+        let Node { dlo, dhi, rlo, rhi } = *self;
         let dmid = dlo + (dhi - dlo) / 2;
         let dl = dmid - dlo + 1; // size of left domain half
         let dr = dhi - dmid; // size of right domain half
@@ -176,13 +184,47 @@ impl Descent {
         let lo_min = dl;
         let lo_max = r_total - dr;
         let rl = lo_min + coin % (lo_max - lo_min + 1);
-        if x <= dmid {
-            self.dhi = dmid;
-            self.rhi = rlo + rl - 1;
-        } else {
-            self.dlo = dmid + 1;
-            self.rlo += rl;
+        [
+            Node {
+                dhi: dmid,
+                rhi: rlo + rl - 1,
+                ..*self
+            },
+            Node {
+                dlo: dmid + 1,
+                rlo: rlo + rl,
+                ..*self
+            },
+        ]
+    }
+}
+
+/// One encryption in progress: `x` and the node whose domain holds it.
+struct Descent {
+    x: u128,
+    node: Node,
+}
+
+impl Descent {
+    fn new(x: u64) -> Self {
+        Descent {
+            x: x as u128,
+            node: Node::ROOT,
         }
+    }
+
+    fn coin_input(&self) -> [u8; COIN_INPUT_LEN] {
+        self.node.coin_input()
+    }
+
+    /// Spends this level's coin: goes down to the child holding `x`, or, at
+    /// a leaf, returns the ciphertext.
+    fn step(&mut self, coin: u128) -> Option<u128> {
+        if self.node.is_leaf() {
+            return Some(self.node.leaf(coin));
+        }
+        let [left, right] = self.node.split(coin);
+        self.node = if self.x <= left.dhi { left } else { right };
         None
     }
 }

@@ -12,7 +12,10 @@
 //!    displaced from the value by the weight prefix-sum `w₁+⋯+w_j` scaled
 //!    into the gap to the next value, keeping ciphertexts of different
 //!    plaintexts from straddling (condition (*) of the paper);
-//! 3. encrypt each displaced value with the order-preserving function;
+//! 3. encrypt the displaced values with the order-preserving function, all
+//!    of a plan in one batch: a value's chunks lie in one narrow window of
+//!    the domain, so their descents share every tree node above it and
+//!    each shared node's coin is drawn once ([`OpeKey::encrypt_many`]);
 //! 4. draw a random integer scale `s ∈ [1, 10]` per value; every index entry
 //!    of that value is replicated `s` times in the B-tree.
 //!
@@ -182,7 +185,7 @@ impl OpessPlan {
             entries: Vec::with_capacity(merged.len()),
         };
 
-        // Every chunk's displaced value first, so that they go down the OPE
+        // Every chunk's displaced value first, so that they go down one OPE
         // tree together; `rng` is not involved until the scales below.
         let mut displaced = Vec::new();
         for (&(v, _), sizes) in merged.iter().zip(&chunk_sizes) {
@@ -256,14 +259,10 @@ impl OpessPlan {
         &self.entries
     }
 
-    /// The displaced, order-preserving ciphertext for chunk `j` (0-based) of
-    /// plaintext `v`. Displacement happens in the ordered-u64 embedding of
-    /// the gap `[v, v + δ)` so that chunk ciphertexts are strictly increasing
-    /// and never straddle the next plaintext value.
-    fn chunk_ciphertext(&self, v: f64, j: usize) -> u128 {
-        self.ope.encrypt(self.displaced(v, j))
-    }
-
+    /// Where chunk `j` (0-based) of plaintext `v` goes before the
+    /// order-preserving function. Displacement happens in the ordered-u64
+    /// embedding of the gap `[v, v + δ)` so that chunk ciphertexts are
+    /// strictly increasing and never straddle the next plaintext value.
     fn displaced(&self, v: f64, j: usize) -> u64 {
         let base = f64_to_ordered_u64(v);
         let next = f64_to_ordered_u64(v + self.delta);
@@ -286,14 +285,18 @@ impl OpessPlan {
         self.ope.encrypt_many(&displaced)
     }
 
-    /// Lower bound of plaintext `v`'s ciphertext band (its first chunk).
-    pub fn band_lo(&self, v: f64) -> u128 {
-        self.chunk_ciphertext(v, 0)
+    /// Plaintext `v`'s ciphertext band: its first and its last chunk's
+    /// ciphertext, one batch whose two descents share their upper levels.
+    fn band(&self, v: f64) -> ValueRange {
+        let last = self.weight_prefix.len() - 1;
+        let ends = [self.displaced(v, 0), self.displaced(v, last)];
+        let c = self.ope.encrypt_many(&ends);
+        ValueRange { lo: c[0], hi: c[1] }
     }
 
-    /// Upper bound of plaintext `v`'s ciphertext band (its last chunk).
-    pub fn band_hi(&self, v: f64) -> u128 {
-        self.chunk_ciphertext(v, self.weight_prefix.len() - 1)
+    /// The order-preserving ciphertext of one value, through the batch.
+    fn encrypt_one(&self, x: u64) -> u128 {
+        self.ope.encrypt_many(&[x])[0]
     }
 
     /// Translates a comparison predicate into a ciphertext range that is a
@@ -304,17 +307,14 @@ impl OpessPlan {
     /// [`translate_paper`]: Self::translate_paper
     pub fn translate(&self, op: RangeOp, v: f64) -> ValueRange {
         match op {
-            RangeOp::Eq => ValueRange {
-                lo: self.band_lo(v),
-                hi: self.band_hi(v),
-            },
+            RangeOp::Eq => self.band(v),
             RangeOp::Ne => ValueRange::FULL,
             RangeOp::Lt | RangeOp::Le => ValueRange {
                 lo: 0,
-                hi: self.band_hi(v),
+                hi: self.encrypt_one(self.displaced(v, self.weight_prefix.len() - 1)),
             },
             RangeOp::Gt | RangeOp::Ge => ValueRange {
-                lo: self.ope.encrypt(f64_to_ordered_u64(v)),
+                lo: self.encrypt_one(f64_to_ordered_u64(v)),
                 hi: u128::MAX,
             },
         }
@@ -332,8 +332,7 @@ impl OpessPlan {
     /// constants strictly between domain values (which is why the system
     /// pipeline uses [`translate`](Self::translate) instead).
     pub fn translate_paper(&self, op: RangeOp, v: f64) -> ValueRange {
-        let lo = self.band_lo(v);
-        let hi = self.band_hi(v);
+        let ValueRange { lo, hi } = self.band(v);
         match op {
             RangeOp::Eq => ValueRange { lo, hi },
             RangeOp::Ne => ValueRange::FULL,

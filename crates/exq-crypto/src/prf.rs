@@ -29,6 +29,22 @@ impl std::fmt::Debug for Prf {
     }
 }
 
+/// Where the absorb chain of every input of one length stands after its
+/// first step ([`Prf::after_length`]): a caller that draws many outputs
+/// from inputs of that length compresses the length block once, not once
+/// per input.
+#[derive(Clone, Copy)]
+pub(crate) struct AfterLength {
+    len: usize,
+    state: [u32; 3],
+}
+
+impl std::fmt::Debug for AfterLength {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "AfterLength({} bytes, <state redacted>)", self.len)
+    }
+}
+
 /// The `k`-th 12-byte chunk of `input` as three little-endian words, the
 /// last chunk zero-padded: what one absorb step takes in.
 pub(crate) fn chunk_words(input: &[u8], k: usize) -> [u32; 3] {
@@ -57,7 +73,7 @@ impl Prf {
 
     /// Fills `out` with PRF output for `input`.
     pub fn fill(&self, input: &[u8], out: &mut [u8]) {
-        let nonce = self.absorb_lanes::<1>(&[input.len()], |_, k| chunk_words(input, k));
+        let nonce = self.absorb_lanes::<1>(None, &[input.len()], |_, k| chunk_words(input, k));
         let cipher = ChaCha20::from_words(self.key, nonce.map(|[w]| w));
         for (i, chunk) in out.chunks_mut(64).enumerate() {
             let ks = cipher.block(i as u32);
@@ -82,14 +98,17 @@ impl Prf {
     /// [`eval_u128`](Self::eval_u128) of up to `N` inputs at once. Input `l`
     /// is `lens[l]` bytes long and is read through `chunk(l, k)`, its `k`-th
     /// 12-byte chunk in [`chunk_words`] form, so a caller whose input is a
-    /// concatenation never has to build it. Entries of the result past
+    /// concatenation never has to build it. Given `after`, every input is
+    /// `after.len` bytes long and its chain resumes from there instead of
+    /// compressing the length block again. Entries of the result past
     /// `lens.len()` mean nothing.
     pub(crate) fn eval_u128_lanes<const N: usize>(
         &self,
+        after: Option<&AfterLength>,
         lens: &[usize],
         chunk: impl Fn(usize, usize) -> [u32; 3],
     ) -> [u128; N] {
-        let nonces = self.absorb_lanes::<N>(lens, chunk);
+        let nonces = self.absorb_lanes::<N>(after, lens, chunk);
         if lens.len() >= MIN_BUSY_LANES {
             return first_16_bytes(&self.key, &nonces);
         }
@@ -100,6 +119,16 @@ impl Prf {
         out
     }
 
+    /// The absorb chain of every `len`-byte input after its first step, the
+    /// length block: the same for all of them.
+    pub(crate) fn after_length(&self, len: usize) -> AfterLength {
+        let state = compress(&self.key, &[[0]; 3], &length_block(len).map(|w| [w]));
+        AfterLength {
+            len,
+            state: state.map(|[w]| w),
+        }
+    }
+
     /// Compresses each input (see [`eval_u128_lanes`](Self::eval_u128_lanes)
     /// for how they are given) to a 12-byte nonce by chaining ChaCha blocks
     /// over its 12-byte chunks, a length block first to defend against
@@ -108,9 +137,11 @@ impl Prf {
     /// The chains advance together, one [`block_lanes`] call per step, for
     /// as long as [`MIN_BUSY_LANES`] of them still have input; a lane whose
     /// input has run out keeps its state through a branch-free select. The
-    /// few chains that are longer than the rest finish one at a time.
+    /// few chains that are longer than the rest finish one at a time. Given
+    /// `after`, every chain starts there, at step 1.
     fn absorb_lanes<const N: usize>(
         &self,
+        after: Option<&AfterLength>,
         lens: &[usize],
         chunk: impl Fn(usize, usize) -> [u32; 3],
     ) -> [[u32; N]; 3] {
@@ -122,14 +153,20 @@ impl Prf {
             *n = 1 + len.div_ceil(12);
         }
         let input = |l: usize, k: usize| match k {
-            0 => [lens[l] as u32, (lens[l] as u64 >> 32) as u32, 0],
+            0 => length_block(lens[l]),
             _ => chunk(l, k - 1),
         };
         // Word-sliced like the block function's state: `state[w][l]` is
         // word `w` of lane `l`'s chaining value.
-        let mut state = [[0u32; N]; 3];
+        let (mut state, mut done) = match after {
+            Some(a) => {
+                debug_assert!(lens.iter().all(|&len| len == a.len), "not {} bytes", a.len);
+                (a.state.map(|w| [w; N]), 1)
+            }
+            None => ([[0u32; N]; 3], 0),
+        };
         let mut block = [[0u32; N]; 3];
-        let mut done = 0; // steps taken so far by every lane that has that many
+        // `done`: steps taken so far by every lane that has that many
         while steps.iter().filter(|&&n| n > done).count() >= MIN_BUSY_LANES {
             let mut live = [0u32; N];
             for l in 0..N {
@@ -155,6 +192,11 @@ impl Prf {
         }
         state
     }
+}
+
+/// What the first absorb step takes in: the input's length.
+fn length_block(len: usize) -> [u32; 3] {
+    [len as u32, (len as u64 >> 32) as u32, 0]
 }
 
 fn set_lane<const N: usize>(sliced: &mut [[u32; N]; 3], l: usize, words: [u32; 3]) {
@@ -277,9 +319,33 @@ mod tests {
         for count in [0, 1, MIN_BUSY_LANES - 1, MIN_BUSY_LANES, 9, LANES] {
             let batch = &inputs[..count];
             let lens: Vec<usize> = batch.iter().map(Vec::len).collect();
-            let out = p.eval_u128_lanes::<LANES>(&lens, |l, k| chunk_words(&batch[l], k));
+            let out = p.eval_u128_lanes::<LANES>(None, &lens, |l, k| chunk_words(&batch[l], k));
             for (l, input) in batch.iter().enumerate() {
                 assert_eq!(out[l], p.eval_u128(input), "batch of {count}, input {l}");
+            }
+        }
+    }
+
+    /// Chains resumed after the shared length block against chains run
+    /// whole, at lengths around the chunk boundary and at batch sizes on
+    /// both paths.
+    #[test]
+    fn after_length_resumes_the_chain() {
+        use crate::chacha::LANES;
+        let p = Prf::new([5u8; 32]);
+        for len in [0usize, 11, 12, 13, 64] {
+            let start = p.after_length(len);
+            let inputs: Vec<Vec<u8>> = (0..LANES)
+                .map(|i| (0..len).map(|b| (i * 31 + b) as u8).collect())
+                .collect();
+            for count in [1, MIN_BUSY_LANES - 1, MIN_BUSY_LANES, LANES] {
+                let lens = &[len; LANES][..count];
+                let out = p.eval_u128_lanes::<LANES>(Some(&start), lens, |l, k| {
+                    chunk_words(&inputs[l], k)
+                });
+                for (l, input) in inputs[..count].iter().enumerate() {
+                    assert_eq!(out[l], p.eval_u128(input), "{len} B, {count} inputs, {l}");
+                }
             }
         }
     }

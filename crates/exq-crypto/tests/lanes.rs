@@ -52,6 +52,17 @@ fn plaintexts() -> impl Strategy<Value = Vec<Vec<u8>>> {
     ]
 }
 
+/// What OPESS hands the OPE: 2–130 values, repeats likely, inside a
+/// window of 2^8–2^48 above a random base, in no order. Uniform values part
+/// at the root; these share every node above their window.
+fn cluster() -> impl Strategy<Value = Vec<u64>> {
+    let offsets = proptest::collection::vec(any::<u64>(), 2..=130);
+    (any::<u64>(), 8u32..=48, offsets).prop_map(|(base, bits, offsets)| {
+        let base = base.min(u64::MAX - ((1 << bits) - 1));
+        offsets.iter().map(|o| base + o % (1 << bits)).collect()
+    })
+}
+
 fn nonce_of(i: usize, salt: u8) -> [u8; 12] {
     core::array::from_fn(|b| (i as u8).wrapping_mul(31) ^ salt.wrapping_add(b as u8))
 }
@@ -128,17 +139,21 @@ proptest! {
         prop_assert!(open_blocks(&key, &good).is_ok());
     }
 
-    /// `encrypt_many` is `encrypt` mapped, whatever the count and with the
-    /// domain's ends and repeated values in the batch.
+    /// `encrypt_many` is `encrypt` mapped, whatever the count, with the
+    /// domain's ends and repeated values in the batch, and with clusters
+    /// whose values share the tree down to deep nodes.
     #[test]
     fn ope_many_is_one_by_one(
         key in any::<[u8; 32]>(),
         mut xs in proptest::collection::vec(any::<u64>(), 0..40),
+        clusters in proptest::collection::vec(cluster(), 0..3),
         dup in any::<usize>(),
     ) {
+        xs.extend(clusters.into_iter().flatten());
         xs.extend([0, u64::MAX]);
-        xs.push(xs[dup % xs.len()]);
-        xs.rotate_left(dup % 3);
+        let n = xs.len();
+        xs.push(xs[dup % n]);
+        xs.rotate_left(dup % n);
         let k = OpeKey::new(key);
         let expected: Vec<u128> = xs.iter().map(|&x| k.encrypt(x)).collect();
         prop_assert_eq!(k.encrypt_many(&xs), expected);
