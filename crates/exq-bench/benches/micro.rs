@@ -14,6 +14,7 @@ use exq_core::scheme::SchemeKind;
 use exq_core::store::{PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::transport::InProcess;
+use exq_crypto::chacha::{block_lanes, LANES};
 use exq_crypto::{open_block, open_blocks, ChaCha20, OpeKey, OpessPlan, Prf};
 use exq_index::dsi::DsiLabeling;
 use exq_index::paged::block_record_id;
@@ -31,6 +32,19 @@ fn bench_chacha(c: &mut Criterion) {
     let mut data = vec![0xA5u8; 16 * 1024];
     c.bench_function("chacha20/keystream_16k", |b| {
         b.iter(|| cipher.apply_keystream(0, black_box(&mut data)))
+    });
+    // The wide kernel alone: one sixteen-lane call, nothing around it.
+    let key = [7u32; 8];
+    let counters: [u32; LANES] = core::array::from_fn(|l| l as u32);
+    let nonces = [[1u32; LANES]; 3];
+    c.bench_function("chacha20/block_lanes_16", |b| {
+        b.iter(|| {
+            black_box(block_lanes::<LANES>(
+                black_box(&key),
+                black_box(&counters),
+                black_box(&nonces),
+            ))
+        })
     });
 }
 
@@ -61,6 +75,15 @@ fn bench_ope(c: &mut Criterion) {
         .collect();
     c.bench_function("ope/encrypt_many_2k", |b| {
         b.iter(|| black_box(key.encrypt_many(black_box(&xs))))
+    });
+    // OPESS-shaped: about as many chunk values as one plan encrypts, all in
+    // one 2^40 window, so the batch shares every node above it and most
+    // coins are drawn in full sixteen-node groups.
+    let cluster: Vec<u64> = (0..3500u64)
+        .map(|i| (0x5A5A << 48) + (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24))
+        .collect();
+    c.bench_function("ope/encrypt_many_cluster", |b| {
+        b.iter(|| black_box(key.encrypt_many(black_box(&cluster))))
     });
 }
 

@@ -4,15 +4,23 @@
 //! keystream over serialized subtrees, and [`crate::prf`] uses single blocks
 //! as a PRF.
 //!
-//! There is one implementation of the block function, [`block_lanes`]: `N`
+//! There is one source of the block function, [`block_lanes`]: `N`
 //! independent blocks computed side by side, the state held word-sliced
 //! (`state[w][l]` is word `w` of lane `l`'s block) so that every step of a
-//! quarter-round is the same operation on `N` adjacent `u32`s — a loop the
-//! compiler turns into vector instructions with no intrinsics.
-//! [`ChaCha20::block`] is its `N = 1` instance; the batch paths of
-//! [`crate::prf`], [`crate::block`] and [`crate::ope`] run it [`LANES`]
-//! wide. On x86-64 the wide instance is additionally compiled for AVX2 and
-//! picked when the CPU has it.
+//! quarter-round is the same operation on `N` adjacent `u32`s, a loop the
+//! compiler vectorises. [`ChaCha20::block`] is its `N = 1` instance and the
+//! reference; the batch paths of [`crate::prf`], [`crate::block`] and
+//! [`crate::ope`] run it [`LANES`] wide. On x86-64 the wide instance is
+//! also compiled for AVX2, and has one hand-scheduled instance for
+//! AVX-512F; [`block_lanes`] picks by CPU detection, never by a flag.
+//!
+//! Why intrinsics for AVX-512: sixteen lanes of sixteen words are exactly
+//! sixteen `zmm` registers, but the generic source compiled for AVX-512
+//! still keeps its 1 KiB state on the stack and gains little. On a 2-core
+//! x86-64 host (Intel family 6 model 207), per block of a sixteen-lane
+//! call: 56–91 ns portable, 23–32 ns AVX2, 19–25 ns the generic source
+//! under AVX-512, and 12–13 ns the hand-scheduled instance, whose state
+//! never leaves the registers. One block alone costs 119–127 ns.
 
 /// ChaCha20 constants: `"expand 32-byte k"` as four little-endian words.
 const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
@@ -122,12 +130,95 @@ pub fn block_lanes<const N: usize>(
     nonces: &[[u32; N]; 3],
 ) -> [[u32; N]; 16] {
     #[cfg(target_arch = "x86_64")]
-    if N > 1 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU was just found to support AVX2, the one
-        // requirement of `block_lanes_avx2`.
-        return unsafe { block_lanes_avx2(key, counters, nonces) };
+    {
+        if N == LANES && std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU was just found to support AVX-512F, the one
+            // requirement of `block_lanes_avx512`; `N == LANES`, as its
+            // assert asks.
+            return unsafe { block_lanes_avx512(key, counters, nonces) };
+        }
+        if N > 1 && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU was just found to support AVX2, the one
+            // requirement of `block_lanes_avx2`.
+            return unsafe { block_lanes_avx2(key, counters, nonces) };
+        }
     }
     block_lanes_generic(key, counters, nonces)
+}
+
+/// [`block_lanes_generic`] for exactly [`LANES`] lanes, scheduled by hand
+/// for AVX-512F: word `w` of all sixteen lanes is one `__m512i`, so the
+/// whole state is sixteen registers and each step of a quarter-round is one
+/// instruction (`vpaddd`, `vpxord` or `vprold`). The compiler keeps the
+/// generic source's 1 KiB state on the stack instead.
+///
+/// # Safety
+/// The CPU must support AVX-512F. (An `N` other than [`LANES`] panics.)
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn block_lanes_avx512<const N: usize>(
+    key: &[u32; 8],
+    counters: &[u32; N],
+    nonces: &[[u32; N]; 3],
+) -> [[u32; N]; 16] {
+    use std::arch::x86_64::{
+        __m512i, _mm512_add_epi32, _mm512_loadu_si512, _mm512_rol_epi32, _mm512_set1_epi32,
+        _mm512_storeu_si512, _mm512_xor_si512,
+    };
+    assert!(N == LANES, "the AVX-512 instance is {LANES} lanes wide");
+    let splat = |w: u32| _mm512_set1_epi32(w as i32);
+    // SAFETY: each `[u32; N]` is `N == LANES` words, 64 bytes, so every
+    // load here and store below stays inside its array.
+    let load = |lanes: &[u32; N]| _mm512_loadu_si512(lanes.as_ptr().cast());
+    let init: [__m512i; 16] = [
+        splat(CONSTANTS[0]),
+        splat(CONSTANTS[1]),
+        splat(CONSTANTS[2]),
+        splat(CONSTANTS[3]),
+        splat(key[0]),
+        splat(key[1]),
+        splat(key[2]),
+        splat(key[3]),
+        splat(key[4]),
+        splat(key[5]),
+        splat(key[6]),
+        splat(key[7]),
+        load(counters),
+        load(&nonces[0]),
+        load(&nonces[1]),
+        load(&nonces[2]),
+    ];
+    // Every index below is a literal, so each `x[i]` is a register.
+    let mut x = init;
+    macro_rules! quarter_round {
+        ($a:literal, $b:literal, $c:literal, $d:literal) => {
+            x[$a] = _mm512_add_epi32(x[$a], x[$b]);
+            x[$d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(x[$d], x[$a]));
+            x[$c] = _mm512_add_epi32(x[$c], x[$d]);
+            x[$b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(x[$b], x[$c]));
+            x[$a] = _mm512_add_epi32(x[$a], x[$b]);
+            x[$d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(x[$d], x[$a]));
+            x[$c] = _mm512_add_epi32(x[$c], x[$d]);
+            x[$b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(x[$b], x[$c]));
+        };
+    }
+    for _ in 0..10 {
+        // column rounds
+        quarter_round!(0, 4, 8, 12);
+        quarter_round!(1, 5, 9, 13);
+        quarter_round!(2, 6, 10, 14);
+        quarter_round!(3, 7, 11, 15);
+        // diagonal rounds
+        quarter_round!(0, 5, 10, 15);
+        quarter_round!(1, 6, 11, 12);
+        quarter_round!(2, 7, 8, 13);
+        quarter_round!(3, 4, 9, 14);
+    }
+    let mut out = [[0u32; N]; 16];
+    for ((lanes, word), start) in out.iter_mut().zip(x).zip(init) {
+        _mm512_storeu_si512(lanes.as_mut_ptr().cast(), _mm512_add_epi32(word, start));
+    }
+    out
 }
 
 /// [`block_lanes_generic`] compiled with AVX2 enabled: the same source, so
@@ -249,7 +340,7 @@ you only one tip for the future, sunscreen would be it.";
 
     /// Every way the sixteen-wide block function is compiled on this host,
     /// by name: the dispatching entry point, the portable instance, and the
-    /// AVX2 one where the CPU has it.
+    /// AVX2 and AVX-512 ones where the CPU has them.
     type Wide = fn(&[u32; 8], &[u32; LANES], &[[u32; LANES]; 3]) -> [[u32; LANES]; 16];
     fn wide_instances() -> Vec<(&'static str, Wide)> {
         let mut all: Vec<(&'static str, Wide)> = vec![
@@ -257,9 +348,16 @@ you only one tip for the future, sunscreen would be it.";
             ("portable", block_lanes_generic::<LANES>),
         ];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was just detected.
-            all.push(("avx2", |k, c, n| unsafe { block_lanes_avx2(k, c, n) }));
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was just detected.
+                all.push(("avx2", |k, c, n| unsafe { block_lanes_avx2(k, c, n) }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F was just detected, and the lanes are
+                // `LANES` wide.
+                all.push(("avx512", |k, c, n| unsafe { block_lanes_avx512(k, c, n) }));
+            }
         }
         all
     }

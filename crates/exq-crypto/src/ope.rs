@@ -18,7 +18,7 @@
 //! Also provided: the standard order-preserving embedding of `f64` into
 //! `u64`, used by OPESS to encrypt displaced (fractional) plaintext values.
 
-use crate::chacha::LANES;
+use crate::chacha::{LANES, MIN_BUSY_LANES};
 use crate::prf::{chunk_words, AfterLength, Prf};
 
 /// Number of bits of the ciphertext range.
@@ -80,17 +80,31 @@ impl OpeKey {
         // The domain halves exactly, so every leaf is on the last level.
         while !level.is_empty() {
             for group in level.chunks(LANES) {
-                let inputs: [[u8; COIN_INPUT_LEN]; LANES] = core::array::from_fn(|l| {
-                    group
-                        .get(l)
-                        .map_or([0; COIN_INPUT_LEN], |(n, _)| n.coin_input())
-                });
-                let lens = &[COIN_INPUT_LEN; LANES][..group.len()];
-                let coins =
+                let coins = if group.len() >= MIN_BUSY_LANES {
+                    // Word `4b + q` of lane `l` is limb `q` of node `l`'s
+                    // bound `b`: the coin input, word-sliced.
+                    let mut words = [[0; LANES]; 16];
+                    for (l, (node, _)) in group.iter().enumerate() {
+                        for (b, bound) in node.bounds().into_iter().enumerate() {
+                            for q in 0..4 {
+                                words[4 * b + q][l] = (bound >> (32 * q)) as u32;
+                            }
+                        }
+                    }
+                    self.prf.eval_u128_64_byte_lanes(&self.coin_start, &words)
+                } else {
+                    let inputs: [[u8; COIN_INPUT_LEN]; MIN_BUSY_LANES] =
+                        core::array::from_fn(|l| {
+                            group
+                                .get(l)
+                                .map_or([0; COIN_INPUT_LEN], |(n, _)| n.coin_input())
+                        });
+                    let lens = &[COIN_INPUT_LEN; LANES][..group.len()];
                     self.prf
                         .eval_u128_lanes::<LANES>(Some(&self.coin_start), lens, |l, k| {
                             chunk_words(&inputs[l], k)
-                        });
+                        })
+                };
                 for ((node, run), coin) in group.iter().zip(coins) {
                     let run = run.clone();
                     if node.is_leaf() {
@@ -152,12 +166,17 @@ impl Node {
         rhi: (1u128 << RANGE_BITS) - 1,
     };
 
+    /// The four bounds in coin-input order.
+    fn bounds(&self) -> [u128; 4] {
+        [self.dlo, self.dhi, self.rlo, self.rhi]
+    }
+
+    /// The bounds, little-endian, end to end.
     fn coin_input(&self) -> [u8; COIN_INPUT_LEN] {
         let mut input = [0u8; COIN_INPUT_LEN];
-        input[..16].copy_from_slice(&self.dlo.to_le_bytes());
-        input[16..32].copy_from_slice(&self.dhi.to_le_bytes());
-        input[32..48].copy_from_slice(&self.rlo.to_le_bytes());
-        input[48..64].copy_from_slice(&self.rhi.to_le_bytes());
+        for (bytes, bound) in input.chunks_exact_mut(16).zip(self.bounds()) {
+            bytes.copy_from_slice(&bound.to_le_bytes());
+        }
         input
     }
 

@@ -13,9 +13,11 @@
 //! than the block function. Separate evaluations are independent, though:
 //! the crate-internal `Prf::eval_u128_lanes` runs up to `N` of them in
 //! lock-step on [`block_lanes`] (block tags and OPE coins go through it), and
-//! the one-input functions are its `N = 1` instance.
+//! the one-input functions are its `N = 1` instance. OPE coins, whose inputs
+//! are all 64 bytes, have a fixed-length entry beside it,
+//! `Prf::eval_u128_64_byte_lanes`.
 
-use crate::chacha::{block_lanes, key_words, nonce_words, ChaCha20, MIN_BUSY_LANES};
+use crate::chacha::{block_lanes, key_words, nonce_words, ChaCha20, LANES, MIN_BUSY_LANES};
 
 /// A keyed PRF.
 #[derive(Clone)]
@@ -117,6 +119,31 @@ impl Prf {
             [*one] = first_16_bytes(&self.key, &nonces.map(|w| [w[l]]));
         }
         out
+    }
+
+    /// [`eval_u128_lanes`](Self::eval_u128_lanes) of [`LANES`] 64-byte
+    /// inputs given word-sliced (`words[w][l]` is little-endian word `w` of
+    /// input `l`), every chain resumed from `after`. Every lane is busy for
+    /// all six absorb steps, so this is six [`compress`] calls and the
+    /// emission, with no per-lane bookkeeping between them.
+    pub(crate) fn eval_u128_64_byte_lanes(
+        &self,
+        after: &AfterLength,
+        words: &[[u32; LANES]; 16],
+    ) -> [u128; LANES] {
+        assert_eq!(
+            after.len, 64,
+            "the chains must resume after a 64-byte length block"
+        );
+        let mut state = after.state.map(|w| [w; LANES]);
+        // Chunk `k` is words `3k..3k + 3`; the last one, words 15, 16 and
+        // 17, is zero-padded past the input's end.
+        for k in 0..6 {
+            let chunk =
+                core::array::from_fn(|i| words.get(3 * k + i).copied().unwrap_or([0; LANES]));
+            state = compress(&self.key, &state, &chunk);
+        }
+        first_16_bytes(&self.key, &state)
     }
 
     /// The absorb chain of every `len`-byte input after its first step, the
@@ -307,7 +334,6 @@ mod tests {
     /// alone), at batch sizes below, at and above the busy-lane threshold.
     #[test]
     fn lanes_match_one_at_a_time() {
-        use crate::chacha::LANES;
         let p = Prf::new([5u8; 32]);
         let lens = [
             0usize, 1, 11, 12, 13, 23, 24, 25, 64, 100, 7, 36, 35, 37, 300, 2,
@@ -326,12 +352,37 @@ mod tests {
         }
     }
 
+    /// The fixed-length coin entry against the general lock-step one on
+    /// sixteen random 64-byte inputs.
+    #[test]
+    fn sixty_four_byte_lanes_match_the_general_entry() {
+        use rand::{RngCore, SeedableRng};
+        let p = Prf::new([5u8; 32]);
+        let start = p.after_length(64);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(64);
+        let inputs: Vec<[u8; 64]> = (0..LANES)
+            .map(|_| {
+                let mut input = [0u8; 64];
+                rng.fill_bytes(&mut input);
+                input
+            })
+            .collect();
+        let words = core::array::from_fn(|w| {
+            core::array::from_fn(|l| {
+                u32::from_le_bytes(inputs[l][4 * w..4 * w + 4].try_into().unwrap())
+            })
+        });
+        let general = p.eval_u128_lanes::<LANES>(Some(&start), &[64; LANES], |l, k| {
+            chunk_words(&inputs[l], k)
+        });
+        assert_eq!(p.eval_u128_64_byte_lanes(&start, &words), general);
+    }
+
     /// Chains resumed after the shared length block against chains run
     /// whole, at lengths around the chunk boundary and at batch sizes on
     /// both paths.
     #[test]
     fn after_length_resumes_the_chain() {
-        use crate::chacha::LANES;
         let p = Prf::new([5u8; 32]);
         for len in [0usize, 11, 12, 13, 64] {
             let start = p.after_length(len);
