@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the substrates: the cipher, PRF, OPE,
-//! OPESS planning, B-tree, DSI labeling, structural joins, XML parsing, and
-//! vertex-cover solvers — and for the reply path of one secure query
+//! OPESS planning, B-tree, DSI labeling, structural joins, XML parsing,
+//! vertex-cover solvers and the owner's whole set-up — and for the reply path of one secure query
 //! (server assembly, region serialization, answer encoding, client
 //! reconstruction and its parse and XPath halves, batch block open, frame
 //! checksum) on the perf ledger's `xmark_scan` database,
@@ -10,12 +10,13 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use exq_core::codec::{Message, PROTOCOL_VERSION};
 use exq_core::cover::{solve_clarkson, solve_exact, ConstraintGraph};
-use exq_core::scheme::SchemeKind;
+use exq_core::encrypt::encrypt_database;
+use exq_core::scheme::{EncryptionScheme, SchemeKind};
 use exq_core::store::{PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::transport::InProcess;
 use exq_crypto::chacha::{block_lanes, LANES};
-use exq_crypto::{open_block, open_blocks, ChaCha20, OpeKey, OpessPlan, Prf};
+use exq_crypto::{open_block, open_blocks, ChaCha20, KeyChain, OpeKey, OpessPlan, Prf};
 use exq_index::dsi::DsiLabeling;
 use exq_index::paged::block_record_id;
 use exq_index::sjoin::{join_anc_desc, sort_intervals};
@@ -114,6 +115,53 @@ fn bench_btree(c: &mut Criterion) {
     }
     group.bench_function("range_scan_1pct_of_100k", |b| {
         b.iter(|| black_box(t.range(0, 10_000).len()))
+    });
+    // A value index's load: as many entries as the ledger's `hospital_point`
+    // database holds, ascending, each key five times (a scaled chunk), built
+    // bottom-up and one insert at a time.
+    let sorted: Vec<(u128, u32)> = (0..44_372u32)
+        .map(|i| (u128::from(i / 5) << 64, i))
+        .collect();
+    group.bench_function("from_sorted_44k", |b| {
+        b.iter(|| {
+            black_box(
+                BTree::from_sorted(black_box(&sorted).iter().copied())
+                    .unwrap()
+                    .len(),
+            )
+        })
+    });
+    group.bench_function("insert_sorted_44k", |b| {
+        b.iter(|| {
+            let mut t = BTree::new();
+            for &(k, v) in black_box(&sorted) {
+                t.insert(k, v);
+            }
+            black_box(t.len())
+        })
+    });
+    group.finish();
+}
+
+/// The owner's whole set-up of the ledger's `hospital_point` database
+/// (1200 patients, seed 2006, `Opt`): blocks, visible document, DSI and
+/// block tables, and every OPESS plan and value index.
+fn bench_setup(c: &mut Criterion) {
+    let doc = hospital::scaled(1200, 2006);
+    let scheme = EncryptionScheme::build(&doc, &hospital::constraints(), SchemeKind::Opt).unwrap();
+    let keys = KeyChain::from_seed(2006);
+    let mut group = c.benchmark_group("setup");
+    group.sample_size(20);
+    group.bench_function("encrypt_database_hospital", |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(2006 ^ 0xD5EA_5EED);
+            black_box(
+                encrypt_database(&doc, &scheme, &keys, &mut rng)
+                    .unwrap()
+                    .blocks
+                    .len(),
+            )
+        })
     });
     group.finish();
 }
@@ -422,6 +470,7 @@ criterion_group!(
     bench_ope,
     bench_opess,
     bench_btree,
+    bench_setup,
     bench_dsi,
     bench_sjoin,
     bench_xml_parse,

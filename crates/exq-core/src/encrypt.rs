@@ -14,10 +14,15 @@
 //!   encrypted leaf attribute;
 //! * the **client state**: key chain, the encrypted/plain tag vocabularies,
 //!   and the OPESS plans + categorical codecs needed for query translation.
+//!
+//! Every random draw happens on the calling thread, in one fixed order. The
+//! OPESS descents, which need only each attribute's OPE key, run in runs on
+//! the process's other cores while the calling thread builds everything
+//! else; the output does not depend on how many cores there are.
 
 use crate::error::CoreError;
 use crate::scheme::EncryptionScheme;
-use exq_crypto::{seal_blocks, KeyChain, OpessPlan, SealedBlock, TagCipher};
+use exq_crypto::{seal_blocks, KeyChain, OpeKey, OpessDraft, OpessPlan, SealedBlock, TagCipher};
 use exq_index::{
     dsi::{DsiLabeling, Interval},
     BTree, BlockTable, DsiIndexTable,
@@ -25,6 +30,10 @@ use exq_index::{
 use exq_xml::{Document, NodeId, NodeKind};
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// Marker tag for an encrypted block in the visible document.
@@ -206,64 +215,105 @@ pub fn encrypt_database(
         }
     }
 
-    // 4. Seal blocks.
-    let blocks = {
-        let plaintexts: Vec<String> = scheme
-            .targets
-            .iter()
-            .map(|t| working.node_to_xml(t.node))
-            .collect();
-        let to_seal: Vec<(u32, [u8; 12], &[u8])> = plaintexts
-            .iter()
-            .enumerate()
-            .map(|(i, xml)| (i as u32, keys.nonce("block", i as u64), xml.as_bytes()))
-            .collect();
-        seal_blocks(&keys.block_key(), &to_seal)
+    // 4. Every OPESS plan drafted: the set-up's last draws from `rng`,
+    //    in attribute order. What is left of a plan is the descent of its
+    //    displaced values, which needs only the attribute's OPE key.
+    let drafts = draft_value_indexes(&working, &block_of, keys, rng)?;
+    let runs: Vec<(&OpeKey, &[u64])> = drafts
+        .iter()
+        .flat_map(|d| {
+            let ope = d.draft.ope();
+            d.draft
+                .displaced()
+                .chunks(DESCENT_RUN)
+                .map(move |run| (ope, run))
+        })
+        .collect();
+    let descended: Vec<OnceLock<Vec<u128>>> = runs.iter().map(|_| OnceLock::new()).collect();
+    let next_run = AtomicUsize::new(0);
+    let descend = || loop {
+        let i = next_run.fetch_add(1, Ordering::Relaxed);
+        let Some(&(ope, run)) = runs.get(i) else {
+            return;
+        };
+        descended[i]
+            .set(ope.encrypt_many(run))
+            .expect("a run is taken once");
     };
 
-    // 5. Visible document + interval alignment.
-    let mut visible = Document::new();
-    let mut visible_intervals: Vec<Option<Interval>> = Vec::new();
-    build_visible(
-        &working,
-        working.root().unwrap(),
-        None,
-        &block_of,
-        scheme,
-        &labeling,
-        &mut visible,
-        &mut visible_intervals,
-    );
-
-    // 6–7. DSI index table (with grouping) + block table.
+    // 5–8. The descents run on the other cores while this thread builds
+    //      everything that outlives them, then joins them. The workers
+    //      allocate nothing but their runs' ciphertexts.
+    let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get) - 1;
     let mut tags = TagMemo::new(keys.tag_cipher());
-    let mut dsi_table = DsiIndexTable::new();
     let mut encrypted_tags = HashSet::new();
     let mut plain_tags = HashSet::new();
-    build_dsi_table(
-        &working,
-        working.root().unwrap(),
-        &block_of,
-        &labeling,
-        &mut tags,
-        &mut dsi_table,
-        &mut encrypted_tags,
-        &mut plain_tags,
-    );
-    dsi_table.seal();
+    let (blocks, visible, visible_intervals, dsi_table, block_table) = thread::scope(|s| {
+        for _ in 0..workers.min(runs.len()) {
+            s.spawn(descend);
+        }
 
-    let mut block_table = BlockTable::new();
-    for (i, t) in scheme.targets.iter().enumerate() {
-        let rep = labeling
-            .interval(t.node)
-            .expect("block root must be labeled");
-        block_table.add(rep, i as u32);
-    }
-    block_table.seal();
+        // 5. Seal blocks.
+        let blocks = {
+            let plaintexts: Vec<String> = scheme
+                .targets
+                .iter()
+                .map(|t| working.node_to_xml(t.node))
+                .collect();
+            let to_seal: Vec<(u32, [u8; 12], &[u8])> = plaintexts
+                .iter()
+                .enumerate()
+                .map(|(i, xml)| (i as u32, keys.nonce("block", i as u64), xml.as_bytes()))
+                .collect();
+            seal_blocks(&keys.block_key(), &to_seal)
+        };
 
-    // 8. OPESS value indexes over encrypted leaf values.
-    let (value_indexes, opess, value_entries) =
-        build_value_indexes(&working, &block_of, keys, &mut tags, rng)?;
+        // 6. Visible document + interval alignment.
+        let mut visible = Document::new();
+        let mut visible_intervals: Vec<Option<Interval>> = Vec::new();
+        build_visible(
+            &working,
+            working.root().unwrap(),
+            None,
+            &block_of,
+            scheme,
+            &labeling,
+            &mut visible,
+            &mut visible_intervals,
+        );
+
+        // 7–8. DSI index table (with grouping) + block table.
+        let mut dsi_table = DsiIndexTable::new();
+        build_dsi_table(
+            &working,
+            working.root().unwrap(),
+            &block_of,
+            &labeling,
+            &mut tags,
+            &mut dsi_table,
+            &mut encrypted_tags,
+            &mut plain_tags,
+        );
+        dsi_table.seal();
+
+        let mut block_table = BlockTable::new();
+        for (i, t) in scheme.targets.iter().enumerate() {
+            let rep = labeling
+                .interval(t.node)
+                .expect("block root must be labeled");
+            block_table.add(rep, i as u32);
+        }
+        block_table.seal();
+
+        descend();
+        (blocks, visible, visible_intervals, dsi_table, block_table)
+    });
+
+    // 9. Each plan finished from its runs, and its value index loaded.
+    let descended = descended
+        .into_iter()
+        .map(|run| run.into_inner().expect("every run descended"));
+    let (value_indexes, opess, value_entries) = finish_value_indexes(drafts, descended, &mut tags);
 
     let stats = EncryptStats {
         encrypt_time: start.elapsed(),
@@ -480,18 +530,32 @@ fn build_dsi_table(
     }
 }
 
-type ValueIndexes = (HashMap<String, BTree>, HashMap<String, OpessAttr>, usize);
+/// Displaced values per unit of descent work. A cut between two runs
+/// repeats at most the 65 coins of one root-to-leaf path; small runs let
+/// the cores finish close together. A 1200-patient hospital's `policy`,
+/// its largest attribute, is 3 555 values: fourteen runs.
+const DESCENT_RUN: usize = 256;
 
-/// Builds per-attribute OPESS B-trees over leaf values inside blocks.
-fn build_value_indexes(
+/// One encrypted attribute between its draft and its value index.
+struct AttrDraft {
+    attr: String,
+    codec: ValueCodec,
+    /// Block ids of the occurrences, per encoded value (`f64` bits), in
+    /// document order.
+    blocks: HashMap<u64, Vec<u32>>,
+    draft: OpessDraft,
+}
+
+/// Drafts an OPESS plan per attribute of the leaf values inside blocks,
+/// attributes in name order.
+fn draft_value_indexes(
     doc: &Document,
     block_of: &[Option<u32>],
     keys: &KeyChain,
-    tags: &mut TagMemo,
     rng: &mut impl Rng,
-) -> Result<ValueIndexes, CoreError> {
+) -> Result<Vec<AttrDraft>, CoreError> {
     // attribute name -> [(value, block id)]
-    let mut occ: HashMap<String, Vec<(String, u32)>> = HashMap::new();
+    let mut occ: HashMap<String, Vec<(&str, u32)>> = HashMap::new();
     for n in doc.iter() {
         let Some(b) = block_of[n.index()] else {
             continue;
@@ -505,62 +569,86 @@ fn build_value_indexes(
                 if tag == DECOY_TAG {
                     continue;
                 }
-                occ.entry(tag.to_owned()).or_default().push((v.clone(), b));
+                occ.entry(tag.to_owned()).or_default().push((v, b));
             }
             NodeKind::Attribute(at, v) => {
                 let name = format!("@{}", doc.tag_name(*at));
-                occ.entry(name).or_default().push((v.clone(), b));
+                occ.entry(name).or_default().push((v, b));
             }
             NodeKind::Element(_) => {}
         }
     }
 
-    let mut indexes = HashMap::new();
-    let mut opess = HashMap::new();
-    let mut total_entries = 0usize;
     // Deterministic iteration order for reproducibility.
-    let mut attrs: Vec<String> = occ.keys().cloned().collect();
-    attrs.sort();
-    for attr in attrs {
-        let occurrences = &occ[&attr];
+    let mut occ: Vec<(String, Vec<(&str, u32)>)> = occ.into_iter().collect();
+    occ.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut drafts = Vec::with_capacity(occ.len());
+    for (attr, occurrences) in occ {
         let distinct: Vec<&str> = {
-            let mut v: Vec<&str> = occurrences.iter().map(|(s, _)| s.as_str()).collect();
+            let mut v: Vec<&str> = occurrences.iter().map(|&(s, _)| s).collect();
             v.sort();
             v.dedup();
             v
         };
         let codec = ValueCodec::build(&distinct);
-        // Histogram in the encoded domain.
-        let mut hist: HashMap<u64, (f64, u32)> = HashMap::new();
-        for (v, _) in occurrences {
+        let mut blocks: HashMap<u64, Vec<u32>> = HashMap::new();
+        for (v, b) in occurrences {
             let Some(x) = codec.encode(v) else {
                 return Err(CoreError::Opess(format!(
                     "value `{v}` of `{attr}` not encodable"
                 )));
             };
-            let e = hist.entry(x.to_bits()).or_insert((x, 0));
-            e.1 += 1;
+            blocks.entry(x.to_bits()).or_default().push(b);
         }
-        let hist: Vec<(f64, u32)> = hist.values().copied().collect();
-        let plan = OpessPlan::build(&hist, keys.ope_key(&attr), rng)
+        // The histogram in the encoded domain.
+        let hist: Vec<(f64, u32)> = blocks
+            .iter()
+            .map(|(&x, bs)| (f64::from_bits(x), bs.len() as u32))
+            .collect();
+        let draft = OpessPlan::draft(&hist, keys.ope_key(&attr), rng)
             .map_err(|e| CoreError::Opess(e.to_string()))?;
+        drafts.push(AttrDraft {
+            attr,
+            codec,
+            blocks,
+            draft,
+        });
+    }
+    Ok(drafts)
+}
 
-        // Assign occurrences to chunks and fill the B-tree.
-        let mut tree = BTree::new();
-        // Group occurrences by encoded value.
-        let mut by_value: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (v, b) in occurrences {
-            let x = codec.encode(v).unwrap();
-            by_value.entry(x.to_bits()).or_default().push(*b);
-        }
+type ValueIndexes = (HashMap<String, BTree>, HashMap<String, OpessAttr>, usize);
+
+/// Finishes each draft from `descended`, the ciphertexts of every run in
+/// order, and loads its attribute's B-tree in one pass.
+fn finish_value_indexes(
+    drafts: Vec<AttrDraft>,
+    mut descended: impl Iterator<Item = Vec<u128>>,
+    tags: &mut TagMemo,
+) -> ValueIndexes {
+    let mut indexes = HashMap::new();
+    let mut opess = HashMap::new();
+    let mut total_entries = 0usize;
+    for AttrDraft {
+        attr,
+        codec,
+        blocks,
+        draft,
+    } in drafts
+    {
+        let runs = draft.displaced().len().div_ceil(DESCENT_RUN);
+        let plan = draft.finish(descended.by_ref().take(runs).flatten());
+
+        // Assign occurrences to chunks: each occurrence is one entry per
+        // scale step under its chunk's ciphertext.
+        let mut entries: Vec<(u128, u32)> = Vec::with_capacity(plan.index_entry_count() as usize);
         for entry in plan.entries() {
-            let blocks = &by_value[&entry.plaintext.to_bits()];
+            let blocks = &blocks[&entry.plaintext.to_bits()];
+            let scale = entry.scale as usize;
             if entry.count == 1 {
                 // Singleton: every chunk ciphertext points to the lone block.
                 for c in &entry.chunks {
-                    for _ in 0..entry.scale {
-                        tree.insert(c.ciphertext, blocks[0]);
-                    }
+                    entries.extend(std::iter::repeat_n((c.ciphertext, blocks[0]), scale));
                 }
                 continue;
             }
@@ -568,17 +656,22 @@ fn build_value_indexes(
             for c in &entry.chunks {
                 for _ in 0..c.occurrences {
                     let b = *it.next().expect("chunk sizes sum to the count");
-                    for _ in 0..entry.scale {
-                        tree.insert(c.ciphertext, b);
-                    }
+                    entries.extend(std::iter::repeat_n((c.ciphertext, b), scale));
                 }
             }
         }
+        // Plaintexts closer together than the OPE domain resolves can
+        // interleave their chunks; a stable sort then keeps the tree the
+        // one inserting these entries in turn would build.
+        if !entries.is_sorted_by_key(|&(k, _)| k) {
+            entries.sort_by_key(|&(k, _)| k);
+        }
+        let tree = BTree::from_sorted(entries).expect("sorted just above");
         total_entries += tree.len();
         indexes.insert(tags.encrypt(&attr).to_owned(), tree);
         opess.insert(attr, OpessAttr { plan, codec });
     }
-    Ok((indexes, opess, total_entries))
+    (indexes, opess, total_entries)
 }
 
 #[cfg(test)]
@@ -778,6 +871,34 @@ mod tests {
         assert!(out.stats.dsi_entries > 0);
         assert!(out.stats.value_index_entries > 0);
         assert!(out.stats.hosted_bytes() > out.stats.encrypted_bytes);
+    }
+
+    /// Two plaintexts one ulp apart interleave their chunks' ciphertexts;
+    /// the value index still holds every entry, in key order.
+    #[test]
+    fn value_index_of_interleaved_chunks() {
+        let mut xml = String::from("<r>");
+        // A count of 3 beside two of 40 keeps the chunks small and many.
+        for i in 0..83 {
+            let v = ["1", "1.0000000000000002", "7"][if i < 80 { i % 2 } else { 2 }];
+            xml.push_str(&format!("<p><v>{v}</v></p>"));
+        }
+        xml.push_str("</r>");
+        let d = Document::parse(&xml).unwrap();
+        let cs = vec![SecurityConstraint::parse("//v").unwrap()];
+        let s = EncryptionScheme::build(&d, &cs, SchemeKind::Opt).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let out = encrypt_database(&d, &s, &KeyChain::from_seed(3), &mut rng).unwrap();
+        let plan = &out.client_state.opess["v"].plan;
+        let ciphertexts: Vec<u128> = plan
+            .entries()
+            .iter()
+            .flat_map(|e| e.chunks.iter().map(|c| c.ciphertext))
+            .collect();
+        assert!(!ciphertexts.is_sorted(), "the chunks should interleave");
+        let tree = out.metadata.value_indexes.values().next().unwrap();
+        tree.validate().unwrap();
+        assert_eq!(tree.len() as u64, plan.index_entry_count());
     }
 
     #[test]

@@ -298,11 +298,16 @@ pub(crate) fn read_tables(r: &mut R) -> Result<(BlockTable, HashMap<String, BTre
     let mut value_indexes = HashMap::new();
     for _ in 0..r.count(16)? {
         let attr = r.string()?;
-        let mut tree = BTree::new();
-        for _ in 0..r.count(20)? {
-            let key = r.u128()?;
-            tree.insert(key, r.u32()?);
+        let n = r.count(20)?;
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            entries.push((r.u128()?, r.u32()?));
         }
+        // Written in key order by `write_tables`: loaded bottom-up in one
+        // pass, and refused whole if the order is broken.
+        let tree = BTree::from_sorted(entries).ok_or_else(|| {
+            CoreError::Persist(format!("value index `{attr}` is out of key order"))
+        })?;
         value_indexes.insert(attr, tree);
     }
     Ok((bt, value_indexes))
@@ -588,4 +593,57 @@ fn read_string_set(r: &mut R) -> Result<HashSet<String>, CoreError> {
         out.insert(r.string()?);
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::constraints::SecurityConstraint;
+    use crate::scheme::SchemeKind;
+    use crate::system::{OutsourceConfig, Outsourcer};
+
+    /// A value index whose entries are out of key order, in an artifact
+    /// whose checksum is valid, is a typed error naming the index.
+    #[test]
+    fn value_index_out_of_key_order_is_refused() {
+        let doc = Document::parse(
+            "<h><p><n>a</n><age>30</age></p><p><n>b</n><age>41</age></p>\
+             <p><n>c</n><age>52</age></p></h>",
+        )
+        .unwrap();
+        let cs = [SecurityConstraint::parse("//age").unwrap()];
+        let (_, server) = Outsourcer::new(OutsourceConfig::default())
+            .outsource(&doc, &cs, SchemeKind::Opt, 5)
+            .unwrap()
+            .split();
+        let bytes = server.save_bytes().unwrap();
+        assert!(Server::load_bytes(&bytes).is_ok());
+
+        // Two neighbouring entries with distinct keys, as written.
+        let (attr, index) = server.metadata().value_indexes.iter().next().unwrap();
+        let entries = index.iter();
+        let at = (1..entries.len())
+            .find(|&i| entries[i - 1].0 < entries[i].0)
+            .expect("two distinct keys");
+        let record = |(k, v): (u128, u32)| [&k.to_le_bytes()[..], &v.to_le_bytes()].concat();
+        let (first, second) = (record(entries[at - 1]), record(entries[at]));
+        let pair = [first.as_slice(), &second].concat();
+        let start = bytes
+            .windows(pair.len())
+            .position(|w| w == pair)
+            .expect("the entries in the artifact");
+
+        let mut swapped = bytes[..bytes.len() - 4].to_vec();
+        swapped[start..start + pair.len()].copy_from_slice(&[second, first].concat());
+        let swapped = seal_checksum(swapped);
+        match Server::load_bytes(&swapped) {
+            Err(CoreError::Persist(msg)) => {
+                assert!(
+                    msg.contains("out of key order") && msg.contains(attr.as_str()),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected a persist error, got {other:?}"),
+        }
+    }
 }

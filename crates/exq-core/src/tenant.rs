@@ -185,7 +185,6 @@ struct DbProfileCounters {
     wal_bytes: Arc<Counter>,
     records_decoded: Arc<Counter>,
     blocks_shipped: Arc<Counter>,
-    cache_hits: Arc<Counter>,
 }
 
 impl DbProfileCounters {
@@ -199,7 +198,6 @@ impl DbProfileCounters {
             wal_bytes: c("exq_db_wal_bytes_total"),
             records_decoded: c("exq_db_records_decoded_total"),
             blocks_shipped: c("exq_db_blocks_shipped_total"),
-            cache_hits: c("exq_db_cache_hits_total"),
         }
     }
 }
@@ -321,9 +319,6 @@ impl Tenant {
         self.profile.wal_bytes.add(p.wal_bytes);
         self.profile.records_decoded.add(p.records_decoded);
         self.profile.blocks_shipped.add(p.blocks_shipped);
-        if p.cache_hit {
-            self.profile.cache_hits.inc();
-        }
     }
 
     /// Republishes this tenant's storage gauges (pool occupancy, WAL

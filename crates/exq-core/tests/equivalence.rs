@@ -223,6 +223,50 @@ fn replies_reproduce_the_golden_table() {
     }
 }
 
+/// `crc32` of an artifact's body (everything before its own trailing
+/// checksum) and its length.
+fn artifact_pin(bytes: &[u8]) -> (u32, usize) {
+    (crc32(&[&bytes[..bytes.len() - 4]]), bytes.len())
+}
+
+/// The owner's set-up draws every random choice on the calling thread and
+/// descends the OPESS plans on whatever cores there are, in runs: the
+/// hosted and the client artifacts are pinned to the byte, whatever the
+/// core count (CI runs this suite once more pinned to one core). The pins
+/// are what the set-up made when it ran on one thread and built each
+/// value index one insert at a time. The second database is OPESS-heavy:
+/// 400 patients' distinct values split into more than 1 024 chunks in
+/// one attribute, so its descent is cut into several runs of 256.
+#[test]
+fn set_up_artifacts_are_pinned() {
+    let heavy = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&big_hospital(400), &constraints(), SchemeKind::Opt, 2006)
+        .unwrap();
+    let chunks = |c: &Client| -> usize {
+        let plans = c.state().opess.values();
+        plans.map(|a| a.plan.split_histogram().len()).max().unwrap()
+    };
+    assert!(chunks(&heavy.client) > 4 * 256, "{}", chunks(&heavy.client));
+    let (client, server) = hosted();
+    let pins: Vec<((u32, usize), (u32, usize))> = [(client, server), heavy.split()]
+        .iter()
+        .map(|(c, s)| {
+            (
+                artifact_pin(&s.save_bytes().unwrap()),
+                artifact_pin(&c.save_bytes()),
+            )
+        })
+        .collect();
+    assert_eq!(
+        pins,
+        [
+            ((0x5a7a_0f89, 82_713), (0x0a7d_0d9a, 11_398)),
+            ((0xc846_0ea8, 812_344), (0xd043_7132, 106_378)),
+        ],
+        "set-up artifacts moved"
+    );
+}
+
 /// Client post-processing is result-identical at every thread count, and
 /// the full client↔server round trip agrees with the serial reference.
 #[test]

@@ -172,18 +172,19 @@ fn serve_loop_hammer_keeps_wire_and_cache_counters_exact() {
     );
 }
 
-/// Every field of a request's `QueryProfile` is accounted twice by one
-/// `finish_profile` call: as a `profile.<field>` span (under a trace) and
-/// into the db's `exq_db_<stem>_total` counter. `(field, stem)`.
+/// Every field of a request's `QueryProfile` is accounted twice: as a
+/// `profile.<field>` span (under a trace) and in one per-db counter family,
+/// the db's `exq_db_<field>_total` fed by `finish_profile`, or for a cache
+/// hit the response cache's own hit counter. `(field, family)`.
 const PROFILE_ACCOUNTS: &[(&str, &str)] = &[
-    ("pool_hits", "pool_hits"),
-    ("pages_faulted", "pages_faulted"),
-    ("evictions", "evictions"),
-    ("epoch_retries", "epoch_retries"),
-    ("wal_bytes", "wal_bytes"),
-    ("records_decoded", "records_decoded"),
-    ("blocks_shipped", "blocks_shipped"),
-    ("cache_hit", "cache_hits"),
+    ("pool_hits", "exq_db_pool_hits_total"),
+    ("pages_faulted", "exq_db_pages_faulted_total"),
+    ("evictions", "exq_db_evictions_total"),
+    ("epoch_retries", "exq_db_epoch_retries_total"),
+    ("wal_bytes", "exq_db_wal_bytes_total"),
+    ("records_decoded", "exq_db_records_decoded_total"),
+    ("blocks_shipped", "exq_db_blocks_shipped_total"),
+    ("cache_hit", "exq_cache_response_hits_total"),
 ];
 
 /// A 48-patient hospital hosted as database `db` behind the event loop,
@@ -251,8 +252,8 @@ fn profile_spans_reconcile_exactly_with_db_counters() {
         .with_db(DB)
         .unwrap();
 
-    let read = |(field, stem): &(&str, &str)| {
-        let counter = telemetry::db_series(&format!("exq_db_{stem}_total"), DB);
+    let read = |(field, family): &(&str, &str)| {
+        let counter = telemetry::db_series(family, DB);
         (
             telemetry::histogram(&format!("exq_span_profile_{field}")).sum_nanos(),
             telemetry::counter(&counter).get(),
@@ -318,7 +319,6 @@ const CATALOGUE: &[&str] = &[
     "exq_server_shed_total counter",
     // Per database: requests, their profiles, health.
     "exq_db_blocks_shipped_total counter",
-    "exq_db_cache_hits_total counter",
     "exq_db_epoch_retries_total counter",
     "exq_db_evictions_total counter",
     "exq_db_health gauge",

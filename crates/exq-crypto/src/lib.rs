@@ -40,7 +40,7 @@ pub use block::{
 pub use chacha::ChaCha20;
 pub use keys::KeyChain;
 pub use ope::OpeKey;
-pub use opess::{OpessError, OpessPlan, RangeOp, ValueRange};
+pub use opess::{OpessDraft, OpessError, OpessPlan, RangeOp, ValueRange};
 pub use prf::Prf;
 pub use vernam::TagCipher;
 

@@ -122,12 +122,29 @@ pub struct OpessPlan {
 impl OpessPlan {
     /// Builds a plan from `(value, occurrence-count)` pairs. Duplicated
     /// values are merged. The `rng` drives weight/scale sampling; the OPE key
-    /// drives ciphertext placement.
+    /// drives ciphertext placement. This is [`draft`](Self::draft), then the
+    /// descent of its [`displaced`](OpessDraft::displaced) values, then
+    /// [`finish`](OpessDraft::finish).
     pub fn build(
         values: &[(f64, u32)],
         ope: OpeKey,
         rng: &mut impl Rng,
     ) -> Result<OpessPlan, OpessError> {
+        let draft = Self::draft(values, ope, rng)?;
+        let ciphertexts = draft.ope().encrypt_many(draft.displaced());
+        Ok(draft.finish(ciphertexts))
+    }
+
+    /// A plan without its ciphertexts: every draw from `rng` the plan makes
+    /// (the `K` weights, then one scale per value in plaintext order) and
+    /// the displaced values still to encrypt. The descent that remains
+    /// uses only the OPE key, so it may run anywhere and in any cuts: a
+    /// coin depends only on its tree node.
+    pub fn draft(
+        values: &[(f64, u32)],
+        ope: OpeKey,
+        rng: &mut impl Rng,
+    ) -> Result<OpessDraft, OpessError> {
         if values.is_empty() {
             return Err(OpessError::EmptyInput);
         }
@@ -185,33 +202,25 @@ impl OpessPlan {
             entries: Vec::with_capacity(merged.len()),
         };
 
-        // Every chunk's displaced value first, so that they go down one OPE
-        // tree together; `rng` is not involved until the scales below.
+        // Every chunk's displaced value, so that they go down one OPE tree
+        // together; each chunk's ciphertext is filled in by `finish`.
         let mut displaced = Vec::new();
-        for (&(v, _), sizes) in merged.iter().zip(&chunk_sizes) {
+        for (&(v, count), sizes) in merged.iter().zip(chunk_sizes) {
             displaced.extend((0..sizes.len()).map(|j| plan.displaced(v, j)));
-        }
-        let mut ciphertexts = plan.ope.encrypt_many(&displaced).into_iter();
-
-        for (&(v, count), sizes) in merged.iter().zip(&chunk_sizes) {
-            let chunks: Vec<ChunkCipher> = sizes
-                .iter()
-                .zip(&mut ciphertexts)
-                .map(|(&occurrences, ciphertext)| ChunkCipher {
-                    ciphertext,
-                    occurrences,
-                })
-                .collect();
-            debug_assert_eq!(chunks.len(), sizes.len());
-            debug_assert!(chunks.windows(2).all(|w| w[0].ciphertext < w[1].ciphertext));
             plan.entries.push(PlanEntry {
                 plaintext: v,
                 count,
-                chunks,
+                chunks: sizes
+                    .into_iter()
+                    .map(|occurrences| ChunkCipher {
+                        ciphertext: 0,
+                        occurrences,
+                    })
+                    .collect(),
                 scale: rng.gen_range(1..=10),
             });
         }
-        Ok(plan)
+        Ok(OpessDraft { plan, displaced })
     }
 
     /// The chunk middle size `m`.
@@ -376,6 +385,46 @@ impl OpessPlan {
     /// Total number of B-tree index entries the plan produces.
     pub fn index_entry_count(&self) -> u64 {
         self.scaled_histogram().iter().sum()
+    }
+}
+
+/// An [`OpessPlan`] whose chunk ciphertexts are still to be computed:
+/// what [`OpessPlan::draft`] returns.
+#[derive(Debug, Clone)]
+pub struct OpessDraft {
+    /// The plan with every chunk's ciphertext 0.
+    plan: OpessPlan,
+    /// Chunk `j` of each value, values in plaintext order, before the OPE.
+    displaced: Vec<u64>,
+}
+
+impl OpessDraft {
+    /// The OPE key the descent encrypts under.
+    pub fn ope(&self) -> &OpeKey {
+        &self.plan.ope
+    }
+
+    /// The values to encrypt, one per chunk, in plaintext and chunk order.
+    /// They ascend, so a cut of them shares its tree nodes, unless two
+    /// plaintexts are a few ulps apart: then their chunks interleave.
+    pub fn displaced(&self) -> &[u64] {
+        &self.displaced
+    }
+
+    /// The plan, given `ope().encrypt_many(displaced())` — whole or as the
+    /// concatenation of its cuts, in order.
+    pub fn finish(self, ciphertexts: impl IntoIterator<Item = u128>) -> OpessPlan {
+        let mut plan = self.plan;
+        let mut ciphertexts = ciphertexts.into_iter();
+        for chunk in plan.entries.iter_mut().flat_map(|e| &mut e.chunks) {
+            chunk.ciphertext = ciphertexts.next().expect("one ciphertext per chunk");
+        }
+        assert!(ciphertexts.next().is_none(), "more ciphertexts than chunks");
+        debug_assert!(plan.entries.iter().all(|e| e
+            .chunks
+            .windows(2)
+            .all(|w| w[0].ciphertext < w[1].ciphertext)));
+        plan
     }
 }
 
@@ -657,6 +706,39 @@ mod tests {
             OpessPlan::build(&[(1.0, 0)], OpeKey::new([0u8; 32]), &mut rng).unwrap_err(),
             OpessError::ZeroCount
         );
+    }
+
+    /// `build` is draft, then the descent, then finish: the same plan,
+    /// whether the descent is one batch or cut into runs, and the `rng`
+    /// left where `build` leaves it.
+    #[test]
+    fn build_is_draft_descend_finish() {
+        use rand::RngCore;
+        let values: Vec<(f64, u32)> = (0..80)
+            .map(|i| (f64::from(i) * 1.5, 1 + (i * 7919) % 23))
+            .collect();
+        let key = OpeKey::new([9u8; 32]);
+        let mut built_rng = StdRng::seed_from_u64(11);
+        let built = OpessPlan::build(&values, key.clone(), &mut built_rng).unwrap();
+        for cut in [usize::MAX, 1, 7, 64] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let draft = OpessPlan::draft(&values, key.clone(), &mut rng).unwrap();
+            assert!(draft.displaced().windows(2).all(|w| w[0] < w[1]));
+            let runs: Vec<Vec<u128>> = draft
+                .displaced()
+                .chunks(cut.min(draft.displaced().len()))
+                .map(|run| draft.ope().encrypt_many(run))
+                .collect();
+            let plan = draft.finish(runs.into_iter().flatten());
+            assert_eq!(plan.m(), built.m());
+            assert_eq!(plan.delta(), built.delta());
+            assert_eq!(plan.weight_prefix(), built.weight_prefix());
+            assert_eq!(
+                format!("{:?}", plan.entries()),
+                format!("{:?}", built.entries())
+            );
+            assert_eq!(rng.next_u64(), built_rng.clone().next_u64(), "cut {cut}");
+        }
     }
 
     #[test]

@@ -160,6 +160,33 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A sorted batch cut into runs anywhere (the owner's set-up descends
+    /// runs on several threads) encrypts to the one batch's ciphertexts,
+    /// concatenated: runs that part inside a shared node draw its coin
+    /// again and get the same coin.
+    #[test]
+    fn ope_many_over_cuts_is_one_batch(
+        key in any::<[u8; 32]>(),
+        clusters in proptest::collection::vec(cluster(), 1..3),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
+    ) {
+        let mut xs: Vec<u64> = clusters.into_iter().flatten().collect();
+        xs.sort_unstable();
+        let k = OpeKey::new(key);
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (xs.len() + 1)).collect();
+        at.extend([0, xs.len()]);
+        at.sort_unstable();
+        let cut: Vec<u128> = at
+            .windows(2)
+            .flat_map(|w| k.encrypt_many(&xs[w[0]..w[1]]))
+            .collect();
+        prop_assert_eq!(cut, k.encrypt_many(&xs));
+    }
+}
+
 /// The counts the lane grouping could get wrong, exhaustively small.
 #[test]
 fn ope_many_at_every_small_count() {

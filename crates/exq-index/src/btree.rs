@@ -76,6 +76,76 @@ impl BTree {
         }
     }
 
+    /// Builds a default-order tree bottom-up from entries in ascending key
+    /// order, equal keys in the order given: full leaves left to right,
+    /// then each internal level over the one below. The result equals
+    /// [`insert`](Self::insert)ing the entries one by one for every lookup,
+    /// and takes later inserts the same way. `None` if a key is smaller
+    /// than the one before it.
+    ///
+    /// ```
+    /// use exq_index::BTree;
+    /// let t = BTree::from_sorted([(10, 1), (10, 2), (30, 3)]).unwrap();
+    /// assert_eq!(t.range(0, 20), [1, 2]);
+    /// assert!(BTree::from_sorted([(30, 3), (10, 1)]).is_none());
+    /// ```
+    pub fn from_sorted(entries: impl IntoIterator<Item = (u128, u32)>) -> Option<BTree> {
+        let order = DEFAULT_ORDER;
+        let mut tree = BTree {
+            nodes: Vec::new(),
+            root: 0,
+            len: 0,
+            order,
+            seq: 0,
+        };
+        // `(least key below, node)` per node of the level being built.
+        let mut level: Vec<(K, usize)> = Vec::new();
+        let (mut keys, mut vals) = (Vec::with_capacity(order), Vec::with_capacity(order));
+        let mut last = 0;
+        for (key, value) in entries {
+            if key < last {
+                return None;
+            }
+            last = key;
+            if keys.len() == order {
+                level.push((keys[0], tree.nodes.len()));
+                tree.nodes.push(Node::Leaf {
+                    keys: std::mem::replace(&mut keys, Vec::with_capacity(order)),
+                    vals: std::mem::replace(&mut vals, Vec::with_capacity(order)),
+                    next: Some(tree.nodes.len() + 1),
+                });
+            }
+            keys.push((key, tree.seq));
+            vals.push(value);
+            tree.seq += 1;
+        }
+        tree.len = tree.seq as usize;
+        level.push((keys.first().copied().unwrap_or((0, 0)), tree.nodes.len()));
+        tree.nodes.push(Node::Leaf {
+            keys,
+            vals,
+            next: None,
+        });
+        while level.len() > 1 {
+            // As few parents as fit, their children shared out evenly.
+            let parents = level.len().div_ceil(order + 1);
+            let mut above = Vec::with_capacity(parents);
+            let mut rest = &level[..];
+            for p in 0..parents {
+                let (group, tail) = rest.split_at(rest.len() / (parents - p));
+                rest = tail;
+                above.push((group[0].0, tree.nodes.len()));
+                tree.nodes.push(Node::Internal {
+                    keys: group[1..].iter().map(|&(k, _)| k).collect(),
+                    children: group.iter().map(|&(_, n)| n).collect(),
+                });
+            }
+            level = above;
+        }
+        tree.root = level[0].1;
+        Some(tree)
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.len

@@ -44,6 +44,56 @@ proptest! {
         want.sort_unstable();
         prop_assert_eq!(got, want);
     }
+
+    /// A tree bulk-loaded from sorted entries is the tree inserting them
+    /// one by one builds, for every lookup: same entries in the same order
+    /// (equal keys in the order given), same ranges, valid; and random
+    /// inserts afterwards keep the two equal. Sizes cross one leaf, one
+    /// internal level and two; keys of a few bits repeat across leaves.
+    #[test]
+    fn btree_from_sorted_equals_inserts(
+        entries in prop_oneof![
+            proptest::collection::vec((0u64..8, any::<u32>()), 0..80),
+            proptest::collection::vec((0u64..300, any::<u32>()), 0..3000),
+            proptest::collection::vec((any::<u64>(), any::<u32>()), 1000..1200),
+        ],
+        later in proptest::collection::vec((0u64..400, any::<u32>()), 0..300),
+        bounds in proptest::collection::vec((0u64..420, 0u64..420), 1..8),
+    ) {
+        let wide = |v: &[(u64, u32)]| -> Vec<(u128, u32)> {
+            v.iter().map(|&(k, x)| (k.into(), x)).collect()
+        };
+        let (mut entries, later) = (wide(&entries), wide(&later));
+        let bounds: Vec<(u128, u128)> = bounds.iter().map(|&(a, b)| (a.into(), b.into())).collect();
+        entries.sort_by_key(|&(k, _)| k);
+        let mut bulk = BTree::from_sorted(entries.iter().copied()).expect("sorted");
+        let mut inserted = BTree::new();
+        for &(k, v) in &entries {
+            inserted.insert(k, v);
+        }
+        for phase in 0..2 {
+            bulk.validate().unwrap();
+            prop_assert_eq!(bulk.len(), inserted.len());
+            prop_assert_eq!(bulk.iter(), inserted.iter());
+            for &(a, b) in &bounds {
+                prop_assert_eq!(bulk.range(a, b), inserted.range(a, b), "phase {}", phase);
+            }
+            prop_assert_eq!(bulk.range(0, u128::MAX), inserted.range(0, u128::MAX));
+            prop_assert_eq!(bulk.max_entry(), inserted.max_entry());
+            if phase == 1 {
+                break;
+            }
+            for &(k, v) in &later {
+                bulk.insert(k, v);
+                inserted.insert(k, v);
+            }
+        }
+        // One key out of order anywhere, and there is no tree.
+        if let Some(at) = (1..entries.len()).find(|&i| entries[i - 1].0 < entries[i].0) {
+            entries.swap(at - 1, at);
+            prop_assert!(BTree::from_sorted(entries).is_none());
+        }
+    }
 }
 
 /// The universe of every node's interval in `d`.
