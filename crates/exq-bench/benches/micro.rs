@@ -4,8 +4,9 @@
 //! (server assembly, region serialization, answer encoding, client
 //! reconstruction and its parse and XPath halves, batch block open, frame
 //! checksum) on the perf ledger's `xmark_scan` database,
-//! the server's predicate matching on its `hospital_point` database, and
-//! the batch block read on its `hospital_paged` store.
+//! the server's predicate matching and its in-place index updates on its
+//! `hospital_point` database, and the batch block read on its
+//! `hospital_paged` store.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use exq_core::codec::{Message, PROTOCOL_VERSION};
@@ -411,6 +412,74 @@ fn bench_sjoin_hospital(c: &mut Criterion) {
     group.finish();
 }
 
+/// One mutation's in-memory apply on the ledger's `hospital_point` set-up
+/// (1200 patients, seed 2007, `Opt`, resident, so no WAL): a prepared
+/// record's insert under the root, and its delete. One long-lived server
+/// takes both, so its arrays grow as a hosted one's do; the setup outside
+/// the timing undoes the last sample (deletes the record, or inserts it
+/// again), so every sample starts from a server of the same size.
+fn bench_update_hospital(c: &mut Criterion) {
+    let doc = hospital::scaled(1200, 2007);
+    let (client, server) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&doc, &hospital::constraints(), SchemeKind::Opt, 2007)
+        .unwrap()
+        .split();
+    let root = client.translate("/hospital").unwrap().server_query.unwrap();
+    let root = server.locate(&root)[0];
+    let server = std::cell::RefCell::new(server);
+    let client = std::cell::RefCell::new(client);
+    let record = "<patient><pname>Zoe</pname><SSN>112233</SSN><age>29</age>\
+                  <treat><disease>flu</disease><doctor>Lee</doctor></treat>\
+                  <insurance><policy coverage=\"7500\">55555</policy></insurance></patient>";
+    let seed = std::cell::Cell::new(0);
+    let prepare = || {
+        let slot = server.borrow().insertion_slot(root).unwrap();
+        seed.set(seed.get() + 1);
+        let mut client = client.borrow_mut();
+        client.prepare_insert(&slot, record, seed.get()).unwrap()
+    };
+    let delete = || {
+        let q = client
+            .borrow()
+            .translate("//patient[SSN = '112233']")
+            .unwrap();
+        let deleted = server.borrow_mut().delete_where(&q.server_query.unwrap());
+        assert_eq!(deleted.unwrap().deleted, 1);
+    };
+    let inserted = std::cell::Cell::new(false);
+
+    let mut group = c.benchmark_group("update");
+    group.bench_function("apply_insert_hospital", |b| {
+        b.iter_batched(
+            || {
+                if inserted.replace(false) {
+                    delete();
+                }
+                prepare()
+            },
+            |delta| {
+                server.borrow_mut().apply_insert(&delta).unwrap();
+                inserted.set(true);
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    if inserted.replace(false) {
+        delete();
+    }
+    group.bench_function("delete_hospital", |b| {
+        b.iter_batched(
+            || {
+                let delta = prepare();
+                server.borrow_mut().apply_insert(&delta).unwrap()
+            },
+            |()| delete(),
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+}
+
 /// One reply's worth of blocks through `PagedStore::read_many`, on the
 /// ledger's `hospital_paged` store (1200 patients, seed 2007, `Opt`, 8 KiB
 /// pages): 1200 consecutive block ids with the pool empty (every page a
@@ -477,6 +546,7 @@ criterion_group!(
     bench_cover,
     bench_reply_path,
     bench_sjoin_hospital,
+    bench_update_hospital,
     bench_read_blocks,
     bench_crc32
 );

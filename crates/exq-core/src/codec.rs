@@ -882,6 +882,7 @@ impl WireError {
                 retry_after_ms,
                 reason,
             } => (10, format!("{retry_after_ms};{reason}")),
+            CoreError::Delta(m) => (11, m.clone()),
         };
         WireError { code, message }
     }
@@ -908,6 +909,7 @@ impl WireError {
                     reason,
                 }
             }
+            11 => CoreError::Delta(self.message),
             other => CoreError::Transport(format!(
                 "server error (unknown category {other}): {}",
                 self.message

@@ -23,6 +23,10 @@ pub enum CoreError {
     Codec(String),
     /// A transport-level failure: connect, send, receive, or timeout.
     Transport(String),
+    /// An insert delta the server refused before logging or applying it:
+    /// its intervals are not one nested run inside the insertion slot, or
+    /// its fragment or blocks do not match them.
+    Delta(String),
     /// A multi-tenant registry failure: unknown, duplicate, or invalid
     /// database name.
     Tenant(String),
@@ -51,6 +55,7 @@ impl fmt::Display for CoreError {
             CoreError::Persist(m) => write!(f, "persistence error: {m}"),
             CoreError::Codec(m) => write!(f, "wire codec error: {m}"),
             CoreError::Transport(m) => write!(f, "transport error: {m}"),
+            CoreError::Delta(m) => write!(f, "insert delta refused: {m}"),
             CoreError::Tenant(m) => write!(f, "tenant error: {m}"),
             CoreError::Unavailable {
                 retry_after_ms,

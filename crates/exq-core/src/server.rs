@@ -40,12 +40,13 @@ use crate::encrypt::{marker_block_id, EncryptedOutput, ServerMetadata, BLOCK_MAR
 use crate::error::CoreError;
 use crate::store::{BlockStore, PagedDb};
 use crate::telemetry;
+use crate::update::{CheckedInsert, FragmentAttr, InsertDelta};
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::SealedBlock;
 use exq_index::dsi::Interval;
 use exq_index::sjoin::{
     least_child, least_desc, semijoin_anc, semijoin_child, semijoin_desc, semijoin_parent,
-    IntervalUniverse, NONE,
+    shift_in, shift_out, IntervalUniverse, NONE,
 };
 use exq_xml::{Document, Keep, NodeId, NodeKind};
 use std::borrow::Cow;
@@ -80,19 +81,19 @@ pub struct ExplainReport {
 #[derive(Debug, Clone)]
 pub struct Server {
     visible: Document,
-    /// The visible node of every server-known interval, text nodes
-    /// included: what the update path and persistence key by interval.
-    interval_to_visible: HashMap<Interval, NodeId>,
     metadata: ServerMetadata,
     /// Every DSI table interval, in join order: the matcher's positions.
-    /// It, the posting lists and the two arrays below are rebuilt together
-    /// ([`Server::index_universe`]).
+    /// It, the posting lists and the arrays below are built together
+    /// ([`Server::index_universe`]) and spliced together by every insert
+    /// and delete ([`Server::splice_insert`], [`Server::remove_visible_subtree`]).
     universe: IntervalUniverse,
     /// Per DSI tag, its posting list as ascending universe positions.
     postings: HashMap<String, Vec<u32>>,
     /// Every universe position, ascending: a wildcard step's posting list.
     every: Vec<u32>,
-    /// Per universe position, the visible node with that interval.
+    /// Per universe position, the visible node with that interval: the
+    /// server's one map from an interval to its visible node. Text nodes
+    /// have no interval here, and nothing reads theirs.
     visible_at: Vec<Option<NodeId>>,
     /// Per universe position, the block whose representative covers it.
     block_at: Vec<Option<u32>>,
@@ -150,15 +151,15 @@ fn string_value(doc: &Document, n: NodeId) -> Cow<'_, str> {
 impl Server {
     /// Builds the server from the owner's encrypted output.
     pub fn new(out: &EncryptedOutput) -> Server {
-        let mut interval_to_visible = HashMap::new();
-        for n in out.visible.iter() {
-            if let Some(Some(iv)) = out.visible_intervals.get(n.index()) {
-                interval_to_visible.insert(*iv, n);
-            }
-        }
+        let labeled: Vec<(Interval, NodeId)> = out
+            .visible
+            .iter()
+            .filter(|&n| !out.visible.node(n).is_text())
+            .filter_map(|n| Some((out.visible_intervals.get(n.index()).copied()??, n)))
+            .collect();
         Self::indexed(
             out.visible.clone(),
-            interval_to_visible,
+            &labeled,
             out.metadata.clone(),
             BlockStore::Resident(out.blocks.iter().cloned().map(Arc::new).collect()),
             HashSet::new(),
@@ -166,17 +167,16 @@ impl Server {
     }
 
     /// A server over its parts, with the universe and its per-position
-    /// arrays built.
+    /// arrays built. `labeled` pairs visible nodes with their intervals.
     fn indexed(
         visible: Document,
-        interval_to_visible: HashMap<Interval, NodeId>,
+        labeled: &[(Interval, NodeId)],
         metadata: ServerMetadata,
         blocks: BlockStore,
         dead_blocks: HashSet<u32>,
     ) -> Server {
         let mut server = Server {
             visible,
-            interval_to_visible,
             metadata,
             universe: IntervalUniverse::default(),
             postings: HashMap::new(),
@@ -187,20 +187,24 @@ impl Server {
             dead_blocks,
             caches: ServerCaches::default(),
         };
-        server.index_universe();
+        server.index_universe(labeled);
         server
     }
 
-    /// Builds the universe and every tag's posting list as positions from
-    /// the DSI table ([`IntervalUniverse::with_postings`]), and beside them
-    /// each position's visible node and covering block. Text nodes'
-    /// intervals, which no table holds, are no members.
-    fn index_universe(&mut self) {
+    /// The one from-scratch build, run when a server is made or opened:
+    /// the universe and every tag's posting list as positions from the DSI
+    /// table ([`IntervalUniverse::with_postings`]), and beside them each
+    /// position's visible node, from `labeled`, and covering block.
+    fn index_universe(&mut self, labeled: &[(Interval, NodeId)]) {
         let (tags, lists): (Vec<_>, Vec<_>) = self.metadata.dsi_table.iter().unzip();
         let (universe, postings) = IntervalUniverse::with_postings(lists);
-        let visible = &self.interval_to_visible;
         let members = universe.members();
-        self.visible_at = members.iter().map(|iv| visible.get(iv).copied()).collect();
+        self.visible_at = vec![None; members.len()];
+        for (iv, n) in labeled {
+            if let Some(p) = universe.find(iv) {
+                self.visible_at[p as usize] = Some(*n);
+            }
+        }
         self.block_at = self.metadata.block_table.covering(members);
         self.every = (0..members.len() as u32).collect();
         self.postings = tags.into_iter().map(str::to_owned).zip(postings).collect();
@@ -328,154 +332,185 @@ impl Server {
 
     // --- update-support plumbing (see `crate::update`) -------------------
 
-    pub(crate) fn visible_node_of(&self, iv: &Interval) -> Option<NodeId> {
-        self.interval_to_visible
-            .get(iv)
-            .copied()
-            .filter(|&n| self.visible.is_live(n))
+    /// The universe position and visible node of a server-known interval.
+    pub(crate) fn visible_node_of(&self, iv: &Interval) -> Option<(u32, NodeId)> {
+        let p = self.universe.find(iv)?;
+        Some((p, self.visible_at[p as usize]?))
     }
 
     pub(crate) fn visible_element_name(&self, n: NodeId) -> Option<&str> {
         self.visible.element_name(n)
     }
 
-    /// Every server-known interval strictly inside `parent` (table entries
-    /// plus visible-node intervals, including text).
-    pub(crate) fn known_intervals_within(&self, parent: &Interval) -> Vec<Interval> {
-        let mut out: Vec<Interval> = self
-            .universe
-            .members()
-            .iter()
-            .filter(|iv| parent.contains(iv))
-            .copied()
-            .collect();
-        out.extend(
-            self.interval_to_visible
-                .keys()
-                .filter(|iv| parent.contains(iv))
-                .copied(),
-        );
-        out
+    /// The interval of the last server-known member directly inside the
+    /// member at `p`, which ends after every other one inside it: the
+    /// member of its subtree's run `[p + 1, end(p))` that holds the run's
+    /// last position.
+    pub(crate) fn last_child_interval(&self, p: u32) -> Option<Interval> {
+        self.universe
+            .last_child(p)
+            .map(|q| self.universe.interval(q))
     }
 
-    pub(crate) fn push_block(&mut self, block: SealedBlock) {
-        self.blocks.push(block);
-        self.caches.bump_generation();
-    }
-
-    pub(crate) fn apply_metadata_delta(
-        &mut self,
-        dsi_entries: &[(String, Interval)],
-        block_entries: &[(Interval, u32)],
-        value_entries: &[(String, u128, u32)],
-    ) {
-        for (tag, iv) in dsi_entries {
-            self.metadata.dsi_table.add(tag, *iv);
+    /// Applies an insert that [`Server::check_insert`] passed; nothing here
+    /// can fail. The blocks are appended, the fragment is grafted under its
+    /// visible parent, the entries merge into the tables and B-trees, and
+    /// the run of new intervals is spliced into the universe, every posting
+    /// list and the per-position arrays as the last members of the parent's
+    /// subtree: `k` new positions, and every later one moved up by `k`.
+    pub(crate) fn splice_insert(&mut self, delta: &InsertDelta, checked: CheckedInsert) {
+        let CheckedInsert {
+            under,
+            vis_parent,
+            frag,
+            annotated,
+            run,
+        } = checked;
+        for b in &delta.blocks {
+            self.blocks.push(b.clone());
         }
-        self.metadata.dsi_table.seal();
-        for &(iv, id) in block_entries {
-            self.metadata.block_table.add(iv, id);
+        let mut labeled = Vec::new();
+        if let Some(root) = frag.root() {
+            self.graft(&frag, root, vis_parent, &annotated, &mut labeled);
         }
-        self.metadata.block_table.seal();
-        for (attr, cipher, id) in value_entries {
+        self.metadata.dsi_table.merge_run(&delta.dsi_entries);
+        self.metadata.block_table.merge_run(&delta.block_entries);
+        for (attr, cipher, id) in &delta.value_entries {
             self.metadata
                 .value_indexes
                 .entry(attr.clone())
                 .or_default()
                 .insert(*cipher, *id);
         }
-        self.rebuild_universe();
-    }
 
-    pub(crate) fn rebuild_universe(&mut self) {
-        self.index_universe();
+        let at = self.universe.splice_in(under, &run);
+        let k = run.len() as u32;
+        let position = |iv: &Interval| self.universe.find(iv).expect("spliced member");
+        let mut added: HashMap<&str, Vec<u32>> = HashMap::new();
+        for (tag, iv) in &delta.dsi_entries {
+            added.entry(tag).or_default().push(position(iv));
+        }
+        for list in added.values_mut() {
+            list.sort_unstable();
+            list.dedup();
+        }
+        for (tag, list) in &mut self.postings {
+            shift_in(
+                list,
+                at,
+                k,
+                added.remove(tag.as_str()).as_deref().unwrap_or(&[]),
+            );
+        }
+        for (tag, list) in added {
+            self.postings.insert(tag.to_owned(), list);
+        }
+        let n = self.universe.len() as u32;
+        self.every.extend(n - k..n);
+        let mut visible = vec![None; run.len()];
+        for (iv, n) in &labeled {
+            visible[(position(iv) - at) as usize] = Some(*n);
+        }
+        let i = at as usize;
+        self.visible_at.splice(i..i, visible);
+        // The parent is visible, so no block holds it: only the delta's own
+        // blocks can cover the run.
+        let covering = run.iter().map(|iv| {
+            let mut reps = delta.block_entries.iter();
+            reps.find(|(rep, _)| rep.covers(iv)).map(|&(_, id)| id)
+        });
+        self.block_at.splice(i..i, covering);
         self.caches.bump_generation();
     }
 
-    /// Splices an `_exq_iv`-annotated fragment under a visible parent,
-    /// registering the new intervals.
-    pub(crate) fn splice_annotated(
+    /// Adds a checked fragment's node under a visible parent, pairing each
+    /// annotated element and attribute with its interval in `labeled`.
+    fn graft(
         &mut self,
         frag: &Document,
         node: NodeId,
         vis_parent: NodeId,
-    ) -> Result<(), CoreError> {
-        use crate::update::IV_ATTR;
-        let parse_iv = |v: &str| -> Result<Interval, CoreError> {
-            let (lo, hi) = v
-                .split_once(',')
-                .ok_or_else(|| CoreError::Response("bad interval annotation".into()))?;
-            let lo = lo
-                .parse()
-                .map_err(|_| CoreError::Response("bad interval lo".into()))?;
-            let hi = hi
-                .parse()
-                .map_err(|_| CoreError::Response("bad interval hi".into()))?;
-            // The annotation comes from the (untrusted-at-this-layer) wire;
-            // reject inverted intervals rather than trip Interval::new's
-            // invariant.
-            if lo >= hi {
-                return Err(CoreError::Response("inverted interval annotation".into()));
-            }
-            Ok(Interval::new(lo, hi))
-        };
+        annotated: &[Option<Interval>],
+        labeled: &mut Vec<(Interval, NodeId)>,
+    ) {
         match frag.node(node).kind() {
-            exq_xml::NodeKind::Element(t) => {
-                let name = frag.tag_name(*t).to_owned();
-                let el = self.visible.add_element(Some(vis_parent), &name);
-                // First pass: collect annotations and real attributes.
-                let mut own_iv = None;
-                let mut attr_ivs: Vec<(String, Interval)> = Vec::new();
-                let mut real_attrs: Vec<(String, String)> = Vec::new();
+            NodeKind::Element(t) => {
+                let el = self
+                    .visible
+                    .add_element(Some(vis_parent), frag.tag_name(*t));
+                labeled.extend(annotated[node.index()].map(|iv| (iv, el)));
                 for &a in frag.node(node).attrs() {
-                    if let exq_xml::NodeKind::Attribute(at, v) = frag.node(a).kind() {
-                        let an = frag.tag_name(*at);
-                        if an == IV_ATTR {
-                            own_iv = Some(parse_iv(v)?);
-                        } else if let Some(real) = an.strip_prefix(&format!("{IV_ATTR}_")) {
-                            attr_ivs.push((real.to_owned(), parse_iv(v)?));
-                        } else {
-                            real_attrs.push((an.to_owned(), v.clone()));
+                    if let NodeKind::Attribute(at, v) = frag.node(a).kind() {
+                        let name = frag.tag_name(*at);
+                        if FragmentAttr::of(name) == FragmentAttr::Real {
+                            let attr = self.visible.add_attr(el, name, v);
+                            labeled.extend(annotated[a.index()].map(|iv| (iv, attr)));
                         }
                     }
                 }
-                let own_iv = own_iv
-                    .ok_or_else(|| CoreError::Response("unannotated fragment node".into()))?;
-                self.interval_to_visible.insert(own_iv, el);
-                for (an, v) in &real_attrs {
-                    let attr = self.visible.add_attr(el, an, v);
-                    if let Some((_, aiv)) = attr_ivs.iter().find(|(n, _)| n == an) {
-                        self.interval_to_visible.insert(*aiv, attr);
-                    }
-                }
                 for &c in frag.node(node).children() {
-                    self.splice_annotated(frag, c, el)?;
+                    self.graft(frag, c, el, annotated, labeled);
                 }
-                Ok(())
             }
-            exq_xml::NodeKind::Text(v) => {
+            NodeKind::Text(v) => {
                 self.visible.add_text(vis_parent, v);
-                Ok(())
             }
-            exq_xml::NodeKind::Attribute(..) => Ok(()),
+            NodeKind::Attribute(..) => {}
         }
+    }
+
+    /// Removes a victim interval's visible subtree and metadata; `false`
+    /// when the victim has no visible node (it lives strictly inside a
+    /// block, or an earlier victim's subtree took it). Its subtree is one
+    /// run of positions, cut out of the universe, every posting list and
+    /// the per-position arrays; every later position moves down by the
+    /// run's length.
+    pub(crate) fn remove_visible_subtree(&mut self, victim: &Interval) -> bool {
+        let Some((p, vis)) = self.visible_node_of(victim) else {
+            return false;
+        };
+        self.visible.detach(vis);
+        self.metadata.dsi_table.remove_within(*victim);
+        let dead = self.metadata.block_table.remove_within(*victim);
+        self.dead_blocks.extend(dead);
+        let cut = self.universe.cut(p);
+        self.postings.retain(|_, list| {
+            shift_out(list, &cut);
+            !list.is_empty()
+        });
+        self.every.truncate(self.universe.len());
+        let run = cut.start as usize..cut.end as usize;
+        self.visible_at.drain(run.clone());
+        self.block_at.drain(run);
+        self.caches.bump_generation();
+        true
     }
 
     // --- persistence plumbing (see `crate::persist`) ----------------------
 
     /// `(pre-order position among elements+attributes, interval)` pairs for
-    /// the visible document — the persistence keying of the interval map.
+    /// the visible document — the persistence keying of `visible_at`.
     pub(crate) fn interval_positions(&self) -> Vec<(usize, Interval)> {
-        let node_to_iv: HashMap<NodeId, Interval> = self
-            .interval_to_visible
-            .iter()
-            .map(|(&iv, &n)| (n, iv))
-            .collect();
+        let mut interval_of = vec![None; self.visible.arena_len()];
+        for (iv, n) in self.labeled() {
+            interval_of[n.index()] = Some(iv);
+        }
         self.visible
             .iter()
             .filter(|&n| !self.visible.node(n).is_text())
             .enumerate()
-            .filter_map(|(pos, n)| node_to_iv.get(&n).map(|&iv| (pos, iv)))
+            .filter_map(|(pos, n)| Some((pos, interval_of[n.index()]?)))
+            .collect()
+    }
+
+    /// Every visible node that has a position, with its interval, in
+    /// position order.
+    fn labeled(&self) -> Vec<(Interval, NodeId)> {
+        let members = self.universe.members();
+        members
+            .iter()
+            .zip(&self.visible_at)
+            .filter_map(|(&iv, n)| Some((iv, (*n)?)))
             .collect()
     }
 
@@ -517,33 +552,13 @@ impl Server {
         blocks: BlockStore,
         dead_blocks: HashSet<u32>,
     ) -> Server {
-        let mut interval_to_visible = HashMap::with_capacity(pos_intervals.len());
-        for (pos, n) in visible
+        let labeled: Vec<(Interval, NodeId)> = visible
             .iter()
             .filter(|&n| !visible.node(n).is_text())
             .enumerate()
-        {
-            if let Some(&iv) = pos_intervals.get(&pos) {
-                interval_to_visible.insert(iv, n);
-            }
-        }
-        Self::indexed(visible, interval_to_visible, metadata, blocks, dead_blocks)
-    }
-
-    /// Removes a victim interval's visible subtree and metadata; `false`
-    /// when the victim lives strictly inside a block (cannot be removed).
-    pub(crate) fn remove_visible_subtree(&mut self, victim: &Interval) -> bool {
-        let Some(vis) = self.visible_node_of(victim) else {
-            return false;
-        };
-        self.visible.detach(vis);
-        self.interval_to_visible.retain(|iv, _| !victim.covers(iv));
-        self.metadata.dsi_table.remove_within(*victim);
-        for id in self.metadata.block_table.remove_within(*victim) {
-            self.dead_blocks.insert(id);
-        }
-        self.caches.bump_generation();
-        true
+            .filter_map(|(pos, n)| Some((*pos_intervals.get(&pos)?, n)))
+            .collect();
+        Self::indexed(visible, &labeled, metadata, blocks, dead_blocks)
     }
 
     /// The visible document as the attacker sees it.
@@ -1073,7 +1088,8 @@ mod tests {
         let patient = s.metadata.dsi_table.lookup("patient")[1];
         s.metadata.dsi_table.add("ward", patient);
         s.metadata.dsi_table.seal();
-        s.index_universe();
+        let labeled = s.labeled();
+        s.index_universe(&labeled);
         assert_eq!(s.universe.len(), before);
         let at = s.postings["patient"][1];
         assert_eq!(s.universe.interval(at), patient);
@@ -1180,6 +1196,180 @@ mod tests {
             })
             .unwrap();
         assert_eq!(resp.blocks.len(), s.block_count());
+    }
+}
+
+/// The splice is a from-scratch build done in place: after any sequence of
+/// inserts and deletes the index equals [`Server::index_universe`] over the
+/// same tables.
+#[cfg(test)]
+mod splice_tests {
+    use super::*;
+    use crate::constraints::SecurityConstraint;
+    use crate::scheme::SchemeKind;
+    use crate::system::{OutsourceConfig, Outsourcer};
+    use crate::Client;
+    use exq_index::sjoin::sort_intervals;
+    use proptest::prelude::*;
+
+    /// Records to insert: plain, with a block inside, wholly a block, a
+    /// leaf, and an empty element a later insert makes a first child of.
+    const RECORDS: &[&str] = &[
+        "<patient><pname>Zoe</pname><SSN>112233</SSN><age>29</age></patient>",
+        "<visit day=\"3\"><ward>east</ward><insurance><policy coverage=\"75\">5</policy></insurance></visit>",
+        "<insurance><policy coverage=\"9\">1</policy></insurance>",
+        "<age>61</age>",
+        "<patient/>",
+        "<note kind=\"x\">text<b/>more</note>",
+    ];
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Insert a record under a visible element; `shared` also files one
+        /// of its intervals under a second tag.
+        Insert {
+            parent: usize,
+            record: usize,
+            shared: bool,
+        },
+        /// Delete the subtree at a position, or the record inserted last.
+        Delete { at: usize, last: bool },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (any::<usize>(), 0..RECORDS.len(), any::<bool>()).prop_map(
+                |(parent, record, shared)| Op::Insert {
+                    parent,
+                    record,
+                    shared
+                }
+            ),
+            (any::<usize>(), any::<bool>()).prop_map(|(at, last)| Op::Delete { at, last }),
+        ]
+    }
+
+    fn hosted() -> (Client, Server) {
+        let doc = Document::parse(
+            "<hospital><patient><pname>Betty</pname><SSN>763895</SSN><age>35</age>\
+               <insurance><policy coverage=\"1000\">34221</policy></insurance></patient>\
+             <ward><patient><pname>Matt</pname><SSN>276543</SSN><age>40</age></patient></ward>\
+             tail</hospital>",
+        )
+        .unwrap();
+        let cs: Vec<SecurityConstraint> = ["//insurance", "//patient:(/pname, /SSN)"]
+            .iter()
+            .map(|c| SecurityConstraint::parse(c).unwrap())
+            .collect();
+        Outsourcer::new(OutsourceConfig::default())
+            .outsource(&doc, &cs, SchemeKind::Opt, 11)
+            .unwrap()
+            .split()
+    }
+
+    /// The spliced index against a fresh build over the same tables, the
+    /// tables against their own sorted order, and `visible_at`, which the
+    /// fresh build takes from the server, against the visible document: its
+    /// nodes, in position order, are every live element and attribute in
+    /// document order.
+    fn assert_fresh(s: &Server, step: &str) {
+        let mut fresh = s.clone();
+        fresh.index_universe(&s.labeled());
+        assert_eq!(s.universe, fresh.universe, "universe after {step}");
+        assert_eq!(s.postings, fresh.postings, "posting lists after {step}");
+        assert_eq!(s.every, fresh.every, "wildcard list after {step}");
+        assert_eq!(s.visible_at, fresh.visible_at, "visible_at after {step}");
+        assert_eq!(s.block_at, fresh.block_at, "block_at after {step}");
+        for (tag, list) in s.metadata.dsi_table.iter() {
+            let mut sorted = list.to_vec();
+            sort_intervals(&mut sorted);
+            sorted.dedup();
+            assert_eq!(list, sorted, "`{tag}` list after {step}");
+        }
+        let blocks: Vec<(Interval, u32)> = s.metadata.block_table.iter().collect();
+        assert!(
+            blocks.is_sorted_by_key(|(iv, _)| (iv.lo, iv.hi)),
+            "block table after {step}"
+        );
+        let labeled: Vec<NodeId> = s.labeled().into_iter().map(|(_, n)| n).collect();
+        // A marker's block id is its one attribute, and has no interval.
+        let marker = |n: NodeId| s.visible.element_name(n) == Some(BLOCK_MARKER_TAG);
+        let live: Vec<NodeId> = s
+            .visible
+            .iter()
+            .filter(|&n| match s.visible.node(n).kind() {
+                NodeKind::Text(_) => false,
+                NodeKind::Attribute(..) => !s.visible.node(n).parent().is_some_and(marker),
+                NodeKind::Element(_) => true,
+            })
+            .collect();
+        assert_eq!(labeled, live, "visible nodes after {step}");
+    }
+
+    fn run(ops: &[Op]) {
+        let (mut client, mut s) = hosted();
+        assert_fresh(&s, "set-up");
+        let mut last = None;
+        for (i, op) in ops.iter().enumerate() {
+            let step = format!("op {i}: {op:?}");
+            match *op {
+                Op::Insert {
+                    parent,
+                    record,
+                    shared,
+                } => {
+                    let parents: Vec<u32> = (0..s.universe.len() as u32)
+                        .filter(|&p| {
+                            s.visible_at[p as usize].is_some_and(|n| {
+                                s.visible_element_name(n)
+                                    .is_some_and(|t| t != BLOCK_MARKER_TAG)
+                            })
+                        })
+                        .collect();
+                    let parent = s.universe.interval(parents[parent % parents.len()]);
+                    let slot = s.insertion_slot(parent).unwrap();
+                    let mut delta = client
+                        .prepare_insert(&slot, RECORDS[record], i as u64)
+                        .unwrap();
+                    if shared {
+                        let (_, iv) = delta.dsi_entries[delta.dsi_entries.len() / 2].clone();
+                        delta.dsi_entries.push(("ward".to_owned(), iv));
+                    }
+                    s.apply_insert(&delta).unwrap();
+                    last = delta
+                        .dsi_entries
+                        .iter()
+                        .map(|&(_, iv)| iv)
+                        .min_by_key(|iv| iv.lo);
+                }
+                Op::Delete { last: true, .. } if last.is_some() => {
+                    assert!(s.remove_visible_subtree(&last.take().unwrap()), "{step}");
+                }
+                Op::Delete { at, .. } => {
+                    // Position 0 is the root; a member inside a block has
+                    // no visible node and stays.
+                    if s.universe.len() > 1 {
+                        let victim = s
+                            .universe
+                            .interval(1 + (at % (s.universe.len() - 1)) as u32);
+                        let had = s.visible_node_of(&victim).is_some();
+                        assert_eq!(s.remove_visible_subtree(&victim), had, "{step}");
+                        if last.is_some_and(|l| victim.covers(&l) || l.covers(&victim)) {
+                            last = None;
+                        }
+                    }
+                }
+            }
+            assert_fresh(&s, &step);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn splice_equals_a_fresh_index(ops in proptest::collection::vec(op(), 1..12)) {
+            run(&ops);
+        }
     }
 }
 

@@ -24,9 +24,9 @@
 //!
 //! ## Checkpointing
 //!
-//! [`checkpoint_once`] snapshots the server under the read lock (queries
-//! keep flowing), folds the metadata image, the posting lists, and the
-//! overlay blocks into the page file copy-on-write, flips the superblock,
+//! [`checkpoint_once`] encodes the metadata image and the posting lists
+//! and takes the overlay blocks under the read lock (queries keep flowing),
+//! folds them into the page file copy-on-write outside it, flips the superblock,
 //! compacts the WAL, and finally drains the overlay under a brief write
 //! lock. The dirty set is O(metadata + update): block payloads already on
 //! pages are never rewritten. [`Checkpointer`] runs this on a background
@@ -619,14 +619,17 @@ pub(crate) fn write_server(lock: &RwLock<Server>) -> std::sync::RwLockWriteGuard
 /// Folds everything committed so far into the page file. Returns `false`
 /// when the server is not paged or there is nothing to fold.
 ///
-/// The snapshot (a server clone — cheap: block payloads are not resident)
-/// and the WAL horizon are captured under the *same* read lock, so a
-/// mutation is either in both (folded, then dropped from the log) or in
-/// neither (stays in the log) — never double-applied on recovery. Queries
-/// keep flowing during the fold; the write lock is only taken at the end,
-/// briefly, to drain the overlay.
+/// The resident records are encoded, and the overlay blocks taken, under
+/// the *same* read guard that captures the WAL horizon, so a mutation is
+/// either in both (folded, then dropped from the log) or in neither (stays
+/// in the log) — never double-applied on recovery. Nothing is copied to
+/// get there: the guard is held for the encode alone, and a writer waits
+/// that long. Queries keep flowing throughout; the page write runs outside
+/// the lock, and the write lock is only taken at the end, briefly, to
+/// drain the overlay.
 pub fn checkpoint_once(server: &RwLock<Server>) -> Result<bool, CoreError> {
-    let (snapshot, wal_seq, db) = {
+    let t = Instant::now();
+    let (mut dirty, overlay, wal_seq, db) = {
         let g = read_server(server);
         let Some(db) = g.paged_store() else {
             return Ok(false);
@@ -635,11 +638,9 @@ pub fn checkpoint_once(server: &RwLock<Server>) -> Result<bool, CoreError> {
             db.publish_metrics();
             return Ok(false);
         }
-        (g.clone(), db.store.wal_next_seq() - 1, db)
+        let wal_seq = db.store.wal_next_seq() - 1;
+        (resident_records(&g), g.overlay_blocks(), wal_seq, db)
     };
-
-    let t = Instant::now();
-    let mut dirty = resident_records(&snapshot);
     // Tags removed by deletions leave stale posting records past the last
     // list written (`dirty` is the metadata image plus one record a list).
     let mut k = dirty.len() as u32 - 1;
@@ -648,7 +649,7 @@ pub fn checkpoint_once(server: &RwLock<Server>) -> Result<bool, CoreError> {
         k += 1;
     }
     // Only blocks not yet in pages are written: O(update), not O(db).
-    for (id, b) in snapshot.overlay_blocks() {
+    for (id, b) in overlay {
         if !db.block_checkpointed(id) {
             dirty.push((block_record_id(id), Some(encode_block_record(&b))));
         }

@@ -10,12 +10,25 @@
 //!   block id), applies the *stored encryption policy* (the scheme's chosen
 //!   paths) to the new record, labels it inside the slot, seals its blocks,
 //!   and sends an [`InsertDelta`]: an annotated visible fragment plus the
-//!   DSI/block/value-index entries. The server splices everything in.
+//!   DSI/block/value-index entries. The server checks the delta before it
+//!   logs or changes anything (`Server::check_insert`): its intervals
+//!   must be one nested run strictly inside the slot, so a refused delta
+//!   never reaches the WAL. Then it splices everything in.
 //! * **delete** — the client sends a translated query; the server detaches
 //!   matching visible subtrees, drops their metadata entries, and tombstones
 //!   their blocks. Victims strictly inside a block cannot be removed
 //!   server-side (the server cannot rewrite ciphertext) and are reported as
 //!   skipped.
+//!
+//! Neither rebuilds the server's index. A subtree's intervals are one run
+//! in join order, so an insert's run merges into the DSI and block tables'
+//! sorted lists at one binary-searched point each, and goes into the
+//! interval universe, every posting list and the per-position arrays as the
+//! last members of its parent's subtree; a delete cuts its victim's run out
+//! of the same places. Either way every later position moves by the run's
+//! length, and nothing is sorted again. WAL replay applies a logged
+//! mutation through the same splice; only opening a server builds the
+//! index from scratch.
 //!
 //! Security caveats (this goes beyond what the paper analyzes): repeated
 //! inserts of the same value let the attacker watch the OPESS histogram
@@ -27,13 +40,16 @@ use crate::client::Client;
 use crate::encrypt::{OpessAttr, ValueCodec, BLOCK_ID_ATTR, BLOCK_MARKER_TAG, DECOY_TAG};
 use crate::error::CoreError;
 use crate::server::Server;
+use crate::telemetry;
 use exq_crypto::{seal_blocks, OpessPlan, SealedBlock};
 use exq_index::dsi::{DsiLabeling, Interval};
+use exq_index::sjoin::{join_order, sort_intervals};
 use exq_xml::{Document, NodeId, NodeKind};
 use exq_xpath::eval_document;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 /// Reserved attribute prefix carrying interval annotations in the visible
 /// fragment of an [`InsertDelta`].
@@ -85,62 +101,171 @@ pub struct DeleteOutcome {
     pub skipped_in_block: usize,
 }
 
+/// What an attribute of an annotated fragment element is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FragmentAttr<'a> {
+    /// `_exq_iv`: the element's own interval.
+    Own,
+    /// `_exq_iv_<name>`: the interval of the element's attribute `name`.
+    Of(&'a str),
+    /// A real attribute of the record.
+    Real,
+}
+
+impl<'a> FragmentAttr<'a> {
+    pub(crate) fn of(name: &'a str) -> Self {
+        match name.strip_prefix(IV_ATTR) {
+            Some("") => FragmentAttr::Own,
+            Some(rest) => rest
+                .strip_prefix('_')
+                .map_or(FragmentAttr::Real, FragmentAttr::Of),
+            None => FragmentAttr::Real,
+        }
+    }
+}
+
+/// An [`InsertDelta`] that [`Server::check_insert`] passed: what the splice
+/// needs, worked out before anything changed.
+pub(crate) struct CheckedInsert {
+    /// The parent's universe position and visible node.
+    pub(crate) under: u32,
+    pub(crate) vis_parent: NodeId,
+    /// The visible fragment, and per fragment node the interval its
+    /// annotation gives it.
+    pub(crate) frag: Document,
+    pub(crate) annotated: Vec<Option<Interval>>,
+    /// The delta's distinct DSI intervals in join order: the run the
+    /// universe takes.
+    pub(crate) run: Vec<Interval>,
+}
+
 impl Server {
+    /// The universe position and visible node of an insertion parent: a
+    /// visible element other than a block marker.
+    fn insertion_parent(&self, parent: &Interval) -> Result<(u32, NodeId), CoreError> {
+        let (under, vis) = self
+            .visible_node_of(parent)
+            .ok_or_else(|| CoreError::Query("insertion parent is not a visible node".into()))?;
+        match self.visible_element_name(vis) {
+            Some(name) if name != BLOCK_MARKER_TAG => Ok((under, vis)),
+            _ => Err(CoreError::Query(
+                "insertion parent must be a visible element".into(),
+            )),
+        }
+    }
+
+    /// The free label range under the member at `under`: after its last
+    /// child, which ends after every other interval inside it, up to its
+    /// end.
+    fn gap(&self, under: u32, parent: Interval) -> Interval {
+        let lo = self
+            .last_child_interval(under)
+            .map_or(parent.lo, |iv| iv.hi);
+        Interval { lo, hi: parent.hi }
+    }
+
     /// Offers an insertion slot under the given (visible) parent interval.
     pub fn insertion_slot(&self, parent: Interval) -> Result<InsertionSlot, CoreError> {
-        let vis = self
-            .visible_node_of(&parent)
-            .ok_or_else(|| CoreError::Query("insertion parent is not a visible node".into()))?;
-        if self.visible_element_name(vis).is_none()
-            || self.visible_element_name(vis) == Some(BLOCK_MARKER_TAG)
-        {
-            return Err(CoreError::Query(
-                "insertion parent must be a visible element".into(),
-            ));
-        }
-        let mut gap_lo = parent.lo;
-        for iv in self.known_intervals_within(&parent) {
-            gap_lo = gap_lo.max(iv.hi);
-        }
+        let gap = self.gap(self.insertion_parent(&parent)?.0, parent);
         Ok(InsertionSlot {
             parent,
-            gap_lo,
-            gap_hi: parent.hi,
+            gap_lo: gap.lo,
+            gap_hi: gap.hi,
             next_block_id: self.block_count() as u32,
         })
     }
 
-    /// Applies a client-prepared insertion. On a paged server the delta's
-    /// wire encoding is appended to the WAL (fsync = commit) *before* the
-    /// in-memory apply, so a kill at any later point replays it on open.
+    /// Checks a delta against the server as it is, changing nothing. The
+    /// splice relies on what is checked here, so a delta is refused with
+    /// [`CoreError::Delta`] unless:
+    /// - its parent is a visible element other than a block marker;
+    /// - every interval it names — DSI entries, block representatives and
+    ///   fragment annotations — lies strictly inside the parent's free gap
+    ///   (so none is inverted or already present);
+    /// - its DSI intervals are one nested run: one outermost interval, and
+    ///   each other one strictly inside an earlier one or strictly after it,
+    ///   never overlapping;
+    /// - block representatives and annotations are among those intervals,
+    ///   an annotation nests inside its fragment parent's after its
+    ///   preceding siblings', and the blocks take the next free ids, which
+    ///   are the only ones its block entries name.
+    pub(crate) fn check_insert(&self, delta: &InsertDelta) -> Result<CheckedInsert, CoreError> {
+        let refuse = |why: &str| Err(CoreError::Delta(why.to_owned()));
+        let (under, vis_parent) = self.insertion_parent(&delta.parent)?;
+        let gap = self.gap(under, delta.parent);
+        let mut run: Vec<Interval> = delta.dsi_entries.iter().map(|&(_, iv)| iv).collect();
+        if run.iter().any(|iv| iv.lo >= iv.hi || !gap.contains(iv)) {
+            return refuse("an interval lies outside the insertion slot");
+        }
+        sort_intervals(&mut run);
+        run.dedup();
+        if run.is_empty() {
+            return refuse("no DSI entries");
+        }
+        let mut open: Vec<Interval> = Vec::new();
+        for (i, iv) in run.iter().enumerate() {
+            while open.last().is_some_and(|top| top.hi < iv.lo) {
+                open.pop();
+            }
+            if i > 0 && !open.last().is_some_and(|top| top.contains(iv)) {
+                return refuse("the intervals are not one nested run");
+            }
+            open.push(*iv);
+        }
+        let in_run = |iv: &Interval| run.binary_search_by(|m| join_order(m, iv)).is_ok();
+
+        let first_id = self.block_count() as u32;
+        let ids = first_id..first_id + delta.blocks.len() as u32;
+        if delta
+            .blocks
+            .iter()
+            .zip(ids.clone())
+            .any(|(b, id)| b.id != id)
+        {
+            return refuse("block ids are not the next free ones");
+        }
+        if delta
+            .block_entries
+            .iter()
+            .any(|(rep, id)| !ids.contains(id) || !in_run(rep))
+        {
+            return refuse("a block entry names a block or interval the delta lacks");
+        }
+
+        let frag = Document::parse(&delta.visible_fragment)
+            .map_err(|e| CoreError::Delta(format!("bad fragment: {e}")))?;
+        let Some(root) = frag.root() else {
+            return refuse("empty fragment");
+        };
+        let mut annotated = vec![None; frag.arena_len()];
+        annotate(&frag, root, gap, &in_run, &mut annotated)?;
+        Ok(CheckedInsert {
+            under,
+            vis_parent,
+            frag,
+            annotated,
+            run,
+        })
+    }
+
+    /// Applies a client-prepared insertion. The delta is checked first: a
+    /// refused one ([`CoreError::Delta`]) is neither logged nor applied. On a paged server the delta's wire encoding is then
+    /// appended to the WAL (fsync = commit) *before* the in-memory apply,
+    /// so a kill at any later point replays it on open.
     pub fn apply_insert(&mut self, delta: &InsertDelta) -> Result<(), CoreError> {
         use crate::codec::WireCodec;
+        let checked = self.check_insert(delta)?;
         self.log_mutation(crate::store::KIND_INSERT, &delta.encode())?;
-        self.apply_insert_unlogged(delta)
+        let t = Instant::now();
+        self.splice_insert(delta, checked);
+        telemetry::record_span("server.apply", t.elapsed());
+        Ok(())
     }
 
     /// The in-memory insert apply, shared by the live path and WAL replay.
     pub(crate) fn apply_insert_unlogged(&mut self, delta: &InsertDelta) -> Result<(), CoreError> {
-        let vis_parent = self
-            .visible_node_of(&delta.parent)
-            .ok_or_else(|| CoreError::Query("insertion parent vanished".into()))?;
-        let frag = Document::parse(&delta.visible_fragment)
-            .map_err(|e| CoreError::Response(format!("bad fragment: {e}")))?;
-        let froot = frag
-            .root()
-            .ok_or_else(|| CoreError::Response("empty fragment".into()))?;
-        for b in &delta.blocks {
-            if b.id as usize != self.block_count() {
-                return Err(CoreError::Response("block id collision".into()));
-            }
-            self.push_block(b.clone());
-        }
-        self.splice_annotated(&frag, froot, vis_parent)?;
-        self.apply_metadata_delta(
-            &delta.dsi_entries,
-            &delta.block_entries,
-            &delta.value_entries,
-        );
+        let checked = self.check_insert(delta)?;
+        self.splice_insert(delta, checked);
         Ok(())
     }
 
@@ -152,28 +277,97 @@ impl Server {
     ) -> Result<DeleteOutcome, CoreError> {
         use crate::codec::WireCodec;
         self.log_mutation(crate::store::KIND_DELETE, &q.encode())?;
-        Ok(self.delete_where_unlogged(q))
+        let t = Instant::now();
+        let out = self.delete_where_unlogged(q);
+        telemetry::record_span("server.apply", t.elapsed());
+        Ok(out)
     }
 
     /// The in-memory delete apply, shared by the live path and WAL replay.
     pub(crate) fn delete_where_unlogged(&mut self, q: &crate::wire::ServerQuery) -> DeleteOutcome {
-        let victims = self.locate(q);
         let mut out = DeleteOutcome {
             deleted: 0,
             skipped_in_block: 0,
         };
-        for v in victims {
+        for v in self.locate(q) {
             if self.remove_visible_subtree(&v) {
                 out.deleted += 1;
             } else {
                 out.skipped_in_block += 1;
             }
         }
-        if out.deleted > 0 {
-            self.rebuild_universe();
-        }
         out
     }
+}
+
+/// Reads the interval annotations of a fragment element and its subtree
+/// into `annotated` and returns the element's own, checking each: it must
+/// lie strictly inside `room` — the part of its fragment parent's interval
+/// after its preceding siblings' (attributes first), or the slot's gap for
+/// the root — and be among the run. So the annotated nodes in document
+/// order are in join order, and no interval labels two of them.
+fn annotate(
+    frag: &Document,
+    node: NodeId,
+    room: Interval,
+    in_run: &dyn Fn(&Interval) -> bool,
+    annotated: &mut [Option<Interval>],
+) -> Result<Option<Interval>, CoreError> {
+    let NodeKind::Element(_) = frag.node(node).kind() else {
+        return Ok(None);
+    };
+    let attrs = frag.node(node).attrs();
+    let annotation = |which: FragmentAttr<'_>| -> Result<Option<Interval>, CoreError> {
+        let Some(v) = attrs.iter().find_map(|&a| match frag.node(a).kind() {
+            NodeKind::Attribute(t, v) if FragmentAttr::of(frag.tag_name(*t)) == which => Some(v),
+            _ => None,
+        }) else {
+            return Ok(None);
+        };
+        let bad = || CoreError::Delta(format!("bad interval annotation `{v}`"));
+        let (lo, hi) = v.split_once(',').ok_or_else(bad)?;
+        let (lo, hi) = (
+            lo.parse().map_err(|_| bad())?,
+            hi.parse().map_err(|_| bad())?,
+        );
+        Ok(Some(Interval { lo, hi }))
+    };
+    let placed = |iv: &Interval, room: &Interval| iv.lo < iv.hi && room.contains(iv) && in_run(iv);
+    let misplaced = || {
+        CoreError::Delta(
+            "a fragment annotation is not nested in its parent's, after its siblings'".into(),
+        )
+    };
+    let own = annotation(FragmentAttr::Own)?
+        .ok_or_else(|| CoreError::Delta("unannotated fragment element".into()))?;
+    if !placed(&own, &room) {
+        return Err(misplaced());
+    }
+    annotated[node.index()] = Some(own);
+    // What is left of `own` after the children placed so far.
+    let mut rest = own;
+    for &a in attrs {
+        let NodeKind::Attribute(t, _) = frag.node(a).kind() else {
+            continue;
+        };
+        let name = frag.tag_name(*t);
+        if FragmentAttr::of(name) != FragmentAttr::Real {
+            continue;
+        }
+        if let Some(iv) = annotation(FragmentAttr::Of(name))? {
+            if !placed(&iv, &rest) {
+                return Err(misplaced());
+            }
+            annotated[a.index()] = Some(iv);
+            rest.lo = iv.hi;
+        }
+    }
+    for &c in frag.node(node).children() {
+        if let Some(iv) = annotate(frag, c, rest, in_run, annotated)? {
+            rest.lo = iv.hi;
+        }
+    }
+    Ok(Some(own))
 }
 
 impl Client {

@@ -343,6 +343,7 @@ const CATALOGUE: &[&str] = &[
     "exq_store_wal_bytes gauge",
     "exq_store_wal_depth gauge",
     // Server phases.
+    "exq_span_server_apply histogram",
     "exq_span_server_assemble histogram",
     "exq_span_server_cache_probe histogram",
     "exq_span_server_dsi_lookup histogram",

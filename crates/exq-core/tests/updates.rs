@@ -378,3 +378,176 @@ fn mutated_server_replies_equal_a_reloaded_one() {
     );
     same_replies(&client, &server, "delete");
 }
+
+/// Set-up labels a trailing text child too, but persistence keys intervals
+/// of elements and attributes only, and nothing reads a text interval. So
+/// no server counts one: a live server and the same server reopened from
+/// its bytes offer the same slot, and an insert lands alike in both.
+#[test]
+fn a_reopened_server_offers_the_live_insertion_slot() {
+    let doc = Document::parse(
+        "<hospital><patient><pname>Betty</pname><SSN>763895</SSN><age>35</age></patient>\
+         trailing text</hospital>",
+    )
+    .unwrap();
+    let cs = vec![SecurityConstraint::parse("//patient:(/pname, /SSN)").unwrap()];
+    let (mut client, mut live) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&doc, &cs, SchemeKind::Opt, 77)
+        .unwrap()
+        .split();
+    let mut reopened = Server::load_bytes(&live.save_bytes().unwrap()).unwrap();
+    let sq = client.translate("/hospital").unwrap().server_query.unwrap();
+    let parent = live.locate(&sq)[0];
+    assert_eq!(reopened.locate(&sq), [parent]);
+    let slot = live.insertion_slot(parent).unwrap();
+    assert_eq!(reopened.insertion_slot(parent).unwrap(), slot);
+    let record = "<patient><pname>Zoe</pname><SSN>112233</SSN><age>29</age></patient>";
+    let delta = client.prepare_insert(&slot, record, 5).unwrap();
+    live.apply_insert(&delta).unwrap();
+    reopened.apply_insert(&delta).unwrap();
+    assert_eq!(live.save_bytes().unwrap(), reopened.save_bytes().unwrap());
+    let out = client
+        .query(&reopened, "//patient[pname = 'Zoe']/age")
+        .unwrap();
+    assert_eq!(out.results, ["<age>29</age>"]);
+}
+
+/// A delta whose intervals are not one nested run strictly inside the slot
+/// — or whose fragment and blocks do not match them — is refused with a
+/// typed error before the WAL sees it: the log stays as deep, the replies
+/// and the saved bytes stay as they were, and a good delta still applies.
+#[test]
+fn hostile_deltas_are_refused_before_the_wal() {
+    use exq_core::store::{PagedDb, StoreOptions};
+    use exq_core::update::InsertDelta;
+    use exq_core::CoreError;
+    use exq_index::dsi::Interval;
+
+    let (mut client, resident) = hosted(SchemeKind::Opt);
+    let dir = std::env::temp_dir().join(format!("exq-hostile-delta-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.exq");
+    resident.save(&path).unwrap();
+    let (mut paged, db, _) =
+        PagedDb::open_or_migrate(&path, "hostile", StoreOptions::default()).unwrap();
+    let sq = client.translate("/hospital").unwrap().server_query.unwrap();
+    let parent = paged.locate(&sq)[0];
+    let slot = paged.insertion_slot(parent).unwrap();
+    let good = client.prepare_insert(&slot, NEW_PATIENT, 3).unwrap();
+
+    let queries = [
+        "//patient/age",
+        "//patient[pname = 'Betty']/SSN",
+        "//policy[@coverage > 2000]",
+    ];
+    let replies = |s: &Server| -> Vec<(String, Vec<u32>)> {
+        queries
+            .iter()
+            .map(|q| {
+                let sq = client.translate(q).unwrap().server_query.unwrap();
+                let r = s.answer(&sq).unwrap();
+                (r.pruned_xml, r.blocks.iter().map(|b| b.id).collect())
+            })
+            .collect()
+    };
+    let before = replies(&paged);
+    let bytes = paged.save_bytes().unwrap();
+    let depth = db.footprint().wal_depth;
+
+    let root = good.dsi_entries.iter().map(|&(_, iv)| iv).min().unwrap();
+    let with_entry = |iv: Interval| {
+        let mut d = good.clone();
+        d.dsi_entries.push(("age".to_owned(), iv));
+        d
+    };
+    let mut hostile: Vec<(&str, InsertDelta)> = vec![
+        (
+            "inverted",
+            with_entry(Interval {
+                lo: root.hi - 2,
+                hi: root.lo + 2,
+            }),
+        ),
+        ("already present", with_entry(paged.locate(&sq)[0])),
+        (
+            "before the gap",
+            with_entry(Interval {
+                lo: slot.gap_lo - 1,
+                hi: root.lo + 1,
+            }),
+        ),
+        (
+            "overlapping",
+            with_entry(Interval {
+                lo: root.lo + 1,
+                hi: root.hi + 1,
+            }),
+        ),
+        (
+            "a second root",
+            with_entry(Interval {
+                lo: root.hi + 1,
+                hi: root.hi + 2,
+            }),
+        ),
+    ];
+    let mut d = good.clone();
+    d.block_entries[0].0 = Interval {
+        lo: root.lo + 1,
+        hi: root.lo + 2,
+    };
+    hostile.push(("a block outside the run", d));
+    let mut d = good.clone();
+    d.blocks[0].id += 1;
+    hostile.push(("a block id taken", d));
+    let mut d = good.clone();
+    let own = format!("{},{}", root.lo, root.hi);
+    d.visible_fragment = d.visible_fragment.replacen(&own, "1,2", 1);
+    hostile.push(("an annotation outside the slot", d));
+    // Two sibling elements' annotations swapped: each still nests in the
+    // parent's, but not after its preceding sibling's.
+    let annotations: Vec<&str> = good.visible_fragment.split("_exq_iv=\"").skip(1).collect();
+    let value = |i: usize| annotations[i].split('"').next().unwrap().to_owned();
+    let (second, third) = (value(2), value(3));
+    let mut d = good.clone();
+    d.visible_fragment = d
+        .visible_fragment
+        .replacen(&second, "swap", 1)
+        .replacen(&third, &second, 1)
+        .replacen("swap", &third, 1);
+    hostile.push(("siblings out of order", d));
+    let mut d = good.clone();
+    d.parent = Interval {
+        lo: parent.lo + 1,
+        hi: parent.hi - 1,
+    };
+    hostile.push(("no such parent", d));
+
+    for (why, delta) in &hostile {
+        let err = paged.apply_insert(delta).unwrap_err();
+        let typed = matches!(err, CoreError::Delta(_))
+            || (*why == "no such parent" && matches!(err, CoreError::Query(_)));
+        assert!(typed, "{why}: {err}");
+        assert_eq!(db.footprint().wal_depth, depth, "{why} reached the WAL");
+        assert_eq!(replies(&paged), before, "{why} changed a reply");
+    }
+    // The refusal keeps its type across the wire.
+    let overlapping = &hostile
+        .iter()
+        .find(|(why, _)| *why == "overlapping")
+        .unwrap()
+        .1;
+    let mut link = exq_core::transport::InProcess::exclusive(&mut paged);
+    let err = exq_core::transport::Transport::apply_insert(&mut link, overlapping).unwrap_err();
+    assert!(matches!(err, CoreError::Delta(_)), "{err}");
+    assert_eq!(paged.save_bytes().unwrap(), bytes);
+    paged.apply_insert(&good).unwrap();
+    assert_eq!(db.footprint().wal_depth, depth + 1);
+    let out = client
+        .query(&paged, "//patient[pname = 'Zoe']/age")
+        .unwrap();
+    assert_eq!(out.results, ["<age>29</age>"]);
+    drop((paged, db));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -14,10 +14,11 @@
 
 use crate::dsi::Interval;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Join order: `lo` ascending, then `hi` descending, so an interval comes
 /// before every interval it contains.
-fn join_order(a: &Interval, b: &Interval) -> Ordering {
+pub fn join_order(a: &Interval, b: &Interval) -> Ordering {
     a.lo.cmp(&b.lo).then(b.hi.cmp(&a.hi))
 }
 
@@ -204,6 +205,28 @@ fn parent_pairs(
     }
 }
 
+/// Makes room in an ascending position list for `k` members spliced in at
+/// `at` ([`IntervalUniverse::splice_in`]): later positions move up by `k`,
+/// and `new`, ascending positions inside `at..at + k`, go in between.
+pub fn shift_in(list: &mut Vec<u32>, at: u32, k: u32, new: &[u32]) {
+    let i = list.partition_point(|&p| p < at);
+    for p in &mut list[i..] {
+        *p += k;
+    }
+    list.splice(i..i, new.iter().copied());
+}
+
+/// Drops the positions `cut` from an ascending position list
+/// ([`IntervalUniverse::cut`]); later positions move down by its length.
+pub fn shift_out(list: &mut Vec<u32>, cut: &Range<u32>) {
+    let i = list.partition_point(|&p| p < cut.start);
+    let j = list.partition_point(|&p| p < cut.end);
+    list.drain(i..j);
+    for p in &mut list[i..] {
+        *p -= cut.end - cut.start;
+    }
+}
+
 /// `parent` of a member with no enclosing member.
 const NO_PARENT: u32 = u32::MAX;
 
@@ -212,7 +235,12 @@ const NO_PARENT: u32 = u32::MAX;
 /// and the end of its subtree, both as positions, so parent–child and
 /// containment are array loads. Members must nest or be disjoint, as DSI
 /// intervals do.
-#[derive(Debug, Clone, Default)]
+///
+/// A subtree's members are one run of positions, so an update moves runs:
+/// [`splice_in`](Self::splice_in) adds one under a member,
+/// [`cut`](Self::cut) takes one out, and every later position moves by the
+/// run's length. Neither sorts.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IntervalUniverse {
     members: Vec<Interval>,
     /// Parent position, [`NO_PARENT`] for a root.
@@ -307,6 +335,99 @@ impl IntervalUniverse {
     /// One past the last position of the subtree of the member at `p`.
     pub fn end(&self, p: u32) -> u32 {
         self.end[p as usize]
+    }
+
+    /// The position of `iv`, if it is a member: one binary search.
+    pub fn find(&self, iv: &Interval) -> Option<u32> {
+        self.members
+            .binary_search_by(|m| join_order(m, iv))
+            .ok()
+            .map(|p| p as u32)
+    }
+
+    /// The last child of the member at `p`, if it has one. The members
+    /// strictly inside `p` are the run `[p + 1, end(p))`; the last child is
+    /// the one holding the run's last position, found by going up from
+    /// there, one hop a level.
+    pub fn last_child(&self, p: u32) -> Option<u32> {
+        let mut q = self.end(p).checked_sub(1).filter(|&q| q > p)?;
+        while self.parent[q as usize] != p {
+            q = self.parent[q as usize];
+        }
+        Some(q)
+    }
+
+    /// Moves the subtree ends of `p` and its ancestors by `by`.
+    fn stretch_up(&mut self, p: Option<u32>, by: impl Fn(u32) -> u32) {
+        let mut q = p;
+        while let Some(at) = q {
+            self.end[at as usize] = by(self.end[at as usize]);
+            q = self.parent(at);
+        }
+    }
+
+    /// Adds `run` as the last members of the subtree of `under` and
+    /// returns the position it starts at. `run` must be distinct members in
+    /// join order that nest or are disjoint, each strictly inside `under`'s
+    /// interval and after every member already in its subtree, so that it
+    /// lands as one block of positions. Later positions move up by its
+    /// length; so do the subtree ends of `under` and its ancestors, and
+    /// nothing else before it changes, so the cost is the tail's length
+    /// and the depth, not the universe's size.
+    pub fn splice_in(&mut self, under: u32, run: &[Interval]) -> u32 {
+        let at = self.end(under);
+        let k = run.len() as u32;
+        assert!(
+            self.members.len() + run.len() < NO_PARENT as usize,
+            "universe positions fit below the root mark"
+        );
+        debug_assert!(run.iter().all(|iv| self.interval(under).contains(iv)));
+        debug_assert!(run.first().is_none_or(|first| {
+            join_order(&self.members[at as usize - 1], first) == Ordering::Less
+        }));
+        self.stretch_up(Some(under), |e| e + k);
+        let tail = at as usize..self.members.len();
+        for (parent, end) in self.parent[tail.clone()]
+            .iter_mut()
+            .zip(&mut self.end[tail])
+        {
+            if *parent != NO_PARENT && *parent >= at {
+                *parent += k;
+            }
+            *end += k;
+        }
+        let local = Self::from_sorted(run.to_vec());
+        let parents = local.parent.iter().map(|&q| match q {
+            NO_PARENT => under,
+            q => q + at,
+        });
+        let ends = local.end.iter().map(|&e| e + at);
+        let i = at as usize;
+        self.members.splice(i..i, local.members);
+        self.parent.splice(i..i, parents);
+        self.end.splice(i..i, ends);
+        at
+    }
+
+    /// Removes the member at `p` with its whole subtree and returns the
+    /// positions they held. Later positions move down by the run's length;
+    /// so do the subtree ends of `p`'s ancestors, and nothing else before
+    /// it changes.
+    pub fn cut(&mut self, p: u32) -> Range<u32> {
+        let cut = p..self.end(p);
+        let k = cut.end - cut.start;
+        self.stretch_up(self.parent(p), |e| e - k);
+        let (a, b) = (cut.start as usize, cut.end as usize);
+        self.members.drain(a..b);
+        self.parent.drain(a..b);
+        self.end.drain(a..b);
+        for (parent, end) in self.parent[a..].iter_mut().zip(&mut self.end[a..]) {
+            if *parent != NO_PARENT && *parent >= cut.end {
+                *parent -= k;
+            }
+            *end -= k;
+        }
+        cut
     }
 }
 
@@ -414,6 +535,40 @@ mod tests {
         assert_eq!(u.end, [6, 3, 3, 5, 5, 6, 7]);
         assert_eq!(u.interval(4), iv(60, 70));
         assert!(of(&[]).is_empty());
+    }
+
+    /// A run spliced in under a member, and a subtree cut out, leave the
+    /// universe a fresh build over the same members gives; so do the
+    /// posting lists shifted beside them.
+    #[test]
+    fn splice_and_cut_equal_a_fresh_build() {
+        let mut u = universe();
+        let mut list = vec![0, 3, 4, 6];
+        let run = [iv(75, 85), iv(77, 80), iv(82, 84)];
+        let at = u.splice_in(3, &run);
+        assert_eq!(at, 5);
+        shift_in(&mut list, at, 3, &[5, 7]);
+        let mut all = universe().members().to_vec();
+        all.extend(run);
+        assert_eq!(u, of(&all));
+        assert_eq!(list, [0, 3, 4, 5, 7, 9]);
+        let cut = u.cut(at);
+        assert_eq!(cut, 5..8);
+        shift_out(&mut list, &cut);
+        assert_eq!(u, universe());
+        assert_eq!(list, [0, 3, 4, 6]);
+        let cut = u.cut(1);
+        shift_out(&mut list, &cut);
+        assert_eq!(
+            u,
+            of(&[iv(0, 100), iv(50, 90), iv(60, 70), iv(95, 99), iv(200, 210)])
+        );
+        assert_eq!(list, [0, 1, 2, 4]);
+        assert_eq!(u.find(&iv(95, 99)), Some(3));
+        assert_eq!(u.find(&iv(20, 30)), None);
+        assert_eq!(u.last_child(0), Some(3));
+        assert_eq!(u.last_child(1), Some(2));
+        assert_eq!(u.last_child(2), None);
     }
 
     /// Lists map to positions; an interval two lists share is one member

@@ -8,11 +8,23 @@
 //!
 //! Both tables are plain data: the decision of *which* tag string to store
 //! (plain vs ciphertext) and which intervals to group is made by the
-//! metadata builder in `exq-core`; the server only ever performs lookups.
+//! metadata builder in `exq-core`; the server looks entries up, and keeps
+//! the sorted lists current under updates by merging and cutting runs.
 
 use crate::dsi::Interval;
-use crate::sjoin::sort_intervals;
+use crate::sjoin::{join_order, sort_intervals};
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
+
+/// The run of a join-ordered list that `range` covers, found by two binary
+/// searches: in a list whose intervals nest or are disjoint, what `range`
+/// covers starts at `range` itself and ends at the first interval that
+/// starts past it.
+fn covered_run<T>(list: &[T], iv: impl Fn(&T) -> Interval, range: Interval) -> Range<usize> {
+    let from = list.partition_point(|x| join_order(&iv(x), &range) == Ordering::Less);
+    from..from + list[from..].partition_point(|x| iv(x).lo <= range.hi)
+}
 
 /// Tag → interval list.
 #[derive(Debug, Clone, Default)]
@@ -45,11 +57,6 @@ impl DsiIndexTable {
         self.sealed = true;
     }
 
-    /// Whether [`seal`](Self::seal) has run since the last [`add`](Self::add).
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
     /// Looks up the intervals for a tag. Sorted in join order once the
     /// table is sealed.
     pub fn lookup(&self, tag: &str) -> &[Interval] {
@@ -73,17 +80,39 @@ impl DsiIndexTable {
         self.entries.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
     }
 
+    /// Merges a sealed table's new entries in place, keeping it sealed: per
+    /// tag, the new intervals are sorted and spliced in at one binary-searched
+    /// point. They must be one run in join order against every list they
+    /// join (an inserted subtree's intervals are), none already listed under
+    /// the same tag.
+    pub fn merge_run(&mut self, entries: &[(String, Interval)]) {
+        debug_assert!(self.sealed, "DsiIndexTable::seal() must run before a merge");
+        let mut new: Vec<(&str, Interval)> =
+            entries.iter().map(|(t, iv)| (t.as_str(), *iv)).collect();
+        new.sort_by(|a, b| a.0.cmp(b.0).then(join_order(&a.1, &b.1)));
+        new.dedup();
+        for run in new.chunk_by(|a, b| a.0 == b.0) {
+            let (tag, first) = run[0];
+            let list = self.entries.entry(tag.to_owned()).or_default();
+            let at = list.partition_point(|iv| join_order(iv, &first) == Ordering::Less);
+            debug_assert!(list
+                .get(at)
+                .is_none_or(|next| join_order(&run[run.len() - 1].1, next) == Ordering::Less));
+            list.splice(at..at, run.iter().map(|&(_, iv)| iv));
+        }
+    }
+
     /// Removes every interval covered by `range` (subtree deletion) and
-    /// returns how many entries were dropped.
+    /// returns how many entries were dropped. Each list loses one run, cut
+    /// out by binary search, so the table stays sealed.
     pub fn remove_within(&mut self, range: Interval) -> usize {
         let mut removed = 0;
         self.entries.retain(|_, list| {
-            let before = list.len();
-            list.retain(|iv| !range.covers(iv));
-            removed += before - list.len();
+            let run = covered_run(list, |&iv| iv, range);
+            removed += run.len();
+            list.drain(run);
             !list.is_empty()
         });
-        // Retain preserves order, so the table stays sealed across deletes.
         removed
     }
 }
@@ -141,19 +170,28 @@ impl BlockTable {
             .collect()
     }
 
+    /// Merges a sealed table's new blocks in place, keeping it sealed: they
+    /// are sorted and spliced in at one binary-searched point, so they must
+    /// be one run against the table (an inserted subtree's blocks are).
+    pub fn merge_run(&mut self, entries: &[(Interval, u32)]) {
+        debug_assert!(self.sealed, "BlockTable::seal() must run before a merge");
+        let mut new = entries.to_vec();
+        new.sort_by_key(|(iv, _)| (iv.lo, iv.hi));
+        let Some(&(first, _)) = new.first() else {
+            return;
+        };
+        let at = self
+            .entries
+            .partition_point(|(iv, _)| (iv.lo, iv.hi) < (first.lo, first.hi));
+        self.entries.splice(at..at, new);
+    }
+
     /// Removes every block whose representative interval is covered by
-    /// `range`; returns the removed ids.
+    /// `range`, one run cut out by binary search (blocks never nest, so the
+    /// table is in join order too); returns the removed ids.
     pub fn remove_within(&mut self, range: Interval) -> Vec<u32> {
-        let mut removed = Vec::new();
-        self.entries.retain(|&(iv, id)| {
-            if range.covers(&iv) {
-                removed.push(id);
-                false
-            } else {
-                true
-            }
-        });
-        removed
+        let run = covered_run(&self.entries, |&(iv, _)| iv, range);
+        self.entries.drain(run).map(|(_, id)| id).collect()
     }
 }
 
