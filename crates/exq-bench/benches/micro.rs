@@ -70,6 +70,15 @@ fn bench_ope(c: &mut Criterion) {
             black_box(key.encrypt(x))
         })
     });
+    // One value through the batch: how a client translates a range bound
+    // and how an insert encrypts.
+    c.bench_function("ope/encrypt_many_one", |b| {
+        let mut x = 0u64;
+        b.iter(|| {
+            x = x.wrapping_add(0x9E37_79B9);
+            black_box(key.encrypt_many(&[x]))
+        })
+    });
     // As many descents as `OpessPlan::build` runs for the ledger's
     // `xmark_scan` database, in one call.
     let xs: Vec<u64> = (0..2048u64)

@@ -12,11 +12,20 @@
 //! text merging could shift their positions, and the server never looks up
 //! text intervals).
 //!
-//! Crash safety: current-format (`..2` magic) artifacts end with a CRC32
-//! over everything before it, verified on load — a truncated or bit-flipped
-//! file yields a clean [`CoreError::Persist`], never garbage state. Saves
-//! go through a temp file + `sync_all` + atomic rename, so a crash mid-save
-//! leaves the previous artifact intact.
+//! Versions: the magic's last byte. Version 2 added the trailing checksum;
+//! version 3 keys each OPE coin by its tree node's position (see
+//! `exq_crypto::ope`), which moves every value-index ciphertext and query
+//! range, so a version-2 artifact would load and then answer value
+//! predicates wrongly. Only the current version loads; any other is a
+//! [`CoreError::Persist`] naming it. The paged store's metadata record,
+//! which holds the same value indexes, moved from version 1 to 2 with it
+//! (`crate::store`).
+//!
+//! Crash safety: an artifact ends with a CRC32 over everything before it,
+//! verified on load — a truncated or bit-flipped file yields a clean
+//! [`CoreError::Persist`], never garbage state. Saves go through a temp
+//! file + `sync_all` + atomic rename, so a crash mid-save leaves the
+//! previous artifact intact.
 
 use crate::client::Client;
 use crate::encrypt::{ClientCryptoState, OpessAttr, ServerMetadata, ValueCodec};
@@ -30,8 +39,29 @@ use exq_xml::Document;
 use exq_xpath::Path;
 use std::collections::{HashMap, HashSet};
 
-const SERVER_MAGIC: &[u8; 6] = b"EXQSV2";
-const CLIENT_MAGIC: &[u8; 6] = b"EXQCL2";
+const SERVER_MAGIC: &[u8; 6] = b"EXQSV3";
+const CLIENT_MAGIC: &[u8; 6] = b"EXQCL3";
+
+/// Refuses `data` when it starts with another version of `magic` (its last
+/// byte). Every format this guards holds OPE keys or ciphertexts, and a
+/// version bump moved them, so the remedy is always a fresh encryption.
+pub(crate) fn refuse_other_version(
+    data: &[u8],
+    magic: &[u8; 6],
+    what: &str,
+) -> Result<(), CoreError> {
+    match data.get(..6) {
+        Some(head) if head[..5] == magic[..5] && head[5] != magic[5] => {
+            Err(CoreError::Persist(format!(
+                "{what} is version {}, this build reads version {} only: \
+                 encrypt the database again",
+                head[5].escape_ascii(),
+                magic[5].escape_ascii()
+            )))
+        }
+        _ => Ok(()),
+    }
+}
 
 /// Validates the artifact's magic and trailing checksum — a CRC32 over
 /// everything before it — returning the body between the two.
@@ -218,7 +248,7 @@ pub(crate) fn read_interval(r: &mut R) -> Result<Interval, CoreError> {
 // ------------------------------------------------------ server sections --
 //
 // The hosted state is written in two layouts: the single-file artifact
-// (`EXQSV2`, below) and the paged store's metadata record (`EXQPM1`,
+// (`SERVER_MAGIC`, below) and the paged store's metadata record (`EXQPM2`,
 // `crate::store`). They differ in where the posting lists and the sealed
 // blocks go; the sections here are the ones both carry, byte for byte, and
 // each has this one writer and this one reader.
@@ -370,6 +400,7 @@ impl Server {
 
     /// Restores a server from [`save_bytes`](Self::save_bytes) output.
     pub fn load_bytes(data: &[u8]) -> Result<Server, CoreError> {
+        refuse_other_version(data, SERVER_MAGIC, "server state file")?;
         let mut r = R::new(checked_body(data, SERVER_MAGIC, "server")?);
         let (visible_xml, pos_intervals) = read_visible(&mut r)?;
 
@@ -486,6 +517,7 @@ impl Client {
 
     /// Restores a client from [`save_bytes`](Self::save_bytes) output.
     pub fn load_bytes(data: &[u8]) -> Result<Client, CoreError> {
+        refuse_other_version(data, CLIENT_MAGIC, "client state file")?;
         let body = checked_body(data, CLIENT_MAGIC, "client")?;
         let mut r = R::new(body);
         let master: [u8; 32] = r.take(32)?.try_into().unwrap();

@@ -34,8 +34,8 @@
 
 use crate::error::CoreError;
 use crate::persist::{
-    parse_visible, read_dead, read_tables, read_visible, sorted_postings, write_dead, write_tables,
-    write_visible, R, W,
+    parse_visible, read_dead, read_tables, read_visible, refuse_other_version, sorted_postings,
+    write_dead, write_tables, write_visible, R, W,
 };
 use crate::server::Server;
 use crate::telemetry::{self, Counter, Gauge};
@@ -55,8 +55,10 @@ use std::time::{Duration, Instant};
 
 pub use exq_store::{PoolStats, StoreFootprint, StoreOptions};
 
-/// Magic of the paged metadata record (record id 0).
-const META_MAGIC: &[u8; 6] = b"EXQPM1";
+/// Magic of the paged metadata record (record id 0). Version 2 holds value
+/// indexes under position-keyed OPE coins, like artifact version 3
+/// (`crate::persist`); any other version is refused.
+const META_MAGIC: &[u8; 6] = b"EXQPM2";
 
 /// WAL record kind: an `InsertDelta` wire encoding.
 pub(crate) const KIND_INSERT: u8 = 1;
@@ -521,6 +523,7 @@ struct MetaImage {
 /// The one reader of [`encode_meta`]'s layout: [`decode_meta`] builds a
 /// server from it, [`PagedDb::inspect`] reads its counts.
 fn read_meta(bytes: &[u8]) -> Result<MetaImage, CoreError> {
+    refuse_other_version(bytes, META_MAGIC, "paged metadata record")?;
     let body = bytes
         .strip_prefix(META_MAGIC.as_slice())
         .ok_or_else(|| CoreError::Persist("paged metadata record has wrong magic".into()))?;

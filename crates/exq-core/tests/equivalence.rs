@@ -232,9 +232,12 @@ fn artifact_pin(bytes: &[u8]) -> (u32, usize) {
 /// The owner's set-up draws every random choice on the calling thread and
 /// descends the OPESS plans on whatever cores there are, in runs: the
 /// hosted and the client artifacts are pinned to the byte, whatever the
-/// core count (CI runs this suite once more pinned to one core). The pins
-/// are what the set-up made when it ran on one thread and built each
-/// value index one insert at a time. The second database is OPESS-heavy:
+/// core count (CI runs this suite once more pinned to one core). The
+/// sizes are what the set-up made when it ran on one thread and built each
+/// value index one insert at a time; the checksums were taken again when
+/// OPE coins became keyed by tree position (artifact version 3), which
+/// moved every value-index and chunk ciphertext but no length, sealed byte
+/// or reply (the golden table). The second database is OPESS-heavy:
 /// 400 patients' distinct values split into more than 1 024 chunks in
 /// one attribute, so its descent is cut into several runs of 256.
 #[test]
@@ -260,8 +263,8 @@ fn set_up_artifacts_are_pinned() {
     assert_eq!(
         pins,
         [
-            ((0x5a7a_0f89, 82_713), (0x0a7d_0d9a, 11_398)),
-            ((0xc846_0ea8, 812_344), (0xd043_7132, 106_378)),
+            ((0xfc58_21f9, 82_713), (0x0e99_7976, 11_398)),
+            ((0xfc30_024c, 812_344), (0x0c0e_25b6, 106_378)),
         ],
         "set-up artifacts moved"
     );

@@ -102,6 +102,42 @@ fn paged_answers_match_resident_under_tiny_budget() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A paged store whose metadata record is version 1 predates position-keyed
+/// OPE coins: its value indexes no longer match a client's ranges. With its
+/// pages and WAL intact it is still refused, by open and by inspection, with
+/// a typed error that names the version.
+#[test]
+fn version_one_paged_metadata_is_refused() {
+    let (_, server) = hosted();
+    let dir = scratch("meta-v1");
+    let path = dir.join("db.exq");
+    server.save(&path).unwrap();
+    drop(PagedDb::open_or_migrate(&path, "meta-v1", tiny_opts()).unwrap());
+    let pages = PagedDb::pages_dir(&path);
+    {
+        let (store, _) = exq_store::PagedStore::open(&pages, tiny_opts()).unwrap();
+        let mut meta = store.get(exq_index::paged::REC_META).unwrap();
+        assert_eq!(&meta[..5], b"EXQPM");
+        meta[5] = b'1';
+        let folded = store.checkpointed_seq();
+        (store.checkpoint(&[(exq_index::paged::REC_META, Some(meta))], folded)).unwrap();
+    }
+    let refusals = [
+        PagedDb::open(&pages, "meta-v1", tiny_opts()).map(|_| ()),
+        PagedDb::open_or_migrate(&path, "meta-v1", tiny_opts()).map(|_| ()),
+        PagedDb::inspect(&pages).map(|_| ()),
+    ];
+    for refused in refusals {
+        match refused {
+            Err(exq_core::CoreError::Persist(why)) => {
+                assert!(why.contains("version 1"), "{why}")
+            }
+            other => panic!("a version-1 paged store gave {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn migration_leaves_legacy_file_untouched() {
     let (_, server) = hosted();

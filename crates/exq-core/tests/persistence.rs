@@ -146,6 +146,31 @@ fn corrupted_files_rejected() {
     }
 }
 
+/// Version-2 artifacts predate position-keyed OPE coins: their value
+/// indexes no longer match a client's ranges. With an intact checksum they
+/// are still refused, by a typed error that names the version.
+#[test]
+fn version_two_artifacts_are_refused() {
+    let (client, server, _) = hosted();
+    let as_v2 = |bytes: &[u8]| {
+        let body = [&bytes[..5], b"2", &bytes[6..bytes.len() - 4]].concat();
+        let crc = exq_core::codec::crc32(&[&body]);
+        [body, crc.to_le_bytes().to_vec()].concat()
+    };
+    let refusals = [
+        Server::load_bytes(&as_v2(&server.save_bytes().unwrap())).map(|_| ()),
+        Client::load_bytes(&as_v2(&client.save_bytes())).map(|_| ()),
+    ];
+    for refused in refusals {
+        match refused {
+            Err(exq_core::CoreError::Persist(why)) => {
+                assert!(why.contains("version 2"), "{why}")
+            }
+            other => panic!("a version-2 artifact gave {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn state_files_do_not_leak_plaintext() {
     let (client, server, _) = hosted();
@@ -159,8 +184,8 @@ fn state_files_do_not_leak_plaintext() {
     // owner's private state) — but it must contain the master key material,
     // so sanity-check the magic instead.
     let cbytes = client.save_bytes();
-    assert!(cbytes.starts_with(b"EXQCL2"));
-    assert!(bytes.starts_with(b"EXQSV2"));
+    assert!(cbytes.starts_with(b"EXQCL3"));
+    assert!(bytes.starts_with(b"EXQSV3"));
 }
 
 #[test]
@@ -170,7 +195,7 @@ fn bit_flips_anywhere_are_rejected() {
     // itself) across both artifacts.
     let (client, server, _) = hosted();
     for bytes in [server.save_bytes().unwrap(), client.save_bytes()] {
-        let is_server = bytes.starts_with(b"EXQSV2");
+        let is_server = bytes.starts_with(b"EXQSV3");
         let step = (bytes.len() / 64).max(1);
         for pos in (0..bytes.len()).step_by(step) {
             let mut flipped = bytes.clone();

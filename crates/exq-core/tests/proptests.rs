@@ -130,10 +130,10 @@ proptest! {
     }
 
     /// Loaders also survive corrupted-but-magic-prefixed inputs, under the
-    /// current magic and the retired pre-checksum one.
+    /// current magic and the retired ones.
     #[test]
     fn loaders_reject_corrupted_headers(tail in proptest::collection::vec(any::<u8>(), 0..200)) {
-        for version in [b'1', b'2'] {
+        for version in [b'1', b'2', b'3'] {
             let s = [b"EXQSV".as_slice(), &[version], &tail].concat();
             let _ = exq_core::Server::load_bytes(&s);
             let c = [b"EXQCL".as_slice(), &[version], &tail].concat();

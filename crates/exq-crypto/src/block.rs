@@ -250,7 +250,7 @@ fn auth_tags<const N: usize>(prf: &Prf, jobs: &[Job]) -> [[u8; TAG_BYTES]; N] {
     for (len, job) in lens.iter_mut().zip(jobs) {
         *len = job.tag_input_len();
     }
-    prf.eval_u128_lanes::<N>(None, &lens[..jobs.len()], |l, k| jobs[l].tag_input_chunk(k))
+    prf.eval_u128_lanes::<N>(&lens[..jobs.len()], |l, k| jobs[l].tag_input_chunk(k))
         .map(u128::to_le_bytes)
 }
 

@@ -7,8 +7,8 @@
 //!   encryption and as the PRF underlying everything else; its block
 //!   function computes `N` blocks side by side, and the batch entry points
 //!   run it sixteen wide: [`open_blocks`] and [`seal_blocks`] over a run of
-//!   blocks, [`OpeKey::encrypt_many`] over the distinct nodes of one level
-//!   of the OPE tree a batch of values shares;
+//!   blocks, [`OpeKey::encrypt_many`] over the coins of the OPE tree nodes
+//!   a batch of values shares (a coin is one block, named by its node);
 //! * [`prf`] — keyed pseudo-random functions and key derivation;
 //! * [`vernam`] — the deterministic fixed-width tag cipher used for element
 //!   tags in the DSI index table and in client query translation (§5.1.1;

@@ -1,23 +1,23 @@
 //! Keyed pseudo-random functions built on ChaCha20.
 //!
 //! The PRF maps arbitrary byte strings to pseudo-random output. It is used
-//! for key derivation, OPE coin flipping, Vernam pad generation, and decoy
-//! synthesis. Construction: absorb the input into a 12-byte nonce with a
-//! simple Merkle–Damgård-style compression over ChaCha blocks, then emit
-//! keystream. This is *not* a general-purpose MAC design, but it is a
-//! perfectly serviceable PRF for a research system where the adversary model
-//! is the curious server of the paper.
+//! for key derivation, block nonces and tags, Vernam pad generation, and
+//! decoy synthesis. Construction: absorb the input into a 12-byte nonce
+//! with a simple Merkle–Damgård-style compression over ChaCha blocks, then
+//! emit keystream. This is *not* a general-purpose MAC design, but it is a
+//! perfectly serviceable PRF for a research system where the adversary
+//! model is the curious server of the paper.
 //!
 //! The absorb chain spends one ChaCha block per 12 input bytes and each
 //! step needs the one before it, so a single evaluation cannot go faster
 //! than the block function. Separate evaluations are independent, though:
 //! the crate-internal `Prf::eval_u128_lanes` runs up to `N` of them in
-//! lock-step on [`block_lanes`] (block tags and OPE coins go through it), and
-//! the one-input functions are its `N = 1` instance. OPE coins, whose inputs
-//! are all 64 bytes, have a fixed-length entry beside it,
-//! `Prf::eval_u128_64_byte_lanes`.
+//! lock-step on [`block_lanes`] (block tags go through it), and the
+//! one-input functions are its `N = 1` instance. OPE coins do not go
+//! through the absorb chain at all: each is one keystream block named by
+//! its tree node ([`crate::ope`]).
 
-use crate::chacha::{block_lanes, key_words, nonce_words, ChaCha20, LANES, MIN_BUSY_LANES};
+use crate::chacha::{block_lanes, key_words, nonce_words, ChaCha20, MIN_BUSY_LANES};
 
 /// A keyed PRF.
 #[derive(Clone)]
@@ -28,22 +28,6 @@ pub struct Prf {
 impl std::fmt::Debug for Prf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("Prf(<key redacted>)")
-    }
-}
-
-/// Where the absorb chain of every input of one length stands after its
-/// first step ([`Prf::after_length`]): a caller that draws many outputs
-/// from inputs of that length compresses the length block once, not once
-/// per input.
-#[derive(Clone, Copy)]
-pub(crate) struct AfterLength {
-    len: usize,
-    state: [u32; 3],
-}
-
-impl std::fmt::Debug for AfterLength {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "AfterLength({} bytes, <state redacted>)", self.len)
     }
 }
 
@@ -75,7 +59,7 @@ impl Prf {
 
     /// Fills `out` with PRF output for `input`.
     pub fn fill(&self, input: &[u8], out: &mut [u8]) {
-        let nonce = self.absorb_lanes::<1>(None, &[input.len()], |_, k| chunk_words(input, k));
+        let nonce = self.absorb_lanes::<1>(&[input.len()], |_, k| chunk_words(input, k));
         let cipher = ChaCha20::from_words(self.key, nonce.map(|[w]| w));
         for (i, chunk) in out.chunks_mut(64).enumerate() {
             let ks = cipher.block(i as u32);
@@ -100,17 +84,14 @@ impl Prf {
     /// [`eval_u128`](Self::eval_u128) of up to `N` inputs at once. Input `l`
     /// is `lens[l]` bytes long and is read through `chunk(l, k)`, its `k`-th
     /// 12-byte chunk in [`chunk_words`] form, so a caller whose input is a
-    /// concatenation never has to build it. Given `after`, every input is
-    /// `after.len` bytes long and its chain resumes from there instead of
-    /// compressing the length block again. Entries of the result past
+    /// concatenation never has to build it. Entries of the result past
     /// `lens.len()` mean nothing.
     pub(crate) fn eval_u128_lanes<const N: usize>(
         &self,
-        after: Option<&AfterLength>,
         lens: &[usize],
         chunk: impl Fn(usize, usize) -> [u32; 3],
     ) -> [u128; N] {
-        let nonces = self.absorb_lanes::<N>(after, lens, chunk);
+        let nonces = self.absorb_lanes::<N>(lens, chunk);
         if lens.len() >= MIN_BUSY_LANES {
             return first_16_bytes(&self.key, &nonces);
         }
@@ -121,41 +102,6 @@ impl Prf {
         out
     }
 
-    /// [`eval_u128_lanes`](Self::eval_u128_lanes) of [`LANES`] 64-byte
-    /// inputs given word-sliced (`words[w][l]` is little-endian word `w` of
-    /// input `l`), every chain resumed from `after`. Every lane is busy for
-    /// all six absorb steps, so this is six [`compress`] calls and the
-    /// emission, with no per-lane bookkeeping between them.
-    pub(crate) fn eval_u128_64_byte_lanes(
-        &self,
-        after: &AfterLength,
-        words: &[[u32; LANES]; 16],
-    ) -> [u128; LANES] {
-        assert_eq!(
-            after.len, 64,
-            "the chains must resume after a 64-byte length block"
-        );
-        let mut state = after.state.map(|w| [w; LANES]);
-        // Chunk `k` is words `3k..3k + 3`; the last one, words 15, 16 and
-        // 17, is zero-padded past the input's end.
-        for k in 0..6 {
-            let chunk =
-                core::array::from_fn(|i| words.get(3 * k + i).copied().unwrap_or([0; LANES]));
-            state = compress(&self.key, &state, &chunk);
-        }
-        first_16_bytes(&self.key, &state)
-    }
-
-    /// The absorb chain of every `len`-byte input after its first step, the
-    /// length block: the same for all of them.
-    pub(crate) fn after_length(&self, len: usize) -> AfterLength {
-        let state = compress(&self.key, &[[0]; 3], &length_block(len).map(|w| [w]));
-        AfterLength {
-            len,
-            state: state.map(|[w]| w),
-        }
-    }
-
     /// Compresses each input (see [`eval_u128_lanes`](Self::eval_u128_lanes)
     /// for how they are given) to a 12-byte nonce by chaining ChaCha blocks
     /// over its 12-byte chunks, a length block first to defend against
@@ -164,11 +110,9 @@ impl Prf {
     /// The chains advance together, one [`block_lanes`] call per step, for
     /// as long as [`MIN_BUSY_LANES`] of them still have input; a lane whose
     /// input has run out keeps its state through a branch-free select. The
-    /// few chains that are longer than the rest finish one at a time. Given
-    /// `after`, every chain starts there, at step 1.
+    /// few chains that are longer than the rest finish one at a time.
     fn absorb_lanes<const N: usize>(
         &self,
-        after: Option<&AfterLength>,
         lens: &[usize],
         chunk: impl Fn(usize, usize) -> [u32; 3],
     ) -> [[u32; N]; 3] {
@@ -185,15 +129,10 @@ impl Prf {
         };
         // Word-sliced like the block function's state: `state[w][l]` is
         // word `w` of lane `l`'s chaining value.
-        let (mut state, mut done) = match after {
-            Some(a) => {
-                debug_assert!(lens.iter().all(|&len| len == a.len), "not {} bytes", a.len);
-                (a.state.map(|w| [w; N]), 1)
-            }
-            None => ([[0u32; N]; 3], 0),
-        };
+        let mut state = [[0u32; N]; 3];
         let mut block = [[0u32; N]; 3];
         // `done`: steps taken so far by every lane that has that many
+        let mut done = 0;
         while steps.iter().filter(|&&n| n > done).count() >= MIN_BUSY_LANES {
             let mut live = [0u32; N];
             for l in 0..N {
@@ -259,6 +198,7 @@ const COMPRESS_COUNTER: u32 = 0xFEED_BEEF;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chacha::LANES;
 
     #[test]
     fn deterministic() {
@@ -345,58 +285,9 @@ mod tests {
         for count in [0, 1, MIN_BUSY_LANES - 1, MIN_BUSY_LANES, 9, LANES] {
             let batch = &inputs[..count];
             let lens: Vec<usize> = batch.iter().map(Vec::len).collect();
-            let out = p.eval_u128_lanes::<LANES>(None, &lens, |l, k| chunk_words(&batch[l], k));
+            let out = p.eval_u128_lanes::<LANES>(&lens, |l, k| chunk_words(&batch[l], k));
             for (l, input) in batch.iter().enumerate() {
                 assert_eq!(out[l], p.eval_u128(input), "batch of {count}, input {l}");
-            }
-        }
-    }
-
-    /// The fixed-length coin entry against the general lock-step one on
-    /// sixteen random 64-byte inputs.
-    #[test]
-    fn sixty_four_byte_lanes_match_the_general_entry() {
-        use rand::{RngCore, SeedableRng};
-        let p = Prf::new([5u8; 32]);
-        let start = p.after_length(64);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(64);
-        let inputs: Vec<[u8; 64]> = (0..LANES)
-            .map(|_| {
-                let mut input = [0u8; 64];
-                rng.fill_bytes(&mut input);
-                input
-            })
-            .collect();
-        let words = core::array::from_fn(|w| {
-            core::array::from_fn(|l| {
-                u32::from_le_bytes(inputs[l][4 * w..4 * w + 4].try_into().unwrap())
-            })
-        });
-        let general = p.eval_u128_lanes::<LANES>(Some(&start), &[64; LANES], |l, k| {
-            chunk_words(&inputs[l], k)
-        });
-        assert_eq!(p.eval_u128_64_byte_lanes(&start, &words), general);
-    }
-
-    /// Chains resumed after the shared length block against chains run
-    /// whole, at lengths around the chunk boundary and at batch sizes on
-    /// both paths.
-    #[test]
-    fn after_length_resumes_the_chain() {
-        let p = Prf::new([5u8; 32]);
-        for len in [0usize, 11, 12, 13, 64] {
-            let start = p.after_length(len);
-            let inputs: Vec<Vec<u8>> = (0..LANES)
-                .map(|i| (0..len).map(|b| (i * 31 + b) as u8).collect())
-                .collect();
-            for count in [1, MIN_BUSY_LANES - 1, MIN_BUSY_LANES, LANES] {
-                let lens = &[len; LANES][..count];
-                let out = p.eval_u128_lanes::<LANES>(Some(&start), lens, |l, k| {
-                    chunk_words(&inputs[l], k)
-                });
-                for (l, input) in inputs[..count].iter().enumerate() {
-                    assert_eq!(out[l], p.eval_u128(input), "{len} B, {count} inputs, {l}");
-                }
             }
         }
     }
