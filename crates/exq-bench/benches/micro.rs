@@ -258,7 +258,6 @@ fn bench_reply_path(c: &mut Criterion) {
         .unwrap()
         .split();
     server.set_cache_entries(Some(0));
-    let client = client.with_threads(1);
     let shapes = [
         ("region", "/site//open_auctions"),
         ("leaf_path", "/site/people/person//name"),
@@ -301,6 +300,40 @@ fn bench_reply_path(c: &mut Criterion) {
         });
     }
     reconstruct.finish();
+
+    // Post-processing as a client meets it: the three shapes above and a
+    // `hospital_paged` block fetch (1200 blocks), one after another on one
+    // thread. A reconstruction's buffers are the thread's, kept from one
+    // reply to the next, so each reply here is built in the spares of a
+    // reply of another shape (and, for the hospital one, of another
+    // client's database).
+    let hospital_doc = hospital::scaled(1200, 2007);
+    let (hospital_client, hospital_server) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(
+            &hospital_doc,
+            &hospital::constraints(),
+            SchemeKind::Opt,
+            2007,
+        )
+        .unwrap()
+        .split();
+    let mut rotation = Vec::new();
+    for (c, s, q) in shapes.iter().map(|&(_, q)| (&client, &server, q)).chain([(
+        &hospital_client,
+        &hospital_server,
+        "//patient/pname",
+    )]) {
+        let (tq, resp, _) = c.run(&mut InProcess::shared(s), q).unwrap();
+        rotation.push((c, tq.post_query, resp));
+    }
+    c.bench_function("client/post_process_rotating", |b| {
+        b.iter(|| {
+            for (client, post_query, resp) in &rotation {
+                let post = client.post_process(post_query, resp).unwrap();
+                black_box(post.results.len());
+            }
+        })
+    });
 
     // The two halves of that post-process with the crypto and the splicing
     // taken out: a plain parse of the text a whole-`people` reply

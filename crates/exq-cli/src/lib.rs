@@ -195,12 +195,11 @@ pub fn cmd_query(
     client_path: &Path,
     query: &str,
     naive: bool,
-    threads: usize,
     cache_entries: Option<usize>,
 ) -> Result<String, CliError> {
     let mut server = load_artifact(server_path)?;
     server.set_cache_entries(cache_entries);
-    let client = Client::load(client_path)?.with_threads(threads);
+    let client = Client::load(client_path)?;
     let mut link = InProcess::shared(&server);
     let out = if naive {
         client.query_naive_via(&mut link, query)?
@@ -221,12 +220,11 @@ pub fn cmd_query_remote(
     addr: &str,
     client_path: &Path,
     query: &str,
-    threads: usize,
     retries: u32,
     db: Option<&str>,
     pipeline: usize,
 ) -> Result<String, CliError> {
-    let client = Client::load(client_path)?.with_threads(threads);
+    let client = Client::load(client_path)?;
     let mut tcp = TcpTransport::connect_default(addr)?;
     if let Some(db) = db {
         tcp = tcp.with_db(db)?;
@@ -789,15 +787,13 @@ USAGE:
                 [--constraints-out sc.txt]
   exq encrypt   --in doc.xml --constraints sc.txt --scheme opt --seed N
                 --server server.exq --client client.exq
-  exq query     --server server.exq --client client.exq [--naive] [--threads N]
+  exq query     --server server.exq --client client.exq [--naive]
                 [--cache-entries N] 'XPATH'
-  exq query     --addr HOST:PORT --client client.exq [--threads N] [--retries N]
+  exq query     --addr HOST:PORT --client client.exq [--retries N]
                 [--db NAME]         (pick a database on a multi-tenant server)
                 [--pipeline N]      (submit the query N times in flight on one
                 'XPATH'              connection; all answers must agree)
                                     (--retries: reconnect+replay budget, default 3)
-                                    (--threads: client block-decrypt workers;
-                                     default EXQ_THREADS, else every core)
   exq serve     --server server.exq --addr HOST:PORT [--workers N]
                 [--cache-entries N]   (0 disables the server caches)
                 [--max-inflight N]    (shed Busy beyond N concurrent requests; 0=off)

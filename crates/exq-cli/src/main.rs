@@ -35,7 +35,6 @@ fn known_options(cmd: &str, verb: Option<&str>) -> Option<&'static [&'static str
             "client",
             "addr",
             "naive",
-            "threads",
             "cache-entries",
             "retries",
             "db",
@@ -140,9 +139,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
             .ok_or_else(|| CliError::Usage(format!("missing --{k}")))
     };
     let seed = int_flag::<u64>(&flags, "seed")?.unwrap_or(42);
-    // Client block-decrypt workers (`query` only); 0 means "auto": pick up
-    // EXQ_THREADS or the machine's parallelism.
-    let threads = int_flag::<usize>(&flags, "threads")?.unwrap_or(0);
     // None resolves from EXQ_CACHE / the built-in default; 0 disables.
     let cache_entries = int_flag::<usize>(&flags, "cache-entries")?;
     // The serving flags `serve` and `db host` share, read in one place for
@@ -200,7 +196,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                         addr,
                         &path("client")?,
                         q,
-                        threads,
                         retries,
                         flags.get("db").map(String::as_str),
                         pipeline,
@@ -211,7 +206,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     &path("client")?,
                     q,
                     flags.contains_key("naive"),
-                    threads,
                     cache_entries,
                 ),
             }

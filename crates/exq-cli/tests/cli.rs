@@ -58,7 +58,6 @@ fn full_workflow() {
         &client,
         "//patient[pname = 'Betty']/SSN",
         false,
-        1,
         None,
     )
     .unwrap();
@@ -71,7 +70,6 @@ fn full_workflow() {
         &client,
         "//patient[pname = 'Betty']/SSN",
         true,
-        1,
         None,
     )
     .unwrap();
@@ -97,7 +95,6 @@ fn full_workflow() {
         &client,
         "//patient[pname = 'Zoe']/SSN",
         false,
-        1,
         None,
     )
     .unwrap();
@@ -106,7 +103,7 @@ fn full_workflow() {
     // Delete.
     let out = cmd_delete(&server, &client, "//patient[age = 29]").unwrap();
     assert!(out.contains("deleted 1"));
-    let out = cmd_query(&server, &client, "//patient", false, 1, None).unwrap();
+    let out = cmd_query(&server, &client, "//patient", false, None).unwrap();
     assert!(out.contains("2 result(s)"), "after delete: {out}");
 
     // Stats.
@@ -159,7 +156,6 @@ fn usage_errors() {
         &dir.path("missing2"),
         "//x",
         false,
-        1,
         None
     )
     .is_err());
@@ -246,8 +242,13 @@ fn unknown_options_are_usage_errors_naming_the_typo() {
         .output()
         .unwrap();
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --workers"));
-    // `--threads` sizes the client's block decrypt; a server has no use for it.
-    for host in [&["serve", "--server"][..], &["db", "host", "--dir"]] {
+    // `--threads` is gone: the client opens blocks on the calling thread,
+    // and a server never had a use for it.
+    for host in [
+        &["serve", "--server"][..],
+        &["db", "host", "--dir"],
+        &["query", "--server"],
+    ] {
         let out = std::process::Command::new(exe)
             .args(host)
             .args(["x", "--addr", "127.0.0.1:0", "--threads", "2"])
@@ -335,7 +336,7 @@ fn default_serve_answers_pipelined_queries_past_idle_connections() {
 
     // 8 copies of the query in flight on one connection; the command
     // verifies every answer agrees before printing.
-    let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, 1, None, 8).unwrap();
+    let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, None, 8).unwrap();
     assert!(out.contains("Betty"), "results: {out}");
     assert!(out.contains("8 in flight"), "report: {out}");
     handle.shutdown();
@@ -351,7 +352,7 @@ fn serve_then_stats_scrapes_live_metrics() {
     // Drive one query so the counters move, then scrape the registry. The
     // client shares this process's registry, so only series the server
     // alone bumps say the scrape is live.
-    let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, 1, None, 1).unwrap();
+    let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, None, 1).unwrap();
     assert!(out.contains("Betty"));
     let text = cmd_stats_remote(&addr).unwrap();
     assert!(
@@ -431,7 +432,6 @@ fn serve_and_query_remote() {
         &client,
         "//patient[pname = 'Betty']/SSN",
         false,
-        1,
         None,
     )
     .unwrap();
@@ -442,39 +442,23 @@ fn serve_and_query_remote() {
     assert!(banner.contains("cache 64 entries"), "banner: {banner}");
     let addr = handle.addr().to_string();
 
-    let remote = cmd_query_remote(
-        &addr,
-        &client,
-        "//patient[pname = 'Betty']/SSN",
-        2,
-        1,
-        None,
-        1,
-    )
-    .unwrap();
+    let remote =
+        cmd_query_remote(&addr, &client, "//patient[pname = 'Betty']/SSN", 1, None, 1).unwrap();
     assert!(remote.contains("763895"), "remote output: {remote}");
     // Local and remote answer lines agree (the byte counter line matches
     // too, since both links count the same frames).
     assert_eq!(remote, local);
 
     // A repeat of the same remote query hits the server response cache.
-    let again = cmd_query_remote(
-        &addr,
-        &client,
-        "//patient[pname = 'Betty']/SSN",
-        2,
-        1,
-        None,
-        1,
-    )
-    .unwrap();
+    let again =
+        cmd_query_remote(&addr, &client, "//patient[pname = 'Betty']/SSN", 1, None, 1).unwrap();
     assert_eq!(again, remote);
     let stats = handle.cache_stats();
     assert!(stats.response_hits >= 1, "stats: {stats:?}");
 
     handle.shutdown();
     // Server gone: the connect retries, then errors instead of hanging.
-    assert!(cmd_query_remote(&addr, &client, "//patient", 1, 0, None, 1).is_err());
+    assert!(cmd_query_remote(&addr, &client, "//patient", 0, None, 1).is_err());
 }
 
 /// A top-level union runs branch by branch, offline and over the wire, and
@@ -484,10 +468,10 @@ fn union_query_prints_both_branches_offline_and_remote() {
     const UNION: &str = "//patient/pname | //patient/age";
     let dir = TempDir::new("union");
     let (server, client) = setup(&dir);
-    let local = cmd_query(&server, &client, UNION, false, 1, None).unwrap();
+    let local = cmd_query(&server, &client, UNION, false, None).unwrap();
     let (handle, _ckpt, _banner) = cmd_serve(&server, &serving(1, Some(64), None)).unwrap();
     let addr = handle.addr().to_string();
-    let remote = cmd_query_remote(&addr, &client, UNION, 1, 0, None, 1).unwrap();
+    let remote = cmd_query_remote(&addr, &client, UNION, 0, None, 1).unwrap();
     handle.shutdown();
     for out in [&local, &remote] {
         for branch in [
@@ -549,17 +533,16 @@ fn db_verbs_manage_a_multi_tenant_directory() {
     let (handle, _ckpt, banner) = cmd_db_host(&dbdir, &serving(2, Some(64), Some(1))).unwrap();
     assert!(banner.contains("2 database(s)"), "{banner}");
     let addr = handle.addr().to_string();
-    let out = cmd_query_remote(&addr, &cli_a, "//patient/pname", 1, 1, Some("ward-a"), 1).unwrap();
+    let out = cmd_query_remote(&addr, &cli_a, "//patient/pname", 1, Some("ward-a"), 1).unwrap();
     assert!(out.contains("Betty"), "{out}");
-    let out = cmd_query_remote(&addr, &cli_b, "//patient/pname", 1, 1, Some("ward-b"), 1).unwrap();
+    let out = cmd_query_remote(&addr, &cli_b, "//patient/pname", 1, Some("ward-b"), 1).unwrap();
     assert!(out.contains("Betty"), "{out}");
     // No --db lands on the default (ward-a) and still answers for cli_a.
-    let out = cmd_query_remote(&addr, &cli_a, "//patient/pname", 1, 1, None, 1).unwrap();
+    let out = cmd_query_remote(&addr, &cli_a, "//patient/pname", 1, None, 1).unwrap();
     assert!(out.contains("Betty"), "{out}");
     // Unknown db: typed error over the wire, server stays up.
-    assert!(cmd_query_remote(&addr, &cli_a, "//patient", 1, 0, Some("ward-z"), 1).is_err());
-    let probe =
-        cmd_query_remote(&addr, &cli_b, "//patient/pname", 1, 1, Some("ward-b"), 1).unwrap();
+    assert!(cmd_query_remote(&addr, &cli_a, "//patient", 0, Some("ward-z"), 1).is_err());
+    let probe = cmd_query_remote(&addr, &cli_b, "//patient/pname", 1, Some("ward-b"), 1).unwrap();
     assert!(probe.contains("Betty"), "{probe}");
 
     // The metrics scrape breaks traffic out per db.
@@ -593,7 +576,7 @@ fn db_verbs_manage_a_multi_tenant_directory() {
     cmd_db_create(&dbdir, "ward-b", &srv_a, Some(&cli_a), 0).unwrap();
     let (handle, _ckpt, _banner) = cmd_db_host(&dbdir, &serving(1, None, Some(1))).unwrap();
     let addr = handle.addr().to_string();
-    let out = cmd_query_remote(&addr, &cli_a, "//patient/pname", 1, 0, Some("ward-b"), 1).unwrap();
+    let out = cmd_query_remote(&addr, &cli_a, "//patient/pname", 0, Some("ward-b"), 1).unwrap();
     assert!(out.contains("Betty"), "the dropped db came back: {out}");
     handle.shutdown();
     // A store the manifest does not know (a create cut short before the
@@ -625,7 +608,7 @@ fn db_host_serves_legacy_single_file_artifact() {
         let (handle, _ckpt, banner) = cmd_db_host(path, &serving(1, None, None)).unwrap();
         assert!(banner.contains(&format!("(default: {db})")), "{banner}");
         let addr = handle.addr().to_string();
-        let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, 1, None, 1).unwrap();
+        let out = cmd_query_remote(&addr, &client, "//patient/pname", 1, None, 1).unwrap();
         assert!(out.contains("Betty"), "{out}");
         handle.shutdown();
     }
@@ -699,7 +682,7 @@ fn serve_out_of_core_answers_and_persists_mutations() {
         let rec = dir.path("rec.xml");
         std::fs::write(&rec, ZOE).unwrap();
         let refusals = [
-            cmd_query(&server, &client_path, "//patient", false, 1, None),
+            cmd_query(&server, &client_path, "//patient", false, None),
             cmd_aggregate(&server, &client_path, "count", "//patient"),
             cmd_export(&server, &client_path, &dir.path("out.xml")),
             cmd_explain(&server, &client_path, "//patient"),

@@ -22,6 +22,7 @@ use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::{open_blocks, OpenedBlocks, RangeOp, SealedBlock};
 use exq_xml::{Document, NodeId, NodeKind, ParseError, StartTag, Verdict};
 use exq_xpath::{eval_document, Axis, CmpOp, Literal, NodeTest, Path, Predicate};
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,16 +30,34 @@ use std::time::{Duration, Instant};
 /// reconstruction (a [`Document`] holds exactly one root element).
 const SPLICE_ROOT_TAG: &str = "_exq_splice";
 
-/// Fewest blocks worth a worker thread of their own: spawning and joining one
-/// costs what opening a couple of hundred small blocks does.
-const MIN_RUN_BLOCKS: usize = 256;
+/// A thread's reconstruction buffers, kept from one reply to the next.
+#[derive(Default)]
+struct Scratch {
+    /// The reply being post-processed, [`Document::clear`]ed after each:
+    /// its arena, strings and child lists are the next reply's spares.
+    doc: Document,
+    /// Where an element result is written before it is copied out.
+    render: String,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Clears the reconstruction however `post_process` leaves it: answered,
+/// failed or unwinding.
+struct ClearOnDrop<'a>(&'a mut Document);
+
+impl Drop for ClearOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.clear();
+    }
+}
 
 /// The data owner's query-side state.
 #[derive(Debug, Clone)]
 pub struct Client {
     state: ClientCryptoState,
-    /// Worker threads for block decryption/parsing (resolved; >= 1).
-    threads: usize,
 }
 
 /// A translated query plus what the client needs for post-processing.
@@ -68,29 +87,13 @@ pub struct PostProcessed {
 
 impl Client {
     pub fn new(state: ClientCryptoState) -> Client {
-        Client {
-            state,
-            threads: crate::pool::default_threads(),
-        }
+        Client { state }
     }
 
-    /// Sets the decrypt/parse worker count (1 = strictly serial). Builder
-    /// form; see also [`set_threads`](Client::set_threads).
-    pub fn with_threads(mut self, threads: usize) -> Client {
-        self.set_threads(threads);
-        self
-    }
-
-    /// Sets the decrypt/parse worker count; `0` means auto (the
-    /// `EXQ_THREADS` / available-parallelism resolution).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = crate::pool::resolve_threads(threads);
-    }
-
-    /// The resolved decrypt/parse worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
+    /// Does nothing: the client opens a reply's blocks on the calling
+    /// thread, sixteen to a pass (DESIGN.md §3 says why). Kept for callers
+    /// that still set a count, such as the perf ledger.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     pub fn state(&self) -> &ClientCryptoState {
         &self.state
@@ -149,28 +152,20 @@ impl Client {
         Ok((tq, resp, post))
     }
 
-    /// Authenticates and decrypts every shipped block: the reply is cut into
-    /// one run of blocks per worker thread and each run opened into one
-    /// buffer. Errors surface in block order, exactly as a serial loop over
-    /// the blocks reports them.
-    fn decrypt_blocks(&self, blocks: &[Arc<SealedBlock>]) -> Result<Vec<OpenedBlocks>, CoreError> {
+    /// Authenticates and decrypts every shipped block, sixteen to a pass.
+    /// Errors name the block a loop over the blocks in shipped order would:
+    /// the first that does not verify or, ahead of it, the first that is not
+    /// text.
+    fn decrypt_blocks(&self, blocks: &[Arc<SealedBlock>]) -> Result<OpenedBlocks, CoreError> {
         let key = self.state.keys.block_key();
-        let run_len = blocks.len().div_ceil(self.threads).max(MIN_RUN_BLOCKS);
-        let runs: Vec<&[Arc<SealedBlock>]> = blocks.chunks(run_len).collect();
-        crate::pool::parallel_map(self.threads, &runs, |run| open_blocks(&key, run).ok())
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| {
-                // Some tag is bad. Which block to name is the serial loop's
-                // call — a block ahead of it that is not text comes first —
-                // so, on this path only, run that loop.
-                let complaint = |b| match open_blocks(&key, std::slice::from_ref(b)) {
-                    Err((_, e)) => Some(CoreError::Block(e.to_string())),
-                    Ok(one) => block_texts(std::slice::from_ref(b), &[one]).err(),
-                };
-                let first = blocks.iter().find_map(complaint);
-                first.expect("a batch that does not verify holds a block that does not")
-            })
+        open_blocks(&key, blocks).map_err(|(bad, e)| {
+            let ahead = open_blocks(&key, &blocks[..bad])
+                .expect("every block before the first bad tag verifies");
+            match block_texts(&blocks[..bad], &ahead) {
+                Err(not_text) => not_text,
+                Ok(_) => CoreError::Block(e.to_string()),
+            }
+        })
     }
 
     /// Decrypts, reconstructs, and evaluates the post query (§6.4).
@@ -185,18 +180,26 @@ impl Client {
         let decrypt_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let reconstructed = self.reconstruct(&resp.pruned_xml, texts)?;
-        let mut scratch = String::new();
-        let results = match &reconstructed {
-            None => Vec::new(),
-            Some(doc) => eval_document(doc, post_query)
-                .into_iter()
-                .map(|n| render_result(doc, n, &mut scratch))
-                .collect(),
+        let answer = |scratch: &mut Scratch| {
+            let doc = ClearOnDrop(&mut scratch.doc);
+            let results = match self.reconstruct(&resp.pruned_xml, texts, doc.0)? {
+                false => Vec::new(),
+                true => eval_document(doc.0, post_query)
+                    .into_iter()
+                    .map(|n| render_result(doc.0, n, &mut scratch.render))
+                    .collect(),
+            };
+            Ok::<_, CoreError>(results)
         };
-        // Freeing a large reconstruction takes milliseconds; they belong to
-        // post-processing, so the document and the plaintext go first.
-        drop(reconstructed);
+        // A post-process inside another on this thread (none does today)
+        // builds into a fresh document rather than fail.
+        let results = SCRATCH.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut scratch) => answer(&mut scratch),
+            Err(_) => answer(&mut Scratch::default()),
+        })?;
+        // The plaintext goes before the clock stops: freeing it belongs to
+        // post-processing. The reconstruction is cleared, not freed: its
+        // buffers are the next reply's.
         drop(opened);
         Ok(PostProcessed {
             results,
@@ -212,7 +215,11 @@ impl Client {
     pub fn export(&self, server: &Server) -> Result<Option<Document>, CoreError> {
         let resp = server.answer_naive()?;
         let opened = self.decrypt_blocks(&resp.blocks)?;
-        self.reconstruct(&resp.pruned_xml, block_texts(&resp.blocks, &opened)?)
+        let mut doc = Document::new();
+        let texts = block_texts(&resp.blocks, &opened)?;
+        Ok(self
+            .reconstruct(&resp.pruned_xml, texts, &mut doc)?
+            .then_some(doc))
     }
 
     /// Parses the reply with each shipped block parsed in at its marker:
@@ -234,15 +241,18 @@ impl Client {
     /// An empty `pruned_xml` with shipped blocks is the fully-encrypted-root
     /// case: the server has no visible context to send, but the blocks are
     /// the answer — they splice directly at the root level (ascending block
-    /// id, matching document order) rather than being dropped. `None` is
+    /// id, matching document order) rather than being dropped. `false` is
     /// returned only when *nothing* came back (an empty hosted database).
+    ///
+    /// `out` must be empty; on error it holds what was parsed so far.
     fn reconstruct(
         &self,
         pruned_xml: &str,
         mut decrypted: Vec<(u32, &str)>,
-    ) -> Result<Option<Document>, CoreError> {
+        out: &mut Document,
+    ) -> Result<bool, CoreError> {
+        debug_assert_eq!(out.arena_len(), 0);
         decrypted.sort_unstable_by_key(|(id, _)| *id);
-        let mut out = Document::new();
         let decoy = out.intern(DECOY_TAG);
         let marker = out.intern(BLOCK_MARKER_TAG);
         let id_attr = out.intern(BLOCK_ID_ATTR);
@@ -261,7 +271,7 @@ impl Client {
         };
         if pruned_xml.is_empty() {
             if decrypted.is_empty() {
-                return Ok(None);
+                return Ok(false);
             }
             // One block: its root becomes the document root (the common
             // fully-encrypted-root shape). Several blocks cannot share the
@@ -269,9 +279,9 @@ impl Client {
             // descendant-axis post-queries see through it unchanged.
             let parent = (decrypted.len() > 1).then(|| out.add_element(None, SPLICE_ROOT_TAG));
             for (_, xml) in &decrypted {
-                parse_block(&mut out, parent, usize::from(parent.is_some()), xml)?;
+                parse_block(out, parent, usize::from(parent.is_some()), xml)?;
             }
-            return Ok(Some(out));
+            return Ok(true);
         }
         let mut next = 0;
         out.parse_fragment_into(None, 0, pruned_xml, |doc, tag| {
@@ -299,7 +309,7 @@ impl Client {
             }
             Ok::<_, CoreError>(Verdict::Skip)
         })?;
-        Ok(Some(out))
+        Ok(true)
     }
 
     /// Translates a path into a server pattern; `None` on unsupported axes.
@@ -470,19 +480,17 @@ impl Client {
 }
 
 /// Each block's id and its plaintext as text, in block order; `opened` is
-/// `blocks` opened, in any number of runs. Each plaintext is checked on its
-/// own: a block that stops inside a character is not text, whatever the next
-/// block starts with.
+/// `blocks` opened. Each plaintext is checked on its own: a block that stops
+/// inside a character is not text, whatever the next block starts with.
 fn block_texts<'a>(
     blocks: &[Arc<SealedBlock>],
-    opened: &'a [OpenedBlocks],
+    opened: &'a OpenedBlocks,
 ) -> Result<Vec<(u32, &'a str)>, CoreError> {
     let text = |(block, bytes): (&Arc<SealedBlock>, &'a [u8])| match std::str::from_utf8(bytes) {
         Ok(text) => Ok((block.id, text)),
         Err(e) => Err(CoreError::Block(format!("block not UTF-8: {e}"))),
     };
-    let plaintexts = opened.iter().flat_map(OpenedBlocks::iter);
-    blocks.iter().zip(plaintexts).map(text).collect()
+    blocks.iter().zip(opened.iter()).map(text).collect()
 }
 
 /// The attribute name a comparison predicate targets: `@name` for attribute

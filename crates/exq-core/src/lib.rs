@@ -56,7 +56,6 @@ pub mod error;
 pub mod evloop;
 pub mod fault;
 pub mod persist;
-pub mod pool;
 pub mod retry;
 pub mod scheme;
 pub mod serve;

@@ -321,7 +321,7 @@ fn run_query_inner(
     telemetry::record_span("client.decrypt", post.decrypt_time);
     telemetry::record_span("client.post_process", post.post_process_time);
     let transmit = simulate_link(config, bytes_to_server + bytes_to_client);
-    let decrypt = post.decrypt_time + simulate_decrypt(config, &block_sizes, client.threads());
+    let decrypt = post.decrypt_time + simulate_decrypt(config, &block_sizes);
     Ok(QueryOutcome {
         results: post.results,
         timing: PhaseTiming {
@@ -345,29 +345,14 @@ fn simulate_link(config: &OutsourceConfig, bytes: usize) -> Duration {
     config.latency * 2 + Duration::from_secs_f64(secs)
 }
 
-/// Simulated era decryption time for a set of blocks decrypted by
-/// `threads` client workers.
-///
-/// Blocks are independent work items, so a multi-core era client decrypts
-/// them in parallel; the simulated wall time is the makespan of assigning
-/// each block (in shipping order) to the least-loaded worker — the same
-/// dynamic scheduling the real pool uses. One thread reduces exactly to the
-/// old serial sum.
-fn simulate_decrypt(config: &OutsourceConfig, block_bytes: &[usize], threads: usize) -> Duration {
+/// Simulated era decryption time for a set of blocks: one client worker
+/// decrypts them one after another, as the client itself does.
+fn simulate_decrypt(config: &OutsourceConfig, block_bytes: &[usize]) -> Duration {
     let era = &config.era;
     let cost = |bytes: usize| {
         Duration::from_secs_f64(bytes as f64 / era.decrypt_bytes_per_sec) + era.per_block
     };
-    let workers = threads.max(1).min(block_bytes.len().max(1));
-    let mut load = vec![Duration::ZERO; workers];
-    for &bytes in block_bytes {
-        let min = load
-            .iter_mut()
-            .min()
-            .expect("at least one simulated worker");
-        *min += cost(bytes);
-    }
-    load.into_iter().max().unwrap_or(Duration::ZERO)
+    block_bytes.iter().map(|&bytes| cost(bytes)).sum()
 }
 
 #[cfg(test)]
@@ -397,7 +382,7 @@ mod tests {
         // Assert on the simulated component itself, not on a wall-clock
         // measurement (µs-scale and load-sensitive).
         let shipped = vec![64usize; out.blocks_shipped];
-        assert!(simulate_decrypt(&OutsourceConfig::default(), &shipped, 1) > Duration::ZERO);
+        assert!(simulate_decrypt(&OutsourceConfig::default(), &shipped) > Duration::ZERO);
     }
 
     #[test]

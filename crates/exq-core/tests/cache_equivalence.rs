@@ -1,8 +1,8 @@
 //! Cached vs. uncached equivalence: the server's response cache must be
 //! **bit-for-bit invisible** — same
 //! `pruned_xml` bytes, same block sets, same client results — across cold
-//! runs, warm (hit) runs, every thread count, and interleaved updates that
-//! invalidate entries mid-stream.
+//! runs, warm (hit) runs, and interleaved updates that invalidate entries
+//! mid-stream.
 //!
 //! This is the contract that makes `--cache-entries` purely a performance
 //! knob.
@@ -13,8 +13,6 @@ use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::transport::InProcess;
 use exq_core::{Client, Server};
 use exq_xml::Document;
-
-const THREADS: &[usize] = &[1, 2, 8];
 
 /// Same generator as the parallel-equivalence suite: large enough that
 /// value predicates resolve real ranges and answers ship several blocks.
@@ -118,119 +116,112 @@ fn cached_answers_are_bit_identical_to_uncached() {
 }
 
 /// Full client round trips agree between a cache-enabled and a cache-
-/// disabled twin server, at every thread count, with every query run twice
-/// so the second pass exercises the hit path.
+/// disabled twin server, with every query run twice so the second pass
+/// exercises the hit path.
 #[test]
-fn client_results_match_across_cache_and_threads() {
-    for &t in THREADS {
-        let (client, mut on) = hosted();
-        let (_, mut off) = hosted();
-        on.set_cache_entries(Some(256));
-        off.set_cache_entries(Some(0));
-        let client = client.with_threads(t);
+fn client_results_match_across_cache() {
+    let (client, mut on) = hosted();
+    let (_, mut off) = hosted();
+    on.set_cache_entries(Some(256));
+    off.set_cache_entries(Some(0));
 
-        for _pass in 0..2 {
-            for q in QUERIES {
-                let mut link_on = InProcess::shared(&on);
-                let mut link_off = InProcess::shared(&off);
-                let (_, resp_on, post_on) = client.run(&mut link_on, q).unwrap();
-                let (_, resp_off, post_off) = client.run(&mut link_off, q).unwrap();
-                assert_eq!(
-                    resp_on.pruned_xml, resp_off.pruned_xml,
-                    "pruned_xml diverged for {q} at {t} threads"
-                );
-                assert_eq!(
-                    resp_on.blocks, resp_off.blocks,
-                    "block set diverged for {q} at {t} threads"
-                );
-                assert_eq!(
-                    post_on.results, post_off.results,
-                    "results diverged for {q} at {t} threads"
-                );
-            }
+    for _pass in 0..2 {
+        for q in QUERIES {
+            let mut link_on = InProcess::shared(&on);
+            let mut link_off = InProcess::shared(&off);
+            let (_, resp_on, post_on) = client.run(&mut link_on, q).unwrap();
+            let (_, resp_off, post_off) = client.run(&mut link_off, q).unwrap();
+            assert_eq!(
+                resp_on.pruned_xml, resp_off.pruned_xml,
+                "pruned_xml diverged for {q}"
+            );
+            assert_eq!(
+                resp_on.blocks, resp_off.blocks,
+                "block set diverged for {q}"
+            );
+            assert_eq!(
+                post_on.results, post_off.results,
+                "results diverged for {q}"
+            );
         }
-        assert!(
-            on.cache_stats().response_hits > 0,
-            "second pass never hit the cache at {t} threads"
-        );
     }
+    assert!(
+        on.cache_stats().response_hits > 0,
+        "second pass never hit the cache"
+    );
 }
 
 /// An insert between two identical queries must change the second answer:
-/// the generation bump invalidates the cached response, at 1 and 8 threads.
+/// the generation bump invalidates the cached response.
 #[test]
 fn insert_invalidates_cached_answers() {
-    for &t in [1usize, 8].iter() {
-        let (mut client, mut server) = hosted();
-        server.set_cache_entries(Some(256));
-        let client_t = client.clone().with_threads(t);
+    let (mut client, mut server) = hosted();
+    server.set_cache_entries(Some(256));
+    let client_t = client.clone();
 
-        let q = "//patient[.//disease = 'flu']/pname";
-        let before = {
-            let mut link = InProcess::shared(&server);
-            // Twice: the second answer comes from the cache.
-            client_t.run(&mut link, q).unwrap();
-            client_t.run(&mut link, q).unwrap().2
-        };
-        assert!(!before.results.iter().any(|r| r.contains("New1")));
+    let q = "//patient[.//disease = 'flu']/pname";
+    let before = {
+        let mut link = InProcess::shared(&server);
+        // Twice: the second answer comes from the cache.
+        client_t.run(&mut link, q).unwrap();
+        client_t.run(&mut link, q).unwrap().2
+    };
+    assert!(!before.results.iter().any(|r| r.contains("New1")));
 
-        client
-            .insert(&mut server, "/hospital", &record(1), 77)
-            .unwrap();
+    client
+        .insert(&mut server, "/hospital", &record(1), 77)
+        .unwrap();
 
-        let after = {
-            let mut link = InProcess::shared(&server);
-            client_t.run(&mut link, q).unwrap().2
-        };
-        assert!(
-            after.results.iter().any(|r| r.contains("New1")),
-            "insert invisible after cached query at {t} threads: {:?}",
-            after.results
-        );
-        assert_eq!(after.results.len(), before.results.len() + 1);
-    }
+    let after = {
+        let mut link = InProcess::shared(&server);
+        client_t.run(&mut link, q).unwrap().2
+    };
+    assert!(
+        after.results.iter().any(|r| r.contains("New1")),
+        "insert invisible after cached query: {:?}",
+        after.results
+    );
+    assert_eq!(after.results.len(), before.results.len() + 1);
 }
 
 /// A delete between two identical queries must shrink the second answer,
-/// and re-asked queries must not ship tombstoned blocks, at 1 and 8 threads.
+/// and re-asked queries must not ship tombstoned blocks.
 #[test]
 fn delete_invalidates_cached_answers() {
-    for &t in [1usize, 8].iter() {
-        let (client, mut server) = hosted();
-        server.set_cache_entries(Some(256));
-        let client_t = client.clone().with_threads(t);
+    let (client, mut server) = hosted();
+    server.set_cache_entries(Some(256));
+    let client_t = client.clone();
 
-        let q = "//patient/pname";
-        let before = {
-            let mut link = InProcess::shared(&server);
-            client_t.run(&mut link, q).unwrap();
-            client_t.run(&mut link, q).unwrap().2
-        };
+    let q = "//patient/pname";
+    let before = {
+        let mut link = InProcess::shared(&server);
+        client_t.run(&mut link, q).unwrap();
+        client_t.run(&mut link, q).unwrap().2
+    };
 
-        let out = client.delete(&mut server, "//patient[age = 27]").unwrap();
-        assert!(out.deleted > 0, "delete matched nothing at {t} threads");
+    let out = client.delete(&mut server, "//patient[age = 27]").unwrap();
+    assert!(out.deleted > 0, "delete matched nothing");
 
-        let after = {
-            let mut link = InProcess::shared(&server);
-            client_t.run(&mut link, q).unwrap().2
-        };
-        assert_eq!(
-            after.results.len(),
-            before.results.len() - out.deleted,
-            "delete invisible after cached query at {t} threads"
+    let after = {
+        let mut link = InProcess::shared(&server);
+        client_t.run(&mut link, q).unwrap().2
+    };
+    assert_eq!(
+        after.results.len(),
+        before.results.len() - out.deleted,
+        "delete invisible after cached query"
+    );
+
+    // Tombstoned blocks must not resurface from the cache: every
+    // shipped block still exists on the server.
+    let sq = client_t.translate(q).unwrap().server_query.unwrap();
+    let resp = server.answer(&sq).unwrap();
+    for b in &resp.blocks {
+        assert!(
+            server.fetch_block(b.id).unwrap().is_some(),
+            "response shipped tombstoned block {}",
+            b.id
         );
-
-        // Tombstoned blocks must not resurface from the cache: every
-        // shipped block still exists on the server.
-        let sq = client_t.translate(q).unwrap().server_query.unwrap();
-        let resp = server.answer(&sq).unwrap();
-        for b in &resp.blocks {
-            assert!(
-                server.fetch_block(b.id).unwrap().is_some(),
-                "response shipped tombstoned block {} at {t} threads",
-                b.id
-            );
-        }
     }
 }
 

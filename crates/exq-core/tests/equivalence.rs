@@ -3,23 +3,18 @@
 //! replies are pinned **byte for byte** by a golden table written before
 //! that matcher existed, and checked against the plaintext evaluator and
 //! the naive method on the shapes that tell set-at-a-time matching from
-//! per-candidate matching apart. The client's block decrypt is the one
-//! threaded stage left: `--threads` is purely its performance knob, and
-//! its results must not depend on the count.
+//! per-candidate matching apart.
 
 use exq_core::codec::crc32;
 use exq_core::constraints::SecurityConstraint;
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{HostedDatabase, OutsourceConfig, Outsourcer};
-use exq_core::transport::InProcess;
 use exq_core::{Client, Server};
 use exq_xml::{Document, NodeKind};
 use exq_xpath::Path;
 
-const THREADS: &[usize] = &[1, 2, 8];
-
-/// A hospital document large enough that the parallel decrypt actually
-/// fans out (many patients → many anchor matches, blocks, and candidates).
+/// A hospital document with many patients: many anchor matches, blocks,
+/// and candidates.
 fn big_hospital(patients: usize) -> Document {
     let mut xml = String::from("<hospital>");
     let diseases = ["flu", "measles", "leukemia", "diarrhea", "asthma"];
@@ -268,61 +263,6 @@ fn set_up_artifacts_are_pinned() {
         ],
         "set-up artifacts moved"
     );
-}
-
-/// Client post-processing is result-identical at every thread count, and
-/// the full client↔server round trip agrees with the serial reference.
-#[test]
-fn query_results_are_thread_count_invariant() {
-    let (client, server) = hosted();
-    for q in QUERIES {
-        let mut link = InProcess::shared(&server);
-        let serial_client = client.clone().with_threads(1);
-        let (_, _, reference) = serial_client.run(&mut link, q).unwrap();
-
-        for &t in THREADS {
-            let mut link = InProcess::shared(&server);
-            let threaded = client.clone().with_threads(t);
-            let (_, resp, post) = threaded.run(&mut link, q).unwrap();
-            assert_eq!(
-                post.results, reference.results,
-                "results diverged for {q} at {t} threads"
-            );
-            assert_eq!(
-                post.blocks_decrypted, reference.blocks_decrypted,
-                "decrypt count diverged for {q} at {t} threads"
-            );
-            // Blocks decrypt in any order but must be the same set the
-            // serial run shipped (ids are unique per response).
-            let mut ids: Vec<u32> = resp.blocks.iter().map(|b| b.id).collect();
-            ids.sort_unstable();
-            assert!(
-                ids.windows(2).all(|w| w[0] < w[1]),
-                "duplicate block shipped for {q} at {t} threads"
-            );
-        }
-    }
-}
-
-/// The export path (decrypt-everything) agrees across thread counts.
-#[test]
-fn export_is_thread_count_invariant() {
-    let (client, server) = hosted();
-    let reference = client
-        .clone()
-        .with_threads(1)
-        .export(&server)
-        .unwrap()
-        .map(|d| d.to_xml());
-    for &t in THREADS {
-        let xml = client
-            .clone()
-            .with_threads(t)
-            .export(&server)
-            .unwrap()
-            .map(|d| d.to_xml());
-        assert_eq!(xml, reference, "export diverged at {t} threads");
-    }
 }
 
 /// Nested and overlapping anchors: on a recursive document `//a//a` makes

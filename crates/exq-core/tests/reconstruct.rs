@@ -238,8 +238,7 @@ fn decoys_inside_and_beside_spliced_blocks_are_removed() {
 
 /// A block whose plaintext is not XML is a `Block` error naming the parse
 /// failure, and with several bad blocks the first — blocks ship in id
-/// order, which is document order — is the one reported, however many
-/// decrypt threads ran.
+/// order, which is document order — is the one reported.
 #[test]
 fn non_xml_block_is_a_block_error_and_the_first_bad_block_wins() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
@@ -304,9 +303,9 @@ fn serial_verdict(client: &exq_core::Client, resp: &ServerResponse) -> Option<Co
     })
 }
 
-/// A reply large enough to be opened as several runs on several threads,
-/// with bad blocks of both kinds in it: whichever comes first in the reply
-/// is the one reported, with the serial loop's words, at every thread count.
+/// A reply of many blocks, opened sixteen to a pass, with bad blocks of
+/// both kinds in it: whichever comes first in the reply is the one
+/// reported, with the serial loop's words.
 #[test]
 fn the_first_bad_block_is_reported_as_the_serial_loop_reported_it() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
@@ -351,26 +350,18 @@ fn the_first_bad_block_is_reported_as_the_serial_loop_reported_it() {
             tamper(&mut resp, at);
         }
         let expected = serial_verdict(&client, &resp).expect("the reply is damaged");
-        for threads in [1, 2, 8] {
-            let err = client
-                .clone()
-                .with_threads(threads)
-                .post_process(&Path::parse("//p").unwrap(), &resp)
-                .unwrap_err();
-            assert_eq!(err, expected, "{what}, {threads} thread(s)");
-        }
+        let err = client
+            .post_process(&Path::parse("//p").unwrap(), &resp)
+            .unwrap_err();
+        assert_eq!(err, expected, "{what}");
     }
-    // Undamaged, the same reply is fine at every thread count.
+    // Undamaged, the same reply is fine.
     let resp = reply_of_bytes(&client, "", &good);
     assert_eq!(serial_verdict(&client, &resp), None);
-    for threads in [1, 2, 8] {
-        let post = client
-            .clone()
-            .with_threads(threads)
-            .post_process(&Path::parse("//p").unwrap(), &resp)
-            .unwrap();
-        assert_eq!(post.results.len(), 700, "{threads} thread(s)");
-    }
+    let post = client
+        .post_process(&Path::parse("//p").unwrap(), &resp)
+        .unwrap();
+    assert_eq!(post.results.len(), 700);
 }
 
 /// Plaintexts share a buffer but not their characters: a block that stops
@@ -497,35 +488,32 @@ fn a_repeated_attribute_is_a_typed_error_in_reply_and_block() {
         &[(1, "<ok/>")],
     );
     let at_root = reply(&client, "", &[(1, "<ok/>"), (2, "<p a=\"\" a=\"\"/>")]);
-    for threads in [1, 2, 8] {
-        let client = client.clone().with_threads(threads);
-        let error = |resp| {
-            client
-                .post_process(&Path::parse("//ok").unwrap(), resp)
-                .unwrap_err()
-        };
-        let e = error(&in_block);
-        assert!(
-            matches!(&e, CoreError::Block(m)
-                if m.contains("block not XML") && m.contains("attribute `n` repeated in <q>")),
-            "{e:?}"
-        );
-        let e = error(&in_reply);
-        assert!(
-            matches!(&e, CoreError::Response(m) if m.contains("attribute `w` repeated in <h>")),
-            "{e:?}"
-        );
-        let e = error(&in_marker);
-        assert!(
-            matches!(&e, CoreError::Response(m) if m.contains("attribute `id` repeated")),
-            "{e:?}"
-        );
-        let e = error(&at_root);
-        assert!(
-            matches!(&e, CoreError::Block(m) if m.contains("attribute `a` repeated in <p>")),
-            "{e:?}"
-        );
-    }
+    let error = |resp| {
+        client
+            .post_process(&Path::parse("//ok").unwrap(), resp)
+            .unwrap_err()
+    };
+    let e = error(&in_block);
+    assert!(
+        matches!(&e, CoreError::Block(m)
+            if m.contains("block not XML") && m.contains("attribute `n` repeated in <q>")),
+        "{e:?}"
+    );
+    let e = error(&in_reply);
+    assert!(
+        matches!(&e, CoreError::Response(m) if m.contains("attribute `w` repeated in <h>")),
+        "{e:?}"
+    );
+    let e = error(&in_marker);
+    assert!(
+        matches!(&e, CoreError::Response(m) if m.contains("attribute `id` repeated")),
+        "{e:?}"
+    );
+    let e = error(&at_root);
+    assert!(
+        matches!(&e, CoreError::Block(m) if m.contains("attribute `a` repeated in <p>")),
+        "{e:?}"
+    );
 }
 
 /// Shapes no honest server writes, which a reconstruction must still take

@@ -11,6 +11,13 @@
 //! structural algorithms (DSI labeling, structural joins, vertex cover over
 //! the constraint graph) can work on dense integers.
 //!
+//! A document parsed into again and again — the client's reconstruction of
+//! each server reply — is emptied with [`Document::clear`] rather than
+//! dropped: it keeps the arena and every node's text, attribute value and
+//! child list as spares that the next parse fills before it asks the
+//! allocator, never more than the largest input parsed into it. Nodes
+//! still own their `String`s; the spares are those `String`s, kept.
+//!
 //! ```
 //! use exq_xml::Document;
 //!

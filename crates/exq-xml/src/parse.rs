@@ -101,8 +101,8 @@ impl Document {
     /// stay in document order, which XPath evaluation relies on to skip its
     /// sort. The hook's error type carries both its own failures and the
     /// parser's. Returns the fragment's root, `None` when the hook skipped
-    /// it. On error the nodes parsed so far stay in the arena; drop the
-    /// document.
+    /// it. On error the nodes parsed so far stay in the arena; drop or
+    /// [`clear`](Document::clear) the document.
     pub fn parse_fragment_into<E: From<ParseError>>(
         &mut self,
         parent: Option<NodeId>,
@@ -184,6 +184,8 @@ where
 
     /// Prolog, one element under `parent` at `depth`, epilog, end of input.
     fn parse_root(&mut self, parent: Option<NodeId>, depth: usize) -> Result<Option<NodeId>, E> {
+        // What a later `clear` may keep is bounded by the input parsed.
+        self.doc.spares.parsed += self.input.len();
         self.skip_misc()?;
         let el = self.parse_element(parent, depth)?;
         self.skip_misc()?;
@@ -299,7 +301,7 @@ where
         }
         let el = self.doc.push_element(parent, name);
         for (name, value) in self.attrs.drain(..) {
-            self.doc.push_attr(el, name, value.into_owned());
+            self.doc.push_attr(el, name, value);
         }
         if has_content {
             self.parse_content(Some(el), tag, depth)?;
@@ -463,7 +465,7 @@ where
 
     fn add_text(&mut self, el: NodeId, text: Cow<'_, str>) {
         if !self.opts.skip_whitespace_text || !text.bytes().all(is_xml_space) {
-            self.doc.push_text(el, text.into_owned());
+            self.doc.push_text(el, text);
         }
     }
 }
