@@ -31,6 +31,7 @@ use exq_xml::{Document, NodeId, NodeKind};
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
@@ -68,6 +69,34 @@ impl ServerMetadata {
     /// Total metadata entries (structural + value) — the index-size metric.
     pub fn entry_count(&self) -> usize {
         self.dsi_table.entry_count() + self.value_indexes.values().map(BTree::len).sum::<usize>()
+    }
+
+    /// Splices an inserted subtree's entries in: `run`, its distinct DSI
+    /// intervals in join order, goes in as the last members under the
+    /// member at `under`. Returns the position the run starts at.
+    pub(crate) fn splice_in(
+        &mut self,
+        under: u32,
+        run: &[Interval],
+        dsi_entries: &[(String, Interval)],
+        block_entries: &[(Interval, u32)],
+        value_entries: &[(String, u128, u32)],
+    ) -> u32 {
+        let at = self.dsi_table.splice_in(under, run, dsi_entries);
+        self.block_table
+            .splice_in(&self.dsi_table, at, block_entries);
+        for (attr, cipher, id) in value_entries {
+            let tree = self.value_indexes.entry(attr.clone()).or_default();
+            tree.insert(*cipher, *id);
+        }
+        at
+    }
+
+    /// Cuts out the member at `p`, which no block covers, with its subtree;
+    /// returns the positions they held and the ids of the blocks inside.
+    pub(crate) fn cut(&mut self, p: u32) -> (Range<u32>, Vec<u32>) {
+        let cut = self.dsi_table.cut(p);
+        (cut.clone(), self.block_table.cut(cut))
     }
 }
 
@@ -283,27 +312,25 @@ pub fn encrypt_database(
         );
 
         // 7–8. DSI index table (with grouping) + block table.
-        let mut dsi_table = DsiIndexTable::new();
+        let mut dsi_entries = HashMap::new();
         build_dsi_table(
             &working,
             working.root().unwrap(),
             &block_of,
             &labeling,
             &mut tags,
-            &mut dsi_table,
+            &mut dsi_entries,
             &mut encrypted_tags,
             &mut plain_tags,
         );
-        dsi_table.seal();
-
-        let mut block_table = BlockTable::new();
-        for (i, t) in scheme.targets.iter().enumerate() {
-            let rep = labeling
-                .interval(t.node)
-                .expect("block root must be labeled");
-            block_table.add(rep, i as u32);
-        }
-        block_table.seal();
+        let dsi_table =
+            DsiIndexTable::from_entries(dsi_entries).expect("DSI intervals nest or are disjoint");
+        let reps = scheme.targets.iter().enumerate().map(|(i, t)| {
+            let rep = labeling.interval(t.node).expect("block root labeled");
+            (rep, i as u32)
+        });
+        let block_table =
+            BlockTable::new(&dsi_table, reps).expect("block roots are listed, disjoint subtrees");
 
         descend();
         (blocks, visible, visible_intervals, dsi_table, block_table)
@@ -442,7 +469,12 @@ impl TagMemo {
     }
 }
 
-/// Populates the DSI index table: plaintext tags for nodes outside blocks,
+/// One DSI index table entry, filed under its tag.
+fn add(table: &mut HashMap<String, Vec<Interval>>, tag: &str, iv: Interval) {
+    table.entry(tag.to_owned()).or_default().push(iv);
+}
+
+/// Collects the DSI index table's entries: plaintext tags outside blocks,
 /// Vernam-encrypted tags with adjacent same-tag grouping inside blocks.
 #[allow(clippy::too_many_arguments)]
 fn build_dsi_table(
@@ -451,7 +483,7 @@ fn build_dsi_table(
     block_of: &[Option<u32>],
     labeling: &DsiLabeling,
     tags: &mut TagMemo,
-    table: &mut DsiIndexTable,
+    table: &mut HashMap<String, Vec<Interval>>,
     encrypted_tags: &mut HashSet<String>,
     plain_tags: &mut HashSet<String>,
 ) {
@@ -462,10 +494,10 @@ fn build_dsi_table(
             let iv = labeling.interval(a).expect("attribute labeled");
             if block_of[a.index()].is_some() {
                 encrypted_tags.insert(name.clone());
-                table.add(tags.encrypt(&name), iv);
+                add(table, tags.encrypt(&name), iv);
             } else {
                 plain_tags.insert(name.clone());
-                table.add(&name, iv);
+                add(table, &name, iv);
             }
         }
     }
@@ -477,13 +509,13 @@ fn build_dsi_table(
             encrypted_tags.insert(name.clone());
         } else {
             plain_tags.insert(name.clone());
-            table.add(&name, iv);
+            add(table, &name, iv);
         }
         // Entry addition for block-internal elements happens in the parent's
         // grouping pass below; the only element without a parent pass is the
         // document root (relevant under the `top` scheme).
         if block_of[node.index()].is_some() && doc.node(node).parent().is_none() {
-            table.add(tags.encrypt(&name), iv);
+            add(table, tags.encrypt(&name), iv);
         }
         // Grouping pass over element children that live inside blocks:
         // runs of adjacent same-tag children in the same block merge into
@@ -505,14 +537,14 @@ fn build_dsi_table(
                 }
                 (prev, cur) => {
                     if let Some((rt, _, riv)) = prev.take() {
-                        table.add(tags.encrypt(&rt), riv);
+                        add(table, tags.encrypt(&rt), riv);
                     }
                     *prev = cur;
                 }
             }
         }
         if let Some((rt, _, riv)) = run {
-            table.add(tags.encrypt(&rt), riv);
+            add(table, tags.encrypt(&rt), riv);
         }
         // Recurse.
         for &c in children {
@@ -786,8 +818,12 @@ mod tests {
     #[test]
     fn block_table_has_representative_intervals() {
         let (_, out) = encrypt(SchemeKind::Opt);
-        assert_eq!(out.metadata.block_table.len(), out.blocks.len());
-        for (iv, id) in out.metadata.block_table.iter() {
+        let meta = &out.metadata;
+        assert_eq!(
+            meta.block_table.iter(&meta.dsi_table).count(),
+            out.blocks.len()
+        );
+        for (iv, id) in meta.block_table.iter(&meta.dsi_table) {
             assert!(iv.lo < iv.hi);
             assert!((id as usize) < out.blocks.len());
         }
@@ -844,7 +880,9 @@ mod tests {
             if out.visible.element_name(n) == Some(BLOCK_MARKER_TAG) {
                 let iv = out.visible_intervals[n.index()].expect("marker labeled");
                 // Marker interval must be a block representative.
-                assert!(out.metadata.block_table.iter().any(|(rep, _)| rep == iv));
+                let meta = &out.metadata;
+                let mut reps = meta.block_table.iter(&meta.dsi_table);
+                assert!(reps.any(|(rep, _)| rep == iv));
             }
         }
     }
@@ -853,7 +891,7 @@ mod tests {
     fn grouping_merges_adjacent_same_tag_siblings() {
         // Both policies of patient 1 sit in one insurance block and are
         // adjacent same-tag siblings: the DSI table must hold one merged
-        // interval covering both, not two.
+        // interval spanning both, not two.
         let (d, out) = encrypt(SchemeKind::Opt);
         let cipher = out.client_state.keys.tag_cipher();
         let policies = d.elements_by_tag("policy");

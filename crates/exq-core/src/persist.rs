@@ -31,13 +31,15 @@ use crate::client::Client;
 use crate::encrypt::{ClientCryptoState, OpessAttr, ServerMetadata, ValueCodec};
 use crate::error::CoreError;
 use crate::server::Server;
+use crate::store::BlockStore;
 use exq_crypto::opess::{ChunkCipher, PlanEntry};
 use exq_crypto::{KeyChain, OpessPlan, SealedBlock};
 use exq_index::dsi::Interval;
-use exq_index::{BTree, BlockTable, DsiIndexTable};
+use exq_index::{BTree, BlockTable, DsiIndexTable, Postings};
 use exq_xml::Document;
 use exq_xpath::Path;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 const SERVER_MAGIC: &[u8; 6] = b"EXQSV3";
 const CLIENT_MAGIC: &[u8; 6] = b"EXQCL3";
@@ -289,16 +291,39 @@ pub(crate) fn parse_visible(xml: &str) -> Result<Document, CoreError> {
 /// iterates in per-instance hash order; sorting by tag makes logically
 /// identical servers serialize byte-identically, and index `k` here *is*
 /// posting record `(2<<32)|k` of a paged store.
-pub(crate) fn sorted_postings(server: &Server) -> Vec<(&str, &[Interval])> {
-    let mut entries: Vec<(&str, &[Interval])> = server.metadata().dsi_table.iter().collect();
+pub(crate) fn sorted_postings(server: &Server) -> Vec<(&str, Postings<'_>)> {
+    let mut entries: Vec<(&str, Postings<'_>)> = server.metadata().dsi_table.iter().collect();
     entries.sort_by_key(|&(tag, _)| tag);
     entries
 }
 
+/// The block table as persisted: `(representative, block id)` pairs.
+pub(crate) type BlockPairs = Vec<(Interval, u32)>;
+
+/// The server metadata over its persisted entries: a
+/// [`CoreError::Persist`] where the tables refuse them.
+pub(crate) fn metadata_from<T: Into<String>>(
+    dsi_entries: Vec<(T, Vec<Interval>)>,
+    blocks: BlockPairs,
+    value_indexes: HashMap<String, BTree>,
+) -> Result<ServerMetadata, CoreError> {
+    let refuse = |why: &str| CoreError::Persist(why.to_owned());
+    let dsi_table = DsiIndexTable::from_entries(dsi_entries)
+        .ok_or_else(|| refuse("DSI index table: two intervals overlap"))?;
+    let block_table = BlockTable::new(&dsi_table, blocks)
+        .ok_or_else(|| refuse("block table: a representative is unlisted or in another block"))?;
+    Ok(ServerMetadata {
+        dsi_table,
+        block_table,
+        value_indexes,
+    })
+}
+
 /// The block table, then the value indexes (attributes sorted).
 pub(crate) fn write_tables(w: &mut W, meta: &ServerMetadata) {
-    w.u64(meta.block_table.len() as u64);
-    for (iv, id) in meta.block_table.iter() {
+    let blocks: Vec<(Interval, u32)> = meta.block_table.iter(&meta.dsi_table).collect();
+    w.u64(blocks.len() as u64);
+    for (iv, id) in blocks {
         interval(w, iv);
         w.u32(id);
     }
@@ -317,14 +342,15 @@ pub(crate) fn write_tables(w: &mut W, meta: &ServerMetadata) {
     }
 }
 
-/// Reads [`write_tables`]'s section.
-pub(crate) fn read_tables(r: &mut R) -> Result<(BlockTable, HashMap<String, BTree>), CoreError> {
-    let mut bt = BlockTable::new();
-    for _ in 0..r.count(20)? {
+/// Reads [`write_tables`]'s section: the block table's pairs, which
+/// [`metadata_from`] builds over the DSI table, and the value indexes.
+pub(crate) fn read_tables(r: &mut R) -> Result<(BlockPairs, HashMap<String, BTree>), CoreError> {
+    let n = r.count(20)?;
+    let mut blocks = Vec::with_capacity(n);
+    for _ in 0..n {
         let iv = read_interval(r)?;
-        bt.add(iv, r.u32()?);
+        blocks.push((iv, r.u32()?));
     }
-    bt.seal();
     let mut value_indexes = HashMap::new();
     for _ in 0..r.count(16)? {
         let attr = r.string()?;
@@ -340,7 +366,7 @@ pub(crate) fn read_tables(r: &mut R) -> Result<(BlockTable, HashMap<String, BTre
         })?;
         value_indexes.insert(attr, tree);
     }
-    Ok((bt, value_indexes))
+    Ok((blocks, value_indexes))
 }
 
 /// The tombstoned block ids, ascending.
@@ -379,7 +405,7 @@ impl Server {
         for (tag, ivs) in dsi {
             w.string(tag);
             w.u64(ivs.len() as u64);
-            for &iv in ivs {
+            for &iv in ivs.iter() {
                 interval(&mut w, iv);
             }
         }
@@ -404,24 +430,22 @@ impl Server {
         let mut r = R::new(checked_body(data, SERVER_MAGIC, "server")?);
         let (visible_xml, pos_intervals) = read_visible(&mut r)?;
 
-        let mut dsi = DsiIndexTable::new();
+        let mut dsi_entries = Vec::new();
         for _ in 0..r.count(16)? {
             let tag = r.string()?;
-            for _ in 0..r.count(16)? {
-                dsi.add(&tag, read_interval(&mut r)?);
-            }
+            let list = (0..r.count(16)?).map(|_| read_interval(&mut r));
+            dsi_entries.push((tag, list.collect::<Result<_, _>>()?));
         }
-        dsi.seal();
-        let (block_table, value_indexes) = read_tables(&mut r)?;
+        let (blocks, value_indexes) = read_tables(&mut r)?;
 
         let k = r.count(40)?;
-        let mut blocks = Vec::with_capacity(k);
+        let mut sealed = Vec::with_capacity(k);
         for _ in 0..k {
             let id = r.u32()?;
             let nonce: [u8; 12] = r.take(12)?.try_into().unwrap();
             let ciphertext = r.bytes()?;
             let tag: [u8; 16] = r.take(16)?.try_into().unwrap();
-            blocks.push(SealedBlock {
+            sealed.push(SealedBlock {
                 id,
                 nonce,
                 ciphertext,
@@ -433,15 +457,11 @@ impl Server {
             return Err(R::err("trailing bytes"));
         }
 
-        Ok(Server::from_parts(
+        Ok(Server::from_store_parts(
             parse_visible(&visible_xml)?,
             pos_intervals,
-            ServerMetadata {
-                dsi_table: dsi,
-                block_table,
-                value_indexes,
-            },
-            blocks,
+            metadata_from(dsi_entries, blocks, value_indexes)?,
+            BlockStore::Resident(sealed.into_iter().map(Arc::new).collect()),
             dead,
         ))
     }
@@ -634,20 +654,94 @@ mod tests {
     use crate::scheme::SchemeKind;
     use crate::system::{OutsourceConfig, Outsourcer};
 
-    /// A value index whose entries are out of key order, in an artifact
-    /// whose checksum is valid, is a typed error naming the index.
-    #[test]
-    fn value_index_out_of_key_order_is_refused() {
+    /// Three patients, their ages encrypted.
+    fn hosted() -> Server {
         let doc = Document::parse(
             "<h><p><n>a</n><age>30</age></p><p><n>b</n><age>41</age></p>\
              <p><n>c</n><age>52</age></p></h>",
         )
         .unwrap();
         let cs = [SecurityConstraint::parse("//age").unwrap()];
-        let (_, server) = Outsourcer::new(OutsourceConfig::default())
+        Outsourcer::new(OutsourceConfig::default())
             .outsource(&doc, &cs, SchemeKind::Opt, 5)
             .unwrap()
-            .split();
+            .split()
+            .1
+    }
+
+    fn le(iv: Interval) -> Vec<u8> {
+        [iv.lo.to_le_bytes(), iv.hi.to_le_bytes()].concat()
+    }
+
+    /// `bytes` with its last occurrence of `from` (which it must hold)
+    /// replaced by `to`, checksum resealed, then loaded: a persist error,
+    /// whose message is returned.
+    fn load_edited(bytes: &[u8], from: &[u8], to: &[u8]) -> String {
+        let at = bytes
+            .windows(from.len())
+            .rposition(|w| w == from)
+            .expect("the bytes in the artifact");
+        let mut edited = bytes[..bytes.len() - 4].to_vec();
+        edited[at..at + from.len()].copy_from_slice(to);
+        match Server::load_bytes(&seal_checksum(edited)) {
+            Err(CoreError::Persist(msg)) => msg,
+            other => panic!("expected a persist error, got {other:?}"),
+        }
+    }
+
+    /// Two DSI intervals that overlap without nesting, in an artifact whose
+    /// checksum is valid, are a typed error: the joins assume they nest or
+    /// are disjoint.
+    #[test]
+    fn overlapping_dsi_intervals_are_refused() {
+        let server = hosted();
+        let bytes = server.save_bytes().unwrap();
+        assert!(Server::load_bytes(&bytes).is_ok());
+        // The first two patients, adjacent in the `p` list: only there do
+        // their intervals follow one another with nothing between.
+        let p: Vec<Interval> = server
+            .metadata()
+            .dsi_table
+            .lookup("p")
+            .iter()
+            .copied()
+            .collect();
+        let (a, b) = (p[0], p[1]);
+        assert!(a.hi < b.lo);
+        let into_b = Interval::new(a.lo, b.lo + (b.hi - b.lo) / 2);
+        let msg = load_edited(
+            &bytes,
+            &[le(a), le(b)].concat(),
+            &[le(into_b), le(b)].concat(),
+        );
+        assert!(msg.contains("overlap"), "{msg}");
+    }
+
+    /// A block representative that no tag lists, in an artifact whose
+    /// checksum is valid, is a typed error: a block covers the positions
+    /// of its representative's subtree, and this one has none.
+    #[test]
+    fn unlisted_block_representative_is_refused() {
+        let server = hosted();
+        let bytes = server.save_bytes().unwrap();
+        let meta = server.metadata();
+        let (rep, id) = meta.block_table.iter(&meta.dsi_table).next().unwrap();
+        let unlisted = Interval::new(rep.lo, rep.hi - 1);
+        assert!(meta.dsi_table.universe().find(&unlisted).is_none());
+        // The block table is the last section holding the representative.
+        let msg = load_edited(
+            &bytes,
+            &[le(rep), id.to_le_bytes().to_vec()].concat(),
+            &[le(unlisted), id.to_le_bytes().to_vec()].concat(),
+        );
+        assert!(msg.contains("representative"), "{msg}");
+    }
+
+    /// A value index whose entries are out of key order, in an artifact
+    /// whose checksum is valid, is a typed error naming the index.
+    #[test]
+    fn value_index_out_of_key_order_is_refused() {
+        let server = hosted();
         let bytes = server.save_bytes().unwrap();
         assert!(Server::load_bytes(&bytes).is_ok());
 

@@ -5,9 +5,9 @@
 //! answering follows the paper's three steps:
 //!
 //! 1. **structure translation** — each query step's tags are looked up in
-//!    the posting lists, which the server holds as positions in the
-//!    interval universe (every DSI table interval, in join order), mapped
-//!    once whenever the universe is built: no query maps an interval;
+//!    the DSI index table, which holds every tag's entries as positions in
+//!    its interval universe (every listed interval once, in join order):
+//!    no query maps an interval;
 //! 2. **value translation** — each value predicate's ciphertext range is
 //!    scanned in the B-tree, yielding the set of blocks containing matching
 //!    occurrences;
@@ -15,7 +15,7 @@
 //!    step sequence set-at-a-time: a forward pass applies each step's axis
 //!    and predicates to whole sorted position lists, a backward pass keeps
 //!    what leads to a full match. Parent, subtree end, visible node and
-//!    covering block are arrays over positions, so a child step either way
+//!    enclosing block are arrays over positions, so a child step either way
 //!    is one stack merge, a child of the document node is a member with no
 //!    parent, and a value test reads its node's text or block in place —
 //!    the joins never hash. The trunk is that function from the document
@@ -45,8 +45,8 @@ use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::SealedBlock;
 use exq_index::dsi::Interval;
 use exq_index::sjoin::{
-    least_child, least_desc, semijoin_anc, semijoin_child, semijoin_desc, semijoin_parent,
-    shift_in, shift_out, IntervalUniverse, NONE,
+    join_order, least_child, least_desc, semijoin_anc, semijoin_child, semijoin_desc,
+    semijoin_parent, IntervalUniverse, NONE,
 };
 use exq_xml::{Document, Keep, NodeId, NodeKind};
 use std::borrow::Cow;
@@ -81,22 +81,13 @@ pub struct ExplainReport {
 #[derive(Debug, Clone)]
 pub struct Server {
     visible: Document,
+    /// The DSI table, whose universe holds the matcher's positions, the
+    /// block table over it, and the value indexes.
     metadata: ServerMetadata,
-    /// Every DSI table interval, in join order: the matcher's positions.
-    /// It, the posting lists and the arrays below are built together
-    /// ([`Server::index_universe`]) and spliced together by every insert
-    /// and delete ([`Server::splice_insert`], [`Server::remove_visible_subtree`]).
-    universe: IntervalUniverse,
-    /// Per DSI tag, its posting list as ascending universe positions.
-    postings: HashMap<String, Vec<u32>>,
-    /// Every universe position, ascending: a wildcard step's posting list.
-    every: Vec<u32>,
-    /// Per universe position, the visible node with that interval: the
-    /// server's one map from an interval to its visible node. Text nodes
-    /// have no interval here, and nothing reads theirs.
+    /// Per DSI universe position, the visible node with that interval: the
+    /// server's one map from an interval to its visible node (text nodes
+    /// have none). Spliced with the metadata by every insert and delete.
     visible_at: Vec<Option<NodeId>>,
-    /// Per universe position, the block whose representative covers it.
-    block_at: Vec<Option<u32>>,
     /// Sealed blocks: fully resident, or paged in through an out-of-core
     /// store (see `crate::store`).
     blocks: BlockStore,
@@ -166,8 +157,7 @@ impl Server {
         )
     }
 
-    /// A server over its parts, with the universe and its per-position
-    /// arrays built. `labeled` pairs visible nodes with their intervals.
+    /// A server over its parts; `labeled` pairs visible nodes with intervals.
     fn indexed(
         visible: Document,
         labeled: &[(Interval, NodeId)],
@@ -175,40 +165,31 @@ impl Server {
         blocks: BlockStore,
         dead_blocks: HashSet<u32>,
     ) -> Server {
-        let mut server = Server {
+        Server {
+            visible_at: Self::index_visible(metadata.dsi_table.universe(), labeled),
             visible,
             metadata,
-            universe: IntervalUniverse::default(),
-            postings: HashMap::new(),
-            every: Vec::new(),
-            visible_at: Vec::new(),
-            block_at: Vec::new(),
             blocks,
             dead_blocks,
             caches: ServerCaches::default(),
-        };
-        server.index_universe(labeled);
-        server
+        }
     }
 
-    /// The one from-scratch build, run when a server is made or opened:
-    /// the universe and every tag's posting list as positions from the DSI
-    /// table ([`IntervalUniverse::with_postings`]), and beside them each
-    /// position's visible node, from `labeled`, and covering block.
-    fn index_universe(&mut self, labeled: &[(Interval, NodeId)]) {
-        let (tags, lists): (Vec<_>, Vec<_>) = self.metadata.dsi_table.iter().unzip();
-        let (universe, postings) = IntervalUniverse::with_postings(lists);
-        let members = universe.members();
-        self.visible_at = vec![None; members.len()];
+    /// The one from-scratch build of `visible_at`, run when a server is
+    /// made or opened: each universe position's node from `labeled`.
+    fn index_visible(u: &IntervalUniverse, labeled: &[(Interval, NodeId)]) -> Vec<Option<NodeId>> {
+        let mut visible_at = vec![None; u.len()];
         for (iv, n) in labeled {
-            if let Some(p) = universe.find(iv) {
-                self.visible_at[p as usize] = Some(*n);
+            if let Some(p) = u.find(iv) {
+                visible_at[p as usize] = Some(*n);
             }
         }
-        self.block_at = self.metadata.block_table.covering(members);
-        self.every = (0..members.len() as u32).collect();
-        self.postings = tags.into_iter().map(str::to_owned).zip(postings).collect();
-        self.universe = universe;
+        visible_at
+    }
+
+    /// The DSI table's interval universe: the positions the matcher joins.
+    fn universe(&self) -> &IntervalUniverse {
+        self.metadata.dsi_table.universe()
     }
 
     /// Reconfigures the response-cache capacity in entries.
@@ -334,7 +315,7 @@ impl Server {
 
     /// The universe position and visible node of a server-known interval.
     pub(crate) fn visible_node_of(&self, iv: &Interval) -> Option<(u32, NodeId)> {
-        let p = self.universe.find(iv)?;
+        let p = self.universe().find(iv)?;
         Some((p, self.visible_at[p as usize]?))
     }
 
@@ -342,22 +323,12 @@ impl Server {
         self.visible.element_name(n)
     }
 
-    /// The interval of the last server-known member directly inside the
-    /// member at `p`, which ends after every other one inside it: the
-    /// member of its subtree's run `[p + 1, end(p))` that holds the run's
-    /// last position.
-    pub(crate) fn last_child_interval(&self, p: u32) -> Option<Interval> {
-        self.universe
-            .last_child(p)
-            .map(|q| self.universe.interval(q))
-    }
-
     /// Applies an insert that [`Server::check_insert`] passed; nothing here
     /// can fail. The blocks are appended, the fragment is grafted under its
-    /// visible parent, the entries merge into the tables and B-trees, and
-    /// the run of new intervals is spliced into the universe, every posting
-    /// list and the per-position arrays as the last members of the parent's
-    /// subtree: `k` new positions, and every later one moved up by `k`.
+    /// visible parent, and the run of new intervals is spliced into the
+    /// metadata ([`ServerMetadata::splice_in`]) and `visible_at` as the last
+    /// members of the parent's subtree: `k` new positions, and every later
+    /// one moved up by `k`.
     pub(crate) fn splice_insert(&mut self, delta: &InsertDelta, checked: CheckedInsert) {
         let CheckedInsert {
             under,
@@ -373,53 +344,20 @@ impl Server {
         if let Some(root) = frag.root() {
             self.graft(&frag, root, vis_parent, &annotated, &mut labeled);
         }
-        self.metadata.dsi_table.merge_run(&delta.dsi_entries);
-        self.metadata.block_table.merge_run(&delta.block_entries);
-        for (attr, cipher, id) in &delta.value_entries {
-            self.metadata
-                .value_indexes
-                .entry(attr.clone())
-                .or_default()
-                .insert(*cipher, *id);
-        }
-
-        let at = self.universe.splice_in(under, &run);
-        let k = run.len() as u32;
-        let position = |iv: &Interval| self.universe.find(iv).expect("spliced member");
-        let mut added: HashMap<&str, Vec<u32>> = HashMap::new();
-        for (tag, iv) in &delta.dsi_entries {
-            added.entry(tag).or_default().push(position(iv));
-        }
-        for list in added.values_mut() {
-            list.sort_unstable();
-            list.dedup();
-        }
-        for (tag, list) in &mut self.postings {
-            shift_in(
-                list,
-                at,
-                k,
-                added.remove(tag.as_str()).as_deref().unwrap_or(&[]),
-            );
-        }
-        for (tag, list) in added {
-            self.postings.insert(tag.to_owned(), list);
-        }
-        let n = self.universe.len() as u32;
-        self.every.extend(n - k..n);
+        let at = self.metadata.splice_in(
+            under,
+            &run,
+            &delta.dsi_entries,
+            &delta.block_entries,
+            &delta.value_entries,
+        );
         let mut visible = vec![None; run.len()];
         for (iv, n) in &labeled {
-            visible[(position(iv) - at) as usize] = Some(*n);
+            let i = run.binary_search_by(|m| join_order(m, iv));
+            visible[i.expect("an annotation is in the run")] = Some(*n);
         }
         let i = at as usize;
         self.visible_at.splice(i..i, visible);
-        // The parent is visible, so no block holds it: only the delta's own
-        // blocks can cover the run.
-        let covering = run.iter().map(|iv| {
-            let mut reps = delta.block_entries.iter();
-            reps.find(|(rep, _)| rep.covers(iv)).map(|&(_, id)| id)
-        });
-        self.block_at.splice(i..i, covering);
         self.caches.bump_generation();
     }
 
@@ -462,26 +400,17 @@ impl Server {
     /// Removes a victim interval's visible subtree and metadata; `false`
     /// when the victim has no visible node (it lives strictly inside a
     /// block, or an earlier victim's subtree took it). Its subtree is one
-    /// run of positions, cut out of the universe, every posting list and
-    /// the per-position arrays; every later position moves down by the
-    /// run's length.
+    /// run of positions, cut out of the metadata ([`ServerMetadata::cut`])
+    /// and `visible_at`; every later position moves down by the run's
+    /// length.
     pub(crate) fn remove_visible_subtree(&mut self, victim: &Interval) -> bool {
         let Some((p, vis)) = self.visible_node_of(victim) else {
             return false;
         };
         self.visible.detach(vis);
-        self.metadata.dsi_table.remove_within(*victim);
-        let dead = self.metadata.block_table.remove_within(*victim);
+        let (cut, dead) = self.metadata.cut(p);
         self.dead_blocks.extend(dead);
-        let cut = self.universe.cut(p);
-        self.postings.retain(|_, list| {
-            shift_out(list, &cut);
-            !list.is_empty()
-        });
-        self.every.truncate(self.universe.len());
-        let run = cut.start as usize..cut.end as usize;
-        self.visible_at.drain(run.clone());
-        self.block_at.drain(run);
+        self.visible_at.drain(cut.start as usize..cut.end as usize);
         self.caches.bump_generation();
         true
     }
@@ -492,25 +421,17 @@ impl Server {
     /// the visible document — the persistence keying of `visible_at`.
     pub(crate) fn interval_positions(&self) -> Vec<(usize, Interval)> {
         let mut interval_of = vec![None; self.visible.arena_len()];
-        for (iv, n) in self.labeled() {
-            interval_of[n.index()] = Some(iv);
+        let members = self.universe().members();
+        for (&iv, n) in members.iter().zip(&self.visible_at) {
+            if let Some(n) = n {
+                interval_of[n.index()] = Some(iv);
+            }
         }
         self.visible
             .iter()
             .filter(|&n| !self.visible.node(n).is_text())
             .enumerate()
             .filter_map(|(pos, n)| Some((pos, interval_of[n.index()]?)))
-            .collect()
-    }
-
-    /// Every visible node that has a position, with its interval, in
-    /// position order.
-    fn labeled(&self) -> Vec<(Interval, NodeId)> {
-        let members = self.universe.members();
-        members
-            .iter()
-            .zip(&self.visible_at)
-            .filter_map(|(&iv, n)| Some((iv, (*n)?)))
             .collect()
     }
 
@@ -526,25 +447,8 @@ impl Server {
         v
     }
 
-    /// Reassembles a server from persisted parts (resident blocks).
-    pub(crate) fn from_parts(
-        visible: Document,
-        pos_intervals: HashMap<usize, Interval>,
-        metadata: ServerMetadata,
-        blocks: Vec<SealedBlock>,
-        dead_blocks: HashSet<u32>,
-    ) -> Server {
-        Self::from_store_parts(
-            visible,
-            pos_intervals,
-            metadata,
-            BlockStore::Resident(blocks.into_iter().map(Arc::new).collect()),
-            dead_blocks,
-        )
-    }
-
-    /// Reassembles a server around an arbitrary block store (the paged
-    /// open path hands in a `BlockStore::Paged`).
+    /// Reassembles a server from persisted parts around its block store:
+    /// resident on artifact load, paged on open.
     pub(crate) fn from_store_parts(
         visible: Document,
         pos_intervals: HashMap<usize, Interval>,
@@ -691,10 +595,8 @@ impl Server {
     /// locate parents/victims without assembling a response).
     pub fn locate(&self, q: &ServerQuery) -> Vec<Interval> {
         let found = self.evaluate(q).survivors.pop().unwrap_or_default();
-        found
-            .into_iter()
-            .map(|p| self.universe.interval(p))
-            .collect()
+        let u = self.universe();
+        found.into_iter().map(|p| u.interval(p)).collect()
     }
 
     /// The paper's three steps for a query's trunk, written out once.
@@ -749,13 +651,14 @@ impl Server {
         }
     }
 
-    /// Posting-list lookups, one ascending position list per step: a
+    /// DSI table lookups, one ascending position list per step: a
     /// single-tag step borrows its list, a wildcard borrows every position,
     /// and a multi-tag step merges its tags' lists.
     fn lookup<'s>(&'s self, steps: &[SStep]) -> Vec<Cow<'s, [u32]>> {
-        let posting = |tag: &String| self.postings.get(tag).map_or(&[][..], Vec::as_slice);
+        let table = &self.metadata.dsi_table;
+        let posting = |tag: &String| table.positions(tag);
         let candidates = |step: &SStep| match step.tags.as_slice() {
-            [] => Cow::Borrowed(self.every.as_slice()),
+            [] => Cow::Borrowed(table.all()),
             [tag] => Cow::Borrowed(posting(tag)),
             tags => {
                 let mut out: Vec<u32> = tags.iter().flat_map(posting).copied().collect();
@@ -818,7 +721,7 @@ impl Server {
 
     /// A predicate is a branch: matched from `ctx` like any step sequence.
     /// `hits` are the members the predicate holds at. The value test — a
-    /// plaintext comparison on the visible node, or the covering block being
+    /// plaintext comparison on the visible node, or the enclosing block being
     /// in the range's resolved set, both read off the per-position arrays —
     /// is written here and nowhere else.
     fn match_branch(&self, ctx: &[u32], pred: &SPred, resolved: &ResolvedRanges<'_>) -> Matched {
@@ -838,7 +741,9 @@ impl Server {
                     });
                     plain_ok
                         || live.is_some_and(|live| {
-                            self.block_at[p as usize]
+                            self.metadata
+                                .block_table
+                                .block_at(p)
                                 .is_some_and(|b| live.get(b as usize) == Some(&true))
                         })
                 };
@@ -850,7 +755,7 @@ impl Server {
     /// Applies an axis between a context set (`None` = the virtual document
     /// node) and a posting list.
     fn apply_axis(&self, ctx: Option<&[u32]>, axis: SAxis, cands: &[u32]) -> Vec<u32> {
-        let u = &self.universe;
+        let u = self.universe();
         let Some(ctx) = ctx else {
             return match axis {
                 // From the document node, descendant(-or-self) reaches
@@ -896,7 +801,7 @@ impl Server {
                 .map(|&c| hits.next_if_eq(&c).map_or(NONE, |_| c))
                 .collect();
         };
-        let u = &self.universe;
+        let u = self.universe();
         let mut first = last.clone();
         for (i, step) in steps.iter().enumerate().rev() {
             let above = if i == 0 { ctx } else { &survivors[i - 1] };
@@ -912,7 +817,7 @@ impl Server {
     /// The backward pass's one move: keeps the members of `cur` from which
     /// `axis` reaches a member of `next`. Both are ascending position lists.
     fn keep_leading_to(&self, cur: &mut Vec<u32>, axis: SAxis, next: &[u32]) {
-        let u = &self.universe;
+        let u = self.universe();
         *cur = match axis {
             SAxis::Descendant => semijoin_anc(u, cur, next, false),
             SAxis::DescendantOrSelf => semijoin_anc(u, cur, next, true),
@@ -962,13 +867,13 @@ impl Server {
             if let Some(v) = self.visible_at[a as usize] {
                 // Visible anchor: chain + full subtree + blocks under it.
                 region.mark(v);
-            } else if let Some(b) = self.block_at[a as usize] {
+            } else if let Some(b) = self.metadata.block_table.block_at(a) {
                 // Anchor inside a block: chain to the marker + the block. A
                 // block's root is a member and its marker carries the root's
                 // interval, so the marker is the visible node of the nearest
                 // enclosing member that has one.
                 block_ids.push(b);
-                let mut up = std::iter::successors(Some(a), |&p| self.universe.parent(p));
+                let mut up = std::iter::successors(Some(a), |&p| self.universe().parent(p));
                 if let Some(marker) = up.find_map(|p| self.visible_at[p as usize]) {
                     region.mark(marker);
                 }
@@ -1020,6 +925,7 @@ mod tests {
     use crate::scheme::SchemeKind;
     use crate::wire::{SAxis, SStep};
     use exq_index::sjoin::sort_intervals;
+    use exq_index::DsiIndexTable;
 
     #[test]
     fn locate_finds_plain_tags() {
@@ -1084,16 +990,20 @@ mod tests {
     #[test]
     fn shared_interval_is_one_member() {
         let (mut s, _) = server(SchemeKind::Opt);
-        let before = s.universe.len();
-        let patient = s.metadata.dsi_table.lookup("patient")[1];
-        s.metadata.dsi_table.add("ward", patient);
-        s.metadata.dsi_table.seal();
-        let labeled = s.labeled();
-        s.index_universe(&labeled);
-        assert_eq!(s.universe.len(), before);
-        let at = s.postings["patient"][1];
-        assert_eq!(s.universe.interval(at), patient);
-        assert_eq!(s.postings["ward"], [at]);
+        let before = s.universe().clone();
+        let table = &s.metadata.dsi_table;
+        let patient = *table.lookup("patient").iter().nth(1).unwrap();
+        let lists = table
+            .iter()
+            .map(|(tag, list)| (tag, list.iter().copied().collect()));
+        let ward = ("ward", vec![patient]);
+        s.metadata.dsi_table = DsiIndexTable::from_entries(lists.chain([ward])).unwrap();
+        // The universe did not move, so the block table and `visible_at`
+        // still fit it.
+        assert_eq!(*s.universe(), before);
+        let at = s.metadata.dsi_table.positions("patient")[1];
+        assert_eq!(s.universe().interval(at), patient);
+        assert_eq!(s.metadata.dsi_table.positions("ward"), [at]);
         let q = |tag: &str| ServerQuery {
             steps: vec![step(SAxis::Descendant, tag)],
             anchor: 0,
@@ -1117,7 +1027,13 @@ mod tests {
         // An interval inside a block has no visible node.
         let cipher = state.keys.tag_cipher();
         let enc_tag = cipher.encrypt("pname");
-        let hidden = s.metadata().dsi_table.lookup(&enc_tag)[0];
+        let hidden = *s
+            .metadata()
+            .dsi_table
+            .lookup(&enc_tag)
+            .iter()
+            .next()
+            .unwrap();
         assert!(s.insertion_slot(hidden).is_err());
     }
 
@@ -1200,8 +1116,8 @@ mod tests {
 }
 
 /// The splice is a from-scratch build done in place: after any sequence of
-/// inserts and deletes the index equals [`Server::index_universe`] over the
-/// same tables.
+/// inserts and deletes the metadata and `visible_at` equal a build over the
+/// tables' own entries.
 #[cfg(test)]
 mod splice_tests {
     use super::*;
@@ -1209,7 +1125,7 @@ mod splice_tests {
     use crate::scheme::SchemeKind;
     use crate::system::{OutsourceConfig, Outsourcer};
     use crate::Client;
-    use exq_index::sjoin::sort_intervals;
+    use exq_index::{BlockTable, DsiIndexTable};
     use proptest::prelude::*;
 
     /// Records to insert: plain, with a block inside, wholly a block, a
@@ -1267,31 +1183,33 @@ mod splice_tests {
             .split()
     }
 
-    /// The spliced index against a fresh build over the same tables, the
-    /// tables against their own sorted order, and `visible_at`, which the
-    /// fresh build takes from the server, against the visible document: its
-    /// nodes, in position order, are every live element and attribute in
-    /// document order.
+    /// Every visible node that has a position, with its interval, in
+    /// position order.
+    fn labeled(s: &Server) -> Vec<(Interval, NodeId)> {
+        let members = s.universe().members();
+        let nodes = members.iter().zip(&s.visible_at);
+        nodes.filter_map(|(&iv, n)| Some((iv, (*n)?))).collect()
+    }
+
+    /// The spliced metadata and `visible_at` against a fresh build over
+    /// the DSI table's own entries, the block table's own representatives
+    /// and the server's labelled nodes, and `visible_at` against the
+    /// visible document: its nodes, in position order, are every live
+    /// element and attribute in document order.
     fn assert_fresh(s: &Server, step: &str) {
-        let mut fresh = s.clone();
-        fresh.index_universe(&s.labeled());
-        assert_eq!(s.universe, fresh.universe, "universe after {step}");
-        assert_eq!(s.postings, fresh.postings, "posting lists after {step}");
-        assert_eq!(s.every, fresh.every, "wildcard list after {step}");
-        assert_eq!(s.visible_at, fresh.visible_at, "visible_at after {step}");
-        assert_eq!(s.block_at, fresh.block_at, "block_at after {step}");
-        for (tag, list) in s.metadata.dsi_table.iter() {
-            let mut sorted = list.to_vec();
-            sort_intervals(&mut sorted);
-            sorted.dedup();
-            assert_eq!(list, sorted, "`{tag}` list after {step}");
-        }
-        let blocks: Vec<(Interval, u32)> = s.metadata.block_table.iter().collect();
-        assert!(
-            blocks.is_sorted_by_key(|(iv, _)| (iv.lo, iv.hi)),
-            "block table after {step}"
+        let dsi = &s.metadata.dsi_table;
+        let lists = dsi.iter().map(|(tag, list)| (tag, list.iter().copied()));
+        let fresh = DsiIndexTable::from_entries(lists).expect("the entries nest");
+        assert_eq!(*dsi, fresh, "DSI table after {step}");
+        let reps = s.metadata.block_table.iter(dsi);
+        let blocks = BlockTable::new(&fresh, reps).expect("the blocks are disjoint");
+        assert_eq!(s.metadata.block_table, blocks, "block table after {step}");
+        assert_eq!(
+            s.visible_at,
+            Server::index_visible(fresh.universe(), &labeled(s)),
+            "visible_at after {step}"
         );
-        let labeled: Vec<NodeId> = s.labeled().into_iter().map(|(_, n)| n).collect();
+        let labeled: Vec<NodeId> = labeled(s).into_iter().map(|(_, n)| n).collect();
         // A marker's block id is its one attribute, and has no interval.
         let marker = |n: NodeId| s.visible.element_name(n) == Some(BLOCK_MARKER_TAG);
         let live: Vec<NodeId> = s
@@ -1318,7 +1236,7 @@ mod splice_tests {
                     record,
                     shared,
                 } => {
-                    let parents: Vec<u32> = (0..s.universe.len() as u32)
+                    let parents: Vec<u32> = (0..s.universe().len() as u32)
                         .filter(|&p| {
                             s.visible_at[p as usize].is_some_and(|n| {
                                 s.visible_element_name(n)
@@ -1326,7 +1244,7 @@ mod splice_tests {
                             })
                         })
                         .collect();
-                    let parent = s.universe.interval(parents[parent % parents.len()]);
+                    let parent = s.universe().interval(parents[parent % parents.len()]);
                     let slot = s.insertion_slot(parent).unwrap();
                     let mut delta = client
                         .prepare_insert(&slot, RECORDS[record], i as u64)
@@ -1348,19 +1266,44 @@ mod splice_tests {
                 Op::Delete { at, .. } => {
                     // Position 0 is the root; a member inside a block has
                     // no visible node and stays.
-                    if s.universe.len() > 1 {
-                        let victim = s
-                            .universe
-                            .interval(1 + (at % (s.universe.len() - 1)) as u32);
+                    let u = s.universe();
+                    if u.len() > 1 {
+                        let victim = u.interval(1 + (at % (u.len() - 1)) as u32);
                         let had = s.visible_node_of(&victim).is_some();
                         assert_eq!(s.remove_visible_subtree(&victim), had, "{step}");
-                        if last.is_some_and(|l| victim.covers(&l) || l.covers(&victim)) {
+                        if last.is_some_and(|l| {
+                            l == victim || victim.contains(&l) || l.contains(&victim)
+                        }) {
                             last = None;
                         }
                     }
                 }
             }
             assert_fresh(&s, &step);
+        }
+    }
+
+    /// A delta whose block entries nest is refused before anything
+    /// changes: a block covers its representative's whole subtree, so one
+    /// inside another would leave the block table unable to say which.
+    #[test]
+    fn nested_block_entries_are_refused() {
+        let (mut client, s) = hosted();
+        let parent = s.universe().interval(0);
+        let slot = s.insertion_slot(parent).unwrap();
+        let good = client.prepare_insert(&slot, RECORDS[2], 1).unwrap();
+        assert!(s.check_insert(&good).is_ok());
+        let (rep, id) = good.block_entries[0];
+        let (_, inner) = good
+            .dsi_entries
+            .iter()
+            .find(|(_, iv)| rep.contains(iv))
+            .unwrap();
+        let mut nested = good.clone();
+        nested.block_entries.push((*inner, id));
+        match s.check_insert(&nested) {
+            Err(CoreError::Delta(msg)) => assert!(msg.contains("inside another"), "{msg}"),
+            _ => panic!("nested block entries were not refused"),
         }
     }
 

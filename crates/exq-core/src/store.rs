@@ -34,8 +34,8 @@
 
 use crate::error::CoreError;
 use crate::persist::{
-    parse_visible, read_dead, read_tables, read_visible, refuse_other_version, sorted_postings,
-    write_dead, write_tables, write_visible, R, W,
+    metadata_from, parse_visible, read_dead, read_tables, read_visible, refuse_other_version,
+    sorted_postings, write_dead, write_tables, write_visible, BlockPairs, R, W,
 };
 use crate::server::Server;
 use crate::telemetry::{self, Counter, Gauge};
@@ -44,7 +44,7 @@ use exq_index::dsi::Interval;
 use exq_index::paged::{
     block_record_id, encode_postings, load_postings, posting_record_id, REC_META,
 };
-use exq_index::{BTree, BlockTable, DsiIndexTable};
+use exq_index::BTree;
 use exq_store::store::{DATA_FILE, WAL_FILE};
 use exq_store::PagedStore;
 use std::collections::{HashMap, HashSet};
@@ -483,7 +483,10 @@ pub struct PagedDbReport {
 fn resident_records(server: &Server) -> Vec<(u64, Option<Vec<u8>>)> {
     let mut dirty = vec![(REC_META, Some(encode_meta(server)))];
     for (k, (_, list)) in sorted_postings(server).into_iter().enumerate() {
-        dirty.push((posting_record_id(k as u32), Some(encode_postings(list))));
+        dirty.push((
+            posting_record_id(k as u32),
+            Some(encode_postings(list.iter())),
+        ));
     }
     dirty
 }
@@ -513,7 +516,7 @@ struct MetaImage {
     pos_intervals: HashMap<usize, Interval>,
     /// Tag names in posting-record order.
     tags: Vec<String>,
-    block_table: BlockTable,
+    blocks: BlockPairs,
     value_indexes: HashMap<String, BTree>,
     block_count: u32,
     payload_bytes: u64,
@@ -532,12 +535,12 @@ fn read_meta(bytes: &[u8]) -> Result<MetaImage, CoreError> {
     let tags = (0..r.count(8)?)
         .map(|_| r.string())
         .collect::<Result<_, _>>()?;
-    let (block_table, value_indexes) = read_tables(&mut r)?;
+    let (blocks, value_indexes) = read_tables(&mut r)?;
     let meta = MetaImage {
         visible_xml,
         pos_intervals,
         tags,
-        block_table,
+        blocks,
         value_indexes,
         block_count: r.u32()?,
         payload_bytes: r.u64()?,
@@ -555,21 +558,14 @@ fn read_meta(bytes: &[u8]) -> Result<MetaImage, CoreError> {
 /// through the store (their pages pin and release like any other read).
 fn decode_meta(bytes: &[u8], db: &Arc<PagedDb>) -> Result<Server, CoreError> {
     let meta = read_meta(bytes)?;
-    let mut dsi = DsiIndexTable::new();
+    let mut dsi_entries = Vec::new();
     for (k, tag) in meta.tags.iter().enumerate() {
-        for iv in load_postings(&db.store, k as u32)? {
-            dsi.add(tag, iv);
-        }
+        dsi_entries.push((tag.as_str(), load_postings(&db.store, k as u32)?));
     }
-    dsi.seal();
     Ok(Server::from_store_parts(
         parse_visible(&meta.visible_xml)?,
         meta.pos_intervals,
-        crate::encrypt::ServerMetadata {
-            dsi_table: dsi,
-            block_table: meta.block_table,
-            value_indexes: meta.value_indexes,
-        },
+        metadata_from(dsi_entries, meta.blocks, meta.value_indexes)?,
         BlockStore::Paged {
             db: Arc::clone(db),
             count: meta.block_count,
@@ -745,7 +741,10 @@ pub fn scrub_once(server: &RwLock<Server>, max_pages: usize) -> Result<ScrubOutc
                 let k = (id & 0xFFFF_FFFF) as usize;
                 // Posting lists live in the resident server; an index past
                 // the current tag set is a stale record — drop it.
-                dirty.push((id, lists.get(k).map(|(_, list)| encode_postings(list))));
+                dirty.push((
+                    id,
+                    lists.get(k).map(|(_, list)| encode_postings(list.iter())),
+                ));
             }
             id if id >> 32 == 1 => {
                 let bid = (id & 0xFFFF_FFFF) as u32;

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 const SHARDS: usize = 8;
 
 /// Histogram bucket count: bucket `i` holds observations with
-/// `floor(log2(nanos)) == i`, covering the full `u64` nanosecond range.
+/// `floor(log2(nanos)) == i`, spanning the full `u64` nanosecond range.
 pub const HIST_BUCKETS: usize = 64;
 
 /// Monotonic event counter.

@@ -21,12 +21,11 @@
 //!   skipped.
 //!
 //! Neither rebuilds the server's index. A subtree's intervals are one run
-//! in join order, so an insert's run merges into the DSI and block tables'
-//! sorted lists at one binary-searched point each, and goes into the
-//! interval universe, every posting list and the per-position arrays as the
-//! last members of its parent's subtree; a delete cuts its victim's run out
-//! of the same places. Either way every later position moves by the run's
-//! length, and nothing is sorted again. WAL replay applies a logged
+//! in join order, so an insert's run goes into the DSI table's interval
+//! universe, its posting lists, the block table and the visible-node array
+//! as the last members of its parent's subtree; a delete cuts its victim's
+//! run out of the same places. Either way every later position moves by
+//! the run's length, and nothing is sorted again. WAL replay applies a logged
 //! mutation through the same splice; only opening a server builds the
 //! index from scratch.
 //!
@@ -43,7 +42,7 @@ use crate::server::Server;
 use crate::telemetry;
 use exq_crypto::{seal_blocks, OpessPlan, SealedBlock};
 use exq_index::dsi::{DsiLabeling, Interval};
-use exq_index::sjoin::{join_order, sort_intervals};
+use exq_index::sjoin::{join_order, sort_intervals, IntervalUniverse};
 use exq_xml::{Document, NodeId, NodeKind};
 use exq_xpath::eval_document;
 use rand::rngs::StdRng;
@@ -155,12 +154,11 @@ impl Server {
     }
 
     /// The free label range under the member at `under`: after its last
-    /// child, which ends after every other interval inside it, up to its
-    /// end.
+    /// server-known child, which ends after every other member inside it,
+    /// up to its end.
     fn gap(&self, under: u32, parent: Interval) -> Interval {
-        let lo = self
-            .last_child_interval(under)
-            .map_or(parent.lo, |iv| iv.hi);
+        let u = self.metadata().dsi_table.universe();
+        let lo = u.last_child(under).map_or(parent.lo, |q| u.interval(q).hi);
         Interval { lo, hi: parent.hi }
     }
 
@@ -186,9 +184,10 @@ impl Server {
     ///   each other one strictly inside an earlier one or strictly after it,
     ///   never overlapping;
     /// - block representatives and annotations are among those intervals,
-    ///   an annotation nests inside its fragment parent's after its
-    ///   preceding siblings', and the blocks take the next free ids, which
-    ///   are the only ones its block entries name.
+    ///   no representative lies inside another, an annotation nests inside
+    ///   its fragment parent's after its preceding siblings', and the blocks
+    ///   take the next free ids, which are the only ones its block entries
+    ///   name.
     pub(crate) fn check_insert(&self, delta: &InsertDelta) -> Result<CheckedInsert, CoreError> {
         let refuse = |why: &str| Err(CoreError::Delta(why.to_owned()));
         let (under, vis_parent) = self.insertion_parent(&delta.parent)?;
@@ -202,15 +201,11 @@ impl Server {
         if run.is_empty() {
             return refuse("no DSI entries");
         }
-        let mut open: Vec<Interval> = Vec::new();
-        for (i, iv) in run.iter().enumerate() {
-            while open.last().is_some_and(|top| top.hi < iv.lo) {
-                open.pop();
-            }
-            if i > 0 && !open.last().is_some_and(|top| top.contains(iv)) {
-                return refuse("the intervals are not one nested run");
-            }
-            open.push(*iv);
+        // One nested run: the intervals nest or are disjoint, and the
+        // first one's subtree holds them all.
+        let nested = IntervalUniverse::from_sorted(run.clone());
+        if nested.is_none_or(|u| u.end(0) as usize != run.len()) {
+            return refuse("the intervals are not one nested run");
         }
         let in_run = |iv: &Interval| run.binary_search_by(|m| join_order(m, iv)).is_ok();
 
@@ -230,6 +225,11 @@ impl Server {
             .any(|(rep, id)| !ids.contains(id) || !in_run(rep))
         {
             return refuse("a block entry names a block or interval the delta lacks");
+        }
+        let mut reps: Vec<Interval> = delta.block_entries.iter().map(|&(rep, _)| rep).collect();
+        sort_intervals(&mut reps);
+        if reps.windows(2).any(|w| w[0].hi >= w[1].lo) {
+            return refuse("one block entry lies inside another");
         }
 
         let frag = Document::parse(&delta.visible_fragment)

@@ -144,7 +144,7 @@ fn queries_survive_message_level_faults_bit_identically() {
     );
     assert!(
         completed > 0,
-        "no query ever completed under faults — retry layer is not recovering"
+        "no query ever completed under faults — retry layer does not recover"
     );
 }
 

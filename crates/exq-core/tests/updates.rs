@@ -227,7 +227,7 @@ fn hospital(patients: usize) -> Document {
 }
 
 /// Inserts and deletes rebuild the matcher's per-position arrays (visible
-/// node, covering block): after each mutation every query template of the
+/// node, enclosing block): after each mutation every query template of the
 /// benchmark's point workload answers as the plaintext twin does, including
 /// a plaintext lookup and an encrypted range that select an inserted record.
 #[test]
@@ -321,8 +321,8 @@ fn mutations_keep_point_queries_equal_to_the_plaintext_twin() {
     assert_eq!(out.results, ["<policy coverage=\"999000\">55501</policy>"]);
 }
 
-/// The matcher's indexes — the universe, the posting lists as positions,
-/// the visible-node and covering-block arrays — are rebuilt in place by
+/// The matcher's indexes — the DSI table's universe and posting lists, the
+/// block table and the visible-node array — are rebuilt in place by
 /// every insert and delete. After each mutation the server must reply as a
 /// server freshly loaded from its own saved bytes does, which builds them
 /// from scratch: the same pruned document and the same block ids, witnesses

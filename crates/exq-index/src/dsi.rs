@@ -44,12 +44,6 @@ impl Interval {
         self.lo < other.lo && other.hi < self.hi
     }
 
-    /// Containment or equality.
-    #[inline]
-    pub fn covers(&self, other: &Interval) -> bool {
-        self == other || self.contains(other)
-    }
-
     /// Merges two intervals into their span (used for same-tag grouping).
     pub fn span(&self, other: &Interval) -> Interval {
         Interval {
@@ -407,7 +401,6 @@ mod tests {
         let b = Interval::new(3, 5);
         assert!(a.contains(&b));
         assert!(!b.contains(&a));
-        assert!(a.covers(&a));
         assert!(!a.contains(&a));
         assert_eq!(b.span(&Interval::new(7, 9)), Interval::new(3, 9));
     }

@@ -9,7 +9,9 @@
 //! * [`sjoin`] — stack-based structural-join operators over intervals
 //!   (ancestor–descendant, and parent–child derived from interval nesting,
 //!   §5.1/§6.2);
-//! * [`tables`] — the DSI index table and encryption block table of §5.1.1;
+//! * [`tables`] — the DSI index table of §5.1.1, held as the interval
+//!   universe the joins run on, and the encryption block table, held as
+//!   each universe position's enclosing block;
 //! * [`paged`] — page-aware posting/block access: the out-of-core store's
 //!   record-id namespace and the delta-varint posting-list codec.
 
@@ -21,4 +23,4 @@ pub mod tables;
 
 pub use btree::BTree;
 pub use dsi::{DsiLabeling, Interval};
-pub use tables::{BlockTable, DsiIndexTable};
+pub use tables::{BlockTable, DsiIndexTable, Postings};

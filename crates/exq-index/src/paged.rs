@@ -77,7 +77,7 @@ fn unzigzag(v: u64) -> i64 {
 
 /// Encodes a posting list. Order-preserving and lossless for any input
 /// order; most compact when the list is sorted by `lo`.
-pub fn encode_postings(list: &[Interval]) -> Vec<u8> {
+pub fn encode_postings<'a>(list: impl ExactSizeIterator<Item = &'a Interval>) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 + list.len() * 4);
     push_varint(&mut out, list.len() as u64);
     let mut prev_lo = 0i64;
@@ -147,10 +147,13 @@ mod tests {
     #[test]
     fn roundtrip_simple() {
         let list = vec![iv(10, 90), iv(10, 20), iv(50, 60)];
-        let enc = encode_postings(&list);
+        let enc = encode_postings(list.iter());
         assert_eq!(decode_postings(&enc).unwrap(), list);
         assert!(enc.len() < 16 * list.len(), "delta coding should shrink");
-        assert_eq!(decode_postings(&encode_postings(&[])).unwrap(), vec![]);
+        assert_eq!(
+            decode_postings(&encode_postings([].iter())).unwrap(),
+            vec![]
+        );
     }
 
     #[test]
@@ -165,15 +168,15 @@ mod tests {
                 list.push(iv(lo, lo + width));
             }
             // Unsorted input (zigzag handles descending deltas too).
-            let enc = encode_postings(&list);
+            let enc = encode_postings(list.iter());
             assert_eq!(decode_postings(&enc).unwrap(), list);
         }
     }
 
     #[test]
     fn corrupt_encodings_are_errors_not_garbage() {
-        let list = vec![iv(5, 9), iv(7, 30)];
-        let enc = encode_postings(&list);
+        let list = [iv(5, 9), iv(7, 30)];
+        let enc = encode_postings(list.iter());
         // Truncation at every boundary.
         for cut in 0..enc.len() {
             assert!(decode_postings(&enc[..cut]).is_err(), "cut at {cut}");
@@ -203,7 +206,10 @@ mod tests {
         // A list long enough to span several tiny pages.
         let list: Vec<Interval> = (0..500u64).map(|i| iv(i * 7, i * 7 + 3)).collect();
         store
-            .checkpoint(&[(posting_record_id(3), Some(encode_postings(&list)))], 0)
+            .checkpoint(
+                &[(posting_record_id(3), Some(encode_postings(list.iter())))],
+                0,
+            )
             .unwrap();
         assert_eq!(load_postings(&store, 3).unwrap(), list);
         assert!(load_postings(&store, 4).is_err());

@@ -8,9 +8,11 @@
 //! with `z` ranging over every interval the server can see.
 //!
 //! The server's semi-joins run on *positions* in an [`IntervalUniverse`],
-//! the visible intervals in join order. DSI intervals nest or are disjoint,
-//! so a member's subtree is the run of positions right after it, and every
-//! semi-join below is one forward merge of two ascending position lists.
+//! the visible intervals in join order, which is how the DSI index table
+//! holds its entries (`crate::tables`). DSI intervals nest or are
+//! disjoint, so a member's subtree is the run of positions right after it,
+//! and every semi-join below is one forward merge of two ascending
+//! position lists.
 
 use crate::dsi::Interval;
 use std::cmp::Ordering;
@@ -205,28 +207,6 @@ fn parent_pairs(
     }
 }
 
-/// Makes room in an ascending position list for `k` members spliced in at
-/// `at` ([`IntervalUniverse::splice_in`]): later positions move up by `k`,
-/// and `new`, ascending positions inside `at..at + k`, go in between.
-pub fn shift_in(list: &mut Vec<u32>, at: u32, k: u32, new: &[u32]) {
-    let i = list.partition_point(|&p| p < at);
-    for p in &mut list[i..] {
-        *p += k;
-    }
-    list.splice(i..i, new.iter().copied());
-}
-
-/// Drops the positions `cut` from an ascending position list
-/// ([`IntervalUniverse::cut`]); later positions move down by its length.
-pub fn shift_out(list: &mut Vec<u32>, cut: &Range<u32>) {
-    let i = list.partition_point(|&p| p < cut.start);
-    let j = list.partition_point(|&p| p < cut.end);
-    list.drain(i..j);
-    for p in &mut list[i..] {
-        *p -= cut.end - cut.start;
-    }
-}
-
 /// `parent` of a member with no enclosing member.
 const NO_PARENT: u32 = u32::MAX;
 
@@ -250,50 +230,27 @@ pub struct IntervalUniverse {
 }
 
 impl IntervalUniverse {
-    /// The universe of every interval in `lists`, and each list as strictly
-    /// ascending positions. The entries, tagged with their list, go into
-    /// join order by one stable sort (a merge, where the lists are sorted);
-    /// each new interval is the next member, so an interval several lists
-    /// share is one member they all point at.
-    pub fn with_postings<'a>(
-        lists: impl IntoIterator<Item = &'a [Interval]>,
-    ) -> (Self, Vec<Vec<u32>>) {
-        let mut entries: Vec<(Interval, usize)> = Vec::new();
-        let mut postings: Vec<Vec<u32>> = Vec::new();
-        for (k, list) in lists.into_iter().enumerate() {
-            entries.extend(list.iter().map(|&iv| (iv, k)));
-            postings.push(Vec::new());
-        }
+    /// The universe of `members`, distinct and in join order. A stack of
+    /// the open members: each new member's parent is the innermost one that
+    /// contains it; the ones it pops end there, and must end before it
+    /// starts, else (two members neither nest strictly nor are disjoint) `None`.
+    pub fn from_sorted(members: Vec<Interval>) -> Option<Self> {
         assert!(
-            entries.len() < NO_PARENT as usize,
+            members.len() < NO_PARENT as usize,
             "universe positions fit below the root mark"
         );
-        entries.sort_by(|a, b| join_order(&a.0, &b.0));
-        let mut members: Vec<Interval> = Vec::new();
-        for (iv, k) in entries {
-            if members.last() != Some(&iv) {
-                members.push(iv);
-            }
-            let p = members.len() as u32 - 1;
-            if postings[k].last() != Some(&p) {
-                postings[k].push(p);
-            }
-        }
-        (Self::from_sorted(members), postings)
-    }
-
-    /// Parents and subtree ends of `members`, already in join order and
-    /// distinct. A stack of the open members: each new member's parent is
-    /// the innermost one that contains it; the ones it pops end there.
-    fn from_sorted(members: Vec<Interval>) -> Self {
         let n = members.len() as u32;
         let mut parent = Vec::with_capacity(members.len());
         let mut end = vec![n; members.len()];
         let mut open: Vec<u32> = Vec::new();
         for (p, iv) in (0..n).zip(&members) {
             while let Some(&top) = open.last() {
-                if members[top as usize].contains(iv) {
+                let top_iv = members[top as usize];
+                if top_iv.contains(iv) {
                     break;
+                }
+                if top_iv.hi >= iv.lo {
+                    return None;
                 }
                 end[top as usize] = p;
                 open.pop();
@@ -301,11 +258,11 @@ impl IntervalUniverse {
             parent.push(open.last().copied().unwrap_or(NO_PARENT));
             open.push(p);
         }
-        IntervalUniverse {
+        Some(IntervalUniverse {
             members,
             parent,
             end,
-        }
+        })
     }
 
     pub fn len(&self) -> usize {
@@ -396,7 +353,7 @@ impl IntervalUniverse {
             }
             *end += k;
         }
-        let local = Self::from_sorted(run.to_vec());
+        let local = Self::from_sorted(run.to_vec()).expect("the run nests");
         let parents = local.parent.iter().map(|&q| match q {
             NO_PARENT => under,
             q => q + at,
@@ -452,7 +409,10 @@ mod tests {
 
     /// The universe of one list of intervals.
     fn of(intervals: &[Interval]) -> IntervalUniverse {
-        IntervalUniverse::with_postings([intervals]).0
+        let mut members = intervals.to_vec();
+        sort_intervals(&mut members);
+        members.dedup();
+        IntervalUniverse::from_sorted(members).unwrap()
     }
 
     /// Positions: 0 = [0,100], 1 = [10,40], 2 = [20,30], 3 = [50,90],
@@ -538,32 +498,24 @@ mod tests {
     }
 
     /// A run spliced in under a member, and a subtree cut out, leave the
-    /// universe a fresh build over the same members gives; so do the
-    /// posting lists shifted beside them.
+    /// universe a fresh build over the same members gives.
     #[test]
     fn splice_and_cut_equal_a_fresh_build() {
         let mut u = universe();
-        let mut list = vec![0, 3, 4, 6];
         let run = [iv(75, 85), iv(77, 80), iv(82, 84)];
         let at = u.splice_in(3, &run);
         assert_eq!(at, 5);
-        shift_in(&mut list, at, 3, &[5, 7]);
         let mut all = universe().members().to_vec();
         all.extend(run);
         assert_eq!(u, of(&all));
-        assert_eq!(list, [0, 3, 4, 5, 7, 9]);
         let cut = u.cut(at);
         assert_eq!(cut, 5..8);
-        shift_out(&mut list, &cut);
         assert_eq!(u, universe());
-        assert_eq!(list, [0, 3, 4, 6]);
-        let cut = u.cut(1);
-        shift_out(&mut list, &cut);
+        u.cut(1);
         assert_eq!(
             u,
             of(&[iv(0, 100), iv(50, 90), iv(60, 70), iv(95, 99), iv(200, 210)])
         );
-        assert_eq!(list, [0, 1, 2, 4]);
         assert_eq!(u.find(&iv(95, 99)), Some(3));
         assert_eq!(u.find(&iv(20, 30)), None);
         assert_eq!(u.last_child(0), Some(3));
@@ -571,17 +523,16 @@ mod tests {
         assert_eq!(u.last_child(2), None);
     }
 
-    /// Lists map to positions; an interval two lists share is one member
-    /// that both point at, and a repeat within a list is one posting.
+    /// Members that neither nest strictly nor are disjoint make no
+    /// universe.
     #[test]
-    fn postings_share_members() {
-        let a = [iv(1, 5), iv(7, 9)];
-        let b = [iv(0, 10), iv(1, 5), iv(1, 5)];
-        let (u, postings) = IntervalUniverse::with_postings([&a[..], &b[..], &[]]);
-        assert_eq!(u.members(), [iv(0, 10), iv(1, 5), iv(7, 9)]);
-        assert_eq!(postings, [vec![1, 2], vec![0, 1], vec![]]);
-        assert_eq!(u.parent(1), Some(0));
-        assert_eq!(u.end(0), 3);
+    fn overlaps_are_refused() {
+        let from = |m: &[Interval]| IntervalUniverse::from_sorted(m.to_vec());
+        assert!(from(&[iv(0, 10), iv(5, 15)]).is_none());
+        assert!(from(&[iv(0, 10), iv(0, 5)]).is_none());
+        assert!(from(&[iv(0, 10), iv(5, 10)]).is_none());
+        assert!(from(&[iv(0, 10), iv(10, 15)]).is_none());
+        assert!(from(&[iv(0, 10), iv(2, 5), iv(11, 15)]).is_some());
     }
 
     #[test]

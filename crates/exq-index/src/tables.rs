@@ -1,197 +1,271 @@
 //! The DSI index table and the encryption block table (§5.1.1).
 //!
-//! The DSI index table maps tags — Vernam-encrypted when the element is
-//! inside an encryption block, plaintext otherwise — to the list of DSI
-//! intervals of elements with that tag, after same-tag adjacent-sibling
-//! grouping inside blocks. The block table maps each block's representative
-//! interval (the interval of the block's subtree root) to the block id.
-//!
-//! Both tables are plain data: the decision of *which* tag string to store
-//! (plain vs ciphertext) and which intervals to group is made by the
-//! metadata builder in `exq-core`; the server looks entries up, and keeps
-//! the sorted lists current under updates by merging and cutting runs.
+//! The DSI index table maps tags — Vernam-encrypted inside an encryption
+//! block, plaintext outside — to the DSI intervals of elements with that
+//! tag, after same-tag adjacent-sibling grouping inside blocks. It is held
+//! as what the server's joins run on: every listed interval once, in join
+//! order, as an [`IntervalUniverse`], and each tag's list as positions in
+//! it. The block table maps each block's representative interval (its
+//! subtree root's) to the block id, held as each position's enclosing
+//! block. Which tag string to store and which intervals to group is decided
+//! in `exq-core`. Each table has one constructor, which refuses entries the
+//! joins cannot run on, and an update moves one run of positions
+//! ([`DsiIndexTable::splice_in`], [`DsiIndexTable::cut`]) without sorting.
 
 use crate::dsi::Interval;
-use crate::sjoin::{join_order, sort_intervals};
-use std::cmp::Ordering;
+use crate::sjoin::{join_order, IntervalUniverse};
 use std::collections::HashMap;
 use std::ops::Range;
 
-/// The run of a join-ordered list that `range` covers, found by two binary
-/// searches: in a list whose intervals nest or are disjoint, what `range`
-/// covers starts at `range` itself and ends at the first interval that
-/// starts past it.
-fn covered_run<T>(list: &[T], iv: impl Fn(&T) -> Interval, range: Interval) -> Range<usize> {
-    let from = list.partition_point(|x| join_order(&iv(x), &range) == Ordering::Less);
-    from..from + list[from..].partition_point(|x| iv(x).lo <= range.hi)
+/// Tag → intervals, as positions in the universe of every listed interval.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DsiIndexTable {
+    /// Every listed interval once, in join order.
+    universe: IntervalUniverse,
+    /// Per tag, its intervals as strictly ascending universe positions.
+    postings: HashMap<String, Vec<u32>>,
+    /// Every universe position, ascending: a wildcard step's list.
+    every: Vec<u32>,
 }
 
-/// Tag → interval list.
-#[derive(Debug, Clone, Default)]
-pub struct DsiIndexTable {
-    entries: HashMap<String, Vec<Interval>>,
-    sealed: bool,
+/// One tag's entries in a [`DsiIndexTable`], read as intervals.
+#[derive(Debug, Clone, Copy)]
+pub struct Postings<'a> {
+    members: &'a [Interval],
+    positions: &'a [u32],
+}
+
+impl<'a> Postings<'a> {
+    /// The intervals, in join order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = &'a Interval> + 'a {
+        let members = self.members;
+        self.positions.iter().map(move |&p| &members[p as usize])
+    }
+
+    pub fn len(self) -> usize {
+        self.positions.len()
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.positions.is_empty()
+    }
 }
 
 impl DsiIndexTable {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one interval under a tag (plaintext or ciphertext form).
-    pub fn add(&mut self, tag: &str, interval: Interval) {
-        self.entries
-            .entry(tag.to_owned())
-            .or_default()
-            .push(interval);
-        self.sealed = false;
-    }
-
-    /// Finishes construction: sorts every interval list into join order, so
-    /// no lookup sorts again.
-    pub fn seal(&mut self) {
-        for list in self.entries.values_mut() {
-            sort_intervals(list);
-            list.dedup();
+    /// The table of each tag's entries, in any order (a tag may come more
+    /// than once), put in join order by one stable sort: an interval
+    /// several tags list is one member, and a repeat under one tag one
+    /// entry. `None` when two intervals neither nest strictly nor are
+    /// disjoint (a partial overlap, or one `lo` with two `hi`s).
+    pub fn from_entries<T: Into<String>, L: IntoIterator<Item = Interval>>(
+        entries: impl IntoIterator<Item = (T, L)>,
+    ) -> Option<Self> {
+        let mut tags: HashMap<String, usize> = HashMap::new();
+        let mut tagged: Vec<(Interval, usize)> = Vec::new();
+        for (tag, list) in entries {
+            let next = tags.len();
+            let k = *tags.entry(tag.into()).or_insert(next);
+            tagged.extend(list.into_iter().map(|iv| (iv, k)));
         }
-        self.sealed = true;
+        tagged.sort_by(|a, b| join_order(&a.0, &b.0));
+        let mut members: Vec<Interval> = Vec::new();
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); tags.len()];
+        for (iv, k) in tagged {
+            if members.last() != Some(&iv) {
+                members.push(iv);
+            }
+            let p = members.len() as u32 - 1;
+            if lists[k].last() != Some(&p) {
+                lists[k].push(p);
+            }
+        }
+        let universe = IntervalUniverse::from_sorted(members)?;
+        let postings = tags
+            .into_iter()
+            .map(|(tag, k)| (tag, std::mem::take(&mut lists[k])))
+            .collect();
+        Some(DsiIndexTable {
+            every: (0..universe.len() as u32).collect(),
+            universe,
+            postings,
+        })
     }
 
-    /// Looks up the intervals for a tag. Sorted in join order once the
-    /// table is sealed.
-    pub fn lookup(&self, tag: &str) -> &[Interval] {
-        debug_assert!(self.sealed, "DsiIndexTable::seal() must run before lookups");
-        self.entries.get(tag).map(Vec::as_slice).unwrap_or(&[])
+    /// Every listed interval once, in join order.
+    pub fn universe(&self) -> &IntervalUniverse {
+        &self.universe
+    }
+
+    /// A tag's entries as ascending universe positions.
+    pub fn positions(&self, tag: &str) -> &[u32] {
+        self.postings.get(tag).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every universe position, ascending.
+    pub fn all(&self) -> &[u32] {
+        &self.every
+    }
+
+    /// A tag's entries, in join order.
+    pub fn lookup(&self, tag: &str) -> Postings<'_> {
+        self.postings_of(self.positions(tag))
+    }
+
+    fn postings_of<'a>(&'a self, positions: &'a [u32]) -> Postings<'a> {
+        Postings {
+            members: self.universe.members(),
+            positions,
+        }
     }
 
     /// Number of distinct tags.
     pub fn tag_count(&self) -> usize {
-        self.entries.len()
+        self.postings.len()
     }
 
     /// Total interval entries — the structural-index size metric.
     pub fn entry_count(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.postings.values().map(Vec::len).sum()
     }
 
-    /// Iterates `(tag, intervals)`; every list is in join order once the
-    /// table is sealed.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[Interval])> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+    /// Iterates `(tag, entries)`, tags in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Postings<'_>)> {
+        self.postings
+            .iter()
+            .map(|(tag, list)| (tag.as_str(), self.postings_of(list)))
     }
 
-    /// Merges a sealed table's new entries in place, keeping it sealed: per
-    /// tag, the new intervals are sorted and spliced in at one binary-searched
-    /// point. They must be one run in join order against every list they
-    /// join (an inserted subtree's intervals are), none already listed under
-    /// the same tag.
-    pub fn merge_run(&mut self, entries: &[(String, Interval)]) {
-        debug_assert!(self.sealed, "DsiIndexTable::seal() must run before a merge");
-        let mut new: Vec<(&str, Interval)> =
-            entries.iter().map(|(t, iv)| (t.as_str(), *iv)).collect();
-        new.sort_by(|a, b| a.0.cmp(b.0).then(join_order(&a.1, &b.1)));
-        new.dedup();
-        for run in new.chunk_by(|a, b| a.0 == b.0) {
-            let (tag, first) = run[0];
-            let list = self.entries.entry(tag.to_owned()).or_default();
-            let at = list.partition_point(|iv| join_order(iv, &first) == Ordering::Less);
-            debug_assert!(list
-                .get(at)
-                .is_none_or(|next| join_order(&run[run.len() - 1].1, next) == Ordering::Less));
-            list.splice(at..at, run.iter().map(|&(_, iv)| iv));
+    /// Adds an inserted subtree's entries as the last members under the
+    /// member at `under` ([`IntervalUniverse::splice_in`], which `run`, the
+    /// entries' distinct intervals in join order, must suit); returns the
+    /// position the run starts at. Later positions move up by its length.
+    pub fn splice_in(
+        &mut self,
+        under: u32,
+        run: &[Interval],
+        entries: &[(String, Interval)],
+    ) -> u32 {
+        let at = self.universe.splice_in(under, run);
+        let k = run.len() as u32;
+        let mut added: HashMap<&str, Vec<u32>> = HashMap::new();
+        for (tag, iv) in entries {
+            let i = run
+                .binary_search_by(|m| join_order(m, iv))
+                .expect("an entry's interval is in the run");
+            added.entry(tag).or_default().push(at + i as u32);
         }
+        for list in added.values_mut() {
+            list.sort_unstable();
+            list.dedup();
+        }
+        for (tag, list) in &mut self.postings {
+            let new = added.remove(tag.as_str()).unwrap_or_default();
+            let i = list.partition_point(|&p| p < at);
+            for p in &mut list[i..] {
+                *p += k;
+            }
+            list.splice(i..i, new);
+        }
+        let new_tags = added.into_iter().map(|(tag, list)| (tag.to_owned(), list));
+        self.postings.extend(new_tags);
+        let n = self.universe.len() as u32;
+        self.every.extend(n - k..n);
+        at
     }
 
-    /// Removes every interval covered by `range` (subtree deletion) and
-    /// returns how many entries were dropped. Each list loses one run, cut
-    /// out by binary search, so the table stays sealed.
-    pub fn remove_within(&mut self, range: Interval) -> usize {
-        let mut removed = 0;
-        self.entries.retain(|_, list| {
-            let run = covered_run(list, |&iv| iv, range);
-            removed += run.len();
-            list.drain(run);
+    /// Removes the member at `p` with its subtree ([`IntervalUniverse::cut`])
+    /// and returns the positions they held; a tag left with no entry goes.
+    pub fn cut(&mut self, p: u32) -> Range<u32> {
+        let cut = self.universe.cut(p);
+        let k = cut.end - cut.start;
+        self.postings.retain(|_, list| {
+            let i = list.partition_point(|&q| q < cut.start);
+            let j = list.partition_point(|&q| q < cut.end);
+            list.drain(i..j);
+            for q in &mut list[i..] {
+                *q -= k;
+            }
             !list.is_empty()
         });
-        removed
+        self.every.truncate(self.universe.len());
+        cut
     }
 }
 
-/// Representative interval → block id.
-#[derive(Debug, Clone, Default)]
+/// Per DSI universe position, the block whose representative covers it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockTable {
-    /// Sorted by representative interval `lo`.
-    entries: Vec<(Interval, u32)>,
-    sealed: bool,
+    block_at: Vec<Option<u32>>,
 }
 
 impl BlockTable {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn add(&mut self, representative: Interval, block_id: u32) {
-        self.entries.push((representative, block_id));
-        self.sealed = false;
-    }
-
-    pub fn seal(&mut self) {
-        self.entries.sort_by_key(|(iv, _)| (iv.lo, iv.hi));
-        self.sealed = true;
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (Interval, u32)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// For each interval of a list in join order, the block whose
-    /// representative interval covers it (equality or strict containment),
-    /// by one merge with the table. Blocks never nest (encryption targets
-    /// are disjoint subtrees), so a cover is unique if it exists.
-    pub fn covering(&self, list: &[Interval]) -> Vec<Option<u32>> {
-        debug_assert!(self.sealed, "BlockTable::seal() must run before lookups");
-        let mut next = self.entries.iter().copied().peekable();
-        let mut open: Option<(Interval, u32)> = None;
-        list.iter()
-            .map(|x| {
-                while let Some(e) = next.next_if(|(rep, _)| rep.lo <= x.lo) {
-                    open = Some(e);
-                }
-                open.filter(|(rep, _)| rep.covers(x)).map(|(_, id)| id)
-            })
-            .collect()
-    }
-
-    /// Merges a sealed table's new blocks in place, keeping it sealed: they
-    /// are sorted and spliced in at one binary-searched point, so they must
-    /// be one run against the table (an inserted subtree's blocks are).
-    pub fn merge_run(&mut self, entries: &[(Interval, u32)]) {
-        debug_assert!(self.sealed, "BlockTable::seal() must run before a merge");
-        let mut new = entries.to_vec();
-        new.sort_by_key(|(iv, _)| (iv.lo, iv.hi));
-        let Some(&(first, _)) = new.first() else {
-            return;
+    /// The table of `(representative, block id)` pairs, in any order, over
+    /// `dsi`: a block covers its representative's subtree. `None` when a
+    /// representative is no member, or lies inside another block or holds
+    /// one (encryption targets are disjoint subtrees).
+    pub fn new(
+        dsi: &DsiIndexTable,
+        blocks: impl IntoIterator<Item = (Interval, u32)>,
+    ) -> Option<Self> {
+        let mut table = BlockTable {
+            block_at: vec![None; dsi.universe.len()],
         };
-        let at = self
-            .entries
-            .partition_point(|(iv, _)| (iv.lo, iv.hi) < (first.lo, first.hi));
-        self.entries.splice(at..at, new);
+        for (rep, id) in blocks {
+            table.cover(&dsi.universe, rep, id)?;
+        }
+        Some(table)
     }
 
-    /// Removes every block whose representative interval is covered by
-    /// `range`, one run cut out by binary search (blocks never nest, so the
-    /// table is in join order too); returns the removed ids.
-    pub fn remove_within(&mut self, range: Interval) -> Vec<u32> {
-        let run = covered_run(&self.entries, |&(iv, _)| iv, range);
-        self.entries.drain(run).map(|(_, id)| id).collect()
+    /// Covers the subtree of the member `rep` with block `id`; `None`, and
+    /// nothing covered, when `rep` is no member or meets another block.
+    fn cover(&mut self, u: &IntervalUniverse, rep: Interval, id: u32) -> Option<()> {
+        let p = u.find(&rep)?;
+        let run = &mut self.block_at[p as usize..u.end(p) as usize];
+        run.iter().all(Option::is_none).then(|| run.fill(Some(id)))
+    }
+
+    /// The block that covers the member at position `p`, if any.
+    pub fn block_at(&self, p: u32) -> Option<u32> {
+        self.block_at[p as usize]
+    }
+
+    /// Every `(representative, block id)` pair, by `lo`: the covered
+    /// members whose parent is not in the same block. `dsi` is the table
+    /// this one is over.
+    pub fn iter<'a>(
+        &'a self,
+        dsi: &'a DsiIndexTable,
+    ) -> impl Iterator<Item = (Interval, u32)> + 'a {
+        let u = &dsi.universe;
+        (0..self.block_at.len() as u32).filter_map(move |p| {
+            let id = self.block_at(p)?;
+            let root = u.parent(p).is_none_or(|q| self.block_at(q) != Some(id));
+            root.then(|| (u.interval(p), id))
+        })
+    }
+
+    /// Follows [`DsiIndexTable::splice_in`] (`dsi` is the table after it):
+    /// the run's positions go in at `at`, then each new block, inside the
+    /// run and not inside another, covers its representative's subtree.
+    pub fn splice_in(&mut self, dsi: &DsiIndexTable, at: u32, blocks: &[(Interval, u32)]) {
+        let (i, k) = (at as usize, dsi.universe.len() - self.block_at.len());
+        self.block_at.splice(i..i, vec![None; k]);
+        for &(rep, id) in blocks {
+            self.cover(&dsi.universe, rep, id)
+                .expect("an insert's blocks are members that do not nest");
+        }
+    }
+
+    /// Follows [`DsiIndexTable::cut`] of a subtree no block covers: drops
+    /// the positions `cut` and returns the ids of the blocks inside, once.
+    pub fn cut(&mut self, cut: Range<u32>) -> Vec<u32> {
+        let mut dead: Vec<u32> = self
+            .block_at
+            .drain(cut.start as usize..cut.end as usize)
+            .flatten()
+            .collect();
+        dead.dedup();
+        dead
     }
 }
 
@@ -203,63 +277,136 @@ mod tests {
         Interval::new(lo, hi)
     }
 
-    #[test]
-    fn dsi_table_lookup() {
-        let mut t = DsiIndexTable::new();
-        t.add("patient", iv(14, 46));
-        t.add("patient", iv(54, 86));
-        t.add("U84573", iv(16, 20));
-        t.seal();
-        assert_eq!(t.lookup("patient").len(), 2);
-        assert_eq!(t.lookup("U84573"), [iv(16, 20)]);
-        assert!(t.lookup("ghost").is_empty());
-        assert_eq!(t.tag_count(), 2);
-        assert_eq!(t.entry_count(), 3);
+    fn list(t: &DsiIndexTable, tag: &str) -> Vec<Interval> {
+        t.lookup(tag).iter().copied().collect()
+    }
+
+    /// The table of single entries.
+    fn table<'a>(entries: impl IntoIterator<Item = &'a (&'a str, Interval)>) -> DsiIndexTable {
+        let lists = entries.into_iter().map(|&(tag, iv)| (tag, [iv]));
+        DsiIndexTable::from_entries(lists).expect("the entries nest")
     }
 
     #[test]
-    fn dsi_table_sorts_on_seal() {
-        let mut t = DsiIndexTable::new();
-        t.add("a", iv(50, 60));
-        t.add("a", iv(10, 20));
-        t.add("a", iv(10, 90));
-        t.seal();
-        let l = t.lookup("a");
-        assert_eq!(l, [iv(10, 90), iv(10, 20), iv(50, 60)]);
+    fn dsi_table_lookup() {
+        let t = table(&[
+            ("patient", iv(14, 46)),
+            ("patient", iv(54, 86)),
+            ("U84573", iv(16, 20)),
+        ]);
+        assert_eq!(t.lookup("patient").len(), 2);
+        assert_eq!(list(&t, "U84573"), [iv(16, 20)]);
+        assert!(t.lookup("ghost").is_empty());
+        assert_eq!(t.tag_count(), 2);
+        assert_eq!(t.entry_count(), 3);
+        assert_eq!(t.positions("patient"), [0, 2]);
+        assert_eq!(t.all(), [0, 1, 2]);
+    }
+
+    #[test]
+    fn dsi_table_is_in_join_order() {
+        let list_a = [iv(50, 60), iv(10, 20), iv(5, 90), iv(50, 60)];
+        let t = DsiIndexTable::from_entries([("a", list_a)]).unwrap();
+        assert_eq!(list(&t, "a"), [iv(5, 90), iv(10, 20), iv(50, 60)]);
+        assert_eq!(t.entry_count(), 3);
+    }
+
+    /// Intervals that neither nest strictly nor are disjoint are refused.
+    #[test]
+    fn overlapping_entries_are_refused() {
+        let table = |e: &[(&str, Interval)]| {
+            DsiIndexTable::from_entries(e.iter().map(|&(tag, iv)| (tag, [iv])))
+        };
+        assert!(table(&[("a", iv(10, 30)), ("b", iv(20, 40))]).is_none());
+        assert!(table(&[("a", iv(10, 30)), ("a", iv(10, 20))]).is_none());
+        assert!(table(&[("a", iv(10, 30)), ("a", iv(12, 30))]).is_none());
+        assert!(table(&[("a", iv(10, 30)), ("b", iv(10, 30))]).is_some());
     }
 
     #[test]
     fn block_cover_lookup() {
-        let mut b = BlockTable::new();
-        b.add(iv(16, 20), 1);
-        b.add(iv(39, 44), 2);
-        b.add(iv(55, 60), 3);
-        b.seal();
-        let list = [
+        let members = [
             iv(10, 90),
             iv(16, 20),
             iv(17, 18),
             iv(25, 30),
             iv(39, 44),
+            iv(55, 60),
             iv(56, 57),
             iv(61, 62),
         ];
+        let dsi = DsiIndexTable::from_entries([("t", members)]).unwrap();
+        let blocks = [(iv(55, 60), 3), (iv(16, 20), 1), (iv(39, 44), 2)];
+        let mut b = BlockTable::new(&dsi, blocks).unwrap();
+        let at: Vec<Option<u32>> = (0..8).map(|p| b.block_at(p)).collect();
         assert_eq!(
-            b.covering(&list),
-            [None, Some(1), Some(1), None, Some(2), Some(3), None]
+            at,
+            [
+                None,
+                Some(1),
+                Some(1),
+                None,
+                Some(2),
+                Some(3),
+                Some(3),
+                None
+            ]
         );
-        assert_eq!(b.remove_within(iv(30, 50)), [2]);
-        assert_eq!(b.covering(&list[4..5]), [None]);
+        let pairs: Vec<(Interval, u32)> = b.iter(&dsi).collect();
+        assert_eq!(pairs, [(iv(16, 20), 1), (iv(39, 44), 2), (iv(55, 60), 3)]);
+        assert_eq!(b.cut(4..5), [2]);
+        assert_eq!(b.cut(1..3), [1]);
+        // A representative that is no member, or inside another block.
+        assert!(BlockTable::new(&dsi, [(iv(16, 21), 1)]).is_none());
+        assert!(BlockTable::new(&dsi, [(iv(16, 20), 1), (iv(17, 18), 2)]).is_none());
+        assert!(BlockTable::new(&dsi, [(iv(17, 18), 2), (iv(16, 20), 1)]).is_none());
+    }
+
+    /// A run spliced in and a subtree cut out leave the table a build from
+    /// the same entries gives; the block table follows.
+    #[test]
+    fn splice_and_cut_equal_a_fresh_build() {
+        let entries = [("r", iv(0, 100)), ("a", iv(10, 40)), ("b", iv(20, 30))];
+        let mut t = table(&entries);
+        let mut b = BlockTable::new(&t, [(iv(20, 30), 0)]).unwrap();
+        let new = [
+            ("a".to_owned(), iv(50, 90)),
+            ("c".to_owned(), iv(60, 70)),
+            ("a".to_owned(), iv(60, 70)),
+        ];
+        let at = t.splice_in(0, &[iv(50, 90), iv(60, 70)], &new);
+        assert_eq!(at, 3);
+        b.splice_in(&t, at, &[(iv(60, 70), 1)]);
+        let added: Vec<(&str, Interval)> =
+            new.iter().map(|(tag, iv)| (tag.as_str(), *iv)).collect();
+        let fresh = table(entries.iter().chain(&added));
+        assert_eq!(t, fresh);
+        let blocks = [(iv(20, 30), 0), (iv(60, 70), 1)];
+        assert_eq!(b, BlockTable::new(&fresh, blocks).unwrap());
+        assert_eq!(t.positions("a"), [1, 3, 4]);
+
+        let cut = t.cut(1);
+        assert_eq!(cut, 1..3);
+        assert_eq!(b.cut(cut), [0]);
+        let left = [
+            ("r", iv(0, 100)),
+            ("a", iv(50, 90)),
+            ("a", iv(60, 70)),
+            ("c", iv(60, 70)),
+        ];
+        let fresh = table(&left);
+        assert_eq!(t, fresh);
+        assert_eq!(b, BlockTable::new(&fresh, [(iv(60, 70), 1)]).unwrap());
+        t.cut(1);
+        assert_eq!(t.tag_count(), 1);
+        assert_eq!(t.all(), [0]);
     }
 
     #[test]
     fn empty_tables() {
-        let mut t = DsiIndexTable::new();
-        t.seal();
+        let t = table(&[]);
         assert_eq!(t.entry_count(), 0);
-        let mut b = BlockTable::new();
-        b.seal();
-        assert!(b.is_empty());
-        assert_eq!(b.covering(&[iv(1, 2)]), [None]);
+        let b = BlockTable::new(&t, []).unwrap();
+        assert_eq!(b.iter(&t).count(), 0);
     }
 }

@@ -2,10 +2,10 @@
 
 use exq_index::dsi::{DsiLabeling, Interval};
 use exq_index::sjoin::{
-    join_anc_desc, least_child, least_desc, semijoin_anc, semijoin_child, semijoin_desc,
-    semijoin_parent, sort_intervals, IntervalUniverse, NONE,
+    join_anc_desc, join_order, least_child, least_desc, semijoin_anc, semijoin_child,
+    semijoin_desc, semijoin_parent, sort_intervals, IntervalUniverse, NONE,
 };
-use exq_index::BTree;
+use exq_index::{BTree, DsiIndexTable};
 use exq_xml::{Document, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -98,8 +98,47 @@ proptest! {
 
 /// The universe of every node's interval in `d`.
 fn universe(d: &Document, l: &DsiLabeling) -> IntervalUniverse {
-    let intervals: Vec<Interval> = d.iter().map(|n| l.interval(n).unwrap()).collect();
-    IntervalUniverse::with_postings([intervals.as_slice()]).0
+    let intervals = d.iter().map(|n| l.interval(n).unwrap());
+    let table = DsiIndexTable::from_entries([("", intervals)]).unwrap();
+    table.universe().clone()
+}
+
+/// Table entries for every node of `d` labelled by `l`: the tag `pick`
+/// draws for it and, where `pick` says so too, a second tag `s` or the same
+/// entry again.
+fn tagged(d: &Document, l: &DsiLabeling, mut pick: impl FnMut() -> u8) -> Vec<(String, Interval)> {
+    let mut out = Vec::new();
+    for n in d.iter() {
+        let iv = l.interval(n).unwrap();
+        let draw = pick();
+        out.push((format!("t{}", draw % 4), iv));
+        match draw / 4 % 4 {
+            0 => out.push(("s".to_owned(), iv)),
+            1 => out.push((format!("t{}", draw % 4), iv)),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The table of `entries`, each given alone.
+fn table_of(entries: &[(String, Interval)]) -> DsiIndexTable {
+    let lists = entries.iter().map(|(tag, iv)| (tag.as_str(), [*iv]));
+    DsiIndexTable::from_entries(lists).expect("the entries nest")
+}
+
+/// The table `entries` should make, restated as lists: per tag, its
+/// intervals sorted into join order and deduplicated.
+fn lists_of(entries: &[(String, Interval)]) -> std::collections::BTreeMap<String, Vec<Interval>> {
+    let mut lists = std::collections::BTreeMap::<String, Vec<Interval>>::new();
+    for (tag, iv) in entries {
+        lists.entry(tag.clone()).or_default().push(*iv);
+    }
+    for list in lists.values_mut() {
+        sort_intervals(list);
+        list.dedup();
+    }
+    lists
 }
 
 /// The position of `iv`, a member of `u`: members are in join order.
@@ -285,6 +324,83 @@ proptest! {
                 least_desc(&u, &ctx, &cands, &vals, or_self),
                 least(&|t, c| under(t, c, or_self))
             );
+        }
+    }
+}
+
+/// One update of a [`DsiIndexTable`]: a fragment labelled into the gap
+/// after the last child of a member and spliced in, or a member's subtree
+/// cut out.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Splice(usize, Box<Document>, u64),
+    Cut(usize),
+}
+
+fn table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        (any::<usize>(), doc_strategy(), any::<u64>())
+            .prop_map(|(at, frag, seed)| TableOp::Splice(at, Box::new(frag), seed)),
+        any::<usize>().prop_map(TableOp::Cut),
+    ]
+}
+
+proptest! {
+    /// The DSI table of random labelled documents under random tags, some
+    /// intervals listed under two tags or twice under one: each lookup is
+    /// that tag's entries in join order, deduplicated, and the counts are
+    /// those lists'. After random splices and cuts the table equals a
+    /// build from the entries left.
+    #[test]
+    fn dsi_table_equals_its_entries(
+        d in doc_strategy(),
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(table_op(), 0..8),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let l = DsiLabeling::assign(&d, &mut rng);
+        let mut draws = (0..).map(|i: u64| (seed.rotate_left(i as u32 * 7) ^ i) as u8);
+        let mut entries = tagged(&d, &l, || draws.next().unwrap());
+        let mut table = table_of(&entries);
+        let lists = lists_of(&entries);
+        for (tag, list) in &lists {
+            let got: Vec<Interval> = table.lookup(tag).iter().copied().collect();
+            prop_assert_eq!(&got, list, "tag {}", tag);
+        }
+        prop_assert!(table.lookup("ghost").is_empty());
+        prop_assert_eq!(table.tag_count(), lists.len());
+        prop_assert_eq!(table.entry_count(), lists.values().map(Vec::len).sum::<usize>());
+
+        for op in ops {
+            let u = table.universe();
+            if u.is_empty() {
+                break;
+            }
+            match op {
+                TableOp::Splice(at, frag, frag_seed) => {
+                    let under = (at % u.len()) as u32;
+                    let parent = u.interval(under);
+                    let lo = u.last_child(under).map_or(parent.lo, |q| u.interval(q).hi);
+                    let mut frag_rng = StdRng::seed_from_u64(frag_seed);
+                    let Some(fl) = DsiLabeling::assign_in_slot(&frag, &mut frag_rng, lo, parent.hi)
+                    else {
+                        continue;
+                    };
+                    let mut draws = (0..).map(|i: u64| (frag_seed >> (i % 56)) as u8 ^ i as u8);
+                    let new = tagged(&frag, &fl, || draws.next().unwrap());
+                    let mut run: Vec<Interval> = new.iter().map(|&(_, iv)| iv).collect();
+                    run.sort_by(join_order);
+                    run.dedup();
+                    table.splice_in(under, &run, &new);
+                    entries.extend(new);
+                }
+                TableOp::Cut(at) => {
+                    let victim = u.interval((at % u.len()) as u32);
+                    table.cut((at % u.len()) as u32);
+                    entries.retain(|(_, iv)| *iv != victim && !victim.contains(iv));
+                }
+            }
+            prop_assert_eq!(&table, &table_of(&entries));
         }
     }
 }

@@ -191,7 +191,7 @@ impl PageFile {
     }
 
     /// Opens an existing page file read-write. The caller passes the page
-    /// size it expects (see [`probe_page_size`] for recovering it from the
+    /// size it expects (see [`probe_page_size`] for reading it from the
     /// file itself); the superblock read then validates it properly.
     pub fn open(vfs: &dyn Vfs, path: &Path, page_size: usize) -> Result<PageFile, StoreError> {
         let file = vfs.open(path, OpenMode::ReadWrite)?;

@@ -68,7 +68,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Locks a mutex, recovering from poisoning: a panicking holder (a failed
+/// Locks a mutex, past any poisoning: a panicking holder (a failed
 /// checkpoint on the background thread, say) must degrade the store, not
 /// wedge every later caller behind a `PoisonError`. The store's invariants
 /// are structured so any interrupted writer leaves recoverable state (the
@@ -364,7 +364,7 @@ impl PagedStore {
         Self::open_with(os_vfs(), dir, opts)
     }
 
-    /// Opens an existing store, recovering the newest durable superblock
+    /// Opens an existing store, restoring the newest durable superblock
     /// and scanning the WAL. Returns the store plus the log records **not
     /// yet folded into the checkpoint** (`seq > superblock.wal_seq`) for
     /// the logical layer to replay.

@@ -603,7 +603,7 @@ impl Document {
     }
 
     /// Pre-order traversal of the subtree rooted at `id` (inclusive),
-    /// covering attributes and text.
+    /// attributes and text included.
     pub fn descendants(&self, id: NodeId) -> Descendants<'_> {
         Descendants {
             doc: self,

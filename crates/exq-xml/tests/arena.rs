@@ -206,7 +206,7 @@ proptest! {
 }
 
 /// The shapes the property must reach, pinned so a generator change cannot
-/// quietly stop covering them.
+/// quietly stop reaching them.
 #[test]
 fn pinned_shapes_nested_refilled_and_root_drops() {
     use Fate::{Drop, Keep, Replace};

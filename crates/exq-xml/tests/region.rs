@@ -185,7 +185,7 @@ proptest! {
 }
 
 /// The shapes the property must reach, pinned so a generator change cannot
-/// quietly stop covering them.
+/// quietly stop reaching them.
 #[test]
 fn pinned_shapes_nested_repeated_above_and_detached() {
     let mut d =

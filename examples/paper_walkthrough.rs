@@ -59,11 +59,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if rows.len() > 8 {
         println!("      … {} more tags", rows.len() - 8);
     }
+    let blocks = || meta.block_table.iter(&meta.dsi_table);
     println!(
         "  (a) encryption block table ({} blocks):",
-        meta.block_table.len()
+        blocks().count()
     );
-    for (iv, id) in meta.block_table.iter().take(4) {
+    for (iv, id) in blocks().take(4) {
         println!(
             "      block {id}: representative interval [{}, {}]",
             iv.lo, iv.hi
