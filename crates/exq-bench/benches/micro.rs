@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the substrates: the cipher, PRF, OPE,
 //! OPESS planning, B-tree, DSI labeling, structural joins, XML parsing,
 //! vertex-cover solvers and the owner's whole set-up — and for the reply path of one secure query
-//! (server assembly, region serialization, answer encoding, client
+//! (server assembly, answer encoding, client
 //! reconstruction and its parse and XPath halves, batch block open, frame
 //! checksum) on the perf ledger's `xmark_scan` database,
 //! the server's predicate matching and its in-place index updates on its
@@ -24,7 +24,7 @@ use exq_index::sjoin::{join_anc_desc, sort_intervals};
 use exq_index::BTree;
 use exq_store::PagedStore;
 use exq_workload::{hospital, nasa, xmark};
-use exq_xml::{Document, Keep};
+use exq_xml::Document;
 use exq_xpath::{eval_document, Path};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -336,22 +336,12 @@ fn bench_reply_path(c: &mut Criterion) {
     });
 
     // The two halves of that post-process with the crypto and the splicing
-    // taken out: a plain parse of the text a whole-`people` reply
-    // reconstructs to (the `people` region under its bare ancestors,
-    // 1.3 MB) with building the arena and freeing it timed apart, and the
-    // post query on the parsed document.
-    let region = doc.elements_by_tag("people")[0];
-    let context = doc.ancestors(region);
-    let in_reply = |n| {
-        if n == region {
-            Keep::Subtree
-        } else if context.contains(&n) {
-            Keep::Node
-        } else {
-            Keep::Skip
-        }
-    };
-    let people_xml = doc.to_xml_region(in_reply, |_, _| {});
+    // taken out: a plain parse of the visible text of a whole-`people`
+    // reply (the server's `/site/people` region under its bare ancestors,
+    // block markers in place) with building the arena and freeing it timed
+    // apart, and the post query on the parsed document.
+    let people_sq = client.translate("/site/people").unwrap().server_query;
+    let people_xml = server.answer(&people_sq.unwrap()).unwrap().pruned_xml;
     let mut parse = c.benchmark_group("xml/parse_people_reply");
     let held = std::cell::Cell::new(None);
     parse.bench_function("parse", |b| {
@@ -401,18 +391,20 @@ fn bench_reply_path(c: &mut Criterion) {
     });
     open.finish();
 
-    // The writer alone, on the visible document with every other top-level
-    // section kept — a predicate that is cheap, and not "everything".
-    let visible = Document::parse(&server.visible_xml()).unwrap();
-    let root = visible.root().unwrap();
-    let mut keep = vec![Keep::Skip; visible.arena_len()];
-    keep[root.index()] = Keep::Node;
-    for &section in visible.node(root).children().iter().step_by(2) {
-        keep[section.index()] = Keep::Subtree;
+    // The region copy out of the visible text: one section whole, one
+    // anchor per person, and a leaf path under each person's context chain.
+    let mut assemble = c.benchmark_group("server/assemble");
+    for (shape, q) in [
+        ("open_auctions", "/site/open_auctions"),
+        ("people_person", "//people//person"),
+        ("person_city", "/site/people/person/address/city"),
+    ] {
+        let sq = client.translate(q).unwrap().server_query.unwrap();
+        assemble.bench_function(shape, |b| {
+            b.iter(|| black_box(server.answer(&sq).unwrap().pruned_xml.len()))
+        });
     }
-    c.bench_function("xml/write_region", |b| {
-        b.iter(|| black_box(visible.to_xml_region(|n| keep[n.index()], |_, _| {}).len()))
-    });
+    assemble.finish();
 }
 
 /// `Server::answer` where predicates are the work, on the ledger's

@@ -7,11 +7,14 @@
 //! ```
 //!
 //! Tables are printed and written as CSV under `results/`, plus a combined
-//! JSON dump `results/experiments.json`.
+//! JSON dump: `results/experiments.json` for a run of every experiment, and
+//! a file of its own for a run of some (`--exp e2` writes
+//! `results/experiments-e2.json`), which leaves the whole run's dump alone.
 
 use exq_bench::experiments::registry;
 use exq_bench::report::Table;
 use exq_bench::ExpConfig;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const USAGE: &str = "usage: experiments [--exp eN]... [--size-mb F] [--size-kb F] \
@@ -76,10 +79,12 @@ fn run() -> Result<(), String> {
     );
 
     let mut all_tables: Vec<Table> = Vec::new();
+    let mut ran = Vec::new();
     for (id, title, runner) in registry {
         if !only.is_empty() && !only.iter().any(|f| f == id) {
             continue;
         }
+        ran.push(id);
         println!("--- {id}: {title}");
         let t0 = Instant::now();
         let tables = runner(&cfg);
@@ -95,7 +100,7 @@ fn run() -> Result<(), String> {
 
     // Combined JSON dump for downstream tooling.
     let json = tables_to_json(&all_tables);
-    let path = cfg.out_dir.join("experiments.json");
+    let path = json_path(&cfg.out_dir, !only.is_empty(), &ran);
     if std::fs::create_dir_all(&cfg.out_dir)
         .and_then(|_| std::fs::write(&path, json))
         .is_ok()
@@ -103,6 +108,16 @@ fn run() -> Result<(), String> {
         println!("wrote {}", path.display());
     }
     Ok(())
+}
+
+/// Where a run's combined JSON goes: `experiments.json` when every
+/// experiment ran, else a file named after the ones that did, in registry
+/// order, so a part of the run never replaces the whole run's dump.
+fn json_path(out_dir: &Path, filtered: bool, ran: &[&str]) -> PathBuf {
+    match filtered {
+        false => out_dir.join("experiments.json"),
+        true => out_dir.join(format!("experiments-{}.json", ran.join("-"))),
+    }
 }
 
 fn tables_to_json(tables: &[Table]) -> String {
@@ -119,4 +134,26 @@ fn tables_to_json(tables: &[Table]) -> String {
         })
         .collect();
     serde_json::to_string_pretty(&v).expect("json")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_a_whole_run_writes_experiments_json() {
+        let out = Path::new("results");
+        let all: Vec<&str> = registry().iter().map(|(id, _, _)| *id).collect();
+        assert_eq!(json_path(out, false, &all), out.join("experiments.json"));
+        assert_eq!(
+            json_path(out, true, &["e2"]),
+            out.join("experiments-e2.json")
+        );
+        assert_eq!(
+            json_path(out, true, &["e1", "e4"]),
+            out.join("experiments-e1-e4.json")
+        );
+        // Naming every experiment is still a filtered run.
+        assert_ne!(json_path(out, true, &all), out.join("experiments.json"));
+    }
 }

@@ -44,17 +44,6 @@ pub const BLOCK_ID_ATTR: &str = "id";
 /// Tag of decoy children inserted into leaf blocks (§4.1).
 pub const DECOY_TAG: &str = "_exq_decoy";
 
-/// The block id a marker element carries, if it has a parsable one.
-pub(crate) fn marker_block_id(doc: &Document, marker: NodeId) -> Option<u32> {
-    doc.node(marker)
-        .attrs()
-        .iter()
-        .find_map(|&a| match doc.node(a).kind() {
-            NodeKind::Attribute(name, v) if doc.tag_name(*name) == BLOCK_ID_ATTR => v.parse().ok(),
-            _ => None,
-        })
-}
-
 /// Server-side metadata (the `M` of Figure 1).
 #[derive(Debug, Clone, Default)]
 pub struct ServerMetadata {

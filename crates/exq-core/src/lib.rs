@@ -66,6 +66,7 @@ pub mod telemetry;
 pub mod tenant;
 pub mod transport;
 pub mod update;
+mod visible;
 pub mod wire;
 
 pub use client::Client;

@@ -258,7 +258,7 @@ pub(crate) fn read_interval(r: &mut R) -> Result<Interval, CoreError> {
 /// The visible document, then its interval annotations keyed by
 /// element/attribute pre-order position.
 pub(crate) fn write_visible(w: &mut W, server: &Server) {
-    w.string(&server.visible_xml());
+    w.string(server.visible_xml());
     let positions = server.interval_positions();
     w.u64(positions.len() as u64);
     for (pos, iv) in positions {
@@ -457,13 +457,13 @@ impl Server {
             return Err(R::err("trailing bytes"));
         }
 
-        Ok(Server::from_store_parts(
+        Server::from_store_parts(
             parse_visible(&visible_xml)?,
             pos_intervals,
             metadata_from(dsi_entries, blocks, value_indexes)?,
             BlockStore::Resident(sealed.into_iter().map(Arc::new).collect()),
             dead,
-        ))
+        )
     }
 
     /// Saves to a file (crash-safe: temp file + fsync + atomic rename).

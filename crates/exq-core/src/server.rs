@@ -1,8 +1,12 @@
 //! The untrusted server (§6.2).
 //!
 //! The server stores the visible document, the sealed blocks, and the
-//! metadata `M` (DSI index table, block table, OPESS value indexes). Query
-//! answering follows the paper's three steps:
+//! metadata `M` (DSI index table, block table, OPESS value indexes). The
+//! visible document is held as its own serialization, the text its writer
+//! wrote, with the byte span of each universe position's visible node
+//! (`crate::visible`); no tree is kept beside it, and a reply's visible
+//! region is copied out of that text by position. Query answering follows
+//! the paper's three steps:
 //!
 //! 1. **structure translation** — each query step's tags are looked up in
 //!    the DSI index table, which holds every tag's entries as positions in
@@ -14,7 +18,7 @@
 //! 3. **final joins** — one matcher, `Server::match_steps`, evaluates a
 //!    step sequence set-at-a-time: a forward pass applies each step's axis
 //!    and predicates to whole sorted position lists, a backward pass keeps
-//!    what leads to a full match. Parent, subtree end, visible node and
+//!    what leads to a full match. Parent, subtree end, visible span and
 //!    enclosing block are arrays over positions, so a child step either way
 //!    is one stack merge, a child of the document node is a member with no
 //!    parent, and a value test reads its node's text or block in place —
@@ -27,20 +31,24 @@
 //!    supported axis — child, attribute, descendant, descendant-or-self —
 //!    can reach. Surviving anchor-step matches and, per predicate above the
 //!    anchor, one witness per survivor determine the pruned visible
-//!    document and the block set shipped to the client. The witnesses too
-//!    are one branch match, from the whole survivor list: going back up the
-//!    branch's lists, each member's first reachable last-list member is a
-//!    least-value merge (`Server::witnesses`).
+//!    document and the block set shipped to the client: each kept subtree
+//!    is one slice of the visible text, each ancestor its start tag and a
+//!    close tag, and the blocks are the block table's roots among the
+//!    copied positions. The witnesses too are one branch match, from the
+//!    whole survivor list: going back up the branch's lists, each member's
+//!    first reachable last-list member is a least-value merge
+//!    (`Server::witnesses`).
 //!
 //! The server never decrypts anything; it cannot, it has no keys.
 
 use crate::cache::{CacheStatsSnapshot, ServerCaches};
 use crate::codec::WireCodec;
-use crate::encrypt::{marker_block_id, EncryptedOutput, ServerMetadata, BLOCK_MARKER_TAG};
+use crate::encrypt::{EncryptedOutput, ServerMetadata};
 use crate::error::CoreError;
 use crate::store::{BlockStore, PagedDb};
 use crate::telemetry;
 use crate::update::{CheckedInsert, FragmentAttr, InsertDelta};
+use crate::visible::VisibleText;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::SealedBlock;
 use exq_index::dsi::Interval;
@@ -48,7 +56,7 @@ use exq_index::sjoin::{
     join_order, least_child, least_desc, semijoin_anc, semijoin_child, semijoin_desc,
     semijoin_parent, IntervalUniverse, NONE,
 };
-use exq_xml::{Document, Keep, NodeId, NodeKind};
+use exq_xml::{Document, NodeId, NodeKind};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -80,14 +88,14 @@ pub struct ExplainReport {
 /// The hosting server.
 #[derive(Debug, Clone)]
 pub struct Server {
-    visible: Document,
+    /// The visible document as its serialization, with the byte span of
+    /// each universe position's visible node: the server's one map from an
+    /// interval to its visible node (text nodes have none). Spliced with
+    /// the metadata by every insert and delete.
+    visible: VisibleText,
     /// The DSI table, whose universe holds the matcher's positions, the
     /// block table over it, and the value indexes.
     metadata: ServerMetadata,
-    /// Per DSI universe position, the visible node with that interval: the
-    /// server's one map from an interval to its visible node (text nodes
-    /// have none). Spliced with the metadata by every insert and delete.
-    visible_at: Vec<Option<NodeId>>,
     /// Sealed blocks: fully resident, or paged in through an out-of-core
     /// store (see `crate::store`).
     blocks: BlockStore,
@@ -124,67 +132,22 @@ struct Evaluated<'q> {
     resolved: ResolvedRanges<'q>,
 }
 
-/// A node's string value, borrowed where it is one string already: an
-/// attribute, a text node, or an element whose only child is text.
-fn string_value(doc: &Document, n: NodeId) -> Cow<'_, str> {
-    let node = doc.node(n);
-    let only_child = match node.children() {
-        &[c] => Some(doc.node(c).kind()),
-        _ => None,
-    };
-    match (node.kind(), only_child) {
-        (NodeKind::Attribute(_, v) | NodeKind::Text(v), _)
-        | (NodeKind::Element(_), Some(NodeKind::Text(v))) => Cow::Borrowed(v),
-        _ => Cow::Owned(doc.text_value(n)),
-    }
-}
-
 impl Server {
-    /// Builds the server from the owner's encrypted output.
+    /// Builds the server from the owner's encrypted output: its visible
+    /// document is written once, with spans, and not kept.
     pub fn new(out: &EncryptedOutput) -> Server {
-        let labeled: Vec<(Interval, NodeId)> = out
-            .visible
-            .iter()
-            .filter(|&n| !out.visible.node(n).is_text())
-            .filter_map(|n| Some((out.visible_intervals.get(n.index()).copied()??, n)))
+        let u = out.metadata.dsi_table.universe();
+        let position: Vec<Option<u32>> = (out.visible_intervals.iter())
+            .map(|iv| u.find(iv.as_ref()?))
             .collect();
-        Self::indexed(
-            out.visible.clone(),
-            &labeled,
-            out.metadata.clone(),
-            BlockStore::Resident(out.blocks.iter().cloned().map(Arc::new).collect()),
-            HashSet::new(),
-        )
-    }
-
-    /// A server over its parts; `labeled` pairs visible nodes with intervals.
-    fn indexed(
-        visible: Document,
-        labeled: &[(Interval, NodeId)],
-        metadata: ServerMetadata,
-        blocks: BlockStore,
-        dead_blocks: HashSet<u32>,
-    ) -> Server {
         Server {
-            visible_at: Self::index_visible(metadata.dsi_table.universe(), labeled),
-            visible,
-            metadata,
-            blocks,
-            dead_blocks,
+            visible: VisibleText::new(&out.visible, &position, u)
+                .expect("the owner's visible document follows its index"),
+            metadata: out.metadata.clone(),
+            blocks: BlockStore::Resident(out.blocks.iter().cloned().map(Arc::new).collect()),
+            dead_blocks: HashSet::new(),
             caches: ServerCaches::default(),
         }
-    }
-
-    /// The one from-scratch build of `visible_at`, run when a server is
-    /// made or opened: each universe position's node from `labeled`.
-    fn index_visible(u: &IntervalUniverse, labeled: &[(Interval, NodeId)]) -> Vec<Option<NodeId>> {
-        let mut visible_at = vec![None; u.len()];
-        for (iv, n) in labeled {
-            if let Some(p) = u.find(iv) {
-                visible_at[p as usize] = Some(*n);
-            }
-        }
-        visible_at
     }
 
     /// The DSI table's interval universe: the positions the matcher joins.
@@ -228,7 +191,7 @@ impl Server {
     /// method ships for every query. For a paged server the block total is
     /// tracked, not recomputed, so this never touches disk.
     pub fn hosted_bytes(&self) -> usize {
-        self.visible.serialized_size() + self.blocks.payload_bytes() as usize
+        self.visible.xml().len() + self.blocks.payload_bytes() as usize
     }
 
     /// Total stored bytes of every sealed block (tombstoned included).
@@ -313,36 +276,34 @@ impl Server {
 
     // --- update-support plumbing (see `crate::update`) -------------------
 
-    /// The universe position and visible node of a server-known interval.
-    pub(crate) fn visible_node_of(&self, iv: &Interval) -> Option<(u32, NodeId)> {
+    /// The universe position of a server-known interval that has a
+    /// visible node.
+    pub(crate) fn visible_node_of(&self, iv: &Interval) -> Option<u32> {
         let p = self.universe().find(iv)?;
-        Some((p, self.visible_at[p as usize]?))
+        self.visible.is_visible(p).then_some(p)
     }
 
-    pub(crate) fn visible_element_name(&self, n: NodeId) -> Option<&str> {
-        self.visible.element_name(n)
+    /// The tag of the visible element at a position.
+    pub(crate) fn visible_element_name(&self, p: u32) -> Option<&str> {
+        self.visible.element_name(p)
     }
 
     /// Applies an insert that [`Server::check_insert`] passed; nothing here
-    /// can fail. The blocks are appended, the fragment is grafted under its
-    /// visible parent, and the run of new intervals is spliced into the
-    /// metadata ([`ServerMetadata::splice_in`]) and `visible_at` as the last
-    /// members of the parent's subtree: `k` new positions, and every later
-    /// one moved up by `k`.
+    /// can fail. The blocks are appended, the run of new intervals is
+    /// spliced into the metadata ([`ServerMetadata::splice_in`]) as the last
+    /// members of the parent's subtree — `k` new positions, every later one
+    /// moved up by `k` — and the fragment, with its real attributes only,
+    /// is written with spans into the visible text as the parent's last
+    /// content.
     pub(crate) fn splice_insert(&mut self, delta: &InsertDelta, checked: CheckedInsert) {
         let CheckedInsert {
             under,
-            vis_parent,
-            frag,
+            mut frag,
             annotated,
             run,
         } = checked;
         for b in &delta.blocks {
             self.blocks.push(b.clone());
-        }
-        let mut labeled = Vec::new();
-        if let Some(root) = frag.root() {
-            self.graft(&frag, root, vis_parent, &annotated, &mut labeled);
         }
         let at = self.metadata.splice_in(
             under,
@@ -351,66 +312,46 @@ impl Server {
             &delta.block_entries,
             &delta.value_entries,
         );
-        let mut visible = vec![None; run.len()];
-        for (iv, n) in &labeled {
-            let i = run.binary_search_by(|m| join_order(m, iv));
-            visible[i.expect("an annotation is in the run")] = Some(*n);
+        let annotations: Vec<NodeId> = frag
+            .iter()
+            .filter(|&n| match frag.node(n).kind() {
+                NodeKind::Attribute(t, _) => {
+                    FragmentAttr::of(frag.tag_name(*t)) != FragmentAttr::Real
+                }
+                _ => false,
+            })
+            .collect();
+        for a in annotations {
+            frag.detach(a);
         }
-        let i = at as usize;
-        self.visible_at.splice(i..i, visible);
+        let mut text = String::new();
+        let mut spans = vec![None; run.len()];
+        if let Some(root) = frag.root() {
+            frag.write_spans(root, &mut text, &mut |n, span| {
+                if let Some(iv) = annotated[n.index()] {
+                    let i = run.binary_search_by(|m| join_order(m, &iv));
+                    spans[i.expect("an annotation is in the run")] = Some(span);
+                }
+            });
+        }
+        let u = self.metadata.dsi_table.universe();
+        self.visible.splice_in(u, under, at, &text, &spans);
         self.caches.bump_generation();
-    }
-
-    /// Adds a checked fragment's node under a visible parent, pairing each
-    /// annotated element and attribute with its interval in `labeled`.
-    fn graft(
-        &mut self,
-        frag: &Document,
-        node: NodeId,
-        vis_parent: NodeId,
-        annotated: &[Option<Interval>],
-        labeled: &mut Vec<(Interval, NodeId)>,
-    ) {
-        match frag.node(node).kind() {
-            NodeKind::Element(t) => {
-                let el = self
-                    .visible
-                    .add_element(Some(vis_parent), frag.tag_name(*t));
-                labeled.extend(annotated[node.index()].map(|iv| (iv, el)));
-                for &a in frag.node(node).attrs() {
-                    if let NodeKind::Attribute(at, v) = frag.node(a).kind() {
-                        let name = frag.tag_name(*at);
-                        if FragmentAttr::of(name) == FragmentAttr::Real {
-                            let attr = self.visible.add_attr(el, name, v);
-                            labeled.extend(annotated[a.index()].map(|iv| (iv, attr)));
-                        }
-                    }
-                }
-                for &c in frag.node(node).children() {
-                    self.graft(frag, c, el, annotated, labeled);
-                }
-            }
-            NodeKind::Text(v) => {
-                self.visible.add_text(vis_parent, v);
-            }
-            NodeKind::Attribute(..) => {}
-        }
     }
 
     /// Removes a victim interval's visible subtree and metadata; `false`
     /// when the victim has no visible node (it lives strictly inside a
     /// block, or an earlier victim's subtree took it). Its subtree is one
-    /// run of positions, cut out of the metadata ([`ServerMetadata::cut`])
-    /// and `visible_at`; every later position moves down by the run's
-    /// length.
+    /// run of positions, cut out of the visible text and the metadata
+    /// ([`ServerMetadata::cut`]); every later position moves down by the
+    /// run's length.
     pub(crate) fn remove_visible_subtree(&mut self, victim: &Interval) -> bool {
-        let Some((p, vis)) = self.visible_node_of(victim) else {
+        let Some(p) = self.visible_node_of(victim) else {
             return false;
         };
-        self.visible.detach(vis);
-        let (cut, dead) = self.metadata.cut(p);
+        self.visible.cut(self.metadata.dsi_table.universe(), p);
+        let (_, dead) = self.metadata.cut(p);
         self.dead_blocks.extend(dead);
-        self.visible_at.drain(cut.start as usize..cut.end as usize);
         self.caches.bump_generation();
         true
     }
@@ -418,21 +359,9 @@ impl Server {
     // --- persistence plumbing (see `crate::persist`) ----------------------
 
     /// `(pre-order position among elements+attributes, interval)` pairs for
-    /// the visible document — the persistence keying of `visible_at`.
+    /// the visible document — the persistence keying of its spans.
     pub(crate) fn interval_positions(&self) -> Vec<(usize, Interval)> {
-        let mut interval_of = vec![None; self.visible.arena_len()];
-        let members = self.universe().members();
-        for (&iv, n) in members.iter().zip(&self.visible_at) {
-            if let Some(n) = n {
-                interval_of[n.index()] = Some(iv);
-            }
-        }
-        self.visible
-            .iter()
-            .filter(|&n| !self.visible.node(n).is_text())
-            .enumerate()
-            .filter_map(|(pos, n)| Some((pos, interval_of[n.index()]?)))
-            .collect()
+        self.visible.interval_positions(self.universe())
     }
 
     /// Every hosted block in id order. Pages the whole database in when
@@ -448,26 +377,42 @@ impl Server {
     }
 
     /// Reassembles a server from persisted parts around its block store:
-    /// resident on artifact load, paged on open.
+    /// resident on artifact load, paged on open. `doc` is the parsed
+    /// visible document, written once with spans and then dropped;
+    /// `pos_intervals` keys its elements and attributes by pre-order
+    /// ordinal. A document that does not follow the index is refused.
     pub(crate) fn from_store_parts(
-        visible: Document,
+        doc: Document,
         pos_intervals: HashMap<usize, Interval>,
         metadata: ServerMetadata,
         blocks: BlockStore,
         dead_blocks: HashSet<u32>,
-    ) -> Server {
-        let labeled: Vec<(Interval, NodeId)> = visible
-            .iter()
-            .filter(|&n| !visible.node(n).is_text())
-            .enumerate()
-            .filter_map(|(pos, n)| Some((*pos_intervals.get(&pos)?, n)))
-            .collect();
-        Self::indexed(visible, &labeled, metadata, blocks, dead_blocks)
+    ) -> Result<Server, CoreError> {
+        let u = metadata.dsi_table.universe();
+        let mut position = vec![None; doc.arena_len()];
+        let nodes = doc.iter().filter(|&n| !doc.node(n).is_text());
+        for (ordinal, n) in nodes.enumerate() {
+            position[n.index()] = pos_intervals.get(&ordinal).and_then(|iv| u.find(iv));
+        }
+        let visible = VisibleText::new(&doc, &position, u)
+            .map_err(|why| CoreError::Persist(format!("visible doc: {why}")))?;
+        Ok(Server {
+            visible,
+            metadata,
+            blocks,
+            dead_blocks,
+            caches: ServerCaches::default(),
+        })
     }
 
     /// The visible document as the attacker sees it.
-    pub fn visible_xml(&self) -> String {
-        self.visible.to_xml()
+    pub fn visible_xml(&self) -> &str {
+        self.visible.xml()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn visible_text(&self) -> &VisibleText {
+        &self.visible
     }
 
     /// The naive method of §7.3: ship the entire hosted database. On a
@@ -475,7 +420,7 @@ impl Server {
     pub fn answer_naive(&self) -> Result<ServerResponse, CoreError> {
         let start = Instant::now();
         let resp = ServerResponse {
-            pruned_xml: self.visible.to_xml(),
+            pruned_xml: self.visible.xml().to_owned(),
             blocks: self
                 .collect_blocks()?
                 .into_iter()
@@ -735,9 +680,8 @@ impl Server {
                     .and_then(|(attr, r)| resolved.get(&(attr.as_str(), r.lo, r.hi)));
                 let test = |p: u32| {
                     let plain_ok = plain.as_ref().is_some_and(|(op, lit)| {
-                        self.visible_at[p as usize].is_some_and(|n| {
-                            op.holds(lit.compare_with(&string_value(&self.visible, n)))
-                        })
+                        (self.visible.string_value(p))
+                            .is_some_and(|v| op.holds(lit.compare_with(&v)))
                     });
                     plain_ok
                         || live.is_some_and(|live| {
@@ -831,16 +775,12 @@ impl Server {
     /// full query exactly ([`Server::witnesses`], one branch match per
     /// predicate and step).
     ///
-    /// The region is marked by its anchors alone and written in one pass:
-    /// an anchor is marked whole and its ancestors as context, nothing below
-    /// it is visited until `pruned_xml` is serialized straight from
-    /// `self.visible`, and the writer, which asks nothing inside a whole
-    /// subtree, names each element it writes there — the block markers
-    /// among them, read off as they go by. That needs no descent because the
-    /// marked set is ancestor-closed (a chain is always marked with its
-    /// target) and the children of a live node are live. Marking is
-    /// O(anchors + chains) however the anchors nest or repeat: a chain stops
-    /// at the first marked ancestor.
+    /// The region is copied out of the visible text by position
+    /// ([`VisibleText::region`]): a visible anchor is kept with its subtree,
+    /// an anchor inside a block ships that block and keeps its marker,
+    /// and every kept position's ancestors are context. The blocks of the
+    /// markers inside a kept subtree come off the block table as the copy
+    /// goes by.
     fn assemble(
         &self,
         q: &ServerQuery,
@@ -857,64 +797,29 @@ impl Server {
         if anchors.is_empty() {
             return Ok((String::new(), Vec::new()));
         }
-        let mut region = Region {
-            visible: &self.visible,
-            marks: vec![Keep::Skip; self.visible.arena_len()],
-        };
+        let u = self.universe();
+        let blocks = &self.metadata.block_table;
         // Blocks the region needs, in discovery order, duplicates included.
         let mut block_ids = Vec::new();
+        let mut wholes = Vec::with_capacity(anchors.len());
         for &a in &anchors {
-            if let Some(v) = self.visible_at[a as usize] {
-                // Visible anchor: chain + full subtree + blocks under it.
-                region.mark(v);
-            } else if let Some(b) = self.metadata.block_table.block_at(a) {
-                // Anchor inside a block: chain to the marker + the block. A
-                // block's root is a member and its marker carries the root's
-                // interval, so the marker is the visible node of the nearest
-                // enclosing member that has one.
+            if self.visible.is_visible(a) {
+                wholes.push(a);
+            } else if let Some(b) = blocks.block_at(a) {
+                // Anchor inside a block: the block, and its marker — the
+                // nearest enclosing member with a visible node, since a
+                // block's root is a member and its marker carries the
+                // root's interval.
                 block_ids.push(b);
-                let mut up = std::iter::successors(Some(a), |&p| self.universe().parent(p));
-                if let Some(marker) = up.find_map(|p| self.visible_at[p as usize]) {
-                    region.mark(marker);
-                }
+                let mut up = std::iter::successors(Some(a), |&p| u.parent(p));
+                wholes.extend(up.find(|&p| self.visible.is_visible(p)));
             }
         }
-        let marker_tag = self.visible.tag_id(BLOCK_MARKER_TAG);
-        let pruned_xml = self.visible.to_xml_region(
-            |n| region.marks[n.index()],
-            |n, tag| {
-                if Some(tag) == marker_tag {
-                    block_ids.extend(marker_block_id(&self.visible, n));
-                }
-            },
-        );
+        let pruned_xml = self.visible.region(u, blocks, &wholes, &mut block_ids);
         block_ids.sort_unstable();
         block_ids.dedup();
         block_ids.retain(|&b| self.block_live(b));
         Ok((pruned_xml, self.blocks.get_many(&block_ids)?))
-    }
-}
-
-/// The answer region of one query over the visible arena (see
-/// [`Server::assemble`]): what the writer is to keep of each node.
-struct Region<'a> {
-    visible: &'a Document,
-    marks: Vec<Keep>,
-}
-
-impl Region<'_> {
-    /// Marks `v`'s subtree whole, by marking `v`, and `v`'s ancestors as
-    /// context (attributes ride along with any shipped element).
-    fn mark(&mut self, v: NodeId) {
-        self.marks[v.index()] = Keep::Subtree;
-        let mut cur = v;
-        while let Some(p) = self.visible.node(cur).parent() {
-            if self.marks[p.index()] != Keep::Skip {
-                break;
-            }
-            self.marks[p.index()] = Keep::Node;
-            cur = p;
-        }
     }
 }
 
@@ -998,8 +903,8 @@ mod tests {
             .map(|(tag, list)| (tag, list.iter().copied().collect()));
         let ward = ("ward", vec![patient]);
         s.metadata.dsi_table = DsiIndexTable::from_entries(lists.chain([ward])).unwrap();
-        // The universe did not move, so the block table and `visible_at`
-        // still fit it.
+        // The universe did not move, so the block table and the visible
+        // spans still fit it.
         assert_eq!(*s.universe(), before);
         let at = s.metadata.dsi_table.positions("patient")[1];
         assert_eq!(s.universe().interval(at), patient);
@@ -1116,12 +1021,13 @@ mod tests {
 }
 
 /// The splice is a from-scratch build done in place: after any sequence of
-/// inserts and deletes the metadata and `visible_at` equal a build over the
-/// tables' own entries.
+/// inserts and deletes the metadata and the visible spans equal a build over
+/// the tables' own entries and the visible text, reparsed.
 #[cfg(test)]
 mod splice_tests {
     use super::*;
     use crate::constraints::SecurityConstraint;
+    use crate::encrypt::BLOCK_MARKER_TAG;
     use crate::scheme::SchemeKind;
     use crate::system::{OutsourceConfig, Outsourcer};
     use crate::Client;
@@ -1183,19 +1089,11 @@ mod splice_tests {
             .split()
     }
 
-    /// Every visible node that has a position, with its interval, in
-    /// position order.
-    fn labeled(s: &Server) -> Vec<(Interval, NodeId)> {
-        let members = s.universe().members();
-        let nodes = members.iter().zip(&s.visible_at);
-        nodes.filter_map(|(&iv, n)| Some((iv, (*n)?))).collect()
-    }
-
-    /// The spliced metadata and `visible_at` against a fresh build over
-    /// the DSI table's own entries, the block table's own representatives
-    /// and the server's labelled nodes, and `visible_at` against the
-    /// visible document: its nodes, in position order, are every live
-    /// element and attribute in document order.
+    /// The spliced metadata against a fresh build over the DSI table's own
+    /// entries and the block table's own representatives. The visible text
+    /// is what the writer writes of it, reparsed, and its spans equal those
+    /// a fresh build over that parse records: they place every element and
+    /// every attribute but a marker's block id, in document order.
     fn assert_fresh(s: &Server, step: &str) {
         let dsi = &s.metadata.dsi_table;
         let lists = dsi.iter().map(|(tag, list)| (tag, list.iter().copied()));
@@ -1204,24 +1102,34 @@ mod splice_tests {
         let reps = s.metadata.block_table.iter(dsi);
         let blocks = BlockTable::new(&fresh, reps).expect("the blocks are disjoint");
         assert_eq!(s.metadata.block_table, blocks, "block table after {step}");
-        assert_eq!(
-            s.visible_at,
-            Server::index_visible(fresh.universe(), &labeled(s)),
-            "visible_at after {step}"
-        );
-        let labeled: Vec<NodeId> = labeled(s).into_iter().map(|(_, n)| n).collect();
-        // A marker's block id is its one attribute, and has no interval.
-        let marker = |n: NodeId| s.visible.element_name(n) == Some(BLOCK_MARKER_TAG);
-        let live: Vec<NodeId> = s
-            .visible
-            .iter()
-            .filter(|&n| match s.visible.node(n).kind() {
-                NodeKind::Text(_) => false,
-                NodeKind::Attribute(..) => !s.visible.node(n).parent().is_some_and(marker),
-                NodeKind::Element(_) => true,
+        let xml = s.visible_xml();
+        let doc = match xml {
+            "" => Document::new(),
+            xml => Document::parse(xml).unwrap(),
+        };
+        assert_eq!(doc.to_xml(), xml, "visible text after {step}");
+        let nodes: Vec<NodeId> = doc.iter().filter(|&n| !doc.node(n).is_text()).collect();
+        let marker = |n: NodeId| doc.element_name(n) == Some(BLOCK_MARKER_TAG);
+        let placed: Vec<usize> = (0..nodes.len())
+            .filter(|&i| {
+                !doc.node(nodes[i])
+                    .parent()
+                    .is_some_and(|p| doc.node(nodes[i]).is_attribute() && marker(p))
             })
             .collect();
-        assert_eq!(labeled, live, "visible nodes after {step}");
+        let positions = s.interval_positions();
+        let ordinals: Vec<usize> = positions.iter().map(|&(ordinal, _)| ordinal).collect();
+        assert_eq!(ordinals, placed, "visible nodes after {step}");
+        let mut position = vec![None; doc.arena_len()];
+        for (ordinal, iv) in positions {
+            position[nodes[ordinal].index()] = fresh.universe().find(&iv);
+        }
+        let rebuilt = VisibleText::new(&doc, &position, fresh.universe());
+        assert_eq!(
+            rebuilt.as_ref(),
+            Ok(&s.visible),
+            "visible spans after {step}"
+        );
     }
 
     fn run(ops: &[Op]) {
@@ -1238,17 +1146,20 @@ mod splice_tests {
                 } => {
                     let parents: Vec<u32> = (0..s.universe().len() as u32)
                         .filter(|&p| {
-                            s.visible_at[p as usize].is_some_and(|n| {
-                                s.visible_element_name(n)
-                                    .is_some_and(|t| t != BLOCK_MARKER_TAG)
-                            })
+                            s.visible_element_name(p)
+                                .is_some_and(|t| t != BLOCK_MARKER_TAG)
                         })
                         .collect();
+                    if parents.is_empty() {
+                        continue;
+                    }
                     let parent = s.universe().interval(parents[parent % parents.len()]);
                     let slot = s.insertion_slot(parent).unwrap();
-                    let mut delta = client
-                        .prepare_insert(&slot, RECORDS[record], i as u64)
-                        .unwrap();
+                    let mut delta = match client.prepare_insert(&slot, RECORDS[record], i as u64) {
+                        // Inserts under one parent halve its free labels.
+                        Err(CoreError::Query(why)) if why.contains("exhausted") => continue,
+                        prepared => prepared.unwrap(),
+                    };
                     if shared {
                         let (_, iv) = delta.dsi_entries[delta.dsi_entries.len() / 2].clone();
                         delta.dsi_entries.push(("ward".to_owned(), iv));
@@ -1264,11 +1175,11 @@ mod splice_tests {
                     assert!(s.remove_visible_subtree(&last.take().unwrap()), "{step}");
                 }
                 Op::Delete { at, .. } => {
-                    // Position 0 is the root; a member inside a block has
-                    // no visible node and stays.
+                    // Position 0 is the root, which takes the rest with it;
+                    // a member inside a block has no visible node and stays.
                     let u = s.universe();
-                    if u.len() > 1 {
-                        let victim = u.interval(1 + (at % (u.len() - 1)) as u32);
+                    if !u.is_empty() {
+                        let victim = u.interval((at % u.len()) as u32);
                         let had = s.visible_node_of(&victim).is_some();
                         assert_eq!(s.remove_visible_subtree(&victim), had, "{step}");
                         if last.is_some_and(|l| {
@@ -1281,6 +1192,42 @@ mod splice_tests {
             }
             assert_fresh(&s, &step);
         }
+    }
+
+    /// A parent whose only child is deleted is written empty, and an
+    /// insert under an empty element opens it again.
+    #[test]
+    fn an_emptied_parent_collapses_and_expands_again() {
+        let (mut client, mut s) = hosted();
+        let named = |s: &Server, tag: &str| {
+            (0..s.universe().len() as u32).find(|&p| s.visible_element_name(p) == Some(tag))
+        };
+        let ward = named(&s, "ward").unwrap();
+        let patient = (ward..s.universe().end(ward))
+            .find(|&p| s.visible_element_name(p) == Some("patient"))
+            .unwrap();
+        assert!(s.remove_visible_subtree(&s.universe().interval(patient)));
+        assert!(s.visible_xml().contains("<ward/>"), "{}", s.visible_xml());
+        assert_fresh(&s, "the ward's patient deleted");
+        let slot = s.insertion_slot(s.universe().interval(ward)).unwrap();
+        let delta = client.prepare_insert(&slot, RECORDS[3], 1).unwrap();
+        s.apply_insert(&delta).unwrap();
+        assert!(s.visible_xml().contains("<ward><age>61</age></ward>"));
+        assert_fresh(&s, "an age inserted into the empty ward");
+    }
+
+    /// Deleting the root leaves an empty visible document and universe,
+    /// which persist and reload as such.
+    #[test]
+    fn a_deleted_root_leaves_an_empty_document() {
+        let (_, mut s) = hosted();
+        assert!(s.remove_visible_subtree(&s.universe().interval(0)));
+        assert_eq!(s.visible_xml(), "");
+        assert!(s.universe().is_empty());
+        assert_fresh(&s, "the root deleted");
+        let reloaded = Server::load_bytes(&s.save_bytes().unwrap()).unwrap();
+        assert_eq!(reloaded.visible_xml(), "");
+        assert_eq!(reloaded.hosted_bytes(), s.hosted_bytes());
     }
 
     /// A delta whose block entries nest is refused before anything

@@ -562,7 +562,7 @@ fn decode_meta(bytes: &[u8], db: &Arc<PagedDb>) -> Result<Server, CoreError> {
     for (k, tag) in meta.tags.iter().enumerate() {
         dsi_entries.push((tag.as_str(), load_postings(&db.store, k as u32)?));
     }
-    Ok(Server::from_store_parts(
+    Server::from_store_parts(
         parse_visible(&meta.visible_xml)?,
         meta.pos_intervals,
         metadata_from(dsi_entries, meta.blocks, meta.value_indexes)?,
@@ -573,7 +573,7 @@ fn decode_meta(bytes: &[u8], db: &Arc<PagedDb>) -> Result<Server, CoreError> {
             overlay: HashMap::new(),
         },
         meta.dead,
-    ))
+    )
 }
 
 /// Block record layout: `[nonce 12][tag 16][ciphertext..]`. The id is the

@@ -126,9 +126,8 @@ impl<'a> FragmentAttr<'a> {
 /// An [`InsertDelta`] that [`Server::check_insert`] passed: what the splice
 /// needs, worked out before anything changed.
 pub(crate) struct CheckedInsert {
-    /// The parent's universe position and visible node.
+    /// The parent's universe position.
     pub(crate) under: u32,
-    pub(crate) vis_parent: NodeId,
     /// The visible fragment, and per fragment node the interval its
     /// annotation gives it.
     pub(crate) frag: Document,
@@ -139,14 +138,14 @@ pub(crate) struct CheckedInsert {
 }
 
 impl Server {
-    /// The universe position and visible node of an insertion parent: a
-    /// visible element other than a block marker.
-    fn insertion_parent(&self, parent: &Interval) -> Result<(u32, NodeId), CoreError> {
-        let (under, vis) = self
+    /// The universe position of an insertion parent: a visible element
+    /// other than a block marker.
+    fn insertion_parent(&self, parent: &Interval) -> Result<u32, CoreError> {
+        let under = self
             .visible_node_of(parent)
             .ok_or_else(|| CoreError::Query("insertion parent is not a visible node".into()))?;
-        match self.visible_element_name(vis) {
-            Some(name) if name != BLOCK_MARKER_TAG => Ok((under, vis)),
+        match self.visible_element_name(under) {
+            Some(name) if name != BLOCK_MARKER_TAG => Ok(under),
             _ => Err(CoreError::Query(
                 "insertion parent must be a visible element".into(),
             )),
@@ -164,7 +163,7 @@ impl Server {
 
     /// Offers an insertion slot under the given (visible) parent interval.
     pub fn insertion_slot(&self, parent: Interval) -> Result<InsertionSlot, CoreError> {
-        let gap = self.gap(self.insertion_parent(&parent)?.0, parent);
+        let gap = self.gap(self.insertion_parent(&parent)?, parent);
         Ok(InsertionSlot {
             parent,
             gap_lo: gap.lo,
@@ -190,7 +189,7 @@ impl Server {
     ///   name.
     pub(crate) fn check_insert(&self, delta: &InsertDelta) -> Result<CheckedInsert, CoreError> {
         let refuse = |why: &str| Err(CoreError::Delta(why.to_owned()));
-        let (under, vis_parent) = self.insertion_parent(&delta.parent)?;
+        let under = self.insertion_parent(&delta.parent)?;
         let gap = self.gap(under, delta.parent);
         let mut run: Vec<Interval> = delta.dsi_entries.iter().map(|&(_, iv)| iv).collect();
         if run.iter().any(|iv| iv.lo >= iv.hi || !gap.contains(iv)) {
@@ -241,7 +240,6 @@ impl Server {
         annotate(&frag, root, gap, &in_run, &mut annotated)?;
         Ok(CheckedInsert {
             under,
-            vis_parent,
             frag,
             annotated,
             run,

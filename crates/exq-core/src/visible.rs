@@ -1,0 +1,618 @@
+//! The server's visible document, held as its own serialization.
+//!
+//! The text is byte for byte what the document's `to_xml` writes, and
+//! beside it, per position of the DSI table's interval universe, the byte
+//! span of the visible node with that interval (text nodes have no
+//! position; a position strictly inside an encryption block has no visible
+//! node). A reply region is copied out of the text by position: a subtree
+//! kept whole is one slice, a context element is its start tag, its kept
+//! children and a close tag. There is no tree beside the text. Inserts and
+//! deletes edit the text in place and move the later spans by the number
+//! of bytes they added or removed.
+//!
+//! The spans follow the universe's structure: every visible element has a
+//! position, the positions of visible nodes ascend in document order, and
+//! the nearest ancestor with a visible node of any visible node's position
+//! is the position of its parent element. Building checks this, so a
+//! persisted document that disagrees with its index is refused at load.
+
+use exq_index::dsi::Interval;
+use exq_index::sjoin::IntervalUniverse;
+use exq_index::BlockTable;
+use exq_xml::{unescape, Document, NodeId, Span};
+use std::borrow::Cow;
+
+/// Where one position's visible node lies in the text (see
+/// [`exq_xml::Span`]); `start == NOWHERE` at a position with none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct At {
+    start: u32,
+    open_end: u32,
+    end: u32,
+}
+
+const NOWHERE: u32 = u32::MAX;
+const HIDDEN: At = At {
+    start: NOWHERE,
+    open_end: NOWHERE,
+    end: NOWHERE,
+};
+
+impl At {
+    fn of(s: Span, offset: usize) -> At {
+        At {
+            start: (s.start + offset) as u32,
+            open_end: (s.open_end + offset) as u32,
+            end: (s.end + offset) as u32,
+        }
+    }
+
+    fn shift(&mut self, by: i64) {
+        let moved = |x: u32| (x as i64 + by) as u32;
+        self.start = moved(self.start);
+        self.open_end = moved(self.open_end);
+        self.end = moved(self.end);
+    }
+}
+
+/// What a reply region keeps of a position (see [`VisibleText::region`]).
+const SKIP: u8 = 0;
+const CONTEXT: u8 = 1;
+const WHOLE: u8 = 2;
+
+/// The visible document as text plus per-position spans.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct VisibleText {
+    xml: String,
+    at: Vec<At>,
+}
+
+impl VisibleText {
+    /// Writes `doc` once, recording the span of each node that `position`
+    /// (per arena slot) places in `u`. Refuses a document that does not
+    /// follow `u`'s structure (see the module docs) or does not fit `u32`
+    /// offsets.
+    pub(crate) fn new(
+        doc: &Document,
+        position: &[Option<u32>],
+        u: &IntervalUniverse,
+    ) -> Result<VisibleText, &'static str> {
+        let position = |n: NodeId| position.get(n.index()).copied().flatten();
+        let mut v = VisibleText {
+            xml: String::new(),
+            at: vec![HIDDEN; u.len()],
+        };
+        let mut shared = false;
+        if let Some(root) = doc.root() {
+            let at = &mut v.at;
+            doc.write_spans(root, &mut v.xml, &mut |n, s| {
+                if let Some(p) = position(n) {
+                    shared |= at[p as usize].start != NOWHERE;
+                    at[p as usize] = At::of(s, 0);
+                }
+            });
+        }
+        if v.xml.len() >= NOWHERE as usize {
+            return Err("the visible document is larger than 4 GiB");
+        }
+        if shared {
+            return Err("two visible nodes share an interval");
+        }
+        let mut last = None;
+        for n in doc.iter() {
+            let node = doc.node(n);
+            if node.is_text() {
+                continue;
+            }
+            let Some(p) = position(n) else {
+                if node.is_element() {
+                    return Err("a visible element has no interval");
+                }
+                continue;
+            };
+            let parent = node.parent().and_then(&position);
+            if last.is_some_and(|l| l >= p) || v.visible_parent(u, p) != parent {
+                return Err("the visible document's intervals do not follow its tree");
+            }
+            last = Some(p);
+        }
+        Ok(v)
+    }
+
+    /// The text: exactly what the document's `to_xml` writes.
+    pub(crate) fn xml(&self) -> &str {
+        &self.xml
+    }
+
+    /// Whether the position has a visible node.
+    pub(crate) fn is_visible(&self, p: u32) -> bool {
+        self.at[p as usize].start != NOWHERE
+    }
+
+    fn is_attribute(&self, a: At) -> bool {
+        self.xml.as_bytes()[a.start as usize] != b'<'
+    }
+
+    /// The nearest proper ancestor of `p` that has a visible node.
+    fn visible_parent(&self, u: &IntervalUniverse, p: u32) -> Option<u32> {
+        std::iter::successors(u.parent(p), |&q| u.parent(q)).find(|&q| self.is_visible(q))
+    }
+
+    /// The tag of the visible element at `p`; `None` for an attribute or a
+    /// position with no visible node.
+    pub(crate) fn element_name(&self, p: u32) -> Option<&str> {
+        let a = self.at[p as usize];
+        if a.start == NOWHERE || self.is_attribute(a) {
+            return None;
+        }
+        let tag = &self.xml[a.start as usize + 1..a.open_end as usize];
+        Some(tag.split_once(' ').map_or(tag, |(name, _)| name))
+    }
+
+    /// Where the element `a`'s close tag starts; `None` when it has none.
+    fn close_start(&self, a: At) -> Option<usize> {
+        let closing = &self.xml.as_bytes()[a.open_end as usize..a.end as usize];
+        (closing != b"/>").then(|| self.xml[..a.end as usize].rfind('<').expect("a close tag"))
+    }
+
+    /// The XPath string value of the visible node at `p`: an attribute's
+    /// value, or an element's text content with the tags stripped,
+    /// unescaped. Borrowed from the text when it needs neither.
+    pub(crate) fn string_value(&self, p: u32) -> Option<Cow<'_, str>> {
+        let a = self.at[p as usize];
+        if a.start == NOWHERE {
+            return None;
+        }
+        let node = &self.xml[a.start as usize..a.end as usize];
+        if self.is_attribute(a) {
+            let (_, quoted) = node
+                .split_once("=\"")
+                .expect("an attribute is name=\"value\"");
+            return Some(unescape(&quoted[..quoted.len() - 1]));
+        }
+        let Some(close) = self.close_start(a) else {
+            return Some(Cow::Borrowed(""));
+        };
+        let content = &self.xml[a.open_end as usize + 1..close];
+        if !content.contains('<') {
+            return Some(unescape(content));
+        }
+        // Markup is written escaped, so a `>` in the text ends a tag.
+        let mut text = String::with_capacity(content.len());
+        let mut rest = content;
+        while let Some(open) = rest.find('<') {
+            text.push_str(&rest[..open]);
+            let tag_end = rest[open..].find('>').expect("a tag ends") + open;
+            rest = &rest[tag_end + 1..];
+        }
+        text.push_str(rest);
+        Some(Cow::Owned(unescape(&text).into_owned()))
+    }
+
+    /// Writes the reply region of `wholes`, visible positions each kept
+    /// with its subtree, and appends to `block_ids` the blocks whose
+    /// markers the region holds. A position's ancestors are kept as
+    /// context: an element with its attributes and its kept children.
+    /// Marking follows each chain up to the first position already marked;
+    /// writing is one ascending pass over positions that steps over every
+    /// subtree it does not keep, copies a whole subtree as one slice, and
+    /// finds the markers inside one from the block table alone.
+    pub(crate) fn region(
+        &self,
+        u: &IntervalUniverse,
+        blocks: &BlockTable,
+        wholes: &[u32],
+        block_ids: &mut Vec<u32>,
+    ) -> String {
+        let mut marks = vec![SKIP; u.len()];
+        for &w in wholes {
+            marks[w as usize] = WHOLE;
+            let mut cur = w;
+            while let Some(p) = self.visible_parent(u, cur) {
+                if marks[p as usize] != SKIP {
+                    break;
+                }
+                marks[p as usize] = CONTEXT;
+                cur = p;
+            }
+        }
+        let mut out = String::new();
+        // Context elements written up to their start tag, each with
+        // whether its `>` is out yet.
+        let mut open: Vec<(u32, bool)> = Vec::new();
+        let mut p = 0;
+        loop {
+            while let Some(&(c, wrote)) = open.last() {
+                if p < u.end(c) {
+                    break;
+                }
+                match wrote {
+                    true => {
+                        out.push_str("</");
+                        out.push_str(self.element_name(c).expect("a context element"));
+                        out.push('>');
+                    }
+                    false => out.push_str("/>"),
+                }
+                open.pop();
+            }
+            if p as usize >= self.at.len() {
+                break;
+            }
+            let a = self.at[p as usize];
+            if a.start == NOWHERE {
+                p += 1;
+                continue;
+            }
+            let mark = marks[p as usize];
+            // Attributes are written with their element's start tag.
+            if mark == SKIP || self.is_attribute(a) {
+                p = u.end(p);
+                continue;
+            }
+            if let Some((_, wrote @ false)) = open.last_mut() {
+                out.push('>');
+                *wrote = true;
+            }
+            if mark == WHOLE {
+                out.push_str(&self.xml[a.start as usize..a.end as usize]);
+                self.markers_in(u, blocks, p, block_ids);
+                p = u.end(p);
+            } else {
+                out.push_str(&self.xml[a.start as usize..a.open_end as usize]);
+                open.push((p, false));
+                p += 1;
+            }
+        }
+        out
+    }
+
+    /// The blocks of the markers in `p`'s subtree: its visible positions
+    /// that a block covers, each a block's root, whose subtree is hidden.
+    fn markers_in(&self, u: &IntervalUniverse, blocks: &BlockTable, p: u32, ids: &mut Vec<u32>) {
+        let (mut q, end) = (p, u.end(p));
+        while q < end {
+            match blocks.block_at(q) {
+                Some(b) => {
+                    if self.is_visible(q) {
+                        ids.push(b);
+                    }
+                    q = u.end(q);
+                }
+                None => q += 1,
+            }
+        }
+    }
+
+    /// Moves every visible span from position `from` on by `by` bytes.
+    fn shift_from(&mut self, from: usize, by: i64) {
+        for a in &mut self.at[from..] {
+            if a.start != NOWHERE {
+                a.shift(by);
+            }
+        }
+    }
+
+    /// Moves the span ends of `p` and its visible ancestors by `by` bytes.
+    fn stretch_up(&mut self, u: &IntervalUniverse, p: u32, by: i64) {
+        for q in std::iter::successors(Some(p), |&q| u.parent(q)) {
+            let a = &mut self.at[q as usize];
+            if a.start != NOWHERE {
+                a.end = (a.end as i64 + by) as u32;
+            }
+        }
+    }
+
+    /// Follows an insert's splice of `spans.len()` positions at `at`, the
+    /// last members under the visible element at `under` (`u` is the
+    /// universe after it): `frag`, the inserted subtree's text, goes in as
+    /// the element's last content, and `spans` are its nodes' spans in
+    /// `frag`, per new position.
+    pub(crate) fn splice_in(
+        &mut self,
+        u: &IntervalUniverse,
+        under: u32,
+        at: u32,
+        frag: &str,
+        spans: &[Option<Span>],
+    ) {
+        let parent = self.at[under as usize];
+        let before = self.xml.len();
+        let into = match self.close_start(parent) {
+            Some(close) => {
+                self.xml.insert_str(close, frag);
+                close
+            }
+            None => {
+                // `<p …/>` becomes `<p …>…</p>`.
+                let tag = self.element_name(under).expect("a visible element");
+                let content = format!(">{frag}</{tag}>");
+                let slash = parent.open_end as usize;
+                self.xml.replace_range(slash..slash + 2, &content);
+                slash + 1
+            }
+        };
+        let by = self.xml.len() as i64 - before as i64;
+        let new = spans.iter().map(|s| s.map_or(HIDDEN, |s| At::of(s, into)));
+        let i = at as usize;
+        self.at.splice(i..i, new);
+        self.shift_from(i + spans.len(), by);
+        self.stretch_up(u, under, by);
+    }
+
+    /// Cuts the visible node at `p` out of the text with its subtree (`u`
+    /// is the universe before the cut, which the caller then makes) and
+    /// drops the spans of `p`'s run of positions. A parent element left
+    /// with no content is written empty, `<p …/>`, as the writer writes it.
+    pub(crate) fn cut(&mut self, u: &IntervalUniverse, p: u32) {
+        let (a, attribute) = (self.at[p as usize], self.is_attribute(self.at[p as usize]));
+        let parent = self.visible_parent(u, p);
+        let (range, with) = match parent.map(|q| self.at[q as usize]) {
+            // An attribute goes with the space before it.
+            _ if attribute => (a.start as usize - 1..a.end as usize, ""),
+            Some(pa)
+                if pa.open_end + 1 == a.start && self.close_start(pa) == Some(a.end as usize) =>
+            {
+                (pa.open_end as usize..pa.end as usize, "/>")
+            }
+            _ => (a.start as usize..a.end as usize, ""),
+        };
+        let by = with.len() as i64 - range.len() as i64;
+        self.xml.replace_range(range, with);
+        self.at.drain(p as usize..u.end(p) as usize);
+        self.shift_from(p as usize, by);
+        if let Some(q) = parent {
+            if attribute {
+                let pa = &mut self.at[q as usize];
+                pa.open_end = (pa.open_end as i64 + by) as u32;
+            }
+            self.stretch_up(u, q, by);
+        }
+    }
+
+    /// `(pre-order ordinal among elements and attributes, interval)` for
+    /// every visible node with a position: the persisted keying of the
+    /// spans. An element's ordinal is one past its predecessor's plus the
+    /// attributes in that one's start tag (each `name="value"` holds two
+    /// `"`, and a value has its `"` escaped); an attribute's is its
+    /// element's plus its place in the start tag.
+    pub(crate) fn interval_positions(&self, u: &IntervalUniverse) -> Vec<(usize, Interval)> {
+        let quotes = |s: &str| s.bytes().filter(|&b| b == b'"').count() / 2;
+        let mut out = Vec::new();
+        let mut next = 0;
+        // The element last visited: its ordinal and where it starts.
+        let mut element = (0, 0);
+        for (p, &a) in self.at.iter().enumerate() {
+            if a.start == NOWHERE {
+                continue;
+            }
+            let (start, open_end) = (a.start as usize, a.open_end as usize);
+            let ordinal = if self.is_attribute(a) {
+                element.0 + 1 + quotes(&self.xml[element.1..start])
+            } else {
+                element = (next, start);
+                next += 1 + quotes(&self.xml[start..open_end]);
+                element.0
+            };
+            out.push((ordinal, u.interval(p as u32)));
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::constraints::SecurityConstraint;
+    use crate::encrypt::BLOCK_MARKER_TAG;
+    use crate::scheme::SchemeKind;
+    use crate::system::{OutsourceConfig, Outsourcer};
+    use crate::Server;
+    use exq_xml::NodeKind;
+
+    /// A hospital with attributes, escapes, an empty element and text
+    /// beside elements.
+    fn hospital() -> Document {
+        let mut xml = String::from("<hospital name=\"St &amp; Co\">");
+        for i in 0..6 {
+            xml.push_str(&format!(
+                "<patient id=\"{i}\"><pname>P{i} &lt;{i}&gt;</pname><SSN>{:06}</SSN>\
+                 <age>{}</age><treat><disease>flu</disease><doctor/></treat>\
+                 <insurance><policy coverage=\"{}\">{}</policy></insurance>\
+                 note {i}</patient>",
+                100 + i,
+                20 + 7 * i,
+                1000 * i,
+                10 + i
+            ));
+        }
+        xml.push_str("<ward/></hospital>");
+        Document::parse(&xml).unwrap()
+    }
+
+    /// XMark's shapes at a small size: regions of items with mixed-content
+    /// descriptions, people with optional parts, open auctions with
+    /// bidders, an empty element, quotes and ampersands in values.
+    fn xmark() -> Document {
+        let mut xml = String::from("<site><regions><africa>");
+        for i in 0..4 {
+            xml.push_str(&format!(
+                "<item id=\"item{i}\"><location>Zone {i}</location><name>thing {i}</name>\
+                 <description><text>gold <bold>and</bold> &amp; <emph>silver</emph> {i}\
+                 </text></description><mailbox/></item>"
+            ));
+        }
+        xml.push_str("</africa></regions><people>");
+        for i in 0..5 {
+            xml.push_str(&format!(
+                "<person id=\"person{i}\"><name>N &quot;{i}&quot;</name>"
+            ));
+            if i % 2 == 0 {
+                xml.push_str(&format!(
+                    "<address><street>{i} Main St</street><city>City{i}</city></address>\
+                     <creditcard>1234 {i}</creditcard>"
+                ));
+            }
+            xml.push_str(&format!(
+                "<profile income=\"{}\"><interest category=\"c{i}\"/><age>{}</age></profile>\
+                 </person>",
+                1000 * i,
+                30 + i
+            ));
+        }
+        xml.push_str("</people><open_auctions>");
+        for i in 0..3 {
+            xml.push_str(&format!(
+                "<open_auction id=\"a{i}\"><initial>{i}.5</initial>\
+                 <bidder><date>0{i}/01/2000</date><increase>{i}.00</increase></bidder>\
+                 <itemref item=\"item{i}\"/><seller person=\"person{i}\"/></open_auction>"
+            ));
+        }
+        xml.push_str("</open_auctions></site>");
+        Document::parse(&xml).unwrap()
+    }
+
+    fn servers() -> Vec<Server> {
+        let hospital_cs = ["//insurance", "//patient:(/pname, /SSN)", "//treat"];
+        let xmark_cs = ["//creditcard", "//person:(/name, /address)", "//bidder"];
+        [(hospital(), &hospital_cs), (xmark(), &xmark_cs)]
+            .into_iter()
+            .flat_map(|(doc, cs)| {
+                let cs: Vec<SecurityConstraint> = cs
+                    .iter()
+                    .map(|c| SecurityConstraint::parse(c).unwrap())
+                    .collect();
+                [SchemeKind::Opt, SchemeKind::Sub, SchemeKind::App].map(|kind| {
+                    Outsourcer::new(OutsourceConfig::default())
+                        .outsource(&doc, &cs, kind, 7)
+                        .unwrap()
+                        .split()
+                        .1
+                })
+            })
+            .collect()
+    }
+
+    /// The definition the copy replaces: the nodes' subtrees and their
+    /// ancestors with their attributes, copied out of `doc` into a fresh
+    /// document and serialized.
+    fn reference(doc: &Document, nodes: &[NodeId]) -> String {
+        let mut member = vec![false; doc.arena_len()];
+        for &v in nodes {
+            for n in doc.descendants(v) {
+                member[n.index()] = true;
+            }
+            for anc in doc.ancestors(v) {
+                member[anc.index()] = true;
+                for &a in doc.node(anc).attrs() {
+                    member[a.index()] = true;
+                }
+            }
+        }
+        fn copy(d: &Document, n: NodeId, up: Option<NodeId>, member: &[bool], out: &mut Document) {
+            if !member[n.index()] {
+                return;
+            }
+            match d.node(n).kind() {
+                NodeKind::Element(t) => {
+                    let el = out.add_element(up, d.tag_name(*t));
+                    for &c in d.node(n).attrs().iter().chain(d.node(n).children()) {
+                        copy(d, c, Some(el), member, out);
+                    }
+                }
+                NodeKind::Text(t) => {
+                    out.add_text(up.unwrap(), t);
+                }
+                NodeKind::Attribute(name, v) => {
+                    out.add_attr(up.unwrap(), d.tag_name(*name), v);
+                }
+            }
+        }
+        let mut fresh = Document::new();
+        if let Some(root) = doc.root() {
+            copy(doc, root, None, &member, &mut fresh);
+        }
+        fresh.to_xml()
+    }
+
+    /// The block ids the markers in a serialized region carry.
+    fn marker_ids(region: &str) -> Vec<u32> {
+        let Ok(d) = Document::parse(region) else {
+            return Vec::new();
+        };
+        let mut ids: Vec<u32> = d
+            .elements_by_tag(BLOCK_MARKER_TAG)
+            .into_iter()
+            .map(|m| d.text_value(d.node(m).attrs()[0]).parse().unwrap())
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Every visible position alone, and pairs of them, copied out of the
+    /// text against the reference over the reparsed document; every
+    /// position's string value against the tree's.
+    #[test]
+    fn copied_regions_equal_copy_then_serialize() {
+        let mut checked = 0;
+        for s in servers() {
+            let v = s.visible_text();
+            let u = s.metadata().dsi_table.universe();
+            let blocks = &s.metadata().block_table;
+            let doc = Document::parse(v.xml()).unwrap();
+            assert_eq!(doc.to_xml(), v.xml());
+            let nodes: Vec<NodeId> = doc.iter().filter(|&n| !doc.node(n).is_text()).collect();
+            let placed: Vec<(u32, NodeId)> = v
+                .interval_positions(u)
+                .into_iter()
+                .map(|(ordinal, iv)| (u.find(&iv).unwrap(), nodes[ordinal]))
+                .collect();
+            checked += placed.len();
+            for &(p, n) in &placed {
+                assert_eq!(v.string_value(p).unwrap(), doc.text_value(n), "at {p}");
+            }
+            let check = |ps: &[(u32, NodeId)]| {
+                let wholes: Vec<u32> = ps.iter().map(|&(p, _)| p).collect();
+                let ns: Vec<NodeId> = ps.iter().map(|&(_, n)| n).collect();
+                let mut ids = Vec::new();
+                let region = v.region(u, blocks, &wholes, &mut ids);
+                assert_eq!(region, reference(&doc, &ns), "{wholes:?}");
+                ids.sort_unstable();
+                assert_eq!(ids, marker_ids(&region), "{wholes:?}");
+            };
+            check(&[]);
+            for (i, &x) in placed.iter().enumerate() {
+                check(&[x]);
+                for &y in placed.iter().skip(i % 7).step_by(7) {
+                    check(&[x, y]);
+                }
+            }
+        }
+        assert!(checked > 300, "{checked} visible positions");
+    }
+
+    /// A persisted document and its keying: a visible element without an
+    /// interval and intervals out of document order are refused.
+    #[test]
+    fn documents_that_do_not_follow_the_universe_are_refused() {
+        let s = &servers()[0];
+        let u = s.metadata().dsi_table.universe();
+        let doc = Document::parse(s.visible_text().xml()).unwrap();
+        let nodes: Vec<NodeId> = doc.iter().filter(|&n| !doc.node(n).is_text()).collect();
+        let mut position = vec![None; doc.arena_len()];
+        for (ordinal, iv) in s.visible_text().interval_positions(u) {
+            position[nodes[ordinal].index()] = u.find(&iv);
+        }
+        let built = VisibleText::new(&doc, &position, u).unwrap();
+        assert_eq!(&built, s.visible_text());
+        let element = |i: usize| doc.elements_by_tag("patient")[i].index();
+        let mut missing = position.clone();
+        missing[element(1)] = None;
+        let err = VisibleText::new(&doc, &missing, u).unwrap_err();
+        assert!(err.contains("no interval"), "{err}");
+        let mut swapped = position.clone();
+        swapped.swap(element(1), element(2));
+        let err = VisibleText::new(&doc, &swapped, u).unwrap_err();
+        assert!(err.contains("do not follow"), "{err}");
+    }
+}

@@ -218,6 +218,81 @@ fn replies_reproduce_the_golden_table() {
     }
 }
 
+/// The writer's visible text rewritten as other well-formed XML that parses
+/// to the same tree: every empty element as `<x></x>`, the first attribute
+/// single-quoted, the `S` of the first `Smith` as `&#83;`, and whitespace
+/// between all tags.
+fn non_canonical(xml: &str) -> String {
+    let spaced = xml
+        .replacen(">Smith<", ">&#83;mith<", 1)
+        .replace("><", ">\n  <");
+    let mut out = String::new();
+    let mut rest = spaced.as_str();
+    while let Some(slash) = rest.find("/>") {
+        let open = rest[..slash].rfind('<').unwrap();
+        let name = rest[open + 1..slash].split(' ').next().unwrap();
+        out.push_str(&rest[..slash]);
+        out.push_str(&format!("></{name}>"));
+        rest = &rest[slash + 2..];
+    }
+    out.push_str(rest);
+    let quoted = out.find("=\"").unwrap() + 1;
+    let closing = quoted + 1 + out[quoted + 1..].find('"').unwrap();
+    out.replace_range(quoted..=quoted, "'");
+    out.replace_range(closing..=closing, "'");
+    out
+}
+
+/// `bytes`, a hosted artifact, with its visible text (the first section,
+/// after the magic: a `u64` length and the text) replaced by `text`, and
+/// its checksum resealed.
+fn with_visible(bytes: &[u8], text: &str) -> Vec<u8> {
+    let len = u64::from_le_bytes(bytes[6..14].try_into().unwrap()) as usize;
+    let mut out = bytes[..6].to_vec();
+    out.extend_from_slice(&(text.len() as u64).to_le_bytes());
+    out.extend_from_slice(text.as_bytes());
+    out.extend_from_slice(&bytes[14 + len..bytes.len() - 4]);
+    let crc = crc32(&[&out]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// A hosted artifact with a valid checksum whose visible text is
+/// well-formed XML but not what the writer writes loads as the canonical
+/// one: the same visible text, hosted bytes, and replies to every golden
+/// hospital query. A visible text that is not well-formed is refused.
+#[test]
+fn a_non_canonical_visible_text_loads_as_the_canonical_one() {
+    let (client, server) = hosted();
+    let bytes = server.save_bytes().unwrap();
+    let xml = server.visible_xml().to_string();
+    let odd = non_canonical(&xml);
+    for form in ["></_exq_enc>", "id='0'", "&#83;mith", ">\n  <"] {
+        assert!(odd.contains(form), "{form}");
+    }
+    let loaded = Server::load_bytes(&with_visible(&bytes, &odd)).unwrap();
+    assert_eq!(loaded.visible_xml().to_string(), xml);
+    assert_eq!(loaded.hosted_bytes(), server.hosted_bytes());
+    let hospital = [QUERIES, &["//patient[.//policy[@coverage < 500000]]/pname"]].concat();
+    for q in hospital {
+        let sq = client.translate(q).unwrap().server_query.unwrap();
+        let (want, got) = (server.answer(&sq).unwrap(), loaded.answer(&sq).unwrap());
+        assert_eq!(got.pruned_xml, want.pruned_xml, "{q}");
+        let ids = |r: &exq_core::wire::ServerResponse| -> Vec<u32> {
+            r.blocks.iter().map(|b| b.id).collect()
+        };
+        assert_eq!(ids(&got), ids(&want), "{q}");
+    }
+    let unclosed = &odd[..odd.len() - "</hospital>".len()];
+    let mismatched = odd.replacen("</age>", "</aged>", 1);
+    for bad in [unclosed, &mismatched, "<hospital id='0\"/>"] {
+        match Server::load_bytes(&with_visible(&bytes, bad)) {
+            Err(exq_core::CoreError::Persist(msg)) => assert!(msg.contains("visible"), "{msg}"),
+            other => panic!("not well-formed, loaded: {:?}", other.map(|_| ())),
+        }
+    }
+}
+
 /// `crc32` of an artifact's body (everything before its own trailing
 /// checksum) and its length.
 fn artifact_pin(bytes: &[u8]) -> (u32, usize) {

@@ -36,6 +36,6 @@ mod tree;
 
 pub use escape::{escape_attr, escape_text, unescape};
 pub use parse::{ParseError, ParseOptions, StartTag, Verdict, MAX_DEPTH};
-pub use serialize::Keep;
+pub use serialize::Span;
 pub use stats::DocumentStats;
 pub use tree::{Document, Node, NodeId, NodeKind, TagId};

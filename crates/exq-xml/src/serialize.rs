@@ -1,18 +1,19 @@
 //! Document serialization back to XML text.
 
 use crate::escape::push_escaped;
-use crate::tree::{Document, NodeId, NodeKind, TagId};
+use crate::tree::{Document, NodeId, NodeKind};
 
-/// What a region keeps of one node (see [`Document::to_xml_region`]).
+/// Where one element or attribute landed in a serialization (see
+/// [`Document::write_spans`]): byte offsets into the output. An element's
+/// start tag is `[start, open_end)`, which stops just before its `>` or
+/// `/>`, and the element, close tag included, is `[start, end)`. An
+/// attribute is `name="value"`, `[start, end)`, and its `open_end` is its
+/// `end`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Keep {
-    /// Neither the node nor anything below it.
-    Skip,
-    /// The node as context: an element with its attributes, and those of
-    /// its children the region keeps.
-    Node,
-    /// The node and its whole subtree.
-    Subtree,
+pub struct Span {
+    pub start: usize,
+    pub open_end: usize,
+    pub end: usize,
 }
 
 impl Document {
@@ -22,28 +23,6 @@ impl Document {
         let mut out = String::new();
         if let Some(root) = self.root() {
             self.write_live(root, &mut out);
-        }
-        out
-    }
-
-    /// Serializes the region `keep` describes, straight from this arena and
-    /// in one pass: `keep` is asked about the root and about each child of
-    /// a node it answered [`Keep::Node`] for; below a [`Keep::Subtree`]
-    /// nothing is asked, and `whole` is told each element written there
-    /// (the subtree's own root included) and its tag, in document order.
-    /// The output is byte-identical to copying the kept nodes into a fresh
-    /// document and calling [`to_xml`](Document::to_xml) on that.
-    pub fn to_xml_region(
-        &self,
-        keep: impl Fn(NodeId) -> Keep,
-        mut whole: impl FnMut(NodeId, TagId),
-    ) -> String {
-        let mut out = String::new();
-        if let Some(root) = self.root() {
-            let kept = keep(root);
-            if kept != Keep::Skip {
-                self.write_node(root, kept == Keep::Subtree, &keep, &mut whole, &mut out);
-            }
         }
         out
     }
@@ -58,24 +37,24 @@ impl Document {
     /// Appends a single subtree's serialization to `out`: a caller
     /// rendering many subtrees reuses one buffer.
     pub fn write_live(&self, id: NodeId, out: &mut String) {
+        self.write_spans(id, out, &mut |_, _| {});
+    }
+
+    /// [`write_live`](Document::write_live) that also tells `span` where
+    /// each element and attribute of the subtree landed in `out`, as each
+    /// is finished: an element after its attributes and children.
+    pub fn write_spans(&self, id: NodeId, out: &mut String, span: &mut impl FnMut(NodeId, Span)) {
         // A live node's lists name live nodes only, so one look suffices.
         if self.is_live(id) {
-            self.write_node(id, true, &|_| Keep::Subtree, &mut |_, _| {}, out);
+            self.write_node(id, out, span);
         }
     }
 
-    /// The one writer: every serialization goes through here. `id` is kept;
-    /// `whole` says its subtree is too, and then `keep` is not consulted.
-    /// Allocates nothing but `out`'s growth.
-    fn write_node(
-        &self,
-        id: NodeId,
-        whole: bool,
-        keep: &impl Fn(NodeId) -> Keep,
-        on_whole: &mut impl FnMut(NodeId, TagId),
-        out: &mut String,
-    ) {
+    /// The one writer: every serialization goes through here. Allocates
+    /// nothing but `out`'s growth.
+    fn write_node(&self, id: NodeId, out: &mut String, span: &mut impl FnMut(NodeId, Span)) {
         let n = self.node(id);
+        let start = out.len();
         match &n.kind {
             NodeKind::Text(t) => push_escaped(out, t, false),
             // An attribute serialized on its own (outside a tag) renders as
@@ -85,39 +64,45 @@ impl Document {
                 out.push_str("=\"");
                 push_escaped(out, v, true);
                 out.push('"');
+                let end = out.len();
+                span(
+                    id,
+                    Span {
+                        start,
+                        open_end: end,
+                        end,
+                    },
+                );
             }
             NodeKind::Element(tag) => {
-                if whole {
-                    on_whole(id, *tag);
-                }
                 let tag = self.tag_name(*tag);
                 out.push('<');
                 out.push_str(tag);
                 for &a in n.attrs() {
                     out.push(' ');
-                    self.write_node(a, true, keep, on_whole, out);
+                    self.write_node(a, out, span);
                 }
-                let mut open = false;
-                for &c in n.children() {
-                    let whole = whole
-                        || match keep(c) {
-                            Keep::Skip => continue,
-                            Keep::Node => false,
-                            Keep::Subtree => true,
-                        };
-                    if !open {
-                        out.push('>');
-                        open = true;
+                let open_end = out.len();
+                if n.children().is_empty() {
+                    out.push_str("/>");
+                } else {
+                    out.push('>');
+                    for &c in n.children() {
+                        self.write_node(c, out, span);
                     }
-                    self.write_node(c, whole, keep, on_whole, out);
-                }
-                if open {
                     out.push_str("</");
                     out.push_str(tag);
                     out.push('>');
-                } else {
-                    out.push_str("/>");
                 }
+                let end = out.len();
+                span(
+                    id,
+                    Span {
+                        start,
+                        open_end,
+                        end,
+                    },
+                );
             }
         }
     }
@@ -233,35 +218,6 @@ mod tests {
         }
     }
 
-    /// Copies the nodes `keep` selects into a fresh document, the way the
-    /// server used to build its pruned reply before serializing it.
-    fn reference_copy(
-        d: &Document,
-        n: NodeId,
-        parent: Option<NodeId>,
-        keep: &dyn Fn(NodeId) -> bool,
-        out: &mut Document,
-    ) {
-        if !keep(n) {
-            return;
-        }
-        match &d.node(n).kind {
-            NodeKind::Element(t) => {
-                let el = out.add_element(parent, d.tag_name(*t));
-                for &a in d.node(n).attrs() {
-                    reference_copy(d, a, Some(el), keep, out);
-                }
-                for &c in d.node(n).children() {
-                    reference_copy(d, c, Some(el), keep, out);
-                }
-            }
-            NodeKind::Text(t) => drop(out.add_text(parent.unwrap(), t)),
-            NodeKind::Attribute(name, v) => {
-                out.add_attr(parent.unwrap(), d.tag_name(*name), v);
-            }
-        }
-    }
-
     const AWKWARD: &str = "<r a=\"1 &lt; 2 &amp; &quot;q&quot;\" b=\"\"><e/><e k=\"v\"/>\
         <t>x &amp; y &lt; z &gt; w \"q\"</t><n><m><e/></m>tail</n><e></e></r>";
 
@@ -293,49 +249,6 @@ mod tests {
             check(&d);
         }
         assert!(d.to_xml().contains("<t/>"));
-    }
-
-    #[test]
-    fn filtered_writer_equals_copy_then_serialize() {
-        let d = Document::parse(AWKWARD).unwrap();
-        let all: Vec<NodeId> = d.iter().collect();
-        // Every region of the server's shape: one node's whole subtree plus
-        // its ancestors with their attributes — and unions of two of them.
-        let region = |target: NodeId| {
-            let mut keep = vec![false; d.arena_len()];
-            for n in d.descendants(target) {
-                keep[n.index()] = true;
-            }
-            for anc in d.ancestors(target) {
-                keep[anc.index()] = true;
-                for a in d.node(anc).attrs() {
-                    keep[a.index()] = true;
-                }
-            }
-            keep
-        };
-        for &x in &all {
-            for &y in &all {
-                let (kx, ky) = (region(x), region(y));
-                let member = |n: NodeId| kx[n.index()] || ky[n.index()];
-                let mut copy = Document::new();
-                reference_copy(&d, d.root().unwrap(), None, &member, &mut copy);
-                // The same region as the writer is told it: the two targets
-                // whole, their ancestors as context.
-                let (ax, ay) = (d.ancestors(x), d.ancestors(y));
-                let keep = |n: NodeId| {
-                    if n == x || n == y {
-                        Keep::Subtree
-                    } else if ax.contains(&n) || ay.contains(&n) {
-                        Keep::Node
-                    } else {
-                        Keep::Skip
-                    }
-                };
-                assert_eq!(d.to_xml_region(keep, |_, _| {}), copy.to_xml(), "{x} ∪ {y}");
-            }
-        }
-        assert_eq!(d.to_xml_region(|_| Keep::Skip, |_, _| {}), "");
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! `Document::to_xml_region` against the definition it replaced: a region
-//! given as anchors, each marked whole with its ancestors as context and
-//! nothing below it visited, must serialize exactly as the same region
-//! marked node by node — every node of every anchor's subtree — and written
-//! by asking about each. The elements the writer reports from whole subtrees
-//! are the elements inside the anchors' subtrees, each once, in document
-//! order.
+//! `Document::write_spans` against the writer it rides on: the text it
+//! writes is `to_xml()`, and each span it reports cuts out of that text
+//! exactly what the node's own serialization is — an element's whole
+//! subtree, its start tag, an attribute's `name="value"`. A server that
+//! keeps only the text and the spans copies reply regions out of them, so
+//! these are the bytes a reply is made of.
 
-use exq_xml::{escape_attr, escape_text, Document, Keep, NodeId, NodeKind, TagId};
+use exq_xml::{escape_attr, escape_text, Document, NodeId, NodeKind, Span};
 use proptest::prelude::*;
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
@@ -46,182 +45,120 @@ fn build(t: &Tree, parent: Option<NodeId>, d: &mut Document) {
     }
 }
 
-/// The region as the server marks it: the anchor whole, its chain of
-/// ancestors as context up to the first one already marked.
-fn mark(d: &Document, marks: &mut [Keep], v: NodeId) {
-    marks[v.index()] = Keep::Subtree;
-    let mut cur = v;
-    while let Some(p) = d.node(cur).parent() {
-        if marks[p.index()] != Keep::Skip {
-            break;
-        }
-        marks[p.index()] = Keep::Node;
-        cur = p;
-    }
+/// An attribute as a start tag holds it.
+fn attr_text(d: &Document, a: NodeId) -> String {
+    let NodeKind::Attribute(name, v) = d.node(a).kind() else {
+        unreachable!("an attribute")
+    };
+    format!("{}=\"{}\"", d.tag_name(*name), escape_attr(v))
 }
 
-/// The old definition: every node of the anchor's subtree is a member, and
-/// every ancestor with its attributes.
-fn mark_members(d: &Document, member: &mut [bool], v: NodeId) {
-    for n in d.descendants(v) {
-        member[n.index()] = true;
+/// An element's start tag up to its `>` or `/>`, written out by hand.
+fn start_tag(d: &Document, n: NodeId) -> String {
+    let mut tag = format!("<{}", d.element_name(n).unwrap());
+    for &a in d.node(n).attrs() {
+        tag.push(' ');
+        tag.push_str(&attr_text(d, a));
     }
-    for anc in d.ancestors(v) {
-        member[anc.index()] = true;
-        for a in d.node(anc).attrs() {
-            member[a.index()] = true;
-        }
-    }
+    tag
 }
 
-/// The old writer: a node is written when it is a member, attributes asked
-/// about like any other node.
-fn write_members(d: &Document, id: NodeId, member: &[bool], out: &mut String) {
-    if !member[id.index()] {
-        return;
-    }
-    let n = d.node(id);
-    match n.kind() {
-        NodeKind::Text(t) => out.push_str(&escape_text(t)),
-        NodeKind::Attribute(name, v) => {
-            out.push_str(&format!("{}=\"{}\"", d.tag_name(*name), escape_attr(v)));
-        }
-        NodeKind::Element(tag) => {
-            let tag = d.tag_name(*tag);
-            out.push_str(&format!("<{tag}"));
-            for &a in n.attrs().iter().filter(|a| member[a.index()]) {
-                out.push(' ');
-                write_members(d, a, member, out);
-            }
-            let kept: Vec<NodeId> = (n.children().iter().copied())
-                .filter(|c| member[c.index()])
-                .collect();
-            if kept.is_empty() {
-                out.push_str("/>");
-            } else {
-                out.push('>');
-                kept.iter().for_each(|&c| write_members(d, c, member, out));
-                out.push_str(&format!("</{tag}>"));
-            }
-        }
-    }
-}
-
-/// What one check observed: the two texts and the two element lists.
-struct Observed {
-    one_pass: String,
-    reference: String,
-    reported: Vec<(NodeId, TagId)>,
-    inside: Vec<(NodeId, TagId)>,
-}
-
-fn observe(d: &Document, anchors: &[NodeId]) -> Observed {
-    let mut marks = vec![Keep::Skip; d.arena_len()];
-    let mut member = vec![false; d.arena_len()];
-    for &v in anchors {
-        mark(d, &mut marks, v);
-        mark_members(d, &mut member, v);
-    }
-    let mut reported = Vec::new();
-    let one_pass = d.to_xml_region(|n| marks[n.index()], |n, tag| reported.push((n, tag)));
-    let mut reference = String::new();
+/// Runs the span pass over the whole document and checks it against the
+/// writer and the hand-written forms; returns the text and the spans.
+fn check(d: &Document) -> (String, Vec<(NodeId, Span)>) {
+    let mut text = String::new();
+    let mut spans = Vec::new();
     if let Some(root) = d.root() {
-        write_members(d, root, &member, &mut reference);
+        d.write_spans(root, &mut text, &mut |n, s| spans.push((n, s)));
     }
-    let inside = (d.iter())
-        .filter(|&n| anchors.contains(&n) || d.ancestors(n).iter().any(|a| anchors.contains(a)))
-        .filter_map(|n| match d.node(n).kind() {
-            NodeKind::Element(tag) => Some((n, *tag)),
-            _ => None,
-        })
-        .collect();
-    Observed {
-        one_pass,
-        reference,
-        reported,
-        inside,
+    assert_eq!(text, d.to_xml());
+    for &(n, s) in &spans {
+        let (whole, open) = (&text[s.start..s.end], &text[s.start..s.open_end]);
+        match d.node(n).kind() {
+            NodeKind::Element(_) => {
+                assert_eq!(whole, d.node_to_xml(n), "subtree at {n}");
+                assert_eq!(open, start_tag(d, n), "start tag at {n}");
+                let closes = &text[s.open_end..s.end];
+                assert!(closes == "/>" || closes.starts_with('>'), "{closes}");
+            }
+            NodeKind::Attribute(..) => {
+                assert_eq!(whole, attr_text(d, n), "attribute at {n}");
+                assert_eq!(s.open_end, s.end);
+            }
+            NodeKind::Text(t) => panic!("a span for the text {:?}", escape_text(t)),
+        }
     }
+    // Every live element and attribute, once.
+    let mut reported: Vec<NodeId> = spans.iter().map(|&(n, _)| n).collect();
+    reported.sort_by_key(|n| n.index());
+    let mut live: Vec<NodeId> = d.iter().filter(|&n| !d.node(n).is_text()).collect();
+    live.sort_by_key(|n| n.index());
+    assert_eq!(reported, live);
+    (text, spans)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Random documents with detached subtrees, random anchor sets. Each
-    /// pick also says what follows it: nothing, the same anchor again, or
-    /// one of its ancestors — an anchor above an earlier one.
+    /// Random documents with escapes, empty elements and detached subtrees.
     #[test]
-    fn one_pass_region_equals_marking_every_node(
+    fn span_pass_cuts_out_each_nodes_own_serialization(
         t in element(tree()),
         detach in proptest::collection::vec(any::<u16>(), 0..4),
-        picks in proptest::collection::vec((any::<u16>(), 0..3usize, any::<u16>()), 0..8),
     ) {
         let mut d = Document::new();
         build(&t, None, &mut d);
         for victim in detach {
-            // Never the root: a document without one has no region.
+            // Never the root: a document without one writes nothing.
             let victim = victim as usize % d.arena_len();
             if victim != 0 {
                 d.detach(NodeId(victim as u32));
             }
         }
-        let live: Vec<NodeId> = d.iter().collect();
-        let mut anchors = Vec::new();
-        for (pick, then, which) in picks {
-            let v = live[pick as usize % live.len()];
-            anchors.push(v);
-            let above = d.ancestors(v);
-            match then {
-                1 => anchors.push(v),
-                2 if !above.is_empty() => anchors.push(above[which as usize % above.len()]),
-                _ => {}
-            }
-        }
-
-        let seen = observe(&d, &anchors);
-        prop_assert_eq!(&seen.one_pass, &seen.reference);
-        prop_assert_eq!(&seen.reported, &seen.inside);
-        prop_assert_eq!(anchors.is_empty(), seen.one_pass.is_empty());
+        check(&d);
     }
 }
 
 /// The shapes the property must reach, pinned so a generator change cannot
-/// quietly stop reaching them.
+/// quietly stop reaching them: escapes in text and attributes, an empty
+/// attribute, empty elements written either way, a subtree detached, and a
+/// parent whose only child was detached.
 #[test]
-fn pinned_shapes_nested_repeated_above_and_detached() {
-    let mut d =
-        Document::parse("<r k=\"1\"><a x=\"&amp;\"><b>t<c/></b><d/></a><a><b y=\"2\"/></a>u</r>")
-            .unwrap();
+fn pinned_shapes_escapes_empties_and_detached() {
+    let mut d = Document::parse(
+        "<r k=\"1 &lt; 2 &amp; &quot;q&quot;\" e=\"\"><a x=\"&amp;\"><b>t<c/></b><d/></a>\
+         <a><b y=\"2\"/></a>u &gt; v<e></e></r>",
+    )
+    .unwrap();
+    let (text, spans) = check(&d);
+    let span_of = |n: NodeId| spans.iter().find(|&&(m, _)| m == n).unwrap().1;
     let [a, b, c] = ["a", "b", "c"].map(|tag| d.elements_by_tag(tag));
-    let first_a = "<r k=\"1\"><a x=\"&amp;\"><b>t<c/></b><d/></a></r>";
-    let cases: [(&[NodeId], &str, usize); 6] = [
-        // One leaf: its chain as context, siblings gone.
-        (&[c[0]], "<r k=\"1\"><a x=\"&amp;\"><b><c/></b></a></r>", 1),
-        // Nested, the inner first: the outer one takes over.
-        (&[c[0], a[0]], first_a, 4),
-        // Nested, the outer first; and an anchor repeated.
-        (&[a[0], c[0], a[0]], first_a, 4),
-        // Overlapping chains, two subtrees.
-        (
-            &[b[0], b[1]],
-            "<r k=\"1\"><a x=\"&amp;\"><b>t<c/></b></a><a><b y=\"2\"/></a></r>",
-            3,
-        ),
-        // The root itself.
-        (&[d.root().unwrap(), b[1]], &d.to_xml(), 7),
-        (&[], "", 0),
-    ];
-    for (anchors, want, elements) in cases {
-        let seen = observe(&d, anchors);
-        assert_eq!(seen.one_pass, want, "{anchors:?}");
-        assert_eq!(seen.reference, want, "{anchors:?}");
-        assert_eq!(seen.reported, seen.inside, "{anchors:?}");
-        assert_eq!(seen.reported.len(), elements, "{anchors:?}");
-    }
-    // A detached subtree inside a whole one is neither written nor reported.
-    d.detach(b[0]);
-    let seen = observe(&d, &[a[0]]);
-    assert_eq!(seen.one_pass, "<r k=\"1\"><a x=\"&amp;\"><d/></a></r>");
-    assert_eq!(seen.reference, seen.one_pass);
-    let reported: Vec<NodeId> = seen.reported.iter().map(|(n, _)| *n).collect();
-    assert_eq!(reported, [a[0], d.elements_by_tag("d")[0]]);
+    let at = |n: NodeId| {
+        let s = span_of(n);
+        (&text[s.start..s.open_end], &text[s.start..s.end])
+    };
+    assert_eq!(at(c[0]), ("<c", "<c/>"));
+    assert_eq!(at(b[1]), ("<b y=\"2\"", "<b y=\"2\"/>"));
+    assert_eq!(
+        at(a[0]),
+        ("<a x=\"&amp;\"", "<a x=\"&amp;\"><b>t<c/></b><d/></a>")
+    );
+    assert_eq!(at(d.elements_by_tag("e")[0]), ("<e", "<e/>"));
+    let root = d.root().unwrap();
+    let k = d.node(root).attrs()[0];
+    assert_eq!(at(k).1, "k=\"1 &lt; 2 &amp; &quot;q&quot;\"");
+    assert_eq!(at(d.node(root).attrs()[1]).1, "e=\"\"");
+    // The root's span is the whole text.
+    assert_eq!(at(root).1, text);
+    // `b`'s children gone: it becomes an empty element.
+    let t = d.node(b[0]).children()[0];
+    d.detach(t);
+    d.detach(c[0]);
+    let (text, spans) = check(&d);
+    let s = spans.iter().find(|&&(m, _)| m == b[0]).unwrap().1;
+    assert_eq!(&text[s.start..s.end], "<b/>");
+    // A detached subtree reports nothing.
+    d.detach(a[1]);
+    let (_, spans) = check(&d);
+    assert!(spans.iter().all(|&(n, _)| n != a[1] && n != b[1]));
 }
