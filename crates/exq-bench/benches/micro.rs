@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks for the substrates: the cipher, PRF, OPE,
-//! OPESS planning, B-tree, DSI labeling, structural joins, XML parsing,
+//! OPESS planning, the value index, DSI labeling, structural joins, XML parsing,
 //! vertex-cover solvers and the owner's whole set-up — and for the reply path of one secure query
 //! (server assembly, answer encoding, client
 //! reconstruction and its parse and XPath halves, batch block open, frame
@@ -21,7 +21,7 @@ use exq_crypto::{open_block, open_blocks, ChaCha20, KeyChain, OpeKey, OpessPlan,
 use exq_index::dsi::DsiLabeling;
 use exq_index::paged::block_record_id;
 use exq_index::sjoin::{join_anc_desc, sort_intervals};
-use exq_index::BTree;
+use exq_index::ValueIndex;
 use exq_store::PagedStore;
 use exq_workload::{hospital, nasa, xmark};
 use exq_xml::Document;
@@ -108,47 +108,66 @@ fn bench_opess(c: &mut Criterion) {
     });
 }
 
-fn bench_btree(c: &mut Criterion) {
-    let mut group = c.benchmark_group("btree");
-    group.bench_function("insert_10k", |b| {
-        b.iter(|| {
-            let mut t = BTree::new();
-            for i in 0..10_000u32 {
-                t.insert((i as u128).wrapping_mul(0x9E37_79B9) % 100_000, i);
-            }
-            black_box(t.len())
-        })
-    });
-    let mut t = BTree::new();
-    for i in 0..100_000u32 {
-        t.insert((i as u128).wrapping_mul(0x9E37_79B9) % 1_000_000, i);
-    }
+fn bench_value_index(c: &mut Criterion) {
+    let mut group = c.benchmark_group("value_index");
+    let mut scattered: Vec<(u128, u32)> = (0..100_000u32)
+        .map(|i| ((i as u128).wrapping_mul(0x9E37_79B9) % 1_000_000, i))
+        .collect();
+    scattered.sort_by_key(|&(k, _)| k);
+    let t = ValueIndex::from_sorted(scattered).unwrap();
     group.bench_function("range_scan_1pct_of_100k", |b| {
         b.iter(|| black_box(t.range(0, 10_000).len()))
     });
     // A value index's load: as many entries as the ledger's `hospital_point`
-    // database holds, ascending, each key five times (a scaled chunk), built
-    // bottom-up and one insert at a time.
+    // database holds, ascending, each key five times (a scaled chunk).
     let sorted: Vec<(u128, u32)> = (0..44_372u32)
         .map(|i| (u128::from(i / 5) << 64, i))
         .collect();
     group.bench_function("from_sorted_44k", |b| {
         b.iter(|| {
             black_box(
-                BTree::from_sorted(black_box(&sorted).iter().copied())
+                ValueIndex::from_sorted(black_box(&sorted).iter().copied())
                     .unwrap()
                     .len(),
             )
         })
     });
-    group.bench_function("insert_sorted_44k", |b| {
-        b.iter(|| {
-            let mut t = BTree::new();
-            for &(k, v) in black_box(&sorted) {
-                t.insert(k, v);
-            }
-            black_box(t.len())
-        })
+    // One hospital record's insert: 48 entries, three plaintexts scaled
+    // four times on each of four attributes, merged into runs the sizes of
+    // hospital(1200)'s four value indexes. The runs have taken an earlier
+    // record, as a live server's have, so they have room to grow into (the
+    // first merge after a load also moves each run to a larger buffer).
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut cipher = || u128::from(rng.gen_range(0..u64::MAX)) << 64;
+    let mut runs = Vec::new();
+    let mut records = [Vec::new(), Vec::new()];
+    for len in [7_329u32, 10_643, 6_760, 19_640] {
+        let mut keys: Vec<u128> = (0..len).map(|_| cipher()).collect();
+        keys.sort_unstable();
+        runs.push(ValueIndex::from_sorted(keys.into_iter().zip(0..)).unwrap());
+        for record in &mut records {
+            let entries = (0..3).flat_map(|i| std::iter::repeat_n((cipher(), len + i), 4));
+            record.push(entries.collect::<Vec<_>>());
+        }
+    }
+    let [earlier, next] = records;
+    // The merged runs drop in the next set-up, outside the timing.
+    let work = std::cell::RefCell::new(Vec::new());
+    let merge = |runs: &mut [ValueIndex], record: &[Vec<(u128, u32)>]| {
+        for (run, entries) in runs.iter_mut().zip(record) {
+            run.merge(entries.iter().copied());
+        }
+    };
+    group.bench_function("merge_record_hospital", |b| {
+        b.iter_batched(
+            || {
+                let mut live = runs.clone();
+                merge(&mut live, &earlier);
+                *work.borrow_mut() = live;
+            },
+            |()| merge(&mut work.borrow_mut(), &next),
+            BatchSize::PerIteration,
+        )
     });
     group.finish();
 }
@@ -572,7 +591,7 @@ criterion_group!(
     bench_prf,
     bench_ope,
     bench_opess,
-    bench_btree,
+    bench_value_index,
     bench_setup,
     bench_dsi,
     bench_sjoin,

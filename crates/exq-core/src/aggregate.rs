@@ -3,7 +3,7 @@
 //! Thanks to the order-preserving value index, MIN and MAX over an encrypted
 //! attribute are answered by fetching only the *one block* that contains the
 //! extreme occurrence: the server finds the smallest/largest ciphertext in
-//! the attribute's B-tree, ships the block it points to, and the client
+//! the attribute's value index, ships the block it points to, and the client
 //! decrypts just that block. COUNT, as the paper notes, cannot be computed
 //! from the index (splitting and scaling deliberately destroy occurrence
 //! counts), so it falls back to the full secure query path and counts the
@@ -39,29 +39,17 @@ impl Server {
     /// The live block holding the extreme ciphertext of an (encrypted)
     /// indexed attribute, or `None` if the attribute has no value index or
     /// every entry points at deleted data. Entries referencing tombstoned
-    /// blocks (update support) are skipped.
+    /// blocks (update support) are skipped: the walk in from that end stops
+    /// at the first live one, which is the end itself until a delete.
     pub fn value_extreme(&self, attr_key: &str, max: bool) -> Option<(u128, u32)> {
-        let tree = self.metadata().value_indexes.get(attr_key)?;
-        // Fast path: the raw extreme is usually live.
-        let raw = if max {
-            tree.max_entry()
+        let mut entries = self.metadata().value_indexes.get(attr_key)?.iter();
+        // Liveness probe only — no need to page the block in.
+        let live = |&(_, b): &(u128, u32)| self.block_live(b);
+        if max {
+            entries.rfind(live)
         } else {
-            tree.min_entry()
-        };
-        if let Some((_, b)) = raw {
-            // Liveness probe only — no need to page the block in.
-            if self.block_live(b) {
-                return raw;
-            }
+            entries.find(live)
         }
-        // Slow path after deletions: scan in key order for a live entry.
-        let entries = tree.iter();
-        let mut it: Box<dyn Iterator<Item = (u128, u32)>> = if max {
-            Box::new(entries.into_iter().rev())
-        } else {
-            Box::new(entries.into_iter())
-        };
-        it.find(|&(_, b)| self.block_live(b))
     }
 }
 
@@ -103,7 +91,7 @@ impl Client {
             Aggregate::Min | Aggregate::Max => {
                 let want_max = agg == Aggregate::Max;
                 if let Some(opess) = self.state().opess.get(&attr_key) {
-                    // Encrypted attribute: one B-tree probe, one block.
+                    // Encrypted attribute: one index probe, one block.
                     let enc = self.state().keys.tag_cipher().encrypt(&attr_key);
                     let Some((_, block_id)) = transport.value_extreme(&enc, want_max)? else {
                         return Ok(AggregateOutcome {

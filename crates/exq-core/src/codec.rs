@@ -947,7 +947,9 @@ pub struct DecodedFrame {
 /// `0x01..=0x7F`, responses `0x80..=0xFF`.
 ///
 /// Retired codes, reserved and never to be reused: `0x09`/`0x88` (the
-/// cache-counter request and reply) and `0x0D`/`0x8D` (the flight-recorder
+/// cache-counter request and reply), `0x0C`/`0x8C` (a batch of read
+/// requests in one frame and its answer; a pipelined window carries many
+/// requests per connection instead) and `0x0D`/`0x8D` (the flight-recorder
 /// dump). A frame carrying one decodes to
 /// [`CodecError::BadTag`] `{ context: "message" }` like any unknown type.
 #[derive(Debug, Clone, PartialEq)]
@@ -978,12 +980,6 @@ pub enum Message {
     /// the database, so the retry layer can tell a dead server from a slow
     /// one.
     Ping,
-    /// A group of read-style requests submitted in one frame. The
-    /// server resolves the tenant, takes one admission decision, and runs
-    /// one cache-probe pass for the whole group, answering with a
-    /// [`Message::BatchAnswer`] carrying one reply per item in order.
-    /// Decoding rejects nested batches and mutating items.
-    Batch(Vec<Message>),
 
     // Responses.
     Answer(ServerResponse),
@@ -1003,10 +999,6 @@ pub enum Message {
     Busy {
         retry_after_ms: u32,
     },
-    /// Reply to [`Message::Batch`]: one response per batch item, in
-    /// submission order. Items that failed dispatch are `Error` entries;
-    /// the batch itself still succeeds.
-    BatchAnswer(Vec<Message>),
     Error(WireError),
 }
 
@@ -1024,7 +1016,6 @@ impl Message {
             Message::DeleteWhere(_) => 0x08,
             Message::MetricsReq => 0x0A,
             Message::Ping => 0x0B,
-            Message::Batch(_) => 0x0C,
             Message::Answer(_) => 0x81,
             Message::MetricsText(_) => 0x89,
             Message::Block(_) => 0x82,
@@ -1035,14 +1026,8 @@ impl Message {
             Message::Deleted(_) => 0x87,
             Message::Pong => 0x8A,
             Message::Busy { .. } => 0x8B,
-            Message::BatchAnswer(_) => 0x8C,
             Message::Error(_) => 0xFF,
         }
-    }
-
-    /// True for client→server messages.
-    pub fn is_request(&self) -> bool {
-        self.msg_type() < 0x80
     }
 
     /// True for requests that mutate server state.
@@ -1088,49 +1073,8 @@ impl Message {
             }
             Message::Slot(slot) => slot.encode_into(enc),
             Message::Deleted(outcome) => outcome.encode_into(enc),
-            Message::Batch(items) | Message::BatchAnswer(items) => {
-                enc.usize(items.len());
-                for item in items {
-                    enc.u8(item.msg_type());
-                    let mut sub = Enc::new();
-                    item.encode_payload(&mut sub);
-                    enc.bytes(&sub.into_bytes());
-                }
-            }
             Message::Error(err) => err.encode_into(enc),
         }
-    }
-
-    /// Decodes the items of a `Batch`/`BatchAnswer` payload: a count, then
-    /// per item a message-type byte and a length-prefixed sub-payload.
-    /// Nested batches are rejected flat (no recursion), `Batch` items must
-    /// be non-mutating requests, `BatchAnswer` items must be responses.
-    fn decode_batch_items(dec: &mut Dec<'_>, requests: bool) -> Result<Vec<Message>, CodecError> {
-        let n = dec.count(2)?;
-        if n == 0 {
-            return Err(CodecError::Invalid("empty batch"));
-        }
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = dec.u8()?;
-            if tag == 0x0C || tag == 0x8C {
-                return Err(CodecError::Invalid("nested batch"));
-            }
-            let raw = dec.bytes()?;
-            let item = Message::decode_payload_bytes(tag, raw)?;
-            if requests {
-                if !item.is_request() {
-                    return Err(CodecError::Invalid("batch item is not a request"));
-                }
-                if item.is_mutation() {
-                    return Err(CodecError::Invalid("mutation inside batch"));
-                }
-            } else if item.is_request() {
-                return Err(CodecError::Invalid("batch answer item is not a response"));
-            }
-            items.push(item);
-        }
-        Ok(items)
     }
 
     fn decode_payload(msg_type: u8, dec: &mut Dec<'_>) -> Result<Message, CodecError> {
@@ -1148,10 +1092,6 @@ impl Message {
             0x08 => Ok(Message::DeleteWhere(ServerQuery::decode_from(dec)?)),
             0x0A => Ok(Message::MetricsReq),
             0x0B => Ok(Message::Ping),
-            0x0C => Ok(Message::Batch(Message::decode_batch_items(dec, true)?)),
-            0x8C => Ok(Message::BatchAnswer(Message::decode_batch_items(
-                dec, false,
-            )?)),
             0x8A => Ok(Message::Pong),
             0x8B => Ok(Message::Busy {
                 retry_after_ms: dec.u32()?,
@@ -1840,29 +1780,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_frame_roundtrips() {
-        let msg = Message::Batch(vec![
-            Message::Query(sample_query()),
-            Message::NaiveQuery,
-            Message::FetchBlock(7),
-            Message::MetricsReq,
-        ]);
-        let frame = msg.encode_frame_req(PROTOCOL_VERSION, 11, 42);
-        let d = Message::decode_frame_ext(&frame).unwrap();
-        assert_eq!(d.msg, msg);
-        assert_eq!(d.trace, 11);
-        assert_eq!(d.req_id, 42);
-
-        let reply = Message::BatchAnswer(vec![
-            Message::Pong,
-            Message::Block(None),
-            Message::Error(WireError::from_core(&CoreError::Query("nope".into()))),
-        ]);
-        let frame = reply.encode_frame_req(PROTOCOL_VERSION, 11, 42);
-        assert_eq!(Message::decode_frame(&frame).unwrap(), reply);
-    }
-
-    #[test]
     fn retired_message_types_are_bad_tags() {
         let bad_tag = |tag| {
             Err(CodecError::BadTag {
@@ -1870,55 +1787,12 @@ mod tests {
                 tag,
             })
         };
-        for tag in [0x09, 0x0D, 0x88, 0x8D] {
+        for tag in [0x09, 0x0C, 0x0D, 0x88, 0x8C, 0x8D] {
             let mut frame = Message::NaiveQuery.encode_frame_req(PROTOCOL_VERSION, 5, 9);
             frame[3] = tag;
             refresh_crc(&mut frame);
             assert_eq!(Message::decode_frame(&frame), bad_tag(tag), "{tag:#04x}");
         }
-        // Inside a batch too: the item's type byte follows the item count.
-        let mut frame = Message::Batch(vec![Message::Ping]).encode_frame();
-        let item_type = FRAME_HEADER_LEN + FRAME_EXTRA_LEN + 1;
-        assert_eq!(frame[item_type], 0x0B);
-        frame[item_type] = 0x09;
-        refresh_crc(&mut frame);
-        assert_eq!(Message::decode_frame(&frame), bad_tag(0x09));
-    }
-
-    #[test]
-    fn invalid_batches_are_typed_errors() {
-        // Nested batch.
-        let nested = Message::Batch(vec![Message::Batch(vec![Message::Ping])]);
-        let frame = nested.encode_frame();
-        assert_eq!(
-            Message::decode_frame(&frame),
-            Err(CodecError::Invalid("nested batch"))
-        );
-        // Mutation inside a batch.
-        let q = sample_query();
-        let mutating = Message::Batch(vec![Message::DeleteWhere(q)]);
-        assert_eq!(
-            Message::decode_frame(&mutating.encode_frame()),
-            Err(CodecError::Invalid("mutation inside batch"))
-        );
-        // Empty batch.
-        let empty = Message::Batch(vec![]);
-        assert_eq!(
-            Message::decode_frame(&empty.encode_frame()),
-            Err(CodecError::Invalid("empty batch"))
-        );
-        // A response inside a request batch.
-        let resp = Message::Batch(vec![Message::Pong]);
-        assert_eq!(
-            Message::decode_frame(&resp.encode_frame()),
-            Err(CodecError::Invalid("batch item is not a request"))
-        );
-        // A request inside a batch answer.
-        let req = Message::BatchAnswer(vec![Message::Ping]);
-        assert_eq!(
-            Message::decode_frame(&req.encode_frame()),
-            Err(CodecError::Invalid("batch answer item is not a response"))
-        );
     }
 
     #[test]

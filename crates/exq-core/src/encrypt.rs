@@ -10,7 +10,7 @@
 //!   serialized and ChaCha20-sealed;
 //! * the **server metadata** (§5): the DSI index table with Vernam-encrypted
 //!   tags and same-tag adjacent grouping for block-internal nodes, the
-//!   encryption block table, and one OPESS value index (B-tree) per
+//!   encryption block table, and one OPESS value index (a sorted run) per
 //!   encrypted leaf attribute;
 //! * the **client state**: key chain, the encrypted/plain tag vocabularies,
 //!   and the OPESS plans + categorical codecs needed for query translation.
@@ -25,7 +25,7 @@ use crate::scheme::EncryptionScheme;
 use exq_crypto::{seal_blocks, KeyChain, OpeKey, OpessDraft, OpessPlan, SealedBlock, TagCipher};
 use exq_index::{
     dsi::{DsiLabeling, Interval},
-    BTree, BlockTable, DsiIndexTable,
+    BlockTable, DsiIndexTable, ValueIndex,
 };
 use exq_xml::{Document, NodeId, NodeKind};
 use rand::Rng;
@@ -51,18 +51,20 @@ pub struct ServerMetadata {
     pub block_table: BlockTable,
     /// Per-attribute OPESS value index; keys are the server-visible
     /// (Vernam-encrypted) attribute names.
-    pub value_indexes: HashMap<String, BTree>,
+    pub value_indexes: HashMap<String, ValueIndex>,
 }
 
 impl ServerMetadata {
     /// Total metadata entries (structural + value) — the index-size metric.
     pub fn entry_count(&self) -> usize {
-        self.dsi_table.entry_count() + self.value_indexes.values().map(BTree::len).sum::<usize>()
+        let values: usize = self.value_indexes.values().map(ValueIndex::len).sum();
+        self.dsi_table.entry_count() + values
     }
 
     /// Splices an inserted subtree's entries in: `run`, its distinct DSI
     /// intervals in join order, goes in as the last members under the
-    /// member at `under`. Returns the position the run starts at.
+    /// member at `under`, and each attribute's value entries are one merge
+    /// into its index. Returns the position the run starts at.
     pub(crate) fn splice_in(
         &mut self,
         under: u32,
@@ -74,9 +76,15 @@ impl ServerMetadata {
         let at = self.dsi_table.splice_in(under, run, dsi_entries);
         self.block_table
             .splice_in(&self.dsi_table, at, block_entries);
-        for (attr, cipher, id) in value_entries {
-            let tree = self.value_indexes.entry(attr.clone()).or_default();
-            tree.insert(*cipher, *id);
+        let mut attrs: Vec<&String> = value_entries.iter().map(|(attr, ..)| attr).collect();
+        attrs.sort_unstable();
+        attrs.dedup();
+        for attr in attrs {
+            let entries = value_entries.iter().filter(|(a, ..)| a == attr);
+            self.value_indexes
+                .entry(attr.clone())
+                .or_default()
+                .merge(entries.map(|&(_, cipher, id)| (cipher, id)));
         }
         at
     }
@@ -638,10 +646,14 @@ fn draft_value_indexes(
     Ok(drafts)
 }
 
-type ValueIndexes = (HashMap<String, BTree>, HashMap<String, OpessAttr>, usize);
+type ValueIndexes = (
+    HashMap<String, ValueIndex>,
+    HashMap<String, OpessAttr>,
+    usize,
+);
 
 /// Finishes each draft from `descended`, the ciphertexts of every run in
-/// order, and loads its attribute's B-tree in one pass.
+/// order, and loads its attribute's value index in one pass.
 fn finish_value_indexes(
     drafts: Vec<AttrDraft>,
     mut descended: impl Iterator<Item = Vec<u128>>,
@@ -682,14 +694,14 @@ fn finish_value_indexes(
             }
         }
         // Plaintexts closer together than the OPE domain resolves can
-        // interleave their chunks; a stable sort then keeps the tree the
-        // one inserting these entries in turn would build.
+        // interleave their chunks; a stable sort then keeps the index the
+        // one merging these entries in turn would build.
         if !entries.is_sorted_by_key(|&(k, _)| k) {
             entries.sort_by_key(|&(k, _)| k);
         }
-        let tree = BTree::from_sorted(entries).expect("sorted just above");
-        total_entries += tree.len();
-        indexes.insert(tags.encrypt(&attr).to_owned(), tree);
+        let index = ValueIndex::from_sorted(entries).expect("sorted just above");
+        total_entries += index.len();
+        indexes.insert(tags.encrypt(&attr).to_owned(), index);
         opess.insert(attr, OpessAttr { plan, codec });
     }
     (indexes, opess, total_entries)
@@ -923,9 +935,9 @@ mod tests {
             .flat_map(|e| e.chunks.iter().map(|c| c.ciphertext))
             .collect();
         assert!(!ciphertexts.is_sorted(), "the chunks should interleave");
-        let tree = out.metadata.value_indexes.values().next().unwrap();
-        tree.validate().unwrap();
-        assert_eq!(tree.len() as u64, plan.index_entry_count());
+        let index = out.metadata.value_indexes.values().next().unwrap();
+        assert!(index.iter().map(|(k, _)| k).is_sorted(), "key order");
+        assert_eq!(index.len() as u64, plan.index_entry_count());
     }
 
     #[test]

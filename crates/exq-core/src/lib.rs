@@ -14,7 +14,7 @@
 //!   construction of the server metadata (DSI index table, encryption block
 //!   table, OPESS value indexes) (§4.1, §5);
 //! * [`server`] — the untrusted server: structural joins over DSI intervals,
-//!   B-tree range lookups, and pruned-response assembly (§6.2);
+//!   value-index range lookups, and pruned-response assembly (§6.2);
 //! * [`client`] — query translation (§6.1), decryption, decoy removal, and
 //!   post-processing (§6.4);
 //! * [`system`] — the end-to-end hosted-database wrapper with per-phase

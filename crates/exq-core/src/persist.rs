@@ -35,7 +35,7 @@ use crate::store::BlockStore;
 use exq_crypto::opess::{ChunkCipher, PlanEntry};
 use exq_crypto::{KeyChain, OpessPlan, SealedBlock};
 use exq_index::dsi::Interval;
-use exq_index::{BTree, BlockTable, DsiIndexTable, Postings};
+use exq_index::{BlockTable, DsiIndexTable, Postings, ValueIndex};
 use exq_xml::Document;
 use exq_xpath::Path;
 use std::collections::{HashMap, HashSet};
@@ -305,7 +305,7 @@ pub(crate) type BlockPairs = Vec<(Interval, u32)>;
 pub(crate) fn metadata_from<T: Into<String>>(
     dsi_entries: Vec<(T, Vec<Interval>)>,
     blocks: BlockPairs,
-    value_indexes: HashMap<String, BTree>,
+    value_indexes: HashMap<String, ValueIndex>,
 ) -> Result<ServerMetadata, CoreError> {
     let refuse = |why: &str| CoreError::Persist(why.to_owned());
     let dsi_table = DsiIndexTable::from_entries(dsi_entries)
@@ -333,9 +333,8 @@ pub(crate) fn write_tables(w: &mut W, meta: &ServerMetadata) {
     attrs.sort();
     for attr in attrs {
         w.string(attr);
-        let entries = vi[attr].iter();
-        w.u64(entries.len() as u64);
-        for (k, v) in entries {
+        w.u64(vi[attr].len() as u64);
+        for (k, v) in vi[attr].iter() {
             w.u128(k);
             w.u32(v);
         }
@@ -344,7 +343,9 @@ pub(crate) fn write_tables(w: &mut W, meta: &ServerMetadata) {
 
 /// Reads [`write_tables`]'s section: the block table's pairs, which
 /// [`metadata_from`] builds over the DSI table, and the value indexes.
-pub(crate) fn read_tables(r: &mut R) -> Result<(BlockPairs, HashMap<String, BTree>), CoreError> {
+pub(crate) fn read_tables(
+    r: &mut R,
+) -> Result<(BlockPairs, HashMap<String, ValueIndex>), CoreError> {
     let n = r.count(20)?;
     let mut blocks = Vec::with_capacity(n);
     for _ in 0..n {
@@ -359,12 +360,12 @@ pub(crate) fn read_tables(r: &mut R) -> Result<(BlockPairs, HashMap<String, BTre
         for _ in 0..n {
             entries.push((r.u128()?, r.u32()?));
         }
-        // Written in key order by `write_tables`: loaded bottom-up in one
-        // pass, and refused whole if the order is broken.
-        let tree = BTree::from_sorted(entries).ok_or_else(|| {
+        // Written in key order by `write_tables`: kept as read, and
+        // refused whole if the order is broken.
+        let index = ValueIndex::from_sorted(entries).ok_or_else(|| {
             CoreError::Persist(format!("value index `{attr}` is out of key order"))
         })?;
-        value_indexes.insert(attr, tree);
+        value_indexes.insert(attr, index);
     }
     Ok((blocks, value_indexes))
 }
@@ -747,7 +748,7 @@ mod tests {
 
         // Two neighbouring entries with distinct keys, as written.
         let (attr, index) = server.metadata().value_indexes.iter().next().unwrap();
-        let entries = index.iter();
+        let entries: Vec<(u128, u32)> = index.iter().collect();
         let at = (1..entries.len())
             .find(|&i| entries[i - 1].0 < entries[i].0)
             .expect("two distinct keys");

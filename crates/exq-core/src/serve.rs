@@ -35,9 +35,8 @@ use crate::telemetry::{self, Counter, Gauge};
 use crate::tenant::{Tenant, TenantRegistry, DEFAULT_DB};
 use crate::transport::{answer_request, apply_request_keyed, dispatch_traced};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::slice;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, LockResult, OnceLock, PoisonError, RwLock, TryLockError, TryLockResult};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -269,100 +268,51 @@ fn is_diagnostic(req: &Message) -> bool {
 }
 
 /// Request-class half of the admission policy: at an in-flight limit, a
-/// request is still admitted only if every item it asks for is cheap — a
-/// diagnostic, or a query the response cache already answers. Shedding
-/// expensive misses while still serving hits keeps goodput up under
-/// overload. One `try_read` probes every item; a held write lock means the
-/// answers may be invalidated anyway, so it counts as a miss.
-fn admitted_under_load(server: &RwLock<Server>, items: &[Message]) -> bool {
-    let guard = server.try_read().ok();
-    items.iter().all(|item| match item {
-        Message::Query(q) => guard.as_ref().is_some_and(|g| g.has_cached_response(q)),
+/// request is still admitted only if it is cheap — a diagnostic, or a query
+/// the response cache already answers. Shedding expensive misses while
+/// still serving hits keeps goodput up under overload. A held write lock
+/// means the answer may be invalidated anyway, so it counts as a miss.
+fn admitted_under_load(server: &RwLock<Server>, req: &Message) -> bool {
+    match req {
+        Message::Query(q) => server.try_read().is_ok_and(|g| g.has_cached_response(q)),
         other => is_diagnostic(other),
-    })
-}
-
-/// Acquires the read lock, giving up after `deadline` (ZERO = wait
-/// forever). Poisoning is recovered as elsewhere in the serve loop.
-fn read_lock_within(
-    server: &RwLock<Server>,
-    deadline: Duration,
-) -> Option<RwLockReadGuard<'_, Server>> {
-    if deadline.is_zero() {
-        return Some(match server.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        });
-    }
-    let until = Instant::now() + deadline;
-    loop {
-        match server.try_read() {
-            Ok(guard) => return Some(guard),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => return Some(poisoned.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                if Instant::now() >= until {
-                    return None;
-                }
-                thread::sleep(LOCK_POLL);
-            }
-        }
     }
 }
 
-/// Write-lock counterpart of [`read_lock_within`].
-fn write_lock_within(
-    server: &RwLock<Server>,
+/// Takes a lock through `lock`, or through `try_lock` polled until
+/// `deadline` has passed (`None`); ZERO waits forever. Poisoning is
+/// recovered as elsewhere in the serve loop.
+fn lock_within<G>(
     deadline: Duration,
-) -> Option<RwLockWriteGuard<'_, Server>> {
+    lock: impl FnOnce() -> LockResult<G>,
+    try_lock: impl Fn() -> TryLockResult<G>,
+) -> Option<G> {
     if deadline.is_zero() {
-        return Some(match server.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        });
+        return Some(lock().unwrap_or_else(PoisonError::into_inner));
     }
     let until = Instant::now() + deadline;
     loop {
-        match server.try_write() {
+        match try_lock() {
             Ok(guard) => return Some(guard),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => return Some(poisoned.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                if Instant::now() >= until {
-                    return None;
-                }
-                thread::sleep(LOCK_POLL);
-            }
+            Err(TryLockError::Poisoned(poisoned)) => return Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) if Instant::now() >= until => return None,
+            Err(TryLockError::WouldBlock) => thread::sleep(LOCK_POLL),
         }
     }
 }
 
 /// Dispatches one decoded request under admission control and answers
 /// mutations through the tenant's own replay table for at-most-once
-/// semantics. A [`Message::Batch`] is read-only by construction (the codec
-/// rejects nested batches and mutating items) and takes one admission slot
-/// and one read lock for all its items, answered in submission order inside
-/// a [`Message::BatchAnswer`]; a failing item becomes an `Error` entry
-/// without sinking its siblings.
+/// semantics.
 pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedFrame) -> Message {
     let deadline = config.deadline;
     match &d.msg {
         // Liveness probes answer instantly, without the server lock or an
         // admission slot: a saturated server is alive, not dead.
         Message::Ping => Message::Pong,
-        Message::Batch(items) => admit(shared, config, d, items, |tenant| {
-            read_lock_within(&tenant.server, deadline).map(|guard| {
-                Ok(Message::BatchAnswer(
-                    items
-                        .iter()
-                        .map(|item| {
-                            answer_request(&guard, item)
-                                .unwrap_or_else(|e| Message::Error(WireError::from_core(&e)))
-                        })
-                        .collect(),
-                ))
-            })
-        }),
-        msg if msg.is_mutation() => admit(shared, config, d, slice::from_ref(msg), |tenant| {
-            write_lock_within(&tenant.server, deadline).map(|mut guard| {
+        msg if msg.is_mutation() => admit(shared, config, d, |tenant| {
+            let server = &tenant.server;
+            lock_within(deadline, || server.write(), || server.try_write()).map(|mut guard| {
                 let r = apply_request_keyed(&mut guard, &tenant.replay, d.req_id, msg);
                 // A persistence failure on the mutation path means the WAL
                 // (or store) is not accepting writes: flip this db to
@@ -374,25 +324,24 @@ pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedF
                 r
             })
         }),
-        msg => admit(shared, config, d, slice::from_ref(msg), |tenant| {
-            read_lock_within(&tenant.server, deadline).map(|guard| answer_request(&guard, msg))
+        msg => admit(shared, config, d, |tenant| {
+            let server = &tenant.server;
+            lock_within(deadline, || server.read(), || server.try_read())
+                .map(|guard| answer_request(&guard, msg))
         }),
     }
 }
 
-/// What every request and batch goes through around its `body`: resolve
-/// the frame's db to a tenant (typed error for unknown dbs), the health
-/// gate, the shed test at the global *or* per-db in-flight limit, one
-/// admission slot, and the trace scope with the request's resource profile,
-/// per-db latency and slow-request accounting. `items` are what the request
-/// asks for — the message itself, or a batch's items. `body` answers under
-/// the tenant's lock, or returns `None` when the lock could not be taken
-/// within the deadline.
+/// What every request goes through around its `body`: resolve the frame's
+/// db to a tenant (typed error for unknown dbs), the health gate, the shed
+/// test at the global *or* per-db in-flight limit, one admission slot, and
+/// the trace scope with the request's resource profile, per-db latency and
+/// slow-request accounting. `body` answers under the tenant's lock, or
+/// returns `None` when the lock could not be taken within the deadline.
 fn admit(
     shared: &ServeShared,
     config: &ServeConfig,
     d: &DecodedFrame,
-    items: &[Message],
     body: impl FnOnce(&Tenant) -> Option<Result<Message, CoreError>>,
 ) -> Message {
     let tenant = match shared.registry.resolve(&d.db) {
@@ -402,7 +351,7 @@ fn admit(
     tenant.note_request();
     // Health gate: a degraded db refuses mutations (reads keep serving
     // from pool + page file), a faulted db refuses data traffic entirely.
-    if !items.iter().all(is_diagnostic) {
+    if !is_diagnostic(&d.msg) {
         if let Err(e) = tenant.admit_health(d.msg.is_mutation()) {
             return Message::Error(WireError::from_core(&e));
         }
@@ -411,12 +360,12 @@ fn admit(
     let over_global = config.max_inflight != 0 && inflight >= config.max_inflight;
     let db_cap = tenant.effective_cap(fair_share(config, shared.registry.len()));
     let over_db = db_cap != 0 && tenant.inflight() >= db_cap;
-    if (over_global || over_db) && !admitted_under_load(&tenant.server, items) {
+    if (over_global || over_db) && !admitted_under_load(&tenant.server, &d.msg) {
         ft_metrics().shed.inc();
         tenant.note_shed();
         return busy_reply(config.retry_after);
     }
-    if items.iter().any(|m| matches!(m, Message::MetricsReq)) {
+    if matches!(d.msg, Message::MetricsReq) {
         // Scrape-time freshness for every hosted db, not just this one.
         shared.registry.refresh_store_gauges();
     }
@@ -449,24 +398,11 @@ fn finish_profile(
     tenant: &Tenant,
     result: &Result<Message, CoreError>,
 ) -> Option<telemetry::QueryProfile> {
-    match result {
-        Ok(Message::Answer(resp)) => telemetry::with_profile(|p| {
+    if let Ok(Message::Answer(resp)) = result {
+        telemetry::with_profile(|p| {
             p.blocks_shipped += resp.blocks.len() as u64;
             p.cache_hit = resp.served_from_cache;
-        }),
-        Ok(Message::BatchAnswer(items)) => telemetry::with_profile(|p| {
-            let mut answers = 0u64;
-            let mut cached = 0u64;
-            for item in items {
-                if let Message::Answer(r) = item {
-                    answers += 1;
-                    p.blocks_shipped += r.blocks.len() as u64;
-                    cached += r.served_from_cache as u64;
-                }
-            }
-            p.cache_hit = answers > 0 && cached == answers;
-        }),
-        _ => {}
+        });
     }
     let profile = telemetry::profile_take()?;
     tenant.note_profile(&profile);
@@ -497,23 +433,17 @@ mod tests {
         let server = RwLock::new(server);
         let query = Message::Query(q.clone());
         // A miss sheds; once the cache holds the answer, the query is cheap.
-        assert!(!admitted_under_load(&server, slice::from_ref(&query)));
+        assert!(!admitted_under_load(&server, &query));
         server.read().unwrap().answer(&q).unwrap();
-        assert!(admitted_under_load(&server, slice::from_ref(&query)));
+        assert!(admitted_under_load(&server, &query));
         // Scrapes always pass; other work sheds.
-        assert!(admitted_under_load(&server, &[Message::MetricsReq]));
-        assert!(!admitted_under_load(&server, &[Message::NaiveQuery]));
-        // A batch is admitted only if every item is.
-        let batch = [Message::MetricsReq, query.clone(), Message::Ping];
-        assert!(admitted_under_load(&server, &batch));
-        assert!(!admitted_under_load(
-            &server,
-            &[query.clone(), Message::FetchBlock(0)]
-        ));
+        assert!(admitted_under_load(&server, &Message::MetricsReq));
+        assert!(!admitted_under_load(&server, &Message::NaiveQuery));
+        assert!(!admitted_under_load(&server, &Message::FetchBlock(0)));
         // Under a held write lock a cached answer may be stale: only the
         // diagnostics pass.
         let _writer = server.write().unwrap();
-        assert!(!admitted_under_load(&server, slice::from_ref(&query)));
-        assert!(admitted_under_load(&server, &[Message::MetricsReq]));
+        assert!(!admitted_under_load(&server, &query));
+        assert!(admitted_under_load(&server, &Message::MetricsReq));
     }
 }

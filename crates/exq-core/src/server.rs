@@ -13,7 +13,7 @@
 //!    its interval universe (every listed interval once, in join order):
 //!    no query maps an interval;
 //! 2. **value translation** — each value predicate's ciphertext range is
-//!    scanned in the B-tree, yielding the set of blocks containing matching
+//!    looked up in its value index, yielding the set of blocks containing matching
 //!    occurrences;
 //! 3. **final joins** — one matcher, `Server::match_steps`, evaluates a
 //!    step sequence set-at-a-time: a forward pass applies each step's axis
@@ -108,7 +108,7 @@ pub struct Server {
 
 /// Every ciphertext value range a query mentions, resolved to its live
 /// blocks as a table indexed by block id (step 2, done once up front: the
-/// entries depend on the query and the B-trees alone, never on a
+/// entries depend on the query and the value indexes alone, never on a
 /// candidate).
 type ResolvedRanges<'q> = HashMap<(&'q str, u128, u128), Vec<bool>>;
 
@@ -571,8 +571,8 @@ impl Server {
     }
 
     /// Resolves every value range reachable from `steps` (branches nested
-    /// in predicates included) against its attribute's B-tree, once each,
-    /// dropping tombstoned blocks.
+    /// in predicates included) against its attribute's value index, once
+    /// each, dropping tombstoned blocks.
     fn resolve_ranges<'q>(&self, steps: &'q [SStep], out: &mut ResolvedRanges<'q>) {
         for pred in steps.iter().flat_map(|s| &s.preds) {
             let (SPred::Exists(branch) | SPred::Value { path: branch, .. }) = pred;
@@ -585,7 +585,7 @@ impl Server {
                 out.entry((attr, r.lo, r.hi)).or_insert_with(|| {
                     let mut live = vec![false; self.blocks.len()];
                     let ids = self.metadata.value_indexes.get(attr).into_iter();
-                    for b in ids.flat_map(|tree| tree.range(r.lo, r.hi)) {
+                    for &b in ids.flat_map(|index| index.range(r.lo, r.hi)) {
                         if self.block_live(b) {
                             live[b as usize] = true;
                         }

@@ -44,7 +44,7 @@ use exq_index::dsi::Interval;
 use exq_index::paged::{
     block_record_id, encode_postings, load_postings, posting_record_id, REC_META,
 };
-use exq_index::BTree;
+use exq_index::ValueIndex;
 use exq_store::store::{DATA_FILE, WAL_FILE};
 use exq_store::PagedStore;
 use std::collections::{HashMap, HashSet};
@@ -517,7 +517,7 @@ struct MetaImage {
     /// Tag names in posting-record order.
     tags: Vec<String>,
     blocks: BlockPairs,
-    value_indexes: HashMap<String, BTree>,
+    value_indexes: HashMap<String, ValueIndex>,
     block_count: u32,
     payload_bytes: u64,
     dead: HashSet<u32>,

@@ -655,22 +655,6 @@ impl TcpTransport {
     pub fn peer_addr(&self) -> SocketAddr {
         self.peer
     }
-
-    /// Sends the group as one [`Message::Batch`] frame and unpacks the
-    /// [`Message::BatchAnswer`], returning per-item replies in order. A
-    /// whole-batch `Busy` or `Error` reply surfaces as the error for the
-    /// call.
-    pub fn batch(&mut self, reqs: &[Message]) -> Result<Vec<Message>, CoreError> {
-        match self.roundtrip(&Message::Batch(reqs.to_vec()))? {
-            Message::BatchAnswer(items) if items.len() == reqs.len() => Ok(items),
-            Message::BatchAnswer(items) => Err(CoreError::Transport(format!(
-                "batch answer has {} items for {} requests",
-                items.len(),
-                reqs.len()
-            ))),
-            other => Err(unexpected("BatchAnswer", other)),
-        }
-    }
 }
 
 impl Transport for TcpTransport {

@@ -39,7 +39,7 @@ pub enum SPred {
     /// be present; the predicate holds if any side matches.
     Value {
         path: Vec<SStep>,
-        /// Encrypted side: B-tree attribute key + ciphertext range.
+        /// Encrypted side: value-index attribute key + ciphertext range.
         range: Option<(String, ValueRange)>,
         /// Plaintext side: comparison evaluated on the visible document.
         plain: Option<(CmpOp, Literal)>,
@@ -80,7 +80,7 @@ pub struct ServerResponse {
     /// Time the server spent translating (DSI lookups) — §7.2's "query
     /// translation time on server".
     pub translate_time: Duration,
-    /// Time the server spent on structural joins, B-tree lookups, and
+    /// Time the server spent on structural joins, value-index lookups, and
     /// response assembly. On a response-cache hit this is the (real,
     /// nonzero) time spent probing the cache and assembling the reply.
     pub process_time: Duration,

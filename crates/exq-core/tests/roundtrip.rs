@@ -1,9 +1,13 @@
 //! End-to-end correctness: for every scheme and query, the secure pipeline
 //! must return exactly `Q(D)` — the answer on the plaintext database.
 
+use exq_core::codec::Message;
 use exq_core::constraints::SecurityConstraint;
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
+use exq_core::transport::answer_request;
+use exq_core::wire::{SPred, SStep, ServerQuery};
+use exq_crypto::ValueRange;
 use exq_xml::Document;
 use exq_xpath::{eval_document, Path};
 
@@ -259,4 +263,64 @@ fn timing_phases_populated() {
     // Fallback flag set for unsupported axes.
     let out = hosted.query("//disease/../doctor").unwrap();
     assert!(out.naive_fallback);
+}
+
+/// Turns every value range of `steps`, nested branches included, around
+/// so that `lo > hi`; returns how many there were.
+fn reverse_ranges(steps: &mut [SStep]) -> usize {
+    let mut n = 0;
+    for pred in steps.iter_mut().flat_map(|s| &mut s.preds) {
+        match pred {
+            SPred::Exists(branch) => n += reverse_ranges(branch),
+            SPred::Value { path, range, .. } => {
+                n += reverse_ranges(path);
+                if let Some((_, r)) = range {
+                    let (lo, hi) = if r.lo < r.hi {
+                        (r.hi, r.lo)
+                    } else {
+                        (r.lo.saturating_add(1), r.lo.saturating_sub(1))
+                    };
+                    *r = ValueRange { lo, hi };
+                    n += 1;
+                }
+            }
+        }
+    }
+    n
+}
+
+/// The codec does not order a range's ends, so a frame can carry a value
+/// range with `lo > hi`. Decoded and answered, it matches no value: an
+/// empty answer, never a panic.
+#[test]
+fn reversed_value_ranges_answer_empty() {
+    let (client, server) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&hospital(), &constraints(), SchemeKind::Opt, 42)
+        .unwrap()
+        .split();
+    let answer = |q: &ServerQuery| {
+        let frame = Message::Query(q.clone()).encode_frame();
+        let req = Message::decode_frame(&frame).unwrap();
+        match answer_request(&server, &req).unwrap() {
+            Message::Answer(resp) => resp,
+            other => panic!("not an answer: {other:?}"),
+        }
+    };
+    for query in [
+        "//policy[@coverage >= 5000]",
+        "//patient[pname = 'Betty']/SSN",
+    ] {
+        let mut q = client.translate(query).unwrap().server_query.unwrap();
+        assert!(
+            !answer(&q).pruned_xml.is_empty(),
+            "{query} matches as written"
+        );
+        assert!(
+            reverse_ranges(&mut q.steps) > 0,
+            "{query} has an encrypted range"
+        );
+        let resp = answer(&q);
+        assert!(resp.pruned_xml.is_empty(), "{query}: {}", resp.pruned_xml);
+        assert!(resp.blocks.is_empty(), "{query}");
+    }
 }

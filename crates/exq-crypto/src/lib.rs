@@ -18,7 +18,7 @@
 //!   function `u64 → u128` (the paper assumes an OPE function à la
 //!   Agrawal et al. \[3\]);
 //! * [`opess`] — Order-Preserving Encryption with Splitting and Scaling
-//!   (§5.2): frequency-flattening value transformation for the B-tree index;
+//!   (§5.2): frequency-flattening value transformation for the value index;
 //! * [`block`] — authenticated sealing of serialized subtree blocks;
 //! * [`bignum`] — exact big-integer combinatorics for the security theorems'
 //!   candidate-database counts;

@@ -17,7 +17,7 @@
 //!    the domain, so their descents share every tree node above it and
 //!    each shared node's coin is drawn once ([`OpeKey::encrypt_many`]);
 //! 4. draw a random integer scale `s ∈ [1, 10]` per value; every index entry
-//!    of that value is replicated `s` times in the B-tree.
+//!    of that value is replicated `s` times in the value index.
 //!
 //! Deviation from the paper, documented in DESIGN.md: the paper sets
 //! `δ = max` gap between consecutive plaintext values, but condition (*)
@@ -65,7 +65,7 @@ pub struct PlanEntry {
     pub scale: u32,
 }
 
-/// An inclusive ciphertext range, the unit of server-side B-tree lookups.
+/// An inclusive ciphertext range, the unit of server-side value-index lookups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValueRange {
     pub lo: u128,
@@ -370,7 +370,7 @@ impl OpessPlan {
     }
 
     /// The ciphertext histogram after splitting *and* scaling — what the
-    /// server actually observes in the B-tree.
+    /// server actually observes in the value index.
     pub fn scaled_histogram(&self) -> Vec<u64> {
         self.entries
             .iter()
@@ -382,7 +382,7 @@ impl OpessPlan {
             .collect()
     }
 
-    /// Total number of B-tree index entries the plan produces.
+    /// Total number of value-index entries the plan produces.
     pub fn index_entry_count(&self) -> u64 {
         self.scaled_histogram().iter().sum()
     }

@@ -5,53 +5,51 @@ use exq_index::sjoin::{
     join_anc_desc, join_order, least_child, least_desc, semijoin_anc, semijoin_child,
     semijoin_desc, semijoin_parent, sort_intervals, IntervalUniverse, NONE,
 };
-use exq_index::{BTree, DsiIndexTable};
+use exq_index::{DsiIndexTable, ValueIndex};
 use exq_xml::{Document, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 proptest! {
-    /// B-tree behaves like a sorted multiset reference model.
+    /// The value index behaves like a sorted multiset reference model,
+    /// however its entries arrive: a bulk load, then merges of any size.
     #[test]
-    fn btree_matches_model(
-        order in 3usize..12,
-        ops in proptest::collection::vec((any::<u8>(), any::<u32>()), 0..300),
+    fn value_index_matches_model(
+        batches in proptest::collection::vec(
+            proptest::collection::vec((any::<u8>(), any::<u32>()), 0..60),
+            0..6,
+        ),
         (qlo, qhi) in (any::<u8>(), any::<u8>()),
     ) {
-        let mut tree = BTree::with_order(order);
         let mut model: Vec<(u128, u32)> = Vec::new();
-        for (k, v) in ops {
-            tree.insert(k as u128, v);
-            model.push((k as u128, v));
+        let mut index = ValueIndex::default();
+        for batch in batches {
+            let batch: Vec<(u128, u32)> = batch.iter().map(|&(k, v)| (k.into(), v)).collect();
+            index.merge(batch.iter().copied());
+            model.extend(batch);
         }
-        tree.validate().unwrap();
+        // A stable sort: equal keys in the order they were merged.
         model.sort_by_key(|&(k, _)| k);
-        prop_assert_eq!(tree.len(), model.len());
-        // Full iteration matches the sorted model's keys.
-        let got_keys: Vec<u128> = tree.iter().into_iter().map(|(k, _)| k).collect();
-        let want_keys: Vec<u128> = model.iter().map(|&(k, _)| k).collect();
-        prop_assert_eq!(got_keys, want_keys);
-        // Range scans match model filtering (as multisets).
-        let (lo, hi) = (qlo.min(qhi) as u128, qlo.max(qhi) as u128);
-        let mut got = tree.range(lo, hi);
-        got.sort_unstable();
-        let mut want: Vec<u32> = model
+        prop_assert_eq!(index.len(), model.len());
+        prop_assert_eq!(index.iter().collect::<Vec<_>>(), model.clone());
+        let (lo, hi) = (u128::from(qlo), u128::from(qhi));
+        let want: Vec<u32> = model
             .iter()
-            .filter(|&&(k, _)| k >= lo && k <= hi)
+            .filter(|&&(k, _)| lo <= k && k <= hi)
             .map(|&(_, v)| v)
             .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(index.range(lo, hi), want.as_slice());
+        prop_assert_eq!(index.range(0, u128::MAX).len(), model.len());
     }
 
-    /// A tree bulk-loaded from sorted entries is the tree inserting them
-    /// one by one builds, for every lookup: same entries in the same order
-    /// (equal keys in the order given), same ranges, valid; and random
-    /// inserts afterwards keep the two equal. Sizes cross one leaf, one
-    /// internal level and two; keys of a few bits repeat across leaves.
+    /// An index bulk-loaded from sorted entries is the one merging them one
+    /// at a time builds: same entries in the same order (equal keys in the
+    /// order given), same ranges; and merging later entries into both, as
+    /// one batch and one by one, keeps the two equal. Keys of a few bits
+    /// repeat many times.
     #[test]
-    fn btree_from_sorted_equals_inserts(
+    fn from_sorted_equals_inserts(
         entries in prop_oneof![
             proptest::collection::vec((0u64..8, any::<u32>()), 0..80),
             proptest::collection::vec((0u64..300, any::<u32>()), 0..3000),
@@ -66,32 +64,28 @@ proptest! {
         let (mut entries, later) = (wide(&entries), wide(&later));
         let bounds: Vec<(u128, u128)> = bounds.iter().map(|&(a, b)| (a.into(), b.into())).collect();
         entries.sort_by_key(|&(k, _)| k);
-        let mut bulk = BTree::from_sorted(entries.iter().copied()).expect("sorted");
-        let mut inserted = BTree::new();
-        for &(k, v) in &entries {
-            inserted.insert(k, v);
+        let mut bulk = ValueIndex::from_sorted(entries.iter().copied()).expect("sorted");
+        let mut inserted = ValueIndex::default();
+        for &e in &entries {
+            inserted.merge([e]);
         }
         for phase in 0..2 {
-            bulk.validate().unwrap();
-            prop_assert_eq!(bulk.len(), inserted.len());
-            prop_assert_eq!(bulk.iter(), inserted.iter());
+            prop_assert_eq!(&bulk, &inserted, "phase {}", phase);
             for &(a, b) in &bounds {
                 prop_assert_eq!(bulk.range(a, b), inserted.range(a, b), "phase {}", phase);
             }
-            prop_assert_eq!(bulk.range(0, u128::MAX), inserted.range(0, u128::MAX));
-            prop_assert_eq!(bulk.max_entry(), inserted.max_entry());
             if phase == 1 {
                 break;
             }
-            for &(k, v) in &later {
-                bulk.insert(k, v);
-                inserted.insert(k, v);
+            bulk.merge(later.iter().copied());
+            for &e in &later {
+                inserted.merge([e]);
             }
         }
-        // One key out of order anywhere, and there is no tree.
+        // One key out of order anywhere, and there is no index.
         if let Some(at) = (1..entries.len()).find(|&i| entries[i - 1].0 < entries[i].0) {
             entries.swap(at - 1, at);
-            prop_assert!(BTree::from_sorted(entries).is_none());
+            prop_assert!(ValueIndex::from_sorted(entries).is_none());
         }
     }
 }

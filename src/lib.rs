@@ -16,10 +16,10 @@
 //!    [DSI structural index](exq_index::dsi) and the
 //!    [OPESS value index](exq_crypto::opess).
 //! 3. Queries are [translated by the client](exq_core::client), evaluated on
-//!    the server with [structural joins](exq_index::sjoin) and B-tree range
-//!    scans, and the returned blocks are decrypted and post-processed by the
-//!    client so that the final answer equals the answer on the plaintext
-//!    database.
+//!    the server with [structural joins](exq_index::sjoin) and value-index
+//!    range lookups, and the returned blocks are decrypted and
+//!    post-processed by the client so that the final answer equals the
+//!    answer on the plaintext database.
 //!
 //! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for the
 //! paper-versus-measured record of every reproduced table and figure.
