@@ -24,8 +24,8 @@ use exq_index::sjoin::{join_anc_desc, sort_intervals};
 use exq_index::ValueIndex;
 use exq_store::PagedStore;
 use exq_workload::{hospital, nasa, xmark};
-use exq_xml::Document;
-use exq_xpath::{eval_document, Path};
+use exq_xml::{Document, SpanDocument};
+use exq_xpath::{eval, eval_document, Path};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -282,6 +282,8 @@ fn bench_reply_path(c: &mut Criterion) {
         ("leaf_path", "/site/people/person//name"),
         ("whole_people", "//people//person"),
     ];
+    // The ledger's p50 query: the region above, one result per auction.
+    let open_auctions = ("open_auctions", "/site//open_auctions//open_auction");
 
     let mut assemble = c.benchmark_group("server/assemble_xmark");
     for (shape, q) in shapes {
@@ -309,7 +311,7 @@ fn bench_reply_path(c: &mut Criterion) {
     assemble.finish();
 
     let mut reconstruct = c.benchmark_group("client/reconstruct_xmark");
-    for (shape, q) in shapes {
+    for (shape, q) in shapes.into_iter().chain([open_auctions]) {
         let (tq, resp, _) = client.run(&mut InProcess::shared(&server), q).unwrap();
         reconstruct.bench_function(shape, |b| {
             b.iter(|| {
@@ -322,10 +324,9 @@ fn bench_reply_path(c: &mut Criterion) {
 
     // Post-processing as a client meets it: the three shapes above and a
     // `hospital_paged` block fetch (1200 blocks), one after another on one
-    // thread. A reconstruction's buffers are the thread's, kept from one
-    // reply to the next, so each reply here is built in the spares of a
-    // reply of another shape (and, for the hospital one, of another
-    // client's database).
+    // thread, so each reply follows one of another shape (and, for the
+    // hospital one, of another client's database): what it costs when the
+    // reply's size and block count change from one query to the next.
     let hospital_doc = hospital::scaled(1200, 2007);
     let (hospital_client, hospital_server) = Outsourcer::new(OutsourceConfig::default())
         .outsource(
@@ -358,7 +359,8 @@ fn bench_reply_path(c: &mut Criterion) {
     // taken out: a plain parse of the visible text of a whole-`people`
     // reply (the server's `/site/people` region under its bare ancestors,
     // block markers in place) with building the arena and freeing it timed
-    // apart, and the post query on the parsed document.
+    // apart, and the post query on the parsed document — the arena one and
+    // the span one the client builds.
     let people_sq = client.translate("/site/people").unwrap().server_query;
     let people_xml = server.answer(&people_sq.unwrap()).unwrap().pruned_xml;
     let mut parse = c.benchmark_group("xml/parse_people_reply");
@@ -382,6 +384,10 @@ fn bench_reply_path(c: &mut Criterion) {
     let people_query = Path::parse("//people//person").unwrap();
     c.bench_function("xpath/eval_people", |b| {
         b.iter(|| black_box(eval_document(&people_doc, &people_query).len()))
+    });
+    let people_spans = SpanDocument::parse(&people_xml).unwrap();
+    c.bench_function("xpath/eval_people_spans", |b| {
+        b.iter(|| black_box(eval(&people_spans, &people_query).len()))
     });
 
     // The crypto of the whole-`people` reply alone: its 7488 sealed blocks

@@ -20,39 +20,14 @@ use crate::error::CoreError;
 use crate::server::Server;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::{open_blocks, OpenedBlocks, RangeOp, SealedBlock};
-use exq_xml::{Document, NodeId, NodeKind, ParseError, StartTag, Verdict};
-use exq_xpath::{eval_document, Axis, CmpOp, Literal, NodeTest, Path, Predicate};
-use std::cell::RefCell;
+use exq_xml::{Document, NodeType, ParseError, SpanBuilder, SpanDocument, TreeView, Verdict};
+use exq_xpath::{eval, Axis, CmpOp, Literal, NodeTest, Path, Predicate};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Synthetic root used when several root-level blocks must splice into one
-/// reconstruction (a [`Document`] holds exactly one root element).
+/// reconstruction (a document holds exactly one root element).
 const SPLICE_ROOT_TAG: &str = "_exq_splice";
-
-/// A thread's reconstruction buffers, kept from one reply to the next.
-#[derive(Default)]
-struct Scratch {
-    /// The reply being post-processed, [`Document::clear`]ed after each:
-    /// its arena, strings and child lists are the next reply's spares.
-    doc: Document,
-    /// Where an element result is written before it is copied out.
-    render: String,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-}
-
-/// Clears the reconstruction however `post_process` leaves it: answered,
-/// failed or unwinding.
-struct ClearOnDrop<'a>(&'a mut Document);
-
-impl Drop for ClearOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.clear();
-    }
-}
 
 /// The data owner's query-side state.
 #[derive(Debug, Clone)]
@@ -180,26 +155,20 @@ impl Client {
         let decrypt_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let answer = |scratch: &mut Scratch| {
-            let doc = ClearOnDrop(&mut scratch.doc);
-            let results = match self.reconstruct(&resp.pruned_xml, texts, doc.0)? {
-                false => Vec::new(),
-                true => eval_document(doc.0, post_query)
-                    .into_iter()
-                    .map(|n| render_result(doc.0, n, &mut scratch.render))
-                    .collect(),
-            };
-            Ok::<_, CoreError>(results)
+        // An element's result is its slice of the reconstruction's text; an
+        // attribute's or a text's is its value.
+        let results = match self.reconstruct(&resp.pruned_xml, texts)? {
+            None => Vec::new(),
+            Some(doc) => eval(&doc, post_query)
+                .into_iter()
+                .map(|n| match doc.node_type(n) {
+                    NodeType::Element(_) => doc.xml(n).to_owned(),
+                    _ => doc.string_value(n).into_owned(),
+                })
+                .collect(),
         };
-        // A post-process inside another on this thread (none does today)
-        // builds into a fresh document rather than fail.
-        let results = SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => answer(&mut scratch),
-            Err(_) => answer(&mut Scratch::default()),
-        })?;
         // The plaintext goes before the clock stops: freeing it belongs to
-        // post-processing. The reconstruction is cleared, not freed: its
-        // buffers are the next reply's.
+        // post-processing.
         drop(opened);
         Ok(PostProcessed {
             results,
@@ -211,27 +180,32 @@ impl Client {
 
     /// Reconstructs the complete plaintext database from the server — the
     /// owner's data-recovery path (decrypt everything, splice, strip
-    /// decoys). Returns `None` only for an empty hosted database.
+    /// decoys): the reconstruction's text, parsed. Returns `None` only for
+    /// an empty hosted database.
     pub fn export(&self, server: &Server) -> Result<Option<Document>, CoreError> {
         let resp = server.answer_naive()?;
         let opened = self.decrypt_blocks(&resp.blocks)?;
-        let mut doc = Document::new();
         let texts = block_texts(&resp.blocks, &opened)?;
-        Ok(self
-            .reconstruct(&resp.pruned_xml, texts, &mut doc)?
-            .then_some(doc))
+        let Some(recovered) = self.reconstruct(&resp.pruned_xml, texts)? else {
+            return Ok(None);
+        };
+        if recovered.is_empty() {
+            return Ok(Some(Document::new()));
+        }
+        let doc = Document::parse(recovered.text());
+        Ok(Some(doc.map_err(|e| CoreError::Response(e.to_string()))?))
     }
 
-    /// Parses the reply with each shipped block parsed in at its marker:
-    /// the parsed reply *is* the reconstruction, and its node ids are in
-    /// document order. The parser shows each start tag to a hook before it
-    /// builds anything: a decoy is skipped, and a marker has its block
-    /// parsed in where it stands and is then skipped, so neither ever
-    /// becomes a node. A skipped element's content is still checked (nesting,
-    /// tag matching, repeated attributes) but nothing inside it is asked
-    /// about — a marker inside a decoy or a marker is neither spliced nor
-    /// validated, which changes no answer: the content it would have added
-    /// went with its container.
+    /// Reconstructs the reply as text: the reply with each shipped block
+    /// parsed in at its marker, read into a [`SpanDocument`] whose node
+    /// numbers are in document order. The parser shows each start tag to a
+    /// hook before it builds anything: a decoy is skipped, and a marker has
+    /// its block parsed in where it stands and is then skipped, so neither
+    /// ever becomes a node or a byte of the text. A skipped element's
+    /// content is still checked (nesting, tag matching, repeated attributes)
+    /// but nothing inside it is asked about — a marker inside a decoy or a
+    /// marker is neither spliced nor validated, which changes no answer: the
+    /// content it would have added went with its container.
     ///
     /// Markers whose blocks were not shipped simply vanish: the anchor logic
     /// guarantees the client never needs them. A block that is not XML is
@@ -241,50 +215,53 @@ impl Client {
     /// An empty `pruned_xml` with shipped blocks is the fully-encrypted-root
     /// case: the server has no visible context to send, but the blocks are
     /// the answer — they splice directly at the root level (ascending block
-    /// id, matching document order) rather than being dropped. `false` is
+    /// id, matching document order) rather than being dropped. `None` is
     /// returned only when *nothing* came back (an empty hosted database).
-    ///
-    /// `out` must be empty; on error it holds what was parsed so far.
-    fn reconstruct(
+    fn reconstruct<'s>(
         &self,
-        pruned_xml: &str,
-        mut decrypted: Vec<(u32, &str)>,
-        out: &mut Document,
-    ) -> Result<bool, CoreError> {
-        debug_assert_eq!(out.arena_len(), 0);
+        pruned_xml: &'s str,
+        mut decrypted: Vec<(u32, &'s str)>,
+    ) -> Result<Option<SpanDocument>, CoreError> {
         decrypted.sort_unstable_by_key(|(id, _)| *id);
+        let bytes = pruned_xml.len() + decrypted.iter().map(|(_, xml)| xml.len()).sum::<usize>();
+        let mut out = SpanBuilder::with_capacity(bytes);
         let decoy = out.intern(DECOY_TAG);
         let marker = out.intern(BLOCK_MARKER_TAG);
         let id_attr = out.intern(BLOCK_ID_ATTR);
         // Block plaintext holds decoys but no markers to resolve.
-        let parse_block = |doc: &mut Document, parent, depth, xml: &str| {
-            let skip_decoy = |_: &mut Document, tag: &StartTag<'_, '_>| {
+        let parse_block = |out: &mut SpanBuilder<'s>, xml: &'s str| {
+            let skip_decoy = |_: &mut SpanBuilder<'s>, tag: &exq_xml::StartTag<'_, 's>| {
                 Ok(if tag.name == decoy {
                     Verdict::Skip
                 } else {
                     Verdict::Keep
                 })
             };
-            doc.parse_fragment_into(parent, depth, xml, skip_decoy)
-                .map(drop)
+            out.parse_fragment(xml, skip_decoy)
                 .map_err(|e: ParseError| CoreError::Block(format!("block not XML: {e}")))
         };
         if pruned_xml.is_empty() {
             if decrypted.is_empty() {
-                return Ok(false);
+                return Ok(None);
             }
             // One block: its root becomes the document root (the common
             // fully-encrypted-root shape). Several blocks cannot share the
             // root slot, so they splice under a synthetic wrapper element;
             // descendant-axis post-queries see through it unchanged.
-            let parent = (decrypted.len() > 1).then(|| out.add_element(None, SPLICE_ROOT_TAG));
-            for (_, xml) in &decrypted {
-                parse_block(out, parent, usize::from(parent.is_some()), xml)?;
+            let wrap = decrypted.len() > 1;
+            if wrap {
+                out.open(SPLICE_ROOT_TAG);
             }
-            return Ok(true);
+            for (_, xml) in &decrypted {
+                parse_block(&mut out, xml)?;
+            }
+            if wrap {
+                out.close();
+            }
+            return Ok(Some(out.finish()));
         }
         let mut next = 0;
-        out.parse_fragment_into(None, 0, pruned_xml, |doc, tag| {
+        out.parse_fragment(pruned_xml, |out, tag| {
             if tag.name == decoy {
                 return Ok(Verdict::Skip);
             }
@@ -305,11 +282,11 @@ impl Client {
             };
             if let Ok(i) = at {
                 next = i + 1;
-                parse_block(doc, tag.parent, tag.depth, decrypted[i].1)?;
+                parse_block(out, decrypted[i].1)?;
             }
             Ok::<_, CoreError>(Verdict::Skip)
         })?;
-        Ok(true)
+        Ok(Some(out.finish()))
     }
 
     /// Translates a path into a server pattern; `None` on unsupported axes.
@@ -552,20 +529,5 @@ fn pred_looks_upward(pred: &Predicate) -> bool {
         Predicate::Position(_) => false,
         Predicate::And(a, b) | Predicate::Or(a, b) => pred_looks_upward(a) || pred_looks_upward(b),
         Predicate::Not(a) => pred_looks_upward(a),
-    }
-}
-
-/// Renders one result node: elements as XML, attributes/text as their value.
-/// An element is written into `scratch`, which keeps its size from one result
-/// to the next, and copied out at its exact length.
-fn render_result(doc: &Document, n: NodeId, scratch: &mut String) -> String {
-    match doc.node(n).kind() {
-        NodeKind::Element(_) => {
-            scratch.clear();
-            doc.write_live(n, scratch);
-            scratch.clone()
-        }
-        NodeKind::Attribute(_, v) => v.clone(),
-        NodeKind::Text(t) => t.clone(),
     }
 }

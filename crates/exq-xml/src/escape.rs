@@ -46,6 +46,39 @@ pub(crate) fn push_escaped(out: &mut String, s: &str, attr: bool) {
     out.push_str(&s[clean_from..]);
 }
 
+/// Whether `raw`, as it stands in the input, is exactly what the writer
+/// writes for the value it unescapes to: no `<` or `>` (nor `"` in an
+/// attribute), and every `&` one of the entities the writer uses.
+pub(crate) fn is_canonical(raw: &str, attr: bool) -> bool {
+    let b = raw.as_bytes();
+    // Text is read in runs up to a `<`: most hold neither byte to check.
+    if !attr && !crate::parse::holds_either(b, b'&', b'>') {
+        return true;
+    }
+    let mut i = 0;
+    while i < b.len() {
+        match b[i] {
+            b'<' | b'>' => return false,
+            b'"' if attr => return false,
+            b'&' => {
+                let rest = &b[i + 1..];
+                i += if rest.starts_with(b"amp;") {
+                    4
+                } else if rest.starts_with(b"lt;") || rest.starts_with(b"gt;") {
+                    3
+                } else if attr && rest.starts_with(b"quot;") {
+                    5
+                } else {
+                    return false;
+                };
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    true
+}
+
 /// Expands the five predefined entities plus decimal/hex character
 /// references. Unknown entities are left verbatim (lenient mode).
 pub fn unescape(s: &str) -> Cow<'_, str> {

@@ -11,12 +11,13 @@
 //! structural algorithms (DSI labeling, structural joins, vertex cover over
 //! the constraint graph) can work on dense integers.
 //!
-//! A document parsed into again and again — the client's reconstruction of
-//! each server reply — is emptied with [`Document::clear`] rather than
-//! dropped: it keeps the arena and every node's text, attribute value and
-//! child list as spares that the next parse fills before it asks the
-//! allocator, never more than the largest input parsed into it. Nodes
-//! still own their `String`s; the spares are those `String`s, kept.
+//! A [`SpanDocument`] is the other shape of a document: the text the writer
+//! would write, plus per node its byte span in it, with no `String` per
+//! node. The client reconstructs each server reply into one (a
+//! [`SpanBuilder`] whose start-tag hook skips decoys and splices blocks in
+//! at their markers), evaluates the query over it, and copies each result
+//! out as a slice. One tokenizer feeds both shapes, and both implement
+//! [`TreeView`], the view the XPath evaluator walks.
 //!
 //! ```
 //! use exq_xml::Document;
@@ -31,11 +32,15 @@
 mod escape;
 mod parse;
 mod serialize;
+mod span;
 mod stats;
 mod tree;
+mod view;
 
 pub use escape::{escape_attr, escape_text, unescape};
 pub use parse::{ParseError, ParseOptions, StartTag, Verdict, MAX_DEPTH};
 pub use serialize::Span;
+pub use span::{SpanBuilder, SpanDocument};
 pub use stats::DocumentStats;
 pub use tree::{Document, Node, NodeId, NodeKind, TagId};
+pub use view::{NodeType, TreeView};

@@ -3,11 +3,16 @@
 //! Supports elements, attributes, text, comments, CDATA sections, the XML
 //! declaration and processing instructions (skipped), and entity references.
 //! No namespaces or DTDs — the paper's databases do not use them.
+//!
+//! One tokenizer feeds every build: it reads and checks the text and tells
+//! a [`Sink`] what it read, in document order. A [`Document`] is one sink;
+//! a [`SpanDocument`](crate::SpanDocument) is the other.
 
 use crate::escape::unescape;
 use crate::tree::{same_name, Document, NodeId, TagId};
 use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
 /// Parser configuration.
 #[derive(Debug, Clone, Copy)]
@@ -54,14 +59,18 @@ pub const MAX_DEPTH: usize = 512;
 /// An element's start tag as the parser read it, before any node exists.
 #[derive(Debug)]
 pub struct StartTag<'t, 'a> {
-    /// Where the element would go: under this element, or in the root slot.
-    pub parent: Option<NodeId>,
-    /// How many elements enclose it in the document.
-    pub depth: usize,
     /// The element's name, interned in the document parsed into.
     pub name: TagId,
     /// Attribute names and unescaped values, in document order.
     pub attrs: &'t [(TagId, Cow<'a, str>)],
+    /// The tag's bytes in the input, `<` to `>`.
+    pub(crate) raw: Range<usize>,
+    /// Where each attribute's `name="value"` lies in the input.
+    pub(crate) attr_at: &'t [Range<usize>],
+    /// The input bytes are exactly what the writer writes for this tag.
+    pub(crate) canonical: bool,
+    /// Written `<name …/>`: no content and no close tag follow.
+    pub(crate) self_closing: bool,
 }
 
 /// A start-tag hook's answer for the element it was shown.
@@ -75,6 +84,67 @@ pub enum Verdict {
     Skip,
 }
 
+/// One text node of the element being built.
+pub(crate) enum Text<'t, 'a> {
+    /// One run of the input, as it stands (escaped), and where it starts.
+    Raw(&'a str, usize),
+    /// Unescaped text gathered across the comments, CDATA sections or PIs
+    /// that interrupted it.
+    Gathered(&'t str),
+}
+
+/// The start-tag buffers a parse reads attributes into: a sink that parses
+/// many small inputs (one per block) lends the same ones to each.
+#[derive(Debug, Default)]
+pub(crate) struct TagBuffers<'a> {
+    attrs: Vec<(TagId, Cow<'a, str>)>,
+    attr_at: Vec<Range<usize>>,
+}
+
+/// What a parse builds. Each kept element is `start`, then its text and
+/// elements, then `end`; nothing inside a skipped element is shown.
+pub(crate) trait Sink<'a> {
+    type Error: From<ParseError>;
+    fn lend(&mut self) -> TagBuffers<'a> {
+        TagBuffers::default()
+    }
+    fn give_back(&mut self, _: TagBuffers<'a>) {}
+    fn intern(&mut self, name: &str) -> TagId;
+    /// A start tag, read and checked: `Ok(true)` builds the element.
+    fn start(&mut self, tag: &StartTag<'_, 'a>) -> Result<bool, Self::Error>;
+    /// A text node, whitespace-only ones included.
+    fn text(&mut self, text: Text<'_, 'a>);
+    /// The end of the element being built: its close tag's bytes and where
+    /// they start, `None` when it closed itself.
+    fn end(&mut self, close: Option<(&'a str, usize)>);
+}
+
+/// Parses `input` (one element, with the prolog and comments a document
+/// may carry) into `sink`; `depth` is the depth its root element takes,
+/// from which nesting is capped.
+pub(crate) fn parse_into<'a, S: Sink<'a>>(
+    input: &'a str,
+    depth: usize,
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    let TagBuffers { attrs, attr_at } = sink.lend();
+    let mut p = Parser {
+        input,
+        pos: 0,
+        sink,
+        text_buf: String::new(),
+        attrs,
+        attr_at,
+        attr_seen_in: Vec::new(),
+    };
+    let parsed = p.parse_root(depth);
+    let (mut attrs, mut attr_at) = (p.attrs, p.attr_at);
+    attrs.clear();
+    attr_at.clear();
+    p.sink.give_back(TagBuffers { attrs, attr_at });
+    parsed
+}
+
 impl Document {
     /// Parses a document with default options.
     pub fn parse(input: &str) -> Result<Document, ParseError> {
@@ -84,40 +154,55 @@ impl Document {
     /// Parses a document with explicit options.
     pub fn parse_with(input: &str, opts: ParseOptions) -> Result<Document, ParseError> {
         let mut doc = Document::new();
-        Parser::new(input, &mut doc, opts, keep_all).parse_root(None, 0)?;
+        let mut build = Build {
+            doc: &mut doc,
+            opts,
+            current: None,
+        };
+        parse_into(input, 0, &mut build)?;
         Ok(doc)
-    }
-
-    /// Parses `input` (one element, with the same prolog and comments a
-    /// document may carry) as the new last child of `parent`, or as the
-    /// root of a rootless document when `parent` is `None`; `depth` is the
-    /// depth its root element takes (0 at the root, the parent's plus one
-    /// otherwise), from which nesting is capped.
-    ///
-    /// `hook` is asked about each element at its start tag, outermost
-    /// first. It may add content where the element would go — parse a
-    /// fragment in at `tag.parent` and `tag.depth` — and then answer
-    /// [`Verdict::Skip`]: since the arena only grows at its end, node ids
-    /// stay in document order, which XPath evaluation relies on to skip its
-    /// sort. The hook's error type carries both its own failures and the
-    /// parser's. Returns the fragment's root, `None` when the hook skipped
-    /// it. On error the nodes parsed so far stay in the arena; drop or
-    /// [`clear`](Document::clear) the document.
-    pub fn parse_fragment_into<E: From<ParseError>>(
-        &mut self,
-        parent: Option<NodeId>,
-        depth: usize,
-        input: &str,
-        hook: impl FnMut(&mut Document, &StartTag<'_, '_>) -> Result<Verdict, E>,
-    ) -> Result<Option<NodeId>, E> {
-        debug_assert_eq!(depth, parent.map_or(0, |p| self.depth(p) + 1));
-        Parser::new(input, self, ParseOptions::default(), hook).parse_root(parent, depth)
     }
 }
 
-/// The hook of a plain parse: every element is built.
-fn keep_all(_: &mut Document, _: &StartTag<'_, '_>) -> Result<Verdict, ParseError> {
-    Ok(Verdict::Keep)
+/// The sink of a [`Document`] parse: every element is built.
+struct Build<'d> {
+    doc: &'d mut Document,
+    opts: ParseOptions,
+    /// The element being built.
+    current: Option<NodeId>,
+}
+
+impl<'a> Sink<'a> for Build<'_> {
+    type Error = ParseError;
+
+    fn intern(&mut self, name: &str) -> TagId {
+        self.doc.intern(name)
+    }
+
+    fn start(&mut self, tag: &StartTag<'_, 'a>) -> Result<bool, ParseError> {
+        let el = self.doc.push_element(self.current, tag.name);
+        for (name, value) in tag.attrs {
+            self.doc.push_attr(el, *name, Cow::Borrowed(value));
+        }
+        self.current = Some(el);
+        Ok(true)
+    }
+
+    fn text(&mut self, text: Text<'_, 'a>) {
+        let text = match text {
+            Text::Raw(raw, _) => unescape(raw),
+            Text::Gathered(text) => Cow::Borrowed(text),
+        };
+        if !self.opts.skip_whitespace_text || !is_blank(&text) {
+            let el = self.current.expect("text is inside an element");
+            self.doc.push_text(el, text);
+        }
+    }
+
+    fn end(&mut self, _: Option<(&'a str, usize)>) {
+        let el = self.current.expect("an element is open");
+        self.current = self.doc.node(el).parent();
+    }
 }
 
 /// A byte that continues a name.
@@ -143,20 +228,23 @@ fn is_xml_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | b'\r' | b'\n')
 }
 
-struct Parser<'a, 'd, H> {
+/// Text that is only XML whitespace: indentation, never a node.
+pub(crate) fn is_blank(text: &str) -> bool {
+    text.bytes().all(is_xml_space)
+}
+
+struct Parser<'a, 's, S> {
     input: &'a str,
     pos: usize,
-    doc: &'d mut Document,
-    opts: ParseOptions,
-    /// Asked about each element outside a skipped one, at its start tag.
-    hook: H,
+    sink: &'s mut S,
     /// Text of the element being parsed that a comment, CDATA section or
     /// PI interrupted, gathered until a tag ends it. One buffer serves every
     /// level: it is flushed before a child element is entered.
     text_buf: String,
-    /// The start tag being read: its attributes, emptied again before the
-    /// element's content is parsed.
+    /// The start tag being read: its attributes and where each lies,
+    /// emptied again before the element's content is parsed.
     attrs: Vec<(TagId, Cow<'a, str>)>,
+    attr_at: Vec<Range<usize>>,
     /// Per interned name, the start tag that last carried it as an
     /// attribute (the cursor just after that tag's name, which no two tags
     /// share and is never 0). A repeat within one start tag is one lookup,
@@ -164,35 +252,16 @@ struct Parser<'a, 'd, H> {
     attr_seen_in: Vec<usize>,
 }
 
-impl<'a, 'd, E, H> Parser<'a, 'd, H>
-where
-    E: From<ParseError>,
-    H: FnMut(&mut Document, &StartTag<'_, 'a>) -> Result<Verdict, E>,
-{
-    fn new(input: &'a str, doc: &'d mut Document, opts: ParseOptions, hook: H) -> Self {
-        Parser {
-            input,
-            pos: 0,
-            doc,
-            opts,
-            hook,
-            text_buf: String::new(),
-            attrs: Vec::new(),
-            attr_seen_in: Vec::new(),
-        }
-    }
-
-    /// Prolog, one element under `parent` at `depth`, epilog, end of input.
-    fn parse_root(&mut self, parent: Option<NodeId>, depth: usize) -> Result<Option<NodeId>, E> {
-        // What a later `clear` may keep is bounded by the input parsed.
-        self.doc.spares.parsed += self.input.len();
+impl<'a, S: Sink<'a>> Parser<'a, '_, S> {
+    /// Prolog, one element at `depth`, epilog, end of input.
+    fn parse_root(&mut self, depth: usize) -> Result<(), S::Error> {
         self.skip_misc()?;
-        let el = self.parse_element(parent, depth)?;
+        self.parse_element(depth, true)?;
         self.skip_misc()?;
         if self.pos != self.input.len() {
             return Err(self.err("trailing content after the root element").into());
         }
-        Ok(el)
+        Ok(())
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
@@ -279,75 +348,74 @@ where
         }
     }
 
-    /// Parses the element at the cursor into the place `parent` names,
-    /// `depth` elements deep, unless the hook skips it.
-    fn parse_element(&mut self, parent: Option<NodeId>, depth: usize) -> Result<Option<NodeId>, E> {
-        let (tag, name, has_content) = self.start_tag(depth)?;
-        let start = StartTag {
-            parent,
-            depth,
-            name,
-            attrs: &self.attrs,
-        };
-        if (self.hook)(self.doc, &start)? == Verdict::Skip {
-            self.attrs.clear();
-            if has_content {
-                self.parse_content(None, tag, depth)?;
-            }
-            return Ok(None);
-        }
-        if parent.is_none() && self.doc.root().is_some() {
-            return Err(self.err("document already has a root element").into());
-        }
-        let el = self.doc.push_element(parent, name);
-        for (name, value) in self.attrs.drain(..) {
-            self.doc.push_attr(el, name, value);
-        }
+    /// Parses the element at the cursor, `depth` elements deep. Outside a
+    /// skipped element (`ask`) the sink decides whether it is built; inside
+    /// one it is read and checked, never built, and nobody is asked.
+    fn parse_element(&mut self, depth: usize, ask: bool) -> Result<(), S::Error> {
+        let tag_start = self.pos;
+        let (tag, name, has_content, canonical) = self.start_tag(depth)?;
+        let keep = ask
+            && self.sink.start(&StartTag {
+                name,
+                attrs: &self.attrs,
+                raw: tag_start..self.pos,
+                attr_at: &self.attr_at,
+                canonical,
+                self_closing: !has_content,
+            })?;
+        self.attrs.clear();
+        self.attr_at.clear();
         if has_content {
-            self.parse_content(Some(el), tag, depth)?;
+            self.parse_content(keep, tag, depth)?;
+        } else if keep {
+            self.sink.end(None);
         }
-        Ok(Some(el))
+        Ok(())
     }
 
     /// Reads the start tag at the cursor into `attrs`: its name, interned
-    /// before any attribute's, and whether content follows (`>`) or the
-    /// element closed itself (`/>`).
-    fn start_tag(&mut self, depth: usize) -> Result<(&'a str, TagId, bool), ParseError> {
+    /// before any attribute's, whether content follows (`>`) or the element
+    /// closed itself (`/>`), and whether the tag is written exactly as the
+    /// writer writes it (one space before each attribute, `name="value"`
+    /// with the value canonically escaped, nothing before the end).
+    fn start_tag(&mut self, depth: usize) -> Result<(&'a str, TagId, bool, bool), ParseError> {
         if depth >= MAX_DEPTH {
             return Err(self.err(format!("elements nested deeper than {MAX_DEPTH}")));
         }
         self.expect(b'<')?;
         let tag = self.read_name()?;
-        let name = self.doc.intern(tag);
+        let name = self.sink.intern(tag);
         let this_tag = self.pos;
+        let mut canonical = true;
+        // Just past the last thing read: the name or a closing quote.
+        let mut last = self.pos;
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'>') => {
                     self.pos += 1;
-                    return Ok((tag, name, true));
+                    return Ok((tag, name, true, canonical && self.pos == last + 1));
                 }
                 Some(b'/') => {
+                    canonical &= self.pos == last;
                     self.pos += 1;
                     self.expect(b'>')?;
-                    return Ok((tag, name, false));
+                    return Ok((tag, name, false, canonical));
                 }
                 Some(_) => {
                     let name_at = self.pos;
+                    canonical &= name_at == last + 1 && self.bytes()[last] == b' ';
                     let attr = self.read_name()?;
                     // A start tag names an attribute once: the writer would
                     // hand a second one back as ill-formed XML.
-                    let name_id = self.doc.intern(attr);
-                    let slot = name_id.0 as usize;
-                    if self.attr_seen_in.len() <= slot {
-                        self.attr_seen_in.resize(slot + 1, 0);
-                    }
-                    if std::mem::replace(&mut self.attr_seen_in[slot], this_tag) == this_tag {
+                    let name_id = self.sink.intern(attr);
+                    if self.repeated(name_id, this_tag) {
                         return Err(ParseError {
                             offset: name_at,
                             message: format!("attribute `{attr}` repeated in <{tag}>"),
                         });
                     }
+                    let name_end = self.pos;
                     self.skip_ws();
                     self.expect(b'=')?;
                     self.skip_ws();
@@ -355,34 +423,69 @@ where
                         Some(q @ (b'"' | b'\'')) => q,
                         _ => return Err(self.err("expected quoted attribute value")),
                     };
+                    canonical &= quote == b'"' && self.pos == name_end + 1;
                     self.pos += 1;
                     let vstart = self.pos;
-                    while self.peek().is_some_and(|b| b != quote) {
-                        self.pos += 1;
-                    }
+                    self.pos = find_byte(self.bytes(), vstart, quote).unwrap_or(self.input.len());
                     let raw = self.str_from(vstart, "attribute value")?;
                     self.expect(quote)?;
+                    canonical &= crate::escape::is_canonical(raw, true);
+                    last = self.pos;
                     self.attrs.push((name_id, unescape(raw)));
+                    self.attr_at.push(name_at..last);
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
         }
     }
 
-    /// Parses children and text up to and including `</tag>`: into `el`,
-    /// or, when `el` is `None`, into nothing — a skipped element's content,
-    /// checked but neither built nor shown to the hook.
-    fn parse_content(&mut self, el: Option<NodeId>, tag: &str, depth: usize) -> Result<(), E> {
+    /// Whether the start tag at `this_tag` already named `name`: a look
+    /// along its few attributes, or one lookup per name once it has many.
+    fn repeated(&mut self, name: TagId, this_tag: usize) -> bool {
+        const FEW: usize = 16;
+        if self.attrs.len() < FEW {
+            return self.attrs.iter().any(|(n, _)| *n == name);
+        }
+        let mut seen = |n: TagId| {
+            let slot = n.0 as usize;
+            if self.attr_seen_in.len() <= slot {
+                self.attr_seen_in.resize(slot + 1, 0);
+            }
+            std::mem::replace(&mut self.attr_seen_in[slot], this_tag) == this_tag
+        };
+        if self.attrs.len() == FEW {
+            for (n, _) in &self.attrs {
+                seen(*n);
+            }
+        }
+        seen(name)
+    }
+
+    /// Parses children and text up to and including `</tag>`: built when
+    /// `keep`, else checked but neither built nor shown to the sink.
+    fn parse_content(&mut self, keep: bool, tag: &str, depth: usize) -> Result<(), S::Error> {
         loop {
             match self.peek() {
                 None => return Err(self.err(format!("unclosed element <{tag}>")).into()),
                 Some(b'<') => {
-                    if self.starts_with("</") {
-                        if let Some(el) = el {
-                            self.flush_text(el);
+                    let next = self.bytes().get(self.pos + 1).copied();
+                    if next == Some(b'/') {
+                        let close_at = self.pos;
+                        if keep {
+                            self.flush_text();
                         }
                         self.pos += 2;
-                        return Ok(self.close_tag(tag)?);
+                        self.close_tag(tag)?;
+                        if keep {
+                            self.sink
+                                .end(Some((&self.input[close_at..self.pos], close_at)));
+                        }
+                        return Ok(());
+                    } else if next != Some(b'!') && next != Some(b'?') {
+                        if keep {
+                            self.flush_text();
+                        }
+                        self.parse_element(depth + 1, keep)?;
                     } else if self.starts_with("<!--") {
                         self.skip_until("-->")?;
                     } else if self.starts_with("<![CDATA[") {
@@ -392,48 +495,37 @@ where
                             .ok_or_else(|| self.err("unterminated CDATA section"))?;
                         self.pos += end;
                         let raw = self.str_from(start, "CDATA")?;
-                        if el.is_some() {
+                        if keep {
                             self.text_buf.push_str(raw);
                         }
                         self.pos += 3;
                     } else if self.starts_with("<?") {
                         self.skip_until("?>")?;
-                    } else if let Some(el) = el {
-                        self.flush_text(el);
-                        self.parse_element(Some(el), depth + 1)?;
                     } else {
-                        self.skip_element(depth + 1)?;
+                        if keep {
+                            self.flush_text();
+                        }
+                        self.parse_element(depth + 1, keep)?;
                     }
                 }
                 Some(_) => {
                     let start = self.pos;
-                    let run = self.bytes()[start..].iter().position(|&b| b == b'<');
-                    self.pos = run.map_or(self.input.len(), |i| start + i);
-                    let Some(el) = el else { continue };
-                    let text = unescape(self.str_from(start, "text")?);
+                    self.pos = find_byte(self.bytes(), start, b'<').unwrap_or(self.input.len());
+                    if !keep {
+                        continue;
+                    }
+                    let raw = self.str_from(start, "text")?;
                     // A run that stops at a tag is the whole text node; only
                     // `<!--`, `<![CDATA[` and `<?` carry it on.
-                    if self.text_buf.is_empty()
-                        && !self.starts_with("<!")
-                        && !self.starts_with("<?")
-                    {
-                        self.add_text(el, text);
+                    let next = self.bytes().get(self.pos + 1).copied();
+                    if self.text_buf.is_empty() && next != Some(b'!') && next != Some(b'?') {
+                        self.sink.text(Text::Raw(raw, start));
                     } else {
-                        self.text_buf.push_str(&text);
+                        self.text_buf.push_str(&unescape(raw));
                     }
                 }
             }
         }
-    }
-
-    /// An element inside a skipped one: read and checked, never built.
-    fn skip_element(&mut self, depth: usize) -> Result<(), E> {
-        let (tag, _, has_content) = self.start_tag(depth)?;
-        self.attrs.clear();
-        if has_content {
-            self.parse_content(None, tag, depth)?;
-        }
-        Ok(())
     }
 
     /// Reads the rest of a close tag (after `</`), which must name `tag`.
@@ -453,20 +545,12 @@ where
         self.expect(b'>')
     }
 
-    fn flush_text(&mut self, el: NodeId) {
+    fn flush_text(&mut self) {
         if self.text_buf.is_empty() {
             return;
         }
-        let mut buf = std::mem::take(&mut self.text_buf);
-        self.add_text(el, Cow::Borrowed(&buf));
-        buf.clear();
-        self.text_buf = buf;
-    }
-
-    fn add_text(&mut self, el: NodeId, text: Cow<'_, str>) {
-        if !self.opts.skip_whitespace_text || !text.bytes().all(is_xml_space) {
-            self.doc.push_text(el, text);
-        }
+        self.sink.text(Text::Gathered(&self.text_buf));
+        self.text_buf.clear();
     }
 }
 
@@ -474,10 +558,47 @@ fn find_sub(hay: &[u8], needle: &[u8]) -> Option<usize> {
     hay.windows(needle.len()).position(|w| w == needle)
 }
 
+/// Eight copies of a byte in a word.
+const fn splat(b: u8) -> u64 {
+    0x0101_0101_0101_0101 * b as u64
+}
+
+/// Whether any byte of `word` is zero.
+const fn has_zero(word: u64) -> bool {
+    word.wrapping_sub(splat(1)) & !word & splat(0x80) != 0
+}
+
+/// Where the first `b` at or after `from` is, read eight bytes at a time:
+/// text runs are the longest stretches the parser crosses.
+fn find_byte(hay: &[u8], from: usize, b: u8) -> Option<usize> {
+    let mut at = from;
+    for chunk in hay[from..].chunks_exact(8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        if has_zero(word ^ splat(b)) {
+            break;
+        }
+        at += 8;
+    }
+    hay[at..].iter().position(|&x| x == b).map(|i| at + i)
+}
+
+/// Whether `hay` holds `a` or `b`, read eight bytes at a time.
+pub(crate) fn holds_either(hay: &[u8], a: u8, b: u8) -> bool {
+    let mut chunks = hay.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        if has_zero(word ^ splat(a)) || has_zero(word ^ splat(b)) {
+            return true;
+        }
+    }
+    chunks.remainder().iter().any(|&x| x == a || x == b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tree::Document;
+    use crate::{SpanBuilder, SpanDocument, TreeView};
 
     #[test]
     fn minimal() {
@@ -640,11 +761,7 @@ mod tests {
             let e = Document::parse(src).unwrap_err();
             assert!(e.message.contains("repeated in <a>"), "{e}");
         }
-        let mut d = Document::parse("<r/>").unwrap();
-        let root = d.root();
-        let e = d
-            .parse_fragment_into(root, 1, r#"<b><c id="1" id="1"/></b>"#, keep_all)
-            .unwrap_err();
+        let e = SpanDocument::parse(r#"<b><c id="1" id="1"/></b>"#).unwrap_err();
         assert_eq!(e.message, "attribute `id` repeated in <c>");
         // A tag with a hundred thousand attributes is checked in one pass.
         let many: String = (0..100_000).map(|i| format!(" a{i}=\"\"")).collect();
@@ -670,8 +787,12 @@ mod tests {
         assert!(e.message.contains("nested deeper"), "{e}");
     }
 
+    fn keep_all(_: &mut SpanBuilder<'_>, _: &StartTag<'_, '_>) -> Result<Verdict, ParseError> {
+        Ok(Verdict::Keep)
+    }
+
     /// Skips the root element.
-    fn skip_all(_: &mut Document, _: &StartTag<'_, '_>) -> Result<Verdict, ParseError> {
+    fn skip_all(_: &mut SpanBuilder<'_>, _: &StartTag<'_, '_>) -> Result<Verdict, ParseError> {
         Ok(Verdict::Skip)
     }
 
@@ -682,14 +803,15 @@ mod tests {
         let outcome = std::thread::Builder::new()
             .stack_size(2 << 20)
             .spawn(|| {
+                let deep = nested(100_000);
                 let open_only = "<a>".repeat(100_000);
-                let mut into = Document::parse("<r/>").unwrap();
-                let root = into.root();
+                let mut inside = SpanBuilder::with_capacity(0);
+                inside.open("r");
                 (
-                    Document::parse(&nested(100_000)),
-                    Document::parse(&open_only),
-                    into.parse_fragment_into(root, 1, &nested(100_000), keep_all),
-                    Document::new().parse_fragment_into(None, 0, &nested(100_000), skip_all),
+                    Document::parse(&deep).map(drop),
+                    Document::parse(&open_only).map(drop),
+                    inside.parse_fragment(&deep, keep_all),
+                    SpanBuilder::with_capacity(0).parse_fragment(&deep, skip_all),
                 )
             })
             .unwrap()
@@ -703,48 +825,38 @@ mod tests {
 
     #[test]
     fn fragment_depth_counts_from_the_document_root() {
-        let mut d = Document::parse(&nested(MAX_DEPTH - 2)).unwrap();
-        let deepest = d.iter().last().unwrap();
-        assert_eq!(d.depth(deepest), MAX_DEPTH - 3);
-        // Two more levels fit under the deepest element; three do not.
-        d.parse_fragment_into(Some(deepest), MAX_DEPTH - 2, &nested(2), keep_all)
-            .unwrap();
-        let e = d
-            .parse_fragment_into(Some(deepest), MAX_DEPTH - 2, &nested(3), keep_all)
-            .unwrap_err();
+        // Two more levels fit under MAX_DEPTH - 2 open elements; three do not.
+        let (two, three) = (nested(2), nested(3));
+        let mut b = SpanBuilder::with_capacity(0);
+        (0..MAX_DEPTH - 2).for_each(|_| b.open("a"));
+        b.parse_fragment(&two, keep_all).unwrap();
+        let e = b.parse_fragment(&three, keep_all).unwrap_err();
         assert!(e.message.contains("nested deeper"), "{e}");
     }
 
     #[test]
     fn fragment_becomes_last_child_or_root() {
-        let mut d = Document::parse("<r><a/></r>").unwrap();
-        let root = d.root().unwrap();
-        let b = d
-            .parse_fragment_into(
-                Some(root),
-                1,
-                "<?xml version=\"1.0\"?><b k=\"v\">t</b><!-- c -->",
-                keep_all,
-            )
-            .unwrap()
-            .unwrap();
-        assert_eq!(d.node(b).parent(), Some(root));
-        assert_eq!(d.to_xml(), "<r><a/><b k=\"v\">t</b></r>");
+        let mut b = SpanBuilder::with_capacity(0);
+        b.open("r");
+        b.parse_fragment("<a/>", keep_all).unwrap();
+        let b_tag = "<?xml version=\"1.0\"?><b k=\"v\">t</b><!-- c -->";
+        b.parse_fragment(b_tag, keep_all).unwrap();
+        b.close();
+        let d = b.finish();
+        assert_eq!(d.text(), "<r><a/><b k=\"v\">t</b></r>");
+        assert_eq!(d.parent_of(NodeId(2)), Some(NodeId(0)));
         // A rooted document takes no second root; a rootless one takes one.
-        assert!(d.parse_fragment_into(None, 0, "<x/>", keep_all).is_err());
-        assert!(d
-            .parse_fragment_into(Some(root), 1, "<x/><y/>", keep_all)
-            .is_err());
-        let mut empty = Document::new();
-        empty
-            .parse_fragment_into(None, 0, "<x/>", keep_all)
-            .unwrap();
-        assert_eq!(empty.to_xml(), "<x/>");
+        let mut b = SpanBuilder::with_capacity(0);
+        b.parse_fragment("<x/>", keep_all).unwrap();
+        assert!(b.parse_fragment("<y/>", keep_all).is_err());
+        let mut b = SpanBuilder::with_capacity(0);
+        b.open("r");
+        assert!(b.parse_fragment("<x/><y/>", keep_all).is_err());
     }
 
     /// The value of attribute `n` on a start tag.
-    fn attr_n<'t>(doc: &Document, tag: &'t StartTag<'_, '_>) -> Option<&'t str> {
-        let n = doc.tag_id("n")?;
+    fn attr_n<'t>(b: &mut SpanBuilder<'_>, tag: &'t StartTag<'_, '_>) -> Option<&'t str> {
+        let n = b.intern("n");
         let found = tag.attrs.iter().find(|(name, _)| *name == n);
         found.map(|(_, v)| v.as_ref())
     }
@@ -752,70 +864,68 @@ mod tests {
     #[test]
     fn hook_splices_at_the_start_tag_and_skips_in_document_order() {
         let src = "<r><a/><hole n=\"1\"/><b><hole n=\"2\"/>x</b><hole n=\"3\">junk</hole></r>";
+        let fragments = ["<f1><hole/></f1>", "<f2><hole/></f2>"];
         let mut seen = Vec::new();
-        let hole = |doc: &mut Document, tag: &StartTag<'_, '_>| {
-            if doc.tag_name(tag.name) != "hole" {
+        let mut b = SpanBuilder::with_capacity(0);
+        let hole = b.intern("hole");
+        b.parse_fragment(src, |b, tag| {
+            if tag.name != hole {
                 return Ok(Verdict::Keep);
             }
-            let n = attr_n(doc, tag).unwrap().to_owned();
+            let n = attr_n(b, tag).unwrap().to_owned();
             if n != "3" {
                 // A fragment's elements go to the fragment's own hook: here
                 // none, so a `hole` in it is an ordinary element.
-                let xml = format!("<f{n}><hole/></f{n}>");
-                doc.parse_fragment_into(tag.parent, tag.depth, &xml, keep_all)?;
+                let at = n.parse::<usize>().unwrap() - 1;
+                b.parse_fragment(fragments[at], keep_all)?;
             }
             seen.push(n);
             Ok::<_, ParseError>(Verdict::Skip)
-        };
-        let mut d = Document::new();
-        d.parse_fragment_into(None, 0, src, hole).unwrap();
+        })
+        .unwrap();
         assert_eq!(seen, ["1", "2", "3"]);
+        let d = b.finish();
         assert_eq!(
-            d.to_xml(),
+            d.text(),
             "<r><a/><f1><hole/></f1><b><f2><hole/></f2>x</b></r>"
         );
-        // Arena order is still document order: XPath evaluation sorts by
-        // id. And nothing was built only to be thrown away.
-        let order: Vec<NodeId> = d.iter().collect();
-        assert!(order.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(d.arena_len(), d.len());
+        assert_eq!(d.len(), 8);
     }
 
     #[test]
     fn hook_sees_start_tags_outermost_first_and_its_error_stops_the_parse() {
         let mut order = Vec::new();
-        Document::new()
-            .parse_fragment_into(None, 0, "<r><a x=\"1\"><b/></a><c/></r>", |doc, tag| {
-                let attrs: Vec<_> = tag
-                    .attrs
-                    .iter()
-                    .map(|(n, v)| (n.0, v.to_string()))
-                    .collect();
-                let name = doc.tag_name(tag.name).to_owned();
-                order.push((name, tag.parent.map(|p| p.0), tag.depth, attrs));
-                Ok::<_, ParseError>(Verdict::Keep)
-            })
-            .unwrap();
+        let mut b = SpanBuilder::with_capacity(0);
+        b.parse_fragment("<r><a x=\"1\"><b/></a><c/></r>", |_, tag| {
+            let attrs: Vec<_> = tag
+                .attrs
+                .iter()
+                .map(|(n, v)| (n.0, v.to_string()))
+                .collect();
+            order.push((tag.name.0, attrs));
+            Ok::<_, ParseError>(Verdict::Keep)
+        })
+        .unwrap();
         assert_eq!(
             order,
             [
-                ("r".into(), None, 0, vec![]),
-                ("a".into(), Some(0), 1, vec![(2, "1".to_owned())]),
-                ("b".into(), Some(1), 2, vec![]),
-                ("c".into(), Some(0), 1, vec![]),
+                (0, vec![]),
+                (1, vec![(2, "1".to_owned())]),
+                (3, vec![]),
+                (4, vec![]),
             ]
         );
 
-        let mut d = Document::parse("<r/>").unwrap();
-        let root = d.root();
-        let r = d.parse_fragment_into(root, 1, "<x><hole/><a/></x>", |doc, tag| {
-            match doc.tag_name(tag.name) {
-                "hole" => Err(ParseError {
+        let mut b = SpanBuilder::with_capacity(0);
+        let hole = b.intern("hole");
+        let r = b.parse_fragment("<x><hole/><a/></x>", |_, tag| {
+            if tag.name == hole {
+                return Err(ParseError {
                     offset: 0,
                     message: "refused".into(),
-                }),
-                _ => Ok(Verdict::Keep),
+                });
             }
+            Ok(Verdict::Keep)
         });
         assert_eq!(r.unwrap_err().message, "refused");
     }
@@ -826,31 +936,32 @@ mod tests {
     fn skip_builds_nothing_and_asks_nothing_inside() {
         let src = "<r><a/><b x=\"1\"><c/>text<![CDATA[t]]><d><c k=\"&amp;\"/></d></b>tail<e/></r>";
         let mut asked = Vec::new();
-        let mut d = Document::new();
-        d.parse_fragment_into(None, 0, src, |doc, tag| {
-            let name = doc.tag_name(tag.name).to_owned();
-            let verdict = if name == "b" {
+        let mut b = SpanBuilder::with_capacity(0);
+        let skip = b.intern("b");
+        b.parse_fragment(src, |_, tag| {
+            asked.push(tag.name);
+            let verdict = if tag.name == skip {
                 Verdict::Skip
             } else {
                 Verdict::Keep
             };
-            asked.push(name);
             Ok::<_, ParseError>(verdict)
         })
         .unwrap();
-        assert_eq!(asked, ["r", "a", "b", "e"]);
-        assert_eq!(d.to_xml(), "<r><a/>tail<e/></r>");
-        assert_eq!(d.arena_len(), d.len());
+        assert_eq!(asked.len(), 4);
+        let d = b.finish();
+        assert_eq!(d.text(), "<r><a/>tail<e/></r>");
+        assert_eq!(d.len(), 4);
         // A skipped root leaves a document with no root and no node.
-        let mut d = Document::new();
-        assert_eq!(d.parse_fragment_into(None, 0, src, skip_all), Ok(None));
-        assert_eq!((d.root(), d.arena_len()), (None, 0));
+        let mut b = SpanBuilder::with_capacity(0);
+        b.parse_fragment(src, skip_all).unwrap();
+        let d = b.finish();
+        assert_eq!((d.root(), d.len(), d.text()), (None, 0, ""));
         // A hook that fills the root slot and then keeps its element is an
         // error, not a second root.
-        let mut d = Document::new();
-        let e = d
-            .parse_fragment_into(None, 0, "<r/>", |doc, tag| {
-                doc.parse_fragment_into(tag.parent, tag.depth, "<s/>", keep_all)?;
+        let e = SpanBuilder::with_capacity(0)
+            .parse_fragment("<r/>", |b, _| {
+                b.parse_fragment("<s/>", keep_all)?;
                 Ok::<_, ParseError>(Verdict::Keep)
             })
             .unwrap_err();
@@ -874,9 +985,11 @@ mod tests {
             "<r><s>x</s>".to_owned(),
         ] {
             let built = Document::parse(&bad).unwrap_err();
-            let skipped = Document::new()
-                .parse_fragment_into(None, 0, &bad, |doc, tag| {
-                    let skip = doc.tag_name(tag.name) == "s";
+            let mut b = SpanBuilder::with_capacity(0);
+            let s = b.intern("s");
+            let skipped = b
+                .parse_fragment(&bad, |_, tag| {
+                    let skip = tag.name == s;
                     Ok::<_, ParseError>(if skip { Verdict::Skip } else { Verdict::Keep })
                 })
                 .unwrap_err();

@@ -112,65 +112,6 @@ impl Document {
     pub fn serialized_size(&self) -> usize {
         self.to_xml().len()
     }
-
-    /// Pretty-printed serialization with the given indent width (element-only
-    /// documents gain newlines; elements with text content stay inline so
-    /// re-parsing with whitespace-skipping reproduces the same tree).
-    pub fn to_xml_pretty(&self, indent: usize) -> String {
-        let mut out = String::new();
-        if let Some(root) = self.root() {
-            self.write_pretty(root, 0, indent, &mut out);
-        }
-        out
-    }
-
-    fn write_pretty(&self, id: NodeId, depth: usize, indent: usize, out: &mut String) {
-        let n = self.node(id);
-        if n.detached {
-            return;
-        }
-        let pad = " ".repeat(depth * indent);
-        let NodeKind::Element(tag) = &n.kind else {
-            return;
-        };
-        let live: Vec<NodeId> = n
-            .children()
-            .iter()
-            .copied()
-            .filter(|&c| !self.node(c).detached)
-            .collect();
-        let has_element_children = live.iter().any(|&c| self.node(c).is_element());
-        out.push_str(&pad);
-        if has_element_children {
-            // Open tag, children on their own lines, close tag.
-            out.push('<');
-            out.push_str(self.tag_name(*tag));
-            for &a in n.attrs() {
-                if self.is_live(a) {
-                    out.push(' ');
-                    self.write_live(a, out);
-                }
-            }
-            out.push_str(">\n");
-            for c in live {
-                if self.node(c).is_element() {
-                    self.write_pretty(c, depth + 1, indent, out);
-                } else {
-                    out.push_str(&" ".repeat((depth + 1) * indent));
-                    self.write_live(c, out);
-                    out.push('\n');
-                }
-            }
-            out.push_str(&pad);
-            out.push_str("</");
-            out.push_str(self.tag_name(*tag));
-            out.push_str(">\n");
-        } else {
-            // Leaf-ish element: inline.
-            self.write_live(id, out);
-            out.push('\n');
-        }
-    }
 }
 
 #[cfg(test)]
@@ -286,24 +227,6 @@ mod tests {
         let d = Document::parse("<r><a k=\"v\">t</a></r>").unwrap();
         let a = d.node(d.root().unwrap()).children()[0];
         assert_eq!(d.node_to_xml(a), "<a k=\"v\">t</a>");
-    }
-
-    #[test]
-    fn pretty_print_reparses_identically() {
-        let src = "<r a=\"1\"><p><n>Betty</n><s>123</s></p><q/></r>";
-        let d = Document::parse(src).unwrap();
-        let pretty = d.to_xml_pretty(2);
-        assert!(pretty.contains("\n"));
-        assert!(pretty.contains("  <p>"));
-        let reparsed = Document::parse(&pretty).unwrap();
-        assert_eq!(reparsed.to_xml(), src);
-    }
-
-    #[test]
-    fn pretty_print_empty_and_leaf() {
-        assert_eq!(Document::new().to_xml_pretty(2), "");
-        let d = Document::parse("<a>x</a>").unwrap();
-        assert_eq!(d.to_xml_pretty(2), "<a>x</a>\n");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
 
@@ -76,15 +76,14 @@ impl Kids {
         }
     }
 
-    /// Inserts `id` at `at`; a list that spills to the heap takes a spare
-    /// from `spares` before it asks the allocator.
-    fn insert(&mut self, at: usize, id: NodeId, spares: &mut Spares) {
+    /// Inserts `id` at `at`.
+    fn insert(&mut self, at: usize, id: NodeId) {
         match self {
             Kids::Many(ids) if ids.is_empty() => *self = Kids::One(id),
             Kids::Many(ids) => ids.insert(at, id),
             Kids::One(only) => {
                 let ids = if at == 0 { [id, *only] } else { [*only, id] };
-                let mut many = spares.list();
+                let mut many = Vec::with_capacity(SPILL_CAPACITY);
                 many.extend(ids);
                 *self = Kids::Many(many);
             }
@@ -271,146 +270,18 @@ impl Interner {
     }
 }
 
-/// One kind of buffer a [`Document::clear`] kept: a queue whose front is
-/// the buffer of the earliest node built, so a document of the same shape
-/// finds each buffer where its twin left it, and whose back goes first
-/// when the queue outgrows its budget.
-#[derive(Default)]
-struct SpareQueue<T> {
-    queue: VecDeque<T>,
-    /// The sum of the queued buffers' capacities.
-    held: usize,
-    /// What `held` may reach: the most bytes of input parsed into the
-    /// document between two clears.
-    budget: usize,
-}
-
-impl<T> SpareQueue<T> {
-    fn take(&mut self, capacity: impl Fn(&T) -> usize) -> Option<T> {
-        let spare = self.queue.pop_front()?;
-        self.held -= capacity(&spare);
-        Some(spare)
-    }
-
-    /// Queues `spare` ahead of the others: a cleared document hands its
-    /// buffers back last node first.
-    fn put_back(&mut self, spare: T, capacity: impl Fn(&T) -> usize) {
-        self.held += capacity(&spare);
-        self.queue.push_front(spare);
-    }
-
-    /// Raises the budget to the input a cleared document was parsed from,
-    /// then drops spares from the back until the queue holds no more.
-    fn trim(&mut self, parsed: usize, capacity: impl Fn(&T) -> usize) {
-        self.budget = self.budget.max(parsed);
-        while self.held > self.budget {
-            let Some(dropped) = self.queue.pop_back() else {
-                break;
-            };
-            self.held -= capacity(&dropped);
-        }
-    }
-}
-
-/// The buffers a cleared document keeps for its next parse: text and
-/// attribute strings, and spilled child lists. A document that was never
-/// cleared has none and builds exactly as it would without them.
-#[derive(Default)]
-pub(crate) struct Spares {
-    /// Text and attribute values; `budget` in bytes.
-    strings: SpareQueue<String>,
-    /// Spilled child lists; `budget` in entries.
-    lists: SpareQueue<Vec<NodeId>>,
-    /// Bytes of input parsed into the document since it was last cleared.
-    pub(crate) parsed: usize,
-}
-
-impl Spares {
-    /// `text` as an owned string: in the next spare if it fits, else as a
-    /// fresh one. A spare that does not fit is dropped, so every node uses
-    /// up one and the queue stays in step with the shape.
-    fn own(&mut self, text: Cow<'_, str>) -> String {
-        match self.strings.take(String::capacity) {
-            Some(mut spare) if spare.capacity() >= text.len() => {
-                spare.push_str(&text);
-                spare
-            }
-            _ => text.into_owned(),
-        }
-    }
-
-    /// An empty list for a node's second child.
-    fn list(&mut self) -> Vec<NodeId> {
-        self.lists
-            .take(Vec::capacity)
-            .unwrap_or_else(|| Vec::with_capacity(SPILL_CAPACITY))
-    }
-}
-
-/// A clone is a copy of the content: the spares are memory, and stay with
-/// the original.
-impl Clone for Spares {
-    fn clone(&self) -> Spares {
-        Spares::default()
-    }
-}
-
-impl fmt::Debug for Spares {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Spares")
-            .field("strings", &self.strings.queue.len())
-            .field("lists", &self.lists.queue.len())
-            .finish()
-    }
-}
-
 /// An XML document: an arena of [`Node`]s plus a tag interner.
 #[derive(Debug, Clone, Default)]
 pub struct Document {
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: Option<NodeId>,
     pub(crate) interner: Interner,
-    pub(crate) spares: Spares,
 }
 
 impl Document {
     /// Creates an empty document with no root.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empties the document (no root, no node, no interned name) but keeps
-    /// its memory for the next parse into it: the arena's capacity, and
-    /// every text, attribute value and spilled child list as a spare that
-    /// the parser and the `add_*` methods take before they ask the
-    /// allocator. Spares go out in the order their nodes were built, so a
-    /// document of the same shape finds each one the size it needs. What is
-    /// kept is bounded by the largest input parsed into the document between
-    /// two clears: never more string bytes, nor child-list entries, than it
-    /// had bytes — so a run of parses cannot grow it past the largest one
-    /// (and a document built only with the `add_*` methods keeps nothing).
-    /// A [`clone`](Clone::clone) carries no spares.
-    pub fn clear(&mut self) {
-        let spares = &mut self.spares;
-        for node in self.nodes.drain(..).rev() {
-            if let NodeKind::Attribute(_, mut s) | NodeKind::Text(mut s) = node.kind {
-                if s.capacity() > 0 {
-                    s.clear();
-                    spares.strings.put_back(s, String::capacity);
-                }
-            }
-            if let Kids::Many(mut ids) = node.kids {
-                if ids.capacity() > 0 {
-                    ids.clear();
-                    spares.lists.put_back(ids, Vec::capacity);
-                }
-            }
-        }
-        let parsed = std::mem::take(&mut spares.parsed);
-        spares.strings.trim(parsed, String::capacity);
-        spares.lists.trim(parsed, Vec::capacity);
-        self.root = None;
-        self.interner = Interner::default();
     }
 
     /// The root element, if one has been added.
@@ -475,7 +346,7 @@ impl Document {
                 } else {
                     pn.kids.as_slice().len()
                 };
-                pn.kids.insert(at, id, &mut self.spares);
+                pn.kids.insert(at, id);
                 pn.n_attrs += u32::from(is_attr);
             }
             None => {
@@ -514,14 +385,12 @@ impl Document {
     /// [`add_attr`](Document::add_attr) for a name already interned — the
     /// parser's path.
     pub(crate) fn push_attr(&mut self, parent: NodeId, name: TagId, value: Cow<'_, str>) -> NodeId {
-        let value = self.spares.own(value);
-        self.push_node(Some(parent), NodeKind::Attribute(name, value))
+        self.push_node(Some(parent), NodeKind::Attribute(name, value.into_owned()))
     }
 
     /// [`add_text`](Document::add_text) for text the parser may own already.
     pub(crate) fn push_text(&mut self, parent: NodeId, text: Cow<'_, str>) -> NodeId {
-        let text = self.spares.own(text);
-        self.push_node(Some(parent), NodeKind::Text(text))
+        self.push_node(Some(parent), NodeKind::Text(text.into_owned()))
     }
 
     /// Detaches a node (and implicitly its whole subtree) from the tree.
@@ -921,99 +790,6 @@ mod tests {
         assert_eq!(i.get(""), None);
         assert_eq!(i.intern(""), TagId(300));
         assert_eq!((i.len(), i.resolve(TagId(7))), (301, "n107x"));
-    }
-
-    fn keep(
-        _: &mut Document,
-        _: &crate::StartTag<'_, '_>,
-    ) -> Result<crate::Verdict, crate::ParseError> {
-        Ok(crate::Verdict::Keep)
-    }
-
-    #[test]
-    fn clear_keeps_buffers_and_drops_content() {
-        let mut d = Document::parse("<r><p k=\"v\">one</p><p>two<q/></p></r>").unwrap();
-        d.clear();
-        assert_eq!((d.root(), d.len(), d.arena_len()), (None, 0, 0));
-        assert_eq!((d.tag_count(), d.tag_id("p")), (0, None));
-        assert!(d.iter().next().is_none());
-        assert_eq!(d.to_xml(), "");
-        assert_eq!(
-            (d.spares.strings.queue.len(), d.spares.lists.queue.len()),
-            (3, 3)
-        );
-        // Spares go out in node order, each holding nothing.
-        let held: Vec<usize> = d
-            .spares
-            .strings
-            .queue
-            .iter()
-            .map(String::capacity)
-            .collect();
-        assert_eq!(held, [1, 3, 3]);
-        assert!(d.spares.strings.queue.iter().all(String::is_empty));
-        // A clone is the content, not the memory.
-        let copy = d.clone();
-        assert_eq!(
-            (
-                copy.spares.strings.queue.len(),
-                copy.spares.lists.queue.len()
-            ),
-            (0, 0)
-        );
-        assert_eq!(
-            (copy.spares.strings.held, copy.spares.strings.budget),
-            (0, 0)
-        );
-        // The next parse takes them and builds what a fresh one does.
-        let xml = "<s a=\"x\"><t>abc</t>def<t/></s>";
-        d.parse_fragment_into(None, 0, xml, keep).unwrap();
-        assert_eq!(d.to_xml(), xml);
-        assert_eq!((d.tag_count(), d.tag_id("p")), (3, None));
-        assert_eq!(d.spares.strings.queue.len(), 0);
-        assert_eq!(d.spares.lists.queue.len(), 2);
-    }
-
-    /// A server that moves one long text from place to place, reply after
-    /// reply, would leave a long buffer in every place; what a clear keeps
-    /// stays within the most the largest document held, in string bytes and
-    /// in list entries alike.
-    #[test]
-    fn spares_never_exceed_the_largest_document_parsed() {
-        let mut d = Document::new();
-        let (mut most_input, mut most_nodes) = (0, 0);
-        for round in 0..60 {
-            let long = round % 40;
-            let mut xml = String::from("<r>");
-            for i in 0..40 {
-                let text = if i == long {
-                    "y".repeat(5_000)
-                } else {
-                    "z".into()
-                };
-                let kids = if i == (round * 7) % 40 { 40 } else { 2 };
-                xml += &format!("<p n=\"{i}\">{text}{}</p>", "<c/>".repeat(kids));
-            }
-            xml += "</r>";
-            d.parse_fragment_into(None, 0, &xml, keep).unwrap();
-            most_input = most_input.max(xml.len());
-            most_nodes = most_nodes.max(d.arena_len());
-            d.clear();
-            let strings = &d.spares.strings;
-            let lists = &d.spares.lists;
-            assert!(strings.held <= most_input, "round {round}");
-            assert!(lists.held <= most_input, "round {round}");
-            assert_eq!(
-                strings.held,
-                strings.queue.iter().map(String::capacity).sum::<usize>()
-            );
-            assert_eq!(
-                lists.held,
-                lists.queue.iter().map(Vec::capacity).sum::<usize>()
-            );
-            assert!(strings.queue.len() + lists.queue.len() <= most_nodes);
-            assert!(d.nodes.capacity() < 2 * most_nodes);
-        }
     }
 
     #[test]

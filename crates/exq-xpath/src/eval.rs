@@ -1,15 +1,18 @@
 //! Tree-walking evaluator — the reference semantics for the system.
 //!
-//! A path is first resolved against the document it runs on: each name test
+//! One evaluator, generic over [`TreeView`]: the arena [`Document`] and the
+//! client's [`SpanDocument`](exq_xml::SpanDocument) both implement it. A
+//! path is first resolved against the document it runs on: each name test
 //! becomes the document's [`TagId`] for that name, so a step compares
 //! integers, and a name the document never interned matches nothing. Node
 //! lists are `Vec`s kept sorted by id and free of duplicates — the order
 //! every caller sees. A list is sorted only when it is not already strictly
 //! increasing, which a parsed document's lists are: its ids are in document
-//! order.
+//! order. The lists an evaluation needs along the way are kept and reused,
+//! so a predicate checked on every candidate allocates nothing once warm.
 
 use crate::ast::{Axis, CmpOp, Literal, NodeTest, Path, PositionTest, Predicate, Step};
-use exq_xml::{Document, NodeId, NodeKind, TagId};
+use exq_xml::{Document, NodeId, NodeType, TagId, TreeView};
 
 /// A node test resolved against one document.
 #[derive(Clone, Copy)]
@@ -39,7 +42,7 @@ enum RPred<'p> {
     StartsWith(Vec<RStep<'p>>, &'p str),
 }
 
-fn resolve<'p>(doc: &Document, steps: &'p [Step]) -> Vec<RStep<'p>> {
+fn resolve<'p>(doc: &impl TreeView, steps: &'p [Step]) -> Vec<RStep<'p>> {
     let step = |s: &'p Step| RStep {
         axis: s.axis,
         test: match &s.test {
@@ -52,7 +55,7 @@ fn resolve<'p>(doc: &Document, steps: &'p [Step]) -> Vec<RStep<'p>> {
     steps.iter().map(step).collect()
 }
 
-fn resolve_pred<'p>(doc: &Document, pred: &'p Predicate) -> RPred<'p> {
+fn resolve_pred<'p>(doc: &impl TreeView, pred: &'p Predicate) -> RPred<'p> {
     let boxed = |p: &'p Predicate| Box::new(resolve_pred(doc, p));
     match pred {
         Predicate::Exists(path) => RPred::Exists(resolve(doc, &path.steps)),
@@ -77,6 +80,11 @@ fn normalize(nodes: &mut Vec<NodeId>) {
 /// Evaluates a path with the document node as context (i.e. an absolute
 /// query such as `//patient/SSN` or `/hospital/patient`).
 pub fn eval_document(doc: &Document, path: &Path) -> Vec<NodeId> {
+    eval(doc, path)
+}
+
+/// [`eval_document`] over any [`TreeView`].
+pub fn eval<T: TreeView>(doc: &T, path: &Path) -> Vec<NodeId> {
     let Some(root) = doc.root() else {
         return Vec::new();
     };
@@ -87,22 +95,26 @@ pub fn eval_document(doc: &Document, path: &Path) -> Vec<NodeId> {
     // The virtual document node: its only child is the root element and its
     // descendants are every node. Materialize the first step by hand, then
     // continue normally.
-    let mut context: Vec<NodeId> = match first.axis {
-        Axis::Descendant | Axis::DescendantOrSelf => doc
-            .iter()
-            .filter(|&n| test_matches(doc, n, first.test, Axis::Descendant))
-            .collect(),
+    let mut context = Vec::new();
+    match first.axis {
+        Axis::Descendant | Axis::DescendantOrSelf => doc.for_each_in_subtree(root, |n| {
+            if test_matches(doc, n, first.test, Axis::Descendant) {
+                context.push(n);
+            }
+        }),
         // Child — and attribute/self/parent/following-sibling, which from
         // the document node yield nothing useful; treat those like child of
         // root for robustness.
-        _ => Some(root)
-            .filter(|&n| test_matches(doc, n, first.test, Axis::Child))
-            .into_iter()
-            .collect(),
-    };
+        _ => {
+            if test_matches(doc, root, first.test, Axis::Child) {
+                context.push(root);
+            }
+        }
+    }
     normalize(&mut context);
-    apply_predicates(doc, &mut context, &first.preds);
-    eval_steps(doc, rest, context)
+    let mut ev = Eval::new(doc);
+    ev.apply_predicates(&mut context, &first.preds);
+    ev.eval_steps(rest, context)
 }
 
 /// Evaluates a (relative) path from the given context nodes. Results are in
@@ -110,46 +122,7 @@ pub fn eval_document(doc: &Document, path: &Path) -> Vec<NodeId> {
 pub fn eval_from(doc: &Document, path: &Path, context: &[NodeId]) -> Vec<NodeId> {
     let mut context = context.to_vec();
     normalize(&mut context);
-    eval_steps(doc, &resolve(doc, &path.steps), context)
-}
-
-/// `steps` from `current`, which is sorted and deduplicated; so is the result.
-fn eval_steps(doc: &Document, steps: &[RStep], mut current: Vec<NodeId>) -> Vec<NodeId> {
-    let mut nodes = Vec::new();
-    for step in steps {
-        let mut next = Vec::new();
-        for &ctx in &current {
-            // Positional predicates need the per-context node list, so
-            // filtering happens before merging across contexts.
-            nodes.clear();
-            step_nodes(doc, ctx, step, &mut nodes);
-            normalize(&mut nodes);
-            apply_predicates(doc, &mut nodes, &step.preds);
-            next.extend_from_slice(&nodes);
-        }
-        normalize(&mut next);
-        current = next;
-        if current.is_empty() {
-            break;
-        }
-    }
-    current
-}
-
-/// Applies the step's predicates sequentially (XPath semantics: each
-/// predicate re-numbers positions over the surviving list).
-fn apply_predicates(doc: &Document, nodes: &mut Vec<NodeId>, preds: &[RPred]) {
-    for pred in preds {
-        let total = nodes.len();
-        let mut pos = 0;
-        nodes.retain(|&n| {
-            pos += 1;
-            satisfies_predicate(doc, n, pred, pos, total)
-        });
-        if nodes.is_empty() {
-            break;
-        }
-    }
+    Eval::new(doc).eval_steps(&resolve(doc, &path.steps), context)
 }
 
 /// Evaluates a union of paths from the document node: branch results are
@@ -163,86 +136,159 @@ pub fn eval_union(doc: &Document, paths: &[Path]) -> Vec<NodeId> {
     out
 }
 
-/// True when `node` is in the result of evaluating `path` from the document.
-pub fn matches(doc: &Document, path: &Path, node: NodeId) -> bool {
-    eval_document(doc, path).contains(&node)
+/// One evaluation: the document, and the node lists it has finished with.
+struct Eval<'d, T> {
+    doc: &'d T,
+    spare: Vec<Vec<NodeId>>,
 }
 
-/// True when the relative `path` has a non-empty result from `node`.
-pub fn node_satisfies(doc: &Document, node: NodeId, path: &Path) -> bool {
-    !eval_from(doc, path, &[node]).is_empty()
+impl<'d, T: TreeView> Eval<'d, T> {
+    fn new(doc: &'d T) -> Self {
+        Eval {
+            doc,
+            spare: Vec::new(),
+        }
+    }
+
+    fn take(&mut self) -> Vec<NodeId> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    fn give(&mut self, mut list: Vec<NodeId>) {
+        list.clear();
+        self.spare.push(list);
+    }
+
+    /// `steps` from `current`, which is sorted and deduplicated; so is the
+    /// result.
+    fn eval_steps(&mut self, steps: &[RStep], mut current: Vec<NodeId>) -> Vec<NodeId> {
+        let mut nodes = self.take();
+        for step in steps {
+            let mut next = self.take();
+            for &ctx in &current {
+                // Positional predicates need the per-context node list, so
+                // filtering happens before merging across contexts.
+                nodes.clear();
+                step_nodes(self.doc, ctx, step, &mut nodes);
+                normalize(&mut nodes);
+                self.apply_predicates(&mut nodes, &step.preds);
+                next.extend_from_slice(&nodes);
+            }
+            normalize(&mut next);
+            let done = std::mem::replace(&mut current, next);
+            self.give(done);
+            if current.is_empty() {
+                break;
+            }
+        }
+        self.give(nodes);
+        current
+    }
+
+    /// Applies the step's predicates sequentially (XPath semantics: each
+    /// predicate re-numbers positions over the surviving list).
+    fn apply_predicates(&mut self, nodes: &mut Vec<NodeId>, preds: &[RPred]) {
+        for pred in preds {
+            let total = nodes.len();
+            let mut pos = 0;
+            nodes.retain(|&n| {
+                pos += 1;
+                self.holds(n, pred, pos, total)
+            });
+            if nodes.is_empty() {
+                break;
+            }
+        }
+    }
+
+    /// Whether some node `path` reaches from `node` has a string value
+    /// that `holds`.
+    fn any_value(&mut self, node: NodeId, path: &[RStep], holds: impl Fn(&str) -> bool) -> bool {
+        let targets = self.targets(node, path);
+        let any = targets.iter().any(|&t| holds(&self.doc.string_value(t)));
+        self.give(targets);
+        any
+    }
+
+    fn targets(&mut self, node: NodeId, path: &[RStep]) -> Vec<NodeId> {
+        let mut context = self.take();
+        context.push(node);
+        self.eval_steps(path, context)
+    }
+
+    fn holds(&mut self, node: NodeId, pred: &RPred, pos: usize, total: usize) -> bool {
+        match pred {
+            RPred::Exists(path) => {
+                let targets = self.targets(node, path);
+                let any = !targets.is_empty();
+                self.give(targets);
+                any
+            }
+            RPred::Compare(path, op, lit) => {
+                self.any_value(node, path, |v| op.holds(lit.compare_with(v)))
+            }
+            RPred::Position(PositionTest::Index(i)) => pos == *i,
+            RPred::Position(PositionTest::Last) => pos == total,
+            RPred::And(a, b) => self.holds(node, a, pos, total) && self.holds(node, b, pos, total),
+            RPred::Or(a, b) => self.holds(node, a, pos, total) || self.holds(node, b, pos, total),
+            RPred::Not(a) => !self.holds(node, a, pos, total),
+            RPred::Contains(path, lit) => self.any_value(node, path, |v| v.contains(lit)),
+            RPred::StartsWith(path, lit) => self.any_value(node, path, |v| v.starts_with(lit)),
+        }
+    }
 }
 
 /// Appends the nodes `step`'s axis and test select from `ctx`.
-fn step_nodes(doc: &Document, ctx: NodeId, step: &RStep, out: &mut Vec<NodeId>) {
+fn step_nodes(doc: &impl TreeView, ctx: NodeId, step: &RStep, out: &mut Vec<NodeId>) {
     let (axis, test) = (step.axis, step.test);
-    let hit = |n: NodeId| test_matches(doc, n, test, axis);
+    let mut hit = |n: NodeId| {
+        if test_matches(doc, n, test, axis) {
+            out.push(n);
+        }
+    };
     match axis {
-        Axis::Child => {
-            let children = doc.node(ctx).children().iter();
-            out.extend(children.copied().filter(|&c| doc.is_live(c) && hit(c)));
+        Axis::Child => doc.for_each_child(ctx, hit),
+        Axis::Descendant => doc.for_each_in_subtree(ctx, |d| {
+            if d != ctx {
+                hit(d)
+            }
+        }),
+        Axis::DescendantOrSelf => doc.for_each_in_subtree(ctx, hit),
+        Axis::Attribute => doc.for_each_attr(ctx, hit),
+        Axis::SelfAxis => hit(ctx),
+        Axis::Parent => {
+            if let Some(p) = doc.parent_of(ctx) {
+                hit(p);
+            }
         }
-        Axis::Descendant => out.extend(doc.descendants(ctx).skip(1).filter(|&d| hit(d))),
-        Axis::DescendantOrSelf => out.extend(doc.descendants(ctx).filter(|&d| hit(d))),
-        Axis::Attribute => {
-            let attrs = doc.node(ctx).attrs().iter();
-            out.extend(attrs.copied().filter(|&a| doc.is_live(a) && hit(a)));
-        }
-        Axis::SelfAxis => out.extend(Some(ctx).filter(|&n| hit(n))),
-        Axis::Parent => out.extend(doc.node(ctx).parent().filter(|&p| hit(p))),
         Axis::FollowingSibling => {
-            if let Some(p) = doc.node(ctx).parent() {
-                let after = doc.node(p).children().iter().skip_while(|&&s| s != ctx);
-                out.extend(after.skip(1).copied().filter(|&s| doc.is_live(s) && hit(s)));
+            if let Some(p) = doc.parent_of(ctx) {
+                let mut after = false;
+                doc.for_each_child(p, |s| {
+                    if after {
+                        hit(s);
+                    }
+                    after |= s == ctx;
+                });
             }
         }
     }
 }
 
-fn test_matches(doc: &Document, node: NodeId, test: Test, axis: Axis) -> bool {
-    let kind = doc.node(node).kind();
+fn test_matches(doc: &impl TreeView, node: NodeId, test: Test, axis: Axis) -> bool {
+    let kind = doc.node_type(node);
     match test {
-        Test::Text => matches!(kind, NodeKind::Text(_)),
+        Test::Text => kind == NodeType::Text,
         Test::Wildcard => match axis {
-            Axis::Attribute => matches!(kind, NodeKind::Attribute(..)),
+            Axis::Attribute => matches!(kind, NodeType::Attribute(_)),
             Axis::SelfAxis | Axis::Parent => true,
-            _ => matches!(kind, NodeKind::Element(_)),
+            _ => matches!(kind, NodeType::Element(_)),
         },
         Test::Name(name) => match kind {
-            NodeKind::Element(t) => !matches!(axis, Axis::Attribute) && Some(*t) == name,
-            NodeKind::Attribute(t, _) => matches!(axis, Axis::Attribute) && Some(*t) == name,
-            NodeKind::Text(_) => false,
+            NodeType::Element(t) => !matches!(axis, Axis::Attribute) && Some(t) == name,
+            NodeType::Attribute(t) => matches!(axis, Axis::Attribute) && Some(t) == name,
+            NodeType::Text => false,
         },
-    }
-}
-
-fn satisfies_predicate(
-    doc: &Document,
-    node: NodeId,
-    pred: &RPred,
-    pos: usize,
-    total: usize,
-) -> bool {
-    let targets = |path: &[RStep]| eval_steps(doc, path, vec![node]);
-    let any_value = |path: &[RStep], holds: &dyn Fn(&str) -> bool| {
-        targets(path).iter().any(|&t| holds(&doc.text_value(t)))
-    };
-    match pred {
-        RPred::Exists(path) => !targets(path).is_empty(),
-        RPred::Compare(path, op, lit) => any_value(path, &|v| op.holds(lit.compare_with(v))),
-        RPred::Position(PositionTest::Index(i)) => pos == *i,
-        RPred::Position(PositionTest::Last) => pos == total,
-        RPred::And(a, b) => {
-            satisfies_predicate(doc, node, a, pos, total)
-                && satisfies_predicate(doc, node, b, pos, total)
-        }
-        RPred::Or(a, b) => {
-            satisfies_predicate(doc, node, a, pos, total)
-                || satisfies_predicate(doc, node, b, pos, total)
-        }
-        RPred::Not(a) => !satisfies_predicate(doc, node, a, pos, total),
-        RPred::Contains(path, lit) => any_value(path, &|v| v.contains(lit)),
-        RPred::StartsWith(path, lit) => any_value(path, &|v| v.starts_with(lit)),
     }
 }
 
@@ -390,26 +436,6 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(r, sorted);
-    }
-
-    #[test]
-    fn node_satisfies_relative() {
-        let d = hospital();
-        let betty = eval_document(&d, &Path::parse("//patient[pname=Betty]").unwrap())[0];
-        assert!(node_satisfies(
-            &d,
-            betty,
-            &Path::parse("insurance").unwrap()
-        ));
-        assert!(!node_satisfies(&d, betty, &Path::parse("zzz").unwrap()));
-    }
-
-    #[test]
-    fn matches_checks_membership() {
-        let d = hospital();
-        let root = d.root().unwrap();
-        assert!(matches(&d, &Path::parse("/hospital").unwrap(), root));
-        assert!(!matches(&d, &Path::parse("//patient").unwrap(), root));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   string, or a bare word.
 //!
 //! The evaluator here is the *reference* implementation: a naive tree walk
-//! over an [`exq_xml::Document`]. The secure server evaluates translated
+//! over any [`exq_xml::TreeView`] — an [`exq_xml::Document`], or the
+//! client's [`exq_xml::SpanDocument`]. The secure server evaluates translated
 //! queries over DSI intervals instead (see `exq-core`); client post-processing
 //! and all cross-checking tests use this walker.
 //!
@@ -29,5 +30,5 @@ mod eval;
 mod parse;
 
 pub use ast::{Axis, CmpOp, Literal, NodeTest, Path, PositionTest, Predicate, Step};
-pub use eval::{eval_document, eval_from, eval_union, matches, node_satisfies};
+pub use eval::{eval, eval_document, eval_from, eval_union};
 pub use parse::XPathError;

@@ -1,7 +1,5 @@
-//! One client, many replies of many shapes. The client reconstructs each
-//! reply into a document it keeps per thread and clears after each answer,
-//! so a reply is built in the buffers of the replies before it. Nothing it
-//! answers may depend on them: not after a reply of another shape, not
+//! One client, many replies of many shapes. Nothing the client answers may
+//! depend on the replies before it: not after a reply of another shape, not
 //! after one from another database, and not after a reply that failed
 //! halfway through its parse.
 
