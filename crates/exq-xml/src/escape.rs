@@ -51,10 +51,6 @@ pub(crate) fn push_escaped(out: &mut String, s: &str, attr: bool) {
 /// attribute), and every `&` one of the entities the writer uses.
 pub(crate) fn is_canonical(raw: &str, attr: bool) -> bool {
     let b = raw.as_bytes();
-    // Text is read in runs up to a `<`: most hold neither byte to check.
-    if !attr && !crate::parse::holds_either(b, b'&', b'>') {
-        return true;
-    }
     let mut i = 0;
     while i < b.len() {
         match b[i] {

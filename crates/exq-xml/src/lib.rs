@@ -38,7 +38,7 @@ mod tree;
 mod view;
 
 pub use escape::{escape_attr, escape_text, unescape};
-pub use parse::{ParseError, ParseOptions, StartTag, Verdict, MAX_DEPTH};
+pub use parse::{ParseError, StartTag, Verdict, MAX_DEPTH};
 pub use serialize::Span;
 pub use span::{SpanBuilder, SpanDocument};
 pub use stats::DocumentStats;
