@@ -2,7 +2,8 @@
 //! OPESS planning, the value index, DSI labeling, structural joins, XML parsing,
 //! vertex-cover solvers and the owner's whole set-up — and for the reply path of one secure query
 //! (server assembly, answer encoding, client
-//! reconstruction and its parse and XPath halves, batch block open, frame
+//! reconstruction and its parse and XPath halves, the parse of a reply's
+//! text, batch block open, frame
 //! checksum) on the perf ledger's `xmark_scan` database,
 //! the server's predicate matching and its in-place index updates on its
 //! `hospital_point` database, and the batch block read on its
@@ -321,6 +322,23 @@ fn bench_reply_path(c: &mut Criterion) {
         });
     }
     reconstruct.finish();
+
+    // The one tokenizer alone, on the `/site/open_auctions` reply text
+    // (335 KB, no blocks: the median query's shape): into a span document,
+    // as the client reads a reply, and into the arena document.
+    let sq = client
+        .translate("/site/open_auctions")
+        .unwrap()
+        .server_query;
+    let reply = server.answer(&sq.unwrap()).unwrap().pruned_xml;
+    let mut parse = c.benchmark_group("xml/parse_reply");
+    parse.bench_function("span", |b| {
+        b.iter(|| black_box(SpanDocument::parse(&reply).unwrap().len()))
+    });
+    parse.bench_function("document", |b| {
+        b.iter(|| black_box(Document::parse(&reply).unwrap().len()))
+    });
+    parse.finish();
 
     // Post-processing as a client meets it: the three shapes above and a
     // `hospital_paged` block fetch (1200 blocks), one after another on one
