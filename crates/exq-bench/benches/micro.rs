@@ -409,14 +409,19 @@ fn bench_reply_path(c: &mut Criterion) {
     });
 
     // The crypto of the whole-`people` reply alone: its 7488 sealed blocks
-    // opened as one batch, against the same blocks opened one at a time.
+    // opened as the reply's one table, against the same blocks opened one
+    // at a time.
     let (_, people, _) = client
         .run(&mut InProcess::shared(&server), "//people//person")
         .unwrap();
-    // That reply (1.95 MB) into its frame, checksum included.
+    // That reply (1.95 MB) into its frame, checksum included, and back.
     let answer = Message::Answer(people.clone());
     c.bench_function("codec/encode_answer_people", |b| {
         b.iter(|| black_box(answer.encode_frame_req(PROTOCOL_VERSION, 0, 1).len()))
+    });
+    let frame = answer.encode_frame_req(PROTOCOL_VERSION, 0, 1);
+    c.bench_function("codec/decode_answer_people", |b| {
+        b.iter(|| black_box(Message::decode_frame(&frame).unwrap()))
     });
     let key = client.state().keys.block_key();
     let mut open = c.benchmark_group("crypto/open_blocks_xmark");

@@ -85,7 +85,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             std::collections::HashMap::new();
         let resp = hosted.server.answer_naive().unwrap();
         for b in &resp.blocks {
-            distinct.insert(b.ciphertext.clone());
+            distinct.insert(b.ciphertext);
             *size_hist.entry(b.ciphertext.len()).or_default() += 1;
         }
         let identical_pairs: usize = size_hist

@@ -497,7 +497,7 @@ mod tests {
     fn resp() -> ServerResponse {
         ServerResponse {
             pruned_xml: String::new(),
-            blocks: Vec::new(),
+            blocks: exq_crypto::SealedBlocks::new(),
             translate_time: std::time::Duration::ZERO,
             process_time: std::time::Duration::ZERO,
             served_from_cache: false,

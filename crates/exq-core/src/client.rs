@@ -19,10 +19,9 @@ use crate::encrypt::{ClientCryptoState, BLOCK_ID_ATTR, BLOCK_MARKER_TAG, DECOY_T
 use crate::error::CoreError;
 use crate::server::Server;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
-use exq_crypto::{open_blocks, OpenedBlocks, RangeOp, SealedBlock};
+use exq_crypto::{open_blocks, OpenedBlocks, RangeOp, SealedBlocks};
 use exq_xml::{Document, NodeType, ParseError, SpanBuilder, SpanDocument, TreeView, Verdict};
 use exq_xpath::{eval, Axis, CmpOp, Literal, NodeTest, Path, Predicate};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Synthetic root used when several root-level blocks must splice into one
@@ -131,12 +130,13 @@ impl Client {
     /// Errors name the block a loop over the blocks in shipped order would:
     /// the first that does not verify or, ahead of it, the first that is not
     /// text.
-    fn decrypt_blocks(&self, blocks: &[Arc<SealedBlock>]) -> Result<OpenedBlocks, CoreError> {
+    fn decrypt_blocks<'t>(&self, blocks: &'t SealedBlocks) -> Result<OpenedBlocks<'t>, CoreError> {
         let key = self.state.keys.block_key();
         open_blocks(&key, blocks).map_err(|(bad, e)| {
-            let ahead = open_blocks(&key, &blocks[..bad])
-                .expect("every block before the first bad tag verifies");
-            match block_texts(&blocks[..bad], &ahead) {
+            let ahead: SealedBlocks = blocks.iter().take(bad).collect();
+            let opened =
+                open_blocks(&key, &ahead).expect("every block before the first bad tag verifies");
+            match block_texts(&ahead, &opened) {
                 Err(not_text) => not_text,
                 Ok(_) => CoreError::Block(e.to_string()),
             }
@@ -457,17 +457,30 @@ impl Client {
 }
 
 /// Each block's id and its plaintext as text, in block order; `opened` is
-/// `blocks` opened. Each plaintext is checked on its own: a block that stops
+/// `blocks` opened. The plaintexts are checked as UTF-8 once, end to end,
+/// and each block's ends as character boundaries, so a block that stops
 /// inside a character is not text, whatever the next block starts with.
+/// Only a reply that fails is checked again block by block, to name the
+/// first bad block.
 fn block_texts<'a>(
-    blocks: &[Arc<SealedBlock>],
-    opened: &'a OpenedBlocks,
+    blocks: &SealedBlocks,
+    opened: &'a OpenedBlocks<'_>,
 ) -> Result<Vec<(u32, &'a str)>, CoreError> {
-    let text = |(block, bytes): (&Arc<SealedBlock>, &'a [u8])| match std::str::from_utf8(bytes) {
-        Ok(text) => Ok((block.id, text)),
+    let ids = blocks.iter().map(|b| b.id);
+    if let Ok(all) = std::str::from_utf8(opened.as_bytes()) {
+        let texts = ids
+            .clone()
+            .enumerate()
+            .map(|(i, id)| Some((id, all.get(opened.span(i))?)));
+        if let Some(texts) = texts.collect() {
+            return Ok(texts);
+        }
+    }
+    let text = |(id, bytes)| match std::str::from_utf8(bytes) {
+        Ok(text) => Ok((id, text)),
         Err(e) => Err(CoreError::Block(format!("block not UTF-8: {e}"))),
     };
-    blocks.iter().zip(opened.iter()).map(text).collect()
+    ids.zip(opened.iter()).map(text).collect()
 }
 
 /// The attribute name a comparison predicate targets: `@name` for attribute

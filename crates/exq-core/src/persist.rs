@@ -33,13 +33,12 @@ use crate::error::CoreError;
 use crate::server::Server;
 use crate::store::BlockStore;
 use exq_crypto::opess::{ChunkCipher, PlanEntry};
-use exq_crypto::{KeyChain, OpessPlan, SealedBlock};
+use exq_crypto::{KeyChain, OpessPlan, SealedBlocks, SealedRef};
 use exq_index::dsi::Interval;
 use exq_index::{BlockTable, DsiIndexTable, Postings, ValueIndex};
 use exq_xml::Document;
 use exq_xpath::Path;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 const SERVER_MAGIC: &[u8; 6] = b"EXQSV3";
 const CLIENT_MAGIC: &[u8; 6] = b"EXQCL3";
@@ -418,7 +417,7 @@ impl Server {
         for b in &blocks {
             w.u32(b.id);
             w.buf.extend_from_slice(&b.nonce);
-            w.bytes(&b.ciphertext);
+            w.bytes(b.ciphertext);
             w.buf.extend_from_slice(&b.tag);
         }
         write_dead(&mut w, self);
@@ -440,17 +439,13 @@ impl Server {
         let (blocks, value_indexes) = read_tables(&mut r)?;
 
         let k = r.count(40)?;
-        let mut sealed = Vec::with_capacity(k);
+        let mut sealed = SealedBlocks::with_capacity(k, 0);
         for _ in 0..k {
-            let id = r.u32()?;
-            let nonce: [u8; 12] = r.take(12)?.try_into().unwrap();
-            let ciphertext = r.bytes()?;
-            let tag: [u8; 16] = r.take(16)?.try_into().unwrap();
-            sealed.push(SealedBlock {
-                id,
-                nonce,
-                ciphertext,
-                tag,
+            sealed.push(SealedRef {
+                id: r.u32()?,
+                nonce: r.take(12)?.try_into().unwrap(),
+                ciphertext: &r.bytes()?,
+                tag: r.take(16)?.try_into().unwrap(),
             });
         }
         let dead = read_dead(&mut r)?;
@@ -462,7 +457,7 @@ impl Server {
             parse_visible(&visible_xml)?,
             pos_intervals,
             metadata_from(dsi_entries, blocks, value_indexes)?,
-            BlockStore::Resident(sealed.into_iter().map(Arc::new).collect()),
+            BlockStore::Resident(sealed),
             dead,
         )
     }

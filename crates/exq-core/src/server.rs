@@ -50,7 +50,7 @@ use crate::telemetry;
 use crate::update::{CheckedInsert, FragmentAttr, InsertDelta};
 use crate::visible::VisibleText;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
-use exq_crypto::SealedBlock;
+use exq_crypto::{SealedBlock, SealedBlocks};
 use exq_index::dsi::Interval;
 use exq_index::sjoin::{
     join_order, least_child, least_desc, semijoin_anc, semijoin_child, semijoin_desc,
@@ -140,11 +140,14 @@ impl Server {
         let position: Vec<Option<u32>> = (out.visible_intervals.iter())
             .map(|iv| u.find(iv.as_ref()?))
             .collect();
+        let bytes = out.blocks.iter().map(|b| b.ciphertext.len()).sum();
+        let mut resident = SealedBlocks::with_capacity(out.blocks.len(), bytes);
+        resident.extend(&out.blocks);
         Server {
             visible: VisibleText::new(&out.visible, &position, u)
                 .expect("the owner's visible document follows its index"),
             metadata: out.metadata.clone(),
-            blocks: BlockStore::Resident(out.blocks.iter().cloned().map(Arc::new).collect()),
+            blocks: BlockStore::Resident(resident),
             dead_blocks: HashSet::new(),
             caches: ServerCaches::default(),
         }
@@ -208,11 +211,11 @@ impl Server {
     /// which ships a single block instead of a query response). On a paged
     /// server this may read from disk; a store failure is a typed error,
     /// never a silently-missing block.
-    pub fn fetch_block(&self, id: u32) -> Result<Option<exq_crypto::SealedBlock>, CoreError> {
+    pub fn fetch_block(&self, id: u32) -> Result<Option<SealedBlock>, CoreError> {
         if !self.block_live(id) {
             return Ok(None);
         }
-        Ok(self.blocks.get(id)?.map(|b| (*b).clone()))
+        self.blocks.get(id)
     }
 
     // --- out-of-core plumbing (see `crate::store`) ------------------------
@@ -366,7 +369,7 @@ impl Server {
 
     /// Every hosted block in id order. Pages the whole database in when
     /// out-of-core (full save / naive answer paths only).
-    pub(crate) fn collect_blocks(&self) -> Result<Vec<Arc<SealedBlock>>, CoreError> {
+    pub(crate) fn collect_blocks(&self) -> Result<SealedBlocks, CoreError> {
         self.blocks.collect()
     }
 
@@ -419,13 +422,12 @@ impl Server {
     /// paged server this reads every block back through the buffer pool.
     pub fn answer_naive(&self) -> Result<ServerResponse, CoreError> {
         let start = Instant::now();
+        let live: Vec<u32> = (0..self.blocks.len() as u32)
+            .filter(|&id| self.block_live(id))
+            .collect();
         let resp = ServerResponse {
             pruned_xml: self.visible.xml().to_owned(),
-            blocks: self
-                .collect_blocks()?
-                .into_iter()
-                .filter(|b| self.block_live(b.id))
-                .collect(),
+            blocks: self.blocks.get_many(&live)?,
             translate_time: std::time::Duration::ZERO,
             process_time: start.elapsed(),
             served_from_cache: false,
@@ -473,7 +475,7 @@ impl Server {
             if let Some(hit) = probe {
                 let t = Instant::now();
                 let pruned_xml = hit.pruned_xml.clone();
-                // Arc clones — the ciphertext payloads are shared, not copied.
+                // One copy of the table: its buffer and its entries.
                 let blocks = hit.blocks.clone();
                 let assemble_time = t.elapsed();
                 telemetry::record_span("server.assemble", assemble_time);
@@ -785,7 +787,7 @@ impl Server {
         &self,
         q: &ServerQuery,
         ev: &Evaluated<'_>,
-    ) -> Result<(String, Vec<Arc<SealedBlock>>), CoreError> {
+    ) -> Result<(String, SealedBlocks), CoreError> {
         let anchor = q.anchor.min(q.steps.len() - 1);
         let mut anchors = ev.survivors[anchor].clone();
         for (step, survivors) in q.steps.iter().zip(&ev.survivors).take(anchor) {
@@ -795,7 +797,7 @@ impl Server {
             }
         }
         if anchors.is_empty() {
-            return Ok((String::new(), Vec::new()));
+            return Ok((String::new(), SealedBlocks::new()));
         }
         let u = self.universe();
         let blocks = &self.metadata.block_table;

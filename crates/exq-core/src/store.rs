@@ -39,7 +39,7 @@ use crate::persist::{
 };
 use crate::server::Server;
 use crate::telemetry::{self, Counter, Gauge};
-use exq_crypto::SealedBlock;
+use exq_crypto::{SealedBlock, SealedBlocks, SealedRef};
 use exq_index::dsi::Interval;
 use exq_index::paged::{
     block_record_id, encode_postings, load_postings, posting_record_id, REC_META,
@@ -87,8 +87,9 @@ pub struct ReplaySummary {
 /// by a paged store with an overlay of not-yet-checkpointed blocks.
 #[derive(Debug, Clone)]
 pub(crate) enum BlockStore {
-    /// Every block in RAM (the classic mode).
-    Resident(Vec<Arc<SealedBlock>>),
+    /// Every block in RAM (the classic mode), as one table whose block `i`
+    /// has id `i`.
+    Resident(SealedBlocks),
     /// Blocks page in through `db`; `overlay` holds blocks inserted since
     /// the last checkpoint.
     Paged {
@@ -115,35 +116,61 @@ impl BlockStore {
         }
     }
 
-    pub(crate) fn get(&self, id: u32) -> Result<Option<Arc<SealedBlock>>, CoreError> {
-        Ok(self.get_many(&[id])?.pop())
+    pub(crate) fn get(&self, id: u32) -> Result<Option<SealedBlock>, CoreError> {
+        Ok(self.get_many(&[id])?.get(0).map(|b| b.to_block()))
     }
 
-    /// The blocks `ids` name, in that order, skipping ids past the end. A
-    /// paged store reads every block not in the overlay in one batch, so
-    /// ascending ids cost one page pin per page rather than per block.
-    pub(crate) fn get_many(&self, ids: &[u32]) -> Result<Vec<Arc<SealedBlock>>, CoreError> {
+    /// The blocks `ids` name, in that order, skipping ids past the end, as
+    /// one table. A paged store reads every block not in the overlay in one
+    /// batch, straight into the table, so ascending ids cost one page pin
+    /// per page rather than per block.
+    pub(crate) fn get_many(&self, ids: &[u32]) -> Result<SealedBlocks, CoreError> {
         match self {
-            BlockStore::Resident(v) => Ok(ids
-                .iter()
-                .filter_map(|&id| v.get(id as usize).cloned())
-                .collect()),
+            BlockStore::Resident(v) => {
+                let held = ids.iter().filter_map(|&id| v.get(id as usize));
+                let bytes = held.map(|b| b.ciphertext.len()).sum();
+                let mut table = SealedBlocks::with_capacity(ids.len(), bytes);
+                // A run of consecutive ids is one copy.
+                let in_range = |&id: &usize| id < v.len();
+                let mut ids = ids
+                    .iter()
+                    .map(|&id| id as usize)
+                    .filter(in_range)
+                    .peekable();
+                while let Some(start) = ids.next() {
+                    let mut end = start + 1;
+                    while ids.next_if_eq(&end).is_some() {
+                        end += 1;
+                    }
+                    table.extend_from(v, start..end);
+                }
+                Ok(table)
+            }
             BlockStore::Paged {
                 db, count, overlay, ..
             } => {
                 let held = || ids.iter().copied().filter(|id| id < count);
                 let on_pages: Vec<u32> = held().filter(|id| !overlay.contains_key(id)).collect();
-                let mut paged = db.load_blocks(&on_pages)?.into_iter();
-                Ok(held()
-                    .filter_map(|id| overlay.get(&id).cloned().or_else(|| paged.next()))
-                    .collect())
+                let paged = db.load_blocks(&on_pages)?;
+                if paged.len() == held().count() {
+                    return Ok(paged);
+                }
+                let mut paged = paged.iter();
+                let mut table = SealedBlocks::new();
+                for id in held() {
+                    match overlay.get(&id) {
+                        Some(b) => table.push(&**b),
+                        None => table.extend(paged.next()),
+                    }
+                }
+                Ok(table)
             }
         }
     }
 
     pub(crate) fn push(&mut self, block: SealedBlock) {
         match self {
-            BlockStore::Resident(v) => v.push(Arc::new(block)),
+            BlockStore::Resident(v) => v.push(&block),
             BlockStore::Paged {
                 count,
                 payload_bytes,
@@ -159,11 +186,8 @@ impl BlockStore {
     }
 
     /// Every block, in id order (pages the whole database in when paged).
-    pub(crate) fn collect(&self) -> Result<Vec<Arc<SealedBlock>>, CoreError> {
-        match self {
-            BlockStore::Resident(v) => Ok(v.clone()),
-            BlockStore::Paged { count, .. } => self.get_many(&(0..*count).collect::<Vec<u32>>()),
-        }
+    pub(crate) fn collect(&self) -> Result<SealedBlocks, CoreError> {
+        self.get_many(&(0..self.len() as u32).collect::<Vec<u32>>())
     }
 }
 
@@ -282,8 +306,8 @@ impl PagedDb {
         let building = suffixed(dir, ".tmp");
         let store = PagedStore::create_with(Arc::clone(&vfs), &building, opts)?;
         let mut dirty = resident_records(server);
-        for b in server.collect_blocks()? {
-            dirty.push((block_record_id(b.id), Some(encode_block_record(&b))));
+        for b in &server.collect_blocks()? {
+            dirty.push((block_record_id(b.id), Some(encode_block_record(b))));
         }
         store.checkpoint(&dirty, 0)?;
         drop(store);
@@ -364,15 +388,15 @@ impl PagedDb {
     /// snapshot, one pin per page, each block decoded straight from the
     /// pinned frame. What the read cost the pool is charged to the request
     /// this thread is serving.
-    pub(crate) fn load_blocks(&self, ids: &[u32]) -> Result<Vec<Arc<SealedBlock>>, CoreError> {
+    pub(crate) fn load_blocks(&self, ids: &[u32]) -> Result<SealedBlocks, CoreError> {
         if ids.is_empty() {
-            return Ok(Vec::new());
+            return Ok(SealedBlocks::new());
         }
         let t = Instant::now();
         let records: Vec<u64> = ids.iter().map(|&id| block_record_id(id)).collect();
-        let mut blocks = Vec::with_capacity(ids.len());
+        let mut blocks = SealedBlocks::with_capacity(ids.len(), 0);
         let cost = self.store.read_many(&records, |i, raw| {
-            blocks.push(Arc::new(decode_block_record(ids[i], &raw)?));
+            blocks.push(decode_block_record(ids[i], &raw)?);
             Ok(())
         })?;
         telemetry::with_profile(|p| {
@@ -578,26 +602,27 @@ fn decode_meta(bytes: &[u8], db: &Arc<PagedDb>) -> Result<Server, CoreError> {
 
 /// Block record layout: `[nonce 12][tag 16][ciphertext..]`. The id is the
 /// record id's low 32 bits, so it is not stored again.
-fn encode_block_record(b: &SealedBlock) -> Vec<u8> {
+fn encode_block_record<'a>(b: impl Into<SealedRef<'a>>) -> Vec<u8> {
+    let b = b.into();
     let mut out = Vec::with_capacity(28 + b.ciphertext.len());
     out.extend_from_slice(&b.nonce);
     out.extend_from_slice(&b.tag);
-    out.extend_from_slice(&b.ciphertext);
+    out.extend_from_slice(b.ciphertext);
     out
 }
 
-fn decode_block_record(id: u32, raw: &[u8]) -> Result<SealedBlock, exq_store::StoreError> {
+fn decode_block_record(id: u32, raw: &[u8]) -> Result<SealedRef<'_>, exq_store::StoreError> {
     if raw.len() < 28 {
         return Err(exq_store::StoreError::Corrupt(format!(
             "block record {id} truncated ({} bytes)",
             raw.len()
         )));
     }
-    Ok(SealedBlock {
+    Ok(SealedRef {
         id,
         nonce: raw[..12].try_into().unwrap(),
         tag: raw[12..28].try_into().unwrap(),
-        ciphertext: raw[28..].to_vec(),
+        ciphertext: &raw[28..],
     })
 }
 
@@ -650,7 +675,7 @@ pub fn checkpoint_once(server: &RwLock<Server>) -> Result<bool, CoreError> {
     // Only blocks not yet in pages are written: O(update), not O(db).
     for (id, b) in overlay {
         if !db.block_checkpointed(id) {
-            dirty.push((block_record_id(id), Some(encode_block_record(&b))));
+            dirty.push((block_record_id(id), Some(encode_block_record(&*b))));
         }
     }
     let folded = db.store.checkpoint(&dirty, wal_seq)?;
@@ -749,7 +774,7 @@ pub fn scrub_once(server: &RwLock<Server>, max_pages: usize) -> Result<ScrubOutc
             id if id >> 32 == 1 => {
                 let bid = (id & 0xFFFF_FFFF) as u32;
                 if let Some(b) = overlay.get(&bid) {
-                    dirty.push((id, Some(encode_block_record(b))));
+                    dirty.push((id, Some(encode_block_record(&**b))));
                 } else if let Some(raw) = db.store.salvage_record(id) {
                     dirty.push((id, Some(raw)));
                 } else if let Some(b) = wal_tail_block(&db, bid)? {

@@ -6,9 +6,8 @@
 //! value predicates are already OPESS ciphertext ranges (Figure 7). The
 //! server never sees plaintext sensitive tags or values.
 
-use exq_crypto::{SealedBlock, ValueRange};
+use exq_crypto::{SealedBlocks, ValueRange};
 use exq_xpath::{CmpOp, Literal};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Axes the server can evaluate over DSI intervals.
@@ -72,11 +71,14 @@ pub struct ServerResponse {
     /// Serialized pruned visible document (may be empty when nothing
     /// matched).
     pub pruned_xml: String,
-    /// Sealed blocks referenced by the pruned document. `Arc`-shared so
-    /// response assembly, the response cache, and the naive path never
-    /// copy ciphertext payloads (`Arc<T>: PartialEq` compares contents,
-    /// so response equality is unchanged).
-    pub blocks: Vec<Arc<SealedBlock>>,
+    /// Sealed blocks referenced by the pruned document, as one table: every
+    /// ciphertext end to end in one buffer. Assembly (and a response-cache
+    /// hit) copies each ciphertext once instead of cloning an `Arc` per
+    /// block, so the reply is two allocations however many blocks it
+    /// carries, and the client decodes and opens it the same way. The
+    /// price is memory: a cached reply holds its own ciphertexts and a
+    /// 40-byte entry per block, where it shared the store's blocks.
+    pub blocks: SealedBlocks,
     /// Time the server spent translating (DSI lookups) — §7.2's "query
     /// translation time on server".
     pub translate_time: Duration,
@@ -165,6 +167,7 @@ impl std::fmt::Display for SPred {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exq_crypto::SealedBlock;
 
     #[test]
     fn wire_size_grows_with_query() {
@@ -238,7 +241,7 @@ mod tests {
         use crate::codec::Message;
         let empty = ServerResponse {
             pruned_xml: "<r/>".into(),
-            blocks: vec![],
+            blocks: SealedBlocks::new(),
             translate_time: Duration::ZERO,
             process_time: Duration::ZERO,
             served_from_cache: false,
@@ -250,12 +253,14 @@ mod tests {
             Message::Answer(empty.clone()).encode_frame().len()
         );
         let with_block = ServerResponse {
-            blocks: vec![Arc::new(SealedBlock {
+            blocks: [&SealedBlock {
                 id: 0,
                 nonce: [0; 12],
                 ciphertext: vec![0xA5; 100],
                 tag: [0; 16],
-            })],
+            }]
+            .into_iter()
+            .collect(),
             ..empty.clone()
         };
         assert_eq!(

@@ -158,7 +158,7 @@ fn arb_response() -> impl Strategy<Value = ServerResponse> {
         .prop_map(
             |(pruned_xml, blocks, t1, t2, served_from_cache, spans)| ServerResponse {
                 pruned_xml,
-                blocks: blocks.into_iter().map(std::sync::Arc::new).collect(),
+                blocks: blocks.into_iter().collect(),
                 translate_time: Duration::from_nanos(t1 as u64),
                 process_time: Duration::from_nanos(t2 as u64),
                 served_from_cache,

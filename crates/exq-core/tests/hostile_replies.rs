@@ -17,7 +17,7 @@ use exq_crypto::{open_block, seal_block};
 use exq_xml::{Document, NodeId, NodeKind};
 use exq_xpath::{eval_document, Path};
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 const DOC: &str = r#"<hospital>
     <patient id="1"><pname>Betty</pname><SSN>763895</SSN><age>35</age>
@@ -128,7 +128,7 @@ fn sealed(client: &Client, (pruned, blocks): &Plain) -> ServerResponse {
         pruned_xml: pruned.clone(),
         blocks: blocks
             .iter()
-            .map(|(id, bytes)| Arc::new(seal_block(&key, *id, [*id as u8; 12], bytes)))
+            .map(|(id, bytes)| seal_block(&key, *id, [*id as u8; 12], bytes))
             .collect(),
         translate_time: std::time::Duration::ZERO,
         process_time: std::time::Duration::ZERO,

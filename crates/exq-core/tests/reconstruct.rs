@@ -55,7 +55,7 @@ fn reply_of_bytes(
         pruned_xml: pruned_xml.to_owned(),
         blocks: blocks
             .iter()
-            .map(|&(id, bytes)| std::sync::Arc::new(seal_block(&key, id, [id as u8; 12], bytes)))
+            .map(|&(id, bytes)| seal_block(&key, id, [id as u8; 12], bytes))
             .collect(),
         translate_time: Duration::ZERO,
         process_time: Duration::ZERO,
@@ -282,7 +282,9 @@ fn tampered_block_is_a_block_error_before_any_parse() {
         &[(1, "<a/>"), (2, "<b/>"), (3, "<c/>")],
     );
     let other_key = [0x5Au8; 32];
-    resp.blocks[1] = std::sync::Arc::new(seal_block(&other_key, 2, [2u8; 12], b"<b/>"));
+    let mut blocks: Vec<_> = resp.blocks.iter().map(|b| b.to_block()).collect();
+    blocks[1] = seal_block(&other_key, 2, [2u8; 12], b"<b/>");
+    resp.blocks = blocks.into_iter().collect();
     let err = client
         .post_process(&Path::parse("//a").unwrap(), &resp)
         .unwrap_err();
@@ -320,9 +322,9 @@ fn the_first_bad_block_is_reported_as_the_serial_loop_reported_it() {
     let not_text_early: &[u8] = b"<p>\xFF</p>";
     let not_text_late: &[u8] = b"<p>later \xC3</p>";
     let tamper = |resp: &mut ServerResponse, at: usize| {
-        let mut block = (*resp.blocks[at]).clone();
-        block.ciphertext[1] ^= 0x10;
-        resp.blocks[at] = std::sync::Arc::new(block);
+        let mut blocks: Vec<_> = resp.blocks.iter().map(|b| b.to_block()).collect();
+        blocks[at].ciphertext[1] ^= 0x10;
+        resp.blocks = blocks.into_iter().collect();
     };
     type Damage<'a> = &'a dyn Fn(&mut Vec<(u32, &'a [u8])>) -> Vec<usize>;
     let cases: [(&str, Damage); 5] = [

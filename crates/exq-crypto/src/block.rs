@@ -16,10 +16,14 @@
 //! and independent across blocks, which is what [`open_blocks`] and
 //! [`seal_blocks`] use: they take a whole reply (or a whole database) and
 //! run [`LANES`] blocks' chains and keystreams side by side.
+//!
+//! A reply's blocks are one [`SealedBlocks`] table: every ciphertext end to
+//! end in one buffer and a fixed-size entry per block, so thousands of
+//! small blocks travel, open and splice without an allocation each.
 
 use crate::chacha::{block_lanes, nonce_words, xor_lane, ChaCha20, LANES, MIN_BUSY_LANES};
 use crate::prf::{chunk_words, Prf};
-use std::borrow::Borrow;
+use std::ops::Range;
 
 /// Serialized per-block envelope overhead in bytes, approximating the W3C
 /// XML-Encryption metadata the paper's measured systems carried per block.
@@ -44,9 +48,216 @@ pub struct SealedBlock {
 impl SealedBlock {
     /// Total stored size, including the modeled envelope header.
     pub fn stored_size(&self) -> usize {
-        BLOCK_HEADER_BYTES + self.ciphertext.len() + TAG_BYTES
+        SealedRef::from(self).stored_size()
     }
 }
+
+/// A sealed block wherever its bytes are kept: on its own (a
+/// [`SealedBlock`]) or as one block of a [`SealedBlocks`] table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SealedRef<'a> {
+    pub id: u32,
+    pub nonce: [u8; 12],
+    pub ciphertext: &'a [u8],
+    pub tag: [u8; TAG_BYTES],
+}
+
+impl SealedRef<'_> {
+    /// Total stored size, including the modeled envelope header.
+    pub fn stored_size(&self) -> usize {
+        BLOCK_HEADER_BYTES + self.ciphertext.len() + TAG_BYTES
+    }
+
+    /// The block on its own.
+    pub fn to_block(&self) -> SealedBlock {
+        SealedBlock {
+            id: self.id,
+            nonce: self.nonce,
+            ciphertext: self.ciphertext.to_vec(),
+            tag: self.tag,
+        }
+    }
+}
+
+impl<'a> From<&'a SealedBlock> for SealedRef<'a> {
+    fn from(b: &'a SealedBlock) -> Self {
+        SealedRef {
+            id: b.id,
+            nonce: b.nonce,
+            ciphertext: &b.ciphertext,
+            tag: b.tag,
+        }
+    }
+}
+
+/// Sealed blocks in one buffer: every ciphertext end to end, and one
+/// fixed-size entry per block. Filling the table copies each ciphertext
+/// once; after that nothing of it costs an allocation per block.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SealedBlocks {
+    ciphertext: Vec<u8>,
+    entries: Vec<Entry>,
+}
+
+/// One block of a [`SealedBlocks`]: its ciphertext stops at `end` and
+/// starts where the previous block's stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    id: u32,
+    nonce: [u8; 12],
+    tag: [u8; TAG_BYTES],
+    end: usize,
+}
+
+impl SealedBlocks {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty table with room for `blocks` blocks of `bytes` ciphertext
+    /// bytes in all.
+    pub fn with_capacity(blocks: usize, bytes: usize) -> Self {
+        SealedBlocks {
+            ciphertext: Vec::with_capacity(bytes),
+            entries: Vec::with_capacity(blocks),
+        }
+    }
+
+    /// Number of blocks.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The `i`-th block, if there is one.
+    pub fn get(&self, i: usize) -> Option<SealedRef<'_>> {
+        let e = self.entries.get(i)?;
+        Some(SealedRef {
+            id: e.id,
+            nonce: e.nonce,
+            ciphertext: &self.ciphertext[self.span(i)],
+            tag: e.tag,
+        })
+    }
+
+    /// Every block, in table order.
+    pub fn iter(&self) -> SealedIter<'_> {
+        SealedIter {
+            ciphertext: &self.ciphertext,
+            entries: self.entries.iter(),
+            start: 0,
+        }
+    }
+
+    /// Appends a block, copying its ciphertext in.
+    pub fn push<'b>(&mut self, block: impl Into<SealedRef<'b>>) {
+        let b = block.into();
+        self.ciphertext.extend_from_slice(b.ciphertext);
+        self.entries.push(Entry {
+            id: b.id,
+            nonce: b.nonce,
+            tag: b.tag,
+            end: self.ciphertext.len(),
+        });
+    }
+
+    /// Appends blocks `run` of `other`, their ciphertexts in one copy.
+    pub fn extend_from(&mut self, other: &SealedBlocks, run: Range<usize>) {
+        let Some(last) = run.end.checked_sub(1).filter(|&l| l >= run.start) else {
+            return;
+        };
+        let from = other.span(run.start).start;
+        let to = other.entries[last].end;
+        let shift = self.ciphertext.len();
+        self.ciphertext
+            .extend_from_slice(&other.ciphertext[from..to]);
+        let moved = other.entries[run].iter().map(|e| Entry {
+            end: e.end - from + shift,
+            ..*e
+        });
+        self.entries.extend(moved);
+    }
+
+    /// Where block `i`'s ciphertext lies in the table's buffer.
+    fn span(&self, i: usize) -> Range<usize> {
+        span(&self.entries, i)
+    }
+}
+
+/// Where the `i`-th of `entries` lies: from the previous block's end to
+/// its own.
+fn span(entries: &[Entry], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { entries[i - 1].end };
+    start..entries[i].end
+}
+
+impl<'b, B: Into<SealedRef<'b>>> Extend<B> for SealedBlocks {
+    fn extend<I: IntoIterator<Item = B>>(&mut self, blocks: I) {
+        let blocks = blocks.into_iter();
+        self.entries.reserve(blocks.size_hint().0);
+        for b in blocks {
+            self.push(b);
+        }
+    }
+}
+
+impl<'b, B: Into<SealedRef<'b>>> FromIterator<B> for SealedBlocks {
+    fn from_iter<I: IntoIterator<Item = B>>(blocks: I) -> Self {
+        let mut table = SealedBlocks::new();
+        table.extend(blocks);
+        table
+    }
+}
+
+impl FromIterator<SealedBlock> for SealedBlocks {
+    fn from_iter<I: IntoIterator<Item = SealedBlock>>(blocks: I) -> Self {
+        let mut table = SealedBlocks::new();
+        for b in blocks {
+            table.push(&b);
+        }
+        table
+    }
+}
+
+impl<'a> IntoIterator for &'a SealedBlocks {
+    type Item = SealedRef<'a>;
+    type IntoIter = SealedIter<'a>;
+    fn into_iter(self) -> SealedIter<'a> {
+        self.iter()
+    }
+}
+
+/// The blocks of a [`SealedBlocks`], in table order: each ciphertext
+/// starts at `start`, where the last one stopped.
+#[derive(Debug, Clone)]
+pub struct SealedIter<'a> {
+    ciphertext: &'a [u8],
+    entries: std::slice::Iter<'a, Entry>,
+    start: usize,
+}
+
+impl<'a> Iterator for SealedIter<'a> {
+    type Item = SealedRef<'a>;
+    fn next(&mut self) -> Option<SealedRef<'a>> {
+        let e = self.entries.next()?;
+        let ciphertext = &self.ciphertext[self.start..e.end];
+        self.start = e.end;
+        Some(SealedRef {
+            id: e.id,
+            nonce: e.nonce,
+            ciphertext,
+            tag: e.tag,
+        })
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
+impl ExactSizeIterator for SealedIter<'_> {}
 
 /// Errors from opening a block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,12 +290,16 @@ pub fn seal_block(key: &[u8; 32], id: u32, nonce: [u8; 12], plaintext: &[u8]) ->
 }
 
 /// Opens a sealed block, verifying the tag first.
-pub fn open_block(key: &[u8; 32], block: &SealedBlock) -> Result<Vec<u8>, BlockCryptError> {
+pub fn open_block<'a>(
+    key: &[u8; 32],
+    block: impl Into<SealedRef<'a>>,
+) -> Result<Vec<u8>, BlockCryptError> {
+    let block = block.into();
     let [expected] = auth_tags(&Prf::new(*key), &[Job::sealed(block)]);
     if !tags_match(&expected, &block.tag) {
         return Err(BlockCryptError::BadTag);
     }
-    let mut plaintext = block.ciphertext.clone();
+    let mut plaintext = block.ciphertext.to_vec();
     ChaCha20::new(key, &block.nonce).apply_keystream(1, &mut plaintext);
     Ok(plaintext)
 }
@@ -99,76 +314,86 @@ fn tags_match(a: &[u8; TAG_BYTES], b: &[u8; TAG_BYTES]) -> bool {
 /// Seals many blocks, each given as `(id, nonce, plaintext)`: the same
 /// blocks [`seal_block`] makes one by one, in the order given.
 pub fn seal_blocks(key: &[u8; 32], blocks: &[(u32, [u8; 12], &[u8])]) -> Vec<SealedBlock> {
-    let jobs = blocks
-        .iter()
-        .map(|&(id, nonce, data)| Job::new(id, nonce, data));
-    let mut jobs = in_lane_order(jobs);
-    let sealed = keystream(key, &jobs);
-    for job in &mut jobs {
-        job.data = sealed.get(job.index);
-    }
-    let tags = batch_tags(key, &jobs);
-    let block = |(&(id, nonce, _), (ciphertext, tag)): (_, (&[u8], _))| SealedBlock {
+    let bytes = blocks.iter().map(|b| b.2.len()).sum();
+    let mut table = SealedBlocks::with_capacity(blocks.len(), bytes);
+    table.extend(blocks.iter().map(|&(id, nonce, ciphertext)| SealedRef {
         id,
         nonce,
-        ciphertext: ciphertext.to_vec(),
-        tag,
-    };
-    blocks
-        .iter()
-        .zip(sealed.iter().zip(tags))
-        .map(block)
-        .collect()
-}
-
-/// Opens many sealed blocks into one buffer, verifying every tag before any
-/// plaintext is produced. On failure, names the first block (by position in
-/// `blocks`) that did not verify.
-pub fn open_blocks<B: Borrow<SealedBlock>>(
-    key: &[u8; 32],
-    blocks: &[B],
-) -> Result<OpenedBlocks, (usize, BlockCryptError)> {
-    let jobs = in_lane_order(blocks.iter().map(|b| Job::sealed(b.borrow())));
-    let tags = batch_tags(key, &jobs);
-    let forged = |(expected, block): (_, &B)| !tags_match(expected, &block.borrow().tag);
-    match tags.iter().zip(blocks).position(forged) {
-        Some(i) => Err((i, BlockCryptError::BadTag)),
-        None => Ok(keystream(key, &jobs)),
+        ciphertext,
+        tag: [0; TAG_BYTES],
+    }));
+    let mut jobs = in_lane_order(
+        blocks
+            .iter()
+            .map(|&(id, nonce, data)| Job::new(id, nonce, data)),
+    );
+    let entries = &table.entries;
+    apply_keystream(key, &jobs, &mut table.ciphertext, |i| span(entries, i));
+    for job in &mut jobs {
+        job.data = &table.ciphertext[span(entries, job.index)];
     }
+    let tags = batch_tags(key, &jobs);
+    for (entry, tag) in table.entries.iter_mut().zip(tags) {
+        entry.tag = tag;
+    }
+    table.iter().map(|b| b.to_block()).collect()
 }
 
-/// The plaintexts of one [`open_blocks`] call, end to end in one buffer.
+/// Opens a table of sealed blocks into one buffer, verifying every tag
+/// before any plaintext is produced: the ciphertext is copied once and the
+/// keystream XORed over it. On failure, names the first block (by position
+/// in the table) that did not verify.
+pub fn open_blocks<'t>(
+    key: &[u8; 32],
+    blocks: &'t SealedBlocks,
+) -> Result<OpenedBlocks<'t>, (usize, BlockCryptError)> {
+    let jobs = in_lane_order(blocks.iter().map(Job::sealed));
+    let tags = batch_tags(key, &jobs);
+    let forged = |(expected, entry): (_, &Entry)| !tags_match(expected, &entry.tag);
+    if let Some(i) = tags.iter().zip(&blocks.entries).position(forged) {
+        return Err((i, BlockCryptError::BadTag));
+    }
+    let mut bytes = blocks.ciphertext.clone();
+    apply_keystream(key, &jobs, &mut bytes, |i| blocks.span(i));
+    Ok(OpenedBlocks { bytes, blocks })
+}
+
+/// The plaintexts of one [`open_blocks`] call, end to end in one buffer:
+/// block `i`'s plaintext lies where its ciphertext lay in the table.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpenedBlocks {
+pub struct OpenedBlocks<'t> {
     bytes: Vec<u8>,
-    /// `ends[i]` is where block `i`'s plaintext stops; it starts where block
-    /// `i - 1`'s stopped.
-    ends: Vec<usize>,
+    blocks: &'t SealedBlocks,
 }
 
-impl OpenedBlocks {
+impl OpenedBlocks<'_> {
     /// Number of blocks opened.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.blocks.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.blocks.is_empty()
     }
 
-    /// The plaintext of the `i`-th block given to [`open_blocks`].
+    /// The plaintext of the table's `i`-th block.
     pub fn get(&self, i: usize) -> &[u8] {
         &self.bytes[self.span(i)]
     }
 
-    /// Every plaintext, in the order the blocks were given.
-    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        (0..self.len()).map(|i| self.get(i))
+    /// Where the `i`-th block's plaintext lies in [`as_bytes`](Self::as_bytes).
+    pub fn span(&self, i: usize) -> Range<usize> {
+        self.blocks.span(i)
     }
 
-    fn span(&self, i: usize) -> std::ops::Range<usize> {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        start..self.ends[i]
+    /// Every plaintext, end to end in table order.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Every plaintext, in table order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        (0..self.len()).map(|i| self.get(i))
     }
 }
 
@@ -194,8 +419,8 @@ impl<'a> Job<'a> {
         }
     }
 
-    fn sealed(block: &'a SealedBlock) -> Self {
-        Job::new(block.id, block.nonce, &block.ciphertext)
+    fn sealed(block: SealedRef<'a>) -> Self {
+        Job::new(block.id, block.nonce, block.ciphertext)
     }
 
     /// Length of the tag input `"blocktag" | id | nonce | ciphertext`.
@@ -266,26 +491,14 @@ fn batch_tags(key: &[u8; 32], jobs: &[Job]) -> Vec<[u8; TAG_BYTES]> {
     tags
 }
 
-/// Every job's `data` XORed with its keystream (its nonce, block counters
-/// from 1), by position in the batch.
-fn keystream(key: &[u8; 32], jobs: &[Job]) -> OpenedBlocks {
-    let mut ends = vec![0; jobs.len()];
-    for job in jobs {
-        ends[job.index] = job.data.len();
-    }
-    let mut total = 0;
-    for end in &mut ends {
-        total += *end;
-        *end = total;
-    }
-    let mut out = OpenedBlocks {
-        bytes: vec![0; total],
-        ends,
-    };
-    for job in jobs {
-        let span = out.span(job.index);
-        out.bytes[span].copy_from_slice(job.data);
-    }
+/// XORs every job's keystream (its nonce, block counters from 1) over
+/// `bytes[span(job.index)]`, which is as long as the job's `data`.
+fn apply_keystream(
+    key: &[u8; 32],
+    jobs: &[Job],
+    bytes: &mut [u8],
+    span: impl Fn(usize) -> Range<usize>,
+) {
     let key_words = crate::chacha::key_words(key);
     for group in jobs.chunks(LANES) {
         let mut nonces = [[0; LANES]; 3];
@@ -301,20 +514,17 @@ fn keystream(key: &[u8; 32], jobs: &[Job]) -> OpenedBlocks {
         while reaching(done).count() >= MIN_BUSY_LANES {
             let ks = block_lanes::<LANES>(&key_words, &[1 + done as u32; LANES], &nonces);
             for (l, job) in group.iter().enumerate() {
-                let span = out.span(job.index);
-                if let Some(chunk) = out.bytes[span].chunks_mut(64).nth(done) {
+                if let Some(chunk) = bytes[span(job.index)].chunks_mut(64).nth(done) {
                     xor_lane(&ks, l, chunk);
                 }
             }
             done += 1;
         }
         for job in reaching(done) {
-            let span = out.span(job.index);
-            let rest = &mut out.bytes[span][64 * done..];
+            let rest = &mut bytes[span(job.index)][64 * done..];
             ChaCha20::new(key, &job.nonce).apply_keystream(1 + done as u32, rest);
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -371,6 +581,23 @@ mod tests {
         assert_eq!(open_block(&KEY, &b).unwrap(), Vec::<u8>::new());
     }
 
+    /// A run copied from another table is those blocks, wherever it lands
+    /// and whatever their lengths (an empty ciphertext and an empty run
+    /// among them).
+    #[test]
+    fn a_run_copies_as_its_blocks() {
+        let blocks: Vec<SealedBlock> = (0..6u32)
+            .map(|i| seal_block(&KEY, i, [i as u8; 12], &vec![b'x'; i as usize * 7]))
+            .collect();
+        let all: SealedBlocks = blocks.iter().collect();
+        let mut table: SealedBlocks = blocks[5..].iter().collect();
+        table.extend_from(&all, 1..4);
+        table.extend_from(&all, 2..2);
+        table.extend_from(&all, 0..1);
+        let want = [5, 1, 2, 3, 0].map(|i| &blocks[i]);
+        assert_eq!(table, want.into_iter().collect());
+    }
+
     /// The tag comparison looks at all sixteen bytes: a tag wrong only in
     /// its first byte and one wrong only in its last are both refused, one
     /// block at a time and inside a batch.
@@ -384,10 +611,10 @@ mod tests {
             blocks[13].tag[byte] ^= 0x80;
             assert_eq!(open_block(&KEY, &blocks[13]), Err(BlockCryptError::BadTag));
             assert_eq!(
-                open_blocks(&KEY, &blocks),
+                open_blocks(&KEY, &blocks.iter().collect()),
                 Err((13, BlockCryptError::BadTag))
             );
         }
-        assert_eq!(open_blocks(&KEY, &good).unwrap().len(), 20);
+        assert_eq!(open_blocks(&KEY, &good.iter().collect()).unwrap().len(), 20);
     }
 }

@@ -36,6 +36,7 @@ pub mod vernam;
 pub use bignum::BigUint;
 pub use block::{
     open_block, open_blocks, seal_block, seal_blocks, BlockCryptError, OpenedBlocks, SealedBlock,
+    SealedBlocks, SealedRef,
 };
 pub use chacha::ChaCha20;
 pub use keys::KeyChain;
@@ -51,6 +52,7 @@ pub use vernam::TagCipher;
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SealedBlock>();
+    assert_send_sync::<SealedBlocks>();
     assert_send_sync::<OpenedBlocks>();
     assert_send_sync::<BlockCryptError>();
     assert_send_sync::<ChaCha20>();

@@ -4,9 +4,9 @@
 
 use exq_crypto::{
     open_block, open_blocks, seal_block, seal_blocks, BlockCryptError, OpeKey, SealedBlock,
+    SealedBlocks,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Plaintext lengths on both sides of every boundary the batch path cares
 /// about: empty, the 12-byte absorb chunk, the 64-byte keystream block, the
@@ -86,17 +86,18 @@ proptest! {
         let batch = seal_blocks(&key, &items);
         prop_assert_eq!(&batch, &one_by_one);
 
-        let opened = open_blocks(&key, &batch).unwrap();
+        // What the client holds: the blocks as one table.
+        let table: SealedBlocks = batch.iter().collect();
+        let opened = open_blocks(&key, &table).unwrap();
         prop_assert_eq!(opened.len(), pts.len());
         prop_assert_eq!(opened.is_empty(), pts.is_empty());
         for (i, b) in batch.iter().enumerate() {
             prop_assert_eq!(opened.get(i).to_vec(), open_block(&key, b).unwrap());
             prop_assert_eq!(opened.get(i), pts[i].as_slice());
+            prop_assert_eq!(table.get(i), Some(b.into()));
         }
         prop_assert_eq!(opened.iter().count(), pts.len());
-        // What the client holds: shared blocks.
-        let shared: Vec<Arc<SealedBlock>> = batch.into_iter().map(Arc::new).collect();
-        prop_assert_eq!(open_blocks(&key, &shared).unwrap(), opened);
+        prop_assert_eq!(opened.as_bytes().to_vec(), pts.concat());
     }
 
     /// One flipped ciphertext bit or tag bit anywhere in a batch is reported
@@ -128,15 +129,16 @@ proptest! {
         let mut bad = good.clone();
         tamper(&mut bad[first]);
         prop_assert_eq!(open_block(&key, &bad[first]), Err(BlockCryptError::BadTag));
-        prop_assert_eq!(open_blocks(&key, &bad), Err((first, BlockCryptError::BadTag)));
+        let first_bad = |blocks: &[SealedBlock]| open_blocks(&key, &blocks.iter().collect()).err();
+        prop_assert_eq!(first_bad(&bad), Some((first, BlockCryptError::BadTag)));
         if second != first {
             tamper(&mut bad[second]);
             prop_assert_eq!(
-                open_blocks(&key, &bad),
-                Err((first.min(second), BlockCryptError::BadTag))
+                first_bad(&bad),
+                Some((first.min(second), BlockCryptError::BadTag))
             );
         }
-        prop_assert!(open_blocks(&key, &good).is_ok());
+        prop_assert_eq!(first_bad(&good), None);
     }
 
     /// `encrypt_many` is `encrypt` mapped, whatever the count, with the

@@ -12,7 +12,6 @@ use encrypted_xml::core::{Client, CoreError};
 use encrypted_xml::crypto::{open_block, seal_block};
 use encrypted_xml::workload::{hospital, xmark};
 use encrypted_xml::xpath::Path;
-use std::sync::Arc;
 
 /// Post-processes on a thread of its own: a client with no reply before.
 fn fresh(client: &Client, query: &Path, resp: &ServerResponse) -> Result<Vec<String>, CoreError> {
@@ -29,7 +28,7 @@ fn resealed(resp: &ServerResponse, from: &Client, to: &Client) -> ServerResponse
     let (from, to) = (from.state().keys.block_key(), to.state().keys.block_key());
     let blocks = resp.blocks.iter().map(|b| {
         let plain = open_block(&from, b).unwrap();
-        Arc::new(seal_block(&to, b.id, b.nonce, &plain))
+        seal_block(&to, b.id, b.nonce, &plain)
     });
     ServerResponse {
         blocks: blocks.collect(),
@@ -85,7 +84,9 @@ fn one_client_answers_every_reply_as_a_fresh_one_would() {
     let (people_query, people) = replies[2].clone();
     let mut tampered = people.clone();
     let half = tampered.blocks.len() / 2;
-    Arc::make_mut(&mut tampered.blocks[half]).ciphertext[0] ^= 0x01;
+    let mut blocks: Vec<_> = tampered.blocks.iter().map(|b| b.to_block()).collect();
+    blocks[half].ciphertext[0] ^= 0x01;
+    tampered.blocks = blocks.iter().collect();
     let mut no_id = people.clone();
     let marker = format!("<{BLOCK_MARKER_TAG} {BLOCK_ID_ATTR}=");
     let at = no_id.pruned_xml.len() / 2;

@@ -94,7 +94,7 @@ fn blocks_are_pairwise_distinct() {
     let resp = hosted.server.answer_naive().unwrap();
     let mut seen = std::collections::HashSet::new();
     for b in &resp.blocks {
-        assert!(seen.insert(b.ciphertext.clone()), "duplicate ciphertext");
+        assert!(seen.insert(b.ciphertext), "duplicate ciphertext");
     }
     // Only five distinct disease strings back those 100+ blocks.
     let distinct_plain: std::collections::HashSet<String> = eval_document(
