@@ -16,10 +16,13 @@
 //! version 3 keys each OPE coin by its tree node's position (see
 //! `exq_crypto::ope`), which moves every value-index ciphertext and query
 //! range, so a version-2 artifact would load and then answer value
-//! predicates wrongly. Only the current version loads; any other is a
-//! [`CoreError::Persist`] naming it. The paged store's metadata record,
-//! which holds the same value indexes, moved from version 1 to 2 with it
-//! (`crate::store`).
+//! predicates wrongly. Server version 4 seals blocks with RFC 8439's
+//! ChaCha20-Poly1305 tag (`exq_crypto::block`): nonces and ciphertexts are
+//! version 3's, every tag moved, so a version-3 artifact would load and
+//! then fail every block it ships. Only the current version loads; any
+//! other is a [`CoreError::Persist`] naming it. The paged store's metadata
+//! record moved with the server artifact (version 1 to 2, then 3;
+//! `crate::store`). The client file holds no tag and stays at version 3.
 //!
 //! Crash safety: an artifact ends with a CRC32 over everything before it,
 //! verified on load — a truncated or bit-flipped file yields a clean
@@ -40,12 +43,13 @@ use exq_xml::Document;
 use exq_xpath::Path;
 use std::collections::{HashMap, HashSet};
 
-const SERVER_MAGIC: &[u8; 6] = b"EXQSV3";
+const SERVER_MAGIC: &[u8; 6] = b"EXQSV4";
 const CLIENT_MAGIC: &[u8; 6] = b"EXQCL3";
 
 /// Refuses `data` when it starts with another version of `magic` (its last
-/// byte). Every format this guards holds OPE keys or ciphertexts, and a
-/// version bump moved them, so the remedy is always a fresh encryption.
+/// byte). Every format this guards holds keys or what was encrypted under
+/// them, and a version bump moved that, so the remedy is always a fresh
+/// encryption.
 pub(crate) fn refuse_other_version(
     data: &[u8],
     magic: &[u8; 6],
@@ -249,7 +253,7 @@ pub(crate) fn read_interval(r: &mut R) -> Result<Interval, CoreError> {
 // ------------------------------------------------------ server sections --
 //
 // The hosted state is written in two layouts: the single-file artifact
-// (`SERVER_MAGIC`, below) and the paged store's metadata record (`EXQPM2`,
+// (`SERVER_MAGIC`, below) and the paged store's metadata record (`EXQPM3`,
 // `crate::store`). They differ in where the posting lists and the sealed
 // blocks go; the sections here are the ones both carry, byte for byte, and
 // each has this one writer and this one reader.

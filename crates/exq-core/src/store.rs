@@ -55,10 +55,11 @@ use std::time::{Duration, Instant};
 
 pub use exq_store::{PoolStats, StoreFootprint, StoreOptions};
 
-/// Magic of the paged metadata record (record id 0). Version 2 holds value
-/// indexes under position-keyed OPE coins, like artifact version 3
+/// Magic of the paged metadata record (record id 0). Version 3 heads a
+/// store whose value indexes are under position-keyed OPE coins and whose
+/// blocks carry RFC 8439 tags, like server artifact version 4
 /// (`crate::persist`); any other version is refused.
-const META_MAGIC: &[u8; 6] = b"EXQPM2";
+const META_MAGIC: &[u8; 6] = b"EXQPM3";
 
 /// WAL record kind: an `InsertDelta` wire encoding.
 pub(crate) const KIND_INSERT: u8 = 1;

@@ -463,7 +463,7 @@ impl Client {
         let mut block_entries = Vec::with_capacity(targets.len());
         for ((i, &t), xml) in targets.iter().enumerate().zip(&plaintexts) {
             let id = slot.next_block_id + i as u32;
-            let nonce = keys.nonce("block-insert", slot.gap_lo ^ id as u64);
+            let nonce = keys.insert_nonce(id, xml.as_bytes());
             to_seal.push((id, nonce, xml.as_bytes()));
             let rep = labeling.interval(t).expect("target labeled");
             block_entries.push((rep, id));

@@ -108,31 +108,46 @@ fn paged_answers_match_resident_under_tiny_budget() {
 /// a typed error that names the version.
 #[test]
 fn version_one_paged_metadata_is_refused() {
+    paged_metadata_version_is_refused(b'1');
+}
+
+/// A paged store whose metadata record is version 2 predates RFC 8439
+/// block tags: every block it holds would fail its tag. It is refused the
+/// same way.
+#[test]
+fn version_two_paged_metadata_is_refused() {
+    paged_metadata_version_is_refused(b'2');
+}
+
+/// Imports a store, rewrites its metadata record's version byte to
+/// `version`, and expects open, migration and inspection to refuse it with
+/// a typed error naming that version.
+fn paged_metadata_version_is_refused(version: u8) {
     let (_, server) = hosted();
-    let dir = scratch("meta-v1");
+    let name = format!("meta-v{}", version as char);
+    let dir = scratch(&name);
     let path = dir.join("db.exq");
     server.save(&path).unwrap();
-    drop(PagedDb::open_or_migrate(&path, "meta-v1", tiny_opts()).unwrap());
+    drop(PagedDb::open_or_migrate(&path, &name, tiny_opts()).unwrap());
     let pages = PagedDb::pages_dir(&path);
     {
         let (store, _) = exq_store::PagedStore::open(&pages, tiny_opts()).unwrap();
         let mut meta = store.get(exq_index::paged::REC_META).unwrap();
         assert_eq!(&meta[..5], b"EXQPM");
-        meta[5] = b'1';
+        meta[5] = version;
         let folded = store.checkpointed_seq();
         (store.checkpoint(&[(exq_index::paged::REC_META, Some(meta))], folded)).unwrap();
     }
     let refusals = [
-        PagedDb::open(&pages, "meta-v1", tiny_opts()).map(|_| ()),
-        PagedDb::open_or_migrate(&path, "meta-v1", tiny_opts()).map(|_| ()),
+        PagedDb::open(&pages, &name, tiny_opts()).map(|_| ()),
+        PagedDb::open_or_migrate(&path, &name, tiny_opts()).map(|_| ()),
         PagedDb::inspect(&pages).map(|_| ()),
     ];
+    let named = format!("version {}", version as char);
     for refused in refusals {
         match refused {
-            Err(exq_core::CoreError::Persist(why)) => {
-                assert!(why.contains("version 1"), "{why}")
-            }
-            other => panic!("a version-1 paged store gave {other:?}"),
+            Err(exq_core::CoreError::Persist(why)) => assert!(why.contains(&named), "{why}"),
+            other => panic!("a {named} paged store gave {other:?}"),
         }
     }
     std::fs::remove_dir_all(&dir).ok();

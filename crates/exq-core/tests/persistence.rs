@@ -171,6 +171,25 @@ fn version_two_artifacts_are_refused() {
     }
 }
 
+/// Version-3 server artifacts predate RFC 8439 block tags: their blocks
+/// would load and then fail every tag a client checks. With an intact
+/// checksum they are refused, by a typed error that names the version. The
+/// client file holds no tag and is still version 3.
+#[test]
+fn version_three_server_artifacts_are_refused() {
+    let (client, server, _) = hosted();
+    let bytes = server.save_bytes().unwrap();
+    let body = [&bytes[..5], b"3", &bytes[6..bytes.len() - 4]].concat();
+    let crc = exq_core::codec::crc32(&[&body]);
+    match Server::load_bytes(&[body, crc.to_le_bytes().to_vec()].concat()) {
+        Err(exq_core::CoreError::Persist(why)) => {
+            assert!(why.contains("version 3"), "{why}")
+        }
+        other => panic!("a version-3 server artifact gave {:?}", other.map(|_| ())),
+    }
+    assert!(client.save_bytes().starts_with(b"EXQCL3"));
+}
+
 #[test]
 fn state_files_do_not_leak_plaintext() {
     let (client, server, _) = hosted();
@@ -185,7 +204,7 @@ fn state_files_do_not_leak_plaintext() {
     // so sanity-check the magic instead.
     let cbytes = client.save_bytes();
     assert!(cbytes.starts_with(b"EXQCL3"));
-    assert!(bytes.starts_with(b"EXQSV3"));
+    assert!(bytes.starts_with(b"EXQSV4"));
 }
 
 #[test]
@@ -195,7 +214,7 @@ fn bit_flips_anywhere_are_rejected() {
     // itself) across both artifacts.
     let (client, server, _) = hosted();
     for bytes in [server.save_bytes().unwrap(), client.save_bytes()] {
-        let is_server = bytes.starts_with(b"EXQSV3");
+        let is_server = bytes.starts_with(b"EXQSV4");
         let step = (bytes.len() / 64).max(1);
         for pos in (0..bytes.len()).step_by(step) {
             let mut flipped = bytes.clone();

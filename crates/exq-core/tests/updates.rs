@@ -379,6 +379,35 @@ fn mutated_server_replies_equal_a_reloaded_one() {
     same_replies(&client, &server, "delete");
 }
 
+/// An inserted block's nonce is a PRF of its id and its plaintext. Two
+/// different records prepared against one slot (a refused insert retried
+/// with another record) get the same block ids, and under one nonce their
+/// blocks would be a two-time pad and hand the server one Poly1305 key for
+/// two messages: their nonces differ. The same record prepared twice seals
+/// to the same bytes, as WAL replay needs.
+#[test]
+fn insert_nonces_differ_between_records_and_repeat_for_one() {
+    let (mut client, server) = hosted(SchemeKind::Opt);
+    let sq = client.translate("/hospital").unwrap().server_query.unwrap();
+    let slot = server.insertion_slot(server.locate(&sq)[0]).unwrap();
+    let other = r#"<patient><pname>Ann</pname><SSN>445566</SSN><age>31</age>
+    <insurance><policy coverage="8200">66666</policy></insurance></patient>"#;
+    let first = client.prepare_insert(&slot, NEW_PATIENT, 3).unwrap();
+    let second = client.prepare_insert(&slot, other, 3).unwrap();
+    assert!(!first.blocks.is_empty());
+    assert_eq!(first.blocks.len(), second.blocks.len());
+    for (a, b) in first.blocks.iter().zip(&second.blocks) {
+        assert_eq!(a.id, b.id);
+        assert_ne!(
+            a.nonce, b.nonce,
+            "block {}: one nonce for two records",
+            a.id
+        );
+    }
+    let again = client.prepare_insert(&slot, NEW_PATIENT, 3).unwrap();
+    assert_eq!(again.blocks, first.blocks);
+}
+
 /// Set-up labels a trailing text child too, but persistence keys intervals
 /// of elements and attributes only, and nothing reads a text interval. So
 /// no server counts one: a live server and the same server reopened from

@@ -1,28 +1,37 @@
 //! Encryption-block sealing.
 //!
 //! An encryption block is a serialized XML subtree (plus its decoy) that is
-//! encrypted as a unit and stored on the server opaquely. We seal with
-//! ChaCha20 plus a PRF-based authentication tag, and prepend a fixed header.
-//! The header models the W3C XML-Encryption envelope overhead the paper
+//! encrypted as a unit and stored on the server opaquely. We seal it with
+//! the ChaCha20-Poly1305 AEAD of RFC 8439, and prepend a fixed header. The
+//! header models the W3C XML-Encryption envelope overhead the paper
 //! mentions in §7.4 (`EncryptionType`, `EncryptionMethod`, …): its *size* is
 //! what makes fine-grained schemes pay a per-block constant, so we account
 //! for it explicitly.
 //!
-//! What a sealed block costs is ChaCha blocks: one for the tag chain's
-//! length prefix, one per 12 bytes of tag input (24 bytes of label, id and
-//! nonce, then the ciphertext), one to emit the tag, and one per 64 bytes
-//! of keystream — `2 + ceil((24 + len) / 12) + ceil(len / 64)`, so the tag
-//! is nine tenths of a 50-byte block. A chain is sequential inside a block
-//! and independent across blocks, which is what [`open_blocks`] and
-//! [`seal_blocks`] use: they take a whole reply (or a whole database) and
-//! run [`LANES`] blocks' chains and keystreams side by side.
+//! The ciphertext is the plaintext XORed with ChaCha20 keystream under the
+//! block's nonce from block counter 1. The tag is RFC 8439's: Poly1305,
+//! keyed by ChaCha20 block 0 under that nonce, over the 12-byte AAD
+//! `"blocktag" | id` and the ciphertext, each zero-padded to 16 bytes, then
+//! their two lengths. So a block costs one key block and `ceil(len / 64)`
+//! keystream blocks of ChaCha, and `ceil(len / 16) + 2` Poly1305 blocks.
+//! The AEAD's integrity rests on nonces never repeating under one key:
+//! set-up derives a block's nonce from its id, an insert from its id and
+//! plaintext (`exq-core`).
+//!
+//! Blocks are independent of each other, which is what [`open_blocks`] and
+//! [`seal_blocks`] use: they take a whole reply (or a whole database), draw
+//! [`LANES`] blocks' one-time keys and keystream in one pass each, and run
+//! four Poly1305 chains side by side. [`open_block`] and
+//! [`seal_block`] are the one-block instance of the same code.
 //!
 //! A reply's blocks are one [`SealedBlocks`] table: every ciphertext end to
 //! end in one buffer and a fixed-size entry per block, so thousands of
 //! small blocks travel, open and splice without an allocation each.
 
-use crate::chacha::{block_lanes, nonce_words, xor_lane, ChaCha20, LANES, MIN_BUSY_LANES};
-use crate::prf::{chunk_words, Prf};
+use crate::chacha::{
+    block_lanes, key_words, nonce_words, xor_lane, ChaCha20, LANES, MIN_BUSY_LANES,
+};
+use crate::poly1305::{block_words, Poly1305};
 use std::ops::Range;
 
 /// Serialized per-block envelope overhead in bytes, approximating the W3C
@@ -37,11 +46,12 @@ pub const TAG_BYTES: usize = 16;
 pub struct SealedBlock {
     /// Server-visible block id.
     pub id: u32,
-    /// Per-block nonce (fresh per block id and encryption run).
+    /// Per-block nonce: never the same for two different blocks under one
+    /// key.
     pub nonce: [u8; 12],
     /// Ciphertext bytes.
     pub ciphertext: Vec<u8>,
-    /// PRF authentication tag over (id, nonce, ciphertext).
+    /// RFC 8439 tag over (id, ciphertext) under a key drawn from the nonce.
     pub tag: [u8; TAG_BYTES],
 }
 
@@ -280,7 +290,7 @@ impl std::error::Error for BlockCryptError {}
 pub fn seal_block(key: &[u8; 32], id: u32, nonce: [u8; 12], plaintext: &[u8]) -> SealedBlock {
     let mut ciphertext = plaintext.to_vec();
     ChaCha20::new(key, &nonce).apply_keystream(1, &mut ciphertext);
-    let [tag] = auth_tags(&Prf::new(*key), &[Job::new(id, nonce, &ciphertext)]);
+    let tag = batch_tags(key, &[Job::new(id, nonce, &ciphertext)])[0];
     SealedBlock {
         id,
         nonce,
@@ -295,8 +305,7 @@ pub fn open_block<'a>(
     block: impl Into<SealedRef<'a>>,
 ) -> Result<Vec<u8>, BlockCryptError> {
     let block = block.into();
-    let [expected] = auth_tags(&Prf::new(*key), &[Job::sealed(block)]);
-    if !tags_match(&expected, &block.tag) {
+    if !tags_match(&batch_tags(key, &[Job::sealed(block)])[0], &block.tag) {
         return Err(BlockCryptError::BadTag);
     }
     let mut plaintext = block.ciphertext.to_vec();
@@ -397,8 +406,8 @@ impl OpenedBlocks<'_> {
     }
 }
 
-/// What the tag chain and the keystream need of one block: `data` is the
-/// ciphertext for the chain, and whichever side is at hand for the
+/// What the tag and the keystream need of one block: `data` is the
+/// ciphertext for the tag, and whichever side is at hand for the
 /// keystream. `index` is the block's position in its batch, which a batch
 /// goes through out of order.
 #[derive(Clone, Copy)]
@@ -423,35 +432,56 @@ impl<'a> Job<'a> {
         Job::new(block.id, block.nonce, block.ciphertext)
     }
 
-    /// Length of the tag input `"blocktag" | id | nonce | ciphertext`.
-    fn tag_input_len(&self) -> usize {
-        24 + self.data.len()
+    /// Whole 16-byte blocks of ciphertext.
+    fn whole_blocks(&self) -> usize {
+        self.data.len() / 16
     }
 
-    /// The `k`-th 12-byte chunk of the tag input: the label and id, the
-    /// nonce, then the ciphertext — the 24-byte front is exactly two chunks.
-    fn tag_input_chunk(&self, k: usize) -> [u32; 3] {
-        match k {
-            0 => [
-                u32::from_le_bytes(*b"bloc"),
-                u32::from_le_bytes(*b"ktag"),
-                self.id,
-            ],
-            1 => nonce_words(&self.nonce),
-            _ => chunk_words(self.data, k - 2),
+    /// The tag's first Poly1305 block: the AAD `"blocktag" | id`, padded.
+    fn aad_block(&self) -> [u64; 2] {
+        [u64::from_le_bytes(*b"blocktag"), self.id as u64]
+    }
+
+    /// Ciphertext block `k`, which is whole.
+    fn data_block(&self, k: usize) -> [u64; 2] {
+        let block = self.data[16 * k..16 * k + 16].try_into();
+        block_words(block.expect("a range of sixteen bytes"))
+    }
+
+    /// Poly1305 over the ciphertext from whole block `from` on, the last
+    /// part block zero-padded, then the lengths of the AAD and the
+    /// ciphertext: all the tag takes after the AAD and the blocks before.
+    fn finish_tag(&self, mac: &mut Poly1305, from: usize) {
+        for k in from..self.whole_blocks() {
+            mac.block(self.data_block(k));
         }
+        let tail = &self.data[16 * self.whole_blocks()..];
+        if !tail.is_empty() {
+            let mut padded = [0; 16];
+            padded[..tail.len()].copy_from_slice(tail);
+            mac.block(block_words(&padded));
+        }
+        mac.block([AAD_BYTES, self.data.len() as u64]);
     }
 }
 
+/// Length of the tag's AAD, `"blocktag" | id`.
+const AAD_BYTES: u64 = 12;
+
+/// How many blocks' Poly1305 chains run side by side: each block of a chain
+/// waits on the last one's multiplies, and a few chains fill that wait.
+const INTERLEAVE: usize = 4;
+
 /// Numbers a batch's jobs by position and puts them in the order they go
-/// through the lanes: ascending tag-chain length (a counting sort), so that
-/// the [`LANES`] blocks sharing a pass have chains and keystreams of nearly
-/// one length and few lanes idle. Only speed depends on the order.
+/// through the lanes: ascending count of 16-byte blocks (a counting sort),
+/// so that the blocks sharing a lane pass or an interleaved Poly1305 run
+/// are of nearly one length and few lanes idle. Only speed depends on the
+/// order.
 fn in_lane_order<'a>(jobs: impl ExactSizeIterator<Item = Job<'a>> + Clone) -> Vec<Job<'a>> {
-    // Chains this long are several lanes' worth of work each; how they are
+    // Blocks this long are several lanes' worth of work each; how they are
     // grouped no longer matters, so they share the last bucket.
     const BUCKETS: usize = 256;
-    let bucket = |job: &Job| job.tag_input_len().div_ceil(12).min(BUCKETS - 1);
+    let bucket = |job: &Job| job.data.len().div_ceil(16).min(BUCKETS - 1);
     let mut next = [0; BUCKETS];
     for job in jobs.clone() {
         next[bucket(&job)] += 1;
@@ -469,23 +499,53 @@ fn in_lane_order<'a>(jobs: impl ExactSizeIterator<Item = Job<'a>> + Clone) -> Ve
     sorted
 }
 
-/// The authentication tags of up to `N` jobs.
-fn auth_tags<const N: usize>(prf: &Prf, jobs: &[Job]) -> [[u8; TAG_BYTES]; N] {
-    let mut lens = [0; N];
-    for (len, job) in lens.iter_mut().zip(jobs) {
-        *len = job.tag_input_len();
+/// The nonces of up to [`LANES`] jobs, word-sliced for [`block_lanes`].
+fn sliced_nonces(group: &[Job]) -> [[u32; LANES]; 3] {
+    let mut nonces = [[0; LANES]; 3];
+    for (l, job) in group.iter().enumerate() {
+        for (lanes, word) in nonces.iter_mut().zip(nonce_words(&job.nonce)) {
+            lanes[l] = word;
+        }
     }
-    prf.eval_u128_lanes::<N>(&lens[..jobs.len()], |l, k| jobs[l].tag_input_chunk(k))
-        .map(u128::to_le_bytes)
+    nonces
 }
 
-/// The authentication tag of every job of a batch, by position in the batch.
+/// The tag of every job of a batch, by position in the batch. A lane
+/// group's one-time keys are ChaCha20 block 0 under each nonce, drawn in
+/// one pass (one block each below [`MIN_BUSY_LANES`]); their Poly1305
+/// chains then run [`INTERLEAVE`] at a time for as long as all of them
+/// have whole blocks left, and finish one at a time.
 fn batch_tags(key: &[u8; 32], jobs: &[Job]) -> Vec<[u8; TAG_BYTES]> {
-    let prf = Prf::new(*key);
+    let key_words = key_words(key);
     let mut tags = vec![[0; TAG_BYTES]; jobs.len()];
     for group in jobs.chunks(LANES) {
-        for (job, tag) in group.iter().zip(auth_tags::<LANES>(&prf, group)) {
-            tags[job.index] = tag;
+        let mut macs = [Poly1305::default(); LANES];
+        let nonces = sliced_nonces(group);
+        if group.len() >= MIN_BUSY_LANES {
+            let ks = block_lanes::<LANES>(&key_words, &[0; LANES], &nonces);
+            for (l, mac) in macs.iter_mut().enumerate() {
+                *mac = Poly1305::new(core::array::from_fn(|w| ks[w][l]));
+            }
+        } else {
+            for (l, mac) in macs.iter_mut().enumerate().take(group.len()) {
+                let ks = block_lanes::<1>(&key_words, &[0], &nonces.map(|w| [w[l]]));
+                *mac = Poly1305::new(core::array::from_fn(|w| ks[w][0]));
+            }
+        }
+        for (jobs, macs) in group.chunks(INTERLEAVE).zip(macs.chunks_mut(INTERLEAVE)) {
+            for (mac, job) in macs.iter_mut().zip(jobs) {
+                mac.block(job.aad_block());
+            }
+            let common = jobs.iter().map(Job::whole_blocks).min().unwrap_or(0);
+            for k in 0..common {
+                for (mac, job) in macs.iter_mut().zip(jobs) {
+                    mac.block(job.data_block(k));
+                }
+            }
+            for (mac, job) in macs.iter_mut().zip(jobs) {
+                job.finish_tag(mac, common);
+                tags[job.index] = mac.finish();
+            }
         }
     }
     tags
@@ -499,14 +559,9 @@ fn apply_keystream(
     bytes: &mut [u8],
     span: impl Fn(usize) -> Range<usize>,
 ) {
-    let key_words = crate::chacha::key_words(key);
+    let key_words = key_words(key);
     for group in jobs.chunks(LANES) {
-        let mut nonces = [[0; LANES]; 3];
-        for (l, job) in group.iter().enumerate() {
-            for (lanes, word) in nonces.iter_mut().zip(nonce_words(&job.nonce)) {
-                lanes[l] = word;
-            }
-        }
+        let nonces = sliced_nonces(group);
         // Keystream block `done` of every lane at once, for as long as
         // enough lanes reach that far; the longer ones finish on their own.
         let mut done = 0;
@@ -580,6 +635,51 @@ mod tests {
         let b = seal_block(&KEY, 1, [0u8; 12], b"");
         assert_eq!(open_block(&KEY, &b).unwrap(), Vec::<u8>::new());
     }
+
+    /// RFC 8439 §2.8.2, the AEAD test vector. Its AAD is twelve bytes, as
+    /// the block tag's is, so only the AAD block differs: the ciphertext
+    /// comes out of `seal_block`, and the tag out of the block path's
+    /// padding and lengths under the vector's own AAD.
+    #[test]
+    fn rfc_8439_aead_vector() {
+        let key: [u8; 32] = core::array::from_fn(|i| 0x80 + i as u8);
+        let nonce = [7, 0, 0, 0, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47];
+        let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer \
+you only one tip for the future, sunscreen would be it.";
+        let sealed = seal_block(&key, 1, nonce, plaintext);
+        assert_eq!(sealed.ciphertext, RFC_AEAD_CIPHERTEXT);
+
+        let one_time = ChaCha20::new(&key, &nonce).block(0);
+        let mut mac = Poly1305::new(core::array::from_fn(|w| {
+            u32::from_le_bytes(one_time[4 * w..4 * w + 4].try_into().unwrap())
+        }));
+        let aad = [
+            0x50, 0x51, 0x52, 0x53, 0xc0, 0xc1, 0xc2, 0xc3, 0xc4, 0xc5, 0xc6, 0xc7,
+        ];
+        let mut padded = [0; 16];
+        padded[..12].copy_from_slice(&aad);
+        mac.block(block_words(&padded));
+        Job::new(1, nonce, &sealed.ciphertext).finish_tag(&mut mac, 0);
+        assert_eq!(
+            mac.finish(),
+            [
+                0x1a, 0xe1, 0x0b, 0x59, 0x4f, 0x09, 0xe2, 0x6a, 0x7e, 0x90, 0x2e, 0xcb, 0xd0, 0x60,
+                0x06, 0x91
+            ]
+        );
+    }
+
+    /// RFC 8439 §2.8.2: the ciphertext of the sunscreen plaintext.
+    const RFC_AEAD_CIPHERTEXT: [u8; 114] = [
+        0xd3, 0x1a, 0x8d, 0x34, 0x64, 0x8e, 0x60, 0xdb, 0x7b, 0x86, 0xaf, 0xbc, 0x53, 0xef, 0x7e,
+        0xc2, 0xa4, 0xad, 0xed, 0x51, 0x29, 0x6e, 0x08, 0xfe, 0xa9, 0xe2, 0xb5, 0xa7, 0x36, 0xee,
+        0x62, 0xd6, 0x3d, 0xbe, 0xa4, 0x5e, 0x8c, 0xa9, 0x67, 0x12, 0x82, 0xfa, 0xfb, 0x69, 0xda,
+        0x92, 0x72, 0x8b, 0x1a, 0x71, 0xde, 0x0a, 0x9e, 0x06, 0x0b, 0x29, 0x05, 0xd6, 0xa5, 0xb6,
+        0x7e, 0xcd, 0x3b, 0x36, 0x92, 0xdd, 0xbd, 0x7f, 0x2d, 0x77, 0x8b, 0x8c, 0x98, 0x03, 0xae,
+        0xe3, 0x28, 0x09, 0x1b, 0x58, 0xfa, 0xb3, 0x24, 0xe4, 0xfa, 0xd6, 0x75, 0x94, 0x55, 0x85,
+        0x80, 0x8b, 0x48, 0x31, 0xd7, 0xbc, 0x3f, 0xf4, 0xde, 0xf0, 0x8e, 0x4b, 0x7a, 0x9d, 0xe5,
+        0x76, 0xd2, 0x65, 0x86, 0xce, 0xc6, 0x4b, 0x61, 0x16,
+    ];
 
     /// A run copied from another table is those blocks, wherever it lands
     /// and whatever their lengths (an empty ciphertext and an empty run

@@ -60,6 +60,21 @@ impl KeyChain {
         out
     }
 
+    /// The nonce of a block sealed after set-up: a PRF of its id and its
+    /// plaintext. Two different blocks never share one, whatever slot or id
+    /// they were prepared for, and sealing one block again (a retried
+    /// insert, a WAL replay) gives it the same nonce and the same bytes.
+    pub fn insert_nonce(&self, id: u32, plaintext: &[u8]) -> [u8; 12] {
+        let mut out = [0u8; 12];
+        let input = [
+            b"exq:nonce:block-insert".as_slice(),
+            &id.to_le_bytes(),
+            plaintext,
+        ];
+        self.master.fill(&input.concat(), &mut out);
+        out
+    }
+
     /// PRF for decoy value synthesis.
     pub fn decoy_prf(&self) -> Prf {
         Prf::new(self.master.derive_key("exq:decoy"))

@@ -19,7 +19,9 @@
 //!   Agrawal et al. \[3\]);
 //! * [`opess`] — Order-Preserving Encryption with Splitting and Scaling
 //!   (§5.2): frequency-flattening value transformation for the value index;
-//! * [`block`] — authenticated sealing of serialized subtree blocks;
+//! * [`block`] — authenticated sealing of serialized subtree blocks, with
+//!   the ChaCha20-Poly1305 AEAD of RFC 8439 (`poly1305` is its
+//!   authenticator);
 //! * [`bignum`] — exact big-integer combinatorics for the security theorems'
 //!   candidate-database counts;
 //! * [`keys`] — the client's key chain (master key → per-purpose subkeys).
@@ -30,6 +32,7 @@ pub mod chacha;
 pub mod keys;
 pub mod ope;
 pub mod opess;
+mod poly1305;
 pub mod prf;
 pub mod vernam;
 

@@ -1,23 +1,21 @@
 //! Keyed pseudo-random functions built on ChaCha20.
 //!
 //! The PRF maps arbitrary byte strings to pseudo-random output. It is used
-//! for key derivation, block nonces and tags, Vernam pad generation, and
-//! decoy synthesis. Construction: absorb the input into a 12-byte nonce
-//! with a simple Merkle–Damgård-style compression over ChaCha blocks, then
-//! emit keystream. This is *not* a general-purpose MAC design, but it is a
+//! for key derivation, block nonces, Vernam pad generation, and decoy
+//! synthesis. Construction: absorb the input into a 12-byte nonce with a
+//! simple Merkle–Damgård-style compression over ChaCha blocks, then emit
+//! keystream. This is *not* a general-purpose MAC design, but it is a
 //! perfectly serviceable PRF for a research system where the adversary
-//! model is the curious server of the paper.
+//! model is the curious server of the paper. Block tags do not go through
+//! it: they are RFC 8439's Poly1305 ([`crate::block`]).
 //!
 //! The absorb chain spends one ChaCha block per 12 input bytes and each
-//! step needs the one before it, so a single evaluation cannot go faster
-//! than the block function. Separate evaluations are independent, though:
-//! the crate-internal `Prf::eval_u128_lanes` runs up to `N` of them in
-//! lock-step on [`block_lanes`] (block tags go through it), and the
-//! one-input functions are its `N = 1` instance. OPE coins do not go
-//! through the absorb chain at all: each is one keystream block named by
-//! its tree node ([`crate::ope`]).
+//! step needs the one before it, so an evaluation cannot go faster than
+//! the block function; its inputs are short (a label and a counter, or an
+//! inserted block). OPE coins do not go through the absorb chain at all:
+//! each is one keystream block named by its tree node ([`crate::ope`]).
 
-use crate::chacha::{block_lanes, key_words, nonce_words, ChaCha20, MIN_BUSY_LANES};
+use crate::chacha::{block_lanes, key_words, nonce_words, ChaCha20};
 
 /// A keyed PRF.
 #[derive(Clone)]
@@ -33,7 +31,7 @@ impl std::fmt::Debug for Prf {
 
 /// The `k`-th 12-byte chunk of `input` as three little-endian words, the
 /// last chunk zero-padded: what one absorb step takes in.
-pub(crate) fn chunk_words(input: &[u8], k: usize) -> [u32; 3] {
+fn chunk_words(input: &[u8], k: usize) -> [u32; 3] {
     let rest = &input[k * 12..];
     let mut chunk = [0u8; 12];
     match rest.get(..12) {
@@ -59,8 +57,7 @@ impl Prf {
 
     /// Fills `out` with PRF output for `input`.
     pub fn fill(&self, input: &[u8], out: &mut [u8]) {
-        let nonce = self.absorb_lanes::<1>(&[input.len()], |_, k| chunk_words(input, k));
-        let cipher = ChaCha20::from_words(self.key, nonce.map(|[w]| w));
+        let cipher = ChaCha20::from_words(self.key, self.absorb(input));
         for (i, chunk) in out.chunks_mut(64).enumerate() {
             let ks = cipher.block(i as u32);
             chunk.copy_from_slice(&ks[..chunk.len()]);
@@ -81,82 +78,14 @@ impl Prf {
         u128::from_le_bytes(buf)
     }
 
-    /// [`eval_u128`](Self::eval_u128) of up to `N` inputs at once. Input `l`
-    /// is `lens[l]` bytes long and is read through `chunk(l, k)`, its `k`-th
-    /// 12-byte chunk in [`chunk_words`] form, so a caller whose input is a
-    /// concatenation never has to build it. Entries of the result past
-    /// `lens.len()` mean nothing.
-    pub(crate) fn eval_u128_lanes<const N: usize>(
-        &self,
-        lens: &[usize],
-        chunk: impl Fn(usize, usize) -> [u32; 3],
-    ) -> [u128; N] {
-        let nonces = self.absorb_lanes::<N>(lens, chunk);
-        if lens.len() >= MIN_BUSY_LANES {
-            return first_16_bytes(&self.key, &nonces);
-        }
-        let mut out = [0; N];
-        for (l, one) in out.iter_mut().enumerate().take(lens.len()) {
-            [*one] = first_16_bytes(&self.key, &nonces.map(|w| [w[l]]));
-        }
-        out
-    }
-
-    /// Compresses each input (see [`eval_u128_lanes`](Self::eval_u128_lanes)
-    /// for how they are given) to a 12-byte nonce by chaining ChaCha blocks
-    /// over its 12-byte chunks, a length block first to defend against
-    /// trivial extension collisions.
-    ///
-    /// The chains advance together, one [`block_lanes`] call per step, for
-    /// as long as [`MIN_BUSY_LANES`] of them still have input; a lane whose
-    /// input has run out keeps its state through a branch-free select. The
-    /// few chains that are longer than the rest finish one at a time.
-    fn absorb_lanes<const N: usize>(
-        &self,
-        lens: &[usize],
-        chunk: impl Fn(usize, usize) -> [u32; 3],
-    ) -> [[u32; N]; 3] {
-        assert!(lens.len() <= N, "more inputs than lanes");
-        let key = &self.key;
-        // Step 0 of a chain takes the length block, step `k` chunk `k - 1`.
-        let mut steps = [0; N];
-        for (n, len) in steps.iter_mut().zip(lens) {
-            *n = 1 + len.div_ceil(12);
-        }
-        let input = |l: usize, k: usize| match k {
-            0 => length_block(lens[l]),
-            _ => chunk(l, k - 1),
-        };
-        // Word-sliced like the block function's state: `state[w][l]` is
-        // word `w` of lane `l`'s chaining value.
-        let mut state = [[0u32; N]; 3];
-        let mut block = [[0u32; N]; 3];
-        // `done`: steps taken so far by every lane that has that many
-        let mut done = 0;
-        while steps.iter().filter(|&&n| n > done).count() >= MIN_BUSY_LANES {
-            let mut live = [0u32; N];
-            for l in 0..N {
-                if done < steps[l] {
-                    set_lane(&mut block, l, input(l, done));
-                    live[l] = !0;
-                }
-            }
-            let next = compress(key, &state, &block);
-            for w in 0..3 {
-                for l in 0..N {
-                    state[w][l] = (next[w][l] & live[l]) | (state[w][l] & !live[l]);
-                }
-            }
-            done += 1;
-        }
-        for l in 0..lens.len() {
-            let mut one = state.map(|w| [w[l]]);
-            for k in done..steps[l] {
-                one = compress(key, &one, &input(l, k).map(|w| [w]));
-            }
-            set_lane(&mut state, l, one.map(|[w]| w));
-        }
-        state
+    /// Compresses `input` to a 12-byte nonce by chaining ChaCha blocks over
+    /// its 12-byte chunks, a length block first to defend against trivial
+    /// extension collisions.
+    fn absorb(&self, input: &[u8]) -> [u32; 3] {
+        let chunks = (0..input.len().div_ceil(12)).map(|k| chunk_words(input, k));
+        std::iter::once(length_block(input.len()))
+            .chain(chunks)
+            .fold([0; 3], |state, block| compress(&self.key, state, block))
     }
 }
 
@@ -165,30 +94,12 @@ fn length_block(len: usize) -> [u32; 3] {
     [len as u32, (len as u64 >> 32) as u32, 0]
 }
 
-fn set_lane<const N: usize>(sliced: &mut [[u32; N]; 3], l: usize, words: [u32; 3]) {
-    for (lanes, word) in sliced.iter_mut().zip(words) {
-        lanes[l] = word;
-    }
-}
-
-/// One absorb step on every lane: `E(state ^ block) ^ block`, where `E` is
-/// the first 12 bytes of the ChaCha block whose nonce is its argument.
-#[inline(always)]
-fn compress<const N: usize>(
-    key: &[u32; 8],
-    state: &[[u32; N]; 3],
-    block: &[[u32; N]; 3],
-) -> [[u32; N]; 3] {
-    let xor = |a: &[u32; N], b: &[u32; N]| core::array::from_fn(|l| a[l] ^ b[l]);
-    let nonces = core::array::from_fn(|w| xor(&state[w], &block[w]));
-    let ks = block_lanes::<N>(key, &[COMPRESS_COUNTER; N], &nonces);
-    core::array::from_fn(|w| xor(&ks[w], &block[w]))
-}
-
-/// The first 16 keystream bytes under each nonce, as a little-endian `u128`.
-fn first_16_bytes<const N: usize>(key: &[u32; 8], nonces: &[[u32; N]; 3]) -> [u128; N] {
-    let ks = block_lanes::<N>(key, &[0; N], nonces);
-    core::array::from_fn(|l| (0..4).fold(0, |acc, w| acc | (ks[w][l] as u128) << (32 * w)))
+/// One absorb step: `E(state ^ block) ^ block`, where `E` is the first 12
+/// bytes of the ChaCha block whose nonce is its argument.
+fn compress(key: &[u32; 8], state: [u32; 3], block: [u32; 3]) -> [u32; 3] {
+    let nonce = core::array::from_fn(|w| [state[w] ^ block[w]]);
+    let ks = block_lanes::<1>(key, &[COMPRESS_COUNTER], &nonce);
+    core::array::from_fn(|w| ks[w][0] ^ block[w])
 }
 
 /// Domain-separation counter for the compression function, far away from the
@@ -198,7 +109,6 @@ const COMPRESS_COUNTER: u32 = 0xFEED_BEEF;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chacha::LANES;
 
     #[test]
     fn deterministic() {
@@ -265,30 +175,6 @@ mod tests {
         for &c in &ones {
             let frac = c as f64 / n as f64;
             assert!((0.42..0.58).contains(&frac), "biased bit: {frac}");
-        }
-    }
-
-    /// The lock-step evaluation against the one-input one: inputs whose
-    /// lengths straddle the 12-byte chunk boundary and differ widely inside
-    /// one batch (so lanes run out at different steps and the longest finish
-    /// alone), at batch sizes below, at and above the busy-lane threshold.
-    #[test]
-    fn lanes_match_one_at_a_time() {
-        let p = Prf::new([5u8; 32]);
-        let lens = [
-            0usize, 1, 11, 12, 13, 23, 24, 25, 64, 100, 7, 36, 35, 37, 300, 2,
-        ];
-        let inputs: Vec<Vec<u8>> = lens
-            .iter()
-            .map(|&n| (0..n).map(|i| (i * 7 + n) as u8).collect())
-            .collect();
-        for count in [0, 1, MIN_BUSY_LANES - 1, MIN_BUSY_LANES, 9, LANES] {
-            let batch = &inputs[..count];
-            let lens: Vec<usize> = batch.iter().map(Vec::len).collect();
-            let out = p.eval_u128_lanes::<LANES>(&lens, |l, k| chunk_words(&batch[l], k));
-            for (l, input) in batch.iter().enumerate() {
-                assert_eq!(out[l], p.eval_u128(input), "batch of {count}, input {l}");
-            }
         }
     }
 }

@@ -189,6 +189,64 @@ proptest! {
     }
 }
 
+/// Every plaintext length from 0 to 130 in one table, so the lane groups
+/// hold every mix of whole and part Poly1305 and keystream blocks, and the
+/// table's 131 blocks leave a last group of three: below the lane
+/// threshold and the interleave width. Prefixes of the table give the
+/// small counts.
+#[test]
+fn every_length_to_130_is_one_by_one() {
+    let key = [21u8; 32];
+    let pts: Vec<Vec<u8>> = (0..=130usize)
+        .map(|n| (0..n).map(|i| (i * 13 + n) as u8).collect())
+        .collect();
+    let items: Vec<(u32, [u8; 12], &[u8])> = pts
+        .iter()
+        .enumerate()
+        .map(|(i, pt)| (i as u32 * 5, nonce_of(i, 3), pt.as_slice()))
+        .collect();
+    for n in [0, 1, 2, 3, 4, 5, 15, 16, 17, 35, items.len()] {
+        let one_by_one: Vec<SealedBlock> = items[..n]
+            .iter()
+            .map(|&(id, nonce, pt)| seal_block(&key, id, nonce, pt))
+            .collect();
+        assert_eq!(seal_blocks(&key, &items[..n]), one_by_one, "{n} blocks");
+        let table: SealedBlocks = one_by_one.iter().collect();
+        let opened = open_blocks(&key, &table).unwrap();
+        for (i, b) in one_by_one.iter().enumerate() {
+            let one = open_block(&key, b).unwrap();
+            assert_eq!(opened.get(i), one, "{n} blocks, block {i}");
+        }
+    }
+}
+
+/// A forged tag at every position of one sixteen-block lane group is
+/// refused with that position: the blocks are of one length, so the table
+/// is one group, run as four interleaved Poly1305 runs of four.
+#[test]
+fn a_forged_tag_anywhere_in_a_lane_group_is_named() {
+    let key = [22u8; 32];
+    let pts: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 50]).collect();
+    let items: Vec<(u32, [u8; 12], &[u8])> = pts
+        .iter()
+        .enumerate()
+        .map(|(i, pt)| (i as u32, nonce_of(i, 5), pt.as_slice()))
+        .collect();
+    let good = seal_blocks(&key, &items);
+    assert!(open_blocks(&key, &good.iter().collect()).is_ok());
+    for at in 0..good.len() {
+        for byte in [0, 15] {
+            let mut forged = good.clone();
+            forged[at].tag[byte] ^= 1;
+            assert_eq!(
+                open_blocks(&key, &forged.iter().collect()).err(),
+                Some((at, BlockCryptError::BadTag)),
+                "tag byte {byte} of block {at}"
+            );
+        }
+    }
+}
+
 /// The counts the lane grouping could get wrong, exhaustively small.
 #[test]
 fn ope_many_at_every_small_count() {
