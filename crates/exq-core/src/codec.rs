@@ -42,6 +42,7 @@
 use crate::error::CoreError;
 use crate::telemetry::{Side, SpanRec};
 use crate::update::{DeleteOutcome, InsertDelta, InsertionSlot};
+use crate::visible::VisibleFragment;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::block::TAG_BYTES;
 use exq_crypto::{SealedBlock, SealedBlocks, SealedRef, ValueRange};
@@ -813,7 +814,12 @@ impl WireCodec for InsertionSlot {
 impl WireCodec for InsertDelta {
     fn encode_into(&self, enc: &mut Enc) {
         self.parent.encode_into(enc);
-        enc.str(&self.visible_fragment);
+        enc.str(&self.visible.xml);
+        enc.usize(self.visible.intervals.len());
+        for (ordinal, iv) in &self.visible.intervals {
+            enc.varint(*ordinal as u64);
+            iv.encode_into(enc);
+        }
         enc.usize(self.blocks.len());
         for b in &self.blocks {
             b.encode_into(enc);
@@ -838,7 +844,13 @@ impl WireCodec for InsertDelta {
 
     fn decode_from(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         let parent = Interval::decode_from(dec)?;
-        let visible_fragment = dec.str()?;
+        let xml = dec.str()?;
+        let n = dec.count(3)?;
+        let mut intervals = Vec::with_capacity(n);
+        for _ in 0..n {
+            let ordinal = dec.u32()?;
+            intervals.push((ordinal, Interval::decode_from(dec)?));
+        }
         let n = dec.count(MIN_BLOCK_LEN)?;
         let mut blocks = Vec::with_capacity(n);
         for _ in 0..n {
@@ -865,7 +877,7 @@ impl WireCodec for InsertDelta {
         }
         Ok(InsertDelta {
             parent,
-            visible_fragment,
+            visible: VisibleFragment { xml, intervals },
             blocks,
             dsi_entries,
             block_entries,
@@ -981,11 +993,12 @@ pub struct DecodedFrame {
 /// Every message that crosses the client↔server boundary. Requests are
 /// `0x01..=0x7F`, responses `0x80..=0xFF`.
 ///
-/// Retired codes, reserved and never to be reused: `0x09`/`0x88` (the
-/// cache-counter request and reply), `0x0C`/`0x8C` (a batch of read
-/// requests in one frame and its answer; a pipelined window carries many
-/// requests per connection instead) and `0x0D`/`0x8D` (the flight-recorder
-/// dump). A frame carrying one decodes to
+/// Retired codes, reserved and never to be reused: `0x07` (an insert whose
+/// visible fragment carried its intervals as annotation attributes; an
+/// insert is `0x0E`), `0x09`/`0x88` (the cache-counter request and reply),
+/// `0x0C`/`0x8C` (a batch of read requests in one frame and its answer; a
+/// pipelined window carries many requests per connection instead) and
+/// `0x0D`/`0x8D` (the flight-recorder dump). A frame carrying one decodes to
 /// [`CodecError::BadTag`] `{ context: "message" }` like any unknown type.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -1047,7 +1060,7 @@ impl Message {
             Message::ValueExtreme { .. } => 0x04,
             Message::Locate(_) => 0x05,
             Message::InsertionSlotReq(_) => 0x06,
-            Message::ApplyInsert(_) => 0x07,
+            Message::ApplyInsert(_) => 0x0E,
             Message::DeleteWhere(_) => 0x08,
             Message::MetricsReq => 0x0A,
             Message::Ping => 0x0B,
@@ -1123,7 +1136,7 @@ impl Message {
             }),
             0x05 => Ok(Message::Locate(ServerQuery::decode_from(dec)?)),
             0x06 => Ok(Message::InsertionSlotReq(Interval::decode_from(dec)?)),
-            0x07 => Ok(Message::ApplyInsert(InsertDelta::decode_from(dec)?)),
+            0x0E => Ok(Message::ApplyInsert(InsertDelta::decode_from(dec)?)),
             0x08 => Ok(Message::DeleteWhere(ServerQuery::decode_from(dec)?)),
             0x0A => Ok(Message::MetricsReq),
             0x0B => Ok(Message::Ping),
@@ -1469,7 +1482,10 @@ mod tests {
             Message::InsertionSlotReq(Interval { lo: 4, hi: 900 }),
             Message::ApplyInsert(InsertDelta {
                 parent: Interval { lo: 1, hi: 10_000 },
-                visible_fragment: "<x _exq_iv=\"2,9\"/>".into(),
+                visible: VisibleFragment {
+                    xml: "<x/>".into(),
+                    intervals: vec![(0, Interval { lo: 2, hi: 9 })],
+                },
                 blocks: vec![SealedBlock {
                     id: 0,
                     nonce: [1; 12],
@@ -1907,7 +1923,7 @@ mod tests {
                 tag,
             })
         };
-        for tag in [0x09, 0x0C, 0x0D, 0x88, 0x8C, 0x8D] {
+        for tag in [0x07, 0x09, 0x0C, 0x0D, 0x88, 0x8C, 0x8D] {
             let mut frame = Message::NaiveQuery.encode_frame_req(PROTOCOL_VERSION, 5, 9);
             frame[3] = tag;
             refresh_crc(&mut frame);

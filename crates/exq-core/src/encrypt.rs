@@ -22,12 +22,13 @@
 
 use crate::error::CoreError;
 use crate::scheme::EncryptionScheme;
+use crate::visible::VisibleFragment;
 use exq_crypto::{seal_blocks, KeyChain, OpeKey, OpessDraft, OpessPlan, SealedBlock, TagCipher};
 use exq_index::{
     dsi::{DsiLabeling, Interval},
     BlockTable, DsiIndexTable, ValueIndex,
 };
-use exq_xml::{Document, NodeId, NodeKind};
+use exq_xml::{escape_attr, escape_text, Document, NodeId, NodeKind};
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
@@ -199,10 +200,9 @@ impl EncryptStats {
 /// The full output of the owner-side pipeline.
 #[derive(Debug, Clone)]
 pub struct EncryptedOutput {
-    pub visible: Document,
-    /// DSI interval per visible-document arena slot (markers carry their
-    /// block's representative interval).
-    pub visible_intervals: Vec<Option<Interval>>,
+    /// The visible document and its intervals (markers carry their block's
+    /// representative interval).
+    pub visible: VisibleFragment,
     pub blocks: Vec<SealedBlock>,
     pub metadata: ServerMetadata,
     pub client_state: ClientCryptoState,
@@ -274,7 +274,7 @@ pub fn encrypt_database(
     let mut tags = TagMemo::new(keys.tag_cipher());
     let mut encrypted_tags = HashSet::new();
     let mut plain_tags = HashSet::new();
-    let (blocks, visible, visible_intervals, dsi_table, block_table) = thread::scope(|s| {
+    let (blocks, visible, dsi_table, block_table) = thread::scope(|s| {
         for _ in 0..workers.min(runs.len()) {
             s.spawn(descend);
         }
@@ -294,19 +294,8 @@ pub fn encrypt_database(
             seal_blocks(&keys.block_key(), &to_seal)
         };
 
-        // 6. Visible document + interval alignment.
-        let mut visible = Document::new();
-        let mut visible_intervals: Vec<Option<Interval>> = Vec::new();
-        build_visible(
-            &working,
-            working.root().unwrap(),
-            None,
-            &block_of,
-            scheme,
-            &labeling,
-            &mut visible,
-            &mut visible_intervals,
-        );
+        // 6. Visible document + its intervals.
+        let visible = build_visible(&working, &block_of, &labeling);
 
         // 7–8. DSI index table (with grouping) + block table.
         let mut dsi_entries = HashMap::new();
@@ -330,7 +319,7 @@ pub fn encrypt_database(
             BlockTable::new(&dsi_table, reps).expect("block roots are listed, disjoint subtrees");
 
         descend();
-        (blocks, visible, visible_intervals, dsi_table, block_table)
+        (blocks, visible, dsi_table, block_table)
     });
 
     // 9. Each plan finished from its runs, and its value index loaded.
@@ -343,7 +332,7 @@ pub fn encrypt_database(
         encrypt_time: start.elapsed(),
         block_count: blocks.len(),
         encrypted_bytes: blocks.iter().map(SealedBlock::stored_size).sum(),
-        visible_bytes: visible.serialized_size(),
+        visible_bytes: visible.xml.len(),
         dsi_entries: dsi_table.entry_count(),
         value_index_entries: value_entries,
         scheme_size: scheme.size(doc),
@@ -351,7 +340,6 @@ pub fn encrypt_database(
 
     Ok(EncryptedOutput {
         visible,
-        visible_intervals,
         blocks,
         metadata: ServerMetadata {
             dsi_table,
@@ -379,66 +367,92 @@ fn decoy_value(prf: &exq_crypto::Prf, i: u64) -> String {
         .collect()
 }
 
-/// Recursively builds the visible document, replacing block roots with
-/// markers and aligning intervals.
-#[allow(clippy::too_many_arguments)]
-fn build_visible(
+/// Writes the visible part of `working` as its writer would, each block
+/// root replaced by a marker naming its block, with the interval of each
+/// element and attribute written. The one builder of visible documents:
+/// set-up and inserts both call it.
+pub(crate) fn build_visible(
     working: &Document,
-    node: NodeId,
-    vis_parent: Option<NodeId>,
     block_of: &[Option<u32>],
-    scheme: &EncryptionScheme,
     labeling: &DsiLabeling,
-    visible: &mut Document,
-    intervals: &mut Vec<Option<Interval>>,
-) {
-    let record = |intervals: &mut Vec<Option<Interval>>, vis_id: NodeId, iv: Option<Interval>| {
-        if vis_id.index() >= intervals.len() {
-            intervals.resize(vis_id.index() + 1, None);
-        }
-        intervals[vis_id.index()] = iv;
+) -> VisibleFragment {
+    let mut w = VisibleWriter {
+        working,
+        block_of,
+        labeling,
+        frag: VisibleFragment::default(),
+        ordinal: 0,
     };
+    if let Some(root) = working.root() {
+        w.node(root);
+    }
+    w.frag
+}
 
-    // A block root becomes a marker.
-    if let Some(b) = block_of[node.index()] {
-        debug_assert_eq!(scheme.targets[b as usize].node, node);
-        let marker = visible.add_element(vis_parent, BLOCK_MARKER_TAG);
-        visible.add_attr(marker, BLOCK_ID_ATTR, &b.to_string());
-        record(intervals, marker, labeling.interval(node));
-        return;
+/// [`build_visible`]'s walk: `ordinal` counts the elements and attributes
+/// written so far.
+struct VisibleWriter<'a> {
+    working: &'a Document,
+    block_of: &'a [Option<u32>],
+    labeling: &'a DsiLabeling,
+    frag: VisibleFragment,
+    ordinal: u32,
+}
+
+impl VisibleWriter<'_> {
+    /// Takes the next ordinal, for `n`'s interval when it has one.
+    fn label(&mut self, n: Option<NodeId>) {
+        if let Some(n) = n {
+            let iv = self.labeling.interval(n).expect("every node is labeled");
+            self.frag.intervals.push((self.ordinal, iv));
+        }
+        self.ordinal += 1;
     }
 
-    match working.node(node).kind() {
-        NodeKind::Element(t) => {
-            let name = working.tag_name(*t).to_owned();
-            let el = visible.add_element(vis_parent, &name);
-            record(intervals, el, labeling.interval(node));
-            for &a in working.node(node).attrs() {
-                if let NodeKind::Attribute(at, v) = working.node(a).kind() {
-                    let an = working.tag_name(*at).to_owned();
-                    let attr = visible.add_attr(el, &an, v);
-                    record(intervals, attr, labeling.interval(a));
+    fn node(&mut self, node: NodeId) {
+        let working = self.working;
+        if let Some(b) = self.block_of[node.index()] {
+            // The marker carries the block root's interval; its id, none.
+            self.label(Some(node));
+            self.label(None);
+            let marker = format!("<{BLOCK_MARKER_TAG} {BLOCK_ID_ATTR}=\"{b}\"/>");
+            self.frag.xml.push_str(&marker);
+            return;
+        }
+        match working.node(node).kind() {
+            NodeKind::Text(t) => self.frag.xml.push_str(&escape_text(t)),
+            NodeKind::Element(t) => {
+                let name = working.tag_name(*t);
+                self.label(Some(node));
+                self.frag.xml.push('<');
+                self.frag.xml.push_str(name);
+                for &a in working.node(node).attrs() {
+                    if let NodeKind::Attribute(an, v) = working.node(a).kind() {
+                        self.label(Some(a));
+                        let xml = &mut self.frag.xml;
+                        xml.push(' ');
+                        xml.push_str(working.tag_name(*an));
+                        xml.push_str("=\"");
+                        xml.push_str(&escape_attr(v));
+                        xml.push('"');
+                    }
                 }
+                let children = working.node(node).children();
+                if children.is_empty() {
+                    self.frag.xml.push_str("/>");
+                    return;
+                }
+                self.frag.xml.push('>');
+                for &c in children {
+                    self.node(c);
+                }
+                let xml = &mut self.frag.xml;
+                xml.push_str("</");
+                xml.push_str(name);
+                xml.push('>');
             }
-            for &c in working.node(node).children() {
-                build_visible(
-                    working,
-                    c,
-                    Some(el),
-                    block_of,
-                    scheme,
-                    labeling,
-                    visible,
-                    intervals,
-                );
-            }
+            NodeKind::Attribute(..) => unreachable!("attributes handled with their element"),
         }
-        NodeKind::Text(v) => {
-            let p = vis_parent.expect("text under an element");
-            let txt = visible.add_text(p, v);
-            record(intervals, txt, labeling.interval(node));
-        }
-        NodeKind::Attribute(..) => unreachable!("attributes handled with their element"),
     }
 }
 
@@ -768,7 +782,7 @@ mod tests {
     #[test]
     fn visible_document_has_markers_not_secrets() {
         let (_, out) = encrypt(SchemeKind::Opt);
-        let xml = out.visible.to_xml();
+        let xml = &out.visible.xml;
         assert!(xml.contains(BLOCK_MARKER_TAG));
         // The node-type SC //insurance hides the whole insurance subtree.
         for secret in ["34221", "78543", "1000000", "policy", "coverage"] {
@@ -797,7 +811,7 @@ mod tests {
     fn top_scheme_single_block() {
         let (_, out) = encrypt(SchemeKind::Top);
         assert_eq!(out.blocks.len(), 1);
-        assert_eq!(out.visible.len(), 2); // marker + id attribute
+        assert_eq!(out.visible.xml, "<_exq_enc id=\"0\"/>");
     }
 
     #[test]
@@ -877,15 +891,27 @@ mod tests {
     #[test]
     fn visible_intervals_align() {
         let (_, out) = encrypt(SchemeKind::Opt);
-        for n in out.visible.iter() {
-            if out.visible.element_name(n) == Some(BLOCK_MARKER_TAG) {
-                let iv = out.visible_intervals[n.index()].expect("marker labeled");
-                // Marker interval must be a block representative.
-                let meta = &out.metadata;
-                let mut reps = meta.block_table.iter(&meta.dsi_table);
-                assert!(reps.any(|(rep, _)| rep == iv));
+        let visible = Document::parse(&out.visible.xml).unwrap();
+        assert_eq!(visible.to_xml(), out.visible.xml);
+        let nodes: Vec<NodeId> = visible
+            .iter()
+            .filter(|&n| !visible.node(n).is_text())
+            .collect();
+        let meta = &out.metadata;
+        let reps: Vec<Interval> = meta
+            .block_table
+            .iter(&meta.dsi_table)
+            .map(|(rep, _)| rep)
+            .collect();
+        let mut markers = 0;
+        for &(ordinal, iv) in &out.visible.intervals {
+            // A marker's interval must be a block representative.
+            if visible.element_name(nodes[ordinal as usize]) == Some(BLOCK_MARKER_TAG) {
+                assert!(reps.contains(&iv));
+                markers += 1;
             }
         }
+        assert_eq!(markers, reps.len());
     }
 
     #[test]

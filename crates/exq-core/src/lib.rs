@@ -82,3 +82,4 @@ pub use server::Server;
 pub use system::{HostedDatabase, OutsourceConfig, Outsourcer, QueryOutcome};
 pub use tenant::{Tenant, TenantRegistry, DEFAULT_DB};
 pub use transport::{InProcess, TcpTransport, Transport};
+pub use visible::VisibleFragment;

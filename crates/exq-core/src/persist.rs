@@ -6,11 +6,12 @@
 //! dependencies in the core): little-endian integers, length-prefixed
 //! strings/blobs, and a versioned magic header per artifact.
 //!
-//! Interval↔node alignment survives re-parsing because intervals are keyed
-//! by the node's *pre-order position among elements and attributes*, which
-//! is invariant under serialize→parse (text nodes are excluded: adjacent
-//! text merging could shift their positions, and the server never looks up
-//! text intervals).
+//! The visible document is stored as the client hands it over, a
+//! [`VisibleFragment`]: its text, and each interval keyed by its node's
+//! *pre-order position among elements and attributes*, which is invariant
+//! under serialize→parse (text nodes are excluded: adjacent text merging
+//! could shift their positions, and the server never looks up text
+//! intervals). Load reads it with the server's one reader.
 //!
 //! Versions: the magic's last byte. Version 2 added the trailing checksum;
 //! version 3 keys each OPE coin by its tree node's position (see
@@ -35,11 +36,11 @@ use crate::encrypt::{ClientCryptoState, OpessAttr, ServerMetadata, ValueCodec};
 use crate::error::CoreError;
 use crate::server::Server;
 use crate::store::BlockStore;
+use crate::visible::VisibleFragment;
 use exq_crypto::opess::{ChunkCipher, PlanEntry};
 use exq_crypto::{KeyChain, OpessPlan, SealedBlocks, SealedRef};
 use exq_index::dsi::Interval;
 use exq_index::{BlockTable, DsiIndexTable, Postings, ValueIndex};
-use exq_xml::Document;
 use exq_xpath::Path;
 use std::collections::{HashMap, HashSet};
 
@@ -258,8 +259,8 @@ pub(crate) fn read_interval(r: &mut R) -> Result<Interval, CoreError> {
 // blocks go; the sections here are the ones both carry, byte for byte, and
 // each has this one writer and this one reader.
 
-/// The visible document, then its interval annotations keyed by
-/// element/attribute pre-order position.
+/// The visible document, then its intervals keyed by element/attribute
+/// pre-order position.
 pub(crate) fn write_visible(w: &mut W, server: &Server) {
     w.string(server.visible_xml());
     let positions = server.interval_positions();
@@ -270,24 +271,18 @@ pub(crate) fn write_visible(w: &mut W, server: &Server) {
     }
 }
 
-/// Reads [`write_visible`]'s section: the serialized document (for
-/// [`parse_visible`]) and the position → interval map.
-pub(crate) fn read_visible(r: &mut R) -> Result<(String, HashMap<usize, Interval>), CoreError> {
+/// Reads [`write_visible`]'s section as written; the server's reader
+/// checks it.
+pub(crate) fn read_visible(r: &mut R) -> Result<VisibleFragment, CoreError> {
     let xml = r.string()?;
     let n = r.count(24)?;
-    let mut pos_intervals = HashMap::with_capacity(n);
+    let mut intervals = Vec::with_capacity(n);
     for _ in 0..n {
-        let pos = r.u64()? as usize;
-        pos_intervals.insert(pos, read_interval(r)?);
+        let ordinal = u32::try_from(r.u64()?)
+            .map_err(|_| R::err("visible doc: an ordinal names no element or attribute"))?;
+        intervals.push((ordinal, read_interval(r)?));
     }
-    Ok((xml, pos_intervals))
-}
-
-pub(crate) fn parse_visible(xml: &str) -> Result<Document, CoreError> {
-    if xml.is_empty() {
-        return Ok(Document::new());
-    }
-    Document::parse(xml).map_err(|e| CoreError::Persist(format!("visible doc: {e}")))
+    Ok(VisibleFragment { xml, intervals })
 }
 
 /// The DSI table's posting lists in persisted order. The backing map
@@ -432,7 +427,7 @@ impl Server {
     pub fn load_bytes(data: &[u8]) -> Result<Server, CoreError> {
         refuse_other_version(data, SERVER_MAGIC, "server state file")?;
         let mut r = R::new(checked_body(data, SERVER_MAGIC, "server")?);
-        let (visible_xml, pos_intervals) = read_visible(&mut r)?;
+        let visible = read_visible(&mut r)?;
 
         let mut dsi_entries = Vec::new();
         for _ in 0..r.count(16)? {
@@ -458,8 +453,7 @@ impl Server {
         }
 
         Server::from_store_parts(
-            parse_visible(&visible_xml)?,
-            pos_intervals,
+            &visible,
             metadata_from(dsi_entries, blocks, value_indexes)?,
             BlockStore::Resident(sealed),
             dead,
@@ -653,6 +647,7 @@ mod tests {
     use crate::constraints::SecurityConstraint;
     use crate::scheme::SchemeKind;
     use crate::system::{OutsourceConfig, Outsourcer};
+    use exq_xml::Document;
 
     /// Three patients, their ages encrypted.
     fn hosted() -> Server {
@@ -735,6 +730,104 @@ mod tests {
             &[le(unlisted), id.to_le_bytes().to_vec()].concat(),
         );
         assert!(msg.contains("representative"), "{msg}");
+    }
+
+    /// Three patients, their ages encrypted and each name keyed by `k`:
+    /// the visible document's last node is an attribute.
+    fn keyed() -> Server {
+        let doc = Document::parse(
+            "<h><p><age>30</age><n k=\"1\">a</n></p><p><age>41</age><n k=\"2\">b</n></p>\
+             <p><age>52</age><n k=\"3\">c</n></p></h>",
+        )
+        .unwrap();
+        let cs = [SecurityConstraint::parse("//age").unwrap()];
+        Outsourcer::new(OutsourceConfig::default())
+            .outsource(&doc, &cs, SchemeKind::Opt, 5)
+            .unwrap()
+            .split()
+            .1
+    }
+
+    /// A visible section's pair as written.
+    fn pair((ordinal, iv): (u32, Interval)) -> Vec<u8> {
+        [(ordinal as u64).to_le_bytes().to_vec(), le(iv)].concat()
+    }
+
+    /// `bytes` with the visible section's pairs `from` (consecutive, as
+    /// written) replaced by `to`, its pair count set to match, the
+    /// checksum resealed, then loaded: a persist error, whose message is
+    /// returned.
+    fn load_with_pairs(
+        server: &Server,
+        from: &[(u32, Interval)],
+        to: &[(u32, Interval)],
+    ) -> String {
+        let bytes = server.save_bytes().unwrap();
+        assert!(Server::load_bytes(&bytes).is_ok());
+        let count_at = 6 + 8 + server.visible_xml().len();
+        let pairs = server.interval_positions();
+        let (from, to) = (from.iter().copied(), to.iter().copied());
+        let (from, to): (Vec<u8>, Vec<u8>) =
+            (from.flat_map(pair).collect(), to.flat_map(pair).collect());
+        let at = bytes.windows(from.len()).position(|w| w == from).unwrap();
+        assert!(at > count_at && at < count_at + 8 + 24 * pairs.len());
+        let count = pairs.len() + to.len() / 24 - from.len() / 24;
+        let edited = [
+            &bytes[..count_at],
+            &(count as u64).to_le_bytes(),
+            &bytes[count_at + 8..at],
+            &to,
+            &bytes[at + from.len()..bytes.len() - 4],
+        ]
+        .concat();
+        match Server::load_bytes(&seal_checksum(edited)) {
+            Err(CoreError::Persist(msg)) => msg,
+            other => panic!("expected a persist error, got {other:?}"),
+        }
+    }
+
+    /// A pair whose ordinal is past the visible document's last element or
+    /// attribute is refused; it would leave that attribute unplaced.
+    #[test]
+    fn an_ordinal_naming_no_node_is_refused() {
+        let server = keyed();
+        let last = *server.interval_positions().last().unwrap();
+        let msg = load_with_pairs(&server, &[last], &[(last.0 + 5, last.1)]);
+        assert!(msg.contains("names no element or attribute"), "{msg}");
+    }
+
+    /// Two pairs written out of ordinal order are refused.
+    #[test]
+    fn ordinals_out_of_order_are_refused() {
+        let server = keyed();
+        let pairs = server.interval_positions();
+        let (a, b) = (pairs[1], pairs[2]);
+        let msg = load_with_pairs(&server, &[a, b], &[b, a]);
+        assert!(msg.contains("do not ascend"), "{msg}");
+    }
+
+    /// A pair whose interval the DSI table does not list is refused; it
+    /// would leave its attribute out of every answer.
+    #[test]
+    fn an_interval_outside_the_universe_is_refused() {
+        let server = keyed();
+        let u = server.metadata().dsi_table.universe();
+        let pairs = server.interval_positions();
+        let (o, iv) = pairs[pairs.len() - 1];
+        let stray = Interval::new(iv.lo, iv.hi - 1);
+        assert!(u.find(&stray).is_none());
+        let msg = load_with_pairs(&server, &[(o, iv)], &[(o, stray)]);
+        assert!(msg.contains("not in the index"), "{msg}");
+    }
+
+    /// An attribute's pair left out, so its position has no visible node
+    /// and no block covers it, is refused.
+    #[test]
+    fn a_position_neither_visible_nor_in_a_block_is_refused() {
+        let server = keyed();
+        let last = *server.interval_positions().last().unwrap();
+        let msg = load_with_pairs(&server, &[last], &[]);
+        assert!(msg.contains("neither visible nor inside a block"), "{msg}");
     }
 
     /// A value index whose entries are out of key order, in an artifact

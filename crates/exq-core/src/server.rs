@@ -47,16 +47,15 @@ use crate::encrypt::{EncryptedOutput, ServerMetadata};
 use crate::error::CoreError;
 use crate::store::{BlockStore, PagedDb};
 use crate::telemetry;
-use crate::update::{CheckedInsert, FragmentAttr, InsertDelta};
-use crate::visible::VisibleText;
+use crate::update::{CheckedInsert, InsertDelta};
+use crate::visible::{VisibleFragment, VisibleText};
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::{SealedBlock, SealedBlocks};
 use exq_index::dsi::Interval;
 use exq_index::sjoin::{
-    join_order, least_child, least_desc, semijoin_anc, semijoin_child, semijoin_desc,
-    semijoin_parent, IntervalUniverse, NONE,
+    least_child, least_desc, semijoin_anc, semijoin_child, semijoin_desc, semijoin_parent,
+    IntervalUniverse, NONE,
 };
-use exq_xml::{Document, NodeId, NodeKind};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -133,24 +132,19 @@ struct Evaluated<'q> {
 }
 
 impl Server {
-    /// Builds the server from the owner's encrypted output: its visible
-    /// document is written once, with spans, and not kept.
+    /// Builds the server from the owner's encrypted output, reading its
+    /// visible fragment as a load reads a persisted one.
     pub fn new(out: &EncryptedOutput) -> Server {
-        let u = out.metadata.dsi_table.universe();
-        let position: Vec<Option<u32>> = (out.visible_intervals.iter())
-            .map(|iv| u.find(iv.as_ref()?))
-            .collect();
         let bytes = out.blocks.iter().map(|b| b.ciphertext.len()).sum();
         let mut resident = SealedBlocks::with_capacity(out.blocks.len(), bytes);
         resident.extend(&out.blocks);
-        Server {
-            visible: VisibleText::new(&out.visible, &position, u)
-                .expect("the owner's visible document follows its index"),
-            metadata: out.metadata.clone(),
-            blocks: BlockStore::Resident(resident),
-            dead_blocks: HashSet::new(),
-            caches: ServerCaches::default(),
-        }
+        Server::from_store_parts(
+            &out.visible,
+            out.metadata.clone(),
+            BlockStore::Resident(resident),
+            HashSet::new(),
+        )
+        .expect("the owner's visible document follows its index")
     }
 
     /// The DSI table's interval universe: the positions the matcher joins.
@@ -295,50 +289,22 @@ impl Server {
     /// can fail. The blocks are appended, the run of new intervals is
     /// spliced into the metadata ([`ServerMetadata::splice_in`]) as the last
     /// members of the parent's subtree — `k` new positions, every later one
-    /// moved up by `k` — and the fragment, with its real attributes only,
-    /// is written with spans into the visible text as the parent's last
-    /// content.
+    /// moved up by `k` — and the fragment's text and spans go into the
+    /// visible text as the parent's last content.
     pub(crate) fn splice_insert(&mut self, delta: &InsertDelta, checked: CheckedInsert) {
-        let CheckedInsert {
-            under,
-            mut frag,
-            annotated,
-            run,
-        } = checked;
+        let CheckedInsert { under, frag, run } = checked;
         for b in &delta.blocks {
             self.blocks.push(b.clone());
         }
         let at = self.metadata.splice_in(
             under,
-            &run,
+            run.members(),
             &delta.dsi_entries,
             &delta.block_entries,
             &delta.value_entries,
         );
-        let annotations: Vec<NodeId> = frag
-            .iter()
-            .filter(|&n| match frag.node(n).kind() {
-                NodeKind::Attribute(t, _) => {
-                    FragmentAttr::of(frag.tag_name(*t)) != FragmentAttr::Real
-                }
-                _ => false,
-            })
-            .collect();
-        for a in annotations {
-            frag.detach(a);
-        }
-        let mut text = String::new();
-        let mut spans = vec![None; run.len()];
-        if let Some(root) = frag.root() {
-            frag.write_spans(root, &mut text, &mut |n, span| {
-                if let Some(iv) = annotated[n.index()] {
-                    let i = run.binary_search_by(|m| join_order(m, &iv));
-                    spans[i.expect("an annotation is in the run")] = Some(span);
-                }
-            });
-        }
         let u = self.metadata.dsi_table.universe();
-        self.visible.splice_in(u, under, at, &text, &spans);
+        self.visible.splice_in(u, under, at, frag);
         self.caches.bump_generation();
     }
 
@@ -363,7 +329,7 @@ impl Server {
 
     /// `(pre-order position among elements+attributes, interval)` pairs for
     /// the visible document — the persistence keying of its spans.
-    pub(crate) fn interval_positions(&self) -> Vec<(usize, Interval)> {
+    pub(crate) fn interval_positions(&self) -> Vec<(u32, Interval)> {
         self.visible.interval_positions(self.universe())
     }
 
@@ -379,25 +345,19 @@ impl Server {
         v
     }
 
-    /// Reassembles a server from persisted parts around its block store:
-    /// resident on artifact load, paged on open. `doc` is the parsed
-    /// visible document, written once with spans and then dropped;
-    /// `pos_intervals` keys its elements and attributes by pre-order
-    /// ordinal. A document that does not follow the index is refused.
+    /// Assembles a server around its block store: resident at set-up and
+    /// on artifact load, paged on open. The visible fragment is read over
+    /// the metadata's universe ([`VisibleText::read`]); one that does not
+    /// follow the index is refused.
     pub(crate) fn from_store_parts(
-        doc: Document,
-        pos_intervals: HashMap<usize, Interval>,
+        visible: &VisibleFragment,
         metadata: ServerMetadata,
         blocks: BlockStore,
         dead_blocks: HashSet<u32>,
     ) -> Result<Server, CoreError> {
         let u = metadata.dsi_table.universe();
-        let mut position = vec![None; doc.arena_len()];
-        let nodes = doc.iter().filter(|&n| !doc.node(n).is_text());
-        for (ordinal, n) in nodes.enumerate() {
-            position[n.index()] = pos_intervals.get(&ordinal).and_then(|iv| u.find(iv));
-        }
-        let visible = VisibleText::new(&doc, &position, u)
+        let covered = |p| metadata.block_table.block_at(p).is_some();
+        let visible = VisibleText::read(visible, u, covered)
             .map_err(|why| CoreError::Persist(format!("visible doc: {why}")))?;
         Ok(Server {
             visible,
@@ -833,6 +793,7 @@ mod tests {
     use crate::wire::{SAxis, SStep};
     use exq_index::sjoin::sort_intervals;
     use exq_index::DsiIndexTable;
+    use exq_xml::Document;
 
     #[test]
     fn locate_finds_plain_tags() {
@@ -1034,6 +995,7 @@ mod splice_tests {
     use crate::system::{OutsourceConfig, Outsourcer};
     use crate::Client;
     use exq_index::{BlockTable, DsiIndexTable};
+    use exq_xml::{Document, NodeId};
     use proptest::prelude::*;
 
     /// Records to insert: plain, with a block inside, wholly a block, a
@@ -1094,8 +1056,9 @@ mod splice_tests {
     /// The spliced metadata against a fresh build over the DSI table's own
     /// entries and the block table's own representatives. The visible text
     /// is what the writer writes of it, reparsed, and its spans equal those
-    /// a fresh build over that parse records: they place every element and
-    /// every attribute but a marker's block id, in document order.
+    /// the one reader finds over the fresh build: they place every element
+    /// and every attribute but a marker's block id, in document order, and
+    /// every position without one is in a block.
     fn assert_fresh(s: &Server, step: &str) {
         let dsi = &s.metadata.dsi_table;
         let lists = dsi.iter().map(|(tag, list)| (tag, list.iter().copied()));
@@ -1112,21 +1075,21 @@ mod splice_tests {
         assert_eq!(doc.to_xml(), xml, "visible text after {step}");
         let nodes: Vec<NodeId> = doc.iter().filter(|&n| !doc.node(n).is_text()).collect();
         let marker = |n: NodeId| doc.element_name(n) == Some(BLOCK_MARKER_TAG);
-        let placed: Vec<usize> = (0..nodes.len())
+        let placed: Vec<u32> = (0..nodes.len() as u32)
             .filter(|&i| {
-                !doc.node(nodes[i])
+                let n = nodes[i as usize];
+                !doc.node(n)
                     .parent()
-                    .is_some_and(|p| doc.node(nodes[i]).is_attribute() && marker(p))
+                    .is_some_and(|p| doc.node(n).is_attribute() && marker(p))
             })
             .collect();
-        let positions = s.interval_positions();
-        let ordinals: Vec<usize> = positions.iter().map(|&(ordinal, _)| ordinal).collect();
+        let frag = VisibleFragment {
+            xml: xml.to_owned(),
+            intervals: s.interval_positions(),
+        };
+        let ordinals: Vec<u32> = frag.intervals.iter().map(|&(ordinal, _)| ordinal).collect();
         assert_eq!(ordinals, placed, "visible nodes after {step}");
-        let mut position = vec![None; doc.arena_len()];
-        for (ordinal, iv) in positions {
-            position[nodes[ordinal].index()] = fresh.universe().find(&iv);
-        }
-        let rebuilt = VisibleText::new(&doc, &position, fresh.universe());
+        let rebuilt = VisibleText::read(&frag, fresh.universe(), |p| blocks.block_at(p).is_some());
         assert_eq!(
             rebuilt.as_ref(),
             Ok(&s.visible),
@@ -1307,6 +1270,7 @@ pub(crate) mod tests_support {
     use crate::scheme::{EncryptionScheme, SchemeKind};
     use crate::wire::SAxis;
     use exq_crypto::KeyChain;
+    use exq_xml::Document;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

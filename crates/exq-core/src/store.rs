@@ -34,13 +34,13 @@
 
 use crate::error::CoreError;
 use crate::persist::{
-    metadata_from, parse_visible, read_dead, read_tables, read_visible, refuse_other_version,
-    sorted_postings, write_dead, write_tables, write_visible, BlockPairs, R, W,
+    metadata_from, read_dead, read_tables, read_visible, refuse_other_version, sorted_postings,
+    write_dead, write_tables, write_visible, BlockPairs, R, W,
 };
 use crate::server::Server;
 use crate::telemetry::{self, Counter, Gauge};
+use crate::visible::VisibleFragment;
 use exq_crypto::{SealedBlock, SealedBlocks, SealedRef};
-use exq_index::dsi::Interval;
 use exq_index::paged::{
     block_record_id, encode_postings, load_postings, posting_record_id, REC_META,
 };
@@ -62,9 +62,13 @@ pub use exq_store::{PoolStats, StoreFootprint, StoreOptions};
 const META_MAGIC: &[u8; 6] = b"EXQPM3";
 
 /// WAL record kind: an `InsertDelta` wire encoding.
-pub(crate) const KIND_INSERT: u8 = 1;
+pub(crate) const KIND_INSERT: u8 = 3;
 /// WAL record kind: a `ServerQuery` wire encoding (delete-where).
 pub(crate) const KIND_DELETE: u8 = 2;
+/// Retired WAL record kind: an insert whose visible fragment carried its
+/// intervals as `lo,hi` annotation attributes. A log holding one is refused
+/// at open, never replayed.
+const KIND_ANNOTATED_INSERT: u8 = 1;
 
 impl From<exq_store::StoreError> for CoreError {
     fn from(e: exq_store::StoreError) -> CoreError {
@@ -368,6 +372,14 @@ impl PagedDb {
                     server.delete_where_unlogged(&q);
                     true
                 }
+                KIND_ANNOTATED_INSERT => {
+                    return Err(CoreError::Persist(format!(
+                        "WAL record {} is an insert in the retired annotated-fragment \
+                         encoding (kind {KIND_ANNOTATED_INSERT}), which this build does not \
+                         replay: open the store with the build that wrote it and checkpoint",
+                        rec.seq
+                    )))
+                }
                 k => {
                     return Err(CoreError::Persist(format!(
                         "WAL record {} has unknown kind {k}",
@@ -482,7 +494,7 @@ impl PagedDb {
         let meta = read_meta(&rd.get(REC_META)?)?;
         Ok(PagedDbReport {
             block_count: meta.block_count,
-            hosted_bytes: meta.visible_xml.len() as u64 + meta.payload_bytes,
+            hosted_bytes: meta.visible.xml.len() as u64 + meta.payload_bytes,
             footprint: rd.footprint(),
         })
     }
@@ -537,8 +549,7 @@ fn encode_meta(server: &Server) -> Vec<u8> {
 
 /// The metadata image, decoded.
 struct MetaImage {
-    visible_xml: String,
-    pos_intervals: HashMap<usize, Interval>,
+    visible: VisibleFragment,
     /// Tag names in posting-record order.
     tags: Vec<String>,
     blocks: BlockPairs,
@@ -556,14 +567,13 @@ fn read_meta(bytes: &[u8]) -> Result<MetaImage, CoreError> {
         .strip_prefix(META_MAGIC.as_slice())
         .ok_or_else(|| CoreError::Persist("paged metadata record has wrong magic".into()))?;
     let mut r = R::new(body);
-    let (visible_xml, pos_intervals) = read_visible(&mut r)?;
+    let visible = read_visible(&mut r)?;
     let tags = (0..r.count(8)?)
         .map(|_| r.string())
         .collect::<Result<_, _>>()?;
     let (blocks, value_indexes) = read_tables(&mut r)?;
     let meta = MetaImage {
-        visible_xml,
-        pos_intervals,
+        visible,
         tags,
         blocks,
         value_indexes,
@@ -588,8 +598,7 @@ fn decode_meta(bytes: &[u8], db: &Arc<PagedDb>) -> Result<Server, CoreError> {
         dsi_entries.push((tag.as_str(), load_postings(&db.store, k as u32)?));
     }
     Server::from_store_parts(
-        parse_visible(&meta.visible_xml)?,
-        meta.pos_intervals,
+        &meta.visible,
         metadata_from(dsi_entries, meta.blocks, meta.value_indexes)?,
         BlockStore::Paged {
             db: Arc::clone(db),
@@ -934,5 +943,36 @@ pub fn tend(tenant: &crate::tenant::Tenant) {
         }
         Ok(Err(e)) => tenant.set_degraded(&format!("checkpoint failed: {e}")),
         Err(_) => tenant.set_degraded("checkpoint panicked"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheme::SchemeKind;
+    use crate::server::tests_support::build_server;
+
+    /// A log holding an insert in the retired annotated-fragment encoding
+    /// is refused at open by name, not counted as a failed replay.
+    #[test]
+    fn a_retired_insert_record_is_refused_by_name() {
+        let dir = std::env::temp_dir().join(format!("exq-retired-kind-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut server, _) = build_server(SchemeKind::Opt);
+        let db =
+            PagedDb::attach_new(&mut server, &dir, "retired", StoreOptions::default()).unwrap();
+        db.append_wal(KIND_ANNOTATED_INSERT, b"an annotated fragment")
+            .unwrap();
+        drop((server, db));
+        match PagedDb::open(&dir, "retired", StoreOptions::default()) {
+            Err(CoreError::Persist(msg)) => {
+                assert!(msg.contains("retired") && msg.contains("kind 1"), "{msg}")
+            }
+            other => panic!(
+                "expected a persist error, got {:?}",
+                other.map(|(_, _, r)| r)
+            ),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

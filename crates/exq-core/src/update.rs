@@ -9,7 +9,8 @@
 //!   the server for an [`InsertionSlot`] (the free label range plus the next
 //!   block id), applies the *stored encryption policy* (the scheme's chosen
 //!   paths) to the new record, labels it inside the slot, seals its blocks,
-//!   and sends an [`InsertDelta`]: an annotated visible fragment plus the
+//!   and sends an [`InsertDelta`]: the record's visible fragment (its text
+//!   and intervals, as set-up hands the server the whole document) plus the
 //!   DSI/block/value-index entries. The server checks the delta before it
 //!   logs or changes anything (`Server::check_insert`): its intervals
 //!   must be one nested run strictly inside the slot, so a refused delta
@@ -36,23 +37,20 @@
 //! the formal guarantees of §4–6 are only proved for the static database.
 
 use crate::client::Client;
-use crate::encrypt::{OpessAttr, ValueCodec, BLOCK_ID_ATTR, BLOCK_MARKER_TAG, DECOY_TAG};
+use crate::encrypt::{build_visible, OpessAttr, ValueCodec, BLOCK_MARKER_TAG, DECOY_TAG};
 use crate::error::CoreError;
 use crate::server::Server;
 use crate::telemetry;
+use crate::visible::{VisibleFragment, VisibleText};
 use exq_crypto::{seal_blocks, OpessPlan, SealedBlock};
 use exq_index::dsi::{DsiLabeling, Interval};
-use exq_index::sjoin::{join_order, sort_intervals, IntervalUniverse};
+use exq_index::sjoin::{sort_intervals, IntervalUniverse};
 use exq_xml::{Document, NodeId, NodeKind};
 use exq_xpath::eval_document;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::time::Instant;
-
-/// Reserved attribute prefix carrying interval annotations in the visible
-/// fragment of an [`InsertDelta`].
-pub const IV_ATTR: &str = "_exq_iv";
 
 /// What the server offers the client for an insertion under a parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,9 +67,9 @@ pub struct InsertionSlot {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InsertDelta {
     pub parent: Interval,
-    /// Visible fragment with `_exq_iv` interval annotations and block
-    /// markers.
-    pub visible_fragment: String,
+    /// The record's visible part, block markers included, with its
+    /// intervals.
+    pub visible: VisibleFragment,
     pub blocks: Vec<SealedBlock>,
     /// `(table key, interval)` additions for the DSI index table.
     pub dsi_entries: Vec<(String, Interval)>,
@@ -100,41 +98,16 @@ pub struct DeleteOutcome {
     pub skipped_in_block: usize,
 }
 
-/// What an attribute of an annotated fragment element is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FragmentAttr<'a> {
-    /// `_exq_iv`: the element's own interval.
-    Own,
-    /// `_exq_iv_<name>`: the interval of the element's attribute `name`.
-    Of(&'a str),
-    /// A real attribute of the record.
-    Real,
-}
-
-impl<'a> FragmentAttr<'a> {
-    pub(crate) fn of(name: &'a str) -> Self {
-        match name.strip_prefix(IV_ATTR) {
-            Some("") => FragmentAttr::Own,
-            Some(rest) => rest
-                .strip_prefix('_')
-                .map_or(FragmentAttr::Real, FragmentAttr::Of),
-            None => FragmentAttr::Real,
-        }
-    }
-}
-
 /// An [`InsertDelta`] that [`Server::check_insert`] passed: what the splice
 /// needs, worked out before anything changed.
 pub(crate) struct CheckedInsert {
     /// The parent's universe position.
     pub(crate) under: u32,
-    /// The visible fragment, and per fragment node the interval its
-    /// annotation gives it.
-    pub(crate) frag: Document,
-    pub(crate) annotated: Vec<Option<Interval>>,
+    /// The visible fragment read over the run.
+    pub(crate) frag: VisibleText,
     /// The delta's distinct DSI intervals in join order: the run the
     /// universe takes.
-    pub(crate) run: Vec<Interval>,
+    pub(crate) run: IntervalUniverse,
 }
 
 impl Server {
@@ -176,17 +149,17 @@ impl Server {
     /// splice relies on what is checked here, so a delta is refused with
     /// [`CoreError::Delta`] unless:
     /// - its parent is a visible element other than a block marker;
-    /// - every interval it names — DSI entries, block representatives and
-    ///   fragment annotations — lies strictly inside the parent's free gap
-    ///   (so none is inverted or already present);
+    /// - every DSI interval lies strictly inside the parent's free gap (so
+    ///   none is inverted or already present);
     /// - its DSI intervals are one nested run: one outermost interval, and
     ///   each other one strictly inside an earlier one or strictly after it,
     ///   never overlapping;
-    /// - block representatives and annotations are among those intervals,
-    ///   no representative lies inside another, an annotation nests inside
-    ///   its fragment parent's after its preceding siblings', and the blocks
-    ///   take the next free ids, which are the only ones its block entries
-    ///   name.
+    /// - block representatives are among those intervals, no representative
+    ///   lies inside another, and the blocks take the next free ids, which
+    ///   are the only ones its block entries name;
+    /// - its visible fragment reads over the run as a server's visible
+    ///   document reads over its universe ([`VisibleText::read`]), its root
+    ///   at the outermost interval.
     pub(crate) fn check_insert(&self, delta: &InsertDelta) -> Result<CheckedInsert, CoreError> {
         let refuse = |why: &str| Err(CoreError::Delta(why.to_owned()));
         let under = self.insertion_parent(&delta.parent)?;
@@ -197,16 +170,14 @@ impl Server {
         }
         sort_intervals(&mut run);
         run.dedup();
-        if run.is_empty() {
-            return refuse("no DSI entries");
-        }
         // One nested run: the intervals nest or are disjoint, and the
         // first one's subtree holds them all.
-        let nested = IntervalUniverse::from_sorted(run.clone());
-        if nested.is_none_or(|u| u.end(0) as usize != run.len()) {
+        let len = run.len();
+        let nested =
+            IntervalUniverse::from_sorted(run).filter(|u| len > 0 && u.end(0) == len as u32);
+        let Some(run) = nested else {
             return refuse("the intervals are not one nested run");
-        }
-        let in_run = |iv: &Interval| run.binary_search_by(|m| join_order(m, iv)).is_ok();
+        };
 
         let first_id = self.block_count() as u32;
         let ids = first_id..first_id + delta.blocks.len() as u32;
@@ -221,7 +192,7 @@ impl Server {
         if delta
             .block_entries
             .iter()
-            .any(|(rep, id)| !ids.contains(id) || !in_run(rep))
+            .any(|(rep, id)| !ids.contains(id) || run.find(rep).is_none())
         {
             return refuse("a block entry names a block or interval the delta lacks");
         }
@@ -231,19 +202,19 @@ impl Server {
             return refuse("one block entry lies inside another");
         }
 
-        let frag = Document::parse(&delta.visible_fragment)
-            .map_err(|e| CoreError::Delta(format!("bad fragment: {e}")))?;
-        let Some(root) = frag.root() else {
-            return refuse("empty fragment");
+        // A position is in a block when the last representative starting
+        // at or before it ends at or after it.
+        let covered = |p: u32| {
+            let iv = run.interval(p);
+            let i = reps.partition_point(|rep| rep.lo <= iv.lo);
+            i > 0 && reps[i - 1].hi >= iv.hi
         };
-        let mut annotated = vec![None; frag.arena_len()];
-        annotate(&frag, root, gap, &in_run, &mut annotated)?;
-        Ok(CheckedInsert {
-            under,
-            frag,
-            annotated,
-            run,
-        })
+        let frag = VisibleText::read(&delta.visible, &run, covered)
+            .map_err(|why| CoreError::Delta(format!("visible fragment: {why}")))?;
+        if !frag.is_visible(0) {
+            return refuse("visible fragment: its root is not the run's outermost interval");
+        }
+        Ok(CheckedInsert { under, frag, run })
     }
 
     /// Applies a client-prepared insertion. The delta is checked first: a
@@ -296,76 +267,6 @@ impl Server {
         }
         out
     }
-}
-
-/// Reads the interval annotations of a fragment element and its subtree
-/// into `annotated` and returns the element's own, checking each: it must
-/// lie strictly inside `room` — the part of its fragment parent's interval
-/// after its preceding siblings' (attributes first), or the slot's gap for
-/// the root — and be among the run. So the annotated nodes in document
-/// order are in join order, and no interval labels two of them.
-fn annotate(
-    frag: &Document,
-    node: NodeId,
-    room: Interval,
-    in_run: &dyn Fn(&Interval) -> bool,
-    annotated: &mut [Option<Interval>],
-) -> Result<Option<Interval>, CoreError> {
-    let NodeKind::Element(_) = frag.node(node).kind() else {
-        return Ok(None);
-    };
-    let attrs = frag.node(node).attrs();
-    let annotation = |which: FragmentAttr<'_>| -> Result<Option<Interval>, CoreError> {
-        let Some(v) = attrs.iter().find_map(|&a| match frag.node(a).kind() {
-            NodeKind::Attribute(t, v) if FragmentAttr::of(frag.tag_name(*t)) == which => Some(v),
-            _ => None,
-        }) else {
-            return Ok(None);
-        };
-        let bad = || CoreError::Delta(format!("bad interval annotation `{v}`"));
-        let (lo, hi) = v.split_once(',').ok_or_else(bad)?;
-        let (lo, hi) = (
-            lo.parse().map_err(|_| bad())?,
-            hi.parse().map_err(|_| bad())?,
-        );
-        Ok(Some(Interval { lo, hi }))
-    };
-    let placed = |iv: &Interval, room: &Interval| iv.lo < iv.hi && room.contains(iv) && in_run(iv);
-    let misplaced = || {
-        CoreError::Delta(
-            "a fragment annotation is not nested in its parent's, after its siblings'".into(),
-        )
-    };
-    let own = annotation(FragmentAttr::Own)?
-        .ok_or_else(|| CoreError::Delta("unannotated fragment element".into()))?;
-    if !placed(&own, &room) {
-        return Err(misplaced());
-    }
-    annotated[node.index()] = Some(own);
-    // What is left of `own` after the children placed so far.
-    let mut rest = own;
-    for &a in attrs {
-        let NodeKind::Attribute(t, _) = frag.node(a).kind() else {
-            continue;
-        };
-        let name = frag.tag_name(*t);
-        if FragmentAttr::of(name) != FragmentAttr::Real {
-            continue;
-        }
-        if let Some(iv) = annotation(FragmentAttr::Of(name))? {
-            if !placed(&iv, &rest) {
-                return Err(misplaced());
-            }
-            annotated[a.index()] = Some(iv);
-            rest.lo = iv.hi;
-        }
-    }
-    for &c in frag.node(node).children() {
-        if let Some(iv) = annotate(frag, c, rest, in_run, annotated)? {
-            rest.lo = iv.hi;
-        }
-    }
-    Ok(Some(own))
 }
 
 impl Client {
@@ -472,16 +373,14 @@ impl Client {
 
         // 6. Visible fragment + DSI entries + vocabulary updates.
         let cipher = self.state().keys.tag_cipher();
-        let mut visible = Document::new();
+        let visible = build_visible(&working, &block_of, &labeling);
         let mut dsi_entries = Vec::new();
-        build_insert_fragment(
+        insert_dsi_entries(
             &working,
             working.root().unwrap(),
-            None,
             &block_of,
             &labeling,
             &cipher,
-            &mut visible,
             &mut dsi_entries,
         );
         // Vocabulary updates so future query translation knows the forms.
@@ -532,7 +431,7 @@ impl Client {
 
         Ok(InsertDelta {
             parent: slot.parent,
-            visible_fragment: visible.to_xml(),
+            visible,
             blocks,
             dsi_entries,
             block_entries,
@@ -630,99 +529,39 @@ impl Client {
     }
 }
 
-/// Builds the annotated visible fragment and the DSI entry list for an
-/// inserted record (markers for blocks, `_exq_iv` annotations everywhere).
-#[allow(clippy::too_many_arguments)]
-fn build_insert_fragment(
+/// The DSI entries of an inserted record: plaintext tags outside blocks,
+/// Vernam-encrypted ones inside, each node its own entry (no grouping).
+fn insert_dsi_entries(
     working: &Document,
     node: NodeId,
-    vis_parent: Option<NodeId>,
     block_of: &[Option<u32>],
     labeling: &DsiLabeling,
     cipher: &exq_crypto::TagCipher,
-    visible: &mut Document,
     dsi_entries: &mut Vec<(String, Interval)>,
 ) {
-    let iv = labeling.interval(node).expect("labeled");
-    let iv_str = format!("{},{}", iv.lo, iv.hi);
-    if let Some(b) = block_of[node.index()] {
-        let in_block_root = working
-            .node(node)
-            .parent()
-            .map(|p| block_of[p.index()] != Some(b))
-            .unwrap_or(true);
-        if in_block_root {
-            // Marker in the visible fragment.
-            let marker = visible.add_element(vis_parent, BLOCK_MARKER_TAG);
-            visible.add_attr(marker, BLOCK_ID_ATTR, &b.to_string());
-            visible.add_attr(marker, IV_ATTR, &iv_str);
-        }
-        // DSI entries for block internals (encrypted tags, no grouping).
-        match working.node(node).kind() {
-            NodeKind::Element(t) => {
-                let name = working.tag_name(*t).to_owned();
-                dsi_entries.push((cipher.encrypt(&name), iv));
-                for &a in working.node(node).attrs() {
-                    if let NodeKind::Attribute(at, _) = working.node(a).kind() {
-                        let an = format!("@{}", working.tag_name(*at));
-                        let aiv = labeling.interval(a).expect("attr labeled");
-                        dsi_entries.push((cipher.encrypt(&an), aiv));
-                    }
-                }
-                for &c in working.node(node).children() {
-                    build_insert_fragment(
-                        working,
-                        c,
-                        None,
-                        block_of,
-                        labeling,
-                        cipher,
-                        visible,
-                        dsi_entries,
-                    );
-                }
-            }
-            _ => { /* text inside blocks carries no table entry */ }
-        }
+    let NodeKind::Element(t) = working.node(node).kind() else {
+        // Text carries no table entry.
         return;
+    };
+    let in_block = block_of[node.index()].is_some();
+    let key = |name: String| {
+        if in_block {
+            cipher.encrypt(&name)
+        } else {
+            name
+        }
+    };
+    dsi_entries.push((
+        key(working.tag_name(*t).to_owned()),
+        labeling.interval(node).expect("labeled"),
+    ));
+    for &a in working.node(node).attrs() {
+        if let NodeKind::Attribute(at, _) = working.node(a).kind() {
+            let iv = labeling.interval(a).expect("attr labeled");
+            dsi_entries.push((key(format!("@{}", working.tag_name(*at))), iv));
+        }
     }
-    match working.node(node).kind() {
-        NodeKind::Element(t) => {
-            let name = working.tag_name(*t).to_owned();
-            let el = visible.add_element(vis_parent, &name);
-            visible.add_attr(el, IV_ATTR, &iv_str);
-            dsi_entries.push((name, iv));
-            for &a in working.node(node).attrs() {
-                if let NodeKind::Attribute(at, v) = working.node(a).kind() {
-                    let an = working.tag_name(*at).to_owned();
-                    visible.add_attr(el, &an, v);
-                    let aiv = labeling.interval(a).expect("attr labeled");
-                    visible.add_attr(
-                        el,
-                        &format!("{IV_ATTR}_{an}"),
-                        &format!("{},{}", aiv.lo, aiv.hi),
-                    );
-                    dsi_entries.push((format!("@{an}"), aiv));
-                }
-            }
-            for &c in working.node(node).children() {
-                build_insert_fragment(
-                    working,
-                    c,
-                    Some(el),
-                    block_of,
-                    labeling,
-                    cipher,
-                    visible,
-                    dsi_entries,
-                );
-            }
-        }
-        NodeKind::Text(v) => {
-            if let Some(p) = vis_parent {
-                visible.add_text(p, v);
-            }
-        }
-        NodeKind::Attribute(..) => unreachable!("attributes handled by their element"),
+    for &c in working.node(node).children() {
+        insert_dsi_entries(working, c, block_of, labeling, cipher, dsi_entries);
     }
 }

@@ -10,17 +10,33 @@
 //! deletes edit the text in place and move the later spans by the number
 //! of bytes they added or removed.
 //!
-//! The spans follow the universe's structure: every visible element has a
-//! position, the positions of visible nodes ascend in document order, and
-//! the nearest ancestor with a visible node of any visible node's position
-//! is the position of its parent element. Building checks this, so a
-//! persisted document that disagrees with its index is refused at load.
+//! The client hands the server a [`VisibleFragment`], at set-up and with
+//! every insert, and the server persists one: the text, and the interval of
+//! each labelled element and attribute keyed by its ordinal. One reader,
+//! [`VisibleText::read`], turns it into spans over a universe and checks
+//! that they follow the universe's structure: every visible element has a
+//! position, the positions of visible nodes ascend in document order, the
+//! nearest ancestor with a visible node of any visible node's position is
+//! the position of its parent element, and every position without a
+//! visible node lies inside a block. So a persisted document or an insert
+//! that disagrees with its index is refused.
 
 use exq_index::dsi::Interval;
 use exq_index::sjoin::IntervalUniverse;
 use exq_index::BlockTable;
-use exq_xml::{unescape, Document, NodeId, Span};
+use exq_xml::{unescape, NodeId, NodeType, Span, SpanDocument, TreeView};
 use std::borrow::Cow;
+
+/// The visible document as it travels and is stored: its text, and
+/// `(ordinal, interval)` for each element and attribute that has an
+/// interval, ordinals ascending. A node's ordinal is its place among the
+/// elements and attributes in document order, an element before its
+/// attributes; a block marker's id attribute has none.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct VisibleFragment {
+    pub xml: String,
+    pub intervals: Vec<(u32, Interval)>,
+}
 
 /// Where one position's visible node lies in the text (see
 /// [`exq_xml::Span`]); `start == NOWHERE` at a position with none.
@@ -39,11 +55,11 @@ const HIDDEN: At = At {
 };
 
 impl At {
-    fn of(s: Span, offset: usize) -> At {
+    fn of(s: Span) -> At {
         At {
-            start: (s.start + offset) as u32,
-            open_end: (s.open_end + offset) as u32,
-            end: (s.end + offset) as u32,
+            start: s.start as u32,
+            open_end: s.open_end as u32,
+            end: s.end as u32,
         }
     }
 
@@ -53,6 +69,18 @@ impl At {
         self.open_end = moved(self.open_end);
         self.end = moved(self.end);
     }
+}
+
+/// Moves every visible span in `at` by `by` bytes.
+fn shift(at: &mut [At], by: i64) {
+    for a in at.iter_mut().filter(|a| a.start != NOWHERE) {
+        a.shift(by);
+    }
+}
+
+/// The nearest proper ancestor of `p` that has a visible node.
+fn visible_parent(at: &[At], u: &IntervalUniverse, p: u32) -> Option<u32> {
+    std::iter::successors(u.parent(p), |&q| u.parent(q)).find(|&q| at[q as usize].start != NOWHERE)
 }
 
 /// What a reply region keeps of a position (see [`VisibleText::region`]).
@@ -68,55 +96,62 @@ pub(crate) struct VisibleText {
 }
 
 impl VisibleText {
-    /// Writes `doc` once, recording the span of each node that `position`
-    /// (per arena slot) places in `u`. Refuses a document that does not
-    /// follow `u`'s structure (see the module docs) or does not fit `u32`
-    /// offsets.
-    pub(crate) fn new(
-        doc: &Document,
-        position: &[Option<u32>],
+    /// Reads a fragment over `u`: span-parses its text and places each
+    /// pair's node at its interval's position. `covered` tells whether a
+    /// block covers a position. Refuses a pair whose ordinal names no
+    /// element or attribute, ordinals that do not ascend, an interval `u`
+    /// lacks, and a fragment that does not follow `u`'s structure (see the
+    /// module docs).
+    pub(crate) fn read(
+        frag: &VisibleFragment,
         u: &IntervalUniverse,
-    ) -> Result<VisibleText, &'static str> {
-        let position = |n: NodeId| position.get(n.index()).copied().flatten();
-        let mut v = VisibleText {
-            xml: String::new(),
-            at: vec![HIDDEN; u.len()],
+        covered: impl Fn(u32) -> bool,
+    ) -> Result<VisibleText, String> {
+        if frag.intervals.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err("its ordinals do not ascend".into());
+        }
+        let doc = match frag.xml.as_str() {
+            "" => SpanDocument::default(),
+            xml => SpanDocument::parse(xml).map_err(|e| e.to_string())?,
         };
-        let mut shared = false;
-        if let Some(root) = doc.root() {
-            let at = &mut v.at;
-            doc.write_spans(root, &mut v.xml, &mut |n, s| {
-                if let Some(p) = position(n) {
-                    shared |= at[p as usize].start != NOWHERE;
-                    at[p as usize] = At::of(s, 0);
-                }
-            });
-        }
-        if v.xml.len() >= NOWHERE as usize {
-            return Err("the visible document is larger than 4 GiB");
-        }
-        if shared {
-            return Err("two visible nodes share an interval");
-        }
+        let mut at = vec![HIDDEN; u.len()];
+        // Per node, its position; the pairs left, and the next ordinal.
+        let mut position = vec![NOWHERE; doc.len()];
+        let (mut pairs, mut ordinal) = (frag.intervals.iter().peekable(), 0);
         let mut last = None;
-        for n in doc.iter() {
-            let node = doc.node(n);
-            if node.is_text() {
-                continue;
-            }
-            let Some(p) = position(n) else {
-                if node.is_element() {
-                    return Err("a visible element has no interval");
+        for i in 0..doc.len() as u32 {
+            let n = NodeId(i);
+            let element = match doc.node_type(n) {
+                NodeType::Text => continue,
+                t => matches!(t, NodeType::Element(_)),
+            };
+            let here = ordinal;
+            ordinal += 1;
+            let Some(&(_, iv)) = pairs.next_if(|&&(o, _)| o == here) else {
+                if element {
+                    return Err("a visible element has no interval".into());
                 }
                 continue;
             };
-            let parent = node.parent().and_then(&position);
-            if last.is_some_and(|l| l >= p) || v.visible_parent(u, p) != parent {
-                return Err("the visible document's intervals do not follow its tree");
+            let p = u.find(&iv).ok_or("an interval is not in the index")?;
+            let parent = doc.parent_of(n).map(|q| position[q.index()]);
+            if last.is_some_and(|l| l >= p) || visible_parent(&at, u, p) != parent {
+                return Err("its intervals do not follow its tree".into());
             }
+            at[p as usize] = At::of(doc.span(n));
+            position[i as usize] = p;
             last = Some(p);
         }
-        Ok(v)
+        if pairs.next().is_some() {
+            return Err("an ordinal names no element or attribute".into());
+        }
+        if (0..u.len() as u32).any(|p| at[p as usize].start == NOWHERE && !covered(p)) {
+            return Err("a position is neither visible nor inside a block".into());
+        }
+        Ok(VisibleText {
+            xml: doc.into_text(),
+            at,
+        })
     }
 
     /// The text: exactly what the document's `to_xml` writes.
@@ -131,11 +166,6 @@ impl VisibleText {
 
     fn is_attribute(&self, a: At) -> bool {
         self.xml.as_bytes()[a.start as usize] != b'<'
-    }
-
-    /// The nearest proper ancestor of `p` that has a visible node.
-    fn visible_parent(&self, u: &IntervalUniverse, p: u32) -> Option<u32> {
-        std::iter::successors(u.parent(p), |&q| u.parent(q)).find(|&q| self.is_visible(q))
     }
 
     /// The tag of the visible element at `p`; `None` for an attribute or a
@@ -208,7 +238,7 @@ impl VisibleText {
         for &w in wholes {
             marks[w as usize] = WHOLE;
             let mut cur = w;
-            while let Some(p) = self.visible_parent(u, cur) {
+            while let Some(p) = visible_parent(&self.at, u, cur) {
                 if marks[p as usize] != SKIP {
                     break;
                 }
@@ -284,15 +314,6 @@ impl VisibleText {
         }
     }
 
-    /// Moves every visible span from position `from` on by `by` bytes.
-    fn shift_from(&mut self, from: usize, by: i64) {
-        for a in &mut self.at[from..] {
-            if a.start != NOWHERE {
-                a.shift(by);
-            }
-        }
-    }
-
     /// Moves the span ends of `p` and its visible ancestors by `by` bytes.
     fn stretch_up(&mut self, u: &IntervalUniverse, p: u32, by: i64) {
         for q in std::iter::successors(Some(p), |&q| u.parent(q)) {
@@ -303,40 +324,38 @@ impl VisibleText {
         }
     }
 
-    /// Follows an insert's splice of `spans.len()` positions at `at`, the
-    /// last members under the visible element at `under` (`u` is the
-    /// universe after it): `frag`, the inserted subtree's text, goes in as
-    /// the element's last content, and `spans` are its nodes' spans in
-    /// `frag`, per new position.
+    /// Follows an insert's splice of `frag`'s positions at `at`, the last
+    /// members under the visible element at `under` (`u` is the universe
+    /// after it): `frag`, the inserted subtree read over its own run of
+    /// positions, goes in as the element's last content.
     pub(crate) fn splice_in(
         &mut self,
         u: &IntervalUniverse,
         under: u32,
         at: u32,
-        frag: &str,
-        spans: &[Option<Span>],
+        frag: VisibleText,
     ) {
         let parent = self.at[under as usize];
         let before = self.xml.len();
         let into = match self.close_start(parent) {
             Some(close) => {
-                self.xml.insert_str(close, frag);
+                self.xml.insert_str(close, &frag.xml);
                 close
             }
             None => {
                 // `<p …/>` becomes `<p …>…</p>`.
                 let tag = self.element_name(under).expect("a visible element");
-                let content = format!(">{frag}</{tag}>");
+                let content = format!(">{}</{tag}>", frag.xml);
                 let slash = parent.open_end as usize;
                 self.xml.replace_range(slash..slash + 2, &content);
                 slash + 1
             }
         };
         let by = self.xml.len() as i64 - before as i64;
-        let new = spans.iter().map(|s| s.map_or(HIDDEN, |s| At::of(s, into)));
-        let i = at as usize;
-        self.at.splice(i..i, new);
-        self.shift_from(i + spans.len(), by);
+        let (i, k) = (at as usize, frag.at.len());
+        self.at.splice(i..i, frag.at);
+        shift(&mut self.at[i..i + k], into as i64);
+        shift(&mut self.at[i + k..], by);
         self.stretch_up(u, under, by);
     }
 
@@ -346,7 +365,7 @@ impl VisibleText {
     /// with no content is written empty, `<p …/>`, as the writer writes it.
     pub(crate) fn cut(&mut self, u: &IntervalUniverse, p: u32) {
         let (a, attribute) = (self.at[p as usize], self.is_attribute(self.at[p as usize]));
-        let parent = self.visible_parent(u, p);
+        let parent = visible_parent(&self.at, u, p);
         let (range, with) = match parent.map(|q| self.at[q as usize]) {
             // An attribute goes with the space before it.
             _ if attribute => (a.start as usize - 1..a.end as usize, ""),
@@ -360,7 +379,7 @@ impl VisibleText {
         let by = with.len() as i64 - range.len() as i64;
         self.xml.replace_range(range, with);
         self.at.drain(p as usize..u.end(p) as usize);
-        self.shift_from(p as usize, by);
+        shift(&mut self.at[p as usize..], by);
         if let Some(q) = parent {
             if attribute {
                 let pa = &mut self.at[q as usize];
@@ -376,8 +395,8 @@ impl VisibleText {
     /// attributes in that one's start tag (each `name="value"` holds two
     /// `"`, and a value has its `"` escaped); an attribute's is its
     /// element's plus its place in the start tag.
-    pub(crate) fn interval_positions(&self, u: &IntervalUniverse) -> Vec<(usize, Interval)> {
-        let quotes = |s: &str| s.bytes().filter(|&b| b == b'"').count() / 2;
+    pub(crate) fn interval_positions(&self, u: &IntervalUniverse) -> Vec<(u32, Interval)> {
+        let quotes = |s: &str| s.bytes().filter(|&b| b == b'"').count() as u32 / 2;
         let mut out = Vec::new();
         let mut next = 0;
         // The element last visited: its ordinal and where it starts.
@@ -408,7 +427,7 @@ mod tests {
     use crate::scheme::SchemeKind;
     use crate::system::{OutsourceConfig, Outsourcer};
     use crate::Server;
-    use exq_xml::NodeKind;
+    use exq_xml::{Document, NodeKind};
 
     /// A hospital with attributes, escapes, an empty element and text
     /// beside elements.
@@ -565,7 +584,7 @@ mod tests {
             let placed: Vec<(u32, NodeId)> = v
                 .interval_positions(u)
                 .into_iter()
-                .map(|(ordinal, iv)| (u.find(&iv).unwrap(), nodes[ordinal]))
+                .map(|(ordinal, iv)| (u.find(&iv).unwrap(), nodes[ordinal as usize]))
                 .collect();
             checked += placed.len();
             for &(p, n) in &placed {
@@ -597,22 +616,32 @@ mod tests {
     fn documents_that_do_not_follow_the_universe_are_refused() {
         let s = &servers()[0];
         let u = s.metadata().dsi_table.universe();
-        let doc = Document::parse(s.visible_text().xml()).unwrap();
+        let blocks = &s.metadata().block_table;
+        let read =
+            |frag: &VisibleFragment| VisibleText::read(frag, u, |p| blocks.block_at(p).is_some());
+        let good = VisibleFragment {
+            xml: s.visible_xml().to_owned(),
+            intervals: s.visible_text().interval_positions(u),
+        };
+        assert_eq!(&read(&good).unwrap(), s.visible_text());
+        let doc = Document::parse(&good.xml).unwrap();
         let nodes: Vec<NodeId> = doc.iter().filter(|&n| !doc.node(n).is_text()).collect();
-        let mut position = vec![None; doc.arena_len()];
-        for (ordinal, iv) in s.visible_text().interval_positions(u) {
-            position[nodes[ordinal].index()] = u.find(&iv);
-        }
-        let built = VisibleText::new(&doc, &position, u).unwrap();
-        assert_eq!(&built, s.visible_text());
-        let element = |i: usize| doc.elements_by_tag("patient")[i].index();
-        let mut missing = position.clone();
-        missing[element(1)] = None;
-        let err = VisibleText::new(&doc, &missing, u).unwrap_err();
+        let patient = |i: usize| {
+            let n = doc.elements_by_tag("patient")[i];
+            good.intervals
+                .iter()
+                .position(|&(o, _)| nodes[o as usize] == n)
+                .unwrap()
+        };
+        let mut missing = good.clone();
+        missing.intervals.remove(patient(1));
+        let err = read(&missing).unwrap_err();
         assert!(err.contains("no interval"), "{err}");
-        let mut swapped = position.clone();
-        swapped.swap(element(1), element(2));
-        let err = VisibleText::new(&doc, &swapped, u).unwrap_err();
+        let mut swapped = good.clone();
+        let (a, b) = (patient(1), patient(2));
+        let (ia, ib) = (swapped.intervals[a].1, swapped.intervals[b].1);
+        (swapped.intervals[a].1, swapped.intervals[b].1) = (ib, ia);
+        let err = read(&swapped).unwrap_err();
         assert!(err.contains("do not follow"), "{err}");
     }
 }

@@ -9,6 +9,7 @@ use exq_core::codec::{
 use exq_core::telemetry::{Side, SpanRec};
 use exq_core::update::{DeleteOutcome, InsertDelta, InsertionSlot};
 use exq_core::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
+use exq_core::VisibleFragment;
 use exq_crypto::{SealedBlock, ValueRange};
 use exq_xpath::{CmpOp, Literal};
 use proptest::prelude::*;
@@ -170,17 +171,20 @@ fn arb_response() -> impl Strategy<Value = ServerResponse> {
 fn arb_delta() -> impl Strategy<Value = InsertDelta> {
     (
         arb_interval(),
-        "[ -~]{0,100}",
+        (
+            "[ -~]{0,100}",
+            proptest::collection::vec((any::<u32>(), arb_interval()), 0..4),
+        ),
         proptest::collection::vec(arb_block(), 0..3),
         proptest::collection::vec((arb_tag(), arb_interval()), 0..4),
         proptest::collection::vec((arb_interval(), any::<u32>()), 0..4),
         proptest::collection::vec((arb_tag(), any::<u128>(), any::<u32>()), 0..4),
     )
         .prop_map(
-            |(parent, visible_fragment, blocks, dsi_entries, block_entries, value_entries)| {
+            |(parent, (xml, intervals), blocks, dsi_entries, block_entries, value_entries)| {
                 InsertDelta {
                     parent,
-                    visible_fragment,
+                    visible: VisibleFragment { xml, intervals },
                     blocks,
                     dsi_entries,
                     block_entries,

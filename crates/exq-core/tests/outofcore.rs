@@ -102,6 +102,78 @@ fn paged_answers_match_resident_under_tiny_budget() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Sealed blocks share pages. On a hospital store of 1 KiB pages whose pool
+/// holds a quarter of its bytes, a block-fetch query must fault pages in,
+/// and fewer than one for every two blocks it ships: a layout with a page
+/// per record faults about one per block.
+#[test]
+fn a_block_fetch_query_faults_fewer_pages_than_half_its_blocks() {
+    let diseases = ["diarrhea", "leukemia", "flu", "measles", "asthma"];
+    let mut xml = String::from("<hospital>");
+    for i in 0..200 {
+        xml.push_str(&format!(
+            "<patient><pname>P{i}</pname><SSN>{}</SSN><age>{}</age>\
+             <treat><disease>{}</disease><doctor>D{}</doctor></treat>\
+             <insurance><policy coverage=\"{}\">{}</policy></insurance></patient>",
+            100_000 + 7 * i,
+            20 + i % 60,
+            diseases[i % diseases.len()],
+            i % 9,
+            1000 * (1 + i % 40),
+            30_000 + i
+        ));
+    }
+    xml.push_str("</hospital>");
+    let cs: Vec<SecurityConstraint> = [
+        "//insurance",
+        "//patient:(/pname, /SSN)",
+        "//patient:(/pname, //disease)",
+        "//treat:(/disease, /doctor)",
+    ]
+    .iter()
+    .map(|c| SecurityConstraint::parse(c).unwrap())
+    .collect();
+    let (client, mut server) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&Document::parse(&xml).unwrap(), &cs, SchemeKind::Opt, 1)
+        .unwrap()
+        .split();
+    let dir = scratch("packed");
+    let page_size = 1024;
+    let opts = StoreOptions {
+        page_size,
+        ..StoreOptions::default()
+    };
+    let full = PagedDb::attach_new(&mut server, &dir, "packed", opts).unwrap();
+    let disk_bytes = full.footprint().disk_bytes as usize;
+    drop((server, full));
+
+    let quarter = StoreOptions {
+        page_size,
+        cache_bytes: disk_bytes / 4,
+    };
+    let (server, db, _) = PagedDb::open(&dir, "packed", quarter).unwrap();
+    let fp = db.footprint();
+    assert!(fp.capacity_pages * 2 < fp.page_count, "{fp:?}");
+    let sq = client
+        .translate("//patient/insurance")
+        .unwrap()
+        .server_query
+        .unwrap();
+    let before = db.pool_stats().misses;
+    let blocks = server.answer(&sq).unwrap().blocks.len() as u64;
+    let misses = db.pool_stats().misses - before;
+    assert!(blocks >= 200, "{blocks} blocks shipped");
+    assert!(
+        misses >= 1,
+        "the query faulted no page: the pool holds them all"
+    );
+    assert!(
+        2 * misses < blocks,
+        "{misses} pages faulted for {blocks} blocks"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A paged store whose metadata record is version 1 predates position-keyed
 /// OPE coins: its value indexes no longer match a client's ranges. With its
 /// pages and WAL intact it is still refused, by open and by inspection, with

@@ -69,8 +69,8 @@ fn insert_respects_encryption_policy() {
         !visible.contains("Zoe") || !visible.contains("112233"),
         "pname–SSN association leaked"
     );
-    // Fragment annotations must not leak into the visible doc.
-    assert!(!visible.contains("_exq_iv"));
+    // The inserted record's text is all the visible doc gained.
+    assert!(visible.contains(&delta.visible.xml));
 }
 
 #[test]
@@ -531,20 +531,17 @@ fn hostile_deltas_are_refused_before_the_wal() {
     d.blocks[0].id += 1;
     hostile.push(("a block id taken", d));
     let mut d = good.clone();
-    let own = format!("{},{}", root.lo, root.hi);
-    d.visible_fragment = d.visible_fragment.replacen(&own, "1,2", 1);
-    hostile.push(("an annotation outside the slot", d));
-    // Two sibling elements' annotations swapped: each still nests in the
-    // parent's, but not after its preceding sibling's.
-    let annotations: Vec<&str> = good.visible_fragment.split("_exq_iv=\"").skip(1).collect();
-    let value = |i: usize| annotations[i].split('"').next().unwrap().to_owned();
-    let (second, third) = (value(2), value(3));
+    d.dsi_entries.clear();
+    hostile.push(("no DSI entries", d));
     let mut d = good.clone();
-    d.visible_fragment = d
-        .visible_fragment
-        .replacen(&second, "swap", 1)
-        .replacen(&third, &second, 1)
-        .replacen("swap", &third, 1);
+    d.visible.intervals[0].1 = Interval { lo: 1, hi: 2 };
+    hostile.push(("the root's interval outside the slot", d));
+    // Two sibling elements' intervals swapped: each still nests in the
+    // parent's, but not after its preceding sibling's.
+    let mut d = good.clone();
+    let ivs = &mut d.visible.intervals;
+    let (second, third) = (ivs[2].1, ivs[3].1);
+    (ivs[2].1, ivs[3].1) = (third, second);
     hostile.push(("siblings out of order", d));
     let mut d = good.clone();
     d.parent = Interval {
@@ -577,6 +574,152 @@ fn hostile_deltas_are_refused_before_the_wal() {
         .query(&paged, "//patient[pname = 'Zoe']/age")
         .unwrap();
     assert_eq!(out.results, ["<age>29</age>"]);
+    drop((paged, db));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// How a hostile `ApplyInsert` differs from a good one.
+#[derive(Debug, Clone)]
+enum Damage {
+    /// The frame cut short at a byte.
+    Truncate(usize),
+    /// One bit of the frame flipped.
+    Flip(usize, u8),
+    /// The fragment's pair count replaced by one the payload cannot hold.
+    CountBomb(u64),
+    /// A pair written twice.
+    Duplicate(usize),
+    /// Two pairs swapped.
+    Swap(usize, usize),
+    /// A pair's ordinal moved past the fragment's last node.
+    PastTheEnd(usize, u32),
+    /// A pair's interval moved below the insertion slot, out of the run.
+    Outside(usize, u64),
+}
+
+fn damage() -> impl proptest::prelude::Strategy<Value = Damage> {
+    use proptest::prelude::*;
+    prop_oneof![
+        any::<usize>().prop_map(Damage::Truncate),
+        (any::<usize>(), 0..8u8).prop_map(|(at, bit)| Damage::Flip(at, bit)),
+        (1u64 << 40..u64::MAX >> 1).prop_map(Damage::CountBomb),
+        any::<usize>().prop_map(Damage::Duplicate),
+        (any::<usize>(), any::<usize>()).prop_map(|(i, j)| Damage::Swap(i, j)),
+        (any::<usize>(), 0..1000u32).prop_map(|(i, k)| Damage::PastTheEnd(i, k)),
+        (any::<usize>(), any::<u64>()).prop_map(|(i, x)| Damage::Outside(i, x)),
+    ]
+}
+
+/// A damaged `ApplyInsert` — its frame's bytes, its pair count, or its
+/// fragment's pairs — is a typed error: a `CodecError` from the frame or
+/// the payload (a count is checked against the bytes left before anything
+/// is allocated for it), or `CoreError::Delta` from the server's reader.
+/// Never a panic, and nothing reaches the WAL or moves a reply.
+#[test]
+fn damaged_insert_payloads_are_typed_errors_before_the_wal() {
+    use exq_core::codec::{CodecError, Message, WireCodec};
+    use exq_core::store::{PagedDb, StoreOptions};
+    use exq_core::update::InsertDelta;
+    use exq_core::{CoreError, VisibleFragment};
+    use exq_index::dsi::Interval;
+    use proptest::prelude::Strategy;
+
+    let (mut client, resident) = hosted(SchemeKind::Opt);
+    let dir = std::env::temp_dir().join(format!("exq-damaged-delta-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut paged = resident;
+    let db = PagedDb::attach_new(&mut paged, &dir, "damaged", StoreOptions::default()).unwrap();
+    let sq = client.translate("/hospital").unwrap().server_query.unwrap();
+    let parent = paged.locate(&sq)[0];
+    let slot = paged.insertion_slot(parent).unwrap();
+    let good = client.prepare_insert(&slot, NEW_PATIENT, 3).unwrap();
+    let frame = Message::ApplyInsert(good.clone()).encode_frame();
+    let payload = good.encode();
+    // Where the pair count sits: after the parent and the fragment's text,
+    // which is everything an encoding with no lists holds but its five
+    // zero counts.
+    let head = InsertDelta {
+        visible: VisibleFragment {
+            xml: good.visible.xml.clone(),
+            intervals: Vec::new(),
+        },
+        blocks: Vec::new(),
+        dsi_entries: Vec::new(),
+        block_entries: Vec::new(),
+        value_entries: Vec::new(),
+        ..good.clone()
+    };
+    let count_at = head.encode().len() - 5;
+    assert_eq!(payload[count_at] as usize, good.visible.intervals.len());
+    let saved = paged.save_bytes().unwrap();
+    let depth = db.footprint().wal_depth;
+
+    let mut rng = proptest::rng_for_test("damaged_insert_payloads_are_typed_errors_before_the_wal");
+    for _ in 0..256 {
+        let d = damage().generate(&mut rng);
+        let pairs = good.visible.intervals.len();
+        let mut delta = good.clone();
+        let ivs = &mut delta.visible.intervals;
+        let bytes_refused = match d {
+            Damage::Truncate(at) => Some(Message::decode_frame(&frame[..at % frame.len()]).err()),
+            Damage::Flip(at, bit) => {
+                let mut flipped = frame.clone();
+                flipped[at % frame.len()] ^= 1 << bit;
+                Some(Message::decode_frame(&flipped).err())
+            }
+            Damage::CountBomb(n) => {
+                let mut bombed = payload[..count_at].to_vec();
+                let mut n = n;
+                while n >= 0x80 {
+                    bombed.push(n as u8 | 0x80);
+                    n >>= 7;
+                }
+                bombed.push(n as u8);
+                bombed.extend_from_slice(&payload[count_at + 1..]);
+                let err = InsertDelta::decode(&bombed).err();
+                assert_eq!(err, Some(CodecError::CountOverflow), "{d:?}");
+                Some(err)
+            }
+            Damage::Duplicate(i) => {
+                let pair = ivs[i % pairs];
+                ivs.insert(i % pairs, pair);
+                None
+            }
+            Damage::Swap(i, j) => {
+                let (i, j) = (i % pairs, j % pairs);
+                if i == j {
+                    continue;
+                }
+                ivs.swap(i, j);
+                None
+            }
+            Damage::PastTheEnd(i, k) => {
+                ivs[i % pairs].0 = 1000 + k;
+                None
+            }
+            Damage::Outside(i, x) => {
+                let lo = x % (slot.gap_lo - 1);
+                ivs[i % pairs].1 = Interval { lo, hi: lo + 1 };
+                None
+            }
+        };
+        match bytes_refused {
+            Some(err) => assert!(err.is_some(), "{d:?}: damaged bytes decoded"),
+            None => {
+                // The damage survives the wire, and the server refuses it.
+                let frame = Message::ApplyInsert(delta).encode_frame();
+                let Ok(Message::ApplyInsert(delta)) = Message::decode_frame(&frame) else {
+                    panic!("{d:?}: a well-formed frame did not decode");
+                };
+                let err = paged.apply_insert(&delta).unwrap_err();
+                assert!(matches!(err, CoreError::Delta(_)), "{d:?}: {err}");
+            }
+        }
+        assert_eq!(db.footprint().wal_depth, depth, "{d:?} reached the WAL");
+    }
+    assert_eq!(paged.save_bytes().unwrap(), saved);
+    paged.apply_insert(&good).unwrap();
+    assert_eq!(db.footprint().wal_depth, depth + 1);
     drop((paged, db));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,19 +3,6 @@
 use crate::escape::push_escaped;
 use crate::tree::{Document, NodeId, NodeKind};
 
-/// Where one element or attribute landed in a serialization (see
-/// [`Document::write_spans`]): byte offsets into the output. An element's
-/// start tag is `[start, open_end)`, which stops just before its `>` or
-/// `/>`, and the element, close tag included, is `[start, end)`. An
-/// attribute is `name="value"`, `[start, end)`, and its `open_end` is its
-/// `end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    pub start: usize,
-    pub open_end: usize,
-    pub end: usize,
-}
-
 impl Document {
     /// Serializes the whole document (no XML declaration, no pretty
     /// printing — the output is byte-stable for hashing and size metrics).
@@ -35,26 +22,15 @@ impl Document {
     }
 
     /// Appends a single subtree's serialization to `out`: a caller
-    /// rendering many subtrees reuses one buffer.
+    /// rendering many subtrees reuses one buffer. This is the one writer:
+    /// every serialization goes through it, and it allocates nothing but
+    /// `out`'s growth.
     pub fn write_live(&self, id: NodeId, out: &mut String) {
-        self.write_spans(id, out, &mut |_, _| {});
-    }
-
-    /// [`write_live`](Document::write_live) that also tells `span` where
-    /// each element and attribute of the subtree landed in `out`, as each
-    /// is finished: an element after its attributes and children.
-    pub fn write_spans(&self, id: NodeId, out: &mut String, span: &mut impl FnMut(NodeId, Span)) {
-        // A live node's lists name live nodes only, so one look suffices.
-        if self.is_live(id) {
-            self.write_node(id, out, span);
+        // A detached node, and so its subtree, writes nothing.
+        if !self.is_live(id) {
+            return;
         }
-    }
-
-    /// The one writer: every serialization goes through here. Allocates
-    /// nothing but `out`'s growth.
-    fn write_node(&self, id: NodeId, out: &mut String, span: &mut impl FnMut(NodeId, Span)) {
         let n = self.node(id);
-        let start = out.len();
         match &n.kind {
             NodeKind::Text(t) => push_escaped(out, t, false),
             // An attribute serialized on its own (outside a tag) renders as
@@ -64,15 +40,6 @@ impl Document {
                 out.push_str("=\"");
                 push_escaped(out, v, true);
                 out.push('"');
-                let end = out.len();
-                span(
-                    id,
-                    Span {
-                        start,
-                        open_end: end,
-                        end,
-                    },
-                );
             }
             NodeKind::Element(tag) => {
                 let tag = self.tag_name(*tag);
@@ -80,29 +47,19 @@ impl Document {
                 out.push_str(tag);
                 for &a in n.attrs() {
                     out.push(' ');
-                    self.write_node(a, out, span);
+                    self.write_live(a, out);
                 }
-                let open_end = out.len();
                 if n.children().is_empty() {
                     out.push_str("/>");
                 } else {
                     out.push('>');
                     for &c in n.children() {
-                        self.write_node(c, out, span);
+                        self.write_live(c, out);
                     }
                     out.push_str("</");
                     out.push_str(tag);
                     out.push('>');
                 }
-                let end = out.len();
-                span(
-                    id,
-                    Span {
-                        start,
-                        open_end,
-                        end,
-                    },
-                );
             }
         }
     }

@@ -52,6 +52,18 @@ struct Entry {
     stop: u32,
 }
 
+/// Where one node lies in a [`SpanDocument`]'s text: byte offsets. An
+/// element's start tag is `[start, open_end)`, which stops just before its
+/// `>` or `/>`, and the element, close tag included, is `[start, end)`. An
+/// attribute is `name="value"` and a text its escaped content, each
+/// `[start, end)` with `open_end` at `end`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    pub start: usize,
+    pub open_end: usize,
+    pub end: usize,
+}
+
 /// A document as text plus per-node spans (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct SpanDocument {
@@ -73,6 +85,11 @@ impl SpanDocument {
         &self.text
     }
 
+    /// The whole text, without the spans.
+    pub fn into_text(self) -> String {
+        self.text
+    }
+
     /// Number of nodes, attributes and text included.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -91,6 +108,24 @@ impl SpanDocument {
     pub fn xml(&self, n: NodeId) -> &str {
         let e = self.entry(n);
         &self.text[e.start as usize..e.stop as usize]
+    }
+
+    /// Where a node lies in the text. An element's start tag ends where its
+    /// last attribute does, or after its name when it has none.
+    pub fn span(&self, n: NodeId) -> Span {
+        let e = self.entry(n);
+        let open_end = match e.kind {
+            k if k == TEXT || is_attribute(k) => e.stop,
+            k => match self.first_child(n) {
+                c if c > n.0 + 1 => self.nodes[c as usize - 1].stop,
+                _ => e.start + 1 + self.interner.resolve(TagId(k)).len() as u32,
+            },
+        };
+        Span {
+            start: e.start as usize,
+            open_end: open_end as usize,
+            end: e.stop as usize,
+        }
     }
 
     /// The number of an element's first child that is not an attribute.
