@@ -1,6 +1,9 @@
-//! The binary wire codec: a hand-rolled, length-prefixed encoding for every
-//! client↔server message. There is one frame layout and this module is
-//! where it is defined.
+//! The one binary codec: messages, WAL records and files. [`Enc`] and
+//! [`Dec`] are `exq-core`'s only byte writer and reader, and each section
+//! that the wire and the files share — an interval, a visible fragment, a
+//! table of sealed blocks, block pairs, value entries — has one encoder and
+//! one decoder here (`crate::persist` lays the files out). Every
+//! client↔server message travels in one frame layout, defined here too.
 //!
 //! Layout
 //! ------
@@ -198,16 +201,16 @@ impl Enc {
         self.buf
     }
 
-    fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
 
     /// LEB128.
-    fn varint(&mut self, mut v: u64) {
+    pub(crate) fn varint(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7F) as u8;
             v >>= 7;
@@ -219,32 +222,32 @@ impl Enc {
         }
     }
 
-    fn usize(&mut self, v: usize) {
+    pub(crate) fn usize(&mut self, v: usize) {
         self.varint(v as u64);
     }
 
-    fn u128(&mut self, v: u128) {
+    pub(crate) fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    fn raw(&mut self, bytes: &[u8]) {
+    pub(crate) fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
         self.usize(bytes.len());
         self.raw(bytes);
     }
 
-    fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.bytes(s.as_bytes());
     }
 
-    fn duration(&mut self, d: Duration) {
+    pub(crate) fn duration(&mut self, d: Duration) {
         // Fixed-width nanoseconds (u64 holds ~584 years): a varint here
         // would make the frame length depend on measured timing jitter,
         // breaking "identical queries produce identical byte counts".
@@ -270,7 +273,7 @@ impl<'a> Dec<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated);
         }
@@ -279,11 +282,11 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
-    fn bool(&mut self) -> Result<bool, CodecError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -294,7 +297,7 @@ impl<'a> Dec<'a> {
         }
     }
 
-    fn varint(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn varint(&mut self) -> Result<u64, CodecError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let byte = self.u8()?;
@@ -310,31 +313,31 @@ impl<'a> Dec<'a> {
         Err(CodecError::VarintOverflow)
     }
 
-    fn usize(&mut self) -> Result<usize, CodecError> {
+    pub(crate) fn usize(&mut self) -> Result<usize, CodecError> {
         let v = self.varint()?;
         usize::try_from(v).map_err(|_| CodecError::VarintOverflow)
     }
 
-    fn u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
         u32::try_from(self.varint()?).map_err(|_| CodecError::VarintOverflow)
     }
 
-    fn u128(&mut self) -> Result<u128, CodecError> {
+    pub(crate) fn u128(&mut self) -> Result<u128, CodecError> {
         Ok(u128::from_le_bytes(self.array()?))
     }
 
-    fn f64(&mut self) -> Result<f64, CodecError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(u64::from_le_bytes(self.array()?)))
     }
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         let raw = self.take(N)?;
         let mut out = [0u8; N];
         out.copy_from_slice(raw);
         Ok(out)
     }
 
-    fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.usize()?;
         if len > self.remaining() {
             return Err(CodecError::Truncated);
@@ -342,21 +345,21 @@ impl<'a> Dec<'a> {
         self.take(len)
     }
 
-    fn str(&mut self) -> Result<String, CodecError> {
+    pub(crate) fn str(&mut self) -> Result<String, CodecError> {
         let raw = self.bytes()?;
         std::str::from_utf8(raw)
             .map(str::to_owned)
             .map_err(|_| CodecError::Utf8)
     }
 
-    fn duration(&mut self) -> Result<Duration, CodecError> {
+    pub(crate) fn duration(&mut self) -> Result<Duration, CodecError> {
         Ok(Duration::from_nanos(u64::from_le_bytes(self.array()?)))
     }
 
     /// Reads an element count and proves it can fit in the remaining input
     /// (each element needs at least `min_entry` bytes). This is what stops
     /// a 16-byte frame from declaring a billion-entry vector.
-    fn count(&mut self, min_entry: usize) -> Result<usize, CodecError> {
+    pub(crate) fn count(&mut self, min_entry: usize) -> Result<usize, CodecError> {
         let n = self.usize()?;
         if n.checked_mul(min_entry.max(1))
             .ok_or(CodecError::CountOverflow)?
@@ -811,15 +814,72 @@ impl WireCodec for InsertionSlot {
     }
 }
 
+/// A visible fragment's section: the text, then `(ordinal, interval)`
+/// pairs. Borrowed parts, so a server writes its own without a copy.
+pub(crate) fn encode_visible(xml: &str, intervals: &[(u32, Interval)], enc: &mut Enc) {
+    enc.str(xml);
+    enc.usize(intervals.len());
+    for (ordinal, iv) in intervals {
+        enc.varint(*ordinal as u64);
+        iv.encode_into(enc);
+    }
+}
+
+impl WireCodec for VisibleFragment {
+    fn encode_into(&self, enc: &mut Enc) {
+        encode_visible(&self.xml, &self.intervals, enc);
+    }
+
+    fn decode_from(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let xml = dec.str()?;
+        let n = dec.count(3)?;
+        let mut intervals = Vec::with_capacity(n);
+        for _ in 0..n {
+            let ordinal = dec.u32()?;
+            intervals.push((ordinal, Interval::decode_from(dec)?));
+        }
+        Ok(VisibleFragment { xml, intervals })
+    }
+}
+
+/// Block-table entries, `(representative, block id)`: an insert's and the
+/// stored image's.
+pub(crate) fn encode_block_pairs(pairs: &[(Interval, u32)], enc: &mut Enc) {
+    enc.usize(pairs.len());
+    for (iv, id) in pairs {
+        iv.encode_into(enc);
+        enc.varint(*id as u64);
+    }
+}
+
+pub(crate) fn decode_block_pairs(dec: &mut Dec<'_>) -> Result<Vec<(Interval, u32)>, CodecError> {
+    let n = dec.count(3)?;
+    let mut pairs = Vec::with_capacity(n);
+    for _ in 0..n {
+        let iv = Interval::decode_from(dec)?;
+        pairs.push((iv, dec.u32()?));
+    }
+    Ok(pairs)
+}
+
+/// One value-index entry, `(ciphertext, block id)`: an insert's, after its
+/// attribute, and the stored image's, in its attribute's run.
+pub(crate) fn encode_value_entry(cipher: u128, id: u32, enc: &mut Enc) {
+    enc.u128(cipher);
+    enc.varint(id as u64);
+}
+
+pub(crate) fn decode_value_entry(dec: &mut Dec<'_>) -> Result<(u128, u32), CodecError> {
+    Ok((dec.u128()?, dec.u32()?))
+}
+
+/// Minimum encoded value entry: the ciphertext and a one-byte id.
+pub(crate) const MIN_VALUE_ENTRY_LEN: usize = 16 + 1;
+
 impl WireCodec for InsertDelta {
     fn encode_into(&self, enc: &mut Enc) {
         self.parent.encode_into(enc);
-        enc.str(&self.visible.xml);
-        enc.usize(self.visible.intervals.len());
-        for (ordinal, iv) in &self.visible.intervals {
-            enc.varint(*ordinal as u64);
-            iv.encode_into(enc);
-        }
+        self.visible.encode_into(enc);
         enc.usize(self.blocks.len());
         for b in &self.blocks {
             b.encode_into(enc);
@@ -829,28 +889,17 @@ impl WireCodec for InsertDelta {
             enc.str(tag);
             iv.encode_into(enc);
         }
-        enc.usize(self.block_entries.len());
-        for (iv, id) in &self.block_entries {
-            iv.encode_into(enc);
-            enc.varint(*id as u64);
-        }
+        encode_block_pairs(&self.block_entries, enc);
         enc.usize(self.value_entries.len());
         for (attr, cipher, id) in &self.value_entries {
             enc.str(attr);
-            enc.u128(*cipher);
-            enc.varint(*id as u64);
+            encode_value_entry(*cipher, *id, enc);
         }
     }
 
     fn decode_from(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         let parent = Interval::decode_from(dec)?;
-        let xml = dec.str()?;
-        let n = dec.count(3)?;
-        let mut intervals = Vec::with_capacity(n);
-        for _ in 0..n {
-            let ordinal = dec.u32()?;
-            intervals.push((ordinal, Interval::decode_from(dec)?));
-        }
+        let visible = VisibleFragment::decode_from(dec)?;
         let n = dec.count(MIN_BLOCK_LEN)?;
         let mut blocks = Vec::with_capacity(n);
         for _ in 0..n {
@@ -862,22 +911,17 @@ impl WireCodec for InsertDelta {
             let tag = dec.str()?;
             dsi_entries.push((tag, Interval::decode_from(dec)?));
         }
-        let n = dec.count(3)?;
-        let mut block_entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let iv = Interval::decode_from(dec)?;
-            block_entries.push((iv, dec.u32()?));
-        }
-        let n = dec.count(1 + 16 + 1)?;
+        let block_entries = decode_block_pairs(dec)?;
+        let n = dec.count(1 + MIN_VALUE_ENTRY_LEN)?;
         let mut value_entries = Vec::with_capacity(n);
         for _ in 0..n {
             let attr = dec.str()?;
-            let cipher = dec.u128()?;
-            value_entries.push((attr, cipher, dec.u32()?));
+            let (cipher, id) = decode_value_entry(dec)?;
+            value_entries.push((attr, cipher, id));
         }
         Ok(InsertDelta {
             parent,
-            visible: VisibleFragment { xml, intervals },
+            visible,
             blocks,
             dsi_entries,
             block_entries,

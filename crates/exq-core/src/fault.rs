@@ -35,47 +35,8 @@ fn faults_injected() -> &'static Arc<Counter> {
 
 // ------------------------------------------------------------------- rng --
 
-/// SplitMix64: a tiny, high-quality, seedable PRNG (Steele et al.,
-/// "Fast splittable pseudorandom number generators", OOPSLA 2014). Used for
-/// fault schedules and retry jitter — never for cryptography.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        // 53 top bits → the full double mantissa.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// One Bernoulli trial with probability `rate` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, rate: f64) -> bool {
-        rate > 0.0 && self.next_f64() < rate
-    }
-
-    /// Uniform in `[0, bound)`; `0` when `bound == 0`.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-}
+/// The one seedable PRNG of fault schedules and retry jitter, `exq-store`'s.
+pub use exq_store::SplitMix64;
 
 // ---------------------------------------------------------- fault config --
 

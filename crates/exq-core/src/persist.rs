@@ -1,66 +1,75 @@
-//! Persistence: serialize the server's hosted state and the client's key
-//! material to compact binary files, so a hosted database outlives the
-//! process (and so the `exq` CLI can operate on real files).
+//! Persistence: the server's hosted state and the client's key material as
+//! files, so a hosted database outlives the process (and so the `exq` CLI
+//! can operate on real files).
 //!
-//! The format is a hand-rolled tagged binary layout (no external codec
-//! dependencies in the core): little-endian integers, length-prefixed
-//! strings/blobs, and a versioned magic header per artifact.
+//! A file is a versioned magic, then a body in the one binary codec
+//! (`crate::codec`'s `Enc`/`Dec`: messages, WAL records and files), then,
+//! for the artifact, the client file and the manifest, a CRC32 over
+//! everything before it.
 //!
-//! The visible document is stored as the client hands it over, a
-//! [`VisibleFragment`]: its text, and each interval keyed by its node's
-//! *pre-order position among elements and attributes*, which is invariant
-//! under serialize→parse (text nodes are excluded: adjacent text merging
-//! could shift their positions, and the server never looks up text
-//! intervals). Load reads it with the server's one reader.
+//! The hosted state is one image ([`write_image`], [`read_image`]): the
+//! visible document as the client hands it over, a [`VisibleFragment`];
+//! the DSI table's tags in posting-record order; the block table's pairs;
+//! the value indexes; the block count and payload bytes; the tombstoned
+//! block ids. It sits in two containers, which differ only in where the
+//! posting lists and the sealed blocks go:
+//! - the artifact, `EXQSV5 | image | posting lists in tag order | sealed
+//!   blocks as a reply's table | crc`;
+//! - the paged store's metadata record (`crate::store`), `EXQPM4 | image`,
+//!   beside one record per posting list and per block.
 //!
 //! Versions: the magic's last byte. Version 2 added the trailing checksum;
 //! version 3 keys each OPE coin by its tree node's position (see
 //! `exq_crypto::ope`), which moves every value-index ciphertext and query
-//! range, so a version-2 artifact would load and then answer value
-//! predicates wrongly. Server version 4 seals blocks with RFC 8439's
-//! ChaCha20-Poly1305 tag (`exq_crypto::block`): nonces and ciphertexts are
-//! version 3's, every tag moved, so a version-3 artifact would load and
-//! then fail every block it ships. Only the current version loads; any
-//! other is a [`CoreError::Persist`] naming it. The paged store's metadata
-//! record moved with the server artifact (version 1 to 2, then 3;
-//! `crate::store`). The client file holds no tag and stays at version 3.
+//! range; server version 4 seals blocks with RFC 8439's ChaCha20-Poly1305
+//! tag (`exq_crypto::block`). Server version 5, paged metadata version 4,
+//! client version 4 and manifest version 2 write their fields in the one
+//! codec (varints where they were fixed-width) and the artifact's sections
+//! as the one image; no key, nonce, ciphertext or tag moved. Only the
+//! current version loads; any other is a [`CoreError::Persist`] naming it.
 //!
-//! Crash safety: an artifact ends with a CRC32 over everything before it,
-//! verified on load — a truncated or bit-flipped file yields a clean
+//! Crash safety: a truncated or bit-flipped file yields a clean
 //! [`CoreError::Persist`], never garbage state. Saves go through a temp
 //! file + `sync_all` + atomic rename, so a crash mid-save leaves the
 //! previous artifact intact.
 
 use crate::client::Client;
+use crate::codec::{
+    decode_block_pairs, decode_value_entry, encode_block_pairs, encode_value_entry, encode_visible,
+    Dec, Enc, WireCodec, MIN_VALUE_ENTRY_LEN,
+};
 use crate::encrypt::{ClientCryptoState, OpessAttr, ServerMetadata, ValueCodec};
 use crate::error::CoreError;
 use crate::server::Server;
 use crate::store::BlockStore;
 use crate::visible::VisibleFragment;
 use exq_crypto::opess::{ChunkCipher, PlanEntry};
-use exq_crypto::{KeyChain, OpessPlan, SealedBlocks, SealedRef};
+use exq_crypto::{KeyChain, OpessPlan, SealedBlocks};
 use exq_index::dsi::Interval;
 use exq_index::{BlockTable, DsiIndexTable, Postings, ValueIndex};
 use exq_xpath::Path;
 use std::collections::{HashMap, HashSet};
 
-const SERVER_MAGIC: &[u8; 6] = b"EXQSV4";
-const CLIENT_MAGIC: &[u8; 6] = b"EXQCL3";
+const SERVER_MAGIC: &[u8; 6] = b"EXQSV5";
+const CLIENT_MAGIC: &[u8; 6] = b"EXQCL4";
+
+/// The remedy for a file that holds keys or what was encrypted under them:
+/// every version bump moved that or the layout, so the database is set up
+/// afresh.
+pub(crate) const ENCRYPT_AGAIN: &str = "encrypt the database again";
 
 /// Refuses `data` when it starts with another version of `magic` (its last
-/// byte). Every format this guards holds keys or what was encrypted under
-/// them, and a version bump moved that, so the remedy is always a fresh
-/// encryption.
+/// byte), naming both versions and `remedy`.
 pub(crate) fn refuse_other_version(
     data: &[u8],
     magic: &[u8; 6],
     what: &str,
+    remedy: &str,
 ) -> Result<(), CoreError> {
     match data.get(..6) {
         Some(head) if head[..5] == magic[..5] && head[5] != magic[5] => {
             Err(CoreError::Persist(format!(
-                "{what} is version {}, this build reads version {} only: \
-                 encrypt the database again",
+                "{what} is version {}, this build reads version {} only: {remedy}",
                 head[5].escape_ascii(),
                 magic[5].escape_ascii()
             )))
@@ -69,33 +78,56 @@ pub(crate) fn refuse_other_version(
     }
 }
 
-/// Validates the artifact's magic and trailing checksum — a CRC32 over
-/// everything before it — returning the body between the two.
-pub(crate) fn checked_body<'a>(
-    data: &'a [u8],
+/// Decodes a file's `body` with `read`, which must take all of it. The
+/// codec's errors are a [`CoreError::Persist`] naming the file.
+pub(crate) fn decode_body<T>(
+    what: &str,
+    body: &[u8],
+    read: impl FnOnce(&mut Dec<'_>) -> Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    let mut dec = Dec::new(body);
+    let read = read(&mut dec).and_then(|v| {
+        dec.finish()?;
+        Ok(v)
+    });
+    read.map_err(|e| match e {
+        CoreError::Codec(why) => CoreError::Persist(format!("{what}: {why}")),
+        e => e,
+    })
+}
+
+/// Reads a checksummed file: refuses another version of `magic` (naming
+/// it and `remedy`), checks the magic and the trailing CRC32 over
+/// everything before it, and decodes the body between the two with
+/// [`decode_body`].
+pub(crate) fn read_file<T>(
+    data: &[u8],
     magic: &[u8; 6],
     what: &str,
-) -> Result<&'a [u8], CoreError> {
-    let head = data.get(..6).ok_or_else(|| {
-        CoreError::Persist(format!("not a {what} state file: shorter than its magic"))
-    })?;
+    remedy: &str,
+    read: impl FnOnce(&mut Dec<'_>) -> Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    refuse_other_version(data, magic, what, remedy)?;
+    let head = data
+        .get(..6)
+        .ok_or_else(|| CoreError::Persist(format!("not a {what}: shorter than its magic")))?;
     if head != magic {
-        return Err(CoreError::Persist(format!("not a {what} state file")));
+        return Err(CoreError::Persist(format!("not a {what}")));
     }
     let split = data
         .len()
         .checked_sub(4)
         .filter(|&s| s >= 6)
-        .ok_or_else(|| CoreError::Persist(format!("{what} state file truncated")))?;
+        .ok_or_else(|| CoreError::Persist(format!("{what} truncated")))?;
     let (payload, check) = data.split_at(split);
     let stored = u32::from_le_bytes([check[0], check[1], check[2], check[3]]);
     let computed = crate::codec::crc32(&[payload]);
     if stored != computed {
         return Err(CoreError::Persist(format!(
-            "{what} state file corrupted: checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
+            "{what} corrupted: checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
         )));
     }
-    Ok(&payload[6..])
+    decode_body(what, &payload[6..], read)
 }
 
 /// Appends the trailing CRC32 to a serialized artifact.
@@ -138,152 +170,7 @@ pub(crate) fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> Result<(), C
     Ok(())
 }
 
-// ---------------------------------------------------------------- codec --
-
-/// Minimal byte writer (shared with the paged-store metadata codec).
-#[derive(Default)]
-pub(crate) struct W {
-    pub(crate) buf: Vec<u8>,
-}
-
-impl W {
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-    pub(crate) fn string(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-}
-
-/// Minimal byte reader (shared with the paged-store metadata codec).
-pub(crate) struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> R<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        R { buf, pos: 0 }
-    }
-    pub(crate) fn err(msg: &str) -> CoreError {
-        CoreError::Persist(msg.to_owned())
-    }
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| Self::err("truncated input"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    pub(crate) fn u8(&mut self) -> Result<u8, CoreError> {
-        Ok(self.take(1)?[0])
-    }
-    pub(crate) fn u32(&mut self) -> Result<u32, CoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    pub(crate) fn u64(&mut self) -> Result<u64, CoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn u128(&mut self) -> Result<u128, CoreError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-    pub(crate) fn f64(&mut self) -> Result<f64, CoreError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, CoreError> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len() {
-            return Err(Self::err("length prefix exceeds input"));
-        }
-        Ok(self.take(n)?.to_vec())
-    }
-    /// Reads an element count, bounding it by the remaining input (each
-    /// element occupies at least `min_entry_size` bytes) so corrupted
-    /// prefixes cannot trigger huge allocations.
-    pub(crate) fn count(&mut self, min_entry_size: usize) -> Result<usize, CoreError> {
-        let n = self.u64()? as usize;
-        let remaining = self.buf.len() - self.pos;
-        if n.checked_mul(min_entry_size.max(1))
-            .is_none_or(|need| need > remaining)
-        {
-            return Err(Self::err("count prefix exceeds input"));
-        }
-        Ok(n)
-    }
-    pub(crate) fn string(&mut self) -> Result<String, CoreError> {
-        String::from_utf8(self.bytes()?).map_err(|_| Self::err("non-UTF-8 string"))
-    }
-    pub(crate) fn finished(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-pub(crate) fn interval(w: &mut W, iv: Interval) {
-    w.u64(iv.lo);
-    w.u64(iv.hi);
-}
-
-pub(crate) fn read_interval(r: &mut R) -> Result<Interval, CoreError> {
-    let lo = r.u64()?;
-    let hi = r.u64()?;
-    if lo >= hi {
-        return Err(R::err("degenerate interval"));
-    }
-    Ok(Interval::new(lo, hi))
-}
-
-// ------------------------------------------------------ server sections --
-//
-// The hosted state is written in two layouts: the single-file artifact
-// (`SERVER_MAGIC`, below) and the paged store's metadata record (`EXQPM3`,
-// `crate::store`). They differ in where the posting lists and the sealed
-// blocks go; the sections here are the ones both carry, byte for byte, and
-// each has this one writer and this one reader.
-
-/// The visible document, then its intervals keyed by element/attribute
-/// pre-order position.
-pub(crate) fn write_visible(w: &mut W, server: &Server) {
-    w.string(server.visible_xml());
-    let positions = server.interval_positions();
-    w.u64(positions.len() as u64);
-    for (pos, iv) in positions {
-        w.u64(pos as u64);
-        interval(w, iv);
-    }
-}
-
-/// Reads [`write_visible`]'s section as written; the server's reader
-/// checks it.
-pub(crate) fn read_visible(r: &mut R) -> Result<VisibleFragment, CoreError> {
-    let xml = r.string()?;
-    let n = r.count(24)?;
-    let mut intervals = Vec::with_capacity(n);
-    for _ in 0..n {
-        let ordinal = u32::try_from(r.u64()?)
-            .map_err(|_| R::err("visible doc: an ordinal names no element or attribute"))?;
-        intervals.push((ordinal, read_interval(r)?));
-    }
-    Ok(VisibleFragment { xml, intervals })
-}
+// ----------------------------------------------------------------- image --
 
 /// The DSI table's posting lists in persisted order. The backing map
 /// iterates in per-instance hash order; sorting by tag makes logically
@@ -295,96 +182,107 @@ pub(crate) fn sorted_postings(server: &Server) -> Vec<(&str, Postings<'_>)> {
     entries
 }
 
-/// The block table as persisted: `(representative, block id)` pairs.
-pub(crate) type BlockPairs = Vec<(Interval, u32)>;
-
-/// The server metadata over its persisted entries: a
-/// [`CoreError::Persist`] where the tables refuse them.
-pub(crate) fn metadata_from<T: Into<String>>(
-    dsi_entries: Vec<(T, Vec<Interval>)>,
-    blocks: BlockPairs,
-    value_indexes: HashMap<String, ValueIndex>,
-) -> Result<ServerMetadata, CoreError> {
-    let refuse = |why: &str| CoreError::Persist(why.to_owned());
-    let dsi_table = DsiIndexTable::from_entries(dsi_entries)
-        .ok_or_else(|| refuse("DSI index table: two intervals overlap"))?;
-    let block_table = BlockTable::new(&dsi_table, blocks)
-        .ok_or_else(|| refuse("block table: a representative is unlisted or in another block"))?;
-    Ok(ServerMetadata {
-        dsi_table,
-        block_table,
-        value_indexes,
-    })
-}
-
-/// The block table, then the value indexes (attributes sorted).
-pub(crate) fn write_tables(w: &mut W, meta: &ServerMetadata) {
-    let blocks: Vec<(Interval, u32)> = meta.block_table.iter(&meta.dsi_table).collect();
-    w.u64(blocks.len() as u64);
-    for (iv, id) in blocks {
-        interval(w, iv);
-        w.u32(id);
+/// Writes the server's image (see the module docs) and returns its posting
+/// lists in the image's tag order, which each container stores its own way.
+pub(crate) fn write_image<'s>(server: &'s Server, enc: &mut Enc) -> Vec<(&'s str, Postings<'s>)> {
+    encode_visible(server.visible_xml(), &server.interval_positions(), enc);
+    let lists = sorted_postings(server);
+    enc.usize(lists.len());
+    for (tag, _) in &lists {
+        enc.str(tag);
     }
-    let vi = &meta.value_indexes;
-    w.u64(vi.len() as u64);
-    let mut attrs: Vec<&String> = vi.keys().collect();
-    attrs.sort();
-    for attr in attrs {
-        w.string(attr);
-        w.u64(vi[attr].len() as u64);
-        for (k, v) in vi[attr].iter() {
-            w.u128(k);
-            w.u32(v);
+    let meta = server.metadata();
+    let blocks: Vec<(Interval, u32)> = meta.block_table.iter(&meta.dsi_table).collect();
+    encode_block_pairs(&blocks, enc);
+    let mut attrs: Vec<(&String, &ValueIndex)> = meta.value_indexes.iter().collect();
+    attrs.sort_by_key(|&(attr, _)| attr);
+    enc.usize(attrs.len());
+    for (attr, index) in attrs {
+        enc.str(attr);
+        enc.usize(index.len());
+        for (cipher, id) in index.iter() {
+            encode_value_entry(cipher, id, enc);
         }
     }
+    enc.varint(server.block_count() as u64);
+    enc.varint(server.payload_bytes());
+    let dead = server.dead_block_ids();
+    enc.usize(dead.len());
+    for id in dead {
+        enc.varint(id as u64);
+    }
+    lists
 }
 
-/// Reads [`write_tables`]'s section: the block table's pairs, which
-/// [`metadata_from`] builds over the DSI table, and the value indexes.
-pub(crate) fn read_tables(
-    r: &mut R,
-) -> Result<(BlockPairs, HashMap<String, ValueIndex>), CoreError> {
-    let n = r.count(20)?;
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        let iv = read_interval(r)?;
-        blocks.push((iv, r.u32()?));
-    }
+/// The hosted state but its posting lists and sealed blocks, as read.
+pub(crate) struct MetaImage {
+    pub(crate) visible: VisibleFragment,
+    /// Tag names in posting-record order.
+    pub(crate) tags: Vec<String>,
+    blocks: Vec<(Interval, u32)>,
+    value_indexes: HashMap<String, ValueIndex>,
+    pub(crate) block_count: u32,
+    pub(crate) payload_bytes: u64,
+    dead: HashSet<u32>,
+}
+
+/// The one reader of [`write_image`]'s section.
+pub(crate) fn read_image(dec: &mut Dec<'_>) -> Result<MetaImage, CoreError> {
+    let visible = VisibleFragment::decode_from(dec)?;
+    let tags = (0..dec.count(1)?)
+        .map(|_| dec.str())
+        .collect::<Result<_, _>>()?;
+    let blocks = decode_block_pairs(dec)?;
     let mut value_indexes = HashMap::new();
-    for _ in 0..r.count(16)? {
-        let attr = r.string()?;
-        let n = r.count(20)?;
+    for _ in 0..dec.count(2)? {
+        let attr = dec.str()?;
+        let n = dec.count(MIN_VALUE_ENTRY_LEN)?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
-            entries.push((r.u128()?, r.u32()?));
+            entries.push(decode_value_entry(dec)?);
         }
-        // Written in key order by `write_tables`: kept as read, and
-        // refused whole if the order is broken.
+        // Written in key order: kept as read, and refused whole if the
+        // order is broken.
         let index = ValueIndex::from_sorted(entries).ok_or_else(|| {
             CoreError::Persist(format!("value index `{attr}` is out of key order"))
         })?;
         value_indexes.insert(attr, index);
     }
-    Ok((blocks, value_indexes))
+    Ok(MetaImage {
+        visible,
+        tags,
+        blocks,
+        value_indexes,
+        block_count: dec.u32()?,
+        payload_bytes: dec.varint()?,
+        dead: (0..dec.count(1)?)
+            .map(|_| dec.u32())
+            .collect::<Result<_, _>>()?,
+    })
 }
 
-/// The tombstoned block ids, ascending.
-pub(crate) fn write_dead(w: &mut W, server: &Server) {
-    let dead = server.dead_block_ids();
-    w.u64(dead.len() as u64);
-    for id in dead {
-        w.u32(id);
+impl MetaImage {
+    /// The server over this image, its posting lists (in tag order) and
+    /// its blocks: a [`CoreError::Persist`] where the tables or the
+    /// visible fragment's reader refuse them.
+    pub(crate) fn into_server(
+        self,
+        lists: Vec<Vec<Interval>>,
+        blocks: BlockStore,
+    ) -> Result<Server, CoreError> {
+        let refuse = |why: &str| CoreError::Persist(why.to_owned());
+        let dsi_table = DsiIndexTable::from_entries(self.tags.into_iter().zip(lists))
+            .ok_or_else(|| refuse("DSI index table: two intervals overlap"))?;
+        let block_table = BlockTable::new(&dsi_table, self.blocks).ok_or_else(|| {
+            refuse("block table: a representative is unlisted or in another block")
+        })?;
+        let metadata = ServerMetadata {
+            dsi_table,
+            block_table,
+            value_indexes: self.value_indexes,
+        };
+        Server::from_store_parts(&self.visible, metadata, blocks, self.dead)
     }
-}
-
-/// Reads [`write_dead`]'s section.
-pub(crate) fn read_dead(r: &mut R) -> Result<HashSet<u32>, CoreError> {
-    let k = r.count(4)?;
-    let mut dead = HashSet::with_capacity(k);
-    for _ in 0..k {
-        dead.insert(r.u32()?);
-    }
-    Ok(dead)
 }
 
 // ---------------------------------------------------------------- server --
@@ -395,69 +293,45 @@ impl Server {
     /// Fallible because a paged server reads its sealed blocks back through
     /// the store; an all-in-RAM server cannot actually fail here.
     pub fn save_bytes(&self) -> Result<Vec<u8>, CoreError> {
-        let mut w = W::default();
-        w.buf.extend_from_slice(SERVER_MAGIC);
-        write_visible(&mut w, self);
-
-        let dsi = sorted_postings(self);
-        w.u64(dsi.len() as u64);
-        for (tag, ivs) in dsi {
-            w.string(tag);
-            w.u64(ivs.len() as u64);
-            for &iv in ivs.iter() {
-                interval(&mut w, iv);
+        let mut enc = Enc::new();
+        enc.raw(SERVER_MAGIC);
+        for (_, list) in write_image(self, &mut enc) {
+            enc.usize(list.len());
+            for iv in list.iter() {
+                iv.encode_into(&mut enc);
             }
         }
-        write_tables(&mut w, self.metadata());
-
-        // Blocks (including tombstoned slots: ids are positional).
-        let blocks = self.collect_blocks()?;
-        w.u64(blocks.len() as u64);
-        for b in &blocks {
-            w.u32(b.id);
-            w.buf.extend_from_slice(&b.nonce);
-            w.bytes(b.ciphertext);
-            w.buf.extend_from_slice(&b.tag);
-        }
-        write_dead(&mut w, self);
-        Ok(seal_checksum(w.buf))
+        // Tombstoned slots included: ids are positional.
+        self.collect_blocks()?.encode_into(&mut enc);
+        Ok(seal_checksum(enc.into_bytes()))
     }
 
     /// Restores a server from [`save_bytes`](Self::save_bytes) output.
     pub fn load_bytes(data: &[u8]) -> Result<Server, CoreError> {
-        refuse_other_version(data, SERVER_MAGIC, "server state file")?;
-        let mut r = R::new(checked_body(data, SERVER_MAGIC, "server")?);
-        let visible = read_visible(&mut r)?;
-
-        let mut dsi_entries = Vec::new();
-        for _ in 0..r.count(16)? {
-            let tag = r.string()?;
-            let list = (0..r.count(16)?).map(|_| read_interval(&mut r));
-            dsi_entries.push((tag, list.collect::<Result<_, _>>()?));
+        let what = "server state file";
+        let (image, lists, blocks) = read_file(data, SERVER_MAGIC, what, ENCRYPT_AGAIN, |dec| {
+            let image = read_image(dec)?;
+            let mut lists = Vec::with_capacity(image.tags.len());
+            for _ in &image.tags {
+                let list = (0..dec.count(2)?).map(|_| Interval::decode_from(dec));
+                lists.push(list.collect::<Result<_, _>>()?);
+            }
+            Ok((image, lists, SealedBlocks::decode_from(dec)?))
+        })?;
+        if blocks.iter().enumerate().any(|(i, b)| b.id as usize != i) {
+            return Err(CoreError::Persist(format!(
+                "{what}: block ids are not positional"
+            )));
         }
-        let (blocks, value_indexes) = read_tables(&mut r)?;
-
-        let k = r.count(40)?;
-        let mut sealed = SealedBlocks::with_capacity(k, 0);
-        for _ in 0..k {
-            sealed.push(SealedRef {
-                id: r.u32()?,
-                nonce: r.take(12)?.try_into().unwrap(),
-                ciphertext: &r.bytes()?,
-                tag: r.take(16)?.try_into().unwrap(),
-            });
+        let blocks = BlockStore::Resident(blocks);
+        if blocks.len() != image.block_count as usize
+            || blocks.payload_bytes() != image.payload_bytes
+        {
+            return Err(CoreError::Persist(format!(
+                "{what}: the image's block count or bytes are not its blocks'"
+            )));
         }
-        let dead = read_dead(&mut r)?;
-        if !r.finished() {
-            return Err(R::err("trailing bytes"));
-        }
-
-        Server::from_store_parts(
-            &visible,
-            metadata_from(dsi_entries, blocks, value_indexes)?,
-            BlockStore::Resident(sealed),
-            dead,
-        )
+        image.into_server(lists, blocks)
     }
 
     /// Saves to a file (crash-safe: temp file + fsync + atomic rename).
@@ -478,137 +352,131 @@ impl Client {
     /// Serializes the client's state (keys + vocabularies + OPESS plans).
     pub fn save_bytes(&self) -> Vec<u8> {
         let s = self.state();
-        let mut w = W::default();
-        w.buf.extend_from_slice(CLIENT_MAGIC);
-        w.buf.extend_from_slice(&s.keys.master_key());
+        let mut enc = Enc::new();
+        enc.raw(CLIENT_MAGIC);
+        enc.raw(&s.keys.master_key());
+        for set in [&s.encrypted_tags, &s.plain_tags] {
+            let mut names: Vec<&String> = set.iter().collect();
+            names.sort();
+            enc.usize(names.len());
+            for name in names {
+                enc.str(name);
+            }
+        }
 
-        string_set(&mut w, &s.encrypted_tags);
-        string_set(&mut w, &s.plain_tags);
-
-        let mut attrs: Vec<&String> = s.opess.keys().collect();
-        attrs.sort();
-        w.u64(attrs.len() as u64);
-        for attr in attrs {
-            let oa = &s.opess[attr];
-            w.string(attr);
+        let mut attrs: Vec<(&String, &OpessAttr)> = s.opess.iter().collect();
+        attrs.sort_by_key(|&(attr, _)| attr);
+        enc.usize(attrs.len());
+        for (attr, oa) in attrs {
+            enc.str(attr);
             match &oa.codec {
-                ValueCodec::Numeric => w.u8(0),
+                ValueCodec::Numeric => enc.u8(0),
                 ValueCodec::Categorical(values) => {
-                    w.u8(1);
-                    w.u64(values.len() as u64);
+                    enc.u8(1);
+                    enc.usize(values.len());
                     for v in values {
-                        w.string(v);
+                        enc.str(v);
                     }
                 }
             }
             let plan = &oa.plan;
-            w.u32(plan.m());
-            w.f64(plan.delta());
-            w.u64(plan.weight_prefix().len() as u64);
+            enc.varint(plan.m() as u64);
+            enc.f64(plan.delta());
+            enc.usize(plan.weight_prefix().len());
             for &wp in plan.weight_prefix() {
-                w.f64(wp);
+                enc.f64(wp);
             }
-            w.u64(plan.entries().len() as u64);
+            enc.usize(plan.entries().len());
             for e in plan.entries() {
-                w.f64(e.plaintext);
-                w.u32(e.count);
-                w.u32(e.scale);
-                w.u64(e.chunks.len() as u64);
+                enc.f64(e.plaintext);
+                enc.varint(e.count as u64);
+                enc.varint(e.scale as u64);
+                enc.usize(e.chunks.len());
                 for c in &e.chunks {
-                    w.u128(c.ciphertext);
-                    w.u32(c.occurrences);
+                    enc.u128(c.ciphertext);
+                    enc.varint(c.occurrences as u64);
                 }
             }
         }
 
-        w.u64(s.scheme_paths.len() as u64);
+        enc.usize(s.scheme_paths.len());
         for p in &s.scheme_paths {
-            w.string(&p.to_string());
+            enc.str(&p.to_string());
         }
-        w.u8(u8::from(s.lift_to_parent));
-        seal_checksum(w.buf)
+        enc.bool(s.lift_to_parent);
+        seal_checksum(enc.into_bytes())
     }
 
     /// Restores a client from [`save_bytes`](Self::save_bytes) output.
     pub fn load_bytes(data: &[u8]) -> Result<Client, CoreError> {
-        refuse_other_version(data, CLIENT_MAGIC, "client state file")?;
-        let body = checked_body(data, CLIENT_MAGIC, "client")?;
-        let mut r = R::new(body);
-        let master: [u8; 32] = r.take(32)?.try_into().unwrap();
-        let keys = KeyChain::new(master);
-
-        let encrypted_tags = read_string_set(&mut r)?;
-        let plain_tags = read_string_set(&mut r)?;
-
-        let n = r.count(16)?;
-        let mut opess = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let attr = r.string()?;
-            let codec = match r.u8()? {
-                0 => ValueCodec::Numeric,
-                1 => {
-                    let k = r.count(8)?;
-                    let mut values = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        values.push(r.string()?);
-                    }
-                    ValueCodec::Categorical(values)
+        let what = "client state file";
+        let state = read_file(data, CLIENT_MAGIC, what, ENCRYPT_AGAIN, |dec| {
+            let keys = KeyChain::new(dec.array()?);
+            let mut sets = [HashSet::new(), HashSet::new()];
+            for set in &mut sets {
+                for _ in 0..dec.count(1)? {
+                    set.insert(dec.str()?);
                 }
-                _ => return Err(R::err("unknown codec tag")),
-            };
-            let m = r.u32()?;
-            let delta = r.f64()?;
-            let k = r.count(8)?;
-            let mut weights = Vec::with_capacity(k);
-            for _ in 0..k {
-                weights.push(r.f64()?);
             }
-            let k = r.count(24)?;
-            let mut entries = Vec::with_capacity(k);
-            for _ in 0..k {
-                let plaintext = r.f64()?;
-                let count = r.u32()?;
-                let scale = r.u32()?;
-                let cn = r.count(20)?;
-                let mut chunks = Vec::with_capacity(cn);
-                for _ in 0..cn {
-                    let ciphertext = r.u128()?;
-                    let occurrences = r.u32()?;
-                    chunks.push(ChunkCipher {
-                        ciphertext,
-                        occurrences,
+            let [encrypted_tags, plain_tags] = sets;
+
+            let mut opess = HashMap::new();
+            for _ in 0..dec.count(13)? {
+                let attr = dec.str()?;
+                let codec = match dec.u8()? {
+                    0 => ValueCodec::Numeric,
+                    1 => ValueCodec::Categorical(
+                        (0..dec.count(1)?)
+                            .map(|_| dec.str())
+                            .collect::<Result<_, _>>()?,
+                    ),
+                    _ => return Err(CoreError::Persist(format!("{what}: unknown codec tag"))),
+                };
+                let m = dec.u32()?;
+                let delta = dec.f64()?;
+                let weights = (0..dec.count(8)?)
+                    .map(|_| dec.f64())
+                    .collect::<Result<_, _>>()?;
+                let mut entries = Vec::new();
+                for _ in 0..dec.count(11)? {
+                    let plaintext = dec.f64()?;
+                    let count = dec.u32()?;
+                    let scale = dec.u32()?;
+                    let mut chunks = Vec::new();
+                    for _ in 0..dec.count(17)? {
+                        let ciphertext = dec.u128()?;
+                        let occurrences = dec.u32()?;
+                        chunks.push(ChunkCipher {
+                            ciphertext,
+                            occurrences,
+                        });
+                    }
+                    entries.push(PlanEntry {
+                        plaintext,
+                        count,
+                        chunks,
+                        scale,
                     });
                 }
-                entries.push(PlanEntry {
-                    plaintext,
-                    count,
-                    chunks,
-                    scale,
-                });
+                let plan = OpessPlan::from_parts(keys.ope_key(&attr), m, weights, delta, entries);
+                opess.insert(attr, OpessAttr { plan, codec });
             }
-            let plan = OpessPlan::from_parts(keys.ope_key(&attr), m, weights, delta, entries);
-            opess.insert(attr, OpessAttr { plan, codec });
-        }
 
-        let k = r.count(8)?;
-        let mut scheme_paths = Vec::with_capacity(k);
-        for _ in 0..k {
-            let p = r.string()?;
-            scheme_paths.push(Path::parse(&p).map_err(|e| CoreError::Persist(e.to_string()))?);
-        }
-        let lift_to_parent = r.u8()? != 0;
-        if !r.finished() {
-            return Err(R::err("trailing bytes"));
-        }
-
-        Ok(Client::new(ClientCryptoState {
-            keys,
-            encrypted_tags,
-            plain_tags,
-            opess,
-            scheme_paths,
-            lift_to_parent,
-        }))
+            let mut scheme_paths = Vec::new();
+            for _ in 0..dec.count(1)? {
+                let p = Path::parse(&dec.str()?).map_err(|e| CoreError::Persist(e.to_string()))?;
+                scheme_paths.push(p);
+            }
+            Ok(ClientCryptoState {
+                keys,
+                encrypted_tags,
+                plain_tags,
+                opess,
+                scheme_paths,
+                lift_to_parent: dec.bool()?,
+            })
+        })?;
+        Ok(Client::new(state))
     }
 
     /// Saves to a file (crash-safe: temp file + fsync + atomic rename).
@@ -623,24 +491,6 @@ impl Client {
     }
 }
 
-fn string_set(w: &mut W, set: &HashSet<String>) {
-    let mut v: Vec<&String> = set.iter().collect();
-    v.sort();
-    w.u64(v.len() as u64);
-    for s in v {
-        w.string(s);
-    }
-}
-
-fn read_string_set(r: &mut R) -> Result<HashSet<String>, CoreError> {
-    let n = r.count(8)?;
-    let mut out = HashSet::with_capacity(n);
-    for _ in 0..n {
-        out.insert(r.string()?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,6 +498,7 @@ mod tests {
     use crate::scheme::SchemeKind;
     use crate::system::{OutsourceConfig, Outsourcer};
     use exq_xml::Document;
+    use proptest::prelude::*;
 
     /// Three patients, their ages encrypted.
     fn hosted() -> Server {
@@ -664,8 +515,11 @@ mod tests {
             .1
     }
 
-    fn le(iv: Interval) -> Vec<u8> {
-        [iv.lo.to_le_bytes(), iv.hi.to_le_bytes()].concat()
+    /// A block id or a value index's, as written.
+    fn varint(v: u32) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.varint(v as u64);
+        enc.into_bytes()
     }
 
     /// `bytes` with its last occurrence of `from` (which it must hold)
@@ -677,7 +531,7 @@ mod tests {
             .rposition(|w| w == from)
             .expect("the bytes in the artifact");
         let mut edited = bytes[..bytes.len() - 4].to_vec();
-        edited[at..at + from.len()].copy_from_slice(to);
+        edited.splice(at..at + from.len(), to.iter().copied());
         match Server::load_bytes(&seal_checksum(edited)) {
             Err(CoreError::Persist(msg)) => msg,
             other => panic!("expected a persist error, got {other:?}"),
@@ -706,8 +560,8 @@ mod tests {
         let into_b = Interval::new(a.lo, b.lo + (b.hi - b.lo) / 2);
         let msg = load_edited(
             &bytes,
-            &[le(a), le(b)].concat(),
-            &[le(into_b), le(b)].concat(),
+            &[a.encode(), b.encode()].concat(),
+            &[into_b.encode(), b.encode()].concat(),
         );
         assert!(msg.contains("overlap"), "{msg}");
     }
@@ -723,18 +577,49 @@ mod tests {
         let (rep, id) = meta.block_table.iter(&meta.dsi_table).next().unwrap();
         let unlisted = Interval::new(rep.lo, rep.hi - 1);
         assert!(meta.dsi_table.universe().find(&unlisted).is_none());
-        // The block table is the last section holding the representative.
+        // The block table is the one section holding the representative
+        // followed by its id.
         let msg = load_edited(
             &bytes,
-            &[le(rep), id.to_le_bytes().to_vec()].concat(),
-            &[le(unlisted), id.to_le_bytes().to_vec()].concat(),
+            &[rep.encode(), varint(id)].concat(),
+            &[unlisted.encode(), varint(id)].concat(),
         );
         assert!(msg.contains("representative"), "{msg}");
+    }
+
+    /// A sealed-block table other than the one the image counts, or whose
+    /// ids are not positional, in an artifact whose checksum is valid, is
+    /// refused.
+    #[test]
+    fn blocks_the_image_does_not_count_are_refused() {
+        let server = hosted();
+        let bytes = server.save_bytes().unwrap();
+        let body = &bytes[..bytes.len() - 4];
+        let blocks = server.collect_blocks().unwrap();
+        let table = blocks.encode();
+        assert!(body.ends_with(&table), "the table closes the body");
+        let mut fewer = SealedBlocks::new();
+        fewer.extend_from(&blocks, 0..blocks.len() - 1);
+        let mut renumbered = SealedBlocks::new();
+        for b in &blocks {
+            renumbered.push(exq_crypto::SealedRef { id: b.id ^ 1, ..b });
+        }
+        for (edit, why) in [(fewer, "block count"), (renumbered, "not positional")] {
+            let edited = [&body[..body.len() - table.len()], &edit.encode()].concat();
+            match Server::load_bytes(&seal_checksum(edited)) {
+                Err(CoreError::Persist(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("expected a persist error, got {other:?}"),
+            }
+        }
     }
 
     /// Three patients, their ages encrypted and each name keyed by `k`:
     /// the visible document's last node is an attribute.
     fn keyed() -> Server {
+        keyed_with_client().1
+    }
+
+    fn keyed_with_client() -> (Client, Server) {
         let doc = Document::parse(
             "<h><p><age>30</age><n k=\"1\">a</n></p><p><age>41</age><n k=\"2\">b</n></p>\
              <p><age>52</age><n k=\"3\">c</n></p></h>",
@@ -745,39 +630,45 @@ mod tests {
             .outsource(&doc, &cs, SchemeKind::Opt, 5)
             .unwrap()
             .split()
-            .1
     }
 
-    /// A visible section's pair as written.
-    fn pair((ordinal, iv): (u32, Interval)) -> Vec<u8> {
-        [(ordinal as u64).to_le_bytes().to_vec(), le(iv)].concat()
-    }
-
-    /// `bytes` with the visible section's pairs `from` (consecutive, as
-    /// written) replaced by `to`, its pair count set to match, the
-    /// checksum resealed, then loaded: a persist error, whose message is
-    /// returned.
+    /// The server's artifact with the visible section's pairs `from`
+    /// (consecutive, as written) replaced by `to`, the checksum resealed,
+    /// then loaded: a persist error, whose message is returned.
     fn load_with_pairs(
         server: &Server,
         from: &[(u32, Interval)],
         to: &[(u32, Interval)],
     ) -> String {
+        load_with_visible(server, |frag| {
+            let at = frag.intervals.windows(from.len()).position(|w| w == from);
+            let at = at.expect("the pairs in the visible section");
+            frag.intervals
+                .splice(at..at + from.len(), to.iter().copied());
+        })
+    }
+
+    /// The server's artifact with its visible section edited by `edit`, the
+    /// checksum resealed, then loaded: a persist error, whose message is
+    /// returned.
+    fn load_with_visible(server: &Server, edit: impl FnOnce(&mut VisibleFragment)) -> String {
         let bytes = server.save_bytes().unwrap();
         assert!(Server::load_bytes(&bytes).is_ok());
-        let count_at = 6 + 8 + server.visible_xml().len();
-        let pairs = server.interval_positions();
-        let (from, to) = (from.iter().copied(), to.iter().copied());
-        let (from, to): (Vec<u8>, Vec<u8>) =
-            (from.flat_map(pair).collect(), to.flat_map(pair).collect());
-        let at = bytes.windows(from.len()).position(|w| w == from).unwrap();
-        assert!(at > count_at && at < count_at + 8 + 24 * pairs.len());
-        let count = pairs.len() + to.len() / 24 - from.len() / 24;
+        let mut frag = VisibleFragment {
+            xml: server.visible_xml().to_owned(),
+            intervals: server.interval_positions(),
+        };
+        let written = frag.encode();
+        assert_eq!(
+            &bytes[6..6 + written.len()],
+            written,
+            "the image opens the body"
+        );
+        edit(&mut frag);
         let edited = [
-            &bytes[..count_at],
-            &(count as u64).to_le_bytes(),
-            &bytes[count_at + 8..at],
-            &to,
-            &bytes[at + from.len()..bytes.len() - 4],
+            &bytes[..6],
+            &frag.encode(),
+            &bytes[6 + written.len()..bytes.len() - 4],
         ]
         .concat();
         match Server::load_bytes(&seal_checksum(edited)) {
@@ -830,6 +721,28 @@ mod tests {
         assert!(msg.contains("neither visible nor inside a block"), "{msg}");
     }
 
+    /// A visible element or attribute renamed, in an artifact whose
+    /// checksum is valid, is refused: its interval is filed under the old
+    /// name, so a query for that name would silently miss it.
+    #[test]
+    fn a_mislabelled_visible_node_is_refused() {
+        let server = keyed();
+        let renames = [
+            ("<n k=\"1\">a</n>", "<m k=\"1\">a</m>"),
+            (" k=\"2\"", " j=\"2\""),
+        ];
+        for (from, to) in renames {
+            let msg = load_with_visible(&server, |frag| {
+                assert!(frag.xml.contains(from), "{from} in {}", frag.xml);
+                frag.xml = frag.xml.replacen(from, to, 1);
+            });
+            assert!(
+                msg.contains("is not a tag its interval is filed under"),
+                "{msg}"
+            );
+        }
+    }
+
     /// A value index whose entries are out of key order, in an artifact
     /// whose checksum is valid, is a typed error naming the index.
     #[test]
@@ -844,7 +757,7 @@ mod tests {
         let at = (1..entries.len())
             .find(|&i| entries[i - 1].0 < entries[i].0)
             .expect("two distinct keys");
-        let record = |(k, v): (u128, u32)| [&k.to_le_bytes()[..], &v.to_le_bytes()].concat();
+        let record = |(k, v): (u128, u32)| [k.to_le_bytes().to_vec(), varint(v)].concat();
         let (first, second) = (record(entries[at - 1]), record(entries[at]));
         let pair = [first.as_slice(), &second].concat();
         let start = bytes
@@ -863,6 +776,80 @@ mod tests {
                 )
             }
             other => panic!("expected a persist error, got {other:?}"),
+        }
+    }
+
+    /// How a hostile file differs from a good one behind a valid checksum.
+    #[derive(Debug, Clone)]
+    enum Damage {
+        /// The body cut short.
+        Truncate(usize),
+        /// A varint written over the body: a count or length prefix where
+        /// it lands on one, its value anywhere up to the widest a varint
+        /// holds.
+        Overwrite(usize, u64),
+    }
+
+    fn damage() -> impl Strategy<Value = Damage> {
+        let value = prop_oneof![0u64..300, 1u64 << 20..1 << 40, u64::MAX >> 8..u64::MAX];
+        prop_oneof![
+            any::<usize>().prop_map(Damage::Truncate),
+            (any::<usize>(), value).prop_map(|(at, v)| Damage::Overwrite(at, v)),
+        ]
+    }
+
+    /// `file` (magic, body, and a checksum when `sealed`) with its body
+    /// damaged and, when sealed, the checksum resealed.
+    fn damaged(file: &[u8], sealed: bool, damage: &Damage) -> Vec<u8> {
+        let end = file.len() - if sealed { 4 } else { 0 };
+        let mut out = file[..end].to_vec();
+        match damage {
+            Damage::Truncate(at) => out.truncate(6 + at % (end - 6)),
+            Damage::Overwrite(at, v) => {
+                let at = 6 + at % (end - 6);
+                let mut enc = Enc::new();
+                enc.varint(*v);
+                let v = enc.into_bytes();
+                out.splice(at..(at + v.len()).min(end), v);
+            }
+        }
+        match sealed {
+            true => seal_checksum(out),
+            false => out,
+        }
+    }
+
+    /// Ok, or the typed error of a damaged file.
+    fn typed<T>(decoded: Result<T, CoreError>) -> Result<(), TestCaseError> {
+        match decoded {
+            Ok(_) | Err(CoreError::Persist(_)) => Ok(()),
+            Err(other) => Err(TestCaseError::fail(format!("{other:?}"))),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The four file decoders — server artifact, client file, paged
+        /// metadata record and manifest — over a body cut short or with a
+        /// count or length prefix overwritten, behind a valid checksum:
+        /// `Ok` or a typed persist error, never a panic, and no allocation
+        /// sized from a count the bytes left cannot hold.
+        #[test]
+        fn damaged_files_are_typed_errors(damage in damage()) {
+            let (client, server) = keyed_with_client();
+            let server_file = server.save_bytes().unwrap();
+            typed(Server::load_bytes(&damaged(&server_file, true, &damage)))?;
+            typed(Client::load_bytes(&damaged(&client.save_bytes(), true, &damage)))?;
+            let meta = crate::store::encode_meta(&server);
+            typed(crate::store::read_meta(&damaged(&meta, false, &damage)))?;
+            let mut manifest = crate::tenant::Manifest::new("ward-a");
+            for (name, key_fingerprint) in [("ward-a", u64::MAX), ("ward-b", 7)] {
+                let entry = crate::tenant::DbEntry { key_fingerprint, max_inflight: 4 };
+                manifest.dbs.insert(name.to_owned(), entry);
+            }
+            let manifest = manifest.to_bytes();
+            typed(crate::tenant::Manifest::from_bytes(&damaged(&manifest, true, &damage)))?;
         }
     }
 }

@@ -355,9 +355,9 @@ impl Server {
         blocks: BlockStore,
         dead_blocks: HashSet<u32>,
     ) -> Result<Server, CoreError> {
-        let u = metadata.dsi_table.universe();
+        let (dsi, u) = (&metadata.dsi_table, metadata.dsi_table.universe());
         let covered = |p| metadata.block_table.block_at(p).is_some();
-        let visible = VisibleText::read(visible, u, covered)
+        let visible = VisibleText::read(visible, u, covered, |tag| dsi.positions(tag))
             .map_err(|why| CoreError::Persist(format!("visible doc: {why}")))?;
         Ok(Server {
             visible,
@@ -1089,7 +1089,9 @@ mod splice_tests {
         };
         let ordinals: Vec<u32> = frag.intervals.iter().map(|&(ordinal, _)| ordinal).collect();
         assert_eq!(ordinals, placed, "visible nodes after {step}");
-        let rebuilt = VisibleText::read(&frag, fresh.universe(), |p| blocks.block_at(p).is_some());
+        let covered = |p| blocks.block_at(p).is_some();
+        let rebuilt =
+            VisibleText::read(&frag, fresh.universe(), covered, |tag| fresh.positions(tag));
         assert_eq!(
             rebuilt.as_ref(),
             Ok(&s.visible),

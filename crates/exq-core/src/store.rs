@@ -32,22 +32,21 @@
 //! pages are never rewritten. [`Checkpointer`] runs this on a background
 //! thread off the serving path.
 
+use crate::codec::Enc;
 use crate::error::CoreError;
 use crate::persist::{
-    metadata_from, read_dead, read_tables, read_visible, refuse_other_version, sorted_postings,
-    write_dead, write_tables, write_visible, BlockPairs, R, W,
+    decode_body, read_image, refuse_other_version, sorted_postings, write_image, MetaImage,
+    ENCRYPT_AGAIN,
 };
 use crate::server::Server;
 use crate::telemetry::{self, Counter, Gauge};
-use crate::visible::VisibleFragment;
 use exq_crypto::{SealedBlock, SealedBlocks, SealedRef};
 use exq_index::paged::{
     block_record_id, encode_postings, load_postings, posting_record_id, REC_META,
 };
-use exq_index::ValueIndex;
 use exq_store::store::{DATA_FILE, WAL_FILE};
 use exq_store::PagedStore;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
@@ -55,11 +54,10 @@ use std::time::{Duration, Instant};
 
 pub use exq_store::{PoolStats, StoreFootprint, StoreOptions};
 
-/// Magic of the paged metadata record (record id 0). Version 3 heads a
-/// store whose value indexes are under position-keyed OPE coins and whose
-/// blocks carry RFC 8439 tags, like server artifact version 4
-/// (`crate::persist`); any other version is refused.
-const META_MAGIC: &[u8; 6] = b"EXQPM3";
+/// Magic of the paged metadata record (record id 0), which holds the
+/// hosted state's image (`crate::persist`). Version 4 moved with server
+/// artifact version 5; any other version is refused.
+const META_MAGIC: &[u8; 6] = b"EXQPM4";
 
 /// WAL record kind: an `InsertDelta` wire encoding.
 pub(crate) const KIND_INSERT: u8 = 3;
@@ -528,86 +526,40 @@ fn resident_records(server: &Server) -> Vec<(u64, Option<Vec<u8>>)> {
     dirty
 }
 
-/// Encodes the metadata image (record 0): everything a server needs except
-/// block payloads and posting lists, which live in their own records.
-fn encode_meta(server: &Server) -> Vec<u8> {
-    let mut w = W::default();
-    w.buf.extend_from_slice(META_MAGIC);
-    write_visible(&mut w, server);
-    // Tag names only, in posting-record order; the lists are records.
-    let tags = sorted_postings(server);
-    w.u64(tags.len() as u64);
-    for (tag, _) in tags {
-        w.string(tag);
-    }
-    write_tables(&mut w, server.metadata());
-    w.u32(server.block_count() as u32);
-    w.u64(server.payload_bytes());
-    write_dead(&mut w, server);
-    w.buf
+/// Encodes the metadata record (record 0): the image, whose posting lists
+/// and blocks live in their own records.
+pub(crate) fn encode_meta(server: &Server) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.raw(META_MAGIC);
+    write_image(server, &mut enc);
+    enc.into_bytes()
 }
 
-/// The metadata image, decoded.
-struct MetaImage {
-    visible: VisibleFragment,
-    /// Tag names in posting-record order.
-    tags: Vec<String>,
-    blocks: BlockPairs,
-    value_indexes: HashMap<String, ValueIndex>,
-    block_count: u32,
-    payload_bytes: u64,
-    dead: HashSet<u32>,
-}
-
-/// The one reader of [`encode_meta`]'s layout: [`decode_meta`] builds a
-/// server from it, [`PagedDb::inspect`] reads its counts.
-fn read_meta(bytes: &[u8]) -> Result<MetaImage, CoreError> {
-    refuse_other_version(bytes, META_MAGIC, "paged metadata record")?;
+/// Reads [`encode_meta`]'s record: [`decode_meta`] builds a server from it,
+/// [`PagedDb::inspect`] reads its counts.
+pub(crate) fn read_meta(bytes: &[u8]) -> Result<MetaImage, CoreError> {
+    let what = "paged metadata record";
+    refuse_other_version(bytes, META_MAGIC, what, ENCRYPT_AGAIN)?;
     let body = bytes
         .strip_prefix(META_MAGIC.as_slice())
-        .ok_or_else(|| CoreError::Persist("paged metadata record has wrong magic".into()))?;
-    let mut r = R::new(body);
-    let visible = read_visible(&mut r)?;
-    let tags = (0..r.count(8)?)
-        .map(|_| r.string())
-        .collect::<Result<_, _>>()?;
-    let (blocks, value_indexes) = read_tables(&mut r)?;
-    let meta = MetaImage {
-        visible,
-        tags,
-        blocks,
-        value_indexes,
-        block_count: r.u32()?,
-        payload_bytes: r.u64()?,
-        dead: read_dead(&mut r)?,
-    };
-    if !r.finished() {
-        return Err(CoreError::Persist(
-            "paged metadata record has trailing bytes".into(),
-        ));
-    }
-    Ok(meta)
+        .ok_or_else(|| CoreError::Persist(format!("{what} has wrong magic")))?;
+    decode_body(what, body, read_image)
 }
 
-/// Rebuilds a server from the metadata image, loading posting lists
+/// Rebuilds a server from the metadata record, loading posting lists
 /// through the store (their pages pin and release like any other read).
 fn decode_meta(bytes: &[u8], db: &Arc<PagedDb>) -> Result<Server, CoreError> {
-    let meta = read_meta(bytes)?;
-    let mut dsi_entries = Vec::new();
-    for (k, tag) in meta.tags.iter().enumerate() {
-        dsi_entries.push((tag.as_str(), load_postings(&db.store, k as u32)?));
-    }
-    Server::from_store_parts(
-        &meta.visible,
-        metadata_from(dsi_entries, meta.blocks, meta.value_indexes)?,
-        BlockStore::Paged {
-            db: Arc::clone(db),
-            count: meta.block_count,
-            payload_bytes: meta.payload_bytes,
-            overlay: HashMap::new(),
-        },
-        meta.dead,
-    )
+    let image = read_meta(bytes)?;
+    let lists = (0..image.tags.len() as u32)
+        .map(|k| load_postings(&db.store, k))
+        .collect::<Result<_, exq_store::StoreError>>()?;
+    let blocks = BlockStore::Paged {
+        db: Arc::clone(db),
+        count: image.block_count,
+        payload_bytes: image.payload_bytes,
+        overlay: HashMap::new(),
+    };
+    image.into_server(lists, blocks)
 }
 
 /// Block record layout: `[nonce 12][tag 16][ciphertext..]`. The id is the

@@ -33,9 +33,9 @@
 //!
 //! [`ServerCaches`]: crate::cache::ServerCaches
 
-use crate::codec::MAX_DB_ID_LEN;
+use crate::codec::{Enc, MAX_DB_ID_LEN};
 use crate::error::CoreError;
-use crate::persist::{atomic_write, checked_body, seal_checksum, R, W};
+use crate::persist::{atomic_write, read_file, seal_checksum};
 use crate::server::Server;
 use crate::store::{PagedDb, StoreOptions};
 use crate::telemetry::{self, Counter, Gauge, Histogram, Level};
@@ -93,7 +93,9 @@ impl DbHealth {
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// Manifest magic (versioned like the other persistence artifacts).
-const MANIFEST_MAGIC: &[u8; 6] = b"EXQMF1";
+/// Version 2 writes its fields in the one codec and no longer names a
+/// state file per database (every writer named it after the db).
+const MANIFEST_MAGIC: &[u8; 6] = b"EXQMF2";
 
 /// Retry-after hint stamped on [`CoreError::Unavailable`] refusals: the
 /// checkpointer probes degraded storage once per tick, so sooner retries
@@ -672,47 +674,51 @@ impl Manifest {
         let path = dir.join(MANIFEST_FILE);
         let data = std::fs::read(&path)
             .map_err(|e| CoreError::Persist(format!("read {}: {e}", path.display())))?;
-        let mut r = R::new(checked_body(&data, MANIFEST_MAGIC, "manifest")?);
-        let mut manifest = Manifest::new(&r.string()?);
-        // Each entry is at least two length prefixes + two u64s.
-        for _ in 0..r.count(32)? {
-            let name = r.string()?;
-            validate_db_id(&name)?;
-            // Every writer there has been names the state file after the db.
-            if r.string()? != format!("{name}.exq") {
-                return Err(CoreError::Persist(format!(
-                    "manifest entry '{name}' names a foreign state file"
-                )));
+        Manifest::from_bytes(&data)
+    }
+
+    /// Decodes and validates a manifest file's bytes.
+    pub fn from_bytes(data: &[u8]) -> Result<Manifest, CoreError> {
+        // It holds no key: a directory written by another version is
+        // hosted again by the build that wrote it, or created again.
+        let remedy = "create the directory's databases again";
+        read_file(data, MANIFEST_MAGIC, "manifest", remedy, |dec| {
+            let mut manifest = Manifest::new(&dec.str()?);
+            // Each entry is at least a name and two one-byte varints.
+            for _ in 0..dec.count(3)? {
+                let name = dec.str()?;
+                validate_db_id(&name).map_err(|e| CoreError::Persist(format!("manifest: {e}")))?;
+                let entry = DbEntry {
+                    key_fingerprint: dec.varint()?,
+                    max_inflight: dec.usize()?,
+                };
+                if manifest.dbs.insert(name.clone(), entry).is_some() {
+                    return Err(CoreError::Persist(format!(
+                        "manifest names database '{name}' twice"
+                    )));
+                }
             }
-            let entry = DbEntry {
-                key_fingerprint: r.u64()?,
-                max_inflight: r.u64()? as usize,
-            };
-            if manifest.dbs.insert(name.clone(), entry).is_some() {
-                return Err(CoreError::Persist(format!(
-                    "manifest names database '{name}' twice"
-                )));
-            }
+            Ok(manifest)
+        })
+    }
+
+    /// The manifest file's bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.raw(MANIFEST_MAGIC);
+        enc.str(&self.default_db);
+        enc.usize(self.dbs.len());
+        for (name, entry) in &self.dbs {
+            enc.str(name);
+            enc.varint(entry.key_fingerprint);
+            enc.usize(entry.max_inflight);
         }
-        if !r.finished() {
-            return Err(CoreError::Persist("manifest trailing bytes".into()));
-        }
-        Ok(manifest)
+        seal_checksum(enc.into_bytes())
     }
 
     /// Writes `dir/MANIFEST` (crash-safe: temp file + fsync + rename).
     pub fn write(&self, dir: &Path) -> Result<(), CoreError> {
-        let mut w = W::default();
-        w.buf.extend_from_slice(MANIFEST_MAGIC);
-        w.string(&self.default_db);
-        w.u64(self.dbs.len() as u64);
-        for (name, entry) in &self.dbs {
-            w.string(name);
-            w.string(&format!("{name}.exq"));
-            w.u64(entry.key_fingerprint);
-            w.u64(entry.max_inflight as u64);
-        }
-        atomic_write(&dir.join(MANIFEST_FILE), &seal_checksum(w.buf))
+        atomic_write(&dir.join(MANIFEST_FILE), &self.to_bytes())
     }
 }
 

@@ -49,7 +49,7 @@ use exq_xml::{Document, NodeId, NodeKind};
 use exq_xpath::eval_document;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 /// What the server offers the client for an insertion under a parent.
@@ -209,7 +209,14 @@ impl Server {
             let i = reps.partition_point(|rep| rep.lo <= iv.lo);
             i > 0 && reps[i - 1].hi >= iv.hi
         };
-        let frag = VisibleText::read(&delta.visible, &run, covered)
+        // Each tag's positions in the run, ascending.
+        let mut filed: HashMap<&str, Vec<u32>> = HashMap::new();
+        for (tag, iv) in &delta.dsi_entries {
+            filed.entry(tag).or_default().extend(run.find(iv));
+        }
+        filed.values_mut().for_each(|ps| ps.sort_unstable());
+        let filed = |tag: &str| filed.get(tag).map_or(&[][..], Vec::as_slice);
+        let frag = VisibleText::read(&delta.visible, &run, covered, filed)
             .map_err(|why| CoreError::Delta(format!("visible fragment: {why}")))?;
         if !frag.is_visible(0) {
             return refuse("visible fragment: its root is not the run's outermost interval");

@@ -21,6 +21,7 @@
 //! visible node lies inside a block. So a persisted document or an insert
 //! that disagrees with its index is refused.
 
+use crate::encrypt::BLOCK_MARKER_TAG;
 use exq_index::dsi::Interval;
 use exq_index::sjoin::IntervalUniverse;
 use exq_index::BlockTable;
@@ -83,6 +84,19 @@ fn visible_parent(at: &[At], u: &IntervalUniverse, p: u32) -> Option<u32> {
     std::iter::successors(u.parent(p), |&q| u.parent(q)).find(|&q| at[q as usize].start != NOWHERE)
 }
 
+/// Writes into `tag` the tag a visible node's name is filed under: an
+/// element's name, an attribute's `@name`.
+fn tag_of(doc: &SpanDocument, n: NodeId, element: bool, tag: &mut String) {
+    let xml = doc.xml(n);
+    tag.clear();
+    if element {
+        tag.push_str(xml[1..].split([' ', '>', '/']).next().unwrap_or_default());
+    } else {
+        tag.push('@');
+        tag.push_str(xml.split('=').next().unwrap_or_default());
+    }
+}
+
 /// What a reply region keeps of a position (see [`VisibleText::region`]).
 const SKIP: u8 = 0;
 const CONTEXT: u8 = 1;
@@ -98,14 +112,17 @@ pub(crate) struct VisibleText {
 impl VisibleText {
     /// Reads a fragment over `u`: span-parses its text and places each
     /// pair's node at its interval's position. `covered` tells whether a
-    /// block covers a position. Refuses a pair whose ordinal names no
-    /// element or attribute, ordinals that do not ascend, an interval `u`
-    /// lacks, and a fragment that does not follow `u`'s structure (see the
-    /// module docs).
-    pub(crate) fn read(
+    /// block covers a position, and `filed` the ascending positions the
+    /// index files under a tag (an attribute's is `@name`). Refuses a pair
+    /// whose ordinal names no element or attribute, ordinals that do not
+    /// ascend, an interval `u` lacks, a fragment that does not follow
+    /// `u`'s structure (see the module docs), and a node whose name is not
+    /// a tag its position is filed under (a block marker's excepted).
+    pub(crate) fn read<'t>(
         frag: &VisibleFragment,
         u: &IntervalUniverse,
         covered: impl Fn(u32) -> bool,
+        filed: impl Fn(&str) -> &'t [u32],
     ) -> Result<VisibleText, String> {
         if frag.intervals.windows(2).any(|w| w[0].0 >= w[1].0) {
             return Err("its ordinals do not ascend".into());
@@ -119,11 +136,18 @@ impl VisibleText {
         let mut position = vec![NOWHERE; doc.len()];
         let (mut pairs, mut ordinal) = (frag.intervals.iter().peekable(), 0);
         let mut last = None;
+        // Per name id, an element's and an attribute's apart: the positions
+        // its tag is filed under that the walk, whose positions ascend, has
+        // not passed; `None` for a block marker, whose name is exempt.
+        let mut unread: Vec<Option<Option<&[u32]>>> = Vec::new();
+        // A name's tag, written into one buffer when first met.
+        let mut tag = String::new();
         for i in 0..doc.len() as u32 {
             let n = NodeId(i);
-            let element = match doc.node_type(n) {
+            let (element, name_id) = match doc.node_type(n) {
                 NodeType::Text => continue,
-                t => matches!(t, NodeType::Element(_)),
+                NodeType::Element(t) => (true, 2 * t.0 as usize),
+                NodeType::Attribute(t) => (false, 2 * t.0 as usize + 1),
             };
             let here = ordinal;
             ordinal += 1;
@@ -137,6 +161,22 @@ impl VisibleText {
             let parent = doc.parent_of(n).map(|q| position[q.index()]);
             if last.is_some_and(|l| l >= p) || visible_parent(&at, u, p) != parent {
                 return Err("its intervals do not follow its tree".into());
+            }
+            if unread.len() <= name_id {
+                unread.resize(name_id + 1, None);
+            }
+            if unread[name_id].is_none() {
+                tag_of(&doc, n, element, &mut tag);
+                unread[name_id] = Some((tag != BLOCK_MARKER_TAG).then(|| filed(&tag)));
+            }
+            if let Some(Some(rest)) = &mut unread[name_id] {
+                while rest.first().is_some_and(|&q| q < p) {
+                    *rest = &rest[1..];
+                }
+                if rest.first() != Some(&p) {
+                    tag_of(&doc, n, element, &mut tag);
+                    return Err(format!("`{tag}` is not a tag its interval is filed under"));
+                }
             }
             at[p as usize] = At::of(doc.span(n));
             position[i as usize] = p;
@@ -423,7 +463,6 @@ impl VisibleText {
 mod tests {
     use super::*;
     use crate::constraints::SecurityConstraint;
-    use crate::encrypt::BLOCK_MARKER_TAG;
     use crate::scheme::SchemeKind;
     use crate::system::{OutsourceConfig, Outsourcer};
     use crate::Server;
@@ -617,8 +656,11 @@ mod tests {
         let s = &servers()[0];
         let u = s.metadata().dsi_table.universe();
         let blocks = &s.metadata().block_table;
-        let read =
-            |frag: &VisibleFragment| VisibleText::read(frag, u, |p| blocks.block_at(p).is_some());
+        let dsi = &s.metadata().dsi_table;
+        let read = |frag: &VisibleFragment| {
+            let covered = |p| blocks.block_at(p).is_some();
+            VisibleText::read(frag, u, covered, |tag| dsi.positions(tag))
+        };
         let good = VisibleFragment {
             xml: s.visible_xml().to_owned(),
             intervals: s.visible_text().interval_positions(u),

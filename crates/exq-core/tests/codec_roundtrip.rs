@@ -436,3 +436,40 @@ fn decoded_intervals_uphold_invariant() {
         Ok(m) => panic!("inverted interval decoded: {m:?}"),
     }
 }
+
+/// One small insert's encoding, pinned byte for byte: the visible
+/// fragment, block pairs and value entries have one codec each, shared by
+/// the wire, the WAL and the files, and none of them may move a wire byte.
+#[test]
+fn a_small_insert_delta_encodes_as_pinned() {
+    use exq_index::dsi::Interval;
+    let iv = Interval::new;
+    let delta = InsertDelta {
+        parent: iv(10, 900),
+        visible: VisibleFragment {
+            xml: "<p k=\"1\"><n>a</n></p>".into(),
+            intervals: vec![(0, iv(20, 300)), (1, iv(30, 40)), (2, iv(50, 200))],
+        },
+        blocks: vec![SealedBlock {
+            id: 7,
+            nonce: [1; 12],
+            ciphertext: vec![0xAB, 0xCD, 0xEF],
+            tag: [2; 16],
+        }],
+        dsi_entries: vec![
+            ("p".into(), iv(20, 300)),
+            ("@k".into(), iv(30, 40)),
+            ("zz".into(), iv(210, 290)),
+        ],
+        block_entries: vec![(iv(210, 290), 7)],
+        value_entries: vec![("@k".into(), 0x0102_0304_0506_0708_090a_0b0c_0d0e_0f10, 7)],
+    };
+    let hex: String = delta.encode().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "0a8407153c70206b3d2231223e3c6e3e613c2f6e3e3c2f703e030014ac02011e280232c801010701010101\
+         010101010101010103abcdef0202020202020202020202020202020203017014ac0202406b1e28027a7ad2\
+         01a20201d201a202070102406b100f0e0d0c0b0a09080706050403020107"
+    );
+    assert_eq!(InsertDelta::decode(&delta.encode()).unwrap(), delta);
+}

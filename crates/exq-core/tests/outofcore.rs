@@ -184,11 +184,13 @@ fn version_one_paged_metadata_is_refused() {
 }
 
 /// A paged store whose metadata record is version 2 predates RFC 8439
-/// block tags: every block it holds would fail its tag. It is refused the
-/// same way.
+/// block tags: every block it holds would fail its tag. Version 3 predates
+/// the one byte codec. Each is refused the same way.
 #[test]
 fn version_two_paged_metadata_is_refused() {
-    paged_metadata_version_is_refused(b'2');
+    for version in [b'2', b'3'] {
+        paged_metadata_version_is_refused(version);
+    }
 }
 
 /// Imports a store, rewrites its metadata record's version byte to

@@ -146,48 +146,79 @@ fn corrupted_files_rejected() {
     }
 }
 
+/// `bytes`, a state file, relabelled as `version` of its magic with its
+/// checksum resealed.
+fn as_version(bytes: &[u8], version: u8) -> Vec<u8> {
+    let body = [&bytes[..5], &[version], &bytes[6..bytes.len() - 4]].concat();
+    let crc = exq_core::codec::crc32(&[&body]);
+    [body, crc.to_le_bytes().to_vec()].concat()
+}
+
+/// A refusal by a typed error that names the version.
+fn assert_refused<T>(refused: Result<T, exq_core::CoreError>, version: u8) {
+    match refused {
+        Err(exq_core::CoreError::Persist(why)) => {
+            assert!(
+                why.contains(&format!("version {}", version as char)),
+                "{why}"
+            )
+        }
+        Err(other) => panic!("version {} gave {other:?}", version as char),
+        Ok(_) => panic!("version {} loaded", version as char),
+    }
+}
+
 /// Version-2 artifacts predate position-keyed OPE coins: their value
-/// indexes no longer match a client's ranges. With an intact checksum they
-/// are still refused, by a typed error that names the version.
+/// indexes no longer match a client's ranges. Version-3 client files
+/// predate the one byte codec: their lengths and counts are fixed-width.
+/// With an intact checksum they are still refused, by a typed error that
+/// names the version.
 #[test]
 fn version_two_artifacts_are_refused() {
     let (client, server, _) = hosted();
-    let as_v2 = |bytes: &[u8]| {
-        let body = [&bytes[..5], b"2", &bytes[6..bytes.len() - 4]].concat();
-        let crc = exq_core::codec::crc32(&[&body]);
-        [body, crc.to_le_bytes().to_vec()].concat()
-    };
-    let refusals = [
-        Server::load_bytes(&as_v2(&server.save_bytes().unwrap())).map(|_| ()),
-        Client::load_bytes(&as_v2(&client.save_bytes())).map(|_| ()),
-    ];
-    for refused in refusals {
-        match refused {
-            Err(exq_core::CoreError::Persist(why)) => {
-                assert!(why.contains("version 2"), "{why}")
-            }
-            other => panic!("a version-2 artifact gave {other:?}"),
-        }
+    let (s, c) = (server.save_bytes().unwrap(), client.save_bytes());
+    assert_refused(Server::load_bytes(&as_version(&s, b'2')), b'2');
+    for v in [b'2', b'3'] {
+        assert_refused(Client::load_bytes(&as_version(&c, v)), v);
     }
 }
 
 /// Version-3 server artifacts predate RFC 8439 block tags: their blocks
-/// would load and then fail every tag a client checks. With an intact
-/// checksum they are refused, by a typed error that names the version. The
-/// client file holds no tag and is still version 3.
+/// would load and then fail every tag a client checks. Version-4 ones
+/// predate the one byte codec and the one image. With an intact checksum
+/// they are refused, by a typed error that names the version.
 #[test]
 fn version_three_server_artifacts_are_refused() {
     let (client, server, _) = hosted();
     let bytes = server.save_bytes().unwrap();
-    let body = [&bytes[..5], b"3", &bytes[6..bytes.len() - 4]].concat();
-    let crc = exq_core::codec::crc32(&[&body]);
-    match Server::load_bytes(&[body, crc.to_le_bytes().to_vec()].concat()) {
-        Err(exq_core::CoreError::Persist(why)) => {
-            assert!(why.contains("version 3"), "{why}")
-        }
-        other => panic!("a version-3 server artifact gave {:?}", other.map(|_| ())),
+    for v in [b'3', b'4'] {
+        assert_refused(Server::load_bytes(&as_version(&bytes, v)), v);
     }
-    assert!(client.save_bytes().starts_with(b"EXQCL3"));
+    assert!(client.save_bytes().starts_with(b"EXQCL4"));
+}
+
+/// A version-1 manifest names a state file per database in fixed-width
+/// fields. It is refused by a typed error that names the version, and,
+/// as it holds no key, does not ask to encrypt again.
+#[test]
+fn version_one_manifests_are_refused() {
+    let mut manifest = exq_core::tenant::Manifest::new("ward-a");
+    let entry = exq_core::tenant::DbEntry {
+        key_fingerprint: 7,
+        max_inflight: 4,
+    };
+    manifest.dbs.insert("ward-a".into(), entry);
+    let bytes = manifest.to_bytes();
+    assert!(bytes.starts_with(b"EXQMF2"));
+    assert_eq!(
+        exq_core::tenant::Manifest::from_bytes(&bytes).unwrap(),
+        manifest
+    );
+    let refused = exq_core::tenant::Manifest::from_bytes(&as_version(&bytes, b'1'));
+    if let Err(exq_core::CoreError::Persist(why)) = &refused {
+        assert!(!why.contains("encrypt"), "{why}");
+    }
+    assert_refused(refused, b'1');
 }
 
 #[test]
@@ -203,8 +234,8 @@ fn state_files_do_not_leak_plaintext() {
     // owner's private state) — but it must contain the master key material,
     // so sanity-check the magic instead.
     let cbytes = client.save_bytes();
-    assert!(cbytes.starts_with(b"EXQCL3"));
-    assert!(bytes.starts_with(b"EXQSV4"));
+    assert!(cbytes.starts_with(b"EXQCL4"));
+    assert!(bytes.starts_with(b"EXQSV5"));
 }
 
 #[test]
@@ -214,7 +245,7 @@ fn bit_flips_anywhere_are_rejected() {
     // itself) across both artifacts.
     let (client, server, _) = hosted();
     for bytes in [server.save_bytes().unwrap(), client.save_bytes()] {
-        let is_server = bytes.starts_with(b"EXQSV4");
+        let is_server = bytes.starts_with(b"EXQSV5");
         let step = (bytes.len() / 64).max(1);
         for pos in (0..bytes.len()).step_by(step) {
             let mut flipped = bytes.clone();

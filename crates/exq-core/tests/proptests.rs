@@ -133,7 +133,7 @@ proptest! {
     /// current magic and the retired ones.
     #[test]
     fn loaders_reject_corrupted_headers(tail in proptest::collection::vec(any::<u8>(), 0..200)) {
-        for version in [b'1', b'2', b'3', b'4'] {
+        for version in [b'1', b'2', b'3', b'4', b'5'] {
             let s = [b"EXQSV".as_slice(), &[version], &tail].concat();
             let _ = exq_core::Server::load_bytes(&s);
             let c = [b"EXQCL".as_slice(), &[version], &tail].concat();

@@ -549,6 +549,12 @@ fn hostile_deltas_are_refused_before_the_wal() {
         hi: parent.hi - 1,
     };
     hostile.push(("no such parent", d));
+    // A visible element renamed: its interval is filed under `age`, so
+    // `//patient/age` would silently drop the inserted patient.
+    let mut d = good.clone();
+    assert!(d.visible.xml.contains("<age>29</age>"), "{}", d.visible.xml);
+    d.visible.xml = d.visible.xml.replace("<age>29</age>", "<agf>29</agf>");
+    hostile.push(("a mislabelled element", d));
 
     for (why, delta) in &hostile {
         let err = paged.apply_insert(delta).unwrap_err();

@@ -48,7 +48,7 @@ pub use store::{
     CorruptRecord, PagedStore, ReadCost, ScrubReport, StoreFootprint, StoreOptions, StoreReader,
     SCRUB_DIRECTORY,
 };
-pub use vfs::{os_vfs, FaultConfig, FaultVfs, OpenMode, OsVfs, Vfs, VfsFile};
+pub use vfs::{os_vfs, FaultConfig, FaultVfs, OpenMode, OsVfs, SplitMix64, Vfs, VfsFile};
 pub use wal::{Wal, WalRecord, WalReplay};
 
 /// Errors from the storage layer.

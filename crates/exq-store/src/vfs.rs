@@ -153,24 +153,47 @@ impl Vfs for OsVfs {
     }
 }
 
-/// SplitMix64: tiny, high-quality, and trivially reproducible — the fault
-/// schedule is a pure function of the seed and the operation sequence.
-/// (Reimplemented here so the crate stays dependency-free.)
+/// SplitMix64: a tiny, high-quality, seedable PRNG (Steele et al.,
+/// "Fast splittable pseudorandom number generators", OOPSLA 2014). Every
+/// fault schedule is a pure function of its seed and the operation
+/// sequence: this one's, the transport faults' and retry jitter in
+/// `exq-core`. Never for cryptography.
 #[derive(Debug, Clone)]
-struct SplitMix64(u64);
+pub struct SplitMix64 {
+    state: u64,
+}
 
 impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
+    pub fn new(seed: u64) -> SplitMix64 {
+        SplitMix64 { state: seed }
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
 
-    /// Uniform draw in `[0, n)` (n > 0).
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
+    /// Uniform in `[0, 1)`.
+    pub fn next_f64(&mut self) -> f64 {
+        // 53 top bits → the full double mantissa.
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// One Bernoulli trial with probability `rate` (clamped to `[0, 1]`).
+    pub fn chance(&mut self, rate: f64) -> bool {
+        rate > 0.0 && self.next_f64() < rate
+    }
+
+    /// Uniform in `[0, bound)`; `0`, drawing nothing, when `bound == 0`.
+    pub fn below(&mut self, bound: u64) -> u64 {
+        if bound == 0 {
+            0
+        } else {
+            self.next_u64() % bound
+        }
     }
 }
 
@@ -248,7 +271,7 @@ impl FaultVfs {
             state: Arc::new(FaultState {
                 fs: Mutex::new(MemFs::default()),
                 cfg: Mutex::new(FaultConfig::default()),
-                rng: Mutex::new(SplitMix64(seed)),
+                rng: Mutex::new(SplitMix64::new(seed)),
                 ops: AtomicU64::new(0),
                 crash_at_op: AtomicU64::new(NO_CRASH),
                 crashed: AtomicBool::new(false),
@@ -375,9 +398,6 @@ impl FaultVfs {
     /// Seeded prefix length for a torn write of `len` bytes: at least one
     /// byte short of complete so the tear is observable.
     fn torn_len(&self, len: usize) -> usize {
-        if len == 0 {
-            return 0;
-        }
         locked(&self.state.rng).below(len as u64) as usize
     }
 }
