@@ -376,7 +376,7 @@ fn bench_reply_path(c: &mut Criterion) {
     // The two halves of that post-process with the crypto and the splicing
     // taken out: a plain parse of the visible text of a whole-`people`
     // reply (the server's `/site/people` region under its bare ancestors,
-    // block markers in place) with building the arena and freeing it timed
+    // blocks cut out) with building the arena and freeing it timed
     // apart, and the post query on the parsed document — the arena one and
     // the span one the client builds.
     let people_sq = client.translate("/site/people").unwrap().server_query;

@@ -129,8 +129,7 @@ fn export_recovers_plaintext() {
     for v in ["Betty", "763895", "34221", "1000000"] {
         assert!(recovered.contains(v), "missing {v}");
     }
-    assert!(!recovered.contains("_exq_enc"));
-    assert!(!recovered.contains("_exq_decoy"));
+    assert!(!recovered.contains("_exq_"));
 }
 
 #[test]

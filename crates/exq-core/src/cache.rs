@@ -498,6 +498,7 @@ mod tests {
         ServerResponse {
             pruned_xml: String::new(),
             blocks: exq_crypto::SealedBlocks::new(),
+            offsets: Vec::new(),
             translate_time: std::time::Duration::ZERO,
             process_time: std::time::Duration::ZERO,
             served_from_cache: false,

@@ -9,13 +9,13 @@
 //! explicit `self` steps) fall back to the naive method transparently.
 //!
 //! Post-processing reconstructs a partial document from the server's pruned
-//! response — decrypting blocks, splicing them over their markers, removing
-//! decoys — and evaluates the *post query* (the original query with
+//! response — decrypting blocks, parsing each in at its byte offset,
+//! removing decoys — and evaluates the *post query* (the original query with
 //! predicates above the anchor stripped; those were verified exactly on the
 //! server) to obtain the final answer, which equals the answer on the
 //! plaintext database.
 
-use crate::encrypt::{ClientCryptoState, BLOCK_ID_ATTR, BLOCK_MARKER_TAG, DECOY_TAG};
+use crate::encrypt::{ClientCryptoState, DECOY_TAG};
 use crate::error::CoreError;
 use crate::server::Server;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
@@ -157,7 +157,7 @@ impl Client {
         let t1 = Instant::now();
         // An element's result is its slice of the reconstruction's text; an
         // attribute's or a text's is its value.
-        let results = match self.reconstruct(&resp.pruned_xml, texts)? {
+        let results = match self.reconstruct(&resp.pruned_xml, &resp.offsets, &texts)? {
             None => Vec::new(),
             Some(doc) => eval(&doc, post_query)
                 .into_iter()
@@ -186,7 +186,7 @@ impl Client {
         let resp = server.answer_naive()?;
         let opened = self.decrypt_blocks(&resp.blocks)?;
         let texts = block_texts(&resp.blocks, &opened)?;
-        let Some(recovered) = self.reconstruct(&resp.pruned_xml, texts)? else {
+        let Some(recovered) = self.reconstruct(&resp.pruned_xml, &resp.offsets, &texts)? else {
             return Ok(None);
         };
         if recovered.is_empty() {
@@ -197,62 +197,69 @@ impl Client {
     }
 
     /// Reconstructs the reply as text: the reply with each shipped block
-    /// parsed in at its marker, read into a [`SpanDocument`] whose node
-    /// numbers are in document order. The parser shows each start tag to a
-    /// hook before it builds anything: a decoy is skipped, and a marker has
-    /// its block parsed in where it stands and is then skipped, so neither
-    /// ever becomes a node or a byte of the text. A skipped element's
+    /// parsed in at its offset, read into a [`SpanDocument`] whose node
+    /// numbers are in document order. The tokenizer stops at each offset
+    /// and parses that block in where it stands, so an element whose only
+    /// children are blocks, `<x></x>`, holds them. The parser shows each
+    /// start tag to a hook before it builds anything: a decoy is skipped,
+    /// and never becomes a node or a byte of the text. A skipped element's
     /// content is still checked (nesting, tag matching, repeated attributes)
-    /// but nothing inside it is asked about — a marker inside a decoy or a
-    /// marker is neither spliced nor validated, which changes no answer: the
-    /// content it would have added went with its container.
+    /// but nothing inside it is asked about or parsed in — the content it
+    /// would have added went with it.
     ///
-    /// Markers whose blocks were not shipped simply vanish: the anchor logic
-    /// guarantees the client never needs them. A block that is not XML is
-    /// reported when its marker is reached; blocks ship in id order, which
-    /// is document order, so the first bad block still wins.
+    /// Offsets are where the blocks stand, one per block in shipped order,
+    /// which is document order. An offset count that is not the block
+    /// count, an offset inside markup or outside the root element, one
+    /// before the offset ahead of it, or one past the end is a malformed
+    /// response naming the first bad one. A block that is not XML is
+    /// reported when its offset is reached, so the first bad block wins.
     ///
     /// An empty `pruned_xml` with shipped blocks is the fully-encrypted-root
     /// case: the server has no visible context to send, but the blocks are
-    /// the answer — they splice directly at the root level (ascending block
-    /// id, matching document order) rather than being dropped. `None` is
-    /// returned only when *nothing* came back (an empty hosted database).
+    /// the answer — every offset is 0, and they splice at the root level in
+    /// shipped order rather than being dropped. `None` is returned only
+    /// when *nothing* came back (an empty hosted database).
     fn reconstruct<'s>(
         &self,
         pruned_xml: &'s str,
-        mut decrypted: Vec<(u32, &'s str)>,
+        offsets: &[u32],
+        blocks: &[&'s str],
     ) -> Result<Option<SpanDocument>, CoreError> {
-        decrypted.sort_unstable_by_key(|(id, _)| *id);
-        let bytes = pruned_xml.len() + decrypted.iter().map(|(_, xml)| xml.len()).sum::<usize>();
+        if offsets.len() != blocks.len() {
+            return Err(CoreError::Response(format!(
+                "{} block offsets for {} blocks",
+                offsets.len(),
+                blocks.len()
+            )));
+        }
+        let bytes = pruned_xml.len() + blocks.iter().map(|xml| xml.len()).sum::<usize>();
         let mut out = SpanBuilder::with_capacity(bytes);
         let decoy = out.intern(DECOY_TAG);
-        let marker = out.intern(BLOCK_MARKER_TAG);
-        let id_attr = out.intern(BLOCK_ID_ATTR);
-        // Block plaintext holds decoys but no markers to resolve.
+        let skip_decoy = |tag: &exq_xml::StartTag<'_, 's>| match tag.name == decoy {
+            true => Verdict::Skip,
+            false => Verdict::Keep,
+        };
         let parse_block = |out: &mut SpanBuilder<'s>, xml: &'s str| {
-            let skip_decoy = |_: &mut SpanBuilder<'s>, tag: &exq_xml::StartTag<'_, 's>| {
-                Ok(if tag.name == decoy {
-                    Verdict::Skip
-                } else {
-                    Verdict::Keep
-                })
-            };
-            out.parse_fragment(xml, skip_decoy)
-                .map_err(|e: ParseError| CoreError::Block(format!("block not XML: {e}")))
+            out.parse_fragment(xml, |_, tag| Ok::<_, ParseError>(skip_decoy(tag)))
+                .map_err(|e| CoreError::Block(format!("block not XML: {e}")))
         };
         if pruned_xml.is_empty() {
-            if decrypted.is_empty() {
+            if blocks.is_empty() {
                 return Ok(None);
+            }
+            if let Some(i) = offsets.iter().position(|&o| o != 0) {
+                let message = format!("block {i}'s offset {} is past the empty text", offsets[i]);
+                return Err(CoreError::Response(message));
             }
             // One block: its root becomes the document root (the common
             // fully-encrypted-root shape). Several blocks cannot share the
             // root slot, so they splice under a synthetic wrapper element;
             // descendant-axis post-queries see through it unchanged.
-            let wrap = decrypted.len() > 1;
+            let wrap = blocks.len() > 1;
             if wrap {
                 out.open(SPLICE_ROOT_TAG);
             }
-            for (_, xml) in &decrypted {
+            for xml in blocks {
                 parse_block(&mut out, xml)?;
             }
             if wrap {
@@ -260,32 +267,12 @@ impl Client {
             }
             return Ok(Some(out.finish()));
         }
-        let mut next = 0;
-        out.parse_fragment(pruned_xml, |out, tag| {
-            if tag.name == decoy {
-                return Ok(Verdict::Skip);
-            }
-            if tag.name != marker {
-                return Ok(Verdict::Keep);
-            }
-            let id = tag
-                .attrs
-                .iter()
-                .find(|(name, _)| *name == id_attr)
-                .and_then(|(_, v)| v.parse().ok())
-                .ok_or_else(|| CoreError::Response("marker without id".into()))?;
-            // Markers come in block-id order, so the block is almost always
-            // the one after the last spliced; search only when it is not.
-            let at = match decrypted.get(next) {
-                Some(&(next_id, _)) if next_id == id => Ok(next),
-                _ => decrypted.binary_search_by_key(&id, |(id, _)| *id),
-            };
-            if let Ok(i) = at {
-                next = i + 1;
-                parse_block(out, decrypted[i].1)?;
-            }
-            Ok::<_, CoreError>(Verdict::Skip)
-        })?;
+        out.parse_stopping(
+            pruned_xml,
+            offsets,
+            |_, tag| Ok(skip_decoy(tag)),
+            |out, i| parse_block(out, blocks[i]),
+        )?;
         Ok(Some(out.finish()))
     }
 
@@ -456,8 +443,8 @@ impl Client {
     }
 }
 
-/// Each block's id and its plaintext as text, in block order; `opened` is
-/// `blocks` opened. The plaintexts are checked as UTF-8 once, end to end,
+/// Each block's plaintext as text, in block order; `opened` is `blocks`
+/// opened. The plaintexts are checked as UTF-8 once, end to end,
 /// and each block's ends as character boundaries, so a block that stops
 /// inside a character is not text, whatever the next block starts with.
 /// Only a reply that fails is checked again block by block, to name the
@@ -465,22 +452,17 @@ impl Client {
 fn block_texts<'a>(
     blocks: &SealedBlocks,
     opened: &'a OpenedBlocks<'_>,
-) -> Result<Vec<(u32, &'a str)>, CoreError> {
-    let ids = blocks.iter().map(|b| b.id);
+) -> Result<Vec<&'a str>, CoreError> {
     if let Ok(all) = std::str::from_utf8(opened.as_bytes()) {
-        let texts = ids
-            .clone()
-            .enumerate()
-            .map(|(i, id)| Some((id, all.get(opened.span(i))?)));
+        let texts = (0..blocks.len()).map(|i| all.get(opened.span(i)));
         if let Some(texts) = texts.collect() {
             return Ok(texts);
         }
     }
-    let text = |(id, bytes)| match std::str::from_utf8(bytes) {
-        Ok(text) => Ok((id, text)),
-        Err(e) => Err(CoreError::Block(format!("block not UTF-8: {e}"))),
+    let text = |bytes| {
+        std::str::from_utf8(bytes).map_err(|e| CoreError::Block(format!("block not UTF-8: {e}")))
     };
-    ids.zip(opened.iter()).map(text).collect()
+    opened.iter().map(text).collect()
 }
 
 /// The attribute name a comparison predicate targets: `@name` for attribute

@@ -5,7 +5,8 @@
 //! produces everything in Figure 1's data flow:
 //!
 //! * the **visible document** — the original tree with each encryption block
-//!   replaced by an opaque `<_exq_enc id="…"/>` marker;
+//!   cut out, and where each block was cut out as a byte offset into its
+//!   text;
 //! * the **sealed blocks** — each target subtree (plus decoy, §4.1)
 //!   serialized and ChaCha20-sealed;
 //! * the **server metadata** (§5): the DSI index table with Vernam-encrypted
@@ -38,10 +39,6 @@ use std::sync::OnceLock;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Marker tag for an encrypted block in the visible document.
-pub const BLOCK_MARKER_TAG: &str = "_exq_enc";
-/// Attribute carrying the block id on a marker.
-pub const BLOCK_ID_ATTR: &str = "id";
 /// Tag of decoy children inserted into leaf blocks (§4.1).
 pub const DECOY_TAG: &str = "_exq_decoy";
 
@@ -200,8 +197,8 @@ impl EncryptStats {
 /// The full output of the owner-side pipeline.
 #[derive(Debug, Clone)]
 pub struct EncryptedOutput {
-    /// The visible document and its intervals (markers carry their block's
-    /// representative interval).
+    /// The visible document, its intervals, and each block's
+    /// representative interval at its offset.
     pub visible: VisibleFragment,
     pub blocks: Vec<SealedBlock>,
     pub metadata: ServerMetadata,
@@ -368,8 +365,10 @@ fn decoy_value(prf: &exq_crypto::Prf, i: u64) -> String {
 }
 
 /// Writes the visible part of `working` as its writer would, each block
-/// root replaced by a marker naming its block, with the interval of each
-/// element and attribute written. The one builder of visible documents:
+/// cut out, with the interval of each element and attribute written and
+/// each block root's interval at the offset where it was cut out. An
+/// element whose only children are blocks is written `<x></x>`, so every
+/// offset lies inside its parent. The one builder of visible documents:
 /// set-up and inserts both call it.
 pub(crate) fn build_visible(
     working: &Document,
@@ -400,35 +399,33 @@ struct VisibleWriter<'a> {
 }
 
 impl VisibleWriter<'_> {
-    /// Takes the next ordinal, for `n`'s interval when it has one.
-    fn label(&mut self, n: Option<NodeId>) {
-        if let Some(n) = n {
-            let iv = self.labeling.interval(n).expect("every node is labeled");
-            self.frag.intervals.push((self.ordinal, iv));
-        }
+    fn interval(&self, n: NodeId) -> Interval {
+        self.labeling.interval(n).expect("every node is labeled")
+    }
+
+    /// Takes the next ordinal, for `n`'s interval.
+    fn label(&mut self, n: NodeId) {
+        self.frag.intervals.push((self.ordinal, self.interval(n)));
         self.ordinal += 1;
     }
 
     fn node(&mut self, node: NodeId) {
         let working = self.working;
-        if let Some(b) = self.block_of[node.index()] {
-            // The marker carries the block root's interval; its id, none.
-            self.label(Some(node));
-            self.label(None);
-            let marker = format!("<{BLOCK_MARKER_TAG} {BLOCK_ID_ATTR}=\"{b}\"/>");
-            self.frag.xml.push_str(&marker);
+        if self.block_of[node.index()].is_some() {
+            let offset = self.frag.xml.len() as u32;
+            self.frag.blocks.push((offset, self.interval(node)));
             return;
         }
         match working.node(node).kind() {
             NodeKind::Text(t) => self.frag.xml.push_str(&escape_text(t)),
             NodeKind::Element(t) => {
                 let name = working.tag_name(*t);
-                self.label(Some(node));
+                self.label(node);
                 self.frag.xml.push('<');
                 self.frag.xml.push_str(name);
                 for &a in working.node(node).attrs() {
                     if let NodeKind::Attribute(an, v) = working.node(a).kind() {
-                        self.label(Some(a));
+                        self.label(a);
                         let xml = &mut self.frag.xml;
                         xml.push(' ');
                         xml.push_str(working.tag_name(*an));
@@ -780,10 +777,10 @@ mod tests {
     }
 
     #[test]
-    fn visible_document_has_markers_not_secrets() {
+    fn visible_document_places_blocks_not_secrets() {
         let (_, out) = encrypt(SchemeKind::Opt);
         let xml = &out.visible.xml;
-        assert!(xml.contains(BLOCK_MARKER_TAG));
+        assert_eq!(out.visible.blocks.len(), out.blocks.len());
         // The node-type SC //insurance hides the whole insurance subtree.
         for secret in ["34221", "78543", "1000000", "policy", "coverage"] {
             assert!(!xml.contains(secret), "leaked {secret}");
@@ -811,7 +808,9 @@ mod tests {
     fn top_scheme_single_block() {
         let (_, out) = encrypt(SchemeKind::Top);
         assert_eq!(out.blocks.len(), 1);
-        assert_eq!(out.visible.xml, "<_exq_enc id=\"0\"/>");
+        assert_eq!(out.visible.xml, "");
+        assert_eq!(out.visible.blocks.len(), 1);
+        assert_eq!(out.visible.blocks[0].0, 0);
     }
 
     #[test]
@@ -888,30 +887,31 @@ mod tests {
         }
     }
 
+    /// Every element and attribute has an interval, and the blocks'
+    /// representatives stand, in document order, where the text is the
+    /// whole document's text with each block's serialization cut out.
     #[test]
     fn visible_intervals_align() {
-        let (_, out) = encrypt(SchemeKind::Opt);
+        let (d, out) = encrypt(SchemeKind::Opt);
         let visible = Document::parse(&out.visible.xml).unwrap();
-        assert_eq!(visible.to_xml(), out.visible.xml);
-        let nodes: Vec<NodeId> = visible
-            .iter()
-            .filter(|&n| !visible.node(n).is_text())
-            .collect();
+        let nodes = visible.iter().filter(|&n| !visible.node(n).is_text());
+        assert_eq!(nodes.count(), out.visible.intervals.len());
         let meta = &out.metadata;
-        let reps: Vec<Interval> = meta
-            .block_table
-            .iter(&meta.dsi_table)
-            .map(|(rep, _)| rep)
-            .collect();
-        let mut markers = 0;
-        for &(ordinal, iv) in &out.visible.intervals {
-            // A marker's interval must be a block representative.
-            if visible.element_name(nodes[ordinal as usize]) == Some(BLOCK_MARKER_TAG) {
-                assert!(reps.contains(&iv));
-                markers += 1;
-            }
+        let mut reps: Vec<(Interval, u32)> = meta.block_table.iter(&meta.dsi_table).collect();
+        reps.sort_by_key(|(rep, _)| rep.lo);
+        let placed: Vec<Interval> = out.visible.blocks.iter().map(|&(_, iv)| iv).collect();
+        assert_eq!(placed, reps.iter().map(|&(rep, _)| rep).collect::<Vec<_>>());
+        let key = out.client_state.keys.block_key();
+        let mut whole = out.visible.xml.clone();
+        for (&(offset, _), (_, id)) in out.visible.blocks.iter().zip(&reps).rev() {
+            let block = String::from_utf8(open_block(&key, &out.blocks[*id as usize]).unwrap());
+            whole.insert_str(offset as usize, &block.unwrap());
         }
-        assert_eq!(markers, reps.len());
+        let mut whole = Document::parse(&whole).unwrap();
+        for decoy in whole.elements_by_tag(DECOY_TAG) {
+            whole.detach(decoy);
+        }
+        assert_eq!(whole.to_xml(), d.to_xml());
     }
 
     #[test]

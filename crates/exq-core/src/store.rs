@@ -55,9 +55,9 @@ use std::time::{Duration, Instant};
 pub use exq_store::{PoolStats, StoreFootprint, StoreOptions};
 
 /// Magic of the paged metadata record (record id 0), which holds the
-/// hosted state's image (`crate::persist`). Version 4 moved with server
-/// artifact version 5; any other version is refused.
-const META_MAGIC: &[u8; 6] = b"EXQPM4";
+/// hosted state's image (`crate::persist`). Version 5 moved with server
+/// artifact version 6; any other version is refused.
+const META_MAGIC: &[u8; 6] = b"EXQPM5";
 
 /// WAL record kind: an `InsertDelta` wire encoding.
 pub(crate) const KIND_INSERT: u8 = 3;
@@ -926,5 +926,25 @@ mod tests {
             ),
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A version-4 metadata record holds a visible text with an element
+    /// for each block instead of the blocks' offsets. It is refused by a
+    /// typed error that names its version.
+    #[test]
+    fn a_version_four_metadata_record_is_refused_by_name() {
+        let (server, _) = build_server(SchemeKind::Opt);
+        let mut meta = encode_meta(&server);
+        assert!(read_meta(&meta).is_ok());
+        meta[5] = b'4';
+        match read_meta(&meta) {
+            Err(CoreError::Persist(msg)) => {
+                assert!(
+                    msg.contains("is version 4") && msg.contains("version 5"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected a persist error, got {:?}", other.map(|_| ())),
+        }
     }
 }

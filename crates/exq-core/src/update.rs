@@ -37,7 +37,7 @@
 //! the formal guarantees of §4–6 are only proved for the static database.
 
 use crate::client::Client;
-use crate::encrypt::{build_visible, OpessAttr, ValueCodec, BLOCK_MARKER_TAG, DECOY_TAG};
+use crate::encrypt::{build_visible, OpessAttr, ValueCodec, DECOY_TAG};
 use crate::error::CoreError;
 use crate::server::Server;
 use crate::telemetry;
@@ -67,8 +67,8 @@ pub struct InsertionSlot {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InsertDelta {
     pub parent: Interval,
-    /// The record's visible part, block markers included, with its
-    /// intervals.
+    /// The record's visible part, with its intervals and its blocks'
+    /// offsets.
     pub visible: VisibleFragment,
     pub blocks: Vec<SealedBlock>,
     /// `(table key, interval)` additions for the DSI index table.
@@ -111,15 +111,14 @@ pub(crate) struct CheckedInsert {
 }
 
 impl Server {
-    /// The universe position of an insertion parent: a visible element
-    /// other than a block marker.
+    /// The universe position of an insertion parent: a visible element.
     fn insertion_parent(&self, parent: &Interval) -> Result<u32, CoreError> {
         let under = self
             .visible_node_of(parent)
             .ok_or_else(|| CoreError::Query("insertion parent is not a visible node".into()))?;
         match self.visible_element_name(under) {
-            Some(name) if name != BLOCK_MARKER_TAG => Ok(under),
-            _ => Err(CoreError::Query(
+            Some(_) => Ok(under),
+            None => Err(CoreError::Query(
                 "insertion parent must be a visible element".into(),
             )),
         }
@@ -148,7 +147,7 @@ impl Server {
     /// Checks a delta against the server as it is, changing nothing. The
     /// splice relies on what is checked here, so a delta is refused with
     /// [`CoreError::Delta`] unless:
-    /// - its parent is a visible element other than a block marker;
+    /// - its parent is a visible element;
     /// - every DSI interval lies strictly inside the parent's free gap (so
     ///   none is inverted or already present);
     /// - its DSI intervals are one nested run: one outermost interval, and
@@ -196,18 +195,18 @@ impl Server {
         {
             return refuse("a block entry names a block or interval the delta lacks");
         }
-        let mut reps: Vec<Interval> = delta.block_entries.iter().map(|&(rep, _)| rep).collect();
-        sort_intervals(&mut reps);
-        if reps.windows(2).any(|w| w[0].hi >= w[1].lo) {
+        let mut reps = delta.block_entries.clone();
+        reps.sort_unstable_by_key(|(rep, _)| rep.lo);
+        if reps.windows(2).any(|w| w[0].0.hi >= w[1].0.lo) {
             return refuse("one block entry lies inside another");
         }
 
         // A position is in a block when the last representative starting
         // at or before it ends at or after it.
-        let covered = |p: u32| {
+        let block_at = |p: u32| {
             let iv = run.interval(p);
-            let i = reps.partition_point(|rep| rep.lo <= iv.lo);
-            i > 0 && reps[i - 1].hi >= iv.hi
+            let i = reps.partition_point(|(rep, _)| rep.lo <= iv.lo);
+            (i > 0 && reps[i - 1].0.hi >= iv.hi).then(|| reps[i - 1].1)
         };
         // Each tag's positions in the run, ascending.
         let mut filed: HashMap<&str, Vec<u32>> = HashMap::new();
@@ -216,7 +215,7 @@ impl Server {
         }
         filed.values_mut().for_each(|ps| ps.sort_unstable());
         let filed = |tag: &str| filed.get(tag).map_or(&[][..], Vec::as_slice);
-        let frag = VisibleText::read(&delta.visible, &run, covered, filed)
+        let frag = VisibleText::read(&delta.visible, &run, block_at, filed)
             .map_err(|why| CoreError::Delta(format!("visible fragment: {why}")))?;
         if !frag.is_visible(0) {
             return refuse("visible fragment: its root is not the run's outermost interval");

@@ -79,6 +79,9 @@ pub struct ServerResponse {
     /// price is memory: a cached reply holds its own ciphertexts and a
     /// 40-byte entry per block, where it shared the store's blocks.
     pub blocks: SealedBlocks,
+    /// Where each block goes: its byte offset in `pruned_xml`, one per
+    /// table entry, ascending (document order).
+    pub offsets: Vec<u32>,
     /// Time the server spent translating (DSI lookups) — §7.2's "query
     /// translation time on server".
     pub translate_time: Duration,
@@ -242,6 +245,7 @@ mod tests {
         let empty = ServerResponse {
             pruned_xml: "<r/>".into(),
             blocks: SealedBlocks::new(),
+            offsets: Vec::new(),
             translate_time: Duration::ZERO,
             process_time: Duration::ZERO,
             served_from_cache: false,
@@ -261,6 +265,7 @@ mod tests {
             }]
             .into_iter()
             .collect(),
+            offsets: vec![3],
             ..empty.clone()
         };
         assert_eq!(

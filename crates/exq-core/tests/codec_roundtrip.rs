@@ -147,9 +147,17 @@ fn arb_span() -> impl Strategy<Value = SpanRec> {
         )
 }
 
+/// Offsets as a reply or a fragment carries them: ascending.
+fn arb_offsets() -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(any::<u32>(), 0..4).prop_map(|mut offsets| {
+        offsets.sort_unstable();
+        offsets
+    })
+}
+
 fn arb_response() -> impl Strategy<Value = ServerResponse> {
     (
-        "[ -~]{0,200}",
+        ("[ -~]{0,200}", arb_offsets()),
         proptest::collection::vec(arb_block(), 0..4),
         any::<u32>(),
         any::<u32>(),
@@ -157,9 +165,10 @@ fn arb_response() -> impl Strategy<Value = ServerResponse> {
         proptest::collection::vec(arb_span(), 0..4),
     )
         .prop_map(
-            |(pruned_xml, blocks, t1, t2, served_from_cache, spans)| ServerResponse {
+            |((pruned_xml, offsets), blocks, t1, t2, served_from_cache, spans)| ServerResponse {
                 pruned_xml,
                 blocks: blocks.into_iter().collect(),
+                offsets,
                 translate_time: Duration::from_nanos(t1 as u64),
                 process_time: Duration::from_nanos(t2 as u64),
                 served_from_cache,
@@ -174,6 +183,7 @@ fn arb_delta() -> impl Strategy<Value = InsertDelta> {
         (
             "[ -~]{0,100}",
             proptest::collection::vec((any::<u32>(), arb_interval()), 0..4),
+            (arb_offsets(), proptest::collection::vec(arb_interval(), 4)),
         ),
         proptest::collection::vec(arb_block(), 0..3),
         proptest::collection::vec((arb_tag(), arb_interval()), 0..4),
@@ -181,10 +191,23 @@ fn arb_delta() -> impl Strategy<Value = InsertDelta> {
         proptest::collection::vec((arb_tag(), any::<u128>(), any::<u32>()), 0..4),
     )
         .prop_map(
-            |(parent, (xml, intervals), blocks, dsi_entries, block_entries, value_entries)| {
+            |(
+                parent,
+                (xml, intervals, places),
+                blocks,
+                dsi_entries,
+                block_entries,
+                value_entries,
+            )| {
+                let (offsets, reps) = places;
+                let places = offsets.into_iter().zip(reps).collect();
                 InsertDelta {
                     parent,
-                    visible: VisibleFragment { xml, intervals },
+                    visible: VisibleFragment {
+                        xml,
+                        intervals,
+                        blocks: places,
+                    },
                     blocks,
                     dsi_entries,
                     block_entries,
@@ -440,6 +463,8 @@ fn decoded_intervals_uphold_invariant() {
 /// One small insert's encoding, pinned byte for byte: the visible
 /// fragment, block pairs and value entries have one codec each, shared by
 /// the wire, the WAL and the files, and none of them may move a wire byte.
+/// The fragment's block places (`01 11 d201 a202`: one block at byte 17,
+/// its interval) came with protocol version 6, which moved nothing else.
 #[test]
 fn a_small_insert_delta_encodes_as_pinned() {
     use exq_index::dsi::Interval;
@@ -449,6 +474,7 @@ fn a_small_insert_delta_encodes_as_pinned() {
         visible: VisibleFragment {
             xml: "<p k=\"1\"><n>a</n></p>".into(),
             intervals: vec![(0, iv(20, 300)), (1, iv(30, 40)), (2, iv(50, 200))],
+            blocks: vec![(17, iv(210, 290))],
         },
         blocks: vec![SealedBlock {
             id: 7,
@@ -467,9 +493,9 @@ fn a_small_insert_delta_encodes_as_pinned() {
     let hex: String = delta.encode().iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(
         hex,
-        "0a8407153c70206b3d2231223e3c6e3e613c2f6e3e3c2f703e030014ac02011e280232c801010701010101\
-         010101010101010103abcdef0202020202020202020202020202020203017014ac0202406b1e28027a7ad2\
-         01a20201d201a202070102406b100f0e0d0c0b0a09080706050403020107"
+        "0a8407153c70206b3d2231223e3c6e3e613c2f6e3e3c2f703e030014ac02011e280232c8010111d201a202\
+         010701010101010101010101010103abcdef0202020202020202020202020202020203017014ac0202406b\
+         1e28027a7ad201a20201d201a202070102406b100f0e0d0c0b0a09080706050403020107"
     );
     assert_eq!(InsertDelta::decode(&delta.encode()).unwrap(), delta);
 }

@@ -108,57 +108,70 @@ const NESTED_QUERIES: &[&str] = &[
     "//a[k > 1]//a",
 ];
 
-/// `(database, query, crc32(pruned_xml), shipped block ids)` of
-/// `Server::answer`, computed at commit a6f0a7a — the last one whose server
-/// tested predicates and chose witnesses one candidate at a time, with an
-/// evaluator of its own. Nothing else fixes *which* witness ships; this
-/// table does, to the byte.
+/// `(database, query, crc32(pruned_xml), shipped block ids, their offsets)`
+/// of `Server::answer`. The replies were computed at commit a6f0a7a — the
+/// last one whose server tested predicates and chose witnesses one
+/// candidate at a time, with an evaluator of its own — and held an element
+/// for each block they shipped. Protocol version 6 cut those elements out
+/// and ships each block's byte offset in the text instead, in document
+/// order: the rows were derived again from the version-5 replies by
+/// `crates/exq-crypto/tests/golden_reference.py`, which cuts the elements
+/// out with Python's `re` and shares no code with the crate. Nothing else
+/// fixes *which* witness ships; this table does, to the byte.
+type GoldenReply = (
+    &'static str,
+    &'static str,
+    u32,
+    &'static [u32],
+    &'static [u32],
+);
+
 #[rustfmt::skip]
-const GOLDEN_REPLIES: &[(&str, &str, u32, &[u32])] = &[
-    ("hospital/Opt", "//patient", 0xc4d7cd8e, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 99, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113, 114, 115, 116, 117, 118, 119]),
-    ("hospital/Opt", "//patient/pname", 0x14cc4a84, &[0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90, 93, 96, 99, 102, 105, 108, 111, 114, 117]),
-    ("hospital/Opt", "//patient[age = 27]/SSN", 0x7864a9d1, &[]),
-    ("hospital/Opt", "//patient[age > 40]/pname", 0x52300129, &[9, 12, 15, 18, 21, 24, 36, 39, 42, 45, 48, 51, 63, 66, 69, 72, 75, 87, 90, 93, 96, 99, 102, 114, 117]),
-    ("hospital/Opt", "//patient[.//disease = 'flu']/pname", 0xb1d3868d, &[0, 1, 2, 15, 16, 17, 30, 31, 32, 45, 46, 47, 60, 61, 62, 75, 76, 77, 90, 91, 92, 105, 106, 107]),
-    ("hospital/Opt", "//patient[.//policy/@coverage > 500000]/pname", 0x192d93f7, &[114, 115, 116, 117, 118, 119]),
-    ("hospital/Opt", "//patient[age > 30 and .//disease = 'measles']", 0xc4d7cd8e, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 99, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113, 114, 115, 116, 117, 118, 119]),
-    ("hospital/Opt", "//treat[disease = 'leukemia']/doctor", 0xdb29425c, &[7, 22, 37, 52, 67, 82, 97, 112]),
-    ("hospital/Opt", "//insurance/policy", 0x07edc4f6, &[2, 5, 8, 11, 14, 17, 20, 23, 26, 29, 32, 35, 38, 41, 44, 47, 50, 53, 56, 59, 62, 65, 68, 71, 74, 77, 80, 83, 86, 89, 92, 95, 98, 101, 104, 107, 110, 113, 116, 119]),
-    ("hospital/Opt", "//nosuchtag", 0x00000000, &[]),
-    ("hospital/Opt", "//patient[.//policy[@coverage < 500000]]/pname", 0x0206922d, &[0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24, 26, 27, 29, 30, 32, 33, 35, 36, 38, 39, 41, 42, 44, 45, 47, 48, 50, 51, 53, 54, 56, 57, 59, 60, 62, 63, 65, 66, 68, 69, 71, 72, 74, 75, 77, 78, 80, 81, 83, 84, 86, 87, 89, 90, 92, 93, 95, 96, 98, 99, 101, 102, 104, 105, 107, 108, 110, 111, 113, 114, 116]),
-    ("nested/Opt", "//a//a", 0x4374a0b0, &[1, 2, 4]),
-    ("nested/Opt", "//a[.//b]//a", 0x6feb6181, &[1, 2]),
-    ("nested/Opt", "//a[.//b]//a[k]", 0x0aecc988, &[1, 2]),
-    ("nested/Opt", "//a//a//a", 0x7077a1eb, &[2]),
-    ("nested/Opt", "//a/*", 0x234d4988, &[0, 1, 2, 3, 4]),
-    ("nested/Opt", "//*//a", 0x234d4988, &[0, 1, 2, 3, 4]),
-    ("nested/Opt", "//a//*", 0x234d4988, &[0, 1, 2, 3, 4]),
-    ("nested/Opt", "/doc/*/a/@id", 0x8986197c, &[]),
-    ("nested/Opt", "//a[k > 1]//a", 0x55cdacab, &[1, 2]),
-    ("nested/Opt", "//a[a[a/b]]/k", 0x24f069e1, &[1, 2]),
-    ("nested/Opt", "//a[a[k = 2]/a/b = 'u']/v", 0xc64004c2, &[0, 1, 2]),
-    ("nested/Sub", "//a//a", 0x02fa625f, &[0, 1]),
-    ("nested/Sub", "//a[.//b]//a", 0x59cea1b6, &[0]),
-    ("nested/Sub", "//a[.//b]//a[k]", 0x59cea1b6, &[0]),
-    ("nested/Sub", "//a//a//a", 0x59cea1b6, &[0]),
-    ("nested/Sub", "//a/*", 0x02fa625f, &[0, 1]),
-    ("nested/Sub", "//*//a", 0x02fa625f, &[0, 1]),
-    ("nested/Sub", "//a//*", 0x02fa625f, &[0, 1]),
-    ("nested/Sub", "/doc/*/a/@id", 0x02fa625f, &[0, 1]),
-    ("nested/Sub", "//a[k > 1]//a", 0x59cea1b6, &[0]),
-    ("nested/Sub", "//a[a[a/b]]/k", 0x59cea1b6, &[0]),
-    ("nested/Sub", "//a[a[k = 2]/a/b = 'u']/v", 0x59cea1b6, &[0]),
-    ("nested/Top", "//a//a", 0xf6900490, &[0]),
-    ("nested/Top", "//a[.//b]//a", 0xf6900490, &[0]),
-    ("nested/Top", "//a[.//b]//a[k]", 0xf6900490, &[0]),
-    ("nested/Top", "//a//a//a", 0xf6900490, &[0]),
-    ("nested/Top", "//a/*", 0xf6900490, &[0]),
-    ("nested/Top", "//*//a", 0xf6900490, &[0]),
-    ("nested/Top", "//a//*", 0xf6900490, &[0]),
-    ("nested/Top", "/doc/*/a/@id", 0xf6900490, &[0]),
-    ("nested/Top", "//a[k > 1]//a", 0xf6900490, &[0]),
-    ("nested/Top", "//a[a[a/b]]/k", 0xf6900490, &[0]),
-    ("nested/Top", "//a[a[k = 2]/a/b = 'u']/v", 0xf6900490, &[0]),
+const GOLDEN_REPLIES: &[GoldenReply] = &[
+    ("hospital/Opt", "//patient", 0x15405ead, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 99, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113, 114, 115, 116, 117, 118, 119], &[26, 63, 93, 119, 156, 186, 212, 249, 280, 306, 343, 374, 400, 437, 467, 493, 530, 560, 586, 623, 653, 679, 716, 746, 772, 809, 837, 863, 900, 928, 955, 992, 1022, 1049, 1086, 1116, 1143, 1180, 1211, 1238, 1275, 1306, 1333, 1370, 1400, 1427, 1464, 1494, 1521, 1558, 1588, 1615, 1652, 1682, 1709, 1746, 1774, 1801, 1838, 1866, 1893, 1930, 1960, 1987, 2024, 2054, 2081, 2118, 2149, 2176, 2213, 2244, 2271, 2308, 2338, 2365, 2402, 2432, 2459, 2496, 2526, 2553, 2590, 2620, 2647, 2684, 2712, 2739, 2776, 2804, 2831, 2868, 2898, 2925, 2962, 2992, 3019, 3056, 3087, 3114, 3151, 3182, 3209, 3246, 3276, 3303, 3340, 3370, 3397, 3434, 3464, 3491, 3528, 3558, 3585, 3622, 3650, 3677, 3714, 3742]),
+    ("hospital/Opt", "//patient/pname", 0x983109e7, &[0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90, 93, 96, 99, 102, 105, 108, 111, 114, 117], &[26, 52, 78, 104, 130, 156, 182, 208, 234, 260, 287, 314, 341, 368, 395, 422, 449, 476, 503, 530, 557, 584, 611, 638, 665, 692, 719, 746, 773, 800, 827, 854, 881, 908, 935, 962, 989, 1016, 1043, 1070]),
+    ("hospital/Opt", "//patient[age = 27]/SSN", 0x7864a9d1, &[], &[]),
+    ("hospital/Opt", "//patient[age > 40]/pname", 0x9b566e01, &[9, 12, 15, 18, 21, 24, 36, 39, 42, 45, 48, 51, 63, 66, 69, 72, 75, 87, 90, 93, 96, 99, 102, 114, 117], &[26, 65, 104, 143, 182, 221, 261, 301, 341, 381, 421, 461, 501, 541, 581, 621, 661, 701, 741, 781, 821, 861, 901, 941, 981]),
+    ("hospital/Opt", "//patient[.//disease = 'flu']/pname", 0xb9084e44, &[0, 1, 2, 15, 16, 17, 30, 31, 32, 45, 46, 47, 60, 61, 62, 75, 76, 77, 90, 91, 92, 105, 106, 107], &[26, 63, 93, 119, 156, 186, 213, 250, 280, 307, 344, 374, 401, 438, 468, 495, 532, 562, 589, 626, 656, 683, 720, 750]),
+    ("hospital/Opt", "//patient[.//policy/@coverage > 500000]/pname", 0xd4c52ddc, &[114, 115, 116, 117, 118, 119], &[27, 64, 92, 119, 156, 184]),
+    ("hospital/Opt", "//patient[age > 30 and .//disease = 'measles']", 0x15405ead, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 99, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113, 114, 115, 116, 117, 118, 119], &[26, 63, 93, 119, 156, 186, 212, 249, 280, 306, 343, 374, 400, 437, 467, 493, 530, 560, 586, 623, 653, 679, 716, 746, 772, 809, 837, 863, 900, 928, 955, 992, 1022, 1049, 1086, 1116, 1143, 1180, 1211, 1238, 1275, 1306, 1333, 1370, 1400, 1427, 1464, 1494, 1521, 1558, 1588, 1615, 1652, 1682, 1709, 1746, 1774, 1801, 1838, 1866, 1893, 1930, 1960, 1987, 2024, 2054, 2081, 2118, 2149, 2176, 2213, 2244, 2271, 2308, 2338, 2365, 2402, 2432, 2459, 2496, 2526, 2553, 2590, 2620, 2647, 2684, 2712, 2739, 2776, 2804, 2831, 2868, 2898, 2925, 2962, 2992, 3019, 3056, 3087, 3114, 3151, 3182, 3209, 3246, 3276, 3303, 3340, 3370, 3397, 3434, 3464, 3491, 3528, 3558, 3585, 3622, 3650, 3677, 3714, 3742]),
+    ("hospital/Opt", "//treat[disease = 'leukemia']/doctor", 0x72e69ae8, &[7, 22, 37, 52, 67, 82, 97, 112], &[33, 97, 161, 226, 290, 355, 419, 484]),
+    ("hospital/Opt", "//insurance/policy", 0x983109e7, &[2, 5, 8, 11, 14, 17, 20, 23, 26, 29, 32, 35, 38, 41, 44, 47, 50, 53, 56, 59, 62, 65, 68, 71, 74, 77, 80, 83, 86, 89, 92, 95, 98, 101, 104, 107, 110, 113, 116, 119], &[26, 52, 78, 104, 130, 156, 182, 208, 234, 260, 287, 314, 341, 368, 395, 422, 449, 476, 503, 530, 557, 584, 611, 638, 665, 692, 719, 746, 773, 800, 827, 854, 881, 908, 935, 962, 989, 1016, 1043, 1070]),
+    ("hospital/Opt", "//nosuchtag", 0x00000000, &[], &[]),
+    ("hospital/Opt", "//patient[.//policy[@coverage < 500000]]/pname", 0xebf5f309, &[0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24, 26, 27, 29, 30, 32, 33, 35, 36, 38, 39, 41, 42, 44, 45, 47, 48, 50, 51, 53, 54, 56, 57, 59, 60, 62, 63, 65, 66, 68, 69, 71, 72, 74, 75, 77, 78, 80, 81, 83, 84, 86, 87, 89, 90, 92, 93, 95, 96, 98, 99, 101, 102, 104, 105, 107, 108, 110, 111, 113, 114, 116], &[26, 26, 52, 52, 78, 78, 104, 104, 130, 130, 156, 156, 182, 182, 208, 208, 234, 234, 260, 260, 287, 287, 314, 314, 341, 341, 368, 368, 395, 395, 422, 422, 449, 449, 476, 476, 503, 503, 530, 530, 557, 557, 584, 584, 611, 611, 638, 638, 665, 665, 692, 692, 719, 719, 746, 746, 773, 773, 800, 800, 827, 827, 854, 854, 881, 881, 908, 908, 935, 935, 962, 962, 989, 989, 1016, 1016, 1043, 1043]),
+    ("nested/Opt", "//a//a", 0x1eab0ae6, &[1, 2, 4], &[33, 51, 109]),
+    ("nested/Opt", "//a[.//b]//a", 0xb0b9d334, &[1, 2], &[41, 59]),
+    ("nested/Opt", "//a[.//b]//a[k]", 0xdb1c0a77, &[1, 2], &[41, 59]),
+    ("nested/Opt", "//a//a//a", 0x7eab9aa4, &[2], &[43]),
+    ("nested/Opt", "//a/*", 0xa753578b, &[0, 1, 2, 3, 4], &[23, 49, 67, 107, 125]),
+    ("nested/Opt", "//*//a", 0xa753578b, &[0, 1, 2, 3, 4], &[23, 49, 67, 107, 125]),
+    ("nested/Opt", "//a//*", 0xa753578b, &[0, 1, 2, 3, 4], &[23, 49, 67, 107, 125]),
+    ("nested/Opt", "/doc/*/a/@id", 0x8986197c, &[], &[]),
+    ("nested/Opt", "//a[k > 1]//a", 0xda5cd1ed, &[1, 2], &[33, 51]),
+    ("nested/Opt", "//a[a[a/b]]/k", 0x91bcba7d, &[1, 2], &[41, 59]),
+    ("nested/Opt", "//a[a[k = 2]/a/b = 'u']/v", 0xbcee2204, &[0, 1, 2], &[23, 49, 67]),
+    ("nested/Sub", "//a//a", 0xfc4e4d9a, &[0, 1], &[5, 5]),
+    ("nested/Sub", "//a[.//b]//a", 0xfc4e4d9a, &[0], &[5]),
+    ("nested/Sub", "//a[.//b]//a[k]", 0xfc4e4d9a, &[0], &[5]),
+    ("nested/Sub", "//a//a//a", 0xfc4e4d9a, &[0], &[5]),
+    ("nested/Sub", "//a/*", 0xfc4e4d9a, &[0, 1], &[5, 5]),
+    ("nested/Sub", "//*//a", 0xfc4e4d9a, &[0, 1], &[5, 5]),
+    ("nested/Sub", "//a//*", 0xfc4e4d9a, &[0, 1], &[5, 5]),
+    ("nested/Sub", "/doc/*/a/@id", 0xfc4e4d9a, &[0, 1], &[5, 5]),
+    ("nested/Sub", "//a[k > 1]//a", 0xfc4e4d9a, &[0], &[5]),
+    ("nested/Sub", "//a[a[a/b]]/k", 0xfc4e4d9a, &[0], &[5]),
+    ("nested/Sub", "//a[a[k = 2]/a/b = 'u']/v", 0xfc4e4d9a, &[0], &[5]),
+    ("nested/Top", "//a//a", 0x00000000, &[0], &[0]),
+    ("nested/Top", "//a[.//b]//a", 0x00000000, &[0], &[0]),
+    ("nested/Top", "//a[.//b]//a[k]", 0x00000000, &[0], &[0]),
+    ("nested/Top", "//a//a//a", 0x00000000, &[0], &[0]),
+    ("nested/Top", "//a/*", 0x00000000, &[0], &[0]),
+    ("nested/Top", "//*//a", 0x00000000, &[0], &[0]),
+    ("nested/Top", "//a//*", 0x00000000, &[0], &[0]),
+    ("nested/Top", "/doc/*/a/@id", 0x00000000, &[0], &[0]),
+    ("nested/Top", "//a[k > 1]//a", 0x00000000, &[0], &[0]),
+    ("nested/Top", "//a[a[a/b]]/k", 0x00000000, &[0], &[0]),
+    ("nested/Top", "//a[a[k = 2]/a/b = 'u']/v", 0x00000000, &[0], &[0]),
 ];
 
 /// `(query, format!("{:?}", explain), format!("{:?}", locate))` on the
@@ -196,6 +209,7 @@ fn replies_reproduce_the_golden_table() {
                 *q,
                 crc32(&[resp.pruned_xml.as_bytes()]),
                 &ids[..],
+                &resp.offsets[..],
             );
             assert_eq!(Some(&row), rows.next(), "reply moved");
             // The three entry points read one match.
@@ -206,7 +220,9 @@ fn replies_reproduce_the_golden_table() {
                 located.len(),
                 "{q}"
             );
-            assert_eq!(explain.anchors == 0, resp.pruned_xml.is_empty(), "{q}");
+            // A reply whose root is a block has an empty text.
+            let empty = resp.pruned_xml.is_empty() && resp.blocks.is_empty();
+            assert_eq!(explain.anchors == 0, empty, "{q}");
         }
     }
     assert_eq!(rows.next(), None, "golden rows nobody produced");
@@ -218,12 +234,19 @@ fn replies_reproduce_the_golden_table() {
     }
 }
 
+/// Marks a block's place in a text while it is rewritten.
+const PLACE: char = '\u{1}';
+
 /// The writer's visible text rewritten as other well-formed XML that parses
-/// to the same tree: every empty element as `<x></x>`, the first attribute
-/// single-quoted, the `S` of the first `Smith` as `&#83;`, and whitespace
-/// between all tags.
-fn non_canonical(xml: &str) -> String {
-    let spaced = xml
+/// to the same tree, and its blocks' offsets moved with it: every empty
+/// element as `<x></x>`, the first attribute single-quoted, the `S` of the
+/// first `Smith` as `&#83;`, and whitespace between all tags.
+fn non_canonical(xml: &str, offsets: &[u32]) -> (String, Vec<u32>) {
+    let mut placed = xml.to_owned();
+    for &o in offsets.iter().rev() {
+        placed.insert(o as usize, PLACE);
+    }
+    let spaced = placed
         .replacen(">Smith<", ">&#83;mith<", 1)
         .replace("><", ">\n  <");
     let mut out = String::new();
@@ -240,17 +263,31 @@ fn non_canonical(xml: &str) -> String {
     let closing = quoted + 1 + out[quoted + 1..].find('"').unwrap();
     out.replace_range(quoted..=quoted, "'");
     out.replace_range(closing..=closing, "'");
-    out
+    let mut moved = Vec::new();
+    while let Some(at) = out.find(PLACE) {
+        moved.push(at as u32);
+        out.remove(at);
+    }
+    (out, moved)
 }
 
-/// `bytes`, a hosted artifact, with its visible text (the first section,
-/// after the magic: the visible fragment, its text first) replaced by
-/// `text`, and its checksum resealed.
-fn with_visible(bytes: &[u8], text: &str) -> Vec<u8> {
+/// `bytes`, a hosted artifact's, its visible fragment (the first section,
+/// after the magic) read out.
+fn visible_of(bytes: &[u8]) -> (VisibleFragment, usize) {
     let mut dec = Dec::new(&bytes[6..bytes.len() - 4]);
-    let mut frag = VisibleFragment::decode_from(&mut dec).unwrap();
-    let rest = &bytes[bytes.len() - 4 - dec.remaining()..bytes.len() - 4];
+    let frag = VisibleFragment::decode_from(&mut dec).unwrap();
+    (frag, dec.remaining())
+}
+
+/// `bytes`, a hosted artifact, with its visible text replaced by `text`
+/// and its blocks' offsets by `offsets`, and its checksum resealed.
+fn with_visible(bytes: &[u8], text: &str, offsets: &[u32]) -> Vec<u8> {
+    let (mut frag, rest) = visible_of(bytes);
+    let rest = &bytes[bytes.len() - 4 - rest..bytes.len() - 4];
     frag.xml = text.to_owned();
+    for (place, &o) in frag.blocks.iter_mut().zip(offsets) {
+        place.0 = o;
+    }
     let mut out = [&bytes[..6], &frag.encode(), rest].concat();
     let crc = crc32(&[&out]);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -266,11 +303,17 @@ fn a_non_canonical_visible_text_loads_as_the_canonical_one() {
     let (client, server) = hosted();
     let bytes = server.save_bytes().unwrap();
     let xml = server.visible_xml().to_string();
-    let odd = non_canonical(&xml);
-    for form in ["></_exq_enc>", "id='0'", "&#83;mith", ">\n  <"] {
+    let offsets: Vec<u32> = visible_of(&bytes)
+        .0
+        .blocks
+        .iter()
+        .map(|&(o, _)| o)
+        .collect();
+    let (odd, moved) = non_canonical(&xml, &offsets);
+    for form in ["id='0'", "&#83;mith", ">\n  <"] {
         assert!(odd.contains(form), "{form}");
     }
-    let loaded = Server::load_bytes(&with_visible(&bytes, &odd)).unwrap();
+    let loaded = Server::load_bytes(&with_visible(&bytes, &odd, &moved)).unwrap();
     assert_eq!(loaded.visible_xml().to_string(), xml);
     assert_eq!(loaded.hosted_bytes(), server.hosted_bytes());
     let hospital = [QUERIES, &["//patient[.//policy[@coverage < 500000]]/pname"]].concat();
@@ -278,6 +321,7 @@ fn a_non_canonical_visible_text_loads_as_the_canonical_one() {
         let sq = client.translate(q).unwrap().server_query.unwrap();
         let (want, got) = (server.answer(&sq).unwrap(), loaded.answer(&sq).unwrap());
         assert_eq!(got.pruned_xml, want.pruned_xml, "{q}");
+        assert_eq!(got.offsets, want.offsets, "{q}");
         let ids = |r: &exq_core::wire::ServerResponse| -> Vec<u32> {
             r.blocks.iter().map(|b| b.id).collect()
         };
@@ -286,7 +330,7 @@ fn a_non_canonical_visible_text_loads_as_the_canonical_one() {
     let unclosed = &odd[..odd.len() - "</hospital>".len()];
     let mismatched = odd.replacen("</age>", "</aged>", 1);
     for bad in [unclosed, &mismatched, "<hospital id='0\"/>"] {
-        match Server::load_bytes(&with_visible(&bytes, bad)) {
+        match Server::load_bytes(&with_visible(&bytes, bad, &moved)) {
             Err(exq_core::CoreError::Persist(msg)) => assert!(msg.contains("visible"), "{msg}"),
             other => panic!("not well-formed, loaded: {:?}", other.map(|_| ())),
         }
@@ -314,7 +358,10 @@ fn artifact_pin(bytes: &[u8]) -> (u32, usize) {
 /// wire's codec (server version 5, client version 4): lengths, counts and
 /// ids became varints and the artifact's sections the one image, which
 /// shrank both files, and no key, nonce, ciphertext or tag moved. The
-/// second database is OPESS-heavy:
+/// server's were taken again when blocks left the visible text (server
+/// version 6): each block's element and its two ordinals went, each block
+/// took an offset, and no client byte moved (CHANGES.md has the byte
+/// count of each). The second database is OPESS-heavy:
 /// 400 patients' distinct values split into more than 1 024 chunks in
 /// one attribute, so its descent is cut into several runs of 256.
 #[test]
@@ -340,8 +387,8 @@ fn set_up_artifacts_are_pinned() {
     assert_eq!(
         pins,
         [
-            ((0xb0f1_dbbb, 65_807), (0x8d8b_2e3d, 8_113)),
-            ((0x9710_ebf8, 685_925), (0x3009_387c, 76_817)),
+            ((0x3140_9ece, 63_367), (0x8d8b_2e3d, 8_113)),
+            ((0x0f69_53ee, 660_606), (0x3009_387c, 76_817)),
         ],
         "set-up artifacts moved"
     );

@@ -7,7 +7,7 @@
 //! shape that reconstructs to nothing.
 
 use exq_core::constraints::SecurityConstraint;
-use exq_core::encrypt::{BLOCK_MARKER_TAG, DECOY_TAG};
+use exq_core::encrypt::DECOY_TAG;
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::wire::ServerResponse;
@@ -34,8 +34,13 @@ fn hosted(constraints: &[&str]) -> (exq_core::Client, exq_core::Server) {
         .split()
 }
 
-/// A hand-built reply: `pruned_xml` plus `(id, plaintext)` blocks sealed
-/// under the client's key, shipped in the order given.
+/// Where a hand-built reply places a block: each one in a reply's text is
+/// cut out, and the next block shipped goes at its offset.
+const B: &str = "{#}";
+
+/// A hand-built reply: `pruned_xml` with its blocks' places written as
+/// [`B`], plus `(id, plaintext)` blocks sealed under the client's key,
+/// shipped in the order given. An empty text places every block at 0.
 fn reply(client: &exq_core::Client, pruned_xml: &str, blocks: &[(u32, &str)]) -> ServerResponse {
     let blocks: Vec<(u32, &[u8])> = blocks
         .iter()
@@ -51,12 +56,24 @@ fn reply_of_bytes(
     blocks: &[(u32, &[u8])],
 ) -> ServerResponse {
     let key = client.state().keys.block_key();
+    let mut text = String::new();
+    let mut offsets = Vec::new();
+    for (i, piece) in pruned_xml.split(B).enumerate() {
+        if i > 0 {
+            offsets.push(text.len() as u32);
+        }
+        text.push_str(piece);
+    }
+    if text.is_empty() {
+        offsets = vec![0; blocks.len()];
+    }
     ServerResponse {
-        pruned_xml: pruned_xml.to_owned(),
+        pruned_xml: text,
         blocks: blocks
             .iter()
             .map(|&(id, bytes)| seal_block(&key, id, [id as u8; 12], bytes))
             .collect(),
+        offsets,
         translate_time: Duration::ZERO,
         process_time: Duration::ZERO,
         served_from_cache: false,
@@ -85,13 +102,12 @@ fn root_level_block_splices_into_empty_pruned_doc() {
     );
 }
 
-/// Several root-level blocks splice in ascending block-id order, giving a
-/// deterministic reconstructed document.
+/// Several root-level blocks splice in the order shipped, which is
+/// document order, whatever their ids.
 #[test]
-fn multiple_root_blocks_splice_in_id_order() {
+fn multiple_root_blocks_splice_in_shipped_order() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
-    // Ship the two fragments in *descending* id order; reconstruction must
-    // still order by block id, not arrival order.
+    // The two fragments in *descending* id order: they stay in that order.
     let resp = reply(
         &client,
         "",
@@ -106,8 +122,8 @@ fn multiple_root_blocks_splice_in_id_order() {
         .unwrap();
     assert_eq!(
         post.results,
-        ["<pname>Al</pname>", "<pname>Zoe</pname>"],
-        "splice order must follow block ids"
+        ["<pname>Zoe</pname>", "<pname>Al</pname>"],
+        "splice order must follow the shipped order"
     );
 }
 
@@ -147,10 +163,6 @@ fn fully_encrypted_root_round_trips() {
     }
 }
 
-fn marker(id: &str) -> String {
-    format!("<{BLOCK_MARKER_TAG} id=\"{id}\"/>")
-}
-
 fn results(client: &exq_core::Client, query: &str, resp: &ServerResponse) -> Vec<String> {
     client
         .post_process(&Path::parse(query).unwrap(), resp)
@@ -158,26 +170,21 @@ fn results(client: &exq_core::Client, query: &str, resp: &ServerResponse) -> Vec
         .results
 }
 
-/// Each shipped block lands at its own marker, in document order, whatever
-/// order the blocks arrive in; a marker whose block was not shipped
-/// vanishes without a trace.
+/// Each shipped block lands at its own offset, in the order shipped,
+/// whatever its id; one between two runs of text splits them.
 #[test]
-fn blocks_splice_at_their_markers_and_unshipped_markers_vanish() {
+fn blocks_splice_at_their_offsets() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
     let pruned = format!(
-        "<hospital><patient>{}<age>35</age></patient><patient>{}{}</patient>{}</hospital>",
-        marker("4"),
-        marker("5"),
-        marker("6"),
-        marker("7"),
+        "<hospital><patient>{B}<age>35</age></patient><patient>{B}</patient>{B}</hospital>"
     );
     let resp = reply(
         &client,
         &pruned,
         &[
-            (7, "<patient><pname>Zed</pname></patient>"),
-            (4, "<pname>Betty</pname>"),
-            (6, "<SSN>276543</SSN>"),
+            (7, "<pname>Betty</pname>"),
+            (4, "<SSN>276543</SSN>"),
+            (6, "<patient><pname>Zed</pname></patient>"),
         ],
     );
     assert_eq!(
@@ -197,20 +204,9 @@ fn blocks_splice_at_their_markers_and_unshipped_markers_vanish() {
         results(&client, "/hospital/patient[3]/pname", &resp),
         ["<pname>Zed</pname>"]
     );
-    assert!(results(&client, &format!("//{BLOCK_MARKER_TAG}"), &resp).is_empty());
-}
-
-/// The reply's root may itself be a marker.
-#[test]
-fn root_marker_is_replaced_by_its_block() {
-    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
-    let resp = reply(&client, &marker("0"), &[(0, DOC)]);
-    assert_eq!(
-        results(&client, "/hospital/patient/pname", &resp),
-        ["<pname>Betty</pname>", "<pname>Matt</pname>"]
-    );
-    let unshipped = reply(&client, &marker("0"), &[]);
-    assert!(results(&client, "//pname", &unshipped).is_empty());
+    let resp = reply(&client, &format!("<h>ab{B}cd</h>"), &[(1, "<x/>")]);
+    assert_eq!(results(&client, "/h", &resp), ["<h>ab<x/>cd</h>"]);
+    assert_eq!(results(&client, "/h/text()", &resp), ["ab", "cd"]);
 }
 
 /// Decoys are stripped wherever they sit: in the visible skeleton beside a
@@ -220,10 +216,7 @@ fn root_marker_is_replaced_by_its_block() {
 fn decoys_inside_and_beside_spliced_blocks_are_removed() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
     let decoy = format!("<{DECOY_TAG}>999</{DECOY_TAG}>");
-    let pruned = format!(
-        "<hospital><patient>{decoy}{}{decoy}<age>35</age></patient></hospital>",
-        marker("1")
-    );
+    let pruned = format!("<hospital><patient>{decoy}{B}{decoy}<age>35</age></patient></hospital>");
     let block = format!("<rec>{decoy}<pname>Betty{decoy}</pname><SSN>763895</SSN>{decoy}</rec>");
     let resp = reply(&client, &pruned, &[(1, &block)]);
     assert_eq!(
@@ -232,17 +225,17 @@ fn decoys_inside_and_beside_spliced_blocks_are_removed() {
     );
     assert!(results(&client, &format!("//{DECOY_TAG}"), &resp).is_empty());
     // A block that is nothing but a decoy leaves nothing behind.
-    let resp = reply(&client, &format!("<h>{}</h>", marker("1")), &[(1, &decoy)]);
+    let resp = reply(&client, &format!("<h>{B}</h>"), &[(1, &decoy)]);
     assert_eq!(results(&client, "/h", &resp), ["<h/>"]);
 }
 
 /// A block whose plaintext is not XML is a `Block` error naming the parse
-/// failure, and with several bad blocks the first — blocks ship in id
-/// order, which is document order — is the one reported.
+/// failure, and with several bad blocks the first — blocks ship in
+/// document order — is the one reported.
 #[test]
 fn non_xml_block_is_a_block_error_and_the_first_bad_block_wins() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
-    let pruned = format!("<h>{}{}{}</h>", marker("1"), marker("2"), marker("3"));
+    let pruned = format!("<h>{B}{B}{B}</h>");
     let resp = reply(
         &client,
         &pruned,
@@ -260,7 +253,7 @@ fn non_xml_block_is_a_block_error_and_the_first_bad_block_wins() {
         }
         other => panic!("expected a Block error, got {other:?}"),
     }
-    // Same at the root level, where blocks splice in id order.
+    // Same at the root level, where blocks splice in shipped order.
     let resp = reply(&client, "", &[(2, "<a></b>"), (9, "plain text")]);
     let err = client
         .post_process(&Path::parse("//a").unwrap(), &resp)
@@ -376,10 +369,7 @@ fn a_block_ending_mid_character_is_rejected_whatever_follows_it() {
     let cut = whole.iter().position(|&b| b == 0xC3).unwrap() + 1;
     let halves = [(1, &whole[..cut]), (2, &whole[cut..])];
     assert!(std::str::from_utf8(&[halves[0].1, halves[1].1].concat()).is_ok());
-    for pruned in [
-        String::new(),
-        format!("<h>{}{}</h>", marker("1"), marker("2")),
-    ] {
+    for pruned in [String::new(), format!("<h>{B}{B}</h>")] {
         let resp = reply_of_bytes(&client, &pruned, &halves);
         let err = client
             .post_process(&Path::parse("//a").unwrap(), &resp)
@@ -392,29 +382,6 @@ fn a_block_ending_mid_character_is_rejected_whatever_follows_it() {
     }
 }
 
-/// A marker whose id is missing or not a number is a malformed response.
-#[test]
-fn marker_with_unparsable_id_is_a_response_error() {
-    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
-    for bad in [
-        marker("seven"),
-        marker("-1"),
-        marker("4294967296"),
-        format!("<{BLOCK_MARKER_TAG}/>"),
-        format!("<{BLOCK_MARKER_TAG} idx=\"1\"/>"),
-    ] {
-        let resp = reply(&client, &format!("<h>{bad}</h>"), &[(1, "<a/>")]);
-        let err = client
-            .post_process(&Path::parse("//a").unwrap(), &resp)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            CoreError::Response("marker without id".into()),
-            "{bad}"
-        );
-    }
-}
-
 /// Hostile nesting — in the reply or in a block, both written by the
 /// untrusted server — is a typed error on a small stack, never an abort.
 #[test]
@@ -422,17 +389,12 @@ fn hostile_nesting_is_a_typed_error() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
     let deep = "<a>".repeat(100_000) + &"</a>".repeat(100_000);
     let in_reply = reply(&client, &deep, &[]);
-    let in_block = reply(&client, &format!("<h>{}</h>", marker("1")), &[(1, &deep)]);
+    let in_block = reply(&client, &format!("<h>{B}</h>"), &[(1, &deep)]);
     // Just under the cap in the reply, one level too many once spliced.
     let levels = exq_xml::MAX_DEPTH - 1;
     let straddling = reply(
         &client,
-        &format!(
-            "{}{}{}",
-            "<a>".repeat(levels),
-            marker("1"),
-            "</a>".repeat(levels)
-        ),
+        &format!("{}{B}{}", "<a>".repeat(levels), "</a>".repeat(levels)),
         &[(1, "<x><y/></x>")],
     );
     let (e_reply, e_block, e_straddle) = std::thread::Builder::new()
@@ -469,7 +431,7 @@ fn hostile_nesting_is_a_typed_error() {
 #[test]
 fn a_repeated_attribute_is_a_typed_error_in_reply_and_block() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
-    let pruned = format!("<h>{}{}{}</h>", marker("1"), marker("2"), marker("3"));
+    let pruned = format!("<h>{B}{B}{B}</h>");
     let in_block = reply(
         &client,
         &pruned,
@@ -481,12 +443,7 @@ fn a_repeated_attribute_is_a_typed_error_in_reply_and_block() {
     );
     let in_reply = reply(
         &client,
-        &format!("<h w=\"1\" v=\"2\" w=\"3\">{}</h>", marker("1")),
-        &[(1, "<ok/>")],
-    );
-    let in_marker = reply(
-        &client,
-        &format!("<h><{BLOCK_MARKER_TAG} id=\"7\" id=\"1\"/></h>"),
+        &format!("<h w=\"1\" v=\"2\" w=\"3\">{B}</h>"),
         &[(1, "<ok/>")],
     );
     let at_root = reply(&client, "", &[(1, "<ok/>"), (2, "<p a=\"\" a=\"\"/>")]);
@@ -506,11 +463,6 @@ fn a_repeated_attribute_is_a_typed_error_in_reply_and_block() {
         matches!(&e, CoreError::Response(m) if m.contains("attribute `w` repeated in <h>")),
         "{e:?}"
     );
-    let e = error(&in_marker);
-    assert!(
-        matches!(&e, CoreError::Response(m) if m.contains("attribute `id` repeated")),
-        "{e:?}"
-    );
     let e = error(&at_root);
     assert!(
         matches!(&e, CoreError::Block(m) if m.contains("attribute `a` repeated in <p>")),
@@ -519,24 +471,14 @@ fn a_repeated_attribute_is_a_typed_error_in_reply_and_block() {
 }
 
 /// Shapes no honest server writes, which a reconstruction must still take
-/// exactly as it always has — the strings below are what the tombstoning
-/// reconstruction answered: a marker that carries children (they go with
-/// it), a marker inside a marker, a decoy inside a decoy, a block whose root
-/// is a decoy, and several root-level blocks with all of that in them.
+/// exactly as it always has: a decoy inside a decoy, a block whose root is
+/// a decoy, and several root-level blocks with all of that in them.
 #[test]
-fn odd_marker_and_decoy_shapes_reconstruct_as_they_always_have() {
+fn odd_decoy_shapes_reconstruct_as_they_always_have() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
     let decoy = |inner: &str| format!("<{DECOY_TAG}>{inner}</{DECOY_TAG}>");
     let nested_decoy = decoy(&format!("1{}2<x/>", decoy("3")));
-    let carrying = format!(
-        "<{BLOCK_MARKER_TAG} id=\"1\"><junk>z</junk>text{}</{BLOCK_MARKER_TAG}>",
-        marker("2")
-    );
-    let pruned = format!(
-        "<h>{carrying}<v>{nested_decoy}kept</v>{}{}<tail/></h>",
-        marker("3"),
-        marker("4")
-    );
+    let pruned = format!("<h><v>{nested_decoy}kept</v>{B}{B}<tail/></h>");
     let blocks = [
         (1, "<one>1</one>".to_owned()),
         (2, "<two>2</two>".to_owned()),
@@ -547,18 +489,19 @@ fn odd_marker_and_decoy_shapes_reconstruct_as_they_always_have() {
         ),
     ];
     let blocks: Vec<(u32, &str)> = blocks.iter().map(|(id, xml)| (*id, xml.as_str())).collect();
-    let resp = reply(&client, &pruned, &blocks);
+    let resp = reply(&client, &pruned, &blocks[2..]);
     assert_eq!(
         results(&client, "/h", &resp),
-        ["<h><one>1</one><v>kept</v><four><pname>Al</pname></four><tail/></h>"]
+        ["<h><v>kept</v><four><pname>Al</pname></four><tail/></h>"]
     );
-    assert_eq!(results(&client, "/h/*[2]", &resp), ["<v>kept</v>"]);
-    assert!(results(&client, "//two", &resp).is_empty());
-    assert!(results(&client, "//junk", &resp).is_empty());
+    assert_eq!(
+        results(&client, "/h/*[2]", &resp),
+        ["<four><pname>Al</pname></four>"]
+    );
     assert!(results(&client, "//x", &resp).is_empty());
 
-    // The same blocks with no skeleton: they splice at the root level in id
-    // order, and the block that is only a decoy leaves no trace.
+    // The same blocks with no skeleton: they splice at the root level in
+    // shipped order, and the block that is only a decoy leaves no trace.
     let resp = reply(&client, "", &blocks);
     assert_eq!(
         results(&client, "/*", &resp),
@@ -569,60 +512,6 @@ fn odd_marker_and_decoy_shapes_reconstruct_as_they_always_have() {
     let resp = reply(&client, "", &[(3, &nested_decoy)]);
     assert!(results(&client, "//*", &resp).is_empty());
     assert!(results(&client, "/*", &resp).is_empty());
-}
-
-/// A marker's own content is never built: whatever it carries goes, and its
-/// block lands where it stood. Its id is still read from its start tag, so
-/// a marker with children and no usable id is still a malformed response,
-/// and one naming a block that was not shipped still vanishes.
-#[test]
-fn a_marker_with_content_is_replaced_by_its_block_or_vanishes() {
-    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
-    let carrying = |id: &str| {
-        format!("<{BLOCK_MARKER_TAG} {id}><pname>fake</pname>t<x k=\"1\"/></{BLOCK_MARKER_TAG}>")
-    };
-    let blocks = [(1, "<pname>Betty</pname>")];
-    let resp = reply(
-        &client,
-        &format!("<h>{}<age>35</age></h>", carrying("id=\"1\"")),
-        &blocks,
-    );
-    assert_eq!(
-        results(&client, "/h", &resp),
-        ["<h><pname>Betty</pname><age>35</age></h>"]
-    );
-    let resp = reply(
-        &client,
-        &format!("<h>{}<age>35</age></h>", carrying("id=\"2\"")),
-        &blocks,
-    );
-    assert_eq!(results(&client, "/h", &resp), ["<h><age>35</age></h>"]);
-    for bad in ["", "id=\"\"", "id=\" 1\"", "id=\"0x1\"", "n=\"1\""] {
-        let resp = reply(&client, &format!("<h>{}</h>", carrying(bad)), &blocks);
-        let err = client
-            .post_process(&Path::parse("//pname").unwrap(), &resp)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            CoreError::Response("marker without id".into()),
-            "{bad}"
-        );
-    }
-}
-
-/// The reply's root marker, carrying content of its own: its block becomes
-/// the root, decoys in the block are stripped, and the content goes.
-#[test]
-fn a_root_marker_with_content_gives_the_root_to_its_block() {
-    let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
-    let pruned = format!("<{BLOCK_MARKER_TAG} id=\"5\"><junk/>z</{BLOCK_MARKER_TAG}>");
-    let block = format!("<hospital><{DECOY_TAG}>1</{DECOY_TAG}><patient/></hospital>");
-    let resp = reply(&client, &pruned, &[(5, &block)]);
-    assert_eq!(
-        results(&client, "/*", &resp),
-        ["<hospital><patient/></hospital>"]
-    );
-    assert!(results(&client, "//junk", &resp).is_empty());
 }
 
 /// A decoy is never built, but what it holds is checked exactly as if it
@@ -649,14 +538,10 @@ fn a_decoy_with_hostile_content_is_still_an_error() {
         (format!("<{DECOY_TAG}>x</h>"), "mismatched close tag"),
     ];
     for (bad, why) in &cases {
-        let in_skeleton = reply(
-            &client,
-            &format!("<h>{bad}{}</h>", marker("1")),
-            &[(1, "<ok/>")],
-        );
+        let in_skeleton = reply(&client, &format!("<h>{bad}{B}</h>"), &[(1, "<ok/>")]);
         let in_block = reply(
             &client,
-            &format!("<h>{}</h>", marker("1")),
+            &format!("<h>{B}</h>"),
             &[(1, &format!("<ok>{bad}</ok>"))],
         );
         let q = Path::parse("//ok").unwrap();
@@ -673,50 +558,43 @@ fn a_decoy_with_hostile_content_is_still_an_error() {
     }
 }
 
-/// A marker inside a decoy is never looked at: it is neither spliced nor
-/// validated. This is the one shape the start-tag hook answers differently
-/// from the completion hook it replaced, which read such a marker — a
-/// malformed one was an error, a valid one had its block parsed in and
-/// then thrown away with the decoy. The answer is the same either way: the
-/// decoy and everything in it are gone. In a block a marker is an ordinary
-/// element, and inside a decoy it goes with the decoy as before.
+/// A block placed inside a decoy is never looked at: it is neither parsed
+/// in nor validated, and goes with the decoy. In a block a decoy goes with
+/// whatever it holds, as before.
 #[test]
-fn a_marker_inside_a_decoy_is_neither_spliced_nor_validated() {
+fn a_block_inside_a_decoy_is_neither_spliced_nor_validated() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
-    let hidden = |id: &str| format!("<{DECOY_TAG}>{}</{DECOY_TAG}>", marker(id));
-    // A malformed marker, and one naming a shipped block that is not even
-    // XML: neither is an error, and the block's text never shows.
-    let pruned = format!("<h>{}{}{}</h>", hidden("seven"), hidden("2"), marker("1"));
-    let resp = reply(&client, &pruned, &[(1, "<ok/>"), (2, "<a></b>")]);
+    let hidden = format!("<{DECOY_TAG}>{B}</{DECOY_TAG}>");
+    // A shipped block that is not even XML, placed in a decoy: no error,
+    // and its text never shows.
+    let pruned = format!("<h>{hidden}{B}</h>");
+    let resp = reply(&client, &pruned, &[(2, "<a></b>"), (1, "<ok/>")]);
     assert_eq!(results(&client, "/h", &resp), ["<h><ok/></h>"]);
-    // A valid marker with a valid block: the block is not spliced.
+    // A valid block: it is not spliced.
     let resp = reply(
         &client,
-        &format!("<h>{}</h>", hidden("2")),
+        &format!("<h>{hidden}</h>"),
         &[(2, "<pname>B</pname>")],
     );
     assert_eq!(results(&client, "/h", &resp), ["<h/>"]);
-    // In a block, with a malformed id too.
-    let block = format!("<rec>{}<pname>B</pname>{}</rec>", hidden("x"), hidden("1"));
-    let resp = reply(&client, &format!("<h>{}</h>", marker("1")), &[(1, &block)]);
+    // In a block.
+    let block = format!("<rec><{DECOY_TAG}><x/></{DECOY_TAG}><pname>B</pname></rec>");
+    let resp = reply(&client, &format!("<h>{B}</h>"), &[(1, &block)]);
     assert_eq!(
         results(&client, "/h", &resp),
         ["<h><rec><pname>B</pname></rec></h>"]
     );
 }
 
-/// Markers normally come in block-id order, and the client looks first at
-/// the block after the last one it spliced. Out of order, repeated or
-/// skipping ids still find their own block.
+/// Blocks with ids out of order, and several at one offset, land where
+/// they are placed, in the order shipped.
 #[test]
-fn markers_out_of_id_order_still_find_their_blocks() {
+fn blocks_out_of_id_order_land_in_shipped_order() {
     let (client, _server) = hosted(&["//patient:(/pname, /SSN)"]);
-    let ids = ["3", "1", "2", "2", "9", "1", "4"];
-    let pruned: String = ids.iter().map(|id| marker(id)).collect();
-    let blocks = [(1, "<a/>"), (2, "<b/>"), (3, "<c/>"), (4, "<d/>")];
-    let resp = reply(&client, &format!("<h>{pruned}</h>"), &blocks);
+    let blocks = [(3, "<c/>"), (1, "<a/>"), (9, "<e/>"), (4, "<d/>")];
+    let resp = reply(&client, &format!("<h>{B}<x/>{B}{B}{B}</h>"), &blocks);
     assert_eq!(
         results(&client, "/h", &resp),
-        ["<h><c/><a/><b/><b/><a/><d/></h>"]
+        ["<h><c/><x/><a/><e/><d/></h>"]
     );
 }

@@ -193,7 +193,7 @@ fn garbage_framing_gets_error_frame_then_close() {
 /// answered in that same dialect — version byte, framing fields, checksum —
 /// so its decoder can read why.
 #[test]
-fn oversize_header_from_a_v5_client_is_answered_in_v5() {
+fn oversize_header_from_a_current_client_is_answered_in_its_dialect() {
     use exq_core::codec::PROTOCOL_VERSION;
     let (_, server) = hosted();
     let (handle, _shared) = start(server);

@@ -321,6 +321,68 @@ fn mutations_keep_point_queries_equal_to_the_plaintext_twin() {
     assert_eq!(out.results, ["<policy coverage=\"999000\">55501</policy>"]);
 }
 
+/// A record inserted under a patient that is not the last takes the next
+/// block ids, higher than every block after it: a reply ships its blocks in
+/// document order, not by id, their offsets ascend, and the answers are the
+/// plaintext twin's, in document order.
+#[test]
+fn an_insert_under_a_middle_patient_ships_its_block_in_document_order() {
+    use exq_xml::NodeKind;
+    use exq_xpath::{eval_document, Path};
+    let mut twin = hospital(6);
+    let cs: Vec<SecurityConstraint> = ["//insurance", "//patient:(/pname, /SSN)"]
+        .iter()
+        .map(|s| SecurityConstraint::parse(s).unwrap())
+        .collect();
+    let (mut client, mut server) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&twin, &cs, SchemeKind::Opt, 2006)
+        .unwrap()
+        .split();
+    let record = "<insurance><policy coverage=\"999000\">55501</policy></insurance>";
+    let sq = client
+        .translate("/hospital/patient")
+        .unwrap()
+        .server_query
+        .unwrap();
+    let middle = server.locate(&sq)[2];
+    let slot = server.insertion_slot(middle).unwrap();
+    let delta = client.prepare_insert(&slot, record, 9).unwrap();
+    let inserted = delta.blocks[0].id;
+    server.apply_insert(&delta).unwrap();
+    let rec = Document::parse(record).unwrap();
+    let patient = twin.elements_by_tag("patient")[2];
+    rec.clone_subtree_into(rec.root().unwrap(), &mut twin, Some(patient));
+    // Read again, so that node ids, and the evaluator's order, are
+    // document order.
+    let twin = Document::parse(&twin.to_xml()).unwrap();
+
+    for q in [
+        "//patient/insurance/policy",
+        "//insurance",
+        "//policy[@coverage > 990000]",
+        "//patient[.//policy[@coverage > 990000]]/age",
+        "/hospital/patient",
+    ] {
+        let mut link = exq_core::transport::InProcess::shared(&server);
+        let (_, resp, post) = client.run(&mut link, q).unwrap();
+        assert!(resp.offsets.windows(2).all(|w| w[0] <= w[1]), "{q}");
+        let ids: Vec<u32> = resp.blocks.iter().map(|b| b.id).collect();
+        if q == "//insurance" {
+            let at = ids.iter().position(|&id| id == inserted).unwrap();
+            assert!(at + 1 < ids.len() && ids[at + 1] < inserted, "{q}: {ids:?}");
+        }
+        let plain: Vec<String> = eval_document(&twin, &Path::parse(q).unwrap())
+            .into_iter()
+            .map(|n| match twin.node(n).kind() {
+                NodeKind::Element(_) => twin.node_to_xml(n),
+                _ => twin.text_value(n),
+            })
+            .collect();
+        assert!(!plain.is_empty(), "{q}");
+        assert_eq!(post.results, plain, "{q}");
+    }
+}
+
 /// The matcher's indexes — the DSI table's universe and posting lists, the
 /// block table and the visible-node array — are rebuilt in place by
 /// every insert and delete. After each mutation the server must reply as a
@@ -540,8 +602,8 @@ fn hostile_deltas_are_refused_before_the_wal() {
     // parent's, but not after its preceding sibling's.
     let mut d = good.clone();
     let ivs = &mut d.visible.intervals;
-    let (second, third) = (ivs[2].1, ivs[3].1);
-    (ivs[2].1, ivs[3].1) = (third, second);
+    let (first, second) = (ivs[1].1, ivs[2].1);
+    (ivs[1].1, ivs[2].1) = (second, first);
     hostile.push(("siblings out of order", d));
     let mut d = good.clone();
     d.parent = Interval {
@@ -642,12 +704,13 @@ fn damaged_insert_payloads_are_typed_errors_before_the_wal() {
     let frame = Message::ApplyInsert(good.clone()).encode_frame();
     let payload = good.encode();
     // Where the pair count sits: after the parent and the fragment's text,
-    // which is everything an encoding with no lists holds but its five
+    // which is everything an encoding with no lists holds but its six
     // zero counts.
     let head = InsertDelta {
         visible: VisibleFragment {
             xml: good.visible.xml.clone(),
             intervals: Vec::new(),
+            blocks: Vec::new(),
         },
         blocks: Vec::new(),
         dsi_entries: Vec::new(),
@@ -655,7 +718,7 @@ fn damaged_insert_payloads_are_typed_errors_before_the_wal() {
         value_entries: Vec::new(),
         ..good.clone()
     };
-    let count_at = head.encode().len() - 5;
+    let count_at = head.encode().len() - 6;
     assert_eq!(payload[count_at] as usize, good.visible.intervals.len());
     let saved = paged.save_bytes().unwrap();
     let depth = db.footprint().wal_depth;

@@ -14,8 +14,9 @@
 //! A [`SpanDocument`] is the other shape of a document: the text the writer
 //! would write, plus per node its byte span in it, with no `String` per
 //! node. The client reconstructs each server reply into one (a
-//! [`SpanBuilder`] whose start-tag hook skips decoys and splices blocks in
-//! at their markers), evaluates the query over it, and copies each result
+//! [`SpanBuilder`] that stops at each block's byte offset to parse the
+//! block in there, and whose start-tag hook skips decoys), evaluates the
+//! query over it, and copies each result
 //! out as a slice. One tokenizer feeds both shapes, and both implement
 //! [`TreeView`], the view the XPath evaluator walks.
 //!
@@ -39,7 +40,7 @@ mod view;
 
 pub use escape::{escape_attr, escape_text, unescape};
 pub use parse::{ParseError, StartTag, Verdict, MAX_DEPTH};
-pub use span::{Span, SpanBuilder, SpanDocument};
+pub use span::{Cursor, Span, SpanBuilder, SpanDocument};
 pub use stats::DocumentStats;
 pub use tree::{Document, Node, NodeId, NodeKind, TagId};
 pub use view::{NodeType, TreeView};

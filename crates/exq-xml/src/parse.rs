@@ -136,16 +136,35 @@ pub(crate) trait Sink<'a> {
     fn text(&mut self, text: Text<'_, 'a>);
     /// The end of the element being built.
     fn end(&mut self, close: Close);
+    /// The parse reached stop `i` inside a kept element.
+    fn stop(&mut self, _i: usize) -> Result<(), Self::Error> {
+        Ok(())
+    }
 }
 
 /// Parses `input` (one element, with the prolog and comments a document
 /// may carry) into `sink`; `depth` is the depth its root element takes,
-/// from which nesting is capped.
+/// from which nesting is capped. `stops` are byte offsets into `input`,
+/// ascending, each between two nodes of the root element's content: the
+/// sink is told of each as the parse reaches it (see [`Sink::stop`]). A
+/// stop inside markup or outside the root element, one before the stop
+/// ahead of it, or one past the end is a parse error naming it.
 pub(crate) fn parse_into<'a, S: Sink<'a>>(
     input: &'a str,
     depth: usize,
+    stops: &[u32],
     sink: &mut S,
 ) -> Result<(), S::Error> {
+    for (i, &stop) in stops.iter().enumerate() {
+        let message = match stop as usize {
+            s if s > input.len() => format!("stop {i} at byte {s} is past the end"),
+            _ if i > 0 && stop < stops[i - 1] => {
+                format!("stop {i} at byte {stop} comes before stop {}", i - 1)
+            }
+            _ => continue,
+        };
+        return Err(err(input.len().min(stop as usize), format_args!("{message}")).into());
+    }
     let buffers = sink.lend();
     let mut p = Parser {
         input,
@@ -153,6 +172,8 @@ pub(crate) fn parse_into<'a, S: Sink<'a>>(
         text_buf: String::new(),
         buffers,
         attr_seen_in: Vec::new(),
+        stops,
+        next_stop: 0,
     };
     let parsed = p.parse_root(depth);
     let mut buffers = p.buffers;
@@ -172,7 +193,7 @@ impl Document {
             doc: &mut doc,
             current: None,
         };
-        parse_into(input, 0, &mut build)?;
+        parse_into(input, 0, &[], &mut build)?;
         Ok(doc)
     }
 }
@@ -260,6 +281,9 @@ struct Parser<'a, 's, S> {
     /// of one input share and is never 0). A repeat within one start tag is
     /// one lookup, however many attributes a hostile tag piles up.
     attr_seen_in: Vec<usize>,
+    /// Where the sink is to be told the parse stands, and the next one.
+    stops: &'s [u32],
+    next_stop: usize,
 }
 
 /// The error at `offset`. Built only on the way out, so kept out of line:
@@ -352,6 +376,11 @@ impl<'a, S: Sink<'a>> Parser<'a, '_, S> {
     fn parse_root(&mut self, depth: usize) -> Result<(), S::Error> {
         let at = self.skip_misc(0)?;
         let at = self.parse_element(at, depth)?;
+        if let Some(&stop) = self.stops.get(self.next_stop) {
+            let i = self.next_stop;
+            let message = format_args!("stop {i} at byte {stop} is outside the root element");
+            return Err(err(at, message).into());
+        }
         let at = self.skip_misc(at)?;
         if at != self.input.len() {
             return Err(err(at, format_args!("trailing content after the root element")).into());
@@ -361,6 +390,41 @@ impl<'a, S: Sink<'a>> Parser<'a, '_, S> {
 
     fn bytes(&self) -> &'a [u8] {
         self.input.as_bytes()
+    }
+
+    /// The input up to the next stop, past which the loop does not read
+    /// unawares; all of it when no stop is left.
+    fn segment(&self) -> &'a [u8] {
+        let stop = self.stops.get(self.next_stop);
+        stop.map_or(self.bytes(), |&stop| &self.bytes()[..stop as usize])
+    }
+
+    /// The loop reached the end of its segment at `at`, inside `top`: the
+    /// end of the input, an element left open, or a stop. At a stop the
+    /// sink is told of it, and of every other stop there, when `top` is
+    /// kept; returns the next segment.
+    #[cold]
+    fn reach(&mut self, at: usize, top: Open) -> Result<&'a [u8], S::Error> {
+        let i = self.next_stop;
+        let Some(&stop) = self.stops.get(i) else {
+            let tag = self.name(top);
+            return Err(err(at, format_args!("unclosed element <{tag}>")).into());
+        };
+        // A stop the last construct read past is inside it.
+        if at > stop as usize {
+            let why = "is inside markup or outside the root element";
+            return Err(err(at, format_args!("stop {i} at byte {stop} {why}")).into());
+        }
+        if top.kept {
+            self.flush_text();
+        }
+        while self.stops.get(self.next_stop) == Some(&stop) {
+            if top.kept {
+                self.sink.stop(self.next_stop)?;
+            }
+            self.next_stop += 1;
+        }
+        Ok(self.segment())
     }
 
     /// Skips whitespace, comments, the XML declaration, PIs, and DOCTYPE.
@@ -396,17 +460,19 @@ impl<'a, S: Sink<'a>> Parser<'a, '_, S> {
     /// and checked, never built, and nobody is asked. The cursor is a local
     /// of this one loop, so it stays in a register however the sink writes.
     fn parse_element(&mut self, at: usize, depth: usize) -> Result<usize, S::Error> {
-        let bytes = self.bytes();
         let (mut at, opened) = self.start_element(at, depth, true)?;
         let Some(mut top) = opened else {
             return Ok(at);
         };
+        // The loop reads up to the next stop: reaching it is reaching the
+        // end of its input, so a parse with no stops pays nothing for them.
+        let mut bytes = self.segment();
         self.buffers.open.push(top);
         loop {
             let opened = match bytes.get(at) {
                 None => {
-                    let tag = self.name(top);
-                    return Err(err(at, format_args!("unclosed element <{tag}>")).into());
+                    bytes = self.reach(at, top)?;
+                    continue;
                 }
                 Some(b'<') => match bytes.get(at + 1) {
                     Some(b'/') => {
@@ -435,7 +501,7 @@ impl<'a, S: Sink<'a>> Parser<'a, '_, S> {
                     }
                 },
                 Some(_) => {
-                    at = self.text(at, top.kept)?;
+                    at = self.text(bytes, at, top.kept)?;
                     continue;
                 }
             };
@@ -581,18 +647,18 @@ impl<'a, S: Sink<'a>> Parser<'a, '_, S> {
         seen(name)
     }
 
-    /// A text run at `at`, up to the next `<`, of an element that is
-    /// `kept` or not.
+    /// A text run at `at`, up to the next `<` or the end of `segment`, of
+    /// an element that is `kept` or not.
     #[inline(always)]
-    fn text(&mut self, at: usize, kept: bool) -> Result<usize, ParseError> {
-        let (end, plain) = scan(self.bytes(), at, b'<');
+    fn text(&mut self, segment: &[u8], at: usize, kept: bool) -> Result<usize, ParseError> {
+        let (end, plain) = scan(segment, at, b'<');
         if !kept {
             return Ok(end);
         }
         let raw = cut(self.input, at, end, "text")?;
-        // A run that stops at a tag is the whole text node; only `<!--`,
-        // `<![CDATA[` and `<?` carry it on.
-        let next = self.bytes().get(end + 1).copied();
+        // A run that stops at a tag or a stop is the whole text node; only
+        // `<!--`, `<![CDATA[` and `<?` carry it on.
+        let next = segment.get(end + 1).copied();
         if self.text_buf.is_empty() && next != Some(b'!') && next != Some(b'?') {
             self.sink.text(Text::Raw(raw, at, plain));
         } else {
@@ -741,7 +807,7 @@ fn scan(hay: &[u8], from: usize, stop: u8) -> (usize, bool) {
 mod tests {
     use super::*;
     use crate::tree::Document;
-    use crate::{SpanBuilder, SpanDocument, TreeView};
+    use crate::{Cursor, SpanBuilder, SpanDocument, TreeView};
 
     #[test]
     fn minimal() {
@@ -1041,6 +1107,110 @@ mod tests {
             "<r><a/><f1><hole/></f1><b><f2><hole/></f2>x</b></r>"
         );
         assert_eq!(d.len(), 8);
+    }
+
+    /// `src` parsed with a stop at each `|`, the fragment of that stop's
+    /// number parsed in there; decoy-like `skip` elements are skipped.
+    fn stopped(src: &str, fragments: &[&'static str]) -> Result<(String, usize), ParseError> {
+        let mut stops = Vec::new();
+        let mut text = String::new();
+        for (i, piece) in src.split('|').enumerate() {
+            if i > 0 {
+                stops.push(text.len() as u32);
+            }
+            text.push_str(piece);
+        }
+        let text: &'static str = Box::leak(text.into_boxed_str());
+        let mut b = SpanBuilder::with_capacity(0);
+        let skip = b.intern("skip");
+        let mut reached = 0;
+        let hook = |_: &mut SpanBuilder<'_>, tag: &StartTag<'_, '_>| {
+            Ok(if tag.name == skip {
+                Verdict::Skip
+            } else {
+                Verdict::Keep
+            })
+        };
+        b.parse_stopping(text, &stops, hook, |b, i| {
+            reached += 1;
+            b.parse_fragment(fragments[i], keep_all)
+        })?;
+        Ok((b.finish().text().to_owned(), reached))
+    }
+
+    /// Stops between tags, inside a text run (which they split), before a
+    /// close tag, two at one offset, and inside a skipped element (never
+    /// reached): each fragment lands where its stop stands, in order.
+    #[test]
+    fn fragment_stops_parse_in_where_they_stand() {
+        let src = "<r>|<a/>ab|cd<b>|</b>||<skip>|</skip></r>";
+        let fragments = ["<f0/>", "<f1/>", "<f2>x</f2>", "<f3/>", "<f4/>", "<f5/>"];
+        let (text, reached) = stopped(src, &fragments).unwrap();
+        assert_eq!(text, "<r><f0/><a/>ab<f1/>cd<b><f2>x</f2></b><f3/><f4/></r>");
+        assert_eq!(reached, 5);
+        let d = SpanDocument::parse(&text).unwrap();
+        let (kids, texts) = (d.len(), text.matches("ab").count());
+        assert_eq!((kids, texts), (11, 1));
+        // No stops: the one-segment parse is `parse_fragment`'s.
+        assert_eq!(stopped("<r>ab<c/></r>", &[]).unwrap().0, "<r>ab<c/></r>");
+    }
+
+    /// An element held open is written with a close tag though nothing is
+    /// built in it, and the cursor stands inside it.
+    #[test]
+    fn fragment_stops_hold_an_empty_element_open() {
+        let mut b = SpanBuilder::with_capacity(0);
+        let mut at = Vec::new();
+        b.parse_stopping("<r><x></x><y></y></r>", &[6], keep_all, |b, _| {
+            b.hold_open();
+            at.push(b.cursor());
+            Ok(())
+        })
+        .unwrap();
+        let d = b.finish();
+        assert_eq!(d.text(), "<r><x></x><y/></r>");
+        let x = Cursor {
+            parent: Some(NodeId(1)),
+            next: NodeId(2),
+            offset: 6,
+        };
+        assert_eq!(at, [x]);
+    }
+
+    /// A stop inside a start tag, an attribute value, a text's character, a
+    /// close tag, a comment, before the root, after it, past the end, or
+    /// before the stop ahead of it is an error naming that stop.
+    #[test]
+    fn fragment_stops_outside_content_are_errors_naming_them() {
+        let src = "<r><a k=\"v\">é</a><!-- c --><b/></r>";
+        let at = |needle: &str| src.find(needle).unwrap() as u32;
+        let cases = [
+            (vec![3, at("<a ") + 2], "stop 1 at byte 5 is inside markup"),
+            (vec![at("\"v") + 1], "stop 0 at byte 9 is inside markup"),
+            (
+                vec![at("é") + 1],
+                "text does not end on a character boundary",
+            ),
+            (vec![at("</a>") + 2], "is inside markup"),
+            (vec![at(" c ")], "is inside markup"),
+            (
+                vec![0],
+                "stop 0 at byte 0 is inside markup or outside the root",
+            ),
+            (vec![src.len() as u32], "outside the root element"),
+            (
+                vec![src.len() as u32 + 1],
+                "stop 0 at byte 37 is past the end",
+            ),
+            (vec![at("<b"), 3], "stop 1 at byte 3 comes before stop 0"),
+        ];
+        for (stops, why) in cases {
+            let mut b = SpanBuilder::with_capacity(0);
+            let e = b
+                .parse_stopping(src, &stops, keep_all, |_, _| Ok(()))
+                .unwrap_err();
+            assert!(e.message.contains(why), "{stops:?}: {e}");
+        }
     }
 
     #[test]

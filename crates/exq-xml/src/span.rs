@@ -227,6 +227,18 @@ pub struct SpanBuilder<'s> {
     current: u32,
     /// Parse buffers no parse holds: one per level of hook nesting.
     spare: Vec<ParseBuffers<'s>>,
+    /// The element last held open: written with a close tag even when
+    /// nothing is built in it.
+    held_open: u32,
+}
+
+/// Where a [`SpanBuilder`] stands: the element being built (`None` at the
+/// root slot), the number the next node takes, and the text's length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cursor {
+    pub parent: Option<NodeId>,
+    pub next: NodeId,
+    pub offset: usize,
 }
 
 impl<'s> SpanBuilder<'s> {
@@ -244,6 +256,22 @@ impl<'s> SpanBuilder<'s> {
             to: 0,
             current: NONE,
             spare: Vec::new(),
+            held_open: NONE,
+        }
+    }
+
+    /// Writes the element being built with a close tag even if nothing is
+    /// built in it, `<x></x>`, so that a place inside it stays one.
+    pub fn hold_open(&mut self) {
+        self.held_open = self.current;
+    }
+
+    /// Where the builder stands.
+    pub fn cursor(&self) -> Cursor {
+        Cursor {
+            parent: (self.current != NONE).then_some(NodeId(self.current)),
+            next: NodeId(self.doc.nodes.len() as u32),
+            offset: self.out_len(),
         }
     }
 
@@ -262,6 +290,23 @@ impl<'s> SpanBuilder<'s> {
         input: &'s str,
         hook: impl FnMut(&mut SpanBuilder<'s>, &StartTag<'_, 's>) -> Result<Verdict, E>,
     ) -> Result<(), E> {
+        self.parse_stopping(input, &[], hook, |_, _| Ok(()))
+    }
+
+    /// [`parse_fragment`](SpanBuilder::parse_fragment), stopping at each of
+    /// `stops`: byte offsets into `input`, ascending, each between two
+    /// nodes of its root element's content. At stop `i` inside a kept
+    /// element, `at_stop(builder, i)` is called with the builder standing
+    /// there, so what it parses in goes there. A stop inside markup or
+    /// outside the root element, one before the stop ahead of it, or one
+    /// past the end is a parse error naming it.
+    pub fn parse_stopping<E: From<ParseError>>(
+        &mut self,
+        input: &'s str,
+        stops: &[u32],
+        hook: impl FnMut(&mut SpanBuilder<'s>, &StartTag<'_, 's>) -> Result<Verdict, E>,
+        at_stop: impl FnMut(&mut SpanBuilder<'s>, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
         // Offsets are `u32`; re-escaping writes at most six bytes for one.
         if (self.out_len() + input.len().saturating_mul(6)) >= NONE as usize {
             return Err(ParseError {
@@ -277,7 +322,12 @@ impl<'s> SpanBuilder<'s> {
         let resume = std::mem::replace(&mut self.to, 0);
         self.from = 0;
         let depth = self.depth();
-        let parsed = parse_into(input, depth, &mut Fragment { b: self, hook });
+        let mut sink = Fragment {
+            b: self,
+            hook,
+            at_stop,
+        };
+        let parsed = parse_into(input, depth, stops, &mut sink);
         self.flush();
         (self.src, self.from, self.to) = (outer, resume, resume);
         parsed
@@ -436,9 +486,9 @@ impl<'s> SpanBuilder<'s> {
         match close {
             // Its start tag held all of it.
             Close::Itself => {}
-            // Nothing kept inside: the start tag's `>`, the last byte out,
-            // becomes `/>`.
-            _ if end as usize == self.doc.nodes.len() => {
+            // Nothing kept inside, and not held open: the start tag's `>`,
+            // the last byte out, becomes `/>`.
+            _ if end as usize == self.doc.nodes.len() && self.held_open != self.current => {
                 if self.to > self.from {
                     self.to -= 1;
                 } else {
@@ -469,16 +519,18 @@ impl<'s> SpanBuilder<'s> {
     }
 }
 
-/// The sink of one [`SpanBuilder::parse_fragment`] call.
-struct Fragment<'b, 's, H> {
+/// The sink of one [`SpanBuilder::parse_stopping`] call.
+struct Fragment<'b, 's, H, A> {
     b: &'b mut SpanBuilder<'s>,
     hook: H,
+    at_stop: A,
 }
 
-impl<'s, E, H> Sink<'s> for Fragment<'_, 's, H>
+impl<'s, E, H, A> Sink<'s> for Fragment<'_, 's, H, A>
 where
     E: From<ParseError>,
     H: FnMut(&mut SpanBuilder<'s>, &StartTag<'_, 's>) -> Result<Verdict, E>,
+    A: FnMut(&mut SpanBuilder<'s>, usize) -> Result<(), E>,
 {
     type Error = E;
 
@@ -518,5 +570,9 @@ where
     #[inline(always)]
     fn end(&mut self, close: Close) {
         self.b.end(close);
+    }
+
+    fn stop(&mut self, i: usize) -> Result<(), E> {
+        (self.at_stop)(self.b, i)
     }
 }

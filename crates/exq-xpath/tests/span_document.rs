@@ -1,8 +1,8 @@
 //! The span document against the arena document. A reply with decoys and
-//! block markers, written in every form the parser accepts, is read into a
-//! `SpanDocument` (decoys skipped, each shipped block parsed in at its
-//! marker); the same tree written with the decoys and markers resolved is
-//! read by `Document::parse`. Every query answers the same on both: an
+//! blocks cut out at byte offsets, written in every form the parser
+//! accepts, is read into a `SpanDocument` (decoys skipped, each block
+//! parsed in at its offset); the same tree written with the decoys dropped
+//! and the blocks in place is read by `Document::parse`. Every query answers the same on both: an
 //! element result is its slice of the span document's text and equals
 //! `node_to_xml`, an attribute's or a text's is its value.
 
@@ -14,7 +14,6 @@ use proptest::prelude::*;
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
 const DECOY: &str = "z";
-const MARKER: &str = "m";
 
 #[derive(Debug, Clone)]
 enum Item {
@@ -22,9 +21,8 @@ enum Item {
     El(El),
     /// Skipped with whatever it holds.
     Decoy(El),
-    /// Replaced by its block's root, or by nothing when the block was not
-    /// shipped.
-    Marker(Option<El>),
+    /// Cut out of the reply and shipped as a block at its offset.
+    Block(El),
 }
 
 #[derive(Debug, Clone)]
@@ -65,7 +63,7 @@ fn item() -> impl Strategy<Value = Item> {
             el.clone().prop_map(Item::El),
             el.clone().prop_map(Item::El),
             el.clone().prop_map(Item::Decoy),
-            proptest::option::of(el).prop_map(Item::Marker),
+            el.prop_map(Item::Block),
         ]
     })
 }
@@ -80,8 +78,9 @@ struct Writer<'s> {
     style: &'s [u8],
     at: usize,
     out: String,
-    /// Block texts, in id order; markers name them by index.
+    /// Block texts and their offsets in `out`, in document order.
     blocks: Vec<String>,
+    offsets: Vec<u32>,
 }
 
 impl Writer<'_> {
@@ -145,8 +144,8 @@ impl Writer<'_> {
         self.out.push(quote);
     }
 
-    /// Writes `el`; with `resolve`, decoys are left out and markers are
-    /// replaced by their blocks, as the reconstruction reads them.
+    /// Writes `el`; with `resolve`, decoys are left out and blocks are
+    /// written in place, as the reconstruction reads them.
     fn element(&mut self, name: &str, el: &El, resolve: bool) {
         self.out.push('<');
         self.out.push_str(name);
@@ -162,9 +161,8 @@ impl Writer<'_> {
         }
         self.out.push('>');
         // Two texts with no tag between them are one text node, and a
-        // skipped decoy or vanished marker is a tag between them only on
-        // the reconstruction's side: so a text right after a text is left
-        // out of both sides.
+        // skipped decoy is a tag between them only on the reconstruction's
+        // side: so a text right after a text is left out of both sides.
         let mut after_text = false;
         for kid in &el.kids {
             match kid {
@@ -186,38 +184,25 @@ impl Writer<'_> {
                         self.out.truncate(len);
                     }
                 }
-                Item::Marker(block) if !resolve => {
-                    let id = match block {
-                        Some(b) => {
-                            let mut inner = Writer {
-                                style: self.style,
-                                at: self.at + 7,
-                                out: String::new(),
-                                blocks: Vec::new(),
-                            };
-                            inner.element(TAGS[b.tag], b, false);
-                            assert!(inner.blocks.is_empty(), "blocks hold no markers");
-                            self.blocks.push(inner.out);
-                            self.blocks.len() - 1
-                        }
-                        None => 1000,
-                    };
-                    self.out.push_str(&format!("<{MARKER} id=\"{id}\"/>"));
-                    after_text &= block.is_none();
-                }
-                Item::Marker(Some(b)) => {
+                Item::Block(b) => {
                     // The same style as the block's own text.
                     let mut inner = Writer {
                         style: self.style,
                         at: self.at + 7,
                         out: String::new(),
                         blocks: Vec::new(),
+                        offsets: Vec::new(),
                     };
-                    inner.element(TAGS[b.tag], b, true);
-                    self.out.push_str(&inner.out);
+                    inner.element(TAGS[b.tag], b, resolve);
+                    assert!(inner.blocks.is_empty(), "blocks hold no blocks");
+                    if resolve {
+                        self.out.push_str(&inner.out);
+                    } else {
+                        self.offsets.push(self.out.len() as u32);
+                        self.blocks.push(inner.out);
+                    }
                     after_text = false;
                 }
-                Item::Marker(None) => {}
             }
             if !after_text && self.pick(6) == 0 {
                 self.out.push_str("\n  ");
@@ -233,12 +218,12 @@ impl Writer<'_> {
     }
 }
 
-/// Blocks never hold markers: markers only sit in the reply.
-fn without_markers(el: &El) -> El {
+/// Blocks hold no blocks: blocks are only cut out of the reply.
+fn without_blocks(el: &El) -> El {
     let kids = el.kids.iter().filter_map(|k| match k {
-        Item::Marker(_) => None,
-        Item::El(e) => Some(Item::El(without_markers(e))),
-        Item::Decoy(e) => Some(Item::Decoy(without_markers(e))),
+        Item::Block(_) => None,
+        Item::El(e) => Some(Item::El(without_blocks(e))),
+        Item::Decoy(e) => Some(Item::Decoy(without_blocks(e))),
         text => Some(text.clone()),
     });
     El {
@@ -247,11 +232,11 @@ fn without_markers(el: &El) -> El {
     }
 }
 
-fn blocks_without_markers(el: &El) -> El {
+fn blocks_without_blocks(el: &El) -> El {
     let kids = el.kids.iter().map(|k| match k {
-        Item::Marker(b) => Item::Marker(b.as_ref().map(without_markers)),
-        Item::El(e) => Item::El(blocks_without_markers(e)),
-        Item::Decoy(e) => Item::Decoy(blocks_without_markers(e)),
+        Item::Block(b) => Item::Block(without_blocks(b)),
+        Item::El(e) => Item::El(blocks_without_blocks(e)),
+        Item::Decoy(e) => Item::Decoy(blocks_without_blocks(e)),
         text => text.clone(),
     });
     El {
@@ -261,25 +246,23 @@ fn blocks_without_markers(el: &El) -> El {
 }
 
 /// The reply read as the client reads it.
-fn reconstruct(reply: &str, blocks: &[String]) -> Result<SpanDocument, ParseError> {
+fn reconstruct(
+    reply: &str,
+    blocks: &[String],
+    offsets: &[u32],
+) -> Result<SpanDocument, ParseError> {
     let mut b = SpanBuilder::with_capacity(reply.len());
-    let (decoy, marker, id) = (b.intern(DECOY), b.intern(MARKER), b.intern("id"));
-    b.parse_fragment(reply, |b, tag| {
-        if tag.name == decoy {
-            return Ok(Verdict::Skip);
-        }
-        if tag.name != marker {
-            return Ok(Verdict::Keep);
-        }
-        let at = tag.attrs.iter().find(|(n, _)| *n == id).unwrap().1.parse();
-        if let Some(block) = at.ok().and_then(|i: usize| blocks.get(i)) {
-            b.parse_fragment(block, |_, tag| {
-                let skip = tag.name == decoy;
-                Ok::<_, ParseError>(if skip { Verdict::Skip } else { Verdict::Keep })
-            })?;
-        }
-        Ok(Verdict::Skip)
-    })?;
+    let decoy = b.intern(DECOY);
+    let skip_decoy = move |tag: &exq_xml::StartTag<'_, '_>| match tag.name == decoy {
+        true => Verdict::Skip,
+        false => Verdict::Keep,
+    };
+    b.parse_stopping(
+        reply,
+        offsets,
+        |_, tag| Ok(skip_decoy(tag)),
+        |b, i| b.parse_fragment(&blocks[i], |_, tag| Ok(skip_decoy(tag))),
+    )?;
     Ok(b.finish())
 }
 
@@ -380,13 +363,14 @@ proptest! {
         style in proptest::collection::vec(any::<u8>(), 1..32),
         queries in proptest::collection::vec(query(), 1..6),
     ) {
-        let root = blocks_without_markers(&root);
-        let mut reply = Writer { style: &style, at: 0, out: String::new(), blocks: Vec::new() };
+        let root = blocks_without_blocks(&root);
+        let writer = |style| Writer { style, at: 0, out: String::new(), blocks: Vec::new(), offsets: Vec::new() };
+        let mut reply = writer(&style);
         reply.element(TAGS[root.tag], &root, false);
-        let mut resolved = Writer { style: &style, at: 0, out: String::new(), blocks: Vec::new() };
+        let mut resolved = writer(&style);
         resolved.element(TAGS[root.tag], &root, true);
 
-        let span = reconstruct(&reply.out, &reply.blocks).unwrap();
+        let span = reconstruct(&reply.out, &reply.blocks, &reply.offsets).unwrap();
         let doc = Document::parse(&resolved.out).unwrap();
         // The text is what the writer writes for the tree, whatever form
         // the reply took.

@@ -37,7 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  optimal secure scheme: {} blocks, |S| = {}",
         hosted.setup.block_count, hosted.setup.scheme_size
     );
-    println!("  server-visible document (sensitive subtrees are markers):");
+    println!(
+        "  server-visible document (sensitive subtrees cut out, each block at a byte offset):"
+    );
     println!("    {}", hosted.server.visible_xml());
 
     println!("\n== §5.1 / Figure 4: metadata on the server ======================");

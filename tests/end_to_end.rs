@@ -148,8 +148,8 @@ fn larger_scale_smoke() {
     assert!(out.bytes_to_client < hosted.server.hosted_bytes() / 2);
 }
 
-/// A reconstruction holds nothing dead: every marker and decoy the parse
-/// hook drops gives its arena slots back, so the exported database has as
+/// A reconstruction holds nothing dead: every decoy the parse hook drops
+/// gives its arena slots back, so the exported database has as
 /// many slots as live nodes, ids in document order — and is the plaintext.
 #[test]
 fn export_reconstructs_with_no_dead_node() {

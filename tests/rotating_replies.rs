@@ -3,7 +3,6 @@
 //! after one from another database, and not after a reply that failed
 //! halfway through its parse.
 
-use encrypted_xml::core::encrypt::{BLOCK_ID_ATTR, BLOCK_MARKER_TAG};
 use encrypted_xml::core::scheme::SchemeKind;
 use encrypted_xml::core::system::{OutsourceConfig, Outsourcer};
 use encrypted_xml::core::transport::InProcess;
@@ -79,29 +78,37 @@ fn one_client_answers_every_reply_as_a_fresh_one_would() {
     assert!(replies[1..].iter().all(|(_, resp)| resp.blocks.len() > 50));
 
     // Two hostile replies of the whole-`people` shape: one block that does
-    // not open, half way down the reply; one marker without its id, after
-    // the reply has been parsed half way.
+    // not open, half way down the reply; one block placed inside a start
+    // tag, after the reply has been parsed half way.
     let (people_query, people) = replies[2].clone();
     let mut tampered = people.clone();
     let half = tampered.blocks.len() / 2;
     let mut blocks: Vec<_> = tampered.blocks.iter().map(|b| b.to_block()).collect();
     blocks[half].ciphertext[0] ^= 0x01;
     tampered.blocks = blocks.iter().collect();
-    let mut no_id = people.clone();
-    let marker = format!("<{BLOCK_MARKER_TAG} {BLOCK_ID_ATTR}=");
-    let at = no_id.pruned_xml.len() / 2;
-    let at = at + no_id.pruned_xml[at..].find(&marker).expect("a marker");
-    no_id.pruned_xml.replace_range(
-        at..at + marker.len(),
-        &format!("<{BLOCK_MARKER_TAG} x{BLOCK_ID_ATTR}="),
-    );
-    let hostile = [(&people_query, &tampered), (&people_query, &no_id)];
+    let mut in_tag = people.clone();
+    let (text, offsets) = (&in_tag.pruned_xml, &mut in_tag.offsets);
+    // A block past the middle right after a start tag that follows the
+    // block before it: moved one byte into that tag, its offsets still
+    // ascend.
+    let (k, tag) = (half..offsets.len())
+        .find_map(|k| {
+            let tag = text[..offsets[k] as usize].rfind('<')?;
+            let opens = text.as_bytes()[tag + 1] != b'/';
+            (opens && tag as u32 >= offsets[k - 1]).then_some((k, tag))
+        })
+        .expect("a block right after a start tag");
+    offsets[k] = tag as u32 + 1;
+    let hostile = [(&people_query, &tampered), (&people_query, &in_tag)];
     let want: Vec<CoreError> = hostile
         .iter()
         .map(|(q, resp)| fresh(&client, q, resp).unwrap_err())
         .collect();
     assert!(matches!(want[0], CoreError::Block(_)), "{:?}", want[0]);
-    assert_eq!(want[1], CoreError::Response("marker without id".into()));
+    match &want[1] {
+        CoreError::Response(why) => assert!(why.contains(&format!("stop {k} ")), "{why}"),
+        other => panic!("{other:?}"),
+    }
 
     // One thread, every shape after every other, the hostile replies
     // midway: each answer and each error as a fresh client gives it.
