@@ -10,8 +10,19 @@
 //! text by position: a subtree kept whole is one slice, a context element
 //! is its start tag, its kept children and a close tag, and each block in
 //! it is its offset in the reply. There is no tree beside the text.
+//!
+//! Each position keeps, beside its 12-byte span, one `f64`: the number
+//! its visible node's string value, trimmed, parses to, for an attribute
+//! and for an element with no element child in the text (its string value
+//! is then one run of the text). Every other position holds NaN, and so
+//! does a value that is no number or parses to NaN: NaN means "read the
+//! text". A plaintext value test compares numbers where both sides have
+//! one and reads the string value only where NaN says so.
+//!
 //! Inserts and deletes edit the text in place and move the later spans by
-//! the number of bytes they added or removed.
+//! the number of bytes they added or removed; the numbers move with the
+//! spans, and the edited parent's number is worked out from its text
+//! again.
 //!
 //! The client hands the server a [`VisibleFragment`], at set-up and with
 //! every insert, and the server persists one: the text, the interval of
@@ -131,16 +142,73 @@ fn tag_of(doc: &SpanDocument, n: NodeId, element: bool, tag: &mut String) {
     }
 }
 
+/// The escaped text of the visible node `a`'s string value when it is one
+/// run: an attribute's value, or the content of an element with no element
+/// child in `xml` (a block cut out of it leaves no markup behind); `None`
+/// for an element with one.
+fn flat_value(xml: &str, a: At) -> Option<&str> {
+    let (start, open_end, end) = (a.start as usize, a.open_end as usize, a.end as usize);
+    let b = xml.as_bytes();
+    if b[start] != b'<' {
+        // `name="value"`, and a name holds no `"`.
+        let quote = b[start..end].iter().position(|&c| c == b'"');
+        return Some(&xml[start + quote.expect("an attribute is name=\"value\"") + 1..end - 1]);
+    }
+    if b[open_end] == b'/' {
+        return Some("");
+    }
+    // The content's first `<` starts a child or, when there is none, the
+    // close tag.
+    let content = open_end + 1;
+    let lt = b[content..end].iter().position(|&c| c == b'<');
+    let lt = content + lt.expect("a close tag");
+    (b[lt + 1] == b'/').then(|| &xml[content..lt])
+}
+
+/// Whether a value whose first byte is `c` may parse, once trimmed, as a
+/// number other than NaN: one starts with a digit, a sign, `.` or the `i`
+/// of `inf`, and white space (ASCII or not) may come before it. The text
+/// escapes no digit or space, so an `&` starts none.
+fn may_start_number(c: u8) -> bool {
+    c.is_ascii_digit() || c <= b' ' || !c.is_ascii() || b"+-.iI".contains(&c)
+}
+
+/// The number a position keeps for its visible node `a` (see
+/// [`VisibleText::number`]). A look at the first byte of a value spares
+/// the scans and the parse for most text, and, before the content is
+/// found, for every parent.
+fn number_of(xml: &str, a: At) -> f64 {
+    let b = xml.as_bytes();
+    if b[a.start as usize] == b'<' && !may_start_number(b[a.open_end as usize + 1]) {
+        return f64::NAN;
+    }
+    let number = flat_value(xml, a)
+        .filter(|raw| raw.bytes().next().is_some_and(may_start_number))
+        .and_then(|raw| unescape(raw).trim().parse::<f64>().ok());
+    number.filter(|v| !v.is_nan()).unwrap_or(f64::NAN)
+}
+
 /// What a reply region keeps of a position (see [`VisibleText::region`]).
 const SKIP: u8 = 0;
 const CONTEXT: u8 = 1;
 const WHOLE: u8 = 2;
 
-/// The visible document as text plus per-position spans.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The visible document as text plus per-position spans and numbers.
+#[derive(Debug, Clone)]
 pub(crate) struct VisibleText {
     xml: String,
     at: Vec<At>,
+    /// Per position, see [`VisibleText::number`].
+    numbers: Vec<f64>,
+}
+
+impl PartialEq for VisibleText {
+    /// Numbers compare by their bits, so the NaN of a text to read equals
+    /// itself.
+    fn eq(&self, o: &VisibleText) -> bool {
+        let bits = |t: &VisibleText| t.numbers.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        self.xml == o.xml && self.at == o.at && bits(self) == bits(o)
+    }
 }
 
 impl VisibleText {
@@ -200,6 +268,7 @@ impl VisibleText {
             b.is_some() && u.parent(p).and_then(&block_at) != b
         };
         let mut at = vec![HIDDEN; u.len()];
+        let mut numbers = vec![f64::NAN; u.len()];
         // Per node, its position; the pairs and blocks left, and the next
         // ordinal.
         let mut position = vec![NOWHERE; doc.len()];
@@ -261,6 +330,7 @@ impl VisibleText {
                 return Err(format!("`{tag}` is not a tag its interval is filed under"));
             }
             at[p as usize] = At::of(doc.span(n));
+            numbers[p as usize] = number_of(doc.text(), at[p as usize]);
             position[i as usize] = p;
             last = Some(p);
         }
@@ -282,6 +352,7 @@ impl VisibleText {
         Ok(VisibleText {
             xml: doc.into_text(),
             at,
+            numbers,
         })
     }
 
@@ -325,20 +396,11 @@ impl VisibleText {
         if a.start == NOWHERE || a.is_block() {
             return None;
         }
-        let node = &self.xml[a.start as usize..a.end as usize];
-        if self.is_attribute(a) {
-            let (_, quoted) = node
-                .split_once("=\"")
-                .expect("an attribute is name=\"value\"");
-            return Some(unescape(&quoted[..quoted.len() - 1]));
+        if let Some(raw) = flat_value(&self.xml, a) {
+            return Some(unescape(raw));
         }
-        let Some(close) = self.close_start(a) else {
-            return Some(Cow::Borrowed(""));
-        };
+        let close = self.close_start(a).expect("an element with children");
         let content = &self.xml[a.open_end as usize + 1..close];
-        if !content.contains('<') {
-            return Some(unescape(content));
-        }
         // Markup is written escaped, so a `>` in the text ends a tag.
         let mut text = String::with_capacity(content.len());
         let mut rest = content;
@@ -351,12 +413,24 @@ impl VisibleText {
         Some(Cow::Owned(unescape(&text).into_owned()))
     }
 
+    /// The number kept at `p` (see the module docs): its string value,
+    /// trimmed, as an `f64`, or NaN, which means "read the text".
+    pub(crate) fn number(&self, p: u32) -> f64 {
+        self.numbers[p as usize]
+    }
+
+    /// Sets the number at `p` from the text, after an edit there.
+    fn renumber(&mut self, p: u32) {
+        self.numbers[p as usize] = number_of(&self.xml, self.at[p as usize]);
+    }
+
     /// Writes the reply region of `wholes`, visible positions each kept
     /// with its subtree, and appends to `ids` and `offsets` each block in
     /// it and its offset in the region, in document order. A position's
     /// ancestors are kept as context: an element with its attributes and
     /// its kept children. Marking follows each chain up to the first
-    /// position already marked; writing is one ascending pass over
+    /// position already marked and bounds the region's size, so the string
+    /// is sized once; writing is one ascending pass over
     /// positions that steps over every subtree it does not keep, copies a
     /// whole subtree as one slice, and finds the blocks inside one from
     /// the block table alone.
@@ -369,18 +443,27 @@ impl VisibleText {
         offsets: &mut Vec<u32>,
     ) -> String {
         let mut marks = vec![SKIP; u.len()];
+        // The most the region can take: each whole's span, and each context
+        // element's start tag twice (once as its close tag) and three bytes
+        // of `>`, `</` and `>`; never more than the text.
+        let mut size = 0;
         for &w in wholes {
             marks[w as usize] = WHOLE;
+            let a = self.at[w as usize];
+            size += (a.end - a.start) as usize;
             let mut cur = w;
             while let Some(p) = visible_parent(&self.at, u, cur) {
                 if marks[p as usize] != SKIP {
                     break;
                 }
                 marks[p as usize] = CONTEXT;
+                let a = self.at[p as usize];
+                size += 2 * (a.open_end - a.start) as usize + 3;
                 cur = p;
             }
         }
-        let mut out = String::new();
+        let size = size.min(self.xml.len());
+        let mut out = String::with_capacity(size);
         // Context elements written up to their start tag, each with
         // whether its `>` is out yet.
         let mut open: Vec<(u32, bool)> = Vec::new();
@@ -429,6 +512,7 @@ impl VisibleText {
                 p += 1;
             }
         }
+        debug_assert!(out.len() <= size, "a region past its size");
         out
     }
 
@@ -500,9 +584,11 @@ impl VisibleText {
         let by = self.xml.len() as i64 - before as i64;
         let (i, k) = (at as usize, frag.at.len());
         self.at.splice(i..i, frag.at);
+        self.numbers.splice(i..i, frag.numbers);
         shift(&mut self.at[i..i + k], into as i64);
         shift(&mut self.at[i + k..], by);
         self.stretch_up(u, under, by);
+        self.renumber(under);
     }
 
     /// Whether the element at `q` has a child other than `p` that is an
@@ -542,6 +628,7 @@ impl VisibleText {
         let by = with.len() as i64 - range.len() as i64;
         self.xml.replace_range(range, with);
         self.at.drain(p as usize..u.end(p) as usize);
+        self.numbers.drain(p as usize..u.end(p) as usize);
         shift(&mut self.at[p as usize..], by);
         if let Some(q) = parent {
             if attribute {
@@ -549,6 +636,7 @@ impl VisibleText {
                 pa.open_end = (pa.open_end as i64 + by) as u32;
             }
             self.stretch_up(u, q, by);
+            self.renumber(q);
         }
     }
 
@@ -662,25 +750,45 @@ mod tests {
         Document::parse(&xml).unwrap()
     }
 
+    /// Values in every form a number takes, and some that only look like
+    /// one, in leaves, attributes, mixed content and beside a block.
+    fn numbers() -> Document {
+        let mut xml = String::from("<r>");
+        for v in [
+            " 5", "+5", ".5", "5.", "1e3", "inf", "-inf", "Infinity", "NaN", "nan", "\u{a0}8",
+            "&#53;", "\t7\n", "x5", "5x", "4 0", "0x10", "-0", "", "&lt;3",
+        ] {
+            xml.push_str(&format!("<a>{v}</a>"));
+        }
+        xml.push_str("<m>4<k/>2</m><e/><b v=\" 9\" w=\"+1e2\" z=\"abc\" y=\"-0\"/>");
+        xml.push_str("<p>6<s>1</s></p><s><a>11</a>12</s></r>");
+        Document::parse(&xml).unwrap()
+    }
+
     fn servers() -> Vec<Server> {
         let hospital_cs = ["//insurance", "//patient:(/pname, /SSN)", "//treat"];
         let xmark_cs = ["//creditcard", "//person:(/name, /address)", "//bidder"];
-        [(hospital(), &hospital_cs), (xmark(), &xmark_cs)]
-            .into_iter()
-            .flat_map(|(doc, cs)| {
-                let cs: Vec<SecurityConstraint> = cs
-                    .iter()
-                    .map(|c| SecurityConstraint::parse(c).unwrap())
-                    .collect();
-                [SchemeKind::Opt, SchemeKind::Sub, SchemeKind::App].map(|kind| {
-                    Outsourcer::new(OutsourceConfig::default())
-                        .outsource(&doc, &cs, kind, 7)
-                        .unwrap()
-                        .split()
-                        .1
-                })
+        let numbers_cs = ["//s"];
+        [
+            (hospital(), &hospital_cs[..]),
+            (xmark(), &xmark_cs[..]),
+            (numbers(), &numbers_cs[..]),
+        ]
+        .into_iter()
+        .flat_map(|(doc, cs)| {
+            let cs: Vec<SecurityConstraint> = cs
+                .iter()
+                .map(|c| SecurityConstraint::parse(c).unwrap())
+                .collect();
+            [SchemeKind::Opt, SchemeKind::Sub, SchemeKind::App].map(|kind| {
+                Outsourcer::new(OutsourceConfig::default())
+                    .outsource(&doc, &cs, kind, 7)
+                    .unwrap()
+                    .split()
+                    .1
             })
-            .collect()
+        })
+        .collect()
     }
 
     /// The definition the copy replaces: the nodes' subtrees and their
@@ -819,7 +927,7 @@ mod tests {
     /// Every visible position and block root alone, and pairs of them,
     /// copied out of the text against the reference over the reparsed
     /// document with its blocks written in; every visible position's string
-    /// value against the tree's.
+    /// value and number against the tree's.
     #[test]
     fn copied_regions_equal_copy_then_serialize() {
         let mut checked = 0;
@@ -834,6 +942,22 @@ mod tests {
                     Some(BLOCK) => assert_eq!(v.string_value(p), None),
                     _ => assert_eq!(v.string_value(p).unwrap(), doc.text_value(n), "at {p}"),
                 }
+                // A number for an attribute, and for an element whose
+                // children are text and blocks, when its value parses.
+                let flat = (doc.node(n).children().iter())
+                    .all(|&c| doc.node(c).is_text() || doc.element_name(c) == Some(BLOCK));
+                let number = match doc.text_value(n).trim().parse::<f64>() {
+                    Ok(x) if flat && doc.element_name(n) != Some(BLOCK) => x,
+                    _ => f64::NAN,
+                };
+                let bits = |x: f64| {
+                    if x.is_nan() {
+                        f64::NAN.to_bits()
+                    } else {
+                        x.to_bits()
+                    }
+                };
+                assert_eq!(bits(v.number(p)), bits(number), "at {p}");
             }
             let check = |ps: &[(u32, NodeId)]| {
                 let wholes: Vec<u32> = ps.iter().map(|&(p, _)| p).collect();

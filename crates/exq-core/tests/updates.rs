@@ -441,6 +441,74 @@ fn mutated_server_replies_equal_a_reloaded_one() {
     same_replies(&client, &server, "delete");
 }
 
+/// The server keeps a number per position for a leaf's value. An insert
+/// under one patient's `age` makes that age no leaf (its value `46years`
+/// compares as text), and a delete before it moves every later position:
+/// after each, `[age = K]` and `[age > K]` answer as the plaintext twin
+/// does and reply as a server reloaded from its own bytes does.
+#[test]
+fn a_leaf_that_gains_a_child_drops_its_number() {
+    use exq_xml::NodeKind;
+    use exq_xpath::{eval_document, Path};
+    let mut twin = hospital(12);
+    let cs: Vec<SecurityConstraint> = ["//insurance", "//patient:(/pname, /SSN)"]
+        .iter()
+        .map(|s| SecurityConstraint::parse(s).unwrap())
+        .collect();
+    let (mut client, mut server) = Outsourcer::new(OutsourceConfig::default())
+        .outsource(&twin, &cs, SchemeKind::Opt, 2006)
+        .unwrap()
+        .split();
+    // Patient 2 is the one aged 46, patient 0 the one aged 20.
+    let queries = [
+        "//patient[age = 46]/pname",
+        "//patient[age != 46]/pname",
+        "//patient[age > 45]/pname",
+        "//patient[age > 50]/SSN",
+        "//patient[age < 47]/pname",
+        "//patient[age = 43]//doctor",
+        "//patient[age >= 20]/age",
+    ];
+    let check = |client: &Client, server: &Server, twin: &Document, step: &str| {
+        let reloaded = Server::load_bytes(&server.save_bytes().unwrap()).unwrap();
+        for q in queries {
+            let mut plain: Vec<String> = eval_document(twin, &Path::parse(q).unwrap())
+                .into_iter()
+                .map(|n| match twin.node(n).kind() {
+                    NodeKind::Element(_) => twin.node_to_xml(n),
+                    _ => twin.text_value(n),
+                })
+                .collect();
+            let mut secure = client.query(server, q).unwrap().results;
+            plain.sort();
+            secure.sort();
+            assert_eq!(secure, plain, "{q} after {step}");
+            let sq = client.translate(q).unwrap().server_query.unwrap();
+            let (live, fresh) = (server.answer(&sq).unwrap(), reloaded.answer(&sq).unwrap());
+            assert_eq!(live.pruned_xml, fresh.pruned_xml, "{q} after {step}");
+            assert_eq!(live.offsets, fresh.offsets, "{q} after {step}");
+        }
+    };
+    check(&client, &server, &twin, "outsourcing");
+    let unit = "<unit>years</unit>";
+    client
+        .insert(&mut server, "//patient[age = 46]/age", unit, 5)
+        .unwrap();
+    let rec = Document::parse(unit).unwrap();
+    let age = twin.elements_by_tag("age")[2];
+    rec.clone_subtree_into(rec.root().unwrap(), &mut twin, Some(age));
+    assert_eq!(twin.text_value(age), "46years");
+    check(&client, &server, &twin, "the insert under an age");
+    let out = client.query(&server, "//patient[age = 46]/pname").unwrap();
+    assert!(out.results.is_empty(), "{:?}", out.results);
+    let victim = "//patient[age = 20]";
+    assert_eq!(client.delete(&mut server, victim).unwrap().deleted, 1);
+    for v in eval_document(&twin, &Path::parse(victim).unwrap()) {
+        twin.detach(v);
+    }
+    check(&client, &server, &twin, "the delete before it");
+}
+
 /// An inserted block's nonce is a PRF of its id and its plaintext. Two
 /// different records prepared against one slot (a refused insert retried
 /// with another record) get the same block ids, and under one nonce their

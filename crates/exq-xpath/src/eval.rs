@@ -11,7 +11,7 @@
 //! order. The lists an evaluation needs along the way are kept and reused,
 //! so a predicate checked on every candidate allocates nothing once warm.
 
-use crate::ast::{Axis, CmpOp, Literal, NodeTest, Path, PositionTest, Predicate, Step};
+use crate::ast::{Axis, Comparison, NodeTest, Path, PositionTest, Predicate, Step};
 use exq_xml::{Document, NodeId, NodeType, TagId, TreeView};
 
 /// A node test resolved against one document.
@@ -33,7 +33,7 @@ struct RStep<'p> {
 /// [`Predicate`] with its paths resolved.
 enum RPred<'p> {
     Exists(Vec<RStep<'p>>),
-    Compare(Vec<RStep<'p>>, CmpOp, &'p Literal),
+    Compare(Vec<RStep<'p>>, Comparison<'p>),
     Position(PositionTest),
     And(Box<RPred<'p>>, Box<RPred<'p>>),
     Or(Box<RPred<'p>>, Box<RPred<'p>>),
@@ -59,7 +59,9 @@ fn resolve_pred<'p>(doc: &impl TreeView, pred: &'p Predicate) -> RPred<'p> {
     let boxed = |p: &'p Predicate| Box::new(resolve_pred(doc, p));
     match pred {
         Predicate::Exists(path) => RPred::Exists(resolve(doc, &path.steps)),
-        Predicate::Compare(path, op, lit) => RPred::Compare(resolve(doc, &path.steps), *op, lit),
+        Predicate::Compare(path, op, lit) => {
+            RPred::Compare(resolve(doc, &path.steps), Comparison::new(*op, lit))
+        }
         Predicate::Position(test) => RPred::Position(*test),
         Predicate::And(a, b) => RPred::And(boxed(a), boxed(b)),
         Predicate::Or(a, b) => RPred::Or(boxed(a), boxed(b)),
@@ -224,9 +226,7 @@ impl<'d, T: TreeView> Eval<'d, T> {
                 self.give(targets);
                 any
             }
-            RPred::Compare(path, op, lit) => {
-                self.any_value(node, path, |v| op.holds(lit.compare_with(v)))
-            }
+            RPred::Compare(path, cmp) => self.any_value(node, path, |v| cmp.holds(v)),
             RPred::Position(PositionTest::Index(i)) => pos == *i,
             RPred::Position(PositionTest::Last) => pos == total,
             RPred::And(a, b) => self.holds(node, a, pos, total) && self.holds(node, b, pos, total),

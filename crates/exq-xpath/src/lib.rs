@@ -29,6 +29,6 @@ mod ast;
 mod eval;
 mod parse;
 
-pub use ast::{Axis, CmpOp, Literal, NodeTest, Path, PositionTest, Predicate, Step};
+pub use ast::{Axis, CmpOp, Comparison, Literal, NodeTest, Path, PositionTest, Predicate, Step};
 pub use eval::{eval, eval_document, eval_from, eval_union};
 pub use parse::XPathError;

@@ -1,7 +1,7 @@
 //! Property tests for the XPath engine.
 
 use exq_xml::Document;
-use exq_xpath::{eval_document, Path};
+use exq_xpath::{eval_document, CmpOp, Comparison, Literal, Path};
 use proptest::prelude::*;
 
 /// Random documents over a small tag alphabet.
@@ -47,6 +47,36 @@ fn doc_strategy() -> impl Strategy<Value = Document> {
         }
         d
     })
+}
+
+/// Values and literals in the forms a comparison meets: numbers written
+/// each way `f64` parses them, padded or not, the specials, and words.
+fn value_text() -> impl Strategy<Value = String> {
+    let forms = [
+        "NaN", "nan", "inf", "-inf", "Infinity", "1e3", "+5", ".5", "5.", "-0", "", " ", "abc",
+        "4 0", "2.5x",
+    ];
+    prop_oneof![
+        (-1000i32..1000).prop_map(|n| n.to_string()),
+        any::<f64>().prop_map(|x| x.to_string()),
+        (-100i32..100, "[ \t\n]{0,2}", "[ \t\n]{0,2}").prop_map(|(n, l, r)| format!("{l}{n}{r}")),
+        (0..forms.len()).prop_map(move |i| forms[i].to_owned()),
+        "[0-9a-z .+-]{0,6}",
+    ]
+}
+
+fn literal() -> impl Strategy<Value = Literal> {
+    let number = prop_oneof![
+        any::<f64>(),
+        (-1000i32..1000).prop_map(f64::from),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(-0.0),
+    ];
+    prop_oneof![
+        number.prop_map(Literal::Number),
+        value_text().prop_map(Literal::Str),
+    ]
 }
 
 proptest! {
@@ -99,6 +129,31 @@ proptest! {
             .filter(|&n| d.node(n).is_element())
             .count();
         prop_assert_eq!(got, expected);
+    }
+
+    /// A prepared comparison holds exactly where `compare_with` says, for
+    /// all six operators: on the value's text always, and on its number
+    /// whenever the value and the literal are both numbers other than NaN.
+    #[test]
+    fn a_prepared_comparison_orders_as_compare_with(
+        v in value_text(),
+        lit in literal(),
+        op in (0usize..6).prop_map(|i| {
+            [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][i]
+        }),
+    ) {
+        let want = op.holds(lit.compare_with(&v));
+        let cmp = Comparison::new(op, &lit);
+        prop_assert_eq!(cmp.holds(&v), want);
+        let number = |s: &str| s.trim().parse::<f64>().unwrap_or(f64::NAN);
+        let (value, literal) = match &lit {
+            Literal::Number(n) => (number(&v), *n),
+            Literal::Str(s) => (number(&v), number(s)),
+        };
+        match cmp.holds_number(value) {
+            Some(holds) => prop_assert_eq!(holds, want),
+            None => prop_assert!(value.is_nan() || literal.is_nan()),
+        }
     }
 
     /// Display → parse is the identity on generated query shapes.
