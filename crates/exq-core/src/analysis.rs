@@ -126,14 +126,6 @@ pub mod attack {
     }
 
     impl FrequencyAttackOutcome {
-        pub fn claim_rate(&self) -> f64 {
-            if self.total == 0 {
-                0.0
-            } else {
-                self.claimed as f64 / self.total as f64
-            }
-        }
-
         pub fn success_rate(&self) -> f64 {
             if self.total == 0 {
                 0.0

@@ -31,10 +31,11 @@
 //! little-endian), strings and byte arrays are varint-length-prefixed, and
 //! enums carry a one-byte tag. Byte offsets that ascend — where each block
 //! an `Answer` ships goes in its text, and where each block was cut out of
-//! a visible fragment's — are a count, then each one's distance from the
-//! one before it. An `Answer` is its text, one offset per block, its
-//! sealed blocks as one table in that order, two timings, the cache flag
-//! and its spans. The encoding is the *single source of truth*
+//! a visible fragment's — are each one's distance from the one before it.
+//! An `Answer` is its text, its sealed blocks as one table, then one offset
+//! per block in the table's order (no count), two timings, the cache flag
+//! and its spans; a visible fragment is its text, then a count and its
+//! offsets. The encoding is the *single source of truth*
 //! for transmission accounting: `ServerQuery::wire_size`,
 //! `InsertDelta::wire_size` and `ServerResponse::payload_bytes` are the
 //! length of the frame each travels in ([`frame_len_of`] its encoded
@@ -60,7 +61,7 @@ use std::time::Duration;
 
 /// The protocol version byte of every frame: the one dialect this system
 /// reads or writes.
-pub const PROTOCOL_VERSION: u8 = 6;
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Frame magic: the first two bytes of every frame.
 pub const FRAME_MAGIC: [u8; 2] = *b"EQ";
@@ -772,12 +773,11 @@ const MIN_SPAN_LEN: usize = 7;
 impl WireCodec for ServerResponse {
     fn encode_into(&self, enc: &mut Enc) {
         enc.str(&self.pruned_xml);
-        enc.usize(self.offsets.len());
+        self.blocks.encode_into(enc);
         let mut last = 0;
         for &offset in &self.offsets {
             encode_offset(offset, &mut last, enc);
         }
-        self.blocks.encode_into(enc);
         enc.duration(self.translate_time);
         enc.duration(self.process_time);
         enc.bool(self.served_from_cache);
@@ -787,19 +787,14 @@ impl WireCodec for ServerResponse {
         }
     }
 
+    /// The offsets follow the table, one per block: a reply cut short or
+    /// swollen anywhere before its table's end reserves nothing for them.
     fn decode_from(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         let pruned_xml = dec.str()?;
-        // The offsets are read once the table is: a reply cut short or
-        // swollen anywhere before its table's end reserves nothing for them.
-        let n = dec.count(1)?;
-        let mut at_offsets = dec.clone();
-        for _ in 0..n {
-            dec.varint()?;
-        }
         let blocks = SealedBlocks::decode_from(dec)?;
-        let (mut offsets, mut last) = (Vec::with_capacity(n), 0);
-        for _ in 0..n {
-            offsets.push(decode_offset(&mut last, &mut at_offsets)?);
+        let (mut offsets, mut last) = (Vec::with_capacity(blocks.len()), 0);
+        for _ in 0..blocks.len() {
+            offsets.push(decode_offset(&mut last, dec)?);
         }
         let translate_time = dec.duration()?;
         let process_time = dec.duration()?;
@@ -856,53 +851,30 @@ fn decode_offset(last: &mut u32, dec: &mut Dec<'_>) -> Result<u32, CodecError> {
     Ok(*last)
 }
 
-/// A visible fragment's section: the text, `(ordinal, interval)` pairs,
-/// then `(offset, interval)` for each block. Borrowed parts, so a server
-/// writes its own without a copy.
-pub(crate) fn encode_visible(
-    xml: &str,
-    intervals: &[(u32, Interval)],
-    blocks: &[(u32, Interval)],
-    enc: &mut Enc,
-) {
+/// A visible fragment's section: the text, then its blocks' offsets.
+/// Borrowed parts, so a server writes its own text without a copy.
+pub(crate) fn encode_visible(xml: &str, offsets: &[u32], enc: &mut Enc) {
     enc.str(xml);
-    enc.usize(intervals.len());
-    for (ordinal, iv) in intervals {
-        enc.varint(*ordinal as u64);
-        iv.encode_into(enc);
-    }
-    enc.usize(blocks.len());
+    enc.usize(offsets.len());
     let mut last = 0;
-    for &(offset, iv) in blocks {
+    for &offset in offsets {
         encode_offset(offset, &mut last, enc);
-        iv.encode_into(enc);
     }
 }
 
 impl WireCodec for VisibleFragment {
     fn encode_into(&self, enc: &mut Enc) {
-        encode_visible(&self.xml, &self.intervals, &self.blocks, enc);
+        encode_visible(&self.xml, &self.offsets, enc);
     }
 
     fn decode_from(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         let xml = dec.str()?;
-        let n = dec.count(3)?;
-        let mut intervals = Vec::with_capacity(n);
+        let n = dec.count(1)?;
+        let (mut offsets, mut last) = (Vec::with_capacity(n), 0);
         for _ in 0..n {
-            let ordinal = dec.u32()?;
-            intervals.push((ordinal, Interval::decode_from(dec)?));
+            offsets.push(decode_offset(&mut last, dec)?);
         }
-        let n = dec.count(3)?;
-        let (mut blocks, mut last) = (Vec::with_capacity(n), 0);
-        for _ in 0..n {
-            let offset = decode_offset(&mut last, dec)?;
-            blocks.push((offset, Interval::decode_from(dec)?));
-        }
-        Ok(VisibleFragment {
-            xml,
-            intervals,
-            blocks,
-        })
+        Ok(VisibleFragment { xml, offsets })
     }
 }
 
@@ -1594,8 +1566,7 @@ mod tests {
                 parent: Interval { lo: 1, hi: 10_000 },
                 visible: VisibleFragment {
                     xml: "<x></x>".into(),
-                    intervals: vec![(0, Interval { lo: 2, hi: 9 })],
-                    blocks: vec![(3, Interval { lo: 3, hi: 5 })],
+                    offsets: vec![3],
                 },
                 blocks: vec![SealedBlock {
                     id: 0,
@@ -1781,10 +1752,10 @@ mod tests {
         let payload = resp.encode();
         let decoded = Message::decode_frame(&answer_frame(&payload));
         assert_eq!(decoded, Ok(Message::Answer(resp)));
-        // The text's length and bytes, the offsets (a count and three
-        // one-byte deltas), the block count, then per block its id, nonce,
-        // ciphertext length, ciphertext and tag (one-byte varints).
-        let count_at = 1 + "<r></r>".len() + 4;
+        // The text's length and bytes, the block count, then per block its
+        // id, nonce, ciphertext length, ciphertext and tag (one-byte
+        // varints), then the offsets (three one-byte deltas).
+        let count_at = 1 + "<r></r>".len();
         let len_at = |i: usize| count_at + 1 + i * (1 + 12 + 1 + LEN + TAG_BYTES) + 1 + 12;
         let varint = |v: u64| {
             let mut enc = Enc::new();
@@ -1811,6 +1782,7 @@ mod tests {
                 with(len_at(1), varint(LEN as u64 + 1)),
             ),
             ("cut inside a block", payload[..len_at(2) + 10].to_vec()),
+            ("cut inside the offsets", payload[..len_at(3) - 12].to_vec()),
         ];
         let got: Vec<_> = cases
             .iter()
@@ -1821,6 +1793,7 @@ mod tests {
             Err(CodecError::CountOverflow),
             Err(CodecError::Truncated),
             Err(CodecError::VarintOverflow),
+            Err(CodecError::Truncated),
             Err(CodecError::Truncated),
         ];
         let want: Vec<_> = cases.iter().map(|(what, _)| *what).zip(want).collect();

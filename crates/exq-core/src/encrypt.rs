@@ -197,8 +197,7 @@ impl EncryptStats {
 /// The full output of the owner-side pipeline.
 #[derive(Debug, Clone)]
 pub struct EncryptedOutput {
-    /// The visible document, its intervals, and each block's
-    /// representative interval at its offset.
+    /// The visible document and each block's offset in it.
     pub visible: VisibleFragment,
     pub blocks: Vec<SealedBlock>,
     pub metadata: ServerMetadata,
@@ -291,8 +290,8 @@ pub fn encrypt_database(
             seal_blocks(&keys.block_key(), &to_seal)
         };
 
-        // 6. Visible document + its intervals.
-        let visible = build_visible(&working, &block_of, &labeling);
+        // 6. Visible document + its blocks' offsets.
+        let visible = build_visible(&working, &block_of);
 
         // 7–8. DSI index table (with grouping) + block table.
         let mut dsi_entries = HashMap::new();
@@ -365,91 +364,60 @@ fn decoy_value(prf: &exq_crypto::Prf, i: u64) -> String {
 }
 
 /// Writes the visible part of `working` as its writer would, each block
-/// cut out, with the interval of each element and attribute written and
-/// each block root's interval at the offset where it was cut out. An
-/// element whose only children are blocks is written `<x></x>`, so every
-/// offset lies inside its parent. The one builder of visible documents:
-/// set-up and inserts both call it.
-pub(crate) fn build_visible(
+/// cut out and the offset where it was cut out written. An element whose
+/// only children are blocks is written `<x></x>`, so every offset lies
+/// inside its parent. The one builder of visible documents: set-up and
+/// inserts both call it.
+pub(crate) fn build_visible(working: &Document, block_of: &[Option<u32>]) -> VisibleFragment {
+    let mut frag = VisibleFragment::default();
+    if let Some(root) = working.root() {
+        write_node(working, block_of, root, &mut frag);
+    }
+    frag
+}
+
+/// [`build_visible`]'s walk.
+fn write_node(
     working: &Document,
     block_of: &[Option<u32>],
-    labeling: &DsiLabeling,
-) -> VisibleFragment {
-    let mut w = VisibleWriter {
-        working,
-        block_of,
-        labeling,
-        frag: VisibleFragment::default(),
-        ordinal: 0,
-    };
-    if let Some(root) = working.root() {
-        w.node(root);
+    node: NodeId,
+    frag: &mut VisibleFragment,
+) {
+    if block_of[node.index()].is_some() {
+        frag.offsets.push(frag.xml.len() as u32);
+        return;
     }
-    w.frag
-}
-
-/// [`build_visible`]'s walk: `ordinal` counts the elements and attributes
-/// written so far.
-struct VisibleWriter<'a> {
-    working: &'a Document,
-    block_of: &'a [Option<u32>],
-    labeling: &'a DsiLabeling,
-    frag: VisibleFragment,
-    ordinal: u32,
-}
-
-impl VisibleWriter<'_> {
-    fn interval(&self, n: NodeId) -> Interval {
-        self.labeling.interval(n).expect("every node is labeled")
-    }
-
-    /// Takes the next ordinal, for `n`'s interval.
-    fn label(&mut self, n: NodeId) {
-        self.frag.intervals.push((self.ordinal, self.interval(n)));
-        self.ordinal += 1;
-    }
-
-    fn node(&mut self, node: NodeId) {
-        let working = self.working;
-        if self.block_of[node.index()].is_some() {
-            let offset = self.frag.xml.len() as u32;
-            self.frag.blocks.push((offset, self.interval(node)));
-            return;
-        }
-        match working.node(node).kind() {
-            NodeKind::Text(t) => self.frag.xml.push_str(&escape_text(t)),
-            NodeKind::Element(t) => {
-                let name = working.tag_name(*t);
-                self.label(node);
-                self.frag.xml.push('<');
-                self.frag.xml.push_str(name);
-                for &a in working.node(node).attrs() {
-                    if let NodeKind::Attribute(an, v) = working.node(a).kind() {
-                        self.label(a);
-                        let xml = &mut self.frag.xml;
-                        xml.push(' ');
-                        xml.push_str(working.tag_name(*an));
-                        xml.push_str("=\"");
-                        xml.push_str(&escape_attr(v));
-                        xml.push('"');
-                    }
+    let xml = &mut frag.xml;
+    match working.node(node).kind() {
+        NodeKind::Text(t) => xml.push_str(&escape_text(t)),
+        NodeKind::Element(t) => {
+            let name = working.tag_name(*t);
+            xml.push('<');
+            xml.push_str(name);
+            for &a in working.node(node).attrs() {
+                if let NodeKind::Attribute(an, v) = working.node(a).kind() {
+                    xml.push(' ');
+                    xml.push_str(working.tag_name(*an));
+                    xml.push_str("=\"");
+                    xml.push_str(&escape_attr(v));
+                    xml.push('"');
                 }
-                let children = working.node(node).children();
-                if children.is_empty() {
-                    self.frag.xml.push_str("/>");
-                    return;
-                }
-                self.frag.xml.push('>');
-                for &c in children {
-                    self.node(c);
-                }
-                let xml = &mut self.frag.xml;
-                xml.push_str("</");
-                xml.push_str(name);
-                xml.push('>');
             }
-            NodeKind::Attribute(..) => unreachable!("attributes handled with their element"),
+            let children = working.node(node).children();
+            if children.is_empty() {
+                xml.push_str("/>");
+                return;
+            }
+            xml.push('>');
+            for &c in children {
+                write_node(working, block_of, c, frag);
+            }
+            let xml = &mut frag.xml;
+            xml.push_str("</");
+            xml.push_str(name);
+            xml.push('>');
         }
+        NodeKind::Attribute(..) => unreachable!("attributes handled with their element"),
     }
 }
 
@@ -780,7 +748,7 @@ mod tests {
     fn visible_document_places_blocks_not_secrets() {
         let (_, out) = encrypt(SchemeKind::Opt);
         let xml = &out.visible.xml;
-        assert_eq!(out.visible.blocks.len(), out.blocks.len());
+        assert_eq!(out.visible.offsets.len(), out.blocks.len());
         // The node-type SC //insurance hides the whole insurance subtree.
         for secret in ["34221", "78543", "1000000", "policy", "coverage"] {
             assert!(!xml.contains(secret), "leaked {secret}");
@@ -809,8 +777,7 @@ mod tests {
         let (_, out) = encrypt(SchemeKind::Top);
         assert_eq!(out.blocks.len(), 1);
         assert_eq!(out.visible.xml, "");
-        assert_eq!(out.visible.blocks.len(), 1);
-        assert_eq!(out.visible.blocks[0].0, 0);
+        assert_eq!(out.visible.offsets, [0]);
     }
 
     #[test]
@@ -887,23 +854,25 @@ mod tests {
         }
     }
 
-    /// Every element and attribute has an interval, and the blocks'
-    /// representatives stand, in document order, where the text is the
-    /// whole document's text with each block's serialization cut out.
+    /// Every element and attribute of the text is a position outside
+    /// every block, and the blocks stand, in document order, where the
+    /// text is the whole document's text with each block's serialization
+    /// cut out.
     #[test]
-    fn visible_intervals_align() {
+    fn visible_offsets_align() {
         let (d, out) = encrypt(SchemeKind::Opt);
         let visible = Document::parse(&out.visible.xml).unwrap();
         let nodes = visible.iter().filter(|&n| !visible.node(n).is_text());
-        assert_eq!(nodes.count(), out.visible.intervals.len());
         let meta = &out.metadata;
+        let u = meta.dsi_table.universe();
+        let outside = (0..u.len() as u32).filter(|&p| meta.block_table.block_at(p).is_none());
+        assert_eq!(nodes.count(), outside.count());
         let mut reps: Vec<(Interval, u32)> = meta.block_table.iter(&meta.dsi_table).collect();
         reps.sort_by_key(|(rep, _)| rep.lo);
-        let placed: Vec<Interval> = out.visible.blocks.iter().map(|&(_, iv)| iv).collect();
-        assert_eq!(placed, reps.iter().map(|&(rep, _)| rep).collect::<Vec<_>>());
+        assert_eq!(out.visible.offsets.len(), reps.len());
         let key = out.client_state.keys.block_key();
         let mut whole = out.visible.xml.clone();
-        for (&(offset, _), (_, id)) in out.visible.blocks.iter().zip(&reps).rev() {
+        for (&offset, (_, id)) in out.visible.offsets.iter().zip(&reps).rev() {
             let block = String::from_utf8(open_block(&key, &out.blocks[*id as usize]).unwrap());
             whole.insert_str(offset as usize, &block.unwrap());
         }

@@ -9,15 +9,14 @@
 //!
 //! The hosted state is one image (`write_image`, `read_image`): the
 //! visible document as the client hands it over, a [`VisibleFragment`]
-//! (its text, its elements' and attributes' intervals, and each block's
-//! offset in the text with its representative);
+//! (its text and each block's offset in it);
 //! the DSI table's tags in posting-record order; the block table's pairs;
 //! the value indexes; the block count and payload bytes; the tombstoned
 //! block ids. It sits in two containers, which differ only in where the
 //! posting lists and the sealed blocks go:
-//! - the artifact, `EXQSV6 | image | posting lists in tag order | sealed
+//! - the artifact, `EXQSV7 | image | posting lists in tag order | sealed
 //!   blocks as a reply's table | crc`;
-//! - the paged store's metadata record (`crate::store`), `EXQPM5 | image`,
+//! - the paged store's metadata record (`crate::store`), `EXQPM6 | image`,
 //!   beside one record per posting list and per block.
 //!
 //! Versions: the magic's last byte. Version 2 added the trailing checksum;
@@ -30,7 +29,10 @@
 //! as the one image; no key, nonce, ciphertext or tag moved. Server version
 //! 6 and paged metadata version 5 hold a visible text with its blocks cut
 //! out and each block's byte offset in it, where the text held an element
-//! naming each block. Only the current version loads; any other is a
+//! naming each block. Server version 7 and paged metadata version 6 keep
+//! the visible document as its text and its offsets alone; the versions
+//! before also held each element's and attribute's interval and each
+//! block's representative. Only the current version loads; any other is a
 //! [`CoreError::Persist`] naming it.
 //!
 //! Crash safety: a truncated or bit-flipped file yields a clean
@@ -55,7 +57,7 @@ use exq_index::{BlockTable, DsiIndexTable, Postings, ValueIndex};
 use exq_xpath::Path;
 use std::collections::{HashMap, HashSet};
 
-const SERVER_MAGIC: &[u8; 6] = b"EXQSV6";
+const SERVER_MAGIC: &[u8; 6] = b"EXQSV7";
 const CLIENT_MAGIC: &[u8; 6] = b"EXQCL4";
 
 /// The remedy for a file that holds keys or what was encrypted under them:
@@ -190,8 +192,7 @@ pub(crate) fn sorted_postings(server: &Server) -> Vec<(&str, Postings<'_>)> {
 /// Writes the server's image (see the module docs) and returns its posting
 /// lists in the image's tag order, which each container stores its own way.
 pub(crate) fn write_image<'s>(server: &'s Server, enc: &mut Enc) -> Vec<(&'s str, Postings<'s>)> {
-    let (intervals, blocks) = (server.interval_positions(), server.block_offsets());
-    encode_visible(server.visible_xml(), &intervals, &blocks, enc);
+    encode_visible(server.visible_xml(), &server.block_offsets(), enc);
     let lists = sorted_postings(server);
     enc.usize(lists.len());
     for (tag, _) in &lists {
@@ -638,22 +639,6 @@ mod tests {
             .split()
     }
 
-    /// The server's artifact with the visible section's pairs `from`
-    /// (consecutive, as written) replaced by `to`, the checksum resealed,
-    /// then loaded: a persist error, whose message is returned.
-    fn load_with_pairs(
-        server: &Server,
-        from: &[(u32, Interval)],
-        to: &[(u32, Interval)],
-    ) -> String {
-        load_with_visible(server, |frag| {
-            let at = frag.intervals.windows(from.len()).position(|w| w == from);
-            let at = at.expect("the pairs in the visible section");
-            frag.intervals
-                .splice(at..at + from.len(), to.iter().copied());
-        })
-    }
-
     /// The server's artifact with its visible section edited by `edit`, the
     /// checksum resealed, then loaded: a persist error, whose message is
     /// returned.
@@ -662,8 +647,7 @@ mod tests {
         assert!(Server::load_bytes(&bytes).is_ok());
         let mut frag = VisibleFragment {
             xml: server.visible_xml().to_owned(),
-            intervals: server.interval_positions(),
-            blocks: server.block_offsets(),
+            offsets: server.block_offsets(),
         };
         let written = frag.encode();
         assert_eq!(
@@ -684,67 +668,43 @@ mod tests {
         }
     }
 
-    /// A pair whose ordinal is past the visible document's last element or
-    /// attribute is refused; it would leave that attribute unplaced.
+    /// An element written after the visible document's last node has no
+    /// position left to take, and is refused.
     #[test]
-    fn an_ordinal_naming_no_node_is_refused() {
-        let server = keyed();
-        let last = *server.interval_positions().last().unwrap();
-        let msg = load_with_pairs(&server, &[last], &[(last.0 + 5, last.1)]);
-        assert!(msg.contains("names no element or attribute"), "{msg}");
+    fn a_visible_node_with_no_position_is_refused() {
+        let msg = load_with_visible(&keyed(), |frag| {
+            frag.xml = frag.xml.replacen("</h>", "<x/></h>", 1);
+        });
+        assert!(msg.contains("a visible node has no position"), "{msg}");
     }
 
-    /// Two pairs written out of ordinal order are refused.
-    #[test]
-    fn ordinals_out_of_order_are_refused() {
-        let server = keyed();
-        let pairs = server.interval_positions();
-        let (a, b) = (pairs[1], pairs[2]);
-        let msg = load_with_pairs(&server, &[a, b], &[b, a]);
-        assert!(msg.contains("do not ascend"), "{msg}");
-    }
-
-    /// A pair whose interval the DSI table does not list is refused; it
-    /// would leave its attribute out of every answer.
-    #[test]
-    fn an_interval_outside_the_universe_is_refused() {
-        let server = keyed();
-        let u = server.metadata().dsi_table.universe();
-        let pairs = server.interval_positions();
-        let (o, iv) = pairs[pairs.len() - 1];
-        let stray = Interval::new(iv.lo, iv.hi - 1);
-        assert!(u.find(&stray).is_none());
-        let msg = load_with_pairs(&server, &[(o, iv)], &[(o, stray)]);
-        assert!(msg.contains("not in the index"), "{msg}");
-    }
-
-    /// An attribute's pair left out, so its position has no visible node
+    /// The last attribute left out, so its position has no visible node
     /// and no block covers it, is refused.
     #[test]
     fn a_position_neither_visible_nor_in_a_block_is_refused() {
-        let server = keyed();
-        let last = *server.interval_positions().last().unwrap();
-        let msg = load_with_pairs(&server, &[last], &[]);
+        let msg = load_with_visible(&keyed(), |frag| {
+            frag.xml = frag.xml.replacen(" k=\"3\"", "", 1);
+        });
         assert!(msg.contains("neither visible nor inside a block"), "{msg}");
     }
 
-    /// A block's offset left out, or one given another block's or a
-    /// visible node's interval, is refused: the block would never ship,
-    /// or a place would stand for no block.
+    /// A block's offset left out, or one more written where a visible node
+    /// stands, is refused: the block would never ship, or a place would
+    /// stand for no block. A node moved out of its parent is refused too.
     #[test]
     fn block_offsets_that_do_not_place_every_block_are_refused() {
         let server = keyed();
         type Edit = fn(&mut VisibleFragment);
         let cases: [(&str, Edit); 3] = [
             ("has no offset", |frag| {
-                frag.blocks.truncate(frag.blocks.len() - 1)
+                frag.offsets.pop();
             }),
             ("places no block's root", |frag| {
-                frag.blocks[0].1 = frag.intervals[0].1
+                frag.offsets.insert(0, frag.offsets[0])
             }),
             ("do not follow", |frag| {
-                let (a, b) = (frag.blocks[0].1, frag.blocks[1].1);
-                (frag.blocks[0].1, frag.blocks[1].1) = (b, a);
+                let (from, to) = ("<n k=\"1\">a</n></p>", "</p><n k=\"1\">a</n>");
+                frag.xml = frag.xml.replacen(from, to, 1);
             }),
         ];
         for (why, edit) in cases {

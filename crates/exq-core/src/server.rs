@@ -330,16 +330,10 @@ impl Server {
 
     // --- persistence plumbing (see `crate::persist`) ----------------------
 
-    /// `(pre-order position among elements+attributes, interval)` pairs for
-    /// the visible document — the persistence keying of its spans.
-    pub(crate) fn interval_positions(&self) -> Vec<(u32, Interval)> {
-        self.visible.interval_positions(self.universe())
-    }
-
-    /// `(offset, representative)` for every block, in document order — the
-    /// persisted places of the blocks in the visible text.
-    pub(crate) fn block_offsets(&self) -> Vec<(u32, Interval)> {
-        self.visible.block_offsets(self.universe())
+    /// Every block's offset, in document order — the persisted places of
+    /// the blocks in the visible text.
+    pub(crate) fn block_offsets(&self) -> Vec<u32> {
+        self.visible.block_offsets()
     }
 
     /// Every hosted block in id order. Pages the whole database in when
@@ -1075,10 +1069,9 @@ mod splice_tests {
     /// The spliced metadata against a fresh build over the DSI table's own
     /// entries and the block table's own representatives. The visible text
     /// with each block written in at its offset is what the writer writes
-    /// of it, reparsed, and its spans and numbers equal those the one
-    /// reader finds over the fresh build: they place every element, every
-    /// attribute and every block in document order, and every position
-    /// without one is inside a block.
+    /// of it, reparsed; its elements and attributes are as many as the
+    /// visible positions outside every block; and its spans and numbers
+    /// equal those the one reader finds over the fresh build.
     fn assert_fresh(s: &Server, step: &str) {
         let dsi = &s.metadata.dsi_table;
         let lists = dsi.iter().map(|(tag, list)| (tag, list.iter().copied()));
@@ -1089,12 +1082,11 @@ mod splice_tests {
         assert_eq!(s.metadata.block_table, blocks, "block table after {step}");
         let frag = VisibleFragment {
             xml: s.visible_xml().to_owned(),
-            intervals: s.interval_positions(),
-            blocks: s.block_offsets(),
+            offsets: s.block_offsets(),
         };
         // Each block written in as an element of its own.
         let mut xml = frag.xml.clone();
-        for &(offset, _) in frag.blocks.iter().rev() {
+        for &offset in frag.offsets.iter().rev() {
             xml.insert_str(offset as usize, "<blk/>");
         }
         let doc = match xml.as_str() {
@@ -1107,15 +1099,14 @@ mod splice_tests {
             "visible text after {step}"
         );
         let visible = doc.iter().filter(|&n| !doc.node(n).is_text());
-        let placed = visible
+        let nodes = visible
             .filter(|&n| doc.element_name(n) != Some("blk"))
             .count();
-        let ordinals: Vec<u32> = frag.intervals.iter().map(|&(ordinal, _)| ordinal).collect();
-        assert_eq!(
-            ordinals,
-            (0..placed as u32).collect::<Vec<_>>(),
-            "visible nodes after {step}"
-        );
+        let u = s.universe();
+        let positions = (0..u.len() as u32)
+            .filter(|&p| s.visible.is_visible(p) && s.metadata.block_table.block_at(p).is_none())
+            .count();
+        assert_eq!(nodes, positions, "visible nodes after {step}");
         let rebuilt = VisibleText::read(
             &frag,
             fresh.universe(),

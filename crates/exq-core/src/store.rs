@@ -55,9 +55,10 @@ use std::time::{Duration, Instant};
 pub use exq_store::{PoolStats, StoreFootprint, StoreOptions};
 
 /// Magic of the paged metadata record (record id 0), which holds the
-/// hosted state's image (`crate::persist`). Version 5 moved with server
-/// artifact version 6; any other version is refused.
-const META_MAGIC: &[u8; 6] = b"EXQPM5";
+/// hosted state's image (`crate::persist`). Version 6 moved with server
+/// artifact version 7; any other version is refused, before the WAL is
+/// replayed.
+const META_MAGIC: &[u8; 6] = b"EXQPM6";
 
 /// WAL record kind: an `InsertDelta` wire encoding.
 pub(crate) const KIND_INSERT: u8 = 3;
@@ -928,23 +929,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A version-4 metadata record holds a visible text with an element
-    /// for each block instead of the blocks' offsets. It is refused by a
-    /// typed error that names its version.
+    /// A version-5 metadata record holds each visible node's interval
+    /// beside the text. It is refused by a typed error that names its
+    /// version, and a store holding one is refused before its WAL is
+    /// replayed.
     #[test]
-    fn a_version_four_metadata_record_is_refused_by_name() {
-        let (server, _) = build_server(SchemeKind::Opt);
+    fn a_version_five_metadata_record_is_refused_by_name() {
+        let (mut server, _) = build_server(SchemeKind::Opt);
         let mut meta = encode_meta(&server);
         assert!(read_meta(&meta).is_ok());
-        meta[5] = b'4';
+        meta[5] = b'5';
+        let named = |msg: &str| msg.contains("is version 5") && msg.contains("version 6");
         match read_meta(&meta) {
-            Err(CoreError::Persist(msg)) => {
-                assert!(
-                    msg.contains("is version 4") && msg.contains("version 5"),
-                    "{msg}"
-                )
-            }
+            Err(CoreError::Persist(msg)) => assert!(named(&msg), "{msg}"),
             other => panic!("expected a persist error, got {:?}", other.map(|_| ())),
         }
+        let dir = std::env::temp_dir().join(format!("exq-meta-v5-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = PagedDb::attach_new(&mut server, &dir, "v5", StoreOptions::default()).unwrap();
+        db.store.rewrite_records(&[(REC_META, Some(meta))]).unwrap();
+        db.append_wal(KIND_INSERT, b"no delta").unwrap();
+        drop((server, db));
+        match PagedDb::open(&dir, "v5", StoreOptions::default()) {
+            Err(CoreError::Persist(msg)) => assert!(named(&msg), "{msg}"),
+            other => panic!(
+                "expected a persist error, got {:?}",
+                other.map(|(_, _, r)| r)
+            ),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -651,10 +651,6 @@ impl TcpTransport {
     pub fn db(&self) -> &str {
         &self.db
     }
-
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
-    }
 }
 
 impl Transport for TcpTransport {

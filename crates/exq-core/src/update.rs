@@ -10,8 +10,8 @@
 //!   block id), applies the *stored encryption policy* (the scheme's chosen
 //!   paths) to the new record, labels it inside the slot, seals its blocks,
 //!   and sends an [`InsertDelta`]: the record's visible fragment (its text
-//!   and intervals, as set-up hands the server the whole document) plus the
-//!   DSI/block/value-index entries. The server checks the delta before it
+//!   and its blocks' offsets, as set-up hands the server the whole
+//!   document) plus the DSI/block/value-index entries. The server checks the delta before it
 //!   logs or changes anything (`Server::check_insert`): its intervals
 //!   must be one nested run strictly inside the slot, so a refused delta
 //!   never reaches the WAL. Then it splices everything in.
@@ -67,8 +67,7 @@ pub struct InsertionSlot {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InsertDelta {
     pub parent: Interval,
-    /// The record's visible part, with its intervals and its blocks'
-    /// offsets.
+    /// The record's visible part: its text and its blocks' offsets.
     pub visible: VisibleFragment,
     pub blocks: Vec<SealedBlock>,
     /// `(table key, interval)` additions for the DSI index table.
@@ -217,9 +216,6 @@ impl Server {
         let filed = |tag: &str| filed.get(tag).map_or(&[][..], Vec::as_slice);
         let frag = VisibleText::read(&delta.visible, &run, block_at, filed)
             .map_err(|why| CoreError::Delta(format!("visible fragment: {why}")))?;
-        if !frag.is_visible(0) {
-            return refuse("visible fragment: its root is not the run's outermost interval");
-        }
         Ok(CheckedInsert { under, frag, run })
     }
 
@@ -379,7 +375,7 @@ impl Client {
 
         // 6. Visible fragment + DSI entries + vocabulary updates.
         let cipher = self.state().keys.tag_cipher();
-        let visible = build_visible(&working, &block_of, &labeling);
+        let visible = build_visible(&working, &block_of);
         let mut dsi_entries = Vec::new();
         insert_dsi_entries(
             &working,

@@ -25,18 +25,18 @@
 //! again.
 //!
 //! The client hands the server a [`VisibleFragment`], at set-up and with
-//! every insert, and the server persists one: the text, the interval of
-//! each labelled element and attribute keyed by its ordinal, and each
-//! block root's interval at its offset. One reader, [`VisibleText::read`],
-//! turns it into spans over a universe and checks that they follow the
-//! universe's structure: every visible element has a position, the
-//! positions of visible nodes and block roots ascend in document order,
-//! the nearest ancestor with a visible node of any of them is the position
-//! of its parent element, every block root has an offset, and every other
-//! position without a visible node lies inside a block. So a persisted
-//! document or an insert that disagrees with its index is refused.
+//! every insert, and the server persists one: the text and each block's
+//! offset in it. The DSI labels go in document order, so the universe
+//! places every node: the k-th element or attribute of the text is the
+//! k-th position outside every block, and the k-th offset is the k-th
+//! block's root. One reader, [`VisibleText::read`], walks the universe's
+//! positions beside the text's nodes and checks that they follow its
+//! structure: the nearest ancestor with a visible node of each visible
+//! node or block root is the position of its parent element, each node's
+//! name is a tag its position is filed under, and no position is left
+//! that is neither visible nor inside a block. So a persisted document or
+//! an insert that disagrees with its index is refused.
 
-use exq_index::dsi::Interval;
 use exq_index::sjoin::IntervalUniverse;
 use exq_index::BlockTable;
 use exq_xml::{
@@ -46,17 +46,13 @@ use exq_xml::{
 use std::borrow::Cow;
 use std::ops::Range;
 
-/// The visible document as it travels and is stored: its text, `(ordinal,
-/// interval)` for each element and attribute that has an interval,
-/// ordinals ascending, and `(offset, interval)` for each block's root,
-/// offsets ascending. A node's ordinal is its place among the elements and
-/// attributes in document order, an element before its attributes; a
-/// block's offset is the byte of the text where it was cut out.
+/// The visible document as it travels and is stored: its text, and the
+/// byte of the text where each block was cut out, ascending. Its nodes'
+/// positions follow from their order (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VisibleFragment {
     pub xml: String,
-    pub intervals: Vec<(u32, Interval)>,
-    pub blocks: Vec<(u32, Interval)>,
+    pub offsets: Vec<u32>,
 }
 
 /// Where one position's visible node lies in the text (see
@@ -114,16 +110,10 @@ fn visible_parent(at: &[At], u: &IntervalUniverse, p: u32) -> Option<u32> {
     std::iter::successors(u.parent(p), |&q| u.parent(q)).find(|&q| at[q as usize].start != NOWHERE)
 }
 
-/// Refuses `p` as the next position read, after `last`, unless it comes
-/// after it and its nearest ancestor with a visible node is `parent`.
-fn follows(
-    at: &[At],
-    u: &IntervalUniverse,
-    last: Option<u32>,
-    p: u32,
-    parent: Option<u32>,
-) -> Result<(), String> {
-    if last.is_some_and(|l| l >= p) || visible_parent(at, u, p) != parent {
+/// Refuses `p` as the next position read unless its nearest ancestor with
+/// a visible node is `parent`.
+fn follows(at: &[At], u: &IntervalUniverse, p: u32, parent: Option<u32>) -> Result<(), String> {
+    if visible_parent(at, u, p) != parent {
         return Err("its intervals do not follow its tree".into());
     }
     Ok(())
@@ -213,25 +203,23 @@ impl PartialEq for VisibleText {
 
 impl VisibleText {
     /// Reads a fragment over `u`: span-parses its text, stopping at each
-    /// block's offset, and places each pair's node or block at its
-    /// interval's position. `block_at` tells which block covers a position,
+    /// block's offset, and walks `u`'s positions in ascending order beside
+    /// the text's elements, attributes and blocks, stepping over each
+    /// block's subtree. `block_at` tells which block covers a position,
     /// and `filed` the ascending positions the index files under a tag (an
-    /// attribute's is `@name`). Refuses a pair whose ordinal names no
-    /// element or attribute, ordinals that do not ascend, an offset inside
-    /// markup, out of order or past the end, an interval `u` lacks, a block
-    /// pair at a position that is no block's root, a fragment that does
-    /// not follow `u`'s structure (see the module docs), and a node whose
-    /// name is not a tag its position is filed under.
+    /// attribute's is `@name`). A block's root must be the next offset, any
+    /// other position the next element or attribute. Refuses an offset
+    /// inside markup, out of order or past the end, a node or an offset
+    /// with no position left, a position left with neither, a fragment that
+    /// does not follow `u`'s structure (see the module docs), and a node
+    /// whose name is not a tag its position is filed under.
     pub(crate) fn read<'t>(
         frag: &VisibleFragment,
         u: &IntervalUniverse,
         block_at: impl Fn(u32) -> Option<u32>,
         filed: impl Fn(&str) -> &'t [u32],
     ) -> Result<VisibleText, String> {
-        if frag.intervals.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return Err("its ordinals do not ascend".into());
-        }
-        let offsets: Vec<u32> = frag.blocks.iter().map(|&(o, _)| o).collect();
+        let offsets = &frag.offsets;
         // Where each block stands in the text as it is read.
         let mut places: Vec<Cursor> = Vec::with_capacity(offsets.len());
         let doc = match frag.xml.as_str() {
@@ -251,7 +239,7 @@ impl VisibleText {
                 let mut b = SpanBuilder::with_capacity(xml.len());
                 b.parse_stopping(
                     xml,
-                    &offsets,
+                    offsets,
                     |_, _| Ok::<_, ParseError>(Verdict::Keep),
                     |b, _| {
                         b.hold_open();
@@ -263,18 +251,12 @@ impl VisibleText {
                 b.finish()
             }
         };
-        let is_root = |p: u32| {
-            let b = block_at(p);
-            b.is_some() && u.parent(p).and_then(&block_at) != b
-        };
         let mut at = vec![HIDDEN; u.len()];
         let mut numbers = vec![f64::NAN; u.len()];
-        // Per node, its position; the pairs and blocks left, and the next
-        // ordinal.
+        // Per node, its position; the blocks left, and the next position.
         let mut position = vec![NOWHERE; doc.len()];
-        let (mut pairs, mut ordinal) = (frag.intervals.iter().peekable(), 0);
-        let mut blocks = frag.blocks.iter().zip(&places).peekable();
-        let mut last = None;
+        let mut blocks = places.iter().peekable();
+        let mut next = 0;
         // Per name id, an element's and an attribute's apart: the positions
         // its tag is filed under that the walk, whose positions ascend, has
         // not passed.
@@ -283,17 +265,15 @@ impl VisibleText {
         let mut tag = String::new();
         for i in 0..=doc.len() as u32 {
             // The blocks that stand before node `i`.
-            while let Some((&(_, iv), place)) = blocks.next_if(|(_, c)| c.next.0 == i) {
-                let p = u
-                    .find(&iv)
-                    .ok_or("a block's interval is not in the index")?;
-                if !is_root(p) {
+            while let Some(place) = blocks.next_if(|c| c.next.0 == i) {
+                let p = next;
+                if p as usize >= u.len() || block_at(p).is_none() {
                     return Err("an offset places no block's root".into());
                 }
                 let parent = place.parent.map(|q| position[q.index()]);
-                follows(&at, u, last, p, parent)?;
+                follows(&at, u, p, parent)?;
                 at[p as usize] = At::empty(place.offset as u32);
-                last = Some(p);
+                next = u.end(p);
             }
             if i as usize == doc.len() {
                 break;
@@ -304,17 +284,15 @@ impl VisibleText {
                 NodeType::Element(t) => (true, 2 * t.0 as usize),
                 NodeType::Attribute(t) => (false, 2 * t.0 as usize + 1),
             };
-            let here = ordinal;
-            ordinal += 1;
-            let Some(&(_, iv)) = pairs.next_if(|&&(o, _)| o == here) else {
-                if element {
-                    return Err("a visible element has no interval".into());
-                }
-                continue;
-            };
-            let p = u.find(&iv).ok_or("an interval is not in the index")?;
+            let p = next;
+            if p as usize >= u.len() {
+                return Err("a visible node has no position".into());
+            }
+            if block_at(p).is_some() {
+                return Err("a block has no offset in the text".into());
+            }
             let parent = doc.parent_of(n).map(|q| position[q.index()]);
-            follows(&at, u, last, p, parent)?;
+            follows(&at, u, p, parent)?;
             if unread.len() <= name_id {
                 unread.resize(name_id + 1, None);
             }
@@ -332,22 +310,15 @@ impl VisibleText {
             at[p as usize] = At::of(doc.span(n));
             numbers[p as usize] = number_of(doc.text(), at[p as usize]);
             position[i as usize] = p;
-            last = Some(p);
+            next = p + 1;
         }
-        if pairs.next().is_some() {
-            return Err("an ordinal names no element or attribute".into());
-        }
-        // Every other position is inside a block whose root has an offset:
-        // a walk that steps over those blocks meets none.
-        let mut p = 0;
-        while let Some(&a) = at.get(p as usize) {
-            if a.start == NOWHERE {
-                return Err(match block_at(p) {
-                    None => "a position is neither visible nor inside a block".into(),
-                    Some(_) => "a block has no offset in the text".into(),
-                });
-            }
-            p = if a.is_block() { u.end(p) } else { p + 1 };
+        // The walk has placed or stepped over every position before `next`,
+        // and the text has nothing left to place at one after it.
+        if (next as usize) < u.len() {
+            return Err(match block_at(next) {
+                None => "a position is neither visible nor inside a block".into(),
+                Some(_) => "a block has no offset in the text".into(),
+            });
         }
         Ok(VisibleText {
             xml: doc.into_text(),
@@ -640,42 +611,11 @@ impl VisibleText {
         }
     }
 
-    /// `(pre-order ordinal among elements and attributes, interval)` for
-    /// every visible node with a position: the persisted keying of the
-    /// spans. An element's ordinal is one past its predecessor's plus the
-    /// attributes in that one's start tag (each `name="value"` holds two
-    /// `"`, and a value has its `"` escaped); an attribute's is its
-    /// element's plus its place in the start tag.
-    pub(crate) fn interval_positions(&self, u: &IntervalUniverse) -> Vec<(u32, Interval)> {
-        let quotes = |s: &str| s.bytes().filter(|&b| b == b'"').count() as u32 / 2;
-        let mut out = Vec::new();
-        let mut next = 0;
-        // The element last visited: its ordinal and where it starts.
-        let mut element = (0, 0);
-        for (p, &a) in self.at.iter().enumerate() {
-            if a.start == NOWHERE || a.is_block() {
-                continue;
-            }
-            let (start, open_end) = (a.start as usize, a.open_end as usize);
-            let ordinal = if self.is_attribute(a) {
-                element.0 + 1 + quotes(&self.xml[element.1..start])
-            } else {
-                element = (next, start);
-                next += 1 + quotes(&self.xml[start..open_end]);
-                element.0
-            };
-            out.push((ordinal, u.interval(p as u32)));
-        }
-        out
-    }
-
-    /// `(offset, interval)` for every block's root, in document order: the
-    /// persisted places of the blocks.
-    pub(crate) fn block_offsets(&self, u: &IntervalUniverse) -> Vec<(u32, Interval)> {
-        let roots = self.at.iter().enumerate().filter(|(_, a)| a.is_block());
-        roots
-            .map(|(p, a)| (a.start, u.interval(p as u32)))
-            .collect()
+    /// Every block root's offset, in document order: the persisted places
+    /// of the blocks.
+    pub(crate) fn block_offsets(&self) -> Vec<u32> {
+        let roots = self.at.iter().filter(|a| a.is_block());
+        roots.map(|a| a.start).collect()
     }
 }
 
@@ -903,18 +843,18 @@ mod tests {
             .partition(|&n| doc.element_name(n) == Some(BLOCK));
         let frag = VisibleFragment {
             xml: v.xml().to_owned(),
-            intervals: v.interval_positions(u),
-            blocks: v.block_offsets(u),
+            offsets: v.block_offsets(),
         };
-        let at = |iv: &Interval| u.find(iv).unwrap();
-        let mut placed: Vec<(u32, NodeId)> = (frag.intervals.iter())
-            .map(|(ordinal, iv)| (at(iv), nodes[*ordinal as usize]))
-            .chain(
-                frag.blocks
-                    .iter()
-                    .zip(marks)
-                    .map(|((_, iv), n)| (at(iv), n)),
-            )
+        // The k-th visible position is the k-th node, the k-th block root
+        // the k-th block.
+        let (roots, visible): (Vec<u32>, Vec<u32>) = (0..u.len() as u32)
+            .filter(|&p| v.is_visible(p))
+            .partition(|&p| v.at[p as usize].is_block());
+        assert_eq!((visible.len(), roots.len()), (nodes.len(), marks.len()));
+        let mut placed: Vec<(u32, NodeId)> = visible
+            .into_iter()
+            .zip(nodes)
+            .chain(roots.into_iter().zip(marks))
             .collect();
         placed.sort_unstable();
         let blocks = &s.metadata().block_table;
@@ -1049,7 +989,7 @@ mod tests {
         let slot = s.insertion_slot(q).unwrap();
         let delta = client.prepare_insert(&slot, "<c>2</c>", 1).unwrap();
         assert_eq!(delta.visible.xml, "");
-        assert_eq!(delta.visible.blocks.len(), 1);
+        assert_eq!(delta.visible.offsets, [0]);
         s.apply_insert(&delta).unwrap();
         assert_eq!(s.visible_xml(), "<h><p><n>a</n></p><q></q></h>");
         assert_eq!(blocks_under(&s, named(&s, "q")).len(), 1);
@@ -1071,8 +1011,7 @@ mod tests {
         assert_eq!(s.visible_xml(), "");
         let u = s.metadata().dsi_table.universe();
         let blocks = &s.metadata().block_table;
-        assert_eq!(s.block_offsets().len(), 1);
-        assert_eq!(s.block_offsets()[0].0, 0);
+        assert_eq!(s.block_offsets(), [0]);
         let (mut ids, mut offsets) = (Vec::new(), Vec::new());
         assert_eq!(
             s.visible_text()
@@ -1088,11 +1027,30 @@ mod tests {
         assert_eq!(reloaded.visible_text(), s.visible_text());
     }
 
-    /// A persisted document and its keying: a visible element without an
-    /// interval and intervals out of document order are refused.
+    /// `frag` with its text's first `from` replaced by `to`, and the
+    /// offsets after it moved with the text.
+    fn text_edited(frag: &VisibleFragment, from: &str, to: &str) -> VisibleFragment {
+        let at = frag.xml.find(from).expect("the text to edit");
+        let moved = |o: u32| match o as usize {
+            o if o <= at => o,
+            o if o >= at + from.len() => o + to.len() - from.len(),
+            _ => panic!("an offset inside the edit"),
+        };
+        VisibleFragment {
+            xml: frag.xml.replacen(from, to, 1),
+            offsets: frag.offsets.iter().map(|&o| moved(o) as u32).collect(),
+        }
+    }
+
+    /// A fragment edited in its text or its offsets is refused, naming
+    /// what the walk over the universe met.
     #[test]
     fn documents_that_do_not_follow_the_universe_are_refused() {
-        let s = &servers()[0];
+        let (_, s) = hosted(
+            "<h><p><age>30</age><n k=\"1\">a</n></p><p><age>41</age><n k=\"2\">b</n></p></h>",
+            &["//age"],
+            SchemeKind::Opt,
+        );
         let u = s.metadata().dsi_table.universe();
         let blocks = &s.metadata().block_table;
         let dsi = &s.metadata().dsi_table;
@@ -1101,28 +1059,63 @@ mod tests {
         };
         let good = VisibleFragment {
             xml: s.visible_xml().to_owned(),
-            intervals: s.visible_text().interval_positions(u),
-            blocks: s.block_offsets(),
+            offsets: s.block_offsets(),
         };
+        assert_eq!(
+            good.xml,
+            "<h><p><n k=\"1\">a</n></p><p><n k=\"2\">b</n></p></h>"
+        );
+        assert_eq!(good.offsets, [6, 27]);
         assert_eq!(&read(&good).unwrap(), s.visible_text());
-        let doc = Document::parse(&good.xml).unwrap();
-        let nodes: Vec<NodeId> = doc.iter().filter(|&n| !doc.node(n).is_text()).collect();
-        let patient = |i: usize| {
-            let n = doc.elements_by_tag("patient")[i];
-            good.intervals
-                .iter()
-                .position(|&(o, _)| nodes[o as usize] == n)
-                .unwrap()
+        let offsets = |offsets: &[u32]| VisibleFragment {
+            xml: good.xml.clone(),
+            offsets: offsets.to_vec(),
         };
-        let mut missing = good.clone();
-        missing.intervals.remove(patient(1));
-        let err = read(&missing).unwrap_err();
-        assert!(err.contains("no interval"), "{err}");
-        let mut swapped = good.clone();
-        let (a, b) = (patient(1), patient(2));
-        let (ia, ib) = (swapped.intervals[a].1, swapped.intervals[b].1);
-        (swapped.intervals[a].1, swapped.intervals[b].1) = (ib, ia);
-        let err = read(&swapped).unwrap_err();
-        assert!(err.contains("do not follow"), "{err}");
+        let (follow, filed) = (
+            "do not follow its tree",
+            "is not a tag its interval is filed",
+        );
+        let (no_offset, no_root) = ("a block has no offset", "an offset places no block's root");
+        let n1 = "<n k=\"1\">a</n>";
+        let cases = [
+            // An extra attribute, a dropped one, a dropped element.
+            (text_edited(&good, "k=\"1\"", "k=\"1\" j=\"0\""), follow),
+            (text_edited(&good, " k=\"1\"", ""), follow),
+            (text_edited(&good, n1, ""), follow),
+            // An element moved out of its parent.
+            (
+                text_edited(&good, &format!("{n1}</p>"), &format!("</p>{n1}")),
+                follow,
+            ),
+            // A renamed element, a renamed attribute.
+            (
+                text_edited(&good, "<n k=\"2\">b</n>", "<m k=\"2\">b</m>"),
+                filed,
+            ),
+            (text_edited(&good, "k=\"2\"", "j=\"2\""), filed),
+            // An extra element, and the last attribute dropped.
+            (
+                text_edited(&good, "</h>", "<x/></h>"),
+                "a visible node has no position",
+            ),
+            (
+                text_edited(&good, " k=\"2\"", ""),
+                "neither visible nor inside a block",
+            ),
+            // A dropped, an extra, a moved offset, and one past the end.
+            (offsets(&[6]), no_offset),
+            (offsets(&[6, 6, 27]), no_root),
+            (offsets(&[3, 27]), no_root),
+            (offsets(&[6, 60]), "past the end"),
+            // A block swapped for a visible node.
+            (
+                text_edited(&offsets(&[27]), "<p><n", "<p><x/><n"),
+                no_offset,
+            ),
+        ];
+        for (frag, why) in cases {
+            let err = read(&frag).unwrap_err();
+            assert!(err.contains(why), "{frag:?}: {err}");
+        }
     }
 }

@@ -13,7 +13,44 @@ use exq_core::VisibleFragment;
 use exq_crypto::{SealedBlock, ValueRange};
 use exq_xpath::{CmpOp, Literal};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::Duration;
+
+/// Counts the bytes a thread asks the allocator for while it counts.
+struct Counting;
+
+thread_local! {
+    static ASKED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn ask(bytes: usize) {
+    let _ = ASKED.try_with(|c| c.set(c.get().map(|b| b + bytes)));
+}
+
+/// The bytes asked for while `f` runs on this thread.
+fn asked<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    ASKED.with(|c| c.set(Some(0)));
+    let out = f();
+    (out, ASKED.with(|c| c.replace(None)).unwrap())
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ask(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ask(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 /// Recomputes the checksum of a hand-edited frame, so the edit reaches the
 /// decoder behind it instead of tripping the CRC first.
@@ -155,24 +192,31 @@ fn arb_offsets() -> impl Strategy<Value = Vec<u32>> {
     })
 }
 
+/// A reply carries one offset per block.
 fn arb_response() -> impl Strategy<Value = ServerResponse> {
     (
-        ("[ -~]{0,200}", arb_offsets()),
-        proptest::collection::vec(arb_block(), 0..4),
+        (
+            "[ -~]{0,200}",
+            proptest::collection::vec(arb_block(), 0..4),
+            arb_offsets(),
+        ),
         any::<u32>(),
         any::<u32>(),
         any::<bool>(),
         proptest::collection::vec(arb_span(), 0..4),
     )
         .prop_map(
-            |((pruned_xml, offsets), blocks, t1, t2, served_from_cache, spans)| ServerResponse {
-                pruned_xml,
-                blocks: blocks.into_iter().collect(),
-                offsets,
-                translate_time: Duration::from_nanos(t1 as u64),
-                process_time: Duration::from_nanos(t2 as u64),
-                served_from_cache,
-                spans,
+            |((pruned_xml, blocks, offsets), t1, t2, served_from_cache, spans)| {
+                let n = blocks.len().min(offsets.len());
+                ServerResponse {
+                    pruned_xml,
+                    blocks: blocks[..n].iter().collect(),
+                    offsets: offsets[..n].to_vec(),
+                    translate_time: Duration::from_nanos(t1 as u64),
+                    process_time: Duration::from_nanos(t2 as u64),
+                    served_from_cache,
+                    spans,
+                }
             },
         )
 }
@@ -180,34 +224,17 @@ fn arb_response() -> impl Strategy<Value = ServerResponse> {
 fn arb_delta() -> impl Strategy<Value = InsertDelta> {
     (
         arb_interval(),
-        (
-            "[ -~]{0,100}",
-            proptest::collection::vec((any::<u32>(), arb_interval()), 0..4),
-            (arb_offsets(), proptest::collection::vec(arb_interval(), 4)),
-        ),
+        ("[ -~]{0,100}", arb_offsets()),
         proptest::collection::vec(arb_block(), 0..3),
         proptest::collection::vec((arb_tag(), arb_interval()), 0..4),
         proptest::collection::vec((arb_interval(), any::<u32>()), 0..4),
         proptest::collection::vec((arb_tag(), any::<u128>(), any::<u32>()), 0..4),
     )
         .prop_map(
-            |(
-                parent,
-                (xml, intervals, places),
-                blocks,
-                dsi_entries,
-                block_entries,
-                value_entries,
-            )| {
-                let (offsets, reps) = places;
-                let places = offsets.into_iter().zip(reps).collect();
+            |(parent, (xml, offsets), blocks, dsi_entries, block_entries, value_entries)| {
                 InsertDelta {
                     parent,
-                    visible: VisibleFragment {
-                        xml,
-                        intervals,
-                        blocks: places,
-                    },
+                    visible: VisibleFragment { xml, offsets },
                     blocks,
                     dsi_entries,
                     block_entries,
@@ -463,8 +490,9 @@ fn decoded_intervals_uphold_invariant() {
 /// One small insert's encoding, pinned byte for byte: the visible
 /// fragment, block pairs and value entries have one codec each, shared by
 /// the wire, the WAL and the files, and none of them may move a wire byte.
-/// The fragment's block places (`01 11 d201 a202`: one block at byte 17,
-/// its interval) came with protocol version 6, which moved nothing else.
+/// The fragment is its text and its block offsets (`01 11`: one block at
+/// byte 17) since protocol version 7, which dropped its interval pairs and
+/// the interval beside each offset and moved nothing else.
 #[test]
 fn a_small_insert_delta_encodes_as_pinned() {
     use exq_index::dsi::Interval;
@@ -473,8 +501,7 @@ fn a_small_insert_delta_encodes_as_pinned() {
         parent: iv(10, 900),
         visible: VisibleFragment {
             xml: "<p k=\"1\"><n>a</n></p>".into(),
-            intervals: vec![(0, iv(20, 300)), (1, iv(30, 40)), (2, iv(50, 200))],
-            blocks: vec![(17, iv(210, 290))],
+            offsets: vec![17],
         },
         blocks: vec![SealedBlock {
             id: 7,
@@ -493,9 +520,51 @@ fn a_small_insert_delta_encodes_as_pinned() {
     let hex: String = delta.encode().iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(
         hex,
-        "0a8407153c70206b3d2231223e3c6e3e613c2f6e3e3c2f703e030014ac02011e280232c8010111d201a202\
-         010701010101010101010101010103abcdef0202020202020202020202020202020203017014ac0202406b\
-         1e28027a7ad201a20201d201a202070102406b100f0e0d0c0b0a09080706050403020107"
+        "0a8407153c70206b3d2231223e3c6e3e613c2f6e3e3c2f703e0111010701010101010101010101010103ab\
+         cdef0202020202020202020202020202020203017014ac0202406b1e28027a7ad201a20201d201a2020701\
+         02406b100f0e0d0c0b0a09080706050403020107"
     );
     assert_eq!(InsertDelta::decode(&delta.encode()).unwrap(), delta);
+}
+
+/// A reply's offsets follow its block table, one per block: a reply cut
+/// anywhere inside its table is refused by the table's reader, having
+/// asked for nothing but its text, so nothing is reserved for offsets.
+/// Whole, it reserves them once the table is read.
+#[test]
+fn a_reply_cut_inside_its_table_reserves_nothing_for_offsets() {
+    let resp = ServerResponse {
+        pruned_xml: "<r></r>".into(),
+        blocks: (0..64u32)
+            .map(|id| SealedBlock {
+                id,
+                nonce: [id as u8; 12],
+                ciphertext: vec![id as u8; 8],
+                tag: [7; 16],
+            })
+            .collect::<Vec<_>>()
+            .iter()
+            .collect(),
+        offsets: vec![3; 64],
+        translate_time: Duration::ZERO,
+        process_time: Duration::ZERO,
+        served_from_cache: false,
+        spans: vec![],
+    };
+    let payload = resp.encode();
+    let table_at = 1 + resp.pruned_xml.len();
+    let offsets_at = table_at + resp.blocks.encode().len();
+    let text = resp.pruned_xml.len();
+    for cut in table_at..offsets_at {
+        let (decoded, bytes) = asked(|| ServerResponse::decode(&payload[..cut]));
+        let refused = matches!(
+            decoded,
+            Err(CodecError::Truncated | CodecError::CountOverflow)
+        );
+        assert!(refused, "cut at {cut}: {decoded:?}");
+        assert!(bytes <= text, "cut at {cut}: {bytes} bytes asked for");
+    }
+    let (decoded, bytes) = asked(|| ServerResponse::decode(&payload));
+    assert_eq!(decoded.as_ref(), Ok(&resp));
+    assert!(bytes >= text + 64 * 4, "{bytes} bytes asked for");
 }

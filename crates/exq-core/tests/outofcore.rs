@@ -185,10 +185,12 @@ fn version_one_paged_metadata_is_refused() {
 
 /// A paged store whose metadata record is version 2 predates RFC 8439
 /// block tags: every block it holds would fail its tag. Version 3 predates
-/// the one byte codec. Each is refused the same way.
+/// the one byte codec, version 4 the blocks' offsets, and version 5 holds
+/// each visible node's interval beside the text. Each is refused the same
+/// way, before any WAL record is replayed.
 #[test]
 fn version_two_paged_metadata_is_refused() {
-    for version in [b'2', b'3'] {
+    for version in [b'2', b'3', b'4', b'5'] {
         paged_metadata_version_is_refused(version);
     }
 }

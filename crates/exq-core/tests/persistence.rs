@@ -185,15 +185,16 @@ fn version_two_artifacts_are_refused() {
 
 /// Version-3 server artifacts predate RFC 8439 block tags: their blocks
 /// would load and then fail every tag a client checks. Version-4 ones
-/// predate the one byte codec and the one image, and version-5 ones hold
-/// an element for each block in their visible text instead of the blocks'
-/// offsets. With an intact checksum they are refused, by a typed error
+/// predate the one byte codec and the one image, version-5 ones hold an
+/// element for each block in their visible text instead of the blocks'
+/// offsets, and version-6 ones hold each visible node's interval beside
+/// the text. With an intact checksum they are refused, by a typed error
 /// that names the version.
 #[test]
 fn version_three_server_artifacts_are_refused() {
     let (client, server, _) = hosted();
     let bytes = server.save_bytes().unwrap();
-    for v in [b'3', b'4', b'5'] {
+    for v in [b'3', b'4', b'5', b'6'] {
         assert_refused(Server::load_bytes(&as_version(&bytes, v)), v);
     }
     assert!(client.save_bytes().starts_with(b"EXQCL4"));
@@ -237,7 +238,7 @@ fn state_files_do_not_leak_plaintext() {
     // so sanity-check the magic instead.
     let cbytes = client.save_bytes();
     assert!(cbytes.starts_with(b"EXQCL4"));
-    assert!(bytes.starts_with(b"EXQSV6"));
+    assert!(bytes.starts_with(b"EXQSV7"));
 }
 
 #[test]
@@ -247,7 +248,7 @@ fn bit_flips_anywhere_are_rejected() {
     // itself) across both artifacts.
     let (client, server, _) = hosted();
     for bytes in [server.save_bytes().unwrap(), client.save_bytes()] {
-        let is_server = bytes.starts_with(b"EXQSV6");
+        let is_server = bytes.starts_with(b"EXQSV7");
         let step = (bytes.len() / 64).max(1);
         for pos in (0..bytes.len()).step_by(step) {
             let mut flipped = bytes.clone();

@@ -489,7 +489,7 @@ fn foreign_wire_versions_get_one_typed_error_then_close() {
     let (registry, clients) = three_db_registry("dialect");
     let handle = start(Arc::clone(&registry), ServeConfig::default());
 
-    for version in [0u8, 1, 2, 3, 4, 5, 7, 255] {
+    for version in [0u8, 1, 2, 3, 4, 5, 6, 8, 255] {
         let mut raw = TcpStream::connect(handle.addr()).unwrap();
         raw.write_all(&Message::NaiveQuery.encode_frame_req(version, 7, 9))
             .unwrap();

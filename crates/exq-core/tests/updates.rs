@@ -663,16 +663,19 @@ fn hostile_deltas_are_refused_before_the_wal() {
     let mut d = good.clone();
     d.dsi_entries.clear();
     hostile.push(("no DSI entries", d));
+    // The fragment's nodes and blocks take the run's positions in order:
+    // a block more or less, or an element more, leaves one without the
+    // other.
     let mut d = good.clone();
-    d.visible.intervals[0].1 = Interval { lo: 1, hi: 2 };
-    hostile.push(("the root's interval outside the slot", d));
-    // Two sibling elements' intervals swapped: each still nests in the
-    // parent's, but not after its preceding sibling's.
+    d.visible.offsets.pop();
+    hostile.push(("a dropped offset", d));
     let mut d = good.clone();
-    let ivs = &mut d.visible.intervals;
-    let (first, second) = (ivs[1].1, ivs[2].1);
-    (ivs[1].1, ivs[2].1) = (second, first);
-    hostile.push(("siblings out of order", d));
+    d.visible.offsets.insert(0, d.visible.offsets[0]);
+    hostile.push(("an extra offset", d));
+    let mut d = good.clone();
+    assert!(d.visible.xml.ends_with("</patient>"), "{}", d.visible.xml);
+    d.visible.xml = d.visible.xml.replace("</patient>", "<x/></patient>");
+    hostile.push(("an extra element", d));
     let mut d = good.clone();
     d.parent = Interval {
         lo: parent.lo + 1,
@@ -721,16 +724,12 @@ enum Damage {
     Truncate(usize),
     /// One bit of the frame flipped.
     Flip(usize, u8),
-    /// The fragment's pair count replaced by one the payload cannot hold.
+    /// The fragment's offset count replaced by one the payload cannot hold.
     CountBomb(u64),
-    /// A pair written twice.
+    /// An offset written twice.
     Duplicate(usize),
-    /// Two pairs swapped.
-    Swap(usize, usize),
-    /// A pair's ordinal moved past the fragment's last node.
-    PastTheEnd(usize, u32),
-    /// A pair's interval moved below the insertion slot, out of the run.
-    Outside(usize, u64),
+    /// An offset left out.
+    Drop(usize),
 }
 
 fn damage() -> impl proptest::prelude::Strategy<Value = Damage> {
@@ -740,14 +739,12 @@ fn damage() -> impl proptest::prelude::Strategy<Value = Damage> {
         (any::<usize>(), 0..8u8).prop_map(|(at, bit)| Damage::Flip(at, bit)),
         (1u64 << 40..u64::MAX >> 1).prop_map(Damage::CountBomb),
         any::<usize>().prop_map(Damage::Duplicate),
-        (any::<usize>(), any::<usize>()).prop_map(|(i, j)| Damage::Swap(i, j)),
-        (any::<usize>(), 0..1000u32).prop_map(|(i, k)| Damage::PastTheEnd(i, k)),
-        (any::<usize>(), any::<u64>()).prop_map(|(i, x)| Damage::Outside(i, x)),
+        any::<usize>().prop_map(Damage::Drop),
     ]
 }
 
-/// A damaged `ApplyInsert` — its frame's bytes, its pair count, or its
-/// fragment's pairs — is a typed error: a `CodecError` from the frame or
+/// A damaged `ApplyInsert` — its frame's bytes, its offset count, or its
+/// fragment's offsets — is a typed error: a `CodecError` from the frame or
 /// the payload (a count is checked against the bytes left before anything
 /// is allocated for it), or `CoreError::Delta` from the server's reader.
 /// Never a panic, and nothing reaches the WAL or moves a reply.
@@ -757,7 +754,6 @@ fn damaged_insert_payloads_are_typed_errors_before_the_wal() {
     use exq_core::store::{PagedDb, StoreOptions};
     use exq_core::update::InsertDelta;
     use exq_core::{CoreError, VisibleFragment};
-    use exq_index::dsi::Interval;
     use proptest::prelude::Strategy;
 
     let (mut client, resident) = hosted(SchemeKind::Opt);
@@ -771,14 +767,13 @@ fn damaged_insert_payloads_are_typed_errors_before_the_wal() {
     let good = client.prepare_insert(&slot, NEW_PATIENT, 3).unwrap();
     let frame = Message::ApplyInsert(good.clone()).encode_frame();
     let payload = good.encode();
-    // Where the pair count sits: after the parent and the fragment's text,
-    // which is everything an encoding with no lists holds but its six
-    // zero counts.
+    // Where the offset count sits: after the parent and the fragment's
+    // text, which is everything an encoding with no lists holds but its
+    // five zero counts.
     let head = InsertDelta {
         visible: VisibleFragment {
             xml: good.visible.xml.clone(),
-            intervals: Vec::new(),
-            blocks: Vec::new(),
+            offsets: Vec::new(),
         },
         blocks: Vec::new(),
         dsi_entries: Vec::new(),
@@ -786,17 +781,17 @@ fn damaged_insert_payloads_are_typed_errors_before_the_wal() {
         value_entries: Vec::new(),
         ..good.clone()
     };
-    let count_at = head.encode().len() - 6;
-    assert_eq!(payload[count_at] as usize, good.visible.intervals.len());
+    let count_at = head.encode().len() - 5;
+    assert_eq!(payload[count_at] as usize, good.visible.offsets.len());
     let saved = paged.save_bytes().unwrap();
     let depth = db.footprint().wal_depth;
 
     let mut rng = proptest::rng_for_test("damaged_insert_payloads_are_typed_errors_before_the_wal");
     for _ in 0..256 {
         let d = damage().generate(&mut rng);
-        let pairs = good.visible.intervals.len();
+        let places = good.visible.offsets.len();
         let mut delta = good.clone();
-        let ivs = &mut delta.visible.intervals;
+        let offsets = &mut delta.visible.offsets;
         let bytes_refused = match d {
             Damage::Truncate(at) => Some(Message::decode_frame(&frame[..at % frame.len()]).err()),
             Damage::Flip(at, bit) => {
@@ -818,25 +813,12 @@ fn damaged_insert_payloads_are_typed_errors_before_the_wal() {
                 Some(err)
             }
             Damage::Duplicate(i) => {
-                let pair = ivs[i % pairs];
-                ivs.insert(i % pairs, pair);
+                let offset = offsets[i % places];
+                offsets.insert(i % places, offset);
                 None
             }
-            Damage::Swap(i, j) => {
-                let (i, j) = (i % pairs, j % pairs);
-                if i == j {
-                    continue;
-                }
-                ivs.swap(i, j);
-                None
-            }
-            Damage::PastTheEnd(i, k) => {
-                ivs[i % pairs].0 = 1000 + k;
-                None
-            }
-            Damage::Outside(i, x) => {
-                let lo = x % (slot.gap_lo - 1);
-                ivs[i % pairs].1 = Interval { lo, hi: lo + 1 };
+            Damage::Drop(i) => {
+                offsets.remove(i % places);
                 None
             }
         };

@@ -213,11 +213,6 @@ impl Path {
             .collect()
     }
 
-    /// The path consisting of only the context node (`.`).
-    pub fn self_path() -> Path {
-        Path { steps: Vec::new() }
-    }
-
     /// True when the path is just `.`.
     pub fn is_self(&self) -> bool {
         self.steps.is_empty()
@@ -228,14 +223,6 @@ impl Path {
         let mut steps = self.steps.clone();
         steps.extend(other.steps.iter().cloned());
         Path { steps }
-    }
-
-    /// The name tested by the final step, if it is a name test.
-    pub fn last_name(&self) -> Option<&str> {
-        match self.steps.last().map(|s| &s.test) {
-            Some(NodeTest::Name(n)) => Some(n),
-            _ => None,
-        }
     }
 
     /// All tag names mentioned anywhere in the path, including predicates.

@@ -146,10 +146,11 @@ fn decoding_a_reply_allocates_a_constant_however_many_blocks() {
     }
 }
 
-/// An `Answer` whose block count, a ciphertext's length or its offset
-/// count claims more than the payload holds, or that stops inside a block
-/// (its length and checksum made right again), is refused before the
-/// decoder asks for more bytes than the payload has.
+/// An `Answer` whose block count or a ciphertext's length claims more than
+/// the payload holds, or that stops inside a block (its length and checksum
+/// made right again), is refused before the decoder asks for more bytes
+/// than the payload has. Its offsets follow the table, one per block, with
+/// no count of their own to damage.
 #[test]
 fn a_damaged_reply_reserves_no_more_than_its_payload() {
     let patients = hospital::scaled(60, 2007);
@@ -164,14 +165,11 @@ fn a_damaged_reply_reserves_no_more_than_its_payload() {
     let frame = Message::Answer(resp.clone()).encode_frame();
     let at = FRAME_HEADER_LEN + encrypted_xml::core::codec::FRAME_EXTRA_LEN;
     let payload = &frame[at..];
-    // Where the text ends and the offsets start, each a varint after the
-    // offset count; the block count follows them, and the first block's
-    // ciphertext length follows its id and nonce.
+    // Where the text ends and the block table starts with its count; the
+    // first block's ciphertext length follows its id and nonce.
     let varint_end = |at: usize| at + payload[at..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
     let text_len = varint_end(0);
-    let offsets_at = text_len + resp.pruned_xml.len();
-    let offsets_len = varint_end(offsets_at) - offsets_at;
-    let count_at = (0..=resp.offsets.len()).fold(offsets_at, |at, _| varint_end(at));
+    let count_at = text_len + resp.pruned_xml.len();
     let count_len = varint_end(count_at) - count_at;
     let first_id = resp.blocks.iter().next().unwrap().id;
     let id_len = if first_id < 0x80 { 1 } else { 2 };
@@ -186,7 +184,6 @@ fn a_damaged_reply_reserves_no_more_than_its_payload() {
         with(count_at, count_len, &huge),
         with(length_at, 1, &huge),
         payload[..length_at + 20].to_vec(),
-        with(offsets_at, offsets_len, &huge),
     ];
     for damaged in cases {
         let mut frame = frame[..at].to_vec();
