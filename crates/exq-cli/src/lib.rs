@@ -254,9 +254,9 @@ fn query_pipelined(
     n: usize,
 ) -> Result<String, CliError> {
     let tq = client.translate(query)?;
-    let (req, post_query) = match &tq.server_query {
-        Some(sq) => (Message::Query(sq.clone()), &tq.post_query),
-        None => (Message::NaiveQuery, &tq.full_query),
+    let req = match &tq.server_query {
+        Some(sq) => Message::Query(sq.clone()),
+        None => Message::NaiveQuery,
     };
     let reqs = vec![req; n];
     let started = std::time::Instant::now();
@@ -274,7 +274,7 @@ fn query_pipelined(
                 ))
             }
         };
-        let post = client.post_process(post_query, resp)?;
+        let post = client.post_process(&tq.post_query, resp)?;
         match &results {
             None => results = Some(post.results),
             Some(first) if *first != post.results => {

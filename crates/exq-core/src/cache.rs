@@ -81,18 +81,6 @@ pub struct CacheStatsSnapshot {
     pub range_entries: u64,
 }
 
-impl CacheStatsSnapshot {
-    /// Response-cache hit rate in `[0, 1]` (0 when nothing was looked up).
-    pub fn response_hit_rate(&self) -> f64 {
-        let total = self.response_hits + self.response_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.response_hits as f64 / total as f64
-        }
-    }
-}
-
 struct Entry<V> {
     value: V,
     generation: u64,
@@ -446,7 +434,6 @@ mod tests {
         assert_eq!(snap.response_misses, 1);
         assert_eq!(snap.response_entries, 1);
         assert_eq!(snap.capacity, 4);
-        assert!((snap.response_hit_rate() - 0.5).abs() < 1e-9);
 
         s.bump_generation();
         assert_eq!(s.generation(), 1);

@@ -10,10 +10,10 @@
 //!
 //! Post-processing reconstructs a partial document from the server's pruned
 //! response — decrypting blocks, parsing each in at its byte offset,
-//! removing decoys — and evaluates the *post query* (the original query with
-//! predicates above the anchor stripped; those were verified exactly on the
-//! server) to obtain the final answer, which equals the answer on the
-//! plaintext database.
+//! removing decoys — and re-runs the whole query on it to obtain the final
+//! answer, which equals the answer on the plaintext database. The server
+//! ships a witness for each predicate above the anchor so that the re-run
+//! can check it.
 
 use crate::encrypt::{ClientCryptoState, DECOY_TAG};
 use crate::error::CoreError;
@@ -40,11 +40,9 @@ pub struct TranslatedQuery {
     /// What goes to the server, or `None` when the query needs the naive
     /// fallback (unsupported server axis).
     pub server_query: Option<ServerQuery>,
-    /// The query the client re-runs on the reconstructed document.
+    /// The query the client re-runs on the reconstructed document: the
+    /// whole query, whether the server evaluated it or shipped everything.
     pub post_query: Path,
-    /// The original query in full (used when the whole database is shipped,
-    /// e.g. the naive baseline).
-    pub full_query: Path,
     /// Time spent translating (§7.2's client translation time).
     pub translate_time: Duration,
 }
@@ -98,11 +96,9 @@ impl Client {
         // The client re-runs the FULL query on the reconstruction: the
         // server ships predicate witnesses for steps above the anchor, so
         // every predicate is re-checkable exactly (see `translate_path`).
-        let post_query = path.clone();
         Ok(TranslatedQuery {
             server_query,
-            post_query,
-            full_query: path,
+            post_query: path,
             translate_time: start.elapsed(),
         })
     }

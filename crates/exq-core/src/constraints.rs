@@ -79,16 +79,6 @@ impl SecurityConstraint {
         matches!(self, SecurityConstraint::Association { .. })
     }
 
-    /// For a node-type SC: the nodes that must be entirely encrypted.
-    /// For an association SC: empty (association SCs are enforced through
-    /// endpoint encryption chosen by the vertex-cover solver).
-    pub fn node_targets(&self, doc: &Document) -> Vec<NodeId> {
-        match self {
-            SecurityConstraint::NodeType(p) => eval_document(doc, p),
-            SecurityConstraint::Association { .. } => Vec::new(),
-        }
-    }
-
     /// For an association SC: the two *absolute endpoint paths*
     /// `p/q1` and `p/q2` whose bound node sets are the encryption choices.
     pub fn endpoint_paths(&self) -> Option<(Path, Path)> {
@@ -220,15 +210,6 @@ mod tests {
         assert!(SecurityConstraint::parse("//patient:(/pname").is_err());
         assert!(SecurityConstraint::parse("//patient:(").is_err());
         assert!(SecurityConstraint::parse("//[").is_err());
-    }
-
-    #[test]
-    fn node_targets() {
-        let d = doc();
-        let sc = SecurityConstraint::parse("//insurance").unwrap();
-        assert_eq!(sc.node_targets(&d).len(), 1);
-        let assoc = SecurityConstraint::parse("//patient:(/pname, /SSN)").unwrap();
-        assert!(assoc.node_targets(&d).is_empty());
     }
 
     #[test]

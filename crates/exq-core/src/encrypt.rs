@@ -16,13 +16,17 @@
 //! * the **client state**: key chain, the encrypted/plain tag vocabularies,
 //!   and the OPESS plans + categorical codecs needed for query translation.
 //!
+//! Everything but the OPESS plans comes out of `Encoder`, which an insert
+//! (`update.rs`) runs over its record too, so an inserted record is
+//! encrypted and filed as set-up would file it.
+//!
 //! Every random draw happens on the calling thread, in one fixed order. The
 //! OPESS descents, which need only each attribute's OPE key, run in runs on
 //! the process's other cores while the calling thread builds everything
 //! else; the output does not depend on how many cores there are.
 
 use crate::error::CoreError;
-use crate::scheme::EncryptionScheme;
+use crate::scheme::{EncryptionScheme, EncryptionTarget};
 use crate::visible::VisibleFragment;
 use exq_crypto::{seal_blocks, KeyChain, OpeKey, OpessDraft, OpessPlan, SealedBlock, TagCipher};
 use exq_index::{
@@ -31,7 +35,7 @@ use exq_index::{
 };
 use exq_xml::{escape_attr, escape_text, Document, NodeId, NodeKind};
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -215,32 +219,17 @@ pub fn encrypt_database(
     let start = Instant::now();
     doc.root().ok_or(CoreError::EmptyDocument)?;
 
-    // 1. Working copy with decoys inserted into leaf blocks.
-    let mut working = doc.clone();
-    let decoy_prf = keys.decoy_prf();
-    for (i, t) in scheme.targets.iter().enumerate() {
-        if t.decoy {
-            let decoy_el = working.add_element(Some(t.node), DECOY_TAG);
-            working.add_text(decoy_el, &decoy_value(&decoy_prf, i as u64));
-        }
-    }
-
-    // 2. DSI labeling of the working document (block internals included:
-    //    their intervals go into the DSI table under encrypted tags).
-    let labeling = DsiLabeling::assign(&working, rng);
-
-    // 3. Block membership: node -> block id.
-    let mut block_of: Vec<Option<u32>> = vec![None; working.arena_len()];
-    for (i, t) in scheme.targets.iter().enumerate() {
-        for n in working.descendants(t.node) {
-            block_of[n.index()] = Some(i as u32);
-        }
-    }
+    // 1–3. Decoys, the DSI labeling of the result (block internals
+    //      included: their intervals go into the DSI table under encrypted
+    //      tags) and block membership.
+    let encoder = Encoder::new(doc, &scheme.targets, keys, 0, 0, |working| {
+        Ok(DsiLabeling::assign(working, rng))
+    })?;
 
     // 4. Every OPESS plan drafted: the set-up's last draws from `rng`,
     //    in attribute order. What is left of a plan is the descent of its
     //    displaced values, which needs only the attribute's OPE key.
-    let drafts = draft_value_indexes(&working, &block_of, keys, rng)?;
+    let drafts = draft_value_indexes(encoder.values(), keys, rng)?;
     let runs: Vec<(&OpeKey, &[u64])> = drafts
         .iter()
         .flat_map(|d| {
@@ -263,59 +252,31 @@ pub fn encrypt_database(
             .expect("a run is taken once");
     };
 
-    // 5–8. The descents run on the other cores while this thread builds
-    //      everything that outlives them, then joins them. The workers
-    //      allocate nothing but their runs' ciphertexts.
+    // 5–8. The descents run on the other cores while this thread seals the
+    //      blocks and builds the visible document and the tables, then
+    //      joins them. The workers allocate nothing but their runs'
+    //      ciphertexts.
     let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get) - 1;
     let mut tags = TagMemo::new(keys.tag_cipher());
-    let mut encrypted_tags = HashSet::new();
-    let mut plain_tags = HashSet::new();
-    let (blocks, visible, dsi_table, block_table) = thread::scope(|s| {
+    let (blocks, visible, vocabulary, dsi_table, block_table) = thread::scope(|s| {
         for _ in 0..workers.min(runs.len()) {
             s.spawn(descend);
         }
-
-        // 5. Seal blocks.
-        let blocks = {
-            let plaintexts: Vec<String> = scheme
-                .targets
-                .iter()
-                .map(|t| working.node_to_xml(t.node))
-                .collect();
-            let to_seal: Vec<(u32, [u8; 12], &[u8])> = plaintexts
-                .iter()
-                .enumerate()
-                .map(|(i, xml)| (i as u32, keys.nonce("block", i as u64), xml.as_bytes()))
-                .collect();
-            seal_blocks(&keys.block_key(), &to_seal)
-        };
-
-        // 6. Visible document + its blocks' offsets.
-        let visible = build_visible(&working, &block_of);
-
-        // 7–8. DSI index table (with grouping) + block table.
-        let mut dsi_entries = HashMap::new();
-        build_dsi_table(
-            &working,
-            working.root().unwrap(),
-            &block_of,
-            &labeling,
-            &mut tags,
-            &mut dsi_entries,
-            &mut encrypted_tags,
-            &mut plain_tags,
-        );
+        let Sealed {
+            blocks,
+            visible,
+            block_entries,
+            dsi_entries,
+            encrypted_tags,
+            plain_tags,
+        } = encoder.seal(keys, |id, _| keys.nonce("block", id.into()), &mut tags);
         let dsi_table =
             DsiIndexTable::from_entries(dsi_entries).expect("DSI intervals nest or are disjoint");
-        let reps = scheme.targets.iter().enumerate().map(|(i, t)| {
-            let rep = labeling.interval(t.node).expect("block root labeled");
-            (rep, i as u32)
-        });
-        let block_table =
-            BlockTable::new(&dsi_table, reps).expect("block roots are listed, disjoint subtrees");
-
+        let block_table = BlockTable::new(&dsi_table, block_entries)
+            .expect("block roots are listed, disjoint subtrees");
         descend();
-        (blocks, visible, dsi_table, block_table)
+        let vocabulary = (encrypted_tags, plain_tags);
+        (blocks, visible, vocabulary, dsi_table, block_table)
     });
 
     // 9. Each plan finished from its runs, and its value index loaded.
@@ -324,6 +285,7 @@ pub fn encrypt_database(
         .map(|run| run.into_inner().expect("every run descended"));
     let (value_indexes, opess, value_entries) = finish_value_indexes(drafts, descended, &mut tags);
 
+    let (encrypted_tags, plain_tags) = vocabulary;
     let stats = EncryptStats {
         encrypt_time: start.elapsed(),
         block_count: blocks.len(),
@@ -352,6 +314,207 @@ pub fn encrypt_database(
         },
         stats,
     })
+}
+
+/// The owner's one encoder: set-up runs it over the whole document and an
+/// insert over the new record. Where the two differ the difference is
+/// passed in: the first block id, the base of the decoy draws, the
+/// labeling and the nonces. Each caller keeps its own OPESS step: set-up
+/// drafts plans from [`Encoder::values`] and an insert extends the stored
+/// ones.
+pub(crate) struct Encoder<'t> {
+    /// The document with a decoy written into each decoyed target.
+    working: Document,
+    targets: &'t [EncryptionTarget],
+    labeling: DsiLabeling,
+    /// Each node's block id, by arena index.
+    block_of: Vec<Option<u32>>,
+    first_id: u32,
+}
+
+/// What [`Encoder::seal`] gives the server, and the vocabulary it gives
+/// the client.
+pub(crate) struct Sealed {
+    pub(crate) blocks: Vec<SealedBlock>,
+    pub(crate) visible: VisibleFragment,
+    /// `(representative interval, block id)` per target.
+    pub(crate) block_entries: Vec<(Interval, u32)>,
+    /// The DSI table's entries under their server-visible tag keys, in
+    /// key order.
+    pub(crate) dsi_entries: BTreeMap<String, Vec<Interval>>,
+    /// Tags (attributes as `@name`) inside blocks, and outside them.
+    pub(crate) encrypted_tags: HashSet<String>,
+    pub(crate) plain_tags: HashSet<String>,
+}
+
+impl<'t> Encoder<'t> {
+    /// Writes a decoy into each decoyed target, the `i`-th target's drawn
+    /// at `decoy_base ^ i`; labels the result with `label`; and puts the
+    /// `i`-th target's subtree in block `first_id + i`.
+    pub(crate) fn new(
+        doc: &Document,
+        targets: &'t [EncryptionTarget],
+        keys: &KeyChain,
+        decoy_base: u64,
+        first_id: u32,
+        label: impl FnOnce(&Document) -> Result<DsiLabeling, CoreError>,
+    ) -> Result<Self, CoreError> {
+        let mut working = doc.clone();
+        let decoy_prf = keys.decoy_prf();
+        for (i, t) in targets.iter().enumerate() {
+            if t.decoy {
+                let decoy_el = working.add_element(Some(t.node), DECOY_TAG);
+                working.add_text(decoy_el, &decoy_value(&decoy_prf, decoy_base ^ i as u64));
+            }
+        }
+        let labeling = label(&working)?;
+        let mut block_of = vec![None; working.arena_len()];
+        for (id, t) in (first_id..).zip(targets) {
+            for n in working.descendants(t.node) {
+                block_of[n.index()] = Some(id);
+            }
+        }
+        Ok(Encoder {
+            working,
+            targets,
+            labeling,
+            block_of,
+            first_id,
+        })
+    }
+
+    /// Seals each target under the nonce `nonce(id, plaintext)` gives it,
+    /// writes the visible document, and files every DSI entry: plaintext
+    /// tags outside blocks, encrypted ones with adjacent same-tag grouping
+    /// inside them.
+    pub(crate) fn seal(
+        &self,
+        keys: &KeyChain,
+        nonce: impl Fn(u32, &[u8]) -> [u8; 12],
+        tags: &mut TagMemo,
+    ) -> Sealed {
+        let working = &self.working;
+        // The plaintexts are dropped before the walks below: held through
+        // them, they would raise a set-up's peak memory by their size.
+        let blocks = {
+            let plaintexts: Vec<String> = self
+                .targets
+                .iter()
+                .map(|t| working.node_to_xml(t.node))
+                .collect();
+            let to_seal: Vec<(u32, [u8; 12], &[u8])> = (self.first_id..)
+                .zip(&plaintexts)
+                .map(|(id, xml)| (id, nonce(id, xml.as_bytes()), xml.as_bytes()))
+                .collect();
+            seal_blocks(&keys.block_key(), &to_seal)
+        };
+        let block_entries = (self.first_id..)
+            .zip(self.targets)
+            .map(|(id, t)| (self.labeling.interval(t.node).expect("target labeled"), id))
+            .collect();
+        let mut sealed = Sealed {
+            blocks,
+            visible: build_visible(working, &self.block_of),
+            block_entries,
+            dsi_entries: BTreeMap::new(),
+            encrypted_tags: HashSet::new(),
+            plain_tags: HashSet::new(),
+        };
+        let root = working.root().expect("a document to encode has a root");
+        self.file_dsi_entries(root, tags, &mut sealed);
+        sealed
+    }
+
+    /// [`Encoder::seal`]'s DSI walk from `node`, and the vocabulary.
+    fn file_dsi_entries(&self, node: NodeId, tags: &mut TagMemo, out: &mut Sealed) {
+        let (doc, block_of, labeling) = (&self.working, &self.block_of, &self.labeling);
+        let table = &mut out.dsi_entries;
+        // Attributes first (no grouping: names are unique per element).
+        for &a in doc.node(node).attrs() {
+            if let NodeKind::Attribute(at, _) = doc.node(a).kind() {
+                let name = format!("@{}", doc.tag_name(*at));
+                let iv = labeling.interval(a).expect("attribute labeled");
+                if block_of[a.index()].is_some() {
+                    add(table, tags.encrypt(&name), iv);
+                    out.encrypted_tags.insert(name);
+                } else {
+                    add(table, &name, iv);
+                    out.plain_tags.insert(name);
+                }
+            }
+        }
+        // The node itself.
+        let NodeKind::Element(t) = doc.node(node).kind() else {
+            return;
+        };
+        let name = doc.tag_name(*t);
+        let iv = labeling.interval(node).expect("element labeled");
+        if block_of[node.index()].is_some() {
+            out.encrypted_tags.insert(name.to_owned());
+            // Entry addition for block-internal elements happens in the
+            // parent's grouping pass below; the only element without a
+            // parent pass is the root (of the document under the `top`
+            // scheme, or of an inserted record that is a block).
+            if doc.node(node).parent().is_none() {
+                add(table, tags.encrypt(name), iv);
+            }
+        } else {
+            out.plain_tags.insert(name.to_owned());
+            add(table, name, iv);
+        }
+        // Grouping pass over element children that live inside blocks:
+        // runs of adjacent same-tag children in the same block merge into
+        // one span interval (§5.1.1).
+        let children = doc.node(node).children();
+        let mut run: Option<(&str, u32, Interval)> = None;
+        for &c in children {
+            let cur = match doc.node(c).kind() {
+                NodeKind::Element(ct) => block_of[c.index()].map(|b| {
+                    let iv = labeling.interval(c).expect("child labeled");
+                    (doc.tag_name(*ct), b, iv)
+                }),
+                _ => None,
+            };
+            match (&mut run, cur) {
+                (Some((rt, rb, riv)), Some((ct, cb, civ))) if *rt == ct && *rb == cb => {
+                    *riv = riv.span(&civ);
+                }
+                (prev, cur) => {
+                    if let Some((rt, _, riv)) = prev.take() {
+                        add(table, tags.encrypt(rt), riv);
+                    }
+                    *prev = cur;
+                }
+            }
+        }
+        if let Some((rt, _, riv)) = run {
+            add(table, tags.encrypt(rt), riv);
+        }
+        for &c in children {
+            self.file_dsi_entries(c, tags, out);
+        }
+    }
+
+    /// The leaf values inside blocks, in document order: `(attribute,
+    /// value, block id)`, the attribute being a text's element tag or
+    /// `@name`. Decoys have none.
+    pub(crate) fn values(&self) -> impl Iterator<Item = (String, &str, u32)> {
+        let doc = &self.working;
+        doc.iter().filter_map(move |n| {
+            let b = self.block_of[n.index()]?;
+            match doc.node(n).kind() {
+                NodeKind::Text(v) => {
+                    let parent = doc.node(n).parent().expect("text has parent");
+                    let tag = doc.element_name(parent).filter(|&t| t != DECOY_TAG)?;
+                    Some((tag.to_owned(), v.as_str(), b))
+                }
+                NodeKind::Attribute(at, v) => {
+                    Some((format!("@{}", doc.tag_name(*at)), v.as_str(), b))
+                }
+                NodeKind::Element(_) => None,
+            }
+        })
+    }
 }
 
 fn decoy_value(prf: &exq_crypto::Prf, i: u64) -> String {
@@ -423,20 +586,20 @@ fn write_node(
 
 /// The tag cipher behind a memo: a build encrypts each distinct name once,
 /// however many table entries carry it.
-struct TagMemo {
+pub(crate) struct TagMemo {
     cipher: TagCipher,
     seen: HashMap<String, String>,
 }
 
 impl TagMemo {
-    fn new(cipher: TagCipher) -> Self {
+    pub(crate) fn new(cipher: TagCipher) -> Self {
         TagMemo {
             cipher,
             seen: HashMap::new(),
         }
     }
 
-    fn encrypt(&mut self, name: &str) -> &str {
+    pub(crate) fn encrypt(&mut self, name: &str) -> &str {
         if !self.seen.contains_key(name) {
             let c = self.cipher.encrypt(name);
             self.seen.insert(name.to_owned(), c);
@@ -446,94 +609,11 @@ impl TagMemo {
 }
 
 /// One DSI index table entry, filed under its tag.
-fn add(table: &mut HashMap<String, Vec<Interval>>, tag: &str, iv: Interval) {
-    table.entry(tag.to_owned()).or_default().push(iv);
-}
-
-/// Collects the DSI index table's entries: plaintext tags outside blocks,
-/// Vernam-encrypted tags with adjacent same-tag grouping inside blocks.
-#[allow(clippy::too_many_arguments)]
-fn build_dsi_table(
-    doc: &Document,
-    node: NodeId,
-    block_of: &[Option<u32>],
-    labeling: &DsiLabeling,
-    tags: &mut TagMemo,
-    table: &mut HashMap<String, Vec<Interval>>,
-    encrypted_tags: &mut HashSet<String>,
-    plain_tags: &mut HashSet<String>,
-) {
-    // Attributes first (no grouping: names are unique per element).
-    for &a in doc.node(node).attrs() {
-        if let NodeKind::Attribute(at, _) = doc.node(a).kind() {
-            let name = format!("@{}", doc.tag_name(*at));
-            let iv = labeling.interval(a).expect("attribute labeled");
-            if block_of[a.index()].is_some() {
-                encrypted_tags.insert(name.clone());
-                add(table, tags.encrypt(&name), iv);
-            } else {
-                plain_tags.insert(name.clone());
-                add(table, &name, iv);
-            }
-        }
-    }
-    // The node itself.
-    if let NodeKind::Element(t) = doc.node(node).kind() {
-        let name = doc.tag_name(*t).to_owned();
-        let iv = labeling.interval(node).expect("element labeled");
-        if block_of[node.index()].is_some() {
-            encrypted_tags.insert(name.clone());
-        } else {
-            plain_tags.insert(name.clone());
-            add(table, &name, iv);
-        }
-        // Entry addition for block-internal elements happens in the parent's
-        // grouping pass below; the only element without a parent pass is the
-        // document root (relevant under the `top` scheme).
-        if block_of[node.index()].is_some() && doc.node(node).parent().is_none() {
-            add(table, tags.encrypt(&name), iv);
-        }
-        // Grouping pass over element children that live inside blocks:
-        // runs of adjacent same-tag children in the same block merge into
-        // one span interval (§5.1.1).
-        let children = doc.node(node).children();
-        let mut run: Option<(String, u32, Interval)> = None;
-        for &c in children {
-            let cur = match doc.node(c).kind() {
-                NodeKind::Element(ct) if block_of[c.index()].is_some() => Some((
-                    doc.tag_name(*ct).to_owned(),
-                    block_of[c.index()].unwrap(),
-                    labeling.interval(c).expect("child labeled"),
-                )),
-                _ => None,
-            };
-            match (&mut run, cur) {
-                (Some((rt, rb, riv)), Some((ct, cb, civ))) if *rt == ct && *rb == cb => {
-                    *riv = riv.span(&civ);
-                }
-                (prev, cur) => {
-                    if let Some((rt, _, riv)) = prev.take() {
-                        add(table, tags.encrypt(&rt), riv);
-                    }
-                    *prev = cur;
-                }
-            }
-        }
-        if let Some((rt, _, riv)) = run {
-            add(table, tags.encrypt(&rt), riv);
-        }
-        // Recurse.
-        for &c in children {
-            build_dsi_table(
-                doc,
-                c,
-                block_of,
-                labeling,
-                tags,
-                table,
-                encrypted_tags,
-                plain_tags,
-            );
+fn add(table: &mut BTreeMap<String, Vec<Interval>>, tag: &str, iv: Interval) {
+    match table.get_mut(tag) {
+        Some(ivs) => ivs.push(iv),
+        None => {
+            table.insert(tag.to_owned(), vec![iv]);
         }
     }
 }
@@ -554,37 +634,17 @@ struct AttrDraft {
     draft: OpessDraft,
 }
 
-/// Drafts an OPESS plan per attribute of the leaf values inside blocks,
-/// attributes in name order.
-fn draft_value_indexes(
-    doc: &Document,
-    block_of: &[Option<u32>],
+/// Drafts an OPESS plan per attribute of `values`, the leaf values inside
+/// blocks as [`Encoder::values`] walks them, attributes in name order.
+fn draft_value_indexes<'v>(
+    values: impl Iterator<Item = (String, &'v str, u32)>,
     keys: &KeyChain,
     rng: &mut impl Rng,
 ) -> Result<Vec<AttrDraft>, CoreError> {
     // attribute name -> [(value, block id)]
     let mut occ: HashMap<String, Vec<(&str, u32)>> = HashMap::new();
-    for n in doc.iter() {
-        let Some(b) = block_of[n.index()] else {
-            continue;
-        };
-        match doc.node(n).kind() {
-            NodeKind::Text(v) => {
-                let parent = doc.node(n).parent().expect("text has parent");
-                let Some(tag) = doc.element_name(parent) else {
-                    continue;
-                };
-                if tag == DECOY_TAG {
-                    continue;
-                }
-                occ.entry(tag.to_owned()).or_default().push((v, b));
-            }
-            NodeKind::Attribute(at, v) => {
-                let name = format!("@{}", doc.tag_name(*at));
-                occ.entry(name).or_default().push((v, b));
-            }
-            NodeKind::Element(_) => {}
-        }
+    for (attr, v, b) in values {
+        occ.entry(attr).or_default().push((v, b));
     }
 
     // Deterministic iteration order for reproducibility.

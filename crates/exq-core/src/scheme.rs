@@ -16,7 +16,7 @@ use crate::constraints::SecurityConstraint;
 use crate::cover::{solve_clarkson, solve_exact, solve_matching, ConstraintGraph};
 use crate::error::CoreError;
 use exq_xml::{Document, NodeId, NodeKind};
-use exq_xpath::eval_document;
+use exq_xpath::{eval_document, Path};
 use std::collections::BTreeSet;
 
 /// Which scheme-construction strategy to use (§7.1).
@@ -75,60 +75,58 @@ pub struct EncryptionScheme {
     /// The *rules* behind the targets: the absolute paths whose bindings
     /// are encrypted (node-type SC paths + chosen cover endpoints). Kept so
     /// the client can apply the same policy to records inserted later.
-    pub paths: Vec<exq_xpath::Path>,
+    pub paths: Vec<Path>,
     /// `Sub` scheme: encrypt the parents of the paths' bindings instead.
     pub lift_to_parent: bool,
 }
 
 impl EncryptionScheme {
-    /// Builds the scheme of the given kind for `doc` under `constraints`.
+    /// Builds the scheme of the given kind for `doc` under `constraints`:
+    /// chooses the paths, then binds them with [`Self::targets_of`].
     pub fn build(
         doc: &Document,
         constraints: &[SecurityConstraint],
         kind: SchemeKind,
     ) -> Result<EncryptionScheme, CoreError> {
-        let root = doc.root().ok_or(CoreError::EmptyDocument)?;
-        let (roots, paths, lift): (BTreeSet<NodeId>, Vec<exq_xpath::Path>, bool) = match kind {
-            SchemeKind::Top => (
-                [root].into(),
-                vec![exq_xpath::Path::parse("/*").expect("static")],
-                false,
-            ),
-            SchemeKind::Opt => {
-                let (r, p) = cover_roots(doc, constraints, solve_exact);
-                (r, p, false)
-            }
-            SchemeKind::App => {
-                let (r, p) = cover_roots(doc, constraints, solve_clarkson);
-                (r, p, false)
-            }
-            SchemeKind::Match => {
-                let (r, p) = cover_roots(doc, constraints, solve_matching);
-                (r, p, false)
-            }
-            SchemeKind::Sub => {
-                let (opt, p) = cover_roots(doc, constraints, solve_exact);
-                let lifted = opt
-                    .into_iter()
-                    .map(|n| doc.node(n).parent().unwrap_or(root))
-                    .collect();
-                (lifted, p, true)
-            }
+        doc.root().ok_or(CoreError::EmptyDocument)?;
+        let (paths, lift) = match kind {
+            SchemeKind::Top => (vec![Path::parse("/*").expect("static")], false),
+            SchemeKind::Opt => (cover_paths(doc, constraints, solve_exact), false),
+            SchemeKind::App => (cover_paths(doc, constraints, solve_clarkson), false),
+            SchemeKind::Match => (cover_paths(doc, constraints, solve_matching), false),
+            SchemeKind::Sub => (cover_paths(doc, constraints, solve_exact), true),
         };
-        let roots = normalize(doc, roots);
-        let targets = roots
+        Ok(EncryptionScheme {
+            kind_name: kind.name().to_owned(),
+            targets: Self::targets_of(doc, &paths, lift),
+            paths,
+            lift_to_parent: lift,
+        })
+    }
+
+    /// The targets `paths` choose in `doc`: every binding, an attribute or
+    /// text one lifted to its element, and under `lift` each lifted again
+    /// to its parent; targets nested in another are dropped, and each
+    /// leaf element carries a decoy. Set-up applies it to the whole
+    /// document and an insert to the new record.
+    pub fn targets_of(doc: &Document, paths: &[Path], lift: bool) -> Vec<EncryptionTarget> {
+        let mut roots = BTreeSet::new();
+        for p in paths {
+            for n in eval_document(doc, p) {
+                let el = element_target(doc, n);
+                roots.insert(match doc.node(el).parent() {
+                    Some(parent) if lift => parent,
+                    _ => el,
+                });
+            }
+        }
+        normalize(doc, roots)
             .into_iter()
             .map(|node| EncryptionTarget {
                 node,
                 decoy: is_leaf_element(doc, node),
             })
-            .collect();
-        Ok(EncryptionScheme {
-            kind_name: kind.name().to_owned(),
-            targets,
-            paths,
-            lift_to_parent: lift,
-        })
+            .collect()
     }
 
     /// The size |S| of the scheme (Definition 4.1): total nodes across all
@@ -152,31 +150,23 @@ impl EncryptionScheme {
     }
 }
 
-/// Association endpoints chosen by `solver`, plus node-type targets.
-/// Returns the bound nodes and the governing paths.
-fn cover_roots(
+/// The node-type SC paths, then the association endpoints `solver` covers
+/// the constraint graph with.
+fn cover_paths(
     doc: &Document,
     constraints: &[SecurityConstraint],
     solver: fn(&ConstraintGraph) -> Vec<usize>,
-) -> (BTreeSet<NodeId>, Vec<exq_xpath::Path>) {
-    let mut roots = BTreeSet::new();
-    let mut paths = Vec::new();
-    for sc in constraints {
-        if let SecurityConstraint::NodeType(p) = sc {
-            paths.push(p.clone());
-        }
-        for n in sc.node_targets(doc) {
-            roots.insert(element_target(doc, n));
-        }
-    }
+) -> Vec<Path> {
+    let mut paths: Vec<Path> = constraints
+        .iter()
+        .filter_map(|sc| match sc {
+            SecurityConstraint::NodeType(p) => Some(p.clone()),
+            SecurityConstraint::Association { .. } => None,
+        })
+        .collect();
     let g = ConstraintGraph::build(doc, constraints);
-    for v in solver(&g) {
-        paths.push(g.vertices[v].path.clone());
-        for n in eval_document(doc, &g.vertices[v].path) {
-            roots.insert(element_target(doc, n));
-        }
-    }
-    (roots, paths)
+    paths.extend(solver(&g).into_iter().map(|v| g.vertices[v].path.clone()));
+    paths
 }
 
 /// Encryption targets must be elements: attribute and text bindings are

@@ -139,11 +139,6 @@ impl PhaseTiming {
             + self.decrypt
             + self.post_process
     }
-
-    /// Client-side share (translation + decryption + post-processing).
-    pub fn client_total(&self) -> Duration {
-        self.client_translate + self.decrypt + self.post_process
-    }
 }
 
 /// Result of one query round trip.
@@ -312,12 +307,7 @@ fn run_query_inner(
     let bytes_to_server = traffic.bytes_sent as usize;
     let bytes_to_client = traffic.bytes_received as usize;
     let block_sizes: Vec<usize> = resp.blocks.iter().map(|b| b.ciphertext.len()).collect();
-    let post_query = if naive {
-        &tq.full_query
-    } else {
-        &tq.post_query
-    };
-    let post = client.post_process(post_query, &resp)?;
+    let post = client.post_process(&tq.post_query, &resp)?;
     telemetry::record_span("client.decrypt", post.decrypt_time);
     telemetry::record_span("client.post_process", post.post_process_time);
     let transmit = simulate_link(config, bytes_to_server + bytes_to_client);
@@ -415,7 +405,6 @@ mod tests {
             post_process: Duration::from_millis(6),
         };
         assert_eq!(t.total(), Duration::from_millis(21));
-        assert_eq!(t.client_total(), Duration::from_millis(12));
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //!
 //! * **insert** — the client locates the parent (a translated query), asks
 //!   the server for an [`InsertionSlot`] (the free label range plus the next
-//!   block id), applies the *stored encryption policy* (the scheme's chosen
-//!   paths) to the new record, labels it inside the slot, seals its blocks,
-//!   and sends an [`InsertDelta`]: the record's visible fragment (its text
-//!   and its blocks' offsets, as set-up hands the server the whole
-//!   document) plus the DSI/block/value-index entries. The server checks the delta before it
-//!   logs or changes anything (`Server::check_insert`): its intervals
+//!   block id), and runs set-up's pipeline over the new record: the
+//!   *stored encryption policy* (the scheme's chosen paths) picks its
+//!   targets ([`EncryptionScheme::targets_of`]), and set-up's encoder writes
+//!   its decoys, seals its blocks and files its DSI entries, grouped as
+//!   set-up groups them, with labels inside the slot. It sends an
+//!   [`InsertDelta`]: the record's visible fragment (its text and its
+//!   blocks' offsets, as set-up hands the server the whole document) plus
+//!   the DSI/block/value-index entries. The server checks the delta before
+//!   it logs or changes anything (`Server::check_insert`): its intervals
 //!   must be one nested run strictly inside the slot, so a refused delta
 //!   never reaches the WAL. Then it splices everything in.
 //! * **delete** — the client sends a translated query; the server detaches
@@ -33,23 +36,26 @@
 //! Security caveats (this goes beyond what the paper analyzes): repeated
 //! inserts of the same value let the attacker watch the OPESS histogram
 //! evolve, and inserted blocks are visibly newer than the original ones.
-//! The per-update leakage is bounded by the same counting arguments, but
+//! An inserted block's same-tag siblings are one grouped entry, as at
+//! set-up, so the server does not learn how many there are. The
+//! per-update leakage is bounded by the same counting arguments, but
 //! the formal guarantees of §4–6 are only proved for the static database.
 
 use crate::client::Client;
-use crate::encrypt::{build_visible, OpessAttr, ValueCodec, DECOY_TAG};
+use crate::encrypt::{Encoder, OpessAttr, TagMemo, ValueCodec};
 use crate::error::CoreError;
+use crate::scheme::EncryptionScheme;
 use crate::server::Server;
 use crate::telemetry;
 use crate::visible::{VisibleFragment, VisibleText};
-use exq_crypto::{seal_blocks, OpessPlan, SealedBlock};
+use exq_crypto::{OpessPlan, SealedBlock};
 use exq_index::dsi::{DsiLabeling, Interval};
 use exq_index::sjoin::{sort_intervals, IntervalUniverse};
-use exq_xml::{Document, NodeId, NodeKind};
-use exq_xpath::eval_document;
+use exq_xml::Document;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::iter;
 use std::time::Instant;
 
 /// What the server offers the client for an insertion under a parent.
@@ -312,7 +318,10 @@ impl Client {
     }
 
     /// Prepares the insertion payload for a slot (exposed separately so
-    /// tests and tools can inspect deltas before applying them).
+    /// tests and tools can inspect deltas before applying them). The record
+    /// goes through set-up's target choice and encoder, labeled inside the
+    /// slot, its blocks numbered from the slot's next id and sealed under
+    /// insert nonces; its values extend the stored OPESS plans.
     pub fn prepare_insert(
         &mut self,
         slot: &InsertionSlot,
@@ -322,121 +331,38 @@ impl Client {
         let record = Document::parse(record_xml).map_err(|e| CoreError::Query(e.to_string()))?;
         record.root().ok_or(CoreError::EmptyDocument)?;
         let mut rng = StdRng::seed_from_u64(seed);
+        let state = self.state();
+        let keys = &state.keys;
+        let targets =
+            EncryptionScheme::targets_of(&record, &state.scheme_paths, state.lift_to_parent);
+        let label = |working: &Document| {
+            DsiLabeling::assign_in_slot(working, &mut rng, slot.gap_lo, slot.gap_hi).ok_or_else(
+                || CoreError::Query("insertion slot exhausted; re-outsource to relabel".into()),
+            )
+        };
+        let (decoy_base, first_id) = (slot.gap_lo, slot.next_block_id);
+        let encoder = Encoder::new(&record, &targets, keys, decoy_base, first_id, label)?;
+        let mut tags = TagMemo::new(keys.tag_cipher());
+        let sealed = encoder.seal(keys, |id, xml| keys.insert_nonce(id, xml), &mut tags);
+        let state = self.state_mut();
+        state.encrypted_tags.extend(sealed.encrypted_tags);
+        state.plain_tags.extend(sealed.plain_tags);
 
-        // 1. Apply the stored encryption policy to the record.
-        let targets = self.policy_targets(&record);
-
-        // 2. Decoys on leaf-element targets.
-        let mut working = record.clone();
-        let decoy_prf = self.state().keys.decoy_prf();
-        for (i, &t) in targets.iter().enumerate() {
-            let is_leaf = working
-                .node(t)
-                .children()
-                .iter()
-                .all(|&c| !working.node(c).is_element());
-            if is_leaf {
-                let d = working.add_element(Some(t), DECOY_TAG);
-                let mut buf = [0u8; 6];
-                decoy_prf.fill(&(slot.gap_lo ^ i as u64).to_le_bytes(), &mut buf);
-                let val: String = buf.iter().map(|&b| (b'a' + b % 26) as char).collect();
-                working.add_text(d, &val);
-            }
-        }
-
-        // 3. Label inside the slot.
-        let labeling = DsiLabeling::assign_in_slot(&working, &mut rng, slot.gap_lo, slot.gap_hi)
-            .ok_or_else(|| {
-                CoreError::Query("insertion slot exhausted; re-outsource to relabel".into())
-            })?;
-
-        // 4. Block membership.
-        let mut block_of: Vec<Option<u32>> =
-            vec![None; working.iter().map(|n| n.index() + 1).max().unwrap_or(0)];
-        for (i, &t) in targets.iter().enumerate() {
-            for n in working.descendants(t) {
-                block_of[n.index()] = Some(slot.next_block_id + i as u32);
-            }
-        }
-
-        // 5. Seal blocks.
-        let keys = &self.state().keys;
-        let plaintexts: Vec<String> = targets.iter().map(|&t| working.node_to_xml(t)).collect();
-        let mut to_seal = Vec::with_capacity(targets.len());
-        let mut block_entries = Vec::with_capacity(targets.len());
-        for ((i, &t), xml) in targets.iter().enumerate().zip(&plaintexts) {
-            let id = slot.next_block_id + i as u32;
-            let nonce = keys.insert_nonce(id, xml.as_bytes());
-            to_seal.push((id, nonce, xml.as_bytes()));
-            let rep = labeling.interval(t).expect("target labeled");
-            block_entries.push((rep, id));
-        }
-        let blocks = seal_blocks(&keys.block_key(), &to_seal);
-
-        // 6. Visible fragment + DSI entries + vocabulary updates.
-        let cipher = self.state().keys.tag_cipher();
-        let visible = build_visible(&working, &block_of);
-        let mut dsi_entries = Vec::new();
-        insert_dsi_entries(
-            &working,
-            working.root().unwrap(),
-            &block_of,
-            &labeling,
-            &cipher,
-            &mut dsi_entries,
-        );
-        // Vocabulary updates so future query translation knows the forms.
-        {
-            let state = self.state_mut();
-            for n in working.iter() {
-                let key = match working.node(n).kind() {
-                    NodeKind::Element(t) => working.tag_name(*t).to_owned(),
-                    NodeKind::Attribute(t, _) => format!("@{}", working.tag_name(*t)),
-                    NodeKind::Text(_) => continue,
-                };
-                if block_of[n.index()].is_some() {
-                    state.encrypted_tags.insert(key);
-                } else {
-                    state.plain_tags.insert(key);
-                }
-            }
-        }
-
-        // 7. Value-index entries for encrypted leaf values.
         let mut value_entries = Vec::new();
-        for n in working.iter() {
-            let Some(b) = block_of[n.index()] else {
-                continue;
-            };
-            let (attr, value) = match working.node(n).kind() {
-                NodeKind::Text(v) => {
-                    let p = working.node(n).parent().expect("text parent");
-                    let Some(tag) = working.element_name(p) else {
-                        continue;
-                    };
-                    if tag == DECOY_TAG {
-                        continue;
-                    }
-                    (tag.to_owned(), v.clone())
-                }
-                NodeKind::Attribute(t, v) => (format!("@{}", working.tag_name(*t)), v.clone()),
-                NodeKind::Element(_) => continue,
-            };
-            let ciphers_scale = self.value_ciphers_for_insert(&attr, &value, &mut rng)?;
-            let enc_attr = cipher.encrypt(&attr);
-            for (c, scale) in ciphers_scale {
-                for _ in 0..scale {
-                    value_entries.push((enc_attr.clone(), c, b));
-                }
+        for (attr, value, block) in encoder.values() {
+            let enc_attr = tags.encrypt(&attr).to_owned();
+            for (c, scale) in self.value_ciphers_for_insert(&attr, value, &mut rng)? {
+                value_entries.extend(iter::repeat_n((enc_attr.clone(), c, block), scale as usize));
             }
         }
-
         Ok(InsertDelta {
             parent: slot.parent,
-            visible,
-            blocks,
-            dsi_entries,
-            block_entries,
+            visible: sealed.visible,
+            blocks: sealed.blocks,
+            dsi_entries: (sealed.dsi_entries.into_iter())
+                .flat_map(|(tag, ivs)| ivs.into_iter().map(move |iv| (tag.clone(), iv)))
+                .collect(),
+            block_entries: sealed.block_entries,
             value_entries,
         })
     }
@@ -458,31 +384,6 @@ impl Client {
             .server_query
             .ok_or_else(|| CoreError::Query("delete query not server-evaluable".into()))?;
         transport.delete_where(&sq)
-    }
-
-    /// Encryption targets for a new record under the stored policy.
-    fn policy_targets(&self, record: &Document) -> Vec<NodeId> {
-        let mut roots: BTreeSet<NodeId> = BTreeSet::new();
-        for p in &self.state().scheme_paths {
-            for n in eval_document(record, p) {
-                let el = match record.node(n).kind() {
-                    NodeKind::Element(_) => n,
-                    _ => record.node(n).parent().expect("non-root binding"),
-                };
-                let el = if self.state().lift_to_parent {
-                    record.node(el).parent().unwrap_or(el)
-                } else {
-                    el
-                };
-                roots.insert(el);
-            }
-        }
-        // Drop nested targets.
-        roots
-            .iter()
-            .copied()
-            .filter(|&n| !record.ancestors(n).iter().any(|a| roots.contains(a)))
-            .collect()
     }
 
     /// Ciphertexts (with scale) for one inserted occurrence of `value`.
@@ -528,42 +429,5 @@ impl Client {
                 .map(|c| (c, scale))
                 .collect())
         }
-    }
-}
-
-/// The DSI entries of an inserted record: plaintext tags outside blocks,
-/// Vernam-encrypted ones inside, each node its own entry (no grouping).
-fn insert_dsi_entries(
-    working: &Document,
-    node: NodeId,
-    block_of: &[Option<u32>],
-    labeling: &DsiLabeling,
-    cipher: &exq_crypto::TagCipher,
-    dsi_entries: &mut Vec<(String, Interval)>,
-) {
-    let NodeKind::Element(t) = working.node(node).kind() else {
-        // Text carries no table entry.
-        return;
-    };
-    let in_block = block_of[node.index()].is_some();
-    let key = |name: String| {
-        if in_block {
-            cipher.encrypt(&name)
-        } else {
-            name
-        }
-    };
-    dsi_entries.push((
-        key(working.tag_name(*t).to_owned()),
-        labeling.interval(node).expect("labeled"),
-    ));
-    for &a in working.node(node).attrs() {
-        if let NodeKind::Attribute(at, _) = working.node(a).kind() {
-            let iv = labeling.interval(a).expect("attr labeled");
-            dsi_entries.push((key(format!("@{}", working.tag_name(*at))), iv));
-        }
-    }
-    for &c in working.node(node).children() {
-        insert_dsi_entries(working, c, block_of, labeling, cipher, dsi_entries);
     }
 }

@@ -20,6 +20,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 mod common;
 
@@ -483,20 +484,25 @@ fn single_file_artifact_auto_migrates() {
 /// gets exactly one error frame in the current dialect naming the byte it
 /// sent, and then the connection closes; the server keeps serving, and a
 /// current-version frame that names no db is answered from the default db.
+/// Every byte but the current one is foreign, and the read times out, so
+/// a version bump cannot turn a listed byte into one the server keeps a
+/// connection open for.
 #[test]
 fn foreign_wire_versions_get_one_typed_error_then_close() {
     use exq_core::codec::PROTOCOL_VERSION;
     let (registry, clients) = three_db_registry("dialect");
     let handle = start(Arc::clone(&registry), ServeConfig::default());
 
-    for version in [0u8, 1, 2, 3, 4, 5, 6, 8, 255] {
+    for version in (0..=u8::MAX).filter(|&v| v != PROTOCOL_VERSION) {
         let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         raw.write_all(&Message::NaiveQuery.encode_frame_req(version, 7, 9))
             .unwrap();
         raw.flush().unwrap();
         // Reading to EOF proves both halves: one reply, then the close.
         let mut reply = Vec::new();
-        raw.read_to_end(&mut reply).unwrap();
+        raw.read_to_end(&mut reply)
+            .unwrap_or_else(|e| panic!("version byte {version}: no close: {e}"));
         assert_eq!(
             reply[2], PROTOCOL_VERSION,
             "reply to version byte {version}"

@@ -207,6 +207,8 @@ fn oversize_header_from_a_current_client_is_answered_in_its_dialect() {
     raw.write_all(&header).unwrap();
     raw.flush().unwrap();
 
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
     let mut reply = Vec::new();
     raw.read_to_end(&mut reply).unwrap();
     assert_eq!(

@@ -71,13 +71,6 @@ impl Prf {
         u64::from_le_bytes(buf)
     }
 
-    /// PRF output as a u128.
-    pub fn eval_u128(&self, input: &[u8]) -> u128 {
-        let mut buf = [0u8; 16];
-        self.fill(input, &mut buf);
-        u128::from_le_bytes(buf)
-    }
-
     /// Compresses `input` to a 12-byte nonce by chaining ChaCha blocks over
     /// its 12-byte chunks, a length block first to defend against trivial
     /// extension collisions.
@@ -114,7 +107,6 @@ mod tests {
     fn deterministic() {
         let p = Prf::new([1u8; 32]);
         assert_eq!(p.eval_u64(b"hello"), p.eval_u64(b"hello"));
-        assert_eq!(p.eval_u128(b"hello"), p.eval_u128(b"hello"));
     }
 
     #[test]

@@ -57,13 +57,6 @@ impl TagCipher {
         }
         out
     }
-
-    /// True when `cipher` is the encryption of `tag`. (Decryption proper is
-    /// never needed: the client knows the plaintext set and checks
-    /// membership, exactly as in the paper where the client owns the keys.)
-    pub fn verifies(&self, tag: &str, cipher: &str) -> bool {
-        self.encrypt(tag) == cipher
-    }
 }
 
 #[cfg(test)]
@@ -122,14 +115,6 @@ mod tests {
                 assert!(seen.insert(c.encrypt(&(b as char).to_string())));
             }
         }
-    }
-
-    #[test]
-    fn verifies_membership() {
-        let c = cipher();
-        let e = c.encrypt("doctor");
-        assert!(c.verifies("doctor", &e));
-        assert!(!c.verifies("disease", &e));
     }
 
     #[test]

@@ -56,16 +56,24 @@ impl DsiIndexTable {
     /// than once), put in join order by one stable sort: an interval
     /// several tags list is one member, and a repeat under one tag one
     /// entry. `None` when two intervals neither nest strictly nor are
-    /// disjoint (a partial overlap, or one `lo` with two `hi`s).
+    /// disjoint (a partial overlap, or one `lo` with two `hi`s). The run
+    /// to sort is reserved whole where the lists know their lengths, so a
+    /// build's peak memory is its lists and that run, whatever order the
+    /// lists come in.
     pub fn from_entries<T: Into<String>, L: IntoIterator<Item = Interval>>(
         entries: impl IntoIterator<Item = (T, L)>,
     ) -> Option<Self> {
+        let lists: Vec<(T, L::IntoIter)> = entries
+            .into_iter()
+            .map(|(tag, list)| (tag, list.into_iter()))
+            .collect();
         let mut tags: HashMap<String, usize> = HashMap::new();
-        let mut tagged: Vec<(Interval, usize)> = Vec::new();
-        for (tag, list) in entries {
+        let mut tagged: Vec<(Interval, usize)> =
+            Vec::with_capacity(lists.iter().map(|(_, list)| list.size_hint().0).sum());
+        for (tag, list) in lists {
             let next = tags.len();
             let k = *tags.entry(tag.into()).or_insert(next);
-            tagged.extend(list.into_iter().map(|iv| (iv, k)));
+            tagged.extend(list.map(|iv| (iv, k)));
         }
         tagged.sort_by(|a, b| join_order(&a.0, &b.0));
         let mut members: Vec<Interval> = Vec::new();

@@ -1,48 +1,9 @@
-//! Document statistics used by the attack model and the experiments.
+//! The leaf-value histogram used by the attack model and the experiments.
 
 use crate::tree::{Document, NodeKind};
 use std::collections::HashMap;
 
-/// Aggregate statistics over a document.
-#[derive(Debug, Clone, Default)]
-pub struct DocumentStats {
-    /// Live node count (elements + attributes + text).
-    pub nodes: usize,
-    pub elements: usize,
-    pub attributes: usize,
-    pub text_nodes: usize,
-    /// Tree height over elements.
-    pub height: usize,
-    /// Serialized size in bytes.
-    pub bytes: usize,
-    /// Per-element-tag counts.
-    pub tag_histogram: HashMap<String, usize>,
-}
-
 impl Document {
-    /// Computes aggregate statistics.
-    pub fn stats(&self) -> DocumentStats {
-        let mut s = DocumentStats {
-            height: self.height(),
-            bytes: self.serialized_size(),
-            ..Default::default()
-        };
-        for id in self.iter() {
-            s.nodes += 1;
-            match self.node(id).kind() {
-                NodeKind::Element(t) => {
-                    s.elements += 1;
-                    *s.tag_histogram
-                        .entry(self.tag_name(*t).to_owned())
-                        .or_default() += 1;
-                }
-                NodeKind::Attribute(..) => s.attributes += 1,
-                NodeKind::Text(_) => s.text_nodes += 1,
-            }
-        }
-        s
-    }
-
     /// The occurrence-frequency histogram of leaf values grouped by the
     /// "attribute" they belong to (parent element tag for text leaves,
     /// attribute name for attribute nodes).
@@ -73,19 +34,6 @@ impl Document {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_counts() {
-        let d = Document::parse(r#"<r a="1"><x>hi</x><x>ho</x><y/></r>"#).unwrap();
-        let s = d.stats();
-        assert_eq!(s.elements, 4);
-        assert_eq!(s.attributes, 1);
-        assert_eq!(s.text_nodes, 2);
-        assert_eq!(s.nodes, 7);
-        assert_eq!(s.height, 1);
-        assert_eq!(s.tag_histogram["x"], 2);
-        assert_eq!(s.bytes, d.to_xml().len());
-    }
 
     #[test]
     fn value_histogram_groups_by_attribute() {

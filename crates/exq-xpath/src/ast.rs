@@ -224,13 +224,6 @@ impl Path {
         steps.extend(other.steps.iter().cloned());
         Path { steps }
     }
-
-    /// All tag names mentioned anywhere in the path, including predicates.
-    pub fn mentioned_names(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        collect_names(self, &mut out);
-        out
-    }
 }
 
 /// Splits on a separator that appears outside brackets and quotes.
@@ -260,31 +253,6 @@ fn split_top_level(s: &str, sep: char) -> Vec<&str> {
     }
     out.push(&s[start..]);
     out
-}
-
-fn collect_names(p: &Path, out: &mut Vec<String>) {
-    for s in &p.steps {
-        if let NodeTest::Name(n) = &s.test {
-            out.push(n.clone());
-        }
-        for pred in &s.predicates {
-            collect_pred_names(pred, out);
-        }
-    }
-}
-
-fn collect_pred_names(pred: &Predicate, out: &mut Vec<String>) {
-    match pred {
-        Predicate::Exists(q) => collect_names(q, out),
-        Predicate::Compare(q, _, _) => collect_names(q, out),
-        Predicate::Position(_) => {}
-        Predicate::And(a, b) | Predicate::Or(a, b) => {
-            collect_pred_names(a, out);
-            collect_pred_names(b, out);
-        }
-        Predicate::Not(a) => collect_pred_names(a, out),
-        Predicate::Contains(q, _) | Predicate::StartsWith(q, _) => collect_names(q, out),
-    }
 }
 
 impl fmt::Display for Path {
@@ -487,15 +455,5 @@ mod tests {
         let a = Path::parse("//patient").unwrap();
         let b = Path::parse("/pname").unwrap();
         assert_eq!(a.join(&b).to_string(), "//patient/pname");
-    }
-
-    #[test]
-    fn mentioned_names_includes_predicates() {
-        let p = Path::parse("//patient[.//insurance/@coverage >= 10]/SSN").unwrap();
-        let names = p.mentioned_names();
-        assert!(names.contains(&"patient".to_owned()));
-        assert!(names.contains(&"insurance".to_owned()));
-        assert!(names.contains(&"coverage".to_owned()));
-        assert!(names.contains(&"SSN".to_owned()));
     }
 }
