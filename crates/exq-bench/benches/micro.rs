@@ -174,25 +174,40 @@ fn bench_value_index(c: &mut Criterion) {
 }
 
 /// The owner's whole set-up of the ledger's `hospital_point` database
-/// (1200 patients, seed 2006, `Opt`): blocks, visible document, DSI and
+/// (1200 patients, seed 2006, `Opt`) and of its `xmark_scan` database
+/// (2 MiB XMark, seed 2006, `Opt`): blocks, visible document, DSI and
 /// block tables, and every OPESS plan and value index.
 fn bench_setup(c: &mut Criterion) {
-    let doc = hospital::scaled(1200, 2006);
-    let scheme = EncryptionScheme::build(&doc, &hospital::constraints(), SchemeKind::Opt).unwrap();
+    let hospital = (
+        "encrypt_database_hospital",
+        hospital::scaled(1200, 2006),
+        hospital::constraints(),
+    );
+    let xmark = (
+        "encrypt_database_xmark",
+        xmark::generate(&xmark::XmarkConfig {
+            target_bytes: 2 << 20,
+            seed: 2006,
+        }),
+        xmark::constraints(),
+    );
     let keys = KeyChain::from_seed(2006);
     let mut group = c.benchmark_group("setup");
     group.sample_size(20);
-    group.bench_function("encrypt_database_hospital", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(2006 ^ 0xD5EA_5EED);
-            black_box(
-                encrypt_database(&doc, &scheme, &keys, &mut rng)
-                    .unwrap()
-                    .blocks
-                    .len(),
-            )
-        })
-    });
+    for (name, doc, constraints) in [hospital, xmark] {
+        let scheme = EncryptionScheme::build(&doc, &constraints, SchemeKind::Opt).unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut rng = StdRng::seed_from_u64(2006 ^ 0xD5EA_5EED);
+                black_box(
+                    encrypt_database(&doc, &scheme, &keys, &mut rng)
+                        .unwrap()
+                        .blocks
+                        .len(),
+                )
+            })
+        });
+    }
     group.finish();
 }
 
@@ -521,9 +536,11 @@ fn bench_plain_predicate_hospital(c: &mut Criterion) {
     group.finish();
 }
 
-/// One mutation's in-memory apply on the ledger's `hospital_point` set-up
-/// (1200 patients, seed 2007, `Opt`, resident, so no WAL): a prepared
-/// record's insert under the root, and its delete. One long-lived server
+/// One mutation on the ledger's `hospital_point` set-up (1200 patients,
+/// seed 2007, `Opt`, resident, so no WAL): the client's preparation of a
+/// record's insert under the root (on a fresh clone of the client each
+/// sample, since a preparation extends the client's plans), and the
+/// in-memory apply of the prepared insert and of its delete. One long-lived server
 /// takes both, so its arrays grow as a hosted one's do; the setup outside
 /// the timing undoes the last sample (deletes the record, or inserts it
 /// again), so every sample starts from a server of the same size.
@@ -558,6 +575,14 @@ fn bench_update_hospital(c: &mut Criterion) {
     let inserted = std::cell::Cell::new(false);
 
     let mut group = c.benchmark_group("update");
+    group.bench_function("prepare_insert_hospital", |b| {
+        let slot = server.borrow().insertion_slot(root).unwrap();
+        b.iter_batched(
+            || client.borrow().clone(),
+            |mut client| client.prepare_insert(&slot, record, 1).unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
     group.bench_function("apply_insert_hospital", |b| {
         b.iter_batched(
             || {

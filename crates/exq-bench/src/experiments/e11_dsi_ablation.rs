@@ -56,7 +56,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             // The true number of structural events inside the grouped span:
             let truth: u64 = authors
                 .iter()
-                .map(|&a| doc.subtree_size(a) as u64 * 2)
+                .map(|&a| doc.descendants(a).count() as u64 * 2)
                 .sum();
             // Continuous labels advance by exactly 1 per event, so the
             // width reveals the event count exactly.

@@ -16,7 +16,7 @@ use exq_core::telemetry;
 use exq_core::tenant::{validate_db_id, DbEntry, Manifest, TenantRegistry};
 use exq_core::transport::{InProcess, TcpTransport, Transport};
 use exq_core::{Client, CoreError, Server};
-use exq_xml::Document;
+use exq_xml::{Document, SpanDocument};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -131,7 +131,8 @@ pub fn cmd_encrypt(
     client_out: &Path,
 ) -> Result<String, CliError> {
     let xml = std::fs::read_to_string(input)?;
-    let doc = Document::parse(&xml).map_err(|e| CliError::Usage(format!("input document: {e}")))?;
+    let doc =
+        SpanDocument::parse(&xml).map_err(|e| CliError::Usage(format!("input document: {e}")))?;
     let cs = read_constraints(constraints)?;
     let kind = parse_scheme(scheme)?;
     let hosted = Outsourcer::new(OutsourceConfig::default()).outsource(&doc, &cs, kind, seed)?;
@@ -143,7 +144,7 @@ pub fn cmd_encrypt(
         report,
         "encrypted {} ({} bytes, {} nodes) with scheme `{}`",
         input.display(),
-        doc.serialized_size(),
+        doc.text().len(),
         doc.len(),
         scheme
     );
@@ -668,10 +669,10 @@ pub fn cmd_export(server_path: &Path, client_path: &Path, out: &Path) -> Result<
     let doc = client
         .export(&server)?
         .ok_or_else(|| CliError::Usage("hosted database is empty".into()))?;
-    std::fs::write(out, doc.to_xml())?;
+    std::fs::write(out, doc.text())?;
     Ok(format!(
         "exported {} bytes ({} nodes) to {}\n",
-        doc.serialized_size(),
+        doc.text().len(),
         doc.len(),
         out.display()
     ))

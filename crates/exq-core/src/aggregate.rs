@@ -13,8 +13,8 @@ use crate::client::Client;
 use crate::error::CoreError;
 use crate::server::Server;
 use exq_crypto::open_block;
-use exq_xml::Document;
-use exq_xpath::{eval_document, Path};
+use exq_xml::{SpanDocument, TreeView};
+use exq_xpath::{eval, Path};
 
 /// Supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +106,8 @@ impl Client {
                         .map_err(|e| CoreError::Block(e.to_string()))?;
                     let xml =
                         String::from_utf8(bytes).map_err(|e| CoreError::Block(e.to_string()))?;
-                    let doc = Document::parse(&xml).map_err(|e| CoreError::Block(e.to_string()))?;
+                    let doc =
+                        SpanDocument::parse(&xml).map_err(|e| CoreError::Block(e.to_string()))?;
                     let value = extreme_in_fragment(&doc, &attr_key, want_max, &opess.codec);
                     Ok(AggregateOutcome {
                         value,
@@ -156,7 +157,7 @@ fn attr_key(path: &Path) -> Option<String> {
 
 /// Extremum of an attribute's occurrences inside a decrypted fragment.
 fn extreme_in_fragment(
-    doc: &Document,
+    doc: &SpanDocument,
     attr_key: &str,
     want_max: bool,
     codec: &crate::encrypt::ValueCodec,
@@ -166,9 +167,9 @@ fn extreme_in_fragment(
         None => format!("//{attr_key}"),
     };
     let path = Path::parse(&query).ok()?;
-    eval_document(doc, &path)
+    eval(doc, &path)
         .into_iter()
-        .map(|n| doc.text_value(n))
+        .map(|n| doc.string_value(n))
         .filter_map(|v| codec.encode(&v).map(|x| (x, v)))
         .max_by(|a, b| {
             // total_cmp: a literal "NaN" value must not panic.
@@ -179,7 +180,7 @@ fn extreme_in_fragment(
                 ord.reverse()
             }
         })
-        .map(|(_, v)| v)
+        .map(|(_, v)| v.into_owned())
 }
 
 /// Results render as `<tag>value</tag>` or bare values; extract the value.
@@ -200,7 +201,7 @@ mod tests {
     use crate::system::{OutsourceConfig, Outsourcer};
 
     fn hosted() -> (Client, Server) {
-        let doc = Document::parse(
+        let doc = SpanDocument::parse(
             r#"<hospital>
                 <patient><pname>Betty</pname><age>35</age>
                   <insurance><policy coverage="1000000">34221</policy></insurance></patient>

@@ -20,7 +20,7 @@ use crate::error::CoreError;
 use crate::server::Server;
 use crate::wire::{SAxis, SPred, SStep, ServerQuery, ServerResponse};
 use exq_crypto::{open_blocks, OpenedBlocks, RangeOp, SealedBlocks};
-use exq_xml::{Document, NodeType, ParseError, SpanBuilder, SpanDocument, TreeView, Verdict};
+use exq_xml::{NodeType, ParseError, SpanBuilder, SpanDocument, TreeView, Verdict};
 use exq_xpath::{eval, Axis, CmpOp, Literal, NodeTest, Path, Predicate};
 use std::time::{Duration, Instant};
 
@@ -176,20 +176,13 @@ impl Client {
 
     /// Reconstructs the complete plaintext database from the server — the
     /// owner's data-recovery path (decrypt everything, splice, strip
-    /// decoys): the reconstruction's text, parsed. Returns `None` only for
-    /// an empty hosted database.
-    pub fn export(&self, server: &Server) -> Result<Option<Document>, CoreError> {
+    /// decoys): the reconstruction, its text canonical. Returns `None` only
+    /// for an empty hosted database.
+    pub fn export(&self, server: &Server) -> Result<Option<SpanDocument>, CoreError> {
         let resp = server.answer_naive()?;
         let opened = self.decrypt_blocks(&resp.blocks)?;
         let texts = block_texts(&resp.blocks, &opened)?;
-        let Some(recovered) = self.reconstruct(&resp.pruned_xml, &resp.offsets, &texts)? else {
-            return Ok(None);
-        };
-        if recovered.is_empty() {
-            return Ok(Some(Document::new()));
-        }
-        let doc = Document::parse(recovered.text());
-        Ok(Some(doc.map_err(|e| CoreError::Response(e.to_string()))?))
+        self.reconstruct(&resp.pruned_xml, &resp.offsets, &texts)
     }
 
     /// Reconstructs the reply as text: the reply with each shipped block

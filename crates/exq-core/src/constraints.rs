@@ -15,9 +15,10 @@
 //! `D ⊨ A` check for association queries `p[q1 = v1][q2 = v2]`.
 
 use crate::error::CoreError;
-use exq_xml::{Document, NodeId};
-use exq_xpath::{eval_document, eval_from, Path};
+use exq_xml::{NodeId, TreeView};
+use exq_xpath::{eval, eval_from, Path};
 use std::fmt;
+use std::iter;
 
 /// A security constraint.
 ///
@@ -92,31 +93,32 @@ impl SecurityConstraint {
 
     /// `D ⊨ p[q1 = v1][q2 = v2]`: does some context node bound by `p` have a
     /// `q1` binding with value `v1` *and* a `q2` binding with value `v2`?
-    pub fn captured_association_holds(&self, doc: &Document, v1: &str, v2: &str) -> bool {
+    pub fn captured_association_holds(&self, doc: &impl TreeView, v1: &str, v2: &str) -> bool {
         let SecurityConstraint::Association { context, q1, q2 } = self else {
             return false;
         };
-        eval_document(doc, context).into_iter().any(|x| {
+        eval(doc, context).into_iter().any(|x| {
             eval_from(doc, q1, &[x])
                 .iter()
-                .any(|&n| doc.text_value(n) == v1)
+                .any(|&n| doc.string_value(n) == v1)
                 && eval_from(doc, q2, &[x])
                     .iter()
-                    .any(|&n| doc.text_value(n) == v2)
+                    .any(|&n| doc.string_value(n) == v2)
         })
     }
 
     /// All value pairs `(v1, v2)` for which the captured association query
     /// holds — i.e. everything this SC says must be protected.
-    pub fn sensitive_pairs(&self, doc: &Document) -> Vec<(String, String)> {
+    pub fn sensitive_pairs(&self, doc: &impl TreeView) -> Vec<(String, String)> {
         let SecurityConstraint::Association { context, q1, q2 } = self else {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for x in eval_document(doc, context) {
+        for x in eval(doc, context) {
             for &a in &eval_from(doc, q1, &[x]) {
                 for &b in &eval_from(doc, q2, &[x]) {
-                    let pair = (doc.text_value(a), doc.text_value(b));
+                    let value = |n| doc.string_value(n).into_owned();
+                    let pair = (value(a), value(b));
                     if !out.contains(&pair) {
                         out.push(pair);
                     }
@@ -130,16 +132,16 @@ impl SecurityConstraint {
     /// `encrypted_roots`: every classified node must lie inside (or be) an
     /// encrypted subtree; for associations, *for each context binding*, at
     /// least one endpoint's bound nodes must all be encrypted.
-    pub fn is_enforced(&self, doc: &Document, encrypted_roots: &[NodeId]) -> bool {
+    pub fn is_enforced(&self, doc: &impl TreeView, encrypted_roots: &[NodeId]) -> bool {
         let inside = |n: NodeId| {
             encrypted_roots
                 .iter()
-                .any(|&r| r == n || doc.ancestors(n).contains(&r))
+                .any(|&r| r == n || ancestors(doc, n).any(|a| a == r))
         };
         match self {
-            SecurityConstraint::NodeType(p) => eval_document(doc, p).into_iter().all(inside),
+            SecurityConstraint::NodeType(p) => eval(doc, p).into_iter().all(inside),
             SecurityConstraint::Association { context, q1, q2 } => {
-                eval_document(doc, context).into_iter().all(|x| {
+                eval(doc, context).into_iter().all(|x| {
                     let n1 = eval_from(doc, q1, &[x]);
                     let n2 = eval_from(doc, q2, &[x]);
                     // If either endpoint has no bindings there is no
@@ -152,6 +154,18 @@ impl SecurityConstraint {
             }
         }
     }
+}
+
+/// The ancestors of `n`, nearest first.
+pub(crate) fn ancestors(doc: &impl TreeView, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    iter::successors(doc.parent_of(n), |&p| doc.parent_of(p))
+}
+
+/// The number of nodes in `n`'s subtree, `n`, attributes and text included.
+pub(crate) fn subtree_len(doc: &impl TreeView, n: NodeId) -> usize {
+    let mut len = 0;
+    doc.for_each_in_subtree(n, |_| len += 1);
+    len
 }
 
 impl fmt::Display for SecurityConstraint {
@@ -168,6 +182,7 @@ impl fmt::Display for SecurityConstraint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exq_xml::Document;
 
     fn doc() -> Document {
         Document::parse(

@@ -16,9 +16,9 @@
 //! * [`solve_matching`] — the classic maximal-matching 2-approximation,
 //!   kept as an ablation baseline.
 
-use crate::constraints::SecurityConstraint;
-use exq_xml::Document;
-use exq_xpath::{eval_document, Path};
+use crate::constraints::{subtree_len, SecurityConstraint};
+use exq_xml::TreeView;
+use exq_xpath::{eval, Path};
 use std::collections::HashMap;
 
 /// A vertex: an absolute endpoint path plus its encryption cost.
@@ -44,7 +44,7 @@ impl ConstraintGraph {
     /// Builds the graph from the association SCs in `constraints`, weighting
     /// vertices by their encryption cost on `doc`. Node-type SCs do not
     /// appear in the graph (they are unconditionally encrypted).
-    pub fn build(doc: &Document, constraints: &[SecurityConstraint]) -> ConstraintGraph {
+    pub fn build(doc: &impl TreeView, constraints: &[SecurityConstraint]) -> ConstraintGraph {
         let mut g = ConstraintGraph::default();
         let mut index: HashMap<String, usize> = HashMap::new();
         for sc in constraints {
@@ -62,7 +62,7 @@ impl ConstraintGraph {
 
     fn intern_vertex(
         &mut self,
-        doc: &Document,
+        doc: &impl TreeView,
         index: &mut HashMap<String, usize>,
         path: Path,
     ) -> usize {
@@ -70,10 +70,10 @@ impl ConstraintGraph {
         if let Some(&i) = index.get(&key) {
             return i;
         }
-        let bound = eval_document(doc, &path);
+        let bound = eval(doc, &path);
         let weight: u64 = bound
             .iter()
-            .map(|&n| doc.subtree_size(n) as u64 + 1) // +1 models the decoy
+            .map(|&n| subtree_len(doc, n) as u64 + 1) // +1 models the decoy
             .sum();
         let v = CoverVertex {
             path,
@@ -216,6 +216,7 @@ pub fn solve_matching(g: &ConstraintGraph) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exq_xml::Document;
 
     fn doc() -> Document {
         Document::parse(

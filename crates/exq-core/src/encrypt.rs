@@ -33,8 +33,9 @@ use exq_index::{
     dsi::{DsiLabeling, Interval},
     BlockTable, DsiIndexTable, ValueIndex,
 };
-use exq_xml::{escape_attr, escape_text, Document, NodeId, NodeKind};
+use exq_xml::{write_xml, NodeId, NodeType, Span, SpanDocument, TreeView};
 use rand::Rng;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -211,7 +212,7 @@ pub struct EncryptedOutput {
 
 /// Applies `scheme` to `doc`, producing the hosted artifacts.
 pub fn encrypt_database(
-    doc: &Document,
+    doc: &impl TreeView,
     scheme: &EncryptionScheme,
     keys: &KeyChain,
     rng: &mut impl Rng,
@@ -222,8 +223,8 @@ pub fn encrypt_database(
     // 1–3. Decoys, the DSI labeling of the result (block internals
     //      included: their intervals go into the DSI table under encrypted
     //      tags) and block membership.
-    let encoder = Encoder::new(doc, &scheme.targets, keys, 0, 0, |working| {
-        Ok(DsiLabeling::assign(working, rng))
+    let encoder = Encoder::new(doc, &scheme.targets, keys, 0, 0, |text| {
+        Ok(DsiLabeling::assign(text, rng))
     })?;
 
     // 4. Every OPESS plan drafted: the set-up's last draws from `rng`,
@@ -322,12 +323,17 @@ pub fn encrypt_database(
 /// labeling and the nonces. Each caller keeps its own OPESS step: set-up
 /// drafts plans from [`Encoder::values`] and an insert extends the stored
 /// ones.
-pub(crate) struct Encoder<'t> {
-    /// The document with a decoy written into each decoyed target.
-    working: Document,
-    targets: &'t [EncryptionTarget],
+///
+/// The encoder reads its document once, as text: each block's plaintext
+/// and the visible text are slices of it.
+pub(crate) struct Encoder {
+    /// The document as the writer writes it, each decoyed target's decoy
+    /// its last child, read back as a span document.
+    text: SpanDocument,
+    /// Each target's node in `text`: the `i`-th is block `first_id + i`.
+    targets: Vec<NodeId>,
     labeling: DsiLabeling,
-    /// Each node's block id, by arena index.
+    /// Each node's block id, by node number.
     block_of: Vec<Option<u32>>,
     first_id: u32,
 }
@@ -347,107 +353,142 @@ pub(crate) struct Sealed {
     pub(crate) plain_tags: HashSet<String>,
 }
 
-impl<'t> Encoder<'t> {
-    /// Writes a decoy into each decoyed target, the `i`-th target's drawn
-    /// at `decoy_base ^ i`; labels the result with `label`; and puts the
-    /// `i`-th target's subtree in block `first_id + i`.
+impl Encoder {
+    /// Writes `doc` once with a decoy as the last child of each decoyed
+    /// target, the `i`-th target's drawn at `decoy_base ^ i`; reads the
+    /// text back; labels it with `label`; and puts the `i`-th target's
+    /// subtree in block `first_id + i`.
     pub(crate) fn new(
-        doc: &Document,
-        targets: &'t [EncryptionTarget],
+        doc: &impl TreeView,
+        targets: &[EncryptionTarget],
         keys: &KeyChain,
         decoy_base: u64,
         first_id: u32,
-        label: impl FnOnce(&Document) -> Result<DsiLabeling, CoreError>,
+        label: impl FnOnce(&SpanDocument) -> Result<DsiLabeling, CoreError>,
     ) -> Result<Self, CoreError> {
-        let mut working = doc.clone();
-        let decoy_prf = keys.decoy_prf();
+        let root = doc.root().ok_or(CoreError::EmptyDocument)?;
+        let slots = targets.iter().map(|t| t.node.index() + 1).max();
+        let mut target_at = vec![None; slots.unwrap_or(0)];
         for (i, t) in targets.iter().enumerate() {
-            if t.decoy {
-                let decoy_el = working.add_element(Some(t.node), DECOY_TAG);
-                working.add_text(decoy_el, &decoy_value(&decoy_prf, decoy_base ^ i as u64));
-            }
+            target_at[t.node.index()] = Some(i);
         }
-        let labeling = label(&working)?;
-        let mut block_of = vec![None; working.arena_len()];
-        for (id, t) in (first_id..).zip(targets) {
-            for n in working.descendants(t.node) {
-                block_of[n.index()] = Some(id);
+        let target_at = |n: NodeId| target_at.get(n.index()).copied().flatten();
+        // The text numbers its nodes in document order, a decoy's element
+        // and text right after the rest of its target's subtree.
+        let mut numbers = vec![NodeId(0); targets.len()];
+        let mut written = 0;
+        doc.for_each_in_subtree(root, |n| {
+            if let Some(i) = target_at(n) {
+                numbers[i] = NodeId(written);
+                written += 2 * u32::from(targets[i].decoy);
             }
+            written += 1;
+        });
+        let decoy_prf = keys.decoy_prf();
+        let mut xml = String::new();
+        write_xml(doc, root, &mut xml, &mut |e, out| {
+            if let Some(i) = target_at(e).filter(|&i| targets[i].decoy) {
+                let value = decoy_value(&decoy_prf, decoy_base ^ i as u64);
+                out.push_str(&format!("<{DECOY_TAG}>{value}</{DECOY_TAG}>"));
+            }
+        });
+        let unreadable = |why: String| CoreError::Query(format!("document text: {why}"));
+        let text = SpanDocument::parse(&xml).map_err(|e| unreadable(e.to_string()))?;
+        if text.len() != written as usize {
+            return Err(unreadable(format!(
+                "{} nodes read back of {written} written (whitespace-only or adjacent text?)",
+                text.len()
+            )));
+        }
+        let labeling = label(&text)?;
+        let mut block_of = vec![None; text.len()];
+        for (id, &t) in (first_id..).zip(&numbers) {
+            text.for_each_in_subtree(t, |n| block_of[n.index()] = Some(id));
         }
         Ok(Encoder {
-            working,
-            targets,
+            text,
+            targets: numbers,
             labeling,
             block_of,
             first_id,
         })
     }
 
-    /// Seals each target under the nonce `nonce(id, plaintext)` gives it,
-    /// writes the visible document, and files every DSI entry: plaintext
-    /// tags outside blocks, encrypted ones with adjacent same-tag grouping
-    /// inside them.
+    /// Seals each target's slice of the text under the nonce `nonce(id,
+    /// plaintext)` gives it, cuts the visible text out, and files every
+    /// DSI entry: plaintext tags outside blocks, encrypted ones with
+    /// adjacent same-tag grouping inside them.
     pub(crate) fn seal(
         &self,
         keys: &KeyChain,
         nonce: impl Fn(u32, &[u8]) -> [u8; 12],
         tags: &mut TagMemo,
     ) -> Sealed {
-        let working = &self.working;
-        // The plaintexts are dropped before the walks below: held through
-        // them, they would raise a set-up's peak memory by their size.
-        let blocks = {
-            let plaintexts: Vec<String> = self
-                .targets
-                .iter()
-                .map(|t| working.node_to_xml(t.node))
-                .collect();
-            let to_seal: Vec<(u32, [u8; 12], &[u8])> = (self.first_id..)
-                .zip(&plaintexts)
-                .map(|(id, xml)| (id, nonce(id, xml.as_bytes()), xml.as_bytes()))
-                .collect();
-            seal_blocks(&keys.block_key(), &to_seal)
-        };
+        let to_seal: Vec<(u32, [u8; 12], &[u8])> = (self.first_id..)
+            .zip(&self.targets)
+            .map(|(id, &t)| {
+                let xml = self.text.xml(t).as_bytes();
+                (id, nonce(id, xml), xml)
+            })
+            .collect();
         let block_entries = (self.first_id..)
-            .zip(self.targets)
-            .map(|(id, t)| (self.labeling.interval(t.node).expect("target labeled"), id))
+            .zip(&self.targets)
+            .map(|(id, &t)| (self.labeling.interval(t).expect("target labeled"), id))
             .collect();
         let mut sealed = Sealed {
-            blocks,
-            visible: build_visible(working, &self.block_of),
+            blocks: seal_blocks(&keys.block_key(), &to_seal),
+            visible: self.visible(),
             block_entries,
             dsi_entries: BTreeMap::new(),
             encrypted_tags: HashSet::new(),
             plain_tags: HashSet::new(),
         };
-        let root = working.root().expect("a document to encode has a root");
-        self.file_dsi_entries(root, tags, &mut sealed);
+        self.file_dsi_entries(NodeId(0), tags, &mut sealed);
         sealed
+    }
+
+    /// The text with each block's slice cut out, and the offset where each
+    /// was cut out. An element whose children were all cut is `<x></x>`,
+    /// so every offset lies inside its parent.
+    fn visible(&self) -> VisibleFragment {
+        let mut cuts: Vec<Span> = self.targets.iter().map(|&t| self.text.span(t)).collect();
+        cuts.sort_unstable_by_key(|cut| cut.start);
+        let text = self.text.text();
+        let mut frag = VisibleFragment::default();
+        let mut from = 0;
+        for cut in cuts {
+            frag.xml.push_str(&text[from..cut.start]);
+            frag.offsets.push(frag.xml.len() as u32);
+            from = cut.end;
+        }
+        frag.xml.push_str(&text[from..]);
+        frag
     }
 
     /// [`Encoder::seal`]'s DSI walk from `node`, and the vocabulary.
     fn file_dsi_entries(&self, node: NodeId, tags: &mut TagMemo, out: &mut Sealed) {
-        let (doc, block_of, labeling) = (&self.working, &self.block_of, &self.labeling);
+        let (doc, block_of, labeling) = (&self.text, &self.block_of, &self.labeling);
         let table = &mut out.dsi_entries;
         // Attributes first (no grouping: names are unique per element).
-        for &a in doc.node(node).attrs() {
-            if let NodeKind::Attribute(at, _) = doc.node(a).kind() {
-                let name = format!("@{}", doc.tag_name(*at));
-                let iv = labeling.interval(a).expect("attribute labeled");
-                if block_of[a.index()].is_some() {
-                    add(table, tags.encrypt(&name), iv);
-                    out.encrypted_tags.insert(name);
-                } else {
-                    add(table, &name, iv);
-                    out.plain_tags.insert(name);
-                }
+        doc.for_each_attr(node, |a| {
+            let NodeType::Attribute(at) = doc.node_type(a) else {
+                unreachable!("an attribute walk yields attributes");
+            };
+            let name = format!("@{}", doc.name(at));
+            let iv = labeling.interval(a).expect("attribute labeled");
+            if block_of[a.index()].is_some() {
+                add(table, tags.encrypt(&name), iv);
+                out.encrypted_tags.insert(name);
+            } else {
+                add(table, &name, iv);
+                out.plain_tags.insert(name);
             }
-        }
+        });
         // The node itself.
-        let NodeKind::Element(t) = doc.node(node).kind() else {
+        let NodeType::Element(t) = doc.node_type(node) else {
             return;
         };
-        let name = doc.tag_name(*t);
+        let name = doc.name(t);
         let iv = labeling.interval(node).expect("element labeled");
         if block_of[node.index()].is_some() {
             out.encrypted_tags.insert(name.to_owned());
@@ -455,7 +496,7 @@ impl<'t> Encoder<'t> {
             // parent's grouping pass below; the only element without a
             // parent pass is the root (of the document under the `top`
             // scheme, or of an inserted record that is a block).
-            if doc.node(node).parent().is_none() {
+            if doc.parent_of(node).is_none() {
                 add(table, tags.encrypt(name), iv);
             }
         } else {
@@ -465,13 +506,12 @@ impl<'t> Encoder<'t> {
         // Grouping pass over element children that live inside blocks:
         // runs of adjacent same-tag children in the same block merge into
         // one span interval (§5.1.1).
-        let children = doc.node(node).children();
         let mut run: Option<(&str, u32, Interval)> = None;
-        for &c in children {
-            let cur = match doc.node(c).kind() {
-                NodeKind::Element(ct) => block_of[c.index()].map(|b| {
+        doc.for_each_child(node, |c| {
+            let cur = match doc.node_type(c) {
+                NodeType::Element(ct) => block_of[c.index()].map(|b| {
                     let iv = labeling.interval(c).expect("child labeled");
-                    (doc.tag_name(*ct), b, iv)
+                    (doc.name(ct), b, iv)
                 }),
                 _ => None,
             };
@@ -486,33 +526,31 @@ impl<'t> Encoder<'t> {
                     *prev = cur;
                 }
             }
-        }
+        });
         if let Some((rt, _, riv)) = run {
             add(table, tags.encrypt(rt), riv);
         }
-        for &c in children {
-            self.file_dsi_entries(c, tags, out);
-        }
+        doc.for_each_child(node, |c| self.file_dsi_entries(c, tags, out));
     }
 
     /// The leaf values inside blocks, in document order: `(attribute,
     /// value, block id)`, the attribute being a text's element tag or
     /// `@name`. Decoys have none.
-    pub(crate) fn values(&self) -> impl Iterator<Item = (String, &str, u32)> {
-        let doc = &self.working;
-        doc.iter().filter_map(move |n| {
+    pub(crate) fn values(&self) -> impl Iterator<Item = (String, Cow<'_, str>, u32)> {
+        let doc = &self.text;
+        (0..doc.len() as u32).map(NodeId).filter_map(move |n| {
             let b = self.block_of[n.index()]?;
-            match doc.node(n).kind() {
-                NodeKind::Text(v) => {
-                    let parent = doc.node(n).parent().expect("text has parent");
-                    let tag = doc.element_name(parent).filter(|&t| t != DECOY_TAG)?;
-                    Some((tag.to_owned(), v.as_str(), b))
-                }
-                NodeKind::Attribute(at, v) => {
-                    Some((format!("@{}", doc.tag_name(*at)), v.as_str(), b))
-                }
-                NodeKind::Element(_) => None,
-            }
+            let attr = match doc.node_type(n) {
+                NodeType::Text => match doc.node_type(doc.parent_of(n)?) {
+                    NodeType::Element(tag) if doc.name(tag) != DECOY_TAG => {
+                        doc.name(tag).to_owned()
+                    }
+                    _ => return None,
+                },
+                NodeType::Attribute(at) => format!("@{}", doc.name(at)),
+                NodeType::Element(_) => return None,
+            };
+            Some((attr, doc.string_value(n), b))
         })
     }
 }
@@ -524,64 +562,6 @@ fn decoy_value(prf: &exq_crypto::Prf, i: u64) -> String {
     buf.iter()
         .map(|&b| ALPHA[b as usize % 26] as char)
         .collect()
-}
-
-/// Writes the visible part of `working` as its writer would, each block
-/// cut out and the offset where it was cut out written. An element whose
-/// only children are blocks is written `<x></x>`, so every offset lies
-/// inside its parent. The one builder of visible documents: set-up and
-/// inserts both call it.
-pub(crate) fn build_visible(working: &Document, block_of: &[Option<u32>]) -> VisibleFragment {
-    let mut frag = VisibleFragment::default();
-    if let Some(root) = working.root() {
-        write_node(working, block_of, root, &mut frag);
-    }
-    frag
-}
-
-/// [`build_visible`]'s walk.
-fn write_node(
-    working: &Document,
-    block_of: &[Option<u32>],
-    node: NodeId,
-    frag: &mut VisibleFragment,
-) {
-    if block_of[node.index()].is_some() {
-        frag.offsets.push(frag.xml.len() as u32);
-        return;
-    }
-    let xml = &mut frag.xml;
-    match working.node(node).kind() {
-        NodeKind::Text(t) => xml.push_str(&escape_text(t)),
-        NodeKind::Element(t) => {
-            let name = working.tag_name(*t);
-            xml.push('<');
-            xml.push_str(name);
-            for &a in working.node(node).attrs() {
-                if let NodeKind::Attribute(an, v) = working.node(a).kind() {
-                    xml.push(' ');
-                    xml.push_str(working.tag_name(*an));
-                    xml.push_str("=\"");
-                    xml.push_str(&escape_attr(v));
-                    xml.push('"');
-                }
-            }
-            let children = working.node(node).children();
-            if children.is_empty() {
-                xml.push_str("/>");
-                return;
-            }
-            xml.push('>');
-            for &c in children {
-                write_node(working, block_of, c, frag);
-            }
-            let xml = &mut frag.xml;
-            xml.push_str("</");
-            xml.push_str(name);
-            xml.push('>');
-        }
-        NodeKind::Attribute(..) => unreachable!("attributes handled with their element"),
-    }
 }
 
 /// The tag cipher behind a memo: a build encrypts each distinct name once,
@@ -637,36 +617,33 @@ struct AttrDraft {
 /// Drafts an OPESS plan per attribute of `values`, the leaf values inside
 /// blocks as [`Encoder::values`] walks them, attributes in name order.
 fn draft_value_indexes<'v>(
-    values: impl Iterator<Item = (String, &'v str, u32)>,
+    values: impl Iterator<Item = (String, Cow<'v, str>, u32)>,
     keys: &KeyChain,
     rng: &mut impl Rng,
 ) -> Result<Vec<AttrDraft>, CoreError> {
-    // attribute name -> [(value, block id)]
-    let mut occ: HashMap<String, Vec<(&str, u32)>> = HashMap::new();
+    // attribute name -> [(value, block id)], in name order for
+    // reproducibility.
+    let mut occ: BTreeMap<String, Vec<(Cow<str>, u32)>> = BTreeMap::new();
     for (attr, v, b) in values {
         occ.entry(attr).or_default().push((v, b));
     }
-
-    // Deterministic iteration order for reproducibility.
-    let mut occ: Vec<(String, Vec<(&str, u32)>)> = occ.into_iter().collect();
-    occ.sort_by(|a, b| a.0.cmp(&b.0));
     let mut drafts = Vec::with_capacity(occ.len());
     for (attr, occurrences) in occ {
         let distinct: Vec<&str> = {
-            let mut v: Vec<&str> = occurrences.iter().map(|&(s, _)| s).collect();
+            let mut v: Vec<&str> = occurrences.iter().map(|(s, _)| s.as_ref()).collect();
             v.sort();
             v.dedup();
             v
         };
         let codec = ValueCodec::build(&distinct);
         let mut blocks: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (v, b) in occurrences {
+        for (v, b) in &occurrences {
             let Some(x) = codec.encode(v) else {
                 return Err(CoreError::Opess(format!(
                     "value `{v}` of `{attr}` not encodable"
                 )));
             };
-            blocks.entry(x.to_bits()).or_default().push(b);
+            blocks.entry(x.to_bits()).or_default().push(*b);
         }
         // The histogram in the encoded domain.
         let hist: Vec<(f64, u32)> = blocks
@@ -752,6 +729,7 @@ mod tests {
     use crate::constraints::SecurityConstraint;
     use crate::scheme::{EncryptionScheme, SchemeKind};
     use exq_crypto::open_block;
+    use exq_xml::Document;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -941,6 +919,20 @@ mod tests {
             whole.detach(decoy);
         }
         assert_eq!(whole.to_xml(), d.to_xml());
+    }
+
+    /// A tree whose text reads back as another tree (here a
+    /// whitespace-only text, which a reader drops) is refused: its targets
+    /// could not be found in the text by number.
+    #[test]
+    fn a_document_that_does_not_read_back_as_itself_is_refused() {
+        let mut d = doc();
+        let root = d.root().unwrap();
+        d.add_text(root, "  ");
+        let s = EncryptionScheme::build(&d, &constraints(), SchemeKind::Opt).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let refused = encrypt_database(&d, &s, &KeyChain::from_seed(77), &mut rng);
+        assert!(matches!(refused, Err(CoreError::Query(m)) if m.contains("read back")));
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! minimum cover), `App` (Clarkson's greedy), `Sub` (parents of the `Opt`
 //! targets), and `Top` (the whole document as one block).
 
-use crate::constraints::SecurityConstraint;
+use crate::constraints::{ancestors, subtree_len, SecurityConstraint};
 use crate::cover::{solve_clarkson, solve_exact, solve_matching, ConstraintGraph};
 use crate::error::CoreError;
-use exq_xml::{Document, NodeId, NodeKind};
-use exq_xpath::{eval_document, Path};
+use exq_xml::{NodeId, NodeType, TreeView};
+use exq_xpath::{eval, Path};
 use std::collections::BTreeSet;
 
 /// Which scheme-construction strategy to use (§7.1).
@@ -84,7 +84,7 @@ impl EncryptionScheme {
     /// Builds the scheme of the given kind for `doc` under `constraints`:
     /// chooses the paths, then binds them with [`Self::targets_of`].
     pub fn build(
-        doc: &Document,
+        doc: &impl TreeView,
         constraints: &[SecurityConstraint],
         kind: SchemeKind,
     ) -> Result<EncryptionScheme, CoreError> {
@@ -109,12 +109,12 @@ impl EncryptionScheme {
     /// to its parent; targets nested in another are dropped, and each
     /// leaf element carries a decoy. Set-up applies it to the whole
     /// document and an insert to the new record.
-    pub fn targets_of(doc: &Document, paths: &[Path], lift: bool) -> Vec<EncryptionTarget> {
+    pub fn targets_of(doc: &impl TreeView, paths: &[Path], lift: bool) -> Vec<EncryptionTarget> {
         let mut roots = BTreeSet::new();
         for p in paths {
-            for n in eval_document(doc, p) {
+            for n in eval(doc, p) {
                 let el = element_target(doc, n);
-                roots.insert(match doc.node(el).parent() {
+                roots.insert(match doc.parent_of(el) {
                     Some(parent) if lift => parent,
                     _ => el,
                 });
@@ -131,10 +131,10 @@ impl EncryptionScheme {
 
     /// The size |S| of the scheme (Definition 4.1): total nodes across all
     /// encryption blocks, counting one decoy node per decoy block.
-    pub fn size(&self, doc: &Document) -> u64 {
+    pub fn size(&self, doc: &impl TreeView) -> u64 {
         self.targets
             .iter()
-            .map(|t| doc.subtree_size(t.node) as u64 + u64::from(t.decoy))
+            .map(|t| subtree_len(doc, t.node) as u64 + u64::from(t.decoy))
             .sum()
     }
 
@@ -144,7 +144,7 @@ impl EncryptionScheme {
     }
 
     /// Checks that every SC is enforced by this scheme (Theorem 4.1 setup).
-    pub fn enforces(&self, doc: &Document, constraints: &[SecurityConstraint]) -> bool {
+    pub fn enforces(&self, doc: &impl TreeView, constraints: &[SecurityConstraint]) -> bool {
         let roots = self.roots();
         constraints.iter().all(|sc| sc.is_enforced(doc, &roots))
     }
@@ -153,7 +153,7 @@ impl EncryptionScheme {
 /// The node-type SC paths, then the association endpoints `solver` covers
 /// the constraint graph with.
 fn cover_paths(
-    doc: &Document,
+    doc: &impl TreeView,
     constraints: &[SecurityConstraint],
     solver: fn(&ConstraintGraph) -> Vec<usize>,
 ) -> Vec<Path> {
@@ -171,38 +171,37 @@ fn cover_paths(
 
 /// Encryption targets must be elements: attribute and text bindings are
 /// lifted to their parent element.
-fn element_target(doc: &Document, n: NodeId) -> NodeId {
-    match doc.node(n).kind() {
-        NodeKind::Element(_) => n,
-        _ => doc
-            .node(n)
-            .parent()
-            .expect("attribute/text nodes have parents"),
+fn element_target(doc: &impl TreeView, n: NodeId) -> NodeId {
+    match doc.node_type(n) {
+        NodeType::Element(_) => n,
+        _ => doc.parent_of(n).expect("attribute/text nodes have parents"),
     }
 }
 
 /// Removes targets nested inside other targets (the outer block already
 /// covers them).
-fn normalize(doc: &Document, roots: BTreeSet<NodeId>) -> Vec<NodeId> {
+fn normalize(doc: &impl TreeView, roots: BTreeSet<NodeId>) -> Vec<NodeId> {
     roots
         .iter()
         .copied()
-        .filter(|&n| !doc.ancestors(n).iter().any(|a| roots.contains(a)))
+        .filter(|&n| !ancestors(doc, n).any(|a| roots.contains(&a)))
         .collect()
 }
 
 /// True for elements whose element-children are none (their content is only
 /// text/attributes) — the paper's "leaf element" that needs a decoy.
-fn is_leaf_element(doc: &Document, n: NodeId) -> bool {
-    doc.node(n)
-        .children()
-        .iter()
-        .all(|&c| !doc.node(c).is_element())
+fn is_leaf_element(doc: &impl TreeView, n: NodeId) -> bool {
+    let mut leaf = true;
+    doc.for_each_child(n, |c| {
+        leaf &= !matches!(doc.node_type(c), NodeType::Element(_));
+    });
+    leaf
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exq_xml::Document;
 
     fn doc() -> Document {
         Document::parse(

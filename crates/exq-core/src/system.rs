@@ -17,7 +17,7 @@ use crate::server::Server;
 use crate::telemetry;
 use crate::transport::{InProcess, Transport};
 use exq_crypto::KeyChain;
-use exq_xml::Document;
+use exq_xml::TreeView;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -86,7 +86,7 @@ impl Outsourcer {
     /// (keys, DSI gaps, OPESS weights/scales, decoys) for reproducibility.
     pub fn outsource(
         &self,
-        doc: &Document,
+        doc: &impl TreeView,
         constraints: &[SecurityConstraint],
         kind: SchemeKind,
         seed: u64,
@@ -349,6 +349,7 @@ fn simulate_decrypt(config: &OutsourceConfig, block_bytes: &[usize]) -> Duration
 mod tests {
     use super::*;
     use crate::constraints::SecurityConstraint;
+    use exq_xml::Document;
 
     fn doc() -> Document {
         Document::parse("<r><p><n>Betty</n><s>763895</s></p><p><n>Matt</n><s>276543</s></p></r>")

@@ -51,7 +51,7 @@ use crate::visible::{VisibleFragment, VisibleText};
 use exq_crypto::{OpessPlan, SealedBlock};
 use exq_index::dsi::{DsiLabeling, Interval};
 use exq_index::sjoin::{sort_intervals, IntervalUniverse};
-use exq_xml::Document;
+use exq_xml::SpanDocument;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -328,17 +328,17 @@ impl Client {
         record_xml: &str,
         seed: u64,
     ) -> Result<InsertDelta, CoreError> {
-        let record = Document::parse(record_xml).map_err(|e| CoreError::Query(e.to_string()))?;
-        record.root().ok_or(CoreError::EmptyDocument)?;
+        let record =
+            SpanDocument::parse(record_xml).map_err(|e| CoreError::Query(e.to_string()))?;
         let mut rng = StdRng::seed_from_u64(seed);
         let state = self.state();
         let keys = &state.keys;
         let targets =
             EncryptionScheme::targets_of(&record, &state.scheme_paths, state.lift_to_parent);
-        let label = |working: &Document| {
-            DsiLabeling::assign_in_slot(working, &mut rng, slot.gap_lo, slot.gap_hi).ok_or_else(
-                || CoreError::Query("insertion slot exhausted; re-outsource to relabel".into()),
-            )
+        let label = |text: &SpanDocument| {
+            DsiLabeling::assign_in_slot(text, &mut rng, slot.gap_lo, slot.gap_hi).ok_or_else(|| {
+                CoreError::Query("insertion slot exhausted; re-outsource to relabel".into())
+            })
         };
         let (decoy_base, first_id) = (slot.gap_lo, slot.next_block_id);
         let encoder = Encoder::new(&record, &targets, keys, decoy_base, first_id, label)?;
@@ -351,7 +351,7 @@ impl Client {
         let mut value_entries = Vec::new();
         for (attr, value, block) in encoder.values() {
             let enc_attr = tags.encrypt(&attr).to_owned();
-            for (c, scale) in self.value_ciphers_for_insert(&attr, value, &mut rng)? {
+            for (c, scale) in self.value_ciphers_for_insert(&attr, &value, &mut rng)? {
                 value_entries.extend(iter::repeat_n((enc_attr.clone(), c, block), scale as usize));
             }
         }

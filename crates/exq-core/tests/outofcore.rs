@@ -432,8 +432,8 @@ fn aggregates_and_naive_path_work_paged() {
         .aggregate(&paged, "//policy/@coverage", Aggregate::Max)
         .unwrap();
     assert_eq!(max.value.as_deref(), Some("1000000"));
-    let naive_a = client.export(&resident).unwrap().unwrap().to_xml();
-    let naive_b = client.export(&paged).unwrap().unwrap().to_xml();
+    let naive_a = client.export(&resident).unwrap().unwrap().into_text();
+    let naive_b = client.export(&paged).unwrap().unwrap().into_text();
     assert_eq!(naive_a, naive_b, "naive export diverged out-of-core");
     drop(db);
     std::fs::remove_dir_all(&dir).ok();

@@ -157,7 +157,7 @@ fn fully_encrypted_root_round_trips() {
 
     // Export recovers the full plaintext even with nothing visible.
     let recovered = client.export(&server).unwrap().expect("export content");
-    let xml = recovered.to_xml();
+    let xml = recovered.text();
     for v in ["Betty", "763895", "Matt", "276543"] {
         assert!(xml.contains(v), "missing {v} in export");
     }

@@ -22,7 +22,7 @@
 //!   labeling (Al-Khalifa et al. \[4\]) used by the ablation experiment to
 //!   show the information leak the paper describes.
 
-use exq_xml::{Document, NodeId};
+use exq_xml::{NodeId, TreeView};
 use rand::Rng;
 
 /// A structural interval. Invariant: `lo < hi`.
@@ -81,20 +81,10 @@ pub const UPDATE_STRIDE: u64 = 1 << 20;
 
 impl DsiLabeling {
     /// Assigns DSI intervals to every live node (elements, attributes, and
-    /// text leaves) with random gaps drawn from `rng`. Uses
-    /// [`UPDATE_STRIDE`] so gaps can absorb future insertions.
-    pub fn assign(doc: &Document, rng: &mut impl Rng) -> DsiLabeling {
-        Self::assign_with_stride(doc, rng, UPDATE_STRIDE)
-    }
-
-    /// Assigns with an explicit gap stride (`1` = densest labeling).
-    pub fn assign_with_stride(doc: &Document, rng: &mut impl Rng, stride: u64) -> DsiLabeling {
-        let mut intervals = vec![None; doc_arena_len(doc)];
-        let mut counter: u64 = 0;
-        if let Some(root) = doc.root() {
-            label(doc, root, &mut counter, rng, &mut intervals, stride.max(1));
-        }
-        DsiLabeling { intervals }
+    /// text leaves) with random gaps drawn from `rng`. Each gap unit spans
+    /// [`UPDATE_STRIDE`] positions, so gaps can absorb future insertions.
+    pub fn assign(doc: &impl TreeView, rng: &mut impl Rng) -> DsiLabeling {
+        Self::label_from(doc, rng, 0, UPDATE_STRIDE)
     }
 
     /// Labels a standalone fragment so that every assigned position falls
@@ -103,12 +93,12 @@ impl DsiLabeling {
     /// existing gap without relabeling anything else. Returns `None` when
     /// the slot is too narrow for the fragment.
     pub fn assign_in_slot(
-        doc: &Document,
+        doc: &impl TreeView,
         rng: &mut impl Rng,
         slot_lo: u64,
         slot_hi: u64,
     ) -> Option<DsiLabeling> {
-        let events = 2 * doc.len() as u64 + 2;
+        let events = 2 * live_nodes(doc).len() as u64 + 2;
         let width = slot_hi.checked_sub(slot_lo)?.checked_sub(1)?;
         if width < events {
             return None;
@@ -121,23 +111,29 @@ impl DsiLabeling {
         if width / stride < events {
             return None;
         }
-        let mut intervals = vec![None; doc_arena_len(doc)];
-        let mut counter: u64 = slot_lo;
-        if let Some(root) = doc.root() {
-            label(doc, root, &mut counter, rng, &mut intervals, stride);
-        }
-        (counter < slot_hi).then_some(DsiLabeling { intervals })
+        let labeling = Self::label_from(doc, rng, slot_lo, stride);
+        let end = doc.root().and_then(|r| labeling.interval(r));
+        (end.map_or(slot_lo, |iv| iv.hi) < slot_hi).then_some(labeling)
     }
 
     /// The continuous (gap-free) labeling of the ablation baseline: the DFS
     /// counter advances by exactly one per structural event, so sibling
     /// intervals are adjacent and grouping becomes detectable.
-    pub fn assign_continuous(doc: &Document) -> DsiLabeling {
-        let mut intervals = vec![None; doc_arena_len(doc)];
-        let mut counter: u64 = 0;
+    pub fn assign_continuous(doc: &impl TreeView) -> DsiLabeling {
+        Self::label_from(doc, &mut rand::rngs::mock::StepRng::new(0, 0), 0, 0)
+    }
+
+    /// Labels `doc` in one document-order walk from `counter`, each gap
+    /// [`gap`] units of `stride`.
+    fn label_from(
+        doc: &impl TreeView,
+        rng: &mut impl Rng,
+        mut counter: u64,
+        stride: u64,
+    ) -> DsiLabeling {
+        let mut intervals = vec![None; slots(doc)];
         if let Some(root) = doc.root() {
-            let mut no_rng = rand::rngs::mock::StepRng::new(0, 0);
-            label(doc, root, &mut counter, &mut no_rng, &mut intervals, 0);
+            label(doc, root, &mut counter, rng, &mut intervals, stride);
         }
         DsiLabeling { intervals }
     }
@@ -157,8 +153,8 @@ impl DsiLabeling {
 
     /// Validates the DSI invariants over the document; returns a violation
     /// description if any. Used by tests and the experiment harness.
-    pub fn validate(&self, doc: &Document) -> Result<(), String> {
-        for id in doc.iter() {
+    pub fn validate(&self, doc: &impl TreeView) -> Result<(), String> {
+        for id in live_nodes(doc) {
             let iv = self
                 .interval(id)
                 .ok_or_else(|| format!("node {id} unlabeled"))?;
@@ -166,10 +162,7 @@ impl DsiLabeling {
                 return Err(format!("degenerate interval at {id}"));
             }
             let mut prev_hi = iv.lo;
-            for c in doc.all_children(id) {
-                if !doc.is_live(c) {
-                    continue;
-                }
+            for c in children(doc, id) {
                 let civ = self
                     .interval(c)
                     .ok_or_else(|| format!("child {c} unlabeled"))?;
@@ -186,13 +179,35 @@ impl DsiLabeling {
     }
 }
 
-fn doc_arena_len(doc: &Document) -> usize {
-    // NodeIds index the arena; take 1 + max live id.
-    doc.iter().map(|n| n.index() + 1).max().unwrap_or(0)
+/// Every live node, in document order.
+fn live_nodes(doc: &impl TreeView) -> Vec<NodeId> {
+    let mut nodes = Vec::new();
+    if let Some(root) = doc.root() {
+        doc.for_each_in_subtree(root, |n| nodes.push(n));
+    }
+    nodes
 }
 
-fn label(
-    doc: &Document,
+/// A node's live attributes, then its live element and text children: the
+/// order labeling walks them in.
+fn children(doc: &impl TreeView, id: NodeId) -> Vec<NodeId> {
+    let mut kids = Vec::new();
+    doc.for_each_attr(id, |c| kids.push(c));
+    doc.for_each_child(id, |c| kids.push(c));
+    kids
+}
+
+/// One slot per node id up to the largest live one.
+fn slots(doc: &impl TreeView) -> usize {
+    let mut slots = 0;
+    if let Some(root) = doc.root() {
+        doc.for_each_in_subtree(root, |n| slots = slots.max(n.index() + 1));
+    }
+    slots
+}
+
+fn label<T: TreeView>(
+    doc: &T,
     id: NodeId,
     counter: &mut u64,
     rng: &mut impl Rng,
@@ -201,16 +216,10 @@ fn label(
 ) {
     *counter += gap(rng, stride);
     let lo = *counter;
-    for c in doc.all_children(id) {
-        if doc.is_live(c) {
-            label(doc, c, counter, rng, out, stride);
-        }
-    }
+    doc.for_each_attr(id, |c| label(doc, c, counter, rng, out, stride));
+    doc.for_each_child(id, |c| label(doc, c, counter, rng, out, stride));
     *counter += gap(rng, stride);
     let hi = *counter;
-    if id.index() >= out.len() {
-        out.resize(id.index() + 1, None);
-    }
     out[id.index()] = Some(Interval::new(lo, hi));
 }
 
@@ -234,8 +243,8 @@ fn gap(rng: &mut impl Rng, stride: u64) -> u64 {
 /// documents: `d` shrinks geometrically with depth and fanout and drops
 /// below `f64` resolution quickly (which is why the production labeling is
 /// integer-based).
-pub fn assign_real(doc: &Document, rng: &mut impl Rng) -> Vec<Option<(f64, f64)>> {
-    let mut out = vec![None; doc_arena_len(doc)];
+pub fn assign_real(doc: &impl TreeView, rng: &mut impl Rng) -> Vec<Option<(f64, f64)>> {
+    let mut out = vec![None; slots(doc)];
     if let Some(root) = doc.root() {
         out[root.index()] = Some((0.0, 1.0));
         label_real(doc, root, (0.0, 1.0), rng, &mut out);
@@ -244,13 +253,13 @@ pub fn assign_real(doc: &Document, rng: &mut impl Rng) -> Vec<Option<(f64, f64)>
 }
 
 fn label_real(
-    doc: &Document,
+    doc: &impl TreeView,
     id: NodeId,
     (min, max): (f64, f64),
     rng: &mut impl Rng,
     out: &mut Vec<Option<(f64, f64)>>,
 ) {
-    let children: Vec<NodeId> = doc.all_children(id).filter(|&c| doc.is_live(c)).collect();
+    let children = children(doc, id);
     let n = children.len();
     if n == 0 {
         return;
@@ -270,6 +279,7 @@ fn label_real(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exq_xml::Document;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

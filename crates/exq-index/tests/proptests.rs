@@ -376,7 +376,7 @@ proptest! {
                     let parent = u.interval(under);
                     let lo = u.last_child(under).map_or(parent.lo, |q| u.interval(q).hi);
                     let mut frag_rng = StdRng::seed_from_u64(frag_seed);
-                    let Some(fl) = DsiLabeling::assign_in_slot(&frag, &mut frag_rng, lo, parent.hi)
+                    let Some(fl) = DsiLabeling::assign_in_slot(&*frag, &mut frag_rng, lo, parent.hi)
                     else {
                         continue;
                     };

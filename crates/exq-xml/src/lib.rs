@@ -40,6 +40,7 @@ mod view;
 
 pub use escape::{escape_attr, escape_text, unescape};
 pub use parse::{ParseError, StartTag, Verdict, MAX_DEPTH};
+pub use serialize::write_xml;
 pub use span::{Cursor, Span, SpanBuilder, SpanDocument};
 pub use tree::{Document, Node, NodeId, NodeKind, TagId};
 pub use view::{NodeType, TreeView};

@@ -1,67 +1,70 @@
-//! Document serialization back to XML text.
+//! Serialization back to XML text: one writer over any [`TreeView`].
 
 use crate::escape::push_escaped;
-use crate::tree::{Document, NodeId, NodeKind};
+use crate::tree::{Document, NodeId};
+use crate::view::{NodeType, TreeView};
+
+/// Appends the serialization of `n` and its subtree to `out`: no XML
+/// declaration, no pretty printing, so the output is byte-stable for
+/// hashing and size metrics. An attribute on its own is `name="value"`,
+/// the form it has in its tag, and an element with nothing written inside
+/// it is `<x/>`. Before each element closes, `last_child(element, out)`
+/// may append content, which then stands as the element's last child.
+/// This is the one writer of canonical XML, and it allocates nothing but
+/// `out`'s growth.
+pub fn write_xml<T: TreeView>(
+    doc: &T,
+    n: NodeId,
+    out: &mut String,
+    last_child: &mut impl FnMut(NodeId, &mut String),
+) {
+    match doc.node_type(n) {
+        NodeType::Text => push_escaped(out, &doc.string_value(n), false),
+        NodeType::Attribute(name) => {
+            out.push_str(doc.name(name));
+            out.push_str("=\"");
+            push_escaped(out, &doc.string_value(n), true);
+            out.push('"');
+        }
+        NodeType::Element(tag) => {
+            let tag = doc.name(tag);
+            out.push('<');
+            out.push_str(tag);
+            doc.for_each_attr(n, |a| {
+                out.push(' ');
+                write_xml(doc, a, out, last_child);
+            });
+            out.push('>');
+            let open = out.len();
+            doc.for_each_child(n, |c| write_xml(doc, c, out, last_child));
+            last_child(n, out);
+            if out.len() == open {
+                out.pop();
+                out.push_str("/>");
+            } else {
+                out.push_str("</");
+                out.push_str(tag);
+                out.push('>');
+            }
+        }
+    }
+}
 
 impl Document {
-    /// Serializes the whole document (no XML declaration, no pretty
-    /// printing — the output is byte-stable for hashing and size metrics).
+    /// Serializes the whole document with [`write_xml`].
     pub fn to_xml(&self) -> String {
-        let mut out = String::new();
-        if let Some(root) = self.root() {
-            self.write_live(root, &mut out);
-        }
-        out
+        self.root()
+            .map_or_else(String::new, |root| self.node_to_xml(root))
     }
 
-    /// Serializes a single subtree.
+    /// Serializes a single subtree with [`write_xml`]; a detached node, and
+    /// so its subtree, writes nothing.
     pub fn node_to_xml(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.write_live(id, &mut out);
+        if self.is_live(id) {
+            write_xml(self, id, &mut out, &mut |_, _| {});
+        }
         out
-    }
-
-    /// Appends a single subtree's serialization to `out`: a caller
-    /// rendering many subtrees reuses one buffer. This is the one writer:
-    /// every serialization goes through it, and it allocates nothing but
-    /// `out`'s growth.
-    pub fn write_live(&self, id: NodeId, out: &mut String) {
-        // A detached node, and so its subtree, writes nothing.
-        if !self.is_live(id) {
-            return;
-        }
-        let n = self.node(id);
-        match &n.kind {
-            NodeKind::Text(t) => push_escaped(out, t, false),
-            // An attribute serialized on its own (outside a tag) renders as
-            // name="value", the same form the Element arm gives it in a tag.
-            NodeKind::Attribute(name, v) => {
-                out.push_str(self.tag_name(*name));
-                out.push_str("=\"");
-                push_escaped(out, v, true);
-                out.push('"');
-            }
-            NodeKind::Element(tag) => {
-                let tag = self.tag_name(*tag);
-                out.push('<');
-                out.push_str(tag);
-                for &a in n.attrs() {
-                    out.push(' ');
-                    self.write_live(a, out);
-                }
-                if n.children().is_empty() {
-                    out.push_str("/>");
-                } else {
-                    out.push('>');
-                    for &c in n.children() {
-                        self.write_live(c, out);
-                    }
-                    out.push_str("</");
-                    out.push_str(tag);
-                    out.push('>');
-                }
-            }
-        }
     }
 
     /// Size in bytes of the serialized document — the metric used for the
@@ -75,6 +78,8 @@ impl Document {
 mod tests {
     use super::*;
     use crate::escape::{escape_attr, escape_text};
+    use crate::tree::NodeKind;
+    use crate::SpanDocument;
 
     /// The serializer as it was before the predicate writer (a `Vec` of live
     /// children per element, a `Cow` per value), kept as the reference.
@@ -147,6 +152,27 @@ mod tests {
             check(&d);
         }
         assert!(d.to_xml().contains("<t/>"));
+    }
+
+    #[test]
+    fn a_last_child_goes_in_before_the_close_tag() {
+        let d = Document::parse("<r a=\"1\"><e/><t>x</t></r>").unwrap();
+        let mut out = String::new();
+        write_xml(&d, d.root().unwrap(), &mut out, &mut |e, out| {
+            if d.element_name(e) != Some("t") {
+                out.push_str("<d>z</d>");
+            }
+        });
+        assert_eq!(out, "<r a=\"1\"><e><d>z</d></e><t>x</t><d>z</d></r>");
+    }
+
+    #[test]
+    fn a_span_document_writes_as_its_text() {
+        let span = SpanDocument::parse(AWKWARD).unwrap();
+        let mut out = String::new();
+        write_xml(&span, span.root().unwrap(), &mut out, &mut |_, _| {});
+        assert_eq!(out, span.text());
+        assert_eq!(out, Document::parse(AWKWARD).unwrap().to_xml());
     }
 
     #[test]

@@ -152,6 +152,10 @@ impl TreeView for SpanDocument {
         self.interner.get(name)
     }
 
+    fn name(&self, tag: TagId) -> &str {
+        self.interner.resolve(tag)
+    }
+
     fn node_type(&self, n: NodeId) -> NodeType {
         match self.entry(n).kind {
             TEXT => NodeType::Text,

@@ -45,8 +45,8 @@ pub struct Node {
     pub(crate) parent: Option<NodeId>,
     /// Attribute children first, then element and text children, each run in
     /// document order. One list, split at `n_attrs`, so serialization and
-    /// the child axis take their half as a slice and structural labeling
-    /// ([`Document::all_children`]) takes the whole.
+    /// the child axis take their half as a slice and a pre-order walk
+    /// ([`Document::descendants`]) takes the whole.
     kids: Kids,
     /// How many entries at the front of `kids` are attributes.
     n_attrs: u32,
@@ -524,12 +524,6 @@ impl Document {
         }
     }
 
-    /// Attribute and regular children, in the order used for structural
-    /// labeling (attributes first, then element/text children).
-    pub fn all_children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.node(id).all_children().iter().copied()
-    }
-
     /// Pre-order traversal of the subtree rooted at `id` (inclusive),
     /// attributes and text included.
     pub fn descendants(&self, id: NodeId) -> Descendants<'_> {
@@ -545,11 +539,6 @@ impl Document {
             doc: self,
             stack: self.root.into_iter().collect(),
         }
-    }
-
-    /// Number of nodes (elements + attributes + text) in the subtree at `id`.
-    pub fn subtree_size(&self, id: NodeId) -> usize {
-        self.descendants(id).count()
     }
 
     /// Depth of a node; the root has depth 0.
@@ -755,13 +744,6 @@ mod tests {
         assert!(d.ancestors(root).is_empty());
     }
 
-    #[test]
-    fn subtree_size_counts_attrs_and_text() {
-        let (d, root, p, _) = sample();
-        assert_eq!(d.subtree_size(root), 5);
-        assert_eq!(d.subtree_size(p), 4);
-    }
-
     /// `kids` is the one list a node has, and most elements own no heap
     /// list at all; the arena is the reply's largest allocation.
     #[test]
@@ -781,7 +763,6 @@ mod tests {
         let z = d.add_attr(r, "z", "3");
         assert_eq!(d.node(r).attrs(), [x, y, z]);
         assert_eq!(d.node(r).children(), [c1, t, c2]);
-        assert_eq!(d.all_children(r).collect::<Vec<_>>(), [x, y, z, c1, t, c2]);
         assert_eq!(d.iter().collect::<Vec<_>>(), [r, x, y, z, c1, t, c2]);
         assert_eq!(d.to_xml(), "<r x=\"1\" y=\"2\" z=\"3\"><c/>t<c/></r>");
         // Detaching an attribute moves the split, not the children.

@@ -20,6 +20,8 @@ pub trait TreeView {
     /// The interned id of an element or attribute name; `None` when the
     /// document never saw it.
     fn tag_id(&self, name: &str) -> Option<TagId>;
+    /// The name an interned id stands for.
+    fn name(&self, tag: TagId) -> &str;
     fn node_type(&self, n: NodeId) -> NodeType;
     fn parent_of(&self, n: NodeId) -> Option<NodeId>;
     /// Element and text children.
@@ -40,6 +42,10 @@ impl TreeView for Document {
 
     fn tag_id(&self, name: &str) -> Option<TagId> {
         self.interner.get(name)
+    }
+
+    fn name(&self, tag: TagId) -> &str {
+        self.interner.resolve(tag)
     }
 
     fn node_type(&self, n: NodeId) -> NodeType {

@@ -121,7 +121,7 @@ pub fn eval<T: TreeView>(doc: &T, path: &Path) -> Vec<NodeId> {
 
 /// Evaluates a (relative) path from the given context nodes. Results are in
 /// document order, deduplicated.
-pub fn eval_from(doc: &Document, path: &Path, context: &[NodeId]) -> Vec<NodeId> {
+pub fn eval_from<T: TreeView>(doc: &T, path: &Path, context: &[NodeId]) -> Vec<NodeId> {
     let mut context = context.to_vec();
     normalize(&mut context);
     Eval::new(doc).eval_steps(&resolve(doc, &path.steps), context)

@@ -5,7 +5,7 @@ use encrypted_xml::core::scheme::SchemeKind;
 use encrypted_xml::core::system::{OutsourceConfig, Outsourcer};
 use encrypted_xml::workload::{generate_queries, QueryClass};
 use encrypted_xml::workload::{nasa, xmark};
-use encrypted_xml::xml::Document;
+use encrypted_xml::xml::{Document, TreeView};
 use encrypted_xml::xpath::{eval_document, Path};
 
 fn reference(doc: &Document, query: &str) -> Vec<String> {
@@ -149,8 +149,8 @@ fn larger_scale_smoke() {
 }
 
 /// A reconstruction holds nothing dead: every decoy the parse hook drops
-/// gives its arena slots back, so the exported database has as
-/// many slots as live nodes, ids in document order — and is the plaintext.
+/// becomes no node, so the exported database has as many nodes as the
+/// plaintext, numbered in document order — and is the plaintext.
 #[test]
 fn export_reconstructs_with_no_dead_node() {
     use encrypted_xml::workload::hospital;
@@ -165,11 +165,11 @@ fn export_reconstructs_with_no_dead_node() {
                 .unwrap()
                 .split();
             let recovered = client.export(&server).unwrap().expect("a database");
-            assert_eq!(recovered.arena_len(), recovered.len(), "{kind:?}");
             assert_eq!(recovered.len(), doc.len(), "{kind:?}");
-            let ids: Vec<_> = recovered.iter().collect();
+            let mut ids = Vec::new();
+            recovered.for_each_in_subtree(recovered.root().unwrap(), |n| ids.push(n));
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "{kind:?}");
-            assert_eq!(recovered.to_xml(), doc.to_xml(), "{kind:?}");
+            assert_eq!(recovered.text(), doc.to_xml(), "{kind:?}");
         }
     }
 }

@@ -7,7 +7,8 @@ use encrypted_xml::core::scheme::SchemeKind;
 use encrypted_xml::core::system::{OutsourceConfig, Outsourcer};
 use encrypted_xml::core::SecurityConstraint;
 use encrypted_xml::workload::{hospital, nasa, xmark};
-use encrypted_xml::xpath::eval_document;
+use encrypted_xml::xml::SpanDocument;
+use encrypted_xml::xpath::{eval, eval_document, eval_from};
 
 /// Everything captured by a node-type SC must be invisible to the server:
 /// its tags appear neither in the visible document nor as plaintext keys in
@@ -55,6 +56,65 @@ fn association_constraints_enforced_everywhere() {
                 hosted.scheme.enforces(&doc, &cs),
                 "{kind:?} does not enforce the constraints"
             );
+        }
+    }
+}
+
+/// What the server holds in the clear, `visible` (the hosted visible
+/// text), satisfies `constraints`: no node-type SC path binds anything in
+/// it, and no binding of an association's context holds a binding of both
+/// endpoints. Returns the first violation.
+fn constraints_hold_in_the_clear(
+    visible: &str,
+    constraints: &[SecurityConstraint],
+) -> Result<(), String> {
+    if visible.is_empty() {
+        return Ok(());
+    }
+    let doc = SpanDocument::parse(visible).map_err(|e| e.to_string())?;
+    for sc in constraints {
+        match sc {
+            SecurityConstraint::NodeType(p) => {
+                if let Some(&n) = eval(&doc, p).first() {
+                    let at = doc.span(n).start;
+                    return Err(format!("`{sc}` binds the node at byte {at}"));
+                }
+            }
+            SecurityConstraint::Association { context, q1, q2 } => {
+                for x in eval(&doc, context) {
+                    let bound = |q| !eval_from(&doc, q, &[x]).is_empty();
+                    if bound(q1) && bound(q2) {
+                        let at = doc.span(x).start;
+                        return Err(format!("`{sc}`: the context at byte {at} holds both"));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The hosted bytes satisfy the constraints right after set-up, for every
+/// scheme: read back from the server's visible text, no node-type SC binds
+/// anything and no association has both endpoints in the clear.
+#[test]
+fn hosted_text_satisfies_the_constraints_after_set_up() {
+    for (doc, cs) in [
+        (hospital::document(), hospital::constraints()),
+        (xmark::generate_people(30, 5), xmark::constraints()),
+        (nasa::generate_datasets(30, 5), nasa::constraints()),
+    ] {
+        // The plaintext itself breaks them: the check can fail.
+        assert!(constraints_hold_in_the_clear(&doc.to_xml(), &cs).is_err());
+        for kind in SchemeKind::ALL {
+            let hosted = Outsourcer::new(OutsourceConfig::default())
+                .outsource(&doc, &cs, kind, 9)
+                .unwrap();
+            let visible = hosted.server.visible_xml();
+            if let Err(why) = constraints_hold_in_the_clear(visible, &cs) {
+                panic!("{kind:?}: {why}");
+            }
+            assert_eq!(visible.is_empty(), kind == SchemeKind::Top, "{kind:?}");
         }
     }
 }
